@@ -187,9 +187,9 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	fmt.Fprintf(stdout, "live: served %d of %d tasks, p50 %.3f s p99 %.3f s, throughput %.2f/s, availability %.1f%%\n",
 		live.Summary.Completed, live.Injected, live.Summary.P50, live.Summary.P99,
 		live.Summary.Throughput, 100*live.Summary.Availability)
-	fmt.Fprintf(stdout, "live: failures %d recoveries %d transfers %d (%d tasks), %d state packets, %d decode errors\n",
+	fmt.Fprintf(stdout, "live: failures %d recoveries %d transfers %d (%d tasks), %d state packets, %d decode errors, %d tasks lost\n",
 		live.Failures, live.Recoveries, live.TransfersSent, live.TasksTransferred,
-		live.StatePackets, live.DecodeErrors)
+		live.StatePackets, live.DecodeErrors, live.Lost)
 
 	if *outDir != "" {
 		path, err := report.SaveCSV(*outDir, "lbd_timeseries.csv", func(w io.Writer) error {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -17,15 +18,17 @@ import (
 // frames. Every node owns one UDP socket and one TCP listener; task
 // connections are dialled lazily and cached per (from, to) pair.
 type NetTransport struct {
-	n         int
-	udpConns  []*net.UDPConn
-	udpAddrs  []*net.UDPAddr
-	tcpLns    []net.Listener
-	tcpAddrs  []string
-	state     []chan StatePacket
-	tasks     []chan TaskBundle
+	n        int
+	udpConns []*net.UDPConn
+	udpAddrs []*net.UDPAddr
+	tcpLns   []net.Listener
+	tcpAddrs []string
+	state    []chan StatePacket
+	tasks    []chan TaskBundle
+	// mu guards the two connection tables, never a dial or a write: each
+	// sending pair serialises on its own taskConn.
 	mu        sync.Mutex
-	taskConns map[[2]int]net.Conn
+	taskConns map[[2]int]*taskConn
 	// accepted tracks the receive side of every task connection so Close
 	// can unblock readTasks goroutines parked in io.ReadFull even when the
 	// dialling peer (possibly an external client) never closes its end.
@@ -40,6 +43,15 @@ type NetTransport struct {
 	decodeErrs atomic.Uint64
 }
 
+// taskConn is the sending side of one (from, to) pair: the cached
+// connection and the buffer its frames are encoded into, both under mu so
+// concurrent senders of the pair cannot interleave frames.
+type taskConn struct {
+	mu   sync.Mutex
+	conn net.Conn // nil until first use and after a failed write
+	buf  []byte
+}
+
 // NewNetTransport binds loopback sockets for n nodes and starts their
 // receive loops.
 func NewNetTransport(n int) (*NetTransport, error) {
@@ -51,7 +63,7 @@ func NewNetTransport(n int) (*NetTransport, error) {
 		tcpAddrs:  make([]string, n),
 		state:     make([]chan StatePacket, n),
 		tasks:     make([]chan TaskBundle, n),
-		taskConns: map[[2]int]net.Conn{},
+		taskConns: map[[2]int]*taskConn{},
 		accepted:  map[net.Conn]struct{}{},
 		closed:    make(chan struct{}),
 	}
@@ -126,12 +138,20 @@ func (t *NetTransport) acceptLoop(i int) {
 	}
 }
 
+// retainFrame bounds the frame buffer a task connection keeps between
+// frames; a larger frame gets a buffer of its own, so one giant bundle
+// does not pin its size for the connection's lifetime.
+const retainFrame = 64 << 10
+
 // readTasks consumes length-prefixed frames: [4B total length][2B from]
-// [4B count][count serialised tasks]. io.ReadFull rides out partial
-// reads; a mid-frame connection drop or a frame DecodeTaskFrame rejects
-// ends the connection with the failure counted in DecodeErrors — a TCP
-// stream cannot resynchronise past a corrupt frame, so dropping the
-// connection (the dialler re-dials) is the only safe recovery.
+// [4B count][count serialised tasks], through one buffered reader per
+// connection — a burst of small frames costs one read, not two per frame
+// — and into one frame buffer reused across frames (DecodeTaskFrame
+// copies everything out). io.ReadFull rides out partial reads; a
+// mid-frame connection drop or a frame DecodeTaskFrame rejects ends the
+// connection with the failure counted in DecodeErrors — a TCP stream
+// cannot resynchronise past a corrupt frame, so dropping the connection
+// (the dialler re-dials) is the only safe recovery.
 func (t *NetTransport) readTasks(i int, conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -140,9 +160,11 @@ func (t *NetTransport) readTasks(i int, conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
+	br := bufio.NewReader(conn)
 	var hdr [4]byte
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if err != io.EOF && !t.closing() {
 				// EOF between frames is a clean shutdown; anything else —
 				// including ErrUnexpectedEOF from a partial header — is a
@@ -152,13 +174,20 @@ func (t *NetTransport) readTasks(i int, conn net.Conn) {
 			}
 			return
 		}
-		size := binary.BigEndian.Uint32(hdr[:])
+		size := int(binary.BigEndian.Uint32(hdr[:]))
 		if size < taskFrameHeader || size > maxTaskFrame {
 			t.decodeErrs.Add(1)
 			return // corrupt length prefix
 		}
-		frame := make([]byte, size)
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		frame := buf
+		if size > cap(frame) {
+			frame = make([]byte, size)
+			if size <= retainFrame {
+				buf = frame
+			}
+		}
+		frame = frame[:size]
+		if _, err := io.ReadFull(br, frame); err != nil {
 			if !t.closing() {
 				t.decodeErrs.Add(1) // connection dropped mid-frame
 			}
@@ -203,38 +232,66 @@ func (t *NetTransport) SendState(from int, p StatePacket) {
 	}
 }
 
-// SendTasks implements Transport over a cached TCP connection.
+// SendTasks implements Transport over a cached TCP connection: one frame,
+// one write, encoded into the pair's own buffer under the pair's own
+// lock. A failed write drops the connection (the next send re-dials);
+// the frame may or may not have reached the peer.
+//
+//churnlb:hotpath
 func (t *NetTransport) SendTasks(from, to int, tasks []workload.Task) error {
 	if to < 0 || to >= t.n {
+		//lint:ignore hotalloc error path
 		return fmt.Errorf("cluster: invalid destination %d", to)
 	}
-	conn, err := t.taskConn(from, to)
-	if err != nil {
-		return err
+	tc := t.taskConn(from, to)
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if tc.conn == nil {
+		if err := t.dial(tc, to); err != nil {
+			return err
+		}
 	}
-	frame := AppendTaskFrame(nil, from, tasks)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, err := conn.Write(frame); err != nil {
-		delete(t.taskConns, [2]int{from, to})
+	tc.buf = AppendTaskFrame(tc.buf[:0], from, tasks)
+	_, err := tc.conn.Write(tc.buf)
+	if cap(tc.buf) > retainFrame {
+		tc.buf = nil
+	}
+	if err != nil {
+		tc.conn.Close()
+		tc.conn = nil
+		//lint:ignore hotalloc error path
 		return fmt.Errorf("cluster: task send: %w", err)
 	}
 	return nil
 }
 
-func (t *NetTransport) taskConn(from, to int) (net.Conn, error) {
+// taskConn returns the (from, to) pair's sending side, creating the
+// entry — not the connection — on first use.
+func (t *NetTransport) taskConn(from, to int) *taskConn {
 	key := [2]int{from, to}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c, ok := t.taskConns[key]; ok {
-		return c, nil
+	tc := t.taskConns[key]
+	if tc == nil {
+		tc = &taskConn{}
+		t.taskConns[key] = tc
+	}
+	return tc
+}
+
+// dial connects tc to node to. The caller holds tc.mu, which is what
+// lets Close find and close whatever is dialled here: a send that passes
+// the closing check holds the lock Close takes next.
+func (t *NetTransport) dial(tc *taskConn, to int) error {
+	if t.closing() {
+		return fmt.Errorf("cluster: transport closed")
 	}
 	c, err := net.Dial("tcp", t.tcpAddrs[to])
 	if err != nil {
-		return nil, fmt.Errorf("cluster: task dial: %w", err)
+		return fmt.Errorf("cluster: task dial: %w", err)
 	}
-	t.taskConns[key] = c
-	return c, nil
+	tc.conn = c
+	return nil
 }
 
 // State implements Transport.
@@ -261,17 +318,26 @@ func (t *NetTransport) Close() error {
 			}
 		}
 		t.mu.Lock()
-		for k, c := range t.taskConns {
-			c.Close()
-			delete(t.taskConns, k)
+		conns := make([]*taskConn, 0, len(t.taskConns))
+		for _, tc := range t.taskConns {
+			conns = append(conns, tc)
 		}
 		for c := range t.accepted {
 			// Unblock readTasks goroutines whose dialling peer is not one
 			// of our cached conns (an external client, or a peer that
-			// already leaked its end).
+			// already leaked its end) — and, with them, any sender parked
+			// in a write to a receiver that stopped reading.
 			c.Close()
 		}
 		t.mu.Unlock()
+		for _, tc := range conns {
+			tc.mu.Lock()
+			if tc.conn != nil {
+				tc.conn.Close()
+				tc.conn = nil
+			}
+			tc.mu.Unlock()
+		}
 	})
 	t.wg.Wait()
 	// All senders (udpLoop, readTasks) have exited: the close below cannot

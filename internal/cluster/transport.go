@@ -17,6 +17,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"churnlb/internal/workload"
@@ -90,18 +91,24 @@ const taskFrameHeader = 2 + 4
 // AppendTaskFrame serialises one task frame — [4B payload length]
 // [2B from][4B count][count serialised tasks] — appending to dst. The
 // inverse of DecodeTaskFrame (which takes the payload after the length
-// prefix).
+// prefix). The frame is sized from WireSize first, so dst grows at most
+// once and not at all when it already has room: senders keep one buffer
+// per connection and pay no allocation per frame.
+//
+//churnlb:hotpath
 func AppendTaskFrame(dst []byte, from int, tasks []workload.Task) []byte {
-	payload := make([]byte, taskFrameHeader)
-	binary.BigEndian.PutUint16(payload, uint16(from))
-	binary.BigEndian.PutUint32(payload[2:], uint32(len(tasks)))
-	for _, task := range tasks {
-		payload = task.AppendWire(payload)
+	size := taskFrameHeader
+	for i := range tasks {
+		size += tasks[i].WireSize()
 	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(payload)))
-	dst = append(dst, b[:]...)
-	return append(dst, payload...)
+	dst = slices.Grow(dst, 4+size)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(from))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(tasks)))
+	for i := range tasks {
+		dst = tasks[i].AppendWire(dst)
+	}
+	return dst
 }
 
 // DecodeTaskFrame parses one frame payload (the bytes after the 4-byte
@@ -110,26 +117,37 @@ func AppendTaskFrame(dst []byte, from int, tasks []workload.Task) []byte {
 // remaining bytes (each serialised task is at least workload.MinTaskWire
 // bytes), truncated task records, and trailing garbage after the last
 // task.
+//
+// The result shares no memory with payload, so a reader may reuse its
+// frame buffer. Every task's Row is carved from one slab allocated per
+// frame — in a well-formed frame the bytes left after count task headers
+// are exactly the rows, which sizes the slab and bounds it by the payload
+// — and each Row is capacity-clipped against its neighbours.
+//
+//churnlb:hotpath
 func DecodeTaskFrame(payload []byte) (from int, tasks []workload.Task, err error) {
 	if len(payload) < taskFrameHeader {
+		//lint:ignore hotalloc error path: the connection is dropped after it
 		return 0, nil, fmt.Errorf("cluster: task frame header truncated (%d bytes)", len(payload))
 	}
 	from = int(binary.BigEndian.Uint16(payload))
 	count := int(binary.BigEndian.Uint32(payload[2:]))
 	rest := payload[taskFrameHeader:]
 	if count < 0 || count > len(rest)/workload.MinTaskWire {
+		//lint:ignore hotalloc error path: the connection is dropped after it
 		return 0, nil, fmt.Errorf("cluster: task frame advertises %d tasks in %d payload bytes", count, len(rest))
 	}
-	tasks = make([]workload.Task, 0, count)
-	for k := 0; k < count; k++ {
-		var task workload.Task
-		task, rest, err = workload.DecodeTask(rest)
+	//lint:ignore hotalloc the bundle handed to the receiver: one task slice and one row slab per frame, both bounded by the payload
+	tasks, slab := make([]workload.Task, count), make([]float64, (len(rest)-count*workload.MinTaskWire)/8)
+	for k := range tasks {
+		tasks[k], rest, slab, err = workload.DecodeTaskSlab(rest, slab)
 		if err != nil {
+			//lint:ignore hotalloc error path: the connection is dropped after it
 			return 0, nil, fmt.Errorf("cluster: task %d/%d: %w", k, count, err)
 		}
-		tasks = append(tasks, task)
 	}
 	if len(rest) != 0 {
+		//lint:ignore hotalloc error path: the connection is dropped after it
 		return 0, nil, fmt.Errorf("cluster: %d trailing bytes after %d tasks", len(rest), count)
 	}
 	return from, tasks, nil
@@ -142,8 +160,11 @@ type Transport interface {
 	// SendState delivers a state packet to every other node,
 	// best-effort: packets may be dropped.
 	SendState(from int, p StatePacket)
-	// SendTasks reliably delivers tasks to a node. It may block briefly
-	// but must not lose tasks.
+	// SendTasks reliably delivers tasks to a node as one bundle. It may
+	// block briefly but must not lose tasks: a nil error means delivered,
+	// an error means the bundle must be presumed lost. tasks is the
+	// caller's to reuse once the call returns — implementations copy
+	// (or encode) what they keep.
 	SendTasks(from, to int, tasks []workload.Task) error
 	// State returns node i's incoming state-packet channel.
 	State(i int) <-chan StatePacket
@@ -218,19 +239,11 @@ func (t *ChanTransport) SendTasks(from, to int, tasks []workload.Task) error {
 	if to < 0 || to >= t.n {
 		return fmt.Errorf("cluster: invalid destination %d", to)
 	}
-	// Round-trip the wire format so in-process runs cover the codec.
-	var buf []byte
-	for _, task := range tasks {
-		buf = task.AppendWire(buf)
-	}
-	decoded := make([]workload.Task, 0, len(tasks))
-	for len(buf) > 0 {
-		task, rest, err := workload.DecodeTask(buf)
-		if err != nil {
-			return err
-		}
-		decoded = append(decoded, task)
-		buf = rest
+	// Round-trip the frame codec so in-process runs cover the wire format
+	// (and hand the receiver memory of its own, like a socket would).
+	_, decoded, err := DecodeTaskFrame(AppendTaskFrame(nil, from, tasks)[4:])
+	if err != nil {
+		return err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -294,5 +295,176 @@ func TestChanTransportCloseContract(t *testing.T) {
 	}
 	if _, ok := <-tr.State(2); ok {
 		t.Fatal("state channel not closed after Close")
+	}
+}
+
+// TestAppendTaskFrameInPlace pins the one-pass encoder: it appends after
+// whatever dst already holds, grows dst at most once, and not at all when
+// dst has room — the property the per-connection send buffer relies on.
+func TestAppendTaskFrameInPlace(t *testing.T) {
+	g := workload.NewGenerator(16, 50, xrand.New(12))
+	tasks := g.Batch(16)
+	want := AppendTaskFrame(nil, 64, tasks)
+
+	prefix := []byte("already here")
+	got := AppendTaskFrame(append([]byte(nil), prefix...), 64, tasks)
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("prefix clobbered: %q", got[:len(prefix)])
+	}
+	if !bytes.Equal(got[len(prefix):], want) {
+		t.Fatal("frame appended after a prefix differs from the frame appended to nil")
+	}
+
+	if raceEnabled {
+		return // the race detector's instrumentation allocates on its own
+	}
+	small := make([]byte, len(prefix), len(prefix)+8) // must grow
+	copy(small, prefix)
+	if n := testing.AllocsPerRun(100, func() { _ = AppendTaskFrame(small, 64, tasks) }); n > 1 {
+		t.Fatalf("%v allocations growing dst, want at most 1", n)
+	}
+	roomy := make([]byte, 0, len(want))
+	if n := testing.AllocsPerRun(100, func() { roomy = AppendTaskFrame(roomy[:0], 64, tasks) }); n != 0 {
+		t.Fatalf("%v allocations with room in dst, want 0", n)
+	}
+	if !bytes.Equal(roomy, want) {
+		t.Fatal("reused buffer holds a different frame")
+	}
+}
+
+// TestDecodedRowsDoNotAlias pins the slab decode's isolation: rows carved
+// from one allocation must behave like rows of their own — a write stays
+// in its row, an append reallocates instead of running into the next.
+func TestDecodedRowsDoNotAlias(t *testing.T) {
+	g := workload.NewGenerator(4, 10, xrand.New(13))
+	sent := g.Batch(3)
+	payload := AppendTaskFrame(nil, 1, sent)[4:]
+	_, got, err := DecodeTaskFrame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload {
+		payload[i] = 0xFF // the reader reuses its frame buffer
+	}
+	for i := range got {
+		for j, v := range got[i].Row {
+			if v != sent[i].Row[j] {
+				t.Fatalf("task %d row[%d] = %v after the payload was overwritten, want %v", i, j, v, sent[i].Row[j])
+			}
+		}
+		if cap(got[i].Row) != len(got[i].Row) {
+			t.Fatalf("task %d row has spare capacity %d: an append would reach its neighbour", i, cap(got[i].Row)-len(got[i].Row))
+		}
+	}
+	got[0].Row[3] = 42
+	got[1].Row = append(got[1].Row, 99)
+	got[1].Row[0] = -1
+	for j, v := range got[2].Row {
+		if v != sent[2].Row[j] {
+			t.Fatalf("task 2 row[%d] changed to %v through a neighbour", j, v)
+		}
+	}
+	if got[1].Row[3] != sent[1].Row[3] || got[0].Row[0] != sent[0].Row[0] {
+		t.Fatal("a write leaked across rows")
+	}
+}
+
+// TestReadTasksStream drives the buffered receive path over a real
+// loopback connection at both extremes: 200 frames arriving in one write
+// (many frames per read) and one frame arriving a byte per write (many
+// reads per frame). Every frame must decode, in order.
+func TestReadTasksStream(t *testing.T) {
+	tr := newNetTransportOrSkip(t, 2)
+	defer tr.Close()
+	g := workload.NewGenerator(16, 50, xrand.New(14))
+
+	const frames = 200
+	var stream []byte
+	var wantIDs []uint64
+	for f := 0; f < frames; f++ {
+		tasks := g.Batch(1 + f%5)
+		for _, task := range tasks {
+			wantIDs = append(wantIDs, task.ID)
+		}
+		stream = AppendTaskFrame(stream, 0, tasks)
+	}
+	c := dialRaw(t, tr, 1)
+	defer c.Close()
+	if _, err := c.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	slow := g.Batch(2)
+	for _, task := range slow {
+		wantIDs = append(wantIDs, task.ID)
+	}
+	for _, b := range AppendTaskFrame(nil, 0, slow) {
+		if _, err := c.Write([]byte{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var gotIDs []uint64
+	deadline := time.After(10 * time.Second)
+	for bundles := 0; bundles < frames+1; bundles++ {
+		select {
+		case b := <-tr.Tasks(1):
+			for _, task := range b.Tasks {
+				gotIDs = append(gotIDs, task.ID)
+			}
+		case <-deadline:
+			t.Fatalf("received %d of %d bundles", bundles, frames+1)
+		}
+	}
+	if len(gotIDs) != len(wantIDs) {
+		t.Fatalf("received %d tasks, sent %d", len(gotIDs), len(wantIDs))
+	}
+	for i := range wantIDs {
+		if gotIDs[i] != wantIDs[i] {
+			t.Fatalf("task %d: got ID %d, want %d", i, gotIDs[i], wantIDs[i])
+		}
+	}
+	if n := tr.DecodeErrors(); n != 0 {
+		t.Fatalf("%d decode errors on a clean stream", n)
+	}
+}
+
+// TestNetTransportConcurrentSenders has many goroutines share one
+// (from, to) pair while others use pairs of their own: the per-pair lock
+// must keep frames whole, and nothing may be lost or dropped.
+func TestNetTransportConcurrentSenders(t *testing.T) {
+	tr := newNetTransportOrSkip(t, 4)
+	defer tr.Close()
+	const senders, sendsEach, perSend = 6, 50, 3
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			g := workload.NewGenerator(8, 20, xrand.New(uint64(100+s)))
+			from := s % 3 // senders 0/3, 1/4, 2/5 share a pair
+			for i := 0; i < sendsEach; i++ {
+				if err := tr.SendTasks(from, 3, g.Batch(perSend)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	got := 0
+	deadline := time.After(10 * time.Second)
+	for got < senders*sendsEach*perSend {
+		select {
+		case b := <-tr.Tasks(3):
+			if len(b.Tasks) != perSend {
+				t.Fatalf("bundle of %d tasks, every send carried %d", len(b.Tasks), perSend)
+			}
+			got += len(b.Tasks)
+		case <-deadline:
+			t.Fatalf("received %d of %d tasks", got, senders*sendsEach*perSend)
+		}
+	}
+	wg.Wait()
+	if n := tr.DecodeErrors(); n != 0 {
+		t.Fatalf("%d decode errors: frames interleaved", n)
 	}
 }

@@ -115,6 +115,13 @@ type Result struct {
 	// HTTP); Interrupted reports an early Interrupt cut the stream.
 	Injected    int
 	Interrupted bool
+	// Lost counts admitted tasks declared lost because the send carrying
+	// them failed (a dispatcher bundle or an eq.-(8) transfer): no retry —
+	// a write that errored may or may not have delivered — so they leave
+	// the books instead, and every run ends with
+	// sum(Processed) + Lost == Injected. A failed dispatcher send also
+	// ends the trace replay early.
+	Lost int
 }
 
 // dispatcherID returns the transport index of the dispatcher for an
@@ -129,26 +136,33 @@ type peer struct {
 	seq      uint32
 }
 
-// taskMeta tracks one in-system task for the telemetry observer.
-type taskMeta struct {
-	node         int
-	arrival      float64
-	firstService float64 // -1 until first pop
+// peerView is the model.StateView routers read: the peer table itself,
+// not a copy of it. Valid while peersMu is held, which is the duration of
+// one Route call — the lifetime the viewretain contract gives any view.
+type peerView struct {
+	peers []peer
+	time  float64
 }
+
+func (v *peerView) Time() float64   { return v.time }
+func (v *peerView) N() int          { return len(v.peers) }
+func (v *peerView) Queue(i int) int { return int(v.peers[i].queueLen) }
+func (v *peerView) Up(i int) bool   { return v.peers[i].up }
+func (v *peerView) InFlight() int   { return 0 }
 
 // worker is one live serving process.
 type worker struct {
 	id      int
 	mu      sync.Mutex
-	queue   []workload.Task
+	queue   taskQueue
 	up      bool
 	kick    chan struct{}
 	failInt chan struct{}
 	seq     uint32
 	rngApp  *xrand.Rand
 	rngLB   *xrand.Rand
-	// processedCount counts tasks this worker executed (guarded by mu).
-	processedCount int
+	// processed counts tasks this worker executed.
+	processed atomic.Int64
 }
 
 type run struct {
@@ -162,21 +176,31 @@ type run struct {
 	fplan     *policy.FailurePlan
 	start     time.Time
 
-	// peers is the dispatcher's live state view; peersMu guards it and
-	// the dispatcher's router state (routers may be stateful).
-	peersMu sync.Mutex
-	peers   []peer
+	// admitMu serialises admission — the trace driver and every HTTP
+	// handler — and guards what only admission touches: the router and its
+	// rng (routers may be stateful), the task generator, and pending, the
+	// per-worker bundles admitted but not yet on the wire. It is held
+	// across a flush, so a worker's bundles go out in admission order.
+	admitMu sync.Mutex
 	router  policy.Router
 	rngRoot *xrand.Rand
+	gen     *workload.Generator
+	pending [][]workload.Task
+
+	// peers is the dispatcher's live state view, folded from state packets
+	// by dispatcherStateLoop and read (and optimistically bumped) by
+	// admission under peersMu; view is the StateView over it.
+	peersMu sync.Mutex
+	peers   []peer
+	view    peerView
 
 	// col is the telemetry collector; it is single-goroutine by design,
-	// so colMu serialises every observer hook. tasks maps in-system task
-	// IDs to their lifecycle record, and gen (also under colMu) mints the
-	// task payloads.
-	colMu sync.Mutex
-	col   *metrics.Collector
-	tasks map[uint64]*taskMeta
-	gen   *workload.Generator
+	// so colMu serialises every observer hook. inSystem (also under colMu)
+	// holds the lifecycle record of every admitted task that has neither
+	// completed nor been declared lost.
+	colMu    sync.Mutex
+	col      *metrics.Collector
+	inSystem *taskWindow
 
 	injected       int64
 	processedTotal int64
@@ -185,6 +209,7 @@ type run struct {
 	transfersSent  int64
 	tasksMoved     int64
 	statePackets   int64
+	lost           atomic.Int64 // tasks declared lost after a failed send
 	arrivalsClosed atomic.Bool
 	interrupted    atomic.Bool
 
@@ -246,19 +271,21 @@ func Run(opt Options) (*Result, error) {
 	}
 
 	c := &run{
-		opt:     opt,
-		p:       opt.Params,
-		n:       n,
-		matrix:  workload.NewMatrix(opt.MatrixDim, opt.Seed^0x9e37),
-		peers:   make([]peer, n),
-		router:  opt.Router,
-		rngRoot: xrand.NewStream(opt.Seed, 0xD15),
-		col:     metrics.NewCollector(n, window),
-		tasks:   make(map[uint64]*taskMeta),
-		gen:     workload.NewGenerator(opt.MatrixDim, opt.MeanPrecision, xrand.NewStream(opt.Seed, 0xFEED)),
-		stop:    make(chan struct{}),
-		doneCh:  make(chan struct{}),
+		opt:      opt,
+		p:        opt.Params,
+		n:        n,
+		matrix:   workload.NewMatrix(opt.MatrixDim, opt.Seed^0x9e37),
+		peers:    make([]peer, n),
+		router:   opt.Router,
+		rngRoot:  xrand.NewStream(opt.Seed, 0xD15),
+		col:      metrics.NewCollector(n, window),
+		inSystem: newTaskWindow(),
+		gen:      workload.NewGenerator(opt.MatrixDim, opt.MeanPrecision, xrand.NewStream(opt.Seed, 0xFEED)),
+		pending:  make([][]workload.Task, n),
+		stop:     make(chan struct{}),
+		doneCh:   make(chan struct{}),
 	}
+	c.view.peers = c.peers
 	c.transport = opt.Transport
 	if c.transport == nil {
 		tr, err := cluster.NewNetTransport(n + 1)
@@ -316,8 +343,8 @@ func Run(opt Options) (*Result, error) {
 	select {
 	case <-c.doneCh:
 	case <-time.After(opt.MaxWall):
-		err = fmt.Errorf("daemon: run exceeded MaxWall=%v with %d/%d tasks done",
-			opt.MaxWall, atomic.LoadInt64(&c.processedTotal), atomic.LoadInt64(&c.injected))
+		err = fmt.Errorf("daemon: run exceeded MaxWall=%v with %d/%d tasks done (%d lost)",
+			opt.MaxWall, atomic.LoadInt64(&c.processedTotal), atomic.LoadInt64(&c.injected), c.lost.Load())
 	}
 	c.shutdown()
 	if httpDone != nil {
@@ -336,6 +363,7 @@ func Run(opt Options) (*Result, error) {
 		StatePackets:     int(atomic.LoadInt64(&c.statePackets)),
 		Injected:         int(atomic.LoadInt64(&c.injected)),
 		Interrupted:      c.interrupted.Load(),
+		Lost:             int(c.lost.Load()),
 	}
 	if nt, ok := c.transport.(*cluster.NetTransport); ok {
 		res.DecodeErrors = nt.DecodeErrors()
@@ -345,7 +373,7 @@ func Run(opt Options) (*Result, error) {
 	res.Windows = c.col.Windows()
 	c.colMu.Unlock()
 	for i, w := range c.workers {
-		res.Processed[i] = c.processedOf(w)
+		res.Processed[i] = int(w.processed.Load())
 	}
 	return res, nil
 }
@@ -391,10 +419,10 @@ func (c *run) finish() {
 }
 
 // maybeFinish closes the run when the arrival stream has ended and
-// every admitted task completed.
+// every admitted task completed or was declared lost.
 func (c *run) maybeFinish() {
 	if c.arrivalsClosed.Load() &&
-		atomic.LoadInt64(&c.processedTotal) == atomic.LoadInt64(&c.injected) {
+		atomic.LoadInt64(&c.processedTotal)+c.lost.Load() == atomic.LoadInt64(&c.injected) {
 		c.finish()
 	}
 }
@@ -413,8 +441,18 @@ const (
 // away from the model it is calibrated against.
 const spinThreshold = 2 * time.Millisecond
 
-// preciseWait waits d of wall time, honouring an optional interrupt (the
-// worker's failure signal) and the run's stop channel.
+// newWaitTimer returns the stopped timer a waiting goroutine owns for its
+// lifetime: preciseWait re-arms it per wait instead of allocating one per
+// task (since go 1.23 a Reset timer cannot deliver a stale tick).
+func newWaitTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
+// preciseWait waits d of wall time on the caller's timer, honouring an
+// optional interrupt (the worker's failure signal) and the run's stop
+// channel.
 //
 // When the machine has CPU headroom (more cores than workers — c.spin),
 // the final spinThreshold of every wait is spin-waited for precision,
@@ -424,14 +462,15 @@ const spinThreshold = 2 * time.Millisecond
 // floor (~1 ms) becomes the resolution limit instead: calibration runs
 // on small machines should pick a TimeScale that keeps mean service
 // times well above it.
-func (c *run) preciseWait(d time.Duration, interrupt <-chan struct{}) sleepOutcome {
-	deadline := time.Now().Add(d)
+func (c *run) preciseWait(t *time.Timer, d time.Duration, interrupt <-chan struct{}) sleepOutcome {
+	var deadline time.Time
 	coarse := d
 	if c.spin {
+		deadline = time.Now().Add(d)
 		coarse -= spinThreshold
 	}
 	if coarse > 0 {
-		t := time.NewTimer(coarse)
+		t.Reset(coarse)
 		select {
 		case <-t.C:
 		case <-interrupt: // nil channel when no interrupt: never fires
@@ -457,15 +496,10 @@ func (c *run) preciseWait(d time.Duration, interrupt <-chan struct{}) sleepOutco
 	return sleptFull
 }
 
-// sleepV waits v virtual seconds; false means the run stopped.
-func (c *run) sleepV(v float64) bool {
-	return c.preciseWait(c.wall(v), nil) == sleptFull
-}
-
-func (c *run) processedOf(w *worker) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return int(w.processedCount)
+// sleepV waits v virtual seconds on the caller's timer; false means the
+// run stopped.
+func (c *run) sleepV(t *time.Timer, v float64) bool {
+	return c.preciseWait(t, c.wall(v), nil) == sleptFull
 }
 
 // --- worker loops (the live mirror of internal/cluster's CE layers) ---
@@ -477,9 +511,10 @@ func (c *run) processedOf(w *worker) int {
 func (c *run) appLoop(w *worker) {
 	defer c.wg.Done()
 	rate := c.p.ProcRate[w.id]
+	timer := newWaitTimer()
 	for {
 		w.mu.Lock()
-		for !(w.up && len(w.queue) > 0) {
+		for !(w.up && w.queue.len() > 0) {
 			w.mu.Unlock()
 			select {
 			case <-w.kick:
@@ -488,10 +523,11 @@ func (c *run) appLoop(w *worker) {
 			}
 			w.mu.Lock()
 		}
-		task := w.queue[0]
-		w.queue = w.queue[1:]
+		task := w.queue.pop()
 		w.mu.Unlock()
-		c.noteFirstService(task.ID)
+		// This attempt's start is the task's first-service instant unless
+		// an earlier, interrupted attempt already stamped one.
+		started := c.now()
 
 		var v float64
 		if c.opt.RealCompute {
@@ -499,20 +535,23 @@ func (c *run) appLoop(w *worker) {
 		} else {
 			v = w.rngApp.Exp(rate)
 		}
-		switch c.preciseWait(c.wall(v), w.failInt) {
+		switch c.preciseWait(timer, c.wall(v), w.failInt) {
 		case sleptFull:
 			if c.opt.RealCompute {
 				c.matrix.MultiplyTask(task)
 			}
-			w.mu.Lock()
-			w.processedCount++
-			w.mu.Unlock()
-			c.noteCompleted(w.id, task.ID)
-			atomic.AddInt64(&c.processedTotal, 1)
-			c.maybeFinish()
+			// A task no longer on the books (declared lost after a send
+			// that delivered anyway) is executed but not counted, which
+			// keeps processed + lost == injected exact.
+			if c.noteCompleted(w.id, task.ID, started) {
+				w.processed.Add(1)
+				atomic.AddInt64(&c.processedTotal, 1)
+				c.maybeFinish()
+			}
 		case sleepInterrupted:
+			c.noteInterrupted(task.ID, started)
 			w.mu.Lock()
-			w.queue = append([]workload.Task{task}, w.queue...)
+			w.queue.unpop(task)
 			w.mu.Unlock()
 		case sleepStopped:
 			return
@@ -526,13 +565,14 @@ func (c *run) appLoop(w *worker) {
 // recovers.
 func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 	defer c.wg.Done()
+	timer := newWaitTimer()
 	for {
-		if !c.sleepV(c.churnSample(rng, 1/c.p.FailRate[w.id])) {
+		if !c.sleepV(timer, c.churnSample(rng, 1/c.p.FailRate[w.id])) {
 			return
 		}
 		w.mu.Lock()
 		w.up = false
-		queued := len(w.queue)
+		queued := w.queue.len()
 		w.mu.Unlock()
 		kick(w.failInt)
 		atomic.AddInt64(&c.failures, 1)
@@ -542,7 +582,7 @@ func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 			c.execTransfers(w, c.fplan.Transfers(nil, w.id, queued))
 		}
 
-		if !c.sleepV(c.churnSample(rng, 1/c.p.RecRate[w.id])) {
+		if !c.sleepV(timer, c.churnSample(rng, 1/c.p.RecRate[w.id])) {
 			return
 		}
 		w.mu.Lock()
@@ -588,16 +628,9 @@ func (c *run) execTransfers(w *worker, trs []model.Transfer) {
 			continue
 		}
 		w.mu.Lock()
-		k := tr.Tasks
-		if k > len(w.queue) {
-			k = len(w.queue)
-		}
-		var tasks []workload.Task
-		if k > 0 {
-			tasks = append([]workload.Task(nil), w.queue[len(w.queue)-k:]...)
-			w.queue = w.queue[:len(w.queue)-k]
-		}
+		tasks := w.queue.takeTail(tr.Tasks)
 		w.mu.Unlock()
+		k := len(tasks)
 		if k == 0 {
 			continue
 		}
@@ -609,10 +642,12 @@ func (c *run) execTransfers(w *worker, trs []model.Transfer) {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			if !c.sleepV(delay) {
+			if !c.sleepV(newWaitTimer(), delay) {
 				return
 			}
-			_ = c.transport.SendTasks(w.id, to, tasks)
+			if err := c.transport.SendTasks(w.id, to, tasks); err != nil {
+				c.declareLost(tasks, true)
+			}
 		}()
 	}
 }
@@ -629,7 +664,7 @@ func (c *run) taskRecvLoop(w *worker) {
 				return
 			}
 			w.mu.Lock()
-			w.queue = append(w.queue, b.Tasks...)
+			w.queue.push(b.Tasks)
 			w.mu.Unlock()
 			if b.From != dispatcherID(c.n) {
 				c.noteTransferIn(w.id, len(b.Tasks))
@@ -668,7 +703,7 @@ func (c *run) broadcastState(w *worker) {
 	pkt := cluster.StatePacket{
 		From:      uint16(w.id),
 		Seq:       w.seq,
-		QueueLen:  uint32(len(w.queue)),
+		QueueLen:  uint32(w.queue.len()),
 		Up:        w.up,
 		RateMilli: uint32(c.p.ProcRate[w.id] * 1000),
 		TimeMs:    uint64(c.now() * 1000),
@@ -703,88 +738,191 @@ func (c *run) dispatcherStateLoop() {
 	}
 }
 
-// liveSnapshot materialises the dispatcher's current StateView. Callers
-// must hold peersMu.
-func (c *run) liveSnapshot() model.SnapshotView {
-	s := model.State{
-		Time:   c.now(),
-		Queues: make([]int, c.n),
-		Up:     make([]bool, c.n),
-	}
-	for i, p := range c.peers {
-		s.Queues[i] = int(p.queueLen)
-		s.Up[i] = p.up
-	}
-	return model.SnapshotView{State: s}
+// bundleCap is the size at which the trace driver puts a worker's pending
+// bundle on the wire without waiting for the end of the due-run. Chosen
+// from the measured frontier (README, "Live daemon"): time per admitted
+// task saturates by 16–32 tasks per frame, while resident memory keeps
+// rising with the cap — pending bundles and the workers' 64-deep bundle
+// channels hold cap tasks each.
+const bundleCap = 16
+
+// maxBatch bounds one arrival's tasks at the HTTP front door; a frame of
+// maxBatch default-dimension tasks is 144 KB.
+const maxBatch = 1024
+
+// satAdd32 is q + k saturating at the top of uint32: no batch size can
+// wrap a long gossiped queue into a short one.
+func satAdd32(q uint32, k int) uint32 {
+	return uint32(min(uint64(q)+uint64(k), math.MaxUint32))
 }
 
-// Inject admits one batch of tasks: route against the live view, record
-// the arrival for telemetry, ship the batch to the chosen worker over
-// the task path. It is the one entry point shared by the trace driver
-// and the HTTP front door. Returns the chosen worker, or an error once
-// the arrival stream has closed.
-func (c *run) Inject(batch int) (int, error) {
-	if batch <= 0 {
-		batch = c.opt.Batch
-	}
-	if c.arrivalsClosed.Load() {
-		return -1, fmt.Errorf("daemon: arrival stream closed")
-	}
+// admit takes one arrival into the system: route it against the live
+// view (with the optimistic bump), mint its tasks, register them with
+// telemetry, and append them to the chosen worker's pending bundle.
+// Nothing reaches the wire until flush. now is the arrival's instant on
+// the virtual clock; the caller holds admitMu.
+//
+//churnlb:hotpath
+func (c *run) admit(batch int, now float64) (int, error) {
 	c.peersMu.Lock()
 	var node int
 	if c.router != nil {
-		node = c.router.Route(c.liveSnapshot(), c.p, c.rngRoot)
+		c.view.time = now
+		node = c.router.Route(&c.view, c.p, c.rngRoot)
 	} else {
 		node = c.rngRoot.Intn(c.n)
 	}
 	if node < 0 || node >= c.n {
 		c.peersMu.Unlock()
+		//lint:ignore hotalloc error path: a broken router ends the run
 		return -1, fmt.Errorf("daemon: router returned invalid worker %d", node)
 	}
 	// Optimistic local update so back-to-back arrivals between state
 	// packets don't all pile onto the same worker.
-	c.peers[node].queueLen += uint32(batch)
+	c.peers[node].queueLen = satAdd32(c.peers[node].queueLen, batch)
 	c.peersMu.Unlock()
 
-	now := c.now()
+	first := len(c.pending[node])
+	for i := 0; i < batch; i++ {
+		c.pending[node] = append(c.pending[node], c.gen.Next())
+	}
 	c.colMu.Lock()
-	tasks := c.gen.Batch(batch)
-	for i := range tasks {
-		c.tasks[tasks[i].ID] = &taskMeta{node: node, arrival: now, firstService: -1}
+	for _, task := range c.pending[node][first:] {
+		c.inSystem.add(task.ID, now)
 	}
 	c.col.TasksArrived(node, batch, now)
 	c.colMu.Unlock()
 	atomic.AddInt64(&c.injected, int64(batch))
-
-	if err := c.transport.SendTasks(dispatcherID(c.n), node, tasks); err != nil {
-		return node, fmt.Errorf("daemon: dispatch to worker %d: %w", node, err)
-	}
 	return node, nil
+}
+
+// flush ships worker node's pending bundle, if any, as one task frame.
+// A failed send is the point where tasks can go missing, so the bundle is
+// declared lost there. The caller holds admitMu.
+//
+//churnlb:hotpath
+func (c *run) flush(node int) error {
+	bundle := c.pending[node]
+	if len(bundle) == 0 {
+		return nil
+	}
+	err := c.transport.SendTasks(dispatcherID(c.n), node, bundle)
+	if err != nil {
+		c.declareLost(bundle, false)
+		//lint:ignore hotalloc error path: a failed send ends the replay
+		err = fmt.Errorf("daemon: dispatch to worker %d: %w", node, err)
+	}
+	clear(bundle) // release the rows; the transport kept what it needs
+	c.pending[node] = bundle[:0]
+	return err
+}
+
+// flushAll ships every pending bundle, in worker order; the first error
+// is returned after all have been tried.
+func (c *run) flushAll() error {
+	c.admitMu.Lock()
+	defer c.admitMu.Unlock()
+	var first error
+	for node := range c.pending {
+		if err := c.flush(node); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// declareLost takes the tasks of a failed send off the books: out of the
+// in-system window and out of the collector's queued (a dispatcher
+// bundle) or in-flight (an eq.-(8) transfer) population, and into
+// Result.Lost — without which processed could never reach injected and
+// the run would hang to MaxWall.
+func (c *run) declareLost(tasks []workload.Task, inFlight bool) {
+	now := c.now()
+	n := 0
+	c.colMu.Lock()
+	for _, task := range tasks {
+		if m := c.inSystem.get(task.ID); m != nil {
+			c.inSystem.remove(m)
+			n++
+		}
+	}
+	c.col.TasksLost(n, inFlight, now)
+	c.colMu.Unlock()
+	c.lost.Add(int64(n))
+	c.maybeFinish()
+}
+
+// Inject admits one batch of tasks and puts it on the wire at once: route
+// against the live view, record the arrival for telemetry, ship the batch
+// to the chosen worker over the task path. It is the HTTP front door's
+// entry point — admit plus flush, the trace driver's two steps with
+// nothing in between. Returns the chosen worker, or an error once the
+// arrival stream has closed.
+func (c *run) Inject(batch int) (int, error) {
+	if batch <= 0 {
+		batch = c.opt.Batch
+	}
+	c.admitMu.Lock()
+	defer c.admitMu.Unlock()
+	if c.arrivalsClosed.Load() {
+		return -1, fmt.Errorf("daemon: arrival stream closed")
+	}
+	node, err := c.admit(batch, c.now())
+	if err != nil {
+		return -1, err
+	}
+	return node, c.flush(node)
+}
+
+// admitTraced is the trace driver's step for one due arrival: admit, and
+// flush the chosen worker only if its bundle has reached bundleCap.
+func (c *run) admitTraced(batch int, now float64) error {
+	c.admitMu.Lock()
+	defer c.admitMu.Unlock()
+	node, err := c.admit(batch, now)
+	if err == nil && len(c.pending[node]) >= bundleCap {
+		err = c.flush(node)
+	}
+	return err
 }
 
 // traceLoop replays the recorded arrival schedule in wall time, then
 // closes the arrival stream. Interrupt cuts the replay early.
+//
+// Arrivals are admitted one by one, in trace order, but reach the wire in
+// bundles: every arrival already due is admitted without flushing, and a
+// worker's bundle goes out when it reaches bundleCap, before the driver
+// waits for an arrival that is not yet due, on interrupt, and at the end
+// of the trace. A dispatcher that keeps up therefore sends each arrival
+// as its own frame before it sleeps — pacing adds no latency — and frames
+// grow only while it is behind, where one write per bundle instead of one
+// per task is what lets it catch up.
 func (c *run) traceLoop() {
 	defer c.wg.Done()
+	timer := newWaitTimer()
 	for _, a := range c.opt.Trace {
 		if c.interruptFired() {
 			break
 		}
 		// Absolute pacing against the virtual clock: sleep to the entry's
-		// instant, not by deltas, so pacing error does not accumulate.
-		if d := c.wall(a.Time) - time.Since(c.start); d > 0 {
-			if c.preciseWait(d, c.opt.Interrupt) != sleptFull {
+		// instant, not by deltas, so pacing error does not accumulate. One
+		// clock reading serves the due test and stamps the admission.
+		now := c.now()
+		if d := c.wall(a.Time - now); d > 0 {
+			if c.flushAll() != nil || c.preciseWait(timer, d, c.opt.Interrupt) != sleptFull {
 				break
 			}
+			now = c.now()
 		}
 		batch := a.Batch
 		if batch <= 0 {
 			batch = c.opt.Batch
 		}
-		if _, err := c.Inject(batch); err != nil {
+		if c.admitTraced(batch, now) != nil {
 			break
 		}
 	}
+	c.flushAll()
 	if len(c.opt.Trace) > 0 || c.interruptFired() {
 		c.closeArrivals()
 		return
@@ -808,36 +946,49 @@ func (c *run) interruptFired() bool {
 	}
 }
 
+// closeArrivals ends admission. Taking admitMu orders it against an
+// Inject in progress: that batch is either counted before the stream
+// closes or refused.
 func (c *run) closeArrivals() {
+	c.admitMu.Lock()
 	c.arrivalsClosed.Store(true)
+	c.admitMu.Unlock()
 	c.maybeFinish()
 }
 
 // --- telemetry hooks (colMu serialises the single-goroutine Collector;
 // its integrator tolerates the slightly out-of-order timestamps real
-// concurrency produces) ---
+// concurrency produces). A task's life takes colMu twice, at admission
+// and at completion; a failure interrupt adds a third. ---
 
-func (c *run) noteFirstService(id uint64) {
-	now := c.now()
+// noteInterrupted stamps the start of a task's first service attempt into
+// its record when a failure cuts that attempt short.
+func (c *run) noteInterrupted(id uint64, started float64) {
 	c.colMu.Lock()
-	if m := c.tasks[id]; m != nil && m.firstService < 0 {
-		m.firstService = now
+	if m := c.inSystem.get(id); m != nil && m.firstService < 0 {
+		m.firstService = started
 	}
 	c.colMu.Unlock()
 }
 
-func (c *run) noteCompleted(node int, id uint64) {
+// noteCompleted records a completion whose (last) service attempt began
+// at started, and reports whether the task was still on the books.
+//
+//churnlb:hotpath
+func (c *run) noteCompleted(node int, id uint64, started float64) bool {
 	now := c.now()
 	c.colMu.Lock()
-	if m := c.tasks[id]; m != nil {
-		fs := m.firstService
-		if fs < 0 {
-			fs = now
+	m := c.inSystem.get(id)
+	onBooks := m != nil
+	if onBooks {
+		if m.firstService >= 0 {
+			started = m.firstService
 		}
-		c.col.TaskCompleted(node, m.arrival, fs, now)
-		delete(c.tasks, id)
+		c.col.TaskCompleted(node, m.arrival, started, now)
+		c.inSystem.remove(m)
 	}
 	c.colMu.Unlock()
+	return onBooks
 }
 
 func (c *run) noteChurn(node int, up bool) {

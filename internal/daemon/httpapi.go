@@ -15,8 +15,10 @@ import (
 // shutdown func. Endpoints:
 //
 //	POST /task?batch=N  — admit a batch through the dispatcher; responds
-//	                      with the chosen worker. 503 once the arrival
-//	                      stream has closed.
+//	                      with the chosen worker. 400 unless 1 ≤ N ≤
+//	                      maxBatch, 503 once the arrival stream has closed
+//	                      or when the send failed (the batch is then
+//	                      counted lost).
 //	GET  /state         — the dispatcher's live peer table as JSON.
 //	GET  /metrics       — live counters (injected, processed, churn,
 //	                      transfer and wire totals) as JSON.
@@ -31,7 +33,14 @@ func (c *run) serveHTTP(addr string) (func() error, error) {
 	mux.HandleFunc("/state", c.handleState)
 	mux.HandleFunc("/metrics", c.handleMetrics)
 	mux.HandleFunc("/healthz", c.handleHealthz)
-	srv := &http.Server{Handler: mux}
+	// The timeouts bound what a client that stalls mid-request, or parks
+	// idle connections, can hold open.
+	srv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		IdleTimeout:       time.Minute,
+	}
 	c.httpAddr.Store(ln.Addr().String())
 	if c.opt.OnHTTPAddr != nil {
 		c.opt.OnHTTPAddr(ln.Addr().String())
@@ -61,8 +70,8 @@ func (c *run) handleTask(w http.ResponseWriter, r *http.Request) {
 	batch := 0
 	if s := r.URL.Query().Get("batch"); s != "" {
 		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			http.Error(w, "batch must be a positive integer", http.StatusBadRequest)
+		if err != nil || v <= 0 || v > maxBatch {
+			http.Error(w, fmt.Sprintf("batch must be an integer in [1, %d]", maxBatch), http.StatusBadRequest)
 			return
 		}
 		batch = v
@@ -101,6 +110,7 @@ func (c *run) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"virtual_time":      c.now(),
 		"injected":          atomic.LoadInt64(&c.injected),
 		"processed":         atomic.LoadInt64(&c.processedTotal),
+		"lost":              c.lost.Load(),
 		"failures":          atomic.LoadInt64(&c.failures),
 		"recoveries":        atomic.LoadInt64(&c.recoveries),
 		"transfers_sent":    atomic.LoadInt64(&c.transfersSent),

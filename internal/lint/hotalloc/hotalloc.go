@@ -2,8 +2,9 @@
 // per-event fast paths allocation-free. Functions opt in with a
 // //churnlb:hotpath directive in their doc comment: the simulator
 // event handlers, the load-index heap operations, Route
-// implementations, FailurePlan episode application, and the calendar
-// queue push/pop. Those run millions of times per Monte-Carlo sweep;
+// implementations, FailurePlan episode application, the calendar
+// queue push/pop, and the live daemon's admit → frame → decode path.
+// Those run millions of times per Monte-Carlo sweep (or per second);
 // a single fmt.Sprintf or un-hoisted closure in one of them shows up
 // directly in the ns/op gates CI enforces.
 //

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"churnlb/internal/xrand"
 )
@@ -34,40 +35,61 @@ const MinTaskWire = 8 + 4 + 4
 // WireSize returns the encoded size of the task in bytes.
 func (t Task) WireSize() int { return MinTaskWire + 8*len(t.Row) }
 
-// AppendWire serialises the task in the testbed's binary frame format.
+// AppendWire serialises the task in the testbed's binary frame format:
+// dst grows at most once, by exactly WireSize bytes.
+//
+//churnlb:hotpath
 func (t Task) AppendWire(dst []byte) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], t.ID)
-	dst = append(dst, buf[:]...)
-	binary.BigEndian.PutUint32(buf[:4], t.Precision)
-	dst = append(dst, buf[:4]...)
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(t.Row)))
-	dst = append(dst, buf[:4]...)
-	for _, v := range t.Row {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
-		dst = append(dst, buf[:]...)
+	n, size := len(dst), t.WireSize()
+	dst = slices.Grow(dst, size)[:n+size]
+	b := dst[n:]
+	binary.BigEndian.PutUint64(b, t.ID)
+	binary.BigEndian.PutUint32(b[8:], t.Precision)
+	binary.BigEndian.PutUint32(b[12:], uint32(len(t.Row)))
+	b = b[MinTaskWire:]
+	for i, v := range t.Row {
+		binary.BigEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
 	return dst
 }
 
 // DecodeTask parses one task from src, returning the remainder.
 func DecodeTask(src []byte) (Task, []byte, error) {
-	if len(src) < 16 {
-		return Task{}, nil, fmt.Errorf("workload: short task header (%d bytes)", len(src))
+	t, rest, _, err := DecodeTaskSlab(src, nil)
+	return t, rest, err
+}
+
+// DecodeTaskSlab is DecodeTask for a frame decoder that owns one row
+// slab for the whole frame: the task's Row is carved from the front of
+// slab (and the remaining slab returned) when slab has room, and
+// allocated otherwise. A carved Row is capacity-clipped, so an append to
+// it reallocates instead of writing into the next task's row.
+//
+//churnlb:hotpath
+func DecodeTaskSlab(src []byte, slab []float64) (Task, []byte, []float64, error) {
+	if len(src) < MinTaskWire {
+		//lint:ignore hotalloc error path: the connection is dropped after it
+		return Task{}, nil, slab, fmt.Errorf("workload: short task header (%d bytes)", len(src))
 	}
 	var t Task
 	t.ID = binary.BigEndian.Uint64(src)
 	t.Precision = binary.BigEndian.Uint32(src[8:])
 	n := int(binary.BigEndian.Uint32(src[12:]))
-	src = src[16:]
-	if n < 0 || len(src) < 8*n {
-		return Task{}, nil, fmt.Errorf("workload: truncated row (%d of %d floats)", len(src)/8, n)
+	src = src[MinTaskWire:]
+	if n < 0 || len(src)/8 < n {
+		//lint:ignore hotalloc error path: the connection is dropped after it
+		return Task{}, nil, slab, fmt.Errorf("workload: truncated row (%d of %d floats)", len(src)/8, n)
 	}
-	t.Row = make([]float64, n)
+	if n <= len(slab) {
+		t.Row, slab = slab[:n:n], slab[n:]
+	} else {
+		//lint:ignore hotalloc fallback for callers without a slab (DecodeTask): one row per task
+		t.Row = make([]float64, n)
+	}
 	for i := range t.Row {
 		t.Row[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
 	}
-	return t, src[8*n:], nil
+	return t, src[8*n:], slab, nil
 }
 
 // Matrix is the static matrix replicated on every node.
