@@ -1,0 +1,67 @@
+package churnlb
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestDocsNameOnlyWhatExists keeps README.md and the CI workflow from
+// citing a benchmark that is gone: every Benchmark* token must be a func in
+// some _test.go of the tree (a trailing * makes it a prefix), and every
+// backticked bench/ workload or metric name must be a name in BENCHMARK.json.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var funcs []string
+	funcRE := regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git, .bench_build
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range funcRE.FindAllStringSubmatch(read(path), -1) {
+				funcs = append(funcs, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, m := range regexp.MustCompile(`"name": "([^"]+)"`).FindAllStringSubmatch(read("BENCHMARK.json"), -1) {
+		declared[m[1]] = true
+	}
+
+	benchRE := regexp.MustCompile(`Benchmark[A-Z]\w*\*?`)
+	nameRE := regexp.MustCompile("`((?:closed|serve|live)-[a-z0-9-]+|[a-z]+\\.[a-z0-9]+_[a-z0-9_]+)`")
+	for _, doc := range []string{"README.md", ".github/workflows/ci.yml"} {
+		text := read(doc)
+		for _, tok := range benchRE.FindAllString(text, -1) {
+			prefix := strings.TrimSuffix(tok, "*")
+			if !slices.ContainsFunc(funcs, func(f string) bool {
+				return f == prefix || (prefix != tok && strings.HasPrefix(f, prefix))
+			}) {
+				t.Errorf("%s names %s, which no _test.go declares", doc, tok)
+			}
+		}
+		for _, m := range nameRE.FindAllStringSubmatch(text, -1) {
+			if !declared[m[1]] {
+				t.Errorf("%s names `%s`, which BENCHMARK.json does not declare", doc, m[1])
+			}
+		}
+	}
+}

@@ -90,7 +90,9 @@ type Options struct {
 	// Interrupt, when non-nil, requests graceful shutdown once closed:
 	// the arrival stream stops, queued work drains, telemetry flushes.
 	Interrupt <-chan struct{}
-	// MaxWall aborts a wedged run. Default 2 minutes.
+	// MaxWall aborts a wedged run: tasks outstanding at two consecutive
+	// MaxWall expiries with none completed or declared lost in between.
+	// Default 2 minutes.
 	MaxWall time.Duration
 }
 
@@ -228,8 +230,8 @@ type run struct {
 
 // Run executes one daemon lifetime: spin up the fleet, replay the trace
 // (and serve HTTP if configured), drain, and report. Blocks until the
-// workload completes, Interrupt drains the system, or MaxWall expires
-// (an error).
+// workload completes, Interrupt drains the system, or the run makes no
+// progress for MaxWall (an error).
 func Run(opt Options) (*Result, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
@@ -339,13 +341,7 @@ func Run(opt Options) (*Result, error) {
 		}
 	}
 
-	var err error
-	select {
-	case <-c.doneCh:
-	case <-time.After(opt.MaxWall):
-		err = fmt.Errorf("daemon: run exceeded MaxWall=%v with %d/%d tasks done (%d lost)",
-			opt.MaxWall, atomic.LoadInt64(&c.processedTotal), atomic.LoadInt64(&c.injected), c.lost.Load())
-	}
+	err := c.waitDone()
 	c.shutdown()
 	if httpDone != nil {
 		httpDone()
@@ -416,6 +412,37 @@ func (c *run) finish() {
 		c.doneAtV = c.now()
 		close(c.doneCh)
 	})
+}
+
+// waitDone blocks until the run finishes, or reports it wedged: tasks
+// were outstanding for a whole MaxWall and none of them completed or was
+// declared lost. An idle daemon (nothing outstanding) and a slow run
+// (counters still moving) are not wedged; the timer re-arms.
+func (c *run) waitDone() error {
+	t := time.NewTimer(c.opt.MaxWall)
+	defer t.Stop()
+	// stalled is processed+lost at the previous expiry if tasks were
+	// outstanding then, -1 otherwise.
+	stalled := int64(-1)
+	for {
+		select {
+		case <-c.doneCh:
+			return nil
+		case <-t.C:
+		}
+		processed, lost := atomic.LoadInt64(&c.processedTotal), c.lost.Load()
+		injected := atomic.LoadInt64(&c.injected)
+		settled := processed + lost
+		if injected == settled {
+			stalled = -1
+		} else if settled == stalled {
+			return fmt.Errorf("daemon: no progress for MaxWall=%v with %d/%d tasks done (%d lost)",
+				c.opt.MaxWall, processed, injected, lost)
+		} else {
+			stalled = settled
+		}
+		t.Reset(c.opt.MaxWall)
+	}
 }
 
 // maybeFinish closes the run when the arrival stream has ended and

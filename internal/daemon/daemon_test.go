@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -273,7 +274,7 @@ func TestRunInterrupt(t *testing.T) {
 // TestHTTPFrontDoor drives arrivals through POST /task and reads the
 // observability endpoints while an idle daemon serves.
 func TestHTTPFrontDoor(t *testing.T) {
-	addr, stop := startHTTPDaemon(t, 3)
+	addr, stop := startHTTPDaemon(t, 3, 60*time.Second)
 
 	post := func(path string) *http.Response {
 		t.Helper()
@@ -700,7 +701,7 @@ func TestSatAdd32(t *testing.T) {
 
 // startHTTPDaemon runs an idle daemon with a front door and returns its
 // address and a stop function that interrupts it and returns the result.
-func startHTTPDaemon(t *testing.T, workers int) (addr string, stop func() *Result) {
+func startHTTPDaemon(t *testing.T, workers int, maxWall time.Duration) (addr string, stop func() *Result) {
 	t.Helper()
 	intr := make(chan struct{})
 	type outT struct {
@@ -718,7 +719,7 @@ func startHTTPDaemon(t *testing.T, workers int) (addr string, stop func() *Resul
 			Transport:  cluster.NewChanTransport(workers + 1),
 			HTTPAddr:   "127.0.0.1:0",
 			Interrupt:  intr,
-			MaxWall:    60 * time.Second,
+			MaxWall:    maxWall,
 			OnHTTPAddr: func(a string) { addrCh <- a },
 		})
 		done <- outT{res, err}
@@ -742,7 +743,7 @@ func startHTTPDaemon(t *testing.T, workers int) (addr string, stop func() *Resul
 // outside [1, maxBatch] is refused with 400 before anything is allocated
 // or bumped, and what is accepted is conserved.
 func TestHTTPBatchBounds(t *testing.T) {
-	addr, stop := startHTTPDaemon(t, 3)
+	addr, stop := startHTTPDaemon(t, 3, 60*time.Second)
 	admitted := 0
 	for _, tc := range []struct {
 		batch string
@@ -775,4 +776,54 @@ func TestHTTPBatchBounds(t *testing.T) {
 		t.Fatalf("injected %d, the accepted requests carried %d", res.Injected, admitted)
 	}
 	checkConserved(t, res)
+}
+
+// TestIdleDaemonOutlivesMaxWall is ROADMAP 7b: a daemon waiting for its
+// first request has nothing outstanding, so MaxWall must not end it. After
+// four expiries it still serves a request, and drains on Interrupt.
+func TestIdleDaemonOutlivesMaxWall(t *testing.T) {
+	const maxWall = 150 * time.Millisecond
+	addr, stop := startHTTPDaemon(t, 3, maxWall)
+	time.Sleep(4 * maxWall)
+	resp, err := http.Post("http://"+addr+"/task?batch=1", "", nil)
+	if err != nil {
+		t.Fatalf("daemon gone after 4 x MaxWall of idling: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /task: %s", resp.Status)
+	}
+	res := stop()
+	if res.Injected != 1 {
+		t.Fatalf("injected %d, want the one HTTP arrival", res.Injected)
+	}
+	checkConserved(t, res)
+}
+
+// blackholeTransport accepts every task bundle and delivers none: the
+// dispatcher sees no error, so nothing is declared lost and the admitted
+// tasks stay outstanding for ever.
+type blackholeTransport struct{ cluster.Transport }
+
+func (blackholeTransport) SendTasks(from, to int, tasks []workload.Task) error { return nil }
+
+// TestWedgedRunHitsMaxWall covers the abort MaxWall exists for: tasks
+// outstanding, no counter moving.
+func TestWedgedRunHitsMaxWall(t *testing.T) {
+	const workers, maxWall = 3, 150 * time.Millisecond
+	start := time.Now()
+	_, err := Run(Options{
+		Params:    stableParams(workers),
+		Trace:     burstTrace(10),
+		TimeScale: 2000,
+		Seed:      33,
+		Transport: blackholeTransport{cluster.NewChanTransport(workers + 1)},
+		MaxWall:   maxWall,
+	})
+	if err == nil || !strings.Contains(err.Error(), "MaxWall") {
+		t.Fatalf("wedged run returned %v, want the MaxWall error", err)
+	}
+	if el := time.Since(start); el > 3*maxWall {
+		t.Fatalf("wedge reported after %v, want within %v", el, 3*maxWall)
+	}
 }

@@ -28,7 +28,7 @@ func benchPending(b *testing.B, kind QueueKind, n int) {
 	}
 }
 
-// BenchmarkSchedulerHeapN* / BenchmarkSchedulerWheelN* time one
+// BenchmarkSchedulerPending's HeapN* / WheelN* rows time one
 // schedule+fire cycle against a standing 2N-timer population on each
 // backend — the numbers behind the README scheduler-cost table. A flat
 // Wheel line against a growing Heap line is the point of the calendar

@@ -40,6 +40,21 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestTable2AndChurnLawRun covers the two registered experiments no test
+// below asserts on, so that this package runs every one in quick mode.
+func TestTable2AndChurnLawRun(t *testing.T) {
+	for _, id := range []string{"table2", "churnlaw"} {
+		e, _ := ByID(id)
+		res, err := e.Run(quickCfg(t))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(res.Tables) == 0 || len(res.Tables[0].Rows) == 0 {
+			t.Errorf("%s produced no table rows", id)
+		}
+	}
+}
+
 func findTableCell(res *Result, tableIdx, row, col int) string {
 	return res.Tables[tableIdx].Rows[row][col]
 }

@@ -5,8 +5,7 @@
 // availability time series.
 //
 // Everything here does O(1) work per observed task and holds O(windows)
-// memory no matter how many tasks flow through — the property the
-// BenchmarkServeN1000 acceptance bar guards. When a run outlives the
+// memory no matter how many tasks flow through. When a run outlives the
 // configured window budget, adjacent windows are merged pairwise and the
 // window width doubles, so arbitrarily long runs stay within the budget.
 package metrics

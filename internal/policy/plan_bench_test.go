@@ -59,7 +59,7 @@ func benchFailurePlanEpisode(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkOnFailureScan is the before row of the README's
+// BenchmarkOnFailureScan is the reference-scan row of the README's
 // failure-episode cost table; per-op cost grows linearly in N.
 func BenchmarkOnFailureScan(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
@@ -67,7 +67,7 @@ func BenchmarkOnFailureScan(b *testing.B) {
 	}
 }
 
-// BenchmarkFailurePlanEpisode is the after row: per-op cost must stay
+// BenchmarkFailurePlanEpisode is the planned-walk row: per-op cost must stay
 // flat (and allocation-free) as N grows 100 -> 10000.
 func BenchmarkFailurePlanEpisode(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {

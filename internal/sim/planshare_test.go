@@ -83,36 +83,3 @@ func TestSharedFailurePlanSizeMismatch(t *testing.T) {
 		t.Fatalf("want size-mismatch error, got %v", err)
 	}
 }
-
-// BenchmarkFailurePlanSharing measures the per-replication saving of
-// supplying the shared plan versus letting each run rebuild it — the
-// Monte-Carlo drivers' fast path versus the old per-rep O(n log n)
-// construction. (Named outside the BenchmarkServe/BenchmarkRoute/
-// BenchmarkSimChurn families so the CI baseline gates, which predate
-// it, do not look for it.)
-func BenchmarkFailurePlanSharing(b *testing.B) {
-	const n = 200
-	p := planParams(n)
-	load := make([]int, n)
-	for i := range load {
-		load[i] = 20
-	}
-	pol := policy.LBP2{K: 1}
-	b.Run("rebuild-per-rep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(Options{Params: p, Policy: pol, InitialLoad: load, Rand: xrand.New(uint64(i) + 1)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shared", func(b *testing.B) {
-		plan := policy.PlanFor(pol, p)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(Options{Params: p, Policy: pol, InitialLoad: load, Rand: xrand.New(uint64(i) + 1), FailurePlan: plan}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
