@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"churnlb/internal/cluster"
+	"churnlb/internal/daemon"
 	"churnlb/internal/des"
 	"churnlb/internal/markov"
 	"churnlb/internal/mc"
@@ -557,7 +558,9 @@ type TestbedOptions struct {
 	RealCompute bool
 	// Trace records queue evolution.
 	Trace bool
-	// MaxWall bounds the wall-clock duration (default 2 min).
+	// MaxWall aborts a wedged run: tasks outstanding for a whole MaxWall
+	// with none completed or declared lost (default 2 min). A slow run
+	// that keeps progressing is not cut.
 	MaxWall time.Duration
 }
 
@@ -568,12 +571,17 @@ type TestbedResult struct {
 	Failures, Recoveries            int
 	TransfersSent, TasksTransferred int
 	StatePackets                    int
-	Trace                           []TracePoint
+	// Lost counts tasks declared lost because the transfer carrying them
+	// failed; sum(Processed) + Lost is the initial workload.
+	Lost  int
+	Trace []TracePoint
 }
 
 // RunTestbed executes the Section-3 architecture: one goroutine set per
 // CE (application, communication, LB/failure and backup roles), with
-// state exchange and task transfer over the selected transport.
+// state exchange and task transfer over the selected transport. It is a
+// closed run of the live engine (internal/daemon): the workload is the
+// initial backlog, and nothing arrives afterwards.
 func RunTestbed(s System, spec PolicySpec, load []int, seed uint64, opt TestbedOptions) (TestbedResult, error) {
 	p, err := s.params()
 	if err != nil {
@@ -583,38 +591,50 @@ func RunTestbed(s System, spec PolicySpec, load []int, seed uint64, opt TestbedO
 	if err != nil {
 		return TestbedResult{}, err
 	}
-	cfg := cluster.Config{
+	if len(load) != p.N() {
+		// A nil load would not be a closed run at all: it starts an idle daemon.
+		return TestbedResult{}, fmt.Errorf("churnlb: load has %d entries for %d nodes", len(load), p.N())
+	}
+	// n workers plus the (idle) dispatcher endpoint.
+	var tr cluster.Transport
+	if opt.UseSockets {
+		if tr, err = cluster.NewNetTransport(p.N() + 1); err != nil {
+			return TestbedResult{}, err
+		}
+	} else {
+		tr = cluster.NewChanTransport(p.N() + 1)
+	}
+	defer tr.Close()
+	timeScale := opt.TimeScale
+	if timeScale <= 0 {
+		timeScale = 500
+	}
+	out, err := daemon.Run(daemon.Options{
 		Params:      p,
 		Policy:      pol,
 		InitialLoad: load,
-		TimeScale:   opt.TimeScale,
+		TimeScale:   timeScale,
 		Seed:        seed,
+		Transport:   tr,
 		RealCompute: opt.RealCompute,
-		Trace:       opt.Trace,
+		MatrixDim:   32,
+		QueueTrace:  opt.Trace,
 		MaxWall:     opt.MaxWall,
-	}
-	if opt.UseSockets {
-		tr, err := cluster.NewNetTransport(p.N())
-		if err != nil {
-			return TestbedResult{}, err
-		}
-		defer tr.Close()
-		cfg.Transport = tr
-	}
-	out, err := cluster.Run(cfg)
+	})
 	if err != nil {
 		return TestbedResult{}, err
 	}
 	res := TestbedResult{
-		CompletionTime:   out.CompletionTime,
+		CompletionTime:   out.Summary.Elapsed,
 		Processed:        out.Processed,
 		Failures:         out.Failures,
 		Recoveries:       out.Recoveries,
 		TransfersSent:    out.TransfersSent,
 		TasksTransferred: out.TasksTransferred,
 		StatePackets:     out.StatePackets,
+		Lost:             out.Lost,
 	}
-	for _, tp := range out.Trace {
+	for _, tp := range out.QueueTrace {
 		res.Trace = append(res.Trace, TracePoint{Time: tp.Time, Event: string(tp.Kind), Node: tp.Node, Queues: tp.Queues})
 	}
 	return res, nil

@@ -144,8 +144,14 @@ func TestRunTestbedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Processed[0]+res.Processed[1] != 60 {
-		t.Fatalf("conservation: %v", res.Processed)
+	if res.Processed[0]+res.Processed[1] != 60 || res.Lost != 0 {
+		t.Fatalf("conservation: %v, %d lost", res.Processed, res.Lost)
+	}
+	if res.CompletionTime <= 0 {
+		t.Fatalf("completion time %v", res.CompletionTime)
+	}
+	if _, err := RunTestbed(PaperSystem(), PolicySpec{}, nil, 3, TestbedOptions{}); err == nil {
+		t.Fatal("missing load accepted")
 	}
 }
 

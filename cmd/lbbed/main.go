@@ -1,6 +1,8 @@
 // Command lbbed runs the concurrent goroutine testbed — the paper's
 // Section-3 distributed system at laptop scale, optionally over real
-// loopback UDP/TCP sockets.
+// loopback UDP/TCP sockets. It is a closed run of the live engine
+// (internal/daemon, which cmd/lbd serves arrivals with): the workload is
+// the initial backlog.
 //
 // Examples:
 //
@@ -73,8 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "testbed (%s, scale %.0fx): completion %.2f virtual s in %.2f wall s\n",
 		transport, *scale, res.CompletionTime, time.Since(start).Seconds())
-	fmt.Fprintf(stdout, "processed %v, failures %d, recoveries %d, transfers %d (%d tasks), state packets %d\n",
-		res.Processed, res.Failures, res.Recoveries, res.TransfersSent, res.TasksTransferred, res.StatePackets)
+	fmt.Fprintf(stdout, "processed %v, failures %d, recoveries %d, transfers %d (%d tasks), state packets %d, %d tasks lost\n",
+		res.Processed, res.Failures, res.Recoveries, res.TransfersSent, res.TasksTransferred, res.StatePackets, res.Lost)
 	if *trace {
 		fmt.Fprintln(stdout, "t_s,event,node,queues")
 		for _, tp := range res.Trace {

@@ -25,7 +25,7 @@ func TestTestbedSmokeRun(t *testing.T) {
 	if !strings.Contains(out.String(), "testbed (channels") {
 		t.Fatalf("missing testbed summary: %s", out.String())
 	}
-	if !strings.Contains(out.String(), "processed") {
+	if !strings.Contains(out.String(), "processed") || !strings.Contains(out.String(), ", 0 tasks lost") {
 		t.Fatalf("missing counters: %s", out.String())
 	}
 }

@@ -12,8 +12,10 @@ import (
 
 // TestDocsNameOnlyWhatExists keeps README.md and the CI workflow from
 // citing a benchmark that is gone: every Benchmark* token must be a func in
-// some _test.go of the tree (a trailing * makes it a prefix), and every
-// backticked bench/ workload or metric name must be a name in BENCHMARK.json.
+// some _test.go of the tree (a trailing * makes it a prefix), every
+// backticked bench/ workload or metric name must be a name in BENCHMARK.json,
+// and every internal/<pkg> or cmd/<tool> path must be a directory of the
+// tree — a package that moved or merged leaves such references behind.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -48,6 +50,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 
 	benchRE := regexp.MustCompile(`Benchmark[A-Z]\w*\*?`)
 	nameRE := regexp.MustCompile("`((?:closed|serve|live)-[a-z0-9-]+|[a-z]+\\.[a-z0-9]+_[a-z0-9_]+)`")
+	pathRE := regexp.MustCompile(`\b(?:internal|cmd)/[a-z][a-z0-9]*`)
 	for _, doc := range []string{"README.md", ".github/workflows/ci.yml"} {
 		text := read(doc)
 		for _, tok := range benchRE.FindAllString(text, -1) {
@@ -61,6 +64,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, m := range nameRE.FindAllStringSubmatch(text, -1) {
 			if !declared[m[1]] {
 				t.Errorf("%s names `%s`, which BENCHMARK.json does not declare", doc, m[1])
+			}
+		}
+		for _, dir := range pathRE.FindAllString(text, -1) {
+			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which is not a directory of the tree", doc, dir)
 			}
 		}
 	}

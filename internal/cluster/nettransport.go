@@ -221,15 +221,12 @@ func (t *NetTransport) closing() bool {
 func (t *NetTransport) DecodeErrors() uint64 { return t.decodeErrs.Load() }
 
 // SendState implements Transport over UDP datagrams.
-func (t *NetTransport) SendState(from int, p StatePacket) {
-	buf := p.AppendWire(nil)
-	for i := 0; i < t.n; i++ {
-		if i == from {
-			continue
-		}
-		// Errors are ignored: UDP state exchange is best-effort.
-		_, _ = t.udpConns[from].WriteToUDP(buf, t.udpAddrs[i])
+func (t *NetTransport) SendState(from, to int, p StatePacket) {
+	if to < 0 || to >= t.n {
+		return
 	}
+	// Errors are ignored: UDP state exchange is best-effort.
+	_, _ = t.udpConns[from].WriteToUDP(p.AppendWire(nil), t.udpAddrs[to])
 }
 
 // SendTasks implements Transport over a cached TCP connection: one frame,

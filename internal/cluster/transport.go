@@ -1,17 +1,13 @@
-// Package cluster is the distributed-system testbed of Section 3 of the
-// paper, rebuilt at laptop scale: every computational element (CE) runs as
-// a set of goroutines mirroring the paper's POSIX-thread architecture —
-// an application layer executing matrix-multiplication tasks, a
-// communication layer exchanging small state packets (UDP in the paper)
-// and task payloads (TCP), and a load-balancing/failure layer with a
-// backup process that preserves the queue across failures and performs
-// LBP-2's on-failure transfers.
+// Package cluster is the communication layer of the paper's Section-3
+// architecture: the wire format and the two transports that carry it.
+// Small state packets travel best-effort (UDP in the paper, 23 bytes
+// here), task payloads reliably in length-prefixed frames (TCP).
+// ChanTransport is the in-process transport, NetTransport the same over
+// real loopback sockets; both round-trip the codecs on every send.
 //
-// Simulated seconds map to wall-clock time through Config.TimeScale, so
-// the paper's ~100–300 s experiments replay in a second or two of real
-// time while exercising true concurrency: the "experimental" columns of
-// the reproduction come from here, the analytical ones from
-// internal/markov, and the Monte-Carlo ones from internal/sim.
+// The engine that runs on top — application loops, failure injection, the
+// backup process and its eq.-(8) transfers, for the closed testbed and the
+// open daemon alike — is internal/daemon.
 package cluster
 
 import (
@@ -157,9 +153,9 @@ func DecodeTaskFrame(payload []byte) (from int, tasks []workload.Task, err error
 // exchange) and task bundles (reliable, like the paper's TCP transfers)
 // between nodes.
 type Transport interface {
-	// SendState delivers a state packet to every other node,
+	// SendState delivers a state packet from node from to node to,
 	// best-effort: packets may be dropped.
-	SendState(from int, p StatePacket)
+	SendState(from, to int, p StatePacket)
 	// SendTasks reliably delivers tasks to a node as one bundle. It may
 	// block briefly but must not lose tasks: a nil error means delivered,
 	// an error means the bundle must be presumed lost. tasks is the
@@ -209,28 +205,20 @@ func NewChanTransport(n int) *ChanTransport {
 
 // SendState implements Transport. Encoding/decoding is performed even
 // in-process so the wire format is exercised on every path.
-func (t *ChanTransport) SendState(from int, p StatePacket) {
-	buf := p.AppendWire(nil)
+func (t *ChanTransport) SendState(from, to int, p StatePacket) {
+	decoded, err := DecodeStatePacket(p.AppendWire(nil))
+	if err != nil || to < 0 || to >= t.n {
+		return
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.down {
 		return
 	}
-	for i := 0; i < t.n; i++ {
-		if i == from {
-			continue
-		}
-		decoded, err := DecodeStatePacket(buf)
-		if err != nil {
-			continue
-		}
-		select {
-		case t.state[i] <- decoded:
-		case <-t.closed:
-			return
-		default:
-			// Receiver buffer full: drop, like UDP.
-		}
+	select {
+	case t.state[to] <- decoded:
+	default:
+		// Receiver buffer full: drop, like UDP.
 	}
 }
 

@@ -284,7 +284,7 @@ func TestChanTransportCloseContract(t *testing.T) {
 	if err := tr.SendTasks(0, 2, g.Batch(1)); err == nil {
 		t.Fatal("send after Close accepted")
 	}
-	tr.SendState(0, StatePacket{From: 0}) // must not panic
+	tr.SendState(0, 2, StatePacket{From: 0}) // must not panic
 	// Drain: 64 buffered bundles, then closed.
 	n := 0
 	for range tr.Tasks(1) {
@@ -466,5 +466,46 @@ func TestNetTransportConcurrentSenders(t *testing.T) {
 	wg.Wait()
 	if n := tr.DecodeErrors(); n != 0 {
 		t.Fatalf("%d decode errors: frames interleaved", n)
+	}
+}
+
+// TestStatePacketWireFormat pins the state packet at the size the paper
+// reports for its UDP state-information packets.
+func TestStatePacketWireFormat(t *testing.T) {
+	p := StatePacket{From: 3, Seq: 42, QueueLen: 117, Up: true, RateMilli: 1860, TimeMs: 123456}
+	buf := p.AppendWire(nil)
+	if len(buf) != statePacketSize {
+		t.Fatalf("packet size %d, want %d", len(buf), statePacketSize)
+	}
+	if len(buf) < 20 || len(buf) > 34 {
+		t.Fatalf("packet size %d outside the paper's 20–34 byte range", len(buf))
+	}
+	got, err := DecodeStatePacket(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != p {
+		t.Fatalf("round trip %+v vs %+v", got, p)
+	}
+	if _, err := DecodeStatePacket(buf[:10]); err == nil {
+		t.Fatal("short packet accepted")
+	}
+}
+
+func TestChanTransportDropsWhenCongested(t *testing.T) {
+	tr := NewChanTransport(2)
+	defer tr.Close()
+	// Overfill node 1's state buffer; SendState must not block.
+	done := make(chan struct{})
+	go func() {
+		for i := 0; i < 1000; i++ {
+			tr.SendState(0, 1, StatePacket{From: 0, Seq: uint32(i)})
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SendState blocked on a congested receiver")
 	}
 }

@@ -8,13 +8,15 @@
 // simulator — graceful drain on recovery, eq.-(8)-style transfer of the
 // queued backlog on failure.
 //
-// Where internal/cluster is a closed testbed (a fixed initial backlog
-// drains once), the daemon is the open system of the serving layer: a
-// recorded arrival trace (or HTTP clients, see httpapi.go) injects work
-// continuously, and the same metrics.Collector the simulator uses
-// measures it — which is what makes the sim-vs-live calibration harness
-// in internal/calib possible: one trace, two systems, comparable
-// telemetry.
+// It is the one live engine, run under two boundary conditions. Closed —
+// the paper's Section-3 testbed: Options.InitialLoad queues a backlog at
+// t = 0, Policy.Initial balances it, there is no arrival trace, and the
+// run ends when the backlog has drained; Result.Summary.Elapsed is the
+// overall completion time. Open — the serving layer: a recorded arrival
+// trace (or HTTP clients, see httpapi.go) injects work continuously. One
+// run may do both. The same metrics.Collector the simulator uses measures
+// either — which is what makes the sim-vs-live calibration harness in
+// internal/calib possible: one trace, two systems, comparable telemetry.
 package daemon
 
 import (
@@ -44,14 +46,20 @@ type Options struct {
 	// Policy is the balancing policy whose eq.-(8) failure plan the churn
 	// controller executes when a worker dies (nil = no balancing).
 	Policy policy.Policy
+	// InitialLoad, when non-nil, queues that many tasks at each worker at
+	// t = 0 (one entry per worker), counted as injected, and has every
+	// worker execute its share of Policy.Initial against that known
+	// distribution. A run with a backlog and no Trace is closed: it ends
+	// when the backlog has drained.
+	InitialLoad []int
 	// ChurnLaw selects the up/down duration law, mirroring sim.ChurnLaw:
 	// exponential (default), Weibull shape 2, or deterministic means.
 	ChurnLaw sim.ChurnLaw
 	// Trace is the recorded arrival schedule, in virtual seconds; entry
 	// batches default to Batch, then 1. The daemon replays it in wall
 	// time through TimeScale and shuts down once the trace is exhausted
-	// and the backlog drains. An empty trace starts an idle daemon that
-	// serves HTTP arrivals until Interrupt fires.
+	// and the backlog drains. With neither a trace nor an InitialLoad the
+	// daemon idles, serving HTTP arrivals until Interrupt fires.
 	Trace []sim.ArrivalAt
 	// Batch is the default tasks-per-arrival for trace entries without
 	// their own.
@@ -70,6 +78,9 @@ type Options struct {
 	// derives service time from each task's precision instead of
 	// sampling it.
 	RealCompute bool
+	// QueueTrace records the queue-evolution sample path (Fig. 4) into
+	// Result.QueueTrace.
+	QueueTrace bool
 	// Window is the telemetry window width in virtual seconds; 0 derives
 	// span/100 (at least 0.1).
 	Window float64
@@ -102,6 +113,12 @@ type Result struct {
 	// directly comparable with a serve.Result driven by the same trace.
 	Summary metrics.Summary
 	Windows []metrics.WindowStats
+	// QueueTrace is the queue-evolution sample path when
+	// Options.QueueTrace was set: every worker's queued-task count (the
+	// task in service excluded) at the start, at each completion, churn
+	// event and transfer departure or landing, and at the end. Dispatcher
+	// arrivals show in the next sample.
+	QueueTrace []model.TracePoint
 	// Processed counts tasks executed per worker.
 	Processed []int
 	// Failures and Recoveries count churn events; TransfersSent and
@@ -203,6 +220,7 @@ type run struct {
 	colMu    sync.Mutex
 	col      *metrics.Collector
 	inSystem *taskWindow
+	qtrace   []model.TracePoint // Options.QueueTrace samples, under colMu
 
 	injected       int64
 	processedTotal int64
@@ -215,8 +233,7 @@ type run struct {
 	arrivalsClosed atomic.Bool
 	interrupted    atomic.Bool
 
-	// spin enables the precision spin-wait tail: only when the machine
-	// has more cores than workers, so spinning cannot starve the fleet.
+	// spin enables the precision spin-wait tail; see spinAffordable.
 	spin bool
 
 	stop     chan struct{}
@@ -237,6 +254,9 @@ func Run(opt Options) (*Result, error) {
 		return nil, err
 	}
 	n := opt.Params.N()
+	if opt.InitialLoad != nil && len(opt.InitialLoad) != n {
+		return nil, fmt.Errorf("daemon: InitialLoad has %d entries for %d workers", len(opt.InitialLoad), n)
+	}
 	if opt.TimeScale <= 0 {
 		opt.TimeScale = 200
 	}
@@ -310,8 +330,13 @@ func Run(opt Options) (*Result, error) {
 		c.peers[id] = peer{up: true}
 	}
 	c.fplan = policy.PlanFor(opt.Policy, c.p)
-	c.spin = runtime.NumCPU() > n+1 // workers plus the dispatcher
+	c.spin = spinAffordable(runtime.NumCPU(), n, len(opt.Trace) > 0)
+	initial := c.preload()
 	c.start = time.Now()
+	c.traceQueues(model.EvStart, -1)
+	for _, w := range c.workers {
+		c.execTransfers(w, initial)
+	}
 
 	for _, w := range c.workers {
 		c.wg.Add(3)
@@ -360,6 +385,7 @@ func Run(opt Options) (*Result, error) {
 		Injected:         int(atomic.LoadInt64(&c.injected)),
 		Interrupted:      c.interrupted.Load(),
 		Lost:             int(c.lost.Load()),
+		QueueTrace:       c.qtrace,
 	}
 	if nt, ok := c.transport.(*cluster.NetTransport); ok {
 		res.DecodeErrors = nt.DecodeErrors()
@@ -407,11 +433,44 @@ func kick(ch chan struct{}) {
 	}
 }
 
+// finish ends the run. It closes doneCh under colMu, so the done sample is
+// the last of the queue trace: a churn event between here and shutdown
+// finds the run finished.
 func (c *run) finish() {
 	c.doneOnce.Do(func() {
+		c.colMu.Lock()
 		c.doneAtV = c.now()
+		c.traceQueues(model.EvDone, -1)
 		close(c.doneCh)
+		c.colMu.Unlock()
 	})
+}
+
+// preload applies the closed system's boundary condition before the clock
+// starts and the fleet exists (so nothing here needs a lock): it mints
+// Options.InitialLoad into the workers' queues as arrivals at t = 0, makes
+// that distribution the dispatcher's first view — the paper assumes the
+// initial queue sizes are known to all — and returns the policy's initial
+// balancing action against it, for every worker to execute its share of.
+func (c *run) preload() []model.Transfer {
+	load := c.opt.InitialLoad
+	if load == nil {
+		return nil
+	}
+	up := make([]bool, c.n)
+	for id, w := range c.workers {
+		tasks := c.gen.Batch(load[id])
+		for _, task := range tasks {
+			c.inSystem.add(task.ID, 0)
+		}
+		w.queue.push(tasks)
+		c.col.TasksArrived(id, load[id], 0)
+		atomic.AddInt64(&c.injected, int64(load[id]))
+		c.peers[id].queueLen = uint32(load[id])
+		up[id] = true
+	}
+	initial := model.State{Queues: append([]int(nil), load...), Up: up}
+	return c.opt.Policy.Initial(model.SnapshotView{State: initial}, c.p)
 }
 
 // waitDone blocks until the run finishes, or reports it wedged: tasks
@@ -477,18 +536,34 @@ func newWaitTimer() *time.Timer {
 	return t
 }
 
+// spinAffordable is the one rule that decides whether waits end in a
+// spin: the loops that wait with precision all the time — the workers'
+// application loops, plus the trace driver when there is a trace to pace —
+// each fit on a core of their own. It is computed, not configured.
+func spinAffordable(cores, workers int, paced bool) bool {
+	loops := workers
+	if paced {
+		loops++
+	}
+	return loops <= cores
+}
+
 // preciseWait waits d of wall time on the caller's timer, honouring an
 // optional interrupt (the worker's failure signal) and the run's stop
 // channel.
 //
-// When the machine has CPU headroom (more cores than workers — c.spin),
-// the final spinThreshold of every wait is spin-waited for precision,
-// like the cluster testbed. Without headroom, spinning n workers
+// When spinAffordable says so (c.spin), the final spinThreshold of every
+// wait is spin-waited for precision; otherwise spinning n workers
 // serialises the whole fleet on the scheduler — each spin excludes every
-// other worker's progress — so the wait is pure timer and the timer
-// floor (~1 ms) becomes the resolution limit instead: calibration runs
-// on small machines should pick a TimeScale that keeps mean service
-// times well above it.
+// other worker's progress — so the wait is pure timer and the timer floor
+// (~1 ms) becomes the resolution limit instead: calibration runs on small
+// machines should pick a TimeScale that keeps mean service times well
+// above it. Both outcomes are load-bearing on the 2-core machine that
+// gates this repository. The paper's two-node closed run (two loops, no
+// trace) must spin there: timer-slept at TimeScale 2000, the 40-task
+// no-failure run reads 88.7 virtual s against 37.0 in theory (37.4 with
+// the spin) and the (100,60) LBP-1 run 357 s against 116.75. The 64-worker
+// open fleet of the benchmark's live workload must not.
 func (c *run) preciseWait(t *time.Timer, d time.Duration, interrupt <-chan struct{}) sleepOutcome {
 	var deadline time.Time
 	coarse := d
@@ -529,7 +604,7 @@ func (c *run) sleepV(t *time.Timer, v float64) bool {
 	return c.preciseWait(t, c.wall(v), nil) == sleptFull
 }
 
-// --- worker loops (the live mirror of internal/cluster's CE layers) ---
+// --- worker loops (the layers of a Section-3 computational element) ---
 
 // appLoop is the application layer: pop, execute for an exponentially
 // distributed service time (or the real arithmetic), report completion.
@@ -604,7 +679,7 @@ func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 		kick(w.failInt)
 		atomic.AddInt64(&c.failures, 1)
 		c.noteChurn(w.id, false)
-		c.broadcastState(w)
+		c.reportState(w)
 		if c.fplan != nil {
 			c.execTransfers(w, c.fplan.Transfers(nil, w.id, queued))
 		}
@@ -624,7 +699,7 @@ func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 		// Graceful drain: the recovered worker resumes its preserved
 		// backlog before anything else reaches it.
 		kick(w.kick)
-		c.broadcastState(w)
+		c.reportState(w)
 	}
 }
 
@@ -703,9 +778,11 @@ func (c *run) taskRecvLoop(w *worker) {
 	}
 }
 
-// stateLoop periodically broadcasts this worker's 23-byte state packet —
-// the paper's UDP state-information exchange, for real when the
-// transport is a NetTransport.
+// stateLoop periodically reports this worker's 23-byte state packet — the
+// paper's UDP state-information exchange, for real when the transport is
+// a NetTransport. It goes to the dispatcher, the one endpoint that reads
+// state: failure episodes run from the precomputed plan, not from a
+// per-worker view of the peers.
 func (c *run) stateLoop(w *worker) {
 	defer c.wg.Done()
 	period := c.wall(c.opt.StateInterval)
@@ -717,14 +794,14 @@ func (c *run) stateLoop(w *worker) {
 	for {
 		select {
 		case <-ticker.C:
-			c.broadcastState(w)
+			c.reportState(w)
 		case <-c.stop:
 			return
 		}
 	}
 }
 
-func (c *run) broadcastState(w *worker) {
+func (c *run) reportState(w *worker) {
 	w.mu.Lock()
 	w.seq++
 	pkt := cluster.StatePacket{
@@ -736,7 +813,7 @@ func (c *run) broadcastState(w *worker) {
 		TimeMs:    uint64(c.now() * 1000),
 	}
 	w.mu.Unlock()
-	c.transport.SendState(w.id, pkt)
+	c.transport.SendState(w.id, dispatcherID(c.n), pkt)
 }
 
 // --- dispatcher ---
@@ -950,11 +1027,12 @@ func (c *run) traceLoop() {
 		}
 	}
 	c.flushAll()
-	if len(c.opt.Trace) > 0 || c.interruptFired() {
+	if len(c.opt.Trace) > 0 || c.opt.InitialLoad != nil || c.interruptFired() {
 		c.closeArrivals()
 		return
 	}
-	// Idle daemon (no trace): stay open for HTTP until Interrupt/stop.
+	// Idle daemon (no trace, no backlog): stay open for HTTP until
+	// Interrupt/stop.
 	select {
 	case <-c.opt.Interrupt:
 		c.interrupted.Store(true)
@@ -986,7 +1064,29 @@ func (c *run) closeArrivals() {
 // --- telemetry hooks (colMu serialises the single-goroutine Collector;
 // its integrator tolerates the slightly out-of-order timestamps real
 // concurrency produces). A task's life takes colMu twice, at admission
-// and at completion; a failure interrupt adds a third. ---
+// and at completion; a failure interrupt adds a third. The hooks are also
+// where the queue trace is sampled. ---
+
+// traceQueues, when Options.QueueTrace is set, appends one sample of every
+// worker's queue to the queue trace. The caller holds colMu, which orders
+// the samples; the clock is read under it so their times never regress.
+func (c *run) traceQueues(kind model.EventKind, node int) {
+	if !c.opt.QueueTrace {
+		return
+	}
+	select {
+	case <-c.doneCh:
+		return // finish took the last sample
+	default:
+	}
+	queues := make([]int, c.n)
+	for i, w := range c.workers {
+		w.mu.Lock()
+		queues[i] = w.queue.len()
+		w.mu.Unlock()
+	}
+	c.qtrace = append(c.qtrace, model.TracePoint{Time: c.now(), Kind: kind, Node: node, Queues: queues})
+}
 
 // noteInterrupted stamps the start of a task's first service attempt into
 // its record when a failure cuts that attempt short.
@@ -1013,6 +1113,7 @@ func (c *run) noteCompleted(node int, id uint64, started float64) bool {
 		}
 		c.col.TaskCompleted(node, m.arrival, started, now)
 		c.inSystem.remove(m)
+		c.traceQueues(model.EvCompletion, node)
 	}
 	c.colMu.Unlock()
 	return onBooks
@@ -1022,6 +1123,11 @@ func (c *run) noteChurn(node int, up bool) {
 	now := c.now()
 	c.colMu.Lock()
 	c.col.NodeStateChanged(node, up, now)
+	kind := model.EvFailure
+	if up {
+		kind = model.EvRecovery
+	}
+	c.traceQueues(kind, node)
 	c.colMu.Unlock()
 }
 
@@ -1029,6 +1135,7 @@ func (c *run) noteTransferOut(from, to, tasks int) {
 	now := c.now()
 	c.colMu.Lock()
 	c.col.TransferDeparted(from, to, tasks, now)
+	c.traceQueues(model.EvSend, from)
 	c.colMu.Unlock()
 }
 
@@ -1036,5 +1143,6 @@ func (c *run) noteTransferIn(node, tasks int) {
 	now := c.now()
 	c.colMu.Lock()
 	c.col.TransferArrived(node, tasks, now)
+	c.traceQueues(model.EvArrival, node)
 	c.colMu.Unlock()
 }

@@ -808,22 +808,146 @@ type blackholeTransport struct{ cluster.Transport }
 func (blackholeTransport) SendTasks(from, to int, tasks []workload.Task) error { return nil }
 
 // TestWedgedRunHitsMaxWall covers the abort MaxWall exists for: tasks
-// outstanding, no counter moving.
+// outstanding, no counter moving — arrivals the wire swallowed, or a closed
+// run's backlog whose initial LBP-1 transfer went the same way.
 func TestWedgedRunHitsMaxWall(t *testing.T) {
-	const workers, maxWall = 3, 150 * time.Millisecond
-	start := time.Now()
-	_, err := Run(Options{
-		Params:    stableParams(workers),
-		Trace:     burstTrace(10),
-		TimeScale: 2000,
-		Seed:      33,
-		Transport: blackholeTransport{cluster.NewChanTransport(workers + 1)},
-		MaxWall:   maxWall,
-	})
-	if err == nil || !strings.Contains(err.Error(), "MaxWall") {
-		t.Fatalf("wedged run returned %v, want the MaxWall error", err)
+	const maxWall = 150 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"open", Options{Params: stableParams(3), Trace: burstTrace(10)}},
+		{"closed", Options{Params: stableParams(2), InitialLoad: []int{10, 0}, Policy: policy.LBP1{K: 0.5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := tc.opt
+			opt.TimeScale, opt.Seed, opt.MaxWall = 2000, 33, maxWall
+			opt.Transport = blackholeTransport{cluster.NewChanTransport(opt.Params.N() + 1)}
+			start := time.Now()
+			_, err := Run(opt)
+			if err == nil || !strings.Contains(err.Error(), "MaxWall") {
+				t.Fatalf("wedged run returned %v, want the MaxWall error", err)
+			}
+			if el := time.Since(start); el > 3*maxWall {
+				t.Fatalf("wedge reported after %v, want within %v", el, 3*maxWall)
+			}
+		})
 	}
-	if el := time.Since(start); el > 3*maxWall {
-		t.Fatalf("wedge reported after %v, want within %v", el, 3*maxWall)
+}
+
+// TestSlowClosedRunOutlivesMaxWall is the other side of the rule: a closed
+// run several MaxWalls long that keeps completing tasks is not cut, which
+// an unconditional deadline (the testbed's, before it ran on this engine)
+// would do.
+func TestSlowClosedRunOutlivesMaxWall(t *testing.T) {
+	const maxWall = 150 * time.Millisecond
+	start := time.Now()
+	res, err := Run(Options{
+		Params:      stableParams(2),
+		InitialLoad: []int{50, 50},
+		TimeScale:   4, // a mean service is 12.5 ms of wall time
+		Seed:        34,
+		Transport:   cluster.NewChanTransport(3),
+		MaxWall:     maxWall,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConserved(t, res)
+	if el := time.Since(start); el < 3*maxWall {
+		t.Fatalf("run took %v: not several times MaxWall=%v, the test exercised nothing", el, maxWall)
+	}
+}
+
+// TestClosedRunFailedTransferIsDeclaredLost: the testbed used to discard
+// the error of a failed transfer, leaving processed < total for ever and
+// the run dying at MaxWall. On this engine the bundle is declared lost.
+func TestClosedRunFailedTransferIsDeclaredLost(t *testing.T) {
+	tr := newRecording(2)
+	tr.failSend = func(k, from int) bool { return from != tr.dispatcher }
+	start := time.Now()
+	res, err := Run(Options{
+		Params:      model.PaperBaseline(),
+		Policy:      policy.LBP1{K: 0.5},
+		InitialLoad: []int{40, 0},
+		TimeScale:   4000,
+		Seed:        35,
+		Transport:   tr,
+		MaxWall:     10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("run took %v after a failed transfer", el)
+	}
+	checkConserved(t, res)
+	if res.Injected != 40 || res.Lost == 0 {
+		t.Fatalf("injected %d, lost %d: want 40 injected and the failed transfer's tasks lost", res.Injected, res.Lost)
+	}
+}
+
+// TestStatePacketsFlow: state packets reach the dispatcher, the one
+// endpoint that reads them, and no worker endpoint — nothing drains those.
+func TestStatePacketsFlow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func() (cluster.Transport, error)
+	}{
+		{"chan", func() (cluster.Transport, error) { return cluster.NewChanTransport(3), nil }},
+		{"net", func() (cluster.Transport, error) { return cluster.NewNetTransport(3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := tc.open()
+			if err != nil {
+				t.Skipf("loopback sockets unavailable: %v", err)
+			}
+			defer tr.Close()
+			res, err := Run(Options{
+				Params:        model.PaperBaseline(),
+				InitialLoad:   []int{60, 60},
+				StateInterval: 0.5,
+				// Slow enough that the report ticker fires before the
+				// backlog drains, even under the race detector.
+				TimeScale: 500,
+				Seed:      1,
+				Transport: tr,
+				MaxWall:   30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkConserved(t, res)
+			if res.StatePackets == 0 {
+				t.Fatal("no state packets reached the dispatcher")
+			}
+			for i := 0; i < 2; i++ {
+				if n := len(tr.State(i)); n != 0 {
+					t.Fatalf("%d state packets sit unread at worker endpoint %d", n, i)
+				}
+			}
+		})
+	}
+}
+
+// TestSpinAffordable pins the spin rule's two load-bearing outcomes on the
+// 2-core machine that gates the repository (see preciseWait), and its
+// boundary.
+func TestSpinAffordable(t *testing.T) {
+	for _, tc := range []struct {
+		cores, workers int
+		paced, want    bool
+	}{
+		{2, 2, false, true},  // the paper's two-node closed run: must spin
+		{2, 64, true, false}, // the benchmark's 64-worker open fleet: must not
+		{2, 2, true, false},  // two workers and a paced trace driver: three loops
+		{2, 3, false, false}, // three-node closed run
+		{8, 7, true, true},   // each loop has a core
+		{1, 1, false, true},
+	} {
+		if got := spinAffordable(tc.cores, tc.workers, tc.paced); got != tc.want {
+			t.Errorf("spinAffordable(%d cores, %d workers, paced %v) = %v, want %v",
+				tc.cores, tc.workers, tc.paced, got, tc.want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"churnlb/internal/cluster"
 	"churnlb/internal/markov"
 	"churnlb/internal/mc"
 	"churnlb/internal/model"
@@ -184,15 +183,12 @@ func runFig3(cfg Config) (*Result, error) {
 		for _, k := range []float64{0, 0.2, 0.35, 0.5, 0.75, 1} {
 			var w stats.Welford
 			for rep := 0; rep < bedReps; rep++ {
-				out, err := cluster.Run(cluster.Config{
-					Params: p, Policy: policy.LBP1{K: k, Sender: sender},
-					InitialLoad: []int{m0, m1}, TimeScale: 1500,
-					Seed: cfg.Seed + uint64(rep) + uint64(k*1000), MaxWall: 2 * time.Minute,
-				})
+				t, err := testbedRun(p, policy.LBP1{K: k, Sender: sender}, []int{m0, m1},
+					1500, cfg.Seed+uint64(rep)+uint64(k*1000), 2*time.Minute)
 				if err != nil {
 					return nil, err
 				}
-				w.Add(out.CompletionTime)
+				w.Add(t)
 			}
 			bx = append(bx, k)
 			by = append(by, w.Mean())

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"churnlb/internal/cluster"
+	"churnlb/internal/daemon"
 	"churnlb/internal/markov"
 	"churnlb/internal/mc"
 	"churnlb/internal/model"
@@ -54,6 +55,23 @@ var paperTable3 = []struct{ delta, lbp1, lbp2 float64 }{
 	{3.00, 131.64, 142.86},
 }
 
+// testbedRun is one closed run of the live engine — the Section-3 testbed:
+// the workload is the initial backlog — over in-process channels, and
+// returns its overall completion time in virtual seconds.
+func testbedRun(p model.Params, pol policy.Policy, load []int, scale float64, seed uint64, maxWall time.Duration) (float64, error) {
+	tr := cluster.NewChanTransport(p.N() + 1) // the workers plus the idle dispatcher
+	defer tr.Close()
+	out, err := daemon.Run(daemon.Options{
+		Params: p, Policy: pol, InitialLoad: load,
+		TimeScale: scale, Seed: seed, MatrixDim: 32,
+		Transport: tr, MaxWall: maxWall,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return out.Summary.Elapsed, nil
+}
+
 // testbedMean runs the concurrent testbed reps times and summarises.
 func testbedMean(cfg Config, p model.Params, pol policy.Policy, load []int, reps int, salt uint64) (stats.Summary, error) {
 	var w stats.Welford
@@ -62,15 +80,11 @@ func testbedMean(cfg Config, p model.Params, pol policy.Policy, load []int, reps
 		scale = 2500
 	}
 	for rep := 0; rep < reps; rep++ {
-		out, err := cluster.Run(cluster.Config{
-			Params: p, Policy: pol, InitialLoad: load,
-			TimeScale: scale, Seed: cfg.Seed ^ salt ^ uint64(rep*7919),
-			MaxWall: 3 * time.Minute,
-		})
+		t, err := testbedRun(p, pol, load, scale, cfg.Seed^salt^uint64(rep*7919), 3*time.Minute)
 		if err != nil {
 			return stats.Summary{}, err
 		}
-		w.Add(out.CompletionTime)
+		w.Add(t)
 	}
 	return stats.Summary{N: w.N(), Mean: w.Mean(), Std: w.Std(), CI95: w.CI95(), Min: w.Min(), Max: w.Max()}, nil
 }
