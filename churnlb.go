@@ -50,6 +50,7 @@ import (
 	"churnlb/internal/des"
 	"churnlb/internal/markov"
 	"churnlb/internal/mc"
+	"churnlb/internal/metrics"
 	"churnlb/internal/model"
 	"churnlb/internal/obs"
 	"churnlb/internal/policy"
@@ -131,52 +132,29 @@ func (s System) markovParams() (markov.Params, error) {
 }
 
 // PolicyKind selects a load-balancing policy.
-type PolicyKind int
+type PolicyKind = policy.Kind
 
 // Available policies.
 const (
 	// PolicyNone performs no balancing.
-	PolicyNone PolicyKind = iota
+	PolicyNone = policy.KindNone
 	// PolicyLBP1 is the paper's preemptive policy (two nodes).
-	PolicyLBP1
+	PolicyLBP1 = policy.KindLBP1
 	// PolicyLBP2 is the paper's on-failure policy.
-	PolicyLBP2
+	PolicyLBP2 = policy.KindLBP2
 	// PolicyLBP1Multi is the documented N-node preemptive extension.
-	PolicyLBP1Multi
+	PolicyLBP1Multi = policy.KindLBP1Multi
 	// PolicyDynamicLBP2 re-runs LBP-2's balance at every external
 	// arrival (the conclusion's dynamic extension).
-	PolicyDynamicLBP2
+	PolicyDynamicLBP2 = policy.KindDynamicLBP2
 )
 
-// PolicySpec configures a policy instance.
-type PolicySpec struct {
-	Kind PolicyKind
-	// K is the load-balancing gain in [0, 1].
-	K float64
-	// Sender fixes LBP-1's sending node; AutoSender picks the more
-	// loaded node.
-	Sender int
-}
+// PolicySpec configures a policy instance: Kind, the load-balancing gain
+// K in [0, 1], and LBP-1's Sender (AutoSender picks the more loaded node).
+type PolicySpec = policy.Spec
 
 // AutoSender lets LBP-1 choose the sender by queue length.
 const AutoSender = policy.AutoSender
-
-func (ps PolicySpec) build() (policy.Policy, error) {
-	switch ps.Kind {
-	case PolicyNone:
-		return policy.NoBalance{}, nil
-	case PolicyLBP1:
-		return policy.LBP1{K: ps.K, Sender: ps.Sender}, nil
-	case PolicyLBP2:
-		return policy.LBP2{K: ps.K}, nil
-	case PolicyLBP1Multi:
-		return policy.LBP1Multi{K: ps.K}, nil
-	case PolicyDynamicLBP2:
-		return policy.Dynamic{Base: policy.LBP2{K: ps.K}}, nil
-	default:
-		return nil, fmt.Errorf("churnlb: unknown policy kind %d", ps.Kind)
-	}
-}
 
 // --- analytical API (two nodes) ---
 
@@ -291,57 +269,33 @@ type SimResult struct {
 }
 
 // TransferMode selects how transfer delays are drawn.
-type TransferMode int
+type TransferMode = sim.TransferMode
 
 // Transfer-delay laws.
 const (
 	// TransferBundle draws one exponential delay of mean δ·L for the
 	// whole bundle — the paper's analytical assumption.
-	TransferBundle TransferMode = iota
+	TransferBundle = sim.TransferBundle
 	// TransferPerTask sums L exponential stages of mean δ, closer to the
 	// physical network.
-	TransferPerTask
+	TransferPerTask = sim.TransferPerTask
 )
 
 // ChurnLaw selects the failure/recovery time distribution.
-type ChurnLaw int
+type ChurnLaw = sim.ChurnLaw
 
 // Churn laws.
 const (
 	// ChurnExponential is the paper's memoryless law.
-	ChurnExponential ChurnLaw = iota
+	ChurnExponential = sim.ChurnExponential
 	// ChurnWeibull uses shape-2 Weibull laws with the same means.
-	ChurnWeibull
+	ChurnWeibull = sim.ChurnWeibull
 	// ChurnDeterministic uses fixed intervals equal to the means.
-	ChurnDeterministic
+	ChurnDeterministic = sim.ChurnDeterministic
 )
 
-func (m TransferMode) internal() (sim.TransferMode, error) {
-	switch m {
-	case TransferBundle:
-		return sim.TransferBundle, nil
-	case TransferPerTask:
-		return sim.TransferPerTask, nil
-	default:
-		return 0, fmt.Errorf("churnlb: unknown transfer mode %d", m)
-	}
-}
-
-func (c ChurnLaw) internal() (sim.ChurnLaw, error) {
-	switch c {
-	case ChurnExponential:
-		return sim.ChurnExponential, nil
-	case ChurnWeibull:
-		return sim.ChurnWeibull, nil
-	case ChurnDeterministic:
-		return sim.ChurnDeterministic, nil
-	default:
-		return 0, fmt.Errorf("churnlb: unknown churn law %d", c)
-	}
-}
-
 // EventQueue selects the simulation kernel's pending-event backend.
-type EventQueue int
+type EventQueue = des.QueueKind
 
 // Event-queue backends. Both fire every schedule in the same order, so a
 // realisation is bit-identical — to the float — under either; the choice
@@ -349,41 +303,14 @@ type EventQueue int
 // event where the heap pays O(log n) over ~2n live timers).
 const (
 	// QueueHeap is the binary event heap, the default.
-	QueueHeap EventQueue = iota
+	QueueHeap = des.QueueHeap
 	// QueueCalendar is the adaptive calendar queue (timer wheel).
-	QueueCalendar
+	QueueCalendar = des.QueueCalendar
 )
 
-func (q EventQueue) internal() (des.QueueKind, error) {
-	switch q {
-	case QueueHeap:
-		return des.QueueHeap, nil
-	case QueueCalendar:
-		return des.QueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("churnlb: unknown event queue %d", q)
-	}
-}
-
 // ParseEventQueue converts the CLI spelling of a backend ("heap",
-// "calendar" or its alias "wheel") into an EventQueue. It is the one
-// place the des spellings map to the public enum, so CLIs cannot drift:
-// a backend added to des without a mapping here is an error, never a
-// silent fall-back to the heap.
-func ParseEventQueue(s string) (EventQueue, error) {
-	kind, err := des.ParseQueueKind(s)
-	if err != nil {
-		return 0, err
-	}
-	switch kind {
-	case des.QueueHeap:
-		return QueueHeap, nil
-	case des.QueueCalendar:
-		return QueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("churnlb: des queue kind %v has no public mapping", kind)
-	}
-}
+// "calendar" or its alias "wheel") into an EventQueue.
+func ParseEventQueue(s string) (EventQueue, error) { return des.ParseQueueKind(s) }
 
 // SimOptions tunes Simulate beyond the defaults.
 type SimOptions struct {
@@ -420,43 +347,38 @@ type SimOptions struct {
 	Shards int
 }
 
+// options assembles the simulator options Simulate and MonteCarloOpts
+// share; the caller adds the random stream.
+func (opt SimOptions) options(p model.Params, pol policy.Policy, load []int) sim.Options {
+	return sim.Options{
+		Params:         p,
+		Policy:         pol,
+		InitialLoad:    load,
+		TransferMode:   opt.TransferMode,
+		ChurnLaw:       opt.ChurnLaw,
+		ArrivalRate:    opt.ArrivalRate,
+		ArrivalBatch:   opt.ArrivalBatch,
+		ArrivalHorizon: opt.ArrivalHorizon,
+		EventQueue:     opt.EventQueue,
+		LazyChurn:      opt.LazyChurn,
+		Shards:         opt.Shards,
+	}
+}
+
 // Simulate runs one exact stochastic realisation of the churn model.
 func Simulate(s System, spec PolicySpec, load []int, seed uint64, opt SimOptions) (SimResult, error) {
 	p, err := s.params()
 	if err != nil {
 		return SimResult{}, err
 	}
-	pol, err := spec.build()
+	pol, err := spec.Build()
 	if err != nil {
 		return SimResult{}, err
 	}
-	tm, err := opt.TransferMode.internal()
-	if err != nil {
-		return SimResult{}, err
-	}
-	cl, err := opt.ChurnLaw.internal()
-	if err != nil {
-		return SimResult{}, err
-	}
-	qk, err := opt.EventQueue.internal()
-	if err != nil {
-		return SimResult{}, err
-	}
-	out, err := sim.Run(sim.Options{
-		Params:         p,
-		Policy:         pol,
-		InitialLoad:    load,
-		Rand:           xrand.New(seed),
-		TransferMode:   tm,
-		ChurnLaw:       cl,
-		Trace:          opt.Trace,
-		ArrivalRate:    opt.ArrivalRate,
-		ArrivalBatch:   opt.ArrivalBatch,
-		ArrivalHorizon: opt.ArrivalHorizon,
-		EventQueue:     qk,
-		LazyChurn:      opt.LazyChurn,
-		Shards:         opt.Shards,
-	})
+	so := opt.options(p, pol, load)
+	so.Rand = xrand.New(seed)
+	so.Trace = opt.Trace
+	out, err := sim.Run(so)
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -474,13 +396,9 @@ func Simulate(s System, spec PolicySpec, load []int, seed uint64, opt SimOptions
 	return res, nil
 }
 
-// Estimate summarises a Monte-Carlo study.
-type Estimate struct {
-	N         int
-	Mean, Std float64
-	CI95      float64
-	Min, Max  float64
-}
+// Estimate summarises a Monte-Carlo study: sample count N, Mean, Std, the
+// 95% confidence half-width CI95, and the sample Min and Max.
+type Estimate = stats.Summary
 
 // MonteCarlo estimates the expected completion time over reps independent
 // replications, parallelised across CPUs, deterministic for a given seed.
@@ -495,55 +413,25 @@ func MonteCarloOpts(s System, spec PolicySpec, load []int, reps int, seed uint64
 	if err != nil {
 		return Estimate{}, err
 	}
-	pol, err := spec.build()
+	pol, err := spec.Build()
 	if err != nil {
 		return Estimate{}, err
 	}
-	tm, err := opt.TransferMode.internal()
-	if err != nil {
-		return Estimate{}, err
-	}
-	cl, err := opt.ChurnLaw.internal()
-	if err != nil {
-		return Estimate{}, err
-	}
-	qk, err := opt.EventQueue.internal()
-	if err != nil {
-		return Estimate{}, err
-	}
+	so := opt.options(p, pol, load)
 	// The eq.-(8) plan is a pure function of the parameter set: build it
 	// once and share the immutable result across every replication
-	// instead of rebuilding it O(n log n) per rep. Invalid params skip
-	// the build so the first realisation reports the validation error.
-	var plan *policy.FailurePlan
-	if p.Validate() == nil {
-		plan = policy.PlanFor(pol, p)
-	}
+	// instead of rebuilding it O(n log n) per rep.
+	so.FailurePlan = policy.PlanFor(pol, p)
 	est, err := mc.Run(mc.Options{Reps: reps, Seed: seed}, func(r *xrand.Rand, rep int) (float64, error) {
-		out, err := sim.Run(sim.Options{
-			Params:         p,
-			Policy:         pol,
-			InitialLoad:    load,
-			Rand:           r,
-			TransferMode:   tm,
-			ChurnLaw:       cl,
-			ArrivalRate:    opt.ArrivalRate,
-			ArrivalBatch:   opt.ArrivalBatch,
-			ArrivalHorizon: opt.ArrivalHorizon,
-			EventQueue:     qk,
-			LazyChurn:      opt.LazyChurn,
-			FailurePlan:    plan,
-			Shards:         opt.Shards,
-		})
+		o := so
+		o.Rand = r
+		out, err := sim.Run(o)
 		if err != nil {
 			return 0, err
 		}
 		return out.CompletionTime, nil
 	})
-	if err != nil {
-		return Estimate{}, err
-	}
-	return Estimate{N: est.N, Mean: est.Mean, Std: est.Std, CI95: est.CI95, Min: est.Min, Max: est.Max}, nil
+	return est.Summary, err
 }
 
 // --- testbed API ---
@@ -587,7 +475,7 @@ func RunTestbed(s System, spec PolicySpec, load []int, seed uint64, opt TestbedO
 	if err != nil {
 		return TestbedResult{}, err
 	}
-	pol, err := spec.build()
+	pol, err := spec.Build()
 	if err != nil {
 		return TestbedResult{}, err
 	}
@@ -643,51 +531,29 @@ func RunTestbed(s System, spec PolicySpec, load []int, seed uint64, opt TestbedO
 // --- open-system serving API ---
 
 // RouterKind selects a dispatcher routing policy for Serve.
-type RouterKind int
+type RouterKind = policy.RouterKind
 
 // Available routers.
 const (
 	// RouterUniform sends each arrival to a uniformly random node (the
 	// closed-model default).
-	RouterUniform RouterKind = iota
+	RouterUniform = policy.RouterUniform
 	// RouterRoundRobin cycles through nodes in index order.
-	RouterRoundRobin
+	RouterRoundRobin = policy.RouterRoundRobin
 	// RouterJSQ joins the shortest queue over all nodes (churn-blind).
-	RouterJSQ
+	RouterJSQ = policy.RouterJSQ
 	// RouterPowerOfD joins the shortest of D sampled queues (churn-blind).
-	RouterPowerOfD
+	RouterPowerOfD = policy.RouterPowerOfD
 	// RouterLeastExpectedWork joins the node with the least expected
 	// work, discounting down nodes by their expected recovery time (the
 	// churn-aware router). D = 0 scans all nodes; D > 0 samples D.
-	RouterLeastExpectedWork
+	RouterLeastExpectedWork = policy.RouterLeastExpectedWork
 )
 
-// RouterSpec configures a dispatcher routing policy.
-type RouterSpec struct {
-	Kind RouterKind
-	// D is the number of choices for RouterPowerOfD (default 2) and
-	// RouterLeastExpectedWork (0 = scan all nodes).
-	D int
-}
-
-// build returns a fresh router instance (routers may be stateful per run)
-// or nil for RouterUniform.
-func (rs RouterSpec) build() (policy.Router, error) {
-	switch rs.Kind {
-	case RouterUniform:
-		return nil, nil
-	case RouterRoundRobin:
-		return policy.NewRoundRobin(), nil
-	case RouterJSQ:
-		return policy.JSQ{}, nil
-	case RouterPowerOfD:
-		return policy.PowerOfD{D: rs.D}, nil
-	case RouterLeastExpectedWork:
-		return policy.LeastExpectedWork{D: rs.D}, nil
-	default:
-		return nil, fmt.Errorf("churnlb: unknown router kind %d", rs.Kind)
-	}
-}
+// RouterSpec configures a dispatcher routing policy: Kind, and D, the
+// number of choices for RouterPowerOfD (default 2) and
+// RouterLeastExpectedWork (0 = scan all nodes).
+type RouterSpec = policy.RouterSpec
 
 // ServeOptions configures one open-system serving realisation.
 type ServeOptions struct {
@@ -754,18 +620,14 @@ type ServeOptions struct {
 // regret versus the best untaken candidate, and the misroute fraction.
 type DecisionStats = obs.DecisionStats
 
-// ServeWindow is one telemetry window of a serving run.
-type ServeWindow struct {
-	// Start and Width bound the window in simulated seconds.
-	Start, Width float64
-	// Throughput is completions/second; P99 the window-local sojourn
-	// 99th percentile (NaN when nothing completed); QueueDepth, InFlight
-	// and Availability time-weighted averages.
-	Throughput, P99, QueueDepth, InFlight, Availability float64
-	// Fairness is the cumulative Jain index over per-node completed work
-	// at the window's close (NaN until anything completes).
-	Fairness float64
-}
+// ServeWindow is one telemetry window of a serving run: Start and Width
+// bound it in simulated seconds; Completions counts tasks finished inside
+// it and Throughput is Completions/Width; P99 is the window-local sojourn
+// 99th percentile (NaN when nothing completed); QueueDepth, InFlight and
+// Availability are time-weighted averages; Fairness is the cumulative Jain
+// index over per-node completed work at the window's close (NaN until
+// anything completes).
+type ServeWindow = metrics.WindowStats
 
 // ServeResult reports one open-system serving realisation.
 type ServeResult struct {
@@ -850,23 +712,12 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 		TransfersSent:    out.TransfersSent,
 		TasksTransferred: out.TasksTransferred,
 		Utilization:      make([]float64, p.N()),
+		Windows:          run.Windows,
 	}
 	if out.CompletionTime > 0 {
 		for i, done := range out.Processed {
 			res.Utilization[i] = float64(done) / (p.ProcRate[i] * out.CompletionTime)
 		}
-	}
-	for _, w := range run.Windows {
-		res.Windows = append(res.Windows, ServeWindow{
-			Start:        w.Start,
-			Width:        w.Width,
-			Throughput:   w.Throughput,
-			P99:          w.P99,
-			QueueDepth:   w.QueueDepth,
-			InFlight:     w.InFlight,
-			Availability: w.Availability,
-			Fairness:     w.Fairness,
-		})
 	}
 	if tracer != nil {
 		if err := tracer.Err(); err != nil {
@@ -929,10 +780,10 @@ func ServeMany(s System, spec PolicySpec, router RouterSpec, reps int, seed uint
 	}
 	return ServeEstimate{
 		N:              agg.N,
-		P50:            fromSummary(agg.P50),
-		P99:            fromSummary(agg.P99),
-		Throughput:     fromSummary(agg.Throughput),
-		Availability:   fromSummary(agg.Availability),
+		P50:            agg.P50,
+		P99:            agg.P99,
+		Throughput:     agg.Throughput,
+		Availability:   agg.Availability,
 		PooledP50:      agg.Latency.P50.Value(),
 		PooledP90:      agg.Latency.P90.Value(),
 		PooledP99:      agg.Latency.P99.Value(),
@@ -951,33 +802,18 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 	if opt.Rate <= 0 || opt.Horizon <= 0 {
 		return serve.Options{}, fmt.Errorf("churnlb: serving needs positive Rate and Horizon")
 	}
-	pol, err := spec.build()
+	pol, err := spec.Build()
 	if err != nil {
 		return serve.Options{}, err
 	}
-	// Validate the router spec eagerly (the factory below runs later).
-	if _, err := router.build(); err != nil {
-		return serve.Options{}, err
-	}
-	tm, err := opt.TransferMode.internal()
-	if err != nil {
-		return serve.Options{}, err
-	}
-	cl, err := opt.ChurnLaw.internal()
-	if err != nil {
-		return serve.Options{}, err
-	}
-	qk, err := opt.EventQueue.internal()
+	newRouter, err := router.Factory()
 	if err != nil {
 		return serve.Options{}, err
 	}
 	return serve.Options{
-		Params: p,
-		Policy: pol,
-		NewRouter: func() policy.Router {
-			rt, _ := router.build()
-			return rt
-		},
+		Params:        p,
+		Policy:        pol,
+		NewRouter:     newRouter,
 		InitialLoad:   opt.InitialLoad,
 		InitialUp:     opt.InitialUp,
 		Rate:          opt.Rate,
@@ -986,15 +822,10 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 		WaveAmplitude: opt.WaveAmplitude,
 		WavePeriod:    opt.WavePeriod,
 		Window:        opt.Window,
-		TransferMode:  tm,
-		ChurnLaw:      cl,
-		EventQueue:    qk,
+		TransferMode:  opt.TransferMode,
+		ChurnLaw:      opt.ChurnLaw,
+		EventQueue:    opt.EventQueue,
 		Seed:          seed,
 		Shards:        opt.Shards,
 	}, nil
-}
-
-// fromSummary converts the internal stats shape to the public Estimate.
-func fromSummary(s stats.Summary) Estimate {
-	return Estimate{N: s.N, Mean: s.Mean, Std: s.Std, CI95: s.CI95, Min: s.Min, Max: s.Max}
 }

@@ -288,7 +288,35 @@ func TestMonteCarloOptsLaws(t *testing.T) {
 	if base.Mean == alt.Mean {
 		t.Fatal("alternative laws produced identical estimates — flags not wired through")
 	}
-	if _, err := MonteCarloOpts(sys, spec, []int{1, 1}, 1, 1, SimOptions{ChurnLaw: ChurnLaw(9)}); err == nil {
-		t.Fatal("unknown churn law accepted")
+}
+
+// TestUnknownLawsRejected: the enums are the simulator's own, so its one
+// validation covers every entry point — an out-of-range law or backend is
+// an error everywhere, never a silent run under the default.
+func TestUnknownLawsRejected(t *testing.T) {
+	sys, spec, load := PaperSystem(), PolicySpec{Kind: PolicyLBP2, K: 1}, []int{1, 1}
+	for _, c := range []struct {
+		name string
+		opt  SimOptions
+	}{
+		{"ChurnLaw", SimOptions{ChurnLaw: 7}},
+		{"TransferMode", SimOptions{TransferMode: 7}},
+		{"EventQueue", SimOptions{EventQueue: 7}},
+	} {
+		name, opt := c.name, c.opt
+		if _, err := Simulate(sys, spec, load, 1, opt); err == nil {
+			t.Errorf("Simulate accepted unknown %s", name)
+		}
+		if _, err := MonteCarloOpts(sys, spec, load, 1, 1, opt); err == nil {
+			t.Errorf("MonteCarloOpts accepted unknown %s", name)
+		}
+		so := ServeOptions{Rate: 1, Horizon: 1,
+			ChurnLaw: opt.ChurnLaw, TransferMode: opt.TransferMode, EventQueue: opt.EventQueue}
+		if _, err := Serve(sys, spec, RouterSpec{}, 1, so); err == nil {
+			t.Errorf("Serve accepted unknown %s", name)
+		}
+		if _, err := ServeMany(sys, spec, RouterSpec{}, 2, 1, so); err == nil {
+			t.Errorf("ServeMany accepted unknown %s", name)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"churnlb"
+	"churnlb/internal/policy"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -29,7 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		m0     = fs.Int("m0", 100, "initial tasks at node 0")
 		m1     = fs.Int("m1", 60, "initial tasks at node 1")
-		polStr = fs.String("policy", "lbp2", "policy: lbp1, lbp2, none")
+		polStr = fs.String("policy", "lbp2", "policy: lbp1, lbp1multi, lbp2, none, dynamic")
 		k      = fs.Float64("k", 1.0, "LB gain")
 		sender = fs.Int("sender", 0, "LBP-1 sender")
 		scale  = fs.Float64("scale", 1000, "virtual seconds per wall second")
@@ -45,16 +46,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var spec churnlb.PolicySpec
-	switch *polStr {
-	case "lbp1":
-		spec = churnlb.PolicySpec{Kind: churnlb.PolicyLBP1, K: *k, Sender: *sender}
-	case "lbp2":
-		spec = churnlb.PolicySpec{Kind: churnlb.PolicyLBP2, K: *k}
-	case "none":
-		spec = churnlb.PolicySpec{Kind: churnlb.PolicyNone}
-	default:
-		fmt.Fprintf(stderr, "lbbed: unknown policy %q\n", *polStr)
+	spec, err := policy.ParseSpec(*polStr, *k, *sender)
+	if err != nil {
+		fmt.Fprintln(stderr, "lbbed:", err)
 		return 2
 	}
 

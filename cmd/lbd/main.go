@@ -44,8 +44,8 @@ import (
 	"churnlb/internal/metrics"
 	"churnlb/internal/model"
 	"churnlb/internal/obs"
-	"churnlb/internal/obs/rerun"
 	"churnlb/internal/report"
+	"churnlb/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sigChannel())) }
@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		churnNodes = fs.Int("churnnodes", 0, "workers subject to churn, from worker 0 (0 = all, when -mtbf > 0)")
 		churnStr   = fs.String("churn", "exp", "churn law: exp, weibull, det")
 		polStr     = fs.String("policy", "jsq", "routing policy: uniform, rr, jsq, pod2, pod3, lew")
-		balStr     = fs.String("balance", "lbp2", "balancing policy (eq.-(8) failure plan): none, lbp2, lbp1multi, dynamic")
+		balStr     = fs.String("balance", "lbp2", "balancing policy (eq.-(8) failure plan): lbp1multi, lbp2, none, dynamic")
 		k          = fs.Float64("k", 0.5, "LB gain for the balancing policy")
 		d          = fs.Int("d", 0, "lew sample size (0 = scan all workers)")
 		rate       = fs.Float64("rate", 60, "arrival rate of the recorded trace, tasks/virtual second")
@@ -102,21 +102,19 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		return 2
 	}
 
-	_, churnLaw, err := rerun.ParseChurn(*churnStr)
+	churnLaw, err := sim.ParseChurnLaw(*churnStr)
 	if err != nil {
 		fmt.Fprintln(stderr, "lbd:", err)
 		return 2
 	}
-	if _, err := calib.RouterFor(*polStr, *d); err != nil {
-		fmt.Fprintln(stderr, "lbd:", err)
-		return 2
-	}
-	pol, err := calib.BalanceFor(*balStr, *k)
+	// One spec names the policies of both halves: the live daemon below
+	// and its simulator twin after it.
+	spec := calib.RunSpec{Router: *polStr, D: *d, Balance: *balStr, K: *k, ChurnLaw: churnLaw, Seed: *seed}
+	newRouter, pol, err := spec.Resolve()
 	if err != nil {
 		fmt.Fprintln(stderr, "lbd:", err)
 		return 2
 	}
-	routerFor, _ := calib.RouterFor(*polStr, *d)
 
 	p := model.Params{
 		ProcRate:     make([]float64, *nodes),
@@ -160,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 
 	live, err := daemon.Run(daemon.Options{
 		Params:        p,
-		Router:        routerFor(),
+		Router:        newRouter(),
 		Policy:        pol,
 		ChurnLaw:      churnLaw,
 		Trace:         trace,
@@ -211,17 +209,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 
 	// The simulator twin: the identical trace through the
 	// discrete-event engine under the identical policy configuration.
-	spec := calib.RunSpec{
-		Params:   p,
-		Router:   *polStr,
-		D:        *d,
-		Balance:  *balStr,
-		K:        *k,
-		ChurnLaw: churnLaw,
-		Trace:    trace,
-		Window:   w,
-		Seed:     *seed,
-	}
+	spec.Params, spec.Trace, spec.Window = p, trace, w
 	twin, err := spec.SimTwin()
 	if err != nil {
 		fmt.Fprintln(stderr, "lbd: sim twin:", err)

@@ -9,6 +9,7 @@ import (
 
 	"churnlb/internal/obs"
 	"churnlb/internal/obs/rerun"
+	"churnlb/internal/policy"
 )
 
 func TestLbdBadFlagsRejected(t *testing.T) {
@@ -101,5 +102,29 @@ func TestLbdInterrupted(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "run.json")); err == nil {
 		t.Fatal("interrupted run wrote a manifest (partial trace is not replayable)")
+	}
+}
+
+// TestPolicyHelpMatchesTable: -policy advertises exactly internal/policy's
+// routers, -balance its policies less lbp1 (two-node only, refused here).
+func TestPolicyHelpMatchesTable(t *testing.T) {
+	var out, errb bytes.Buffer
+	run([]string{"-h"}, &out, &errb, nil)
+	var balances []string
+	for _, name := range policy.Names() {
+		if name != "lbp1" {
+			balances = append(balances, name)
+		}
+	}
+	for _, want := range []string{
+		"routing policy: " + strings.Join(policy.RouterNames(), ", ") + " (default",
+		"balancing policy (eq.-(8) failure plan): " + strings.Join(balances, ", ") + " (default",
+	} {
+		if !strings.Contains(errb.String(), want) {
+			t.Fatalf("-h does not advertise %q:\n%s", want, errb.String())
+		}
+	}
+	if code := run([]string{"-balance", "lbp1"}, &out, &errb, nil); code != 2 {
+		t.Fatalf("-balance lbp1: exit %d, want 2", code)
 	}
 }

@@ -27,8 +27,9 @@
 // SIGINT/SIGTERM interrupt a single run gracefully: the arrival stream
 // stops, admitted work drains, the report and time-series CSV flush,
 // and the process exits 0 (the manifest is skipped — a cut arrival
-// stream is not replayable). A -reps sweep finishes its replications;
-// a second signal kills the process immediately.
+// stream is not replayable). A -reps sweep finishes its replications and
+// a -shards run finishes its realisation (the sharded engine has no
+// mid-window cut); a second signal kills the process immediately.
 package main
 
 import (
@@ -41,12 +42,10 @@ import (
 	"syscall"
 	"time"
 
-	"churnlb"
 	"churnlb/internal/metrics"
 	"churnlb/internal/obs"
 	"churnlb/internal/obs/rerun"
 	"churnlb/internal/report"
-	"churnlb/internal/scenario"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sigChannel())) }
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		delta   = fs.Float64("delta", 0.02, "mean transfer delay per task, s")
 		window  = fs.Float64("window", 0, "telemetry window, s (0 = horizon/100)")
 		queue   = fs.String("queue", "heap", "event-queue backend: heap, calendar (alias wheel); results are bit-identical either way")
-		shards  = fs.Int("shards", 0, "run each realisation on the domain-sharded parallel engine with up to this many workers (0 = single-stream engine; any positive count is bit-identical to any other; incompatible with -decisions)")
+		shards  = fs.Int("shards", 0, "run each realisation on the domain-sharded parallel engine with up to this many workers (0 = single-stream engine; any positive count is bit-identical to any other; incompatible with -decisions, and Ctrl-C does not drain a sharded run — it finishes, or a second signal kills it)")
 		seed    = fs.Uint64("seed", 1, "root seed")
 		reps    = fs.Int("reps", 1, "replications; >1 aggregates a parallel Monte-Carlo estimate")
 		workers = fs.Int("workers", 0, "worker goroutines for -reps (0 = GOMAXPROCS)")
@@ -101,56 +100,40 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		return 2
 	}
 
-	kind, err := scenario.ParseKind(*scenStr)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbserve:", err)
-		return 2
-	}
-	router, pol, err := rerun.ServeSpecs(*polStr, *k, *d)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbserve:", err)
-		return 2
-	}
-	eq, _, err := rerun.ParseQueue(*queue)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbserve:", err)
-		return 2
-	}
 	if *decisions != "" && *reps > 1 {
 		fmt.Fprintln(stderr, "lbserve: -decisions applies to single runs only (decision tracing is per-realisation)")
 		return 2
 	}
-	sc, err := scenario.Generate(scenario.Spec{
-		Kind:         kind,
-		N:            *nodes,
-		TotalLoad:    *load,
-		Seed:         *seed,
-		DelayPerTask: *delta,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "lbserve:", err)
-		return 2
-	}
 
-	opt := churnlb.ServeOptions{
-		Rate:        *rate,
-		Batch:       *batch,
-		Horizon:     *horizon,
-		InitialLoad: sc.InitialLoad,
-		InitialUp:   sc.InitialUp,
-		Window:      *window,
-		EventQueue:  eq,
-		Shards:      *shards,
-		Interrupt:   interrupt, // single runs only; a -reps sweep finishes
+	// The manifest is the run description: the flags fill it, rerun.Execute
+	// runs it (resolving a diurnal scenario's wave shape into it), and
+	// -manifest saves it with the metrics the run produced.
+	man := obs.NewManifest("lbserve", obs.ModeServe)
+	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+	man.Seed = *seed
+	man.Scenario = &obs.ScenarioRef{Kind: *scenStr, Nodes: *nodes, Load: *load, Delta: *delta}
+	man.Policy = obs.PolicyRef{Name: *polStr, K: *k, D: *d}
+	man.Queue = *queue
+	man.Shards = *shards
+	man.Rate = *rate
+	man.Batch = *batch
+	man.Horizon = *horizon
+	man.Window = *window
+	if *reps > 1 {
+		man.Mode = obs.ModeServeMany
+		man.Reps = *reps
+		man.Workers = *workers
 	}
-	if kind == scenario.Diurnal {
-		// The scenario supplies the wave shape when -load generated one;
-		// otherwise default to two cycles across the horizon. The -rate
-		// flag always sets the mean level.
-		opt.WaveAmplitude, opt.WavePeriod = sc.WaveAmplitude, sc.WavePeriod
-		if opt.WavePeriod <= 0 {
-			opt.WaveAmplitude, opt.WavePeriod = 0.8, *horizon/2
+	hooks := rerun.Hooks{Interrupt: interrupt}
+	if *decisions != "" {
+		f, err := os.Create(*decisions)
+		if err != nil {
+			fmt.Fprintln(stderr, "lbserve:", err)
+			return 1
 		}
+		defer f.Close()
+		man.Decisions = &obs.DecisionRef{K: *counterK}
+		hooks.DecisionLog = f
 	}
 
 	prof, err := obs.StartProfiles(*cpuProf, *memProf, *traceFile)
@@ -164,33 +147,21 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		}
 	}()
 
-	// The manifest records the run's resolved inputs (post-defaulting
-	// wave shape included, so a replay never re-derives it) plus the
-	// summary metrics filled in below.
-	var man *obs.Manifest
-	if *manifest != "" {
-		mode := obs.ModeServe
-		if *reps > 1 {
-			mode = obs.ModeServeMany
+	out, err := rerun.Execute(man, hooks)
+	if err != nil {
+		fmt.Fprintln(stderr, "lbserve:", err)
+		var bad *rerun.SpecError
+		if errors.As(err, &bad) {
+			return 2
 		}
-		man = obs.NewManifest("lbserve", mode)
-		man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		man.Seed = *seed
-		man.Scenario = &obs.ScenarioRef{Kind: kind.String(), Nodes: *nodes, Load: *load, Delta: *delta}
-		man.Policy = obs.PolicyRef{Name: *polStr, K: *k, D: *d}
-		man.Queue = *queue
-		man.Shards = *shards
-		man.Rate = *rate
-		man.Batch = *batch
-		man.Horizon = *horizon
-		man.Window = *window
-		man.WaveAmplitude = opt.WaveAmplitude
-		man.WavePeriod = opt.WavePeriod
+		return 1
 	}
+	sc := out.Scenario
 	saveManifest := func() int {
-		if man == nil {
+		if *manifest == "" {
 			return 0
 		}
+		man.Metrics = out.Metrics
 		if err := man.Save(*manifest); err != nil {
 			fmt.Fprintln(stderr, "lbserve:", err)
 			return 1
@@ -203,12 +174,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		if *outDir != "" {
 			fmt.Fprintln(stderr, "lbserve: note: -out applies to single runs; no time-series CSV is written with -reps > 1")
 		}
-		opt.Workers = *workers
-		est, err := churnlb.ServeMany(systemFrom(sc.Params), pol, router, *reps, *seed, opt)
-		if err != nil {
-			fmt.Fprintln(stderr, "lbserve:", err)
-			return 1
-		}
+		est := out.ServeMany
 		fmt.Fprintf(stdout, "scenario %s policy %s rate %.4g/s horizon %.4gs delta %.4gs reps %d\n",
 			sc.Name, *polStr, *rate, *horizon, *delta, *reps)
 		fmt.Fprintf(stdout, "p50 %.3f ±%.3f s  p99 %.3f ±%.3f s  (means over %d completing replications)\n",
@@ -218,32 +184,10 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		fmt.Fprintf(stdout, "throughput %.2f ±%.2f /s  availability %.1f%% ±%.1f%%  pooled fairness %.3f\n",
 			est.Throughput.Mean, est.Throughput.CI95,
 			100*est.Availability.Mean, 100*est.Availability.CI95, est.PooledFairness)
-		if man != nil {
-			man.Reps = *reps
-			man.Workers = *workers
-			man.Metrics = rerun.ServeManyMetrics(est)
-		}
 		return saveManifest()
 	}
 
-	if *decisions != "" {
-		f, err := os.Create(*decisions)
-		if err != nil {
-			fmt.Fprintln(stderr, "lbserve:", err)
-			return 1
-		}
-		defer f.Close()
-		opt.TraceDecisions = true
-		opt.DecisionK = *counterK
-		opt.DecisionLog = f
-	}
-
-	res, err := churnlb.Serve(systemFrom(sc.Params), pol, router, *seed, opt)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbserve:", err)
-		return 1
-	}
-
+	res := out.Serve
 	fmt.Fprintf(stdout, "scenario %s policy %s rate %.4g/s horizon %.4gs delta %.4gs\n",
 		sc.Name, *polStr, *rate, *horizon, *delta)
 	if sc.ArrivalRate > 0 {
@@ -284,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 
 	if *outDir != "" {
 		path, err := report.SaveCSV(*outDir, "serve_timeseries.csv", func(w io.Writer) error {
-			return report.WriteTimeSeriesCSV(w, metrics.ToTimeSeries(windowStats(res.Windows)))
+			return report.WriteTimeSeriesCSV(w, metrics.ToTimeSeries(res.Windows))
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "lbserve:", err)
@@ -299,35 +243,8 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		fmt.Fprintln(stdout, "lbserve: interrupted — drained admitted work; manifest skipped (a cut arrival stream is not replayable)")
 		return 0
 	}
-	if man != nil {
-		man.Metrics = rerun.ServeMetrics(res)
-		if res.Decisions != nil {
-			man.SetDecisions(*res.Decisions)
-		}
+	if res.Decisions != nil {
+		man.SetDecisions(*res.Decisions)
 	}
 	return saveManifest()
-}
-
-// systemFrom converts generated scenario params to the public System
-// (shared with the manifest replayer, so the conversion cannot drift).
-var systemFrom = rerun.SystemFrom
-
-// windowStats converts the public window shape back to the telemetry
-// one, so the CSV columns stay defined in exactly one place
-// (metrics.ToTimeSeries).
-func windowStats(ws []churnlb.ServeWindow) []metrics.WindowStats {
-	out := make([]metrics.WindowStats, len(ws))
-	for i, w := range ws {
-		out[i] = metrics.WindowStats{
-			Start:        w.Start,
-			Width:        w.Width,
-			Throughput:   w.Throughput,
-			P99:          w.P99,
-			QueueDepth:   w.QueueDepth,
-			InFlight:     w.InFlight,
-			Availability: w.Availability,
-			Fairness:     w.Fairness,
-		}
-	}
-	return out
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"churnlb/internal/policy"
 )
 
 func TestBadFlagsRejected(t *testing.T) {
@@ -144,5 +146,28 @@ func TestServeInterrupted(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "run.json")); err == nil {
 		t.Fatal("interrupted run wrote a manifest (a cut arrival stream is not replayable)")
+	}
+}
+
+// TestServeShardedSingleRun: -shards works for a single run. The sharded
+// engine cannot honour an interrupt, so the run path must not attach the
+// signal channel to it (a live channel here, as under main) — and the
+// manifest it writes replays.
+func TestServeShardedSingleRun(t *testing.T) {
+	m := roundTripWith(t, make(chan struct{}), "-scenario", "hotspot", "-nodes", "50",
+		"-rate", "100", "-horizon", "10", "-shards", "2")
+	if m.Shards != 2 {
+		t.Fatalf("manifest records shards %d, want 2", m.Shards)
+	}
+}
+
+// TestPolicyHelpMatchesTable: the -policy help text lists exactly the
+// spellings the run path accepts — internal/policy's routers plus dynlbp2.
+func TestPolicyHelpMatchesTable(t *testing.T) {
+	var out, errb bytes.Buffer
+	run([]string{"-h"}, &out, &errb, nil)
+	want := "routing policy: " + strings.Join(append(policy.RouterNames(), "dynlbp2"), ", ") + " (default"
+	if !strings.Contains(errb.String(), want) {
+		t.Fatalf("-h does not advertise %q:\n%s", want, errb.String())
 	}
 }

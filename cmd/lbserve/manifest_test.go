@@ -11,9 +11,10 @@ import (
 	"churnlb/internal/obs/rerun"
 )
 
-// TestManifestReplaysExactly is the emitter/replayer drift gate for the
-// serving CLI: single-run (with a decision trace) and sweep manifests
-// must replay bit-for-bit via rerun.Run, decision hash included.
+// TestManifestReplaysExactly is the record/replay gate for the serving
+// CLI: single-run (with a decision trace, and with a diurnal wave the run
+// resolved) and sweep manifests must replay bit-for-bit via rerun.Run,
+// decision hash included.
 func TestManifestReplaysExactly(t *testing.T) {
 	dir := t.TempDir()
 
@@ -23,7 +24,7 @@ func TestManifestReplaysExactly(t *testing.T) {
 		var out, errb bytes.Buffer
 		code := run([]string{"-scenario", "hotspot", "-nodes", "16", "-load", "200",
 			"-policy", "lew", "-rate", "30", "-horizon", "4", "-seed", "12",
-			"-decisions", dpath, "-counterk", "2", "-manifest", mpath}, &out, &errb, nil)
+			"-decisions", dpath, "-counterk", "5", "-manifest", mpath}, &out, &errb, nil)
 		if code != 0 {
 			t.Fatalf("exit %d, stderr: %s", code, errb.String())
 		}
@@ -31,7 +32,7 @@ func TestManifestReplaysExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Decisions == nil || m.Decisions.K != 2 || m.Decisions.Records == 0 {
+		if m.Decisions == nil || m.Decisions.K != 5 || m.Decisions.Records == 0 {
 			t.Fatalf("manifest decisions block: %+v", m.Decisions)
 		}
 		var replayed bytes.Buffer
@@ -53,27 +54,49 @@ func TestManifestReplaysExactly(t *testing.T) {
 	})
 
 	t.Run(obs.ModeServeMany, func(t *testing.T) {
-		mpath := filepath.Join(dir, "sweep.json")
-		var out, errb bytes.Buffer
-		code := run([]string{"-scenario", "uniform", "-nodes", "10", "-load", "100",
-			"-policy", "pod2", "-rate", "20", "-horizon", "3", "-reps", "6", "-seed", "2",
-			"-manifest", mpath}, &out, &errb, nil)
-		if code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, errb.String())
-		}
-		m, err := obs.LoadManifest(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := rerun.Run(m, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.OK() {
-			t.Fatalf("sweep manifest did not replay: diffs %v missing %v extra %v",
-				rep.Diffs, rep.Missing, rep.Extra)
+		roundTrip(t, "-scenario", "uniform", "-nodes", "10", "-load", "100",
+			"-policy", "lew", "-d", "3", "-rate", "20", "-horizon", "3",
+			"-reps", "4", "-workers", "2", "-seed", "2")
+	})
+
+	t.Run("diurnal", func(t *testing.T) {
+		m := roundTrip(t, "-scenario", "diurnal", "-nodes", "12", "-policy", "jsq",
+			"-rate", "20", "-horizon", "6", "-seed", "4")
+		if m.WaveAmplitude != 0.8 || m.WavePeriod != 3 {
+			t.Fatalf("manifest records wave %v/%v, want the resolved default 0.8/3",
+				m.WaveAmplitude, m.WavePeriod)
 		}
 	})
+}
+
+// roundTrip runs lbserve with -manifest, loads the file and demands that
+// it replays exactly.
+func roundTrip(t *testing.T, args ...string) *obs.Manifest {
+	t.Helper()
+	return roundTripWith(t, nil, args...)
+}
+
+// roundTripWith is roundTrip under the given interrupt channel.
+func roundTripWith(t *testing.T, interrupt <-chan struct{}, args ...string) *obs.Manifest {
+	t.Helper()
+	mpath := filepath.Join(t.TempDir(), "run.json")
+	var out, errb bytes.Buffer
+	if code := run(append(args, "-manifest", mpath), &out, &errb, interrupt); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	m, err := obs.LoadManifest(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rerun.Run(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("manifest did not replay: diffs %v missing %v extra %v",
+			rep.Diffs, rep.Missing, rep.Extra)
+	}
+	return m
 }
 
 // TestDecisionsRejectedForSweeps: decision tracing is single-run only.

@@ -27,14 +27,10 @@ import (
 	"os"
 	"time"
 
-	"churnlb"
-	"churnlb/internal/des"
-	"churnlb/internal/mc"
+	"churnlb/internal/model"
 	"churnlb/internal/obs"
 	"churnlb/internal/obs/rerun"
-	"churnlb/internal/scenario"
-	"churnlb/internal/sim"
-	"churnlb/internal/xrand"
+	"churnlb/internal/policy"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -47,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		m1       = fs.Int("m1", 60, "initial tasks at node 1 (two-node mode)")
 		polStr   = fs.String("policy", "lbp2", "policy: lbp1, lbp1multi, lbp2, none, dynamic")
 		k        = fs.Float64("k", 1.0, "LB gain")
-		sender   = fs.Int("sender", churnlb.AutoSender, "LBP-1 sender (-1 = auto)")
+		sender   = fs.Int("sender", policy.AutoSender, "LBP-1 sender (-1 = auto)")
 		delta    = fs.Float64("delta", 0.02, "mean transfer delay per task (s)")
 		noFail   = fs.Bool("nofail", false, "zero the failure rates (two-node mode)")
 		reps     = fs.Int("reps", 5000, "Monte-Carlo replications")
@@ -74,20 +70,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	tm, stm, err := rerun.ParseTransfer(*transfer)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbsim:", err)
-		return 2
+	// The manifest is the run description: the flags fill it, rerun.Execute
+	// runs it, and -manifest saves it with the metrics the run produced.
+	man := obs.NewManifest("lbsim", obs.ModeMC)
+	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+	man.Seed = *seed
+	man.Transfer = *transfer
+	man.Churn = *churn
+	man.Queue = *queue
+	man.LazyChurn = *lazy
+	man.Shards = *shards
+	if *scenStr != "" {
+		// A generated large cluster: a Monte-Carlo study for reps > 1, a
+		// single summarised realisation for reps = 1.
+		man.Mode = obs.ModeMCScenario
+		if *reps <= 1 {
+			man.Mode = obs.ModeSimScenario
+		}
+		man.Scenario = &obs.ScenarioRef{Kind: *scenStr, Nodes: *nodes, Load: *loadFlag, Delta: *delta}
+		man.Policy = obs.PolicyRef{Name: *polStr, K: *k}
+	} else {
+		// The two-node manifest records the resolved system rate-by-rate
+		// (after -delta/-nofail), so a replay needs no flag re-derivation.
+		if *trace {
+			man.Mode = obs.ModeSim
+		}
+		p := model.PaperBaseline().WithDelay(*delta)
+		if *noFail {
+			p = p.NoFailure()
+		}
+		man.System = &obs.SystemRef{
+			ProcRate: p.ProcRate, FailRate: p.FailRate, RecRate: p.RecRate, DelayPerTask: p.DelayPerTask,
+		}
+		man.InitialLoad = []int{*m0, *m1}
+		man.Policy = obs.PolicyRef{Name: *polStr, K: *k, Sender: *sender}
 	}
-	cl, scl, err := rerun.ParseChurn(*churn)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbsim:", err)
-		return 2
-	}
-	eq, seq, err := rerun.ParseQueue(*queue)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbsim:", err)
-		return 2
+	if man.Mode == obs.ModeMC || man.Mode == obs.ModeMCScenario {
+		man.Reps = *reps
 	}
 
 	prof, err := obs.StartProfiles(*cpuProf, *memProf, *traceFile)
@@ -101,177 +120,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	// newManifest starts a manifest carrying the law/backend selections
-	// every lbsim mode shares; the mode paths fill the rest.
-	newManifest := func(mode string) *obs.Manifest {
-		if *manifest == "" {
-			return nil
-		}
-		man := obs.NewManifest("lbsim", mode)
-		man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		man.Seed = *seed
-		man.Transfer = *transfer
-		man.Churn = *churn
-		man.Queue = *queue
-		man.LazyChurn = *lazy
-		man.Shards = *shards
-		return man
-	}
-	saveManifest := func(man *obs.Manifest) int {
-		if man == nil {
-			return 0
-		}
-		if err := man.Save(*manifest); err != nil {
-			fmt.Fprintln(stderr, "lbsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote: %s\n", *manifest)
-		return 0
-	}
-
-	if *scenStr != "" {
-		return runScenario(stdout, stderr, *scenStr, *polStr, *nodes, *loadFlag, *reps, *seed,
-			*k, *delta, stm, scl, seq, *lazy, *shards, newManifest, saveManifest)
-	}
-
-	sys := churnlb.PaperSystem().WithDelay(*delta)
-	if *noFail {
-		sys = sys.NoFailure()
-	}
-	spec, err := rerun.SimSpec(*polStr, *k, *sender)
+	out, err := rerun.Execute(man, rerun.Hooks{})
 	if err != nil {
 		fmt.Fprintln(stderr, "lbsim:", err)
-		return 2
-	}
-	load := []int{*m0, *m1}
-	opts := churnlb.SimOptions{TransferMode: tm, ChurnLaw: cl, EventQueue: eq, LazyChurn: *lazy, Shards: *shards}
-
-	// The two-node manifest records the resolved system rate-by-rate
-	// (after -delta/-nofail), so a replay needs no flag re-derivation.
-	fillTwoNode := func(man *obs.Manifest) {
-		if man == nil {
-			return
+		var bad *rerun.SpecError
+		if errors.As(err, &bad) {
+			return 2
 		}
-		man.System = rerun.SystemRef(sys)
-		man.InitialLoad = load
-		man.Policy = obs.PolicyRef{Name: *polStr, K: *k, Sender: *sender}
+		return 1
 	}
 
-	if *trace {
-		opts.Trace = true
-		res, err := churnlb.Simulate(sys, spec, load, *seed, opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "lbsim:", err)
-			return 1
-		}
+	switch man.Mode {
+	case obs.ModeSim:
+		res := out.Sim
 		fmt.Fprintf(stdout, "completion %.2f s, processed %v, failures %d, transfers %d (%d tasks)\n",
 			res.CompletionTime, res.Processed, res.Failures, res.TransfersSent, res.TasksTransferred)
 		fmt.Fprintln(stdout, "t_s,event,node,queues")
 		for _, tp := range res.Trace {
-			fmt.Fprintf(stdout, "%.3f,%s,%d,%v\n", tp.Time, tp.Event, tp.Node, tp.Queues)
+			fmt.Fprintf(stdout, "%.3f,%s,%d,%v\n", tp.Time, tp.Kind, tp.Node, tp.Queues)
 		}
-		man := newManifest(obs.ModeSim)
-		fillTwoNode(man)
-		if man != nil {
-			man.Metrics = rerun.SimMetrics(res)
-		}
-		return saveManifest(man)
-	}
-	est, err := churnlb.MonteCarloOpts(sys, spec, load, *reps, *seed, opts)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbsim:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "policy %s K=%.2f workload (%d,%d) δ=%.2fs: mean %.2f s ±%.2f (95%% CI, n=%d, σ=%.2f)\n",
-		*polStr, *k, *m0, *m1, *delta, est.Mean, est.CI95, est.N, est.Std)
-	man := newManifest(obs.ModeMC)
-	fillTwoNode(man)
-	if man != nil {
-		man.Reps = *reps
-		man.Metrics = rerun.MCMetrics(est)
-	}
-	return saveManifest(man)
-}
-
-// runScenario runs a generated large-cluster scenario: a Monte-Carlo
-// study for reps > 1, a single summarised realisation for reps = 1.
-func runScenario(stdout, stderr io.Writer, scenStr, polStr string, nodes, totalLoad, reps int, seed uint64,
-	k, delta float64, stm sim.TransferMode, scl sim.ChurnLaw, seq des.QueueKind, lazy bool, shards int,
-	newManifest func(mode string) *obs.Manifest, saveManifest func(*obs.Manifest) int) int {
-	kind, err := scenario.ParseKind(scenStr)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbsim:", err)
-		return 2
-	}
-	pol, err := rerun.ScenarioPolicy(polStr, k)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbsim:", err)
-		return 2
-	}
-	sc, err := scenario.Generate(scenario.Spec{
-		Kind:         kind,
-		N:            nodes,
-		TotalLoad:    totalLoad,
-		Seed:         seed,
-		DelayPerTask: delta,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "lbsim:", err)
-		return 2
-	}
-	options := func(r *xrand.Rand) sim.Options {
-		o := sc.Options(pol, r)
-		o.TransferMode = stm
-		o.ChurnLaw = scl
-		o.EventQueue = seq
-		o.LazyChurn = lazy
-		o.Shards = shards
-		return o
-	}
-	fillScenario := func(man *obs.Manifest) {
-		if man == nil {
-			return
-		}
-		man.Scenario = &obs.ScenarioRef{Kind: kind.String(), Nodes: nodes, Load: totalLoad, Delta: delta}
-		man.Policy = obs.PolicyRef{Name: polStr, K: k}
-	}
-
-	if reps <= 1 {
-		res, err := sim.Run(options(xrand.NewStream(seed, 0)))
-		if err != nil {
-			fmt.Fprintln(stderr, "lbsim:", err)
-			return 1
-		}
+	case obs.ModeMC:
+		est := out.Estimate
+		fmt.Fprintf(stdout, "policy %s K=%.2f workload (%d,%d) δ=%.2fs: mean %.2f s ±%.2f (95%% CI, n=%d, σ=%.2f)\n",
+			*polStr, *k, *m0, *m1, *delta, est.Mean, est.CI95, est.N, est.Std)
+	case obs.ModeSimScenario:
+		res := out.Sim
 		fmt.Fprintf(stdout, "scenario %s policy %s: completion %.2f s, failures %d, recoveries %d, transfers %d (%d tasks), arrivals %d\n",
-			sc.Name, pol.Name(), res.CompletionTime, res.Failures, res.Recoveries,
+			out.Scenario.Name, out.Policy.Name(), res.CompletionTime, res.Failures, res.Recoveries,
 			res.TransfersSent, res.TasksTransferred, res.ExternalArrivals)
-		man := newManifest(obs.ModeSimScenario)
-		fillScenario(man)
-		if man != nil {
-			man.Metrics = rerun.SimScenarioMetrics(res)
-		}
-		return saveManifest(man)
+	case obs.ModeMCScenario:
+		est := out.Estimate
+		fmt.Fprintf(stdout, "scenario %s policy %s (%d nodes, %d tasks): mean %.2f s ±%.2f (95%% CI, n=%d, σ=%.2f)\n",
+			out.Scenario.Name, out.Policy.Name(), *nodes, *loadFlag, est.Mean, est.CI95, est.N, est.Std)
 	}
-	est, err := mc.Run(mc.Options{Reps: reps, Seed: seed}, func(r *xrand.Rand, rep int) (float64, error) {
-		out, err := sim.Run(options(r))
-		if err != nil {
-			return 0, err
-		}
-		return out.CompletionTime, nil
-	})
-	if err != nil {
+
+	if *manifest == "" {
+		return 0
+	}
+	man.Metrics = out.Metrics
+	if err := man.Save(*manifest); err != nil {
 		fmt.Fprintln(stderr, "lbsim:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "scenario %s policy %s (%d nodes, %d tasks): mean %.2f s ±%.2f (95%% CI, n=%d, σ=%.2f)\n",
-		sc.Name, pol.Name(), nodes, totalLoad, est.Mean, est.CI95, est.N, est.Std)
-	man := newManifest(obs.ModeMCScenario)
-	fillScenario(man)
-	if man != nil {
-		man.Reps = reps
-		man.Metrics = rerun.MCMetrics(churnlb.Estimate{
-			N: est.N, Mean: est.Mean, Std: est.Std, CI95: est.CI95, Min: est.Min, Max: est.Max,
-		})
-	}
-	return saveManifest(man)
+	fmt.Fprintf(stdout, "wrote: %s\n", *manifest)
+	return 0
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"churnlb/internal/policy"
 )
 
 func TestBadFlagsRejected(t *testing.T) {
@@ -144,5 +146,16 @@ func TestScenarioMonteCarlo(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "mean") {
 		t.Fatalf("missing estimate: %s", out.String())
+	}
+}
+
+// TestPolicyHelpMatchesTable: the -policy help text lists exactly the
+// spellings internal/policy resolves.
+func TestPolicyHelpMatchesTable(t *testing.T) {
+	var out, errb bytes.Buffer
+	run([]string{"-h"}, &out, &errb)
+	want := "policy: " + strings.Join(policy.Names(), ", ") + " (default"
+	if !strings.Contains(errb.String(), want) {
+		t.Fatalf("-h does not advertise %q:\n%s", want, errb.String())
 	}
 }

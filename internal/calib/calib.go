@@ -10,6 +10,9 @@
 // traces, runs the simulator twin, and compares two telemetry sets —
 // either side can come from anywhere. internal/obs/rerun uses the same
 // twin to replay daemon manifests, so calib must never import rerun.
+// It keeps no name registries: RunSpec names its router and balancing
+// policy by the spellings internal/policy defines, and Resolve is the one
+// place lbd and the twin turn them into instances.
 package calib
 
 import (
@@ -64,45 +67,6 @@ func (s TraceSpec) Generate() ([]sim.ArrivalAt, error) {
 	return trace, nil
 }
 
-// RouterFor maps an lbserve/lbd -policy spelling to a router factory (a
-// factory because routers may be stateful per run). The spellings match
-// rerun.ServeSpecs so one name means one dispatcher everywhere.
-func RouterFor(name string, d int) (func() policy.Router, error) {
-	switch name {
-	case "", "uniform":
-		return func() policy.Router { return nil }, nil // nil = uniform random
-	case "rr":
-		return func() policy.Router { return new(policy.RoundRobin) }, nil
-	case "jsq":
-		return func() policy.Router { return policy.JSQ{} }, nil
-	case "pod2":
-		return func() policy.Router { return policy.PowerOfD{D: 2} }, nil
-	case "pod3":
-		return func() policy.Router { return policy.PowerOfD{D: 3} }, nil
-	case "lew":
-		return func() policy.Router { return policy.LeastExpectedWork{D: d} }, nil
-	default:
-		return nil, fmt.Errorf("calib: unknown router %q (want uniform, rr, jsq, pod2, pod3 or lew)", name)
-	}
-}
-
-// BalanceFor maps a balancing-policy spelling to the policy whose
-// eq.-(8) failure plan the daemon's churn controller executes.
-func BalanceFor(name string, k float64) (policy.Policy, error) {
-	switch name {
-	case "", "none":
-		return policy.NoBalance{}, nil
-	case "lbp2":
-		return policy.LBP2{K: k}, nil
-	case "lbp1multi":
-		return policy.LBP1Multi{K: k}, nil
-	case "dynamic":
-		return policy.Dynamic{Base: policy.LBP2{K: k}}, nil
-	default:
-		return nil, fmt.Errorf("calib: unknown balance policy %q (want none, lbp2, lbp1multi or dynamic)", name)
-	}
-}
-
 // RunSpec is everything the simulator twin needs — the same knobs the
 // live daemon ran with, minus the wall-clock ones (TimeScale,
 // StateInterval) that have no simulator counterpart.
@@ -118,15 +82,36 @@ type RunSpec struct {
 	Seed     uint64
 }
 
+// Resolve turns the spec's router and balancing-policy spellings into a
+// router factory (routers may be stateful per run; it yields nil for
+// uniform random dispatch) and the policy whose eq.-(8) failure plan the
+// daemon's churn controller executes. Two-node LBP-1 is refused: a daemon
+// cluster is N nodes.
+func (s RunSpec) Resolve() (func() policy.Router, policy.Policy, error) {
+	router, err := policy.ParseRouterSpec(s.Router, s.D)
+	if err != nil {
+		return nil, nil, err
+	}
+	bal, err := policy.ParseSpec(s.Balance, s.K, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	if bal.Kind == policy.KindLBP1 {
+		return nil, nil, fmt.Errorf("balance policy lbp1 is two-node only (want lbp1multi, lbp2, none or dynamic)")
+	}
+	pol, err := bal.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	newRouter, err := router.Factory()
+	return newRouter, pol, err
+}
+
 // SimTwin replays the recorded trace through the discrete-event
 // simulator under the spec's policy configuration: the prediction half
 // of a calibration run. Deterministic in Seed.
 func (s RunSpec) SimTwin() (*serve.Result, error) {
-	newRouter, err := RouterFor(s.Router, s.D)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := BalanceFor(s.Balance, s.K)
+	newRouter, pol, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +128,7 @@ func (s RunSpec) SimTwin() (*serve.Result, error) {
 
 // TwinMetrics flattens the twin's summary into the manifest metric map —
 // the deterministic fingerprint `reproduce` re-derives and compares
-// bit for bit. Keys mirror rerun.ServeMetrics spellings.
+// bit for bit. Keys mirror the serve-mode metric spellings of internal/obs/rerun.
 func TwinMetrics(res *serve.Result) map[string]float64 {
 	m := map[string]float64{}
 	putFinite(m, "arrived", float64(res.Summary.Arrived))

@@ -59,27 +59,6 @@ func TestTraceSpecGenerate(t *testing.T) {
 	}
 }
 
-func TestRouterAndBalanceRegistries(t *testing.T) {
-	for _, name := range []string{"uniform", "rr", "jsq", "pod2", "pod3", "lew"} {
-		f, err := RouterFor(name, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		f() // must not panic
-	}
-	if _, err := RouterFor("bogus", 0); err == nil {
-		t.Fatal("unknown router accepted")
-	}
-	for _, name := range []string{"none", "lbp2", "lbp1multi", "dynamic"} {
-		if _, err := BalanceFor(name, 0.5); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if _, err := BalanceFor("bogus", 0); err == nil {
-		t.Fatal("unknown balance policy accepted")
-	}
-}
-
 func TestSimTwinDeterministic(t *testing.T) {
 	tr, err := TraceSpec{Seed: 7, Rate: 15, Horizon: 20}.Generate()
 	if err != nil {
@@ -118,6 +97,13 @@ func TestSimTwinDeterministic(t *testing.T) {
 	}
 	if int(ma["completed"]) != len(tr) {
 		t.Fatalf("twin completed %v of %d traced tasks", ma["completed"], len(tr))
+	}
+	// Spellings resolve through internal/policy; two-node LBP-1 would
+	// panic on an N-node cluster and is refused by name.
+	for _, bad := range []RunSpec{{Router: "bogus"}, {Balance: "bogus"}, {Balance: "lbp1"}} {
+		if _, _, err := bad.Resolve(); err == nil {
+			t.Fatalf("spec %+v resolved", bad)
+		}
 	}
 }
 

@@ -1,14 +1,20 @@
-// Package rerun replays run manifests: given an obs.Manifest it
-// re-executes the exact realisation the manifest describes — same
-// public-API or simulator path, same seeds, same backends — and
-// compares the metrics (and, for traced runs, the decision-stream
-// hash) bit-for-bit against the recorded values.
+// Package rerun is the run path of the manifest-writing CLIs: an
+// obs.Manifest is a JSON-serialisable description of one run (cluster,
+// workload, policy, laws, backend, seeds, reps), and Execute turns that
+// description into the run. lbsim and lbserve translate their flags into
+// a manifest, Execute it, print from the Outcome and save the manifest
+// with the Outcome's metrics; `reproduce -manifest` loads a saved one and
+// calls Run — Execute again, plus a bit-for-bit comparison of the metrics
+// (and, for traced runs, the decision-stream hash) against the recorded
+// values. The run a manifest records and the run a replay executes are
+// therefore the same function.
 //
-// It also owns the CLI-spelling registries (policy/router names,
-// transfer/churn laws) and the metric-map builders, shared between the
-// manifest-emitting CLIs and the replayer so the two sides cannot
-// drift: a CLI writes its metrics through the same builder the
-// replayer compares with.
+// Spellings are not defined here: policies and routers resolve through
+// internal/policy, laws and backends through the Parse function beside
+// each enum (sim.ParseTransferMode, sim.ParseChurnLaw,
+// des.ParseQueueKind). This package adds only what a run description
+// adds: lbserve's "dynlbp2" (uniform dispatch under the dynamic policy)
+// and the scenario runs' reading of "lbp1" as its N-node form.
 package rerun
 
 import (
@@ -16,6 +22,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"churnlb"
 	"churnlb/internal/calib"
@@ -29,156 +36,65 @@ import (
 	"churnlb/internal/xrand"
 )
 
-// ServeSpecs maps an lbserve -policy spelling to the public router and
-// balancing-policy specs. The single source of truth for that mapping:
-// lbserve dispatches through it and manifest replay resolves through it.
-func ServeSpecs(name string, k float64, d int) (churnlb.RouterSpec, churnlb.PolicySpec, error) {
-	pol := churnlb.PolicySpec{Kind: churnlb.PolicyNone}
-	switch name {
-	case "uniform":
-		return churnlb.RouterSpec{Kind: churnlb.RouterUniform}, pol, nil
-	case "rr":
-		return churnlb.RouterSpec{Kind: churnlb.RouterRoundRobin}, pol, nil
-	case "jsq":
-		return churnlb.RouterSpec{Kind: churnlb.RouterJSQ}, pol, nil
-	case "pod2":
-		return churnlb.RouterSpec{Kind: churnlb.RouterPowerOfD, D: 2}, pol, nil
-	case "pod3":
-		return churnlb.RouterSpec{Kind: churnlb.RouterPowerOfD, D: 3}, pol, nil
-	case "lew":
-		return churnlb.RouterSpec{Kind: churnlb.RouterLeastExpectedWork, D: d}, pol, nil
-	case "dynlbp2":
-		// The paper's dynamic extension: uniform dispatch, LBP-2
-		// rebalancing at every arrival.
-		return churnlb.RouterSpec{Kind: churnlb.RouterUniform},
-			churnlb.PolicySpec{Kind: churnlb.PolicyDynamicLBP2, K: k}, nil
+// Hooks are the two inputs of a run that are not data.
+type Hooks struct {
+	// DecisionLog receives the JSONL decision records of a traced serving
+	// run (a manifest with a Decisions block); nil keeps only the summary.
+	DecisionLog io.Writer
+	// Interrupt, once closed, cuts the arrival stream of a single serving
+	// run, which then drains (see churnlb.ServeOptions.Interrupt). It is
+	// attached only where the engine can honour it — single runs on the
+	// sequential engine; sweeps and sharded runs finish.
+	Interrupt <-chan struct{}
+}
+
+// Outcome is what one executed manifest produced.
+type Outcome struct {
+	// Metrics is the manifest metric map of the run.
+	Metrics map[string]float64
+	// Scenario is the generated cluster of a scenario run (nil for System
+	// runs) and Policy the balancing policy of a closed run — what the
+	// CLIs label their reports with.
+	Scenario *scenario.Scenario
+	Policy   policy.Policy
+	// The rich result, by mode: Sim for sim and sim-scenario, Estimate for
+	// mc and mc-scenario, Serve for serve, ServeMany for serve-many.
+	Sim       *sim.Result
+	Estimate  churnlb.Estimate
+	Serve     churnlb.ServeResult
+	ServeMany churnlb.ServeEstimate
+}
+
+// SpecError marks a fault in the description itself — an unknown
+// spelling, a malformed system block, a scenario that cannot be
+// generated — as opposed to a failure of the run it describes. The CLIs
+// exit 2 on it, 1 on anything else.
+type SpecError struct{ Err error }
+
+func (e *SpecError) Error() string { return e.Err.Error() }
+func (e *SpecError) Unwrap() error { return e.Err }
+
+// Execute runs the realisation (or study) m describes. A diurnal serving
+// manifest that records no wave shape has it resolved in place — the
+// scenario's own wave when -load generated one, else two cycles across
+// the horizon — so the manifest the caller saves describes the run that
+// happened and a replay never re-derives it.
+func Execute(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
+	switch m.Mode {
+	case obs.ModeServe, obs.ModeServeMany:
+		return serveRun(m, hooks)
+	case obs.ModeSim, obs.ModeMC, obs.ModeSimScenario, obs.ModeMCScenario:
+		return closedRun(m)
+	case obs.ModeDaemon:
+		return twinRun(m)
 	default:
-		return churnlb.RouterSpec{}, pol,
-			fmt.Errorf("unknown policy %q (want uniform, rr, jsq, pod2, pod3, lew or dynlbp2)", name)
+		return nil, &SpecError{fmt.Errorf("rerun: unknown manifest mode %q", m.Mode)}
 	}
 }
 
-// SimSpec maps an lbsim two-node -policy spelling to the public
-// balancing-policy spec.
-func SimSpec(name string, k float64, sender int) (churnlb.PolicySpec, error) {
-	switch name {
-	case "lbp1":
-		return churnlb.PolicySpec{Kind: churnlb.PolicyLBP1, K: k, Sender: sender}, nil
-	case "lbp1multi":
-		return churnlb.PolicySpec{Kind: churnlb.PolicyLBP1Multi, K: k}, nil
-	case "lbp2":
-		return churnlb.PolicySpec{Kind: churnlb.PolicyLBP2, K: k}, nil
-	case "none":
-		return churnlb.PolicySpec{Kind: churnlb.PolicyNone}, nil
-	case "dynamic":
-		return churnlb.PolicySpec{Kind: churnlb.PolicyDynamicLBP2, K: k}, nil
-	default:
-		return churnlb.PolicySpec{}, fmt.Errorf("unknown policy %q (want lbp1, lbp1multi, lbp2, none or dynamic)", name)
-	}
-}
-
-// ScenarioPolicy maps an lbsim -scenario -policy spelling to the
-// internal balancing policy.
-func ScenarioPolicy(name string, k float64) (policy.Policy, error) {
-	switch name {
-	case "lbp1", "lbp1multi":
-		return policy.LBP1Multi{K: k}, nil // N-node generalisation of LBP-1
-	case "lbp2":
-		return policy.LBP2{K: k}, nil
-	case "none":
-		return policy.NoBalance{}, nil
-	case "dynamic":
-		return policy.Dynamic{Base: policy.LBP2{K: k}}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want lbp1, lbp1multi, lbp2, none or dynamic)", name)
-	}
-}
-
-// ParseTransfer maps the -transfer spelling to the public and simulator
-// enums in one place, so the CLI paths and manifest replay cannot drift.
-func ParseTransfer(s string) (churnlb.TransferMode, sim.TransferMode, error) {
-	switch s {
-	case "", "bundle":
-		return churnlb.TransferBundle, sim.TransferBundle, nil
-	case "pertask":
-		return churnlb.TransferPerTask, sim.TransferPerTask, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown transfer mode %q (want bundle or pertask)", s)
-	}
-}
-
-// ParseChurn maps the -churn spelling to the public and simulator enums.
-func ParseChurn(s string) (churnlb.ChurnLaw, sim.ChurnLaw, error) {
-	switch s {
-	case "", "exp":
-		return churnlb.ChurnExponential, sim.ChurnExponential, nil
-	case "weibull":
-		return churnlb.ChurnWeibull, sim.ChurnWeibull, nil
-	case "det":
-		return churnlb.ChurnDeterministic, sim.ChurnDeterministic, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown churn law %q (want exp, weibull or det)", s)
-	}
-}
-
-// ParseQueue maps the -queue spelling to the public and des enums in
-// one call ('' means the heap default).
-func ParseQueue(s string) (churnlb.EventQueue, des.QueueKind, error) {
-	if s == "" {
-		s = "heap"
-	}
-	eq, err := churnlb.ParseEventQueue(s)
-	if err != nil {
-		return 0, 0, err
-	}
-	kind, err := des.ParseQueueKind(s)
-	return eq, kind, err
-}
-
-// SystemFrom converts generated scenario params to the public System.
-func SystemFrom(p model.Params) churnlb.System {
-	s := churnlb.System{DelayPerTask: p.DelayPerTask}
-	for i := 0; i < p.N(); i++ {
-		s.Nodes = append(s.Nodes, churnlb.Node{
-			ProcRate: p.ProcRate[i], FailRate: p.FailRate[i], RecRate: p.RecRate[i],
-		})
-	}
-	return s
-}
-
-// SystemRef records a public System in manifest form; RefSystem inverts
-// it.
-func SystemRef(s churnlb.System) *obs.SystemRef {
-	r := &obs.SystemRef{DelayPerTask: s.DelayPerTask}
-	for _, n := range s.Nodes {
-		r.ProcRate = append(r.ProcRate, n.ProcRate)
-		r.FailRate = append(r.FailRate, n.FailRate)
-		r.RecRate = append(r.RecRate, n.RecRate)
-	}
-	return r
-}
-
-// RefSystem reconstructs the public System a SystemRef recorded.
-func RefSystem(r *obs.SystemRef) (churnlb.System, error) {
-	if r == nil {
-		return churnlb.System{}, fmt.Errorf("rerun: manifest records no system")
-	}
-	if len(r.ProcRate) != len(r.FailRate) || len(r.ProcRate) != len(r.RecRate) {
-		return churnlb.System{}, fmt.Errorf("rerun: system ref has mismatched rate vectors")
-	}
-	s := churnlb.System{DelayPerTask: r.DelayPerTask}
-	for i := range r.ProcRate {
-		s.Nodes = append(s.Nodes, churnlb.Node{
-			ProcRate: r.ProcRate[i], FailRate: r.FailRate[i], RecRate: r.RecRate[i],
-		})
-	}
-	return s, nil
-}
-
-// ParamsFromRef rebuilds internal model parameters from a manifest's
-// system block — the daemon path works in model.Params directly rather
-// than through the public System type.
-func ParamsFromRef(r *obs.SystemRef) (model.Params, error) {
+// params rebuilds validated model parameters from a manifest's system
+// block.
+func params(r *obs.SystemRef) (model.Params, error) {
 	if r == nil {
 		return model.Params{}, fmt.Errorf("rerun: manifest records no system")
 	}
@@ -192,43 +108,6 @@ func ParamsFromRef(r *obs.SystemRef) (model.Params, error) {
 		DelayPerTask: r.DelayPerTask,
 	}
 	return p, p.Validate()
-}
-
-// rerunDaemon replays a daemon manifest's deterministic half: the
-// recorded trace spec regenerates the arrival schedule and the
-// simulator twin re-derives the Metrics fingerprint. The live side
-// (LiveMetrics) is a measurement of a real system and is not replayed.
-func rerunDaemon(m *obs.Manifest, rep *Report) error {
-	p, err := ParamsFromRef(m.System)
-	if err != nil {
-		return err
-	}
-	_, scl, err := ParseChurn(m.Churn)
-	if err != nil {
-		return err
-	}
-	trace, err := calib.TraceSpec{
-		Seed: m.Seed, Rate: m.Rate, Horizon: m.Horizon, Batch: m.Batch,
-	}.Generate()
-	if err != nil {
-		return err
-	}
-	res, err := calib.RunSpec{
-		Params:   p,
-		Router:   m.Policy.Name,
-		D:        m.Policy.D,
-		Balance:  m.Balance,
-		K:        m.Policy.K,
-		ChurnLaw: scl,
-		Trace:    trace,
-		Window:   m.Window,
-		Seed:     m.Seed,
-	}.SimTwin()
-	if err != nil {
-		return err
-	}
-	rep.Metrics = calib.TwinMetrics(res)
-	return nil
 }
 
 // generate regenerates the scenario a manifest pinned.
@@ -249,6 +128,212 @@ func generate(m *obs.Manifest) (*scenario.Scenario, error) {
 	})
 }
 
+// laws parses the manifest's law and backend spellings. A manifest omits
+// unset fields, so "" means each enum's default.
+func laws(m *obs.Manifest) (tm sim.TransferMode, cl sim.ChurnLaw, qk des.QueueKind, err error) {
+	orDefault := func(s, def string) string {
+		if s == "" {
+			return def
+		}
+		return s
+	}
+	if tm, err = sim.ParseTransferMode(orDefault(m.Transfer, "bundle")); err != nil {
+		return
+	}
+	if cl, err = sim.ParseChurnLaw(orDefault(m.Churn, "exp")); err != nil {
+		return
+	}
+	qk, err = des.ParseQueueKind(orDefault(m.Queue, "heap"))
+	return
+}
+
+// closedRun executes the four lbsim modes, which are one builder: cluster
+// source (System + InitialLoad | Scenario) × one realisation | a
+// Monte-Carlo study.
+func closedRun(m *obs.Manifest) (*Outcome, error) {
+	out := &Outcome{}
+	single := m.Mode == obs.ModeSim || m.Mode == obs.ModeSimScenario
+	fromScenario := m.Mode == obs.ModeSimScenario || m.Mode == obs.ModeMCScenario
+
+	var opt sim.Options
+	name := m.Policy.Name
+	if fromScenario {
+		sc, err := generate(m)
+		if err != nil {
+			return nil, &SpecError{err}
+		}
+		out.Scenario = sc
+		opt = sc.Options(nil, nil)
+		if name == "lbp1" {
+			name = "lbp1multi" // the N-node generalisation of LBP-1
+		}
+	} else {
+		p, err := params(m.System)
+		if err != nil {
+			return nil, &SpecError{err}
+		}
+		opt = sim.Options{Params: p, InitialLoad: m.InitialLoad}
+	}
+	spec, err := policy.ParseSpec(name, m.Policy.K, m.Policy.Sender)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	if opt.Policy, err = spec.Build(); err != nil {
+		return nil, &SpecError{err}
+	}
+	out.Policy = opt.Policy
+	if opt.TransferMode, opt.ChurnLaw, opt.EventQueue, err = laws(m); err != nil {
+		return nil, &SpecError{err}
+	}
+	opt.LazyChurn = m.LazyChurn
+	opt.Shards = m.Shards
+
+	if single {
+		// The seeds are each mode's historical ones: recorded manifests
+		// must keep replaying.
+		if fromScenario {
+			opt.Rand = xrand.NewStream(m.Seed, 0)
+		} else {
+			opt.Rand = xrand.New(m.Seed)
+			opt.Trace = true // sim is lbsim -trace; tracing never perturbs the run
+		}
+		res, err := sim.Run(opt)
+		if err != nil {
+			return nil, err
+		}
+		out.Sim = res
+		out.Metrics = simMetrics(res, fromScenario)
+		return out, nil
+	}
+	// The eq.-(8) plan is a pure function of Params: one immutable plan
+	// serves every replication, bit-identically to per-run builds.
+	opt.FailurePlan = policy.PlanFor(opt.Policy, opt.Params)
+	est, err := mc.Run(mc.Options{Reps: m.Reps, Seed: m.Seed}, func(r *xrand.Rand, _ int) (float64, error) {
+		o := opt
+		o.Rand = r
+		res, err := sim.Run(o)
+		if err != nil {
+			return 0, err
+		}
+		return res.CompletionTime, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Estimate = est.Summary
+	out.Metrics = mcMetrics(est.Summary)
+	return out, nil
+}
+
+// serveRun executes the lbserve modes through the public serving API.
+func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
+	// lbserve's one spelling that is not a router: the paper's dynamic
+	// extension, uniform dispatch with LBP-2 rebalancing at every arrival.
+	var router churnlb.RouterSpec
+	pol := churnlb.PolicySpec{Kind: churnlb.PolicyNone}
+	if m.Policy.Name == "dynlbp2" {
+		pol = churnlb.PolicySpec{Kind: churnlb.PolicyDynamicLBP2, K: m.Policy.K}
+	} else {
+		var err error
+		if router, err = policy.ParseRouterSpec(m.Policy.Name, m.Policy.D); err != nil {
+			return nil, &SpecError{fmt.Errorf("unknown policy %q (want %s or dynlbp2)",
+				m.Policy.Name, strings.Join(policy.RouterNames(), ", "))}
+		}
+	}
+	tm, cl, qk, err := laws(m)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	sc, err := generate(m)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	if m.Scenario.Kind == scenario.Diurnal.String() && m.WavePeriod <= 0 {
+		m.WaveAmplitude, m.WavePeriod = sc.WaveAmplitude, sc.WavePeriod
+		if m.WavePeriod <= 0 {
+			m.WaveAmplitude, m.WavePeriod = 0.8, m.Horizon/2
+		}
+	}
+	opt := churnlb.ServeOptions{
+		Rate:          m.Rate,
+		Batch:         m.Batch,
+		Horizon:       m.Horizon,
+		InitialLoad:   sc.InitialLoad,
+		InitialUp:     sc.InitialUp,
+		Window:        m.Window,
+		TransferMode:  tm,
+		ChurnLaw:      cl,
+		EventQueue:    qk,
+		WaveAmplitude: m.WaveAmplitude,
+		WavePeriod:    m.WavePeriod,
+		Shards:        m.Shards,
+	}
+	sys := churnlb.System{DelayPerTask: sc.Params.DelayPerTask, Nodes: make([]churnlb.Node, sc.Params.N())}
+	for i := range sys.Nodes {
+		sys.Nodes[i] = churnlb.Node{
+			ProcRate: sc.Params.ProcRate[i], FailRate: sc.Params.FailRate[i], RecRate: sc.Params.RecRate[i],
+		}
+	}
+	out := &Outcome{Scenario: sc}
+	if m.Mode == obs.ModeServeMany {
+		opt.Workers = m.Workers
+		if out.ServeMany, err = churnlb.ServeMany(sys, pol, router, m.Reps, m.Seed, opt); err != nil {
+			return nil, err
+		}
+		out.Metrics = serveManyMetrics(out.ServeMany)
+		return out, nil
+	}
+	if m.Decisions != nil {
+		opt.TraceDecisions = true
+		opt.DecisionK = m.Decisions.K
+		opt.DecisionLog = hooks.DecisionLog
+	}
+	if m.Shards == 0 {
+		opt.Interrupt = hooks.Interrupt // the sharded engine has no mid-window cut
+	}
+	if out.Serve, err = churnlb.Serve(sys, pol, router, m.Seed, opt); err != nil {
+		return nil, err
+	}
+	out.Metrics = serveMetrics(out.Serve)
+	return out, nil
+}
+
+// twinRun replays a daemon manifest's deterministic half: the recorded
+// trace spec regenerates the arrival schedule and the simulator twin
+// re-derives the Metrics fingerprint. The live side (LiveMetrics) is a
+// measurement of a real system and is not replayed.
+func twinRun(m *obs.Manifest) (*Outcome, error) {
+	p, err := params(m.System)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	_, cl, _, err := laws(m)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	trace, err := calib.TraceSpec{
+		Seed: m.Seed, Rate: m.Rate, Horizon: m.Horizon, Batch: m.Batch,
+	}.Generate()
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	res, err := calib.RunSpec{
+		Params:   p,
+		Router:   m.Policy.Name,
+		D:        m.Policy.D,
+		Balance:  m.Balance,
+		K:        m.Policy.K,
+		ChurnLaw: cl,
+		Trace:    trace,
+		Window:   m.Window,
+		Seed:     m.Seed,
+	}.SimTwin()
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Metrics: calib.TwinMetrics(res)}, nil
+}
+
 // putFinite records a metric, skipping NaN and infinities: JSON cannot
 // carry them, so they are omitted on write and on replay alike (an
 // omitted key then still compares equal).
@@ -259,8 +344,8 @@ func putFinite(m map[string]float64, key string, v float64) {
 	m[key] = v
 }
 
-// ServeMetrics is the manifest metric map of a single serving run.
-func ServeMetrics(res churnlb.ServeResult) map[string]float64 {
+// serveMetrics is the manifest metric map of a single serving run.
+func serveMetrics(res churnlb.ServeResult) map[string]float64 {
 	m := map[string]float64{}
 	m["arrived"] = float64(res.Arrived)
 	m["completed"] = float64(res.Completed)
@@ -282,8 +367,8 @@ func ServeMetrics(res churnlb.ServeResult) map[string]float64 {
 	return m
 }
 
-// ServeManyMetrics is the manifest metric map of a serving sweep.
-func ServeManyMetrics(est churnlb.ServeEstimate) map[string]float64 {
+// serveManyMetrics is the manifest metric map of a serving sweep.
+func serveManyMetrics(est churnlb.ServeEstimate) map[string]float64 {
 	m := map[string]float64{}
 	m["n"] = float64(est.N)
 	putFinite(m, "p50_mean", est.P50.Mean)
@@ -301,9 +386,9 @@ func ServeManyMetrics(est churnlb.ServeEstimate) map[string]float64 {
 	return m
 }
 
-// MCMetrics is the manifest metric map of a completion-time
-// Monte-Carlo estimate (two-node or scenario).
-func MCMetrics(est churnlb.Estimate) map[string]float64 {
+// mcMetrics is the manifest metric map of a completion-time Monte-Carlo
+// estimate (two-node or scenario).
+func mcMetrics(est churnlb.Estimate) map[string]float64 {
 	m := map[string]float64{}
 	m["n"] = float64(est.N)
 	putFinite(m, "mean", est.Mean)
@@ -312,27 +397,18 @@ func MCMetrics(est churnlb.Estimate) map[string]float64 {
 	return m
 }
 
-// SimMetrics is the manifest metric map of a single two-node
-// realisation.
-func SimMetrics(res churnlb.SimResult) map[string]float64 {
+// simMetrics is the manifest metric map of a single closed realisation;
+// scenario runs record two counters more than the two-node mode ever did.
+func simMetrics(res *sim.Result, fromScenario bool) map[string]float64 {
 	m := map[string]float64{}
 	m["completion_time"] = res.CompletionTime
 	m["failures"] = float64(res.Failures)
 	m["transfers_sent"] = float64(res.TransfersSent)
 	m["tasks_transferred"] = float64(res.TasksTransferred)
-	return m
-}
-
-// SimScenarioMetrics is the manifest metric map of a single
-// generated-cluster realisation.
-func SimScenarioMetrics(res *sim.Result) map[string]float64 {
-	m := map[string]float64{}
-	m["completion_time"] = res.CompletionTime
-	m["failures"] = float64(res.Failures)
-	m["recoveries"] = float64(res.Recoveries)
-	m["transfers_sent"] = float64(res.TransfersSent)
-	m["tasks_transferred"] = float64(res.TasksTransferred)
-	m["external_arrivals"] = float64(res.ExternalArrivals)
+	if fromScenario {
+		m["recoveries"] = float64(res.Recoveries)
+		m["external_arrivals"] = float64(res.ExternalArrivals)
+	}
 	return m
 }
 
@@ -398,33 +474,17 @@ func (r *Report) compare(want map[string]float64) {
 	}
 }
 
-// Run replays a manifest and reports how faithfully the replay matched.
-// For manifests with a decisions block the replay re-attaches the
-// decision tracer at the recorded counterfactual depth and compares the
-// stream hash; decisionLog, when non-nil, additionally receives the
-// replayed JSONL records.
+// Run replays a manifest — Execute, then compare — and reports how
+// faithfully the replay matched. For manifests with a decisions block the
+// replay re-attaches the decision tracer at the recorded counterfactual
+// depth and compares the stream hash; decisionLog, when non-nil,
+// additionally receives the replayed JSONL records.
 func Run(m *obs.Manifest, decisionLog io.Writer) (*Report, error) {
-	rep := &Report{Mode: m.Mode}
-	switch m.Mode {
-	case obs.ModeServe, obs.ModeServeMany:
-		if err := rerunServe(m, decisionLog, rep); err != nil {
-			return nil, err
-		}
-	case obs.ModeSim, obs.ModeMC:
-		if err := rerunTwoNode(m, rep); err != nil {
-			return nil, err
-		}
-	case obs.ModeSimScenario, obs.ModeMCScenario:
-		if err := rerunScenario(m, rep); err != nil {
-			return nil, err
-		}
-	case obs.ModeDaemon:
-		if err := rerunDaemon(m, rep); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("rerun: unknown manifest mode %q", m.Mode)
+	out, err := Execute(m, Hooks{DecisionLog: decisionLog})
+	if err != nil {
+		return nil, err
 	}
+	rep := &Report{Mode: m.Mode, Metrics: out.Metrics, Decisions: out.Serve.Decisions}
 	rep.compare(m.Metrics)
 	if m.Decisions != nil {
 		rep.HashWant = m.Decisions.Hash
@@ -433,158 +493,4 @@ func Run(m *obs.Manifest, decisionLog io.Writer) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// rerunServe replays the lbserve modes through the public serving API.
-func rerunServe(m *obs.Manifest, decisionLog io.Writer, rep *Report) error {
-	router, pol, err := ServeSpecs(m.Policy.Name, m.Policy.K, m.Policy.D)
-	if err != nil {
-		return err
-	}
-	eq, _, err := ParseQueue(m.Queue)
-	if err != nil {
-		return err
-	}
-	tm, _, err := ParseTransfer(m.Transfer)
-	if err != nil {
-		return err
-	}
-	cl, _, err := ParseChurn(m.Churn)
-	if err != nil {
-		return err
-	}
-	sc, err := generate(m)
-	if err != nil {
-		return err
-	}
-	opt := churnlb.ServeOptions{
-		Rate:          m.Rate,
-		Batch:         m.Batch,
-		Horizon:       m.Horizon,
-		InitialLoad:   sc.InitialLoad,
-		InitialUp:     sc.InitialUp,
-		Window:        m.Window,
-		TransferMode:  tm,
-		ChurnLaw:      cl,
-		EventQueue:    eq,
-		WaveAmplitude: m.WaveAmplitude,
-		WavePeriod:    m.WavePeriod,
-		Shards:        m.Shards,
-	}
-	sys := SystemFrom(sc.Params)
-	if m.Mode == obs.ModeServeMany {
-		opt.Workers = m.Workers
-		est, err := churnlb.ServeMany(sys, pol, router, m.Reps, m.Seed, opt)
-		if err != nil {
-			return err
-		}
-		rep.Metrics = ServeManyMetrics(est)
-		return nil
-	}
-	if m.Decisions != nil {
-		opt.TraceDecisions = true
-		opt.DecisionK = m.Decisions.K
-		opt.DecisionLog = decisionLog
-	}
-	res, err := churnlb.Serve(sys, pol, router, m.Seed, opt)
-	if err != nil {
-		return err
-	}
-	rep.Metrics = ServeMetrics(res)
-	rep.Decisions = res.Decisions
-	return nil
-}
-
-// rerunTwoNode replays the lbsim two-node modes through the public API.
-func rerunTwoNode(m *obs.Manifest, rep *Report) error {
-	sys, err := RefSystem(m.System)
-	if err != nil {
-		return err
-	}
-	spec, err := SimSpec(m.Policy.Name, m.Policy.K, m.Policy.Sender)
-	if err != nil {
-		return err
-	}
-	tm, _, err := ParseTransfer(m.Transfer)
-	if err != nil {
-		return err
-	}
-	cl, _, err := ParseChurn(m.Churn)
-	if err != nil {
-		return err
-	}
-	eq, _, err := ParseQueue(m.Queue)
-	if err != nil {
-		return err
-	}
-	opts := churnlb.SimOptions{TransferMode: tm, ChurnLaw: cl, EventQueue: eq, LazyChurn: m.LazyChurn, Shards: m.Shards}
-	if m.Mode == obs.ModeSim {
-		opts.Trace = true // mirror lbsim -trace; tracing never perturbs the run
-		res, err := churnlb.Simulate(sys, spec, m.InitialLoad, m.Seed, opts)
-		if err != nil {
-			return err
-		}
-		rep.Metrics = SimMetrics(res)
-		return nil
-	}
-	est, err := churnlb.MonteCarloOpts(sys, spec, m.InitialLoad, m.Reps, m.Seed, opts)
-	if err != nil {
-		return err
-	}
-	rep.Metrics = MCMetrics(est)
-	return nil
-}
-
-// rerunScenario replays the lbsim -scenario modes through the internal
-// simulator, exactly as the CLI runs them.
-func rerunScenario(m *obs.Manifest, rep *Report) error {
-	pol, err := ScenarioPolicy(m.Policy.Name, m.Policy.K)
-	if err != nil {
-		return err
-	}
-	_, stm, err := ParseTransfer(m.Transfer)
-	if err != nil {
-		return err
-	}
-	_, scl, err := ParseChurn(m.Churn)
-	if err != nil {
-		return err
-	}
-	_, seq, err := ParseQueue(m.Queue)
-	if err != nil {
-		return err
-	}
-	sc, err := generate(m)
-	if err != nil {
-		return err
-	}
-	options := func(r *xrand.Rand) sim.Options {
-		o := sc.Options(pol, r)
-		o.TransferMode = stm
-		o.ChurnLaw = scl
-		o.EventQueue = seq
-		o.LazyChurn = m.LazyChurn
-		o.Shards = m.Shards
-		return o
-	}
-	if m.Mode == obs.ModeSimScenario {
-		res, err := sim.Run(options(xrand.NewStream(m.Seed, 0)))
-		if err != nil {
-			return err
-		}
-		rep.Metrics = SimScenarioMetrics(res)
-		return nil
-	}
-	est, err := mc.Run(mc.Options{Reps: m.Reps, Seed: m.Seed}, func(r *xrand.Rand, rep int) (float64, error) {
-		out, err := sim.Run(options(r))
-		if err != nil {
-			return 0, err
-		}
-		return out.CompletionTime, nil
-	})
-	if err != nil {
-		return err
-	}
-	rep.Metrics = MCMetrics(churnlb.Estimate{N: est.N, Mean: est.Mean, Std: est.Std, CI95: est.CI95, Min: est.Min, Max: est.Max})
-	return nil
 }

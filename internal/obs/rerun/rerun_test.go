@@ -2,15 +2,16 @@ package rerun
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
 	"churnlb/internal/obs"
 )
 
-// record runs a manifest once and freezes the replay's outcome into it,
-// exactly what the CLIs do through the shared metric builders. A second
-// Run must then reproduce it bit-for-bit.
+// record runs a manifest once and freezes the outcome into it — exactly
+// what the CLIs do: Execute, then store the Outcome's metrics (and
+// decision summary). A second Run must then reproduce it bit-for-bit.
 func record(t *testing.T, m *obs.Manifest) {
 	t.Helper()
 	rep, err := Run(m, nil)
@@ -54,7 +55,7 @@ func TestRerunServeWithDecisions(t *testing.T) {
 	m.Window = 1
 
 	// First pass with a tracer attached (Decisions set before recording so
-	// rerunServe attaches the tracer both times).
+	// the run attaches the tracer both times).
 	m.Decisions = &obs.DecisionRef{K: 2}
 	rep, err := Run(m, nil)
 	if err != nil {
@@ -143,25 +144,60 @@ func TestRerunScenario(t *testing.T) {
 	}
 }
 
-// TestRerunRejects: unknown modes and malformed refs error cleanly.
+// TestRerunRejects: unknown modes and malformed refs error cleanly, as
+// faults of the description (the CLIs' exit 2) — unlike a run that fails.
 func TestRerunRejects(t *testing.T) {
-	m := obs.NewManifest("lbsim", "warp")
-	if _, err := Run(m, nil); err == nil {
-		t.Fatal("unknown mode accepted")
+	rejected := func(what string, m *obs.Manifest) {
+		t.Helper()
+		var bad *SpecError
+		if _, err := Run(m, nil); !errors.As(err, &bad) {
+			t.Fatalf("%s: got %v, want a SpecError", what, err)
+		}
 	}
-	m = obs.NewManifest("lbsim", obs.ModeMC)
+	rejected("unknown mode", obs.NewManifest("lbsim", "warp"))
+	m := obs.NewManifest("lbsim", obs.ModeMC)
 	m.Policy = obs.PolicyRef{Name: "lbp2"}
-	if _, err := Run(m, nil); err == nil {
-		t.Fatal("missing system ref accepted")
-	}
+	rejected("missing system ref", m)
 	m.System = &obs.SystemRef{ProcRate: []float64{1}, FailRate: []float64{1, 2}, RecRate: []float64{1}}
-	if _, err := Run(m, nil); err == nil {
-		t.Fatal("mismatched rate vectors accepted")
-	}
+	rejected("mismatched rate vectors", m)
 	m = obs.NewManifest("lbserve", obs.ModeServe)
 	m.Policy = obs.PolicyRef{Name: "quantum"}
-	if _, err := Run(m, nil); err == nil {
-		t.Fatal("unknown policy accepted")
+	rejected("unknown policy", m)
+	m.Policy.Name = "jsq"
+	m.Queue = "fifo"
+	rejected("unknown queue", m)
+	m.Queue = ""
+	rejected("missing scenario", m)
+
+	// A well-formed description whose run fails is not a SpecError.
+	m.Scenario = &obs.ScenarioRef{Kind: "uniform", Nodes: 4}
+	var bad *SpecError
+	if _, err := Run(m, nil); err == nil || errors.As(err, &bad) {
+		t.Fatalf("zero-rate serve run: got %v, want a run error", err)
+	}
+}
+
+// TestInterruptOnlyWhereHonoured: the interrupt hook reaches a single
+// sequential serving run and nothing else — the sharded engine would
+// refuse it, so a sharded run finishes.
+func TestInterruptOnlyWhereHonoured(t *testing.T) {
+	cut := make(chan struct{})
+	close(cut)
+	for _, shards := range []int{0, 2} {
+		m := obs.NewManifest("lbserve", obs.ModeServe)
+		m.Seed = 2
+		m.Scenario = &obs.ScenarioRef{Kind: "hotspot", Nodes: 20, Delta: 0.02}
+		m.Policy = obs.PolicyRef{Name: "pod2"}
+		m.Rate = 30
+		m.Horizon = 3
+		m.Shards = shards
+		out, err := Execute(m, Hooks{Interrupt: cut})
+		if err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
+		}
+		if want := shards == 0; out.Serve.Interrupted != want {
+			t.Fatalf("shards %d: interrupted %v, want %v", shards, out.Serve.Interrupted, want)
+		}
 	}
 }
 

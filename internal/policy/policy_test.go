@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -303,5 +304,84 @@ func TestPolicyNames(t *testing.T) {
 	}
 	if (LBP2{K: 1, SpeedBlind: true}).Name() != "LBP-2(K=1.00,speed-blind)" {
 		t.Fatalf("LBP2 name %q", LBP2{K: 1, SpeedBlind: true}.Name())
+	}
+}
+
+// TestRouterAndBalanceRegistries pins the one spelling table: every name
+// any CLI help string advertises resolves to the policy or router it has
+// always meant, the advertised lists are exactly the table's keys (each
+// cmd's test asserts its -h text against Names/RouterNames, so a name
+// added here cannot be missing from a help string), and unknown names are
+// errors.
+func TestRouterAndBalanceRegistries(t *testing.T) {
+	routers := []struct {
+		name string
+		want Router
+	}{
+		{"uniform", nil},
+		{"rr", NewRoundRobin()},
+		{"jsq", JSQ{}},
+		{"pod2", PowerOfD{D: 2}},
+		{"pod3", PowerOfD{D: 3}},
+		{"lew", LeastExpectedWork{D: 4}},
+		{"", nil}, // an omitted manifest field
+	}
+	var names []string
+	for _, c := range routers {
+		spec, err := ParseRouterSpec(c.name, 4)
+		if err != nil {
+			t.Fatalf("router %q: %v", c.name, err)
+		}
+		got, err := spec.New()
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("router %q built %#v, %v; want %#v", c.name, got, err, c.want)
+		}
+		if c.name != "" {
+			names = append(names, c.name)
+		}
+	}
+	if !reflect.DeepEqual(names, RouterNames()) {
+		t.Fatalf("RouterNames() = %v, table rows %v", RouterNames(), names)
+	}
+	if _, err := ParseRouterSpec("bogus", 0); err == nil {
+		t.Fatal("unknown router accepted")
+	}
+	if _, err := (RouterSpec{Kind: RouterKind(99)}).Factory(); err == nil {
+		t.Fatal("unknown router kind built")
+	}
+
+	policies := []struct {
+		name string
+		want Policy
+	}{
+		{"lbp1", LBP1{K: 0.5, Sender: 1}},
+		{"lbp1multi", LBP1Multi{K: 0.5}},
+		{"lbp2", LBP2{K: 0.5}},
+		{"none", NoBalance{}},
+		{"dynamic", Dynamic{Base: LBP2{K: 0.5}}},
+		{"", NoBalance{}},
+	}
+	names = nil
+	for _, c := range policies {
+		spec, err := ParseSpec(c.name, 0.5, 1)
+		if err != nil {
+			t.Fatalf("policy %q: %v", c.name, err)
+		}
+		got, err := spec.Build()
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("policy %q built %#v, %v; want %#v", c.name, got, err, c.want)
+		}
+		if c.name != "" {
+			names = append(names, c.name)
+		}
+	}
+	if !reflect.DeepEqual(names, Names()) {
+		t.Fatalf("Names() = %v, table rows %v", Names(), names)
+	}
+	if _, err := ParseSpec("bogus", 0, 0); err == nil {
+		t.Fatal("unknown balance policy accepted")
+	}
+	if _, err := (Spec{Kind: Kind(99)}).Build(); err == nil {
+		t.Fatal("unknown policy kind built")
 	}
 }

@@ -121,12 +121,47 @@ func TestBackendDifferentialChurnRealisation(t *testing.T) {
 }
 
 // TestEventQueueValidated: an out-of-range backend is an error, not a
-// panic inside des.
+// panic inside des — and an out-of-range law is an error on both engines,
+// not a silent run under the default law (the hot-path switches fall
+// through to it).
 func TestEventQueueValidated(t *testing.T) {
-	opt := churnHeavyOptions(4, 20, policy.NoBalance{}, 1)
-	opt.EventQueue = des.QueueKind(97)
-	if _, err := Run(opt); err == nil {
-		t.Fatal("invalid EventQueue kind accepted")
+	for _, c := range []struct {
+		name string
+		mod  func(*Options)
+	}{
+		{"EventQueue", func(o *Options) { o.EventQueue = des.QueueKind(97) }},
+		{"ChurnLaw", func(o *Options) { o.ChurnLaw = ChurnLaw(7) }},
+		{"ChurnLaw<0", func(o *Options) { o.ChurnLaw = ChurnLaw(-1) }},
+		{"TransferMode", func(o *Options) { o.TransferMode = TransferMode(7) }},
+	} {
+		for _, shards := range []int{0, 2} {
+			opt := churnHeavyOptions(4, 20, policy.NoBalance{}, 1)
+			opt.Shards = shards
+			c.mod(&opt)
+			if _, err := Run(opt); err == nil {
+				t.Fatalf("invalid %s accepted (shards %d)", c.name, shards)
+			}
+		}
+	}
+}
+
+// TestLawSpellingsRoundTrip: every law parses back from its String.
+func TestLawSpellingsRoundTrip(t *testing.T) {
+	for _, m := range []TransferMode{TransferBundle, TransferPerTask} {
+		if got, err := ParseTransferMode(m.String()); err != nil || got != m {
+			t.Errorf("round trip %v -> %q -> %v, %v", m, m.String(), got, err)
+		}
+	}
+	for _, c := range []ChurnLaw{ChurnExponential, ChurnWeibull, ChurnDeterministic} {
+		if got, err := ParseChurnLaw(c.String()); err != nil || got != c {
+			t.Errorf("round trip %v -> %q -> %v, %v", c, c.String(), got, err)
+		}
+	}
+	if _, err := ParseTransferMode("lunar"); err == nil {
+		t.Error("unknown transfer mode parsed")
+	}
+	if _, err := ParseChurnLaw(""); err == nil {
+		t.Error("empty churn law parsed")
 	}
 }
 

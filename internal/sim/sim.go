@@ -58,6 +58,30 @@ const (
 	TransferPerTask
 )
 
+// String returns the CLI spelling of the mode.
+func (m TransferMode) String() string {
+	switch m {
+	case TransferBundle:
+		return "bundle"
+	case TransferPerTask:
+		return "pertask"
+	default:
+		return fmt.Sprintf("TransferMode(%d)", int(m))
+	}
+}
+
+// ParseTransferMode converts a CLI spelling into a TransferMode.
+func ParseTransferMode(s string) (TransferMode, error) {
+	switch s {
+	case "bundle":
+		return TransferBundle, nil
+	case "pertask":
+		return TransferPerTask, nil
+	default:
+		return 0, fmt.Errorf("unknown transfer mode %q (want bundle or pertask)", s)
+	}
+}
+
 // ChurnLaw selects the distribution of failure and recovery times. The
 // analytical model assumes exponential laws; the alternatives probe
 // robustness of the conclusions (an extension beyond the paper).
@@ -73,6 +97,34 @@ const (
 	// the means.
 	ChurnDeterministic
 )
+
+// String returns the CLI spelling of the law.
+func (c ChurnLaw) String() string {
+	switch c {
+	case ChurnExponential:
+		return "exp"
+	case ChurnWeibull:
+		return "weibull"
+	case ChurnDeterministic:
+		return "det"
+	default:
+		return fmt.Sprintf("ChurnLaw(%d)", int(c))
+	}
+}
+
+// ParseChurnLaw converts a CLI spelling into a ChurnLaw.
+func ParseChurnLaw(s string) (ChurnLaw, error) {
+	switch s {
+	case "exp":
+		return ChurnExponential, nil
+	case "weibull":
+		return ChurnWeibull, nil
+	case "det":
+		return ChurnDeterministic, nil
+	default:
+		return 0, fmt.Errorf("unknown churn law %q (want exp, weibull or det)", s)
+	}
+}
 
 // EventKind labels trace entries; aliased from the shared model package.
 type EventKind = model.EventKind
@@ -434,6 +486,14 @@ func validateOptions(opt *Options) (int, error) {
 	}
 	if !validQueue {
 		return 0, fmt.Errorf("sim: unknown EventQueue kind %d", int(opt.EventQueue))
+	}
+	// The hot-path switches on these two treat anything unknown as the
+	// default law, so an out-of-range value must stop here.
+	if opt.TransferMode < TransferBundle || opt.TransferMode > TransferPerTask {
+		return 0, fmt.Errorf("sim: unknown %v", opt.TransferMode)
+	}
+	if opt.ChurnLaw < ChurnExponential || opt.ChurnLaw > ChurnDeterministic {
+		return 0, fmt.Errorf("sim: unknown %v", opt.ChurnLaw)
 	}
 	if opt.ArrivalWave.Period > 0 {
 		if opt.ArrivalRate <= 0 {
