@@ -198,6 +198,20 @@ func (q *calQueue) findMin() (*event, int64) {
 	return best, best.vb
 }
 
+// reserve grows the bucket array once to the size Push's doubling rule
+// would reach at n live events (the smallest power of two with
+// n <= 2·buckets), instead of doubling — and rethreading every chain —
+// on the way there. It never shrinks: Remove's rule does that.
+func (q *calQueue) reserve(n int) {
+	nb := len(q.buckets)
+	for n > 2*nb {
+		nb *= 2
+	}
+	if nb > len(q.buckets) {
+		q.resize(nb)
+	}
+}
+
 // resize rebuilds the bucket array at the new size with a width
 // re-estimated from the observed inter-pop gap, aiming at about one
 // near-head event per slot. Every event's virtual bucket is recomputed

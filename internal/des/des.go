@@ -186,6 +186,40 @@ func (s *Scheduler) AfterIndexed(d float64, kind, arg int32) Handle {
 	return s.AtIndexed(s.now+d, kind, arg)
 }
 
+// Reserve prepares the scheduler to hold k more pending events than it
+// holds now, in one step: one slab for whatever records the free list and
+// the current slab cannot cover, room on the free list for every record
+// to come back, and one sizing of the queue backend for the population
+// the burst will reach. A caller that is about to schedule a known burst
+// — a balancing episode of k transfers — calls it once instead of letting
+// slab, free list and bucket array each grow by doubling under the burst.
+// It is a capacity hint only: record and bucket layout never decide pop
+// order, so a run fires the same events in the same order with or
+// without it. k <= 0 is a no-op.
+func (s *Scheduler) Reserve(k int) {
+	if k <= 0 {
+		return
+	}
+	if missing := k - len(s.free) - len(s.slab); missing > 0 {
+		// newEvent carves from one slab at a time: the old one's unissued
+		// tail moves to the free list instead of being dropped.
+		for i := range s.slab {
+			e := &s.slab[i]
+			e.owner = s
+			e.index = -1
+			s.free = append(s.free, e)
+		}
+		s.slab = make([]event, missing)
+	}
+	live := s.q.Len()
+	if total := len(s.free) + len(s.slab) + live; cap(s.free) < total {
+		free := make([]*event, len(s.free), total)
+		copy(free, s.free)
+		s.free = free
+	}
+	s.q.reserve(live + k)
+}
+
 // --- step primitives ---
 //
 // HasPending, PeekNextTime and ProcessNext decompose the event loop into

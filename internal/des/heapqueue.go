@@ -17,6 +17,14 @@ func (q *heapQueue) MinTime() (float64, bool) {
 	return q.events[0].time, true
 }
 
+func (q *heapQueue) reserve(n int) {
+	if n > cap(q.events) {
+		events := make([]*event, len(q.events), n)
+		copy(events, q.events)
+		q.events = events
+	}
+}
+
 //churnlb:hotpath
 func (q *heapQueue) Push(e *event) {
 	e.index = len(q.events)

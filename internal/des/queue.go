@@ -29,6 +29,9 @@ type EventQueue interface {
 	// MinTime returns the time of the minimum event without removing it;
 	// ok is false when the queue is empty.
 	MinTime() (t float64, ok bool)
+	// reserve sizes the backend for n live events ahead of a burst of
+	// pushes. Layout only: it must not change the pop order.
+	reserve(n int)
 }
 
 // eventLess is the one total order every backend must realise: time

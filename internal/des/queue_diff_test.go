@@ -25,6 +25,10 @@ type qop struct {
 	child     float64 // schedule: >= 0 means the event schedules a child at now+child when it fires
 	cancelSel int     // cancel: index into the retained handles (mod len)
 	horizon   float64 // run-horizon: offset from the clock
+	// reserves, when set, calls Reserve(reserveK) before the op runs. Only
+	// sprinkleReserves sets it: a capacity hint must never reorder a fire.
+	reserves bool
+	reserveK int
 }
 
 // genProgram derives a random program from a seed. Deltas mix a quantized
@@ -79,6 +83,9 @@ func runProgram(kind QueueKind, ops []qop) ([]fireRec, uint64) {
 	var fired []fireRec
 	var handles []Handle
 	for i, o := range ops {
+		if o.reserves {
+			s.Reserve(o.reserveK)
+		}
 		switch o.kind {
 		case 0:
 			id := i
@@ -117,23 +124,119 @@ func assertSameOrder(t *testing.T, ops []qop) bool {
 			continue
 		}
 		got, gotNow := runProgram(kind, ops)
-		if len(got) != len(ref) {
-			t.Errorf("%v fired %d events, heap fired %d", kind, len(got), len(ref))
-			return false
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("%v diverged at fire %d: got id=%d t=%x, heap id=%d t=%x",
-					kind, i, got[i].id, got[i].timeBits, ref[i].id, ref[i].timeBits)
-				return false
-			}
-		}
-		if gotNow != refNow {
-			t.Errorf("%v final clock bits %x, heap %x", kind, gotNow, refNow)
+		if !sameFires(t, kind.String(), got, gotNow, ref, refNow) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameFires fails on the first difference between a backend's fire log
+// and the heap oracle's.
+func sameFires(t *testing.T, label string, got []fireRec, gotNow uint64, ref []fireRec, refNow uint64) bool {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Errorf("%s fired %d events, heap fired %d", label, len(got), len(ref))
+		return false
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Errorf("%s diverged at fire %d: got id=%d t=%x, heap id=%d t=%x",
+				label, i, got[i].id, got[i].timeBits, ref[i].id, ref[i].timeBits)
+			return false
+		}
+	}
+	if gotNow != refNow {
+		t.Errorf("%s final clock bits %x, heap %x", label, gotNow, refNow)
+		return false
+	}
+	return true
+}
+
+// sprinkleReserves returns a copy of ops with Reserve calls in front of
+// about one op in ten — k of zero, negative, a few and a few thousand,
+// on whatever population the program holds at that point — and one in
+// front of the last op, so a reservation is also followed by the full
+// drain runProgram ends with.
+func sprinkleReserves(ops []qop, seed uint64) []qop {
+	rng := xrand.NewStream(seed, 0x2E5E)
+	out := append([]qop(nil), ops...)
+	for i := range out {
+		if rng.Float64() >= 0.1 && i != len(out)-1 {
+			continue
+		}
+		out[i].reserves = true
+		switch rng.Intn(4) {
+		case 0:
+			out[i].reserveK = 0
+		case 1:
+			out[i].reserveK = -1 - rng.Intn(100)
+		case 2:
+			out[i].reserveK = 1 + rng.Intn(8)
+		default:
+			out[i].reserveK = 50 + rng.Intn(4000)
+		}
+	}
+	return out
+}
+
+// TestQueueDifferentialReserve: a program with Reserve calls sprinkled in
+// fires, on every backend, exactly what the heap fires for the same
+// program without them.
+func TestQueueDifferentialReserve(t *testing.T) {
+	f := func(seed uint16) bool {
+		ops := genProgram(uint64(seed), 300+int(seed)%200)
+		ref, refNow := runProgram(QueueHeap, ops)
+		reserved := sprinkleReserves(ops, uint64(seed))
+		for _, kind := range QueueKinds() {
+			got, gotNow := runProgram(kind, reserved)
+			if !sameFires(t, kind.String()+" with Reserve", got, gotNow, ref, refNow) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReserveMakesBurstAllocationFree: after Reserve(k), scheduling k
+// events allocates nothing — no slab, no free-list or heap growth, no
+// bucket-array doubling — whether the scheduler was fresh or already
+// held a population, recycled records and a part-used slab.
+func TestReserveMakesBurstAllocationFree(t *testing.T) {
+	const burst, runs = 3000, 3
+	for _, kind := range QueueKinds() {
+		for _, standing := range []int{0, 300} {
+			s := NewWithQueue(kind)
+			s.SetDispatcher(func(int32, int32) {})
+			rng := xrand.NewStream(5, uint64(standing))
+			var hs []Handle
+			for i := 0; i < standing; i++ {
+				hs = append(hs, s.AfterIndexed(rng.Float64()*10, 0, int32(i)))
+			}
+			for i := 0; i < standing/3; i++ {
+				hs[i*3].Cancel()
+			}
+			// AllocsPerRun calls the burst once to warm up and runs more
+			// to measure; all of them fall inside the one reservation.
+			s.Reserve((runs + 1) * burst)
+			allocs := testing.AllocsPerRun(runs, func() {
+				for i := 0; i < burst; i++ {
+					s.AfterIndexed(rng.Float64()*10, 0, int32(i))
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v, %d standing: %v allocations per %d-event burst after Reserve", kind, standing, allocs, burst)
+			}
+			if want := standing - standing/3 + (runs+1)*burst; s.Len() != want {
+				t.Fatalf("%v: %d pending, want %d", kind, s.Len(), want)
+			}
+			for s.Step() {
+			}
+		}
+	}
 }
 
 // TestQueueDifferentialQuick replays many randomized programs; any

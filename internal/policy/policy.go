@@ -165,8 +165,12 @@ func (l LBP2) Name() string {
 // ExcessLoad returns eq. (6)'s excess for node j: the positive part of the
 // queue beyond the node's speed-weighted share of the total workload.
 func (l LBP2) ExcessLoad(j int, v model.StateView, p model.Params) int {
-	total := totalQueued(v)
-	share := p.ProcRate[j] / p.TotalProcRate()
+	return l.excessOf(j, v, p, totalQueued(v), p.TotalProcRate())
+}
+
+// excessOf is ExcessLoad with the aggregate sums supplied by the caller.
+func (l LBP2) excessOf(j int, v model.StateView, p model.Params, total int, totalProc float64) int {
+	share := p.ProcRate[j] / totalProc
 	if l.SpeedBlind {
 		share = 1 / float64(p.N())
 	}
@@ -208,21 +212,39 @@ func (l LBP2) PartitionFraction(i, j int, v model.StateView, p model.Params) flo
 // episode O(n·(overloaded nodes)) instead of O(n³) on large clusters;
 // every per-pair expression evaluates in the same order as the exported
 // eq.-level methods, so transfer sizes stay bit-identical to them.
+//
+// The result is allocated once, from a bound an O(n) first pass computes:
+// a transfer carries at least one task, so sender j emits at most
+// min(n-1, m_j, 2K·excess_j) of them — it never ships more than it holds,
+// and a receiver gets a task only when its K·p_ij·excess_j reaches the
+// 1/2 that rounds up, which at most 2K·excess_j of the p_ij (they sum to
+// one) can do — and none at all when even the largest possible p_ij
+// rounds to nothing.
 func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
-	var out []model.Transfer
 	n := p.N()
 	total := totalQueued(v)
 	totalProc := p.TotalProcRate()
+	// p_ij <= 1/(n-2) (1 for two nodes): the expressions below are monotone
+	// in it, so no receiver's transfer size exceeds the one maxFrac gives.
+	maxFrac := 1.0
+	if n > 2 {
+		maxFrac = 1 / float64(n-2)
+	}
+	bound := 0
 	for j := 0; j < n; j++ {
-		share := p.ProcRate[j] / totalProc
-		if l.SpeedBlind {
-			share = 1 / float64(n)
-		}
-		excessF := float64(v.Queue(j)) - share*float64(total)
-		if excessF <= 0 {
+		excess := l.excessOf(j, v, p, total, totalProc)
+		if excess == 0 || math.Round(l.K*maxFrac*float64(excess)) <= 0 {
 			continue
 		}
-		excess := int(excessF) // the paper floors to whole tasks
+		// +1 absorbs the rounding of Σ p_ij in floating point.
+		bound += max(0, min(n-1, v.Queue(j), int(2*l.K*float64(excess))+1))
+	}
+	if bound == 0 {
+		return nil
+	}
+	out := make([]model.Transfer, 0, bound)
+	for j := 0; j < n; j++ {
+		excess := l.excessOf(j, v, p, total, totalProc)
 		if excess == 0 {
 			continue
 		}
@@ -265,6 +287,9 @@ func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
 			sent += tasks
 			out = append(out, model.Transfer{From: j, To: i, Tasks: tasks})
 		}
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

@@ -87,85 +87,27 @@ type shardMsg struct {
 	external bool
 }
 
-// pendDelivery is a parked cross-domain batch inside its receiving
-// domain: the barrier allocates a slot, schedules an evKindDeliver event
-// carrying the slot index, and deliver frees it.
-type pendDelivery struct {
-	recs     []taskRec
-	to       int32
-	tasks    int32
-	external bool
-}
-
 // shardLink is the per-domain extension hanging off simState.shard: the
-// domain's identity, its outbox, its pending-delivery table and its
-// dirty list. Fields split into two phases that never overlap in time —
-// the window phase (domain worker only: outbox/pend/dirty appends,
-// deliver pops) and the barrier phase (coordinator only) — with the
-// window WaitGroup ordering the two, so no field needs a lock.
+// domain's identity, its outbox and its dirty list. Fields — and the
+// domain's flight table, which the barrier parks cross-domain batches in
+// — split into two phases that never overlap in time: the window phase
+// (domain worker only: outbox/dirty appends, sends and landings) and the
+// barrier phase (coordinator only), with the window WaitGroup ordering
+// the two, so nothing needs a lock.
 type shardLink struct {
 	// owner maps node → domain index; shared, read-only after setup.
 	owner []int8
 	// dirtyAt (shared, slot i written only by node i's owner) and epoch
 	// implement the once-per-window dirty marking behind the front door's
 	// mirror patches; both nil/unused when no router is installed.
-	dirtyAt  []uint32
-	epoch    uint32
-	self     int8
-	lo, hi   int // this domain's node range [lo, hi)
-	outbox   []shardMsg
-	pend     []pendDelivery
-	freePend []int32
-	dirty    []int32
+	dirtyAt []uint32
+	epoch   uint32
+	self    int8
+	lo, hi  int // this domain's node range [lo, hi)
+	outbox  []shardMsg
+	dirty   []int32
 	// obuf buffers this domain's telemetry events for the barrier merge.
 	obuf *obsBuffer
-}
-
-// allocPend parks a delivery and returns its slot for the evKindDeliver
-// arg. Coordinator-only (barrier phase).
-func (l *shardLink) allocPend(pd pendDelivery) int32 {
-	if n := len(l.freePend); n > 0 {
-		idx := l.freePend[n-1]
-		l.freePend = l.freePend[:n-1]
-		l.pend[idx] = pd
-		return idx
-	}
-	l.pend = append(l.pend, pd)
-	return int32(len(l.pend) - 1)
-}
-
-// deliver lands a cross-domain batch parked by the barrier: the receiving
-// domain's half of a transfer or routed arrival. Mirrors the sequential
-// engine's delivery closure (transfers) and arrival mutation (external
-// batches), minus the lazy-churn hooks — sharded runs are always eager.
-//
-//churnlb:hotpath
-func (s *simState) deliver(idx int) {
-	sh := s.shard
-	pd := sh.pend[idx]
-	sh.pend[idx] = pendDelivery{}
-	sh.freePend = append(sh.freePend, int32(idx))
-	to, tasks := int(pd.to), int(pd.tasks)
-	s.inFlight -= tasks
-	dst := &s.hot[to]
-	wasEmpty := dst.queue == 0
-	dst.queue += int32(tasks)
-	s.reindex(to)
-	if s.obs != nil {
-		now := s.sched.Now()
-		if pd.external {
-			for t := 0; t < tasks; t++ {
-				s.taskq[to].push(taskRec{arrival: now, firstService: -1})
-			}
-			s.obs.TasksArrived(to, tasks, now)
-		} else {
-			s.taskq[to].recs = append(s.taskq[to].recs, pd.recs...)
-			s.obs.TransferArrived(to, tasks, now)
-		}
-	}
-	if dst.up && wasEmpty {
-		s.scheduleCompletion(to)
-	}
 }
 
 // --- buffered telemetry ---
@@ -619,10 +561,8 @@ func (c *Sharded) applyInitial(ts []model.Transfer, rng *xrand.Rand) {
 		c.balTransfers++
 		c.balTasks += tr.Tasks
 		delay := drawTransferDelay(rng, c.opt.TransferMode, c.opt.Params.DelayPerTask, tr.Tasks)
-		d := c.links[0].owner[tr.To]
-		dst := c.doms[d]
-		idx := c.links[d].allocPend(pendDelivery{recs: recs, to: int32(tr.To), tasks: int32(tr.Tasks)})
-		dst.sched.AtIndexed(delay, evKindDeliver, idx)
+		dst := c.doms[c.links[0].owner[tr.To]]
+		dst.park(delay, flight{to: int32(tr.To), tasks: int32(tr.Tasks)}, recs)
 		dst.remaining += tr.Tasks
 		dst.inFlight += tr.Tasks
 	}
@@ -802,10 +742,12 @@ func (c *Sharded) barrier(boundary float64) {
 	sort.SliceStable(c.msgBuf, func(i, j int) bool { return c.msgBuf[i].at < c.msgBuf[j].at })
 	owner := c.links[0].owner
 	for _, msg := range c.msgBuf {
-		d := owner[msg.to]
-		dst := c.doms[d]
-		idx := c.links[d].allocPend(pendDelivery{recs: msg.recs, to: msg.to, tasks: msg.tasks, external: msg.external})
-		dst.sched.AtIndexed(msg.at, evKindDeliver, idx)
+		dst := c.doms[owner[msg.to]]
+		f := flight{to: msg.to, tasks: msg.tasks}
+		if msg.external {
+			f.to = ^f.to
+		}
+		dst.park(msg.at, f, msg.recs)
 		dst.remaining += int(msg.tasks)
 		dst.inFlight += int(msg.tasks)
 	}

@@ -72,7 +72,7 @@ func shardCases(seed uint64) []Options {
 	cases = append(cases, Options{
 		Params: p, Policy: policy.NoBalance{}, InitialLoad: load,
 		ArrivalRate: 4, ArrivalHorizon: 15,
-		Router:      policy.PowerOfD{D: 2},
+		Router: policy.PowerOfD{D: 2},
 	})
 
 	// Uniform serving (no router — no mirror, pure front-door stream).

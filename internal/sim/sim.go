@@ -322,11 +322,20 @@ const (
 	evKindFail
 	evKindRecover
 	evKindArrival // the Poisson arrival tick; arg unused
-	// evKindDeliver lands a cross-domain batch on a sharded run: arg
-	// indexes the domain's pending-delivery table (see shardLink.pend).
-	// Never scheduled on the single-stream engine.
+	// evKindDeliver lands a batch in flight: arg is its row in
+	// simState.flights (see park and land).
 	evKindDeliver
 )
+
+// flight is one batch in flight, a row of simState.flights: the whole
+// cost of a transfer between its send and its landing, next to the one
+// indexed event that carries the row's index.
+type flight struct {
+	// to is the receiving node. A sharded run's front door routes external
+	// arrivals through the same table; those rows store ^node (negative).
+	to    int32
+	tasks int32
+}
 
 type simState struct {
 	opt   Options
@@ -358,6 +367,12 @@ type simState struct {
 	// transferBuf so churn-heavy runs stop allocating per failure.
 	fplan       *policy.FailurePlan
 	transferBuf []model.Transfer
+	// flights is the table of batches in flight and freeFlights its free
+	// rows; flightRecs, parallel to flights, carries the per-task records
+	// riding with a batch and exists only on observed runs.
+	flights     []flight
+	freeFlights []int32
+	flightRecs  [][]taskRec
 	// ab caches the policy's ArrivalBalancer capability, asserted once per
 	// run instead of once per arrival.
 	ab policy.ArrivalBalancer
@@ -389,9 +404,9 @@ type simState struct {
 	// sharded run (see shard.go): hot, taskq and res.Processed are shared
 	// arrays of which this domain owns a contiguous slice, remaining and
 	// inFlight count only this domain's tasks, and cross-domain transfers
-	// leave through shard.outbox instead of a scheduled closure. nil on
-	// the single-stream engine — every shard hook below is a nil-check
-	// no-op there.
+	// leave through shard.outbox instead of the domain's own flight table.
+	// nil on the single-stream engine — every shard hook below is a
+	// nil-check no-op there.
 	shard *shardLink
 }
 
@@ -440,6 +455,9 @@ func validateOptions(opt *Options) (int, error) {
 	if len(opt.InitialLoad) != n {
 		return 0, fmt.Errorf("sim: InitialLoad has %d entries for %d nodes", len(opt.InitialLoad), n)
 	}
+	// Transfers can pile the whole backlog onto one queue (an int32, like
+	// the task count of a batch in flight), so the cap binds the total.
+	total := 0
 	for i, q := range opt.InitialLoad {
 		if q < 0 {
 			return 0, fmt.Errorf("sim: negative initial load %d at node %d", q, i)
@@ -447,6 +465,10 @@ func validateOptions(opt *Options) (int, error) {
 		if q > math.MaxInt32 {
 			return 0, fmt.Errorf("sim: initial load %d at node %d exceeds the %d per-queue cap", q, i, math.MaxInt32)
 		}
+		if q > math.MaxInt32-total {
+			return 0, fmt.Errorf("sim: total initial load exceeds the %d per-queue cap at node %d (any queue can receive the whole backlog)", math.MaxInt32, i)
+		}
+		total += q
 	}
 	if opt.InitialUp != nil && len(opt.InitialUp) != n {
 		return 0, fmt.Errorf("sim: InitialUp has %d entries for %d nodes", len(opt.InitialUp), n)
@@ -646,9 +668,10 @@ func Start(opt Options) (*Realisation, error) {
 	return &Realisation{s: s}, nil
 }
 
-// dispatch routes every indexed event — the three per-node processes and
-// the arrival tick — to its handler: the one dispatch point replacing 3n
-// per-node closures.
+// dispatch routes every indexed event — the three per-node processes,
+// the arrival tick and the landing of a batch in flight — to its handler:
+// the one dispatch point replacing 3n per-node closures and one closure
+// per transfer.
 //
 //churnlb:hotpath
 func (s *simState) dispatch(kind, arg int32) {
@@ -660,7 +683,7 @@ func (s *simState) dispatch(kind, arg int32) {
 	case evKindRecover:
 		s.recover(int(arg))
 	case evKindDeliver:
-		s.deliver(int(arg))
+		s.land(arg)
 	default:
 		s.externalArrival()
 	}
@@ -865,20 +888,42 @@ func (s *simState) trace(kind EventKind, node int) {
 //
 //churnlb:hotpath
 func (s *simState) scheduleCompletion(i int) {
+	s.armCompletion(i, s.restartService(i))
+}
+
+// restartService is scheduleCompletion up to the calendar insert: it
+// cancels node i's outstanding completion timer and, if the node is up
+// with work queued, draws the fresh service stage and stamps the front
+// task. It returns the stage for armCompletion, negative when there is
+// nothing to arm.
+//
+//churnlb:hotpath
+func (s *simState) restartService(i int) float64 {
 	h := &s.hot[i]
 	h.complTimer.Cancel()
 	h.complTimer = des.Handle{}
 	if !h.up || h.queue == 0 {
-		return
+		return -1
 	}
 	d := s.rng.Exp(s.p.ProcRate[i])
-	h.complTimer = s.sched.AfterIndexed(d, evKindComplete, int32(i))
 	if s.obs != nil {
 		// The front task is (re)entering service; stamp its first
 		// service start if it has none yet.
 		if f := s.taskq[i].front(); f.firstService < 0 {
 			f.firstService = s.sched.Now()
 		}
+	}
+	return d
+}
+
+// armCompletion inserts node i's completion timer stage seconds from
+// now; a no-op for a negative stage (nothing to arm) or node (no sender
+// held yet, see applyTransfers).
+//
+//churnlb:hotpath
+func (s *simState) armCompletion(i int, stage float64) {
+	if i >= 0 && stage >= 0 {
+		s.hot[i].complTimer = s.sched.AfterIndexed(stage, evKindComplete, int32(i))
 	}
 }
 
@@ -1086,17 +1131,65 @@ func (s *simState) recover(i int) {
 
 // --- transfers ---
 
+// episodeReserveMin is the episode size from which applyTransfers sizes
+// the pools ahead of the sends: below it the doubling growth it replaces
+// is a handful of small steps.
+const episodeReserveMin = 256
+
+// applyTransfers executes one balancing episode. Each transfer does to
+// the sender's random stream and task records exactly what re-arming its
+// completion process would — cancel the live timer and, if the node is up
+// with work left, draw a fresh service stage and stamp the front task —
+// but the calendar insert is held while consecutive transfers share a
+// sender: only the last draw of such a run can ever fire, so the timer is
+// armed once, at now + that draw, when the sender changes or the slice
+// ends. Policies emit an episode sender by sender, which turns k
+// cancel/insert pairs into one per sender; a slice that returns to an
+// earlier sender is still correct — its armed timer is cancelled again.
+//
 //churnlb:hotpath
 func (s *simState) applyTransfers(ts []model.Transfer) {
+	if len(ts) >= episodeReserveMin {
+		s.reserveEpisode(len(ts))
+	}
+	held, stage := -1, -1.0 // the sender being held and its last draw, < 0 for none
 	for _, tr := range ts {
-		s.send(tr)
+		if tr.From != held {
+			s.armCompletion(held, stage)
+			held, stage = tr.From, -1
+		}
+		if d, sent := s.send(tr); sent {
+			stage = d
+		}
+	}
+	s.armCompletion(held, stage)
+}
+
+// reserveEpisode sizes the scheduler's pools and the flight table for an
+// episode of k transfers in one step each. Deliberately not a hot path:
+// large episodes are the t = 0 balance and the odd big failure.
+func (s *simState) reserveEpisode(k int) {
+	s.sched.Reserve(k)
+	if spare := len(s.freeFlights) + cap(s.flights) - len(s.flights); spare >= k {
+		return
+	}
+	rows := len(s.flights) + k
+	s.flights = append(make([]flight, 0, rows), s.flights...)
+	s.freeFlights = append(make([]int32, 0, rows), s.freeFlights...)
+	if s.obs != nil {
+		s.flightRecs = append(make([][]taskRec, 0, rows), s.flightRecs...)
 	}
 }
 
+// send ships one transfer. sent reports whether anything left the
+// sender; stage is then the service stage drawn for what it keeps — the
+// completion timer applyTransfers still has to arm — or negative when the
+// sender is down or was emptied.
+//
 //churnlb:hotpath
-func (s *simState) send(tr model.Transfer) {
+func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 	if tr.Tasks <= 0 {
-		return
+		return 0, false
 	}
 	if tr.From < 0 || tr.From >= len(s.hot) || tr.To < 0 || tr.To >= len(s.hot) || tr.From == tr.To {
 		panic(fmt.Sprintf("sim: invalid transfer %+v", tr))
@@ -1106,7 +1199,7 @@ func (s *simState) send(tr model.Transfer) {
 		tr.Tasks = int(from.queue) // policies may race with processing
 	}
 	if tr.Tasks == 0 {
-		return
+		return 0, false
 	}
 	from.queue -= int32(tr.Tasks)
 	s.reindex(tr.From)
@@ -1119,8 +1212,9 @@ func (s *simState) send(tr model.Transfer) {
 		s.obs.TransferDeparted(tr.From, tr.To, tr.Tasks, s.sched.Now())
 	}
 	// The task being processed may have been shipped: restart the sender's
-	// completion process against whatever remains.
-	s.scheduleCompletion(tr.From)
+	// completion process against whatever remains, leaving the insert to
+	// applyTransfers.
+	stage = s.restartService(tr.From)
 	s.inFlight += tr.Tasks
 	s.res.TransfersSent++
 	s.res.TasksTransferred += tr.Tasks
@@ -1130,8 +1224,8 @@ func (s *simState) send(tr model.Transfer) {
 	if sh := s.shard; sh != nil && sh.owner[tr.To] != sh.self {
 		// Cross-domain: the batch leaves this domain's accounting now and
 		// joins the receiver's at the next window barrier, where the
-		// coordinator schedules the delivery (quantised to the boundary if
-		// the drawn delay would land inside the current window). The delay
+		// coordinator parks the delivery (quantised to the boundary if the
+		// drawn delay would land inside the current window). The delay
 		// was drawn above in the same stream position an intra-domain
 		// transfer consumes, so the domain's stream is destination-blind.
 		s.inFlight -= tr.Tasks
@@ -1142,33 +1236,75 @@ func (s *simState) send(tr model.Transfer) {
 			tasks: int32(tr.Tasks),
 			recs:  recs,
 		})
-		return
+		return stage, true
 	}
-	to := tr.To
-	tasks := tr.Tasks
-	//lint:ignore hotalloc the in-flight batch needs a per-transfer delivery closure; transfers are rare next to completions
-	s.sched.After(delay, func() {
-		s.inFlight -= tasks
-		s.lazyTouch(to) // a detached receiver's state resolves before use
-		dst := &s.hot[to]
-		dst.queue += int32(tasks)
-		s.reindex(to)
+	s.park(s.sched.Now()+delay, flight{to: int32(tr.To), tasks: int32(tr.Tasks)}, recs)
+	return stage, true
+}
+
+// park books a batch in flight: a row of the flight table and the one
+// indexed event that lands it at time at.
+//
+//churnlb:hotpath
+func (s *simState) park(at float64, f flight, recs []taskRec) {
+	var row int32
+	if n := len(s.freeFlights); n > 0 {
+		row = s.freeFlights[n-1]
+		s.freeFlights = s.freeFlights[:n-1]
+		s.flights[row] = f
+	} else {
+		row = int32(len(s.flights))
+		s.flights = append(s.flights, f)
 		if s.obs != nil {
-			s.taskq[to].recs = append(s.taskq[to].recs, recs...)
-			s.obs.TransferArrived(to, tasks, s.sched.Now())
+			s.flightRecs = append(s.flightRecs, nil)
 		}
-		s.trace(EvArrival, to)
-		if dst.up {
-			// A previously empty queue needs its completion process
-			// re-armed; a busy one keeps its outstanding timer (the
-			// service law is memoryless, and for non-exponential laws
-			// the approximation only affects one in-service task).
-			if int(dst.queue) == tasks {
-				s.scheduleCompletion(to)
+	}
+	if s.obs != nil {
+		s.flightRecs[row] = recs
+	}
+	s.sched.AtIndexed(at, evKindDeliver, row)
+}
+
+// land is the receiving half of every batch in flight, on both engines:
+// a transfer's tasks join their destination queue, or — a sharded run's
+// front door only — a routed external batch enters the system.
+//
+//churnlb:hotpath
+func (s *simState) land(row int32) {
+	f := s.flights[row]
+	s.freeFlights = append(s.freeFlights, row)
+	to, tasks := int(f.to), int(f.tasks)
+	external := to < 0
+	if external {
+		to = ^to
+	}
+	s.inFlight -= tasks
+	s.lazyTouch(to) // a detached receiver's state resolves before use
+	dst := &s.hot[to]
+	dst.queue += int32(tasks)
+	s.reindex(to)
+	if s.obs != nil {
+		now := s.sched.Now()
+		if external {
+			for t := 0; t < tasks; t++ {
+				s.taskq[to].push(taskRec{arrival: now, firstService: -1})
 			}
+			s.obs.TasksArrived(to, tasks, now)
+		} else {
+			s.taskq[to].recs = append(s.taskq[to].recs, s.flightRecs[row]...)
+			s.flightRecs[row] = nil
+			s.obs.TransferArrived(to, tasks, now)
 		}
-		s.lazyArm(to)
-	})
+	}
+	s.trace(EvArrival, to)
+	// A previously empty queue needs its completion process re-armed; a
+	// busy one keeps its outstanding timer (the service law is memoryless,
+	// and for non-exponential laws the approximation only affects one
+	// in-service task).
+	if dst.up && int(dst.queue) == tasks {
+		s.scheduleCompletion(to)
+	}
+	s.lazyArm(to)
 }
 
 //churnlb:hotpath

@@ -31,7 +31,7 @@ func (o *traceObserver) TasksArrived(node, count int, t float64) {
 func TestArrivalTraceExactInjection(t *testing.T) {
 	trace := []ArrivalAt{
 		{Time: 0.5, Batch: 3},
-		{Time: 0.5},           // simultaneous with the previous entry; defaults to ArrivalBatch
+		{Time: 0.5}, // simultaneous with the previous entry; defaults to ArrivalBatch
 		{Time: 2.25, Batch: 1},
 		{Time: 7, Batch: 2},
 	}
