@@ -259,6 +259,19 @@ type TracePoint struct {
 	Queues []int
 }
 
+// tracePoints converts the engines' shared trace records to the public
+// form; nil in, nil out.
+func tracePoints(in []model.TracePoint) []TracePoint {
+	if len(in) == 0 {
+		return nil
+	}
+	out := make([]TracePoint, len(in))
+	for i, tp := range in {
+		out[i] = TracePoint{Time: tp.Time, Event: string(tp.Kind), Node: tp.Node, Queues: tp.Queues}
+	}
+	return out
+}
+
 // SimResult reports one simulated realisation.
 type SimResult struct {
 	CompletionTime                  float64
@@ -390,9 +403,7 @@ func Simulate(s System, spec PolicySpec, load []int, seed uint64, opt SimOptions
 		TransfersSent:    out.TransfersSent,
 		TasksTransferred: out.TasksTransferred,
 	}
-	for _, tp := range out.Trace {
-		res.Trace = append(res.Trace, TracePoint{Time: tp.Time, Event: string(tp.Kind), Node: tp.Node, Queues: tp.Queues})
-	}
+	res.Trace = tracePoints(out.Trace)
 	return res, nil
 }
 
@@ -522,9 +533,7 @@ func RunTestbed(s System, spec PolicySpec, load []int, seed uint64, opt TestbedO
 		StatePackets:     out.StatePackets,
 		Lost:             out.Lost,
 	}
-	for _, tp := range out.QueueTrace {
-		res.Trace = append(res.Trace, TracePoint{Time: tp.Time, Event: string(tp.Kind), Node: tp.Node, Queues: tp.Queues})
-	}
+	res.Trace = tracePoints(out.QueueTrace)
 	return res, nil
 }
 
@@ -799,8 +808,8 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 	if err != nil {
 		return serve.Options{}, err
 	}
-	if opt.Rate <= 0 || opt.Horizon <= 0 {
-		return serve.Options{}, fmt.Errorf("churnlb: serving needs positive Rate and Horizon")
+	if !(opt.Rate > 0) || !(opt.Horizon > 0) { // negated > so NaN is refused too
+		return serve.Options{}, fmt.Errorf("churnlb: serving needs positive Rate and Horizon, got Rate = %v, Horizon = %v", opt.Rate, opt.Horizon)
 	}
 	pol, err := spec.Build()
 	if err != nil {

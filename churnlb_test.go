@@ -3,8 +3,11 @@ package churnlb
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"churnlb/internal/testkit"
 )
 
 func TestPaperSystemShape(t *testing.T) {
@@ -318,5 +321,65 @@ func TestUnknownLawsRejected(t *testing.T) {
 		if _, err := ServeMany(sys, spec, RouterSpec{}, 2, 1, so); err == nil {
 			t.Errorf("ServeMany accepted unknown %s", name)
 		}
+	}
+}
+
+// TestHostileArrivalParametersRejected: the public entry points refuse
+// every arrival parameter that used to wedge a run — a NaN (which passed
+// `Rate <= 0`), an infinity, a batch beyond the queue's int32 — naming it.
+// Each case runs under a deadline, so a value that slips through fails its
+// case instead of hanging the suite.
+func TestHostileArrivalParametersRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	lbp2 := PolicySpec{Kind: PolicyLBP2, K: 1}
+	serve := func(mod func(*ServeOptions)) func(<-chan struct{}) error {
+		return func(stop <-chan struct{}) error {
+			opt := ServeOptions{Rate: 2, Horizon: 5, Interrupt: stop}
+			mod(&opt)
+			_, err := Serve(PaperSystem(), lbp2, RouterSpec{Kind: RouterJSQ}, 1, opt)
+			return err
+		}
+	}
+	simulate := func(mod func(*SimOptions)) func(<-chan struct{}) error {
+		return func(<-chan struct{}) error {
+			opt := SimOptions{ArrivalRate: 2, ArrivalBatch: 1, ArrivalHorizon: 5}
+			mod(&opt)
+			_, err := Simulate(PaperSystem(), lbp2, []int{5, 5}, 1, opt)
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name, names string
+		run         func(stop <-chan struct{}) error
+	}{
+		{"serve-rate-nan", "Rate", serve(func(o *ServeOptions) { o.Rate = nan })},
+		{"serve-rate-inf", "Rate", serve(func(o *ServeOptions) { o.Rate = inf })},
+		{"serve-horizon-nan", "Horizon", serve(func(o *ServeOptions) { o.Horizon = nan })},
+		{"serve-horizon-inf", "Horizon", serve(func(o *ServeOptions) { o.Horizon = inf })},
+		{"serve-wave-nan", "Amplitude", serve(func(o *ServeOptions) { o.WaveAmplitude, o.WavePeriod = nan, 10 })},
+		{"serve-window-nan", "Window", serve(func(o *ServeOptions) { o.Window = nan })},
+		{"serve-batch-over-int32", "Batch", serve(func(o *ServeOptions) { o.Batch = 3_000_000_000 })},
+		{"servemany-rate-nan", "Rate", func(<-chan struct{}) error {
+			_, err := ServeMany(PaperSystem(), lbp2, RouterSpec{Kind: RouterJSQ}, 2, 1, ServeOptions{Rate: nan, Horizon: 5})
+			return err
+		}},
+		{"simulate-rate-nan", "ArrivalRate", simulate(func(o *SimOptions) { o.ArrivalRate = nan })},
+		{"simulate-rate-inf", "ArrivalRate", simulate(func(o *SimOptions) { o.ArrivalRate = inf })},
+		{"simulate-horizon-inf", "ArrivalHorizon", simulate(func(o *SimOptions) { o.ArrivalHorizon = inf })},
+		{"simulate-batch-over-int32", "ArrivalBatch", simulate(func(o *SimOptions) { o.ArrivalBatch = 3_000_000_000 })},
+		{"montecarlo-rate-nan", "ArrivalRate", func(<-chan struct{}) error {
+			_, err := MonteCarloOpts(PaperSystem(), lbp2, []int{5, 5}, 2, 1, SimOptions{ArrivalRate: nan, ArrivalHorizon: 5})
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := testkit.Deadline(t, 2*time.Second, c.run)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("error %q does not name %s", err, c.names)
+			}
+		})
 	}
 }

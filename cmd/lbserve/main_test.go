@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"churnlb/internal/policy"
+	"churnlb/internal/testkit"
 )
 
 func TestBadFlagsRejected(t *testing.T) {
@@ -26,6 +29,37 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 	if code := run([]string{"-queue", "nonsense"}, &out, &errb, nil); code != 2 {
 		t.Fatalf("unknown queue backend: exit %d, want 2", code)
+	}
+}
+
+// TestHostileArrivalFlagsRejected: the three commands that used to wedge
+// the tool — `-rate +Inf` admitted tasks at t = 0 until killed, `-rate NaN`
+// exited 0 having served nothing, `-batch 3000000000` wrapped the int32
+// queue and never drained — exit 1 with the offending parameter on stderr.
+// Each runs under a deadline wired to the interrupt channel, so a value
+// that slips through fails its case instead of hanging the suite.
+func TestHostileArrivalFlagsRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value, names string }{
+		{"-rate", "+Inf", "Rate"},
+		{"-rate", "NaN", "Rate"},
+		{"-horizon", "NaN", "Horizon"},
+		{"-batch", "3000000000", "Batch"},
+	} {
+		t.Run(c.flag+"="+c.value, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+				if code := run([]string{"-nodes", "20", c.flag, c.value}, &out, &errb, stop); code != 1 {
+					return fmt.Errorf("exit %d, want 1", code)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%v\nstdout:\n%s\nstderr:\n%s", err, out.String(), errb.String())
+			}
+			if !strings.Contains(errb.String(), c.names) {
+				t.Fatalf("stderr %q does not name %s", errb.String(), c.names)
+			}
+		})
 	}
 }
 

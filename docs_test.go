@@ -11,11 +11,14 @@ import (
 )
 
 // TestDocsNameOnlyWhatExists keeps README.md and the CI workflow from
-// citing a benchmark that is gone: every Benchmark* token must be a func in
-// some _test.go of the tree (a trailing * makes it a prefix), every
-// backticked bench/ workload or metric name must be a name in BENCHMARK.json,
-// and every internal/<pkg> or cmd/<tool> path must be a directory of the
-// tree — a package that moved or merged leaves such references behind.
+// citing a benchmark or a test that is gone: every Benchmark* token must be
+// a func in some _test.go of the tree (a trailing * makes it a prefix),
+// every Test* / Fuzz* token must be such a func or a prefix of one (they
+// are `go test -run` patterns: a step whose pattern matches nothing passes
+// with "no tests to run" the day a test is renamed), every backticked
+// bench/ workload or metric name must be a name in BENCHMARK.json, and
+// every internal/<pkg> or cmd/<tool> path must be a directory of the tree —
+// a package that moved or merged leaves such references behind.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -25,7 +28,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		return string(b)
 	}
 	var funcs []string
-	funcRE := regexp.MustCompile(`(?m)^func (Benchmark[A-Z]\w*)\(`)
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Z]\w*)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -49,6 +52,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 
 	benchRE := regexp.MustCompile(`Benchmark[A-Z]\w*\*?`)
+	testRE := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
 	nameRE := regexp.MustCompile("`((?:closed|serve|live)-[a-z0-9-]+|[a-z]+\\.[a-z0-9]+_[a-z0-9_]+)`")
 	pathRE := regexp.MustCompile(`\b(?:internal|cmd)/[a-z][a-z0-9]*`)
 	for _, doc := range []string{"README.md", ".github/workflows/ci.yml"} {
@@ -59,6 +63,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				return f == prefix || (prefix != tok && strings.HasPrefix(f, prefix))
 			}) {
 				t.Errorf("%s names %s, which no _test.go declares", doc, tok)
+			}
+		}
+		for _, tok := range testRE.FindAllString(text, -1) {
+			if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, tok) }) {
+				t.Errorf("%s names %s, which no _test.go declares (nor any test it is a prefix of)", doc, tok)
 			}
 		}
 		for _, m := range nameRE.FindAllStringSubmatch(text, -1) {

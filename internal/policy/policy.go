@@ -21,11 +21,9 @@ import (
 // model.StateView, a zero-copy window onto the realisation's working
 // arrays — handing one to a callback costs nothing no matter how many
 // nodes the cluster has, which is what keeps failure episodes off the
-// O(n)-snapshot path. The view (and anything read through it) is only
-// valid for the duration of the call; implementations that must retain
-// state across calls keep model.AsState(v).Clone(). Traced runs hand
-// policies retainable materialized snapshots instead (model.SnapshotView),
-// so diagnostics may hold on to what they saw.
+// O(n)-snapshot path. The view (and anything read through it) dies with
+// the call, on every run, traced or not; implementations that must retain
+// state across calls keep model.AsState(v).Clone().
 //
 // Policies whose on-failure transfer sizes depend only on Params should
 // additionally implement FailurePlanner (see plan.go): the realisation

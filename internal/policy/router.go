@@ -17,8 +17,9 @@ import (
 // recovery time.
 //
 // Routers may keep per-run state (RoundRobin does); supply a fresh
-// instance to every realisation. The view passed to Route is only valid
-// for the duration of the call; retain state via model.AsState(v).Clone().
+// instance to every realisation. The view passed to Route dies with the
+// call, on every run, traced or not; keep model.AsState(v).Clone() to
+// retain what it showed.
 type Router interface {
 	// Name identifies the router in reports.
 	Name() string

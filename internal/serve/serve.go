@@ -6,6 +6,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"churnlb/internal/des"
 	"churnlb/internal/mc"
@@ -127,8 +128,12 @@ func Run(opt Options) (*Result, error) {
 				horizon = 1
 			}
 		}
-	} else if opt.Rate <= 0 || opt.Horizon <= 0 {
-		return nil, fmt.Errorf("serve: needs positive Rate and Horizon (or an ArrivalTrace)")
+	} else if !(opt.Rate > 0) || !(opt.Horizon > 0) {
+		// Written as negated > so a NaN fails here, not in the event loop.
+		return nil, fmt.Errorf("serve: needs positive Rate and Horizon (or an ArrivalTrace), got Rate = %v, Horizon = %v", opt.Rate, opt.Horizon)
+	}
+	if math.IsNaN(opt.Window) {
+		return nil, fmt.Errorf("serve: Window = %v must be a number (0 derives Horizon/100)", opt.Window)
 	}
 	if opt.Interrupt != nil && opt.Shards > 0 {
 		// The sharded engine advances whole conservative windows per step

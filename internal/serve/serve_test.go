@@ -2,10 +2,14 @@ package serve
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
+	"churnlb/internal/sim"
+	"churnlb/internal/testkit"
 )
 
 func testOptions(t *testing.T) Options {
@@ -167,5 +171,56 @@ func TestRunShardCountInvariant(t *testing.T) {
 			bs.ExternalArrivals != gs.ExternalArrivals {
 			t.Errorf("shards=%d sim result diverged: %+v vs %+v", shards, bs, gs)
 		}
+	}
+}
+
+// TestHostileArrivalParametersRejected: no arrival parameter reaches the
+// event loop as a NaN, an infinity or a batch beyond the queue's int32 —
+// each used to wedge or silently empty a serving run — and the error says
+// which one it was. Each case runs under a deadline that cuts the arrival
+// stream, so a value that slips through fails its case instead of hanging.
+func TestHostileArrivalParametersRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name, names string
+		mod         func(*Options)
+	}{
+		{"rate-nan", "Rate", func(o *Options) { o.Rate = nan }},
+		{"rate-inf", "Rate", func(o *Options) { o.Rate = inf }},
+		{"rate-nan-sharded", "Rate", func(o *Options) { o.Rate, o.Shards = nan, 2 }},
+		{"horizon-nan", "Horizon", func(o *Options) { o.Horizon = nan }},
+		{"horizon-inf", "Horizon", func(o *Options) { o.Horizon = inf }},
+		{"wave-amplitude-nan", "Amplitude", func(o *Options) { o.WaveAmplitude, o.WavePeriod = nan, 10 }},
+		{"wave-period-nan", "Period", func(o *Options) { o.WaveAmplitude, o.WavePeriod = 0.5, nan }},
+		{"wave-period-inf", "Period", func(o *Options) { o.WaveAmplitude, o.WavePeriod = 0.5, inf }},
+		{"window-nan", "Window", func(o *Options) { o.Window = nan }},
+		{"batch-over-int32", "Batch", func(o *Options) { o.Batch = 3_000_000_000 }},
+		{"trace-rate-nan", "Rate", func(o *Options) {
+			o.Rate, o.Horizon = nan, 0
+			o.ArrivalTrace = []sim.ArrivalAt{{Time: 0, Batch: 1}}
+		}},
+		{"trace-batch-over-int32", "ArrivalTrace[0].Batch", func(o *Options) {
+			o.Rate, o.Horizon = 0, 0
+			o.ArrivalTrace = []sim.ArrivalAt{{Time: 0, Batch: 3_000_000_000}}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opt := testOptions(t)
+			c.mod(&opt)
+			err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+				o := opt
+				if o.Shards == 0 { // the sharded engine refuses an Interrupt
+					o.Interrupt = stop
+				}
+				_, err := Run(o)
+				return err
+			})
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("error %q does not name %s", err, c.names)
+			}
+		})
 	}
 }

@@ -28,6 +28,61 @@ type goldenCase struct {
 	processed                       []int
 	traceLen                        int
 	traceFNV                        uint64
+	// externalArrivals and nextRand (the first word the run left in its
+	// stream) are compared when non-zero; obsCalls/obsFNV when the case
+	// installs a *streamHash TaskObserver, decisions/decisionFNV when it
+	// installs a *decisionHash DecisionSink.
+	externalArrivals int
+	nextRand         uint64
+	obsCalls         int
+	obsFNV           uint64
+	decisions        int
+	decisionFNV      uint64
+}
+
+// decisionHash is a DecisionSink folding every decision — the pre-arrival
+// view it was priced against included — into one FNV-1a.
+type decisionHash struct {
+	fold      *streamHash
+	decisions int
+}
+
+func newDecisionHash() *decisionHash { return &decisionHash{fold: newStreamHash()} }
+
+func (d *decisionHash) Decision(v model.StateView, chosen, batch int, scored []policy.Candidate) {
+	d.decisions++
+	d.fold.rec(6, []int{chosen, batch, v.N(), v.InFlight(), len(scored)}, v.Time())
+	for i := 0; i < v.N(); i++ {
+		up := 0
+		if v.Up(i) {
+			up = 1
+		}
+		d.fold.rec(7, []int{v.Queue(i), up})
+	}
+	for _, c := range scored {
+		d.fold.rec(8, []int{c.Node}, c.Score)
+	}
+}
+
+// tracedOpenCluster is the six-node cluster of the traced open-system
+// goldens: heterogeneous rates, two loaded nodes, and recoveries slow
+// enough (MTBF 10 s, MTTR 8 s) that eq. (8) ships tasks at most failures.
+func tracedOpenCluster() (model.Params, []int) {
+	p, load := hotspotCluster(6, 2, 40, 2)
+	for i := range p.FailRate {
+		p.FailRate[i], p.RecRate[i] = 1.0/10, 1.0/8
+	}
+	return p, load
+}
+
+// t0Schedule is a recorded arrival schedule whose first two entries are
+// due at t = 0, the instant a trace must tell apart from the initial load.
+func t0Schedule() []ArrivalAt {
+	tr := []ArrivalAt{{Time: 0, Batch: 5}, {Time: 0}}
+	for k := 1; k <= 40; k++ {
+		tr = append(tr, ArrivalAt{Time: 0.7 * float64(k), Batch: k % 3})
+	}
+	return tr
 }
 
 func goldenCases() []goldenCase {
@@ -104,6 +159,49 @@ func goldenCases() []goldenCase {
 			completionBits: math.Float64bits(0x1.4adf179e58631p+06),
 			failures:       4, recoveries: 3, transfersSent: 4, tasksTransferred: 56,
 			processed: []int{62, 98}, traceLen: 177, traceFNV: 0xca2b5f86280c6ae7,
+		},
+		// The three traced open-system cases below were recorded at commit
+		// bc6c35e, where Trace still routed a run through retainable
+		// snapshots, the reference Route scan and the per-call OnFailure
+		// scan: the indexed, planned, zero-copy path every run takes now
+		// must reproduce them bit for bit.
+		{
+			name: "trace-jsq-poisson",
+			opt: func() Options {
+				hp, load := tracedOpenCluster()
+				return Options{Params: hp, Policy: policy.LBP2{K: 1}, InitialLoad: load, Rand: xrand.NewStream(61, 4),
+					Router: policy.JSQ{}, ArrivalRate: 4.5, ArrivalBatch: 2, ArrivalHorizon: 30, Trace: true}
+			},
+			completionBits: math.Float64bits(0x1.a9574e1f9f2b2p+06),
+			failures:       32, recoveries: 30, transfersSent: 84, tasksTransferred: 139,
+			processed: []int{61, 65, 51, 96, 75, 48}, traceLen: 782, traceFNV: 0x1149b42f114033e1,
+			externalArrivals: 308, nextRand: 0x236bf114b439a9be,
+		},
+		{
+			name: "trace-lew-dynamic-t0",
+			opt: func() Options {
+				hp, load := tracedOpenCluster()
+				return Options{Params: hp, Policy: policy.Dynamic{Base: policy.LBP2{K: 1}}, InitialLoad: load, Rand: xrand.NewStream(62, 4),
+					Router: policy.LeastExpectedWork{}, ArrivalBatch: 2, ArrivalTrace: t0Schedule(), Trace: true}
+			},
+			completionBits: math.Float64bits(0x1.3645820c09529p+05),
+			failures:       10, recoveries: 8, transfersSent: 95, tasksTransferred: 149,
+			processed: []int{24, 40, 33, 37, 7, 20}, traceLen: 413, traceFNV: 0x9cafabdd6f16e821,
+			externalArrivals: 73, nextRand: 0x57121f633bdff17,
+		},
+		{
+			name: "trace-pod2-sink-observer",
+			opt: func() Options {
+				hp, load := tracedOpenCluster()
+				return Options{Params: hp, Policy: policy.LBP2{K: 1}, InitialLoad: load, Rand: xrand.NewStream(63, 4),
+					Router: policy.PowerOfD{D: 2}, ArrivalRate: 4.5, ArrivalBatch: 2, ArrivalHorizon: 30, Trace: true,
+					TaskObserver: newStreamHash(), DecisionSink: newDecisionHash()}
+			},
+			completionBits: math.Float64bits(0x1.23e1f7d65d212p+06),
+			failures:       26, recoveries: 24, transfersSent: 50, tasksTransferred: 97,
+			processed: []int{46, 54, 76, 78, 41, 53}, traceLen: 630, traceFNV: 0x8913428805483e1d,
+			externalArrivals: 260, nextRand: 0x2621e4f093cab543,
+			obsCalls: 634, obsFNV: 0x3f809a0e77cda27b, decisions: 130, decisionFNV: 0x6a71416eecf9cde7,
 		},
 		{
 			name: "initial-down",
@@ -187,24 +285,47 @@ func TestGoldenBitIdentical(t *testing.T) {
 				if got := traceHash(res.Trace); got != c.traceFNV {
 					t.Errorf("trace hash %#x, want %#x", got, c.traceFNV)
 				}
+				if c.externalArrivals != 0 && res.ExternalArrivals != c.externalArrivals {
+					t.Errorf("ExternalArrivals %d, want %d", res.ExternalArrivals, c.externalArrivals)
+				}
+				if c.nextRand != 0 {
+					if got := opt.Rand.Uint64(); got != c.nextRand {
+						t.Errorf("next rng word %#x, want %#x", got, c.nextRand)
+					}
+				}
+				if o, ok := opt.TaskObserver.(*streamHash); ok {
+					if got := o.h.Sum64(); o.calls != c.obsCalls || got != c.obsFNV {
+						t.Errorf("observer stream: %d calls, fnv %#x; want %d calls, fnv %#x", o.calls, got, c.obsCalls, c.obsFNV)
+					}
+				}
+				if d, ok := opt.DecisionSink.(*decisionHash); ok {
+					if got := d.fold.h.Sum64(); d.decisions != c.decisions || got != c.decisionFNV {
+						t.Errorf("decision stream: %d decisions, fnv %#x; want %d decisions, fnv %#x", d.decisions, got, c.decisions, c.decisionFNV)
+					}
+				}
 			})
 		}
 	}
 }
 
+// scanRemaining recomputes the remaining-task total the pre-refactor way:
+// a full queue scan plus the in-flight count — the reference the O(1)
+// counter is held to.
+func scanRemaining(s *simState) int {
+	t := s.inFlight
+	for i := range s.hot {
+		t += int(s.hot[i].queue)
+	}
+	return t
+}
+
 // TestAccountingMatchesScan proves the incrementally maintained
 // remaining-task counter agrees with the pre-refactor full scan after
-// every single event, on randomized small systems across policies, churn
-// laws and arrival settings.
+// every single event, EvStart and EvDone included, on randomized small
+// systems across policies, churn laws and arrival settings.
 func TestAccountingMatchesScan(t *testing.T) {
-	mismatches := 0
-	accountingHook = func(tracked, scanned int) {
-		if tracked != scanned {
-			mismatches++
-		}
-	}
-	defer func() { accountingHook = nil }()
-
+	t.Parallel()
+	events, mismatches := 0, 0
 	f := func(seed uint16, nRaw, polRaw uint8) bool {
 		rng := xrand.NewStream(uint64(seed), 55)
 		n := 2 + int(nRaw)%4
@@ -230,7 +351,18 @@ func TestAccountingMatchesScan(t *testing.T) {
 		default:
 			pol = policy.LBP2{K: 1}
 		}
-		opt := Options{Params: p, Policy: pol, InitialLoad: load, Rand: rng}
+		var first, last EventKind
+		opt := Options{Params: p, Policy: pol, InitialLoad: load, Rand: rng,
+			probe: func(s *simState, kind EventKind, _ int) {
+				if first == "" {
+					first = kind
+				}
+				last = kind
+				events++
+				if s.remaining != scanRemaining(s) {
+					mismatches++
+				}
+			}}
 		if polRaw%2 == 0 {
 			opt.ArrivalRate, opt.ArrivalBatch, opt.ArrivalHorizon = 0.3, 3, 25
 		}
@@ -246,12 +378,15 @@ func TestAccountingMatchesScan(t *testing.T) {
 		for _, q := range load {
 			want += q
 		}
-		return total == want && mismatches == 0
+		return total == want && mismatches == 0 && first == EvStart && last == EvDone
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+	if events == 0 {
+		t.Fatal("accounting probe never fired")
+	}
 	if mismatches > 0 {
-		t.Fatalf("O(1) accounting diverged from the full scan %d times", mismatches)
+		t.Fatalf("O(1) accounting diverged from the full scan %d of %d times", mismatches, events)
 	}
 }

@@ -49,28 +49,3 @@ type nodeHot struct {
 //
 //churnlb:hotpath
 func (s *simState) queueOf(i int) int { return int(s.hot[i].queue) }
-
-// upOf returns node i's working state.
-//
-//churnlb:hotpath
-func (s *simState) upOf(i int) bool { return s.hot[i].up }
-
-// copyQueues materializes the queue vector as a fresh []int — the
-// snapshot path for traces and retainable views; never on the hot path.
-func (s *simState) copyQueues() []int {
-	q := make([]int, len(s.hot))
-	for i := range s.hot {
-		q[i] = int(s.hot[i].queue)
-	}
-	return q
-}
-
-// copyUp materializes the up vector as a fresh []bool; snapshot path
-// only.
-func (s *simState) copyUp() []bool {
-	u := make([]bool, len(s.hot))
-	for i := range s.hot {
-		u[i] = s.hot[i].up
-	}
-	return u
-}

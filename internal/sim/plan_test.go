@@ -33,46 +33,83 @@ func churnHeavyParams(rng *xrand.Rand, n int) (model.Params, []int) {
 	return p, load
 }
 
+// scanPolicy hides every capability of the policy it wraps except the
+// Policy methods themselves: a run given one builds no failure plan, so
+// every episode comes from the naive per-receiver OnFailure scan over the
+// live view — the path policies without the FailurePlanner capability
+// always take. hidePlanner keeps per-arrival balancing working.
+type scanPolicy struct{ policy.Policy }
+
+// scanBalancer is scanPolicy for a wrapped ArrivalBalancer (Dynamic).
+type scanBalancer struct {
+	scanPolicy
+	ab policy.ArrivalBalancer
+}
+
+func (b scanBalancer) OnArrival(node int, v model.StateView, p model.Params) []model.Transfer {
+	return b.ab.OnArrival(node, v, p)
+}
+
+func hidePlanner(pol policy.Policy) policy.Policy {
+	if ab, ok := pol.(policy.ArrivalBalancer); ok {
+		return scanBalancer{scanPolicy{pol}, ab}
+	}
+	return scanPolicy{pol}
+}
+
+// planPolicy draws one of the failure-planning configurations: every
+// LBP-2 ablation and the Dynamic wrapper.
+func planPolicy(raw uint8) policy.Policy {
+	switch raw % 4 {
+	case 0:
+		return policy.LBP2{K: 1}
+	case 1:
+		return policy.LBP2{K: 1, SpeedBlind: true}
+	case 2:
+		return policy.LBP2{K: 1, AvailabilityBlind: true}
+	default:
+		return policy.Dynamic{Base: policy.LBP2{K: 1}}
+	}
+}
+
 // TestFailurePlanMatchesPolicyEveryFailure is the in-situ counterpart of
 // the policy package's plan-vs-scan property: replaying whole churn-heavy
 // realisations — completions, transfers, arrivals and recoveries all
 // mutating the queues between failures — the precomputed eq.-(8) plan
 // must produce transfer-for-transfer the episode the installed policy's
-// naive per-receiver scan would have produced at every single failure
-// instant, for every LBP-2 ablation and for the Dynamic wrapper. It
-// mirrors the indexHook test for the load index.
+// naive per-receiver scan produces for the same instant, at every single
+// failure, for every LBP-2 ablation and for the Dynamic wrapper, traced
+// or not. It mirrors the index probe test for the load index.
 func TestFailurePlanMatchesPolicyEveryFailure(t *testing.T) {
+	t.Parallel()
 	mismatches, episodes := 0, 0
-	failurePlanHook = func(failed int, planned, naive []model.Transfer) {
-		episodes++
-		if !transfersEqual(planned, naive) {
-			mismatches++
-			t.Logf("failed=%d: plan %v, scan %v", failed, planned, naive)
-		}
-	}
-	defer func() { failurePlanHook = nil }()
-
 	f := func(seed uint16, nRaw, polRaw uint8) bool {
 		rng := xrand.NewStream(uint64(seed), 31)
 		n := 2 + int(nRaw)%6
 		p, load := churnHeavyParams(rng, n)
-
-		var pol policy.Policy
-		switch polRaw % 4 {
-		case 0:
-			pol = policy.LBP2{K: 1}
-		case 1:
-			pol = policy.LBP2{K: 1, SpeedBlind: true}
-		case 2:
-			pol = policy.LBP2{K: 1, AvailabilityBlind: true}
-		default:
-			pol = policy.Dynamic{Base: policy.LBP2{K: 1}}
-		}
 		res, err := Run(Options{
 			Params:      p,
-			Policy:      pol,
+			Policy:      planPolicy(polRaw),
 			InitialLoad: load,
 			Rand:        rng,
+			Trace:       polRaw%8 >= 4, // a traced run keeps its plan
+			// The probe fires between the node going down and its episode:
+			// the state both derivations read is the state fail() ships from.
+			probe: func(s *simState, kind EventKind, failed int) {
+				if kind != EvFailure {
+					return
+				}
+				if s.fplan == nil {
+					t.Fatalf("%s run built no failure plan", s.opt.Policy.Name())
+				}
+				episodes++
+				planned := s.fplan.Transfers(nil, failed, s.queueOf(failed))
+				naive := s.opt.Policy.OnFailure(failed, s.live, s.p)
+				if !transfersEqual(planned, naive) {
+					mismatches++
+					t.Logf("failed=%d: plan %v, scan %v", failed, planned, naive)
+				}
+			},
 		})
 		if err != nil {
 			t.Log(err)
@@ -90,43 +127,51 @@ func TestFailurePlanMatchesPolicyEveryFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if episodes == 0 {
-		t.Fatal("failure-plan hook never fired — no run exercised a planned episode")
+		t.Fatal("failure-plan probe never fired — no run exercised a planned episode")
 	}
 	if mismatches > 0 {
 		t.Fatalf("plan diverged from the reference scan %d of %d episodes", mismatches, episodes)
 	}
 }
 
-// TestPlannedRunBitIdenticalToTraced proves the end-to-end equivalence on
-// the churn path: a traced run hands the policy retainable snapshots, an
-// untraced run serves failures from the precomputed plan and the live
-// view, and for the same seed both must realise exactly the same process
-// — bit-identical completion times and identical transfer counts.
-func TestPlannedRunBitIdenticalToTraced(t *testing.T) {
-	run := func(trace bool) *Result {
-		rng := xrand.NewStream(23, 9)
-		p, load := churnHeavyParams(rng, 5)
-		res, err := Run(Options{
-			Params:      p,
-			Policy:      policy.LBP2{K: 1},
-			InitialLoad: load,
-			Rand:        rng,
-			Trace:       trace,
-		})
-		if err != nil {
-			t.Fatal(err)
+// TestPlannedRunBitIdenticalToScan proves the end-to-end equivalence on
+// the churn path: a run whose policy hides its FailurePlanner capability
+// serves every failure from the per-call OnFailure scan, a run with the
+// bare policy from the precomputed plan, and for the same seed both must
+// realise exactly the same process — bit-identical Results — for every
+// planning configuration, Dynamic's per-arrival balancing included.
+func TestPlannedRunBitIdenticalToScan(t *testing.T) {
+	for polRaw := uint8(0); polRaw < 4; polRaw++ {
+		run := func(pol policy.Policy, wantPlan bool) *Result {
+			rng := xrand.NewStream(23, 9)
+			p, load := churnHeavyParams(rng, 5)
+			res, err := Run(Options{
+				Params:         p,
+				Policy:         pol,
+				InitialLoad:    load,
+				Rand:           rng,
+				ArrivalRate:    0.8,
+				ArrivalBatch:   2,
+				ArrivalHorizon: 20,
+				probe: func(s *simState, _ EventKind, _ int) {
+					if got := s.fplan != nil; got != wantPlan {
+						t.Fatalf("%s run holds a plan: %v, want %v", pol.Name(), got, wantPlan)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	traced, planned := run(true), run(false)
-	if traced.CompletionTime != planned.CompletionTime {
-		t.Errorf("completion diverged: traced %v, planned %v", traced.CompletionTime, planned.CompletionTime)
-	}
-	if traced.TransfersSent != planned.TransfersSent || traced.TasksTransferred != planned.TasksTransferred {
-		t.Errorf("transfers diverged: traced %d/%d, planned %d/%d",
-			traced.TransfersSent, traced.TasksTransferred, planned.TransfersSent, planned.TasksTransferred)
-	}
-	if traced.Failures == 0 {
-		t.Error("realisation saw no failures — churn-heavy params did not churn")
+		pol := planPolicy(polRaw)
+		scan, planned := run(hidePlanner(pol), false), run(pol, true)
+		if !sameResult(scan, planned) {
+			t.Errorf("%s: planned run diverged from the scan:\nscan:    %+v\nplanned: %+v", pol.Name(), scan, planned)
+		}
+		if planned.Failures == 0 || planned.TasksTransferred == 0 {
+			t.Errorf("%s: realisation saw %d failures and shipped %d tasks — churn-heavy params did not churn",
+				pol.Name(), planned.Failures, planned.TasksTransferred)
+		}
 	}
 }

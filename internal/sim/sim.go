@@ -22,8 +22,8 @@
 // flight without changing it), per-node process closures are allocated
 // once per run, and stale completion timers are cancelled eagerly through
 // des.Handle instead of left to fire as no-ops. Routers and policies read
-// the system through a zero-copy StateView instead of a copied snapshot
-// (traced runs still materialize retainable copies), an indexed router
+// the system through a zero-copy StateView that dies with the call (keep
+// model.AsState(v).Clone() to retain what it showed), an indexed router
 // (JSQ, full-scan LeastExpectedWork) gets its argmin from an incremental
 // load index maintained O(log n) at every queue and up/down mutation, and
 // a failure-planning policy (LBP-2) gets eq. (8)'s receiver lists
@@ -34,6 +34,11 @@
 // 1000-node realisations allocation-free per event while staying
 // bit-identical, for a given random stream, with the original
 // per-event-scan implementation.
+//
+// Observation never selects an algorithm: beside the TaskObserver and
+// DecisionSink buses there is one per-event seam (see eventProbe), and a
+// run with the Options.Trace recorder on it is otherwise the run every
+// untraced caller gets — same view, same plan, same index, same stream.
 package sim
 
 import (
@@ -159,7 +164,10 @@ type Options struct {
 	TransferMode TransferMode
 	// ChurnLaw selects the failure/recovery law.
 	ChurnLaw ChurnLaw
-	// Trace, when true, records a TracePoint per event (Fig. 4).
+	// Trace, when true, records a TracePoint per event (Fig. 4) into
+	// Result.Trace. It only observes: a traced run is bit-identical to the
+	// untraced one and takes the same code paths (the one thing a
+	// per-event observer rules out is LazyChurn, see there).
 	Trace bool
 	// MaxTime aborts a runaway realisation; 0 means no limit.
 	MaxTime float64
@@ -217,9 +225,10 @@ type Options struct {
 	// stream is consumed, so lazy realisations are statistically — not
 	// bit — identical to eager ones. The request is honoured only when
 	// nothing can observe an idle node's unrealised state: exponential
-	// churn, no Trace, no TaskObserver, no Router, and a policy whose
-	// failure episodes come from a precomputed FailurePlan (or NoBalance);
-	// otherwise the simulator silently falls back to eager timers.
+	// churn, no per-event observer (Trace), no TaskObserver, no Router, and
+	// a policy whose failure episodes come from a precomputed FailurePlan
+	// (or NoBalance); otherwise the simulator silently falls back to eager
+	// timers.
 	LazyChurn bool
 	// FailurePlan, when non-nil, supplies the precomputed eq.-(8)
 	// transfer plan instead of having the run build its own. Plans are a
@@ -228,9 +237,9 @@ type Options struct {
 	// parameter set and share it — concurrently — across replications,
 	// dropping the O(n log n) per-rep rebuild. The plan must have been
 	// built for a cluster of exactly Params.N() nodes, by the same
-	// policy configuration installed in Policy; it is honoured under the
-	// same conditions a run would plan for itself (the installed policy
-	// is a FailurePlanner and Trace is off) and ignored otherwise.
+	// policy configuration installed in Policy; it is honoured whenever a
+	// run would plan for itself (the installed policy is a
+	// FailurePlanner) and ignored otherwise.
 	FailurePlan *policy.FailurePlan
 	// Shards, when positive, runs the realisation on the domain-sharded
 	// engine (see shard.go): nodes partition into failure domains, each
@@ -252,7 +261,21 @@ type Options struct {
 	// agree bit-for-bit only when their windows agree; leave it 0 outside
 	// tests so the width stays a pure function of Params.
 	ShardWindow float64
+	// probe is how in-package tests watch the sequential engine's
+	// internals after every event (see eventProbe); it runs after the Trace
+	// recorder when both are set.
+	probe eventProbe
 }
+
+// eventProbe is the per-event observation seam of the sequential engine,
+// the only observation mechanism beside TaskObserver and DecisionSink. A
+// run holds at most one (simState.probe, nil when nobody watches event by
+// event): the TracePoint recorder under Options.Trace, a test's probe
+// under Options.probe. It is called once the event of the given kind has
+// mutated s and before the handler re-arms a timer, from EvStart to EvDone
+// (node is -1 for those two); it reads s and must neither mutate it nor
+// draw from its stream.
+type eventProbe func(s *simState, kind EventKind, node int)
 
 // ArrivalAt is one entry of a recorded arrival trace: Batch tasks
 // (defaulted from Options.ArrivalBatch, then 1, when <= 0) arriving at
@@ -284,33 +307,6 @@ type Result struct {
 	// Trace is non-nil when Options.Trace was set.
 	Trace []TracePoint
 }
-
-// accountingHook, when non-nil, receives the incrementally maintained
-// remaining-task counter alongside a fresh O(n) rescan after every event.
-// Tests install it to prove the O(1) accounting matches the old full scan;
-// it must be nil outside single-goroutine tests.
-var accountingHook func(tracked, scanned int)
-
-// indexHook, when non-nil, receives the incremental load index's argmin
-// alongside a fresh O(n) reference scan after every event of a run that
-// maintains an index. Tests install it to prove the O(log n) index stays
-// equivalent to the full rescan across arrivals, completions, transfers,
-// failures and recoveries; it must be nil outside single-goroutine tests.
-var indexHook func(indexed, scanned int)
-
-// failurePlanHook, when non-nil, receives every failure episode's
-// precomputed plan transfers alongside the naive per-receiver scan the
-// installed policy would have produced for the same instant. Tests
-// install it to prove the plan stays bit-identical to eq. (8)'s
-// reference implementation across whole realisations; it must be nil
-// outside single-goroutine tests.
-var failurePlanHook func(failed int, planned, naive []model.Transfer)
-
-// soaHook, when non-nil, receives the packed hot array after every event.
-// Tests install it to prove the struct-of-arrays layout stays equal,
-// field by field, to a naive array-of-slices mirror maintained purely
-// from observer callbacks; it must be nil outside single-goroutine tests.
-var soaHook func(hot []nodeHot)
 
 // Per-node dispatch kinds: the simulator's three node processes fire
 // through des's indexed-event dispatcher with the node index as arg, so a
@@ -344,9 +340,9 @@ type simState struct {
 	rng   *xrand.Rand
 	// hot is the struct-of-arrays hot split: every per-node field the
 	// event loop touches per event, one packed struct per node (see
-	// nodeHot). Cold per-node state — task-lifecycle mirrors, trace
-	// scratch, the retainable snapshots of traced runs — lives outside
-	// it and is materialized only on the opt-in paths that need it.
+	// nodeHot). Cold per-node state — task-lifecycle mirrors, the queue
+	// vectors of trace points — lives outside it and is materialized only
+	// on the opt-in paths that need it.
 	hot      []nodeHot
 	inFlight int
 	// remaining is queued plus in-flight tasks, maintained incrementally:
@@ -354,6 +350,7 @@ type simState struct {
 	// transfers move tasks between a queue and flight without changing it.
 	remaining int
 	res       *Result
+	probe     eventProbe
 	// lazy marks a run with lazy churn timers (Options.LazyChurn granted):
 	// hot[i].churnTimer and hot[i].lazyFrom are then live, and lazyTouch
 	// resolves a detached node's unrealised churn on demand.
@@ -446,7 +443,8 @@ type Realisation struct {
 // the in-place defaults (a nil Policy becomes NoBalance), returning the
 // cluster size. Engine-specific gates — Start's rejection of Shards,
 // StartSharded's rejection of Trace and non-shardable policies — stay
-// with their engines.
+// with their engines. A NaN fails every comparison and an infinite rate
+// never advances the clock, so either must stop here or it wedges the loop.
 func validateOptions(opt *Options) (int, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return 0, err
@@ -479,6 +477,26 @@ func validateOptions(opt *Options) (int, error) {
 	if opt.Policy == nil {
 		opt.Policy = policy.NoBalance{}
 	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"ArrivalRate", opt.ArrivalRate},
+		{"ArrivalHorizon", opt.ArrivalHorizon},
+		{"ArrivalWave.Amplitude", opt.ArrivalWave.Amplitude},
+		{"ArrivalWave.Period", opt.ArrivalWave.Period},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return 0, fmt.Errorf("sim: %s = %v must be finite", f.name, f.v)
+		}
+	}
+	if math.IsNaN(opt.MaxTime) || opt.MaxTime < 0 {
+		return 0, fmt.Errorf("sim: MaxTime = %v must be non-negative (0 means no limit)", opt.MaxTime)
+	}
+	// A batch joins one queue in one step, so it obeys the per-queue cap.
+	if opt.ArrivalBatch > math.MaxInt32 {
+		return 0, fmt.Errorf("sim: ArrivalBatch = %d exceeds the %d per-queue cap", opt.ArrivalBatch, math.MaxInt32)
+	}
 	if opt.ArrivalRate > 0 && opt.ArrivalHorizon <= 0 {
 		return 0, fmt.Errorf("sim: ArrivalRate needs a positive ArrivalHorizon")
 	}
@@ -498,6 +516,9 @@ func validateOptions(opt *Options) (int, error) {
 				return 0, fmt.Errorf("sim: ArrivalTrace[%d].Time = %v precedes entry %d at %v", i, a.Time, i-1, prev)
 			}
 			prev = a.Time
+			if a.Batch > math.MaxInt32 {
+				return 0, fmt.Errorf("sim: ArrivalTrace[%d].Batch = %d exceeds the %d per-queue cap", i, a.Batch, math.MaxInt32)
+			}
 		}
 	}
 	validQueue := false
@@ -571,14 +592,12 @@ func Start(opt Options) (*Realisation, error) {
 	}
 	// A failure-planning policy gets eq. (8)'s transfer sizes precomputed
 	// once per run (they depend only on Params): failure episodes then
-	// cost O(active receivers) instead of the O(n) per-receiver scan.
-	// Like the load index, the plan is skipped when tracing — traced runs
-	// keep the per-call OnFailure path with retainable snapshots so
-	// diagnostic wrappers observe every episode.
+	// cost O(active receivers) instead of the O(n) per-receiver scan, which
+	// stays the path of policies without the capability.
 	// Monte-Carlo drivers running many realisations of one Params supply
 	// the plan prebuilt (Options.FailurePlan, immutable and shared);
 	// otherwise it is built here.
-	if fp, ok := opt.Policy.(policy.FailurePlanner); ok && !opt.Trace {
+	if fp, ok := opt.Policy.(policy.FailurePlanner); ok {
 		if opt.FailurePlan != nil {
 			s.fplan = opt.FailurePlan
 		} else {
@@ -593,14 +612,13 @@ func Start(opt Options) (*Realisation, error) {
 			}
 		}
 	}
-	// An indexed router turns every Route into an O(1) argmin lookup; the
-	// index is skipped when tracing, where routers receive retainable
-	// snapshots and fall back to the reference scan, and on sink-scored
-	// runs, where RouteScored's reporting scan replaces Route entirely
-	// (the scan's argmin is the index's argmin, pinned by property tests,
-	// so the choice is unchanged — maintaining the index would be pure
-	// overhead).
-	if opt.Router != nil && !opt.Trace && s.sr == nil {
+	// An indexed router turns every Route into an O(1) argmin lookup
+	// (routers without the capability keep their reference scan); the
+	// index is skipped on sink-scored runs, where RouteScored's reporting
+	// scan replaces Route entirely (the scan's argmin is the index's
+	// argmin, pinned by property tests, so the choice is unchanged —
+	// maintaining the index would be pure overhead).
+	if opt.Router != nil && s.sr == nil {
 		if ir, ok := opt.Router.(policy.IndexedRouter); ok {
 			if fn := ir.RouteScore(opt.Params); fn != nil {
 				s.scoreFn = fn
@@ -611,15 +629,25 @@ func Start(opt Options) (*Realisation, error) {
 			}
 		}
 	}
+	s.probe = opt.probe
+	if opt.Trace {
+		s.probe = recordTracePoint
+		if inner := opt.probe; inner != nil { // capture the func, not opt: opt must not escape
+			s.probe = func(s *simState, kind EventKind, node int) {
+				recordTracePoint(s, kind, node)
+				inner(s, kind, node)
+			}
+		}
+	}
 	// Lazy churn timers are granted only when nothing can observe an idle
 	// node's unrealised up/down state: the churn law must be memoryless
 	// (discarding an unfired timer and redrawing on demand is then exactly
-	// the residual law), no trace or observer may record state changes,
-	// no router, arrival balancer or decision sink may read Up(i) of an
-	// arbitrary node between events, and failure episodes must come from
-	// the precomputed plan (or a NoBalance policy), which never reads peer
-	// state.
-	if opt.LazyChurn && opt.ChurnLaw == ChurnExponential && !opt.Trace &&
+	// the residual law), no per-event probe or observer may record state
+	// changes, no router, arrival balancer or decision sink may read Up(i)
+	// of an arbitrary node between events, and failure episodes must come
+	// from the precomputed plan (or a NoBalance policy), which never reads
+	// peer state.
+	if opt.LazyChurn && opt.ChurnLaw == ChurnExponential && s.probe == nil &&
 		opt.TaskObserver == nil && opt.Router == nil && s.ab == nil &&
 		opt.DecisionSink == nil {
 		_, noBal := opt.Policy.(policy.NoBalance)
@@ -643,10 +671,10 @@ func Start(opt Options) (*Realisation, error) {
 			}
 		}
 	}
-	s.trace(EvStart, -1)
+	s.observe(EvStart, -1)
 
 	// Initial balancing.
-	s.applyTransfers(opt.Policy.Initial(s.policyView(), s.p))
+	s.applyTransfers(opt.Policy.Initial(s.live, s.p))
 
 	// Arm per-node processes. A lazy run leaves idle nodes detached: their
 	// churn process stays unrealised (lazyFrom = 0) until work arrives.
@@ -746,7 +774,7 @@ func (r *Realisation) Finish() (*Result, error) {
 		}
 	}
 	s.res.CompletionTime = s.drainTime
-	s.trace(EvDone, -1)
+	s.observe(EvDone, -1)
 	return s.res, nil
 }
 
@@ -803,31 +831,6 @@ func (s *simState) reindex(i int) {
 	}
 }
 
-// scanMinScore recomputes the index argmin the pre-index way: a strict
-// less-than scan over every node. Kept as the reference implementation for
-// the index-vs-scan equivalence test.
-func (s *simState) scanMinScore() int {
-	best := 0
-	bestW := s.scoreFn(0, s.queueOf(0), s.hot[0].up)
-	for i := 1; i < len(s.hot); i++ {
-		if w := s.scoreFn(i, s.queueOf(i), s.hot[i].up); w < bestW {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
-
-// scanRemaining recomputes the remaining-task total the pre-refactor way:
-// a full queue scan plus the in-flight count. Kept as the reference
-// implementation for the accounting regression test.
-func (s *simState) scanRemaining() int {
-	t := s.inFlight
-	for i := range s.hot {
-		t += int(s.hot[i].queue)
-	}
-	return t
-}
-
 func (s *simState) pendingArrivals() bool {
 	if len(s.opt.ArrivalTrace) > 0 {
 		// Trace mode closes the stream itself when the cursor runs off the
@@ -837,47 +840,22 @@ func (s *simState) pendingArrivals() bool {
 	return s.arrivalsOpen && s.sched.Now() < s.opt.ArrivalHorizon
 }
 
-// snapshot materializes a retainable State copy — what traced runs hand
-// to routers and policy callbacks so diagnostics may keep what they saw.
-// Untraced runs never snapshot: every callback reads the zero-copy live
-// view, so no path pays an O(n) copy per event.
-func (s *simState) snapshot() model.State {
-	return model.State{
-		Time:          s.sched.Now(),
-		Queues:        s.copyQueues(),
-		Up:            s.copyUp(),
-		InFlightTasks: s.inFlight,
+// observe calls the run's eventProbe, if any.
+//
+//churnlb:hotpath
+func (s *simState) observe(kind EventKind, node int) {
+	if s.probe != nil {
+		s.probe(s, kind, node)
 	}
 }
 
-// policyView returns the StateView handed to policy callbacks: the
-// zero-copy live view normally, a fresh retainable snapshot when tracing.
-func (s *simState) policyView() model.StateView {
-	if s.opt.Trace {
-		return model.SnapshotView{State: s.snapshot()}
+// recordTracePoint is the eventProbe Options.Trace installs.
+func recordTracePoint(s *simState, kind EventKind, node int) {
+	q := make([]int, len(s.hot))
+	for i := range s.hot {
+		q[i] = int(s.hot[i].queue)
 	}
-	return s.live
-}
-
-func (s *simState) trace(kind EventKind, node int) {
-	if accountingHook != nil {
-		accountingHook(s.remaining, s.scanRemaining())
-	}
-	if indexHook != nil && s.lidx != nil {
-		indexHook(s.lidx.min(), s.scanMinScore())
-	}
-	if soaHook != nil {
-		soaHook(s.hot)
-	}
-	if !s.opt.Trace {
-		return
-	}
-	s.res.Trace = append(s.res.Trace, TracePoint{
-		Time:   s.sched.Now(),
-		Kind:   kind,
-		Node:   node,
-		Queues: s.copyQueues(),
-	})
+	s.res.Trace = append(s.res.Trace, TracePoint{Time: s.sched.Now(), Kind: kind, Node: node, Queues: q})
 }
 
 // --- task processing ---
@@ -948,7 +926,7 @@ func (s *simState) complete(i int) {
 		rec := s.taskq[i].pop()
 		s.obs.TaskCompleted(i, rec.arrival, rec.firstService, s.sched.Now())
 	}
-	s.trace(EvCompletion, i)
+	s.observe(EvCompletion, i)
 	s.scheduleCompletion(i)
 }
 
@@ -1075,17 +1053,14 @@ func (s *simState) fail(i int) {
 	if s.obs != nil {
 		s.obs.NodeStateChanged(i, false, s.sched.Now())
 	}
-	s.trace(EvFailure, i)
+	s.observe(EvFailure, i)
 	if s.fplan != nil {
 		// O(active receivers): walk the precomputed eq.-(8) row, capping
 		// against the frozen queue, into the reusable episode buffer.
 		s.transferBuf = s.fplan.Transfers(s.transferBuf[:0], i, int(h.queue))
-		if failurePlanHook != nil {
-			failurePlanHook(i, s.transferBuf, s.opt.Policy.OnFailure(i, s.policyView(), s.p))
-		}
 		s.applyTransfers(s.transferBuf)
 	} else if s.shard == nil {
-		s.applyTransfers(s.opt.Policy.OnFailure(i, s.policyView(), s.p))
+		s.applyTransfers(s.opt.Policy.OnFailure(i, s.live, s.p))
 	}
 	// A sharded domain without a plan skips the episode call entirely:
 	// StartSharded gates plan-less runs to episode-inert policies (their
@@ -1124,7 +1099,7 @@ func (s *simState) recover(i int) {
 	if s.obs != nil {
 		s.obs.NodeStateChanged(i, true, s.sched.Now())
 	}
-	s.trace(EvRecovery, i)
+	s.observe(EvRecovery, i)
 	s.scheduleCompletion(i)
 	s.scheduleFailure(i)
 }
@@ -1218,7 +1193,7 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 	s.inFlight += tr.Tasks
 	s.res.TransfersSent++
 	s.res.TasksTransferred += tr.Tasks
-	s.trace(EvSend, tr.From)
+	s.observe(EvSend, tr.From)
 
 	delay := s.transferDelay(tr.Tasks)
 	if sh := s.shard; sh != nil && sh.owner[tr.To] != sh.self {
@@ -1296,7 +1271,7 @@ func (s *simState) land(row int32) {
 			s.obs.TransferArrived(to, tasks, now)
 		}
 	}
-	s.trace(EvArrival, to)
+	s.observe(EvArrival, to)
 	// A previously empty queue needs its completion process re-armed; a
 	// busy one keeps its outstanding timer (the service law is memoryless,
 	// and for non-exponential laws the approximation only affects one
@@ -1387,19 +1362,8 @@ func (s *simState) externalArrival() {
 			}
 		}
 	}
-	// Untraced runs hand the router, the decision sink and the arrival
-	// balancer the zero-copy live view. A traced run builds at most one
-	// fresh snapshot per arrival event: the router and the sink see it
-	// pre-arrival, then the copy is adjusted in place for the balancer (a
-	// router or sink may not retain its view, so the shared copy is safe
-	// to touch between the calls — the balancer, which may retain it,
-	// gets it last).
-	var snap model.State
-	var v model.StateView = s.live
-	if s.opt.Trace && (s.opt.Router != nil || s.sink != nil) {
-		snap = s.snapshot()
-		v = model.SnapshotView{State: snap}
-	}
+	// The router and the decision sink read the zero-copy live view before
+	// the batch lands, the arrival balancer after.
 	var node int
 	var cands []policy.Candidate
 	if s.opt.Router != nil {
@@ -1407,10 +1371,10 @@ func (s *simState) externalArrival() {
 			// Sink-scored routing: observationally identical to Route —
 			// same choice, same random draws — but reporting the candidate
 			// set into the reusable scratch buffer.
-			node, cands = s.sr.RouteScored(v, s.p, s.rng, s.candBuf[:0])
+			node, cands = s.sr.RouteScored(s.live, s.p, s.rng, s.candBuf[:0])
 			s.candBuf = cands
 		} else {
-			node = s.opt.Router.Route(v, s.p, s.rng)
+			node = s.opt.Router.Route(s.live, s.p, s.rng)
 		}
 		if node < 0 || node >= s.p.N() {
 			panic(fmt.Sprintf("sim: router %s returned invalid node %d", s.opt.Router.Name(), node))
@@ -1421,7 +1385,7 @@ func (s *simState) externalArrival() {
 	if s.sink != nil {
 		// Pre-mutation: the sink prices counterfactual candidates against
 		// exactly the state the router decided on.
-		s.sink.Decision(v, node, batch, cands)
+		s.sink.Decision(s.live, node, batch, cands)
 	}
 	s.lazyTouch(node) // resolve a detached target before reading its state
 	s.hot[node].queue += int32(batch)
@@ -1435,22 +1399,14 @@ func (s *simState) externalArrival() {
 		}
 		s.obs.TasksArrived(node, batch, now)
 	}
-	s.trace(EvExternal, node)
+	s.observe(EvExternal, node)
 	if s.hot[node].up && int(s.hot[node].queue) == batch {
 		s.scheduleCompletion(node)
 	}
 	s.lazyArm(node)
 	if s.ab != nil {
-		v := s.live // zero-copy: sampling balancers pay O(1) per arrival
-		if s.opt.Trace {
-			if snap.Queues != nil {
-				snap.Queues[node] += batch // roll the arrival into the shared copy
-			} else {
-				snap = s.snapshot()
-			}
-			v = model.SnapshotView{State: snap}
-		}
-		s.applyTransfers(s.ab.OnArrival(node, v, s.p))
+		// zero-copy: sampling balancers pay O(1) per arrival
+		s.applyTransfers(s.ab.OnArrival(node, s.live, s.p))
 	}
 	s.scheduleArrival()
 }

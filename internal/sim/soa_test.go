@@ -77,11 +77,12 @@ func (m *soaMirror) check(t *testing.T, hot []nodeHot) (ok bool) {
 // property: after every event of randomized realisations — mixed
 // policies, routers, arrival processes, both queue backends — the packed
 // hot array must equal, field by field, a naive AoS mirror maintained
-// independently from the observer's event stream. It is the accountingHook
-// test's pattern applied to the data layout itself: the layout refactor
+// independently from the observer's event stream. It is the accounting
+// probe test's pattern applied to the data layout itself: the layout refactor
 // cannot have dropped or reordered a state write without the two
 // derivations diverging at the very next event.
 func TestHotStateMatchesAoSMirror(t *testing.T) {
+	t.Parallel()
 	events, bad := 0, 0
 	f := func(seed uint16, nRaw, polRaw, routerRaw, queueRaw uint8) bool {
 		rng := xrand.NewStream(uint64(seed), 33)
@@ -106,13 +107,6 @@ func TestHotStateMatchesAoSMirror(t *testing.T) {
 			queue = des.QueueCalendar
 		}
 		mirror := newSoaMirror(n)
-		soaHook = func(hot []nodeHot) {
-			events++
-			if !mirror.check(t, hot) {
-				bad++
-			}
-		}
-		defer func() { soaHook = nil }()
 		res, err := Run(Options{
 			Params:         p,
 			Policy:         pol,
@@ -124,6 +118,12 @@ func TestHotStateMatchesAoSMirror(t *testing.T) {
 			Router:         router,
 			EventQueue:     queue,
 			TaskObserver:   mirror,
+			probe: func(s *simState, _ EventKind, _ int) {
+				events++
+				if !mirror.check(t, s.hot) {
+					bad++
+				}
+			},
 		})
 		if err != nil {
 			t.Log(err)
@@ -135,7 +135,7 @@ func TestHotStateMatchesAoSMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	if events == 0 {
-		t.Fatal("soa hook never fired")
+		t.Fatal("soa probe never fired")
 	}
 	if bad > 0 {
 		t.Fatalf("hot array diverged from the AoS mirror at %d of %d events", bad, events)

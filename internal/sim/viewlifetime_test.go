@@ -39,62 +39,47 @@ func (r *retainingPolicy) OnFailure(int, model.StateView, model.Params) []model.
 // window onto the simulator's working arrays, so after the run drains
 // the retained view reports the final (mutated) state — while the
 // sanctioned model.AsState(v).Clone() copy still shows exactly what the
-// callback saw. If the simulator ever started handing retainable
-// snapshots on the untraced path (or mutating fresh arrays per event),
-// the aliasing assertion below would fail and this test would flag the
-// contract change.
+// callback saw. There is one lifetime rule and no exception to it: traced
+// or not, a policy receives the live view, never a retainable
+// model.SnapshotView. If the simulator ever started handing out snapshots
+// (or mutating fresh arrays per event), the aliasing assertion below
+// would fail and this test would flag the contract change.
 func TestLiveViewMustNotBeRetained(t *testing.T) {
-	p := model.PaperBaseline()
-	pol := &retainingPolicy{}
-	load := []int{100, 60}
-	res, err := Run(Options{Params: p, Policy: pol, InitialLoad: load, Rand: xrand.New(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CompletionTime <= 0 {
-		t.Fatalf("run did not progress: %+v", res)
-	}
-	if pol.view == nil {
-		t.Fatal("Initial was never called")
-	}
-
-	// The sanctioned copy is frozen at the instant of the call.
-	for i, want := range pol.atCall {
-		if got := pol.frozen.Queues[i]; got != want {
-			t.Errorf("Clone()d state mutated: node %d = %d, want %d", i, got, want)
+	for _, traced := range []bool{false, true} {
+		p := model.PaperBaseline()
+		pol := &retainingPolicy{}
+		res, err := Run(Options{Params: p, Policy: pol, InitialLoad: []int{100, 60}, Rand: xrand.New(7), Trace: traced})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// The retained live view aliases simulator state: the workload has
-	// drained, so every queue it reports is now zero — stale data a
-	// consumer would silently compute with. This is exactly what the
-	// viewretain analyzer exists to prevent.
-	for i := 0; i < pol.view.N(); i++ {
-		if got := pol.view.Queue(i); got != 0 {
-			t.Fatalf("retained view: queue %d = %d after drain; the live view no longer aliases simulator state — viewretain's premise changed, update the analyzer and this test together", i, got)
+		if res.CompletionTime <= 0 {
+			t.Fatalf("traced=%v: run did not progress: %+v", traced, res)
 		}
-	}
-	if pol.atCall[0] == 0 && pol.atCall[1] == 0 {
-		t.Fatal("initial queues were empty; the staleness assertion proved nothing")
-	}
+		if pol.view == nil {
+			t.Fatalf("traced=%v: Initial was never called", traced)
+		}
 
-	// Untraced runs must hand policies the zero-copy live view, not a
-	// retainable snapshot.
-	if _, ok := pol.view.(model.SnapshotView); ok {
-		t.Fatal("untraced run handed a retainable SnapshotView; the zero-copy contract changed")
-	}
+		// The sanctioned copy is frozen at the instant of the call.
+		for i, want := range pol.atCall {
+			if got := pol.frozen.Queues[i]; got != want {
+				t.Errorf("traced=%v: Clone()d state mutated: node %d = %d, want %d", traced, i, got, want)
+			}
+		}
 
-	// Traced runs do the opposite: the policy gets a retainable snapshot.
-	pol2 := &retainingPolicy{}
-	if _, err := Run(Options{Params: p, Policy: pol2, InitialLoad: load, Rand: xrand.New(7), Trace: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := pol2.view.(model.SnapshotView); !ok {
-		t.Fatalf("traced run handed %T; want the retainable model.SnapshotView", pol2.view)
-	}
-	for i, want := range pol2.atCall {
-		if got := pol2.view.Queue(i); got != want {
-			t.Errorf("traced snapshot mutated: node %d = %d, want %d", i, got, want)
+		// The retained live view aliases simulator state: the workload has
+		// drained, so every queue it reports is now zero — stale data a
+		// consumer would silently compute with. This is exactly what the
+		// viewretain analyzer exists to prevent.
+		for i := 0; i < pol.view.N(); i++ {
+			if got := pol.view.Queue(i); got != 0 {
+				t.Fatalf("traced=%v: retained view: queue %d = %d after drain; the live view no longer aliases simulator state — viewretain's premise changed, update the analyzer and this test together", traced, i, got)
+			}
+		}
+		if pol.atCall[0] == 0 && pol.atCall[1] == 0 {
+			t.Fatal("initial queues were empty; the staleness assertion proved nothing")
+		}
+		if _, ok := pol.view.(model.SnapshotView); ok {
+			t.Fatalf("traced=%v: run handed a retainable SnapshotView; the zero-copy contract changed", traced)
 		}
 	}
 }
