@@ -428,20 +428,7 @@ func MonteCarloOpts(s System, spec PolicySpec, load []int, reps int, seed uint64
 	if err != nil {
 		return Estimate{}, err
 	}
-	so := opt.options(p, pol, load)
-	// The eq.-(8) plan is a pure function of the parameter set: build it
-	// once and share the immutable result across every replication
-	// instead of rebuilding it O(n log n) per rep.
-	so.FailurePlan = policy.PlanFor(pol, p)
-	est, err := mc.Run(mc.Options{Reps: reps, Seed: seed}, func(r *xrand.Rand, rep int) (float64, error) {
-		o := so
-		o.Rand = r
-		out, err := sim.Run(o)
-		if err != nil {
-			return 0, err
-		}
-		return out.CompletionTime, nil
-	})
+	est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: seed}, opt.options(p, pol, load))
 	return est.Summary, err
 }
 

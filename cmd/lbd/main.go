@@ -145,13 +145,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		return 2
 	}
 	// One window width for both halves, so the calibration grids align.
-	w := *window
-	if w <= 0 {
-		w = *horizon / 100
-		if w < 0.1 {
-			w = 0.1
-		}
-	}
+	w := metrics.WindowFor(*window, *horizon)
 
 	fmt.Fprintf(stdout, "lbd: %d workers, policy %s balance %s, trace %d arrivals over %.4g virtual s (timescale %.4g)\n",
 		*nodes, *polStr, *balStr, len(trace), *horizon, *timeScale)
@@ -270,32 +264,26 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 // the manifest's informational block.
 func liveMetrics(live *daemon.Result, rep *calib.Report) map[string]float64 {
 	m := map[string]float64{}
-	putIf(m, "live_arrived", float64(live.Summary.Arrived))
-	putIf(m, "live_completed", float64(live.Summary.Completed))
-	putIf(m, "live_p50", live.Summary.P50)
-	putIf(m, "live_p90", live.Summary.P90)
-	putIf(m, "live_p99", live.Summary.P99)
-	putIf(m, "live_mean_sojourn", live.Summary.MeanSojourn)
-	putIf(m, "live_throughput", live.Summary.Throughput)
-	putIf(m, "live_queue_depth", live.Summary.QueueDepth)
-	putIf(m, "live_availability", live.Summary.Availability)
-	putIf(m, "live_fairness", live.Summary.Fairness)
+	obs.PutFinite(m, "live_arrived", float64(live.Summary.Arrived))
+	obs.PutFinite(m, "live_completed", float64(live.Summary.Completed))
+	obs.PutFinite(m, "live_p50", live.Summary.P50)
+	obs.PutFinite(m, "live_p90", live.Summary.P90)
+	obs.PutFinite(m, "live_p99", live.Summary.P99)
+	obs.PutFinite(m, "live_mean_sojourn", live.Summary.MeanSojourn)
+	obs.PutFinite(m, "live_throughput", live.Summary.Throughput)
+	obs.PutFinite(m, "live_queue_depth", live.Summary.QueueDepth)
+	obs.PutFinite(m, "live_availability", live.Summary.Availability)
+	obs.PutFinite(m, "live_fairness", live.Summary.Fairness)
 	m["live_state_packets"] = float64(live.StatePackets)
 	m["live_decode_errors"] = float64(live.DecodeErrors)
 	m["live_failures"] = float64(live.Failures)
 	m["live_recoveries"] = float64(live.Recoveries)
 	for _, s := range rep.Scalars {
-		putIf(m, "calib_ape_"+s.Name, s.APE)
+		obs.PutFinite(m, "calib_ape_"+s.Name, s.APE)
 	}
 	for _, s := range rep.Series {
-		putIf(m, "calib_mape_"+s.Name, s.MAPE)
-		putIf(m, "calib_pearson_"+s.Name, s.Pearson)
+		obs.PutFinite(m, "calib_mape_"+s.Name, s.MAPE)
+		obs.PutFinite(m, "calib_pearson_"+s.Name, s.Pearson)
 	}
 	return m
-}
-
-func putIf(m map[string]float64, k string, v float64) {
-	if v == v { // skip NaN
-		m[k] = v
-	}
 }

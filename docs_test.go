@@ -1,6 +1,9 @@
 package churnlb
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -18,7 +21,10 @@ import (
 // with "no tests to run" the day a test is renamed), every backticked
 // bench/ workload or metric name must be a name in BENCHMARK.json, and
 // every internal/<pkg> or cmd/<tool> path must be a directory of the tree —
-// a package that moved or merged leaves such references behind.
+// a package that moved or merged leaves such references behind — and every
+// backticked pkg.Ident whose pkg is this package or a directory under
+// internal/ must be declared in a non-test file of that package (type,
+// func, method, const or var; of a longer path only Ident is checked).
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -28,6 +34,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		return string(b)
 	}
 	var funcs []string
+	pkgDirs := map[string]string{"churnlb": "."} // package name (= directory name) → directory
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Z]\w*)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -35,6 +42,12 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
 			return fs.SkipDir // .git, .bench_build
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return fs.SkipDir
+		}
+		if d.IsDir() && strings.HasPrefix(path, "internal/") {
+			pkgDirs[d.Name()] = path
 		}
 		if strings.HasSuffix(path, "_test.go") {
 			for _, m := range funcRE.FindAllStringSubmatch(read(path), -1) {
@@ -55,6 +68,42 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	testRE := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
 	nameRE := regexp.MustCompile("`((?:closed|serve|live)-[a-z0-9-]+|[a-z]+\\.[a-z0-9]+_[a-z0-9_]+)`")
 	pathRE := regexp.MustCompile(`\b(?:internal|cmd)/[a-z][a-z0-9]*`)
+	spanRE := regexp.MustCompile("`[^`\n]+`")
+	identRE := regexp.MustCompile(`(^|[^\w./-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+	decls := map[string]map[string]bool{} // directory → names its non-test files declare
+	declares := func(dir, name string) bool {
+		if decls[dir] == nil {
+			decls[dir] = map[string]bool{}
+			pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+				return !strings.HasSuffix(fi.Name(), "_test.go")
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pkg := range pkgs {
+				for _, f := range pkg.Files {
+					for _, d := range f.Decls {
+						switch d := d.(type) {
+						case *ast.FuncDecl:
+							decls[dir][d.Name.Name] = true
+						case *ast.GenDecl:
+							for _, spec := range d.Specs {
+								switch spec := spec.(type) {
+								case *ast.TypeSpec:
+									decls[dir][spec.Name.Name] = true
+								case *ast.ValueSpec:
+									for _, id := range spec.Names {
+										decls[dir][id.Name] = true
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		return decls[dir][name]
+	}
 	for _, doc := range []string{"README.md", ".github/workflows/ci.yml"} {
 		text := read(doc)
 		for _, tok := range benchRE.FindAllString(text, -1) {
@@ -78,6 +127,18 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, dir := range pathRE.FindAllString(text, -1) {
 			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 				t.Errorf("%s names %s, which is not a directory of the tree", doc, dir)
+			}
+		}
+		for _, span := range spanRE.FindAllString(text, -1) {
+			for _, m := range identRE.FindAllStringSubmatch(span, -1) {
+				dir, ok := pkgDirs[m[2]]
+				// sim.go is a file; des.cpu_share is a benchmark metric.
+				if !ok || m[3] == "go" || strings.Contains(m[3], "_") {
+					continue
+				}
+				if !declares(dir, m[3]) {
+					t.Errorf("%s names `%s.%s`, which no non-test file of %s declares", doc, m[2], m[3], dir)
+				}
 			}
 		}
 	}

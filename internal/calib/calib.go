@@ -22,16 +22,13 @@ import (
 
 	"churnlb/internal/metrics"
 	"churnlb/internal/model"
+	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/serve"
 	"churnlb/internal/sim"
 	"churnlb/internal/stats"
 	"churnlb/internal/xrand"
 )
-
-// traceStream is the xrand stream index reserved for trace generation,
-// distinct from every stream the simulator draws.
-const traceStream = 0xCA11B
 
 // TraceSpec pins a reproducible Poisson arrival trace: the recorded
 // schedule both halves of a calibration run replay.
@@ -56,7 +53,7 @@ func (s TraceSpec) Generate() ([]sim.ArrivalAt, error) {
 	if batch <= 0 {
 		batch = 1
 	}
-	rng := xrand.NewStream(s.Seed, traceStream)
+	rng := xrand.NewStream(s.Seed, xrand.StreamCalibTrace)
 	var trace []sim.ArrivalAt
 	for t := rng.Exp(s.Rate); t < s.Horizon; t += rng.Exp(s.Rate) {
 		trace = append(trace, sim.ArrivalAt{Time: t, Batch: batch})
@@ -131,27 +128,18 @@ func (s RunSpec) SimTwin() (*serve.Result, error) {
 // bit for bit. Keys mirror the serve-mode metric spellings of internal/obs/rerun.
 func TwinMetrics(res *serve.Result) map[string]float64 {
 	m := map[string]float64{}
-	putFinite(m, "arrived", float64(res.Summary.Arrived))
-	putFinite(m, "completed", float64(res.Summary.Completed))
-	putFinite(m, "p50", res.Summary.P50)
-	putFinite(m, "p90", res.Summary.P90)
-	putFinite(m, "p99", res.Summary.P99)
-	putFinite(m, "mean_sojourn", res.Summary.MeanSojourn)
-	putFinite(m, "mean_wait", res.Summary.MeanWait)
-	putFinite(m, "throughput", res.Summary.Throughput)
-	putFinite(m, "queue_depth", res.Summary.QueueDepth)
-	putFinite(m, "availability", res.Summary.Availability)
-	putFinite(m, "fairness", res.Summary.Fairness)
+	obs.PutFinite(m, "arrived", float64(res.Summary.Arrived))
+	obs.PutFinite(m, "completed", float64(res.Summary.Completed))
+	obs.PutFinite(m, "p50", res.Summary.P50)
+	obs.PutFinite(m, "p90", res.Summary.P90)
+	obs.PutFinite(m, "p99", res.Summary.P99)
+	obs.PutFinite(m, "mean_sojourn", res.Summary.MeanSojourn)
+	obs.PutFinite(m, "mean_wait", res.Summary.MeanWait)
+	obs.PutFinite(m, "throughput", res.Summary.Throughput)
+	obs.PutFinite(m, "queue_depth", res.Summary.QueueDepth)
+	obs.PutFinite(m, "availability", res.Summary.Availability)
+	obs.PutFinite(m, "fairness", res.Summary.Fairness)
 	return m
-}
-
-// putFinite records only finite values: NaN (no samples) and ±Inf carry
-// no information and would poison JSON comparison. Local copy — calib
-// cannot import rerun's.
-func putFinite(m map[string]float64, k string, v float64) {
-	if !math.IsNaN(v) && !math.IsInf(v, 0) {
-		m[k] = v
-	}
 }
 
 // Telemetry is one side of a comparison — summary plus window series —

@@ -7,6 +7,7 @@ import (
 
 	"churnlb/internal/metrics"
 	"churnlb/internal/model"
+	"churnlb/internal/serve"
 	"churnlb/internal/sim"
 )
 
@@ -186,12 +187,12 @@ func TestCompareMisalignedWindows(t *testing.T) {
 }
 
 func TestTwinMetricsSkipsNonFinite(t *testing.T) {
-	m := map[string]float64{}
-	putFinite(m, "a", math.NaN())
-	putFinite(m, "b", math.Inf(1))
-	putFinite(m, "c", 3)
-	if len(m) != 1 || m["c"] != 3 {
-		t.Fatalf("putFinite kept %v", m)
+	m := TwinMetrics(&serve.Result{Summary: metrics.Summary{Arrived: 3, P50: math.NaN(), P99: math.Inf(1)}})
+	if _, ok := m["p50"]; ok || m["arrived"] != 3 {
+		t.Fatalf("TwinMetrics kept %v", m)
+	}
+	if _, ok := m["p99"]; ok {
+		t.Fatalf("TwinMetrics kept an infinity: %v", m)
 	}
 }
 

@@ -52,8 +52,9 @@ type Options struct {
 	// distribution. A run with a backlog and no Trace is closed: it ends
 	// when the backlog has drained.
 	InitialLoad []int
-	// ChurnLaw selects the up/down duration law, mirroring sim.ChurnLaw:
-	// exponential (default), Weibull shape 2, or deterministic means.
+	// ChurnLaw selects the up/down duration law — exponential (default),
+	// Weibull shape 2, or deterministic means. Periods are drawn by
+	// ChurnLaw.Sample, the function the simulator draws them with.
 	ChurnLaw sim.ChurnLaw
 	// Trace is the recorded arrival schedule, in virtual seconds; entry
 	// batches default to Batch, then 1. The daemon replays it in wall
@@ -284,13 +285,7 @@ func Run(opt Options) (*Result, error) {
 			span = t
 		}
 	}
-	window := opt.Window
-	if window <= 0 {
-		window = span / 100
-		if window < 0.1 {
-			window = 0.1
-		}
-	}
+	window := metrics.WindowFor(opt.Window, span)
 
 	c := &run{
 		opt:      opt,
@@ -299,10 +294,10 @@ func Run(opt Options) (*Result, error) {
 		matrix:   workload.NewMatrix(opt.MatrixDim, opt.Seed^0x9e37),
 		peers:    make([]peer, n),
 		router:   opt.Router,
-		rngRoot:  xrand.NewStream(opt.Seed, 0xD15),
+		rngRoot:  xrand.NewStream(opt.Seed, xrand.StreamDispatcher),
 		col:      metrics.NewCollector(n, window),
 		inSystem: newTaskWindow(),
-		gen:      workload.NewGenerator(opt.MatrixDim, opt.MeanPrecision, xrand.NewStream(opt.Seed, 0xFEED)),
+		gen:      workload.NewGenerator(opt.MatrixDim, opt.MeanPrecision, xrand.NewStream(opt.Seed, xrand.StreamTaskGen)),
 		pending:  make([][]workload.Task, n),
 		stop:     make(chan struct{}),
 		doneCh:   make(chan struct{}),
@@ -324,8 +319,8 @@ func Run(opt Options) (*Result, error) {
 			up:      true,
 			kick:    make(chan struct{}, 1),
 			failInt: make(chan struct{}, 1),
-			rngApp:  xrand.NewStream(opt.Seed, uint64(3*id+1)),
-			rngLB:   xrand.NewStream(opt.Seed, uint64(3*id+3)),
+			rngApp:  xrand.NewStream(opt.Seed, xrand.WorkerStream(id, xrand.WorkerService)),
+			rngLB:   xrand.NewStream(opt.Seed, xrand.WorkerStream(id, xrand.WorkerBalance)),
 		})
 		c.peers[id] = peer{up: true}
 	}
@@ -349,7 +344,7 @@ func Run(opt Options) (*Result, error) {
 	for _, w := range c.workers {
 		if c.p.FailRate[w.id] > 0 {
 			c.wg.Add(1)
-			go c.churnLoop(w, xrand.NewStream(opt.Seed, uint64(3*w.id+2)))
+			go c.churnLoop(w, xrand.NewStream(opt.Seed, xrand.WorkerStream(w.id, xrand.WorkerChurn)))
 		}
 	}
 	c.wg.Add(2)
@@ -662,14 +657,14 @@ func (c *run) appLoop(w *worker) {
 }
 
 // churnLoop is the churn controller's per-worker process: alternate up
-// and down periods drawn from the configured law, execute the eq.-(8)
-// failure plan when the worker dies, and kick a graceful drain when it
-// recovers.
+// and down periods drawn from the configured law (sim.ChurnLaw.Sample, the
+// simulator twin's own law), execute the eq.-(8) failure plan when the
+// worker dies, and kick a graceful drain when it recovers.
 func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 	defer c.wg.Done()
 	timer := newWaitTimer()
 	for {
-		if !c.sleepV(timer, c.churnSample(rng, 1/c.p.FailRate[w.id])) {
+		if !c.sleepV(timer, c.opt.ChurnLaw.Sample(rng, 1/c.p.FailRate[w.id])) {
 			return
 		}
 		w.mu.Lock()
@@ -684,7 +679,7 @@ func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 			c.execTransfers(w, c.fplan.Transfers(nil, w.id, queued))
 		}
 
-		if !c.sleepV(timer, c.churnSample(rng, 1/c.p.RecRate[w.id])) {
+		if !c.sleepV(timer, c.opt.ChurnLaw.Sample(rng, 1/c.p.RecRate[w.id])) {
 			return
 		}
 		w.mu.Lock()
@@ -703,24 +698,10 @@ func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 	}
 }
 
-// churnSample mirrors sim.churnSample exactly: the same three laws with
-// the same mean, so a live churn episode is statistically the one the
-// simulator twin draws (and, under the deterministic law, numerically
-// the one).
-func (c *run) churnSample(rng *xrand.Rand, mean float64) float64 {
-	switch c.opt.ChurnLaw {
-	case sim.ChurnWeibull:
-		return rng.Weibull(2, mean/math.Gamma(1.5))
-	case sim.ChurnDeterministic:
-		return mean
-	default:
-		return rng.ExpMean(mean)
-	}
-}
-
 // execTransfers ships the eq.-(8) transfers whose source is this worker:
 // detach from the queue tail (the head may be in service) and deliver
-// over the reliable task path after the channel's random delay.
+// over the reliable task path after the channel's random delay — the
+// simulator's bundle law, sim.TransferBundle.Delay, mean δ·k.
 func (c *run) execTransfers(w *worker, trs []model.Transfer) {
 	for _, tr := range trs {
 		if tr.From != w.id || tr.To == tr.From || tr.Tasks <= 0 {
@@ -739,7 +720,7 @@ func (c *run) execTransfers(w *worker, trs []model.Transfer) {
 		atomic.AddInt64(&c.transfersSent, 1)
 		atomic.AddInt64(&c.tasksMoved, int64(k))
 		c.noteTransferOut(w.id, tr.To, k)
-		delay := w.rngLB.ExpMean(c.p.DelayPerTask * float64(k))
+		delay := sim.TransferBundle.Delay(w.rngLB, c.p.DelayPerTask, k)
 		to := tr.To
 		c.wg.Add(1)
 		go func() {

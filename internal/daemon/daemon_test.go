@@ -496,7 +496,7 @@ func TestCoalescingKeepsRouting(t *testing.T) {
 	for i := range view.State.Up {
 		view.State.Up[i] = true
 	}
-	rng := xrand.NewStream(seed, 0xD15)
+	rng := xrand.NewStream(seed, xrand.StreamDispatcher)
 	for i := 0; i < arrivals; i++ {
 		node := router.Route(view, p, rng)
 		view.State.Queues[node]++

@@ -8,7 +8,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"churnlb/internal/report"
 )
@@ -68,9 +67,7 @@ func register(e Experiment) { registry = append(registry, e) }
 
 // All returns the registered experiments in declaration order.
 func All() []Experiment {
-	out := append([]Experiment(nil), registry...)
-	sort.SliceStable(out, func(i, j int) bool { return false }) // keep order
-	return out
+	return append([]Experiment(nil), registry...)
 }
 
 // ByID finds an experiment.

@@ -9,7 +9,6 @@ import (
 	"churnlb/internal/policy"
 	"churnlb/internal/report"
 	"churnlb/internal/sim"
-	"churnlb/internal/xrand"
 )
 
 func init() {
@@ -19,15 +18,10 @@ func init() {
 	register(Experiment{ID: "dynamic", Title: "Dynamic re-balancing under external arrivals (extension)", Run: runDynamic})
 }
 
-// mcCompletion is a helper running the simulator under mc.
+// mcCompletion is the completion-time study under cfg's workers and a salted seed.
 func mcCompletion(cfg Config, p model.Params, pol policy.Policy, load []int, reps int, salt uint64, law sim.ChurnLaw) (mc.Estimate, error) {
-	return mc.Run(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ salt}, func(r *xrand.Rand, rep int) (float64, error) {
-		out, err := sim.Run(sim.Options{Params: p, Policy: pol, InitialLoad: load, Rand: r, ChurnLaw: law})
-		if err != nil {
-			return 0, err
-		}
-		return out.CompletionTime, nil
-	})
+	return sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ salt},
+		sim.Options{Params: p, Policy: pol, InitialLoad: load, ChurnLaw: law})
 }
 
 // runAblate quantifies the two weighting choices inside LBP-2: the
@@ -184,15 +178,9 @@ func runDynamic(cfg Config) (*Result, error) {
 		{"dynamic LBP-2 (episode per arrival)", policy.Dynamic{Base: policy.LBP2{K: 1}}},
 		{"no balancing", policy.NoBalance{}},
 	} {
-		est, err := mc.Run(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ 0xD1}, func(r *xrand.Rand, rep int) (float64, error) {
-			out, err := sim.Run(sim.Options{
-				Params: p, Policy: tc.pol, InitialLoad: []int{40, 0}, Rand: r,
-				ArrivalRate: 0.4, ArrivalBatch: 5, ArrivalHorizon: 120,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return out.CompletionTime, nil
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ 0xD1}, sim.Options{
+			Params: p, Policy: tc.pol, InitialLoad: []int{40, 0},
+			ArrivalRate: 0.4, ArrivalBatch: 5, ArrivalHorizon: 120,
 		})
 		if err != nil {
 			return nil, err

@@ -38,7 +38,7 @@ func runFig1(cfg Config) (*Result, error) {
 		Headers: []string{"node", "samples", "paper rate (1/s)", "fitted rate (1/s)", "KS distance"},
 	}
 	for node := 0; node < 2; node++ {
-		gen := workload.NewGenerator(32, 64, xrand.NewStream(cfg.Seed, uint64(node+1)))
+		gen := workload.NewGenerator(32, 64, xrand.NewStream(cfg.Seed, xrand.StreamFig1+uint64(node)))
 		samples := make([]float64, n)
 		for i := range samples {
 			samples[i] = workload.VirtualSeconds(gen.Next(), gen.MeanPrecision(), paperProcRates[node])
@@ -80,7 +80,7 @@ func runFig1(cfg Config) (*Result, error) {
 func runFig2(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig2", Title: "Transfer-delay characterisation"}
 	p := model.PaperBaseline()
-	rng := xrand.NewStream(cfg.Seed, 77)
+	rng := xrand.NewStream(cfg.Seed, xrand.StreamFig2)
 
 	// Top panel: pdf of the per-task delay.
 	n := cfg.reps(2000, 20000)
@@ -154,17 +154,8 @@ func runFig3(cfg Config) (*Result, error) {
 	reps := cfg.reps(400, 4000)
 	mcMeans := make([]float64, len(ks))
 	for i, k := range ks {
-		k := k
-		est, err := mc.Run(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(i)}, func(r *xrand.Rand, rep int) (float64, error) {
-			out, err := sim.Run(sim.Options{
-				Params: p, Policy: policy.LBP1{K: k, Sender: sender},
-				InitialLoad: []int{m0, m1}, Rand: r,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return out.CompletionTime, nil
-		})
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(i)},
+			sim.Options{Params: p, Policy: policy.LBP1{K: k, Sender: sender}, InitialLoad: []int{m0, m1}})
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +219,7 @@ func runFig4(cfg Config) (*Result, error) {
 	} {
 		out, err := sim.Run(sim.Options{
 			Params: p, Policy: tc.pol, InitialLoad: []int{100, 60},
-			Rand: xrand.NewStream(cfg.Seed, 0xF16+uint64(len(tc.name))), Trace: true,
+			Rand: xrand.NewStream(cfg.Seed, xrand.StreamFig4+uint64(len(tc.name))), Trace: true,
 		})
 		if err != nil {
 			return nil, err

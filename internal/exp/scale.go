@@ -8,7 +8,6 @@ import (
 	"churnlb/internal/report"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
-	"churnlb/internal/xrand"
 )
 
 func init() {
@@ -51,18 +50,7 @@ func runScale(cfg Config) (*Result, error) {
 		cfg.logf("scale: %s (%d queued, burst rate %.1f/s)", sc.Name, sc.TotalQueued(), sc.ArrivalRate)
 		row := []string{kind.String()}
 		for pi, pol := range policies {
-			// One immutable eq.-(8) plan per (scenario, policy), shared
-			// read-only across all replications and workers.
-			plan := policy.PlanFor(pol, sc.Params)
-			est, err := mc.Run(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ uint64(kind)<<8 ^ uint64(pi)}, func(r *xrand.Rand, rep int) (float64, error) {
-				o := sc.Options(pol, r)
-				o.FailurePlan = plan
-				out, err := sim.Run(o)
-				if err != nil {
-					return 0, err
-				}
-				return out.CompletionTime, nil
-			})
+			est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ uint64(kind)<<8 ^ uint64(pi)}, sc.Options(pol, nil))
 			if err != nil {
 				return nil, err
 			}

@@ -13,7 +13,6 @@ import (
 	"churnlb/internal/report"
 	"churnlb/internal/sim"
 	"churnlb/internal/stats"
-	"churnlb/internal/xrand"
 )
 
 func init() {
@@ -158,13 +157,8 @@ func runTable2(cfg Config) (*Result, error) {
 		}
 		cfg.logf("table2: workload (%d,%d) K=%.2f", w[0], w[1], k)
 		pol := policy.LBP2{K: k}
-		est, err := mc.Run(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(w[0]*3+w[1])}, func(r *xrand.Rand, rep int) (float64, error) {
-			out, err := sim.Run(sim.Options{Params: p, Policy: pol, InitialLoad: []int{w[0], w[1]}, Rand: r})
-			if err != nil {
-				return 0, err
-			}
-			return out.CompletionTime, nil
-		})
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(w[0]*3+w[1])},
+			sim.Options{Params: p, Policy: pol, InitialLoad: []int{w[0], w[1]}})
 		if err != nil {
 			return nil, err
 		}
@@ -212,13 +206,8 @@ func runTable3(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		p := model.PaperBaseline().WithDelay(ref.delta)
-		est, err := mc.Run(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(ref.delta*100)}, func(r *xrand.Rand, rep int) (float64, error) {
-			out, err := sim.Run(sim.Options{Params: p, Policy: policy.LBP2{K: k2}, InitialLoad: []int{100, 60}, Rand: r})
-			if err != nil {
-				return 0, err
-			}
-			return out.CompletionTime, nil
-		})
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(ref.delta*100)},
+			sim.Options{Params: p, Policy: policy.LBP2{K: k2}, InitialLoad: []int{100, 60}})
 		if err != nil {
 			return nil, err
 		}

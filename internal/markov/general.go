@@ -3,7 +3,6 @@ package markov
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"churnlb/internal/linalg"
 	"churnlb/internal/model"
@@ -269,6 +268,3 @@ func LBP2InitialGain(p Params, m0, m1 int) (k float64, sender, excess int, err e
 	k, _ = OptimizeTransferGain(ms, m0, m1, sender, excess)
 	return k, sender, excess, nil
 }
-
-// math import guard (kept for future tuning heuristics).
-var _ = math.Inf

@@ -8,7 +8,6 @@ package mc
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -102,27 +101,4 @@ func Run(opt Options, f Replication) (Estimate, error) {
 		return Estimate{}, err
 	}
 	return Estimate{Summary: stats.Summarize(samples), Samples: samples}, nil
-}
-
-// RunMany evaluates several labelled replication functions over the same
-// seed layout and returns estimates keyed by label — convenient for
-// policy-versus-policy comparisons where common random numbers reduce
-// comparison variance.
-func RunMany(opt Options, fs map[string]Replication) (map[string]Estimate, error) {
-	// Iterate labels in sorted order: each Run is independent, but the
-	// first error returned must not depend on map iteration order.
-	labels := make([]string, 0, len(fs))
-	for label := range fs {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	out := make(map[string]Estimate, len(fs))
-	for _, label := range labels {
-		est, err := Run(opt, fs[label])
-		if err != nil {
-			return nil, fmt.Errorf("mc: %s: %w", label, err)
-		}
-		out[label] = est
-	}
-	return out, nil
 }

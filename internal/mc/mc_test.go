@@ -102,33 +102,3 @@ func TestWorkersCappedAtReps(t *testing.T) {
 		}
 	}
 }
-
-func TestRunMany(t *testing.T) {
-	ests, err := RunMany(Options{Reps: 500, Seed: 3}, map[string]Replication{
-		"a": func(r *xrand.Rand, rep int) (float64, error) { return r.ExpMean(1), nil },
-		"b": func(r *xrand.Rand, rep int) (float64, error) { return r.ExpMean(5), nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ests) != 2 {
-		t.Fatalf("estimates %v", ests)
-	}
-	if !(ests["b"].Mean > ests["a"].Mean) {
-		t.Fatalf("ordering wrong: %v vs %v", ests["a"].Mean, ests["b"].Mean)
-	}
-	// Common random numbers: replication 0 of both labels uses the same
-	// stream, so sample ratios are exactly 5.
-	if r := ests["b"].Samples[0] / ests["a"].Samples[0]; math.Abs(r-5) > 1e-9 {
-		t.Fatalf("common random numbers broken: ratio %v", r)
-	}
-}
-
-func TestRunManyPropagatesError(t *testing.T) {
-	_, err := RunMany(Options{Reps: 10, Seed: 3}, map[string]Replication{
-		"bad": func(r *xrand.Rand, rep int) (float64, error) { return 0, errors.New("x") },
-	})
-	if err == nil {
-		t.Fatal("error not propagated from RunMany")
-	}
-}

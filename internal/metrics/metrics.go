@@ -350,6 +350,17 @@ type winAcc struct {
 // windows merge and the width doubles.
 const DefaultMaxWindows = 4096
 
+// WindowFor returns the telemetry window width for a run observed over
+// span simulated seconds: the requested width when positive, else
+// span/100 and at least 0.1 s. The simulator's serving layer, the live
+// daemon and lbd's twin all derive it here, so their series share a grid.
+func WindowFor(requested, span float64) float64 {
+	if requested > 0 {
+		return requested
+	}
+	return math.Max(span/100, 0.1)
+}
+
 // Collector implements the simulator's TaskObserver, accumulating
 // fixed-memory percentile sketches plus windowed time series. It is not
 // safe for concurrent use; give each realisation its own Collector.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -174,6 +175,16 @@ func NewManifest(tool, mode string) *Manifest {
 		}
 	}
 	return m
+}
+
+// PutFinite records a metric in a manifest metric map, skipping NaN and
+// infinities: JSON cannot carry them, so they are omitted on write and on
+// replay alike (an omitted key then still compares equal).
+func PutFinite(m map[string]float64, key string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	m[key] = v
 }
 
 // SetDecisions records a traced run's decision summary.

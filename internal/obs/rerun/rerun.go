@@ -20,7 +20,6 @@ package rerun
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 
@@ -205,18 +204,7 @@ func closedRun(m *obs.Manifest) (*Outcome, error) {
 		out.Metrics = simMetrics(res, fromScenario)
 		return out, nil
 	}
-	// The eq.-(8) plan is a pure function of Params: one immutable plan
-	// serves every replication, bit-identically to per-run builds.
-	opt.FailurePlan = policy.PlanFor(opt.Policy, opt.Params)
-	est, err := mc.Run(mc.Options{Reps: m.Reps, Seed: m.Seed}, func(r *xrand.Rand, _ int) (float64, error) {
-		o := opt
-		o.Rand = r
-		res, err := sim.Run(o)
-		if err != nil {
-			return 0, err
-		}
-		return res.CompletionTime, nil
-	})
+	est, err := sim.MonteCarlo(mc.Options{Reps: m.Reps, Seed: m.Seed}, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -334,32 +322,22 @@ func twinRun(m *obs.Manifest) (*Outcome, error) {
 	return &Outcome{Metrics: calib.TwinMetrics(res)}, nil
 }
 
-// putFinite records a metric, skipping NaN and infinities: JSON cannot
-// carry them, so they are omitted on write and on replay alike (an
-// omitted key then still compares equal).
-func putFinite(m map[string]float64, key string, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	m[key] = v
-}
-
 // serveMetrics is the manifest metric map of a single serving run.
 func serveMetrics(res churnlb.ServeResult) map[string]float64 {
 	m := map[string]float64{}
 	m["arrived"] = float64(res.Arrived)
 	m["completed"] = float64(res.Completed)
 	m["duration"] = res.Duration
-	putFinite(m, "p50", res.P50)
-	putFinite(m, "p90", res.P90)
-	putFinite(m, "p99", res.P99)
-	putFinite(m, "mean_sojourn", res.MeanSojourn)
-	putFinite(m, "mean_wait", res.MeanWait)
-	putFinite(m, "throughput", res.Throughput)
-	putFinite(m, "availability", res.Availability)
-	putFinite(m, "queue_depth", res.QueueDepth)
-	putFinite(m, "in_flight", res.InFlight)
-	putFinite(m, "fairness", res.Fairness)
+	obs.PutFinite(m, "p50", res.P50)
+	obs.PutFinite(m, "p90", res.P90)
+	obs.PutFinite(m, "p99", res.P99)
+	obs.PutFinite(m, "mean_sojourn", res.MeanSojourn)
+	obs.PutFinite(m, "mean_wait", res.MeanWait)
+	obs.PutFinite(m, "throughput", res.Throughput)
+	obs.PutFinite(m, "availability", res.Availability)
+	obs.PutFinite(m, "queue_depth", res.QueueDepth)
+	obs.PutFinite(m, "in_flight", res.InFlight)
+	obs.PutFinite(m, "fairness", res.Fairness)
 	m["failures"] = float64(res.Failures)
 	m["recoveries"] = float64(res.Recoveries)
 	m["transfers_sent"] = float64(res.TransfersSent)
@@ -371,18 +349,18 @@ func serveMetrics(res churnlb.ServeResult) map[string]float64 {
 func serveManyMetrics(est churnlb.ServeEstimate) map[string]float64 {
 	m := map[string]float64{}
 	m["n"] = float64(est.N)
-	putFinite(m, "p50_mean", est.P50.Mean)
-	putFinite(m, "p50_ci95", est.P50.CI95)
-	putFinite(m, "p99_mean", est.P99.Mean)
-	putFinite(m, "p99_ci95", est.P99.CI95)
-	putFinite(m, "throughput_mean", est.Throughput.Mean)
-	putFinite(m, "throughput_ci95", est.Throughput.CI95)
-	putFinite(m, "availability_mean", est.Availability.Mean)
-	putFinite(m, "availability_ci95", est.Availability.CI95)
-	putFinite(m, "pooled_p50", est.PooledP50)
-	putFinite(m, "pooled_p90", est.PooledP90)
-	putFinite(m, "pooled_p99", est.PooledP99)
-	putFinite(m, "pooled_fairness", est.PooledFairness)
+	obs.PutFinite(m, "p50_mean", est.P50.Mean)
+	obs.PutFinite(m, "p50_ci95", est.P50.CI95)
+	obs.PutFinite(m, "p99_mean", est.P99.Mean)
+	obs.PutFinite(m, "p99_ci95", est.P99.CI95)
+	obs.PutFinite(m, "throughput_mean", est.Throughput.Mean)
+	obs.PutFinite(m, "throughput_ci95", est.Throughput.CI95)
+	obs.PutFinite(m, "availability_mean", est.Availability.Mean)
+	obs.PutFinite(m, "availability_ci95", est.Availability.CI95)
+	obs.PutFinite(m, "pooled_p50", est.PooledP50)
+	obs.PutFinite(m, "pooled_p90", est.PooledP90)
+	obs.PutFinite(m, "pooled_p99", est.PooledP99)
+	obs.PutFinite(m, "pooled_fairness", est.PooledFairness)
 	return m
 }
 
@@ -391,9 +369,9 @@ func serveManyMetrics(est churnlb.ServeEstimate) map[string]float64 {
 func mcMetrics(est churnlb.Estimate) map[string]float64 {
 	m := map[string]float64{}
 	m["n"] = float64(est.N)
-	putFinite(m, "mean", est.Mean)
-	putFinite(m, "std", est.Std)
-	putFinite(m, "ci95", est.CI95)
+	obs.PutFinite(m, "mean", est.Mean)
+	obs.PutFinite(m, "std", est.Std)
+	obs.PutFinite(m, "ci95", est.CI95)
 	return m
 }
 

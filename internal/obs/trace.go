@@ -151,7 +151,7 @@ func (d *DecisionTracer) allocPending() *pendingDecision {
 // record until the batch completes.
 //
 //churnlb:hotpath
-func (d *DecisionTracer) Decision(v model.StateView, chosen, batch int, scored []policy.Candidate) {
+func (d *DecisionTracer) Decision(v model.StateView, chosen, batch, considered int) {
 	t := v.Time()
 	work := policy.ExpectedWork(chosen, v.Queue(chosen), v.Up(chosen), d.p)
 	// Top-k untaken candidates by expected work, ascending, ties to the
@@ -185,7 +185,7 @@ func (d *DecisionTracer) Decision(v model.StateView, chosen, batch int, scored [
 	rec.batch = batch
 	rec.remaining = batch
 	rec.sumSoj = 0
-	rec.cands = len(scored)
+	rec.cands = considered
 	rec.work = work
 	rec.alts = append(rec.alts[:0], alts...)
 	rec.next = d.pending[t]

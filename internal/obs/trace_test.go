@@ -40,7 +40,7 @@ func serveOptions(t *testing.T, newRouter func() policy.Router, qk des.QueueKind
 }
 
 // routers under test: nil routes uniformly at random — the tracer still
-// prices those decisions; the rest exercise every ScoredRouter.
+// prices those decisions; the rest exercise every routing rule.
 func testRouters() map[string]func() policy.Router {
 	return map[string]func() policy.Router{
 		"uniform": nil,
@@ -107,61 +107,76 @@ func TestTracerAttachDetachBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDecisionStreamGolden pins the fixed-seed decision stream: the
-// record count and FNV-1a hash of a known run must never drift, on any
-// platform, and the hash must equal an independent FNV of the emitted
-// JSONL bytes. Queue backends must agree on the stream bit-for-bit.
+// TestDecisionStreamGolden pins the fixed-seed decision stream of every
+// router family: the record count and FNV-1a hash of a known run must
+// never drift, on any platform, and the hash must equal an independent
+// FNV of the emitted JSONL bytes. Queue backends must agree on the stream
+// bit-for-bit. Recorded at commit 5ec5fcb, where a sink-attached run went
+// through a second, candidate-reporting copy of each routing rule and an
+// unindexed scan; "cands" is the number of nodes the rule consults.
 func TestDecisionStreamGolden(t *testing.T) {
-	const (
-		wantRecords = 187
-		wantHash    = 0x2c371c89dc6eb274
-	)
-	for _, qk := range des.QueueKinds() {
-		var buf bytes.Buffer
-		opt := serveOptions(t, func() policy.Router { return policy.LeastExpectedWork{} }, qk)
-		var tracer *DecisionTracer
-		opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
-			tracer = NewDecisionTracer(opt.Params, TraceOptions{W: &buf, Observer: inner})
-			return tracer, tracer
-		}
-		if _, err := serve.Run(opt); err != nil {
-			t.Fatal(err)
-		}
-		st := tracer.Stats()
-		if st.Records != wantRecords {
-			t.Errorf("%v: %d records, want %d", qk, st.Records, wantRecords)
-		}
-		if st.Hash != wantHash {
-			t.Errorf("%v: decision hash %#x, want %#x", qk, st.Hash, wantHash)
-		}
-		h := fnv.New64a()
-		h.Write(buf.Bytes())
-		if h.Sum64() != st.Hash {
-			t.Errorf("%v: running hash %#x != hash of emitted bytes %#x", qk, st.Hash, h.Sum64())
-		}
-		if st.K != DefaultCounterfactualK {
-			t.Errorf("default K = %d, want %d", st.K, DefaultCounterfactualK)
-		}
-		// Every line must be well-formed JSON with the documented fields.
-		dec := json.NewDecoder(&buf)
-		for i := 0; i < st.Records; i++ {
-			var rec struct {
-				Seq     int     `json:"seq"`
-				T       float64 `json:"t"`
-				Node    int     `json:"node"`
-				Batch   int     `json:"batch"`
-				Cands   int     `json:"cands"`
-				Work    float64 `json:"work"`
-				Alts    []Alt   `json:"alts"`
-				Latency float64 `json:"latency"`
-				Regret  float64 `json:"regret"`
-			}
-			if err := dec.Decode(&rec); err != nil {
-				t.Fatalf("record %d: %v", i, err)
-			}
-			if rec.Batch != 2 || rec.Cands != opt.Params.N() || len(rec.Alts) != DefaultCounterfactualK {
-				t.Fatalf("record %d malformed: %+v", i, rec)
-			}
+	n := serveOptions(t, nil, des.QueueHeap).Params.N()
+	cases := []struct {
+		name      string
+		newRouter func() policy.Router
+		cands     int
+		records   int
+		hash      uint64
+	}{
+		{"uniform", nil, 0, 163, 0x0edf289522e5f906},
+		{"rr", func() policy.Router { return policy.NewRoundRobin() }, 1, 192, 0x27a32c9b0ed85bc8},
+		{"jsq", func() policy.Router { return policy.JSQ{} }, n, 168, 0x3fa2faa94e58f78c},
+		{"pod2", func() policy.Router { return policy.PowerOfD{D: 2} }, 2, 199, 0xbb62425a2781c050},
+		{"lew", func() policy.Router { return policy.LeastExpectedWork{} }, n, 187, 0x2c371c89dc6eb274},
+		{"lew3", func() policy.Router { return policy.LeastExpectedWork{D: 3} }, 3, 212, 0xe9ada940c6a1fce3},
+	}
+	for _, c := range cases {
+		for _, qk := range des.QueueKinds() {
+			t.Run(fmt.Sprintf("%s/%s", c.name, qk), func(t *testing.T) {
+				var buf bytes.Buffer
+				opt := serveOptions(t, c.newRouter, qk)
+				var tracer *DecisionTracer
+				opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
+					tracer = NewDecisionTracer(opt.Params, TraceOptions{W: &buf, Observer: inner})
+					return tracer, tracer
+				}
+				if _, err := serve.Run(opt); err != nil {
+					t.Fatal(err)
+				}
+				st := tracer.Stats()
+				if st.Records != c.records || st.Hash != c.hash {
+					t.Errorf("%d records, hash %#x; want %d records, hash %#x", st.Records, st.Hash, c.records, c.hash)
+				}
+				h := fnv.New64a()
+				h.Write(buf.Bytes())
+				if h.Sum64() != st.Hash {
+					t.Errorf("running hash %#x != hash of emitted bytes %#x", st.Hash, h.Sum64())
+				}
+				if st.K != DefaultCounterfactualK {
+					t.Errorf("default K = %d, want %d", st.K, DefaultCounterfactualK)
+				}
+				// Every line must be well-formed JSON with the documented fields.
+				dec := json.NewDecoder(&buf)
+				for i := 0; i < st.Records; i++ {
+					var rec struct {
+						Seq     int     `json:"seq"`
+						T       float64 `json:"t"`
+						Node    int     `json:"node"`
+						Batch   int     `json:"batch"`
+						Cands   int     `json:"cands"`
+						Work    float64 `json:"work"`
+						Alts    []Alt   `json:"alts"`
+						Latency float64 `json:"latency"`
+						Regret  float64 `json:"regret"`
+					}
+					if err := dec.Decode(&rec); err != nil {
+						t.Fatalf("record %d: %v", i, err)
+					}
+					if rec.Batch != 2 || rec.Cands != c.cands || len(rec.Alts) != DefaultCounterfactualK {
+						t.Fatalf("record %d malformed: %+v", i, rec)
+					}
+				}
+			})
 		}
 	}
 }
@@ -187,7 +202,7 @@ func TestCounterfactualPricing(t *testing.T) {
 	// node 3 is the best choice; the router "chose" node 0 (the worst).
 	queues := []int{9, 9, 9, 9}
 	up := []bool{true, true, true, true}
-	d.Decision(view(1.5, queues, up), 0, 1, nil)
+	d.Decision(view(1.5, queues, up), 0, 1, 0)
 	if d.Stats().Unmatched != 1 {
 		t.Fatalf("open decisions = %d, want 1", d.Stats().Unmatched)
 	}
@@ -236,8 +251,8 @@ func TestBatchAndUnmatched(t *testing.T) {
 		RecRate:  []float64{0.1, 0.1},
 	}
 	d := NewDecisionTracer(p, TraceOptions{})
-	d.Decision(view(1, []int{0, 0}, []bool{true, true}), 0, 3, nil)
-	d.Decision(view(2, []int{1, 0}, []bool{true, true}), 1, 1, nil)
+	d.Decision(view(1, []int{0, 0}, []bool{true, true}), 0, 3, 0)
+	d.Decision(view(2, []int{1, 0}, []bool{true, true}), 1, 1, 0)
 	d.TaskCompleted(0, 1, 1, 3)
 	d.TaskCompleted(0, 1, 3, 5)
 	if st := d.Stats(); st.Records != 0 || st.Unmatched != 2 {
@@ -276,7 +291,7 @@ func TestWriterErrorLatched(t *testing.T) {
 	d := NewDecisionTracer(p, TraceOptions{W: &errWriter{n: 1}})
 	for i := 0; i < 3; i++ {
 		tm := float64(i + 1)
-		d.Decision(view(tm, []int{0, 0}, []bool{true, true}), 0, 1, nil)
+		d.Decision(view(tm, []int{0, 0}, []bool{true, true}), 0, 1, 0)
 		d.TaskCompleted(0, tm, tm, tm+1)
 	}
 	if d.Err() == nil {

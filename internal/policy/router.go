@@ -16,10 +16,13 @@ import (
 // the paper's insight to routing by pricing a down node at its expected
 // recovery time.
 //
-// Routers may keep per-run state (RoundRobin does); supply a fresh
-// instance to every realisation. The view passed to Route dies with the
-// call, on every run, traced or not; keep model.AsState(v).Clone() to
-// retain what it showed.
+// Route is the only decision procedure a router has: the simulator, the
+// sharded front door and the live dispatcher all call it, observed or not
+// (a decision trace learns the size of the rule's candidate set from
+// Considered, not from a second implementation). Routers may keep per-run
+// state (RoundRobin does); supply a fresh instance to every realisation.
+// The view passed to Route dies with the call, on every run, traced or
+// not; keep model.AsState(v).Clone() to retain what it showed.
 type Router interface {
 	// Name identifies the router in reports.
 	Name() string
@@ -161,10 +164,15 @@ func (r LeastExpectedWork) Name() string {
 	return fmt.Sprintf("lew%d", r.D)
 }
 
-// score returns the expected completion delay of a task joining node i.
+// ExpectedWork returns the expected completion delay of a task joining
+// node i in state (queue, up): the queue ahead of it (plus itself) over
+// the node's availability-discounted throughput, plus the expected
+// remaining recovery time 1/λr when the node is down. It is the score
+// LeastExpectedWork routes by and the load index maintains, and the price
+// the decision-trace bus puts on every counterfactual candidate.
 //
 //churnlb:hotpath
-func (LeastExpectedWork) score(i, queue int, up bool, p model.Params) float64 {
+func ExpectedWork(i, queue int, up bool, p model.Params) float64 {
 	w := float64(queue+1) / p.EffectiveRate(i)
 	if !up && p.RecRate[i] > 0 {
 		w += 1 / p.RecRate[i]
@@ -180,7 +188,7 @@ func (r LeastExpectedWork) RouteScore(p model.Params) RouteScore {
 	if r.D > 0 {
 		return nil
 	}
-	return func(i, queue int, up bool) float64 { return r.score(i, queue, up, p) }
+	return func(i, queue int, up bool) float64 { return ExpectedWork(i, queue, up, p) }
 }
 
 // Route implements Router.
@@ -195,21 +203,43 @@ func (r LeastExpectedWork) Route(v model.StateView, p model.Params, rng *xrand.R
 			}
 		}
 		best := 0
-		bestW := r.score(0, v.Queue(0), v.Up(0), p)
+		bestW := ExpectedWork(0, v.Queue(0), v.Up(0), p)
 		for i := 1; i < n; i++ {
-			if w := r.score(i, v.Queue(i), v.Up(i), p); w < bestW {
+			if w := ExpectedWork(i, v.Queue(i), v.Up(i), p); w < bestW {
 				best, bestW = i, w
 			}
 		}
 		return best
 	}
 	best := rng.Intn(n)
-	bestW := r.score(best, v.Queue(best), v.Up(best), p)
+	bestW := ExpectedWork(best, v.Queue(best), v.Up(best), p)
 	for d := 1; d < r.D; d++ {
 		c := rng.Intn(n)
-		if w := r.score(c, v.Queue(c), v.Up(c), p); w < bestW {
+		if w := ExpectedWork(c, v.Queue(c), v.Up(c), p); w < bestW {
 			best, bestW = c, w
 		}
 	}
 	return best
+}
+
+// Considered returns how many nodes r's rule consults for one decision on
+// an n-node cluster — 1 for the rotation, n for the full scans (JSQ, LEW
+// with D = 0), the sample size for the few-choice rules, and 0 for nil
+// (uniform) or any router this package does not define. It is a constant
+// of the router configuration; decision traces record it as "cands".
+func Considered(r Router, n int) int {
+	switch r := r.(type) {
+	case *RoundRobin:
+		return 1
+	case JSQ:
+		return n
+	case PowerOfD:
+		return r.choices()
+	case LeastExpectedWork:
+		if r.D > 0 {
+			return r.D
+		}
+		return n
+	}
+	return 0
 }

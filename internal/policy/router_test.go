@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -137,6 +138,77 @@ func TestRouterNames(t *testing.T) {
 	for _, want := range names {
 		if got := cases[want].Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
+		}
+	}
+}
+
+// namedRouter is a router this package does not define.
+type namedRouter struct{ Router }
+
+// TestConsideredPerRouter pins what a decision trace records as "cands":
+// the number of nodes each rule consults per decision — and, for the
+// sampling rules, that it is the number of draws Route takes.
+func TestConsideredPerRouter(t *testing.T) {
+	const n = 5
+	v, p := routerState([]int{4, 0, 7, 2, 9}, nil)
+	for _, c := range []struct {
+		r       Router
+		want    int
+		sampled bool
+	}{
+		{nil, 0, false},
+		{NewRoundRobin(), 1, false},
+		{JSQ{}, n, false},
+		{PowerOfD{}, 2, true},
+		{PowerOfD{D: 2}, 2, true},
+		{PowerOfD{D: 3}, 3, true},
+		{LeastExpectedWork{}, n, false},
+		{LeastExpectedWork{D: 3}, 3, true},
+		{namedRouter{JSQ{}}, 0, false},
+	} {
+		got := Considered(c.r, n)
+		if got != c.want {
+			t.Errorf("Considered(%#v, %d) = %d, want %d", c.r, n, got, c.want)
+		}
+		if c.r == nil {
+			continue
+		}
+		draws := 0
+		if c.sampled {
+			draws = got
+		}
+		rng, twin := xrand.New(3), xrand.New(3)
+		c.r.Route(v, p, rng)
+		for d := 0; d < draws; d++ {
+			twin.Intn(n)
+		}
+		if rng.Uint64() != twin.Uint64() {
+			t.Errorf("%s: Route did not take %d draws", c.r.Name(), draws)
+		}
+	}
+}
+
+// TestExpectedWorkMatchesLEWScore pins the shared pricing: the score the
+// load index maintains for LeastExpectedWork is ExpectedWork to the bit,
+// including the recovery surcharge for down nodes.
+func TestExpectedWorkMatchesLEWScore(t *testing.T) {
+	gen := xrand.New(17)
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + gen.Intn(6)
+		queues := make([]int, n)
+		up := make([]bool, n)
+		for i := range queues {
+			queues[i] = gen.Intn(40)
+			up[i] = gen.Intn(3) != 0
+		}
+		v, p := routerState(queues, up)
+		score := LeastExpectedWork{}.RouteScore(p)
+		for i := 0; i < n; i++ {
+			got := ExpectedWork(i, v.Queue(i), v.Up(i), p)
+			want := score(i, v.Queue(i), v.Up(i))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("node %d (q=%d up=%v): ExpectedWork %v, score %v", i, queues[i], up[i], got, want)
+			}
 		}
 	}
 }

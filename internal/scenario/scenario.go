@@ -242,7 +242,7 @@ func Generate(spec Spec) (*Scenario, error) {
 	if err := sp.validate(); err != nil {
 		return nil, err
 	}
-	rng := xrand.NewStream(sp.Seed, 0x5ce0)
+	rng := xrand.NewStream(sp.Seed, xrand.StreamScenario)
 	n := sp.N
 	sc := &Scenario{
 		Name: fmt.Sprintf("%s-n%d", sp.Kind, n),

@@ -145,13 +145,7 @@ func Run(opt Options) (*Result, error) {
 	if load == nil {
 		load = make([]int, opt.Params.N())
 	}
-	window := opt.Window
-	if window <= 0 {
-		window = horizon / 100
-		if window < 0.1 {
-			window = 0.1
-		}
-	}
+	window := metrics.WindowFor(opt.Window, horizon)
 	var router policy.Router
 	if opt.NewRouter != nil {
 		router = opt.NewRouter()

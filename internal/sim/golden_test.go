@@ -49,18 +49,15 @@ type decisionHash struct {
 
 func newDecisionHash() *decisionHash { return &decisionHash{fold: newStreamHash()} }
 
-func (d *decisionHash) Decision(v model.StateView, chosen, batch int, scored []policy.Candidate) {
+func (d *decisionHash) Decision(v model.StateView, chosen, batch, considered int) {
 	d.decisions++
-	d.fold.rec(6, []int{chosen, batch, v.N(), v.InFlight(), len(scored)}, v.Time())
+	d.fold.rec(6, []int{chosen, batch, v.N(), v.InFlight(), considered}, v.Time())
 	for i := 0; i < v.N(); i++ {
 		up := 0
 		if v.Up(i) {
 			up = 1
 		}
 		d.fold.rec(7, []int{v.Queue(i), up})
-	}
-	for _, c := range scored {
-		d.fold.rec(8, []int{c.Node}, c.Score)
 	}
 }
 
@@ -201,7 +198,7 @@ func goldenCases() []goldenCase {
 			failures:       26, recoveries: 24, transfersSent: 50, tasksTransferred: 97,
 			processed: []int{46, 54, 76, 78, 41, 53}, traceLen: 630, traceFNV: 0x8913428805483e1d,
 			externalArrivals: 260, nextRand: 0x2621e4f093cab543,
-			obsCalls: 634, obsFNV: 0x3f809a0e77cda27b, decisions: 130, decisionFNV: 0x6a71416eecf9cde7,
+			obsCalls: 634, obsFNV: 0x3f809a0e77cda27b, decisions: 130, decisionFNV: 0x37f49b187dc460f7,
 		},
 		{
 			name: "initial-down",

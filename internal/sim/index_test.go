@@ -53,9 +53,9 @@ func scanMinScore(s *simState) int {
 }
 
 // scanRouter hides every capability of the router it wraps except Route:
-// a run given one maintains no load index (and reports no candidates), so
-// an indexable router falls back to its reference scan of the live view —
-// the path routers without the IndexedRouter capability always take.
+// a run given one maintains no load index, so an indexable router falls
+// back to its reference scan of the live view — the path routers without
+// the IndexedRouter capability always take.
 type scanRouter struct{ policy.Router }
 
 // TestLoadIndexMatchesScanEveryEvent is the equivalence property of the
@@ -130,6 +130,7 @@ func TestLoadIndexMatchesScanEveryEvent(t *testing.T) {
 // O(n) reference scan, a run with the bare router through the incremental
 // index, and for the same seed both must make exactly the same decisions —
 // bit-identical completion times and identical per-node processed counts.
+// A DecisionSink changes neither: the observed run keeps its index.
 func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -139,7 +140,7 @@ func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 		{"lew", func() policy.Router { return policy.LeastExpectedWork{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(router policy.Router, wantIndex bool) *Result {
+			run := func(router policy.Router, wantIndex bool, sink DecisionSink) *Result {
 				rng := xrand.NewStream(17, 5)
 				p, load := randomParams(rng, 6)
 				probed := false
@@ -151,6 +152,7 @@ func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 					ArrivalRate:    1.2,
 					ArrivalHorizon: 30,
 					Router:         router,
+					DecisionSink:   sink,
 					probe: func(s *simState, _ EventKind, _ int) {
 						probed = true
 						if got := s.lidx != nil; got != wantIndex {
@@ -166,9 +168,16 @@ func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 				}
 				return res
 			}
-			scan, indexed := run(scanRouter{tc.router()}, false), run(tc.router(), true)
+			sink := newDecisionHash()
+			scan, indexed, observed := run(scanRouter{tc.router()}, false, nil), run(tc.router(), true, nil), run(tc.router(), true, sink)
 			if !sameResult(scan, indexed) {
 				t.Errorf("indexed run diverged from the scan:\nscan:    %+v\nindexed: %+v", scan, indexed)
+			}
+			if !sameResult(indexed, observed) {
+				t.Errorf("run with a DecisionSink diverged:\nplain:    %+v\nobserved: %+v", indexed, observed)
+			}
+			if sink.decisions == 0 {
+				t.Error("the sink saw no decision")
 			}
 			if scan.ExternalArrivals == 0 {
 				t.Error("no arrival was routed; the comparison proved nothing")

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"churnlb/internal/model"
-	"churnlb/internal/policy"
-)
+import "churnlb/internal/model"
 
 // TaskObserver receives per-task lifecycle events and system state changes
 // from a running realisation — the telemetry hook behind the open-system
@@ -38,24 +35,21 @@ type TaskObserver interface {
 
 // DecisionSink receives every external-arrival routing decision from a
 // running realisation — the decision-trace hook behind internal/obs. Like
-// TaskObserver it is strictly opt-in: with Options.DecisionSink nil the
-// simulator performs no candidate bookkeeping, consumes exactly the same
-// random stream, and fires exactly the same events, so fixed-seed
-// realisations stay bit-identical to untraced ones. With a sink installed
-// the routing choice itself is also unchanged: routers that implement
-// policy.ScoredRouter report their candidates through a call that is
-// observationally identical to Route, and routers that do not (or the
-// uniform default) are invoked exactly as before with a nil candidate set.
+// TaskObserver it is strictly opt-in and it only observes: the decision is
+// made by Router.Route (or the uniform draw) exactly as on a run without a
+// sink — same view, same load index, same stream — so fixed-seed
+// realisations stay bit-identical.
 //
 // Decision fires once per accepted external arrival, before the batch
 // mutates any state: v is the pre-arrival view the router saw, chosen the
 // destination node, batch the number of tasks about to join it, and
-// scored the router's own candidate set (nil for unscored routing). Both
-// v and scored are valid only for the duration of the call and must not
-// be retained. All calls come from the single simulation goroutine, in
-// event order; implementations must not call back into the simulator.
+// considered the number of nodes the router's rule consults per decision
+// (policy.Considered — a constant of the run, 0 under uniform routing). v
+// is valid only for the duration of the call and must not be retained. All
+// calls come from the single simulation goroutine, in event order;
+// implementations must not call back into the simulator.
 type DecisionSink interface {
-	Decision(v model.StateView, chosen, batch int, scored []policy.Candidate)
+	Decision(v model.StateView, chosen, batch, considered int)
 }
 
 // taskRec is the per-task lifecycle record maintained only when a

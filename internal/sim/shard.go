@@ -560,7 +560,7 @@ func (c *Sharded) applyInitial(ts []model.Transfer, rng *xrand.Rand) {
 		}
 		c.balTransfers++
 		c.balTasks += tr.Tasks
-		delay := drawTransferDelay(rng, c.opt.TransferMode, c.opt.Params.DelayPerTask, tr.Tasks)
+		delay := c.opt.TransferMode.Delay(rng, c.opt.Params.DelayPerTask, tr.Tasks)
 		dst := c.doms[c.links[0].owner[tr.To]]
 		dst.park(delay, flight{to: int32(tr.To), tasks: int32(tr.Tasks)}, recs)
 		dst.remaining += tr.Tasks

@@ -35,10 +35,12 @@
 // bit-identical, for a given random stream, with the original
 // per-event-scan implementation.
 //
-// Observation never selects an algorithm: beside the TaskObserver and
-// DecisionSink buses there is one per-event seam (see eventProbe), and a
-// run with the Options.Trace recorder on it is otherwise the run every
-// untraced caller gets — same view, same plan, same index, same stream.
+// Observation never selects an algorithm: there are two buses
+// (TaskObserver, DecisionSink) and one per-event seam (see eventProbe), and
+// a run with any of them attached is otherwise the run every unobserved
+// caller gets — same view, same plan, same index, same stream. (What an
+// observer does rule out is LazyChurn, which needs nobody watching idle
+// nodes.)
 package sim
 
 import (
@@ -46,6 +48,7 @@ import (
 	"math"
 
 	"churnlb/internal/des"
+	"churnlb/internal/mc"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
@@ -72,6 +75,28 @@ func (m TransferMode) String() string {
 		return "pertask"
 	default:
 		return fmt.Sprintf("TransferMode(%d)", int(m))
+	}
+}
+
+// Delay draws the delay of a batch of tasks in flight under mode m, δ =
+// perTask seconds per task: the one transfer-delay law of the tree, called
+// by both simulator engines and the live daemon. δ = 0 is an instantaneous
+// channel and draws nothing.
+//
+//churnlb:hotpath
+func (m TransferMode) Delay(rng *xrand.Rand, perTask float64, tasks int) float64 {
+	if perTask == 0 {
+		return 0
+	}
+	switch m {
+	case TransferPerTask:
+		d := 0.0
+		for t := 0; t < tasks; t++ {
+			d += rng.ExpMean(perTask)
+		}
+		return d
+	default:
+		return rng.ExpMean(perTask * float64(tasks))
 	}
 }
 
@@ -114,6 +139,24 @@ func (c ChurnLaw) String() string {
 		return "det"
 	default:
 		return fmt.Sprintf("ChurnLaw(%d)", int(c))
+	}
+}
+
+// Sample draws one up or down period of the given mean under law c: the
+// one churn law of the tree, called by the simulator and the live daemon,
+// so a live churn episode is statistically the one the simulator twin
+// draws (and, under the deterministic law, numerically the one).
+//
+//churnlb:hotpath
+func (c ChurnLaw) Sample(rng *xrand.Rand, mean float64) float64 {
+	switch c {
+	case ChurnWeibull:
+		// Shape 2, scale chosen so the mean matches: scale = mean/Γ(1.5).
+		return rng.Weibull(2, mean/math.Gamma(1.5))
+	case ChurnDeterministic:
+		return mean
+	default:
+		return rng.ExpMean(mean)
 	}
 }
 
@@ -203,11 +246,10 @@ type Options struct {
 	// state changes (see observer.go). nil costs nothing on the hot path.
 	TaskObserver TaskObserver
 	// DecisionSink, when non-nil, receives every external-arrival routing
-	// decision with the router's candidate set (see observer.go). Like
-	// TaskObserver it is strictly opt-in — nil costs nothing on the hot
-	// path — and attaching it never perturbs the realisation: scored
-	// routers consume the same random stream and return the same choice
-	// through RouteScored as through Route.
+	// decision (see observer.go). Like TaskObserver it is strictly opt-in
+	// — nil costs nothing on the hot path — and it only observes: the
+	// decision is the one Route makes on every run, over the same view, the
+	// same load index and the same stream.
 	DecisionSink DecisionSink
 	// EventQueue selects the des scheduler's pending-event backend. The
 	// default des.QueueHeap is the reference binary heap; des.QueueCalendar
@@ -390,13 +432,11 @@ type simState struct {
 	// mirrors each queue with per-task lifecycle records.
 	obs   TaskObserver
 	taskq []taskQueue
-	// sink, sr and candBuf exist only when Options.DecisionSink is set:
-	// sr is the installed router's ScoredRouter capability (asserted once
-	// per run) and candBuf the reusable candidate scratch RouteScored
-	// appends into, so decision tracing allocates nothing per arrival.
-	sink    DecisionSink
-	sr      policy.ScoredRouter
-	candBuf []policy.Candidate
+	// sink is Options.DecisionSink and considered the constant it is told
+	// with every decision: how many nodes the installed router's rule
+	// consults (policy.Considered), computed once per run.
+	sink       DecisionSink
+	considered int
 	// shard, when non-nil, marks this state as one failure domain of a
 	// sharded run (see shard.go): hot, taskq and res.Processed are shared
 	// arrays of which this domain owns a contiguous slice, remaining and
@@ -424,6 +464,27 @@ func Run(opt Options) (*Result, error) {
 		}
 	}
 	return r.Finish()
+}
+
+// MonteCarlo is the completion-time study: mo.Reps independent
+// realisations of opt, replication k on stream (mo.Seed, k) — opt.Rand is
+// ignored — reduced to the estimate of Result.CompletionTime. The eq.-(8)
+// plan is a pure function of Params, so it is built once here (unless opt
+// brings one) and shared read-only by every replication, bit-identically
+// to per-run builds.
+func MonteCarlo(mo mc.Options, opt Options) (mc.Estimate, error) {
+	if opt.FailurePlan == nil {
+		opt.FailurePlan = policy.PlanFor(opt.Policy, opt.Params)
+	}
+	return mc.Run(mo, func(r *xrand.Rand, _ int) (float64, error) {
+		o := opt
+		o.Rand = r
+		res, err := Run(o)
+		if err != nil {
+			return 0, err
+		}
+		return res.CompletionTime, nil
+	})
 }
 
 // Realisation is one in-progress realisation exposed through step
@@ -606,19 +667,11 @@ func Start(opt Options) (*Realisation, error) {
 	}
 	if opt.DecisionSink != nil {
 		s.sink = opt.DecisionSink
-		if opt.Router != nil {
-			if sr, ok := opt.Router.(policy.ScoredRouter); ok {
-				s.sr = sr
-			}
-		}
+		s.considered = policy.Considered(opt.Router, n)
 	}
 	// An indexed router turns every Route into an O(1) argmin lookup
-	// (routers without the capability keep their reference scan); the
-	// index is skipped on sink-scored runs, where RouteScored's reporting
-	// scan replaces Route entirely (the scan's argmin is the index's
-	// argmin, pinned by property tests, so the choice is unchanged —
-	// maintaining the index would be pure overhead).
-	if opt.Router != nil && s.sr == nil {
+	// (routers without the capability keep their reference scan).
+	if opt.Router != nil {
 		if ir, ok := opt.Router.(policy.IndexedRouter); ok {
 			if fn := ir.RouteScore(opt.Params); fn != nil {
 				s.scoreFn = fn
@@ -954,7 +1007,7 @@ func (s *simState) lazyResolve(i int, until float64) {
 		if rate == 0 {
 			break
 		}
-		d := s.churnSample(1 / rate)
+		d := s.opt.ChurnLaw.Sample(s.rng, 1/rate)
 		if t+d > until {
 			break
 		}
@@ -1014,24 +1067,11 @@ func (s *simState) lazyDisarm(i int) {
 }
 
 //churnlb:hotpath
-func (s *simState) churnSample(mean float64) float64 {
-	switch s.opt.ChurnLaw {
-	case ChurnWeibull:
-		// Shape 2, scale chosen so the mean matches: scale = mean/Γ(1.5).
-		return s.rng.Weibull(2, mean/math.Gamma(1.5))
-	case ChurnDeterministic:
-		return mean
-	default:
-		return s.rng.ExpMean(mean)
-	}
-}
-
-//churnlb:hotpath
 func (s *simState) scheduleFailure(i int) {
 	if s.p.FailRate[i] == 0 {
 		return
 	}
-	d := s.churnSample(1 / s.p.FailRate[i])
+	d := s.opt.ChurnLaw.Sample(s.rng, 1/s.p.FailRate[i])
 	h := s.sched.AfterIndexed(d, evKindFail, int32(i))
 	if s.lazy {
 		s.hot[i].churnTimer = h
@@ -1081,7 +1121,7 @@ func (s *simState) scheduleRecovery(i int) {
 	if s.p.RecRate[i] == 0 {
 		return // permanently down; Validate guarantees no tasks strand here
 	}
-	d := s.churnSample(1 / s.p.RecRate[i])
+	d := s.opt.ChurnLaw.Sample(s.rng, 1/s.p.RecRate[i])
 	h := s.sched.AfterIndexed(d, evKindRecover, int32(i))
 	if s.lazy {
 		s.hot[i].churnTimer = h
@@ -1195,7 +1235,7 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 	s.res.TasksTransferred += tr.Tasks
 	s.observe(EvSend, tr.From)
 
-	delay := s.transferDelay(tr.Tasks)
+	delay := s.opt.TransferMode.Delay(s.rng, s.p.DelayPerTask, tr.Tasks)
 	if sh := s.shard; sh != nil && sh.owner[tr.To] != sh.self {
 		// Cross-domain: the batch leaves this domain's accounting now and
 		// joins the receiver's at the next window barrier, where the
@@ -1282,32 +1322,6 @@ func (s *simState) land(row int32) {
 	s.lazyArm(to)
 }
 
-//churnlb:hotpath
-func (s *simState) transferDelay(tasks int) float64 {
-	return drawTransferDelay(s.rng, s.opt.TransferMode, s.p.DelayPerTask, tasks)
-}
-
-// drawTransferDelay is the one transfer-delay law both engines share: the
-// sharded coordinator draws initial-balancing delays from its own stream
-// through the same function, so the two paths cannot drift.
-//
-//churnlb:hotpath
-func drawTransferDelay(rng *xrand.Rand, mode TransferMode, perTask float64, tasks int) float64 {
-	if perTask == 0 {
-		return 0
-	}
-	switch mode {
-	case TransferPerTask:
-		d := 0.0
-		for t := 0; t < tasks; t++ {
-			d += rng.ExpMean(perTask)
-		}
-		return d
-	default:
-		return rng.ExpMean(perTask * float64(tasks))
-	}
-}
-
 // --- external arrivals (dynamic extension) ---
 
 //churnlb:hotpath
@@ -1365,17 +1379,8 @@ func (s *simState) externalArrival() {
 	// The router and the decision sink read the zero-copy live view before
 	// the batch lands, the arrival balancer after.
 	var node int
-	var cands []policy.Candidate
 	if s.opt.Router != nil {
-		if s.sr != nil {
-			// Sink-scored routing: observationally identical to Route —
-			// same choice, same random draws — but reporting the candidate
-			// set into the reusable scratch buffer.
-			node, cands = s.sr.RouteScored(s.live, s.p, s.rng, s.candBuf[:0])
-			s.candBuf = cands
-		} else {
-			node = s.opt.Router.Route(s.live, s.p, s.rng)
-		}
+		node = s.opt.Router.Route(s.live, s.p, s.rng)
 		if node < 0 || node >= s.p.N() {
 			panic(fmt.Sprintf("sim: router %s returned invalid node %d", s.opt.Router.Name(), node))
 		}
@@ -1385,7 +1390,7 @@ func (s *simState) externalArrival() {
 	if s.sink != nil {
 		// Pre-mutation: the sink prices counterfactual candidates against
 		// exactly the state the router decided on.
-		s.sink.Decision(s.live, node, batch, cands)
+		s.sink.Decision(s.live, node, batch, s.considered)
 	}
 	s.lazyTouch(node) // resolve a detached target before reading its state
 	s.hot[node].queue += int32(batch)

@@ -177,53 +177,6 @@ func (h *Histogram) Density() []float64 {
 	return d
 }
 
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF copies and sorts the samples.
-func NewECDF(samples []float64) *ECDF {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of samples <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns first index with sorted[i] >= x; advance over
-	// equal values so the CDF is right-continuous with P(X <= x).
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th empirical quantile, q in [0,1].
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	i := int(q * float64(len(e.sorted)))
-	if i >= len(e.sorted) {
-		i = len(e.sorted) - 1
-	}
-	return e.sorted[i]
-}
-
-// N returns the sample count.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // ExpFit is a maximum-likelihood exponential fit.
 type ExpFit struct {
 	Rate float64 // λ = 1/mean
@@ -319,40 +272,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// KSDistance computes the Kolmogorov–Smirnov distance between two sample
-// sets (two-sample statistic). Used to compare simulator and testbed
-// completion-time distributions.
-func KSDistance(a, b []float64) float64 {
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	i, j := 0, 0
-	d := 0.0
-	na, nb := float64(len(as)), float64(len(bs))
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	for i < len(as) && j < len(bs) {
-		v := as[i]
-		if bs[j] < v {
-			v = bs[j]
-		}
-		// Evaluate both ECDFs just after v: advance past every tie so
-		// identical samples contribute zero distance.
-		for i < len(as) && as[i] <= v {
-			i++
-		}
-		for j < len(bs) && bs[j] <= v {
-			j++
-		}
-		if diff := math.Abs(float64(i)/na - float64(j)/nb); diff > d {
-			d = diff
-		}
-	}
-	return d
 }
 
 // Pearson computes the Pearson correlation coefficient between two

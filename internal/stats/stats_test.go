@@ -118,38 +118,6 @@ func TestHistogramBinCenters(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {9, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.N() != 4 {
-		t.Fatalf("N = %d", e.N())
-	}
-}
-
-func TestECDFQuantileMonotone(t *testing.T) {
-	rng := xrand.New(30)
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.Normal()
-	}
-	e := NewECDF(xs)
-	prev := math.Inf(-1)
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := e.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantile not monotone at q=%v", q)
-		}
-		prev = v
-	}
-}
-
 func TestFitExponentialRecoversRate(t *testing.T) {
 	rng := xrand.New(23)
 	const rate = 1.86
@@ -237,34 +205,6 @@ func TestFitLinearErrors(t *testing.T) {
 	}
 	if _, err := FitLinear([]float64{2, 2}, []float64{1, 3}); err == nil {
 		t.Fatal("constant-x fit should error")
-	}
-}
-
-func TestKSDistanceIdentical(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if d := KSDistance(xs, xs); d > 1e-12 {
-		t.Fatalf("KS of identical samples = %v", d)
-	}
-}
-
-func TestKSDistanceDisjoint(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{10, 11, 12}
-	if d := KSDistance(a, b); math.Abs(d-1) > 1e-12 {
-		t.Fatalf("KS of disjoint samples = %v, want 1", d)
-	}
-}
-
-func TestKSDistanceSameDistribution(t *testing.T) {
-	rng := xrand.New(26)
-	a := make([]float64, 5000)
-	b := make([]float64, 5000)
-	for i := range a {
-		a[i] = rng.Exp(2)
-		b[i] = rng.Exp(2)
-	}
-	if d := KSDistance(a, b); d > 0.05 {
-		t.Fatalf("KS = %v for same-distribution samples", d)
 	}
 }
 

@@ -185,24 +185,6 @@ func (r *Rand) Weibull(shape, scale float64) float64 {
 	return scale * math.Pow(-math.Log(r.positiveFloat64()), 1/shape)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // MixSeed derives sub-stream s of a root seed through a SplitMix64-style
 // finalizer — the seed layout every deterministic fan-out in the module
 // shares: Monte-Carlo replications mix their replication index, and the

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -222,42 +221,6 @@ func TestWeibullShapeOneIsExponential(t *testing.T) {
 		if math.Abs(w-e) > 1e-9 {
 			t.Fatalf("Weibull(1,2) != ExpMean(2): %v vs %v", w, e)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(14)
-	err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(15)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed content: sum %d -> %d", sum, got)
 	}
 }
 
