@@ -22,8 +22,9 @@ package des
 // backing array → record on every touch, plus growslice churn in Push
 // and append cascades in resize. The intrusive chain pays only bucket
 // head → record: Push writes the head slot and the record it was already
-// writing, Remove unlinks in place, and resize rethreads chains without
-// allocating anything but the new head array.
+// writing, Remove unlinks in place, and resize rethreads chains into the
+// other of the queue's two head arrays, allocating only when that one is
+// too small for the new size.
 //
 // Bit-reproducibility: slot membership is decided purely by the integer
 // vb stored on the event at push (recomputed on resize), never by
@@ -38,11 +39,15 @@ package des
 // against the heap oracle.
 type calQueue struct {
 	buckets []*event // chain heads; intrusive via event.next/prev
-	mask    int64    // len(buckets)-1; len is a power of two
-	width   float64  // seconds of simulated time per bucket slot
-	vcur    int64    // scan position: the virtual bucket being drained
-	lastPop float64  // time of the most recently popped event
-	gap     float64  // EWMA of nonzero inter-pop gaps, drives width
+	// spare is the head array resize builds into, which then swaps with
+	// buckets: a queue owns two arrays and a rebuild at a size both can
+	// hold allocates nothing. Only its capacity matters.
+	spare   []*event
+	mask    int64   // len(buckets)-1; len is a power of two
+	width   float64 // seconds of simulated time per bucket slot
+	vcur    int64   // scan position: the virtual bucket being drained
+	lastPop float64 // time of the most recently popped event
+	gap     float64 // EWMA of nonzero inter-pop gaps, drives width
 	count   int
 }
 
@@ -212,20 +217,47 @@ func (q *calQueue) reserve(n int) {
 	}
 }
 
+// drain kills every live event and returns the queue to newCalQueue's
+// state — calMinBuckets buckets, width 1, no gap estimate, scan position 0
+// — on the arrays it holds, so a reused queue walks the resize trajectory
+// of a fresh one.
+func (q *calQueue) drain() {
+	for _, head := range q.buckets {
+		for e := head; e != nil; {
+			next := e.next
+			e.next, e.prev = nil, nil
+			e.fn = nil
+			e.index = -1
+			e = next
+		}
+	}
+	buckets := q.buckets[:calMinBuckets]
+	clear(buckets)
+	*q = calQueue{buckets: buckets, spare: q.spare, mask: calMinBuckets - 1, width: 1}
+}
+
 // resize rebuilds the bucket array at the new size with a width
 // re-estimated from the observed inter-pop gap, aiming at about one
 // near-head event per slot. Every event's virtual bucket is recomputed
 // under the new width and the scan position rejoins at the last popped
 // time — which bounds every live event's slot from below, since the
 // scheduler never pushes into the past. The rebuild rethreads the
-// intrusive chains in place: its only allocation is the new head array.
+// intrusive chains in place, from one of the queue's two head arrays into
+// the other: it allocates only when the other is too small, and the array
+// it leaves becomes the target of the next rebuild.
 func (q *calQueue) resize(nb int) {
 	w := 2 * q.gap
 	if w <= 0 {
 		w = q.width
 	}
 	old := q.buckets
-	q.buckets = make([]*event, nb)
+	if cap(q.spare) < nb {
+		q.buckets = make([]*event, nb)
+	} else {
+		q.buckets = q.spare[:nb]
+		clear(q.buckets)
+	}
+	q.spare = old
 	q.mask = int64(nb) - 1
 	q.width = w
 	q.vcur = q.vbOf(q.lastPop)

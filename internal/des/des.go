@@ -20,6 +20,13 @@
 // it fires. Cancellation removes the event from the queue immediately
 // (releasing its closure), rather than leaving a tombstone to be skipped
 // at pop time — pending-event memory is proportional to live events only.
+//
+// A scheduler outlives a run: Reset kills whatever is still pending and
+// returns the clock, the counters and the queue to a fresh scheduler's
+// state while every record slab and the queue's arrays stay allocated, so
+// the next run on it schedules out of the memory the last one left —
+// records handed out again in address order, slab by slab — and fires
+// exactly what a fresh scheduler would.
 package des
 
 import "fmt"
@@ -29,7 +36,8 @@ import "fmt"
 // values — copy them freely. A handle whose event has already fired or
 // been cancelled is stale: Cancel and Active on it are safe no-ops even
 // after the underlying pooled record has been reused for a newer event
-// (the sequence number disambiguates incarnations).
+// (the sequence number disambiguates incarnations), and so is every handle
+// issued before the scheduler's last Reset.
 type Handle struct {
 	e   *event
 	seq uint64
@@ -87,7 +95,12 @@ type Scheduler struct {
 	q     EventQueue
 	fired uint64
 	free  []*event // recycled records, reused by At
-	slab  []event  // unissued tail of the current allocation slab
+	// slabs lists every record slab in allocation order. newEvent carves
+	// them front to back: slab is the unissued tail of the one in hand,
+	// slabs[nextSlab:] are untouched since the last Reset.
+	slabs    [][]event
+	nextSlab int
+	slab     []event
 	// disp handles indexed events (AtIndexed/AfterIndexed): one dispatch
 	// function per scheduler replacing per-entity closures, so a
 	// simulation over n entities schedules without holding n closures.
@@ -188,7 +201,7 @@ func (s *Scheduler) AfterIndexed(d float64, kind, arg int32) Handle {
 
 // Reserve prepares the scheduler to hold k more pending events than it
 // holds now, in one step: one slab for whatever records the free list and
-// the current slab cannot cover, room on the free list for every record
+// the slabs in hand cannot cover, room on the free list for every record
 // to come back, and one sizing of the queue backend for the population
 // the burst will reach. A caller that is about to schedule a known burst
 // — a balancing episode of k transfers — calls it once instead of letting
@@ -200,24 +213,43 @@ func (s *Scheduler) Reserve(k int) {
 	if k <= 0 {
 		return
 	}
-	if missing := k - len(s.free) - len(s.slab); missing > 0 {
-		// newEvent carves from one slab at a time: the old one's unissued
-		// tail moves to the free list instead of being dropped.
-		for i := range s.slab {
-			e := &s.slab[i]
-			e.owner = s
-			e.index = -1
-			s.free = append(s.free, e)
-		}
-		s.slab = make([]event, missing)
+	unissued := len(s.slab)
+	for _, slab := range s.slabs[s.nextSlab:] {
+		unissued += len(slab)
+	}
+	if missing := k - len(s.free) - unissued; missing > 0 {
+		// newEvent reaches the new slab once it has carved those before it.
+		s.slabs = append(s.slabs, make([]event, missing))
+		unissued += missing
 	}
 	live := s.q.Len()
-	if total := len(s.free) + len(s.slab) + live; cap(s.free) < total {
+	if total := len(s.free) + unissued + live; cap(s.free) < total {
 		free := make([]*event, len(s.free), total)
 		copy(free, s.free)
 		s.free = free
 	}
 	s.q.reserve(live + k)
+}
+
+// Reset returns the scheduler to the state NewWithQueue left it in — clock
+// and Fired at zero, nothing pending, no dispatcher — without giving up
+// its memory: every live event becomes dead (its closure released, its
+// handle inactive), and the record slabs, the free list's array and the
+// queue's arrays keep their capacity. What is scheduled afterwards fires
+// in the order a fresh scheduler would fire it; record and bucket layout
+// never decide pop order.
+//
+// Records are handed out again slab by slab in address order, not through
+// the free list (which a run leaves in the scrambled order its events
+// died in): a run on a reset scheduler lays its events out in memory the
+// way its first run did. The sequence counter keeps counting across
+// Reset — only its order is ever read — so a Handle from before the Reset
+// can never match a later incarnation of its record.
+func (s *Scheduler) Reset() {
+	s.q.drain()
+	s.now, s.fired, s.disp = 0, 0, nil
+	s.free = s.free[:0]
+	s.nextSlab, s.slab = 0, nil
 }
 
 // --- step primitives ---
@@ -310,18 +342,23 @@ func (s *Scheduler) remove(e *event) {
 	s.recycle(e)
 }
 
-// newEvent hands out a fresh event record — the free-list miss path of
-// At, kept out of the hot path so the steady state (every record
+// newEvent hands out the next unissued event record — the free-list miss
+// path of At, kept out of the hot path so the steady state (every record
 // recycled) stays allocation-free. Records are carved from slab arrays
 // rather than allocated one by one: a realisation that arms a timer per
 // node peaks at n live records, and n individual heap objects both
 // scatter the pointer-chasing queue scans across the heap and hand the
-// GC n times the objects to walk. A slab's records stay reachable (and
-// its memory live) via the free list for the scheduler's lifetime, which
-// is exactly the pool's retention policy anyway.
+// GC n times the objects to walk. Slabs are carved in allocation order and
+// a new one is allocated only when every slab the scheduler holds has been
+// carved since the last Reset; the scheduler keeps all of them for its
+// lifetime, which is exactly the pool's retention policy anyway.
 func (s *Scheduler) newEvent() *event {
 	if len(s.slab) == 0 {
-		s.slab = make([]event, eventSlabSize)
+		if s.nextSlab == len(s.slabs) {
+			s.slabs = append(s.slabs, make([]event, eventSlabSize))
+		}
+		s.slab = s.slabs[s.nextSlab]
+		s.nextSlab++
 	}
 	e := &s.slab[0]
 	s.slab = s.slab[1:]

@@ -25,6 +25,15 @@ func (q *heapQueue) reserve(n int) {
 	}
 }
 
+func (q *heapQueue) drain() {
+	for i, e := range q.events {
+		e.fn = nil
+		e.index = -1
+		q.events[i] = nil
+	}
+	q.events = q.events[:0]
+}
+
 //churnlb:hotpath
 func (q *heapQueue) Push(e *event) {
 	e.index = len(q.events)

@@ -32,6 +32,12 @@ type EventQueue interface {
 	// reserve sizes the backend for n live events ahead of a burst of
 	// pushes. Layout only: it must not change the pop order.
 	reserve(n int)
+	// drain empties the queue for Scheduler.Reset: every live event becomes
+	// dead (index -1, closure released, unlinked), the backend's arrays
+	// keep their capacity, and every adaptive parameter returns to a fresh
+	// queue's value — so what is pushed afterwards pops in a fresh queue's
+	// order at a fresh queue's cost, minus the allocations.
+	drain()
 }
 
 // eventLess is the one total order every backend must realise: time

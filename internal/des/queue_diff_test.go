@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -75,14 +76,24 @@ type fireRec struct {
 	id       int
 }
 
-// runProgram replays a program on a fresh scheduler of the given backend
-// and returns the full fire log (including the final drain) plus the
-// final clock bits.
-func runProgram(kind QueueKind, ops []qop) ([]fireRec, uint64) {
-	s := NewWithQueue(kind)
-	var fired []fireRec
-	var handles []Handle
+// progRun is one scheduler executing queue-differential programs: the
+// fire log and the handles accumulate across exec calls, so a test can
+// stop a program midway, Reset the scheduler and run another on it.
+type progRun struct {
+	s       *Scheduler
+	fired   []fireRec
+	handles []Handle
+	// beforeOp, when set, runs ahead of every op.
+	beforeOp func()
+}
+
+// exec runs ops in order, without the final drain.
+func (r *progRun) exec(ops []qop) {
+	s := r.s
 	for i, o := range ops {
+		if r.beforeOp != nil {
+			r.beforeOp()
+		}
 		if o.reserves {
 			s.Reserve(o.reserveK)
 		}
@@ -90,18 +101,18 @@ func runProgram(kind QueueKind, ops []qop) ([]fireRec, uint64) {
 		case 0:
 			id := i
 			child := o.child
-			handles = append(handles, s.After(o.delta, func() {
-				fired = append(fired, fireRec{math.Float64bits(s.Now()), id})
+			r.handles = append(r.handles, s.After(o.delta, func() {
+				r.fired = append(r.fired, fireRec{math.Float64bits(s.Now()), id})
 				if child >= 0 {
 					cid := 1_000_000 + id
 					s.After(child, func() {
-						fired = append(fired, fireRec{math.Float64bits(s.Now()), cid})
+						r.fired = append(r.fired, fireRec{math.Float64bits(s.Now()), cid})
 					})
 				}
 			}))
 		case 1:
-			if len(handles) > 0 {
-				handles[o.cancelSel%len(handles)].Cancel()
+			if len(r.handles) > 0 {
+				r.handles[o.cancelSel%len(r.handles)].Cancel()
 			}
 		case 2:
 			s.Step()
@@ -109,9 +120,23 @@ func runProgram(kind QueueKind, ops []qop) ([]fireRec, uint64) {
 			s.Run(s.Now() + o.horizon)
 		}
 	}
-	for s.Step() {
+}
+
+// finish fires whatever is still pending and returns the full fire log
+// plus the final clock bits.
+func (r *progRun) finish() ([]fireRec, uint64) {
+	for r.s.Step() {
 	}
-	return fired, math.Float64bits(s.Now())
+	return r.fired, math.Float64bits(r.s.Now())
+}
+
+// runProgram replays a program on a fresh scheduler of the given backend
+// and returns the full fire log (including the final drain) plus the
+// final clock bits.
+func runProgram(kind QueueKind, ops []qop) ([]fireRec, uint64) {
+	r := &progRun{s: NewWithQueue(kind)}
+	r.exec(ops)
+	return r.finish()
 }
 
 // assertSameOrder replays ops on the heap oracle and on every other
@@ -235,6 +260,104 @@ func TestReserveMakesBurstAllocationFree(t *testing.T) {
 			}
 			for s.Step() {
 			}
+		}
+	}
+}
+
+// TestQueueDifferentialReset: a scheduler that ran program A to a random
+// point — events still pending, some cancelled, its records and arrays
+// grown to A's needs — and was Reset fires program B exactly as a fresh
+// scheduler fires B alone, on both backends: same order, same clock, same
+// Fired count, and nothing of A ever fires again. Every handle A issued is
+// dead from the Reset on, and stays dead while its record carries B's
+// events: Cancel on all of them ahead of every op of B must change nothing
+// (which is what fails if Reset restarts the sequence counter — A's k-th
+// handle would then match the k-th event of B on the same record — or
+// leaves a live event linked).
+func TestQueueDifferentialReset(t *testing.T) {
+	for _, kind := range QueueKinds() {
+		for seed := uint64(0); seed < 20; seed++ {
+			rng := xrand.NewStream(seed, 0x2E5E7)
+			opsA := sprinkleReserves(genProgram(seed, 500), seed)
+			opsB := sprinkleReserves(genProgram(seed+1000, 300+int(seed)*10), seed+1000)
+
+			fresh := &progRun{s: NewWithQueue(kind)}
+			fresh.exec(opsB)
+			want, wantNow := fresh.finish()
+
+			r := &progRun{s: NewWithQueue(kind)}
+			r.exec(opsA[:100+rng.Intn(len(opsA)-100)])
+			r.handles = append(r.handles, r.s.After(1e6, func() { t.Error("an event of A fired after Reset") }))
+			firedA := len(r.fired)
+			r.s.Reset()
+			if r.s.Len() != 0 || r.s.HasPending() || r.s.Now() != 0 || r.s.Fired() != 0 {
+				t.Fatalf("%v seed %d: after Reset Len=%d Now=%v Fired=%d, want a fresh scheduler's zeros",
+					kind, seed, r.s.Len(), r.s.Now(), r.s.Fired())
+			}
+			handlesA := r.handles
+			r.fired, r.handles = nil, nil
+			r.beforeOp = func() {
+				for _, h := range handlesA {
+					if h.Active() {
+						t.Fatalf("%v seed %d: a handle from before Reset is active", kind, seed)
+					}
+					h.Cancel()
+				}
+			}
+			r.exec(opsB)
+			got, gotNow := r.finish()
+			label := kind.String() + " after Reset"
+			if !sameFires(t, label, got, gotNow, want, wantNow) {
+				t.Fatalf("%v seed %d: A fired %d events before the Reset", kind, seed, firedA)
+			}
+			if r.s.Fired() != fresh.s.Fired() {
+				t.Fatalf("%v seed %d: Fired() = %d after Reset, fresh scheduler %d", kind, seed, r.s.Fired(), fresh.s.Fired())
+			}
+		}
+	}
+}
+
+// mallocsOf counts the heap allocations of one call of f, the way
+// testing.AllocsPerRun does but without its warm-up call.
+func mallocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.Mallocs
+	f()
+	runtime.ReadMemStats(&m)
+	return m.Mallocs - before
+}
+
+// TestResetKeepsCapacity: Reserve(k) on a scheduler that already held a
+// burst of k before its Reset allocates at most once — the calendar's
+// second head array, which the first burst never needed — and from the
+// next Reset on a whole reserve-burst-Reset cycle allocates nothing: the
+// slab, the free list and the queue's arrays are all the last cycle's.
+func TestResetKeepsCapacity(t *testing.T) {
+	const k = 3000
+	for _, kind := range QueueKinds() {
+		s := NewWithQueue(kind)
+		rng := xrand.NewStream(7, 7)
+		dispatch := func(int32, int32) {}
+		cycle := func() {
+			s.SetDispatcher(dispatch)
+			s.Reserve(k)
+			for i := 0; i < k; i++ {
+				s.AfterIndexed(rng.Float64()*10, 0, int32(i))
+			}
+			for i := 0; i < k/2; i++ {
+				s.Step()
+			}
+			s.Reset()
+		}
+		cycle()
+		if n := mallocsOf(func() { s.Reserve(k) }); n > 1 {
+			t.Errorf("%v: Reserve(%d) after a Reset that followed the same burst allocated %d times, want at most 1", kind, k, n)
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+			t.Errorf("%v: %v allocations per reserve-burst-Reset cycle on a warm scheduler, want 0", kind, allocs)
 		}
 	}
 }

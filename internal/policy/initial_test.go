@@ -109,6 +109,18 @@ func checkInitial(t *testing.T, l policy.LBP2, v model.StateView, p model.Params
 	if allocs := testing.AllocsPerRun(3, func() { l.Initial(v, p) }); allocs > 1 {
 		t.Errorf("Initial allocates %v times, want at most once", allocs)
 	}
+	// The append form adds the same episode behind whatever dst holds, and
+	// a buffer that has held the episode once holds it again for nothing.
+	prefix := model.Transfer{From: -1, To: -2, Tasks: -3}
+	app := l.AppendInitial([]model.Transfer{prefix}, v, p)
+	if app[0] != prefix || len(app) != 1+len(want) || (len(want) > 0 && !reflect.DeepEqual(app[1:], want)) {
+		t.Fatalf("AppendInitial behind a prefix gave %d transfers, want the prefix and Initial's %d", len(app), len(want))
+	}
+	var buf []model.Transfer
+	//lint:ignore viewretain the closure runs inside AllocsPerRun, before this call returns; v is an immutable snapshot
+	if allocs := testing.AllocsPerRun(3, func() { buf = l.AppendInitial(buf[:0], v, p) }); allocs != 0 {
+		t.Errorf("AppendInitial into a buffer that held the episode allocates %v times, want 0", allocs)
+	}
 }
 
 // TestLBP2InitialSizedOnce: sizing the result from the first pass changes

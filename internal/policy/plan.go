@@ -17,12 +17,11 @@ import (
 // regime at large N, where every per-receiver share floors to zero. It
 // is the churn-path counterpart of IndexedRouter on the routing path.
 //
-// Once a plan is installed OnFailure is no longer consulted per episode
-// (traced runs excepted — they keep the per-call path so diagnostics
-// observe every episode). A wrapper that embeds a planning policy and
-// overrides OnFailure therefore must also shadow FailurePlan (returning
-// nil or a matching plan): Go's method promotion would otherwise expose
-// the embedded plan and silently bypass the override.
+// Once a plan is installed OnFailure is no longer consulted per episode.
+// A wrapper that embeds a planning policy and overrides OnFailure
+// therefore must also shadow FailurePlan (returning nil or a matching
+// plan): Go's method promotion would otherwise expose the embedded plan
+// and silently bypass the override.
 type FailurePlanner interface {
 	Policy
 	// FailurePlan returns the precomputed per-failing-node receiver

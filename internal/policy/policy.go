@@ -52,6 +52,19 @@ type ArrivalBalancer interface {
 	OnArrival(node int, v model.StateView, p model.Params) []model.Transfer
 }
 
+// InitialAppender is implemented by policies that can write their t = 0
+// episode into a buffer the caller owns: AppendInitial appends exactly the
+// transfers Initial returns, in the same order, to dst and returns it, the
+// way FailurePlan.Transfers does for a failure episode. A realisation that
+// finds the capability passes its reusable episode buffer, so the largest
+// episode of a closed run — one transfer per (sender, receiver) pair that
+// rounds to a task — stops being allocated once per run. As with
+// FailurePlanner, a wrapper that embeds such a policy and overrides Initial
+// must shadow AppendInitial too, or method promotion bypasses the override.
+type InitialAppender interface {
+	AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer
+}
+
 // NoBalance performs no transfers at all; the baseline every comparison
 // in the paper is implicitly made against.
 type NoBalance struct{}
@@ -205,20 +218,30 @@ func (l LBP2) PartitionFraction(i, j int, v model.StateView, p model.Params) flo
 }
 
 // Initial implements Policy: eq. (7), L_ij = K·p_ij·excess_j for every
-// overloaded node j. The aggregate sums behind ExcessLoad and
-// PartitionFraction are hoisted out of the node loops, making a balancing
-// episode O(n·(overloaded nodes)) instead of O(n³) on large clusters;
-// every per-pair expression evaluates in the same order as the exported
+// overloaded node j, in a slice of its own (nil when nothing moves).
+func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
+	out := l.AppendInitial(nil, v, p)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// AppendInitial implements InitialAppender: Initial's episode appended to
+// dst. The aggregate sums behind ExcessLoad and PartitionFraction are
+// hoisted out of the node loops, making a balancing episode
+// O(n·(overloaded nodes)) instead of O(n³) on large clusters; every
+// per-pair expression evaluates in the same order as the exported
 // eq.-level methods, so transfer sizes stay bit-identical to them.
 //
-// The result is allocated once, from a bound an O(n) first pass computes:
+// dst grows at most once, to exactly a bound an O(n) first pass computes:
 // a transfer carries at least one task, so sender j emits at most
 // min(n-1, m_j, 2K·excess_j) of them — it never ships more than it holds,
 // and a receiver gets a task only when its K·p_ij·excess_j reaches the
 // 1/2 that rounds up, which at most 2K·excess_j of the p_ij (they sum to
 // one) can do — and none at all when even the largest possible p_ij
 // rounds to nothing.
-func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
+func (l LBP2) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
 	n := p.N()
 	total := totalQueued(v)
 	totalProc := p.TotalProcRate()
@@ -238,9 +261,11 @@ func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
 		bound += max(0, min(n-1, v.Queue(j), int(2*l.K*float64(excess))+1))
 	}
 	if bound == 0 {
-		return nil
+		return dst
 	}
-	out := make([]model.Transfer, 0, bound)
+	if cap(dst)-len(dst) < bound {
+		dst = append(make([]model.Transfer, 0, len(dst)+bound), dst...)
+	}
 	for j := 0; j < n; j++ {
 		excess := l.excessOf(j, v, p, total, totalProc)
 		if excess == 0 {
@@ -283,13 +308,10 @@ func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
 				break
 			}
 			sent += tasks
-			out = append(out, model.Transfer{From: j, To: i, Tasks: tasks})
+			dst = append(dst, model.Transfer{From: j, To: i, Tasks: tasks})
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return dst
 }
 
 // FailureTransferSize returns eq. (8)'s LF_ij: the number of tasks the

@@ -42,8 +42,10 @@ func probeParams(n int) (model.Params, []int) {
 	return p, load
 }
 
-// TestMemProbe measures total allocation per node for one realisation of
-// the probe workload at N = 10³/10⁴/10⁵, on both the eager heap-backed
+// TestMemProbe measures total allocation per node for one fresh
+// realisation of the probe workload — the idle arenas are dropped ahead of
+// each, so the figure is what a run costs when nothing is left over from
+// another — at N = 10³/10⁴/10⁵, on both the eager heap-backed
 // configuration and the lazy calendar-queue one. It is the generator of
 // the README "Memory layout" table (run with -v and copy the B/node
 // figures) and a coarse tripwire: it never fails on its own, but a layout
@@ -61,6 +63,7 @@ func TestMemProbe(t *testing.T) {
 		for _, n := range []int{1000, 10000, 100000} {
 			p, load := probeParams(n)
 			var before, after runtime.MemStats
+			dropIdleArenas()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			res, err := Run(Options{

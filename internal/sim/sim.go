@@ -41,6 +41,25 @@
 // caller gets — same view, same plan, same index, same stream. (What an
 // observer does rule out is LazyChurn, which needs nobody watching idle
 // nodes.)
+//
+// Realisations reuse their memory. Finish hands the sequential engine's
+// arena — the des.Scheduler with its record slabs, free list and queue
+// arrays, the hot array, the flight table, the episode buffer (which also
+// carries the t = 0 balance when the policy is a policy.InitialAppender)
+// and, once an observed run has built them, the per-node task deques with
+// their backing arrays — to a package-level idle list, and the next Start
+// takes it back, so a study of thousands of short realisations allocates
+// its state once per worker instead of once per run. Only capacity is
+// kept: Start zeroes or truncates every array and Finish resets the
+// scheduler, record, bucket and slice layout never decide pop order, and
+// every output of a run is bit-identical whichever arena it ran on, used
+// or new (arena_test.go). The list is a mutex-guarded slice capped at
+// GOMAXPROCS arenas and holds them strongly: a serial caller always gets
+// its last arena back, a parallel study keeps one per worker, a Finish
+// that finds the list full drops its arena, and an idle arena stays
+// resident — at the size of the largest run that used it — until the
+// process ends. A Start nobody finishes just lets its arena be collected.
+// The sharded engine (shard.go) does not take part.
 package sim
 
 import (
@@ -428,8 +447,9 @@ type simState struct {
 	// traceIdx is the cursor into Options.ArrivalTrace when a recorded
 	// schedule replaces the Poisson arrival process.
 	traceIdx int
-	// obs and taskq exist only when Options.TaskObserver is set: taskq
-	// mirrors each queue with per-task lifecycle records.
+	// obs is set, and taskq in use, only when Options.TaskObserver is set:
+	// taskq mirrors each queue with per-task lifecycle records. (Otherwise
+	// taskq is whatever the arena holds, on its way to the next Start.)
 	obs   TaskObserver
 	taskq []taskQueue
 	// sink is Options.DecisionSink and considered the constant it is told
@@ -633,13 +653,25 @@ func Start(opt Options) (*Realisation, error) {
 		return nil, err
 	}
 
+	// The state's arrays come from the arena the last finished realisation
+	// left (a zero one when none is idle): same contents as freshly made
+	// ones, whatever capacity that run grew them to.
+	a := takeArena()
+	if a.sched == nil || a.queue != opt.EventQueue {
+		a.sched = des.NewWithQueue(opt.EventQueue)
+	}
 	s := &simState{
-		opt:   opt,
-		p:     opt.Params,
-		sched: des.NewWithQueue(opt.EventQueue),
-		rng:   opt.Rand,
-		hot:   make([]nodeHot, n),
-		res:   &Result{Processed: make([]int, n)},
+		opt:         opt,
+		p:           opt.Params,
+		sched:       a.sched,
+		rng:         opt.Rand,
+		hot:         zeroed(a.hot, n),
+		res:         &Result{Processed: make([]int, n)},
+		transferBuf: a.transferBuf[:0],
+		flights:     a.flights[:0],
+		freeFlights: a.freeFlights[:0],
+		flightRecs:  a.flightRecs[:0],
+		taskq:       a.taskq,
 	}
 	s.sched.SetDispatcher(s.dispatch)
 	for i := range s.hot {
@@ -710,7 +742,7 @@ func Start(opt Options) (*Realisation, error) {
 	}
 	if opt.TaskObserver != nil {
 		s.obs = opt.TaskObserver
-		s.taskq = make([]taskQueue, n)
+		s.taskq = emptied(s.taskq, n)
 		for i := range s.hot {
 			q := s.queueOf(i)
 			for t := 0; t < q; t++ {
@@ -726,8 +758,13 @@ func Start(opt Options) (*Realisation, error) {
 	}
 	s.observe(EvStart, -1)
 
-	// Initial balancing.
-	s.applyTransfers(opt.Policy.Initial(s.live, s.p))
+	// Initial balancing, into the episode buffer when the policy can.
+	if ia, ok := opt.Policy.(policy.InitialAppender); ok {
+		s.transferBuf = ia.AppendInitial(s.transferBuf[:0], s.live, s.p)
+		s.applyTransfers(s.transferBuf)
+	} else {
+		s.applyTransfers(opt.Policy.Initial(s.live, s.p))
+	}
 
 	// Arm per-node processes. A lazy run leaves idle nodes detached: their
 	// churn process stays unrealised (lazyFrom = 0) until work arrives.
@@ -808,9 +845,13 @@ func (r *Realisation) Done() bool {
 }
 
 // Finish closes the realisation and returns its Result. Call it exactly
-// once, after the step loop stopped on Done or on a drained queue.
+// once, after the step loop stopped on Done or on a drained queue: it
+// hands the realisation's memory to the next Start (see arena), so the
+// Realisation is unusable afterwards — any further call panics.
 func (r *Realisation) Finish() (*Result, error) {
 	s := r.s
+	r.s = nil
+	defer s.release()
 	if s.opt.MaxTime > 0 && s.remaining > 0 {
 		return nil, fmt.Errorf("sim: aborted at MaxTime=%v with %d tasks remaining", s.opt.MaxTime, s.remaining)
 	}
