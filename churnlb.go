@@ -307,23 +307,18 @@ const (
 	ChurnDeterministic = sim.ChurnDeterministic
 )
 
-// EventQueue selects the simulation kernel's pending-event backend.
+// EventQueue names a pending-event backend of the simulation kernel.
+//
+// Deprecated: ignored; the simulator picks the queue from the node count.
 type EventQueue = des.QueueKind
 
-// Event-queue backends. Both fire every schedule in the same order, so a
-// realisation is bit-identical — to the float — under either; the choice
-// trades only time and memory (the calendar queue is amortised O(1) per
-// event where the heap pays O(log n) over ~2n live timers).
+// Event-queue backends.
+//
+// Deprecated: ignored; the simulator picks the queue from the node count.
 const (
-	// QueueHeap is the binary event heap, the default.
-	QueueHeap = des.QueueHeap
-	// QueueCalendar is the adaptive calendar queue (timer wheel).
+	QueueHeap     = des.QueueHeap
 	QueueCalendar = des.QueueCalendar
 )
-
-// ParseEventQueue converts the CLI spelling of a backend ("heap",
-// "calendar" or its alias "wheel") into an EventQueue.
-func ParseEventQueue(s string) (EventQueue, error) { return des.ParseQueueKind(s) }
 
 // SimOptions tunes Simulate beyond the defaults.
 type SimOptions struct {
@@ -338,8 +333,7 @@ type SimOptions struct {
 	TransferMode TransferMode
 	// ChurnLaw selects the failure/recovery law (default ChurnExponential).
 	ChurnLaw ChurnLaw
-	// EventQueue selects the simulation kernel's pending-event backend
-	// (default QueueHeap); realisations are bit-identical either way.
+	// Deprecated: ignored; the simulator picks the queue from the node count.
 	EventQueue EventQueue
 	// LazyChurn asks the simulator to keep churn timers only for nodes
 	// holding tasks, resolving idle nodes' memoryless up/down processes
@@ -372,7 +366,6 @@ func (opt SimOptions) options(p model.Params, pol policy.Policy, load []int) sim
 		ArrivalRate:    opt.ArrivalRate,
 		ArrivalBatch:   opt.ArrivalBatch,
 		ArrivalHorizon: opt.ArrivalHorizon,
-		EventQueue:     opt.EventQueue,
 		LazyChurn:      opt.LazyChurn,
 		Shards:         opt.Shards,
 	}
@@ -574,9 +567,7 @@ type ServeOptions struct {
 	// TransferMode and ChurnLaw select the delay and churn laws.
 	TransferMode TransferMode
 	ChurnLaw     ChurnLaw
-	// EventQueue selects the simulation kernel's pending-event backend
-	// (default QueueHeap); a serving realisation is bit-identical either
-	// way.
+	// Deprecated: ignored; the simulator picks the queue from the node count.
 	EventQueue EventQueue
 	// Workers caps the goroutines ServeMany spreads its replications
 	// over; 0 means GOMAXPROCS. The estimate is bit-identical for any
@@ -820,7 +811,6 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 		Window:        opt.Window,
 		TransferMode:  opt.TransferMode,
 		ChurnLaw:      opt.ChurnLaw,
-		EventQueue:    opt.EventQueue,
 		Seed:          seed,
 		Shards:        opt.Shards,
 	}, nil

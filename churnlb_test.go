@@ -294,8 +294,8 @@ func TestMonteCarloOptsLaws(t *testing.T) {
 }
 
 // TestUnknownLawsRejected: the enums are the simulator's own, so its one
-// validation covers every entry point — an out-of-range law or backend is
-// an error everywhere, never a silent run under the default.
+// validation covers every entry point — an out-of-range law is an error
+// everywhere, never a silent run under the default.
 func TestUnknownLawsRejected(t *testing.T) {
 	sys, spec, load := PaperSystem(), PolicySpec{Kind: PolicyLBP2, K: 1}, []int{1, 1}
 	for _, c := range []struct {
@@ -304,7 +304,6 @@ func TestUnknownLawsRejected(t *testing.T) {
 	}{
 		{"ChurnLaw", SimOptions{ChurnLaw: 7}},
 		{"TransferMode", SimOptions{TransferMode: 7}},
-		{"EventQueue", SimOptions{EventQueue: 7}},
 	} {
 		name, opt := c.name, c.opt
 		if _, err := Simulate(sys, spec, load, 1, opt); err == nil {
@@ -314,7 +313,7 @@ func TestUnknownLawsRejected(t *testing.T) {
 			t.Errorf("MonteCarloOpts accepted unknown %s", name)
 		}
 		so := ServeOptions{Rate: 1, Horizon: 1,
-			ChurnLaw: opt.ChurnLaw, TransferMode: opt.TransferMode, EventQueue: opt.EventQueue}
+			ChurnLaw: opt.ChurnLaw, TransferMode: opt.TransferMode}
 		if _, err := Serve(sys, spec, RouterSpec{}, 1, so); err == nil {
 			t.Errorf("Serve accepted unknown %s", name)
 		}

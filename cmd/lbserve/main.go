@@ -17,7 +17,7 @@
 // CI plus pooled latency percentiles — bit-identical for any worker count.
 //
 // -manifest writes a machine-readable run manifest (inputs, seeds,
-// backends, summary metrics, decision-trace hash) from which
+// laws, summary metrics, decision-trace hash) from which
 // `reproduce -manifest` re-runs and verifies the exact realisation;
 // -decisions streams one JSONL decision record per routed arrival with
 // counterfactual-k pricing of the router's untaken choices. The
@@ -79,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		horizon = fs.Float64("horizon", 60, "arrival window, s (the run then drains)")
 		delta   = fs.Float64("delta", 0.02, "mean transfer delay per task, s")
 		window  = fs.Float64("window", 0, "telemetry window, s (0 = horizon/100)")
-		queue   = fs.String("queue", "heap", "event-queue backend: heap, calendar (alias wheel); results are bit-identical either way")
 		shards  = fs.Int("shards", 0, "run each realisation on the domain-sharded parallel engine with up to this many workers (0 = single-stream engine; any positive count is bit-identical to any other; incompatible with -decisions, and Ctrl-C does not drain a sharded run — it finishes, or a second signal kills it)")
 		seed    = fs.Uint64("seed", 1, "root seed")
 		reps    = fs.Int("reps", 1, "replications; >1 aggregates a parallel Monte-Carlo estimate")
@@ -113,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	man.Seed = *seed
 	man.Scenario = &obs.ScenarioRef{Kind: *scenStr, Nodes: *nodes, Load: *load, Delta: *delta}
 	man.Policy = obs.PolicyRef{Name: *polStr, K: *k, D: *d}
-	man.Queue = *queue
 	man.Shards = *shards
 	man.Rate = *rate
 	man.Batch = *batch

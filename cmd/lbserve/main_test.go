@@ -27,9 +27,6 @@ func TestBadFlagsRejected(t *testing.T) {
 	if code := run([]string{"-rate", "0"}, &out, &errb, nil); code != 1 {
 		t.Fatalf("zero rate: exit %d, want 1", code)
 	}
-	if code := run([]string{"-queue", "nonsense"}, &out, &errb, nil); code != 2 {
-		t.Fatalf("unknown queue backend: exit %d, want 2", code)
-	}
 }
 
 // TestHostileArrivalFlagsRejected: the three commands that used to wedge
@@ -60,25 +57,6 @@ func TestHostileArrivalFlagsRejected(t *testing.T) {
 				t.Fatalf("stderr %q does not name %s", errb.String(), c.names)
 			}
 		})
-	}
-}
-
-// TestServeQueueBackendBitIdentical: the full serving report — latency
-// percentiles, throughput, availability, utilization — must be
-// byte-identical on every event-queue backend.
-func TestServeQueueBackendBitIdentical(t *testing.T) {
-	serve := func(backend string) string {
-		t.Helper()
-		var out, errb bytes.Buffer
-		code := run([]string{"-scenario", "hotspot", "-nodes", "40", "-policy", "jsq",
-			"-rate", "50", "-horizon", "10", "-queue", backend}, &out, &errb, nil)
-		if code != 0 {
-			t.Fatalf("-queue %s: exit %d, stderr: %s", backend, code, errb.String())
-		}
-		return out.String()
-	}
-	if heap, cal := serve("heap"), serve("calendar"); heap != cal {
-		t.Fatalf("backends diverged:\nheap:\n%s\ncalendar:\n%s", heap, cal)
 	}
 }
 

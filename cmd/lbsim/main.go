@@ -11,10 +11,10 @@
 //	lbsim -scenario hotspot -nodes 200 -load 20000 -policy lbp2 -reps 200
 //	lbsim -scenario flashcrowd -nodes 1000 -load 100000 -policy lbp1 -reps 1
 //	lbsim -scenario diurnal -nodes 100 -load 20000 -policy dynamic -reps 50
-//	lbsim -scenario hotspot -nodes 10000 -load 1000000 -policy lbp2 -reps 1 -queue calendar -lazychurn
+//	lbsim -scenario hotspot -nodes 10000 -load 1000000 -policy lbp2 -reps 1 -lazychurn
 //
 // -manifest writes a machine-readable run manifest (inputs, seeds,
-// backends, summary metrics) from which `reproduce -manifest` re-runs
+// laws, summary metrics) from which `reproduce -manifest` re-runs
 // and verifies the exact result; -cpuprofile, -memprofile and
 // -tracefile capture pprof/runtime profiles of the run.
 package main
@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trace    = fs.Bool("trace", false, "run a single traced realisation instead (two-node mode)")
 		transfer = fs.String("transfer", "bundle", "transfer-delay law: bundle, pertask")
 		churn    = fs.String("churn", "exp", "failure/recovery law: exp, weibull, det")
-		queue    = fs.String("queue", "heap", "event-queue backend: heap, calendar (alias wheel); results are bit-identical either way")
 		lazy     = fs.Bool("lazychurn", false, "keep churn timers only for loaded nodes (statistically, not bit, identical; falls back to eager when the run would observe idle nodes)")
 		shards   = fs.Int("shards", 0, "run each realisation on the domain-sharded parallel engine with up to this many workers (0 = single-stream engine; any positive count is bit-identical to any other)")
 		scenStr  = fs.String("scenario", "", "large-cluster scenario: uniform, hotspot, correlated, flashcrowd, diurnal")
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	man.Seed = *seed
 	man.Transfer = *transfer
 	man.Churn = *churn
-	man.Queue = *queue
 	man.LazyChurn = *lazy
 	man.Shards = *shards
 	if *scenStr != "" {

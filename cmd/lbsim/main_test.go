@@ -25,30 +25,6 @@ func TestBadFlagsRejected(t *testing.T) {
 	if code := run([]string{"-churn", "nonsense"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown churn law: exit %d, want 2", code)
 	}
-	if code := run([]string{"-queue", "nonsense"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown queue backend: exit %d, want 2", code)
-	}
-}
-
-// TestQueueBackendBitIdentical: the same study on -queue heap and -queue
-// calendar (and its wheel alias) must print byte-identical output — the
-// backend is a cost knob, never a semantics knob.
-func TestQueueBackendBitIdentical(t *testing.T) {
-	study := func(extra ...string) string {
-		t.Helper()
-		var out, errb bytes.Buffer
-		args := append([]string{"-m0", "30", "-m1", "10", "-policy", "lbp2", "-reps", "40", "-seed", "5"}, extra...)
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("%v: exit %d, stderr: %s", extra, code, errb.String())
-		}
-		return out.String()
-	}
-	heap := study("-queue", "heap")
-	cal := study("-queue", "calendar")
-	wheel := study("-queue", "wheel")
-	if heap != cal || heap != wheel {
-		t.Fatalf("backends diverged:\nheap:  %s\ncal:   %s\nwheel: %s", heap, cal, wheel)
-	}
 }
 
 // TestLazyChurnFlag: a lazy scenario study runs clean; being a different
@@ -57,7 +33,7 @@ func TestQueueBackendBitIdentical(t *testing.T) {
 func TestLazyChurnFlag(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-scenario", "hotspot", "-nodes", "40", "-load", "800",
-		"-policy", "lbp2", "-reps", "5", "-queue", "calendar", "-lazychurn"}, &out, &errb)
+		"-policy", "lbp2", "-reps", "5", "-lazychurn"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}

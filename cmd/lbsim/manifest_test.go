@@ -28,7 +28,7 @@ func TestManifestReplaysExactly(t *testing.T) {
 			args: []string{"-m0", "20", "-m1", "5", "-policy", "lbp2", "-trace", "-seed", "8"}},
 		{name: "sim-scenario", mode: obs.ModeSimScenario,
 			args: []string{"-scenario", "hotspot", "-nodes", "25", "-load", "400",
-				"-policy", "lbp2", "-reps", "1", "-seed", "4", "-queue", "calendar", "-lazychurn"},
+				"-policy", "lbp2", "-reps", "1", "-seed", "4", "-lazychurn"},
 			drop: func(m *obs.Manifest) { m.LazyChurn = false }},
 		{name: "mc-scenario", mode: obs.ModeMCScenario,
 			args: []string{"-scenario", "diurnal", "-nodes", "20", "-load", "300", "-policy", "dynamic",

@@ -24,7 +24,10 @@ import (
 // a package that moved or merged leaves such references behind — and every
 // backticked pkg.Ident whose pkg is this package or a directory under
 // internal/ must be declared in a non-test file of that package (type,
-// func, method, const or var; of a longer path only Ident is checked).
+// func, method, const or var; of a longer path only Ident is checked), and
+// every -flag they pass to lbsim, lbserve, lbd, lbbed or reproduce must be
+// defined on the FlagSet in that tool's main.go — a flag that is removed
+// leaves its examples behind.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -104,8 +107,35 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		return decls[dir][name]
 	}
+	toolFlags := map[string]map[string]bool{}
+	flagDefRE := regexp.MustCompile(`\bfs\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
+	for _, tool := range []string{"lbsim", "lbserve", "lbd", "lbbed", "reproduce"} {
+		defined := map[string]bool{"h": true, "help": true} // the flag package's own
+		for _, m := range flagDefRE.FindAllStringSubmatch(read(filepath.Join("cmd", tool, "main.go")), -1) {
+			defined[m[1]] = true
+		}
+		toolFlags[tool] = defined
+	}
+	flagRE := regexp.MustCompile(`^--?([a-z][a-z0-9]*)`)
+	cmdEndRE := regexp.MustCompile("[|`]|&&")
 	for _, doc := range []string{"README.md", ".github/workflows/ci.yml"} {
 		text := read(doc)
+		// A tool's flags are the -words after its name up to the end of the
+		// command: the line with its \ continuations, cut at a pipe, an &&
+		// or a backtick.
+		for _, line := range strings.Split(strings.ReplaceAll(text, "\\\n", " "), "\n") {
+			for _, cmd := range cmdEndRE.Split(line, -1) {
+				tool := ""
+				for _, tok := range strings.Fields(cmd) {
+					tok = strings.Trim(tok, `,.:;()[]"'*`)
+					if toolFlags[filepath.Base(tok)] != nil {
+						tool = filepath.Base(tok)
+					} else if m := flagRE.FindStringSubmatch(tok); m != nil && tool != "" && !toolFlags[tool][m[1]] {
+						t.Errorf("%s passes -%s to %s, which its main.go does not define", doc, m[1], tool)
+					}
+				}
+			}
+		}
 		for _, tok := range benchRE.FindAllString(text, -1) {
 			prefix := strings.TrimSuffix(tok, "*")
 			if !slices.ContainsFunc(funcs, func(f string) bool {

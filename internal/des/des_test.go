@@ -317,31 +317,6 @@ func TestFiredCounter(t *testing.T) {
 	})
 }
 
-func TestParseQueueKind(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want QueueKind
-		ok   bool
-	}{
-		{"heap", QueueHeap, true},
-		{"calendar", QueueCalendar, true},
-		{"wheel", QueueCalendar, true},
-		{"fifo", 0, false},
-		{"", 0, false},
-	} {
-		got, err := ParseQueueKind(c.in)
-		if (err == nil) != c.ok || (c.ok && got != c.want) {
-			t.Errorf("ParseQueueKind(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	for _, k := range QueueKinds() {
-		back, err := ParseQueueKind(k.String())
-		if err != nil || back != k {
-			t.Errorf("round trip %v -> %q -> %v, %v", k, k.String(), back, err)
-		}
-	}
-}
-
 // Property: with random schedules and random cancellations, surviving
 // events fire exactly once, in order — on every backend.
 func TestHeapProperty(t *testing.T) {

@@ -63,7 +63,7 @@ const (
 	QueueCalendar
 )
 
-// String returns the CLI spelling of the kind.
+// String returns the kind's name.
 func (k QueueKind) String() string {
 	switch k {
 	case QueueHeap:
@@ -78,21 +78,8 @@ func (k QueueKind) String() string {
 // QueueKinds lists every backend in declaration order.
 func QueueKinds() []QueueKind { return []QueueKind{QueueHeap, QueueCalendar} }
 
-// ParseQueueKind converts a CLI spelling into a QueueKind. "wheel" is
-// accepted as an alias for the calendar queue.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "heap":
-		return QueueHeap, nil
-	case "calendar", "wheel":
-		return QueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("des: unknown event-queue kind %q (want heap or calendar)", s)
-	}
-}
-
 // newQueue builds the backend for a kind; unknown kinds are a programmer
-// error (public entry points parse and validate first).
+// error (the simulator derives its kind, nothing parses one).
 func newQueue(kind QueueKind) EventQueue {
 	switch kind {
 	case QueueHeap:

@@ -32,14 +32,15 @@ func benchPending(b *testing.B, kind QueueKind, n int) {
 // schedule+fire cycle against a standing 2N-timer population on each
 // backend — the numbers behind the README scheduler-cost table. A flat
 // Wheel line against a growing Heap line is the point of the calendar
-// queue.
+// queue; the N = 2…32 rows are the small populations where the heap
+// still wins, which is why the simulator keeps it below 16 nodes.
 func BenchmarkSchedulerPending(b *testing.B) {
 	for _, kind := range QueueKinds() {
 		name := "Heap"
 		if kind == QueueCalendar {
 			name = "Wheel"
 		}
-		for _, n := range []int{100, 1000, 10000} {
+		for _, n := range []int{2, 4, 8, 16, 32, 100, 1000, 10000} {
 			b.Run(fmt.Sprintf("%sN%d", name, n), func(b *testing.B) {
 				benchPending(b, kind, n)
 			})

@@ -84,7 +84,7 @@ type DecisionRef struct {
 
 // Manifest is the machine-readable provenance record of one CLI run:
 // everything needed to re-execute the exact realisation (inputs, seeds,
-// backend selection) plus the summary metrics it produced, so a result
+// laws, engine) plus the summary metrics it produced, so a result
 // row is verifiable from its manifest alone. Fields irrelevant to a
 // mode stay at their zero value and are omitted from the JSON.
 type Manifest struct {
@@ -113,8 +113,9 @@ type Manifest struct {
 
 	Policy PolicyRef `json:"policy"`
 
-	// Law and backend selection, CLI spellings.
-	Queue     string `json:"queue,omitempty"`
+	// Law selection, CLI spellings. (Manifests written before the simulator
+	// picked its own event queue also carry a "queue" key; it never changed
+	// a result, and decoding ignores it.)
 	Transfer  string `json:"transfer,omitempty"`
 	Churn     string `json:"churn,omitempty"`
 	LazyChurn bool   `json:"lazychurn,omitempty"`

@@ -1,6 +1,6 @@
 // Package rerun is the run path of the manifest-writing CLIs: an
 // obs.Manifest is a JSON-serialisable description of one run (cluster,
-// workload, policy, laws, backend, seeds, reps), and Execute turns that
+// workload, policy, laws, engine, seeds, reps), and Execute turns that
 // description into the run. lbsim and lbserve translate their flags into
 // a manifest, Execute it, print from the Outcome and save the manifest
 // with the Outcome's metrics; `reproduce -manifest` loads a saved one and
@@ -10,11 +10,11 @@
 // therefore the same function.
 //
 // Spellings are not defined here: policies and routers resolve through
-// internal/policy, laws and backends through the Parse function beside
-// each enum (sim.ParseTransferMode, sim.ParseChurnLaw,
-// des.ParseQueueKind). This package adds only what a run description
-// adds: lbserve's "dynlbp2" (uniform dispatch under the dynamic policy)
-// and the scenario runs' reading of "lbp1" as its N-node form.
+// internal/policy, laws through the Parse function beside each enum
+// (sim.ParseTransferMode, sim.ParseChurnLaw). This package adds only what
+// a run description adds: lbserve's "dynlbp2" (uniform dispatch under the
+// dynamic policy) and the scenario runs' reading of "lbp1" as its N-node
+// form.
 package rerun
 
 import (
@@ -25,7 +25,6 @@ import (
 
 	"churnlb"
 	"churnlb/internal/calib"
-	"churnlb/internal/des"
 	"churnlb/internal/mc"
 	"churnlb/internal/model"
 	"churnlb/internal/obs"
@@ -127,9 +126,9 @@ func generate(m *obs.Manifest) (*scenario.Scenario, error) {
 	})
 }
 
-// laws parses the manifest's law and backend spellings. A manifest omits
-// unset fields, so "" means each enum's default.
-func laws(m *obs.Manifest) (tm sim.TransferMode, cl sim.ChurnLaw, qk des.QueueKind, err error) {
+// laws parses the manifest's law spellings. A manifest omits unset
+// fields, so "" means each enum's default.
+func laws(m *obs.Manifest) (tm sim.TransferMode, cl sim.ChurnLaw, err error) {
 	orDefault := func(s, def string) string {
 		if s == "" {
 			return def
@@ -139,10 +138,7 @@ func laws(m *obs.Manifest) (tm sim.TransferMode, cl sim.ChurnLaw, qk des.QueueKi
 	if tm, err = sim.ParseTransferMode(orDefault(m.Transfer, "bundle")); err != nil {
 		return
 	}
-	if cl, err = sim.ParseChurnLaw(orDefault(m.Churn, "exp")); err != nil {
-		return
-	}
-	qk, err = des.ParseQueueKind(orDefault(m.Queue, "heap"))
+	cl, err = sim.ParseChurnLaw(orDefault(m.Churn, "exp"))
 	return
 }
 
@@ -181,7 +177,7 @@ func closedRun(m *obs.Manifest) (*Outcome, error) {
 		return nil, &SpecError{err}
 	}
 	out.Policy = opt.Policy
-	if opt.TransferMode, opt.ChurnLaw, opt.EventQueue, err = laws(m); err != nil {
+	if opt.TransferMode, opt.ChurnLaw, err = laws(m); err != nil {
 		return nil, &SpecError{err}
 	}
 	opt.LazyChurn = m.LazyChurn
@@ -228,7 +224,7 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 				m.Policy.Name, strings.Join(policy.RouterNames(), ", "))}
 		}
 	}
-	tm, cl, qk, err := laws(m)
+	tm, cl, err := laws(m)
 	if err != nil {
 		return nil, &SpecError{err}
 	}
@@ -251,7 +247,6 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 		Window:        m.Window,
 		TransferMode:  tm,
 		ChurnLaw:      cl,
-		EventQueue:    qk,
 		WaveAmplitude: m.WaveAmplitude,
 		WavePeriod:    m.WavePeriod,
 		Shards:        m.Shards,
@@ -295,7 +290,7 @@ func twinRun(m *obs.Manifest) (*Outcome, error) {
 	if err != nil {
 		return nil, &SpecError{err}
 	}
-	_, cl, _, err := laws(m)
+	_, cl, err := laws(m)
 	if err != nil {
 		return nil, &SpecError{err}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"churnlb/internal/obs"
@@ -128,8 +130,8 @@ func TestRerunTwoNode(t *testing.T) {
 	}
 }
 
-// TestRerunScenario: generated-cluster modes replay bit-for-bit across
-// queue backends and lazy churn.
+// TestRerunScenario: generated-cluster modes replay bit-for-bit under
+// lazy churn.
 func TestRerunScenario(t *testing.T) {
 	for _, mode := range []string{obs.ModeSimScenario, obs.ModeMCScenario} {
 		m := obs.NewManifest("lbsim", mode)
@@ -137,10 +139,33 @@ func TestRerunScenario(t *testing.T) {
 		m.Reps = 5
 		m.Scenario = &obs.ScenarioRef{Kind: "flashcrowd", Nodes: 12, Load: 300, Delta: 0.02}
 		m.Policy = obs.PolicyRef{Name: "lbp2", K: 1}
-		m.Queue = "calendar"
 		m.LazyChurn = true
 		record(t, m)
 		verify(t, m, nil)
+	}
+}
+
+// TestRerunManifestsThatNameAQueue: manifests written while lbsim and
+// lbserve still took -queue carry a "queue" key — an lbsim study with
+// "heap" and an lbserve decision-traced run with "calendar", both saved by
+// those tools then. They load, ignore the key, and replay to the recorded
+// metrics and decision hash.
+func TestRerunManifestsThatNameAQueue(t *testing.T) {
+	for _, queue := range []string{"heap", "calendar"} {
+		t.Run(queue, func(t *testing.T) {
+			path := filepath.Join("testdata", "queue-"+queue+".json")
+			if b, err := os.ReadFile(path); err != nil || !bytes.Contains(b, []byte(`"queue": "`+queue+`"`)) {
+				t.Fatalf("%s does not record queue %q (%v)", path, queue, err)
+			}
+			m, err := obs.LoadManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := verify(t, m, nil)
+			if m.Decisions != nil && rep.HashGot == "" {
+				t.Fatal("the manifest records a decision hash the replay did not recompute")
+			}
+		})
 	}
 }
 
@@ -164,9 +189,6 @@ func TestRerunRejects(t *testing.T) {
 	m.Policy = obs.PolicyRef{Name: "quantum"}
 	rejected("unknown policy", m)
 	m.Policy.Name = "jsq"
-	m.Queue = "fifo"
-	rejected("unknown queue", m)
-	m.Queue = ""
 	rejected("missing scenario", m)
 
 	// A well-formed description whose run fails is not a SpecError.

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
@@ -18,10 +17,10 @@ import (
 )
 
 // serveOptions builds a small fixed serving workload with churn and a
-// router, the workload the attach/detach goldens run.
-func serveOptions(t *testing.T, newRouter func() policy.Router, qk des.QueueKind) serve.Options {
+// router over a hotspot cluster of the given size.
+func serveOptions(t *testing.T, newRouter func() policy.Router, nodes int) serve.Options {
 	t.Helper()
-	sc, err := scenario.Generate(scenario.Spec{Kind: scenario.Hotspot, N: 12, TotalLoad: 300, Seed: 5})
+	sc, err := scenario.Generate(scenario.Spec{Kind: scenario.Hotspot, N: nodes, TotalLoad: 300, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +33,18 @@ func serveOptions(t *testing.T, newRouter func() policy.Router, qk des.QueueKind
 		Rate:        25,
 		Batch:       2,
 		Horizon:     8,
-		EventQueue:  qk,
 		Seed:        1234,
 	}
 }
+
+// clusters are the cluster sizes the tracer is checked on, named by the
+// event queue the simulator picks for each (the heap below 16 nodes, the
+// calendar queue from there). The decision-stream goldens are pinned on
+// the first.
+var clusters = []struct {
+	queue string
+	nodes int
+}{{"heap", 12}, {"calendar", 48}}
 
 // routers under test: nil routes uniformly at random — the tracer still
 // prices those decisions; the rest exercise every routing rule.
@@ -52,7 +59,7 @@ func testRouters() map[string]func() policy.Router {
 }
 
 // TestTracerAttachDetachBitIdentical is the zero-cost/no-perturbation
-// golden: for every router and queue backend, a run with the decision
+// golden: for every router and cluster size, a run with the decision
 // tracer attached must be bit-identical to the same run without it.
 func TestTracerAttachDetachBitIdentical(t *testing.T) {
 	routers := testRouters()
@@ -63,13 +70,13 @@ func TestTracerAttachDetachBitIdentical(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		newRouter := routers[name]
-		for _, qk := range des.QueueKinds() {
-			t.Run(fmt.Sprintf("%s/%s", name, qk), func(t *testing.T) {
-				plain, err := serve.Run(serveOptions(t, newRouter, qk))
+		for _, cl := range clusters {
+			t.Run(fmt.Sprintf("%s/%s", name, cl.queue), func(t *testing.T) {
+				plain, err := serve.Run(serveOptions(t, newRouter, cl.nodes))
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt := serveOptions(t, newRouter, qk)
+				opt := serveOptions(t, newRouter, cl.nodes)
 				var tracer *DecisionTracer
 				opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
 					tracer = NewDecisionTracer(opt.Params, TraceOptions{Observer: inner})
@@ -110,12 +117,14 @@ func TestTracerAttachDetachBitIdentical(t *testing.T) {
 // TestDecisionStreamGolden pins the fixed-seed decision stream of every
 // router family: the record count and FNV-1a hash of a known run must
 // never drift, on any platform, and the hash must equal an independent
-// FNV of the emitted JSONL bytes. Queue backends must agree on the stream
-// bit-for-bit. Recorded at commit 5ec5fcb, where a sink-attached run went
-// through a second, candidate-reporting copy of each routing rule and an
-// unindexed scan; "cands" is the number of nodes the rule consults.
+// FNV of the emitted JSONL bytes. Recorded at commit 5ec5fcb, where a
+// sink-attached run went through a second, candidate-reporting copy of
+// each routing rule and an unindexed scan, and held on both event queues
+// until the simulator chose its own; "cands" is the number of nodes the
+// rule consults.
 func TestDecisionStreamGolden(t *testing.T) {
-	n := serveOptions(t, nil, des.QueueHeap).Params.N()
+	cl := clusters[0]
+	n := cl.nodes
 	cases := []struct {
 		name      string
 		newRouter func() policy.Router
@@ -131,53 +140,51 @@ func TestDecisionStreamGolden(t *testing.T) {
 		{"lew3", func() policy.Router { return policy.LeastExpectedWork{D: 3} }, 3, 212, 0xe9ada940c6a1fce3},
 	}
 	for _, c := range cases {
-		for _, qk := range des.QueueKinds() {
-			t.Run(fmt.Sprintf("%s/%s", c.name, qk), func(t *testing.T) {
-				var buf bytes.Buffer
-				opt := serveOptions(t, c.newRouter, qk)
-				var tracer *DecisionTracer
-				opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
-					tracer = NewDecisionTracer(opt.Params, TraceOptions{W: &buf, Observer: inner})
-					return tracer, tracer
+		t.Run(fmt.Sprintf("%s/%s", c.name, cl.queue), func(t *testing.T) {
+			var buf bytes.Buffer
+			opt := serveOptions(t, c.newRouter, n)
+			var tracer *DecisionTracer
+			opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
+				tracer = NewDecisionTracer(opt.Params, TraceOptions{W: &buf, Observer: inner})
+				return tracer, tracer
+			}
+			if _, err := serve.Run(opt); err != nil {
+				t.Fatal(err)
+			}
+			st := tracer.Stats()
+			if st.Records != c.records || st.Hash != c.hash {
+				t.Errorf("%d records, hash %#x; want %d records, hash %#x", st.Records, st.Hash, c.records, c.hash)
+			}
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			if h.Sum64() != st.Hash {
+				t.Errorf("running hash %#x != hash of emitted bytes %#x", st.Hash, h.Sum64())
+			}
+			if st.K != DefaultCounterfactualK {
+				t.Errorf("default K = %d, want %d", st.K, DefaultCounterfactualK)
+			}
+			// Every line must be well-formed JSON with the documented fields.
+			dec := json.NewDecoder(&buf)
+			for i := 0; i < st.Records; i++ {
+				var rec struct {
+					Seq     int     `json:"seq"`
+					T       float64 `json:"t"`
+					Node    int     `json:"node"`
+					Batch   int     `json:"batch"`
+					Cands   int     `json:"cands"`
+					Work    float64 `json:"work"`
+					Alts    []Alt   `json:"alts"`
+					Latency float64 `json:"latency"`
+					Regret  float64 `json:"regret"`
 				}
-				if _, err := serve.Run(opt); err != nil {
-					t.Fatal(err)
+				if err := dec.Decode(&rec); err != nil {
+					t.Fatalf("record %d: %v", i, err)
 				}
-				st := tracer.Stats()
-				if st.Records != c.records || st.Hash != c.hash {
-					t.Errorf("%d records, hash %#x; want %d records, hash %#x", st.Records, st.Hash, c.records, c.hash)
+				if rec.Batch != 2 || rec.Cands != c.cands || len(rec.Alts) != DefaultCounterfactualK {
+					t.Fatalf("record %d malformed: %+v", i, rec)
 				}
-				h := fnv.New64a()
-				h.Write(buf.Bytes())
-				if h.Sum64() != st.Hash {
-					t.Errorf("running hash %#x != hash of emitted bytes %#x", st.Hash, h.Sum64())
-				}
-				if st.K != DefaultCounterfactualK {
-					t.Errorf("default K = %d, want %d", st.K, DefaultCounterfactualK)
-				}
-				// Every line must be well-formed JSON with the documented fields.
-				dec := json.NewDecoder(&buf)
-				for i := 0; i < st.Records; i++ {
-					var rec struct {
-						Seq     int     `json:"seq"`
-						T       float64 `json:"t"`
-						Node    int     `json:"node"`
-						Batch   int     `json:"batch"`
-						Cands   int     `json:"cands"`
-						Work    float64 `json:"work"`
-						Alts    []Alt   `json:"alts"`
-						Latency float64 `json:"latency"`
-						Regret  float64 `json:"regret"`
-					}
-					if err := dec.Decode(&rec); err != nil {
-						t.Fatalf("record %d: %v", i, err)
-					}
-					if rec.Batch != 2 || rec.Cands != c.cands || len(rec.Alts) != DefaultCounterfactualK {
-						t.Fatalf("record %d malformed: %+v", i, rec)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

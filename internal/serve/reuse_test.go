@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
@@ -25,11 +24,12 @@ func (d *decisionFold) Decision(v model.StateView, chosen, batch, considered int
 // whatever memory the simulator's last finished run left behind (see
 // sim.Start), and none of it may show. The same observed, routed,
 // balanced run is repeated after histories that leave different arenas — a
-// cluster ten times its size, a much smaller one on the other queue
-// backend, itself — and every output must come out the same each time:
-// summary, windows, the simulator's result and the decision stream.
+// cluster ten times its size, one small enough for the simulator to run on
+// the other event queue (the heap), itself — and every output must come
+// out the same each time: summary, windows, the simulator's result and the
+// decision stream.
 func TestRealisationReuseIsInvisibleToServing(t *testing.T) {
-	options := func(nodes int, queue des.QueueKind, seed uint64) Options {
+	options := func(nodes int, seed uint64) Options {
 		sc, err := scenario.Generate(scenario.Spec{Kind: scenario.Hotspot, N: nodes, TotalLoad: 20 * nodes, Seed: 5, MTBF: 20, MTTR: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +42,6 @@ func TestRealisationReuseIsInvisibleToServing(t *testing.T) {
 			InitialUp:   sc.InitialUp,
 			Rate:        float64(4 * nodes),
 			Horizon:     5,
-			EventQueue:  queue,
 			Seed:        seed,
 		}
 	}
@@ -55,15 +54,15 @@ func TestRealisationReuseIsInvisibleToServing(t *testing.T) {
 		}
 		return fmt.Sprintf("%+v|%+v|%+v|%x", res.Summary, res.Windows, *res.Sim, sink.sum)
 	}
-	subject := options(60, des.QueueCalendar, 11)
+	subject := options(60, 11)
 	want := outputs(subject)
 	for _, history := range []struct {
 		name string
 		runs []Options
 	}{
 		{"after itself", []Options{subject}},
-		{"after a larger cluster", []Options{options(600, des.QueueCalendar, 12)}},
-		{"after a smaller cluster on the heap, twice", []Options{options(7, des.QueueHeap, 13), options(7, des.QueueHeap, 14)}},
+		{"after a larger cluster", []Options{options(600, 12)}},
+		{"after a smaller cluster on the heap, twice", []Options{options(7, 13), options(7, 14)}},
 	} {
 		for _, opt := range history.runs {
 			outputs(opt)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 
-	"churnlb/internal/des"
 	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
 	"churnlb/internal/model"
@@ -49,15 +48,12 @@ type Options struct {
 	// (at least 0.1 s).
 	Window float64
 	// TransferMode and ChurnLaw select the delay and churn laws.
-	TransferMode sim.TransferMode
-	ChurnLaw     sim.ChurnLaw
-	// EventQueue selects the des scheduler backend (binary heap or
-	// calendar queue); a serving realisation is bit-identical either way.
 	// (sim.Options.LazyChurn is deliberately not plumbed here: a serving
 	// run installs the telemetry TaskObserver, which must see every
 	// node-state change in time order, so the simulator's safety gate
 	// would always fall back to eager churn timers anyway.)
-	EventQueue des.QueueKind
+	TransferMode sim.TransferMode
+	ChurnLaw     sim.ChurnLaw
 	// Seed drives all randomness.
 	Seed uint64
 	// Shards, when positive, runs the realisation on the simulator's
@@ -157,7 +153,7 @@ func Run(opt Options) (*Result, error) {
 		tobs, sink = opt.Instrument(col)
 	}
 	// The realisation is driven through the simulator's step primitives
-	// (Start, the peek/process loop, Finish) rather than the one-shot
+	// (Start, the Done/ProcessNext loop, Finish) rather than the one-shot
 	// sim.Run: the serving layer is where a live coordinator — a
 	// shared-clock shard driver or an online dashboard — would hook in,
 	// and routing every serving run through the decomposed loop keeps the
@@ -182,7 +178,6 @@ func Run(opt Options) (*Result, error) {
 		Router:         router,
 		TaskObserver:   tobs,
 		DecisionSink:   sink,
-		EventQueue:     opt.EventQueue,
 		FailurePlan:    opt.failurePlan,
 		Shards:         opt.Shards,
 	}

@@ -8,6 +8,25 @@ import (
 	"churnlb/internal/model"
 )
 
+// calendarNodes is the smallest node count whose scheduler runs on the
+// calendar queue. Below it the binary heap is faster: closed LBP-2
+// Monte-Carlo studies (2-vCPU Xeon 2.10 GHz guest, go1.24.0, ten
+// alternating runs per size and queue, two passes) took 23–27 % longer on
+// the calendar at 2 and 4 nodes and 7–10 % longer at 8, where it won 1 run
+// in 10; at 16 nodes it was 5–8 % faster and won 9 and 10 of 10 (README,
+// "The event-queue subsystem").
+const calendarNodes = 16
+
+// queueFor picks the event queue of a scheduler serving the given number
+// of nodes. Both backends fire every schedule in the same order, so the
+// choice shows in the cost of a run and in nothing it outputs.
+func queueFor(nodes int) des.QueueKind {
+	if nodes < calendarNodes {
+		return des.QueueHeap
+	}
+	return des.QueueCalendar
+}
+
 // arena is the memory of a sequential realisation that outlives it: the
 // allocations whose size follows the cluster and the workload rather than
 // the run, handed from Finish to the next Start through the idle list. It
@@ -15,7 +34,7 @@ import (
 // the run reads it, and Finish has already reset the scheduler — so which
 // arena a run gets, a used one or none, shows in no output.
 type arena struct {
-	// sched is a reset scheduler on the queue backend.
+	// sched is a reset scheduler and queue its backend.
 	sched *des.Scheduler
 	queue des.QueueKind
 	hot   []nodeHot
@@ -105,7 +124,7 @@ func (s *simState) release() {
 	clear(s.flightRecs)
 	putArena(arena{
 		sched:       s.sched,
-		queue:       s.opt.EventQueue,
+		queue:       queueFor(len(s.hot)),
 		hot:         s.hot,
 		flights:     s.flights,
 		freeFlights: s.freeFlights,

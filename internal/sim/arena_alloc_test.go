@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
@@ -21,7 +20,6 @@ func churnRealisation(tb testing.TB, nodes, tasks int) func(k uint64) sim.Option
 	}
 	return func(k uint64) sim.Options {
 		opt := sc.Options(policy.LBP2{K: 1}, xrand.NewStream(1, k))
-		opt.EventQueue = des.QueueCalendar
 		opt.LazyChurn = true
 		return opt
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/mc"
 	"churnlb/internal/policy"
 )
@@ -84,41 +83,43 @@ func checkThroughOneArena(t *testing.T, steps []arenaStep) {
 }
 
 // arenaCases lists the run shapes the reuse property is checked over; each
-// builds realisation k of its shape.
+// builds realisation k of its shape. Every shape comes in two sizes, named
+// by the event queue the simulator picks for each: the calendar-sized one
+// as written, and a heap-sized one with a tenth of the nodes, the load and
+// the arrival rate.
 func arenaCases() map[string]func(k uint64) Options {
-	closed := func(pol policy.Policy, queue des.QueueKind, lazy bool) func(k uint64) Options {
-		return func(k uint64) Options {
-			o := churnHeavyOptions(120, 2400, pol, 100+k)
-			o.EventQueue, o.LazyChurn = queue, lazy
-			return o
-		}
-	}
 	cases := map[string]func(k uint64) Options{}
-	for _, queue := range des.QueueKinds() {
+	for _, shrink := range []int{1, 10} {
+		queue := queueFor(120 / shrink).String()
+		closed := func(pol policy.Policy, lazy bool) func(k uint64) Options {
+			return func(k uint64) Options {
+				o := churnHeavyOptions(120/shrink, 2400/shrink, pol, 100+k)
+				o.LazyChurn = lazy
+				return o
+			}
+		}
 		for _, lazy := range []bool{false, true} {
 			label := fmt.Sprintf("%v/lazy=%v", queue, lazy)
-			cases["lbp2/"+label] = closed(policy.LBP2{K: 1}, queue, lazy)
-			cases["none/"+label] = closed(policy.NoBalance{}, queue, lazy)
+			cases["lbp2/"+label] = closed(policy.LBP2{K: 1}, lazy)
+			cases["none/"+label] = closed(policy.NoBalance{}, lazy)
 		}
 		// No capability at all: Initial and OnFailure through their slices.
-		cases["lbp2-scan/"+queue.String()] = closed(hidePlanner(policy.LBP2{K: 1}), queue, false)
-		cases["traced/"+queue.String()] = func(k uint64) Options {
-			o := churnHeavyOptions(40, 400, policy.LBP2{K: 1}, 200+k)
-			o.EventQueue, o.Trace = queue, true
+		cases["lbp2-scan/"+queue] = closed(hidePlanner(policy.LBP2{K: 1}), false)
+		cases["traced/"+queue] = func(k uint64) Options {
+			o := churnHeavyOptions(40/shrink, 400/shrink, policy.LBP2{K: 1}, 200+k)
+			o.Trace = true
 			return o
 		}
-		cases["serve-jsq-observed/"+queue.String()] = func(k uint64) Options {
-			o := churnHeavyOptions(80, 400, policy.LBP2{K: 1}, 300+k)
-			o.EventQueue = queue
+		cases["serve-jsq-observed/"+queue] = func(k uint64) Options {
+			o := churnHeavyOptions(80/shrink, 400/shrink, policy.LBP2{K: 1}, 300+k)
 			o.Router = policy.JSQ{}
-			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 120, 2, 8
+			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 120/float64(shrink), 2, 8
 			o.TaskObserver, o.DecisionSink = newStreamHash(), newDecisionHash()
 			return o
 		}
-		cases["dynamic-arrivals/"+queue.String()] = func(k uint64) Options {
-			o := churnHeavyOptions(30, 300, policy.Dynamic{Base: policy.LBP2{K: 0.5}}, 400+k)
-			o.EventQueue = queue
-			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 20, 3, 6
+		cases["dynamic-arrivals/"+queue] = func(k uint64) Options {
+			o := churnHeavyOptions(30/shrink, 300/shrink, policy.Dynamic{Base: policy.LBP2{K: 0.5}}, 400+k)
+			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 20/float64(shrink), 3, 6
 			o.TaskObserver = newStreamHash()
 			return o
 		}
@@ -153,7 +154,7 @@ func TestArenaSurvivesAwkwardNeighbours(t *testing.T) {
 	sized := func(n, load int, observed bool) func() Options {
 		return func() Options {
 			o := churnHeavyOptions(n, load, policy.LBP2{K: 1}, uint64(n))
-			o.EventQueue, o.LazyChurn = des.QueueCalendar, !observed
+			o.LazyChurn = !observed
 			if observed {
 				o.TaskObserver = newStreamHash()
 			}
@@ -163,13 +164,17 @@ func TestArenaSurvivesAwkwardNeighbours(t *testing.T) {
 	at := func(name string, k uint64) func() Options {
 		return func() Options { return cases[name](k) }
 	}
-	aborted := func() Options {
-		o := cases["lbp2/calendar/lazy=false"](9)
-		o.MaxTime = 0.5
-		return o
+	aborted := func(name string) func() Options {
+		return func() Options {
+			o := cases[name](9)
+			o.MaxTime = 0.5
+			return o
+		}
 	}
-	if _, err := Run(aborted()); err == nil {
-		t.Fatal("the MaxTime step completed; it must abort with events pending")
+	for _, name := range []string{"lbp2/calendar/lazy=false", "lbp2/heap/lazy=false"} {
+		if _, err := Run(aborted(name)()); err == nil {
+			t.Fatalf("the MaxTime step on %s completed; it must abort with events pending", name)
+		}
 	}
 	for _, seq := range []struct {
 		name  string
@@ -182,8 +187,8 @@ func TestArenaSurvivesAwkwardNeighbours(t *testing.T) {
 			{name: "2000", opt: sized(2000, 8000, true)}, {name: "50", opt: sized(50, 500, true)}, {name: "2000 again", opt: sized(2000, 8000, true)},
 		}},
 		{"aborted at MaxTime", []arenaStep{
-			{name: "aborted", opt: aborted}, {name: "normal", opt: at("lbp2/calendar/lazy=false", 1)},
-			{name: "aborted on the heap", opt: func() Options { o := aborted(); o.EventQueue = des.QueueHeap; return o }},
+			{name: "aborted", opt: aborted("lbp2/calendar/lazy=false")}, {name: "normal", opt: at("lbp2/calendar/lazy=false", 1)},
+			{name: "aborted on the heap", opt: aborted("lbp2/heap/lazy=false")},
 			{name: "normal on the heap", opt: at("lbp2/heap/lazy=true", 2)},
 		}},
 		{"never finished", []arenaStep{
@@ -223,13 +228,14 @@ func TestArenaUseAfterFinishPanics(t *testing.T) {
 
 // TestArenaParallelStudyMatchesSerial: mc.ForEach with 4 workers over 64
 // replications — arenas taken and parked concurrently, clusters of four
-// sizes passing through them in whatever order the workers claim — equals
-// the serial loop element by element. Meaningful under -race.
+// sizes (the smallest on the heap, the rest on the calendar queue) passing
+// through them in whatever order the workers claim — equals the serial
+// loop element by element. Meaningful under -race.
 func TestArenaParallelStudyMatchesSerial(t *testing.T) {
 	const reps = 64
 	replication := func(rep int) []uint64 {
-		o := churnHeavyOptions(40+30*(rep%4), 600, policy.LBP2{K: 1}, uint64(rep))
-		o.EventQueue, o.LazyChurn = des.QueueCalendar, rep%2 == 0
+		o := churnHeavyOptions(10+30*(rep%4), 600, policy.LBP2{K: 1}, uint64(rep))
+		o.LazyChurn = rep%2 == 0
 		if rep%8 == 3 {
 			o.TaskObserver = newStreamHash()
 		}

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
@@ -15,8 +14,8 @@ import (
 // BenchmarkInitialEpisode times the t = 0 balancing episode by itself, by
 // hand and gated nowhere: sim.Start — LBP-2's initial balance, every
 // transfer sent, every per-node process armed — on the churn workload's
-// cluster (10³ hotspot nodes, 10⁵ tasks, MTBF 20 s, MTTR 2 s, calendar
-// queue, lazy churn), with no event fired. ns/transfer and B/transfer
+// cluster (10³ hotspot nodes, 10⁵ tasks, MTBF 20 s, MTTR 2 s, lazy
+// churn), with no event fired. ns/transfer and B/transfer
 // divide a whole Start by the episode's transfer count.
 //
 //	go test -run NONE -bench BenchmarkInitialEpisode -benchtime 20x ./internal/sim/
@@ -35,14 +34,13 @@ func BenchmarkInitialEpisode(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		opt := sc.Options(pol, xrand.NewStream(1, uint64(i)))
-		opt.EventQueue = des.QueueCalendar
 		opt.LazyChurn = true
 		r, err := sim.Start(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !r.HasPending() {
-			b.Fatal("Start scheduled nothing")
+		if r.Done() {
+			b.Fatal("Start left nothing to run")
 		}
 	}
 	elapsed := b.Elapsed()

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
@@ -36,7 +35,7 @@ func TestTotalInitialLoadCapped(t *testing.T) {
 // episodeState starts a churn-free realisation of n nodes under no
 // policy, each holding perNode tasks, for tests that apply episodes by
 // hand.
-func episodeState(t testing.TB, n, perNode int, delay float64, queue des.QueueKind, obs TaskObserver, seed uint64) *simState {
+func episodeState(t testing.TB, n, perNode int, delay float64, obs TaskObserver, seed uint64) *simState {
 	t.Helper()
 	p := model.Params{
 		ProcRate:     make([]float64, n),
@@ -49,7 +48,7 @@ func episodeState(t testing.TB, n, perNode int, delay float64, queue des.QueueKi
 		p.ProcRate[i] = 1 + float64(i%3)
 		load[i] = perNode
 	}
-	r, err := Start(Options{Params: p, InitialLoad: load, Rand: xrand.NewStream(seed, 1), EventQueue: queue, TaskObserver: obs})
+	r, err := Start(Options{Params: p, InitialLoad: load, Rand: xrand.NewStream(seed, 1), TaskObserver: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +58,11 @@ func episodeState(t testing.TB, n, perNode int, delay float64, queue des.QueueKi
 // TestWarmEpisodeAllocatesNothing: once a realisation's pools have seen
 // one 1000-transfer episode, applying the next one and landing all 1000
 // batches performs no allocation at all — no closure, no event record,
-// no table or free-list growth. (On the heap: the calendar queue itself
-// reallocates its bucket array as the population swings, which is its
-// own subject — ROADMAP item 2.)
+// no table or free-list growth — on the calendar queue, which 1001 nodes
+// select.
 func TestWarmEpisodeAllocatesNothing(t *testing.T) {
 	const k = 1000
-	s := episodeState(t, k+1, 100_000, 1e-4, des.QueueHeap, nil, 7)
+	s := episodeState(t, k+1, 100_000, 1e-4, nil, 7)
 	ts := make([]model.Transfer, k)
 	for i := range ts {
 		ts[i] = model.Transfer{From: 0, To: i + 1, Tasks: 1 + i%3}
@@ -105,42 +103,40 @@ func TestInterleavedSendersMatchPerTransferRearm(t *testing.T) {
 		{From: 0, To: 2, Tasks: 9}, {From: 4, To: 0, Tasks: 1},
 	}
 	for _, delay := range []float64{0.05, 0} {
-		for _, queue := range des.QueueKinds() {
-			run := func(apply func(s *simState)) (*Result, uint64, uint64) {
-				o := newStreamHash()
-				s := episodeState(t, 6, 40, delay, queue, o, 21)
-				apply(s) // at t = 0, over the timers Start armed
-				for i := 0; i < 25; i++ {
-					s.sched.ProcessNext()
-				}
-				apply(s) // mid-run
-				r := &Realisation{s: s}
-				for !r.Done() && r.ProcessNext() {
-				}
-				res, err := r.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, o.h.Sum64(), s.rng.Uint64()
+		run := func(apply func(s *simState)) (*Result, uint64, uint64) {
+			o := newStreamHash()
+			s := episodeState(t, 6, 40, delay, o, 21)
+			apply(s) // at t = 0, over the timers Start armed
+			for i := 0; i < 25; i++ {
+				s.sched.ProcessNext()
 			}
-			held, heldObs, heldRng := run(func(s *simState) { s.applyTransfers(ts) })
-			ref, refObs, refRng := run(func(s *simState) {
-				for i := range ts {
-					s.applyTransfers(ts[i : i+1])
-				}
-			})
-			if !reflect.DeepEqual(held, ref) {
-				t.Errorf("delay %v, %v: results differ:\nheld: %+v\nref:  %+v", delay, queue, held, ref)
+			apply(s) // mid-run
+			r := &Realisation{s: s}
+			for !r.Done() && r.ProcessNext() {
 			}
-			if heldObs != refObs {
-				t.Errorf("delay %v, %v: observer streams differ: %#x vs %#x", delay, queue, heldObs, refObs)
+			res, err := r.Finish()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if heldRng != refRng {
-				t.Errorf("delay %v, %v: random streams ended at different positions", delay, queue)
+			return res, o.h.Sum64(), s.rng.Uint64()
+		}
+		held, heldObs, heldRng := run(func(s *simState) { s.applyTransfers(ts) })
+		ref, refObs, refRng := run(func(s *simState) {
+			for i := range ts {
+				s.applyTransfers(ts[i : i+1])
 			}
-			if held.TransfersSent != 2*9 {
-				t.Fatalf("sent %d transfers, want 18", held.TransfersSent)
-			}
+		})
+		if !reflect.DeepEqual(held, ref) {
+			t.Errorf("delay %v: results differ:\nheld: %+v\nref:  %+v", delay, held, ref)
+		}
+		if heldObs != refObs {
+			t.Errorf("delay %v: observer streams differ: %#x vs %#x", delay, heldObs, refObs)
+		}
+		if heldRng != refRng {
+			t.Errorf("delay %v: random streams ended at different positions", delay)
+		}
+		if held.TransfersSent != 2*9 {
+			t.Fatalf("sent %d transfers, want 18", held.TransfersSent)
 		}
 	}
 }

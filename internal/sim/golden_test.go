@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"churnlb/internal/des"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
@@ -246,62 +245,59 @@ func traceHash(tr []TracePoint) uint64 {
 	return h
 }
 
-// Every golden case is pinned on every des queue backend: the scheduler
-// backend may only change the cost of a realisation, never a single bit
-// of it.
+// Every golden case runs once, on the event queue its node count selects
+// (the subtest's last name): the values were recorded when every case also
+// ran on the other backend, and held there, so the backend may only change
+// the cost of a realisation, never a single bit of it.
 func TestGoldenBitIdentical(t *testing.T) {
 	for _, c := range goldenCases() {
-		for _, qk := range des.QueueKinds() {
-			c, qk := c, qk
-			t.Run(c.name+"/"+qk.String(), func(t *testing.T) {
-				opt := c.opt()
-				opt.EventQueue = qk
-				res, err := Run(opt)
-				if err != nil {
-					t.Fatal(err)
+		opt := c.opt()
+		t.Run(c.name+"/"+queueFor(opt.Params.N()).String(), func(t *testing.T) {
+			res, err := Run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := math.Float64bits(res.CompletionTime); got != c.completionBits {
+				t.Errorf("CompletionTime %x (bits %#x), want bits %#x",
+					res.CompletionTime, got, c.completionBits)
+			}
+			if res.Failures != c.failures || res.Recoveries != c.recoveries {
+				t.Errorf("churn (%d,%d), want (%d,%d)", res.Failures, res.Recoveries, c.failures, c.recoveries)
+			}
+			if res.TransfersSent != c.transfersSent || res.TasksTransferred != c.tasksTransferred {
+				t.Errorf("transfers (%d,%d), want (%d,%d)",
+					res.TransfersSent, res.TasksTransferred, c.transfersSent, c.tasksTransferred)
+			}
+			for i, want := range c.processed {
+				if res.Processed[i] != want {
+					t.Errorf("Processed[%d] = %d, want %d", i, res.Processed[i], want)
 				}
-				if got := math.Float64bits(res.CompletionTime); got != c.completionBits {
-					t.Errorf("CompletionTime %x (bits %#x), want bits %#x",
-						res.CompletionTime, got, c.completionBits)
+			}
+			if len(res.Trace) != c.traceLen {
+				t.Errorf("trace length %d, want %d", len(res.Trace), c.traceLen)
+			}
+			if got := traceHash(res.Trace); got != c.traceFNV {
+				t.Errorf("trace hash %#x, want %#x", got, c.traceFNV)
+			}
+			if c.externalArrivals != 0 && res.ExternalArrivals != c.externalArrivals {
+				t.Errorf("ExternalArrivals %d, want %d", res.ExternalArrivals, c.externalArrivals)
+			}
+			if c.nextRand != 0 {
+				if got := opt.Rand.Uint64(); got != c.nextRand {
+					t.Errorf("next rng word %#x, want %#x", got, c.nextRand)
 				}
-				if res.Failures != c.failures || res.Recoveries != c.recoveries {
-					t.Errorf("churn (%d,%d), want (%d,%d)", res.Failures, res.Recoveries, c.failures, c.recoveries)
+			}
+			if o, ok := opt.TaskObserver.(*streamHash); ok {
+				if got := o.h.Sum64(); o.calls != c.obsCalls || got != c.obsFNV {
+					t.Errorf("observer stream: %d calls, fnv %#x; want %d calls, fnv %#x", o.calls, got, c.obsCalls, c.obsFNV)
 				}
-				if res.TransfersSent != c.transfersSent || res.TasksTransferred != c.tasksTransferred {
-					t.Errorf("transfers (%d,%d), want (%d,%d)",
-						res.TransfersSent, res.TasksTransferred, c.transfersSent, c.tasksTransferred)
+			}
+			if d, ok := opt.DecisionSink.(*decisionHash); ok {
+				if got := d.fold.h.Sum64(); d.decisions != c.decisions || got != c.decisionFNV {
+					t.Errorf("decision stream: %d decisions, fnv %#x; want %d decisions, fnv %#x", d.decisions, got, c.decisions, c.decisionFNV)
 				}
-				for i, want := range c.processed {
-					if res.Processed[i] != want {
-						t.Errorf("Processed[%d] = %d, want %d", i, res.Processed[i], want)
-					}
-				}
-				if len(res.Trace) != c.traceLen {
-					t.Errorf("trace length %d, want %d", len(res.Trace), c.traceLen)
-				}
-				if got := traceHash(res.Trace); got != c.traceFNV {
-					t.Errorf("trace hash %#x, want %#x", got, c.traceFNV)
-				}
-				if c.externalArrivals != 0 && res.ExternalArrivals != c.externalArrivals {
-					t.Errorf("ExternalArrivals %d, want %d", res.ExternalArrivals, c.externalArrivals)
-				}
-				if c.nextRand != 0 {
-					if got := opt.Rand.Uint64(); got != c.nextRand {
-						t.Errorf("next rng word %#x, want %#x", got, c.nextRand)
-					}
-				}
-				if o, ok := opt.TaskObserver.(*streamHash); ok {
-					if got := o.h.Sum64(); o.calls != c.obsCalls || got != c.obsFNV {
-						t.Errorf("observer stream: %d calls, fnv %#x; want %d calls, fnv %#x", o.calls, got, c.obsCalls, c.obsFNV)
-					}
-				}
-				if d, ok := opt.DecisionSink.(*decisionHash); ok {
-					if got := d.fold.h.Sum64(); d.decisions != c.decisions || got != c.decisionFNV {
-						t.Errorf("decision stream: %d decisions, fnv %#x; want %d decisions, fnv %#x", d.decisions, got, c.decisions, c.decisionFNV)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

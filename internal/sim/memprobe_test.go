@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
@@ -45,20 +44,21 @@ func probeParams(n int) (model.Params, []int) {
 // TestMemProbe measures total allocation per node for one fresh
 // realisation of the probe workload — the idle arenas are dropped ahead of
 // each, so the figure is what a run costs when nothing is left over from
-// another — at N = 10³/10⁴/10⁵, on both the eager heap-backed
-// configuration and the lazy calendar-queue one. It is the generator of
-// the README "Memory layout" table (run with -v and copy the B/node
-// figures) and a coarse tripwire: it never fails on its own, but a layout
-// regression shows up here first, and TestMillionNodeSmoke turns the same
-// measurement into a hard budget at N = 10⁶.
+// another — at N = 10³/10⁴/10⁵, with eager churn timers and with lazy
+// ones, each on the event queue its node count selects (the calendar at
+// every size here). It is the generator of the README "Memory layout"
+// table (run with -v and copy the B/node figures) and holds every row to
+// the budget below; TestMillionNodeSmoke does the same at N = 10⁶.
 func TestMemProbe(t *testing.T) {
+	// budget is the B/node ceiling of every row: the rows measure 315–385
+	// (README), and the ceiling leaves a quarter for GC timing.
+	const budget = 480
 	for _, tc := range []struct {
-		name  string
-		queue des.QueueKind
-		lazy  bool
+		name string
+		lazy bool
 	}{
-		{"heap-eager", des.QueueHeap, false},
-		{"cal-lazy", des.QueueCalendar, true},
+		{"eager", false},
+		{"lazy", true},
 	} {
 		for _, n := range []int{1000, 10000, 100000} {
 			p, load := probeParams(n)
@@ -68,15 +68,20 @@ func TestMemProbe(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			res, err := Run(Options{
 				Params: p, Policy: policy.LBP2{K: 1}, InitialLoad: load,
-				Rand: xrand.NewStream(1, 1), EventQueue: tc.queue, LazyChurn: tc.lazy,
+				Rand: xrand.NewStream(1, 1), LazyChurn: tc.lazy,
 			})
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
 			alloc := after.TotalAlloc - before.TotalAlloc
-			t.Logf("%s N=%d: totalAlloc=%d bytes (%.1f B/node), completion=%.2f",
-				tc.name, n, alloc, float64(alloc)/float64(n), res.CompletionTime)
+			perNode := float64(alloc) / float64(n)
+			t.Logf("%s on the %v, N=%d: totalAlloc=%d bytes (%.1f B/node), completion=%.2f",
+				tc.name, queueFor(n), n, alloc, perNode, res.CompletionTime)
+			if perNode > budget {
+				t.Errorf("%s N=%d: %.1f B/node over the %d B/node budget", tc.name, n, perNode, budget)
+			}
 		}
 	}
+	dropIdleArenas()
 }

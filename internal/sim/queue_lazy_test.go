@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -70,66 +72,72 @@ func churnHeavyOptions(n, load int, pol policy.Policy, seed uint64) Options {
 	return Options{Params: p, Policy: pol, InitialLoad: init, Rand: xrand.NewStream(seed, 1)}
 }
 
+// resultHash folds resultBits into one FNV-1a word, the form the
+// differential references below are recorded in.
+func resultHash(r *Result) uint64 {
+	h := fnv.New64a()
+	for _, v := range resultBits(r) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, v))
+	}
+	return h.Sum64()
+}
+
 // TestBackendDifferentialChurnRealisation runs whole churn-heavy
 // realisations — LBP-2 with its failure plan, plus a routed open-system
-// variant — side by side on the heap and the calendar queue and demands
-// bit-identical Results. This is the sim-level half of the EventQueue
-// reproducibility contract (the des-level half replays raw schedules).
+// variant — and demands the Results the binary heap produced for them,
+// recorded (as resultHash) at commit 2fcc187 where every run could still
+// be put on either queue and both agreed. These clusters are big enough
+// that the simulator now picks the calendar queue, so this is the
+// sim-level half of the queue contract with the heap as the oracle (the
+// des-level half replays raw schedules on both backends).
 func TestBackendDifferentialChurnRealisation(t *testing.T) {
 	cases := []struct {
 		name string
 		opt  func(seed uint64) Options
+		heap [3]uint64 // seeds 1, 2, 3
 	}{
 		{"lbp2-closed", func(seed uint64) Options {
 			return churnHeavyOptions(150, 3000, policy.LBP2{K: 1}, seed)
-		}},
+		}, [3]uint64{0xa23ec753f09546f2, 0xb8ff035bd84eeae9, 0x669928b345d09d23}},
 		{"lbp2-traced", func(seed uint64) Options {
 			o := churnHeavyOptions(60, 600, policy.LBP2{K: 1}, seed)
 			o.Trace = true
 			return o
-		}},
+		}, [3]uint64{0xa903450830ac82a2, 0xf913747ade3007e9, 0xd8565de1d5c7152f}},
 		{"jsq-routed", func(seed uint64) Options {
 			o := churnHeavyOptions(100, 500, policy.LBP2{K: 1}, seed)
 			o.Router = policy.JSQ{}
 			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 100, 2, 10
 			return o
-		}},
+		}, [3]uint64{0x8863a2eed86b3b8f, 0x746d9403f1d6527e, 0x2fc3939ab33753be}},
 	}
 	for _, c := range cases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				base := c.opt(seed)
-				base.EventQueue = des.QueueHeap
-				ref, err := Run(base)
+				opt := c.opt(seed)
+				if q := queueFor(opt.Params.N()); q == des.QueueHeap {
+					t.Fatalf("%d nodes run on the %v, the oracle itself", opt.Params.N(), q)
+				}
+				res, err := Run(opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				alt := c.opt(seed)
-				alt.EventQueue = des.QueueCalendar
-				got, err := Run(alt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameResult(ref, got) {
-					t.Fatalf("seed %d: calendar-queue realisation diverged from heap:\nheap:     %+v\ncalendar: %+v",
-						seed, ref, got)
+				if got, want := resultHash(res), c.heap[seed-1]; got != want {
+					t.Fatalf("seed %d: result hash %#016x, the heap's was %#016x", seed, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestEventQueueValidated: an out-of-range backend is an error, not a
-// panic inside des — and an out-of-range law is an error on both engines,
-// not a silent run under the default law (the hot-path switches fall
-// through to it).
+// TestEventQueueValidated: an out-of-range law is an error on both
+// engines, not a silent run under the default law (the hot-path switches
+// fall through to it).
 func TestEventQueueValidated(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		mod  func(*Options)
 	}{
-		{"EventQueue", func(o *Options) { o.EventQueue = des.QueueKind(97) }},
 		{"ChurnLaw", func(o *Options) { o.ChurnLaw = ChurnLaw(7) }},
 		{"ChurnLaw<0", func(o *Options) { o.ChurnLaw = ChurnLaw(-1) }},
 		{"TransferMode", func(o *Options) { o.TransferMode = TransferMode(7) }},
@@ -239,12 +247,16 @@ func TestLazyChurnEngages(t *testing.T) {
 }
 
 // TestLazyChurnConservation: lazy realisations across random systems,
-// policies with failure plans, transfer modes, arrivals and both queue
-// backends conserve tasks exactly and complete.
+// policies with failure plans, transfer modes, arrivals and cluster sizes
+// on both sides of the event-queue threshold conserve tasks exactly and
+// complete.
 func TestLazyChurnConservation(t *testing.T) {
-	f := func(seed uint16, nRaw uint8, calRaw bool) bool {
+	f := func(seed uint16, nRaw uint8, large bool) bool {
 		rng := xrand.NewStream(uint64(seed), 31)
 		n := 3 + int(nRaw)%8
+		if large {
+			n += calendarNodes
+		}
 		p := model.Params{
 			ProcRate:     make([]float64, n),
 			FailRate:     make([]float64, n),
@@ -266,9 +278,6 @@ func TestLazyChurnConservation(t *testing.T) {
 			InitialLoad: load,
 			Rand:        rng,
 			LazyChurn:   true,
-		}
-		if calRaw {
-			opt.EventQueue = des.QueueCalendar
 		}
 		if seed%3 == 0 {
 			opt.ArrivalRate, opt.ArrivalBatch, opt.ArrivalHorizon = 0.5, 2, 15
@@ -307,7 +316,6 @@ func TestLazyChurnDistributionMatchesEager(t *testing.T) {
 		o := churnHeavyOptions(16, 400, policy.LBP2{K: 1}, 1000+uint64(rep))
 		o.LazyChurn = lazy
 		if lazy {
-			o.EventQueue = des.QueueCalendar // cross lazy with the wheel
 			o.Rand = xrand.NewStream(9000+uint64(rep), 1)
 		}
 		res, err := Run(o)

@@ -281,12 +281,11 @@ func (fd *frontDoor) patch(hot []nodeHot, i int32) {
 // --- coordinator ---
 
 // Sharded is one in-progress domain-sharded realisation, exposing the
-// same driver surface as Realisation — Done, ProcessNext, HasPending,
-// PeekNextTime, Now, Finish — with one difference of grain: ProcessNext
-// advances one conservative window (every domain to the next barrier),
-// not one event. Single-use: drive it to Done and call Finish once. The
-// coordinator itself is single-goroutine; the worker fan-out inside a
-// window is invisible to the caller.
+// same driver surface as Realisation — Done, ProcessNext, Finish — with
+// one difference of grain: ProcessNext advances one conservative window
+// (every domain to the next barrier), not one event. Single-use: drive it
+// to Done and call Finish once. The coordinator itself is single-goroutine;
+// the worker fan-out inside a window is invisible to the caller.
 type Sharded struct {
 	opt     Options
 	doms    []*simState
@@ -437,7 +436,7 @@ func StartSharded(opt Options) (*Sharded, error) {
 		s := &simState{
 			opt:   dopt,
 			p:     opt.Params,
-			sched: des.NewWithQueue(opt.EventQueue),
+			sched: des.NewWithQueue(queueFor(hi - lo)),
 			rng:   xrand.New(xrand.MixSeed(base, d)),
 			hot:   hot,
 			res:   &Result{Processed: processed},

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"churnlb/internal/des"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
@@ -44,7 +43,6 @@ func BenchmarkSharded(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					opt := sc.Options(policy.LBP2{K: 1}, xrand.NewStream(1, uint64(i)))
-					opt.EventQueue = des.QueueCalendar
 					opt.LazyChurn = shards == 0
 					opt.Shards = shards
 					res, err := sim.Run(opt)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"churnlb/internal/des"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
@@ -85,15 +84,14 @@ func shardCases(seed uint64) []Options {
 	return cases
 }
 
-func runShardedCase(t *testing.T, opt Options, seed uint64, shards int, q des.QueueKind) *Result {
+func runShardedCase(t *testing.T, opt Options, seed uint64, shards int) *Result {
 	t.Helper()
 	o := opt
 	o.Rand = xrand.New(seed)
 	o.Shards = shards
-	o.EventQueue = q
 	res, err := RunSharded(o)
 	if err != nil {
-		t.Fatalf("shards=%d queue=%d: %v", shards, int(q), err)
+		t.Fatalf("shards=%d: %v", shards, err)
 	}
 	return res
 }
@@ -120,12 +118,12 @@ func resultsEqual(a, b *Result) string {
 }
 
 // TestShardedShardCountInvariance is the core determinism contract: for
-// every case, every tested shard count and both event-queue backends
-// produce a Result bit-identical to the Shards=1 sequential reference
-// (which runs the same engine inline, with no worker goroutines).
+// every case, every tested shard count produces a Result bit-identical to
+// the Shards=1 sequential reference (which runs the same engine inline,
+// with no worker goroutines).
 func TestShardedShardCountInvariance(t *testing.T) {
 	for ci, opt := range shardCases(101) {
-		ref := runShardedCase(t, opt, 42+uint64(ci), 1, des.QueueHeap)
+		ref := runShardedCase(t, opt, 42+uint64(ci), 1)
 		total := 0
 		for _, c := range ref.Processed {
 			total += c
@@ -138,22 +136,15 @@ func TestShardedShardCountInvariance(t *testing.T) {
 			t.Errorf("case %d: processed %d tasks, workload was %d", ci, total, want)
 		}
 		for _, shards := range []int{2, 4, 7} {
-			for _, q := range []des.QueueKind{des.QueueHeap, des.QueueCalendar} {
-				res := runShardedCase(t, opt, 42+uint64(ci), shards, q)
-				if diff := resultsEqual(ref, res); diff != "" {
-					t.Errorf("case %d shards=%d queue=%d: %s", ci, shards, int(q), diff)
-				}
+			if diff := resultsEqual(ref, runShardedCase(t, opt, 42+uint64(ci), shards)); diff != "" {
+				t.Errorf("case %d shards=%d: %s", ci, shards, diff)
 			}
-		}
-		// The Shards=1 calendar run must match the heap reference too.
-		if diff := resultsEqual(ref, runShardedCase(t, opt, 42+uint64(ci), 1, des.QueueCalendar)); diff != "" {
-			t.Errorf("case %d shards=1 calendar: %s", ci, diff)
 		}
 	}
 }
 
-// TestShardedQuick fuzzes the same contract over randomized clusters,
-// shard counts and backends: Shards=k always reproduces Shards=1.
+// TestShardedQuick fuzzes the same contract over randomized clusters and
+// shard counts: Shards=k always reproduces Shards=1.
 func TestShardedQuick(t *testing.T) {
 	shardChoices := []int{2, 3, 4, 7, 16}
 	f := func(seed uint16, nRaw, polRaw, kRaw uint8) bool {
@@ -176,15 +167,11 @@ func TestShardedQuick(t *testing.T) {
 				opt.Router = policy.JSQ{}
 			}
 		}
-		queue := des.QueueHeap
-		if kRaw%2 == 1 {
-			queue = des.QueueCalendar
-		}
 		runSeed := uint64(seed)*2654435761 + 7
 		a := opt
-		a.Rand, a.Shards, a.EventQueue = xrand.New(runSeed), 1, des.QueueHeap
+		a.Rand, a.Shards = xrand.New(runSeed), 1
 		b := opt
-		b.Rand, b.Shards, b.EventQueue = xrand.New(runSeed), shardChoices[int(kRaw)%len(shardChoices)], queue
+		b.Rand, b.Shards = xrand.New(runSeed), shardChoices[int(kRaw)%len(shardChoices)]
 		ra, err := RunSharded(a)
 		if err != nil {
 			return false
@@ -335,9 +322,9 @@ func TestShardedWindowOverride(t *testing.T) {
 		ArrivalRate: 2, ArrivalHorizon: 8, Router: policy.JSQ{},
 		ShardWindow: 0.25,
 	}
-	ref := runShardedCase(t, base, 7, 1, des.QueueHeap)
+	ref := runShardedCase(t, base, 7, 1)
 	for _, shards := range []int{2, 7} {
-		if diff := resultsEqual(ref, runShardedCase(t, base, 7, shards, des.QueueCalendar)); diff != "" {
+		if diff := resultsEqual(ref, runShardedCase(t, base, 7, shards)); diff != "" {
 			t.Errorf("shards=%d with explicit window: %s", shards, diff)
 		}
 	}

@@ -16,24 +16,25 @@
 //   - the run completes when every queue is empty and nothing is in
 //     flight.
 //
-// The event loop does O(1) work per event beyond the O(log n) heap
-// operation: the remaining-task total is maintained incrementally at every
-// completion and external arrival (transfers move tasks between queues and
-// flight without changing it), per-node process closures are allocated
-// once per run, and stale completion timers are cancelled eagerly through
-// des.Handle instead of left to fire as no-ops. Routers and policies read
-// the system through a zero-copy StateView that dies with the call (keep
-// model.AsState(v).Clone() to retain what it showed), an indexed router
-// (JSQ, full-scan LeastExpectedWork) gets its argmin from an incremental
-// load index maintained O(log n) at every queue and up/down mutation, and
-// a failure-planning policy (LBP-2) gets eq. (8)'s receiver lists
-// precomputed once per run so a failure episode walks only the receivers
-// with nonzero transfers — O(1) when the plan row is empty — into a
-// reusable transfer buffer. Per-task dispatch and per-failure episode
-// cost are therefore both independent of cluster size. This keeps
-// 1000-node realisations allocation-free per event while staying
-// bit-identical, for a given random stream, with the original
-// per-event-scan implementation.
+// The event loop does O(1) work per event beyond the event queue's own
+// operation — a binary heap below 16 nodes, the amortised-O(1) calendar
+// queue from there (queueFor; both fire in the same order, so the choice
+// shows in no output): the remaining-task total is maintained incrementally
+// at every completion and external arrival (transfers move tasks between
+// queues and flight without changing it), per-node process closures are
+// allocated once per run, and stale completion timers are cancelled eagerly
+// through des.Handle instead of left to fire as no-ops. Routers and
+// policies read the system through a zero-copy StateView that dies with the
+// call (keep model.AsState(v).Clone() to retain what it showed), an indexed
+// router (JSQ, full-scan LeastExpectedWork) gets its argmin from an
+// incremental load index maintained O(log n) at every queue and up/down
+// mutation, and a failure-planning policy (LBP-2) gets eq. (8)'s receiver
+// lists precomputed once per run so a failure episode walks only the
+// receivers with nonzero transfers — O(1) when the plan row is empty — into
+// a reusable transfer buffer. Per-task dispatch and per-failure episode
+// cost are therefore both independent of cluster size. This keeps 1000-node
+// realisations allocation-free per event while staying bit-identical, for a
+// given random stream, with the original per-event-scan implementation.
 //
 // Observation never selects an algorithm: there are two buses
 // (TaskObserver, DecisionSink) and one per-event seam (see eventProbe), and
@@ -270,12 +271,7 @@ type Options struct {
 	// decision is the one Route makes on every run, over the same view, the
 	// same load index and the same stream.
 	DecisionSink DecisionSink
-	// EventQueue selects the des scheduler's pending-event backend. The
-	// default des.QueueHeap is the reference binary heap; des.QueueCalendar
-	// is the amortised-O(1) calendar queue. Every backend fires the same
-	// schedule in the same order, so a realisation is bit-identical — to
-	// the float — under either choice (the des differential tests and the
-	// golden tests both pin this).
+	// Deprecated: ignored; the simulator picks the queue from the node count.
 	EventQueue des.QueueKind
 	// LazyChurn, when true, asks the simulator to keep churn timers only
 	// for nodes that hold tasks, exploiting the memoryless exponential
@@ -508,14 +504,11 @@ func MonteCarlo(mo mc.Options, opt Options) (mc.Estimate, error) {
 }
 
 // Realisation is one in-progress realisation exposed through step
-// primitives — the shared-clock decomposition of the event loop. A
-// driver peeks the next event time, processes exactly one event, and
-// checks the termination predicate itself, which is what a sharded
-// realisation (one Realisation per failure domain under a conservative
-// time-window sync) or a live-state observer needs; Run is the thin
-// single-realisation loop over the same calls. A Realisation is
-// single-goroutine and single-use: drive it to Done (or to a drained
-// queue) and call Finish exactly once.
+// primitives. A driver processes exactly one event at a time and checks
+// the termination predicate itself, which is what the serving layer's
+// interruptible loop needs; Run is the thin single-realisation loop over
+// the same calls. A Realisation is single-goroutine and single-use: drive
+// it to Done (or to a drained queue) and call Finish exactly once.
 type Realisation struct {
 	s *simState
 }
@@ -602,15 +595,6 @@ func validateOptions(opt *Options) (int, error) {
 			}
 		}
 	}
-	validQueue := false
-	for _, k := range des.QueueKinds() {
-		if opt.EventQueue == k {
-			validQueue = true
-		}
-	}
-	if !validQueue {
-		return 0, fmt.Errorf("sim: unknown EventQueue kind %d", int(opt.EventQueue))
-	}
 	// The hot-path switches on these two treat anything unknown as the
 	// default law, so an out-of-range value must stop here.
 	if opt.TransferMode < TransferBundle || opt.TransferMode > TransferPerTask {
@@ -657,8 +641,8 @@ func Start(opt Options) (*Realisation, error) {
 	// left (a zero one when none is idle): same contents as freshly made
 	// ones, whatever capacity that run grew them to.
 	a := takeArena()
-	if a.sched == nil || a.queue != opt.EventQueue {
-		a.sched = des.NewWithQueue(opt.EventQueue)
+	if kind := queueFor(n); a.sched == nil || a.queue != kind {
+		a.sched = des.NewWithQueue(kind)
 	}
 	s := &simState{
 		opt:         opt,
@@ -807,21 +791,9 @@ func (s *simState) dispatch(kind, arg int32) {
 	}
 }
 
-// HasPending reports whether any scheduled event remains.
-func (r *Realisation) HasPending() bool { return r.s.sched.HasPending() }
-
-// PeekNextTime returns the fire time of the next pending event without
-// processing it; ok is false when the queue has drained. A shared-clock
-// coordinator compares this across realisations to pick which one
-// advances next.
-func (r *Realisation) PeekNextTime() (t float64, ok bool) { return r.s.sched.PeekNextTime() }
-
 // ProcessNext fires exactly one event, advancing the clock to its time.
 // It returns false when the queue has drained.
 func (r *Realisation) ProcessNext() bool { return r.s.sched.ProcessNext() }
-
-// Now returns the realisation's clock.
-func (r *Realisation) Now() float64 { return r.s.sched.Now() }
 
 // CloseArrivals shuts the external arrival stream early: no further
 // arrivals are injected (an already-scheduled arrival tick becomes a

@@ -75,18 +75,22 @@ func (m *soaMirror) check(t *testing.T, hot []nodeHot) (ok bool) {
 
 // TestHotStateMatchesAoSMirror is the struct-of-arrays equivalence
 // property: after every event of randomized realisations — mixed
-// policies, routers, arrival processes, both queue backends — the packed
-// hot array must equal, field by field, a naive AoS mirror maintained
-// independently from the observer's event stream. It is the accounting
-// probe test's pattern applied to the data layout itself: the layout refactor
-// cannot have dropped or reordered a state write without the two
-// derivations diverging at the very next event.
+// policies, routers, arrival processes, clusters on both sides of the
+// event-queue threshold — the packed hot array must equal, field by field,
+// a naive AoS mirror maintained independently from the observer's event
+// stream. It is the accounting probe test's pattern applied to the data
+// layout itself: the layout refactor cannot have dropped or reordered a
+// state write without the two derivations diverging at the very next
+// event.
 func TestHotStateMatchesAoSMirror(t *testing.T) {
 	t.Parallel()
 	events, bad := 0, 0
 	f := func(seed uint16, nRaw, polRaw, routerRaw, queueRaw uint8) bool {
 		rng := xrand.NewStream(uint64(seed), 33)
 		n := 2 + int(nRaw)%6
+		if queueRaw%2 == 1 {
+			n += calendarNodes
+		}
 		p, load := randomParams(rng, n)
 
 		var pol policy.Policy
@@ -102,10 +106,6 @@ func TestHotStateMatchesAoSMirror(t *testing.T) {
 		if routerRaw%2 == 0 {
 			router = policy.JSQ{}
 		}
-		queue := des.QueueHeap
-		if queueRaw%2 == 1 {
-			queue = des.QueueCalendar
-		}
 		mirror := newSoaMirror(n)
 		res, err := Run(Options{
 			Params:         p,
@@ -116,7 +116,6 @@ func TestHotStateMatchesAoSMirror(t *testing.T) {
 			ArrivalBatch:   1 + int(nRaw)%3,
 			ArrivalHorizon: 25,
 			Router:         router,
-			EventQueue:     queue,
 			TaskObserver:   mirror,
 			probe: func(s *simState, _ EventKind, _ int) {
 				events++
@@ -184,7 +183,6 @@ func TestMillionNodeSmoke(t *testing.T) {
 		Policy:      policy.LBP2{K: 1},
 		InitialLoad: load,
 		Rand:        xrand.NewStream(1, 99),
-		EventQueue:  des.QueueCalendar,
 		LazyChurn:   true,
 	})
 	runtime.ReadMemStats(&after)

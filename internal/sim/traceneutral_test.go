@@ -4,23 +4,26 @@ import (
 	"testing"
 	"testing/quick"
 
-	"churnlb/internal/des"
 	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
 )
 
 // TestTraceNeverPerturbs is the contract of Options.Trace: it installs a
 // recorder and selects nothing. Over randomized systems — policy × router
-// × arrival process × queue backend, with and without a decision sink —
-// the traced and the untraced run of the same seed must agree on the
-// whole Result (Trace apart), on every TaskObserver callback and every
-// routing decision in order, and on the next word left in the stream.
+// × arrival process × cluster size on either side of the event-queue
+// threshold, with and without a decision sink — the traced and the
+// untraced run of the same seed must agree on the whole Result (Trace
+// apart), on every TaskObserver callback and every routing decision in
+// order, and on the next word left in the stream.
 func TestTraceNeverPerturbs(t *testing.T) {
 	t.Parallel()
 	traced := 0
 	f := func(seed uint16, nRaw, polRaw, routerRaw, arrivalRaw, queueRaw uint8) bool {
 		gen := xrand.NewStream(uint64(seed), 41)
 		n := 2 + int(nRaw)%6
+		if queueRaw%2 == 1 {
+			n += calendarNodes
+		}
 		p, load := randomParams(gen, n)
 		if polRaw%2 == 0 {
 			p, load = churnHeavyParams(gen, n)
@@ -44,9 +47,6 @@ func TestTraceNeverPerturbs(t *testing.T) {
 			base.ArrivalWave = Wave{Amplitude: 0.7, Period: 8}
 		default:
 			base.ArrivalBatch, base.ArrivalTrace = 2, t0Schedule()
-		}
-		if queueRaw%2 == 1 {
-			base.EventQueue = des.QueueCalendar
 		}
 		run := func(trace bool) (*Result, *streamHash, *decisionHash, uint64) {
 			opt := base
