@@ -49,6 +49,11 @@ type calQueue struct {
 	lastPop float64 // time of the most recently popped event
 	gap     float64 // EWMA of nonzero inter-pop gaps, drives width
 	count   int
+	// min and minVB cache findMin's answer from PeekMin until the next
+	// Push, Remove or resize, so a peek and the pop after it scan once;
+	// min is nil when nothing is cached.
+	min   *event
+	minVB int64
 }
 
 // calMinBuckets is the smallest bucket array; shrinks stop here.
@@ -101,6 +106,7 @@ func (q *calQueue) link(e *event) {
 func (q *calQueue) Push(e *event) {
 	e.vb = q.vbOf(e.time)
 	e.index = 0 // any non-negative value: "enqueued" for Handle.Active
+	q.min = nil
 	q.link(e)
 	q.count++
 	if q.count > 2*len(q.buckets) {
@@ -120,6 +126,7 @@ func (q *calQueue) Remove(e *event) {
 	}
 	e.next, e.prev = nil, nil
 	e.index = -1
+	q.min = nil
 	q.count--
 	if len(q.buckets) > calMinBuckets && q.count < len(q.buckets)/4 {
 		q.resize(len(q.buckets) / 2)
@@ -128,11 +135,11 @@ func (q *calQueue) Remove(e *event) {
 
 //churnlb:hotpath
 func (q *calQueue) PopMin() *event {
-	if q.count == 0 {
+	e := q.PeekMin()
+	if e == nil {
 		return nil
 	}
-	e, vcur := q.findMin()
-	q.vcur = vcur
+	q.vcur = q.minVB
 	// Fold the inter-pop gap into the width estimate. Zero gaps (ties)
 	// are skipped: ties share a slot at any width, so letting them
 	// collapse the width would only push distinct-time events apart.
@@ -159,20 +166,23 @@ func (q *calQueue) PopMin() *event {
 }
 
 //churnlb:hotpath
-func (q *calQueue) MinTime() (float64, bool) {
+func (q *calQueue) PeekMin() *event {
 	if q.count == 0 {
-		return 0, false
+		return nil
 	}
-	e, _ := q.findMin()
-	return e.time, true
+	if q.min == nil {
+		q.min, q.minVB = q.findMin()
+	}
+	return q.min
 }
 
 // findMin locates the next event in (time, seq) order and the scan slot
 // it belongs to, without mutating the queue: PopMin commits the slot (so
-// successive pops resume the sweep where the last one ended), MinTime
-// deliberately does not. Committing on a peek would be unsound — a later
-// push between the peek and the next pop may land behind the advanced
-// position yet ahead of the peeked event, and the sweep would skip it.
+// successive pops resume the sweep where the last one ended), PeekMin
+// deliberately does not — it only caches the answer until the queue
+// changes. Committing on a peek would be unsound — a later push between
+// the peek and the next pop may land behind the advanced position yet
+// ahead of the peeked event, and the sweep would skip it.
 //
 //churnlb:hotpath
 func (q *calQueue) findMin() (*event, int64) {
@@ -201,20 +211,6 @@ func (q *calQueue) findMin() (*event, int64) {
 		}
 	}
 	return best, best.vb
-}
-
-// reserve grows the bucket array once to the size Push's doubling rule
-// would reach at n live events (the smallest power of two with
-// n <= 2·buckets), instead of doubling — and rethreading every chain —
-// on the way there. It never shrinks: Remove's rule does that.
-func (q *calQueue) reserve(n int) {
-	nb := len(q.buckets)
-	for n > 2*nb {
-		nb *= 2
-	}
-	if nb > len(q.buckets) {
-		q.resize(nb)
-	}
 }
 
 // drain kills every live event and returns the queue to newCalQueue's
@@ -258,6 +254,7 @@ func (q *calQueue) resize(nb int) {
 		clear(q.buckets)
 	}
 	q.spare = old
+	q.min = nil
 	q.mask = int64(nb) - 1
 	q.width = w
 	q.vcur = q.vbOf(q.lastPop)

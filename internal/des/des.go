@@ -21,12 +21,20 @@
 // (releasing its closure), rather than leaving a tombstone to be skipped
 // at pop time — pending-event memory is proportional to live events only.
 //
-// A scheduler outlives a run: Reset kills whatever is still pending and
-// returns the clock, the counters and the queue to a fresh scheduler's
-// state while every record slab and the queue's arrays stay allocated, so
-// the next run on it schedules out of the memory the last one left —
-// records handed out again in address order, slab by slab — and fires
-// exactly what a fresh scheduler would.
+// Beside the queue a scheduler holds a run: indexed events booked together
+// in one batch (BatchIndexed + CommitBatch), never cancelled, sorted once
+// and fired front to back. The step primitives take whichever of the
+// run's head and the queue's minimum comes first in (time, seq) order, so
+// a batched event fires exactly when the queue would have fired it; a
+// caller with a large burst known at one instant (a balancing episode)
+// skips the queue for all of it.
+//
+// A scheduler outlives a simulation: Reset kills whatever is still
+// pending and returns the clock, the counters and the queue to a fresh
+// scheduler's state while every record slab, the queue's arrays and the
+// run's arrays stay allocated, so the next simulation on it schedules out
+// of the memory the last one left — records handed out again in address
+// order, slab by slab — and fires exactly what a fresh scheduler would.
 package des
 
 import "fmt"
@@ -105,6 +113,14 @@ type Scheduler struct {
 	// function per scheduler replacing per-entity closures, so a
 	// simulation over n entities schedules without holding n closures.
 	disp func(kind, arg int32)
+	// run[head:] is the pending sorted run (see run.go), empty with head 0
+	// once drained; batch is the open batch. spare is the third array the
+	// next sort or merge writes into: the three trade places as batches
+	// are committed, and Reset keeps all of them.
+	run   []runEvent
+	head  int
+	batch []runEvent
+	spare []runEvent
 }
 
 // New returns an empty scheduler at time 0 on the default (heap) backend.
@@ -124,7 +140,7 @@ func (s *Scheduler) Now() float64 { return s.now }
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Len returns the number of live scheduled events.
-func (s *Scheduler) Len() int { return s.q.Len() }
+func (s *Scheduler) Len() int { return s.q.Len() + len(s.run) - s.head }
 
 // SetDispatcher installs the indexed-event handler: every event scheduled
 // through AtIndexed/AfterIndexed fires by calling fn(kind, arg). One
@@ -199,57 +215,26 @@ func (s *Scheduler) AfterIndexed(d float64, kind, arg int32) Handle {
 	return s.AtIndexed(s.now+d, kind, arg)
 }
 
-// Reserve prepares the scheduler to hold k more pending events than it
-// holds now, in one step: one slab for whatever records the free list and
-// the slabs in hand cannot cover, room on the free list for every record
-// to come back, and one sizing of the queue backend for the population
-// the burst will reach. A caller that is about to schedule a known burst
-// — a balancing episode of k transfers — calls it once instead of letting
-// slab, free list and bucket array each grow by doubling under the burst.
-// It is a capacity hint only: record and bucket layout never decide pop
-// order, so a run fires the same events in the same order with or
-// without it. k <= 0 is a no-op.
-func (s *Scheduler) Reserve(k int) {
-	if k <= 0 {
-		return
-	}
-	unissued := len(s.slab)
-	for _, slab := range s.slabs[s.nextSlab:] {
-		unissued += len(slab)
-	}
-	if missing := k - len(s.free) - unissued; missing > 0 {
-		// newEvent reaches the new slab once it has carved those before it.
-		s.slabs = append(s.slabs, make([]event, missing))
-		unissued += missing
-	}
-	live := s.q.Len()
-	if total := len(s.free) + unissued + live; cap(s.free) < total {
-		free := make([]*event, len(s.free), total)
-		copy(free, s.free)
-		s.free = free
-	}
-	s.q.reserve(live + k)
-}
-
 // Reset returns the scheduler to the state NewWithQueue left it in — clock
-// and Fired at zero, nothing pending, no dispatcher — without giving up
-// its memory: every live event becomes dead (its closure released, its
-// handle inactive), and the record slabs, the free list's array and the
-// queue's arrays keep their capacity. What is scheduled afterwards fires
-// in the order a fresh scheduler would fire it; record and bucket layout
-// never decide pop order.
+// and Fired at zero, nothing pending, no open batch, no dispatcher —
+// without giving up its memory: every live event becomes dead (its closure
+// released, its handle inactive), and the record slabs, the free list's
+// array, the queue's arrays and the run's arrays keep their capacity. What
+// is scheduled afterwards fires in the order a fresh scheduler would fire
+// it; record, bucket and run layout never decide pop order.
 //
 // Records are handed out again slab by slab in address order, not through
-// the free list (which a run leaves in the scrambled order its events
-// died in): a run on a reset scheduler lays its events out in memory the
-// way its first run did. The sequence counter keeps counting across
-// Reset — only its order is ever read — so a Handle from before the Reset
-// can never match a later incarnation of its record.
+// the free list (which a simulation leaves in the scrambled order its
+// events died in): a simulation on a reset scheduler lays its events out
+// in memory the way its first one did. The sequence counter keeps
+// counting across Reset — only its order is ever read — so a Handle from
+// before the Reset can never match a later incarnation of its record.
 func (s *Scheduler) Reset() {
 	s.q.drain()
 	s.now, s.fired, s.disp = 0, 0, nil
 	s.free = s.free[:0]
 	s.nextSlab, s.slab = 0, nil
+	s.run, s.head, s.batch = s.run[:0], 0, s.batch[:0]
 }
 
 // --- step primitives ---
@@ -265,20 +250,40 @@ func (s *Scheduler) Reset() {
 // HasPending reports whether any scheduled event remains.
 //
 //churnlb:hotpath
-func (s *Scheduler) HasPending() bool { return s.q.Len() > 0 }
+func (s *Scheduler) HasPending() bool { return s.q.Len() > 0 || len(s.run) > 0 }
 
 // PeekNextTime returns the fire time of the next pending event without
 // processing it; ok is false when no events remain. Peeking never
 // advances the clock or commits any queue state.
 //
 //churnlb:hotpath
-func (s *Scheduler) PeekNextTime() (t float64, ok bool) { return s.q.MinTime() }
+func (s *Scheduler) PeekNextTime() (t float64, ok bool) {
+	e := s.q.PeekMin()
+	if len(s.run) > 0 && runFirst(&s.run[s.head], e) {
+		return s.run[s.head].time, true
+	}
+	if e == nil {
+		return 0, false
+	}
+	return e.time, true
+}
 
 // ProcessNext fires the next pending event, advancing the clock to its
 // time. It returns false when no events remain.
 //
 //churnlb:hotpath
 func (s *Scheduler) ProcessNext() bool {
+	if len(s.run) > 0 {
+		if r := s.run[s.head]; runFirst(&r, s.q.PeekMin()) {
+			if s.head++; s.head == len(s.run) {
+				s.run, s.head = s.run[:0], 0
+			}
+			s.now = r.time
+			s.fired++
+			s.disp(r.kind, r.arg)
+			return true
+		}
+	}
 	e := s.q.PopMin()
 	if e == nil {
 		return false

@@ -10,19 +10,12 @@ type heapQueue struct {
 
 func (q *heapQueue) Len() int { return len(q.events) }
 
-func (q *heapQueue) MinTime() (float64, bool) {
+//churnlb:hotpath
+func (q *heapQueue) PeekMin() *event {
 	if len(q.events) == 0 {
-		return 0, false
+		return nil
 	}
-	return q.events[0].time, true
-}
-
-func (q *heapQueue) reserve(n int) {
-	if n > cap(q.events) {
-		events := make([]*event, len(q.events), n)
-		copy(events, q.events)
-		q.events = events
-	}
+	return q.events[0]
 }
 
 func (q *heapQueue) drain() {

@@ -26,12 +26,11 @@ type EventQueue interface {
 	Remove(e *event)
 	// Len returns the number of live events.
 	Len() int
-	// MinTime returns the time of the minimum event without removing it;
-	// ok is false when the queue is empty.
-	MinTime() (t float64, ok bool)
-	// reserve sizes the backend for n live events ahead of a burst of
-	// pushes. Layout only: it must not change the pop order.
-	reserve(n int)
+	// PeekMin returns the minimum event by (time, seq) without removing it,
+	// or nil when the queue is empty. It commits nothing a later Push could
+	// invalidate, and a PopMin right after it pops the same event without
+	// searching again.
+	PeekMin() *event
 	// drain empties the queue for Scheduler.Reset: every live event becomes
 	// dead (index -1, closure released, unlinked), the backend's arrays
 	// keep their capacity, and every adaptive parameter returns to a fresh

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -15,21 +16,33 @@ import (
 // it over randomized programs of At/After/Cancel/Step/Run operations,
 // including same-time ties, events scheduled by firing events, sparse
 // far-future tails (the calendar queue's direct-search path) and
-// cancellations that force bucket compaction and resizes.
+// cancellations that force bucket compaction and resizes. Programs may
+// also book batches: on every backend they go through BatchIndexed and
+// CommitBatch, into the scheduler's sorted run, while the oracle schedules
+// each of their events alone with AtIndexed — so the run, its merges and
+// its spills onto the queue are held to the queue's own order.
 
 // qop is one step of a queue-differential program. Programs are generated
 // once and replayed identically against each backend, so the only way two
 // backends can diverge is by ordering events differently.
 type qop struct {
-	kind      int     // 0 schedule, 1 cancel, 2 step, 3 run-horizon
+	kind      int     // 0 schedule, 1 cancel, 2 step, 3 run-horizon, 4 batch
 	delta     float64 // schedule: offset from the clock at execution time
 	child     float64 // schedule: >= 0 means the event schedules a child at now+child when it fires
 	cancelSel int     // cancel: index into the retained handles (mod len)
 	horizon   float64 // run-horizon: offset from the clock
-	// reserves, when set, calls Reserve(reserveK) before the op runs. Only
-	// sprinkleReserves sets it: a capacity hint must never reorder a fire.
-	reserves bool
-	reserveK int
+	batch     []batchEv
+}
+
+// batchEv is one event of a batch op: delta from the clock at execution
+// time or, for tie >= 0, the exact time of the retained handle
+// handles[tie mod len] when that event is still pending. A plain event is
+// scheduled with AtIndexed between the batch's bookings, the way a
+// balancing episode arms a sender's completion timer between its sends.
+type batchEv struct {
+	delta float64
+	tie   int
+	plain bool
 }
 
 // genProgram derives a random program from a seed. Deltas mix a quantized
@@ -70,10 +83,61 @@ func genProgram(seed uint64, nOps int) []qop {
 	return ops
 }
 
+// genBatch draws one batch op of 1–600 events, small ones as often as
+// large: events exactly at the clock, events tied to the exact time of a
+// pending event, quantized events tied with each other, dense ones and a
+// sparse tail.
+func genBatch(rng *xrand.Rand) qop {
+	size := 1 + rng.Intn(20)
+	if rng.Float64() < 0.5 {
+		size = 1 + rng.Intn(600)
+	}
+	o := qop{kind: 4, batch: make([]batchEv, size)}
+	for j := range o.batch {
+		ev := batchEv{tie: -1, plain: rng.Float64() < 0.1}
+		switch r := rng.Float64(); {
+		case r < 0.15: // at the clock
+		case r < 0.35:
+			ev.tie = rng.Intn(1 << 20)
+		case r < 0.55:
+			ev.delta = float64(rng.Intn(12)) * 0.25
+		case r < 0.98:
+			ev.delta = rng.Float64() * 3
+		default:
+			ev.delta = 100 + rng.Float64()*10000
+		}
+		o.batch[j] = ev
+	}
+	return o
+}
+
+// sprinkleBatches returns a copy of ops with a batch op in front of about
+// one op in ten, and one in front of the last op, so a run can also be
+// pending at the full drain a program ends with.
+func sprinkleBatches(ops []qop, seed uint64) []qop {
+	rng := xrand.NewStream(seed, 0xBA7C)
+	out := make([]qop, 0, len(ops)+len(ops)/8)
+	for i, o := range ops {
+		if rng.Float64() < 0.1 || i == len(ops)-1 {
+			out = append(out, genBatch(rng))
+		}
+		out = append(out, o)
+	}
+	return out
+}
+
 // fireRec is one fired event: exact time bits plus the event's program id.
 type fireRec struct {
 	timeBits uint64
 	id       int
+}
+
+// progResult is what a program left: its fire log, the final clock bits
+// and the scheduler's Fired count.
+type progResult struct {
+	fires []fireRec
+	now   uint64
+	count uint64
 }
 
 // progRun is one scheduler executing queue-differential programs: the
@@ -83,19 +147,28 @@ type progRun struct {
 	s       *Scheduler
 	fired   []fireRec
 	handles []Handle
+	// batched sends batch ops through BatchIndexed and CommitBatch; the
+	// oracle leaves it false and schedules each of their events alone.
+	batched bool
+	// commits counts batch commits by what they did with the batch: it
+	// became the run, merged into a pending run, or went onto the queue.
+	commits [3]int
 	// beforeOp, when set, runs ahead of every op.
 	beforeOp func()
+}
+
+// dispatch is the indexed-event handler: batch events log their id.
+func (r *progRun) dispatch(_, arg int32) {
+	r.fired = append(r.fired, fireRec{math.Float64bits(r.s.Now()), int(arg)})
 }
 
 // exec runs ops in order, without the final drain.
 func (r *progRun) exec(ops []qop) {
 	s := r.s
+	s.SetDispatcher(r.dispatch)
 	for i, o := range ops {
 		if r.beforeOp != nil {
 			r.beforeOp()
-		}
-		if o.reserves {
-			s.Reserve(o.reserveK)
 		}
 		switch o.kind {
 		case 0:
@@ -118,120 +191,169 @@ func (r *progRun) exec(ops []qop) {
 			s.Step()
 		case 3:
 			s.Run(s.Now() + o.horizon)
+		case 4:
+			r.book(i, o.batch)
 		}
 	}
 }
 
-// finish fires whatever is still pending and returns the full fire log
-// plus the final clock bits.
-func (r *progRun) finish() ([]fireRec, uint64) {
-	for r.s.Step() {
+// book executes one batch op.
+func (r *progRun) book(op int, batch []batchEv) {
+	s := r.s
+	for j, ev := range batch {
+		at := s.Now() + ev.delta
+		if ev.tie >= 0 && len(r.handles) > 0 {
+			if h := r.handles[ev.tie%len(r.handles)]; h.Active() {
+				at = h.e.time
+			}
+		}
+		id := int32(2_000_000 + op*1000 + j)
+		if r.batched && !ev.plain {
+			s.BatchIndexed(at, 0, id)
+		} else {
+			s.AtIndexed(at, 0, id)
+		}
 	}
-	return r.fired, math.Float64bits(r.s.Now())
+	if !r.batched {
+		return
+	}
+	booked, pending, queued := len(s.batch), len(s.run)-s.head, s.q.Len()
+	s.CommitBatch()
+	switch run := len(s.run) - s.head; {
+	case booked == 0:
+	case pending == 0 && run == booked:
+		r.commits[0]++
+	case 4*booked >= pending && run == pending+booked:
+		r.commits[1]++
+	case 4*booked < pending && run == pending && s.q.Len() == queued+booked:
+		r.commits[2]++
+	default:
+		panic(fmt.Sprintf("a commit of %d events with %d pending in the run left %d in the run and %d more on the queue",
+			booked, pending, run, s.q.Len()-queued))
+	}
 }
 
-// runProgram replays a program on a fresh scheduler of the given backend
-// and returns the full fire log (including the final drain) plus the
-// final clock bits.
-func runProgram(kind QueueKind, ops []qop) ([]fireRec, uint64) {
-	r := &progRun{s: NewWithQueue(kind)}
+// finish fires whatever is still pending and returns what the program
+// left.
+func (r *progRun) finish() progResult {
+	for r.s.Step() {
+	}
+	return progResult{r.fired, math.Float64bits(r.s.Now()), r.s.Fired()}
+}
+
+// runProgram replays a program on a fresh scheduler of the given backend,
+// batch ops booked as runs when batched, and returns what it left after
+// the final drain.
+func runProgram(kind QueueKind, batched bool, ops []qop) progResult {
+	r := &progRun{s: NewWithQueue(kind), batched: batched}
 	r.exec(ops)
 	return r.finish()
 }
 
-// assertSameOrder replays ops on the heap oracle and on every other
-// backend and fails on the first divergence.
+// assertSameOrder replays ops on the heap oracle, which books no run, and
+// on every backend with its batches booked as runs, and fails on the
+// first divergence.
 func assertSameOrder(t *testing.T, ops []qop) bool {
 	t.Helper()
-	ref, refNow := runProgram(QueueHeap, ops)
+	ref := runProgram(QueueHeap, false, ops)
 	for _, kind := range QueueKinds() {
-		if kind == QueueHeap {
-			continue
-		}
-		got, gotNow := runProgram(kind, ops)
-		if !sameFires(t, kind.String(), got, gotNow, ref, refNow) {
+		if !sameFires(t, kind.String(), runProgram(kind, true, ops), ref) {
 			return false
 		}
 	}
 	return true
 }
 
-// sameFires fails on the first difference between a backend's fire log
-// and the heap oracle's.
-func sameFires(t *testing.T, label string, got []fireRec, gotNow uint64, ref []fireRec, refNow uint64) bool {
+// sameFires fails on the first difference between a backend's result and
+// the heap oracle's.
+func sameFires(t *testing.T, label string, got, ref progResult) bool {
 	t.Helper()
-	if len(got) != len(ref) {
-		t.Errorf("%s fired %d events, heap fired %d", label, len(got), len(ref))
+	if len(got.fires) != len(ref.fires) {
+		t.Errorf("%s fired %d events, heap fired %d", label, len(got.fires), len(ref.fires))
 		return false
 	}
-	for i := range ref {
-		if got[i] != ref[i] {
+	for i := range ref.fires {
+		if g, r := got.fires[i], ref.fires[i]; g != r {
 			t.Errorf("%s diverged at fire %d: got id=%d t=%x, heap id=%d t=%x",
-				label, i, got[i].id, got[i].timeBits, ref[i].id, ref[i].timeBits)
+				label, i, g.id, g.timeBits, r.id, r.timeBits)
 			return false
 		}
 	}
-	if gotNow != refNow {
-		t.Errorf("%s final clock bits %x, heap %x", label, gotNow, refNow)
+	if got.now != ref.now {
+		t.Errorf("%s final clock bits %x, heap %x", label, got.now, ref.now)
+		return false
+	}
+	if got.count != ref.count {
+		t.Errorf("%s Fired() = %d, heap %d", label, got.count, ref.count)
 		return false
 	}
 	return true
 }
 
-// sprinkleReserves returns a copy of ops with Reserve calls in front of
-// about one op in ten — k of zero, negative, a few and a few thousand,
-// on whatever population the program holds at that point — and one in
-// front of the last op, so a reservation is also followed by the full
-// drain runProgram ends with.
-func sprinkleReserves(ops []qop, seed uint64) []qop {
-	rng := xrand.NewStream(seed, 0x2E5E)
-	out := append([]qop(nil), ops...)
-	for i := range out {
-		if rng.Float64() >= 0.1 && i != len(out)-1 {
-			continue
-		}
-		out[i].reserves = true
-		switch rng.Intn(4) {
-		case 0:
-			out[i].reserveK = 0
-		case 1:
-			out[i].reserveK = -1 - rng.Intn(100)
-		case 2:
-			out[i].reserveK = 1 + rng.Intn(8)
-		default:
-			out[i].reserveK = 50 + rng.Intn(4000)
-		}
-	}
-	return out
-}
-
-// TestQueueDifferentialReserve: a program with Reserve calls sprinkled in
-// fires, on every backend, exactly what the heap fires for the same
-// program without them.
-func TestQueueDifferentialReserve(t *testing.T) {
+// TestQueueDifferentialSprinkledBatches: a program with batches sprinkled
+// in fires, on every backend, exactly what the heap fires for the same
+// program with every batched event scheduled alone.
+func TestQueueDifferentialSprinkledBatches(t *testing.T) {
 	f := func(seed uint16) bool {
-		ops := genProgram(uint64(seed), 300+int(seed)%200)
-		ref, refNow := runProgram(QueueHeap, ops)
-		reserved := sprinkleReserves(ops, uint64(seed))
-		for _, kind := range QueueKinds() {
-			got, gotNow := runProgram(kind, reserved)
-			if !sameFires(t, kind.String()+" with Reserve", got, gotNow, ref, refNow) {
-				return false
-			}
-		}
-		return true
+		return assertSameOrder(t, sprinkleBatches(genProgram(uint64(seed), 300+int(seed)%200), uint64(seed)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestReserveMakesBurstAllocationFree: after Reserve(k), scheduling k
-// events allocates nothing — no slab, no free-list or heap growth, no
-// bucket-array doubling — whether the scheduler was fresh or already
+// TestQueueDifferentialBatch holds runs to the heap oracle on both
+// backends over 20 seeds of programs whose batches of 1–600 events tie
+// with pending events and with the clock, merge into a pending run or are
+// too small to and go onto the queue, between cancellations of queue
+// events — and a scheduler Reset with a run pending then fires a whole
+// program exactly as a fresh one does. Every seed must agree in fire
+// order, clock and Fired(); over all of them, each of the three ways a
+// commit can go must have happened.
+func TestQueueDifferentialBatch(t *testing.T) {
+	for _, kind := range QueueKinds() {
+		var commits [3]int
+		for seed := uint64(0); seed < 20; seed++ {
+			ops := sprinkleBatches(genProgram(seed, 400), seed)
+			ref := runProgram(QueueHeap, false, ops)
+			r := &progRun{s: NewWithQueue(kind), batched: true}
+			r.exec(ops)
+			if !sameFires(t, kind.String(), r.finish(), ref) {
+				t.Fatalf("%v seed %d", kind, seed)
+			}
+			for i, n := range r.commits {
+				commits[i] += n
+			}
+
+			rng := xrand.NewStream(seed, 0x2E5E7)
+			pre := &progRun{s: NewWithQueue(kind), batched: true}
+			pre.exec(sprinkleBatches(genProgram(seed+1000, 200), seed+1000)[:50+rng.Intn(150)])
+			pre.book(0, genBatch(rng).batch)
+			if len(pre.s.run) == 0 {
+				t.Fatalf("%v seed %d: no run pending before the Reset", kind, seed)
+			}
+			pre.s.Reset()
+			pre.fired, pre.handles = nil, nil
+			pre.exec(ops)
+			if !sameFires(t, kind.String()+" after a Reset with a run pending", pre.finish(), ref) {
+				t.Fatalf("%v seed %d", kind, seed)
+			}
+		}
+		for i, what := range []string{"became the run", "merged into a pending run", "went onto the queue"} {
+			if commits[i] == 0 {
+				t.Errorf("%v: no batch %s", kind, what)
+			}
+		}
+	}
+}
+
+// TestWarmBatchAllocatesNothing: once the run's three arrays have grown
+// to a cycle's needs, booking a batch that becomes the run, one that
+// merges into it and one that goes onto the queue, and firing all of
+// them, allocates nothing — whether the scheduler was fresh or already
 // held a population, recycled records and a part-used slab.
-func TestReserveMakesBurstAllocationFree(t *testing.T) {
-	const burst, runs = 3000, 3
+func TestWarmBatchAllocatesNothing(t *testing.T) {
+	const burst = 3000
 	for _, kind := range QueueKinds() {
 		for _, standing := range []int{0, 300} {
 			s := NewWithQueue(kind)
@@ -239,53 +361,66 @@ func TestReserveMakesBurstAllocationFree(t *testing.T) {
 			rng := xrand.NewStream(5, uint64(standing))
 			var hs []Handle
 			for i := 0; i < standing; i++ {
-				hs = append(hs, s.AfterIndexed(rng.Float64()*10, 0, int32(i)))
+				hs = append(hs, s.AfterIndexed(1e6+rng.Float64()*10, 0, int32(i)))
 			}
 			for i := 0; i < standing/3; i++ {
 				hs[i*3].Cancel()
 			}
-			// AllocsPerRun calls the burst once to warm up and runs more
-			// to measure; all of them fall inside the one reservation.
-			s.Reserve((runs + 1) * burst)
-			allocs := testing.AllocsPerRun(runs, func() {
-				for i := 0; i < burst; i++ {
-					s.AfterIndexed(rng.Float64()*10, 0, int32(i))
+			live := s.Len()
+			book := func(k int) {
+				for i := 0; i < k; i++ {
+					s.BatchIndexed(s.Now()+rng.Float64()*10, 0, int32(i))
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("%v, %d standing: %v allocations per %d-event burst after Reserve", kind, standing, allocs, burst)
+				s.CommitBatch()
 			}
-			if want := standing - standing/3 + (runs+1)*burst; s.Len() != want {
-				t.Fatalf("%v: %d pending, want %d", kind, s.Len(), want)
+			cycle := func() {
+				book(burst) // the run
+				for i := 0; i < burst/2; i++ {
+					s.ProcessNext()
+				}
+				book(burst)     // merges: at least a quarter of what is pending
+				book(burst / 8) // onto the queue: under a quarter
+				for s.Len() > live {
+					s.ProcessNext()
+				}
 			}
-			for s.Step() {
+			// The arrays trade places from commit to commit: a few cycles
+			// grow each of them to the largest merge.
+			for i := 0; i < 4; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
+				t.Errorf("%v, %d standing: %v allocations per warm batch cycle", kind, standing, allocs)
+			}
+			if s.Len() != live {
+				t.Fatalf("%v: %d pending, want %d", kind, s.Len(), live)
 			}
 		}
 	}
 }
 
 // TestQueueDifferentialReset: a scheduler that ran program A to a random
-// point — events still pending, some cancelled, its records and arrays
-// grown to A's needs — and was Reset fires program B exactly as a fresh
-// scheduler fires B alone, on both backends: same order, same clock, same
-// Fired count, and nothing of A ever fires again. Every handle A issued is
-// dead from the Reset on, and stays dead while its record carries B's
-// events: Cancel on all of them ahead of every op of B must change nothing
-// (which is what fails if Reset restarts the sequence counter — A's k-th
-// handle would then match the k-th event of B on the same record — or
-// leaves a live event linked).
+// point — events still pending, some cancelled, maybe a run pending, its
+// records and arrays grown to A's needs — and was Reset fires program B
+// exactly as a fresh scheduler fires B alone, on both backends: same
+// order, same clock, same Fired count, and nothing of A ever fires again.
+// Every handle A issued is dead from the Reset on, and stays dead while
+// its record carries B's events: Cancel on all of them ahead of every op
+// of B must change nothing (which is what fails if Reset restarts the
+// sequence counter — A's k-th handle would then match the k-th event of B
+// on the same record — or leaves a live event linked).
 func TestQueueDifferentialReset(t *testing.T) {
 	for _, kind := range QueueKinds() {
 		for seed := uint64(0); seed < 20; seed++ {
 			rng := xrand.NewStream(seed, 0x2E5E7)
-			opsA := sprinkleReserves(genProgram(seed, 500), seed)
-			opsB := sprinkleReserves(genProgram(seed+1000, 300+int(seed)*10), seed+1000)
+			opsA := sprinkleBatches(genProgram(seed, 500), seed)
+			opsB := sprinkleBatches(genProgram(seed+1000, 300+int(seed)*10), seed+1000)
 
-			fresh := &progRun{s: NewWithQueue(kind)}
+			fresh := &progRun{s: NewWithQueue(kind), batched: true}
 			fresh.exec(opsB)
-			want, wantNow := fresh.finish()
+			want := fresh.finish()
 
-			r := &progRun{s: NewWithQueue(kind)}
+			r := &progRun{s: NewWithQueue(kind), batched: true}
 			r.exec(opsA[:100+rng.Intn(len(opsA)-100)])
 			r.handles = append(r.handles, r.s.After(1e6, func() { t.Error("an event of A fired after Reset") }))
 			firedA := len(r.fired)
@@ -305,13 +440,8 @@ func TestQueueDifferentialReset(t *testing.T) {
 				}
 			}
 			r.exec(opsB)
-			got, gotNow := r.finish()
-			label := kind.String() + " after Reset"
-			if !sameFires(t, label, got, gotNow, want, wantNow) {
+			if !sameFires(t, kind.String()+" after Reset", r.finish(), want) {
 				t.Fatalf("%v seed %d: A fired %d events before the Reset", kind, seed, firedA)
-			}
-			if r.s.Fired() != fresh.s.Fired() {
-				t.Fatalf("%v seed %d: Fired() = %d after Reset, fresh scheduler %d", kind, seed, r.s.Fired(), fresh.s.Fired())
 			}
 		}
 	}
@@ -329,35 +459,51 @@ func mallocsOf(f func()) uint64 {
 	return m.Mallocs - before
 }
 
-// TestResetKeepsCapacity: Reserve(k) on a scheduler that already held a
-// burst of k before its Reset allocates at most once — the calendar's
-// second head array, which the first burst never needed — and from the
-// next Reset on a whole reserve-burst-Reset cycle allocates nothing: the
-// slab, the free list and the queue's arrays are all the last cycle's.
+// TestResetKeepsCapacity: Reset keeps every array a run grew — the record
+// slabs, the free list, the queue's arrays and the run's three — so once
+// a cycle of queue events, a batch that becomes the run, a batch that
+// merges into it, some firing and a Reset has run twice, the next cycles
+// allocate nothing, and a Reset itself never allocates.
 func TestResetKeepsCapacity(t *testing.T) {
 	const k = 3000
 	for _, kind := range QueueKinds() {
 		s := NewWithQueue(kind)
 		rng := xrand.NewStream(7, 7)
 		dispatch := func(int32, int32) {}
+		book := func(n int) {
+			for i := 0; i < n; i++ {
+				s.BatchIndexed(s.Now()+rng.Float64()*10, 0, int32(i))
+			}
+			s.CommitBatch()
+		}
 		cycle := func() {
 			s.SetDispatcher(dispatch)
-			s.Reserve(k)
 			for i := 0; i < k; i++ {
 				s.AfterIndexed(rng.Float64()*10, 0, int32(i))
 			}
+			book(k)
+			for i := 0; i < k/2; i++ {
+				s.Step()
+			}
+			book(k / 2)
 			for i := 0; i < k/2; i++ {
 				s.Step()
 			}
 			s.Reset()
 		}
 		cycle()
-		if n := mallocsOf(func() { s.Reserve(k) }); n > 1 {
-			t.Errorf("%v: Reserve(%d) after a Reset that followed the same burst allocated %d times, want at most 1", kind, k, n)
-		}
 		cycle()
+		book(k / 4) // a run pending at the Reset below
+		runCap := cap(s.run) + cap(s.batch) + cap(s.spare)
+		if n := mallocsOf(s.Reset); n != 0 {
+			t.Errorf("%v: Reset with a run pending allocated %d times", kind, n)
+		}
+		if got := cap(s.run) + cap(s.batch) + cap(s.spare); got != runCap || len(s.run) != 0 || len(s.batch) != 0 {
+			t.Errorf("%v: after Reset the run's arrays hold %d events' room (was %d), run %d, batch %d: want the room kept and both empty",
+				kind, got, runCap, len(s.run), len(s.batch))
+		}
 		if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
-			t.Errorf("%v: %v allocations per reserve-burst-Reset cycle on a warm scheduler, want 0", kind, allocs)
+			t.Errorf("%v: %v allocations per queue-batch-Reset cycle on a warm scheduler, want 0", kind, allocs)
 		}
 	}
 }
@@ -380,6 +526,7 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0, 0, 0, 0, 40, 1, 80, 2, 200, 3})
 	f.Add([]byte{10, 255, 10, 255, 10, 0, 60, 60, 60, 60, 90, 5, 130, 7})
+	f.Add([]byte{5, 47, 0, 8, 4, 3, 11, 20, 5, 9, 4, 250, 17, 200, 23, 46, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -388,7 +535,7 @@ func FuzzQueueOrder(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			a, b := data[i], data[i+1]
 			o := qop{}
-			switch a % 5 {
+			switch a % 6 {
 			case 0, 1: // dense schedule; b quantizes so ties arise
 				o.kind = 0
 				o.delta = float64(b%32) * 0.125
@@ -403,12 +550,21 @@ func FuzzQueueOrder(f *testing.F) {
 			case 3:
 				o.kind = 1
 				o.cancelSel = int(b)
-			default:
+			case 4:
 				if b < 200 {
 					o.kind = 2
 				} else {
 					o.kind = 3
 					o.horizon = float64(b%8) * 0.5
+				}
+			default: // batch of 1–48 on the same grid, every fifth tied to a pending event, every seventh plain
+				o.kind = 4
+				o.batch = make([]batchEv, 1+int(b)%48)
+				for j := range o.batch {
+					o.batch[j] = batchEv{delta: float64((int(b)+7*j)%32) * 0.125, tie: -1, plain: j%7 == 3}
+					if j%5 == 0 {
+						o.batch[j].tie = int(b) + j
+					}
 				}
 			}
 			ops = append(ops, o)

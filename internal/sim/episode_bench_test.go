@@ -11,12 +11,14 @@ import (
 	"churnlb/internal/xrand"
 )
 
-// BenchmarkInitialEpisode times the t = 0 balancing episode by itself, by
-// hand and gated nowhere: sim.Start — LBP-2's initial balance, every
-// transfer sent, every per-node process armed — on the churn workload's
-// cluster (10³ hotspot nodes, 10⁵ tasks, MTBF 20 s, MTTR 2 s, lazy
-// churn), with no event fired. ns/transfer and B/transfer
-// divide a whole Start by the episode's transfer count.
+// BenchmarkInitialEpisode times the t = 0 balancing episode from booking
+// to landing, by hand and gated nowhere: sim.Start — LBP-2's initial
+// balance, every transfer sent, every per-node process armed — on the
+// churn workload's cluster (10³ hotspot nodes, 10⁵ tasks, MTBF 20 s,
+// MTTR 2 s, lazy churn), then every event up to the one that lands the
+// last batch in flight, then Finish, which parks the arena for the next
+// iteration. ns/transfer and B/transfer divide the whole iteration by the
+// episode's transfer count.
 //
 //	go test -run NONE -bench BenchmarkInitialEpisode -benchtime 20x ./internal/sim/
 func BenchmarkInitialEpisode(b *testing.B) {
@@ -30,18 +32,26 @@ func BenchmarkInitialEpisode(b *testing.B) {
 	if transfers == 0 {
 		b.Fatal("the cluster has no initial episode")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < b.N; i++ {
-		opt := sc.Options(pol, xrand.NewStream(1, uint64(i)))
+	realisation := func(k uint64) {
+		opt := sc.Options(pol, xrand.NewStream(1, k))
 		opt.LazyChurn = true
 		r, err := sim.Start(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Done() {
-			b.Fatal("Start left nothing to run")
+		for sim.InFlight(r) > 0 {
+			r.ProcessNext()
 		}
+		if _, err := r.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	realisation(0) // the arena every iteration reuses
+	b.ResetTimer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		realisation(uint64(i) + 1)
 	}
 	elapsed := b.Elapsed()
 	runtime.ReadMemStats(&after)

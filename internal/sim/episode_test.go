@@ -140,3 +140,69 @@ func TestInterleavedSendersMatchPerTransferRearm(t *testing.T) {
 		}
 	}
 }
+
+// TestRunEpisodeMatchesQueueEpisode: an episode of at least episodeRunMin
+// transfers books its deliveries as one batch, which the scheduler fires
+// from a sorted run; applied one transfer at a time, the same episode
+// books each delivery on the event queue. Both must leave the same
+// realisation — the same Result, the same observer stream, the same
+// position of the random stream — over three episodes with senders
+// interleaved: one at t = 0 over the timers Start armed, then, with its
+// run still pending, one under a quarter of that run (which goes onto the
+// queue) and one over it (which merges into the run). Zero delay ties
+// every landing at its send instant; a delay per task spreads them. The
+// 40-node cluster runs on the calendar queue, the 8-node one on the heap.
+func TestRunEpisodeMatchesQueueEpisode(t *testing.T) {
+	for _, n := range []int{8, 40} {
+		rng := xrand.NewStream(3, uint64(n))
+		episode := func(k int) []model.Transfer {
+			ts := make([]model.Transfer, k)
+			for i := range ts {
+				from := rng.Intn(n)
+				ts[i] = model.Transfer{From: from, To: (from + 1 + rng.Intn(n-1)) % n, Tasks: 1 + rng.Intn(3)}
+			}
+			return ts
+		}
+		episodes := [][]model.Transfer{episode(1600), episode(300), episode(1200)}
+		for _, delay := range []float64{0, 0.05} {
+			run := func(apply func(s *simState, ts []model.Transfer)) (*Result, uint64, uint64) {
+				o := newStreamHash()
+				s := episodeState(t, n, 2000, delay, o, 5)
+				for k, ts := range episodes {
+					if k > 0 {
+						for i := 0; i < 50; i++ {
+							s.sched.ProcessNext()
+						}
+					}
+					apply(s, ts)
+				}
+				r := &Realisation{s: s}
+				for !r.Done() && r.ProcessNext() {
+				}
+				res, err := r.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, o.h.Sum64(), s.rng.Uint64()
+			}
+			batched, batchedObs, batchedRng := run(func(s *simState, ts []model.Transfer) { s.applyTransfers(ts) })
+			ref, refObs, refRng := run(func(s *simState, ts []model.Transfer) {
+				for i := range ts {
+					s.applyTransfers(ts[i : i+1])
+				}
+			})
+			if !reflect.DeepEqual(batched, ref) {
+				t.Errorf("%d nodes, delay %v: results differ:\nrun:   %+v\nqueue: %+v", n, delay, batched, ref)
+			}
+			if batchedObs != refObs {
+				t.Errorf("%d nodes, delay %v: observer streams differ: %#x vs %#x", n, delay, batchedObs, refObs)
+			}
+			if batchedRng != refRng {
+				t.Errorf("%d nodes, delay %v: random streams ended at different positions", n, delay)
+			}
+			if batched.TransfersSent < 3000 {
+				t.Fatalf("%d nodes, delay %v: sent only %d transfers", n, delay, batched.TransfersSent)
+			}
+		}
+	}
+}

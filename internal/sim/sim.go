@@ -427,6 +427,9 @@ type simState struct {
 	flights     []flight
 	freeFlights []int32
 	flightRecs  [][]taskRec
+	// batching is set while applyTransfers applies a large episode: park
+	// then books deliveries into the scheduler's open batch.
+	batching bool
 	// ab caches the policy's ArrivalBalancer capability, asserted once per
 	// run instead of once per arrival.
 	ab policy.ArrivalBalancer
@@ -1159,10 +1162,12 @@ func (s *simState) recover(i int) {
 
 // --- transfers ---
 
-// episodeReserveMin is the episode size from which applyTransfers sizes
-// the pools ahead of the sends: below it the doubling growth it replaces
-// is a handful of small steps.
-const episodeReserveMin = 256
+// episodeRunMin is the episode size from which applyTransfers books the
+// deliveries as one batch — a sorted run of the scheduler, fired front to
+// back — instead of one queue event each, and sizes the flight table
+// ahead of the sends. Smaller episodes, which include every eq.-(8)
+// failure episode of the closed-churn-1e3 workload, stay on the queue.
+const episodeRunMin = 256
 
 // applyTransfers executes one balancing episode. Each transfer does to
 // the sender's random stream and task records exactly what re-arming its
@@ -1175,10 +1180,18 @@ const episodeReserveMin = 256
 // cancel/insert pairs into one per sender; a slice that returns to an
 // earlier sender is still correct — its armed timer is cancelled again.
 //
+// An episode of at least episodeRunMin transfers books its deliveries
+// into the scheduler's batch (see park) and commits it at the end. A
+// delivery takes its sequence number when it is booked, between the
+// completion timers armed around it, and the scheduler fires its run and
+// its queue in one (time, seq) order, so the episode fires exactly as if
+// every delivery were a queue event.
+//
 //churnlb:hotpath
 func (s *simState) applyTransfers(ts []model.Transfer) {
-	if len(ts) >= episodeReserveMin {
+	if len(ts) >= episodeRunMin {
 		s.reserveEpisode(len(ts))
+		s.batching = true
 	}
 	held, stage := -1, -1.0 // the sender being held and its last draw, < 0 for none
 	for _, tr := range ts {
@@ -1191,13 +1204,16 @@ func (s *simState) applyTransfers(ts []model.Transfer) {
 		}
 	}
 	s.armCompletion(held, stage)
+	if s.batching {
+		s.batching = false
+		s.sched.CommitBatch()
+	}
 }
 
-// reserveEpisode sizes the scheduler's pools and the flight table for an
-// episode of k transfers in one step each. Deliberately not a hot path:
-// large episodes are the t = 0 balance and the odd big failure.
+// reserveEpisode sizes the flight table for an episode of k transfers in
+// one step. Deliberately not a hot path: large episodes are the t = 0
+// balance and the odd big failure.
 func (s *simState) reserveEpisode(k int) {
-	s.sched.Reserve(k)
 	if spare := len(s.freeFlights) + cap(s.flights) - len(s.flights); spare >= k {
 		return
 	}
@@ -1271,7 +1287,8 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 }
 
 // park books a batch in flight: a row of the flight table and the one
-// indexed event that lands it at time at.
+// indexed event that lands it at time at — in the scheduler's open batch
+// while a large episode is being applied, on its queue otherwise.
 //
 //churnlb:hotpath
 func (s *simState) park(at float64, f flight, recs []taskRec) {
@@ -1290,7 +1307,11 @@ func (s *simState) park(at float64, f flight, recs []taskRec) {
 	if s.obs != nil {
 		s.flightRecs[row] = recs
 	}
-	s.sched.AtIndexed(at, evKindDeliver, row)
+	if s.batching {
+		s.sched.BatchIndexed(at, evKindDeliver, row)
+	} else {
+		s.sched.AtIndexed(at, evKindDeliver, row)
+	}
 }
 
 // land is the receiving half of every batch in flight, on both engines:
