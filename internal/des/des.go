@@ -114,13 +114,11 @@ type Scheduler struct {
 	// simulation over n entities schedules without holding n closures.
 	disp func(kind, arg int32)
 	// run[head:] is the pending sorted run (see run.go), empty with head 0
-	// once drained; batch is the open batch. spare is the third array the
-	// next sort or merge writes into: the three trade places as batches
-	// are committed, and Reset keeps all of them.
+	// once drained; batch is the open batch. The two arrays trade places
+	// when a batch is sorted into a run, and Reset keeps both.
 	run   []runEvent
 	head  int
 	batch []runEvent
-	spare []runEvent
 }
 
 // New returns an empty scheduler at time 0 on the default (heap) backend.

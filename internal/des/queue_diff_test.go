@@ -19,8 +19,8 @@ import (
 // cancellations that force bucket compaction and resizes. Programs may
 // also book batches: on every backend they go through BatchIndexed and
 // CommitBatch, into the scheduler's sorted run, while the oracle schedules
-// each of their events alone with AtIndexed — so the run, its merges and
-// its spills onto the queue are held to the queue's own order.
+// each of their events alone with AtIndexed — so the run and the batches
+// committed behind it onto the queue are held to the queue's own order.
 
 // qop is one step of a queue-differential program. Programs are generated
 // once and replayed identically against each backend, so the only way two
@@ -151,8 +151,8 @@ type progRun struct {
 	// oracle leaves it false and schedules each of their events alone.
 	batched bool
 	// commits counts batch commits by what they did with the batch: it
-	// became the run, merged into a pending run, or went onto the queue.
-	commits [3]int
+	// became the run, or went onto the queue behind a pending run.
+	commits [2]int
 	// beforeOp, when set, runs ahead of every op.
 	beforeOp func()
 }
@@ -223,10 +223,8 @@ func (r *progRun) book(op int, batch []batchEv) {
 	case booked == 0:
 	case pending == 0 && run == booked:
 		r.commits[0]++
-	case 4*booked >= pending && run == pending+booked:
+	case pending > 0 && run == pending && s.q.Len() == queued+booked:
 		r.commits[1]++
-	case 4*booked < pending && run == pending && s.q.Len() == queued+booked:
-		r.commits[2]++
 	default:
 		panic(fmt.Sprintf("a commit of %d events with %d pending in the run left %d in the run and %d more on the queue",
 			booked, pending, run, s.q.Len()-queued))
@@ -304,15 +302,14 @@ func TestQueueDifferentialSprinkledBatches(t *testing.T) {
 
 // TestQueueDifferentialBatch holds runs to the heap oracle on both
 // backends over 20 seeds of programs whose batches of 1–600 events tie
-// with pending events and with the clock, merge into a pending run or are
-// too small to and go onto the queue, between cancellations of queue
-// events — and a scheduler Reset with a run pending then fires a whole
-// program exactly as a fresh one does. Every seed must agree in fire
-// order, clock and Fired(); over all of them, each of the three ways a
-// commit can go must have happened.
+// with pending events and with the clock, become the run or, with a run
+// pending, go onto the queue, between cancellations of queue events — and
+// a scheduler Reset with a run pending then fires a whole program exactly
+// as a fresh one does. Every seed must agree in fire order, clock and
+// Fired(); over all of them, both ways a commit can go must have happened.
 func TestQueueDifferentialBatch(t *testing.T) {
 	for _, kind := range QueueKinds() {
-		var commits [3]int
+		var commits [2]int
 		for seed := uint64(0); seed < 20; seed++ {
 			ops := sprinkleBatches(genProgram(seed, 400), seed)
 			ref := runProgram(QueueHeap, false, ops)
@@ -339,7 +336,7 @@ func TestQueueDifferentialBatch(t *testing.T) {
 				t.Fatalf("%v seed %d", kind, seed)
 			}
 		}
-		for i, what := range []string{"became the run", "merged into a pending run", "went onto the queue"} {
+		for i, what := range []string{"became the run", "went onto the queue behind a pending run"} {
 			if commits[i] == 0 {
 				t.Errorf("%v: no batch %s", kind, what)
 			}
@@ -347,11 +344,11 @@ func TestQueueDifferentialBatch(t *testing.T) {
 	}
 }
 
-// TestWarmBatchAllocatesNothing: once the run's three arrays have grown
-// to a cycle's needs, booking a batch that becomes the run, one that
-// merges into it and one that goes onto the queue, and firing all of
-// them, allocates nothing — whether the scheduler was fresh or already
-// held a population, recycled records and a part-used slab.
+// TestWarmBatchAllocatesNothing: once the run's two arrays have grown to
+// a cycle's needs, booking a batch that becomes the run and one that goes
+// onto the queue behind it, and firing both, allocates nothing — whether
+// the scheduler was fresh or already held a population, recycled records
+// and a part-used slab.
 func TestWarmBatchAllocatesNothing(t *testing.T) {
 	const burst = 3000
 	for _, kind := range QueueKinds() {
@@ -378,14 +375,13 @@ func TestWarmBatchAllocatesNothing(t *testing.T) {
 				for i := 0; i < burst/2; i++ {
 					s.ProcessNext()
 				}
-				book(burst)     // merges: at least a quarter of what is pending
-				book(burst / 8) // onto the queue: under a quarter
+				book(burst / 8) // onto the queue: a run is pending
 				for s.Len() > live {
 					s.ProcessNext()
 				}
 			}
-			// The arrays trade places from commit to commit: a few cycles
-			// grow each of them to the largest merge.
+			// The arrays trade places from run to run: a few cycles grow
+			// both of them to the burst.
 			for i := 0; i < 4; i++ {
 				cycle()
 			}
@@ -460,10 +456,10 @@ func mallocsOf(f func()) uint64 {
 }
 
 // TestResetKeepsCapacity: Reset keeps every array a run grew — the record
-// slabs, the free list, the queue's arrays and the run's three — so once
-// a cycle of queue events, a batch that becomes the run, a batch that
-// merges into it, some firing and a Reset has run twice, the next cycles
-// allocate nothing, and a Reset itself never allocates.
+// slabs, the free list, the queue's arrays and the run's two — so once a
+// cycle of queue events, a batch that becomes the run, a batch that goes
+// onto the queue behind it, some firing and a Reset has run twice, the
+// next cycles allocate nothing, and a Reset itself never allocates.
 func TestResetKeepsCapacity(t *testing.T) {
 	const k = 3000
 	for _, kind := range QueueKinds() {
@@ -494,11 +490,11 @@ func TestResetKeepsCapacity(t *testing.T) {
 		cycle()
 		cycle()
 		book(k / 4) // a run pending at the Reset below
-		runCap := cap(s.run) + cap(s.batch) + cap(s.spare)
+		runCap := cap(s.run) + cap(s.batch)
 		if n := mallocsOf(s.Reset); n != 0 {
 			t.Errorf("%v: Reset with a run pending allocated %d times", kind, n)
 		}
-		if got := cap(s.run) + cap(s.batch) + cap(s.spare); got != runCap || len(s.run) != 0 || len(s.batch) != 0 {
+		if got := cap(s.run) + cap(s.batch); got != runCap || len(s.run) != 0 || len(s.batch) != 0 {
 			t.Errorf("%v: after Reset the run's arrays hold %d events' room (was %d), run %d, batch %d: want the room kept and both empty",
 				kind, got, runCap, len(s.run), len(s.batch))
 		}

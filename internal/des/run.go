@@ -15,10 +15,9 @@ import (
 // which is the queue's own order over the union of both: pop order is the
 // same as if every run event had been pushed with AtIndexed.
 //
-// A batch committed while an earlier run still holds events either merges
-// with what remains of it (when the batch is at least a quarter of that
-// remainder, so the merge costs amortised O(1) per event) or, when smaller,
-// goes onto the queue one record per event, as AtIndexed would have put it.
+// A batch committed while an earlier run still holds events goes onto the
+// queue one record per event, as AtIndexed would have put it: there is one
+// run at a time.
 
 // runEvent is one event of a run or of the open batch: an indexed event
 // with the sequence number it took when it was booked.
@@ -53,16 +52,14 @@ func (s *Scheduler) BatchIndexed(t float64, kind, arg int32) {
 }
 
 // CommitBatch makes the open batch's events pending. With no run pending
-// the batch, sorted, becomes the run; otherwise it merges with the pending
-// run when it holds at least a quarter as many events, and goes onto the
-// queue when it holds fewer. Which of the three happens shows in cost only.
+// the batch, sorted, becomes the run; otherwise it goes onto the queue.
+// Which of the two happens shows in cost only.
 func (s *Scheduler) CommitBatch() {
 	b := s.batch
 	if len(b) == 0 {
 		return
 	}
-	pending := len(s.run) - s.head
-	if pending > 0 && 4*len(b) < pending {
+	if len(s.run) > 0 {
 		for i := range b {
 			// The record keeps the seq its event was booked with; the one
 			// schedule draws is skipped, and skipping changes no order.
@@ -75,19 +72,9 @@ func (s *Scheduler) CommitBatch() {
 		s.batch = b[:0]
 		return
 	}
-	if pending == 0 && cap(s.run) > cap(s.spare) {
-		// The drained run's array is free too: sort into the larger one.
-		s.run, s.spare = s.spare, s.run
-	}
-	sorted, free := sortRun(b, s.spare)
-	old := s.run
-	if pending == 0 {
-		s.run, s.batch, s.spare = sorted, free[:0], old[:0]
-	} else {
-		s.run = mergeRuns(free, old[s.head:], sorted)
-		s.batch, s.spare = sorted[:0], old[:0]
-	}
-	s.head = 0
+	// The drained run's array is the sort's scratch; the two trade places.
+	sorted, free := sortRun(b, s.run)
+	s.run, s.head, s.batch = sorted, 0, free[:0]
 }
 
 // timeKey maps an event time to a uint64 whose unsigned order is the
@@ -105,10 +92,11 @@ func timeKey(t float64) uint64 {
 	return b | 1<<63
 }
 
-// sortDigit is the radix sort's digit width: six passes cover a 64-bit
-// key. Against eight one-byte passes it sorted a 45 000-event batch in
-// 26–28 instead of 33–48 ns per event (2-vCPU Xeon 2.10 GHz guest,
-// go1.24.0) and lost only on batches of fewer than ~1 000 events.
+// sortDigit is the radix sort's digit width; ⌈64/sortDigit⌉ passes cover
+// a 64-bit key, six at 11 bits. Against eight one-byte passes it sorted a
+// 45 000-event batch in 26–28 instead of 33–48 ns per event (2-vCPU Xeon
+// 2.10 GHz guest, go1.24.0) and lost only on batches of fewer than ~1 000
+// events.
 const sortDigit = 11
 
 // sortRun sorts a by time with a stable LSD radix sort over timeKey,
@@ -127,12 +115,9 @@ func sortRun(a, tmp []runEvent) (sorted, other []runEvent) {
 	var count [(64 + sortDigit - 1) / sortDigit][radix]uint32
 	for i := range a {
 		k := timeKey(a[i].time)
-		count[0][k&mask]++
-		count[1][k>>(1*sortDigit)&mask]++
-		count[2][k>>(2*sortDigit)&mask]++
-		count[3][k>>(3*sortDigit)&mask]++
-		count[4][k>>(4*sortDigit)&mask]++
-		count[5][k>>(5*sortDigit)]++
+		for d := range count {
+			count[d][k>>(d*sortDigit)&mask]++
+		}
 	}
 	first := timeKey(a[0].time)
 	for d := range count {
@@ -154,25 +139,4 @@ func sortRun(a, tmp []runEvent) (sorted, other []runEvent) {
 		a, tmp = tmp, a
 	}
 	return a, tmp
-}
-
-// mergeRuns merges the sorted runs a and b by (time, seq) into dst's array
-// (grown when too short) and returns the merged run.
-func mergeRuns(dst, a, b []runEvent) []runEvent {
-	n := len(a) + len(b)
-	if cap(dst) < n {
-		dst = slices.Grow(dst[:0], n)
-	}
-	dst = dst[:n]
-	i, j := 0, 0
-	for k := range dst {
-		if j == len(b) || (i < len(a) && (a[i].time < b[j].time || (a[i].time == b[j].time && a[i].seq < b[j].seq))) {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-	}
-	return dst
 }

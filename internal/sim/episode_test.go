@@ -147,9 +147,9 @@ func TestInterleavedSendersMatchPerTransferRearm(t *testing.T) {
 // books each delivery on the event queue. Both must leave the same
 // realisation — the same Result, the same observer stream, the same
 // position of the random stream — over three episodes with senders
-// interleaved: one at t = 0 over the timers Start armed, then, with its
-// run still pending, one under a quarter of that run (which goes onto the
-// queue) and one over it (which merges into the run). Zero delay ties
+// interleaved: one at t = 0 over the timers Start armed, one while its run
+// is still pending (which goes onto the queue), and one after that run
+// has drained (which becomes a new run mid-realisation). Zero delay ties
 // every landing at its send instant; a delay per task spreads them. The
 // 40-node cluster runs on the calendar queue, the 8-node one on the heap.
 func TestRunEpisodeMatchesQueueEpisode(t *testing.T) {
@@ -169,10 +169,10 @@ func TestRunEpisodeMatchesQueueEpisode(t *testing.T) {
 				o := newStreamHash()
 				s := episodeState(t, n, 2000, delay, o, 5)
 				for k, ts := range episodes {
-					if k > 0 {
-						for i := 0; i < 50; i++ {
-							s.sched.ProcessNext()
-						}
+					// Fire enough events that the first run is still pending
+					// at the second episode and drained at the third.
+					for i := 0; i < []int{0, 50, 3000}[k]; i++ {
+						s.sched.ProcessNext()
 					}
 					apply(s, ts)
 				}

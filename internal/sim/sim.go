@@ -1165,9 +1165,14 @@ func (s *simState) recover(i int) {
 // episodeRunMin is the episode size from which applyTransfers books the
 // deliveries as one batch — a sorted run of the scheduler, fired front to
 // back — instead of one queue event each, and sizes the flight table
-// ahead of the sends. Smaller episodes, which include every eq.-(8)
-// failure episode of the closed-churn-1e3 workload, stay on the queue.
-const episodeRunMin = 256
+// ahead of the sends. It sits above the measured break-even: on a warm
+// 1001-node realisation (calendar queue), an episode booked, fired and
+// landed cost as much per transfer either way at 64 transfers, and
+// 145–228 ns (run) against 233–358 (queue) at 128 (2-vCPU Xeon 2.10 GHz
+// guest, go1.24.0; README "Runs"). At 64 the run's fixed cost — six
+// count tables cleared and summed — already eats what it saves on queue
+// inserts.
+const episodeRunMin = 128
 
 // applyTransfers executes one balancing episode. Each transfer does to
 // the sender's random stream and task records exactly what re-arming its
