@@ -343,15 +343,6 @@ type SimOptions struct {
 	// timers. Lazy runs are statistically — not bit — identical to eager
 	// ones for the same seed.
 	LazyChurn bool
-	// Shards, when positive, runs each realisation on the simulator's
-	// domain-sharded engine: up to Shards worker goroutines advance a
-	// fixed failure-domain partition in conservative time windows. The
-	// result is bit-identical for every positive Shards value (and any
-	// GOMAXPROCS), but is a different realisation of the same stochastic
-	// process than the default Shards == 0 single-stream engine. Sharded
-	// runs reject Trace and policies whose failure episodes read
-	// cluster-wide state outside a precomputed plan.
-	Shards int
 }
 
 // options assembles the simulator options Simulate and MonteCarloOpts
@@ -367,7 +358,6 @@ func (opt SimOptions) options(p model.Params, pol policy.Policy, load []int) sim
 		ArrivalBatch:   opt.ArrivalBatch,
 		ArrivalHorizon: opt.ArrivalHorizon,
 		LazyChurn:      opt.LazyChurn,
-		Shards:         opt.Shards,
 	}
 }
 
@@ -573,14 +563,6 @@ type ServeOptions struct {
 	// over; 0 means GOMAXPROCS. The estimate is bit-identical for any
 	// worker count. Ignored by Serve.
 	Workers int
-	// Shards, when positive, runs each realisation on the simulator's
-	// domain-sharded parallel engine (up to Shards worker goroutines per
-	// run, conservative time-window sync). The result is bit-identical
-	// for every positive Shards value but is a different realisation of
-	// the same process than the Shards == 0 single-stream engine.
-	// Sharded serving rejects decision tracing and policies the sharded
-	// engine cannot gate (see the package README).
-	Shards int
 	// TraceDecisions attaches the decision tracer to the run: every
 	// routed arrival is priced against its DecisionK best untaken
 	// candidates (0 means the default depth of 3) and ServeResult
@@ -812,6 +794,5 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 		TransferMode:  opt.TransferMode,
 		ChurnLaw:      opt.ChurnLaw,
 		Seed:          seed,
-		Shards:        opt.Shards,
 	}, nil
 }

@@ -27,9 +27,8 @@
 // SIGINT/SIGTERM interrupt a single run gracefully: the arrival stream
 // stops, admitted work drains, the report and time-series CSV flush,
 // and the process exits 0 (the manifest is skipped — a cut arrival
-// stream is not replayable). A -reps sweep finishes its replications and
-// a -shards run finishes its realisation (the sharded engine has no
-// mid-window cut); a second signal kills the process immediately.
+// stream is not replayable). A -reps sweep finishes its replications; a
+// second signal kills the process immediately.
 package main
 
 import (
@@ -79,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		horizon = fs.Float64("horizon", 60, "arrival window, s (the run then drains)")
 		delta   = fs.Float64("delta", 0.02, "mean transfer delay per task, s")
 		window  = fs.Float64("window", 0, "telemetry window, s (0 = horizon/100)")
-		shards  = fs.Int("shards", 0, "run each realisation on the domain-sharded parallel engine with up to this many workers (0 = single-stream engine; any positive count is bit-identical to any other; incompatible with -decisions, and Ctrl-C does not drain a sharded run — it finishes, or a second signal kills it)")
 		seed    = fs.Uint64("seed", 1, "root seed")
 		reps    = fs.Int("reps", 1, "replications; >1 aggregates a parallel Monte-Carlo estimate")
 		workers = fs.Int("workers", 0, "worker goroutines for -reps (0 = GOMAXPROCS)")
@@ -112,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	man.Seed = *seed
 	man.Scenario = &obs.ScenarioRef{Kind: *scenStr, Nodes: *nodes, Load: *load, Delta: *delta}
 	man.Policy = obs.PolicyRef{Name: *polStr, K: *k, D: *d}
-	man.Shards = *shards
 	man.Rate = *rate
 	man.Batch = *batch
 	man.Horizon = *horizon

@@ -161,18 +161,6 @@ func TestServeInterrupted(t *testing.T) {
 	}
 }
 
-// TestServeShardedSingleRun: -shards works for a single run. The sharded
-// engine cannot honour an interrupt, so the run path must not attach the
-// signal channel to it (a live channel here, as under main) — and the
-// manifest it writes replays.
-func TestServeShardedSingleRun(t *testing.T) {
-	m := roundTripWith(t, make(chan struct{}), "-scenario", "hotspot", "-nodes", "50",
-		"-rate", "100", "-horizon", "10", "-shards", "2")
-	if m.Shards != 2 {
-		t.Fatalf("manifest records shards %d, want 2", m.Shards)
-	}
-}
-
 // TestPolicyHelpMatchesTable: the -policy help text lists exactly the
 // spellings the run path accepts — internal/policy's routers plus dynlbp2.
 func TestPolicyHelpMatchesTable(t *testing.T) {

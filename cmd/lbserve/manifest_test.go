@@ -73,15 +73,9 @@ func TestManifestReplaysExactly(t *testing.T) {
 // it replays exactly.
 func roundTrip(t *testing.T, args ...string) *obs.Manifest {
 	t.Helper()
-	return roundTripWith(t, nil, args...)
-}
-
-// roundTripWith is roundTrip under the given interrupt channel.
-func roundTripWith(t *testing.T, interrupt <-chan struct{}, args ...string) *obs.Manifest {
-	t.Helper()
 	mpath := filepath.Join(t.TempDir(), "run.json")
 	var out, errb bytes.Buffer
-	if code := run(append(args, "-manifest", mpath), &out, &errb, interrupt); code != 0 {
+	if code := run(append(args, "-manifest", mpath), &out, &errb, nil); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	m, err := obs.LoadManifest(mpath)

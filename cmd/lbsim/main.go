@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		transfer = fs.String("transfer", "bundle", "transfer-delay law: bundle, pertask")
 		churn    = fs.String("churn", "exp", "failure/recovery law: exp, weibull, det")
 		lazy     = fs.Bool("lazychurn", false, "keep churn timers only for loaded nodes (statistically, not bit, identical; falls back to eager when the run would observe idle nodes)")
-		shards   = fs.Int("shards", 0, "run each realisation on the domain-sharded parallel engine with up to this many workers (0 = single-stream engine; any positive count is bit-identical to any other)")
 		scenStr  = fs.String("scenario", "", "large-cluster scenario: uniform, hotspot, correlated, flashcrowd, diurnal")
 		nodes    = fs.Int("nodes", 100, "scenario node count")
 		loadFlag = fs.Int("load", 10000, "scenario total tasks")
@@ -77,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	man.Transfer = *transfer
 	man.Churn = *churn
 	man.LazyChurn = *lazy
-	man.Shards = *shards
 	if *scenStr != "" {
 		// A generated large cluster: a Monte-Carlo study for reps > 1, a
 		// single summarised realisation for reps = 1.

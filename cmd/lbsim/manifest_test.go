@@ -33,9 +33,6 @@ func TestManifestReplaysExactly(t *testing.T) {
 		{name: "mc-scenario", mode: obs.ModeMCScenario,
 			args: []string{"-scenario", "diurnal", "-nodes", "20", "-load", "300", "-policy", "dynamic",
 				"-reps", "5", "-seed", "6", "-transfer", "pertask", "-churn", "weibull"}},
-		{name: "mc-scenario-sharded", mode: obs.ModeMCScenario,
-			args: []string{"-scenario", "hotspot", "-nodes", "40", "-load", "600", "-policy", "lbp1",
-				"-reps", "3", "-seed", "2", "-shards", "2"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

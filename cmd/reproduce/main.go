@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		manifest  = fs.String("manifest", "", "replay + verify a run manifest instead of running experiments")
 		decisions = fs.String("decisions", "", "with -manifest: JSONL file for the replayed decision trace ('' discards)")
-		shards    = fs.Int("shards", -1, "with -manifest: replay on this many shard workers instead of the recorded count (-1 = as recorded; sharded results are bit-identical at any positive count, so the verification still demands an exact match)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -55,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *manifest != "" {
-		return replayManifest(stdout, stderr, *manifest, *decisions, *shards)
+		return replayManifest(stdout, stderr, *manifest, *decisions)
 	}
 
 	if *list {
@@ -110,23 +109,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // replayManifest re-executes the run a manifest describes and verifies
 // the recorded metrics (and decision hash) exactly. Exit 0 means the
-// manifest reproduced bit-for-bit.
-func replayManifest(stdout, stderr io.Writer, path, decisionsPath string, shards int) int {
+// manifest reproduced bit-for-bit, 1 that it did not or its run failed, 2
+// that the manifest itself is at fault (unreadable, or a description no
+// run can follow, such as one recorded on the removed sharded engine).
+func replayManifest(stdout, stderr io.Writer, path, decisionsPath string) int {
 	m, err := obs.LoadManifest(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "reproduce:", err)
 		return 2
-	}
-	if shards >= 0 && shards != m.Shards {
-		// The sharded engine is bit-identical across positive shard counts
-		// only; the single-stream engine (0) is a different realisation, so
-		// crossing the 0 boundary would replay the wrong process.
-		if (shards > 0) != (m.Shards > 0) {
-			fmt.Fprintf(stderr, "reproduce: -shards %d cannot replay a manifest recorded with shards %d (the sharded and single-stream engines are different realisations)\n", shards, m.Shards)
-			return 2
-		}
-		fmt.Fprintf(stderr, "replaying with shards %d (manifest recorded %d; sharded results are shard-count invariant)\n", shards, m.Shards)
-		m.Shards = shards
 	}
 	var decisionLog io.Writer
 	if decisionsPath != "" {
@@ -142,6 +132,10 @@ func replayManifest(stdout, stderr io.Writer, path, decisionsPath string, shards
 	rep, err := rerun.Run(m, decisionLog)
 	if err != nil {
 		fmt.Fprintln(stderr, "reproduce:", err)
+		var bad *rerun.SpecError
+		if errors.As(err, &bad) {
+			return 2
+		}
 		return 1
 	}
 	keys := make([]string, 0, len(rep.Metrics))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -80,68 +79,19 @@ func TestReplayManifestExitCodes(t *testing.T) {
 	}
 }
 
-// shardedManifest freezes a Monte-Carlo manifest recorded on the
-// domain-sharded engine, over a cluster wide enough to split into
-// several failure domains.
-func shardedManifest(t *testing.T, shards int) *obs.Manifest {
-	t.Helper()
-	m := obs.NewManifest("lbsim", obs.ModeMC)
-	m.Seed = 11
-	m.Reps = 8
-	m.Shards = shards
-	n := 6
-	sys := &obs.SystemRef{DelayPerTask: 0.02}
-	load := make([]int, n)
-	for i := 0; i < n; i++ {
-		sys.ProcRate = append(sys.ProcRate, 1.0/3.0)
-		sys.FailRate = append(sys.FailRate, 1.0/900)
-		sys.RecRate = append(sys.RecRate, 1.0/45)
-		load[i] = 20 + 7*i
-	}
-	m.System = sys
-	m.InitialLoad = load
-	m.Policy = obs.PolicyRef{Name: "lbp2", K: 1}
-	rep, err := rerun.Run(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Metrics = rep.Metrics
-	return m
-}
-
-// TestReplayManifestShardOverride: a manifest recorded with -shards k
-// verifies bit-for-bit when replayed at any other positive shard count,
-// and crossing the sharded/single-stream engine boundary is a usage
-// error in either direction.
-func TestReplayManifestShardOverride(t *testing.T) {
-	dir := t.TempDir()
-	m := shardedManifest(t, 2)
-	path := filepath.Join(dir, "sharded.json")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 4, 7} {
+// TestReplayShardedManifestRejected: manifests recorded with -shards 2
+// (an lbsim study and an lbserve run, saved by those tools while the
+// domain-sharded engine existed) are faults of the description — exit 2,
+// naming the removed engine — and never reach a metric diff.
+func TestReplayShardedManifestRejected(t *testing.T) {
+	for _, name := range []string{"shards-mc.json", "shards-serve.json"} {
+		path := filepath.Join("..", "..", "internal", "obs", "rerun", "testdata", name)
 		var out, errb bytes.Buffer
-		if code := run([]string{"-manifest", path, "-shards", strconv.Itoa(k)}, &out, &errb); code != 0 {
-			t.Fatalf("-shards %d: exit %d, stderr: %s", k, code, errb.String())
+		if code := run([]string{"-manifest", path}, &out, &errb); code != 2 {
+			t.Fatalf("%s: exit %d, want 2 (stderr: %s)", name, code, errb.String())
 		}
-		if !strings.Contains(out.String(), "reproduced: "+path) {
-			t.Fatalf("-shards %d: stdout missing verdict: %s", k, out.String())
+		if !strings.Contains(errb.String(), "sharded engine") || strings.Contains(errb.String(), "did NOT reproduce") {
+			t.Fatalf("%s: stderr does not name the removed engine: %s", name, errb.String())
 		}
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-manifest", path, "-shards", "0"}, &out, &errb); code != 2 {
-		t.Fatalf("sharded manifest at -shards 0: exit %d, want 2 (stderr: %s)", code, errb.String())
-	}
-
-	seq := twoNodeManifest(t)
-	seqPath := filepath.Join(dir, "seq.json")
-	if err := seq.Save(seqPath); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-manifest", seqPath, "-shards", "3"}, &out, &errb); code != 2 {
-		t.Fatalf("single-stream manifest at -shards 3: exit %d, want 2 (stderr: %s)", code, errb.String())
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"testing"
 )
 
-// TestDocsNameOnlyWhatExists keeps README.md and the CI workflow from
-// citing a benchmark or a test that is gone: every Benchmark* token must be
+// TestDocsNameOnlyWhatExists keeps README.md, the CI workflow and the
+// verify skill's build-and-run notes from citing a benchmark or a test that is gone: every Benchmark* token must be
 // a func in some _test.go of the tree (a trailing * makes it a prefix),
 // every Test* / Fuzz* token must be such a func or a prefix of one (they
 // are `go test -run` patterns: a step whose pattern matches nothing passes
@@ -118,7 +118,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 	flagRE := regexp.MustCompile(`^--?([a-z][a-z0-9]*)`)
 	cmdEndRE := regexp.MustCompile("[|`]|&&")
-	for _, doc := range []string{"README.md", ".github/workflows/ci.yml"} {
+	for _, doc := range []string{"README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		text := read(doc)
 		// A tool's flags are the -words after its name up to the end of the
 		// command: the line with its \ continuations, cut at a pipe, an &&

@@ -212,8 +212,7 @@ type ScoreIndexed interface {
 }
 
 // SnapshotView adapts a copied State to the StateView interface: what a
-// caller that owns a State (the live daemon, the sharded engine's t = 0
-// balance, tests) hands to a policy or router. The simulator's event loop
+// caller that owns a State (the live daemon, tests) hands to a policy or router. The simulator's event loop
 // never hands one out — its callbacks get the live view, whose lifetime
 // is the call; keep AsState(v).Clone() to retain what a view showed. It
 // never carries a score index.

@@ -119,12 +119,11 @@ type Manifest struct {
 	Transfer  string `json:"transfer,omitempty"`
 	Churn     string `json:"churn,omitempty"`
 	LazyChurn bool   `json:"lazychurn,omitempty"`
-	// Shards > 0 records that the run used the domain-sharded parallel
-	// engine. Sharded results are bit-identical for every positive shard
-	// count, so a replay may substitute any other positive value (the
-	// reproduce CLI exposes this as -shards); 0 is the single-stream
-	// engine — a different realisation — and cannot be swapped for a
-	// sharded replay or vice versa.
+	// Shards is decode-only: manifests written while lbsim and lbserve
+	// took -shards carry a "shards" key naming the domain-sharded engine
+	// the run used. That engine is gone and nothing writes the key any
+	// more; rerun.Execute refuses a manifest that sets it rather than
+	// replay a different realisation.
 	Shards int `json:"shards,omitempty"`
 
 	// Open-system arrival stream (serve modes). Window and the wave

@@ -40,9 +40,8 @@ type Hooks struct {
 	// run (a manifest with a Decisions block); nil keeps only the summary.
 	DecisionLog io.Writer
 	// Interrupt, once closed, cuts the arrival stream of a single serving
-	// run, which then drains (see churnlb.ServeOptions.Interrupt). It is
-	// attached only where the engine can honour it — single runs on the
-	// sequential engine; sweeps and sharded runs finish.
+	// run, which then drains (see churnlb.ServeOptions.Interrupt). Sweeps
+	// finish.
 	Interrupt <-chan struct{}
 }
 
@@ -76,8 +75,13 @@ func (e *SpecError) Unwrap() error { return e.Err }
 // manifest that records no wave shape has it resolved in place — the
 // scenario's own wave when -load generated one, else two cycles across
 // the horizon — so the manifest the caller saves describes the run that
-// happened and a replay never re-derives it.
+// happened and a replay never re-derives it. A manifest that records
+// shards ran on the domain-sharded engine, which no longer exists: it is
+// a SpecError, not a run whose metrics would merely differ.
 func Execute(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
+	if m.Shards > 0 {
+		return nil, &SpecError{fmt.Errorf("rerun: manifest records shards %d: the domain-sharded engine that ran it has been removed, and the sequential engine draws a different realisation", m.Shards)}
+	}
 	switch m.Mode {
 	case obs.ModeServe, obs.ModeServeMany:
 		return serveRun(m, hooks)
@@ -181,7 +185,6 @@ func closedRun(m *obs.Manifest) (*Outcome, error) {
 		return nil, &SpecError{err}
 	}
 	opt.LazyChurn = m.LazyChurn
-	opt.Shards = m.Shards
 
 	if single {
 		// The seeds are each mode's historical ones: recorded manifests
@@ -249,7 +252,6 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 		ChurnLaw:      cl,
 		WaveAmplitude: m.WaveAmplitude,
 		WavePeriod:    m.WavePeriod,
-		Shards:        m.Shards,
 	}
 	sys := churnlb.System{DelayPerTask: sc.Params.DelayPerTask, Nodes: make([]churnlb.Node, sc.Params.N())}
 	for i := range sys.Nodes {
@@ -271,9 +273,7 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 		opt.DecisionK = m.Decisions.K
 		opt.DecisionLog = hooks.DecisionLog
 	}
-	if m.Shards == 0 {
-		opt.Interrupt = hooks.Interrupt // the sharded engine has no mid-window cut
-	}
+	opt.Interrupt = hooks.Interrupt
 	if out.Serve, err = churnlb.Serve(sys, pol, router, m.Seed, opt); err != nil {
 		return nil, err
 	}

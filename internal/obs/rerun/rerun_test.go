@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"churnlb/internal/obs"
@@ -169,6 +170,30 @@ func TestRerunManifestsThatNameAQueue(t *testing.T) {
 	}
 }
 
+// TestRerunShardedManifestsRejected: manifests written while lbsim and
+// lbserve still took -shards — an lbsim study and an lbserve run, both
+// with -shards 2 and saved by those tools then — record a realisation of
+// the removed domain-sharded engine. Execute refuses them as a SpecError
+// naming that engine instead of replaying the sequential engine's
+// different realisation into a metric diff.
+func TestRerunShardedManifestsRejected(t *testing.T) {
+	for _, name := range []string{"shards-mc.json", "shards-serve.json"} {
+		t.Run(name, func(t *testing.T) {
+			m, err := obs.LoadManifest(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Shards != 2 {
+				t.Fatalf("%s records shards %d, want 2", name, m.Shards)
+			}
+			var bad *SpecError
+			if _, err := Execute(m, Hooks{}); !errors.As(err, &bad) || !strings.Contains(err.Error(), "sharded engine") {
+				t.Fatalf("got %v, want a SpecError naming the sharded engine", err)
+			}
+		})
+	}
+}
+
 // TestRerunRejects: unknown modes and malformed refs error cleanly, as
 // faults of the description (the CLIs' exit 2) — unlike a run that fails.
 func TestRerunRejects(t *testing.T) {
@@ -200,26 +225,22 @@ func TestRerunRejects(t *testing.T) {
 }
 
 // TestInterruptOnlyWhereHonoured: the interrupt hook reaches a single
-// sequential serving run and nothing else — the sharded engine would
-// refuse it, so a sharded run finishes.
+// serving run, which then reports the cut.
 func TestInterruptOnlyWhereHonoured(t *testing.T) {
 	cut := make(chan struct{})
 	close(cut)
-	for _, shards := range []int{0, 2} {
-		m := obs.NewManifest("lbserve", obs.ModeServe)
-		m.Seed = 2
-		m.Scenario = &obs.ScenarioRef{Kind: "hotspot", Nodes: 20, Delta: 0.02}
-		m.Policy = obs.PolicyRef{Name: "pod2"}
-		m.Rate = 30
-		m.Horizon = 3
-		m.Shards = shards
-		out, err := Execute(m, Hooks{Interrupt: cut})
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		if want := shards == 0; out.Serve.Interrupted != want {
-			t.Fatalf("shards %d: interrupted %v, want %v", shards, out.Serve.Interrupted, want)
-		}
+	m := obs.NewManifest("lbserve", obs.ModeServe)
+	m.Seed = 2
+	m.Scenario = &obs.ScenarioRef{Kind: "hotspot", Nodes: 20, Delta: 0.02}
+	m.Policy = obs.PolicyRef{Name: "pod2"}
+	m.Rate = 30
+	m.Horizon = 3
+	out, err := Execute(m, Hooks{Interrupt: cut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Serve.Interrupted {
+		t.Fatal("interrupt hook not honoured")
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // the paper's insight to routing by pricing a down node at its expected
 // recovery time.
 //
-// Route is the only decision procedure a router has: the simulator, the
-// sharded front door and the live dispatcher all call it, observed or not
+// Route is the only decision procedure a router has: the simulator and
+// the live dispatcher both call it, observed or not
 // (a decision trace learns the size of the rule's candidate set from
 // Considered, not from a second implementation). Routers may keep per-run
 // state (RoundRobin does); supply a fresh instance to every realisation.

@@ -56,15 +56,6 @@ type Options struct {
 	ChurnLaw     sim.ChurnLaw
 	// Seed drives all randomness.
 	Seed uint64
-	// Shards, when positive, runs the realisation on the simulator's
-	// domain-sharded engine: up to Shards worker goroutines advance the
-	// fixed failure-domain partition in conservative time windows. The
-	// result is bit-identical for every positive Shards value (and any
-	// GOMAXPROCS) but is a different realisation of the same process
-	// than the Shards == 0 single-stream engine. Sharded serving rejects
-	// Instrument (its decision sink needs the sequential engine) and
-	// policies the sharded simulator cannot gate (see sim.StartSharded).
-	Shards int
 	// Instrument, when non-nil, is invoked once per realisation with the
 	// telemetry collector and returns the TaskObserver and DecisionSink
 	// to install in its place — the seam internal/obs's decision tracer
@@ -131,12 +122,6 @@ func Run(opt Options) (*Result, error) {
 	if math.IsNaN(opt.Window) {
 		return nil, fmt.Errorf("serve: Window = %v must be a number (0 derives Horizon/100)", opt.Window)
 	}
-	if opt.Interrupt != nil && opt.Shards > 0 {
-		// The sharded engine advances whole conservative windows per step
-		// and has no mid-window arrival cutoff; graceful interruption is a
-		// sequential-engine feature.
-		return nil, fmt.Errorf("serve: Interrupt needs the sequential engine (Shards = 0)")
-	}
 	load := opt.InitialLoad
 	if load == nil {
 		load = make([]int, opt.Params.N())
@@ -154,15 +139,11 @@ func Run(opt Options) (*Result, error) {
 	}
 	// The realisation is driven through the simulator's step primitives
 	// (Start, the Done/ProcessNext loop, Finish) rather than the one-shot
-	// sim.Run: the serving layer is where a live coordinator — a
-	// shared-clock shard driver or an online dashboard — would hook in,
-	// and routing every serving run through the decomposed loop keeps the
-	// step API exercised by the entire serving test suite. The two forms
-	// are bit-identical by construction (sim.Run is this exact loop).
-	// With Shards > 0 the same loop drives the domain-sharded engine
-	// through the identical surface — each step then advances one
-	// conservative window instead of one event.
-	simOpt := sim.Options{
+	// sim.Run: the loop polls Interrupt between events, and routing every
+	// serving run through it keeps the step API exercised by the entire
+	// serving test suite. The two forms are bit-identical by construction
+	// (sim.Run is this exact loop).
+	r, err := sim.Start(sim.Options{
 		Params:         opt.Params,
 		Policy:         opt.Policy,
 		InitialLoad:    load,
@@ -179,19 +160,7 @@ func Run(opt Options) (*Result, error) {
 		TaskObserver:   tobs,
 		DecisionSink:   sink,
 		FailurePlan:    opt.failurePlan,
-		Shards:         opt.Shards,
-	}
-	var r interface {
-		Done() bool
-		ProcessNext() bool
-		Finish() (*sim.Result, error)
-	}
-	var err error
-	if opt.Shards > 0 {
-		r, err = sim.StartSharded(simOpt)
-	} else {
-		r, err = sim.Start(simOpt)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +173,7 @@ func Run(opt Options) (*Result, error) {
 				// drains, accounting stays conserved, and the Result covers
 				// everything up to the cut.
 				interrupted = true
-				r.(*sim.Realisation).CloseArrivals()
+				r.CloseArrivals()
 			default:
 			}
 		}
@@ -228,7 +197,7 @@ func Run(opt Options) (*Result, error) {
 
 // RunMany executes reps independent realisations of opt in parallel on
 // the mc worker pool (workers caps the goroutines; 0 = GOMAXPROCS),
-// replication rep reseeded with MixSeed(opt.Seed, rep) — exactly the
+// replication rep reseeded with xrand.MixSeed(opt.Seed, rep) — exactly the
 // seeds a serial loop over Run would use. Each completed replication is
 // handed to visit(rep, res) from the worker goroutine that ran it and
 // released afterwards, so only what visit retains stays in memory no
@@ -251,7 +220,7 @@ func RunMany(opt Options, reps, workers int, visit func(rep int, r *Result)) err
 	}
 	return mc.ForEach(mc.Options{Reps: reps, Workers: workers}, func(rep int) error {
 		o := opt
-		o.Seed = MixSeed(opt.Seed, rep)
+		o.Seed = xrand.MixSeed(opt.Seed, rep)
 		o.failurePlan = plan
 		o.Instrument = nil // single-run hook: reps would interleave through it
 		o.Interrupt = nil  // likewise: a shared cut would make reps racy
@@ -263,10 +232,3 @@ func RunMany(opt Options, reps, workers int, visit func(rep int, r *Result)) err
 		return nil
 	})
 }
-
-// MixSeed derives the per-replication seed used by serving Monte-Carlo
-// loops (SplitMix64-style finalizer over seed and replication index).
-// It delegates to xrand.MixSeed — the one seed-mixing layout shared with
-// the sharded simulator's per-domain streams — and must stay
-// bit-identical to the historical inline implementation.
-func MixSeed(seed uint64, rep int) uint64 { return xrand.MixSeed(seed, rep) }

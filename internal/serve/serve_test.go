@@ -10,6 +10,7 @@ import (
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
 	"churnlb/internal/testkit"
+	"churnlb/internal/xrand"
 )
 
 func testOptions(t *testing.T) Options {
@@ -32,14 +33,14 @@ func testOptions(t *testing.T) Options {
 
 // TestRunManyMatchesSerialLoop pins the contract that made the parallel
 // fan-out safe to adopt: RunMany must produce exactly the results of the
-// serial loop it replaced — same MixSeed layout, rep-indexed output.
+// serial loop it replaced — same xrand.MixSeed layout, rep-indexed output.
 func TestRunManyMatchesSerialLoop(t *testing.T) {
 	opt := testOptions(t)
 	const reps = 5
 	want := make([]*Result, reps)
 	for rep := 0; rep < reps; rep++ {
 		o := opt
-		o.Seed = MixSeed(opt.Seed, rep)
+		o.Seed = xrand.MixSeed(opt.Seed, rep)
 		r, err := Run(o)
 		if err != nil {
 			t.Fatal(err)
@@ -117,60 +118,11 @@ func TestRunExposesLatencySketches(t *testing.T) {
 func TestMixSeedSpreads(t *testing.T) {
 	seen := map[uint64]bool{}
 	for rep := 0; rep < 100; rep++ {
-		s := MixSeed(1, rep)
+		s := xrand.MixSeed(1, rep)
 		if seen[s] {
 			t.Fatalf("duplicate seed %d at rep %d", s, rep)
 		}
 		seen[s] = true
-	}
-}
-
-// TestRunShardCountInvariant: the full serving telemetry stack (window
-// series, percentile sketches, fairness tally) must come out bit-for-bit
-// identical for every positive Shards value — the sharded engine merges
-// per-domain observer streams back into one monotone stream, and this
-// pins that the collector cannot tell the shard counts apart.
-func TestRunShardCountInvariant(t *testing.T) {
-	collect := func(shards int) *Result {
-		opt := testOptions(t)
-		opt.Shards = shards
-		r, err := Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	base := collect(1)
-	if base.Summary.Completed == 0 {
-		t.Fatal("sharded run completed nothing")
-	}
-	for _, shards := range []int{2, 4, 7} {
-		got := collect(shards)
-		b, g := base.Summary, got.Summary
-		if b.Arrived != g.Arrived || b.Completed != g.Completed ||
-			math.Float64bits(b.P50) != math.Float64bits(g.P50) ||
-			math.Float64bits(b.P99) != math.Float64bits(g.P99) ||
-			math.Float64bits(b.Throughput) != math.Float64bits(g.Throughput) ||
-			math.Float64bits(b.Availability) != math.Float64bits(g.Availability) ||
-			math.Float64bits(b.Fairness) != math.Float64bits(g.Fairness) {
-			t.Errorf("shards=%d summary diverged: %+v vs %+v", shards, b, g)
-		}
-		if len(base.Windows) != len(got.Windows) {
-			t.Fatalf("shards=%d: %d windows vs %d", shards, len(got.Windows), len(base.Windows))
-		}
-		for i := range base.Windows {
-			if math.Float64bits(base.Windows[i].P99) != math.Float64bits(got.Windows[i].P99) ||
-				math.Float64bits(base.Windows[i].QueueDepth) != math.Float64bits(got.Windows[i].QueueDepth) {
-				t.Errorf("shards=%d window %d diverged", shards, i)
-			}
-		}
-		bs, gs := base.Sim, got.Sim
-		if math.Float64bits(bs.CompletionTime) != math.Float64bits(gs.CompletionTime) ||
-			bs.Failures != gs.Failures || bs.Recoveries != gs.Recoveries ||
-			bs.TransfersSent != gs.TransfersSent || bs.TasksTransferred != gs.TasksTransferred ||
-			bs.ExternalArrivals != gs.ExternalArrivals {
-			t.Errorf("shards=%d sim result diverged: %+v vs %+v", shards, bs, gs)
-		}
 	}
 }
 
@@ -187,7 +139,6 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 	}{
 		{"rate-nan", "Rate", func(o *Options) { o.Rate = nan }},
 		{"rate-inf", "Rate", func(o *Options) { o.Rate = inf }},
-		{"rate-nan-sharded", "Rate", func(o *Options) { o.Rate, o.Shards = nan, 2 }},
 		{"horizon-nan", "Horizon", func(o *Options) { o.Horizon = nan }},
 		{"horizon-inf", "Horizon", func(o *Options) { o.Horizon = inf }},
 		{"wave-amplitude-nan", "Amplitude", func(o *Options) { o.WaveAmplitude, o.WavePeriod = nan, 10 }},
@@ -209,9 +160,7 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 			c.mod(&opt)
 			err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
 				o := opt
-				if o.Shards == 0 { // the sharded engine refuses an Interrupt
-					o.Interrupt = stop
-				}
+				o.Interrupt = stop
 				_, err := Run(o)
 				return err
 			})

@@ -79,9 +79,4 @@ func TestRunInterrupt(t *testing.T) {
 	if processed != want {
 		t.Fatalf("interrupted run lost work: processed %d, want %d", processed, want)
 	}
-
-	opt.Shards = 2
-	if _, err := Run(opt); err == nil || !strings.Contains(err.Error(), "sequential engine") {
-		t.Fatalf("Interrupt+Shards err = %v, want sequential-engine error", err)
-	}
 }

@@ -13,19 +13,15 @@ import (
 
 // TestTotalInitialLoadCapped: any queue can receive the whole backlog
 // through transfers, and queues and batches in flight count in int32, so
-// the cap binds the total — one task over is rejected by name on both
-// engines, and the largest accepted total validates clean.
+// the cap binds the total — one task over is rejected by name, and the
+// largest accepted total validates clean.
 func TestTotalInitialLoadCapped(t *testing.T) {
 	opt := churnHeavyOptions(4, 0, policy.NoBalance{}, 1)
 	opt.InitialLoad = []int{math.MaxInt32 - 2, 1, 1, 1}
-	for _, shards := range []int{0, 2} {
-		opt.Shards = shards
-		_, err := Run(opt)
-		if err == nil || !strings.Contains(err.Error(), "total initial load") {
-			t.Fatalf("shards %d: total of MaxInt32+1 gave %v, want the total-load error", shards, err)
-		}
+	_, err := Run(opt)
+	if err == nil || !strings.Contains(err.Error(), "total initial load") {
+		t.Fatalf("total of MaxInt32+1 gave %v, want the total-load error", err)
 	}
-	opt.Shards = 0
 	opt.InitialLoad = []int{math.MaxInt32 - 2, 1, 1, 0}
 	if n, err := validateOptions(&opt); err != nil || n != 4 {
 		t.Fatalf("total of exactly MaxInt32 rejected: n=%d err=%v", n, err)

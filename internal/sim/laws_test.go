@@ -8,7 +8,7 @@ import (
 )
 
 // TestLawsDrawWhatSimStateDrew holds the exported law methods — what the
-// simulator, the shard coordinator and the live daemon all call — to the
+// simulator and the live daemon both call — to the
 // draws simState.churnSample and drawTransferDelay made before they moved:
 // from the same stream, the same value and the same next word, for all
 // three churn laws and both transfer modes, δ = 0 (no draw) included.

@@ -130,9 +130,8 @@ func TestBackendDifferentialChurnRealisation(t *testing.T) {
 	}
 }
 
-// TestEventQueueValidated: an out-of-range law is an error on both
-// engines, not a silent run under the default law (the hot-path switches
-// fall through to it).
+// TestEventQueueValidated: an out-of-range law is an error, not a silent
+// run under the default law (the hot-path switches fall through to it).
 func TestEventQueueValidated(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -142,13 +141,10 @@ func TestEventQueueValidated(t *testing.T) {
 		{"ChurnLaw<0", func(o *Options) { o.ChurnLaw = ChurnLaw(-1) }},
 		{"TransferMode", func(o *Options) { o.TransferMode = TransferMode(7) }},
 	} {
-		for _, shards := range []int{0, 2} {
-			opt := churnHeavyOptions(4, 20, policy.NoBalance{}, 1)
-			opt.Shards = shards
-			c.mod(&opt)
-			if _, err := Run(opt); err == nil {
-				t.Fatalf("invalid %s accepted (shards %d)", c.name, shards)
-			}
+		opt := churnHeavyOptions(4, 20, policy.NoBalance{}, 1)
+		c.mod(&opt)
+		if _, err := Run(opt); err == nil {
+			t.Fatalf("invalid %s accepted", c.name)
 		}
 	}
 }

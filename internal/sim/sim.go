@@ -43,8 +43,7 @@
 // observer does rule out is LazyChurn, which needs nobody watching idle
 // nodes.)
 //
-// Realisations reuse their memory. Finish hands the sequential engine's
-// arena — the des.Scheduler with its record slabs, free list and queue
+// Realisations reuse their memory. Finish hands the realisation's arena — the des.Scheduler with its record slabs, free list and queue
 // arrays, the hot array, the flight table, the episode buffer (which also
 // carries the t = 0 balance when the policy is a policy.InitialAppender)
 // and, once an observed run has built them, the per-node task deques with
@@ -60,7 +59,6 @@
 // that finds the list full drops its arena, and an idle arena stays
 // resident — at the size of the largest run that used it — until the
 // process ends. A Start nobody finishes just lets its arena be collected.
-// The sharded engine (shard.go) does not take part.
 package sim
 
 import (
@@ -100,7 +98,7 @@ func (m TransferMode) String() string {
 
 // Delay draws the delay of a batch of tasks in flight under mode m, δ =
 // perTask seconds per task: the one transfer-delay law of the tree, called
-// by both simulator engines and the live daemon. δ = 0 is an instantaneous
+// by the simulator and the live daemon. δ = 0 is an instantaneous
 // channel and draws nothing.
 //
 //churnlb:hotpath
@@ -298,35 +296,15 @@ type Options struct {
 	// run would plan for itself (the installed policy is a
 	// FailurePlanner) and ignored otherwise.
 	FailurePlan *policy.FailurePlan
-	// Shards, when positive, runs the realisation on the domain-sharded
-	// engine (see shard.go): nodes partition into failure domains, each
-	// with its own event queue and rng stream, advanced by up to Shards
-	// worker goroutines in conservative time windows. The result is
-	// bit-identical for every positive Shards value and any GOMAXPROCS —
-	// shard count chooses only how much hardware executes the fixed
-	// domain decomposition — but it is a different (equally valid)
-	// realisation of the same stochastic process than the Shards == 0
-	// single-stream engine, which remains the default and the reference
-	// for the golden suite. Sharded runs reject Trace and DecisionSink,
-	// require an episode-inert or failure-planning policy, and silently
-	// run eager churn timers (see StartSharded).
-	Shards int
-	// ShardWindow overrides the conservative window width Δ of a sharded
-	// run in simulated seconds; 0 derives it from Params (see
-	// defaultShardWindow). The window is part of the sharded semantics —
-	// cross-domain deliveries quantise to window boundaries — so two runs
-	// agree bit-for-bit only when their windows agree; leave it 0 outside
-	// tests so the width stays a pure function of Params.
-	ShardWindow float64
-	// probe is how in-package tests watch the sequential engine's
-	// internals after every event (see eventProbe); it runs after the Trace
-	// recorder when both are set.
+	// probe is how in-package tests watch the simulator's internals after
+	// every event (see eventProbe); it runs after the Trace recorder when
+	// both are set.
 	probe eventProbe
 }
 
-// eventProbe is the per-event observation seam of the sequential engine,
-// the only observation mechanism beside TaskObserver and DecisionSink. A
-// run holds at most one (simState.probe, nil when nobody watches event by
+// eventProbe is the per-event observation seam of the simulator, the only
+// observation mechanism beside TaskObserver and DecisionSink. A run holds
+// at most one (simState.probe, nil when nobody watches event by
 // event): the TracePoint recorder under Options.Trace, a test's probe
 // under Options.probe. It is called once the event of the given kind has
 // mutated s and before the handler re-arms a timer, from EvStart to EvDone
@@ -384,9 +362,7 @@ const (
 // cost of a transfer between its send and its landing, next to the one
 // indexed event that carries the row's index.
 type flight struct {
-	// to is the receiving node. A sharded run's front door routes external
-	// arrivals through the same table; those rows store ^node (negative).
-	to    int32
+	to    int32 // the receiving node
 	tasks int32
 }
 
@@ -456,23 +432,11 @@ type simState struct {
 	// consults (policy.Considered), computed once per run.
 	sink       DecisionSink
 	considered int
-	// shard, when non-nil, marks this state as one failure domain of a
-	// sharded run (see shard.go): hot, taskq and res.Processed are shared
-	// arrays of which this domain owns a contiguous slice, remaining and
-	// inFlight count only this domain's tasks, and cross-domain transfers
-	// leave through shard.outbox instead of the domain's own flight table.
-	// nil on the single-stream engine — every shard hook below is a
-	// nil-check no-op there.
-	shard *shardLink
 }
 
 // Run executes one realisation and returns its Result: Start, a loop
-// over the step primitives, Finish. Options.Shards > 0 dispatches to the
-// domain-sharded engine (RunSharded) instead.
+// over the step primitives, Finish.
 func Run(opt Options) (*Result, error) {
-	if opt.Shards > 0 {
-		return RunSharded(opt)
-	}
 	r, err := Start(opt)
 	if err != nil {
 		return nil, err
@@ -516,12 +480,10 @@ type Realisation struct {
 	s *simState
 }
 
-// validateOptions checks the option set both engines share and applies
-// the in-place defaults (a nil Policy becomes NoBalance), returning the
-// cluster size. Engine-specific gates — Start's rejection of Shards,
-// StartSharded's rejection of Trace and non-shardable policies — stay
-// with their engines. A NaN fails every comparison and an infinite rate
-// never advances the clock, so either must stop here or it wedges the loop.
+// validateOptions checks Start's options and applies the in-place
+// defaults (a nil Policy becomes NoBalance), returning the cluster size.
+// A NaN fails every comparison and an infinite rate never advances the
+// clock, so either must stop here or it wedges the loop.
 func validateOptions(opt *Options) (int, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return 0, err
@@ -629,12 +591,6 @@ func validateOptions(opt *Options) (int, error) {
 // pending event. It consumes randomness only as far as arming does, so
 // Start + step loop + Finish replays exactly the stream Run consumes.
 func Start(opt Options) (*Realisation, error) {
-	if opt.Shards > 0 {
-		// Run dispatches automatically; direct step-surface callers must
-		// choose the engine explicitly because the two surfaces differ
-		// (ProcessNext fires one event here, one window there).
-		return nil, fmt.Errorf("sim: Shards = %d needs StartSharded (or Run/RunSharded)", opt.Shards)
-	}
 	n, err := validateOptions(&opt)
 	if err != nil {
 		return nil, err
@@ -889,15 +845,6 @@ func (s *simState) reindex(i int) {
 	if s.lidx != nil {
 		s.lidx.set(i, s.scoreFn(i, s.queueOf(i), s.hot[i].up))
 	}
-	// On a sharded run with a router front door, the same mutation hook
-	// marks the node dirty so the window barrier patches the router's
-	// stale mirror incrementally instead of rescanning the cluster.
-	if sh := s.shard; sh != nil && sh.dirtyAt != nil {
-		if sh.dirtyAt[i] != sh.epoch {
-			sh.dirtyAt[i] = sh.epoch
-			sh.dirty = append(sh.dirty, int32(i))
-		}
-	}
 }
 
 func (s *simState) pendingArrivals() bool {
@@ -1115,13 +1062,9 @@ func (s *simState) fail(i int) {
 		// against the frozen queue, into the reusable episode buffer.
 		s.transferBuf = s.fplan.Transfers(s.transferBuf[:0], i, int(h.queue))
 		s.applyTransfers(s.transferBuf)
-	} else if s.shard == nil {
+	} else {
 		s.applyTransfers(s.opt.Policy.OnFailure(i, s.live, s.p))
 	}
-	// A sharded domain without a plan skips the episode call entirely:
-	// StartSharded gates plan-less runs to episode-inert policies (their
-	// OnFailure statically returns nil), and the live view must not be
-	// read mid-window — it spans nodes other domains are mutating.
 	if s.lazy && h.queue == 0 {
 		// The failure shipped (or found) an empty queue: nothing to
 		// recover for, so the node detaches instead of arming a recovery
@@ -1270,23 +1213,6 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 	s.observe(EvSend, tr.From)
 
 	delay := s.opt.TransferMode.Delay(s.rng, s.p.DelayPerTask, tr.Tasks)
-	if sh := s.shard; sh != nil && sh.owner[tr.To] != sh.self {
-		// Cross-domain: the batch leaves this domain's accounting now and
-		// joins the receiver's at the next window barrier, where the
-		// coordinator parks the delivery (quantised to the boundary if the
-		// drawn delay would land inside the current window). The delay
-		// was drawn above in the same stream position an intra-domain
-		// transfer consumes, so the domain's stream is destination-blind.
-		s.inFlight -= tr.Tasks
-		s.remaining -= tr.Tasks
-		sh.outbox = append(sh.outbox, shardMsg{
-			at:    s.sched.Now() + delay,
-			to:    int32(tr.To),
-			tasks: int32(tr.Tasks),
-			recs:  recs,
-		})
-		return stage, true
-	}
 	s.park(s.sched.Now()+delay, flight{to: int32(tr.To), tasks: int32(tr.Tasks)}, recs)
 	return stage, true
 }
@@ -1319,36 +1245,23 @@ func (s *simState) park(at float64, f flight, recs []taskRec) {
 	}
 }
 
-// land is the receiving half of every batch in flight, on both engines:
-// a transfer's tasks join their destination queue, or — a sharded run's
-// front door only — a routed external batch enters the system.
+// land is the receiving half of every transfer: the batch's tasks join
+// their destination queue.
 //
 //churnlb:hotpath
 func (s *simState) land(row int32) {
 	f := s.flights[row]
 	s.freeFlights = append(s.freeFlights, row)
 	to, tasks := int(f.to), int(f.tasks)
-	external := to < 0
-	if external {
-		to = ^to
-	}
 	s.inFlight -= tasks
 	s.lazyTouch(to) // a detached receiver's state resolves before use
 	dst := &s.hot[to]
 	dst.queue += int32(tasks)
 	s.reindex(to)
 	if s.obs != nil {
-		now := s.sched.Now()
-		if external {
-			for t := 0; t < tasks; t++ {
-				s.taskq[to].push(taskRec{arrival: now, firstService: -1})
-			}
-			s.obs.TasksArrived(to, tasks, now)
-		} else {
-			s.taskq[to].recs = append(s.taskq[to].recs, s.flightRecs[row]...)
-			s.flightRecs[row] = nil
-			s.obs.TransferArrived(to, tasks, now)
-		}
+		s.taskq[to].recs = append(s.taskq[to].recs, s.flightRecs[row]...)
+		s.flightRecs[row] = nil
+		s.obs.TransferArrived(to, tasks, s.sched.Now())
 	}
 	s.observe(EvArrival, to)
 	// A previously empty queue needs its completion process re-armed; a

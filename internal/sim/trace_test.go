@@ -169,22 +169,6 @@ func TestArrivalTraceValidation(t *testing.T) {
 	}
 }
 
-// TestArrivalTraceShardedRejected pins the engine gate: recorded
-// schedules have no per-domain decomposition, so the sharded engine must
-// refuse them rather than silently ignore the trace.
-func TestArrivalTraceShardedRejected(t *testing.T) {
-	_, err := StartSharded(Options{
-		Params:       model.PaperBaseline(),
-		InitialLoad:  []int{5, 5},
-		Rand:         xrand.New(1),
-		Shards:       2,
-		ArrivalTrace: []ArrivalAt{{Time: 1}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "ArrivalTrace") {
-		t.Fatalf("err = %v, want ArrivalTrace rejection", err)
-	}
-}
-
 // TestArrivalTraceRateRunsUnchanged proves the trace seam is inert for
 // rate-driven runs: a Poisson run before and after the feature must be
 // bit-identical, which the golden suite also pins; here the cheap local

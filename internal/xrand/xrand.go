@@ -186,11 +186,9 @@ func (r *Rand) Weibull(shape, scale float64) float64 {
 }
 
 // MixSeed derives sub-stream s of a root seed through a SplitMix64-style
-// finalizer — the seed layout every deterministic fan-out in the module
-// shares: Monte-Carlo replications mix their replication index, and the
-// sharded simulator mixes its failure-domain index, so stream consumption
-// is stable under any worker or shard count. serve.MixSeed delegates
-// here; the two must stay bit-identical.
+// finalizer: serving replication s of a study runs on MixSeed(seed, s),
+// so its stream is the same under any worker count. Every recorded serving
+// sweep depends on this layout; it must not change.
 func MixSeed(seed uint64, s int) uint64 {
 	x := seed ^ (uint64(s)+1)*0x9e3779b97f4a7c15
 	x ^= x >> 33
