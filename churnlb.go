@@ -345,8 +345,9 @@ type SimOptions struct {
 	LazyChurn bool
 }
 
-// options assembles the simulator options Simulate and MonteCarloOpts
-// share; the caller adds the random stream.
+// options is the one translation of the public options into the
+// simulator's, shared by Simulate, MonteCarloOpts and the serving entry
+// points; the caller adds the random stream.
 func (opt SimOptions) options(p model.Params, pol policy.Policy, load []int) sim.Options {
 	return sim.Options{
 		Params:         p,
@@ -648,7 +649,7 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 	var tracer *obs.DecisionTracer
 	if opt.TraceDecisions || opt.DecisionLog != nil {
 		so.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
-			tracer = obs.NewDecisionTracer(so.Params, obs.TraceOptions{
+			tracer = obs.NewDecisionTracer(so.Sim.Params, obs.TraceOptions{
 				K: opt.DecisionK, W: opt.DecisionLog, Observer: inner,
 			})
 			return tracer, tracer
@@ -659,7 +660,7 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 	if err != nil {
 		return ServeResult{}, err
 	}
-	p := so.Params
+	p := so.Sim.Params
 	sum, out := run.Summary, run.Sim
 	res := ServeResult{
 		Interrupted:      run.Interrupted,
@@ -779,20 +780,14 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 	if err != nil {
 		return serve.Options{}, err
 	}
-	return serve.Options{
-		Params:        p,
-		Policy:        pol,
-		NewRouter:     newRouter,
-		InitialLoad:   opt.InitialLoad,
-		InitialUp:     opt.InitialUp,
-		Rate:          opt.Rate,
-		Batch:         opt.Batch,
-		Horizon:       opt.Horizon,
-		WaveAmplitude: opt.WaveAmplitude,
-		WavePeriod:    opt.WavePeriod,
-		Window:        opt.Window,
-		TransferMode:  opt.TransferMode,
-		ChurnLaw:      opt.ChurnLaw,
-		Seed:          seed,
-	}, nil
+	so := SimOptions{
+		ArrivalRate:    opt.Rate,
+		ArrivalBatch:   opt.Batch,
+		ArrivalHorizon: opt.Horizon,
+		TransferMode:   opt.TransferMode,
+		ChurnLaw:       opt.ChurnLaw,
+	}.options(p, pol, opt.InitialLoad)
+	so.InitialUp = opt.InitialUp
+	so.ArrivalWave = sim.Wave{Amplitude: opt.WaveAmplitude, Period: opt.WavePeriod}
+	return serve.Options{Sim: so, NewRouter: newRouter, Window: opt.Window, Seed: seed}, nil
 }

@@ -42,10 +42,9 @@ import (
 	"churnlb/internal/calib"
 	"churnlb/internal/daemon"
 	"churnlb/internal/metrics"
-	"churnlb/internal/model"
 	"churnlb/internal/obs"
+	"churnlb/internal/obs/rerun"
 	"churnlb/internal/report"
-	"churnlb/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sigChannel())) }
@@ -102,21 +101,15 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		return 2
 	}
 
-	churnLaw, err := sim.ParseChurnLaw(*churnStr)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbd:", err)
-		return 2
-	}
-	// One spec names the policies of both halves: the live daemon below
-	// and its simulator twin after it.
-	spec := calib.RunSpec{Router: *polStr, D: *d, Balance: *balStr, K: *k, ChurnLaw: churnLaw, Seed: *seed}
-	newRouter, pol, err := spec.Resolve()
-	if err != nil {
-		fmt.Fprintln(stderr, "lbd:", err)
-		return 2
-	}
-
-	p := model.Params{
+	// The manifest is the run description: the flags fill it,
+	// rerun.DaemonOptions resolves it for the live daemon, rerun.Execute
+	// runs its simulator twin, and -manifest saves it with the twin's
+	// metrics — so the saved spec is, by construction, the one both halves
+	// ran.
+	man := obs.NewManifest("lbd", obs.ModeDaemon)
+	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+	man.Seed = *seed
+	sys := &obs.SystemRef{
 		ProcRate:     make([]float64, *nodes),
 		FailRate:     make([]float64, *nodes),
 		RecRate:      make([]float64, *nodes),
@@ -127,50 +120,43 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		churners = *churnNodes
 	}
 	for i := 0; i < *nodes; i++ {
-		p.ProcRate[i] = *procRate
-		p.RecRate[i] = 1 / *mttr
+		sys.ProcRate[i] = *procRate
+		sys.RecRate[i] = 1 / *mttr
 		if *mtbf > 0 && i < churners {
-			p.FailRate[i] = 1 / *mtbf
+			sys.FailRate[i] = 1 / *mtbf
 		}
 	}
-	if err := p.Validate(); err != nil {
-		fmt.Fprintln(stderr, "lbd:", err)
-		return 2
-	}
+	man.System = sys
+	man.Policy = obs.PolicyRef{Name: *polStr, K: *k, D: *d}
+	man.Balance = *balStr
+	man.Churn = *churnStr
+	man.Rate = *rate
+	man.Batch = *batch
+	man.Horizon = *horizon
+	// One window width for both halves, so the calibration grids align.
+	man.Window = metrics.WindowFor(*window, *horizon)
+	man.TimeScale = *timeScale
+	man.StateInterval = *stateIvl
 
-	traceSpec := calib.TraceSpec{Seed: *seed, Rate: *rate, Horizon: *horizon, Batch: *batch}
-	trace, err := traceSpec.Generate()
+	opt, err := rerun.DaemonOptions(man)
 	if err != nil {
 		fmt.Fprintln(stderr, "lbd:", err)
-		return 2
+		return rerun.ExitCode(err)
 	}
-	// One window width for both halves, so the calibration grids align.
-	w := metrics.WindowFor(*window, *horizon)
+	opt.MatrixDim = *dim
+	opt.MeanPrecision = *precision
+	opt.RealCompute = *realComp
+	opt.HTTPAddr = *httpAddr
+	opt.OnHTTPAddr = func(a string) {
+		fmt.Fprintf(stdout, "lbd: front door on http://%s\n", a)
+	}
+	opt.Interrupt = interrupt
+	opt.MaxWall = *maxWall
 
 	fmt.Fprintf(stdout, "lbd: %d workers, policy %s balance %s, trace %d arrivals over %.4g virtual s (timescale %.4g)\n",
-		*nodes, *polStr, *balStr, len(trace), *horizon, *timeScale)
+		*nodes, *polStr, *balStr, len(opt.Trace), *horizon, *timeScale)
 
-	live, err := daemon.Run(daemon.Options{
-		Params:        p,
-		Router:        newRouter(),
-		Policy:        pol,
-		ChurnLaw:      churnLaw,
-		Trace:         trace,
-		Batch:         *batch,
-		TimeScale:     *timeScale,
-		StateInterval: *stateIvl,
-		MatrixDim:     *dim,
-		MeanPrecision: *precision,
-		RealCompute:   *realComp,
-		Window:        w,
-		Seed:          *seed,
-		HTTPAddr:      *httpAddr,
-		OnHTTPAddr: func(a string) {
-			fmt.Fprintf(stdout, "lbd: front door on http://%s\n", a)
-		},
-		Interrupt: interrupt,
-		MaxWall:   *maxWall,
-	})
+	live, err := daemon.Run(opt)
 	if err != nil {
 		fmt.Fprintln(stderr, "lbd:", err)
 		return 1
@@ -203,12 +189,12 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 
 	// The simulator twin: the identical trace through the
 	// discrete-event engine under the identical policy configuration.
-	spec.Params, spec.Trace, spec.Window = p, trace, w
-	twin, err := spec.SimTwin()
+	out, err := rerun.Execute(man, rerun.Hooks{})
 	if err != nil {
 		fmt.Fprintln(stderr, "lbd: sim twin:", err)
-		return 1
+		return rerun.ExitCode(err)
 	}
+	twin := out.Twin
 	rep := calib.Compare(
 		calib.Telemetry{Summary: twin.Summary, Windows: twin.Windows},
 		calib.Telemetry{Summary: live.Summary, Windows: live.Windows},
@@ -225,25 +211,9 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	}
 
 	if *manifest != "" {
-		man := obs.NewManifest("lbd", obs.ModeDaemon)
-		man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		man.Seed = *seed
-		man.System = &obs.SystemRef{
-			ProcRate: p.ProcRate, FailRate: p.FailRate, RecRate: p.RecRate,
-			DelayPerTask: p.DelayPerTask,
-		}
-		man.Policy = obs.PolicyRef{Name: *polStr, K: *k, D: *d}
-		man.Balance = *balStr
-		man.Churn = *churnStr
-		man.Rate = *rate
-		man.Batch = *batch
-		man.Horizon = *horizon
-		man.Window = w
-		man.TimeScale = *timeScale
-		man.StateInterval = *stateIvl
 		// Metrics is the twin's deterministic fingerprint; the live
 		// measurements and calibration scores ride in LiveMetrics.
-		man.Metrics = calib.TwinMetrics(twin)
+		man.Metrics = out.Metrics
 		man.LiveMetrics = liveMetrics(live, rep)
 		if err := man.Save(*manifest); err != nil {
 			fmt.Fprintln(stderr, "lbd:", err)

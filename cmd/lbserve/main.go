@@ -145,11 +145,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	out, err := rerun.Execute(man, hooks)
 	if err != nil {
 		fmt.Fprintln(stderr, "lbserve:", err)
-		var bad *rerun.SpecError
-		if errors.As(err, &bad) {
-			return 2
-		}
-		return 1
+		return rerun.ExitCode(err)
 	}
 	sc := out.Scenario
 	saveManifest := func() int {

@@ -119,11 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	out, err := rerun.Execute(man, rerun.Hooks{})
 	if err != nil {
 		fmt.Fprintln(stderr, "lbsim:", err)
-		var bad *rerun.SpecError
-		if errors.As(err, &bad) {
-			return 2
-		}
-		return 1
+		return rerun.ExitCode(err)
 	}
 
 	switch man.Mode {

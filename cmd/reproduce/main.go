@@ -132,11 +132,7 @@ func replayManifest(stdout, stderr io.Writer, path, decisionsPath string) int {
 	rep, err := rerun.Run(m, decisionLog)
 	if err != nil {
 		fmt.Fprintln(stderr, "reproduce:", err)
-		var bad *rerun.SpecError
-		if errors.As(err, &bad) {
-			return 2
-		}
-		return 1
+		return rerun.ExitCode(err)
 	}
 	keys := make([]string, 0, len(rep.Metrics))
 	for k := range rep.Metrics {

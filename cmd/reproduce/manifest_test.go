@@ -95,3 +95,34 @@ func TestReplayShardedManifestRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMalformedDaemonManifest: a daemon manifest that names an
+// unknown router or balancing policy, or the two-node lbp1 on its N-node
+// cluster, is a fault of the description — exit 2, like a serve manifest
+// naming an unknown policy — not a failed run.
+func TestReplayMalformedDaemonManifest(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ name, router, balance string }{
+		{"router-bogus", "bogus", "lbp2"},
+		{"balance-bogus", "jsq", "bogus"},
+		{"balance-lbp1", "jsq", "lbp1"},
+	} {
+		m := obs.NewManifest("lbd", obs.ModeDaemon)
+		m.Seed = 1
+		m.System = &obs.SystemRef{
+			ProcRate: []float64{10, 10}, FailRate: []float64{0.1, 0}, RecRate: []float64{1, 1},
+			DelayPerTask: 0.01,
+		}
+		m.Policy = obs.PolicyRef{Name: c.router, K: 0.5}
+		m.Balance = c.balance
+		m.Rate, m.Batch, m.Horizon, m.Window = 10, 1, 4, 1
+		path := filepath.Join(dir, c.name+".json")
+		if err := m.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{"-manifest", path}, &out, &errb); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr: %s)", c.name, code, errb.String())
+		}
+	}
+}

@@ -7,12 +7,11 @@
 // and Pearson r on the window time series.
 //
 // The package is deliberately free of daemon imports: it generates
-// traces, runs the simulator twin, and compares two telemetry sets —
-// either side can come from anywhere. internal/obs/rerun uses the same
-// twin to replay daemon manifests, so calib must never import rerun.
-// It keeps no name registries: RunSpec names its router and balancing
-// policy by the spellings internal/policy defines, and Resolve is the one
-// place lbd and the twin turn them into instances.
+// traces, fingerprints the simulator twin's result, and compares two
+// telemetry sets — either side can come from anywhere. What a run is lives
+// in its manifest: internal/obs/rerun resolves a daemon manifest into the
+// live daemon's options and runs the twin from it, so calib must never
+// import rerun.
 package calib
 
 import (
@@ -21,9 +20,7 @@ import (
 	"sort"
 
 	"churnlb/internal/metrics"
-	"churnlb/internal/model"
 	"churnlb/internal/obs"
-	"churnlb/internal/policy"
 	"churnlb/internal/serve"
 	"churnlb/internal/sim"
 	"churnlb/internal/stats"
@@ -62,65 +59,6 @@ func (s TraceSpec) Generate() ([]sim.ArrivalAt, error) {
 		return nil, fmt.Errorf("calib: trace is empty (rate %v over horizon %v)", s.Rate, s.Horizon)
 	}
 	return trace, nil
-}
-
-// RunSpec is everything the simulator twin needs — the same knobs the
-// live daemon ran with, minus the wall-clock ones (TimeScale,
-// StateInterval) that have no simulator counterpart.
-type RunSpec struct {
-	Params   model.Params
-	Router   string
-	D        int
-	Balance  string
-	K        float64
-	ChurnLaw sim.ChurnLaw
-	Trace    []sim.ArrivalAt
-	Window   float64
-	Seed     uint64
-}
-
-// Resolve turns the spec's router and balancing-policy spellings into a
-// router factory (routers may be stateful per run; it yields nil for
-// uniform random dispatch) and the policy whose eq.-(8) failure plan the
-// daemon's churn controller executes. Two-node LBP-1 is refused: a daemon
-// cluster is N nodes.
-func (s RunSpec) Resolve() (func() policy.Router, policy.Policy, error) {
-	router, err := policy.ParseRouterSpec(s.Router, s.D)
-	if err != nil {
-		return nil, nil, err
-	}
-	bal, err := policy.ParseSpec(s.Balance, s.K, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if bal.Kind == policy.KindLBP1 {
-		return nil, nil, fmt.Errorf("balance policy lbp1 is two-node only (want lbp1multi, lbp2, none or dynamic)")
-	}
-	pol, err := bal.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	newRouter, err := router.Factory()
-	return newRouter, pol, err
-}
-
-// SimTwin replays the recorded trace through the discrete-event
-// simulator under the spec's policy configuration: the prediction half
-// of a calibration run. Deterministic in Seed.
-func (s RunSpec) SimTwin() (*serve.Result, error) {
-	newRouter, pol, err := s.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	return serve.Run(serve.Options{
-		Params:       s.Params,
-		Policy:       pol,
-		NewRouter:    newRouter,
-		ArrivalTrace: s.Trace,
-		Window:       s.Window,
-		ChurnLaw:     s.ChurnLaw,
-		Seed:         s.Seed,
-	})
 }
 
 // TwinMetrics flattens the twin's summary into the manifest metric map —

@@ -2,28 +2,11 @@ package calib
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"churnlb/internal/metrics"
-	"churnlb/internal/model"
 	"churnlb/internal/serve"
-	"churnlb/internal/sim"
 )
-
-func testParams(n int) model.Params {
-	p := model.Params{
-		ProcRate:     make([]float64, n),
-		FailRate:     make([]float64, n),
-		RecRate:      make([]float64, n),
-		DelayPerTask: 0.01,
-	}
-	for i := range p.ProcRate {
-		p.ProcRate[i] = 10
-		p.RecRate[i] = 1
-	}
-	return p
-}
 
 func TestTraceSpecGenerate(t *testing.T) {
 	spec := TraceSpec{Seed: 42, Rate: 20, Horizon: 30, Batch: 2}
@@ -57,54 +40,6 @@ func TestTraceSpecGenerate(t *testing.T) {
 	}
 	if _, err := (TraceSpec{Seed: 1, Rate: 5, Horizon: math.Inf(1)}).Generate(); err == nil {
 		t.Fatal("infinite horizon accepted")
-	}
-}
-
-func TestSimTwinDeterministic(t *testing.T) {
-	tr, err := TraceSpec{Seed: 7, Rate: 15, Horizon: 20}.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := RunSpec{
-		Params:  testParams(4),
-		Router:  "jsq",
-		Balance: "lbp2",
-		K:       0.5,
-		Trace:   tr,
-		Seed:    7,
-	}
-	spec.Params.FailRate[0] = 0.1
-	a, err := spec.SimTwin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := spec.SimTwin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, mb := TwinMetrics(a), TwinMetrics(b)
-	if len(ma) == 0 {
-		t.Fatal("twin produced no metrics")
-	}
-	keys := make([]string, 0, len(ma))
-	for k := range ma {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if mb[k] != ma[k] {
-			t.Fatalf("twin not deterministic: %s %v vs %v", k, ma[k], mb[k])
-		}
-	}
-	if int(ma["completed"]) != len(tr) {
-		t.Fatalf("twin completed %v of %d traced tasks", ma["completed"], len(tr))
-	}
-	// Spellings resolve through internal/policy; two-node LBP-1 would
-	// panic on an N-node cluster and is refused by name.
-	for _, bad := range []RunSpec{{Router: "bogus"}, {Balance: "bogus"}, {Balance: "lbp1"}} {
-		if _, _, err := bad.Resolve(); err == nil {
-			t.Fatalf("spec %+v resolved", bad)
-		}
 	}
 }
 
@@ -195,6 +130,3 @@ func TestTwinMetricsSkipsNonFinite(t *testing.T) {
 		t.Fatalf("TwinMetrics kept an infinity: %v", m)
 	}
 }
-
-// Silence unused-import vigilance for sim (ArrivalAt appears via specs).
-var _ = sim.ArrivalAt{}

@@ -9,7 +9,7 @@ import (
 	"churnlb/internal/report"
 	"churnlb/internal/scenario"
 	"churnlb/internal/serve"
-	"churnlb/internal/stats"
+	"churnlb/internal/sim"
 )
 
 func init() {
@@ -85,58 +85,45 @@ func runServe(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		opt := serve.Options{
-			Params:      sc.Params,
-			InitialLoad: sc.InitialLoad,
-			InitialUp:   sc.InitialUp,
-			Rate:        rate,
-			Horizon:     horizon,
+			Sim: sim.Options{
+				Params:         sc.Params,
+				InitialLoad:    sc.InitialLoad,
+				InitialUp:      sc.InitialUp,
+				ArrivalRate:    rate,
+				ArrivalHorizon: horizon,
+			},
 		}
 		p99s[delta] = make(map[string]float64)
 		flights[delta] = make(map[string]float64)
 		for _, sv := range serveConfigs() {
 			cfg.logf("serve: delta=%.2f %s (%d reps)", delta, sv.name, reps)
 			o := opt
-			o.Policy = sv.policy
+			o.Sim.Policy = sv.policy
 			o.NewRouter = sv.newRouter
 			o.Seed = cfg.Seed
-			// Replications fan out over the mc worker pool; RunMany uses
-			// the same MixSeed(cfg.Seed, rep) layout the serial loop did,
-			// and folding the rep-indexed summaries in order keeps the
-			// statistics bit-identical to it.
-			sums := make([]metrics.Summary, reps)
-			err := serve.RunMany(o, reps, 0, func(rep int, run *serve.Result) {
-				sums[rep] = run.Summary
-			})
+			// Replications fan out over the mc worker pool with the
+			// MixSeed(cfg.Seed, rep) layout of a serial loop, folded in
+			// replication order, so the statistics are bit-identical to it.
+			agg, err := serve.RunManyPooled(o, reps, 0)
 			if err != nil {
 				return nil, err
 			}
-			var p50, p99, thr, flight, avail stats.Welford
-			for _, sum := range sums {
-				if sum.Completed == 0 {
-					continue
-				}
-				p50.Add(sum.P50)
-				p99.Add(sum.P99)
-				thr.Add(sum.Throughput)
-				flight.Add(sum.InFlight)
-				avail.Add(sum.Availability)
-			}
-			p99s[delta][sv.name] = p99.Mean()
-			flights[delta][sv.name] = flight.Mean()
+			p99s[delta][sv.name] = agg.P99.Mean
+			flights[delta][sv.name] = agg.InFlight.Mean
 			tbl.AddRow(
 				report.F(delta), sv.name,
-				fmt.Sprintf("%s ±%s", report.F(p50.Mean()), report.F(p50.CI95())),
-				fmt.Sprintf("%s ±%s", report.F(p99.Mean()), report.F(p99.CI95())),
-				report.F(thr.Mean()),
-				report.F(flight.Mean()),
-				report.F(avail.Mean()),
+				fmt.Sprintf("%s ±%s", report.F(agg.P50.Mean), report.F(agg.P50.CI95)),
+				fmt.Sprintf("%s ±%s", report.F(agg.P99.Mean), report.F(agg.P99.CI95)),
+				report.F(agg.Throughput.Mean),
+				report.F(agg.InFlight.Mean),
+				report.F(agg.Availability.Mean),
 			)
 		}
 		if delta == deltas[len(deltas)-1] && cfg.OutDir != "" {
 			// One representative telemetry time series (the churn-aware
 			// router at the large delay) for downstream plotting.
 			o := opt
-			o.Policy = policy.NoBalance{}
+			o.Sim.Policy = policy.NoBalance{}
 			o.NewRouter = func() policy.Router { return policy.LeastExpectedWork{} }
 			o.Seed = cfg.Seed
 			run, err := serve.Run(o)

@@ -85,7 +85,7 @@ func testbedMean(cfg Config, p model.Params, pol policy.Policy, load []int, reps
 		}
 		w.Add(t)
 	}
-	return stats.Summary{N: w.N(), Mean: w.Mean(), Std: w.Std(), CI95: w.CI95(), Min: w.Min(), Max: w.Max()}, nil
+	return w.Summary(), nil
 }
 
 // runTable1 regenerates Table 1: for each workload, the failure-aware

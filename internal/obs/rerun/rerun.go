@@ -1,23 +1,25 @@
 // Package rerun is the run path of the manifest-writing CLIs: an
 // obs.Manifest is a JSON-serialisable description of one run (cluster,
 // workload, policy, laws, engine, seeds, reps), and Execute turns that
-// description into the run. lbsim and lbserve translate their flags into
-// a manifest, Execute it, print from the Outcome and save the manifest
-// with the Outcome's metrics; `reproduce -manifest` loads a saved one and
-// calls Run — Execute again, plus a bit-for-bit comparison of the metrics
-// (and, for traced runs, the decision-stream hash) against the recorded
-// values. The run a manifest records and the run a replay executes are
-// therefore the same function.
+// description into the run. lbsim, lbserve and lbd translate their flags
+// into a manifest, Execute it, print from the Outcome and save the
+// manifest with the Outcome's metrics (lbd runs its live half from the
+// same manifest, through DaemonOptions); `reproduce -manifest` loads a
+// saved one and calls Run — Execute again, plus a bit-for-bit comparison
+// of the metrics (and, for traced runs, the decision-stream hash) against
+// the recorded values. The run a manifest records and the run a replay
+// executes are therefore the same function.
 //
 // Spellings are not defined here: policies and routers resolve through
 // internal/policy, laws through the Parse function beside each enum
 // (sim.ParseTransferMode, sim.ParseChurnLaw). This package adds only what
 // a run description adds: lbserve's "dynlbp2" (uniform dispatch under the
-// dynamic policy) and the scenario runs' reading of "lbp1" as its N-node
-// form.
+// dynamic policy), the scenario runs' reading of "lbp1" as its N-node
+// form and the daemon runs' refusal of it.
 package rerun
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -25,11 +27,13 @@ import (
 
 	"churnlb"
 	"churnlb/internal/calib"
+	"churnlb/internal/daemon"
 	"churnlb/internal/mc"
 	"churnlb/internal/model"
 	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
+	"churnlb/internal/serve"
 	"churnlb/internal/sim"
 	"churnlb/internal/xrand"
 )
@@ -55,11 +59,13 @@ type Outcome struct {
 	Scenario *scenario.Scenario
 	Policy   policy.Policy
 	// The rich result, by mode: Sim for sim and sim-scenario, Estimate for
-	// mc and mc-scenario, Serve for serve, ServeMany for serve-many.
+	// mc and mc-scenario, Serve for serve, ServeMany for serve-many, Twin
+	// (the simulator twin) for daemon.
 	Sim       *sim.Result
 	Estimate  churnlb.Estimate
 	Serve     churnlb.ServeResult
 	ServeMany churnlb.ServeEstimate
+	Twin      *serve.Result
 }
 
 // SpecError marks a fault in the description itself — an unknown
@@ -70,6 +76,16 @@ type SpecError struct{ Err error }
 
 func (e *SpecError) Error() string { return e.Err.Error() }
 func (e *SpecError) Unwrap() error { return e.Err }
+
+// ExitCode is the CLIs' exit status for an error of Execute or Run: 2 for
+// a SpecError, 1 for a run that failed.
+func ExitCode(err error) int {
+	var bad *SpecError
+	if errors.As(err, &bad) {
+		return 2
+	}
+	return 1
+}
 
 // Execute runs the realisation (or study) m describes. A diurnal serving
 // manifest that records no wave shape has it resolved in place — the
@@ -281,40 +297,99 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 	return out, nil
 }
 
+// daemonSpec is a daemon manifest resolved: what both halves of an lbd
+// calibration run — the live daemon and its simulator twin — are built
+// from.
+type daemonSpec struct {
+	params model.Params
+	// newRouter builds one router per half: routers may be stateful (a
+	// round-robin's rotation), and the live run's must not leak into the
+	// twin's.
+	newRouter func() policy.Router
+	policy    policy.Policy
+	churn     sim.ChurnLaw
+	trace     []sim.ArrivalAt
+}
+
+// resolveDaemon resolves a daemon manifest — cluster, router and
+// balancing-policy spellings, churn law, and the recorded trace spec
+// regenerated into its arrival schedule. Every fault is a SpecError,
+// including two-node LBP-1, which a daemon cluster of N nodes refuses.
+func resolveDaemon(m *obs.Manifest) (*daemonSpec, error) {
+	d := &daemonSpec{}
+	var err error
+	if d.params, err = params(m.System); err != nil {
+		return nil, &SpecError{err}
+	}
+	if _, d.churn, err = laws(m); err != nil {
+		return nil, &SpecError{err}
+	}
+	router, err := policy.ParseRouterSpec(m.Policy.Name, m.Policy.D)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	if d.newRouter, err = router.Factory(); err != nil {
+		return nil, &SpecError{err}
+	}
+	bal, err := policy.ParseSpec(m.Balance, m.Policy.K, 0)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	if bal.Kind == policy.KindLBP1 {
+		return nil, &SpecError{fmt.Errorf("balance policy lbp1 is two-node only (want lbp1multi, lbp2, none or dynamic)")}
+	}
+	if d.policy, err = bal.Build(); err != nil {
+		return nil, &SpecError{err}
+	}
+	d.trace, err = calib.TraceSpec{Seed: m.Seed, Rate: m.Rate, Horizon: m.Horizon, Batch: m.Batch}.Generate()
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	return d, nil
+}
+
+// DaemonOptions resolves a daemon manifest into the live daemon's options:
+// everything the manifest records (the wall-clock knobs TimeScale and
+// StateInterval included). The caller adds what no manifest records — the
+// workload and front-door knobs, Interrupt and MaxWall.
+func DaemonOptions(m *obs.Manifest) (daemon.Options, error) {
+	d, err := resolveDaemon(m)
+	if err != nil {
+		return daemon.Options{}, err
+	}
+	return daemon.Options{
+		Params:        d.params,
+		Router:        d.newRouter(),
+		Policy:        d.policy,
+		ChurnLaw:      d.churn,
+		Trace:         d.trace,
+		Batch:         m.Batch,
+		Window:        m.Window,
+		Seed:          m.Seed,
+		TimeScale:     m.TimeScale,
+		StateInterval: m.StateInterval,
+	}, nil
+}
+
 // twinRun replays a daemon manifest's deterministic half: the recorded
-// trace spec regenerates the arrival schedule and the simulator twin
-// re-derives the Metrics fingerprint. The live side (LiveMetrics) is a
-// measurement of a real system and is not replayed.
+// trace through the discrete-event simulator under the manifest's policy
+// configuration re-derives the Metrics fingerprint. The live side
+// (LiveMetrics) is a measurement of a real system and is not replayed.
 func twinRun(m *obs.Manifest) (*Outcome, error) {
-	p, err := params(m.System)
-	if err != nil {
-		return nil, &SpecError{err}
-	}
-	_, cl, err := laws(m)
-	if err != nil {
-		return nil, &SpecError{err}
-	}
-	trace, err := calib.TraceSpec{
-		Seed: m.Seed, Rate: m.Rate, Horizon: m.Horizon, Batch: m.Batch,
-	}.Generate()
-	if err != nil {
-		return nil, &SpecError{err}
-	}
-	res, err := calib.RunSpec{
-		Params:   p,
-		Router:   m.Policy.Name,
-		D:        m.Policy.D,
-		Balance:  m.Balance,
-		K:        m.Policy.K,
-		ChurnLaw: cl,
-		Trace:    trace,
-		Window:   m.Window,
-		Seed:     m.Seed,
-	}.SimTwin()
+	d, err := resolveDaemon(m)
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Metrics: calib.TwinMetrics(res)}, nil
+	res, err := serve.Run(serve.Options{
+		Sim:       sim.Options{Params: d.params, Policy: d.policy, ChurnLaw: d.churn, ArrivalTrace: d.trace},
+		NewRouter: d.newRouter,
+		Window:    m.Window,
+		Seed:      m.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Metrics: calib.TwinMetrics(res), Twin: res}, nil
 }
 
 // serveMetrics is the manifest metric map of a single serving run.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"churnlb/internal/obs"
+	"churnlb/internal/sim"
 )
 
 // record runs a manifest once and freezes the outcome into it — exactly
@@ -244,10 +245,9 @@ func TestInterruptOnlyWhereHonoured(t *testing.T) {
 	}
 }
 
-// TestRerunDaemon: a daemon manifest replays its deterministic half —
-// the simulator twin of the recorded trace — bit-for-bit, while the
-// live measurements ride along uncompared.
-func TestRerunDaemon(t *testing.T) {
+// daemonManifest is a small lbd calibration run: four workers, one of
+// them churning, JSQ dispatch over LBP-2's failure plan.
+func daemonManifest() *obs.Manifest {
 	m := obs.NewManifest("lbd", obs.ModeDaemon)
 	m.Seed = 5
 	m.System = &obs.SystemRef{
@@ -265,6 +265,15 @@ func TestRerunDaemon(t *testing.T) {
 	m.Window = 1
 	m.TimeScale = 5
 	m.StateInterval = 0.5
+	return m
+}
+
+// TestRerunDaemon: a daemon manifest replays its deterministic half —
+// the simulator twin of the recorded trace — bit-for-bit, while the
+// live measurements ride along uncompared; a malformed one is a fault of
+// the description for both halves.
+func TestRerunDaemon(t *testing.T) {
+	m := daemonManifest()
 	m.LiveMetrics = map[string]float64{"live_p50": 0.044} // never replayed
 
 	record(t, m)
@@ -272,6 +281,13 @@ func TestRerunDaemon(t *testing.T) {
 		t.Fatal("daemon replay produced no twin metrics")
 	}
 	verify(t, m, nil)
+	opt, err := DaemonOptions(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(m.Metrics["completed"]) != len(opt.Trace) {
+		t.Fatalf("twin completed %v of %d traced tasks", m.Metrics["completed"], len(opt.Trace))
+	}
 
 	// Perturbing the live side must not break reproduction...
 	m.LiveMetrics["live_p50"] = 99
@@ -287,15 +303,57 @@ func TestRerunDaemon(t *testing.T) {
 	}
 	m.Metrics["completed"]--
 
-	// Malformed daemon manifests error cleanly.
-	bad := obs.NewManifest("lbd", obs.ModeDaemon)
-	bad.Policy = obs.PolicyRef{Name: "jsq"}
-	if _, err := Run(bad, nil); err == nil {
-		t.Fatal("daemon manifest without system ref accepted")
+	// Malformed daemon manifests are SpecErrors (the CLIs' exit 2), for
+	// the live half and the twin alike. Two-node LBP-1 would panic on an
+	// N-node cluster and is refused by name.
+	for _, c := range []struct {
+		what string
+		mod  func(*obs.Manifest)
+	}{
+		{"no system ref", func(b *obs.Manifest) { b.System = nil }},
+		{"unknown churn law", func(b *obs.Manifest) { b.Churn = "lunar" }},
+		{"unknown router", func(b *obs.Manifest) { b.Policy.Name = "bogus" }},
+		{"unknown balance", func(b *obs.Manifest) { b.Balance = "bogus" }},
+		{"two-node lbp1", func(b *obs.Manifest) { b.Balance = "lbp1" }},
+		{"empty trace", func(b *obs.Manifest) { b.Rate = 0 }},
+	} {
+		bad := *m
+		c.mod(&bad)
+		var spec *SpecError
+		if _, err := Run(&bad, nil); !errors.As(err, &spec) {
+			t.Errorf("%s: Run got %v, want a SpecError", c.what, err)
+		}
+		if _, err := DaemonOptions(&bad); !errors.As(err, &spec) {
+			t.Errorf("%s: DaemonOptions got %v, want a SpecError", c.what, err)
+		}
 	}
-	bad.System = m.System
-	bad.Churn = "lunar"
-	if _, err := Run(bad, nil); err == nil {
-		t.Fatal("unknown churn law accepted")
+}
+
+// TestDaemonOptions: the live half's options carry everything the
+// manifest records, and each resolution builds its own router — a
+// round-robin's rotation in the live run must not reach the twin.
+func TestDaemonOptions(t *testing.T) {
+	m := daemonManifest()
+	m.Policy.Name = "rr"
+	record(t, m)
+	live, err := DaemonOptions(m)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if live.Params.N() != 4 || live.Params.FailRate[0] != 0.25 || live.ChurnLaw != sim.ChurnDeterministic ||
+		live.Batch != 1 || live.Window != 1 || live.Seed != 5 || live.TimeScale != 5 || live.StateInterval != 0.5 ||
+		len(live.Trace) == 0 || live.Policy == nil {
+		t.Fatalf("options do not carry the manifest: %+v", live)
+	}
+	again, err := DaemonOptions(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Router == again.Router {
+		t.Fatal("two resolutions share one router instance")
+	}
+	for i := 0; i < 3; i++ {
+		live.Router.Route(nil, live.Params, nil)
+	}
+	verify(t, m, nil)
 }

@@ -25,15 +25,17 @@ func serveOptions(t *testing.T, newRouter func() policy.Router, nodes int) serve
 		t.Fatal(err)
 	}
 	return serve.Options{
-		Params:      sc.Params,
-		Policy:      policy.LBP2{K: 1},
-		NewRouter:   newRouter,
-		InitialLoad: sc.InitialLoad,
-		InitialUp:   sc.InitialUp,
-		Rate:        25,
-		Batch:       2,
-		Horizon:     8,
-		Seed:        1234,
+		Sim: sim.Options{
+			Params:         sc.Params,
+			Policy:         policy.LBP2{K: 1},
+			InitialLoad:    sc.InitialLoad,
+			InitialUp:      sc.InitialUp,
+			ArrivalRate:    25,
+			ArrivalBatch:   2,
+			ArrivalHorizon: 8,
+		},
+		NewRouter: newRouter,
+		Seed:      1234,
 	}
 }
 
@@ -79,7 +81,7 @@ func TestTracerAttachDetachBitIdentical(t *testing.T) {
 				opt := serveOptions(t, newRouter, cl.nodes)
 				var tracer *DecisionTracer
 				opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
-					tracer = NewDecisionTracer(opt.Params, TraceOptions{Observer: inner})
+					tracer = NewDecisionTracer(opt.Sim.Params, TraceOptions{Observer: inner})
 					return tracer, tracer
 				}
 				traced, err := serve.Run(opt)
@@ -145,7 +147,7 @@ func TestDecisionStreamGolden(t *testing.T) {
 			opt := serveOptions(t, c.newRouter, n)
 			var tracer *DecisionTracer
 			opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
-				tracer = NewDecisionTracer(opt.Params, TraceOptions{W: &buf, Observer: inner})
+				tracer = NewDecisionTracer(opt.Sim.Params, TraceOptions{W: &buf, Observer: inner})
 				return tracer, tracer
 			}
 			if _, err := serve.Run(opt); err != nil {

@@ -8,17 +8,18 @@ import (
 // Pooled aggregates a RunMany sweep: per-replication summary statistics
 // folded in replication order, plus the pooled latency sketches and the
 // exact pooled fairness tally. It is the single aggregation path shared
-// by the public churnlb.ServeMany and the run-manifest reproducer, so a
-// manifest replay cannot drift from the CLI that wrote it.
+// by the public churnlb.ServeMany (hence the run-manifest reproducer) and
+// the experiment harness's serve experiment, so a manifest replay cannot
+// drift from the CLI that wrote it.
 type Pooled struct {
 	// Reps is the number of replications run; N the number that completed
 	// at least one task (the latency sample count — an empty realisation
 	// has no percentile).
 	Reps, N int
-	// P50, P99, Throughput and Availability summarise the per-replication
-	// whole-run values. Throughput and Availability fold in every
-	// replication; P50 and P99 skip empty ones.
-	P50, P99, Throughput, Availability stats.Summary
+	// P50, P99, Throughput, Availability and InFlight summarise the
+	// per-replication whole-run values. Throughput, Availability and
+	// InFlight fold in every replication; P50 and P99 skip empty ones.
+	P50, P99, Throughput, Availability, InFlight stats.Summary
 	// Latency is the pairwise merge, in replication order, of every
 	// replication's P² sketches — the pooled task population's
 	// percentiles, bit-identical for any worker count.
@@ -37,10 +38,10 @@ func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
 	// folding; the full Result (windows, per-node counters) is released
 	// as it is visited.
 	type repStats struct {
-		completed            int
-		p50, p99, thr, avail float64
-		latency              metrics.LatencySketch
-		fairness             metrics.Fairness
+		completed                    int
+		p50, p99, thr, avail, flight float64
+		latency                      metrics.LatencySketch
+		fairness                     metrics.Fairness
 	}
 	perRep := make([]repStats, reps)
 	err := RunMany(opt, reps, workers, func(rep int, run *Result) {
@@ -50,6 +51,7 @@ func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
 			p99:       run.Summary.P99,
 			thr:       run.Summary.Throughput,
 			avail:     run.Summary.Availability,
+			flight:    run.Summary.InFlight,
 			latency:   run.Latency,
 			fairness:  run.Fairness,
 		}
@@ -58,12 +60,13 @@ func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
 		return nil, err
 	}
 	agg := &Pooled{Reps: reps}
-	var p50, p99, thr, avail stats.Welford
+	var p50, p99, thr, avail, flight stats.Welford
 	sketches := make([]metrics.LatencySketch, reps)
 	for rep, r := range perRep {
 		sketches[rep] = r.latency
 		thr.Add(r.thr)
 		avail.Add(r.avail)
+		flight.Add(r.flight)
 		agg.Fairness.Merge(r.fairness)
 		if r.completed == 0 {
 			continue // an empty realisation has no latency sample
@@ -72,20 +75,13 @@ func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
 		p99.Add(r.p99)
 	}
 	agg.N = p50.N()
-	agg.P50 = summary(&p50)
-	agg.P99 = summary(&p99)
-	agg.Throughput = summary(&thr)
-	agg.Availability = summary(&avail)
+	agg.P50 = p50.Summary()
+	agg.P99 = p99.Summary()
+	agg.Throughput = thr.Summary()
+	agg.Availability = avail.Summary()
+	agg.InFlight = flight.Summary()
 	agg.Latency = PoolLatency(sketches)
 	return agg, nil
-}
-
-// summary freezes a Welford accumulator into the stats.Summary shape.
-func summary(w *stats.Welford) stats.Summary {
-	return stats.Summary{
-		N: w.N(), Mean: w.Mean(), Std: w.Std(), CI95: w.CI95(),
-		Min: w.Min(), Max: w.Max(),
-	}
 }
 
 // PoolLatency merges per-replication latency sketches pairwise —

@@ -35,14 +35,16 @@ func TestRealisationReuseIsInvisibleToServing(t *testing.T) {
 			t.Fatal(err)
 		}
 		return Options{
-			Params:      sc.Params,
-			Policy:      policy.LBP2{K: 1},
-			NewRouter:   func() policy.Router { return policy.JSQ{} },
-			InitialLoad: sc.InitialLoad,
-			InitialUp:   sc.InitialUp,
-			Rate:        float64(4 * nodes),
-			Horizon:     5,
-			Seed:        seed,
+			Sim: sim.Options{
+				Params:         sc.Params,
+				Policy:         policy.LBP2{K: 1},
+				InitialLoad:    sc.InitialLoad,
+				InitialUp:      sc.InitialUp,
+				ArrivalRate:    float64(4 * nodes),
+				ArrivalHorizon: 5,
+			},
+			NewRouter: func() policy.Router { return policy.JSQ{} },
+			Seed:      seed,
 		}
 	}
 	outputs := func(opt Options) string {

@@ -10,50 +10,29 @@ import (
 
 	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
-	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/sim"
 	"churnlb/internal/xrand"
 )
 
-// Options configures one serving realisation.
+// Options configures one serving realisation: the simulator run it is
+// (Sim) plus what serving adds around it.
 type Options struct {
-	// Params describes the cluster; required.
-	Params model.Params
-	// Policy moves queued work (nil = no balancing).
-	Policy policy.Policy
+	// Sim is the realisation: cluster, policy, t = 0 state, laws and the
+	// arrival stream, which is required — a Poisson stream (ArrivalRate and
+	// ArrivalHorizon positive) or an ArrivalTrace. A nil InitialLoad means
+	// empty queues. Run supplies Rand, Router, TaskObserver and
+	// DecisionSink itself and refuses options that set any of them.
+	// (LazyChurn is accepted and never granted: the telemetry observer
+	// must see every node-state change in time order.)
+	Sim sim.Options
 	// NewRouter builds the dispatcher for this run; nil routes each
 	// arrival to a uniformly random node. A factory rather than an
 	// instance because routers may be stateful per run.
 	NewRouter func() policy.Router
-	// InitialLoad and InitialUp set the t = 0 state; nil means empty
-	// queues and all nodes up.
-	InitialLoad []int
-	InitialUp   []bool
-	// Rate and Horizon (both required positive) drive the Poisson
-	// arrival stream; Batch is tasks per arrival (default 1).
-	Rate    float64
-	Batch   int
-	Horizon float64
-	// ArrivalTrace, when non-empty, replaces the Poisson stream with a
-	// recorded schedule (see sim.Options.ArrivalTrace): Rate and Horizon
-	// are then forbidden, the telemetry horizon is the last entry's time,
-	// and the run is the simulator half of the sim-vs-live calibration
-	// harness — the identical trace drives a live daemon cluster.
-	ArrivalTrace []sim.ArrivalAt
-	// WaveAmplitude and WavePeriod modulate the arrival rate
-	// sinusoidally when WavePeriod > 0 (diurnal pattern).
-	WaveAmplitude, WavePeriod float64
-	// Window is the telemetry window width; 0 derives Horizon/100
-	// (at least 0.1 s).
+	// Window is the telemetry window width; 0 derives the arrival horizon
+	// (a trace's last entry time) / 100, at least 0.1 s.
 	Window float64
-	// TransferMode and ChurnLaw select the delay and churn laws.
-	// (sim.Options.LazyChurn is deliberately not plumbed here: a serving
-	// run installs the telemetry TaskObserver, which must see every
-	// node-state change in time order, so the simulator's safety gate
-	// would always fall back to eager churn timers anyway.)
-	TransferMode sim.TransferMode
-	ChurnLaw     sim.ChurnLaw
 	// Seed drives all randomness.
 	Seed uint64
 	// Instrument, when non-nil, is invoked once per realisation with the
@@ -64,20 +43,15 @@ type Options struct {
 	// instrument never perturbs the realisation: the simulator consumes
 	// the same random stream either way. Single runs only — RunMany
 	// replications run concurrently and would interleave through one
-	// instrument's state, so it resets the hook.
+	// instrument's state, so it refuses the hook.
 	Instrument func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink)
 	// Interrupt, when non-nil, requests early termination: once the
 	// channel is closed the arrival stream stops at the next event and the
 	// realisation drains what is already queued, so the run still produces
 	// a complete Result (Interrupted reports the cut). The channel is
 	// polled between events — closing it never corrupts a realisation.
-	// Single runs only; RunMany resets it like Instrument.
+	// Single runs only; RunMany refuses it like Instrument.
 	Interrupt <-chan struct{}
-	// failurePlan, when non-nil, is the precomputed eq.-(8) plan shared
-	// across the replications of a RunMany sweep (plans depend only on
-	// Params and are immutable, so concurrent reads are safe). Single
-	// Run calls leave it nil and let the simulator build its own.
-	failurePlan *policy.FailurePlan
 }
 
 // Result reports one serving realisation.
@@ -103,39 +77,48 @@ type Result struct {
 
 // Run executes one serving realisation. Deterministic for a given seed.
 func Run(opt Options) (*Result, error) {
-	horizon := opt.Horizon
-	if len(opt.ArrivalTrace) > 0 {
-		if opt.Rate > 0 {
-			return nil, fmt.Errorf("serve: ArrivalTrace and Rate are mutually exclusive")
+	so := opt.Sim
+	for _, f := range [...]struct {
+		name string
+		set  bool
+	}{
+		{"Rand", so.Rand != nil},
+		{"Router", so.Router != nil},
+		{"TaskObserver", so.TaskObserver != nil},
+		{"DecisionSink", so.DecisionSink != nil},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("serve: Sim.%s is set; Run supplies it (Seed, NewRouter, the collector, Instrument)", f.name)
 		}
+	}
+	horizon := so.ArrivalHorizon
+	if len(so.ArrivalTrace) > 0 {
 		if horizon <= 0 {
 			// Telemetry horizon defaults to the recorded stream's span.
-			horizon = opt.ArrivalTrace[len(opt.ArrivalTrace)-1].Time
+			horizon = so.ArrivalTrace[len(so.ArrivalTrace)-1].Time
 			if horizon <= 0 {
 				horizon = 1
 			}
 		}
-	} else if !(opt.Rate > 0) || !(opt.Horizon > 0) {
+	} else if !(so.ArrivalRate > 0) || !(horizon > 0) {
 		// Written as negated > so a NaN fails here, not in the event loop.
-		return nil, fmt.Errorf("serve: needs positive Rate and Horizon (or an ArrivalTrace), got Rate = %v, Horizon = %v", opt.Rate, opt.Horizon)
+		return nil, fmt.Errorf("serve: needs positive ArrivalRate and ArrivalHorizon (or an ArrivalTrace), got ArrivalRate = %v, ArrivalHorizon = %v", so.ArrivalRate, horizon)
 	}
 	if math.IsNaN(opt.Window) {
-		return nil, fmt.Errorf("serve: Window = %v must be a number (0 derives Horizon/100)", opt.Window)
+		return nil, fmt.Errorf("serve: Window = %v must be a number (0 derives horizon/100)", opt.Window)
 	}
-	load := opt.InitialLoad
-	if load == nil {
-		load = make([]int, opt.Params.N())
+	n := so.Params.N()
+	if so.InitialLoad == nil {
+		so.InitialLoad = make([]int, n)
 	}
-	window := metrics.WindowFor(opt.Window, horizon)
-	var router policy.Router
+	so.Rand = xrand.New(opt.Seed)
 	if opt.NewRouter != nil {
-		router = opt.NewRouter()
+		so.Router = opt.NewRouter()
 	}
-	col := metrics.NewCollector(opt.Params.N(), window)
-	var tobs sim.TaskObserver = col
-	var sink sim.DecisionSink
+	col := metrics.NewCollector(n, metrics.WindowFor(opt.Window, horizon))
+	so.TaskObserver = col
 	if opt.Instrument != nil {
-		tobs, sink = opt.Instrument(col)
+		so.TaskObserver, so.DecisionSink = opt.Instrument(col)
 	}
 	// The realisation is driven through the simulator's step primitives
 	// (Start, the Done/ProcessNext loop, Finish) rather than the one-shot
@@ -143,24 +126,7 @@ func Run(opt Options) (*Result, error) {
 	// serving run through it keeps the step API exercised by the entire
 	// serving test suite. The two forms are bit-identical by construction
 	// (sim.Run is this exact loop).
-	r, err := sim.Start(sim.Options{
-		Params:         opt.Params,
-		Policy:         opt.Policy,
-		InitialLoad:    load,
-		InitialUp:      opt.InitialUp,
-		Rand:           xrand.New(opt.Seed),
-		TransferMode:   opt.TransferMode,
-		ChurnLaw:       opt.ChurnLaw,
-		ArrivalRate:    opt.Rate,
-		ArrivalBatch:   opt.Batch,
-		ArrivalHorizon: opt.Horizon,
-		ArrivalWave:    sim.Wave{Amplitude: opt.WaveAmplitude, Period: opt.WavePeriod},
-		ArrivalTrace:   opt.ArrivalTrace,
-		Router:         router,
-		TaskObserver:   tobs,
-		DecisionSink:   sink,
-		FailurePlan:    opt.failurePlan,
-	})
+	r, err := sim.Start(so)
 	if err != nil {
 		return nil, err
 	}
@@ -205,25 +171,27 @@ func Run(opt Options) (*Result, error) {
 // with distinct reps — write into rep-indexed storage; folding that
 // storage in index order afterwards also makes the aggregate
 // bit-identical for any worker count. The first replication error (by
-// index) aborts the run.
+// index) aborts the run. Instrument and Interrupt are single-run hooks —
+// concurrent replications would interleave through one instrument's state
+// and race on one cut — so RunMany refuses options that set either.
 func RunMany(opt Options, reps, workers int, visit func(rep int, r *Result)) error {
 	if reps <= 0 {
 		return fmt.Errorf("serve: RunMany needs positive reps")
 	}
-	// The eq.-(8) plan depends only on Params: build it once and share
-	// the immutable result across all replications (and workers) instead
-	// of rebuilding O(n log n) per rep. Invalid Params skip the build so
-	// the first Run can report the validation error.
-	var plan *policy.FailurePlan
-	if opt.Params.Validate() == nil {
-		plan = policy.PlanFor(opt.Policy, opt.Params)
+	if opt.Instrument != nil || opt.Interrupt != nil {
+		return fmt.Errorf("serve: RunMany takes no Instrument or Interrupt (single-run hooks)")
+	}
+	// The eq.-(8) plan depends only on Params: build it once (unless opt
+	// brings one) and share the immutable result across all replications
+	// (and workers) instead of rebuilding O(n log n) per rep. Invalid
+	// Params skip the build so the first Run can report the validation
+	// error.
+	if opt.Sim.FailurePlan == nil && opt.Sim.Params.Validate() == nil {
+		opt.Sim.FailurePlan = policy.PlanFor(opt.Sim.Policy, opt.Sim.Params)
 	}
 	return mc.ForEach(mc.Options{Reps: reps, Workers: workers}, func(rep int) error {
 		o := opt
 		o.Seed = xrand.MixSeed(opt.Seed, rep)
-		o.failurePlan = plan
-		o.Instrument = nil // single-run hook: reps would interleave through it
-		o.Interrupt = nil  // likewise: a shared cut would make reps racy
 		r, err := Run(o)
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"churnlb/internal/metrics"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
@@ -20,14 +21,16 @@ func testOptions(t *testing.T) Options {
 		t.Fatal(err)
 	}
 	return Options{
-		Params:      sc.Params,
-		Policy:      policy.LBP2{K: 1},
-		NewRouter:   func() policy.Router { return policy.LeastExpectedWork{} },
-		InitialLoad: sc.InitialLoad,
-		InitialUp:   sc.InitialUp,
-		Rate:        6,
-		Horizon:     25,
-		Seed:        41,
+		Sim: sim.Options{
+			Params:         sc.Params,
+			Policy:         policy.LBP2{K: 1},
+			InitialLoad:    sc.InitialLoad,
+			InitialUp:      sc.InitialUp,
+			ArrivalRate:    6,
+			ArrivalHorizon: 25,
+		},
+		NewRouter: func() policy.Router { return policy.LeastExpectedWork{} },
+		Seed:      41,
 	}
 }
 
@@ -85,10 +88,45 @@ func TestRunManyWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestRunManyValidation rejects non-positive reps.
+// TestRunManyValidation rejects non-positive reps and the single-run
+// hooks, naming the hook, rather than running without them.
 func TestRunManyValidation(t *testing.T) {
 	if err := RunMany(testOptions(t), 0, 0, func(int, *Result) {}); err == nil {
 		t.Fatal("zero reps accepted")
+	}
+	withInstrument := testOptions(t)
+	withInstrument.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) { return inner, nil }
+	withInterrupt := testOptions(t)
+	withInterrupt.Interrupt = make(chan struct{})
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{{"Instrument", withInstrument}, {"Interrupt", withInterrupt}} {
+		if err := RunMany(c.opt, 2, 0, func(int, *Result) {}); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("RunMany with %s: err = %v, want one naming it", c.name, err)
+		}
+	}
+}
+
+// TestRunRefusesWhatItSupplies: Run fills the random stream, the router,
+// the task observer and the decision sink of the simulator options itself,
+// and an options value that sets one is refused by name instead of being
+// overwritten.
+func TestRunRefusesWhatItSupplies(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mod  func(*sim.Options)
+	}{
+		{"Rand", func(o *sim.Options) { o.Rand = xrand.New(1) }},
+		{"Router", func(o *sim.Options) { o.Router = policy.JSQ{} }},
+		{"TaskObserver", func(o *sim.Options) { o.TaskObserver = metrics.NewCollector(o.Params.N(), 1) }},
+		{"DecisionSink", func(o *sim.Options) { o.DecisionSink = &decisionFold{} }},
+	} {
+		opt := testOptions(t)
+		c.mod(&opt.Sim)
+		if _, err := Run(opt); err == nil || !strings.Contains(err.Error(), "Sim."+c.name) {
+			t.Errorf("Sim.%s set: err = %v, want one naming it", c.name, err)
+		}
 	}
 }
 
@@ -137,22 +175,22 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 		name, names string
 		mod         func(*Options)
 	}{
-		{"rate-nan", "Rate", func(o *Options) { o.Rate = nan }},
-		{"rate-inf", "Rate", func(o *Options) { o.Rate = inf }},
-		{"horizon-nan", "Horizon", func(o *Options) { o.Horizon = nan }},
-		{"horizon-inf", "Horizon", func(o *Options) { o.Horizon = inf }},
-		{"wave-amplitude-nan", "Amplitude", func(o *Options) { o.WaveAmplitude, o.WavePeriod = nan, 10 }},
-		{"wave-period-nan", "Period", func(o *Options) { o.WaveAmplitude, o.WavePeriod = 0.5, nan }},
-		{"wave-period-inf", "Period", func(o *Options) { o.WaveAmplitude, o.WavePeriod = 0.5, inf }},
+		{"rate-nan", "Rate", func(o *Options) { o.Sim.ArrivalRate = nan }},
+		{"rate-inf", "Rate", func(o *Options) { o.Sim.ArrivalRate = inf }},
+		{"horizon-nan", "Horizon", func(o *Options) { o.Sim.ArrivalHorizon = nan }},
+		{"horizon-inf", "Horizon", func(o *Options) { o.Sim.ArrivalHorizon = inf }},
+		{"wave-amplitude-nan", "Amplitude", func(o *Options) { o.Sim.ArrivalWave = sim.Wave{Amplitude: nan, Period: 10} }},
+		{"wave-period-nan", "Period", func(o *Options) { o.Sim.ArrivalWave = sim.Wave{Amplitude: 0.5, Period: nan} }},
+		{"wave-period-inf", "Period", func(o *Options) { o.Sim.ArrivalWave = sim.Wave{Amplitude: 0.5, Period: inf} }},
 		{"window-nan", "Window", func(o *Options) { o.Window = nan }},
-		{"batch-over-int32", "Batch", func(o *Options) { o.Batch = 3_000_000_000 }},
+		{"batch-over-int32", "Batch", func(o *Options) { o.Sim.ArrivalBatch = 3_000_000_000 }},
 		{"trace-rate-nan", "Rate", func(o *Options) {
-			o.Rate, o.Horizon = nan, 0
-			o.ArrivalTrace = []sim.ArrivalAt{{Time: 0, Batch: 1}}
+			o.Sim.ArrivalRate, o.Sim.ArrivalHorizon = nan, 0
+			o.Sim.ArrivalTrace = []sim.ArrivalAt{{Time: 0, Batch: 1}}
 		}},
 		{"trace-batch-over-int32", "ArrivalTrace[0].Batch", func(o *Options) {
-			o.Rate, o.Horizon = 0, 0
-			o.ArrivalTrace = []sim.ArrivalAt{{Time: 0, Batch: 3_000_000_000}}
+			o.Sim.ArrivalRate, o.Sim.ArrivalHorizon = 0, 0
+			o.Sim.ArrivalTrace = []sim.ArrivalAt{{Time: 0, Batch: 3_000_000_000}}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -12,12 +12,12 @@ import (
 // from the trace span, and Rate+trace is rejected.
 func TestRunArrivalTrace(t *testing.T) {
 	opt := testOptions(t)
-	opt.Rate, opt.Horizon = 0, 0
+	opt.Sim.ArrivalRate, opt.Sim.ArrivalHorizon = 0, 0
 	trace := make([]sim.ArrivalAt, 120)
 	for i := range trace {
 		trace[i] = sim.ArrivalAt{Time: 0.2 * float64(i), Batch: 1 + i%2}
 	}
-	opt.ArrivalTrace = trace
+	opt.Sim.ArrivalTrace = trace
 	r, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestRunArrivalTrace(t *testing.T) {
 	for _, a := range trace {
 		want += a.Batch
 	}
-	for _, q := range opt.InitialLoad {
+	for _, q := range opt.Sim.InitialLoad {
 		want += q
 	}
 	if int(r.Summary.Completed) != want {
@@ -39,7 +39,7 @@ func TestRunArrivalTrace(t *testing.T) {
 		t.Fatal("no telemetry windows from a trace-driven run")
 	}
 
-	opt.Rate = 1
+	opt.Sim.ArrivalRate, opt.Sim.ArrivalHorizon = 1, 25
 	if _, err := Run(opt); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("Rate+trace err = %v, want mutual-exclusion error", err)
 	}
@@ -50,9 +50,9 @@ func TestRunArrivalTrace(t *testing.T) {
 // still drain (conserved accounting), and the Result must flag the cut.
 func TestRunInterrupt(t *testing.T) {
 	opt := testOptions(t)
-	opt.InitialLoad = make([]int, opt.Params.N())
-	for i := range opt.InitialLoad {
-		opt.InitialLoad[i] = 5
+	opt.Sim.InitialLoad = make([]int, opt.Sim.Params.N())
+	for i := range opt.Sim.InitialLoad {
+		opt.Sim.InitialLoad[i] = 5
 	}
 	ch := make(chan struct{})
 	close(ch)
@@ -65,11 +65,11 @@ func TestRunInterrupt(t *testing.T) {
 		t.Fatal("pre-closed Interrupt not reported")
 	}
 	// At most one arrival event fires before the poll notices the cut.
-	if r.Sim.ExternalArrivals > opt.Batch+1 {
+	if r.Sim.ExternalArrivals > opt.Sim.ArrivalBatch+1 {
 		t.Fatalf("arrivals kept flowing after interrupt: %d", r.Sim.ExternalArrivals)
 	}
 	want := r.Sim.ExternalArrivals
-	for _, q := range opt.InitialLoad {
+	for _, q := range opt.Sim.InitialLoad {
 		want += q
 	}
 	processed := 0

@@ -10,8 +10,7 @@ import (
 	"churnlb/internal/xrand"
 )
 
-// TestHostileArrivalParametersRejected: every arrival or termination
-// parameter that used to wedge the event loop — a NaN fails every
+// TestHostileArrivalParametersRejected: every arrival parameter that used to wedge the event loop — a NaN fails every
 // comparison it meets, an infinite rate never advances the clock, a batch
 // beyond the int32 queue wraps negative and never drains — is refused
 // with an error naming the field. The cases go through Start, which
@@ -32,8 +31,6 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 		{"wave-amplitude-inf", "ArrivalWave.Amplitude", func(o *Options) { o.ArrivalWave = Wave{Amplitude: inf, Period: 10} }},
 		{"wave-period-nan", "ArrivalWave.Period", func(o *Options) { o.ArrivalWave = Wave{Amplitude: 0.5, Period: nan} }},
 		{"wave-period-inf", "ArrivalWave.Period", func(o *Options) { o.ArrivalWave = Wave{Amplitude: 0.5, Period: inf} }},
-		{"maxtime-nan", "MaxTime", func(o *Options) { o.MaxTime = nan }},
-		{"maxtime-negative", "MaxTime", func(o *Options) { o.MaxTime = -1 }},
 		{"batch-over-int32", "ArrivalBatch", func(o *Options) { o.ArrivalBatch = math.MaxInt32 + 1 }},
 		{"trace-batch-over-int32", "ArrivalTrace[1].Batch", func(o *Options) {
 			o.ArrivalRate, o.ArrivalHorizon = 0, 0
@@ -57,11 +54,10 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
 		}
 	}
-	// The boundary values stay legal: the cap itself, and MaxTime = +Inf
-	// (a limit that never binds).
+	// The boundary value stays legal: the cap itself.
 	ok := Options{
 		Params: model.PaperBaseline(), InitialLoad: []int{1, 0}, Rand: xrand.New(1),
-		ArrivalBatch: math.MaxInt32, MaxTime: inf,
+		ArrivalBatch: math.MaxInt32,
 	}
 	if _, err := Run(ok); err != nil {
 		t.Errorf("boundary values rejected: %v", err)

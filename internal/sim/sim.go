@@ -230,8 +230,6 @@ type Options struct {
 	// untraced one and takes the same code paths (the one thing a
 	// per-event observer rules out is LazyChurn, see there).
 	Trace bool
-	// MaxTime aborts a runaway realisation; 0 means no limit.
-	MaxTime float64
 	// ArrivalRate, if positive, injects external workload as a Poisson
 	// process (the dynamic extension). Each arrival adds ArrivalBatch
 	// tasks to a uniformly random node — or to the node chosen by Router
@@ -529,9 +527,6 @@ func validateOptions(opt *Options) (int, error) {
 			return 0, fmt.Errorf("sim: %s = %v must be finite", f.name, f.v)
 		}
 	}
-	if math.IsNaN(opt.MaxTime) || opt.MaxTime < 0 {
-		return 0, fmt.Errorf("sim: MaxTime = %v must be non-negative (0 means no limit)", opt.MaxTime)
-	}
 	// A batch joins one queue in one step, so it obeys the per-queue cap.
 	if opt.ArrivalBatch > math.MaxInt32 {
 		return 0, fmt.Errorf("sim: ArrivalBatch = %d exceeds the %d per-queue cap", opt.ArrivalBatch, math.MaxInt32)
@@ -763,16 +758,12 @@ func (r *Realisation) ProcessNext() bool { return r.s.sched.ProcessNext() }
 func (r *Realisation) CloseArrivals() { r.s.arrivalsOpen = false }
 
 // Done reports the termination predicate Run loops on: the workload has
-// drained with no arrivals still open, or MaxTime was reached. Drivers
-// must check it before every ProcessNext — with external arrivals the
-// scheduler never drains on its own (the arrival process keeps ticking
-// past the horizon).
+// drained with no arrivals still open. Drivers must check it before every
+// ProcessNext — with external arrivals the scheduler never drains on its
+// own (the arrival process keeps ticking past the horizon).
 func (r *Realisation) Done() bool {
 	s := r.s
-	if s.remaining == 0 && !s.pendingArrivals() {
-		return true
-	}
-	return s.opt.MaxTime > 0 && s.sched.Now() >= s.opt.MaxTime
+	return s.remaining == 0 && !s.pendingArrivals()
 }
 
 // Finish closes the realisation and returns its Result. Call it exactly
@@ -783,9 +774,6 @@ func (r *Realisation) Finish() (*Result, error) {
 	s := r.s
 	r.s = nil
 	defer s.release()
-	if s.opt.MaxTime > 0 && s.remaining > 0 {
-		return nil, fmt.Errorf("sim: aborted at MaxTime=%v with %d tasks remaining", s.opt.MaxTime, s.remaining)
-	}
 	if s.lazy {
 		// Realise every detached node's churn up to the last event, so the
 		// Failures/Recoveries counters cover the same window an eager run

@@ -324,19 +324,6 @@ func TestTransferPerTaskModeHasSameMeanDelay(t *testing.T) {
 	}
 }
 
-func TestMaxTimeAborts(t *testing.T) {
-	rng := xrand.NewStream(99, 4)
-	_, err := Run(Options{
-		Params:      model.PaperBaseline(),
-		InitialLoad: []int{1000, 1000},
-		Rand:        rng,
-		MaxTime:     1, // far too short
-	})
-	if err == nil {
-		t.Fatal("MaxTime abort did not error")
-	}
-}
-
 func TestWeibullAndDeterministicChurnRun(t *testing.T) {
 	for _, law := range []ChurnLaw{ChurnWeibull, ChurnDeterministic} {
 		rng := xrand.NewStream(101, uint64(law))

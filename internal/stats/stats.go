@@ -106,13 +106,18 @@ type Summary struct {
 	Max  float64
 }
 
+// Summary freezes the accumulator into a Summary.
+func (w *Welford) Summary() Summary {
+	return Summary{N: w.N(), Mean: w.Mean(), Std: w.Std(), CI95: w.CI95(), Min: w.Min(), Max: w.Max()}
+}
+
 // Summarize computes a Summary from raw samples.
 func Summarize(xs []float64) Summary {
 	var w Welford
 	for _, x := range xs {
 		w.Add(x)
 	}
-	return Summary{N: w.N(), Mean: w.Mean(), Std: w.Std(), CI95: w.CI95(), Min: w.Min(), Max: w.Max()}
+	return w.Summary()
 }
 
 func (s Summary) String() string {
