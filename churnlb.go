@@ -29,10 +29,10 @@
 //     (round-robin, JSQ, power-of-d-choices, and a churn-aware
 //     least-expected-work router), with fixed-memory telemetry — P²
 //     latency-percentile sketches and windowed throughput, queue-depth
-//     and availability series (internal/metrics);
-//   - a concurrent testbed that executes the paper's three-layer system
-//     architecture with goroutine CEs and (optionally) real UDP/TCP
-//     loopback communication.
+//     and availability series (internal/metrics).
+//
+// The paper's Section-3 testbed is the live engine run closed, a command
+// rather than a library call: lbd -paper -load 100,60 -rate 0.
 //
 // The spirit of the paper in one sentence: when transfer delays are small
 // relative to recovery times, react to failures (LBP-2); when they are
@@ -43,10 +43,7 @@ package churnlb
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"churnlb/internal/cluster"
-	"churnlb/internal/daemon"
 	"churnlb/internal/des"
 	"churnlb/internal/markov"
 	"churnlb/internal/mc"
@@ -259,8 +256,8 @@ type TracePoint struct {
 	Queues []int
 }
 
-// tracePoints converts the engines' shared trace records to the public
-// form; nil in, nil out.
+// tracePoints converts the simulator's trace records to the public form;
+// nil in, nil out.
 func tracePoints(in []model.TracePoint) []TracePoint {
 	if len(in) == 0 {
 		return nil
@@ -414,98 +411,6 @@ func MonteCarloOpts(s System, spec PolicySpec, load []int, reps int, seed uint64
 	}
 	est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: seed}, opt.options(p, pol, load))
 	return est.Summary, err
-}
-
-// --- testbed API ---
-
-// TestbedOptions tunes the concurrent testbed.
-type TestbedOptions struct {
-	// TimeScale is virtual seconds per wall second (default 500).
-	TimeScale float64
-	// UseSockets routes communication over real loopback UDP/TCP.
-	UseSockets bool
-	// RealCompute executes the matrix arithmetic for every task.
-	RealCompute bool
-	// Trace records queue evolution.
-	Trace bool
-	// MaxWall aborts a wedged run: tasks outstanding for a whole MaxWall
-	// with none completed or declared lost (default 2 min). A slow run
-	// that keeps progressing is not cut.
-	MaxWall time.Duration
-}
-
-// TestbedResult reports a concurrent testbed run.
-type TestbedResult struct {
-	CompletionTime                  float64
-	Processed                       []int
-	Failures, Recoveries            int
-	TransfersSent, TasksTransferred int
-	StatePackets                    int
-	// Lost counts tasks declared lost because the transfer carrying them
-	// failed; sum(Processed) + Lost is the initial workload.
-	Lost  int
-	Trace []TracePoint
-}
-
-// RunTestbed executes the Section-3 architecture: one goroutine set per
-// CE (application, communication, LB/failure and backup roles), with
-// state exchange and task transfer over the selected transport. It is a
-// closed run of the live engine (internal/daemon): the workload is the
-// initial backlog, and nothing arrives afterwards.
-func RunTestbed(s System, spec PolicySpec, load []int, seed uint64, opt TestbedOptions) (TestbedResult, error) {
-	p, err := s.params()
-	if err != nil {
-		return TestbedResult{}, err
-	}
-	pol, err := spec.Build()
-	if err != nil {
-		return TestbedResult{}, err
-	}
-	if len(load) != p.N() {
-		// A nil load would not be a closed run at all: it starts an idle daemon.
-		return TestbedResult{}, fmt.Errorf("churnlb: load has %d entries for %d nodes", len(load), p.N())
-	}
-	// n workers plus the (idle) dispatcher endpoint.
-	var tr cluster.Transport
-	if opt.UseSockets {
-		if tr, err = cluster.NewNetTransport(p.N() + 1); err != nil {
-			return TestbedResult{}, err
-		}
-	} else {
-		tr = cluster.NewChanTransport(p.N() + 1)
-	}
-	defer tr.Close()
-	timeScale := opt.TimeScale
-	if timeScale <= 0 {
-		timeScale = 500
-	}
-	out, err := daemon.Run(daemon.Options{
-		Params:      p,
-		Policy:      pol,
-		InitialLoad: load,
-		TimeScale:   timeScale,
-		Seed:        seed,
-		Transport:   tr,
-		RealCompute: opt.RealCompute,
-		MatrixDim:   32,
-		QueueTrace:  opt.Trace,
-		MaxWall:     opt.MaxWall,
-	})
-	if err != nil {
-		return TestbedResult{}, err
-	}
-	res := TestbedResult{
-		CompletionTime:   out.Summary.Elapsed,
-		Processed:        out.Processed,
-		Failures:         out.Failures,
-		Recoveries:       out.Recoveries,
-		TransfersSent:    out.TransfersSent,
-		TasksTransferred: out.TasksTransferred,
-		StatePackets:     out.StatePackets,
-		Lost:             out.Lost,
-	}
-	res.Trace = tracePoints(out.QueueTrace)
-	return res, nil
 }
 
 // --- open-system serving API ---

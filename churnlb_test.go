@@ -141,23 +141,6 @@ func TestMultiNodeSimulateFacade(t *testing.T) {
 	}
 }
 
-func TestRunTestbedFacade(t *testing.T) {
-	res, err := RunTestbed(PaperSystem(), PolicySpec{Kind: PolicyLBP2, K: 1}, []int{40, 20}, 3,
-		TestbedOptions{TimeScale: 4000, MaxWall: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Processed[0]+res.Processed[1] != 60 || res.Lost != 0 {
-		t.Fatalf("conservation: %v, %d lost", res.Processed, res.Lost)
-	}
-	if res.CompletionTime <= 0 {
-		t.Fatalf("completion time %v", res.CompletionTime)
-	}
-	if _, err := RunTestbed(PaperSystem(), PolicySpec{}, nil, 3, TestbedOptions{}); err == nil {
-		t.Fatal("missing load accepted")
-	}
-}
-
 func TestSystemValidationSurfacing(t *testing.T) {
 	bad := System{Nodes: []Node{{ProcRate: -1}}}
 	if _, err := OptimizeLBP1(bad, 1, 1); err == nil {

@@ -1,20 +1,27 @@
 // Command lbd runs the live serving daemon: real worker goroutines
-// executing matrix tasks, state gossip over 23-byte UDP packets, task
-// payloads over length-prefixed TCP frames, an HTTP front door routing
-// arrivals through the policy.Router family against the live state
-// view, and a churn controller killing and recovering workers on the
-// simulator's failure/recovery laws (eq.-(8) transfers on failure).
+// serving tasks, state gossip over 23-byte UDP packets, task payloads
+// over length-prefixed TCP frames, an HTTP front door routing arrivals
+// through the policy.Router family against the live state view, and a
+// churn controller killing and recovering workers on the simulator's
+// failure/recovery laws (eq.-(8) transfers on failure).
 //
-// Every run is a calibration run: the generated arrival trace also
-// replays through the discrete-event simulator (the "twin"), and the
-// run reports per-metric accuracy — absolute percentage error on the
-// scalar aggregates, MAPE and Pearson r on the window time series.
+// A run is open, closed or both. Open: -rate and -horizon generate an
+// arrival trace. Closed — the paper's Section-3 testbed: -load queues a
+// backlog at t = 0 and -rate 0 adds no arrivals; the run ends when the
+// backlog has drained, and its completion time is the paper's overall
+// completion time. -paper runs the paper's two-node system.
+//
+// Every run is a calibration run: the same backlog and trace also replay
+// through the discrete-event simulator (the "twin"), and the run reports
+// per-metric accuracy — absolute percentage error on the scalar
+// aggregates, MAPE and Pearson r on the window time series.
 //
 // Examples:
 //
 //	lbd -nodes 8 -rate 60 -horizon 10 -policy jsq -balance lbp2
 //	lbd -nodes 8 -mtbf 4 -mttr 2 -churnnodes 1 -churn det -rate 60 -horizon 10 -out results
 //	lbd -nodes 4 -rate 40 -horizon 20 -http 127.0.0.1:8080 -manifest run.json
+//	lbd -paper -load 100,60 -rate 0 -balance lbp1 -k 0.35 -timescale 2000 -manifest closed.json
 //
 // SIGINT/SIGTERM interrupt gracefully: the arrival stream stops, queued
 // work drains, telemetry flushes, and the process exits 0 (interrupted
@@ -36,14 +43,18 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
 	"churnlb/internal/calib"
 	"churnlb/internal/daemon"
 	"churnlb/internal/metrics"
+	"churnlb/internal/model"
 	"churnlb/internal/obs"
 	"churnlb/internal/obs/rerun"
+	"churnlb/internal/policy"
 	"churnlb/internal/report"
 )
 
@@ -74,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		churnNodes = fs.Int("churnnodes", 0, "workers subject to churn, from worker 0 (0 = all, when -mtbf > 0)")
 		churnStr   = fs.String("churn", "exp", "churn law: exp, weibull, det")
 		polStr     = fs.String("policy", "jsq", "routing policy: uniform, rr, jsq, pod2, pod3, lew")
-		balStr     = fs.String("balance", "lbp2", "balancing policy (eq.-(8) failure plan): lbp1multi, lbp2, none, dynamic")
+		balStr     = fs.String("balance", "lbp2", "balancing policy (eq.-(8) failure plan; lbp1 on two workers only): "+strings.Join(policy.Names(), ", "))
 		k          = fs.Float64("k", 0.5, "LB gain for the balancing policy")
 		d          = fs.Int("d", 0, "lew sample size (0 = scan all workers)")
 		rate       = fs.Float64("rate", 60, "arrival rate of the recorded trace, tasks/virtual second")
@@ -84,9 +95,8 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		delta      = fs.Float64("delta", 0.02, "mean transfer delay per task, virtual seconds")
 		timeScale  = fs.Float64("timescale", 200, "virtual seconds per wall second")
 		stateIvl   = fs.Float64("stateinterval", 0.5, "state-broadcast period, virtual seconds")
-		dim        = fs.Int("dim", 16, "matrix dimension")
-		precision  = fs.Float64("precision", 50, "mean task precision (work multiplier)")
-		realComp   = fs.Bool("realcompute", false, "execute the actual row×matrix arithmetic (service time from task precision)")
+		paper      = fs.Bool("paper", false, "the paper's two-node system; excludes -nodes, -procrate, -mtbf, -mttr, -churnnodes and -delta")
+		loadStr    = fs.String("load", "", "t = 0 backlog per worker, comma-separated (e.g. 100,60); with -rate 0 the run is closed")
 		seed       = fs.Uint64("seed", 1, "root seed (trace, workloads, churn, routing)")
 		httpAddr   = fs.String("http", "", "HTTP front-door listen address ('' disables)")
 		outDir     = fs.String("out", "", "directory for the live time-series and calibration CSVs ('' disables)")
@@ -109,32 +119,59 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	man := obs.NewManifest("lbd", obs.ModeDaemon)
 	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
 	man.Seed = *seed
-	sys := &obs.SystemRef{
-		ProcRate:     make([]float64, *nodes),
-		FailRate:     make([]float64, *nodes),
-		RecRate:      make([]float64, *nodes),
-		DelayPerTask: *delta,
-	}
-	churners := *nodes
-	if *churnNodes > 0 && *churnNodes < churners {
-		churners = *churnNodes
-	}
-	for i := 0; i < *nodes; i++ {
-		sys.ProcRate[i] = *procRate
-		sys.RecRate[i] = 1 / *mttr
-		if *mtbf > 0 && i < churners {
-			sys.FailRate[i] = 1 / *mtbf
+	p := model.PaperBaseline()
+	if *paper {
+		var clash []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "nodes", "procrate", "mtbf", "mttr", "churnnodes", "delta":
+				clash = append(clash, "-"+f.Name)
+			}
+		})
+		if len(clash) > 0 {
+			fmt.Fprintf(stderr, "lbd: -paper fixes the fleet; it excludes %s\n", strings.Join(clash, ", "))
+			return 2
+		}
+	} else {
+		p = model.Params{
+			ProcRate:     make([]float64, *nodes),
+			FailRate:     make([]float64, *nodes),
+			RecRate:      make([]float64, *nodes),
+			DelayPerTask: *delta,
+		}
+		churners := *nodes
+		if *churnNodes > 0 && *churnNodes < churners {
+			churners = *churnNodes
+		}
+		for i := 0; i < *nodes; i++ {
+			p.ProcRate[i] = *procRate
+			p.RecRate[i] = 1 / *mttr
+			if *mtbf > 0 && i < churners {
+				p.FailRate[i] = 1 / *mtbf
+			}
 		}
 	}
-	man.System = sys
+	man.System = &obs.SystemRef{ProcRate: p.ProcRate, FailRate: p.FailRate, RecRate: p.RecRate, DelayPerTask: p.DelayPerTask}
+	if *loadStr != "" {
+		for _, f := range strings.Split(*loadStr, ",") {
+			q, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				fmt.Fprintf(stderr, "lbd: -load %q: %v\n", *loadStr, err)
+				return 2
+			}
+			man.InitialLoad = append(man.InitialLoad, q)
+		}
+	}
 	man.Policy = obs.PolicyRef{Name: *polStr, K: *k, D: *d}
 	man.Balance = *balStr
 	man.Churn = *churnStr
 	man.Rate = *rate
 	man.Batch = *batch
-	man.Horizon = *horizon
+	if *rate != 0 {
+		man.Horizon = *horizon // a closed run has no trace to span
+	}
 	// One window width for both halves, so the calibration grids align.
-	man.Window = metrics.WindowFor(*window, *horizon)
+	man.Window = metrics.WindowFor(*window, man.Horizon)
 	man.TimeScale = *timeScale
 	man.StateInterval = *stateIvl
 
@@ -143,9 +180,6 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		fmt.Fprintln(stderr, "lbd:", err)
 		return rerun.ExitCode(err)
 	}
-	opt.MatrixDim = *dim
-	opt.MeanPrecision = *precision
-	opt.RealCompute = *realComp
 	opt.HTTPAddr = *httpAddr
 	opt.OnHTTPAddr = func(a string) {
 		fmt.Fprintf(stdout, "lbd: front door on http://%s\n", a)
@@ -153,8 +187,14 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	opt.Interrupt = interrupt
 	opt.MaxWall = *maxWall
 
-	fmt.Fprintf(stdout, "lbd: %d workers, policy %s balance %s, trace %d arrivals over %.4g virtual s (timescale %.4g)\n",
-		*nodes, *polStr, *balStr, len(opt.Trace), *horizon, *timeScale)
+	closed := len(opt.Trace) == 0
+	if closed {
+		fmt.Fprintf(stdout, "lbd: %d workers, policy %s balance %s, closed run on a backlog of %v tasks (timescale %.4g)\n",
+			opt.Params.N(), *polStr, *balStr, opt.InitialLoad, *timeScale)
+	} else {
+		fmt.Fprintf(stdout, "lbd: %d workers, policy %s balance %s, trace %d arrivals over %.4g virtual s (timescale %.4g)\n",
+			opt.Params.N(), *polStr, *balStr, len(opt.Trace), *horizon, *timeScale)
+	}
 
 	live, err := daemon.Run(opt)
 	if err != nil {
@@ -187,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		return 0
 	}
 
-	// The simulator twin: the identical trace through the
+	// The simulator twin: the identical backlog and trace through the
 	// discrete-event engine under the identical policy configuration.
 	out, err := rerun.Execute(man, rerun.Hooks{})
 	if err != nil {
@@ -200,6 +240,9 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		calib.Telemetry{Summary: live.Summary, Windows: live.Windows},
 	)
 	fmt.Fprintf(stdout, "calibration (sim twin vs live):\n%s", rep)
+	if closed {
+		fmt.Fprintf(stdout, "completion: live %v virtual s, twin %v virtual s\n", live.Summary.Elapsed, twin.Summary.Elapsed)
+	}
 
 	if *outDir != "" {
 		path, err := report.SaveCSV(*outDir, "lbd_calibration.csv", rep.WriteCSV)

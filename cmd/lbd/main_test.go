@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +22,11 @@ func TestLbdBadFlagsRejected(t *testing.T) {
 		{"-balance", "nonsense"},
 		{"-rate", "0"},
 		{"-nodes", "0"},
+		{"-paper", "-nodes", "4"},
+		{"-paper", "-delta", "0.02"},
+		{"-paper", "-load", "-5,3", "-rate", "0"},
+		{"-paper", "-load", "100,sixty"},
+		{"-load", "100,60"},
 	} {
 		if code := run(tc, &out, &errb, nil); code != 2 {
 			t.Fatalf("%v: exit %d, want 2 (stderr: %s)", tc, code, errb.String())
@@ -76,6 +82,50 @@ func TestLbdEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLbdClosedPaperRun drives the paper's Section-3 testbed through the
+// one front door: the two-node system's backlog, no arrivals, LBP-1. The
+// live run must conserve every task, print both completion times, and
+// write a manifest that replays bit for bit.
+func TestLbdClosedPaperRun(t *testing.T) {
+	man := filepath.Join(t.TempDir(), "closed.json")
+	var out, errb bytes.Buffer
+	code := run([]string{
+		"-paper", "-load", "100,60", "-rate", "0", "-balance", "lbp1", "-k", "0.35",
+		"-seed", "1", "-timescale", "2000", "-manifest", man,
+	}, &out, &errb, nil)
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	var live []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "live: ") {
+			live = append(live, line)
+		}
+	}
+	if len(live) != 2 || !strings.HasSuffix(live[1], "0 decode errors, 0 tasks lost") {
+		t.Fatalf("live lines %q: the second must end \"0 decode errors, 0 tasks lost\"", live)
+	}
+	for _, want := range []string{"closed run on a backlog of [100 60] tasks", "live: served 160 of 160 tasks", "completion: live "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	m, err := obs.LoadManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rate != 0 || !slices.Equal(m.InitialLoad, []int{100, 60}) || m.Balance != "lbp1" {
+		t.Fatalf("manifest records rate %v, backlog %v, balance %q", m.Rate, m.InitialLoad, m.Balance)
+	}
+	rep, err := rerun.Run(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("closed manifest did not reproduce: diffs %v missing %v extra %v", rep.Diffs, rep.Missing, rep.Extra)
+	}
+}
+
 // TestLbdInterrupted: a pre-closed interrupt channel is a SIGINT before
 // the first arrival — the run drains, flushes the time series, skips
 // the twin/manifest, and still exits 0.
@@ -106,19 +156,14 @@ func TestLbdInterrupted(t *testing.T) {
 }
 
 // TestPolicyHelpMatchesTable: -policy advertises exactly internal/policy's
-// routers, -balance its policies less lbp1 (two-node only, refused here).
+// routers, -balance its policies, lbp1 on two workers only (refused here,
+// on the default eight).
 func TestPolicyHelpMatchesTable(t *testing.T) {
 	var out, errb bytes.Buffer
 	run([]string{"-h"}, &out, &errb, nil)
-	var balances []string
-	for _, name := range policy.Names() {
-		if name != "lbp1" {
-			balances = append(balances, name)
-		}
-	}
 	for _, want := range []string{
 		"routing policy: " + strings.Join(policy.RouterNames(), ", ") + " (default",
-		"balancing policy (eq.-(8) failure plan): " + strings.Join(balances, ", ") + " (default",
+		"balancing policy (eq.-(8) failure plan; lbp1 on two workers only): " + strings.Join(policy.Names(), ", ") + " (default",
 	} {
 		if !strings.Contains(errb.String(), want) {
 			t.Fatalf("-h does not advertise %q:\n%s", want, errb.String())

@@ -97,9 +97,9 @@ func TestReplayShardedManifestRejected(t *testing.T) {
 }
 
 // TestReplayMalformedDaemonManifest: a daemon manifest that names an
-// unknown router or balancing policy, or the two-node lbp1 on its N-node
-// cluster, is a fault of the description — exit 2, like a serve manifest
-// naming an unknown policy — not a failed run.
+// unknown router or balancing policy, or the two-node lbp1 on its
+// three-node cluster, is a fault of the description — exit 2, like a
+// serve manifest naming an unknown policy — not a failed run.
 func TestReplayMalformedDaemonManifest(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct{ name, router, balance string }{
@@ -110,7 +110,7 @@ func TestReplayMalformedDaemonManifest(t *testing.T) {
 		m := obs.NewManifest("lbd", obs.ModeDaemon)
 		m.Seed = 1
 		m.System = &obs.SystemRef{
-			ProcRate: []float64{10, 10}, FailRate: []float64{0.1, 0}, RecRate: []float64{1, 1},
+			ProcRate: []float64{10, 10, 10}, FailRate: []float64{0.1, 0, 0}, RecRate: []float64{1, 1, 1},
 			DelayPerTask: 0.01,
 		}
 		m.Policy = obs.PolicyRef{Name: c.router, K: 0.5}

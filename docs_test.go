@@ -25,7 +25,7 @@ import (
 // backticked pkg.Ident whose pkg is this package or a directory under
 // internal/ must be declared in a non-test file of that package (type,
 // func, method, const or var; of a longer path only Ident is checked), and
-// every -flag they pass to lbsim, lbserve, lbd, lbbed or reproduce must be
+// every -flag they pass to lbsim, lbserve, lbd or reproduce must be
 // defined on the FlagSet in that tool's main.go — a flag that is removed
 // leaves its examples behind.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
@@ -109,7 +109,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 	toolFlags := map[string]map[string]bool{}
 	flagDefRE := regexp.MustCompile(`\bfs\.\w+\((?:&[\w.]+, )?"([\w-]+)"`)
-	for _, tool := range []string{"lbsim", "lbserve", "lbd", "lbbed", "reproduce"} {
+	for _, tool := range []string{"lbsim", "lbserve", "lbd", "reproduce"} {
 		defined := map[string]bool{"h": true, "help": true} // the flag package's own
 		for _, m := range flagDefRE.FindAllStringSubmatch(read(filepath.Join("cmd", tool, "main.go")), -1) {
 			defined[m[1]] = true

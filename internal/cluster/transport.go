@@ -6,8 +6,9 @@
 // real loopback sockets; both round-trip the codecs on every send.
 //
 // The engine that runs on top — application loops, failure injection, the
-// backup process and its eq.-(8) transfers, for the closed testbed and the
-// open daemon alike — is internal/daemon.
+// backup process and its eq.-(8) transfers, for closed and open runs alike
+// — is internal/daemon, and its tests, the closed-run suite included, live
+// there.
 package cluster
 
 import (

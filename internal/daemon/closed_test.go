@@ -1,12 +1,13 @@
-package cluster_test
+package daemon_test
 
 // The closed-run suite: the paper's Section-3 testbed is the live engine
-// (internal/daemon) under the closed boundary condition — an initial
-// backlog, no arrivals — running on this package's two transports. The
-// engine imports this package, so the suite is an external test package.
+// under the closed boundary condition — an initial backlog, no arrivals —
+// running on internal/cluster's two transports, through the package's
+// exported surface only.
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,6 +149,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := run(t, opt, false); err == nil {
 		t.Fatal("invalid params accepted")
 	}
+	opt = closedOptions([]int{-5, 3}, nil)
+	if _, err := run(t, opt, false); err == nil || !strings.Contains(err.Error(), "worker 0") {
+		t.Fatalf("negative initial load: got %v, want an error naming worker 0", err)
+	}
 }
 
 func TestFailuresObservedOnLongRun(t *testing.T) {
@@ -167,47 +172,6 @@ func TestFailuresObservedOnLongRun(t *testing.T) {
 	if res.TransfersSent < 1 {
 		t.Fatalf("failures %d but no transfers at all (initial balance missing)", res.Failures)
 	}
-}
-
-func TestTraceRecordsQueueEvolution(t *testing.T) {
-	opt := closedOptions([]int{40, 20}, policy.LBP1{K: 0.35, Sender: 0})
-	opt.QueueTrace = true
-	res := mustRun(t, opt)
-	checkConserved(t, res, 60)
-	trace := res.QueueTrace
-	if len(trace) < 2 || trace[0].Kind != model.EvStart || trace[len(trace)-1].Kind != model.EvDone {
-		t.Fatalf("trace of %d points must begin with start and end with done", len(trace))
-	}
-	completions := 0
-	prev := -1.0
-	for _, tp := range trace {
-		if tp.Kind == model.EvCompletion {
-			completions++
-		}
-		if tp.Time < prev {
-			t.Fatalf("trace time regressed: %v after %v", tp.Time, prev)
-		}
-		prev = tp.Time
-		for _, q := range tp.Queues {
-			if q < 0 {
-				t.Fatalf("negative queue in trace: %+v", tp)
-			}
-		}
-	}
-	if completions != 60 {
-		t.Fatalf("trace has %d completion points for 60 tasks", completions)
-	}
-	if last := trace[len(trace)-1]; sum(last.Queues) != 0 {
-		t.Fatalf("queues not empty at done: %+v", last)
-	}
-}
-
-func TestRealComputeMode(t *testing.T) {
-	opt := closedOptions([]int{25, 25}, policy.LBP2{K: 1})
-	opt.RealCompute = true
-	opt.MatrixDim = 16
-	opt.MeanPrecision = 20
-	checkConserved(t, mustRun(t, opt), 50)
 }
 
 // The testbed's mean completion must agree with the analytical model to

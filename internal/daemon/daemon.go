@@ -1,7 +1,8 @@
 // Package daemon is the live serving system built on the paper's wire
-// transport: real worker goroutine-processes executing workload.Matrix
-// tasks, gossiping their state in 23-byte UDP packets and shipping task
-// payloads over length-prefixed TCP frames (cluster.NetTransport), a
+// transport: real worker goroutine-processes serving workload tasks for
+// exponential service times, gossiping their state in 23-byte UDP
+// packets and shipping task payloads over length-prefixed TCP frames
+// (cluster.NetTransport), a
 // dispatcher routing arrivals through the policy.Router family against a
 // live model.StateView folded from incoming state packets, and a churn
 // controller killing and recovering workers on the same laws as the
@@ -47,10 +48,10 @@ type Options struct {
 	// controller executes when a worker dies (nil = no balancing).
 	Policy policy.Policy
 	// InitialLoad, when non-nil, queues that many tasks at each worker at
-	// t = 0 (one entry per worker), counted as injected, and has every
-	// worker execute its share of Policy.Initial against that known
-	// distribution. A run with a backlog and no Trace is closed: it ends
-	// when the backlog has drained.
+	// t = 0 (one non-negative entry per worker), counted as injected, and
+	// has every worker execute its share of Policy.Initial against that
+	// known distribution. A run with a backlog and no Trace is closed: it
+	// ends when the backlog has drained.
 	InitialLoad []int
 	// ChurnLaw selects the up/down duration law — exponential (default),
 	// Weibull shape 2, or deterministic means. Periods are drawn by
@@ -71,17 +72,6 @@ type Options struct {
 	// StateInterval is the virtual-seconds period of each worker's UDP
 	// state broadcast. Default 1.
 	StateInterval float64
-	// MatrixDim and MeanPrecision configure the matrix workload.
-	// Defaults: 16 and 50.
-	MatrixDim     int
-	MeanPrecision float64
-	// RealCompute executes the actual row-times-matrix arithmetic and
-	// derives service time from each task's precision instead of
-	// sampling it.
-	RealCompute bool
-	// QueueTrace records the queue-evolution sample path (Fig. 4) into
-	// Result.QueueTrace.
-	QueueTrace bool
 	// Window is the telemetry window width in virtual seconds; 0 derives
 	// span/100 (at least 0.1).
 	Window float64
@@ -114,12 +104,6 @@ type Result struct {
 	// directly comparable with a serve.Result driven by the same trace.
 	Summary metrics.Summary
 	Windows []metrics.WindowStats
-	// QueueTrace is the queue-evolution sample path when
-	// Options.QueueTrace was set: every worker's queued-task count (the
-	// task in service excluded) at the start, at each completion, churn
-	// event and transfer departure or landing, and at the end. Dispatcher
-	// arrivals show in the next sample.
-	QueueTrace []model.TracePoint
 	// Processed counts tasks executed per worker.
 	Processed []int
 	// Failures and Recoveries count churn events; TransfersSent and
@@ -192,7 +176,6 @@ type run struct {
 	workers   []*worker
 	transport cluster.Transport
 	ownsTrans bool
-	matrix    *workload.Matrix
 	fplan     *policy.FailurePlan
 	start     time.Time
 
@@ -221,7 +204,6 @@ type run struct {
 	colMu    sync.Mutex
 	col      *metrics.Collector
 	inSystem *taskWindow
-	qtrace   []model.TracePoint // Options.QueueTrace samples, under colMu
 
 	injected       int64
 	processedTotal int64
@@ -258,17 +240,16 @@ func Run(opt Options) (*Result, error) {
 	if opt.InitialLoad != nil && len(opt.InitialLoad) != n {
 		return nil, fmt.Errorf("daemon: InitialLoad has %d entries for %d workers", len(opt.InitialLoad), n)
 	}
+	for id, q := range opt.InitialLoad {
+		if q < 0 {
+			return nil, fmt.Errorf("daemon: negative initial load %d at worker %d", q, id)
+		}
+	}
 	if opt.TimeScale <= 0 {
 		opt.TimeScale = 200
 	}
 	if opt.StateInterval <= 0 {
 		opt.StateInterval = 1
-	}
-	if opt.MatrixDim <= 0 {
-		opt.MatrixDim = 16
-	}
-	if opt.MeanPrecision <= 0 {
-		opt.MeanPrecision = 50
 	}
 	if opt.MaxWall <= 0 {
 		opt.MaxWall = 2 * time.Minute
@@ -291,13 +272,12 @@ func Run(opt Options) (*Result, error) {
 		opt:      opt,
 		p:        opt.Params,
 		n:        n,
-		matrix:   workload.NewMatrix(opt.MatrixDim, opt.Seed^0x9e37),
 		peers:    make([]peer, n),
 		router:   opt.Router,
 		rngRoot:  xrand.NewStream(opt.Seed, xrand.StreamDispatcher),
 		col:      metrics.NewCollector(n, window),
 		inSystem: newTaskWindow(),
-		gen:      workload.NewGenerator(opt.MatrixDim, opt.MeanPrecision, xrand.NewStream(opt.Seed, xrand.StreamTaskGen)),
+		gen:      workload.NewGenerator(taskDim, taskPrecision, xrand.NewStream(opt.Seed, xrand.StreamTaskGen)),
 		pending:  make([][]workload.Task, n),
 		stop:     make(chan struct{}),
 		doneCh:   make(chan struct{}),
@@ -328,7 +308,6 @@ func Run(opt Options) (*Result, error) {
 	c.spin = spinAffordable(runtime.NumCPU(), n, len(opt.Trace) > 0)
 	initial := c.preload()
 	c.start = time.Now()
-	c.traceQueues(model.EvStart, -1)
 	for _, w := range c.workers {
 		c.execTransfers(w, initial)
 	}
@@ -380,7 +359,6 @@ func Run(opt Options) (*Result, error) {
 		Injected:         int(atomic.LoadInt64(&c.injected)),
 		Interrupted:      c.interrupted.Load(),
 		Lost:             int(c.lost.Load()),
-		QueueTrace:       c.qtrace,
 	}
 	if nt, ok := c.transport.(*cluster.NetTransport); ok {
 		res.DecodeErrors = nt.DecodeErrors()
@@ -428,16 +406,12 @@ func kick(ch chan struct{}) {
 	}
 }
 
-// finish ends the run. It closes doneCh under colMu, so the done sample is
-// the last of the queue trace: a churn event between here and shutdown
-// finds the run finished.
+// finish ends the run, stamping its end on the virtual clock; Run reads
+// the stamp once doneCh has closed.
 func (c *run) finish() {
 	c.doneOnce.Do(func() {
-		c.colMu.Lock()
 		c.doneAtV = c.now()
-		c.traceQueues(model.EvDone, -1)
 		close(c.doneCh)
-		c.colMu.Unlock()
 	})
 }
 
@@ -602,7 +576,7 @@ func (c *run) sleepV(t *time.Timer, v float64) bool {
 // --- worker loops (the layers of a Section-3 computational element) ---
 
 // appLoop is the application layer: pop, execute for an exponentially
-// distributed service time (or the real arithmetic), report completion.
+// distributed service time, report completion.
 // A failure interrupt re-queues the in-progress task at the head — the
 // backup process preserving work across failures.
 func (c *run) appLoop(w *worker) {
@@ -626,17 +600,8 @@ func (c *run) appLoop(w *worker) {
 		// an earlier, interrupted attempt already stamped one.
 		started := c.now()
 
-		var v float64
-		if c.opt.RealCompute {
-			v = workload.VirtualSeconds(task, c.opt.MeanPrecision, rate)
-		} else {
-			v = w.rngApp.Exp(rate)
-		}
-		switch c.preciseWait(timer, c.wall(v), w.failInt) {
+		switch c.preciseWait(timer, c.wall(w.rngApp.Exp(rate)), w.failInt) {
 		case sleptFull:
-			if c.opt.RealCompute {
-				c.matrix.MultiplyTask(task)
-			}
 			// A task no longer on the books (declared lost after a send
 			// that delivered anyway) is executed but not counted, which
 			// keeps processed + lost == injected exact.
@@ -832,8 +797,16 @@ func (c *run) dispatcherStateLoop() {
 const bundleCap = 16
 
 // maxBatch bounds one arrival's tasks at the HTTP front door; a frame of
-// maxBatch default-dimension tasks is 144 KB.
+// maxBatch tasks is 144 KB.
 const maxBatch = 1024
+
+// taskDim and taskPrecision shape the tasks the generator mints: a row of
+// 16 floats, the payload the wire carries, and a mean precision of 50.
+// Service times are drawn from the worker's rate, not from the precision.
+const (
+	taskDim       = 16
+	taskPrecision = 50
+)
 
 // satAdd32 is q + k saturating at the top of uint32: no batch size can
 // wrap a long gossiped queue into a short one.
@@ -1045,29 +1018,7 @@ func (c *run) closeArrivals() {
 // --- telemetry hooks (colMu serialises the single-goroutine Collector;
 // its integrator tolerates the slightly out-of-order timestamps real
 // concurrency produces). A task's life takes colMu twice, at admission
-// and at completion; a failure interrupt adds a third. The hooks are also
-// where the queue trace is sampled. ---
-
-// traceQueues, when Options.QueueTrace is set, appends one sample of every
-// worker's queue to the queue trace. The caller holds colMu, which orders
-// the samples; the clock is read under it so their times never regress.
-func (c *run) traceQueues(kind model.EventKind, node int) {
-	if !c.opt.QueueTrace {
-		return
-	}
-	select {
-	case <-c.doneCh:
-		return // finish took the last sample
-	default:
-	}
-	queues := make([]int, c.n)
-	for i, w := range c.workers {
-		w.mu.Lock()
-		queues[i] = w.queue.len()
-		w.mu.Unlock()
-	}
-	c.qtrace = append(c.qtrace, model.TracePoint{Time: c.now(), Kind: kind, Node: node, Queues: queues})
-}
+// and at completion; a failure interrupt adds a third. ---
 
 // noteInterrupted stamps the start of a task's first service attempt into
 // its record when a failure cuts that attempt short.
@@ -1094,7 +1045,6 @@ func (c *run) noteCompleted(node int, id uint64, started float64) bool {
 		}
 		c.col.TaskCompleted(node, m.arrival, started, now)
 		c.inSystem.remove(m)
-		c.traceQueues(model.EvCompletion, node)
 	}
 	c.colMu.Unlock()
 	return onBooks
@@ -1104,11 +1054,6 @@ func (c *run) noteChurn(node int, up bool) {
 	now := c.now()
 	c.colMu.Lock()
 	c.col.NodeStateChanged(node, up, now)
-	kind := model.EvFailure
-	if up {
-		kind = model.EvRecovery
-	}
-	c.traceQueues(kind, node)
 	c.colMu.Unlock()
 }
 
@@ -1116,7 +1061,6 @@ func (c *run) noteTransferOut(from, to, tasks int) {
 	now := c.now()
 	c.colMu.Lock()
 	c.col.TransferDeparted(from, to, tasks, now)
-	c.traceQueues(model.EvSend, from)
 	c.colMu.Unlock()
 }
 
@@ -1124,6 +1068,5 @@ func (c *run) noteTransferIn(node, tasks int) {
 	now := c.now()
 	c.colMu.Lock()
 	c.col.TransferArrived(node, tasks, now)
-	c.traceQueues(model.EvArrival, node)
 	c.colMu.Unlock()
 }

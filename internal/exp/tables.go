@@ -62,7 +62,7 @@ func testbedRun(p model.Params, pol policy.Policy, load []int, scale float64, se
 	defer tr.Close()
 	out, err := daemon.Run(daemon.Options{
 		Params: p, Policy: pol, InitialLoad: load,
-		TimeScale: scale, Seed: seed, MatrixDim: 32,
+		TimeScale: scale, Seed: seed,
 		Transport: tr, MaxWall: maxWall,
 	})
 	if err != nil {

@@ -15,7 +15,7 @@
 // (sim.ParseTransferMode, sim.ParseChurnLaw). This package adds only what
 // a run description adds: lbserve's "dynlbp2" (uniform dispatch under the
 // dynamic policy), the scenario runs' reading of "lbp1" as its N-node
-// form and the daemon runs' refusal of it.
+// form and the daemon runs' refusal of it on any fleet but two workers.
 package rerun
 
 import (
@@ -311,15 +311,29 @@ type daemonSpec struct {
 	trace     []sim.ArrivalAt
 }
 
-// resolveDaemon resolves a daemon manifest — cluster, router and
-// balancing-policy spellings, churn law, and the recorded trace spec
-// regenerated into its arrival schedule. Every fault is a SpecError,
-// including two-node LBP-1, which a daemon cluster of N nodes refuses.
+// resolveDaemon resolves a daemon manifest — cluster, t = 0 backlog,
+// router and balancing-policy spellings, churn law, and the recorded
+// trace spec regenerated into its arrival schedule. A manifest with rate
+// 0 records no trace: its run is closed, and its backlog is the workload.
+// Every fault is a SpecError: a run with neither a trace nor a backlog,
+// a backlog that does not fit the fleet, and two-node LBP-1 on any other
+// fleet size among them.
 func resolveDaemon(m *obs.Manifest) (*daemonSpec, error) {
 	d := &daemonSpec{}
 	var err error
 	if d.params, err = params(m.System); err != nil {
 		return nil, &SpecError{err}
+	}
+	n := d.params.N()
+	if m.InitialLoad != nil && len(m.InitialLoad) != n {
+		return nil, &SpecError{fmt.Errorf("rerun: initial load has %d entries for %d workers", len(m.InitialLoad), n)}
+	}
+	backlog := 0
+	for i, q := range m.InitialLoad {
+		if q < 0 {
+			return nil, &SpecError{fmt.Errorf("rerun: negative initial load %d at worker %d", q, i)}
+		}
+		backlog += q
 	}
 	if _, d.churn, err = laws(m); err != nil {
 		return nil, &SpecError{err}
@@ -331,19 +345,23 @@ func resolveDaemon(m *obs.Manifest) (*daemonSpec, error) {
 	if d.newRouter, err = router.Factory(); err != nil {
 		return nil, &SpecError{err}
 	}
-	bal, err := policy.ParseSpec(m.Balance, m.Policy.K, 0)
+	bal, err := policy.ParseSpec(m.Balance, m.Policy.K, policy.AutoSender)
 	if err != nil {
 		return nil, &SpecError{err}
 	}
-	if bal.Kind == policy.KindLBP1 {
-		return nil, &SpecError{fmt.Errorf("balance policy lbp1 is two-node only (want lbp1multi, lbp2, none or dynamic)")}
+	if bal.Kind == policy.KindLBP1 && n != 2 {
+		return nil, &SpecError{fmt.Errorf("balance policy lbp1 is two-node only, and the fleet has %d workers (want lbp1multi, lbp2, none or dynamic)", n)}
 	}
 	if d.policy, err = bal.Build(); err != nil {
 		return nil, &SpecError{err}
 	}
-	d.trace, err = calib.TraceSpec{Seed: m.Seed, Rate: m.Rate, Horizon: m.Horizon, Batch: m.Batch}.Generate()
-	if err != nil {
-		return nil, &SpecError{err}
+	if m.Rate != 0 {
+		d.trace, err = calib.TraceSpec{Seed: m.Seed, Rate: m.Rate, Horizon: m.Horizon, Batch: m.Batch}.Generate()
+		if err != nil {
+			return nil, &SpecError{err}
+		}
+	} else if backlog == 0 {
+		return nil, &SpecError{fmt.Errorf("rerun: daemon manifest records neither an arrival rate nor a backlog: nothing to run")}
 	}
 	return d, nil
 }
@@ -351,7 +369,7 @@ func resolveDaemon(m *obs.Manifest) (*daemonSpec, error) {
 // DaemonOptions resolves a daemon manifest into the live daemon's options:
 // everything the manifest records (the wall-clock knobs TimeScale and
 // StateInterval included). The caller adds what no manifest records — the
-// workload and front-door knobs, Interrupt and MaxWall.
+// front-door knobs, Interrupt and MaxWall.
 func DaemonOptions(m *obs.Manifest) (daemon.Options, error) {
 	d, err := resolveDaemon(m)
 	if err != nil {
@@ -361,6 +379,7 @@ func DaemonOptions(m *obs.Manifest) (daemon.Options, error) {
 		Params:        d.params,
 		Router:        d.newRouter(),
 		Policy:        d.policy,
+		InitialLoad:   m.InitialLoad,
 		ChurnLaw:      d.churn,
 		Trace:         d.trace,
 		Batch:         m.Batch,
@@ -372,16 +391,18 @@ func DaemonOptions(m *obs.Manifest) (daemon.Options, error) {
 }
 
 // twinRun replays a daemon manifest's deterministic half: the recorded
-// trace through the discrete-event simulator under the manifest's policy
-// configuration re-derives the Metrics fingerprint. The live side
-// (LiveMetrics) is a measurement of a real system and is not replayed.
+// backlog and trace through the discrete-event simulator under the
+// manifest's policy configuration re-derives the Metrics fingerprint. The
+// live side (LiveMetrics) is a measurement of a real system and is not
+// replayed.
 func twinRun(m *obs.Manifest) (*Outcome, error) {
 	d, err := resolveDaemon(m)
 	if err != nil {
 		return nil, err
 	}
 	res, err := serve.Run(serve.Options{
-		Sim:       sim.Options{Params: d.params, Policy: d.policy, ChurnLaw: d.churn, ArrivalTrace: d.trace},
+		Sim: sim.Options{Params: d.params, Policy: d.policy, InitialLoad: m.InitialLoad,
+			ChurnLaw: d.churn, ArrivalTrace: d.trace},
 		NewRouter: d.newRouter,
 		Window:    m.Window,
 		Seed:      m.Seed,

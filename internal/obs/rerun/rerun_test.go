@@ -6,10 +6,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"churnlb/internal/model"
 	"churnlb/internal/obs"
+	"churnlb/internal/policy"
 	"churnlb/internal/sim"
 )
 
@@ -314,8 +317,10 @@ func TestRerunDaemon(t *testing.T) {
 		{"unknown churn law", func(b *obs.Manifest) { b.Churn = "lunar" }},
 		{"unknown router", func(b *obs.Manifest) { b.Policy.Name = "bogus" }},
 		{"unknown balance", func(b *obs.Manifest) { b.Balance = "bogus" }},
-		{"two-node lbp1", func(b *obs.Manifest) { b.Balance = "lbp1" }},
-		{"empty trace", func(b *obs.Manifest) { b.Rate = 0 }},
+		{"lbp1 on four workers", func(b *obs.Manifest) { b.Balance = "lbp1" }},
+		{"neither trace nor backlog", func(b *obs.Manifest) { b.Rate = 0 }},
+		{"ragged load", func(b *obs.Manifest) { b.InitialLoad = []int{5, 5} }},
+		{"negative load", func(b *obs.Manifest) { b.InitialLoad = []int{5, -1, 0, 0} }},
 	} {
 		bad := *m
 		c.mod(&bad)
@@ -326,6 +331,16 @@ func TestRerunDaemon(t *testing.T) {
 		if _, err := DaemonOptions(&bad); !errors.As(err, &spec) {
 			t.Errorf("%s: DaemonOptions got %v, want a SpecError", c.what, err)
 		}
+	}
+	// On a two-worker fleet LBP-1 is the paper's own policy: accepted.
+	two := *m
+	two.System = &obs.SystemRef{ProcRate: []float64{10, 10}, FailRate: []float64{0.25, 0}, RecRate: []float64{0.5, 1}, DelayPerTask: 0.01}
+	two.Balance = "lbp1"
+	if _, err := Run(&two, nil); err != nil {
+		t.Errorf("lbp1 on two workers: Run got %v", err)
+	}
+	if _, err := DaemonOptions(&two); err != nil {
+		t.Errorf("lbp1 on two workers: DaemonOptions got %v", err)
 	}
 }
 
@@ -356,4 +371,61 @@ func TestDaemonOptions(t *testing.T) {
 		live.Router.Route(nil, live.Params, nil)
 	}
 	verify(t, m, nil)
+}
+
+// paperManifests returns a closed daemon manifest of the paper's two-node
+// system — backlog (100,60), no arrivals, the given balancing policy — and
+// the lbsim traced-realisation manifest of the same system, load, policy
+// and seed.
+func paperManifests(balance string, k float64, seed uint64) (closed, sim *obs.Manifest) {
+	p := model.PaperBaseline()
+	sys := &obs.SystemRef{ProcRate: p.ProcRate, FailRate: p.FailRate, RecRate: p.RecRate, DelayPerTask: p.DelayPerTask}
+	closed = obs.NewManifest("lbd", obs.ModeDaemon)
+	closed.Seed = seed
+	closed.System = sys
+	closed.InitialLoad = []int{100, 60}
+	closed.Policy = obs.PolicyRef{Name: "jsq", K: k}
+	closed.Balance = balance
+	closed.Window = 0.1
+	sim = obs.NewManifest("lbsim", obs.ModeSim)
+	sim.Seed = seed
+	sim.System = sys
+	sim.InitialLoad = []int{100, 60}
+	sim.Policy = obs.PolicyRef{Name: balance, K: k, Sender: policy.AutoSender}
+	return closed, sim
+}
+
+// TestClosedDaemonTwinIsTheClosedRealisation: a closed daemon manifest —
+// a backlog and no arrival stream — replays, and its twin is the
+// simulator's closed realisation bit for bit: the realisation lbsim -trace
+// draws for the same system, load, policy and seed.
+func TestClosedDaemonTwinIsTheClosedRealisation(t *testing.T) {
+	for _, c := range []struct {
+		balance string
+		k       float64
+	}{{"lbp1", 0.35}, {"lbp2", 1}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			closed, simMan := paperManifests(c.balance, c.k, seed)
+			record(t, closed)
+			verify(t, closed, nil)
+			twin, err := Execute(closed, Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Execute(simMan, Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ref := twin.Twin.Sim, want.Sim
+			if got.CompletionTime != ref.CompletionTime || !slices.Equal(got.Processed, ref.Processed) ||
+				got.Failures != ref.Failures || got.TransfersSent != ref.TransfersSent {
+				t.Errorf("%s seed %d: twin (T %v, processed %v, %d failures, %d transfers) is not the closed realisation (T %v, processed %v, %d failures, %d transfers)",
+					c.balance, seed, got.CompletionTime, got.Processed, got.Failures, got.TransfersSent,
+					ref.CompletionTime, ref.Processed, ref.Failures, ref.TransfersSent)
+			}
+			if twin.Twin.Summary.Elapsed != ref.CompletionTime {
+				t.Errorf("%s seed %d: twin elapsed %v, completion %v", c.balance, seed, twin.Twin.Summary.Elapsed, ref.CompletionTime)
+			}
+		}
+	}
 }

@@ -8,7 +8,7 @@ import (
 // This file is the one place a policy or router is named: the declarative
 // specs the public API re-exports (churnlb.PolicySpec, churnlb.RouterSpec),
 // and the CLI/manifest spelling of each. Every front end — lbsim, lbserve,
-// lbd, lbbed, manifest replay, the calibration twin — resolves a spelling
+// lbd, manifest replay, the calibration twin — resolves a spelling
 // through ParseSpec/ParseRouterSpec, so one name means one policy
 // everywhere and a name added here reaches all of them.
 

@@ -7,6 +7,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
@@ -19,8 +20,9 @@ import (
 // (Sim) plus what serving adds around it.
 type Options struct {
 	// Sim is the realisation: cluster, policy, t = 0 state, laws and the
-	// arrival stream, which is required — a Poisson stream (ArrivalRate and
-	// ArrivalHorizon positive) or an ArrivalTrace. A nil InitialLoad means
+	// arrival stream — a Poisson stream (ArrivalRate and ArrivalHorizon
+	// positive) or an ArrivalTrace. Without one (ArrivalRate 0) the run is
+	// closed, and InitialLoad must hold tasks. A nil InitialLoad means
 	// empty queues. Run supplies Rand, Router, TaskObserver and
 	// DecisionSink itself and refuses options that set any of them.
 	// (LazyChurn is accepted and never granted: the telemetry observer
@@ -92,7 +94,8 @@ func Run(opt Options) (*Result, error) {
 		}
 	}
 	horizon := so.ArrivalHorizon
-	if len(so.ArrivalTrace) > 0 {
+	switch {
+	case len(so.ArrivalTrace) > 0:
 		if horizon <= 0 {
 			// Telemetry horizon defaults to the recorded stream's span.
 			horizon = so.ArrivalTrace[len(so.ArrivalTrace)-1].Time
@@ -100,9 +103,12 @@ func Run(opt Options) (*Result, error) {
 				horizon = 1
 			}
 		}
-	} else if !(so.ArrivalRate > 0) || !(horizon > 0) {
+	case so.ArrivalRate == 0 && slices.ContainsFunc(so.InitialLoad, func(q int) bool { return q > 0 }):
+		// A closed realisation: the t = 0 backlog is the whole workload.
+		horizon = 0
+	case !(so.ArrivalRate > 0) || !(horizon > 0):
 		// Written as negated > so a NaN fails here, not in the event loop.
-		return nil, fmt.Errorf("serve: needs positive ArrivalRate and ArrivalHorizon (or an ArrivalTrace), got ArrivalRate = %v, ArrivalHorizon = %v", so.ArrivalRate, horizon)
+		return nil, fmt.Errorf("serve: needs positive ArrivalRate and ArrivalHorizon, an ArrivalTrace, or a backlog and no arrival stream; got ArrivalRate = %v, ArrivalHorizon = %v", so.ArrivalRate, horizon)
 	}
 	if math.IsNaN(opt.Window) {
 		return nil, fmt.Errorf("serve: Window = %v must be a number (0 derives horizon/100)", opt.Window)

@@ -1,9 +1,11 @@
-// Package workload implements the paper's application layer: matrix
-// multiplication, where one task is the multiplication of one row by a
-// static matrix duplicated on every node (Section 3). The arithmetic
-// precision of each task — how many multiply passes it requires — is drawn
-// from an exponential distribution, which is exactly the mechanism that
-// made the paper's empirical per-task service times exponential (Fig. 1).
+// Package workload implements the tasks of the paper's application layer,
+// where one task is the multiplication of one row by a static matrix
+// duplicated on every node (Section 3). A task carries its row over the
+// wire; the live engine draws its service time rather than doing the
+// arithmetic. The arithmetic precision of each task — how many multiply
+// passes it requires — is drawn from an exponential distribution, which is
+// exactly the mechanism that made the paper's empirical per-task service
+// times exponential (Fig. 1, through VirtualSeconds).
 package workload
 
 import (
@@ -92,47 +94,6 @@ func DecodeTaskSlab(src []byte, slab []float64) (Task, []byte, []float64, error)
 	return t, src[8*n:], slab, nil
 }
 
-// Matrix is the static matrix replicated on every node.
-type Matrix struct {
-	Dim  int
-	data []float64 // row-major Dim×Dim
-}
-
-// NewMatrix builds a deterministic pseudo-random Dim×Dim matrix.
-func NewMatrix(dim int, seed uint64) *Matrix {
-	if dim <= 0 {
-		panic("workload: non-positive matrix dimension")
-	}
-	rng := xrand.New(seed)
-	m := &Matrix{Dim: dim, data: make([]float64, dim*dim)}
-	for i := range m.data {
-		m.data[i] = rng.Float64()*2 - 1
-	}
-	return m
-}
-
-// MultiplyTask executes the task against the matrix: Precision passes of
-// row·M, returning a checksum so the arithmetic cannot be optimised away.
-// The FLOP count is Precision·Dim², so wall time is proportional to the
-// exponentially distributed Precision — the paper's randomisation.
-func (m *Matrix) MultiplyTask(t Task) float64 {
-	if len(t.Row) != m.Dim {
-		panic(fmt.Sprintf("workload: row length %d vs matrix dim %d", len(t.Row), m.Dim))
-	}
-	sum := 0.0
-	for pass := uint32(0); pass < t.Precision; pass++ {
-		for j := 0; j < m.Dim; j++ {
-			acc := 0.0
-			col := m.data[j*m.Dim : (j+1)*m.Dim]
-			for i, v := range t.Row {
-				acc += v * col[i]
-			}
-			sum += acc
-		}
-	}
-	return sum
-}
-
 // Generator produces tasks with exponentially distributed precision.
 type Generator struct {
 	dim           int
@@ -180,7 +141,7 @@ func (g *Generator) Batch(n int) []Task {
 // on a node with the given rate (tasks/second): time = precision /
 // (meanPrecision·rate). Because precision is exponential with the
 // generator's mean, the induced service time is exponential with mean
-// 1/rate — the testbed's synthetic-compute law, tied to a real payload.
+// 1/rate — Fig. 1's service-time law, tied to a real payload.
 func VirtualSeconds(t Task, meanPrecision, rate float64) float64 {
 	return float64(t.Precision) / (meanPrecision * rate)
 }

@@ -144,52 +144,6 @@ func TestVirtualSecondsExponentialWithTargetRate(t *testing.T) {
 	}
 }
 
-func TestMultiplyTaskCostScalesWithPrecision(t *testing.T) {
-	m := NewMatrix(32, 7)
-	row := make([]float64, 32)
-	for i := range row {
-		row[i] = 1
-	}
-	// Same row, checksum must scale linearly with precision.
-	c1 := m.MultiplyTask(Task{Precision: 1, Row: row})
-	c3 := m.MultiplyTask(Task{Precision: 3, Row: row})
-	if math.Abs(c3-3*c1) > 1e-9*math.Abs(c1) {
-		t.Fatalf("checksum %v at precision 3, want 3×%v", c3, c1)
-	}
-}
-
-func TestMultiplyTaskDimensionCheck(t *testing.T) {
-	m := NewMatrix(8, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dimension mismatch not detected")
-		}
-	}()
-	m.MultiplyTask(Task{Precision: 1, Row: make([]float64, 4)})
-}
-
-func TestMatrixDeterministic(t *testing.T) {
-	a, b := NewMatrix(8, 42), NewMatrix(8, 42)
-	row := make([]float64, 8)
-	row[0] = 1
-	task := Task{Precision: 2, Row: row}
-	if a.MultiplyTask(task) != b.MultiplyTask(task) {
-		t.Fatal("same seed gave different matrices")
-	}
-}
-
-func BenchmarkMultiplyTask(b *testing.B) {
-	m := NewMatrix(64, 1)
-	g := NewGenerator(64, 20, xrand.New(1))
-	task := g.Next()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += m.MultiplyTask(task)
-	}
-	_ = sink
-}
-
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	g := NewGenerator(64, 20, xrand.New(1))
 	task := g.Next()
