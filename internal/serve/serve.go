@@ -1,7 +1,9 @@
 // Package serve is the open-system serving core shared by the public
 // churnlb.Serve API and the experiment harness: it wires a dispatcher
 // router, a balancing policy and the fixed-memory telemetry collector
-// into one simulator realisation driven by external arrivals.
+// into one simulator realisation driven by external arrivals. The
+// collector runs on a goroutine of its own, fed the observer hooks in
+// order (pipe.go), so its output is the same bits it would be inline.
 package serve
 
 import (
@@ -37,15 +39,17 @@ type Options struct {
 	Window float64
 	// Seed drives all randomness.
 	Seed uint64
-	// Instrument, when non-nil, is invoked once per realisation with the
-	// telemetry collector and returns the TaskObserver and DecisionSink
+	// Instrument, when non-nil, is invoked once per realisation with inner,
+	// the pipe that carries every lifecycle hook to the telemetry collector
+	// on its own goroutine, and returns the TaskObserver and DecisionSink
 	// to install in its place — the seam internal/obs's decision tracer
-	// plugs into (it wraps the collector, delegating every lifecycle hook,
-	// and matches completions back to routing decisions). Attaching an
-	// instrument never perturbs the realisation: the simulator consumes
-	// the same random stream either way. Single runs only — RunMany
-	// replications run concurrently and would interleave through one
-	// instrument's state, so it refuses the hook.
+	// plugs into (it wraps inner, delegating every lifecycle hook, and
+	// matches completions back to routing decisions). The instrument's
+	// hooks run on the simulation goroutine, where the DecisionSink's view
+	// is live. Attaching an instrument never perturbs the realisation: the
+	// simulator consumes the same random stream either way. Single runs
+	// only — RunMany replications run concurrently and would interleave
+	// through one instrument's state, so it refuses the hook.
 	Instrument func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink)
 	// Interrupt, when non-nil, requests early termination: once the
 	// channel is closed the arrival stream stops at the next event and the
@@ -122,9 +126,29 @@ func Run(opt Options) (*Result, error) {
 		so.Router = opt.NewRouter()
 	}
 	col := metrics.NewCollector(n, metrics.WindowFor(opt.Window, horizon))
-	so.TaskObserver = col
+	out, interrupted, err := realise(so, opt, col)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Summary:     col.Finalize(out.CompletionTime),
+		Windows:     col.Windows(),
+		Latency:     col.Sketches(),
+		Fairness:    col.FairnessCounts(),
+		Sim:         out,
+		Interrupted: interrupted,
+	}, nil
+}
+
+// realise runs the realisation with its telemetry piped to col on a
+// goroutine of its own, and returns — on every path, a panic included —
+// only once that goroutine has replayed every record and exited.
+func realise(so sim.Options, opt Options, col *metrics.Collector) (*sim.Result, bool, error) {
+	p := openPipe(col)
+	defer p.join()
+	so.TaskObserver = p
 	if opt.Instrument != nil {
-		so.TaskObserver, so.DecisionSink = opt.Instrument(col)
+		so.TaskObserver, so.DecisionSink = opt.Instrument(p)
 	}
 	// The realisation is driven through the simulator's step primitives
 	// (Start, the Done/ProcessNext loop, Finish) rather than the one-shot
@@ -134,7 +158,7 @@ func Run(opt Options) (*Result, error) {
 	// (sim.Run is this exact loop).
 	r, err := sim.Start(so)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	interrupted := false
 	for !r.Done() {
@@ -154,17 +178,7 @@ func Run(opt Options) (*Result, error) {
 		}
 	}
 	out, err := r.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Summary:     col.Finalize(out.CompletionTime),
-		Windows:     col.Windows(),
-		Latency:     col.Sketches(),
-		Fairness:    col.FairnessCounts(),
-		Sim:         out,
-		Interrupted: interrupted,
-	}, nil
+	return out, interrupted, err
 }
 
 // RunMany executes reps independent realisations of opt in parallel on

@@ -1317,15 +1317,16 @@ func (s *simState) externalArrival() {
 		}
 	}
 	// The router and the decision sink read the zero-copy live view before
-	// the batch lands, the arrival balancer after.
+	// the batch lands, the arrival balancer after. The node count is
+	// len(s.hot): s.p.N() copies the whole Params value per call.
 	var node int
 	if s.opt.Router != nil {
 		node = s.opt.Router.Route(s.live, s.p, s.rng)
-		if node < 0 || node >= s.p.N() {
+		if node < 0 || node >= len(s.hot) {
 			panic(fmt.Sprintf("sim: router %s returned invalid node %d", s.opt.Router.Name(), node))
 		}
 	} else {
-		node = s.rng.Intn(s.p.N())
+		node = s.rng.Intn(len(s.hot))
 	}
 	if s.sink != nil {
 		// Pre-mutation: the sink prices counterfactual candidates against
