@@ -1,7 +1,7 @@
 // Package metrics provides fixed-memory streaming telemetry for the
 // open-system serving layer: P² quantile sketches for sojourn-time
-// percentiles and a time-windowed Collector that turns the simulator's
-// TaskObserver callbacks into throughput, queue-depth, in-flight and
+// percentiles and a time-windowed Collector that turns per-task records
+// (sim.TaskSink callbacks) into throughput, queue-depth, in-flight and
 // availability time series.
 //
 // Everything here does O(1) work per observed task and holds O(windows)
@@ -361,9 +361,11 @@ func WindowFor(requested, span float64) float64 {
 	return math.Max(span/100, 0.1)
 }
 
-// Collector implements the simulator's TaskObserver, accumulating
-// fixed-memory percentile sketches plus windowed time series. It is not
-// safe for concurrent use; give each realisation its own Collector.
+// Collector implements sim.TaskSink, accumulating fixed-memory percentile
+// sketches plus windowed time series. In a simulated run a sim.Ledger calls
+// it, rebuilding the per-task records from the simulator's observer
+// stream; the live daemon calls it with the records it keeps itself. It is
+// not safe for concurrent use; give each realisation its own Collector.
 type Collector struct {
 	n          int
 	window     float64
@@ -479,7 +481,7 @@ func (c *Collector) mergeWindows() {
 	c.cur.width = c.window
 }
 
-// --- sim.TaskObserver implementation ---
+// --- sim.TaskSink implementation ---
 
 // TasksArrived implements the observer hook.
 func (c *Collector) TasksArrived(_, count int, t float64) {

@@ -48,9 +48,9 @@ type TraceOptions struct {
 	// W receives the JSONL decision records; nil keeps only the running
 	// hash and summary statistics.
 	W io.Writer
-	// Observer is the inner TaskObserver to wrap (typically the metrics
-	// collector); the tracer delegates every lifecycle hook to it. May be
-	// nil.
+	// Observer is the inner TaskObserver to wrap (typically serve's
+	// telemetry pipe); the tracer delegates every hook to it, as the
+	// simulator made it. May be nil.
 	Observer sim.TaskObserver
 }
 
@@ -91,19 +91,20 @@ type pendingDecision struct {
 
 // DecisionTracer implements both sim.DecisionSink and sim.TaskObserver:
 // it records every routing decision with its counterfactual-k pricing,
-// matches task completions back to decisions by arrival timestamp, and
-// streams one JSONL record per decision once the batch has fully
-// completed — in completion order, which is deterministic for a fixed
-// seed. All scratch is pooled, so a steady-state traced run allocates
-// only in the io.Writer.
+// matches task completions back to decisions by arrival timestamp (which a
+// sim.Ledger of its own rebuilds from the observer stream), and streams
+// one JSONL record per decision once the batch has fully completed — in
+// completion order, which is deterministic for a fixed seed. All scratch
+// is pooled, so a steady-state traced run allocates only in the io.Writer.
 //
 // A tracer observes a single realisation; build a fresh one per run.
 type DecisionTracer struct {
-	p     model.Params
-	k     int
-	w     io.Writer
-	inner sim.TaskObserver
-	err   error
+	p      model.Params
+	k      int
+	w      io.Writer
+	inner  sim.TaskObserver
+	ledger *sim.Ledger
+	err    error
 
 	seq     int
 	pending map[float64]*pendingDecision
@@ -125,7 +126,7 @@ func NewDecisionTracer(p model.Params, o TraceOptions) *DecisionTracer {
 	if k <= 0 {
 		k = DefaultCounterfactualK
 	}
-	return &DecisionTracer{
+	d := &DecisionTracer{
 		p:       p,
 		k:       k,
 		w:       o.W,
@@ -134,6 +135,8 @@ func NewDecisionTracer(p model.Params, o TraceOptions) *DecisionTracer {
 		altBuf:  make([]Alt, 0, k+1),
 		hash:    fnvOffset64,
 	}
+	d.ledger = sim.NewLedger(p.N(), completions{d})
+	return d
 }
 
 // allocPending pops the free list, allocating only on a miss — kept out
@@ -194,14 +197,19 @@ func (d *DecisionTracer) Decision(v model.StateView, chosen, batch, considered i
 	d.open++
 }
 
-// TaskCompleted implements sim.TaskObserver: match the completion back
-// to its decision by arrival timestamp (initial-backlog tasks arrived at
-// t = 0 with no decision and miss, which is correct) and emit the record
-// when the batch has drained. Transfers preserve arrival timestamps, so
-// a task completes against its original decision wherever it ran.
+// completions is the sim.TaskSink of the tracer's ledger: of the per-task
+// records it only reads completions.
+type completions struct{ d *DecisionTracer }
+
+// TaskCompleted implements sim.TaskSink: match the completion back to its
+// decision by arrival timestamp (initial-backlog tasks arrived at t = 0
+// with no decision and miss, which is correct) and emit the record when
+// the batch has drained. Transfers preserve arrival timestamps, so a task
+// completes against its original decision wherever it ran.
 //
 //churnlb:hotpath
-func (d *DecisionTracer) TaskCompleted(node int, arrival, firstService, completion float64) {
+func (c completions) TaskCompleted(_ int, arrival, _, completion float64) {
+	d := c.d
 	// Head of the chain: with continuous arrival times a chain longer
 	// than one is measure-zero, and tasks of colliding decisions are
 	// indistinguishable by timestamp anyway.
@@ -213,8 +221,22 @@ func (d *DecisionTracer) TaskCompleted(node int, arrival, firstService, completi
 			d.unlink(arrival, rec)
 		}
 	}
+}
+
+func (completions) TasksArrived(int, int, float64)          {}
+func (completions) NodeStateChanged(int, bool, float64)     {}
+func (completions) TransferDeparted(int, int, int, float64) {}
+func (completions) TransferArrived(int, int, float64)       {}
+
+// TaskCompleted implements sim.TaskObserver: the tracer's ledger matches
+// the completed task back to its decision, then the hook goes on to the
+// inner observer.
+//
+//churnlb:hotpath
+func (d *DecisionTracer) TaskCompleted(node int, t float64) {
+	d.ledger.TaskCompleted(node, t)
 	if d.inner != nil {
-		d.inner.TaskCompleted(node, arrival, firstService, completion)
+		d.inner.TaskCompleted(node, t)
 	}
 }
 
@@ -299,39 +321,56 @@ func (d *DecisionTracer) emit(rec *pendingDecision) {
 	}
 }
 
-// TasksArrived implements sim.TaskObserver by delegation.
+// TasksArrived implements sim.TaskObserver: the tracer's ledger, then
+// the inner observer.
 //
 //churnlb:hotpath
 func (d *DecisionTracer) TasksArrived(node, count int, t float64) {
+	d.ledger.TasksArrived(node, count, t)
 	if d.inner != nil {
 		d.inner.TasksArrived(node, count, t)
 	}
 }
 
-// NodeStateChanged implements sim.TaskObserver by delegation.
+// NodeStateChanged implements sim.TaskObserver: the tracer's ledger, then
+// the inner observer.
 //
 //churnlb:hotpath
 func (d *DecisionTracer) NodeStateChanged(node int, up bool, t float64) {
+	d.ledger.NodeStateChanged(node, up, t)
 	if d.inner != nil {
 		d.inner.NodeStateChanged(node, up, t)
 	}
 }
 
-// TransferDeparted implements sim.TaskObserver by delegation.
+// TransferDeparted implements sim.TaskObserver: the tracer's ledger, then
+// the inner observer.
 //
 //churnlb:hotpath
-func (d *DecisionTracer) TransferDeparted(from, to, tasks int, t float64) {
+func (d *DecisionTracer) TransferDeparted(from, to, tasks, flight int, t float64) {
+	d.ledger.TransferDeparted(from, to, tasks, flight, t)
 	if d.inner != nil {
-		d.inner.TransferDeparted(from, to, tasks, t)
+		d.inner.TransferDeparted(from, to, tasks, flight, t)
 	}
 }
 
-// TransferArrived implements sim.TaskObserver by delegation.
+// TransferArrived implements sim.TaskObserver: the tracer's ledger, then
+// the inner observer.
 //
 //churnlb:hotpath
-func (d *DecisionTracer) TransferArrived(to, tasks int, t float64) {
+func (d *DecisionTracer) TransferArrived(to, tasks, flight int, t float64) {
+	d.ledger.TransferArrived(to, tasks, flight, t)
 	if d.inner != nil {
-		d.inner.TransferArrived(to, tasks, t)
+		d.inner.TransferArrived(to, tasks, flight, t)
+	}
+}
+
+// Armed implements sim.TaskObserver: the tracer's ledger, then the inner
+// observer.
+func (d *DecisionTracer) Armed(t float64) {
+	d.ledger.Armed(t)
+	if d.inner != nil {
+		d.inner.Armed(t)
 	}
 }
 

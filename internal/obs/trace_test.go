@@ -211,11 +211,13 @@ func TestCounterfactualPricing(t *testing.T) {
 	// node 3 is the best choice; the router "chose" node 0 (the worst).
 	queues := []int{9, 9, 9, 9}
 	up := []bool{true, true, true, true}
+	d.Armed(0)
 	d.Decision(view(1.5, queues, up), 0, 1, 0)
+	d.TasksArrived(0, 1, 1.5)
 	if d.Stats().Unmatched != 1 {
 		t.Fatalf("open decisions = %d, want 1", d.Stats().Unmatched)
 	}
-	d.TaskCompleted(0, 1.5, 2.0, 4.5) // sojourn 3.0 completes the batch
+	d.TaskCompleted(0, 4.5) // sojourn 3.0 completes the batch
 	st := d.Stats()
 	if st.Records != 1 || st.Unmatched != 0 {
 		t.Fatalf("records %d unmatched %d, want 1, 0", st.Records, st.Unmatched)
@@ -260,19 +262,23 @@ func TestBatchAndUnmatched(t *testing.T) {
 		RecRate:  []float64{0.1, 0.1},
 	}
 	d := NewDecisionTracer(p, TraceOptions{})
-	d.Decision(view(1, []int{0, 0}, []bool{true, true}), 0, 3, 0)
-	d.Decision(view(2, []int{1, 0}, []bool{true, true}), 1, 1, 0)
-	d.TaskCompleted(0, 1, 1, 3)
-	d.TaskCompleted(0, 1, 3, 5)
+	d.TasksArrived(1, 1, 0) // initial backlog
+	d.Armed(0)
+	d.Decision(view(1, []int{0, 1}, []bool{true, true}), 0, 3, 0)
+	d.TasksArrived(0, 3, 1)
+	d.Decision(view(2, []int{3, 1}, []bool{true, true}), 1, 1, 0)
+	d.TasksArrived(1, 1, 2)
+	d.TaskCompleted(0, 3)
+	d.TaskCompleted(0, 5)
 	if st := d.Stats(); st.Records != 0 || st.Unmatched != 2 {
 		t.Fatalf("mid-batch stats %+v, want 0 records, 2 open", st)
 	}
-	d.TaskCompleted(0, 1, 5, 7)
+	d.TaskCompleted(0, 7)
 	if st := d.Stats(); st.Records != 1 || st.Unmatched != 1 {
 		t.Fatalf("after batch drain %+v, want 1 record, 1 open", st)
 	}
 	// Completions with no matching decision (initial backlog) are ignored.
-	d.TaskCompleted(1, 0, 0, 1)
+	d.TaskCompleted(1, 8)
 	if st := d.Stats(); st.Records != 1 || st.Unmatched != 1 {
 		t.Fatalf("t=0 completion perturbed stats: %+v", st)
 	}
@@ -301,7 +307,8 @@ func TestWriterErrorLatched(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tm := float64(i + 1)
 		d.Decision(view(tm, []int{0, 0}, []bool{true, true}), 0, 1, 0)
-		d.TaskCompleted(0, tm, tm, tm+1)
+		d.TasksArrived(0, 1, tm)
+		d.TaskCompleted(0, tm+1)
 	}
 	if d.Err() == nil {
 		t.Fatal("writer error not latched")
@@ -311,15 +318,16 @@ func TestWriterErrorLatched(t *testing.T) {
 	}
 }
 
-// TestTaskObserverDelegation: every lifecycle hook reaches the wrapped
+// TestTaskObserverDelegation: every observer hook reaches the wrapped
 // inner observer.
-type countObserver struct{ arrived, completed, state, dep, arr int }
+type countObserver struct{ arrived, completed, state, dep, arr, armed int }
 
-func (c *countObserver) TasksArrived(node, count int, t float64)                    { c.arrived++ }
-func (c *countObserver) TaskCompleted(node int, arrival, first, completion float64) { c.completed++ }
-func (c *countObserver) NodeStateChanged(node int, up bool, t float64)              { c.state++ }
-func (c *countObserver) TransferDeparted(from, to, tasks int, t float64)            { c.dep++ }
-func (c *countObserver) TransferArrived(to, tasks int, t float64)                   { c.arr++ }
+func (c *countObserver) TasksArrived(node, count int, t float64)                 { c.arrived++ }
+func (c *countObserver) TaskCompleted(node int, t float64)                       { c.completed++ }
+func (c *countObserver) NodeStateChanged(node int, up bool, t float64)           { c.state++ }
+func (c *countObserver) TransferDeparted(from, to, tasks, flight int, t float64) { c.dep++ }
+func (c *countObserver) TransferArrived(to, tasks, flight int, t float64)        { c.arr++ }
+func (c *countObserver) Armed(t float64)                                         { c.armed++ }
 
 func TestTaskObserverDelegation(t *testing.T) {
 	p := model.Params{
@@ -329,12 +337,13 @@ func TestTaskObserverDelegation(t *testing.T) {
 	}
 	inner := &countObserver{}
 	d := NewDecisionTracer(p, TraceOptions{Observer: inner})
-	d.TasksArrived(0, 1, 1)
-	d.TaskCompleted(0, 1, 1, 2)
+	d.TasksArrived(0, 6, 0)
+	d.Armed(0)
+	d.TaskCompleted(0, 2)
 	d.NodeStateChanged(0, false, 3)
-	d.TransferDeparted(0, 1, 5, 4)
-	d.TransferArrived(1, 5, 5)
-	if inner.arrived != 1 || inner.completed != 1 || inner.state != 1 || inner.dep != 1 || inner.arr != 1 {
+	d.TransferDeparted(0, 1, 5, 0, 4)
+	d.TransferArrived(1, 5, 0, 5)
+	if inner.arrived != 1 || inner.completed != 1 || inner.state != 1 || inner.dep != 1 || inner.arr != 1 || inner.armed != 1 {
 		t.Fatalf("delegation missed hooks: %+v", inner)
 	}
 }

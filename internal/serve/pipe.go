@@ -1,15 +1,20 @@
 package serve
 
-import "churnlb/internal/metrics"
+import (
+	"churnlb/internal/metrics"
+	"churnlb/internal/sim"
+)
 
 // A serving run's telemetry runs beside its realisation, not inside it.
 // The simulator's observer hooks append one fixed-size record each to a
 // chunk; a full chunk crosses a channel to one consumer goroutine, which
-// replays the records in order into the metrics.Collector. The collector
-// is a function of the ordered hook stream alone — its P² sketches depend
-// on the order of the observations, never on when they are made — so its
-// output is bit-identical to a collector installed as the observer itself,
-// while its sketch and window work runs on another core when there is one.
+// replays the records in order into a sim.Ledger that rebuilds every
+// task's arrival and first service and feeds the metrics.Collector. Both
+// are functions of the ordered hook stream alone — the collector's P²
+// sketches depend on the order of the observations, never on when they
+// are made — so the output is bit-identical to a ledger and collector
+// installed as the observer itself, while the per-task records, the
+// sketches and the windows run on another core when there is one.
 
 const (
 	// chunkLen is the number of records one channel hand-off carries, about
@@ -18,7 +23,7 @@ const (
 	chunkLen = 512
 	// chunks is the number of chunks a run owns. The producer stalls only
 	// when the consumer is chunks-1 chunks behind; four of 512 records are
-	// 80 KB per run, allocated once.
+	// 64 KB per run, allocated once.
 	chunks = 4
 )
 
@@ -31,21 +36,22 @@ const (
 	recDown
 	recDeparted
 	recLanded
+	recArmed
 )
 
 // record is one observer call: node is the hook's first node argument,
-// peer TransferDeparted's destination, n the task count, x the float
-// arguments in hook order. Node ids and counts fit int32, the width of the
-// simulator's queues.
+// peer TransferDeparted's destination, n the task count, flight the
+// transfer's flight id and t the time. Node ids, counts and flight ids fit
+// int32, the width of the simulator's queues and flight table.
 type record struct {
-	x             [3]float64
-	node, peer, n int32
-	kind          recKind
+	t                     float64
+	node, peer, n, flight int32
+	kind                  recKind
 }
 
 // pipe is the sim.TaskObserver serve.Run installs: a single-producer,
 // single-consumer queue from the simulation goroutine to the goroutine
-// that replays into the collector. Every method but consume runs on the
+// that replays into the ledger. Every method but consume runs on the
 // simulation goroutine.
 type pipe struct {
 	buf  []record // the chunk being filled
@@ -57,9 +63,10 @@ type pipe struct {
 	done       chan struct{} // closed when the consumer has replayed everything
 }
 
-// openPipe starts the consumer that replays into col. The caller must
-// join the pipe on every path, or the consumer outlives the run.
-func openPipe(col *metrics.Collector) *pipe {
+// openPipe starts the consumer that replays a realisation of n nodes into
+// a ledger feeding col. The caller must join the pipe on every path, or
+// the consumer outlives the run.
+func openPipe(n int, col *metrics.Collector) *pipe {
 	mem := make([]record, chunks*chunkLen)
 	p := &pipe{
 		buf:  mem[:chunkLen:chunkLen],
@@ -70,7 +77,7 @@ func openPipe(col *metrics.Collector) *pipe {
 	for i := 1; i < chunks; i++ {
 		p.free <- mem[i*chunkLen : (i+1)*chunkLen : (i+1)*chunkLen]
 	}
-	go p.consume(col)
+	go p.consume(sim.NewLedger(n, col))
 	return p
 }
 
@@ -84,26 +91,31 @@ func (p *pipe) join() {
 	<-p.done
 }
 
-func (p *pipe) consume(col *metrics.Collector) {
+// consume replays every chunk into l and releases l once the producer has
+// closed the pipe.
+func (p *pipe) consume(l *sim.Ledger) {
 	defer close(p.done)
 	for c := range p.full {
 		for i := range c {
 			r := &c[i]
 			switch r.kind {
 			case recArrived:
-				col.TasksArrived(int(r.node), int(r.n), r.x[0])
+				l.TasksArrived(int(r.node), int(r.n), r.t)
 			case recCompleted:
-				col.TaskCompleted(int(r.node), r.x[0], r.x[1], r.x[2])
+				l.TaskCompleted(int(r.node), r.t)
 			case recUp, recDown:
-				col.NodeStateChanged(int(r.node), r.kind == recUp, r.x[0])
+				l.NodeStateChanged(int(r.node), r.kind == recUp, r.t)
 			case recDeparted:
-				col.TransferDeparted(int(r.node), int(r.peer), int(r.n), r.x[0])
+				l.TransferDeparted(int(r.node), int(r.peer), int(r.n), int(r.flight), r.t)
 			case recLanded:
-				col.TransferArrived(int(r.node), int(r.n), r.x[0])
+				l.TransferArrived(int(r.node), int(r.n), int(r.flight), r.t)
+			case recArmed:
+				l.Armed(r.t)
 			}
 		}
 		p.free <- c
 	}
+	l.Release()
 }
 
 // slot returns the next record to fill, handing the chunk over first when
@@ -134,15 +146,15 @@ func (p *pipe) handOff() {
 //churnlb:hotpath
 func (p *pipe) TasksArrived(node, count int, t float64) {
 	r := p.slot()
-	r.kind, r.node, r.n, r.x[0] = recArrived, int32(node), int32(count), t
+	r.kind, r.node, r.n, r.t = recArrived, int32(node), int32(count), t
 }
 
 // TaskCompleted implements sim.TaskObserver.
 //
 //churnlb:hotpath
-func (p *pipe) TaskCompleted(node int, arrival, firstService, completion float64) {
+func (p *pipe) TaskCompleted(node int, t float64) {
 	r := p.slot()
-	r.kind, r.node, r.x = recCompleted, int32(node), [3]float64{arrival, firstService, completion}
+	r.kind, r.node, r.t = recCompleted, int32(node), t
 }
 
 // NodeStateChanged implements sim.TaskObserver.
@@ -150,7 +162,7 @@ func (p *pipe) TaskCompleted(node int, arrival, firstService, completion float64
 //churnlb:hotpath
 func (p *pipe) NodeStateChanged(node int, up bool, t float64) {
 	r := p.slot()
-	r.kind, r.node, r.x[0] = recDown, int32(node), t
+	r.kind, r.node, r.t = recDown, int32(node), t
 	if up {
 		r.kind = recUp
 	}
@@ -159,15 +171,21 @@ func (p *pipe) NodeStateChanged(node int, up bool, t float64) {
 // TransferDeparted implements sim.TaskObserver.
 //
 //churnlb:hotpath
-func (p *pipe) TransferDeparted(from, to, tasks int, t float64) {
+func (p *pipe) TransferDeparted(from, to, tasks, flight int, t float64) {
 	r := p.slot()
-	r.kind, r.node, r.peer, r.n, r.x[0] = recDeparted, int32(from), int32(to), int32(tasks), t
+	r.kind, r.node, r.peer, r.n, r.flight, r.t = recDeparted, int32(from), int32(to), int32(tasks), int32(flight), t
 }
 
 // TransferArrived implements sim.TaskObserver.
 //
 //churnlb:hotpath
-func (p *pipe) TransferArrived(to, tasks int, t float64) {
+func (p *pipe) TransferArrived(to, tasks, flight int, t float64) {
 	r := p.slot()
-	r.kind, r.node, r.n, r.x[0] = recLanded, int32(to), int32(tasks), t
+	r.kind, r.node, r.n, r.flight, r.t = recLanded, int32(to), int32(tasks), int32(flight), t
+}
+
+// Armed implements sim.TaskObserver.
+func (p *pipe) Armed(t float64) {
+	r := p.slot()
+	r.kind, r.t = recArmed, t
 }

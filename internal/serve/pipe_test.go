@@ -37,19 +37,24 @@ func (p *tap) NodeStateChanged(node int, up bool, t float64) {
 	p.inner.NodeStateChanged(node, up, t)
 }
 
-func (p *tap) TransferDeparted(from, to, tasks int, t float64) {
+func (p *tap) TransferDeparted(from, to, tasks, flight int, t float64) {
 	p.records++
-	p.inner.TransferDeparted(from, to, tasks, t)
+	p.inner.TransferDeparted(from, to, tasks, flight, t)
 }
 
-func (p *tap) TransferArrived(to, tasks int, t float64) {
+func (p *tap) TransferArrived(to, tasks, flight int, t float64) {
 	p.records++
-	p.inner.TransferArrived(to, tasks, t)
+	p.inner.TransferArrived(to, tasks, flight, t)
 }
 
-func (p *tap) TaskCompleted(node int, arrival, firstService, completion float64) {
+func (p *tap) Armed(t float64) {
 	p.records++
-	p.inner.TaskCompleted(node, arrival, firstService, completion)
+	p.inner.Armed(t)
+}
+
+func (p *tap) TaskCompleted(node int, t float64) {
+	p.records++
+	p.inner.TaskCompleted(node, t)
 	if p.completed++; p.completed == p.cutAt {
 		close(p.cut)
 	}
@@ -102,8 +107,8 @@ func pipeCases(t *testing.T, seed uint64, newRouter func() policy.Router) []pipe
 
 // runCase runs c once. With direct nil the telemetry goes through Run's
 // pipe; otherwise the observer chain is a tap (counting the records) into
-// direct, a collector the simulator calls on its own goroutine, and Run's
-// pipe is left idle.
+// a ledger feeding direct, a collector, both called on the simulation
+// goroutine, and Run's pipe is left idle.
 func runCase(t *testing.T, c pipeCase, direct *metrics.Collector) (*Result, *tap) {
 	t.Helper()
 	opt := c.opt
@@ -116,7 +121,7 @@ func runCase(t *testing.T, c pipeCase, direct *metrics.Collector) (*Result, *tap
 		opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
 			tp.inner = inner
 			if direct != nil {
-				tp.inner = direct
+				tp.inner = sim.NewLedger(opt.Sim.Params.N(), direct)
 			}
 			return tp, &tp.sink
 		}
@@ -129,8 +134,9 @@ func runCase(t *testing.T, c pipeCase, direct *metrics.Collector) (*Result, *tap
 }
 
 // TestPipeMatchesDirectCollector: the telemetry Run computes on the pipe's
-// consumer goroutine is, bit for bit, what a metrics.Collector installed
-// straight into the same realisation computes — summary, windows, every P²
+// consumer goroutine is, bit for bit, what a sim.Ledger feeding a
+// metrics.Collector, installed straight into the same realisation,
+// computes — summary, windows, every P²
 // marker and the fairness tally — across routers, seeds, churn with LBP-2
 // transfers, an arrival trace, a closed backlog, an instrument in the
 // chain and an Interrupt fired mid-run. Every case spans many chunks and

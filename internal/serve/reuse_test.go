@@ -3,13 +3,67 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
+	"churnlb/internal/xrand"
 )
+
+// dropIdleMemory empties the simulator's idle lists of realisation arenas
+// and ledgers, so the next run builds its memory from nothing. It goes
+// through the public API: a Start nobody finishes and a ledger nobody
+// releases each take one idle entry and let it be collected, and a list
+// holds at most GOMAXPROCS entries.
+func dropIdleMemory(t *testing.T) {
+	t.Helper()
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		if _, err := sim.Start(sim.Options{Params: model.PaperBaseline(), InitialLoad: []int{0, 0}, Rand: xrand.New(1)}); err != nil {
+			t.Fatal(err)
+		}
+		sim.NewLedger(0, nil)
+	}
+}
+
+// TestLaterRunsAllocateATenth is the allocation regression test of the
+// memory a serving run reuses — the realisation's arena and the ledger's
+// per-node task deques, most of an observed run's memory: after one run of
+// a 100-node pod2 workload on fresh memory, the second and the third
+// allocate at most a tenth of the bytes the first did.
+func TestLaterRunsAllocateATenth(t *testing.T) {
+	sc, err := scenario.Generate(scenario.Spec{Kind: scenario.Hotspot, N: 1000, TotalLoad: 20000, Seed: 1, MTBF: 20, MTTR: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{
+		Sim: sim.Options{
+			Params: sc.Params, InitialLoad: sc.InitialLoad, InitialUp: sc.InitialUp,
+			ArrivalRate: 5000, ArrivalHorizon: 4,
+		},
+		NewRouter: func() policy.Router { return policy.PowerOfD{D: 2} },
+		Window:    1,
+		Seed:      1,
+	}
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	dropIdleMemory(t)
+	first := allocated()
+	for run := 2; run <= 3; run++ {
+		if later := allocated(); later > first/10 {
+			t.Errorf("run %d allocated %d B, the first %d B: want at most a tenth", run, later, first)
+		}
+	}
+}
 
 // decisionFold is a DecisionSink hashing every routing decision.
 type decisionFold struct{ sum uint64 }

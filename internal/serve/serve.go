@@ -2,8 +2,9 @@
 // churnlb.Serve API and the experiment harness: it wires a dispatcher
 // router, a balancing policy and the fixed-memory telemetry collector
 // into one simulator realisation driven by external arrivals. The
-// collector runs on a goroutine of its own, fed the observer hooks in
-// order (pipe.go), so its output is the same bits it would be inline.
+// per-task records (a sim.Ledger) and the collector run on a goroutine of
+// their own, fed the observer hooks in order (pipe.go), so their output is
+// the same bits it would be inline.
 package serve
 
 import (
@@ -40,13 +41,13 @@ type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Instrument, when non-nil, is invoked once per realisation with inner,
-	// the pipe that carries every lifecycle hook to the telemetry collector
-	// on its own goroutine, and returns the TaskObserver and DecisionSink
-	// to install in its place — the seam internal/obs's decision tracer
-	// plugs into (it wraps inner, delegating every lifecycle hook, and
-	// matches completions back to routing decisions). The instrument's
-	// hooks run on the simulation goroutine, where the DecisionSink's view
-	// is live. Attaching an instrument never perturbs the realisation: the
+	// the pipe that carries every observer hook to the ledger and the
+	// telemetry collector on their own goroutine, and returns the
+	// TaskObserver and DecisionSink to install in its place — the seam
+	// internal/obs's decision tracer plugs into (it wraps inner, delegating
+	// every hook, and keeps a sim.Ledger of its own to match completions
+	// back to routing decisions). The instrument's hooks run on the
+	// simulation goroutine, where the DecisionSink's view is live. Attaching an instrument never perturbs the realisation: the
 	// simulator consumes the same random stream either way. Single runs
 	// only — RunMany replications run concurrently and would interleave
 	// through one instrument's state, so it refuses the hook.
@@ -140,11 +141,12 @@ func Run(opt Options) (*Result, error) {
 	}, nil
 }
 
-// realise runs the realisation with its telemetry piped to col on a
-// goroutine of its own, and returns — on every path, a panic included —
-// only once that goroutine has replayed every record and exited.
+// realise runs the realisation with its telemetry piped to a ledger
+// feeding col on a goroutine of its own, and returns — on every path, a
+// panic included — only once that goroutine has replayed every record and
+// exited.
 func realise(so sim.Options, opt Options, col *metrics.Collector) (*sim.Result, bool, error) {
-	p := openPipe(col)
+	p := openPipe(so.Params.N(), col)
 	defer p.join()
 	so.TaskObserver = p
 	if opt.Instrument != nil {

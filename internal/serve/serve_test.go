@@ -119,7 +119,9 @@ func TestRunRefusesWhatItSupplies(t *testing.T) {
 	}{
 		{"Rand", func(o *sim.Options) { o.Rand = xrand.New(1) }},
 		{"Router", func(o *sim.Options) { o.Router = policy.JSQ{} }},
-		{"TaskObserver", func(o *sim.Options) { o.TaskObserver = metrics.NewCollector(o.Params.N(), 1) }},
+		{"TaskObserver", func(o *sim.Options) {
+			o.TaskObserver = sim.NewLedger(o.Params.N(), metrics.NewCollector(o.Params.N(), 1))
+		}},
 		{"DecisionSink", func(o *sim.Options) { o.DecisionSink = &decisionFold{} }},
 	} {
 		opt := testOptions(t)

@@ -38,46 +38,44 @@ type arena struct {
 	sched *des.Scheduler
 	queue des.QueueKind
 	hot   []nodeHot
-	// flights, freeFlights and flightRecs are the flight table's arrays.
+	// flights and freeFlights are the flight table's arrays.
 	flights     []flight
 	freeFlights []int32
-	flightRecs  [][]taskRec
 	// transferBuf is the episode buffer, sized by the t = 0 balance.
 	transferBuf []model.Transfer
-	// taskq is the observed runs' per-node task deques, each with the
-	// backing array its node's records grew to. An unobserved run carries
-	// it from Start to Finish untouched.
-	taskq []taskQueue
 }
 
-// idle holds the arenas no realisation is using, strongly and at most
-// GOMAXPROCS of them (the package comment says what follows from that).
-var idle struct {
-	sync.Mutex
-	arenas []arena
+// idleList holds memory no run is using, strongly and at most GOMAXPROCS
+// entries of it (the package comment says what follows from that): the
+// realisations' arenas, and the ledgers' task deques.
+type idleList[T any] struct {
+	mu    sync.Mutex
+	items []T
 }
 
-// takeArena removes and returns the most recently parked arena, or a zero
-// one when none is idle.
-func takeArena() arena {
-	idle.Lock()
-	defer idle.Unlock()
-	n := len(idle.arenas)
-	if n == 0 {
-		return arena{}
+// idle holds the arenas no realisation is using.
+var idle idleList[arena]
+
+// take removes and returns the most recently parked entry, or a zero one
+// when none is idle.
+func (l *idleList[T]) take() T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var x T
+	if n := len(l.items); n > 0 {
+		x = l.items[n-1]
+		clear(l.items[n-1:])
+		l.items = l.items[:n-1]
 	}
-	a := idle.arenas[n-1]
-	idle.arenas[n-1] = arena{}
-	idle.arenas = idle.arenas[:n-1]
-	return a
+	return x
 }
 
-// putArena parks a, or drops it when the list is full.
-func putArena(a arena) {
-	idle.Lock()
-	defer idle.Unlock()
-	if len(idle.arenas) < runtime.GOMAXPROCS(0) {
-		idle.arenas = append(idle.arenas, a)
+// put parks x, or drops it when the list is full.
+func (l *idleList[T]) put(x T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.items) < runtime.GOMAXPROCS(0) {
+		l.items = append(l.items, x)
 	}
 }
 
@@ -85,9 +83,9 @@ func putArena(a arena) {
 // from nothing: how a test measures one fresh realisation, and how it lets
 // go of a large one.
 func dropIdleArenas() {
-	idle.Lock()
-	defer idle.Unlock()
-	idle.arenas = nil
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	idle.items = nil
 }
 
 // zeroed returns a zeroed hot array of n nodes, on hot's memory when it
@@ -101,35 +99,17 @@ func zeroed(hot []nodeHot, n int) []nodeHot {
 	return hot
 }
 
-// emptied returns the arena's task deques cut to n empty ones, each
-// keeping its backing array, with new deques behind them when the arena
-// has held fewer nodes.
-func emptied(qs []taskQueue, n int) []taskQueue {
-	qs = qs[:cap(qs)]
-	if len(qs) < n {
-		qs = append(qs, make([]taskQueue, n-len(qs))...)
-	}
-	qs = qs[:n]
-	for i := range qs {
-		qs[i].recs, qs[i].head = qs[i].recs[:0], 0
-	}
-	return qs
-}
-
 // release resets what the finished run leaves in its arena and parks it.
 // The reset scheduler holds no closure and no dispatcher, so an idle arena
 // keeps nothing of the run alive but its arrays.
 func (s *simState) release() {
 	s.sched.Reset()
-	clear(s.flightRecs)
-	putArena(arena{
+	idle.put(arena{
 		sched:       s.sched,
 		queue:       queueFor(len(s.hot)),
 		hot:         s.hot,
 		flights:     s.flights,
 		freeFlights: s.freeFlights,
-		flightRecs:  s.flightRecs,
 		transferBuf: s.transferBuf,
-		taskq:       s.taskq,
 	})
 }

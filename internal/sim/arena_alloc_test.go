@@ -25,50 +25,28 @@ func churnRealisation(tb testing.TB, nodes, tasks int) func(k uint64) sim.Option
 	}
 }
 
-// silentObserver is a TaskObserver that does, and allocates, nothing.
-type silentObserver struct{}
-
-func (silentObserver) TasksArrived(int, int, float64)               {}
-func (silentObserver) TaskCompleted(int, float64, float64, float64) {}
-func (silentObserver) NodeStateChanged(int, bool, float64)          {}
-func (silentObserver) TransferDeparted(int, int, int, float64)      {}
-func (silentObserver) TransferArrived(int, int, float64)            {}
-
 // TestArenaLaterRunsAllocateATenth is the allocation regression test of
 // the realisation arena: after one realisation of the benchmark's toy
 // churn block (100 nodes, 2 000 tasks) the second and the third allocate
-// at most a tenth of the bytes the first did, and so does the second
-// observed serving run, whose per-node task deques are most of its memory.
+// at most a tenth of the bytes the first did. (The serving layer's twin,
+// which covers the ledger's task deques, is in internal/serve.)
 func TestArenaLaterRunsAllocateATenth(t *testing.T) {
 	churn := churnRealisation(t, 100, 2000)
-	serve := func(k uint64) sim.Options {
+	allocated := func(k uint64) uint64 {
 		opt := churn(k)
-		opt.Policy, opt.LazyChurn = policy.NoBalance{}, false
-		opt.Router = policy.PowerOfD{D: 2}
-		opt.ArrivalRate, opt.ArrivalHorizon = 500, 10
-		opt.TaskObserver = silentObserver{}
-		return opt
-	}
-	for _, block := range []struct {
-		name        string
-		realisation func(k uint64) sim.Options
-	}{{"closed churn", churn}, {"observed serving", serve}} {
-		allocated := func(k uint64) uint64 {
-			opt := block.realisation(k)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := sim.Run(opt); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			return after.TotalAlloc - before.TotalAlloc
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := sim.Run(opt); err != nil {
+			t.Fatal(err)
 		}
-		sim.DropIdleArenas()
-		first := allocated(0)
-		for k := uint64(1); k <= 2; k++ {
-			if later := allocated(k); later > first/10 {
-				t.Errorf("%s: realisation %d allocated %d B, the first %d B: want at most a tenth", block.name, k, later, first)
-			}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	sim.DropIdleArenas()
+	first := allocated(0)
+	for k := uint64(1); k <= 2; k++ {
+		if later := allocated(k); later > first/10 {
+			t.Errorf("realisation %d allocated %d B, the first %d B: want at most a tenth", k, later, first)
 		}
 	}
 	sim.DropIdleArenas()

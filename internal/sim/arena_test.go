@@ -36,7 +36,7 @@ func outcomeBits(opt Options) []uint64 {
 		return []uint64{streamHashOf(err.Error())}
 	}
 	bits := resultBits(res)
-	if o, ok := opt.TaskObserver.(*streamHash); ok {
+	if o, ok := hashOf(opt.TaskObserver); ok {
 		bits = append(bits, o.h.Sum64())
 	}
 	if d, ok := opt.DecisionSink.(*decisionHash); ok {
@@ -114,13 +114,13 @@ func arenaCases() map[string]func(k uint64) Options {
 			o := churnHeavyOptions(80/shrink, 400/shrink, policy.LBP2{K: 1}, 300+k)
 			o.Router = policy.JSQ{}
 			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 120/float64(shrink), 2, 8
-			o.TaskObserver, o.DecisionSink = newStreamHash(), newDecisionHash()
+			o.TaskObserver, o.DecisionSink = NewLedger(o.Params.N(), newStreamHash()), newDecisionHash()
 			return o
 		}
 		cases["dynamic-arrivals/"+queue] = func(k uint64) Options {
 			o := churnHeavyOptions(30/shrink, 300/shrink, policy.Dynamic{Base: policy.LBP2{K: 0.5}}, 400+k)
 			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 20/float64(shrink), 3, 6
-			o.TaskObserver = newStreamHash()
+			o.TaskObserver = NewLedger(o.Params.N(), newStreamHash())
 			return o
 		}
 	}
@@ -147,9 +147,9 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 // TestArenaSurvivesAwkwardNeighbours runs the sequences that break a
 // naive reuse through one arena: a cluster far smaller than the one before
 // it and far larger than the one after, a Start nobody finishes, and
-// serving runs (task deques in use) alternating with closed ones (deques
-// carried along). Every run that drains leaves churn timers pending, so
-// each sequence also hands the next run an arena with events in it.
+// observed serving runs alternating with closed ones. Every run that
+// drains leaves churn timers pending, so each sequence also hands the next
+// run an arena with events in it.
 func TestArenaSurvivesAwkwardNeighbours(t *testing.T) {
 	cases := arenaCases()
 	sized := func(n, load int, observed bool) func() Options {
@@ -157,7 +157,7 @@ func TestArenaSurvivesAwkwardNeighbours(t *testing.T) {
 			o := churnHeavyOptions(n, load, policy.LBP2{K: 1}, uint64(n))
 			o.LazyChurn = !observed
 			if observed {
-				o.TaskObserver = newStreamHash()
+				o.TaskObserver = NewLedger(o.Params.N(), newStreamHash())
 			}
 			return o
 		}
@@ -221,7 +221,7 @@ func TestArenaParallelStudyMatchesSerial(t *testing.T) {
 		o := churnHeavyOptions(10+30*(rep%4), 600, policy.LBP2{K: 1}, uint64(rep))
 		o.LazyChurn = rep%2 == 0
 		if rep%8 == 3 {
-			o.TaskObserver = newStreamHash()
+			o.TaskObserver = NewLedger(o.Params.N(), newStreamHash())
 		}
 		return outcomeBits(o)
 	}
@@ -242,9 +242,9 @@ func TestArenaParallelStudyMatchesSerial(t *testing.T) {
 			t.Errorf("replication %d differs between 4 workers and the serial loop", rep)
 		}
 	}
-	idle.Lock()
-	n := len(idle.arenas)
-	idle.Unlock()
+	idle.mu.Lock()
+	n := len(idle.items)
+	idle.mu.Unlock()
 	if limit := runtime.GOMAXPROCS(0); n > limit {
 		t.Errorf("%d idle arenas after the study, the cap is GOMAXPROCS = %d", n, limit)
 	}

@@ -101,7 +101,7 @@ func TestInterleavedSendersMatchPerTransferRearm(t *testing.T) {
 	for _, delay := range []float64{0.05, 0} {
 		run := func(apply func(s *simState)) (*Result, uint64, uint64) {
 			o := newStreamHash()
-			s := episodeState(t, 6, 40, delay, o, 21)
+			s := episodeState(t, 6, 40, delay, NewLedger(6, o), 21)
 			apply(s) // at t = 0, over the timers Start armed
 			for i := 0; i < 25; i++ {
 				s.sched.ProcessNext()
@@ -163,7 +163,7 @@ func TestRunEpisodeMatchesQueueEpisode(t *testing.T) {
 		for _, delay := range []float64{0, 0.05} {
 			run := func(apply func(s *simState, ts []model.Transfer)) (*Result, uint64, uint64) {
 				o := newStreamHash()
-				s := episodeState(t, n, 2000, delay, o, 5)
+				s := episodeState(t, n, 2000, delay, NewLedger(n, o), 5)
 				for k, ts := range episodes {
 					// Fire enough events that the first run is still pending
 					// at the second episode and drained at the third.

@@ -29,7 +29,7 @@ type goldenCase struct {
 	traceFNV                        uint64
 	// externalArrivals and nextRand (the first word the run left in its
 	// stream) are compared when non-zero; obsCalls/obsFNV when the case
-	// installs a *streamHash TaskObserver, decisions/decisionFNV when it
+	// installs a ledger feeding a *streamHash, decisions/decisionFNV when it
 	// installs a *decisionHash DecisionSink.
 	externalArrivals int
 	nextRand         uint64
@@ -191,7 +191,7 @@ func goldenCases() []goldenCase {
 				hp, load := tracedOpenCluster()
 				return Options{Params: hp, Policy: policy.LBP2{K: 1}, InitialLoad: load, Rand: xrand.NewStream(63, 4),
 					Router: policy.PowerOfD{D: 2}, ArrivalRate: 4.5, ArrivalBatch: 2, ArrivalHorizon: 30, Trace: true,
-					TaskObserver: newStreamHash(), DecisionSink: newDecisionHash()}
+					TaskObserver: NewLedger(hp.N(), newStreamHash()), DecisionSink: newDecisionHash()}
 			},
 			completionBits: math.Float64bits(0x1.23e1f7d65d212p+06),
 			failures:       26, recoveries: 24, transfersSent: 50, tasksTransferred: 97,
@@ -287,7 +287,7 @@ func TestGoldenBitIdentical(t *testing.T) {
 					t.Errorf("next rng word %#x, want %#x", got, c.nextRand)
 				}
 			}
-			if o, ok := opt.TaskObserver.(*streamHash); ok {
+			if o, ok := hashOf(opt.TaskObserver); ok {
 				if got := o.h.Sum64(); o.calls != c.obsCalls || got != c.obsFNV {
 					t.Errorf("observer stream: %d calls, fnv %#x; want %d calls, fnv %#x", o.calls, got, c.obsCalls, c.obsFNV)
 				}

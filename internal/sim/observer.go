@@ -1,21 +1,57 @@
 package sim
 
-import "churnlb/internal/model"
+import (
+	"slices"
 
-// TaskObserver receives per-task lifecycle events and system state changes
-// from a running realisation — the telemetry hook behind the open-system
-// serving layer (internal/metrics implements it). The hook is strictly
-// opt-in: with Options.TaskObserver nil the simulator performs no per-task
-// bookkeeping, consumes exactly the same random stream, and fires exactly
-// the same events, so fixed-seed realisations stay bit-identical to the
-// closed-model simulator.
+	"churnlb/internal/model"
+)
+
+// TaskObserver receives what happens in a running realisation, node by
+// node: tasks joining, finishing and leaving queues, and nodes going up and
+// down — the telemetry hook behind the open-system serving layer. The
+// simulator reports events only and keeps no per-task records; a Ledger
+// rebuilds each task's arrival and first service from this stream, wherever
+// the observer chooses to run it (internal/serve runs it on its telemetry
+// goroutine). The hook is strictly opt-in: with Options.TaskObserver nil the
+// simulator calls nothing, and either way it consumes exactly the same
+// random stream and fires exactly the same events, so fixed-seed
+// realisations stay bit-identical to the closed-model simulator.
 //
-// All methods are invoked from the single simulation goroutine, in event
-// order, with non-decreasing timestamps. Implementations must not call
-// back into the simulator.
+// Every queue is first-in first-out: a node serves the task at its front,
+// arrivals and landings join at the back, and a transfer ships the tasks
+// at the back. All methods are invoked from the single simulation
+// goroutine, in event order, with non-decreasing timestamps.
+// Implementations must not call back into the simulator.
 type TaskObserver interface {
 	// TasksArrived reports count tasks joining node's queue at time t:
 	// the initial load at t = 0 and every external arrival batch.
+	TasksArrived(node, count int, t float64)
+	// TaskCompleted reports node finishing the task at the front of its
+	// queue at time t.
+	TaskCompleted(node int, t float64)
+	// NodeStateChanged reports node going up or down at time t, including
+	// nodes that start down at t = 0.
+	NodeStateChanged(node int, up bool, t float64)
+	// TransferDeparted reports the last tasks of from's queue leaving for
+	// to's at time t as batch flight: an id no other batch in flight holds,
+	// which TransferArrived repeats when the batch lands. Batches to one
+	// node may land in any order.
+	TransferDeparted(from, to, tasks, flight int, t float64)
+	// TransferArrived reports batch flight's tasks landing at the back of
+	// to's queue at time t; its id is free for the next departure.
+	TransferArrived(to, tasks, flight int, t float64)
+	// Armed reports, once per run, that Start has armed every node at time
+	// t: from here on every up node holding tasks serves its front one.
+	// Before it come the t = 0 load, the nodes that start down and the
+	// t = 0 balance.
+	Armed(t float64)
+}
+
+// TaskSink receives a realisation's per-task records: a TaskObserver's
+// stream in which every completion carries the task's arrival and first
+// service. A Ledger produces it; internal/metrics' Collector consumes it.
+type TaskSink interface {
+	// TasksArrived reports count tasks joining node's queue at time t.
 	TasksArrived(node, count int, t float64)
 	// TaskCompleted reports one task finishing at node. arrival is the
 	// instant the task entered the system, firstService the instant its
@@ -23,8 +59,7 @@ type TaskObserver interface {
 	// start), completion the current time. Sojourn time is
 	// completion-arrival; waiting time firstService-arrival.
 	TaskCompleted(node int, arrival, firstService, completion float64)
-	// NodeStateChanged reports node going up or down at time t, including
-	// nodes that start down at t = 0.
+	// NodeStateChanged reports node going up or down at time t.
 	NodeStateChanged(node int, up bool, t float64)
 	// TransferDeparted reports tasks leaving from's queue for to's at
 	// time t (they are in flight until TransferArrived).
@@ -52,8 +87,146 @@ type DecisionSink interface {
 	Decision(v model.StateView, chosen, batch, considered int)
 }
 
-// taskRec is the per-task lifecycle record maintained only when a
-// TaskObserver is installed. firstService is -1 until service begins.
+// Ledger is the TaskObserver that rebuilds per-task records: it mirrors
+// every queue with one record per task, stamps each task's first service,
+// and hands the stream on to a TaskSink with every completion carrying its
+// task's arrival and first service.
+//
+// The stamp rule is the simulator's: a node restarts service, and stamps
+// the task it starts, whenever its front may have changed while it is up —
+// a completion, a recovery, work joining an empty queue, a departure (the
+// sender serves what it keeps) and Start's arming of every node. So after
+// each call the ledger stamps the front of the node the call touched if
+// that node is up, holds tasks and its front has none — except that an
+// arrival stamps only a queue it found empty, and none before Armed. Tasks
+// joining behind a front change nothing in service, and by the rule an up
+// node's front already has its stamp (which saves reading the front of a
+// long queue). Start reports the t = 0 load before it arms any node and
+// applies its t = 0 balance in between, so a node that starts down is
+// first stamped when it recovers, and a t = 0 transfer that takes a
+// sender's whole queue ships its front unstamped.
+//
+// A Ledger serves one realisation from one goroutine. Its memory comes
+// from the ledger the last Release parked, the way a realisation's comes
+// from the last finished one's (see the package comment).
+type Ledger struct {
+	sink TaskSink
+	// q mirrors each node's queue and down its state (false: up).
+	q    []taskQueue
+	down []bool
+	// flights holds the records riding each flight id; a row keeps its
+	// backing array for the next batch that takes the id.
+	flights [][]taskRec
+	armed   bool
+}
+
+// NewLedger returns a ledger for a realisation of n nodes that feeds sink.
+func NewLedger(n int, sink TaskSink) *Ledger {
+	l := idleLedgers.take()
+	l.sink = sink
+	l.q = emptied(l.q, n)
+	l.down = slices.Grow(l.down[:0], n)[:n]
+	clear(l.down)
+	l.armed = false
+	return &l
+}
+
+// Release parks the ledger's memory for the next NewLedger; the ledger is
+// unusable afterwards.
+func (l *Ledger) Release() {
+	l.sink = nil
+	idleLedgers.put(*l)
+	*l = Ledger{}
+}
+
+// TasksArrived implements TaskObserver.
+//
+//churnlb:hotpath
+func (l *Ledger) TasksArrived(node, count int, t float64) {
+	q := &l.q[node]
+	idle := q.len() == 0
+	for k := 0; k < count; k++ {
+		q.push(taskRec{arrival: t, firstService: -1})
+	}
+	l.sink.TasksArrived(node, count, t)
+	if idle && l.armed {
+		l.stamp(node, t)
+	}
+}
+
+// TaskCompleted implements TaskObserver.
+//
+//churnlb:hotpath
+func (l *Ledger) TaskCompleted(node int, t float64) {
+	rec := l.q[node].pop()
+	l.sink.TaskCompleted(node, rec.arrival, rec.firstService, t)
+	l.stamp(node, t)
+}
+
+// NodeStateChanged implements TaskObserver.
+//
+//churnlb:hotpath
+func (l *Ledger) NodeStateChanged(node int, up bool, t float64) {
+	l.down[node] = !up
+	l.sink.NodeStateChanged(node, up, t)
+	l.stamp(node, t)
+}
+
+// TransferDeparted implements TaskObserver.
+//
+//churnlb:hotpath
+func (l *Ledger) TransferDeparted(from, to, tasks, flight int, t float64) {
+	if flight >= len(l.flights) {
+		l.growFlights(flight)
+	}
+	l.flights[flight] = l.q[from].takeTail(l.flights[flight][:0], tasks)
+	l.sink.TransferDeparted(from, to, tasks, t)
+	l.stamp(from, t)
+}
+
+// TransferArrived implements TaskObserver.
+//
+//churnlb:hotpath
+func (l *Ledger) TransferArrived(to, tasks, flight int, t float64) {
+	q := &l.q[to]
+	q.recs = append(q.recs, l.flights[flight]...)
+	l.sink.TransferArrived(to, tasks, t)
+	l.stamp(to, t)
+}
+
+// Armed implements TaskObserver: every up node holding tasks starts
+// serving its front.
+func (l *Ledger) Armed(t float64) {
+	l.armed = true
+	for i := range l.q {
+		l.stamp(i, t)
+	}
+}
+
+// stamp starts node i's front task at time t if the node is up, holds
+// tasks and its front has not been served yet.
+//
+//churnlb:hotpath
+func (l *Ledger) stamp(i int, t float64) {
+	q := &l.q[i]
+	if l.down[i] || q.len() == 0 {
+		return
+	}
+	if f := q.front(); f.firstService < 0 {
+		f.firstService = t
+	}
+}
+
+// growFlights extends the flight rows to cover id f.
+func (l *Ledger) growFlights(f int) {
+	l.flights = append(l.flights, make([][]taskRec, f+1-len(l.flights))...)
+}
+
+// idleLedgers holds the memory of released ledgers.
+var idleLedgers idleList[Ledger]
+
+// taskRec is one task's record in a Ledger. firstService is -1 until
+// service begins.
 type taskRec struct {
 	arrival      float64
 	firstService float64
@@ -86,10 +259,26 @@ func (q *taskQueue) pop() taskRec {
 	return r
 }
 
-// takeTail removes the last k records and returns them in queue order.
-func (q *taskQueue) takeTail(k int) []taskRec {
+// takeTail removes the last k records and appends them, in queue order,
+// to dst.
+func (q *taskQueue) takeTail(dst []taskRec, k int) []taskRec {
 	n := len(q.recs)
-	out := append([]taskRec(nil), q.recs[n-k:]...)
+	dst = append(dst, q.recs[n-k:]...)
 	q.recs = q.recs[:n-k]
-	return out
+	return dst
+}
+
+// emptied returns the task deques qs cut to n empty ones, each keeping
+// its backing array, with new deques behind them when qs has held fewer
+// nodes.
+func emptied(qs []taskQueue, n int) []taskQueue {
+	qs = qs[:cap(qs)]
+	if len(qs) < n {
+		qs = append(qs, make([]taskQueue, n-len(qs))...)
+	}
+	qs = qs[:n]
+	for i := range qs {
+		qs[i].recs, qs[i].head = qs[i].recs[:0], 0
+	}
+	return qs
 }

@@ -108,7 +108,7 @@ func TestTaskConservationUnderArrivals(t *testing.T) {
 			ArrivalBatch:   1 + int(nRaw)%3,
 			ArrivalHorizon: 25,
 			Router:         router,
-			TaskObserver:   obs,
+			TaskObserver:   NewLedger(n, obs),
 		}
 		if routerRaw%2 == 0 {
 			opt.ArrivalWave = Wave{Amplitude: 0.7, Period: 10}
@@ -186,7 +186,7 @@ func TestObserverIsZeroCost(t *testing.T) {
 	}
 	observed := base()
 	observed.Rand = xrand.NewStream(9, 4)
-	observed.TaskObserver = &countingObserver{t: t}
+	observed.TaskObserver = NewLedger(2, &countingObserver{t: t})
 	got, err := Run(observed)
 	if err != nil {
 		t.Fatal(err)

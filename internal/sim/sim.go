@@ -43,22 +43,23 @@
 // observer does rule out is LazyChurn, which needs nobody watching idle
 // nodes.)
 //
-// Realisations reuse their memory. Finish hands the realisation's arena — the des.Scheduler with its record slabs, free list and queue
-// arrays, the hot array, the flight table, the episode buffer (which also
-// carries the t = 0 balance when the policy is a policy.InitialAppender)
-// and, once an observed run has built them, the per-node task deques with
-// their backing arrays — to a package-level idle list, and the next Start
-// takes it back, so a study of thousands of short realisations allocates
-// its state once per worker instead of once per run. Only capacity is
-// kept: Start zeroes or truncates every array and Finish resets the
-// scheduler, record, bucket and slice layout never decide pop order, and
-// every output of a run is bit-identical whichever arena it ran on, used
-// or new (arena_test.go). The list is a mutex-guarded slice capped at
-// GOMAXPROCS arenas and holds them strongly: a serial caller always gets
-// its last arena back, a parallel study keeps one per worker, a Finish
-// that finds the list full drops its arena, and an idle arena stays
-// resident — at the size of the largest run that used it — until the
-// process ends. A Start nobody finishes just lets its arena be collected.
+// Realisations reuse their memory. Finish hands the realisation's arena —
+// the des.Scheduler with its record slabs, free list and queue arrays, the
+// hot array, the flight table and the episode buffer (which also carries
+// the t = 0 balance when the policy is a policy.InitialAppender) — to a
+// package-level idle list, and the next Start takes it back, so a study of
+// thousands of short realisations allocates its state once per worker
+// instead of once per run. Only capacity is kept: Start zeroes or
+// truncates every array and Finish resets the scheduler, record, bucket
+// and slice layout never decide pop order, and every output of a run is
+// bit-identical whichever arena it ran on, used or new (arena_test.go).
+// The list is a mutex-guarded slice capped at GOMAXPROCS arenas and holds
+// them strongly: a serial caller always gets its last arena back, a
+// parallel study keeps one per worker, a Finish that finds the list full
+// drops its arena, and an idle arena stays resident — at the size of the
+// largest run that used it — until the process ends. A Start nobody
+// finishes just lets its arena be collected. A Ledger's task deques are
+// reused the same way, from a list of their own.
 package sim
 
 import (
@@ -258,8 +259,9 @@ type Options struct {
 	// open-system serving layer. Routers may be stateful: supply a fresh
 	// instance per run.
 	Router policy.Router
-	// TaskObserver, when non-nil, receives per-task lifecycle events and
-	// state changes (see observer.go). nil costs nothing on the hot path.
+	// TaskObserver, when non-nil, receives every queue and up/down change
+	// (see observer.go; a Ledger turns them into per-task records). nil
+	// costs nothing on the hot path.
 	TaskObserver TaskObserver
 	// DecisionSink, when non-nil, receives every external-arrival routing
 	// decision (see observer.go). Like TaskObserver it is strictly opt-in
@@ -371,9 +373,9 @@ type simState struct {
 	rng   *xrand.Rand
 	// hot is the struct-of-arrays hot split: every per-node field the
 	// event loop touches per event, one packed struct per node (see
-	// nodeHot). Cold per-node state — task-lifecycle mirrors, the queue
-	// vectors of trace points — lives outside it and is materialized only
-	// on the opt-in paths that need it.
+	// nodeHot). Cold per-node state — the queue vectors of trace points —
+	// lives outside it and is materialized only on the opt-in path that
+	// needs it.
 	hot      []nodeHot
 	inFlight int
 	// remaining is queued plus in-flight tasks, maintained incrementally:
@@ -396,11 +398,9 @@ type simState struct {
 	fplan       *policy.FailurePlan
 	transferBuf []model.Transfer
 	// flights is the table of batches in flight and freeFlights its free
-	// rows; flightRecs, parallel to flights, carries the per-task records
-	// riding with a batch and exists only on observed runs.
+	// rows; a row's index is the flight id the TaskObserver is told.
 	flights     []flight
 	freeFlights []int32
-	flightRecs  [][]taskRec
 	// batching is set while applyTransfers applies a large episode: park
 	// then books deliveries into the scheduler's open batch.
 	batching bool
@@ -420,11 +420,8 @@ type simState struct {
 	// traceIdx is the cursor into Options.ArrivalTrace when a recorded
 	// schedule replaces the Poisson arrival process.
 	traceIdx int
-	// obs is set, and taskq in use, only when Options.TaskObserver is set:
-	// taskq mirrors each queue with per-task lifecycle records. (Otherwise
-	// taskq is whatever the arena holds, on its way to the next Start.)
-	obs   TaskObserver
-	taskq []taskQueue
+	// obs is Options.TaskObserver.
+	obs TaskObserver
 	// sink is Options.DecisionSink and considered the constant it is told
 	// with every decision: how many nodes the installed router's rule
 	// consults (policy.Considered), computed once per run.
@@ -594,7 +591,7 @@ func Start(opt Options) (*Realisation, error) {
 	// The state's arrays come from the arena the last finished realisation
 	// left (a zero one when none is idle): same contents as freshly made
 	// ones, whatever capacity that run grew them to.
-	a := takeArena()
+	a := idle.take()
 	if kind := queueFor(n); a.sched == nil || a.queue != kind {
 		a.sched = des.NewWithQueue(kind)
 	}
@@ -608,8 +605,6 @@ func Start(opt Options) (*Realisation, error) {
 		transferBuf: a.transferBuf[:0],
 		flights:     a.flights[:0],
 		freeFlights: a.freeFlights[:0],
-		flightRecs:  a.flightRecs[:0],
-		taskq:       a.taskq,
 	}
 	s.sched.SetDispatcher(s.dispatch)
 	for i := range s.hot {
@@ -680,13 +675,8 @@ func Start(opt Options) (*Realisation, error) {
 	}
 	if opt.TaskObserver != nil {
 		s.obs = opt.TaskObserver
-		s.taskq = emptied(s.taskq, n)
 		for i := range s.hot {
-			q := s.queueOf(i)
-			for t := 0; t < q; t++ {
-				s.taskq[i].push(taskRec{arrival: 0, firstService: -1})
-			}
-			if q > 0 {
+			if q := s.queueOf(i); q > 0 {
 				s.obs.TasksArrived(i, q, 0)
 			}
 			if !s.hot[i].up {
@@ -716,6 +706,9 @@ func Start(opt Options) (*Realisation, error) {
 		} else {
 			s.scheduleRecovery(i)
 		}
+	}
+	if s.obs != nil {
+		s.obs.Armed(s.sched.Now())
 	}
 	if opt.ArrivalRate > 0 || len(opt.ArrivalTrace) > 0 {
 		s.arrivalsOpen = true
@@ -875,9 +868,9 @@ func (s *simState) scheduleCompletion(i int) {
 
 // restartService is scheduleCompletion up to the calendar insert: it
 // cancels node i's outstanding completion timer and, if the node is up
-// with work queued, draws the fresh service stage and stamps the front
-// task. It returns the stage for armCompletion, negative when there is
-// nothing to arm.
+// with work queued, draws the fresh service stage for its front task
+// (whose first service a Ledger stamps). It returns the stage for
+// armCompletion, negative when there is nothing to arm.
 //
 //churnlb:hotpath
 func (s *simState) restartService(i int) float64 {
@@ -887,15 +880,7 @@ func (s *simState) restartService(i int) float64 {
 	if !h.up || h.queue == 0 {
 		return -1
 	}
-	d := s.rng.Exp(s.p.ProcRate[i])
-	if s.obs != nil {
-		// The front task is (re)entering service; stamp its first
-		// service start if it has none yet.
-		if f := s.taskq[i].front(); f.firstService < 0 {
-			f.firstService = s.sched.Now()
-		}
-	}
-	return d
+	return s.rng.Exp(s.p.ProcRate[i])
 }
 
 // armCompletion inserts node i's completion timer stage seconds from
@@ -927,8 +912,7 @@ func (s *simState) complete(i int) {
 		s.drainTime = s.sched.Now()
 	}
 	if s.obs != nil {
-		rec := s.taskq[i].pop()
-		s.obs.TaskCompleted(i, rec.arrival, rec.firstService, s.sched.Now())
+		s.obs.TaskCompleted(i, s.sched.Now())
 	}
 	s.observe(EvCompletion, i)
 	s.scheduleCompletion(i)
@@ -1106,11 +1090,11 @@ func (s *simState) recover(i int) {
 const episodeRunMin = 128
 
 // applyTransfers executes one balancing episode. Each transfer does to
-// the sender's random stream and task records exactly what re-arming its
-// completion process would — cancel the live timer and, if the node is up
-// with work left, draw a fresh service stage and stamp the front task —
-// but the calendar insert is held while consecutive transfers share a
-// sender: only the last draw of such a run can ever fire, so the timer is
+// the sender's random stream exactly what re-arming its completion process
+// would — cancel the live timer and, if the node is up with work left,
+// draw a fresh service stage — but the calendar insert is held while
+// consecutive transfers share a sender: only the last draw of such a run
+// can ever fire, so the timer is
 // armed once, at now + that draw, when the sender changes or the slice
 // ends. Policies emit an episode sender by sender, which turns k
 // cancel/insert pairs into one per sender; a slice that returns to an
@@ -1156,9 +1140,6 @@ func (s *simState) reserveEpisode(k int) {
 	rows := len(s.flights) + k
 	s.flights = append(make([]flight, 0, rows), s.flights...)
 	s.freeFlights = append(make([]int32, 0, rows), s.freeFlights...)
-	if s.obs != nil {
-		s.flightRecs = append(make([][]taskRec, 0, rows), s.flightRecs...)
-	}
 }
 
 // send ships one transfer. sent reports whether anything left the
@@ -1186,10 +1167,9 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 	if from.queue == 0 {
 		s.lazyDisarm(tr.From) // whole queue shipped away: sender detaches
 	}
-	var recs []taskRec
+	row := s.newFlight(flight{to: int32(tr.To), tasks: int32(tr.Tasks)})
 	if s.obs != nil {
-		recs = s.taskq[tr.From].takeTail(tr.Tasks)
-		s.obs.TransferDeparted(tr.From, tr.To, tr.Tasks, s.sched.Now())
+		s.obs.TransferDeparted(tr.From, tr.To, tr.Tasks, int(row), s.sched.Now())
 	}
 	// The task being processed may have been shipped: restart the sender's
 	// completion process against whatever remains, leaving the insert to
@@ -1201,31 +1181,30 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 	s.observe(EvSend, tr.From)
 
 	delay := s.opt.TransferMode.Delay(s.rng, s.p.DelayPerTask, tr.Tasks)
-	s.park(s.sched.Now()+delay, flight{to: int32(tr.To), tasks: int32(tr.Tasks)}, recs)
+	s.park(s.sched.Now()+delay, row)
 	return stage, true
 }
 
-// park books a batch in flight: a row of the flight table and the one
-// indexed event that lands it at time at — in the scheduler's open batch
-// while a large episode is being applied, on its queue otherwise.
+// newFlight takes a row of the flight table for batch f and returns it.
 //
 //churnlb:hotpath
-func (s *simState) park(at float64, f flight, recs []taskRec) {
-	var row int32
+func (s *simState) newFlight(f flight) int32 {
 	if n := len(s.freeFlights); n > 0 {
-		row = s.freeFlights[n-1]
+		row := s.freeFlights[n-1]
 		s.freeFlights = s.freeFlights[:n-1]
 		s.flights[row] = f
-	} else {
-		row = int32(len(s.flights))
-		s.flights = append(s.flights, f)
-		if s.obs != nil {
-			s.flightRecs = append(s.flightRecs, nil)
-		}
+		return row
 	}
-	if s.obs != nil {
-		s.flightRecs[row] = recs
-	}
+	s.flights = append(s.flights, f)
+	return int32(len(s.flights) - 1)
+}
+
+// park books the one indexed event that lands the batch in flight-table
+// row at time at — in the scheduler's open batch while a large episode is
+// being applied, on its queue otherwise.
+//
+//churnlb:hotpath
+func (s *simState) park(at float64, row int32) {
 	if s.batching {
 		s.sched.BatchIndexed(at, evKindDeliver, row)
 	} else {
@@ -1247,9 +1226,7 @@ func (s *simState) land(row int32) {
 	dst.queue += int32(tasks)
 	s.reindex(to)
 	if s.obs != nil {
-		s.taskq[to].recs = append(s.taskq[to].recs, s.flightRecs[row]...)
-		s.flightRecs[row] = nil
-		s.obs.TransferArrived(to, tasks, s.sched.Now())
+		s.obs.TransferArrived(to, tasks, int(row), s.sched.Now())
 	}
 	s.observe(EvArrival, to)
 	// A previously empty queue needs its completion process re-armed; a
@@ -1339,11 +1316,7 @@ func (s *simState) externalArrival() {
 	s.remaining += batch
 	s.res.ExternalArrivals += batch
 	if s.obs != nil {
-		now := s.sched.Now()
-		for t := 0; t < batch; t++ {
-			s.taskq[node].push(taskRec{arrival: now, firstService: -1})
-		}
-		s.obs.TasksArrived(node, batch, now)
+		s.obs.TasksArrived(node, batch, s.sched.Now())
 	}
 	s.observe(EvExternal, node)
 	if s.hot[node].up && int(s.hot[node].queue) == batch {

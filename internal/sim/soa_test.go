@@ -116,7 +116,7 @@ func TestHotStateMatchesAoSMirror(t *testing.T) {
 			ArrivalBatch:   1 + int(nRaw)%3,
 			ArrivalHorizon: 25,
 			Router:         router,
-			TaskObserver:   mirror,
+			TaskObserver:   NewLedger(n, mirror),
 			probe: func(s *simState, _ EventKind, _ int) {
 				events++
 				if !mirror.check(t, s.hot) {

@@ -43,7 +43,7 @@ func TestArrivalTraceExactInjection(t *testing.T) {
 		Router:       policy.JSQ{},
 		ArrivalBatch: 4,
 		ArrivalTrace: trace,
-		TaskObserver: obs,
+		TaskObserver: NewLedger(2, obs),
 	})
 	if err != nil {
 		t.Fatal(err)

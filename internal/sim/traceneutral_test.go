@@ -61,7 +61,7 @@ func TestTraceNeverPerturbs(t *testing.T) {
 				opt.Router = policy.PowerOfD{D: 2}
 			}
 			obs, sink := newStreamHash(), newDecisionHash()
-			opt.TaskObserver = obs
+			opt.TaskObserver = NewLedger(n, obs)
 			if routerRaw%8 >= 4 {
 				opt.DecisionSink = sink
 			}
