@@ -51,7 +51,11 @@ type Handle struct {
 	seq uint64
 }
 
-// event is the pooled queue record behind a Handle.
+// event is the pooled queue record behind a Handle. It is 64 bytes
+// (pinned by TestEventLayout): a slab of eventSlabSize records is a whole
+// number of cache lines and, laid out from a line boundary (eventSlab),
+// puts every record on one line, so a chain walk or a pop touches one
+// line per record.
 type event struct {
 	time float64
 	seq  uint64
@@ -66,12 +70,12 @@ type event struct {
 	// vb is the calendar queue's virtual bucket number (floor(time/width)
 	// under the queue's current width); unused by the heap.
 	vb int64
-	// next and prev thread the event into its calendar-queue bucket chain
-	// (see calQueue: buckets are intrusive doubly-linked lists, so a push
+	// next threads the event into its calendar-queue bucket chain (see
+	// calQueue: buckets are intrusive singly-linked lists, so a push
 	// touches no cache line beyond the bucket head and this record, which
 	// the caller is writing anyway); unused by the heap.
-	next, prev *event
-	owner      *Scheduler
+	next  *event
+	owner *Scheduler
 	// kind and arg identify an indexed event (fn == nil): the dispatcher
 	// receives them verbatim. They pack into what was struct padding, so
 	// indexed capability costs closure events nothing.
@@ -95,6 +99,18 @@ func (h Handle) Active() bool {
 // eventSlabSize is the number of event records newEvent carves from one
 // backing array before allocating the next slab.
 const eventSlabSize = 256
+
+// eventSlab is one slab's allocation. The Go allocator (1.22 on) puts an
+// 8-byte type header in front of a pointer-holding object of this size and
+// hands out the object itself on a 64-byte boundary, so unpadded records
+// would start 8 bytes into a line and every one would straddle two. The
+// pad moves records[0] onto the next line boundary at no cost in memory:
+// with or without it the slab takes the allocator's 18 KiB size class.
+// TestEventLayout checks the alignment.
+type eventSlab struct {
+	_       [56]byte
+	records [eventSlabSize]event
+}
 
 // Scheduler owns the simulation clock and the pending-event queue.
 type Scheduler struct {
@@ -358,7 +374,7 @@ func (s *Scheduler) remove(e *event) {
 func (s *Scheduler) newEvent() *event {
 	if len(s.slab) == 0 {
 		if s.nextSlab == len(s.slabs) {
-			s.slabs = append(s.slabs, make([]event, eventSlabSize))
+			s.slabs = append(s.slabs, new(eventSlab).records[:])
 		}
 		s.slab = s.slabs[s.nextSlab]
 		s.nextSlab++

@@ -28,12 +28,40 @@ func benchPending(b *testing.B, kind QueueKind, n int) {
 	}
 }
 
+// benchMix is benchPending on the shape of the closed workloads: n near
+// timers (mean 1) and n far ones (mean 200), each re-armed with its own
+// mean when it fires. The far timers are what stretch the gap between
+// pops now and then, so these rows show what the calendar's width rule
+// costs.
+func benchMix(b *testing.B, kind QueueKind, n int) {
+	s := NewWithQueue(kind)
+	rng := xrand.New(1)
+	rearm := func(kind, arg int32) {
+		mean := 1.0
+		if kind == 1 {
+			mean = 200
+		}
+		s.AfterIndexed(rng.ExpMean(mean), kind, arg)
+	}
+	s.SetDispatcher(rearm)
+	for i := 0; i < n; i++ {
+		rearm(0, 0)
+		rearm(1, 0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 // BenchmarkSchedulerPending's HeapN* / WheelN* rows time one
 // schedule+fire cycle against a standing 2N-timer population on each
 // backend — the numbers behind the README scheduler-cost table. A flat
 // Wheel line against a growing Heap line is the point of the calendar
 // queue; the N = 2…32 rows are the small populations where the heap
-// still wins, which is why the simulator keeps it below 16 nodes.
+// still wins, which is why the simulator keeps it below 16 nodes. The
+// HeapMixN* / WheelMixN* rows do the same on N near plus N far timers
+// (benchMix).
 func BenchmarkSchedulerPending(b *testing.B) {
 	for _, kind := range QueueKinds() {
 		name := "Heap"
@@ -43,6 +71,11 @@ func BenchmarkSchedulerPending(b *testing.B) {
 		for _, n := range []int{2, 4, 8, 16, 32, 100, 1000, 10000} {
 			b.Run(fmt.Sprintf("%sN%d", name, n), func(b *testing.B) {
 				benchPending(b, kind, n)
+			})
+		}
+		for _, n := range []int{1000, 10000, 100000} {
+			b.Run(fmt.Sprintf("%sMixN%d", name, n), func(b *testing.B) {
+				benchMix(b, kind, n)
 			})
 		}
 	}

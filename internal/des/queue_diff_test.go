@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -26,10 +27,10 @@ import (
 // once and replayed identically against each backend, so the only way two
 // backends can diverge is by ordering events differently.
 type qop struct {
-	kind      int     // 0 schedule, 1 cancel, 2 step, 3 run-horizon, 4 batch
+	kind      int     // 0 schedule, 1 cancel, 2 step, 3 run-horizon, 4 batch, 5 peek, 6 cancel by rank
 	delta     float64 // schedule: offset from the clock at execution time
 	child     float64 // schedule: >= 0 means the event schedules a child at now+child when it fires
-	cancelSel int     // cancel: index into the retained handles (mod len)
+	cancelSel int     // cancel: index into the retained handles (mod len); cancel by rank: the rank (mod 3)
 	horizon   float64 // run-horizon: offset from the clock
 	batch     []batchEv
 }
@@ -154,7 +155,7 @@ type progRun struct {
 	// became the run, or went onto the queue behind a pending run.
 	commits [2]int
 	// beforeOp, when set, runs ahead of every op.
-	beforeOp func()
+	beforeOp func(o qop)
 }
 
 // dispatch is the indexed-event handler: batch events log their id.
@@ -168,7 +169,7 @@ func (r *progRun) exec(ops []qop) {
 	s.SetDispatcher(r.dispatch)
 	for i, o := range ops {
 		if r.beforeOp != nil {
-			r.beforeOp()
+			r.beforeOp(o)
 		}
 		switch o.kind {
 		case 0:
@@ -183,18 +184,43 @@ func (r *progRun) exec(ops []qop) {
 					})
 				}
 			}))
-		case 1:
-			if len(r.handles) > 0 {
-				r.handles[o.cancelSel%len(r.handles)].Cancel()
-			}
+		case 1, 6:
+			r.target(o).Cancel()
 		case 2:
 			s.Step()
 		case 3:
 			s.Run(s.Now() + o.horizon)
 		case 4:
 			r.book(i, o.batch)
+		case 5:
+			s.PeekNextTime()
 		}
 	}
+}
+
+// target is the handle a cancel op names: a retained handle by index,
+// live or not, or for a cancel by rank the live retained event of that
+// rank in (time, seq) order — the earliest or one of the two behind it,
+// which is the same event on every backend. The zero Handle when there is
+// none.
+func (r *progRun) target(o qop) Handle {
+	if o.kind == 1 {
+		if len(r.handles) == 0 {
+			return Handle{}
+		}
+		return r.handles[o.cancelSel%len(r.handles)]
+	}
+	var live []Handle
+	for _, h := range r.handles {
+		if h.Active() {
+			live = append(live, h)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return eventLess(live[i].e, live[j].e) })
+	if k := o.cancelSel % 3; k < len(live) {
+		return live[k]
+	}
+	return Handle{}
 }
 
 // book executes one batch op.
@@ -427,7 +453,7 @@ func TestQueueDifferentialReset(t *testing.T) {
 			}
 			handlesA := r.handles
 			r.fired, r.handles = nil, nil
-			r.beforeOp = func() {
+			r.beforeOp = func(qop) {
 				for _, h := range handlesA {
 					if h.Active() {
 						t.Fatalf("%v seed %d: a handle from before Reset is active", kind, seed)
@@ -504,6 +530,156 @@ func TestResetKeepsCapacity(t *testing.T) {
 	}
 }
 
+// genUnlinkProgram derives a program aimed at the calendar queue's unlink
+// paths: most deltas on a coarse grid, so a slot holds chains of tied
+// records; peeks that cache a minimum and its predecessor before the next
+// op; cancels of the earliest retained events, which under ties are the
+// cached minimum and the record right before it in its chain; and drains
+// that leave only a tied far tail, whose next pop goes through the
+// sparse-tail fallback.
+func genUnlinkProgram(seed uint64, nOps int) []qop {
+	rng := xrand.NewStream(seed, 0x0411)
+	ops := make([]qop, 0, nOps)
+	for len(ops) < nOps {
+		o := qop{child: -1}
+		switch r := rng.Float64(); {
+		case r < 0.40:
+			switch d := rng.Float64(); {
+			case d < 0.75:
+				o.delta = float64(rng.Intn(4)) * 0.5
+			case d < 0.90:
+				o.delta = rng.Float64() * 2
+			default:
+				o.delta = 100 + float64(rng.Intn(3))*1000
+			}
+		case r < 0.47:
+			o.kind = 1
+			o.cancelSel = rng.Intn(1 << 20)
+		case r < 0.65:
+			o.kind = 5
+		case r < 0.80:
+			o.kind = 6
+			o.cancelSel = rng.Intn(3)
+		case r < 0.97:
+			o.kind = 2
+		default: // drain to the far tail
+			for i := 0; i < 40; i++ {
+				ops = append(ops, qop{kind: 2})
+			}
+			continue
+		}
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+// unlinkPaths counts, on a calendar-queue run, the cancels and pops that
+// took each of the calendar's unlink paths.
+type unlinkPaths struct {
+	midChain, tail, cachedMin, minPrev, fallbackPop int
+}
+
+// watch returns a beforeOp hook that checks r's calendar queue holds
+// exactly its Len records in its chains, then classifies the record each
+// cancel op is about to take out, and the minimum each step is about to
+// pop when only the sparse-tail fallback finds it. It peeks before a step
+// to see that; a peek commits nothing and the pop after it takes the same
+// event, so the run is the run without the hook.
+func (p *unlinkPaths) watch(t *testing.T, r *progRun) func(qop) {
+	return func(o qop) {
+		q := r.s.q.(*calQueue)
+		linked := 0
+		for _, head := range q.buckets {
+			for e := head; e != nil; e = e.next {
+				if linked++; linked > q.count {
+					t.Fatalf("the chains hold more than the queue's %d records: a record left linked, or a cycle", q.count)
+				}
+			}
+		}
+		if linked != q.count {
+			t.Fatalf("the chains hold %d records, the queue counts %d", linked, q.count)
+		}
+		switch o.kind {
+		case 1, 6:
+			h := r.target(o)
+			if !h.Active() {
+				return
+			}
+			e := h.e
+			switch head := q.buckets[int(e.vb&q.mask)]; {
+			case q.min == e:
+				p.cachedMin++
+			case q.min != nil && q.minPrev == e:
+				p.minPrev++
+			case e != head && e.next != nil:
+				p.midChain++
+			case e != head:
+				p.tail++
+			}
+		case 2:
+			if q.min != nil || len(r.s.run) > 0 {
+				return
+			}
+			f := q.fallbacks
+			if q.PeekMin() != nil && q.fallbacks > f && q.minPrev != nil {
+				p.fallbackPop++
+			}
+		}
+	}
+}
+
+// TestQueueDifferentialUnlink holds the calendar queue's unlink paths to
+// the heap oracle over 40 seeds of tie-heavy programs: cancels of a
+// mid-chain record, of a chain's tail, of the cached minimum and of its
+// cached predecessor between PeekMin and PopMin, and pops of a minimum
+// that only the sparse-tail fallback found behind a predecessor. Each
+// path must be taken somewhere. Then a scheduler Reset with tied chains
+// live and a cached minimum with a predecessor must fire the next
+// program exactly as a fresh one does.
+func TestQueueDifferentialUnlink(t *testing.T) {
+	var paths unlinkPaths
+	resetWithChains := 0
+	for seed := uint64(0); seed < 40; seed++ {
+		ops := genUnlinkProgram(seed, 600)
+		ref := runProgram(QueueHeap, false, ops)
+		r := &progRun{s: NewWithQueue(QueueCalendar), batched: true}
+		r.beforeOp = paths.watch(t, r)
+		r.exec(ops)
+		if !sameFires(t, "calendar", r.finish(), ref) {
+			t.Fatalf("seed %d", seed)
+		}
+
+		pre := &progRun{s: NewWithQueue(QueueCalendar), batched: true}
+		pre.exec(genUnlinkProgram(seed+1000, 300))
+		pre.s.PeekNextTime()
+		if q := pre.s.q.(*calQueue); q.min != nil && q.minPrev != nil {
+			resetWithChains++
+		}
+		pre.s.Reset()
+		pre.fired, pre.handles = nil, nil
+		pre.exec(ops)
+		if !sameFires(t, "calendar after a Reset with chains live", pre.finish(), ref) {
+			t.Fatalf("seed %d", seed)
+		}
+	}
+	t.Logf("paths taken: %+v; Resets with a cached minimum behind a predecessor: %d", paths, resetWithChains)
+	for _, c := range []struct {
+		what string
+		n    int
+	}{
+		{"cancel of a mid-chain record", paths.midChain},
+		{"cancel of a chain's tail", paths.tail},
+		{"cancel of the cached minimum", paths.cachedMin},
+		{"cancel of the cached minimum's predecessor", paths.minPrev},
+		{"pop after a sparse-tail fallback, behind a predecessor", paths.fallbackPop},
+		{"Reset with a cached minimum behind a predecessor", resetWithChains},
+	} {
+		if c.n == 0 {
+			t.Errorf("no %s", c.what)
+		}
+	}
+}
+
 // TestQueueDifferentialQuick replays many randomized programs; any
 // ordering disagreement between backends fails.
 func TestQueueDifferentialQuick(t *testing.T) {
@@ -523,6 +699,16 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 40, 1, 80, 2, 200, 3})
 	f.Add([]byte{10, 255, 10, 255, 10, 0, 60, 60, 60, 60, 90, 5, 130, 7})
 	f.Add([]byte{5, 47, 0, 8, 4, 3, 11, 20, 5, 9, 4, 250, 17, 200, 23, 46, 4, 1})
+	// Three records tied in one slot, chained newest first: cancel the
+	// middle one, then the tail.
+	f.Add([]byte{0, 8, 0, 8, 0, 8, 3, 1, 3, 0, 4, 0, 4, 0})
+	// Peek, then cancel the cached minimum before the pop.
+	f.Add([]byte{0, 8, 0, 8, 0, 8, 4, 170, 3, 240, 4, 0, 4, 0})
+	// Peek, then cancel the cached minimum's predecessor before the pop.
+	f.Add([]byte{0, 8, 0, 8, 0, 8, 4, 170, 3, 241, 4, 0, 4, 0, 4, 0})
+	// Only a tied far tail pending: the peek's fallback finds a minimum
+	// behind a predecessor, and the pops follow.
+	f.Add([]byte{2, 0, 2, 0, 2, 0, 4, 170, 4, 0, 4, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -543,12 +729,18 @@ func FuzzQueueOrder(f *testing.F) {
 				o.kind = 0
 				o.delta = 50 + float64(b)*37.5
 				o.child = -1
-			case 3:
+			case 3: // cancel a retained handle, or from 240 on the earliest live one or one of the two behind it
 				o.kind = 1
 				o.cancelSel = int(b)
-			case 4:
-				if b < 200 {
+				if b >= 240 {
+					o.kind = 6
+					o.cancelSel = int(b - 240)
+				}
+			case 4: // step, peek, or run to a horizon
+				if b < 160 {
 					o.kind = 2
+				} else if b < 200 {
+					o.kind = 5
 				} else {
 					o.kind = 3
 					o.horizon = float64(b%8) * 0.5
