@@ -64,11 +64,13 @@ type event struct {
 	// scheduler's dispatcher instead — no captured state, no allocation.
 	fn func()
 	// index is the event's position inside its queue backend — heap slot
-	// for the heap, 0 while enqueued for the calendar queue — and -1 once
-	// fired or cancelled (Handle.Active keys off the sign).
+	// for the heap; for the calendar queue 0 while in a bucket chain and
+	// slot + 1 while in its far tier — and -1 once fired or cancelled
+	// (Handle.Active keys off the sign).
 	index int
 	// vb is the calendar queue's virtual bucket number (floor(time/width)
-	// under the queue's current width); unused by the heap.
+	// under the queue's current width) while the event is in a bucket
+	// chain; unused by the heap and by the calendar's far tier.
 	vb int64
 	// next threads the event into its calendar-queue bucket chain (see
 	// calQueue: buckets are intrusive singly-linked lists, so a push

@@ -374,7 +374,9 @@ func TestQueueDifferentialBatch(t *testing.T) {
 // a cycle's needs, booking a batch that becomes the run and one that goes
 // onto the queue behind it, and firing both, allocates nothing — whether
 // the scheduler was fresh or already held a population, recycled records
-// and a part-used slab.
+// and a part-used slab. The population lies far beyond the calendar's
+// year, so on the calendar it is live in the far tier throughout, and the
+// cycles' sweeps read past it.
 func TestWarmBatchAllocatesNothing(t *testing.T) {
 	const burst = 3000
 	for _, kind := range QueueKinds() {
@@ -416,6 +418,9 @@ func TestWarmBatchAllocatesNothing(t *testing.T) {
 			}
 			if s.Len() != live {
 				t.Fatalf("%v: %d pending, want %d", kind, s.Len(), live)
+			}
+			if q, ok := s.q.(*calQueue); ok && q.far.n != live {
+				t.Fatalf("%v, %d standing: %d far entries, want the %d standing events", kind, standing, q.far.n, live)
 			}
 		}
 	}
@@ -482,10 +487,12 @@ func mallocsOf(f func()) uint64 {
 }
 
 // TestResetKeepsCapacity: Reset keeps every array a run grew — the record
-// slabs, the free list, the queue's arrays and the run's two — so once a
-// cycle of queue events, a batch that becomes the run, a batch that goes
-// onto the queue behind it, some firing and a Reset has run twice, the
-// next cycles allocate nothing, and a Reset itself never allocates.
+// slabs, the free list, the queue's arrays (the calendar's far-tier
+// blocks among them) and the run's two — so once a cycle of queue events,
+// some of them far beyond the calendar's year, a batch that becomes the
+// run, a batch that goes onto the queue behind it, some firing and a
+// Reset with the far events still live has run twice, the next cycles
+// allocate nothing, and a Reset itself never allocates.
 func TestResetKeepsCapacity(t *testing.T) {
 	const k = 3000
 	for _, kind := range QueueKinds() {
@@ -498,10 +505,14 @@ func TestResetKeepsCapacity(t *testing.T) {
 			}
 			s.CommitBatch()
 		}
+		farLive := 0 // far entries a calendar held at its last Reset
 		cycle := func() {
 			s.SetDispatcher(dispatch)
 			for i := 0; i < k; i++ {
 				s.AfterIndexed(rng.Float64()*10, 0, int32(i))
+				if i%4 == 0 {
+					s.AfterIndexed(1000+rng.Float64()*10, 0, int32(i))
+				}
 			}
 			book(k)
 			for i := 0; i < k/2; i++ {
@@ -510,6 +521,9 @@ func TestResetKeepsCapacity(t *testing.T) {
 			book(k / 2)
 			for i := 0; i < k/2; i++ {
 				s.Step()
+			}
+			if q, ok := s.q.(*calQueue); ok {
+				farLive = q.far.n
 			}
 			s.Reset()
 		}
@@ -527,16 +541,21 @@ func TestResetKeepsCapacity(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
 			t.Errorf("%v: %v allocations per queue-batch-Reset cycle on a warm scheduler, want 0", kind, allocs)
 		}
+		if q, ok := s.q.(*calQueue); ok && (farLive < k/4 || q.far.n != 0 || len(q.far.blocks) == 0) {
+			t.Errorf("%v: %d far entries live at the last Reset, %d after it in %d kept blocks: want at least %d, none, and the blocks kept",
+				kind, farLive, q.far.n, len(q.far.blocks), k/4)
+		}
 	}
 }
 
 // genUnlinkProgram derives a program aimed at the calendar queue's unlink
-// paths: most deltas on a coarse grid, so a slot holds chains of tied
-// records; peeks that cache a minimum and its predecessor before the next
-// op; cancels of the earliest retained events, which under ties are the
-// cached minimum and the record right before it in its chain; and drains
-// that leave only a tied far tail, whose next pop goes through the
-// sparse-tail fallback.
+// and tier paths: most deltas on a coarse grid, so a slot holds chains of
+// tied records; a tied tail far beyond the calendar's year, pushed into
+// the far tier; peeks that cache a minimum and its predecessor before the
+// next op; cancels of the earliest retained events, which under ties are
+// the cached minimum and the record right before it in its chain, and of
+// random retained ones, far entries among them; and drains that leave
+// only the far tail, whose next pop jumps over the empty near tier.
 func genUnlinkProgram(seed uint64, nOps int) []qop {
 	rng := xrand.NewStream(seed, 0x0411)
 	ops := make([]qop, 0, nOps)
@@ -573,32 +592,64 @@ func genUnlinkProgram(seed uint64, nOps int) []qop {
 	return ops
 }
 
-// unlinkPaths counts, on a calendar-queue run, the cancels and pops that
-// took each of the calendar's unlink paths.
+// unlinkPaths counts, on a calendar-queue run, the cancels, pops, sweeps
+// and resizes that took each of the calendar's unlink and tier paths.
 type unlinkPaths struct {
-	midChain, tail, cachedMin, minPrev, fallbackPop int
+	midChain, tail, cachedMin, minPrev int
+	farLast, farInner, jumpPop         int
+	farPush, migrated, toNear, toFar   int
 }
 
-// watch returns a beforeOp hook that checks r's calendar queue holds
-// exactly its Len records in its chains, then classifies the record each
-// cancel op is about to take out, and the minimum each step is about to
-// pop when only the sparse-tail fallback finds it. It peeks before a step
-// to see that; a peek commits nothing and the pop after it takes the same
-// event, so the run is the run without the hook.
+// checkTiers fails t unless q's two tiers hold exactly its Len records
+// and keep the calendar's invariant: every chained record sits in its
+// slot with a virtual bucket in [vcur, farBound) and index 0, farBound is
+// at most a year past vcur, and every far entry carries its record's
+// time, lies at or beyond farBound by that time, and its record's index
+// is its slot + 1.
+func checkTiers(t *testing.T, q *calQueue) {
+	t.Helper()
+	if nb := int64(len(q.buckets)); q.farBound > q.vcur+nb {
+		t.Fatalf("farBound %d is more than a year (%d buckets) past the scan position %d", q.farBound, nb, q.vcur)
+	}
+	linked := 0
+	for b, head := range q.buckets {
+		for e := head; e != nil; e = e.next {
+			if linked++; linked > q.count {
+				t.Fatalf("the chains hold more than the queue's %d records: a record left linked, or a cycle", q.count)
+			}
+			if e.vb < q.vcur || e.vb >= q.farBound || int(e.vb&q.mask) != b || e.index != 0 {
+				t.Fatalf("a chained record in slot %d has vb %d and index %d, want vb in [%d, %d) on that slot and index 0",
+					b, e.vb, e.index, q.vcur, q.farBound)
+			}
+		}
+	}
+	if linked+q.far.n != q.count {
+		t.Fatalf("the chains hold %d records and the far tier %d, the queue counts %d", linked, q.far.n, q.count)
+	}
+	for i := 0; i < q.far.n; i++ {
+		f := q.far.at(i)
+		if f.e.index != i+1 {
+			t.Fatalf("far entry %d has a record whose index is %d, want %d", i, f.e.index, i+1)
+		}
+		if f.time != f.e.time {
+			t.Fatalf("far entry %d holds time %v, its record %v", i, f.time, f.e.time)
+		}
+		if vb := q.vbOf(f.time); vb < q.farBound {
+			t.Fatalf("far entry %d has vb %d, below farBound %d", i, vb, q.farBound)
+		}
+	}
+}
+
+// watch returns a beforeOp hook that checks r's calendar queue with
+// checkTiers, then classifies the record each cancel op is about to take
+// out, and the minimum each step is about to pop when a jump over an
+// empty near tier finds it. It peeks before a step to see that; a peek
+// commits nothing and the pop after it takes the same event, so the run
+// is the run without the hook.
 func (p *unlinkPaths) watch(t *testing.T, r *progRun) func(qop) {
 	return func(o qop) {
 		q := r.s.q.(*calQueue)
-		linked := 0
-		for _, head := range q.buckets {
-			for e := head; e != nil; e = e.next {
-				if linked++; linked > q.count {
-					t.Fatalf("the chains hold more than the queue's %d records: a record left linked, or a cycle", q.count)
-				}
-			}
-		}
-		if linked != q.count {
-			t.Fatalf("the chains hold %d records, the queue counts %d", linked, q.count)
-		}
+		checkTiers(t, q)
 		switch o.kind {
 		case 1, 6:
 			h := r.target(o)
@@ -607,6 +658,10 @@ func (p *unlinkPaths) watch(t *testing.T, r *progRun) func(qop) {
 			}
 			e := h.e
 			switch head := q.buckets[int(e.vb&q.mask)]; {
+			case e.index > 0 && e.index == q.far.n:
+				p.farLast++
+			case e.index > 0:
+				p.farInner++
 			case q.min == e:
 				p.cachedMin++
 			case q.min != nil && q.minPrev == e:
@@ -620,22 +675,34 @@ func (p *unlinkPaths) watch(t *testing.T, r *progRun) func(qop) {
 			if q.min != nil || len(r.s.run) > 0 {
 				return
 			}
-			f := q.fallbacks
-			if q.PeekMin() != nil && q.fallbacks > f && q.minPrev != nil {
-				p.fallbackPop++
+			j := q.jumps
+			if q.PeekMin() != nil && q.jumps > j {
+				p.jumpPop++
 			}
 		}
 	}
 }
 
-// TestQueueDifferentialUnlink holds the calendar queue's unlink paths to
-// the heap oracle over 40 seeds of tie-heavy programs: cancels of a
-// mid-chain record, of a chain's tail, of the cached minimum and of its
-// cached predecessor between PeekMin and PopMin, and pops of a minimum
-// that only the sparse-tail fallback found behind a predecessor. Each
-// path must be taken somewhere. Then a scheduler Reset with tied chains
-// live and a cached minimum with a predecessor must fire the next
-// program exactly as a fresh one does.
+// tally adds what q's counters saw over a run to the totals.
+func (p *unlinkPaths) tally(q *calQueue) {
+	p.farPush += q.farPushes
+	p.migrated += q.migrated
+	p.toNear += q.toNear
+	p.toFar += q.toFar
+}
+
+// TestQueueDifferentialUnlink holds the calendar queue's unlink and tier
+// paths to the heap oracle over 40 seeds of tie-heavy programs, checking
+// both tiers (checkTiers) before every op: cancels of a mid-chain record,
+// of a chain's tail, of the cached minimum and of its cached predecessor
+// between PeekMin and PopMin; pushes into the far tier; cancels of the
+// far array's last entry and of one before it, whose slot the last
+// entry then takes; sweeps that link far entries; pops of a minimum found
+// by a jump over an empty near tier; and resizes that link far entries
+// and resizes that send chained records far. Each path must be
+// taken somewhere. Then a scheduler Reset with tied chains live and a
+// cached minimum with a predecessor must fire the next program exactly as
+// a fresh one does.
 func TestQueueDifferentialUnlink(t *testing.T) {
 	var paths unlinkPaths
 	resetWithChains := 0
@@ -648,6 +715,7 @@ func TestQueueDifferentialUnlink(t *testing.T) {
 		if !sameFires(t, "calendar", r.finish(), ref) {
 			t.Fatalf("seed %d", seed)
 		}
+		paths.tally(r.s.q.(*calQueue))
 
 		pre := &progRun{s: NewWithQueue(QueueCalendar), batched: true}
 		pre.exec(genUnlinkProgram(seed+1000, 300))
@@ -663,19 +731,82 @@ func TestQueueDifferentialUnlink(t *testing.T) {
 		}
 	}
 	t.Logf("paths taken: %+v; Resets with a cached minimum behind a predecessor: %d", paths, resetWithChains)
-	for _, c := range []struct {
-		what string
-		n    int
-	}{
-		{"cancel of a mid-chain record", paths.midChain},
-		{"cancel of a chain's tail", paths.tail},
-		{"cancel of the cached minimum", paths.cachedMin},
-		{"cancel of the cached minimum's predecessor", paths.minPrev},
-		{"pop after a sparse-tail fallback, behind a predecessor", paths.fallbackPop},
-		{"Reset with a cached minimum behind a predecessor", resetWithChains},
-	} {
+	for _, c := range append(paths.taken(), pathCount{"Reset with a cached minimum behind a predecessor", resetWithChains}) {
 		if c.n == 0 {
 			t.Errorf("no %s", c.what)
+		}
+	}
+}
+
+// pathCount is how often a run took one path.
+type pathCount struct {
+	what string
+	n    int
+}
+
+// taken lists what p counted, path by path.
+func (p *unlinkPaths) taken() []pathCount {
+	return []pathCount{
+		{"cancel of a mid-chain record", p.midChain},
+		{"cancel of a chain's tail", p.tail},
+		{"cancel of the cached minimum", p.cachedMin},
+		{"cancel of the cached minimum's predecessor", p.minPrev},
+		{"push into the far tier", p.farPush},
+		{"cancel of the far array's last entry", p.farLast},
+		{"cancel of a far entry before the last", p.farInner},
+		{"far entry linked by a sweep", p.migrated},
+		{"pop of a minimum found by a jump over an empty near tier", p.jumpPop},
+		{"far entry linked by a resize", p.toNear},
+		{"chained record sent far by a resize", p.toFar},
+	}
+}
+
+// farTierSeeds are FuzzQueueOrder seed entries, one per far-tier path of
+// the calendar queue (a fresh queue has 8 buckets of width 1, so its far
+// tier starts at t = 8; a sparse schedule lands at 50 or later).
+var farTierSeeds = []struct {
+	path string
+	data []byte
+}{
+	// A sparse schedule: far from the start.
+	{"push into the far tier", []byte{2, 127}},
+	// A dense and a sparse schedule, then two steps: the second finds
+	// the near tier empty.
+	{"pop of a minimum found by a jump over an empty near tier", []byte{0, 8, 2, 0, 4, 0, 4, 0}},
+	// One far event, cancelled.
+	{"cancel of the far array's last entry", []byte{2, 179, 3, 167}},
+	// Two far events; the first is cancelled and the second takes its slot.
+	{"cancel of a far entry before the last", []byte{2, 172, 2, 135, 3, 30}},
+	// Dense schedules with children: the first pop narrows the buckets
+	// and sends a child far, and a later pop brings the scan position
+	// within half a year of the far tier.
+	{"far entry linked by a sweep", []byte{0, 136, 1, 223, 0, 140, 1, 225}},
+	// Two far events: the first pop's gap widens the buckets, and the
+	// rebuild links the second.
+	{"far entry linked by a resize", []byte{2, 221, 2, 235}},
+	// Near events at 0.125 and 2.875: the first pop's gap narrows the
+	// buckets, and the rebuild sends the second far.
+	{"chained record sent far by a resize", []byte{1, 55, 1, 65}},
+}
+
+// TestFuzzSeedsTakeFarTierPaths replays each of farTierSeeds on the
+// calendar, checking both tiers before every op and every pop of the
+// drain, and fails a seed that no longer takes the path it is there for.
+func TestFuzzSeedsTakeFarTierPaths(t *testing.T) {
+	for _, seed := range farTierSeeds {
+		var p unlinkPaths
+		r := &progRun{s: NewWithQueue(QueueCalendar), batched: true}
+		r.beforeOp = p.watch(t, r)
+		r.exec(fuzzOps(seed.data))
+		for r.s.HasPending() {
+			r.beforeOp(qop{kind: 2})
+			r.s.Step()
+		}
+		p.tally(r.s.q.(*calQueue))
+		for _, c := range p.taken() {
+			if c.what == seed.path && c.n == 0 {
+				t.Errorf("seed %v took no %s", seed.data, c.what)
+			}
 		}
 	}
 }
@@ -706,59 +837,68 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 8, 0, 8, 4, 170, 3, 240, 4, 0, 4, 0})
 	// Peek, then cancel the cached minimum's predecessor before the pop.
 	f.Add([]byte{0, 8, 0, 8, 0, 8, 4, 170, 3, 241, 4, 0, 4, 0, 4, 0})
-	// Only a tied far tail pending: the peek's fallback finds a minimum
-	// behind a predecessor, and the pops follow.
+	// Only a tied far tail pending: the peek jumps to it over the empty
+	// near tier, and the pops follow.
 	f.Add([]byte{2, 0, 2, 0, 2, 0, 4, 170, 4, 0, 4, 0, 4, 0})
+	for _, seed := range farTierSeeds {
+		f.Add(seed.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 4096 {
-			data = data[:4096]
-		}
-		var ops []qop
-		for i := 0; i+1 < len(data); i += 2 {
-			a, b := data[i], data[i+1]
-			o := qop{}
-			switch a % 6 {
-			case 0, 1: // dense schedule; b quantizes so ties arise
-				o.kind = 0
-				o.delta = float64(b%32) * 0.125
-				o.child = -1
-				if b >= 128 {
-					o.child = float64(b%16) * 0.25
-				}
-			case 2: // sparse schedule
-				o.kind = 0
-				o.delta = 50 + float64(b)*37.5
-				o.child = -1
-			case 3: // cancel a retained handle, or from 240 on the earliest live one or one of the two behind it
-				o.kind = 1
-				o.cancelSel = int(b)
-				if b >= 240 {
-					o.kind = 6
-					o.cancelSel = int(b - 240)
-				}
-			case 4: // step, peek, or run to a horizon
-				if b < 160 {
-					o.kind = 2
-				} else if b < 200 {
-					o.kind = 5
-				} else {
-					o.kind = 3
-					o.horizon = float64(b%8) * 0.5
-				}
-			default: // batch of 1–48 on the same grid, every fifth tied to a pending event, every seventh plain
-				o.kind = 4
-				o.batch = make([]batchEv, 1+int(b)%48)
-				for j := range o.batch {
-					o.batch[j] = batchEv{delta: float64((int(b)+7*j)%32) * 0.125, tie: -1, plain: j%7 == 3}
-					if j%5 == 0 {
-						o.batch[j].tie = int(b) + j
-					}
+		assertSameOrder(t, fuzzOps(data))
+	})
+}
+
+// fuzzOps decodes FuzzQueueOrder's input: each byte pair is one op, and
+// at most 4096 bytes are read.
+func fuzzOps(data []byte) []qop {
+	if len(data) > 4096 {
+		data = data[:4096]
+	}
+	var ops []qop
+	for i := 0; i+1 < len(data); i += 2 {
+		a, b := data[i], data[i+1]
+		o := qop{}
+		switch a % 6 {
+		case 0, 1: // dense schedule; b quantizes so ties arise
+			o.kind = 0
+			o.delta = float64(b%32) * 0.125
+			o.child = -1
+			if b >= 128 {
+				o.child = float64(b%16) * 0.25
+			}
+		case 2: // sparse schedule
+			o.kind = 0
+			o.delta = 50 + float64(b)*37.5
+			o.child = -1
+		case 3: // cancel a retained handle, or from 240 on the earliest live one or one of the two behind it
+			o.kind = 1
+			o.cancelSel = int(b)
+			if b >= 240 {
+				o.kind = 6
+				o.cancelSel = int(b - 240)
+			}
+		case 4: // step, peek, or run to a horizon
+			if b < 160 {
+				o.kind = 2
+			} else if b < 200 {
+				o.kind = 5
+			} else {
+				o.kind = 3
+				o.horizon = float64(b%8) * 0.5
+			}
+		default: // batch of 1–48 on the same grid, every fifth tied to a pending event, every seventh plain
+			o.kind = 4
+			o.batch = make([]batchEv, 1+int(b)%48)
+			for j := range o.batch {
+				o.batch[j] = batchEv{delta: float64((int(b)+7*j)%32) * 0.125, tie: -1, plain: j%7 == 3}
+				if j%5 == 0 {
+					o.batch[j].tie = int(b) + j
 				}
 			}
-			ops = append(ops, o)
 		}
-		assertSameOrder(t, ops)
-	})
+		ops = append(ops, o)
+	}
+	return ops
 }
 
 // TestQueueDifferentialChurnRealisation replays a whole churn-heavy

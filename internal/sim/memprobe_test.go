@@ -50,8 +50,8 @@ func probeParams(n int) (model.Params, []int) {
 // table (run with -v and copy the B/node figures) and holds every row to
 // the budget below; TestMillionNodeSmoke does the same at N = 10⁶.
 func TestMemProbe(t *testing.T) {
-	// budget is the B/node ceiling of every row: the rows measure 315–385
-	// (README), and the ceiling leaves a quarter for GC timing.
+	// budget is the B/node ceiling of every row: the rows measure 347–407
+	// (README), and the ceiling leaves a sixth or more for GC timing.
 	const budget = 480
 	for _, tc := range []struct {
 		name string

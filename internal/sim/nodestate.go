@@ -14,7 +14,16 @@ import (
 // an N=10⁵ realisation was dominated by those misses. The struct is 56
 // bytes (pinned by TestNodeHotLayout), alignment-padded from 53, so two
 // nodes share cache lines more often than not and a 10⁶-node hot array
-// is 56 MB — the whole per-node working set of a realisation.
+// is 56 MB. A benchmark-sized array starts on a 64-byte boundary (also
+// pinned), so which nodes straddle two lines never varies.
+//
+// A completion reads two more per-node words: the service rate
+// (Params.ProcRate[i]) and the completion count (Result.Processed[i]).
+// They stay in their own arrays, 8 bytes a node each, which at N = 10⁵
+// stay largely cache-resident where the hot array does not. A 64-byte,
+// line-per-node nodeHot holding both (lazyFrom moved out to make room)
+// measured slower on closed-scale-1e5: it grows the array every random
+// node access lands in and saves no miss.
 //
 // Field order packs the two 16-byte handles first (8-aligned), the
 // float64 next, then the narrow fields, leaving only tail padding.

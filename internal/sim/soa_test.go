@@ -17,13 +17,33 @@ import (
 // two int32s and a bool, alignment-padded from 53). Growing it is not
 // forbidden — but it must be a conscious decision, because the hot array
 // is the entire per-node working set of a large realisation and a 10⁶-node
-// run budgets 56 MB for it.
+// run budgets 56 MB for it. It also pins where the array starts: the hot
+// array of a realisation of 10³ nodes or more — fresh, or a parked arena's
+// reused — begins on a 64-byte boundary, so which nodes straddle two cache
+// lines is the same in every run.
 func TestNodeHotLayout(t *testing.T) {
 	if got := unsafe.Sizeof(nodeHot{}); got != 56 {
 		t.Fatalf("nodeHot is %d bytes, want 56 — update the layout doc and the memory budget if this growth is intentional", got)
 	}
 	if got := unsafe.Sizeof(des.Handle{}); got != 16 {
 		t.Fatalf("des.Handle is %d bytes, want 16 — nodeHot's packing assumes two 8-aligned 16-byte handles", got)
+	}
+	dropIdleArenas()
+	defer dropIdleArenas()
+	for _, n := range []int{1000, 10000, 1000} { // the second 10³ run reuses the 10⁴ run's arena
+		p, load := probeParams(n)
+		r, err := Start(Options{Params: p, InitialLoad: load, Rand: xrand.NewStream(1, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addr := uintptr(unsafe.Pointer(&r.s.hot[0])); addr%64 != 0 {
+			t.Errorf("N=%d: the hot array starts at %#x, %d bytes past a cache line", n, addr, addr%64)
+		}
+		for !r.Done() && r.ProcessNext() {
+		}
+		if _, err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
