@@ -474,10 +474,12 @@ type ServeOptions struct {
 	// candidates (0 means the default depth of 3) and ServeResult
 	// carries the summary in Decisions. When DecisionLog is non-nil the
 	// tracer additionally streams one JSONL record per decision to it
-	// (a non-nil DecisionLog implies TraceDecisions). Tracing never
-	// perturbs the realisation — the simulator consumes the same random
-	// stream either way, so a traced run stays bit-identical to an
-	// untraced one. Single runs only: ServeMany rejects these options.
+	// (a non-nil DecisionLog implies TraceDecisions); the log is written
+	// from the run's telemetry goroutine and is complete when Serve
+	// returns, and a write error fails Serve. Tracing never perturbs the
+	// realisation — the tracer reads the telemetry stream the simulator
+	// emits either way, so a traced run stays bit-identical to an untraced
+	// one. Single runs only: ServeMany rejects these options.
 	TraceDecisions bool
 	DecisionK      int
 	DecisionLog    io.Writer
@@ -551,14 +553,8 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 	if err != nil {
 		return ServeResult{}, err
 	}
-	var tracer *obs.DecisionTracer
 	if opt.TraceDecisions || opt.DecisionLog != nil {
-		so.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
-			tracer = obs.NewDecisionTracer(so.Sim.Params, obs.TraceOptions{
-				K: opt.DecisionK, W: opt.DecisionLog, Observer: inner,
-			})
-			return tracer, tracer
-		}
+		so.Tracer = obs.NewDecisionTracer(so.Sim.Params, obs.TraceOptions{K: opt.DecisionK, W: opt.DecisionLog})
 	}
 	so.Interrupt = opt.Interrupt
 	run, err := serve.Run(so)
@@ -594,7 +590,7 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 			res.Utilization[i] = float64(done) / (p.ProcRate[i] * out.CompletionTime)
 		}
 	}
-	if tracer != nil {
+	if tracer := so.Tracer; tracer != nil {
 		if err := tracer.Err(); err != nil {
 			return ServeResult{}, fmt.Errorf("churnlb: decision log: %w", err)
 		}

@@ -1,6 +1,7 @@
 package churnlb
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -217,6 +218,32 @@ func TestServeValidation(t *testing.T) {
 	if _, err := ServeMany(PaperSystem(), PolicySpec{}, RouterSpec{}, 0, 1,
 		ServeOptions{Rate: 1, Horizon: 1}); err == nil {
 		t.Fatal("zero reps accepted")
+	}
+}
+
+// failingLog takes its first left bytes and then fails every write with
+// errDiskFull.
+type failingLog struct{ left int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingLog) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		n := w.left
+		w.left = 0
+		return n, errDiskFull
+	}
+	w.left -= len(p)
+	return len(p), nil
+}
+
+// TestServeDecisionLogError: a decision log that fails mid-run fails
+// Serve, naming the log and wrapping the writer's error.
+func TestServeDecisionLogError(t *testing.T) {
+	_, err := Serve(PaperSystem(), PolicySpec{Kind: PolicyLBP2, K: 1},
+		RouterSpec{Kind: RouterJSQ}, 5, ServeOptions{Rate: 2, Horizon: 60, DecisionLog: &failingLog{left: 200}})
+	if !errors.Is(err, errDiskFull) || !strings.HasPrefix(err.Error(), "churnlb: decision log: ") {
+		t.Fatalf("err = %v, want churnlb: decision log: wrapping %v", err, errDiskFull)
 	}
 }
 

@@ -11,8 +11,8 @@
 // routed through one scheduler-level dispatcher (AtIndexed/AfterIndexed +
 // SetDispatcher) — n entities need n zero closures. The loop itself is
 // decomposed into step primitives (HasPending, PeekNextTime, ProcessNext)
-// so a coordinator can drive several schedulers under one shared clock;
-// Run and RunUntil are thin loops over the primitives.
+// so a caller can fire one event at a time and act between two (the
+// simulator's Realisation steps this way); Run is a thin loop over them.
 //
 // Event records are pooled: a fired or cancelled event returns to a
 // per-scheduler free list and is reused by the next At/After call, so a
@@ -255,13 +255,12 @@ func (s *Scheduler) Reset() {
 
 // --- step primitives ---
 //
-// HasPending, PeekNextTime and ProcessNext decompose the event loop into
-// the shared-clock primitives a multi-scheduler driver needs: a
-// coordinator holding several schedulers (one per shard or failure
-// domain) peeks every queue, picks the earliest next-event time, and
-// processes exactly one event there — global timestamp order without any
-// scheduler knowing about the others. Run and RunUntil are thin loops
-// over these primitives, so single-scheduler behavior is unchanged.
+// HasPending, PeekNextTime and ProcessNext are the event loop taken
+// apart: ProcessNext fires exactly one event, so a caller can look at its
+// model or stop between two (the simulator's Realisation.ProcessNext, and
+// through it serving's interrupt poll), PeekNextTime reads when the next
+// one is due without firing it (Run's horizon check), and HasPending says
+// whether anything is left. Run is a thin loop over them.
 
 // HasPending reports whether any scheduled event remains.
 //
@@ -317,31 +316,14 @@ func (s *Scheduler) ProcessNext() bool {
 	return true
 }
 
-// Step fires the next pending event. It returns false when no events
-// remain. (The historical name of ProcessNext, kept as an alias.)
-//
-//churnlb:hotpath
-func (s *Scheduler) Step() bool { return s.ProcessNext() }
-
-// RunUntil fires events until the predicate becomes true or the event
-// queue drains. It returns true if the predicate was satisfied.
-func (s *Scheduler) RunUntil(done func() bool) bool {
-	for !done() {
-		if !s.ProcessNext() {
-			return done()
-		}
-	}
-	return true
-}
-
 // Run fires every event with time <= tMax and advances the clock to tMax.
 //
 // The horizon check re-reads the queue minimum after every fired event,
 // so an event that a firing event schedules at or before tMax — including
 // at exactly tMax, even from an event itself firing at tMax — always
 // fires in the same call, never stranded for a later Run. The flip side
-// is the caller's contract (as with RunUntil's predicate): an event chain
-// that keeps rescheduling itself at exactly tMax never terminates.
+// is the caller's contract: an event chain that keeps rescheduling itself
+// at exactly tMax never terminates.
 func (s *Scheduler) Run(tMax float64) {
 	for {
 		t, ok := s.PeekNextTime()

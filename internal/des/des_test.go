@@ -28,7 +28,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 			tt := times[i]
 			s.At(tt, func() { order = append(order, tt) })
 		}
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 		if len(order) != len(times) {
 			t.Fatalf("fired %d of %d", len(order), len(times))
@@ -52,7 +52,7 @@ func TestTieBreakByInsertion(t *testing.T) {
 			i := i
 			s.At(5.0, func() { order = append(order, i) })
 		}
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 		for i, v := range order {
 			if v != i {
@@ -69,7 +69,7 @@ func TestCancel(t *testing.T) {
 		ran := false
 		s.At(2, func() { ran = true })
 		h.Cancel()
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 		if fired {
 			t.Fatal("cancelled event fired")
@@ -90,7 +90,7 @@ func TestCancelIsIdempotentAndZeroSafe(t *testing.T) {
 		if zero.Active() {
 			t.Fatal("zero handle reports active")
 		}
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 	})
 }
@@ -121,7 +121,7 @@ func TestCancelRemovesEagerly(t *testing.T) {
 func TestStaleHandleCannotCancelReusedRecord(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
 		old := s.At(1, func() {})
-		s.Step() // fires and recycles old's record
+		s.ProcessNext() // fires and recycles old's record
 		fired := false
 		fresh := s.At(2, func() { fired = true })
 		old.Cancel() // stale: must not touch the reused record
@@ -131,7 +131,7 @@ func TestStaleHandleCannotCancelReusedRecord(t *testing.T) {
 		if old.Active() {
 			t.Fatal("stale handle reports active after its record was reused")
 		}
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 		if !fired {
 			t.Fatal("reused event did not fire")
@@ -155,7 +155,7 @@ func TestStaleHandleAfterCancelAndReuse(t *testing.T) {
 		if !fresh.Active() {
 			t.Fatal("stale cancel killed the event that reused the record")
 		}
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 		if !fired {
 			t.Fatal("reused event did not fire")
@@ -170,7 +170,7 @@ func TestClockAdvances(t *testing.T) {
 				t.Fatalf("clock %v inside event at 3.5", s.Now())
 			}
 		})
-		s.Step()
+		s.ProcessNext()
 		if s.Now() != 3.5 {
 			t.Fatalf("clock %v after event", s.Now())
 		}
@@ -185,7 +185,7 @@ func TestSchedulingFromWithinEvents(t *testing.T) {
 			s.After(1, func() { seq = append(seq, "c") })
 			s.After(0.5, func() { seq = append(seq, "b") })
 		})
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 		want := "abc"
 		got := ""
@@ -203,8 +203,8 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 		s.At(2, func() {
 			s.After(-5, func() {})
 		})
-		s.Step()
-		if !s.Step() {
+		s.ProcessNext()
+		if !s.ProcessNext() {
 			t.Fatal("clamped event not scheduled")
 		}
 		if s.Now() != 2 {
@@ -216,30 +216,13 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 func TestPastSchedulingPanics(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
 		s.At(5, func() {})
-		s.Step()
+		s.ProcessNext()
 		defer func() {
 			if recover() == nil {
 				t.Fatal("scheduling into the past did not panic")
 			}
 		}()
 		s.At(1, func() {})
-	})
-}
-
-func TestRunUntil(t *testing.T) {
-	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		count := 0
-		for i := 1; i <= 10; i++ {
-			s.At(float64(i), func() { count++ })
-		}
-		ok := s.RunUntil(func() bool { return count >= 4 })
-		if !ok || count != 4 {
-			t.Fatalf("RunUntil stopped at count=%d ok=%v", count, ok)
-		}
-		ok = s.RunUntil(func() bool { return count >= 100 })
-		if ok || count != 10 {
-			t.Fatalf("RunUntil on drained queue: count=%d ok=%v", count, ok)
-		}
 	})
 }
 
@@ -309,7 +292,7 @@ func TestFiredCounter(t *testing.T) {
 			s.At(float64(i), func() {})
 		}
 		s.At(10, func() {}).Cancel()
-		for s.Step() {
+		for s.ProcessNext() {
 		}
 		if s.Fired() != 5 {
 			t.Fatalf("Fired = %d, want 5 (cancelled events excluded)", s.Fired())
@@ -340,7 +323,7 @@ func TestHeapProperty(t *testing.T) {
 						cancelled++
 					}
 				}
-				for s.Step() {
+				for s.ProcessNext() {
 				}
 				if len(firedAt) != n-cancelled {
 					return false
@@ -361,7 +344,7 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 			rng := xrand.New(1)
 			for i := 0; i < b.N; i++ {
 				s.After(rng.Float64(), func() {})
-				s.Step()
+				s.ProcessNext()
 			}
 		})
 	}

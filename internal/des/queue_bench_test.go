@@ -24,7 +24,7 @@ func benchPending(b *testing.B, kind QueueKind, n int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Step()
+		s.ProcessNext()
 	}
 }
 
@@ -50,7 +50,7 @@ func benchMix(b *testing.B, kind QueueKind, n int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Step()
+		s.ProcessNext()
 	}
 }
 

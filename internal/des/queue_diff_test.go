@@ -14,7 +14,7 @@ import (
 // The tests in this file enforce the EventQueue contract: every backend
 // fires the exact same schedule in the exact same order. The heap is the
 // oracle; the calendar queue (and any future backend) is replayed against
-// it over randomized programs of At/After/Cancel/Step/Run operations,
+// it over randomized programs of At/After/Cancel/ProcessNext/Run operations,
 // including same-time ties, events scheduled by firing events, sparse
 // far-future tails (the calendar queue's direct-search path) and
 // cancellations that force bucket compaction and resizes. Programs may
@@ -187,7 +187,7 @@ func (r *progRun) exec(ops []qop) {
 		case 1, 6:
 			r.target(o).Cancel()
 		case 2:
-			s.Step()
+			s.ProcessNext()
 		case 3:
 			s.Run(s.Now() + o.horizon)
 		case 4:
@@ -260,7 +260,7 @@ func (r *progRun) book(op int, batch []batchEv) {
 // finish fires whatever is still pending and returns what the program
 // left.
 func (r *progRun) finish() progResult {
-	for r.s.Step() {
+	for r.s.ProcessNext() {
 	}
 	return progResult{r.fired, math.Float64bits(r.s.Now()), r.s.Fired()}
 }
@@ -516,11 +516,11 @@ func TestResetKeepsCapacity(t *testing.T) {
 			}
 			book(k)
 			for i := 0; i < k/2; i++ {
-				s.Step()
+				s.ProcessNext()
 			}
 			book(k / 2)
 			for i := 0; i < k/2; i++ {
-				s.Step()
+				s.ProcessNext()
 			}
 			if q, ok := s.q.(*calQueue); ok {
 				farLive = q.far.n
@@ -800,7 +800,7 @@ func TestFuzzSeedsTakeFarTierPaths(t *testing.T) {
 		r.exec(fuzzOps(seed.data))
 		for r.s.HasPending() {
 			r.beforeOp(qop{kind: 2})
-			r.s.Step()
+			r.s.ProcessNext()
 		}
 		p.tally(r.s.q.(*calQueue))
 		for _, c := range p.taken() {
@@ -950,7 +950,7 @@ func TestQueueDifferentialChurnRealisation(t *testing.T) {
 			svc[i] = s.After(rng.ExpMean(svcMean), serve(i))
 			s.After(rng.ExpMean(mtbf), fail(i))
 		}
-		for len(fired) < maxFires && s.Step() {
+		for len(fired) < maxFires && s.ProcessNext() {
 		}
 		return fired, math.Float64bits(s.Now())
 	}

@@ -1,13 +1,13 @@
-// Package obs is the structured observability bus of the reproduction:
-// decision tracing with counterfactual-k evaluation of the router's
-// untaken choices, machine-readable run manifests from which any result
-// is reproducible, and the profiling plumbing behind the CLIs' pprof
-// flags. Everything here is strictly opt-in — a realisation with no
-// tracer attached performs no bookkeeping and stays bit-identical — and
-// determinism-preserving when attached: the tracer consumes no
-// randomness and never perturbs the simulator's random stream, so a
-// traced fixed-seed run produces exactly the realisation an untraced
-// one does, plus a decision record stream with a stable FNV-1a hash.
+// Package obs is the observability layer of the reproduction: decision
+// tracing with counterfactual-k evaluation of the router's untaken
+// choices, machine-readable run manifests from which any result is
+// reproducible, and the profiling plumbing behind the CLIs' pprof flags.
+// The decision tracer is not a bus of its own: it reads the serving
+// layer's telemetry stream (internal/serve runs it beside the collector,
+// on the telemetry goroutine), so attaching it changes nothing the
+// simulator does — a traced fixed-seed run is exactly the realisation an
+// untraced one is, plus a decision record stream with a stable FNV-1a
+// hash.
 package obs
 
 import (
@@ -17,7 +17,6 @@ import (
 
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
-	"churnlb/internal/sim"
 )
 
 // FNV-1a 64-bit parameters; the running hash over the emitted JSONL
@@ -48,10 +47,6 @@ type TraceOptions struct {
 	// W receives the JSONL decision records; nil keeps only the running
 	// hash and summary statistics.
 	W io.Writer
-	// Observer is the inner TaskObserver to wrap (typically serve's
-	// telemetry pipe); the tracer delegates every hook to it, as the
-	// simulator made it. May be nil.
-	Observer sim.TaskObserver
 }
 
 // DecisionStats summarises a traced run.
@@ -89,22 +84,24 @@ type pendingDecision struct {
 	next      *pendingDecision
 }
 
-// DecisionTracer implements both sim.DecisionSink and sim.TaskObserver:
-// it records every routing decision with its counterfactual-k pricing,
-// matches task completions back to decisions by arrival timestamp (which a
-// sim.Ledger of its own rebuilds from the observer stream), and streams
-// one JSONL record per decision once the batch has fully completed — in
-// completion order, which is deterministic for a fixed seed. All scratch
-// is pooled, so a steady-state traced run allocates only in the io.Writer.
+// DecisionTracer records every routing decision with its
+// counterfactual-k pricing, matches task completions back to decisions by
+// arrival timestamp, and streams one JSONL record per decision once the
+// batch has fully completed — in completion order, which is deterministic
+// for a fixed seed. It is fed two calls: Decision, with the view the
+// router decided on, and TaskCompleted, with a completed task's arrival
+// stamp. internal/serve makes both from the ledger on its telemetry
+// goroutine (serve.Options.Tracer): a Decision before each arrival after
+// the realisation is armed, with the ledger's View, and every completion
+// the ledger rebuilds. All scratch is pooled, so a steady-state traced run
+// allocates only in the io.Writer.
 //
 // A tracer observes a single realisation; build a fresh one per run.
 type DecisionTracer struct {
-	p      model.Params
-	k      int
-	w      io.Writer
-	inner  sim.TaskObserver
-	ledger *sim.Ledger
-	err    error
+	p   model.Params
+	k   int
+	w   io.Writer
+	err error
 
 	seq     int
 	pending map[float64]*pendingDecision
@@ -126,17 +123,14 @@ func NewDecisionTracer(p model.Params, o TraceOptions) *DecisionTracer {
 	if k <= 0 {
 		k = DefaultCounterfactualK
 	}
-	d := &DecisionTracer{
+	return &DecisionTracer{
 		p:       p,
 		k:       k,
 		w:       o.W,
-		inner:   o.Observer,
 		pending: make(map[float64]*pendingDecision),
 		altBuf:  make([]Alt, 0, k+1),
 		hash:    fnvOffset64,
 	}
-	d.ledger = sim.NewLedger(p.N(), completions{d})
-	return d
 }
 
 // allocPending pops the free list, allocating only on a miss — kept out
@@ -149,9 +143,11 @@ func (d *DecisionTracer) allocPending() *pendingDecision {
 	return &pendingDecision{}
 }
 
-// Decision implements sim.DecisionSink: price the chosen node and the k
-// best untaken candidates over the whole pre-arrival view, then hold the
-// record until the batch completes.
+// Decision records one routing decision: batch tasks sent to chosen by a
+// rule that consulted considered nodes (policy.Considered), over the
+// pre-arrival view v. It prices the chosen node and the k best untaken
+// candidates over the whole view, then holds the record until the batch
+// completes. v is read during the call only.
 //
 //churnlb:hotpath
 func (d *DecisionTracer) Decision(v model.StateView, chosen, batch, considered int) {
@@ -197,19 +193,15 @@ func (d *DecisionTracer) Decision(v model.StateView, chosen, batch, considered i
 	d.open++
 }
 
-// completions is the sim.TaskSink of the tracer's ledger: of the per-task
-// records it only reads completions.
-type completions struct{ d *DecisionTracer }
-
-// TaskCompleted implements sim.TaskSink: match the completion back to its
-// decision by arrival timestamp (initial-backlog tasks arrived at t = 0
-// with no decision and miss, which is correct) and emit the record when
-// the batch has drained. Transfers preserve arrival timestamps, so a task
-// completes against its original decision wherever it ran.
+// TaskCompleted takes one task's completion, with sim.TaskSink's
+// arguments: match it back to its decision by arrival timestamp
+// (initial-backlog tasks arrived at t = 0 with no decision and miss, which
+// is correct) and emit the record when the batch has drained. Transfers
+// preserve arrival timestamps, so a task completes against its original
+// decision wherever it ran.
 //
 //churnlb:hotpath
-func (c completions) TaskCompleted(_ int, arrival, _, completion float64) {
-	d := c.d
+func (d *DecisionTracer) TaskCompleted(_ int, arrival, _, completion float64) {
 	// Head of the chain: with continuous arrival times a chain longer
 	// than one is measure-zero, and tasks of colliding decisions are
 	// indistinguishable by timestamp anyway.
@@ -220,23 +212,6 @@ func (c completions) TaskCompleted(_ int, arrival, _, completion float64) {
 			d.emit(rec)
 			d.unlink(arrival, rec)
 		}
-	}
-}
-
-func (completions) TasksArrived(int, int, float64)          {}
-func (completions) NodeStateChanged(int, bool, float64)     {}
-func (completions) TransferDeparted(int, int, int, float64) {}
-func (completions) TransferArrived(int, int, float64)       {}
-
-// TaskCompleted implements sim.TaskObserver: the tracer's ledger matches
-// the completed task back to its decision, then the hook goes on to the
-// inner observer.
-//
-//churnlb:hotpath
-func (d *DecisionTracer) TaskCompleted(node int, t float64) {
-	d.ledger.TaskCompleted(node, t)
-	if d.inner != nil {
-		d.inner.TaskCompleted(node, t)
 	}
 }
 
@@ -318,59 +293,6 @@ func (d *DecisionTracer) emit(rec *pendingDecision) {
 		if _, err := d.w.Write(b); err != nil {
 			d.err = err
 		}
-	}
-}
-
-// TasksArrived implements sim.TaskObserver: the tracer's ledger, then
-// the inner observer.
-//
-//churnlb:hotpath
-func (d *DecisionTracer) TasksArrived(node, count int, t float64) {
-	d.ledger.TasksArrived(node, count, t)
-	if d.inner != nil {
-		d.inner.TasksArrived(node, count, t)
-	}
-}
-
-// NodeStateChanged implements sim.TaskObserver: the tracer's ledger, then
-// the inner observer.
-//
-//churnlb:hotpath
-func (d *DecisionTracer) NodeStateChanged(node int, up bool, t float64) {
-	d.ledger.NodeStateChanged(node, up, t)
-	if d.inner != nil {
-		d.inner.NodeStateChanged(node, up, t)
-	}
-}
-
-// TransferDeparted implements sim.TaskObserver: the tracer's ledger, then
-// the inner observer.
-//
-//churnlb:hotpath
-func (d *DecisionTracer) TransferDeparted(from, to, tasks, flight int, t float64) {
-	d.ledger.TransferDeparted(from, to, tasks, flight, t)
-	if d.inner != nil {
-		d.inner.TransferDeparted(from, to, tasks, flight, t)
-	}
-}
-
-// TransferArrived implements sim.TaskObserver: the tracer's ledger, then
-// the inner observer.
-//
-//churnlb:hotpath
-func (d *DecisionTracer) TransferArrived(to, tasks, flight int, t float64) {
-	d.ledger.TransferArrived(to, tasks, flight, t)
-	if d.inner != nil {
-		d.inner.TransferArrived(to, tasks, flight, t)
-	}
-}
-
-// Armed implements sim.TaskObserver: the tracer's ledger, then the inner
-// observer.
-func (d *DecisionTracer) Armed(t float64) {
-	d.ledger.Armed(t)
-	if d.inner != nil {
-		d.inner.Armed(t)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"churnlb/internal/metrics"
+	"churnlb/internal/obs"
 	"churnlb/internal/sim"
 )
 
@@ -9,12 +10,17 @@ import (
 // The simulator's observer hooks append one fixed-size record each to a
 // chunk; a full chunk crosses a channel to one consumer goroutine, which
 // replays the records in order into a sim.Ledger that rebuilds every
-// task's arrival and first service and feeds the metrics.Collector. Both
-// are functions of the ordered hook stream alone — the collector's P²
-// sketches depend on the order of the observations, never on when they
-// are made — so the output is bit-identical to a ledger and collector
+// task's arrival and first service and feeds the metrics.Collector. A
+// decision tracer, when one rides the run, reads the same replay: each
+// arrival after Armed is one routing decision, priced over the ledger's
+// view before the ledger applies it, and every completion the ledger
+// rebuilds goes to the tracer as well as the collector. All of it is a
+// function of the ordered hook stream alone — the collector's P² sketches
+// depend on the order of the observations, never on when they are made —
+// so the output is bit-identical to a ledger, collector and tracer
 // installed as the observer itself, while the per-task records, the
-// sketches and the windows run on another core when there is one.
+// sketches, the windows and the decision log run on another core when
+// there is one.
 
 const (
 	// chunkLen is the number of records one channel hand-off carries, about
@@ -64,9 +70,10 @@ type pipe struct {
 }
 
 // openPipe starts the consumer that replays a realisation of n nodes into
-// a ledger feeding col. The caller must join the pipe on every path, or
-// the consumer outlives the run.
-func openPipe(n int, col *metrics.Collector) *pipe {
+// a ledger feeding col and, when tr is not nil, tr, whose decisions each
+// consulted considered nodes. The caller must join the pipe on every path,
+// or the consumer outlives the run.
+func openPipe(n int, col *metrics.Collector, tr *obs.DecisionTracer, considered int) *pipe {
 	mem := make([]record, chunks*chunkLen)
 	p := &pipe{
 		buf:  mem[:chunkLen:chunkLen],
@@ -77,8 +84,27 @@ func openPipe(n int, col *metrics.Collector) *pipe {
 	for i := 1; i < chunks; i++ {
 		p.free <- mem[i*chunkLen : (i+1)*chunkLen : (i+1)*chunkLen]
 	}
-	go p.consume(sim.NewLedger(n, col))
+	var sink sim.TaskSink = col
+	if tr != nil {
+		sink = tracedSink{col, tr}
+	}
+	go p.consume(sim.NewLedger(n, sink), tr, considered)
 	return p
+}
+
+// tracedSink is the ledger's sink when a decision tracer rides the run:
+// the collector's, with every completion told to the tracer too.
+type tracedSink struct {
+	*metrics.Collector
+	tr *obs.DecisionTracer
+}
+
+// TaskCompleted implements sim.TaskSink.
+//
+//churnlb:hotpath
+func (s tracedSink) TaskCompleted(node int, arrival, firstService, completion float64) {
+	s.Collector.TaskCompleted(node, arrival, firstService, completion)
+	s.tr.TaskCompleted(node, arrival, firstService, completion)
 }
 
 // join hands over the last partial chunk and returns once the consumer has
@@ -91,15 +117,21 @@ func (p *pipe) join() {
 	<-p.done
 }
 
-// consume replays every chunk into l and releases l once the producer has
-// closed the pipe.
-func (p *pipe) consume(l *sim.Ledger) {
+// consume replays every chunk into l, telling tr each decision, and
+// releases l once the producer has closed the pipe.
+//
+//churnlb:hotpath
+func (p *pipe) consume(l *sim.Ledger, tr *obs.DecisionTracer, considered int) {
 	defer close(p.done)
+	armed := false
 	for c := range p.full {
 		for i := range c {
 			r := &c[i]
 			switch r.kind {
 			case recArrived:
+				if tr != nil && armed {
+					tr.Decision(l.View(r.t), int(r.node), int(r.n), considered)
+				}
 				l.TasksArrived(int(r.node), int(r.n), r.t)
 			case recCompleted:
 				l.TaskCompleted(int(r.node), r.t)
@@ -110,6 +142,7 @@ func (p *pipe) consume(l *sim.Ledger) {
 			case recLanded:
 				l.TransferArrived(int(r.node), int(r.n), int(r.flight), r.t)
 			case recArmed:
+				armed = true
 				l.Armed(r.t)
 			}
 		}

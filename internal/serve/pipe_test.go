@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,58 +12,84 @@ import (
 
 	"churnlb/internal/metrics"
 	"churnlb/internal/model"
+	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
 	"churnlb/internal/xrand"
 )
 
-// tap is an Instrument for the pipe tests: it delegates every hook to
-// inner, counts the hooks, folds every routing decision into sink, and
-// closes cut once it has seen cutAt completions (0: never).
-type tap struct {
-	inner                     sim.TaskObserver
-	sink                      decisionFold
-	cut                       chan struct{}
-	cutAt, completed, records int
+// cutRouter routes like its inner router (nil: the uniform draw, made the
+// way the simulator makes it) and closes cut once it has routed cutAt
+// arrivals. Routing runs on the simulation goroutine between two polls of
+// Interrupt, so the cut lands at the same event in every run of a case.
+type cutRouter struct {
+	inner         policy.Router
+	cut           chan struct{}
+	cutAt, routed int
 }
 
-func (p *tap) TasksArrived(node, count int, t float64) {
-	p.records++
-	p.inner.TasksArrived(node, count, t)
-}
+func (r *cutRouter) Name() string { return "cut" }
 
-func (p *tap) NodeStateChanged(node int, up bool, t float64) {
-	p.records++
-	p.inner.NodeStateChanged(node, up, t)
-}
-
-func (p *tap) TransferDeparted(from, to, tasks, flight int, t float64) {
-	p.records++
-	p.inner.TransferDeparted(from, to, tasks, flight, t)
-}
-
-func (p *tap) TransferArrived(to, tasks, flight int, t float64) {
-	p.records++
-	p.inner.TransferArrived(to, tasks, flight, t)
-}
-
-func (p *tap) Armed(t float64) {
-	p.records++
-	p.inner.Armed(t)
-}
-
-func (p *tap) TaskCompleted(node int, t float64) {
-	p.records++
-	p.inner.TaskCompleted(node, t)
-	if p.completed++; p.completed == p.cutAt {
-		close(p.cut)
+func (r *cutRouter) Route(v model.StateView, p model.Params, rng *xrand.Rand) int {
+	if r.routed++; r.routed == r.cutAt {
+		close(r.cut)
 	}
+	if r.inner == nil {
+		return rng.Intn(v.N())
+	}
+	return r.inner.Route(v, p, rng)
+}
+
+// inline is the reference the pipe is held to: a ledger feeding the
+// collector (and the tracer, when one rides the run) installed as the
+// observer itself, on the simulation goroutine, telling the tracer each
+// arrival after Armed as a decision over its View. It counts the hooks.
+type inline struct {
+	*sim.Ledger
+	tr         *obs.DecisionTracer
+	considered int
+	armed      bool
+	records    int
+}
+
+func (o *inline) TasksArrived(node, count int, t float64) {
+	o.records++
+	if o.tr != nil && o.armed {
+		o.tr.Decision(o.View(t), node, count, o.considered)
+	}
+	o.Ledger.TasksArrived(node, count, t)
+}
+
+func (o *inline) TaskCompleted(node int, t float64) {
+	o.records++
+	o.Ledger.TaskCompleted(node, t)
+}
+
+func (o *inline) NodeStateChanged(node int, up bool, t float64) {
+	o.records++
+	o.Ledger.NodeStateChanged(node, up, t)
+}
+
+func (o *inline) TransferDeparted(from, to, tasks, flight int, t float64) {
+	o.records++
+	o.Ledger.TransferDeparted(from, to, tasks, flight, t)
+}
+
+func (o *inline) TransferArrived(to, tasks, flight int, t float64) {
+	o.records++
+	o.Ledger.TransferArrived(to, tasks, flight, t)
+}
+
+func (o *inline) Armed(t float64) {
+	o.records++
+	o.armed = true
+	o.Ledger.Armed(t)
 }
 
 // pipeCase is one serving run the pipe must carry without a bit of
-// difference: instrumented puts a tap between the simulator and the
-// telemetry, and cutAt > 0 has that tap fire Interrupt mid-run.
+// difference: instrumented has a decision tracer ride the run, and
+// cutAt > 0 fires Interrupt once that many arrivals have been routed.
 type pipeCase struct {
 	name         string
 	opt          Options
@@ -105,42 +132,93 @@ func pipeCases(t *testing.T, seed uint64, newRouter func() policy.Router) []pipe
 	}
 }
 
-// runCase runs c once. With direct nil the telemetry goes through Run's
-// pipe; otherwise the observer chain is a tap (counting the records) into
-// a ledger feeding direct, a collector, both called on the simulation
-// goroutine, and Run's pipe is left idle.
-func runCase(t *testing.T, c pipeCase, direct *metrics.Collector) (*Result, *tap) {
-	t.Helper()
+// caseRun is what one run of a pipe case produced.
+type caseRun struct {
+	res     *Result
+	tracer  *obs.DecisionTracer // nil unless the case is instrumented
+	log     bytes.Buffer        // the tracer's decision log
+	records int                 // observer calls, counted inline only
+}
+
+// options returns c's options with the cut router and the tracer the case
+// asks for, fresh for one run.
+func (c pipeCase) options(out *caseRun) Options {
 	opt := c.opt
-	var tp *tap
-	if c.instrumented || direct != nil {
-		tp = &tap{cutAt: c.cutAt, cut: make(chan struct{})}
-		opt.Interrupt = tp.cut
-	}
-	if tp != nil {
-		opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) {
-			tp.inner = inner
-			if direct != nil {
-				tp.inner = sim.NewLedger(opt.Sim.Params.N(), direct)
+	if c.cutAt > 0 {
+		cut := make(chan struct{})
+		opt.Interrupt = cut
+		newRouter := c.opt.NewRouter
+		opt.NewRouter = func() policy.Router {
+			r := &cutRouter{cut: cut, cutAt: c.cutAt}
+			if newRouter != nil {
+				r.inner = newRouter()
 			}
-			return tp, &tp.sink
+			return r
 		}
 	}
-	res, err := Run(opt)
+	if c.instrumented {
+		out.tracer = obs.NewDecisionTracer(opt.Sim.Params, obs.TraceOptions{W: &out.log})
+		opt.Tracer = out.tracer
+	}
+	return opt
+}
+
+// runPiped runs c through Run: its telemetry and its tracer on the pipe.
+func runPiped(t *testing.T, c pipeCase) *caseRun {
+	t.Helper()
+	out := &caseRun{}
+	res, err := Run(c.options(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, tp
+	out.res = res
+	return out
+}
+
+// runInline runs c with an inline observer in place of the pipe, as Run
+// would run it otherwise: same stream, router, step loop and interrupt.
+func runInline(t *testing.T, c pipeCase) *caseRun {
+	t.Helper()
+	out := &caseRun{}
+	opt := c.options(out)
+	so := opt.Sim
+	so.Rand = xrand.New(opt.Seed)
+	if opt.NewRouter != nil {
+		so.Router = opt.NewRouter()
+	}
+	n := so.Params.N()
+	col := metrics.NewCollector(n, opt.Window)
+	var sink sim.TaskSink = col
+	if out.tracer != nil {
+		sink = tracedSink{col, out.tracer}
+	}
+	o := &inline{Ledger: sim.NewLedger(n, sink), tr: out.tracer, considered: policy.Considered(so.Router, n)}
+	so.TaskObserver = o
+	simRes, interrupted, err := drive(so, opt.Interrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.records = o.records
+	out.res = &Result{
+		Summary:     col.Finalize(simRes.CompletionTime),
+		Windows:     col.Windows(),
+		Latency:     col.Sketches(),
+		Fairness:    col.FairnessCounts(),
+		Sim:         simRes,
+		Interrupted: interrupted,
+	}
+	return out
 }
 
 // TestPipeMatchesDirectCollector: the telemetry Run computes on the pipe's
 // consumer goroutine is, bit for bit, what a sim.Ledger feeding a
 // metrics.Collector, installed straight into the same realisation,
-// computes — summary, windows, every P²
-// marker and the fairness tally — across routers, seeds, churn with LBP-2
-// transfers, an arrival trace, a closed backlog, an instrument in the
-// chain and an Interrupt fired mid-run. Every case spans many chunks and
-// ends on a partial one.
+// computes — summary, windows, every P² marker and the fairness tally —
+// across routers, seeds, churn with LBP-2 transfers, an arrival trace, a
+// closed backlog, a decision tracer riding the run and an Interrupt fired
+// mid-run; and the tracer's decision log and statistics are, byte for
+// byte, those of a tracer told each decision by that inline ledger. Every
+// case spans many chunks and ends on a partial one.
 func TestPipeMatchesDirectCollector(t *testing.T) {
 	routers := []struct {
 		name string
@@ -154,22 +232,18 @@ func TestPipeMatchesDirectCollector(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 3} {
 			for _, c := range pipeCases(t, seed, rt.new) {
 				t.Run(fmt.Sprintf("%s/seed%d/%s", rt.name, seed, c.name), func(t *testing.T) {
-					got, gotTap := runCase(t, c, nil)
-					col := metrics.NewCollector(c.opt.Sim.Params.N(), c.opt.Window)
-					ref, refTap := runCase(t, c, col)
-					want := &Result{
-						Summary:  col.Finalize(ref.Sim.CompletionTime),
-						Windows:  col.Windows(),
-						Latency:  col.Sketches(),
-						Fairness: col.FairnessCounts(),
-						Sim:      ref.Sim,
+					got, want := runPiped(t, c), runInline(t, c)
+					if want.records < 4*chunkLen || want.records%chunkLen == 0 {
+						t.Fatalf("%d records: the case must span several chunks and end on a partial one", want.records)
 					}
-					if refTap.records < 4*chunkLen || refTap.records%chunkLen == 0 {
-						t.Fatalf("%d records: the case must span several chunks and end on a partial one", refTap.records)
-					}
-					checkPipeCase(t, c, got, want)
-					if gotTap != nil && gotTap.sink.sum != refTap.sink.sum {
-						t.Errorf("decision streams differ: %x, want %x", gotTap.sink.sum, refTap.sink.sum)
+					checkPipeCase(t, c, got.res, want.res)
+					if c.instrumented {
+						if g, w := got.tracer.Stats(), want.tracer.Stats(); g != w || g.Records == 0 {
+							t.Errorf("decision stats %+v, want %+v", g, w)
+						}
+						if !bytes.Equal(got.log.Bytes(), want.log.Bytes()) {
+							t.Error("decision logs differ")
+						}
 					}
 				})
 			}

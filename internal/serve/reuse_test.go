@@ -2,11 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"testing"
 
 	"churnlb/internal/model"
+	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
@@ -65,15 +65,6 @@ func TestLaterRunsAllocateATenth(t *testing.T) {
 	}
 }
 
-// decisionFold is a DecisionSink hashing every routing decision.
-type decisionFold struct{ sum uint64 }
-
-func (d *decisionFold) Decision(v model.StateView, chosen, batch, considered int) {
-	h := fnv.New64a()
-	fmt.Fprint(h, d.sum, v.Time(), v.InFlight(), v.Queue(chosen), chosen, batch, considered)
-	d.sum = h.Sum64()
-}
-
 // TestRealisationReuseIsInvisibleToServing: a serving realisation starts on
 // whatever memory the simulator's last finished run left behind (see
 // sim.Start), and none of it may show. The same observed, routed,
@@ -102,13 +93,12 @@ func TestRealisationReuseIsInvisibleToServing(t *testing.T) {
 		}
 	}
 	outputs := func(opt Options) string {
-		sink := &decisionFold{}
-		opt.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) { return inner, sink }
+		opt.Tracer = obs.NewDecisionTracer(opt.Sim.Params, obs.TraceOptions{})
 		res, err := Run(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v|%+v|%+v|%x", res.Summary, res.Windows, *res.Sim, sink.sum)
+		return fmt.Sprintf("%+v|%+v|%+v|%+v", res.Summary, res.Windows, *res.Sim, opt.Tracer.Stats())
 	}
 	subject := options(60, 11)
 	want := outputs(subject)

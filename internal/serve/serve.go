@@ -2,9 +2,12 @@
 // churnlb.Serve API and the experiment harness: it wires a dispatcher
 // router, a balancing policy and the fixed-memory telemetry collector
 // into one simulator realisation driven by external arrivals. The
-// per-task records (a sim.Ledger) and the collector run on a goroutine of
-// their own, fed the observer hooks in order (pipe.go), so their output is
-// the same bits it would be inline.
+// per-task records (a sim.Ledger), the collector and, when one rides the
+// run, the decision tracer run on a goroutine of their own, fed the
+// observer hooks in order (pipe.go), so their output is the same bits it
+// would be inline. The observer stream is the only thing the simulator
+// hands out: the tracer's routing decisions are its arrivals after Armed,
+// priced over the ledger's view.
 package serve
 
 import (
@@ -14,6 +17,7 @@ import (
 
 	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
+	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/sim"
 	"churnlb/internal/xrand"
@@ -26,8 +30,8 @@ type Options struct {
 	// arrival stream — a Poisson stream (ArrivalRate and ArrivalHorizon
 	// positive) or an ArrivalTrace. Without one (ArrivalRate 0) the run is
 	// closed, and InitialLoad must hold tasks. A nil InitialLoad means
-	// empty queues. Run supplies Rand, Router, TaskObserver and
-	// DecisionSink itself and refuses options that set any of them.
+	// empty queues. Run supplies Rand, Router and TaskObserver itself and
+	// refuses options that set any of them.
 	// (LazyChurn is accepted and never granted: the telemetry observer
 	// must see every node-state change in time order.)
 	Sim sim.Options
@@ -40,24 +44,22 @@ type Options struct {
 	Window float64
 	// Seed drives all randomness.
 	Seed uint64
-	// Instrument, when non-nil, is invoked once per realisation with inner,
-	// the pipe that carries every observer hook to the ledger and the
-	// telemetry collector on their own goroutine, and returns the
-	// TaskObserver and DecisionSink to install in its place — the seam
-	// internal/obs's decision tracer plugs into (it wraps inner, delegating
-	// every hook, and keeps a sim.Ledger of its own to match completions
-	// back to routing decisions). The instrument's hooks run on the
-	// simulation goroutine, where the DecisionSink's view is live. Attaching an instrument never perturbs the realisation: the
-	// simulator consumes the same random stream either way. Single runs
-	// only — RunMany replications run concurrently and would interleave
-	// through one instrument's state, so it refuses the hook.
-	Instrument func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink)
+	// Tracer, when non-nil, is told every routing decision and every
+	// completion of the run, from the telemetry goroutine: before each
+	// arrival after the realisation is armed, Decision with the ledger's
+	// view of the state the router decided on and the rule's
+	// policy.Considered, and every completion the ledger rebuilds. It
+	// reads the stream the collector reads, so the simulator does the same
+	// work traced or not; its log is written, and Err latched, by the time
+	// Run returns. Single runs only — RunMany replications run concurrently
+	// and would interleave through one tracer's state, so it refuses one.
+	Tracer *obs.DecisionTracer
 	// Interrupt, when non-nil, requests early termination: once the
 	// channel is closed the arrival stream stops at the next event and the
 	// realisation drains what is already queued, so the run still produces
 	// a complete Result (Interrupted reports the cut). The channel is
 	// polled between events — closing it never corrupts a realisation.
-	// Single runs only; RunMany refuses it like Instrument.
+	// Single runs only; RunMany refuses it like Tracer.
 	Interrupt <-chan struct{}
 }
 
@@ -92,10 +94,9 @@ func Run(opt Options) (*Result, error) {
 		{"Rand", so.Rand != nil},
 		{"Router", so.Router != nil},
 		{"TaskObserver", so.TaskObserver != nil},
-		{"DecisionSink", so.DecisionSink != nil},
 	} {
 		if f.set {
-			return nil, fmt.Errorf("serve: Sim.%s is set; Run supplies it (Seed, NewRouter, the collector, Instrument)", f.name)
+			return nil, fmt.Errorf("serve: Sim.%s is set; Run supplies it (Seed, NewRouter, the collector)", f.name)
 		}
 	}
 	horizon := so.ArrivalHorizon
@@ -142,31 +143,33 @@ func Run(opt Options) (*Result, error) {
 }
 
 // realise runs the realisation with its telemetry piped to a ledger
-// feeding col on a goroutine of its own, and returns — on every path, a
-// panic included — only once that goroutine has replayed every record and
-// exited.
+// feeding col, and opt.Tracer when set, on a goroutine of its own, and
+// returns — on every path, a panic included — only once that goroutine has
+// replayed every record and exited.
 func realise(so sim.Options, opt Options, col *metrics.Collector) (*sim.Result, bool, error) {
-	p := openPipe(so.Params.N(), col)
+	n := so.Params.N()
+	p := openPipe(n, col, opt.Tracer, policy.Considered(so.Router, n))
 	defer p.join()
 	so.TaskObserver = p
-	if opt.Instrument != nil {
-		so.TaskObserver, so.DecisionSink = opt.Instrument(p)
-	}
-	// The realisation is driven through the simulator's step primitives
-	// (Start, the Done/ProcessNext loop, Finish) rather than the one-shot
-	// sim.Run: the loop polls Interrupt between events, and routing every
-	// serving run through it keeps the step API exercised by the entire
-	// serving test suite. The two forms are bit-identical by construction
-	// (sim.Run is this exact loop).
+	return drive(so, opt.Interrupt)
+}
+
+// drive runs the realisation so describes through the simulator's step
+// primitives (Start, the Done/ProcessNext loop, Finish) rather than the
+// one-shot sim.Run: the loop polls interrupt between events, and routing
+// every serving run through it keeps the step API exercised by the entire
+// serving test suite. The two forms are bit-identical by construction
+// (sim.Run is this exact loop).
+func drive(so sim.Options, interrupt <-chan struct{}) (*sim.Result, bool, error) {
 	r, err := sim.Start(so)
 	if err != nil {
 		return nil, false, err
 	}
 	interrupted := false
 	for !r.Done() {
-		if opt.Interrupt != nil && !interrupted {
+		if interrupt != nil && !interrupted {
 			select {
-			case <-opt.Interrupt:
+			case <-interrupt:
 				// Cut the arrival stream and keep stepping: the queued work
 				// drains, accounting stays conserved, and the Result covers
 				// everything up to the cut.
@@ -193,15 +196,15 @@ func realise(so sim.Options, opt Options, col *metrics.Collector) (*sim.Result, 
 // with distinct reps — write into rep-indexed storage; folding that
 // storage in index order afterwards also makes the aggregate
 // bit-identical for any worker count. The first replication error (by
-// index) aborts the run. Instrument and Interrupt are single-run hooks —
-// concurrent replications would interleave through one instrument's state
-// and race on one cut — so RunMany refuses options that set either.
+// index) aborts the run. Tracer and Interrupt are single-run hooks —
+// concurrent replications would interleave through one tracer's state and
+// race on one cut — so RunMany refuses options that set either.
 func RunMany(opt Options, reps, workers int, visit func(rep int, r *Result)) error {
 	if reps <= 0 {
 		return fmt.Errorf("serve: RunMany needs positive reps")
 	}
-	if opt.Instrument != nil || opt.Interrupt != nil {
-		return fmt.Errorf("serve: RunMany takes no Instrument or Interrupt (single-run hooks)")
+	if opt.Tracer != nil || opt.Interrupt != nil {
+		return fmt.Errorf("serve: RunMany takes no Tracer or Interrupt (single-run hooks)")
 	}
 	// The eq.-(8) plan depends only on Params: build it once (unless opt
 	// brings one) and share the immutable result across all replications

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"churnlb/internal/metrics"
+	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
@@ -94,24 +95,23 @@ func TestRunManyValidation(t *testing.T) {
 	if err := RunMany(testOptions(t), 0, 0, func(int, *Result) {}); err == nil {
 		t.Fatal("zero reps accepted")
 	}
-	withInstrument := testOptions(t)
-	withInstrument.Instrument = func(inner sim.TaskObserver) (sim.TaskObserver, sim.DecisionSink) { return inner, nil }
+	withTracer := testOptions(t)
+	withTracer.Tracer = obs.NewDecisionTracer(withTracer.Sim.Params, obs.TraceOptions{})
 	withInterrupt := testOptions(t)
 	withInterrupt.Interrupt = make(chan struct{})
 	for _, c := range []struct {
 		name string
 		opt  Options
-	}{{"Instrument", withInstrument}, {"Interrupt", withInterrupt}} {
+	}{{"Tracer", withTracer}, {"Interrupt", withInterrupt}} {
 		if err := RunMany(c.opt, 2, 0, func(int, *Result) {}); err == nil || !strings.Contains(err.Error(), c.name) {
 			t.Errorf("RunMany with %s: err = %v, want one naming it", c.name, err)
 		}
 	}
 }
 
-// TestRunRefusesWhatItSupplies: Run fills the random stream, the router,
-// the task observer and the decision sink of the simulator options itself,
-// and an options value that sets one is refused by name instead of being
-// overwritten.
+// TestRunRefusesWhatItSupplies: Run fills the random stream, the router
+// and the task observer of the simulator options itself, and an options
+// value that sets one is refused by name instead of being overwritten.
 func TestRunRefusesWhatItSupplies(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -122,7 +122,6 @@ func TestRunRefusesWhatItSupplies(t *testing.T) {
 		{"TaskObserver", func(o *sim.Options) {
 			o.TaskObserver = sim.NewLedger(o.Params.N(), metrics.NewCollector(o.Params.N(), 1))
 		}},
-		{"DecisionSink", func(o *sim.Options) { o.DecisionSink = &decisionFold{} }},
 	} {
 		opt := testOptions(t)
 		c.mod(&opt.Sim)

@@ -19,7 +19,7 @@ import (
 type arenaStep struct {
 	name string
 	// opt builds the step's options from nothing: its own stream, router,
-	// observer and sink, so a step can be built twice and run twice.
+	// observer, so a step can be built twice and run twice.
 	opt func() Options
 	// abandon starts the realisation, fires a few events and walks away
 	// without Finish; its outputs are not compared.
@@ -39,7 +39,7 @@ func outcomeBits(opt Options) []uint64 {
 	if o, ok := hashOf(opt.TaskObserver); ok {
 		bits = append(bits, o.h.Sum64())
 	}
-	if d, ok := opt.DecisionSink.(*decisionHash); ok {
+	if d, ok := opt.TaskObserver.(*decisionHash); ok {
 		bits = append(bits, uint64(d.decisions), d.fold.h.Sum64())
 	}
 	return append(bits, opt.Rand.Uint64())
@@ -114,7 +114,7 @@ func arenaCases() map[string]func(k uint64) Options {
 			o := churnHeavyOptions(80/shrink, 400/shrink, policy.LBP2{K: 1}, 300+k)
 			o.Router = policy.JSQ{}
 			o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 120/float64(shrink), 2, 8
-			o.TaskObserver, o.DecisionSink = NewLedger(o.Params.N(), newStreamHash()), newDecisionHash()
+			o.TaskObserver = newDecisionHash(o.Params.N(), o.Router)
 			return o
 		}
 		cases["dynamic-arrivals/"+queue] = func(k uint64) Options {

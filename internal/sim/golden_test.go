@@ -29,8 +29,8 @@ type goldenCase struct {
 	traceFNV                        uint64
 	// externalArrivals and nextRand (the first word the run left in its
 	// stream) are compared when non-zero; obsCalls/obsFNV when the case
-	// installs a ledger feeding a *streamHash, decisions/decisionFNV when it
-	// installs a *decisionHash DecisionSink.
+	// installs a ledger feeding a *streamHash, decisions/decisionFNV when
+	// that observer is a *decisionHash.
 	externalArrivals int
 	nextRand         uint64
 	obsCalls         int
@@ -39,25 +39,42 @@ type goldenCase struct {
 	decisionFNV      uint64
 }
 
-// decisionHash is a DecisionSink folding every decision — the pre-arrival
-// view it was priced against included — into one FNV-1a.
+// decisionHash is a ledger feeding a *streamHash that also folds every
+// routing decision into one FNV-1a: each TasksArrived after Armed is one
+// (see TaskObserver), and the ledger's View before it applies the arrival
+// is the pre-arrival view the router decided on. considered is
+// policy.Considered of the run's router, a constant of the run.
 type decisionHash struct {
-	fold      *streamHash
-	decisions int
+	*Ledger
+	fold       *streamHash
+	considered int
+	armed      bool
+	decisions  int
 }
 
-func newDecisionHash() *decisionHash { return &decisionHash{fold: newStreamHash()} }
+func newDecisionHash(n int, router policy.Router) *decisionHash {
+	return &decisionHash{Ledger: NewLedger(n, newStreamHash()), fold: newStreamHash(), considered: policy.Considered(router, n)}
+}
 
-func (d *decisionHash) Decision(v model.StateView, chosen, batch, considered int) {
-	d.decisions++
-	d.fold.rec(6, []int{chosen, batch, v.N(), v.InFlight(), considered}, v.Time())
-	for i := 0; i < v.N(); i++ {
-		up := 0
-		if v.Up(i) {
-			up = 1
+func (d *decisionHash) TasksArrived(node, count int, t float64) {
+	if d.armed {
+		v := d.View(t)
+		d.decisions++
+		d.fold.rec(6, []int{node, count, v.N(), v.InFlight(), d.considered}, v.Time())
+		for i := 0; i < v.N(); i++ {
+			up := 0
+			if v.Up(i) {
+				up = 1
+			}
+			d.fold.rec(7, []int{v.Queue(i), up})
 		}
-		d.fold.rec(7, []int{v.Queue(i), up})
 	}
+	d.Ledger.TasksArrived(node, count, t)
+}
+
+func (d *decisionHash) Armed(t float64) {
+	d.armed = true
+	d.Ledger.Armed(t)
 }
 
 // tracedOpenCluster is the six-node cluster of the traced open-system
@@ -189,9 +206,10 @@ func goldenCases() []goldenCase {
 			name: "trace-pod2-sink-observer",
 			opt: func() Options {
 				hp, load := tracedOpenCluster()
+				router := policy.PowerOfD{D: 2}
 				return Options{Params: hp, Policy: policy.LBP2{K: 1}, InitialLoad: load, Rand: xrand.NewStream(63, 4),
-					Router: policy.PowerOfD{D: 2}, ArrivalRate: 4.5, ArrivalBatch: 2, ArrivalHorizon: 30, Trace: true,
-					TaskObserver: NewLedger(hp.N(), newStreamHash()), DecisionSink: newDecisionHash()}
+					Router: router, ArrivalRate: 4.5, ArrivalBatch: 2, ArrivalHorizon: 30, Trace: true,
+					TaskObserver: newDecisionHash(hp.N(), router)}
 			},
 			completionBits: math.Float64bits(0x1.23e1f7d65d212p+06),
 			failures:       26, recoveries: 24, transfersSent: 50, tasksTransferred: 97,
@@ -292,7 +310,7 @@ func TestGoldenBitIdentical(t *testing.T) {
 					t.Errorf("observer stream: %d calls, fnv %#x; want %d calls, fnv %#x", o.calls, got, c.obsCalls, c.obsFNV)
 				}
 			}
-			if d, ok := opt.DecisionSink.(*decisionHash); ok {
+			if d, ok := opt.TaskObserver.(*decisionHash); ok {
 				if got := d.fold.h.Sum64(); d.decisions != c.decisions || got != c.decisionFNV {
 					t.Errorf("decision stream: %d decisions, fnv %#x; want %d decisions, fnv %#x", d.decisions, got, c.decisions, c.decisionFNV)
 				}

@@ -130,7 +130,8 @@ func TestLoadIndexMatchesScanEveryEvent(t *testing.T) {
 // O(n) reference scan, a run with the bare router through the incremental
 // index, and for the same seed both must make exactly the same decisions —
 // bit-identical completion times and identical per-node processed counts.
-// A DecisionSink changes neither: the observed run keeps its index.
+// An observer folding every decision changes neither: the observed run
+// keeps its index.
 func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -140,7 +141,7 @@ func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 		{"lew", func() policy.Router { return policy.LeastExpectedWork{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(router policy.Router, wantIndex bool, sink DecisionSink) *Result {
+			run := func(router policy.Router, wantIndex bool, observer TaskObserver) *Result {
 				rng := xrand.NewStream(17, 5)
 				p, load := randomParams(rng, 6)
 				probed := false
@@ -152,7 +153,7 @@ func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 					ArrivalRate:    1.2,
 					ArrivalHorizon: 30,
 					Router:         router,
-					DecisionSink:   sink,
+					TaskObserver:   observer,
 					probe: func(s *simState, _ EventKind, _ int) {
 						probed = true
 						if got := s.lidx != nil; got != wantIndex {
@@ -168,16 +169,16 @@ func TestIndexedRoutingBitIdenticalToScan(t *testing.T) {
 				}
 				return res
 			}
-			sink := newDecisionHash()
-			scan, indexed, observed := run(scanRouter{tc.router()}, false, nil), run(tc.router(), true, nil), run(tc.router(), true, sink)
+			folded := newDecisionHash(6, tc.router())
+			scan, indexed, observed := run(scanRouter{tc.router()}, false, nil), run(tc.router(), true, nil), run(tc.router(), true, folded)
 			if !sameResult(scan, indexed) {
 				t.Errorf("indexed run diverged from the scan:\nscan:    %+v\nindexed: %+v", scan, indexed)
 			}
 			if !sameResult(indexed, observed) {
-				t.Errorf("run with a DecisionSink diverged:\nplain:    %+v\nobserved: %+v", indexed, observed)
+				t.Errorf("observed run diverged:\nplain:    %+v\nobserved: %+v", indexed, observed)
 			}
-			if sink.decisions == 0 {
-				t.Error("the sink saw no decision")
+			if folded.decisions == 0 {
+				t.Error("the observer saw no decision")
 			}
 			if scan.ExternalArrivals == 0 {
 				t.Error("no arrival was routed; the comparison proved nothing")

@@ -24,7 +24,12 @@ import (
 // Implementations must not call back into the simulator.
 type TaskObserver interface {
 	// TasksArrived reports count tasks joining node's queue at time t:
-	// the initial load at t = 0 and every external arrival batch.
+	// the initial load at t = 0, before Armed, and every external arrival
+	// batch, after it. Each call after Armed is exactly one routing
+	// decision: the router (or the uniform draw) chose node for this batch
+	// over the state the stream has described so far, so an observer that
+	// mirrors the stream (a Ledger's View) holds, at this call and before
+	// applying it, the view the router decided on.
 	TasksArrived(node, count int, t float64)
 	// TaskCompleted reports node finishing the task at the front of its
 	// queue at time t.
@@ -68,25 +73,6 @@ type TaskSink interface {
 	TransferArrived(to, tasks int, t float64)
 }
 
-// DecisionSink receives every external-arrival routing decision from a
-// running realisation — the decision-trace hook behind internal/obs. Like
-// TaskObserver it is strictly opt-in and it only observes: the decision is
-// made by Router.Route (or the uniform draw) exactly as on a run without a
-// sink — same view, same load index, same stream — so fixed-seed
-// realisations stay bit-identical.
-//
-// Decision fires once per accepted external arrival, before the batch
-// mutates any state: v is the pre-arrival view the router saw, chosen the
-// destination node, batch the number of tasks about to join it, and
-// considered the number of nodes the router's rule consults per decision
-// (policy.Considered — a constant of the run, 0 under uniform routing). v
-// is valid only for the duration of the call and must not be retained. All
-// calls come from the single simulation goroutine, in event order;
-// implementations must not call back into the simulator.
-type DecisionSink interface {
-	Decision(v model.StateView, chosen, batch, considered int)
-}
-
 // Ledger is the TaskObserver that rebuilds per-task records: it mirrors
 // every queue with one record per task, stamps each task's first service,
 // and hands the stream on to a TaskSink with every completion carrying its
@@ -115,9 +101,13 @@ type Ledger struct {
 	q    []taskQueue
 	down []bool
 	// flights holds the records riding each flight id; a row keeps its
-	// backing array for the next batch that takes the id.
-	flights [][]taskRec
-	armed   bool
+	// backing array for the next batch that takes the id. inFlight counts
+	// the tasks riding them.
+	flights  [][]taskRec
+	inFlight int
+	armed    bool
+	// now is the time View was last asked for.
+	now float64
 }
 
 // NewLedger returns a ledger for a realisation of n nodes that feeds sink.
@@ -127,7 +117,7 @@ func NewLedger(n int, sink TaskSink) *Ledger {
 	l.q = emptied(l.q, n)
 	l.down = slices.Grow(l.down[:0], n)[:n]
 	clear(l.down)
-	l.armed = false
+	l.inFlight, l.armed = 0, false
 	return &l
 }
 
@@ -180,6 +170,7 @@ func (l *Ledger) TransferDeparted(from, to, tasks, flight int, t float64) {
 		l.growFlights(flight)
 	}
 	l.flights[flight] = l.q[from].takeTail(l.flights[flight][:0], tasks)
+	l.inFlight += tasks
 	l.sink.TransferDeparted(from, to, tasks, t)
 	l.stamp(from, t)
 }
@@ -190,6 +181,7 @@ func (l *Ledger) TransferDeparted(from, to, tasks, flight int, t float64) {
 func (l *Ledger) TransferArrived(to, tasks, flight int, t float64) {
 	q := &l.q[to]
 	q.recs = append(q.recs, l.flights[flight]...)
+	l.inFlight -= tasks
 	l.sink.TransferArrived(to, tasks, t)
 	l.stamp(to, t)
 }
@@ -202,6 +194,28 @@ func (l *Ledger) Armed(t float64) {
 		l.stamp(i, t)
 	}
 }
+
+// View returns the state the ledger mirrors as a model.StateView at time
+// t: each node's queue and up/down state and the tasks in flight, as the
+// stream so far has left them. Called with a TasksArrived's arguments
+// before that call, after Armed, it is the view the router decided the
+// arrival on (see TaskObserver). Like the simulator's own view it lives
+// until the ledger's next call and must not be retained.
+//
+//churnlb:hotpath
+func (l *Ledger) View(t float64) model.StateView {
+	l.now = t
+	return (*ledgerView)(l)
+}
+
+// ledgerView is the model.StateView View hands out.
+type ledgerView Ledger
+
+func (v *ledgerView) Time() float64   { return v.now }
+func (v *ledgerView) N() int          { return len(v.q) }
+func (v *ledgerView) Queue(i int) int { return v.q[i].len() }
+func (v *ledgerView) Up(i int) bool   { return !v.down[i] }
+func (v *ledgerView) InFlight() int   { return v.inFlight }
 
 // stamp starts node i's front task at time t if the node is up, holds
 // tasks and its front has not been served yet.

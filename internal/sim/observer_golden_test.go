@@ -77,8 +77,11 @@ func (o *streamHash) TransferArrived(to, tasks int, t float64) {
 }
 
 // hashOf returns the streamHash an observer built as NewLedger(n,
-// newStreamHash()) feeds.
+// newStreamHash()), or a decisionHash's ledger, feeds.
 func hashOf(o TaskObserver) (*streamHash, bool) {
+	if d, ok := o.(*decisionHash); ok {
+		o = d.Ledger
+	}
 	if l, ok := o.(*Ledger); ok {
 		h, ok := l.sink.(*streamHash)
 		return h, ok

@@ -36,12 +36,13 @@
 // realisations allocation-free per event while staying bit-identical, for a
 // given random stream, with the original per-event-scan implementation.
 //
-// Observation never selects an algorithm: there are two buses
-// (TaskObserver, DecisionSink) and one per-event seam (see eventProbe), and
-// a run with any of them attached is otherwise the run every unobserved
-// caller gets — same view, same plan, same index, same stream. (What an
-// observer does rule out is LazyChurn, which needs nobody watching idle
-// nodes.)
+// Observation never selects an algorithm: there is one bus (TaskObserver)
+// and one per-event seam (see eventProbe), and a run with either attached
+// is otherwise the run every unobserved caller gets — same view, same plan,
+// same index, same stream. Routing decisions need no bus of their own:
+// every TasksArrived after Armed is one, and a Ledger mirroring the stream
+// holds the view the router decided on (Ledger.View). (What an observer
+// does rule out is LazyChurn, which needs nobody watching idle nodes.)
 //
 // Realisations reuse their memory. Finish hands the realisation's arena —
 // the des.Scheduler with its record slabs, free list and queue arrays, the
@@ -260,15 +261,10 @@ type Options struct {
 	// instance per run.
 	Router policy.Router
 	// TaskObserver, when non-nil, receives every queue and up/down change
-	// (see observer.go; a Ledger turns them into per-task records). nil
-	// costs nothing on the hot path.
+	// and, through its arrivals, every routing decision (see observer.go;
+	// a Ledger turns them into per-task records). nil costs nothing on the
+	// hot path.
 	TaskObserver TaskObserver
-	// DecisionSink, when non-nil, receives every external-arrival routing
-	// decision (see observer.go). Like TaskObserver it is strictly opt-in
-	// — nil costs nothing on the hot path — and it only observes: the
-	// decision is the one Route makes on every run, over the same view, the
-	// same load index and the same stream.
-	DecisionSink DecisionSink
 	// Deprecated: ignored; the simulator picks the queue from the node count.
 	EventQueue des.QueueKind
 	// LazyChurn, when true, asks the simulator to keep churn timers only
@@ -303,13 +299,12 @@ type Options struct {
 }
 
 // eventProbe is the per-event observation seam of the simulator, the only
-// observation mechanism beside TaskObserver and DecisionSink. A run holds
-// at most one (simState.probe, nil when nobody watches event by
-// event): the TracePoint recorder under Options.Trace, a test's probe
-// under Options.probe. It is called once the event of the given kind has
-// mutated s and before the handler re-arms a timer, from EvStart to EvDone
-// (node is -1 for those two); it reads s and must neither mutate it nor
-// draw from its stream.
+// observation mechanism beside TaskObserver. A run holds at most one
+// (simState.probe, nil when nobody watches event by event): the TracePoint
+// recorder under Options.Trace, a test's probe under Options.probe. It is
+// called once the event of the given kind has mutated s and before the
+// handler re-arms a timer, from EvStart to EvDone (node is -1 for those
+// two); it reads s and must neither mutate it nor draw from its stream.
 type eventProbe func(s *simState, kind EventKind, node int)
 
 // ArrivalAt is one entry of a recorded arrival trace: Batch tasks
@@ -422,11 +417,6 @@ type simState struct {
 	traceIdx int
 	// obs is Options.TaskObserver.
 	obs TaskObserver
-	// sink is Options.DecisionSink and considered the constant it is told
-	// with every decision: how many nodes the installed router's rule
-	// consults (policy.Considered), computed once per run.
-	sink       DecisionSink
-	considered int
 }
 
 // Run executes one realisation and returns its Result: Start, a loop
@@ -630,10 +620,6 @@ func Start(opt Options) (*Realisation, error) {
 			s.fplan = fp.FailurePlan(opt.Params)
 		}
 	}
-	if opt.DecisionSink != nil {
-		s.sink = opt.DecisionSink
-		s.considered = policy.Considered(opt.Router, n)
-	}
 	// An indexed router turns every Route into an O(1) argmin lookup
 	// (routers without the capability keep their reference scan).
 	if opt.Router != nil {
@@ -661,13 +647,12 @@ func Start(opt Options) (*Realisation, error) {
 	// node's unrealised up/down state: the churn law must be memoryless
 	// (discarding an unfired timer and redrawing on demand is then exactly
 	// the residual law), no per-event probe or observer may record state
-	// changes, no router, arrival balancer or decision sink may read Up(i)
-	// of an arbitrary node between events, and failure episodes must come
-	// from the precomputed plan (or a NoBalance policy), which never reads
-	// peer state.
+	// changes, no router or arrival balancer may read Up(i) of an
+	// arbitrary node between events, and failure episodes must come from
+	// the precomputed plan (or a NoBalance policy), which never reads peer
+	// state.
 	if opt.LazyChurn && opt.ChurnLaw == ChurnExponential && s.probe == nil &&
-		opt.TaskObserver == nil && opt.Router == nil && s.ab == nil &&
-		opt.DecisionSink == nil {
+		opt.TaskObserver == nil && opt.Router == nil && s.ab == nil {
 		_, noBal := opt.Policy.(policy.NoBalance)
 		if s.fplan != nil || noBal {
 			s.lazy = true
@@ -1293,9 +1278,9 @@ func (s *simState) externalArrival() {
 			}
 		}
 	}
-	// The router and the decision sink read the zero-copy live view before
-	// the batch lands, the arrival balancer after. The node count is
-	// len(s.hot): s.p.N() copies the whole Params value per call.
+	// The router reads the zero-copy live view before the batch lands, the
+	// arrival balancer after. The node count is len(s.hot): s.p.N() copies
+	// the whole Params value per call.
 	var node int
 	if s.opt.Router != nil {
 		node = s.opt.Router.Route(s.live, s.p, s.rng)
@@ -1304,11 +1289,6 @@ func (s *simState) externalArrival() {
 		}
 	} else {
 		node = s.rng.Intn(len(s.hot))
-	}
-	if s.sink != nil {
-		// Pre-mutation: the sink prices counterfactual candidates against
-		// exactly the state the router decided on.
-		s.sink.Decision(s.live, node, batch, s.considered)
 	}
 	s.lazyTouch(node) // resolve a detached target before reading its state
 	s.hot[node].queue += int32(batch)

@@ -11,10 +11,10 @@ import (
 // TestTraceNeverPerturbs is the contract of Options.Trace: it installs a
 // recorder and selects nothing. Over randomized systems — policy × router
 // × arrival process × cluster size on either side of the event-queue
-// threshold, with and without a decision sink — the traced and the
-// untraced run of the same seed must agree on the whole Result (Trace
-// apart), on every TaskObserver callback and every routing decision in
-// order, and on the next word left in the stream.
+// threshold — the traced and the untraced run of the same seed must agree
+// on the whole Result (Trace apart), on every TaskObserver callback and
+// every routing decision in order (with the view it was made on), and on
+// the next word left in the stream.
 func TestTraceNeverPerturbs(t *testing.T) {
 	t.Parallel()
 	traced := 0
@@ -48,7 +48,7 @@ func TestTraceNeverPerturbs(t *testing.T) {
 		default:
 			base.ArrivalBatch, base.ArrivalTrace = 2, t0Schedule()
 		}
-		run := func(trace bool) (*Result, *streamHash, *decisionHash, uint64) {
+		run := func(trace bool) (*Result, *decisionHash, uint64) {
 			opt := base
 			opt.Rand = xrand.NewStream(uint64(seed), 42)
 			switch routerRaw % 4 {
@@ -60,29 +60,28 @@ func TestTraceNeverPerturbs(t *testing.T) {
 			default:
 				opt.Router = policy.PowerOfD{D: 2}
 			}
-			obs, sink := newStreamHash(), newDecisionHash()
-			opt.TaskObserver = NewLedger(n, obs)
-			if routerRaw%8 >= 4 {
-				opt.DecisionSink = sink
-			}
+			obs := newDecisionHash(n, opt.Router)
+			opt.TaskObserver = obs
 			opt.Trace = trace
 			res, err := Run(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, obs, sink, opt.Rand.Uint64()
+			return res, obs, opt.Rand.Uint64()
 		}
-		off, offObs, offSink, offNext := run(false)
-		on, onObs, onSink, onNext := run(true)
+		off, offObs, offNext := run(false)
+		on, onObs, onNext := run(true)
 		if len(off.Trace) != 0 || len(on.Trace) < 2 {
 			t.Errorf("trace lengths: off %d, on %d", len(off.Trace), len(on.Trace))
 			return false
 		}
 		traced += len(on.Trace)
 		on.Trace = nil
+		offStream, _ := hashOf(offObs)
+		onStream, _ := hashOf(onObs)
 		return sameResult(off, on) &&
-			offObs.calls == onObs.calls && offObs.h.Sum64() == onObs.h.Sum64() &&
-			offSink.decisions == onSink.decisions && offSink.fold.h.Sum64() == onSink.fold.h.Sum64() &&
+			offStream.calls == onStream.calls && offStream.h.Sum64() == onStream.h.Sum64() &&
+			offObs.decisions == onObs.decisions && offObs.fold.h.Sum64() == onObs.fold.h.Sum64() &&
 			offNext == onNext
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
