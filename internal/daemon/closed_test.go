@@ -17,6 +17,7 @@ import (
 	"churnlb/internal/policy"
 	"churnlb/internal/sim"
 	"churnlb/internal/stats"
+	"churnlb/internal/xrand"
 )
 
 // closedOptions is a fast closed run of the paper's two-node system over
@@ -177,8 +178,10 @@ func TestFailuresObservedOnLongRun(t *testing.T) {
 // The testbed's mean completion must agree with the analytical model to
 // within the tolerance expected of timer jitter at this scale (a few
 // replications keep the test fast; the experiment harness uses more).
-// With TestMeanCompletionReasonableVsMarkov it pins the engine's spin rule:
-// timer-slept, this mean reads about 357 s.
+// With TestMeanCompletionReasonableVsMarkov it pins paced service: every
+// wait is a plain timer wait, and this mean reads about 123 s on 2 vCPUs,
+// where a worker waiting out each service on a relative timer, stretched
+// by every late wake, reads about 357 s.
 func TestCompletionTimeTracksTheory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-replication testbed run")
@@ -249,5 +252,89 @@ func TestBacklogAndArrivalTrace(t *testing.T) {
 	checkConserved(t, res, 40+len(opt.Trace))
 	if res.Summary.Elapsed < 20 {
 		t.Fatalf("run ended at %v, before the last arrival at 20", res.Summary.Elapsed)
+	}
+}
+
+// TestPacedServiceAcrossAFailure replays the pacing rule on one worker by
+// hand and holds a closed run to it. The worker serves k tasks queued at
+// t = 0 back to back, each due at the previous one's due instant plus its
+// service draw, and fails at a fixed instant F in the middle of the last
+// task's service. That task goes back to the head, and after the recovery
+// at F + R it is served again with a fresh draw. Since every task arrived
+// at 0, the mean sojourn is the mean completion instant and the mean wait
+// the mean first start, both fixed by the worker's service stream: a
+// failure the worker ignored (the last task completing at its first due
+// instant), a start that ignored the server's previous completion, or a
+// late wake that slid the recovery would each move them. The seed is the
+// first whose draws put F, and every other instant the outcome hinges on,
+// at least margin virtual seconds (50 ms of wall time) from the nearest
+// instant that could race it.
+func TestPacedServiceAcrossAFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock run of several hundred milliseconds")
+	}
+	const (
+		k         = 4
+		rate      = 1.0
+		recovery  = 1.0
+		margin    = 1.0
+		timeScale = 20
+	)
+	var (
+		seed       uint64
+		draws      []float64
+		firstStart float64 // the instant task k first starts
+		fail       float64
+	)
+	for seed = 1; ; seed++ {
+		rng := xrand.NewStream(seed, xrand.WorkerStream(0, xrand.WorkerService))
+		draws = make([]float64, k+1)
+		for i := range draws {
+			draws[i] = rng.Exp(rate)
+		}
+		firstStart = 0
+		for _, s := range draws[:k-1] {
+			firstStart += s
+		}
+		// F sits mid-service of task k, and the second failure, at 2F + R,
+		// after task k's second attempt ends at F + R + draws[k].
+		if draws[k-1] >= 2*margin && draws[k-1]/2+firstStart > draws[k]+margin {
+			fail = firstStart + draws[k-1]/2
+			break
+		}
+	}
+	p := model.Params{
+		ProcRate:     []float64{rate},
+		FailRate:     []float64{1 / fail},
+		RecRate:      []float64{1 / recovery},
+		DelayPerTask: 0.1,
+	}
+	// The churn controller's instants, as it computes them.
+	downAt := sim.ChurnDeterministic.Sample(nil, 1/p.FailRate[0])
+	upAt := downAt + sim.ChurnDeterministic.Sample(nil, 1/p.RecRate[0])
+	// The rule, by hand: completion instants and first starts, summed in
+	// completion order as the collector sums them.
+	var sojourns, waits, free float64
+	for i := 0; i < k-1; i++ {
+		waits += free
+		free += draws[i]
+		sojourns += free
+	}
+	waits += free // task k's first attempt, cut short at downAt
+	sojourns += upAt + draws[k]
+
+	opt := closedOptions([]int{k}, nil)
+	opt.Params, opt.ChurnLaw, opt.TimeScale, opt.Seed = p, sim.ChurnDeterministic, timeScale, seed
+	res := mustRun(t, opt)
+	checkConserved(t, res, k)
+	if res.Failures != 1 || res.Recoveries != 1 {
+		t.Fatalf("%d failures and %d recoveries, want one each", res.Failures, res.Recoveries)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*want }
+	if got, want := res.Summary.MeanSojourn, sojourns/k; !near(got, want) {
+		t.Errorf("mean sojourn %v, the pacing rule gives %v (seed %d, failure at %v)", got, want, seed, fail)
+	}
+	if got, want := res.Summary.MeanWait, waits/k; !near(got, want) {
+		t.Errorf("mean wait %v, the pacing rule gives %v (seed %d, failure at %v)", got, want, seed, fail)
 	}
 }

@@ -23,7 +23,6 @@ package daemon
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,17 +155,25 @@ func (v *peerView) InFlight() int   { return 0 }
 
 // worker is one live serving process.
 type worker struct {
-	id      int
-	mu      sync.Mutex
-	queue   taskQueue
-	up      bool
-	kick    chan struct{}
-	failInt chan struct{}
-	seq     uint32
-	rngApp  *xrand.Rand
-	rngLB   *xrand.Rand
+	id    int
+	mu    sync.Mutex
+	queue taskQueue
+	up    bool
+	// downAt and upAt are the paced instants of the latest failure and
+	// recovery, and downs counts failures; churnLoop writes all three
+	// under mu, and appLoop reads downs without it.
+	downAt, upAt float64
+	downs        atomic.Uint32
+	kick         chan struct{}
+	failInt      chan struct{}
+	seq          uint32
+	rngApp       *xrand.Rand
+	rngLB        *xrand.Rand
 	// processed counts tasks this worker executed.
 	processed atomic.Int64
+	// waits counts the timer waits appLoop armed; appLoop's alone until
+	// the run is down.
+	waits int
 }
 
 type run struct {
@@ -216,9 +223,6 @@ type run struct {
 	arrivalsClosed atomic.Bool
 	interrupted    atomic.Bool
 
-	// spin enables the precision spin-wait tail; see spinAffordable.
-	spin bool
-
 	stop     chan struct{}
 	doneCh   chan struct{}
 	doneOnce sync.Once
@@ -233,6 +237,16 @@ type run struct {
 // workload completes, Interrupt drains the system, or the run makes no
 // progress for MaxWall (an error).
 func Run(opt Options) (*Result, error) {
+	c, err := newRun(opt)
+	if err != nil {
+		return nil, err
+	}
+	return c.serve()
+}
+
+// newRun validates opt, fills in its defaults and builds the fleet and
+// its transport; nothing runs yet.
+func newRun(opt Options) (*run, error) {
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -305,7 +319,13 @@ func Run(opt Options) (*Result, error) {
 		c.peers[id] = peer{up: true}
 	}
 	c.fplan = policy.PlanFor(opt.Policy, c.p)
-	c.spin = spinAffordable(runtime.NumCPU(), n, len(opt.Trace) > 0)
+	return c, nil
+}
+
+// serve is the lifetime itself: preload the backlog, start the clock and
+// every loop, wait for the end, shut down and report.
+func (c *run) serve() (*Result, error) {
+	opt, n := c.opt, c.n
 	initial := c.preload()
 	c.start = time.Now()
 	for _, w := range c.workers {
@@ -432,7 +452,7 @@ func (c *run) preload() []model.Transfer {
 		for _, task := range tasks {
 			c.inSystem.add(task.ID, 0)
 		}
-		w.queue.push(tasks)
+		w.queue.push(tasks, 0)
 		c.col.TasksArrived(id, load[id], 0)
 		atomic.AddInt64(&c.injected, int64(load[id]))
 		c.peers[id].queueLen = uint32(load[id])
@@ -490,99 +510,85 @@ const (
 	sleepStopped
 )
 
-// spinThreshold is the spin-waited tail of a wait when spinning is
-// affordable: OS timers have a ~1 ms floor, which at high TimeScale
-// would stretch sub-millisecond service times and bias the live system
-// away from the model it is calibrated against.
-const spinThreshold = 2 * time.Millisecond
-
 // newWaitTimer returns the stopped timer a waiting goroutine owns for its
 // lifetime: preciseWait re-arms it per wait instead of allocating one per
-// task (since go 1.23 a Reset timer cannot deliver a stale tick).
+// wait (since go 1.23 a Reset timer cannot deliver a stale tick).
 func newWaitTimer() *time.Timer {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
 	return t
 }
 
-// spinAffordable is the one rule that decides whether waits end in a
-// spin: the loops that wait with precision all the time — the workers'
-// application loops, plus the trace driver when there is a trace to pace —
-// each fit on a core of their own. It is computed, not configured.
-func spinAffordable(cores, workers int, paced bool) bool {
-	loops := workers
-	if paced {
-		loops++
-	}
-	return loops <= cores
-}
-
 // preciseWait waits d of wall time on the caller's timer, honouring an
 // optional interrupt (the worker's failure signal) and the run's stop
 // channel.
 //
-// When spinAffordable says so (c.spin), the final spinThreshold of every
-// wait is spin-waited for precision; otherwise spinning n workers
-// serialises the whole fleet on the scheduler — each spin excludes every
-// other worker's progress — so the wait is pure timer and the timer floor
-// (~1 ms) becomes the resolution limit instead: calibration runs on small
-// machines should pick a TimeScale that keeps mean service times well
-// above it. Both outcomes are load-bearing on the 2-core machine that
-// gates this repository. The paper's two-node closed run (two loops, no
-// trace) must spin there: timer-slept at TimeScale 2000, the 40-task
-// no-failure run reads 88.7 virtual s against 37.0 in theory (37.4 with
-// the spin) and the (100,60) LBP-1 run 357 s against 116.75. The 64-worker
-// open fleet of the benchmark's live workload must not.
+// It is a plain timer wait, and its precision is not the wait's but its
+// callers': each waits towards an instant on the virtual clock — a task's
+// due instant, a churn transition, a trace entry — and reads the clock
+// again when it wakes. A wake later than asked (the OS timer floor, ~1 ms
+// on small machines, or a busy scheduler) therefore delays when an
+// instant is observed, not the instant itself, and does not accumulate
+// into what is modelled.
 func (c *run) preciseWait(t *time.Timer, d time.Duration, interrupt <-chan struct{}) sleepOutcome {
-	var deadline time.Time
-	coarse := d
-	if c.spin {
-		deadline = time.Now().Add(d)
-		coarse -= spinThreshold
-	}
-	if coarse > 0 {
-		t.Reset(coarse)
-		select {
-		case <-t.C:
-		case <-interrupt: // nil channel when no interrupt: never fires
-			t.Stop()
-			return sleepInterrupted
-		case <-c.stop:
-			t.Stop()
-			return sleepStopped
-		}
-	}
-	if !c.spin {
+	t.Reset(d)
+	select {
+	case <-t.C:
 		return sleptFull
+	case <-interrupt: // nil channel when no interrupt: never fires
+		t.Stop()
+		return sleepInterrupted
+	case <-c.stop:
+		t.Stop()
+		return sleepStopped
 	}
-	for time.Now().Before(deadline) {
-		select {
-		case <-interrupt:
-			return sleepInterrupted
-		case <-c.stop:
-			return sleepStopped
-		default:
-		}
-	}
-	return sleptFull
 }
 
-// sleepV waits v virtual seconds on the caller's timer; false means the
-// run stopped.
-func (c *run) sleepV(t *time.Timer, v float64) bool {
-	return c.preciseWait(t, c.wall(v), nil) == sleptFull
+// sleepUntil waits on the caller's timer until the virtual clock reads
+// at, not at all if it already does; false means the run stopped.
+func (c *run) sleepUntil(t *time.Timer, at float64) bool {
+	if d := c.wall(at - c.now()); d > 0 {
+		return c.preciseWait(t, d, nil) == sleptFull
+	}
+	select {
+	case <-c.stop:
+		return false
+	default:
+		return true
+	}
+}
+
+// drain discards a pending signal.
+func drain(ch chan struct{}) {
+	select {
+	case <-ch:
+	default:
+	}
 }
 
 // --- worker loops (the layers of a Section-3 computational element) ---
 
-// appLoop is the application layer: pop, execute for an exponentially
-// distributed service time, report completion.
-// A failure interrupt re-queues the in-progress task at the head — the
-// backup process preserving work across failures.
+// appLoop is the application layer: one server working through the queue
+// in FIFO order for exponentially distributed service times, paced on the
+// virtual clock the way traceLoop paces arrivals. The server keeps free,
+// the paced instant it last finished. A task starts at the later of free
+// and the instant it reached the worker, and is due at that start plus
+// its service draw; the collector records both instants. The worker
+// waits only while the due instant is ahead of the clock: one that wakes
+// late completes every task already due without arming a timer, so a late
+// wake shortens the next wait instead of stretching this service.
+//
+// A failure (churnLoop records its instant) cuts short the task in
+// service across it: a task due at or before the failure instant
+// completes, the one in service goes back to the head — the backup
+// process preserving work across failures — and after the recovery free
+// starts from the recovery's instant.
 func (c *run) appLoop(w *worker) {
 	defer c.wg.Done()
 	rate := c.p.ProcRate[w.id]
 	timer := newWaitTimer()
+	var free float64 // paced instant the server last finished
+	var downs uint32 // failures acknowledged at the last pop
 	for {
 		w.mu.Lock()
 		for !(w.up && w.queue.len() > 0) {
@@ -594,29 +600,44 @@ func (c *run) appLoop(w *worker) {
 			}
 			w.mu.Lock()
 		}
-		task := w.queue.pop()
+		if d := w.downs.Load(); d != downs {
+			// Down and up again since the last pop: the server resumed at
+			// the recovery, and the failure's interrupt, if still pending,
+			// is stale (churnLoop signals it under mu).
+			downs = d
+			free = max(free, w.upAt)
+			drain(w.failInt)
+		}
+		task, reached := w.queue.pop()
 		w.mu.Unlock()
-		// This attempt's start is the task's first-service instant unless
-		// an earlier, interrupted attempt already stamped one.
-		started := c.now()
-
-		switch c.preciseWait(timer, c.wall(w.rngApp.Exp(rate)), w.failInt) {
-		case sleptFull:
-			// A task no longer on the books (declared lost after a send
-			// that delivered anyway) is executed but not counted, which
-			// keeps processed + lost == injected exact.
-			if c.noteCompleted(w.id, task.ID, started) {
-				w.processed.Add(1)
-				atomic.AddInt64(&c.processedTotal, 1)
-				c.maybeFinish()
+		start := max(free, reached)
+		due := start + w.rngApp.Exp(rate)
+		if d := c.wall(due - c.now()); d > 0 {
+			w.waits++
+			if c.preciseWait(timer, d, w.failInt) == sleepStopped {
+				return
 			}
-		case sleepInterrupted:
-			c.noteInterrupted(task.ID, started)
+		}
+		if w.downs.Load() != downs {
 			w.mu.Lock()
-			w.queue.unpop(task)
+			cut := due > w.downAt
+			if cut {
+				w.queue.unpop(task, reached)
+			}
 			w.mu.Unlock()
-		case sleepStopped:
-			return
+			if cut {
+				c.noteInterrupted(task.ID, start)
+				continue
+			}
+		}
+		free = due
+		// A task no longer on the books (declared lost after a send that
+		// delivered anyway) is executed but not counted, which keeps
+		// processed + lost == injected exact.
+		if c.noteCompleted(w.id, task.ID, start, due) {
+			w.processed.Add(1)
+			atomic.AddInt64(&c.processedTotal, 1)
+			c.maybeFinish()
 		}
 	}
 }
@@ -624,38 +645,43 @@ func (c *run) appLoop(w *worker) {
 // churnLoop is the churn controller's per-worker process: alternate up
 // and down periods drawn from the configured law (sim.ChurnLaw.Sample, the
 // simulator twin's own law), execute the eq.-(8) failure plan when the
-// worker dies, and kick a graceful drain when it recovers.
+// worker dies, and kick a graceful drain when it recovers. Transitions are
+// paced like service: each is due at the previous one's instant plus its
+// draw, and that instant — not the wake — is what the worker and the
+// collector are told.
 func (c *run) churnLoop(w *worker, rng *xrand.Rand) {
 	defer c.wg.Done()
 	timer := newWaitTimer()
+	var at float64 // paced instant of the latest transition
 	for {
-		if !c.sleepV(timer, c.opt.ChurnLaw.Sample(rng, 1/c.p.FailRate[w.id])) {
+		at += c.opt.ChurnLaw.Sample(rng, 1/c.p.FailRate[w.id])
+		if !c.sleepUntil(timer, at) {
 			return
 		}
 		w.mu.Lock()
 		w.up = false
+		w.downAt = at
+		w.downs.Add(1)
 		queued := w.queue.len()
-		w.mu.Unlock()
 		kick(w.failInt)
+		w.mu.Unlock()
 		atomic.AddInt64(&c.failures, 1)
-		c.noteChurn(w.id, false)
+		c.noteChurn(w.id, false, at)
 		c.reportState(w)
 		if c.fplan != nil {
 			c.execTransfers(w, c.fplan.Transfers(nil, w.id, queued))
 		}
 
-		if !c.sleepV(timer, c.opt.ChurnLaw.Sample(rng, 1/c.p.RecRate[w.id])) {
+		at += c.opt.ChurnLaw.Sample(rng, 1/c.p.RecRate[w.id])
+		if !c.sleepUntil(timer, at) {
 			return
 		}
 		w.mu.Lock()
 		w.up = true
+		w.upAt = at
 		w.mu.Unlock()
-		select {
-		case <-w.failInt: // drain a stale interrupt
-		default:
-		}
 		atomic.AddInt64(&c.recoveries, 1)
-		c.noteChurn(w.id, true)
+		c.noteChurn(w.id, true, at)
 		// Graceful drain: the recovered worker resumes its preserved
 		// backlog before anything else reaches it.
 		kick(w.kick)
@@ -690,7 +716,7 @@ func (c *run) execTransfers(w *worker, trs []model.Transfer) {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			if !c.sleepV(newWaitTimer(), delay) {
+			if !c.sleepUntil(newWaitTimer(), c.now()+delay) {
 				return
 			}
 			if err := c.transport.SendTasks(w.id, to, tasks); err != nil {
@@ -702,7 +728,8 @@ func (c *run) execTransfers(w *worker, trs []model.Transfer) {
 
 // taskRecvLoop is the worker's receive side of the reliable task path:
 // dispatcher bundles are fresh arrivals, peer bundles are eq.-(8)
-// transfers landing.
+// transfers landing. One clock reading per bundle stamps the instant it
+// reached the worker.
 func (c *run) taskRecvLoop(w *worker) {
 	defer c.wg.Done()
 	for {
@@ -711,11 +738,12 @@ func (c *run) taskRecvLoop(w *worker) {
 			if !ok {
 				return
 			}
+			at := c.now()
 			w.mu.Lock()
-			w.queue.push(b.Tasks)
+			w.queue.push(b.Tasks, at)
 			w.mu.Unlock()
 			if b.From != dispatcherID(c.n) {
-				c.noteTransferIn(w.id, len(b.Tasks))
+				c.noteTransferIn(w.id, len(b.Tasks), at)
 			}
 			kick(w.kick)
 		case <-c.stop:
@@ -1020,8 +1048,8 @@ func (c *run) closeArrivals() {
 // concurrency produces). A task's life takes colMu twice, at admission
 // and at completion; a failure interrupt adds a third. ---
 
-// noteInterrupted stamps the start of a task's first service attempt into
-// its record when a failure cuts that attempt short.
+// noteInterrupted stamps the paced start of a task's first service
+// attempt into its record when a failure cuts that attempt short.
 func (c *run) noteInterrupted(id uint64, started float64) {
 	c.colMu.Lock()
 	if m := c.inSystem.get(id); m != nil && m.firstService < 0 {
@@ -1030,12 +1058,12 @@ func (c *run) noteInterrupted(id uint64, started float64) {
 	c.colMu.Unlock()
 }
 
-// noteCompleted records a completion whose (last) service attempt began
-// at started, and reports whether the task was still on the books.
+// noteCompleted records a completion at the paced instant done whose
+// (last) service attempt began at started, and reports whether the task
+// was still on the books.
 //
 //churnlb:hotpath
-func (c *run) noteCompleted(node int, id uint64, started float64) bool {
-	now := c.now()
+func (c *run) noteCompleted(node int, id uint64, started, done float64) bool {
 	c.colMu.Lock()
 	m := c.inSystem.get(id)
 	onBooks := m != nil
@@ -1043,17 +1071,16 @@ func (c *run) noteCompleted(node int, id uint64, started float64) bool {
 		if m.firstService >= 0 {
 			started = m.firstService
 		}
-		c.col.TaskCompleted(node, m.arrival, started, now)
+		c.col.TaskCompleted(node, m.arrival, started, done)
 		c.inSystem.remove(m)
 	}
 	c.colMu.Unlock()
 	return onBooks
 }
 
-func (c *run) noteChurn(node int, up bool) {
-	now := c.now()
+func (c *run) noteChurn(node int, up bool, t float64) {
 	c.colMu.Lock()
-	c.col.NodeStateChanged(node, up, now)
+	c.col.NodeStateChanged(node, up, t)
 	c.colMu.Unlock()
 }
 
@@ -1064,9 +1091,8 @@ func (c *run) noteTransferOut(from, to, tasks int) {
 	c.colMu.Unlock()
 }
 
-func (c *run) noteTransferIn(node, tasks int) {
-	now := c.now()
+func (c *run) noteTransferIn(node, tasks int, t float64) {
 	c.colMu.Lock()
-	c.col.TransferArrived(node, tasks, now)
+	c.col.TransferArrived(node, tasks, t)
 	c.colMu.Unlock()
 }

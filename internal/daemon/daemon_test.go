@@ -930,24 +930,131 @@ func TestStatePacketsFlow(t *testing.T) {
 	}
 }
 
-// TestSpinAffordable pins the spin rule's two load-bearing outcomes on the
-// 2-core machine that gates the repository (see preciseWait), and its
-// boundary.
-func TestSpinAffordable(t *testing.T) {
-	for _, tc := range []struct {
-		cores, workers int
-		paced, want    bool
-	}{
-		{2, 2, false, true},  // the paper's two-node closed run: must spin
-		{2, 64, true, false}, // the benchmark's 64-worker open fleet: must not
-		{2, 2, true, false},  // two workers and a paced trace driver: three loops
-		{2, 3, false, false}, // three-node closed run
-		{8, 7, true, true},   // each loop has a core
-		{1, 1, false, true},
-	} {
-		if got := spinAffordable(tc.cores, tc.workers, tc.paced); got != tc.want {
-			t.Errorf("spinAffordable(%d cores, %d workers, paced %v) = %v, want %v",
-				tc.cores, tc.workers, tc.paced, got, tc.want)
-		}
+// serviceDraws returns the first k service times worker id draws at rate.
+func serviceDraws(seed uint64, id int, rate float64, k int) []float64 {
+	rng := xrand.NewStream(seed, xrand.WorkerStream(id, xrand.WorkerService))
+	out := make([]float64, k)
+	for i := range out {
+		out[i] = rng.Exp(rate)
+	}
+	return out
+}
+
+// TestPacedStartIsCausal pins the two bounds on a paced start: no task
+// starts before it reached the worker, and none before the worker's
+// previous paced completion. One worker takes five arrivals a virtual
+// second apart and then, at v = 20, a burst. Every wait is then
+// non-negative (a start taken from the server's last completion alone
+// would start the first arrival at 0, a virtual second before it was
+// admitted), and the run cannot end before the burst's instant plus the
+// sum of the burst's service draws (a start taken from the arrival alone
+// would serve the burst in parallel, all done within one service time).
+func TestPacedStartIsCausal(t *testing.T) {
+	const (
+		seed   = 41
+		paced  = 5
+		burst  = 200
+		burstV = 20.0
+	)
+	p := stableParams(1)
+	var trace []sim.ArrivalAt
+	for v := 1.0; v <= paced; v++ {
+		trace = append(trace, sim.ArrivalAt{Time: v, Batch: 1})
+	}
+	trace = append(trace, sim.ArrivalAt{Time: burstV, Batch: burst})
+	res, err := Run(Options{
+		Params:    p,
+		Trace:     trace,
+		TimeScale: 200,
+		Seed:      seed,
+		Transport: cluster.NewChanTransport(2),
+		MaxWall:   60 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConserved(t, res)
+	if res.Summary.Completed != paced+burst {
+		t.Fatalf("%d of %d tasks completed", res.Summary.Completed, paced+burst)
+	}
+	if res.Summary.MeanWait < 0 {
+		t.Fatalf("mean wait %v: a task started before it reached the worker", res.Summary.MeanWait)
+	}
+	// No failures, so the worker drew one service per task, in order.
+	busy := burstV
+	for _, s := range serviceDraws(seed, 0, p.ProcRate[0], paced+burst)[paced:] {
+		busy += s
+	}
+	if res.Summary.Elapsed < busy {
+		t.Fatalf("run ended at %v, before the burst's %v of service from v = %v was done",
+			res.Summary.Elapsed, busy-burstV, burstV)
+	}
+}
+
+// TestChurnMidBurstConserves lands failures in the middle of a burst: the
+// fleet is far behind its arrivals, so workers complete strings of
+// already-due tasks without waiting while failures interrupt them and
+// eq.-(8) transfers carry their backlogs off. Every task is still
+// executed exactly once or declared lost.
+func TestChurnMidBurstConserves(t *testing.T) {
+	const workers, arrivals = 8, 3000
+	p := stableParams(workers)
+	for i := range p.FailRate {
+		p.FailRate[i] = 1.0 / 2 // up 2 virtual s, down 1, on average
+	}
+	res, err := Run(Options{
+		Params:    p,
+		Router:    policy.PowerOfD{D: 2},
+		Policy:    policy.LBP2{K: 1},
+		Trace:     burstTrace(arrivals),
+		TimeScale: 100, // the burst takes ~20 virtual s, 0.2 s of wall time
+		Seed:      42,
+		Transport: cluster.NewChanTransport(workers + 1),
+		MaxWall:   60 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConserved(t, res)
+	if res.Injected != arrivals || res.Lost != 0 {
+		t.Fatalf("injected %d lost %d, want %d and 0", res.Injected, res.Lost, arrivals)
+	}
+	if res.Failures < workers || res.TasksTransferred == 0 {
+		t.Fatalf("%d failures, %d tasks transferred: the burst met too little churn to test anything",
+			res.Failures, res.TasksTransferred)
+	}
+}
+
+// TestBurstArmsFewTimers counts the timer waits a worker arms. A backlog
+// queued at t = 0 is a burst all due at once; at 1 µs of wall time per
+// service (the benchmark's live workload) the worker is behind its due
+// instants after its first wait, and a paced worker completes every task
+// already due without arming a timer, where one relative wait per task
+// arms one per task. Measured on 2 vCPUs: 24–50 waits for 4000 tasks, 6–16
+// on one P, none under the race detector; the bound is four times that.
+func TestBurstArmsFewTimers(t *testing.T) {
+	const tasks = 4000
+	p := stableParams(1)
+	p.ProcRate[0] = 1000 // mean service 1 ms virtual, 1 µs of wall time
+	c, err := newRun(Options{
+		Params:      p,
+		InitialLoad: []int{tasks},
+		TimeScale:   1000,
+		Seed:        43,
+		Transport:   cluster.NewChanTransport(2),
+		MaxWall:     60 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConserved(t, res)
+	waits := c.workers[0].waits
+	t.Logf("%d timer waits for %d tasks", waits, tasks)
+	if waits > tasks/20 {
+		t.Fatalf("%d timer waits for %d tasks", waits, tasks)
 	}
 }

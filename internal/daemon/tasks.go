@@ -10,45 +10,58 @@ import (
 // taskQueue is a worker's FIFO backlog, kept as the bundles it arrived
 // in: a push keeps the received slice instead of copying its tasks, and a
 // pop walks the head bundle, so a queued task costs its own 40 bytes and
-// row and nothing for queue growth.
+// row and nothing for queue growth. Each bundle carries the virtual
+// instant it reached the worker — a task's service cannot start before
+// it — and every operation keeps that stamp with the bundle's tasks.
 type taskQueue struct {
-	bundles [][]workload.Task // oldest first, none empty
-	n       int               // tasks queued
+	bundles []stampedBundle // oldest first, none empty
+	n       int             // tasks queued
+}
+
+// stampedBundle is a run of tasks that reached the worker together, at
+// virtual instant at.
+type stampedBundle struct {
+	tasks []workload.Task
+	at    float64
 }
 
 func (q *taskQueue) len() int { return q.n }
 
-// push appends a received bundle, which the queue now owns.
-func (q *taskQueue) push(tasks []workload.Task) {
+// push appends a bundle that reached the worker at virtual instant at; the
+// queue now owns the slice.
+func (q *taskQueue) push(tasks []workload.Task, at float64) {
 	if len(tasks) > 0 {
-		q.bundles = append(q.bundles, tasks)
+		q.bundles = append(q.bundles, stampedBundle{tasks, at})
 		q.n += len(tasks)
 	}
 }
 
-// pop removes the head task; the queue must not be empty.
-func (q *taskQueue) pop() workload.Task {
-	b := q.bundles[0]
-	t := b[0]
-	b[0] = workload.Task{} // release the row
-	if len(b) > 1 {
-		q.bundles[0] = b[1:]
+// pop removes the head task and returns it with the instant it reached
+// the worker; the queue must not be empty.
+func (q *taskQueue) pop() (workload.Task, float64) {
+	b := &q.bundles[0]
+	t, at := b.tasks[0], b.at
+	b.tasks[0] = workload.Task{} // release the row
+	if len(b.tasks) > 1 {
+		b.tasks = b.tasks[1:]
 	} else {
-		q.bundles[0] = nil
+		q.bundles[0] = stampedBundle{}
 		q.bundles = q.bundles[1:]
 	}
 	q.n--
-	return t
+	return t, at
 }
 
-// unpop puts an interrupted task back at the head.
-func (q *taskQueue) unpop(t workload.Task) {
-	q.bundles = slices.Insert(q.bundles, 0, []workload.Task{t})
+// unpop puts an interrupted task back at the head with the instant it
+// reached the worker.
+func (q *taskQueue) unpop(t workload.Task, at float64) {
+	q.bundles = slices.Insert(q.bundles, 0, stampedBundle{[]workload.Task{t}, at})
 	q.n++
 }
 
 // takeTail detaches up to k tasks from the tail (the head may be in
-// service), in queue order, into a slice of their own.
+// service), in queue order, into a slice of their own. The stamps are
+// dropped: a transferred task is stamped again where it lands.
 func (q *taskQueue) takeTail(k int) []workload.Task {
 	k = min(k, q.n)
 	if k <= 0 {
@@ -58,16 +71,16 @@ func (q *taskQueue) takeTail(k int) []workload.Task {
 	q.n -= k
 	for k > 0 {
 		last := len(q.bundles) - 1
-		b := q.bundles[last]
+		b := q.bundles[last].tasks
 		take := min(k, len(b))
 		cut := len(b) - take
 		copy(out[k-take:k], b[cut:])
 		clear(b[cut:])
 		k -= take
 		if cut > 0 {
-			q.bundles[last] = b[:cut]
+			q.bundles[last].tasks = b[:cut]
 		} else {
-			q.bundles[last] = nil
+			q.bundles[last] = stampedBundle{}
 			q.bundles = q.bundles[:last]
 		}
 	}
@@ -81,8 +94,8 @@ type taskMeta struct {
 	// has left the system.
 	arrival float64
 	// firstService is negative unless a failure interrupted the task's
-	// first service attempt, which stamps that attempt's start; a task
-	// that completes uninterrupted carries the instant in its appLoop
+	// first service attempt, which stamps that attempt's paced start; a
+	// task that completes uninterrupted carries the instant in its appLoop
 	// instead.
 	firstService float64
 }

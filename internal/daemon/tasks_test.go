@@ -24,44 +24,64 @@ func bundle(first, n uint64) []workload.Task {
 }
 
 // TestTaskQueueOrder walks the queue through every operation the worker
-// loops use and checks FIFO order across bundle boundaries.
+// loops use and checks FIFO order across bundle boundaries, with each
+// task's stamp — the instant its bundle reached the worker — travelling
+// with it.
 func TestTaskQueueOrder(t *testing.T) {
 	var q taskQueue
-	q.push(bundle(1, 3)) // 1 2 3
-	q.push(nil)          // an empty frame queues nothing
-	q.push(bundle(4, 1)) // 4
-	q.push(bundle(5, 4)) // 5 6 7 8
+	pop := func(wantID uint64, wantAt float64) {
+		t.Helper()
+		task, at := q.pop()
+		if task.ID != wantID || at != wantAt {
+			t.Fatalf("popped task %d stamped %v, want %d stamped %v", task.ID, at, wantID, wantAt)
+		}
+	}
+	q.push(bundle(1, 3), 0.5) // 1 2 3
+	q.push(nil, 0.6)          // an empty frame queues nothing
+	q.push(bundle(4, 1), 0.7) // 4
+	q.push(bundle(5, 4), 0.8) // 5 6 7 8
 	if q.len() != 8 {
 		t.Fatalf("len %d, want 8", q.len())
 	}
-	if got := q.pop().ID; got != 1 {
-		t.Fatalf("popped %d, want 1", got)
-	}
-	// A failure interrupt puts the task in service back at the head.
-	q.unpop(workload.Task{ID: 1})
-	if got := q.pop().ID; got != 1 {
-		t.Fatalf("popped %d after unpop, want 1", got)
-	}
-	// An eq.-(8) transfer takes the tail, in order, across bundles.
+	pop(1, 0.5)
+	// A failure interrupt puts the task in service back at the head, with
+	// the stamp it arrived with.
+	q.unpop(workload.Task{ID: 1}, 0.5)
+	pop(1, 0.5)
+	// An eq.-(8) transfer takes the tail, in order, across bundles; the
+	// two bundles it empties take their stamps with them.
 	if got := ids(q.takeTail(5)); !slices.Equal(got, []uint64{4, 5, 6, 7, 8}) {
 		t.Fatalf("takeTail(5) = %v", got)
 	}
-	if got := ids(q.takeTail(10)); !slices.Equal(got, []uint64{2, 3}) {
-		t.Fatalf("takeTail beyond the queue = %v", got)
+	if len(q.bundles) != 1 {
+		t.Fatalf("%d bundles left, want 1", len(q.bundles))
 	}
+	// What remains is bundle 1's tail, still stamped 0.5. A partial
+	// takeTail of a later bundle leaves that bundle's head its stamp.
+	q.push(bundle(20, 2), 0.9) // 20 21
+	if got := ids(q.takeTail(1)); !slices.Equal(got, []uint64{21}) {
+		t.Fatalf("takeTail(1) = %v", got)
+	}
+	pop(2, 0.5)
+	pop(3, 0.5)
+	pop(20, 0.9)
 	if q.len() != 0 || q.takeTail(1) != nil {
 		t.Fatalf("queue not empty: len %d", q.len())
 	}
 	// Reuse after draining, partial tail of a single bundle.
-	q.push(bundle(9, 4))
+	q.push(bundle(9, 4), 1.5)
 	if got := ids(q.takeTail(1)); !slices.Equal(got, []uint64{12}) {
 		t.Fatalf("takeTail(1) = %v", got)
 	}
-	for want := uint64(9); want <= 11; want++ {
-		if got := q.pop().ID; got != want {
-			t.Fatalf("popped %d, want %d", got, want)
-		}
+	// A takeTail across the whole queue empties every bundle.
+	if got := ids(q.takeTail(10)); !slices.Equal(got, []uint64{9, 10, 11}) {
+		t.Fatalf("takeTail beyond the queue = %v", got)
 	}
+	if q.len() != 0 || len(q.bundles) != 0 {
+		t.Fatalf("drained queue holds %d tasks in %d bundles", q.len(), len(q.bundles))
+	}
+	q.push(bundle(13, 1), 2.5)
+	pop(13, 2.5)
 	if q.len() != 0 || len(q.bundles) != 0 {
 		t.Fatalf("drained queue holds %d tasks in %d bundles", q.len(), len(q.bundles))
 	}
