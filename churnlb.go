@@ -120,14 +120,6 @@ func (s System) params() (model.Params, error) {
 	return p, p.Validate()
 }
 
-func (s System) markovParams() (markov.Params, error) {
-	p, err := s.params()
-	if err != nil {
-		return markov.Params{}, err
-	}
-	return markov.FromModel(p)
-}
-
 // PolicyKind selects a load-balancing policy.
 type PolicyKind = policy.Kind
 
@@ -169,11 +161,11 @@ type LBP1Optimum struct {
 // OptimizeLBP1 computes the failure-aware optimal gain and sender for a
 // two-node workload — the quantity behind the paper's Table 1.
 func OptimizeLBP1(s System, load0, load1 int) (LBP1Optimum, error) {
-	mp, err := s.markovParams()
+	p, err := s.analytical(load0, load1)
 	if err != nil {
 		return LBP1Optimum{}, err
 	}
-	ms, err := markov.NewMeanSolver(mp)
+	ms, err := markov.NewMeanSolver(p)
 	if err != nil {
 		return LBP1Optimum{}, err
 	}
@@ -184,16 +176,16 @@ func OptimizeLBP1(s System, load0, load1 int) (LBP1Optimum, error) {
 // MeanCompletionLBP1 returns the expected overall completion time under
 // LBP-1 with an explicit gain and sender, both nodes initially up.
 func MeanCompletionLBP1(s System, load0, load1, sender int, k float64) (float64, error) {
-	mp, err := s.markovParams()
+	p, err := s.analytical(load0, load1)
 	if err != nil {
 		return 0, err
 	}
-	ms, err := markov.NewMeanSolver(mp)
-	if err != nil {
+	if err := checkLBP1(sender, k); err != nil {
 		return 0, err
 	}
-	if sender != 0 && sender != 1 {
-		return 0, fmt.Errorf("churnlb: sender must be 0 or 1, got %d", sender)
+	ms, err := markov.NewMeanSolver(p)
+	if err != nil {
+		return 0, err
 	}
 	return ms.MeanLBP1(load0, load1, sender, k), nil
 }
@@ -201,16 +193,16 @@ func MeanCompletionLBP1(s System, load0, load1, sender int, k float64) (float64,
 // GainSweepLBP1 evaluates the expected completion time across an evenly
 // spaced gain grid (the curve of Fig. 3).
 func GainSweepLBP1(s System, load0, load1, sender, steps int) (ks, means []float64, err error) {
-	mp, err := s.markovParams()
+	p, err := s.analytical(load0, load1)
 	if err != nil {
 		return nil, nil, err
 	}
-	ms, err := markov.NewMeanSolver(mp)
-	if err != nil {
+	if err := checkLBP1(sender, 0); err != nil {
 		return nil, nil, err
 	}
-	if sender != 0 && sender != 1 {
-		return nil, nil, fmt.Errorf("churnlb: sender must be 0 or 1, got %d", sender)
+	ms, err := markov.NewMeanSolver(p)
+	if err != nil {
+		return nil, nil, err
 	}
 	ks, means = ms.GainSweep(load0, load1, sender, steps)
 	return ks, means, nil
@@ -219,11 +211,14 @@ func GainSweepLBP1(s System, load0, load1, sender, steps int) (ks, means []float
 // CompletionCDF computes the full completion-time distribution under
 // LBP-1 (Fig. 5): times[i] with F[i] = P{T ≤ times[i]}.
 func CompletionCDF(s System, load0, load1, sender int, k, tMax, dt float64) (times, f []float64, err error) {
-	mp, err := s.markovParams()
+	p, err := s.analytical(load0, load1)
 	if err != nil {
 		return nil, nil, err
 	}
-	cs, err := markov.NewCDFSolver(mp)
+	if err := checkLBP1(sender, k); err != nil {
+		return nil, nil, err
+	}
+	cs, err := markov.NewCDFSolver(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -238,12 +233,34 @@ func CompletionCDF(s System, load0, load1, sender int, k, tMax, dt float64) (tim
 // balance: optimised under the no-failure, delay-aware model against the
 // excess load of eq. (6).
 func LBP2InitialGain(s System, load0, load1 int) (float64, error) {
-	mp, err := s.markovParams()
+	p, err := s.analytical(load0, load1)
 	if err != nil {
 		return 0, err
 	}
-	k, _, _, err := markov.LBP2InitialGain(mp, load0, load1)
+	k, _, _, err := markov.LBP2InitialGain(p, load0, load1)
 	return k, err
+}
+
+// analytical returns the system's parameters for a two-node analysis of
+// the workload (load0, load1), or an error if either is unfit for one.
+func (s System) analytical(load0, load1 int) (model.Params, error) {
+	p, err := s.params()
+	if err != nil {
+		return model.Params{}, err
+	}
+	if load0 < 0 || load1 < 0 {
+		return model.Params{}, fmt.Errorf("churnlb: loads must be non-negative, got (%d,%d)", load0, load1)
+	}
+	return p, nil
+}
+
+// checkLBP1 rejects an LBP-1 sender other than node 0 or 1 and a gain
+// outside [0, 1].
+func checkLBP1(sender int, k float64) error {
+	if sender != 0 && sender != 1 {
+		return fmt.Errorf("churnlb: sender must be 0 or 1, got %d", sender)
+	}
+	return policy.CheckGain(k)
 }
 
 // --- simulation API (any node count) ---

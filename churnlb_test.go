@@ -333,6 +333,72 @@ func TestUnknownLawsRejected(t *testing.T) {
 	}
 }
 
+// Hostile arguments to the analytical API are errors, not panics. Most of
+// these once panicked inside the solvers: an index out of range, a negative
+// queue length, a makeslice, or a K of NaN or ±Inf rounding to a transfer
+// of MinInt64 tasks. A K of −0.5 or 1.5 ran as 0 or 1, and an infinite dt
+// never left the step-halving loop.
+func TestHostileAnalyticalArgumentsRejected(t *testing.T) {
+	sys := PaperSystem()
+	nan, inf := math.NaN(), math.Inf(1)
+	mean := func(load0, load1 int, k float64) func() error {
+		return func() error {
+			_, err := MeanCompletionLBP1(sys, load0, load1, 0, k)
+			return err
+		}
+	}
+	cdf := func(load0, load1 int, k, tMax, dt float64) func() error {
+		return func() error {
+			_, _, err := CompletionCDF(sys, load0, load1, 0, k, tMax, dt)
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name, names string
+		run         func() error
+	}{
+		{"optimize-negative-load", "load", func() error {
+			_, err := OptimizeLBP1(sys, -1, 5)
+			return err
+		}},
+		{"mean-negative-load", "load", mean(5, -3, 0.3)},
+		{"sweep-negative-load", "load", func() error {
+			_, _, err := GainSweepLBP1(sys, 5, -3, 0, 4)
+			return err
+		}},
+		{"lbp2-negative-load", "load", func() error {
+			_, err := LBP2InitialGain(sys, -5, 10)
+			return err
+		}},
+		{"mean-k-nan", "K", mean(5, 5, nan)},
+		{"mean-k-inf", "K", mean(5, 5, inf)},
+		{"mean-k-negative", "K", mean(5, 5, -0.5)},
+		{"mean-k-over-one", "K", mean(5, 5, 1.5)},
+		{"cdf-k-nan", "K", cdf(5, 5, nan, 5, 0.5)},
+		{"cdf-negative-load", "load", cdf(-1, 5, 0.3, 5, 0.5)},
+		{"cdf-dt-nan", "dt", cdf(100, 60, 0.35, 5, nan)},
+		{"cdf-dt-inf", "dt", cdf(100, 60, 0.35, 5, inf)},
+		{"cdf-tmax-inf", "tMax", cdf(100, 60, 0.35, inf, 0.5)},
+		{"cdf-tmax-nan", "tMax", cdf(100, 60, 0.35, nan, 0.5)},
+		{"cdf-grid-overflow", "grid", cdf(1, 1, 0.35, 1e300, 1e-300)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			err := c.run()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("error %q does not name %s", err, c.names)
+			}
+		})
+	}
+}
+
 // TestHostileArrivalParametersRejected: the public entry points refuse
 // every arrival parameter that used to wedge a run — a NaN (which passed
 // `Rate <= 0`), an infinity, a batch beyond the queue's int32 — naming it.

@@ -42,3 +42,14 @@ func TestInvalidSenderFails(t *testing.T) {
 		t.Fatalf("invalid sender: exit %d, want 1", code)
 	}
 }
+
+// A negative load is an error (exit 1), not a panic inside the solver.
+func TestNegativeLoadFails(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-m0", "-1", "-optimize"}, &out, &errb); code != 1 {
+		t.Fatalf("negative load: exit %d, want 1", code)
+	}
+	if strings.Contains(errb.String(), "panic:") || !strings.Contains(errb.String(), "lbtheory:") {
+		t.Fatalf("stderr %q", errb.String())
+	}
+}

@@ -136,12 +136,12 @@ func runFig2(cfg Config) (*Result, error) {
 func runFig3(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig3", Title: "Completion time vs gain K (LBP-1, workload (100,60))"}
 	const m0, m1, sender = 100, 60, 0
-	pm := markov.PaperBaseline()
-	ms, err := markov.NewMeanSolver(pm)
+	p := model.PaperBaseline()
+	ms, err := markov.NewMeanSolver(p)
 	if err != nil {
 		return nil, err
 	}
-	msNF, err := markov.NewMeanSolver(pm.NoFailure())
+	msNF, err := markov.NewMeanSolver(p.NoFailure())
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,6 @@ func runFig3(cfg Config) (*Result, error) {
 	_, theoNF := msNF.GainSweep(m0, m1, sender, steps)
 
 	// Monte-Carlo curve.
-	p := model.PaperBaseline()
 	reps := cfg.reps(400, 4000)
 	mcMeans := make([]float64, len(ks))
 	for i, k := range ks {
@@ -247,16 +246,16 @@ func runFig4(cfg Config) (*Result, error) {
 // runFig5 regenerates the completion-time CDFs with and without failure.
 func runFig5(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig5", Title: "Completion-time CDFs under LBP-1"}
-	pm := markov.PaperBaseline()
-	cs, err := markov.NewCDFSolver(pm)
+	p := model.PaperBaseline()
+	cs, err := markov.NewCDFSolver(p)
 	if err != nil {
 		return nil, err
 	}
-	csNF, err := markov.NewCDFSolver(pm.NoFailure())
+	csNF, err := markov.NewCDFSolver(p.NoFailure())
 	if err != nil {
 		return nil, err
 	}
-	ms, err := markov.NewMeanSolver(pm)
+	ms, err := markov.NewMeanSolver(p)
 	if err != nil {
 		return nil, err
 	}

@@ -94,12 +94,12 @@ func testbedMean(cfg Config, p model.Params, pol policy.Policy, load []int, reps
 // optimum.
 func runTable1(cfg Config) (*Result, error) {
 	res := &Result{ID: "table1", Title: "LBP-1 with theoretically optimal gains"}
-	pm := markov.PaperBaseline()
-	ms, err := markov.NewMeanSolver(pm)
+	p := model.PaperBaseline()
+	ms, err := markov.NewMeanSolver(p)
 	if err != nil {
 		return nil, err
 	}
-	msNF, err := markov.NewMeanSolver(pm.NoFailure())
+	msNF, err := markov.NewMeanSolver(p.NoFailure())
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func runTable1(cfg Config) (*Result, error) {
 			report.F(ref.nofail), report.F(optNF.Mean),
 		}
 		if cfg.Testbed {
-			bed, err := testbedMean(cfg, model.PaperBaseline(),
+			bed, err := testbedMean(cfg, p,
 				policy.LBP1{K: opt.K, Sender: opt.Sender}, []int{w[0], w[1]},
 				cfg.reps(3, 15), 0x7A1)
 			if err != nil {
@@ -142,7 +142,6 @@ func runTable1(cfg Config) (*Result, error) {
 // under the no-failure model, Monte-Carlo and testbed completion times.
 func runTable2(cfg Config) (*Result, error) {
 	res := &Result{ID: "table2", Title: "LBP-2 with no-failure-optimal initial gains"}
-	pm := markov.PaperBaseline()
 	p := model.PaperBaseline()
 	headers := []string{"workload", "K paper", "K ours", "MC paper", "MC ours", "exp paper"}
 	if cfg.Testbed {
@@ -151,7 +150,7 @@ func runTable2(cfg Config) (*Result, error) {
 	tbl := report.Table{Title: "Average overall completion time (s), LBP-2", Headers: headers}
 	reps := cfg.reps(500, 5000)
 	for _, w := range workloads {
-		k, _, _, err := markov.LBP2InitialGain(pm, w[0], w[1])
+		k, _, _, err := markov.LBP2InitialGain(p, w[0], w[1])
 		if err != nil {
 			return nil, err
 		}
@@ -195,17 +194,16 @@ func runTable3(cfg Config) (*Result, error) {
 	reps := cfg.reps(800, 6000)
 	var xs, y1, y2 []float64
 	for _, ref := range paperTable3 {
-		pm := markov.PaperBaseline().WithDelay(ref.delta)
-		ms, err := markov.NewMeanSolver(pm)
+		p := model.PaperBaseline().WithDelay(ref.delta)
+		ms, err := markov.NewMeanSolver(p)
 		if err != nil {
 			return nil, err
 		}
 		opt := ms.OptimizeLBP1(100, 60)
-		k2, _, _, err := markov.LBP2InitialGain(pm, 100, 60)
+		k2, _, _, err := markov.LBP2InitialGain(p, 100, 60)
 		if err != nil {
 			return nil, err
 		}
-		p := model.PaperBaseline().WithDelay(ref.delta)
 		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(ref.delta*100)},
 			sim.Options{Params: p, Policy: policy.LBP2{K: k2}, InitialLoad: []int{100, 60}})
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"churnlb/internal/linalg"
+	"churnlb/internal/model"
+	"churnlb/internal/policy"
 )
 
 // CDFResult is the sampled distribution function of the overall completion
@@ -68,35 +70,34 @@ func (r *CDFResult) Quantile(q float64) float64 {
 
 // CDFSolver integrates the distribution-function ODE system of eq. (5).
 type CDFSolver struct {
-	p Params
+	p model.Params
 }
 
-// NewCDFSolver validates p and returns a solver.
-func NewCDFSolver(p Params) (*CDFSolver, error) {
-	if err := p.Validate(); err != nil {
+// NewCDFSolver checks that p is a well-posed two-node system and returns
+// a solver over a copy of it.
+func NewCDFSolver(p model.Params) (*CDFSolver, error) {
+	if err := checkTwoNode(p); err != nil {
 		return nil, err
 	}
-	return &CDFSolver{p: p}, nil
+	return &CDFSolver{p: p.Clone()}, nil
 }
 
 // cdfLattice indexes the flattened ODE state vector: a main block for the
 // in-flight regime followed by a hat block (or only a hat block if the
 // scenario has no transfer).
 type cdfLattice struct {
-	hasMain        bool
-	m0, m1         int // main lattice bounds
-	h0, h1         int // hat lattice bounds
-	mainOff        int // always 0 when present
-	hatOff         int
-	hx, hy         int     // hat offset applied on transfer arrival
-	z              float64 // transfer arrival rate
-	p              Params
-	startIdx       int
-	maxOutflowRate float64
+	hasMain  bool
+	m0, m1   int // main lattice bounds; the main block starts at 0
+	h0, h1   int // hat lattice bounds
+	hatOff   int
+	hx, hy   int     // hat offset applied on transfer arrival
+	z        float64 // transfer arrival rate
+	p        model.Params
+	startIdx int
 }
 
 func (l *cdfLattice) mainIdx(a, b int, s WorkState) int {
-	return l.mainOff + (a*(l.m1+1)+b)*4 + int(s)
+	return (a*(l.m1+1)+b)*4 + int(s)
 }
 
 func (l *cdfLattice) hatIdx(a, b int, s WorkState) int {
@@ -115,7 +116,8 @@ func (l *cdfLattice) size() int {
 // ṗ = −λ_s·p + Σ_event rate·p_target. The "done" hat state (0,0) carries
 // p ≡ 1 and a derivative that is identically zero by construction.
 func (l *cdfLattice) deriv(_ float64, y, dst []float64) {
-	p := l.p
+	// The rates as arrays: the loops below index them without bounds checks.
+	proc, fail, rec := [2]float64(l.p.ProcRate), [2]float64(l.p.FailRate), [2]float64(l.p.RecRate)
 	// Hat block.
 	for a := 0; a <= l.h0; a++ {
 		for b := 0; b <= l.h1; b++ {
@@ -123,20 +125,20 @@ func (l *cdfLattice) deriv(_ float64, y, dst []float64) {
 				idx := l.hatIdx(a, b, s)
 				var total, inflow float64
 				if s.Up(0) && a > 0 {
-					total += p.ProcRate[0]
-					inflow += p.ProcRate[0] * y[l.hatIdx(a-1, b, s)]
+					total += proc[0]
+					inflow += proc[0] * y[l.hatIdx(a-1, b, s)]
 				}
 				if s.Up(1) && b > 0 {
-					total += p.ProcRate[1]
-					inflow += p.ProcRate[1] * y[l.hatIdx(a, b-1, s)]
+					total += proc[1]
+					inflow += proc[1] * y[l.hatIdx(a, b-1, s)]
 				}
 				for i := 0; i < 2; i++ {
 					if s.Up(i) {
-						if f := p.FailRate[i]; f > 0 {
+						if f := fail[i]; f > 0 {
 							total += f
 							inflow += f * y[l.hatIdx(a, b, s.WithDown(i))]
 						}
-					} else if r := p.RecRate[i]; r > 0 {
+					} else if r := rec[i]; r > 0 {
 						total += r
 						inflow += r * y[l.hatIdx(a, b, s.WithUp(i))]
 					}
@@ -154,20 +156,20 @@ func (l *cdfLattice) deriv(_ float64, y, dst []float64) {
 				idx := l.mainIdx(a, b, s)
 				var total, inflow float64
 				if s.Up(0) && a > 0 {
-					total += p.ProcRate[0]
-					inflow += p.ProcRate[0] * y[l.mainIdx(a-1, b, s)]
+					total += proc[0]
+					inflow += proc[0] * y[l.mainIdx(a-1, b, s)]
 				}
 				if s.Up(1) && b > 0 {
-					total += p.ProcRate[1]
-					inflow += p.ProcRate[1] * y[l.mainIdx(a, b-1, s)]
+					total += proc[1]
+					inflow += proc[1] * y[l.mainIdx(a, b-1, s)]
 				}
 				for i := 0; i < 2; i++ {
 					if s.Up(i) {
-						if f := p.FailRate[i]; f > 0 {
+						if f := fail[i]; f > 0 {
 							total += f
 							inflow += f * y[l.mainIdx(a, b, s.WithDown(i))]
 						}
-					} else if r := p.RecRate[i]; r > 0 {
+					} else if r := rec[i]; r > 0 {
 						total += r
 						inflow += r * y[l.mainIdx(a, b, s.WithUp(i))]
 					}
@@ -188,8 +190,11 @@ func (cs *CDFSolver) CDFWithTransfer(m0, m1 int, tr Transfer, start WorkState, t
 	if m0 < 0 || m1 < 0 {
 		return nil, fmt.Errorf("markov: negative queue length (%d,%d)", m0, m1)
 	}
-	if tMax <= 0 || dt <= 0 {
-		return nil, fmt.Errorf("markov: need positive tMax and dt, got %v and %v", tMax, dt)
+	if !(tMax > 0) || !(dt > 0) || math.IsInf(tMax, 1) || math.IsInf(dt, 1) {
+		return nil, fmt.Errorf("markov: need positive, finite tMax and dt, got %v and %v", tMax, dt)
+	}
+	if tMax/dt > math.MaxInt32 {
+		return nil, fmt.Errorf("markov: a grid of %v steps over [0, %v] is too large", tMax/dt, tMax)
 	}
 	p := cs.p
 	lat := &cdfLattice{p: p}
@@ -197,7 +202,7 @@ func (cs *CDFSolver) CDFWithTransfer(m0, m1 int, tr Transfer, start WorkState, t
 		if tr.To != 0 && tr.To != 1 {
 			return nil, fmt.Errorf("markov: invalid transfer receiver %d", tr.To)
 		}
-		z := p.TransferRate(tr.Tasks)
+		z := transferRate(p, tr.Tasks)
 		if math.IsInf(z, 1) {
 			// Instantaneous transfer: equivalent hat scenario.
 			if tr.To == 0 {
@@ -219,11 +224,9 @@ func (cs *CDFSolver) CDFWithTransfer(m0, m1 int, tr Transfer, start WorkState, t
 	lat.m0, lat.m1 = m0, m1
 	lat.h0, lat.h1 = m0+lat.hx, m1+lat.hy
 	if lat.hasMain {
-		lat.mainOff = 0
 		lat.hatOff = (m0 + 1) * (m1 + 1) * 4
 		lat.startIdx = lat.mainIdx(m0, m1, start)
 	} else {
-		lat.hatOff = 0
 		lat.startIdx = lat.hatIdx(m0, m1, start)
 	}
 
@@ -269,7 +272,7 @@ func (cs *CDFSolver) CDFLBP1(m0, m1, sender int, k float64, start WorkState, tMa
 		return nil, fmt.Errorf("markov: invalid sender %d", sender)
 	}
 	m := [2]int{m0, m1}
-	l := RoundGain(k, m[sender])
+	l := policy.RoundGain(k, m[sender])
 	if l == 0 {
 		return cs.CDFWithTransfer(m0, m1, Transfer{}, start, tMax, dt)
 	}

@@ -3,10 +3,12 @@ package markov
 import (
 	"math"
 	"testing"
+
+	"churnlb/internal/model"
 )
 
 func TestCDFIsDistributionFunction(t *testing.T) {
-	cs, _ := NewCDFSolver(PaperBaseline())
+	cs, _ := NewCDFSolver(model.PaperBaseline())
 	r, err := cs.CDFLBP1(25, 15, 0, 0.4, BothUp, 200, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +33,7 @@ func TestCDFIsDistributionFunction(t *testing.T) {
 
 // The mean recovered from ∫(1−F)dt must agree with the eq.-4 solver.
 func TestCDFMeanMatchesMeanSolver(t *testing.T) {
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	ms, _ := NewMeanSolver(p)
 	cs, _ := NewCDFSolver(p)
 	cases := []struct {
@@ -59,7 +61,7 @@ func TestCDFMeanMatchesMeanSolver(t *testing.T) {
 // Paper Fig. 5 claim: the failure CDF is stochastically dominated by the
 // no-failure CDF (F_fail(t) ≤ F_nofail(t) for all t).
 func TestCDFFailureDominatedByNoFailure(t *testing.T) {
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	cs, _ := NewCDFSolver(p)
 	csNF, _ := NewCDFSolver(p.NoFailure())
 	for _, w := range [][2]int{{50, 0}, {25, 50}} {
@@ -85,7 +87,7 @@ func TestCDFFailureDominatedByNoFailure(t *testing.T) {
 // Exact closed form: one task at one node, no failure, no transfer:
 // F(t) = 1 − e^{−λd·t}.
 func TestCDFSingleTaskExponential(t *testing.T) {
-	p := PaperBaseline().NoFailure()
+	p := model.PaperBaseline().NoFailure()
 	cs, _ := NewCDFSolver(p)
 	r, err := cs.CDFWithTransfer(1, 0, Transfer{}, BothUp, 10, 0.01)
 	if err != nil {
@@ -102,7 +104,7 @@ func TestCDFSingleTaskExponential(t *testing.T) {
 
 // Two tasks at one node: Erlang-2 CDF = 1 − e^{−λt}(1+λt).
 func TestCDFErlangTwo(t *testing.T) {
-	p := PaperBaseline().NoFailure()
+	p := model.PaperBaseline().NoFailure()
 	cs, _ := NewCDFSolver(p)
 	r, err := cs.CDFWithTransfer(0, 2, Transfer{}, BothUp, 10, 0.01)
 	if err != nil {
@@ -122,7 +124,7 @@ func TestCDFErlangTwo(t *testing.T) {
 // is the transfer delay plus an Erlang service: mean = δL + L/λd. Checks
 // the transfer-arrival coupling into the hat block.
 func TestCDFTransferCouplingMean(t *testing.T) {
-	p := PaperBaseline().NoFailure()
+	p := model.PaperBaseline().NoFailure()
 	cs, _ := NewCDFSolver(p)
 	const l = 10
 	r, err := cs.CDFWithTransfer(0, 0, Transfer{To: 1, Tasks: l}, BothUp, 60, 0.02)
@@ -136,7 +138,7 @@ func TestCDFTransferCouplingMean(t *testing.T) {
 }
 
 func TestCDFInstantaneousTransfer(t *testing.T) {
-	p := PaperBaseline().NoFailure().WithDelay(0)
+	p := model.PaperBaseline().NoFailure().WithDelay(0)
 	cs, _ := NewCDFSolver(p)
 	r, err := cs.CDFWithTransfer(0, 0, Transfer{To: 0, Tasks: 1}, BothUp, 10, 0.01)
 	if err != nil {
@@ -150,7 +152,7 @@ func TestCDFInstantaneousTransfer(t *testing.T) {
 }
 
 func TestCDFStartStateMatters(t *testing.T) {
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	cs, _ := NewCDFSolver(p)
 	up, err := cs.CDFWithTransfer(5, 5, Transfer{}, BothUp, 120, 0.1)
 	if err != nil {
@@ -172,7 +174,7 @@ func TestCDFStartStateMatters(t *testing.T) {
 }
 
 func TestCDFArgumentValidation(t *testing.T) {
-	cs, _ := NewCDFSolver(PaperBaseline())
+	cs, _ := NewCDFSolver(model.PaperBaseline())
 	if _, err := cs.CDFWithTransfer(-1, 0, Transfer{}, BothUp, 10, 0.1); err == nil {
 		t.Fatal("negative queue accepted")
 	}
@@ -221,7 +223,7 @@ func TestCDFTimes(t *testing.T) {
 // Stiff case: tiny transfers make λ_transfer huge; the solver must remain
 // stable by subdividing the step.
 func TestCDFStiffTransferStable(t *testing.T) {
-	p := PaperBaseline().WithDelay(0.01) // L=1 -> rate 100/s
+	p := model.PaperBaseline().WithDelay(0.01) // L=1 -> rate 100/s
 	cs, _ := NewCDFSolver(p)
 	r, err := cs.CDFWithTransfer(3, 2, Transfer{To: 1, Tasks: 1}, BothUp, 60, 0.1)
 	if err != nil {
@@ -237,8 +239,36 @@ func TestCDFStiffTransferStable(t *testing.T) {
 	}
 }
 
+// Failures add variance: the completion law of the baseline scenario is
+// wider than its no-failure counterpart's. The moments come from the
+// CDF's increments, F(t_i) − F(t_{i−1}) at the cell midpoint.
+func TestFailureInflatesVariance(t *testing.T) {
+	variance := func(p model.Params) float64 {
+		cs, _ := NewCDFSolver(p)
+		r, err := cs.CDFLBP1(20, 10, 0, 0.35, BothUp, 200, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := r.F[len(r.F)-1]; f < 0.999 {
+			t.Fatalf("F(200) = %v: the grid truncates the law", f)
+		}
+		var m1, m2 float64
+		for i := 1; i < len(r.F); i++ {
+			tm := (float64(i) - 0.5) * r.Step
+			d := r.F[i] - r.F[i-1]
+			m1 += tm * d
+			m2 += tm * tm * d
+		}
+		return m2 - m1*m1
+	}
+	withF, noF := variance(model.PaperBaseline()), variance(model.PaperBaseline().NoFailure())
+	if !(noF > 0 && withF > noF) {
+		t.Fatalf("failure variance %v not above no-failure %v", withF, noF)
+	}
+}
+
 func BenchmarkCDF50Tasks(b *testing.B) {
-	cs, _ := NewCDFSolver(PaperBaseline())
+	cs, _ := NewCDFSolver(model.PaperBaseline())
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.CDFLBP1(50, 0, 0, 0.6, BothUp, 200, 0.1); err != nil {
 			b.Fatal(err)

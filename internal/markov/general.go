@@ -6,6 +6,7 @@ import (
 
 	"churnlb/internal/linalg"
 	"churnlb/internal/model"
+	"churnlb/internal/policy"
 )
 
 // PendingTransfer is a load in flight in the general N-node model.
@@ -182,33 +183,6 @@ func (g *GeneralSolver) solve(queues []int, pending []PendingTransfer, mask int)
 	return vals
 }
 
-// FromModel converts an N=2 model.Params into the specialised two-node
-// Params used by the analytical solvers.
-func FromModel(p model.Params) (Params, error) {
-	if err := p.Validate(); err != nil {
-		return Params{}, err
-	}
-	if p.N() != 2 {
-		return Params{}, fmt.Errorf("markov: analytical solvers need exactly 2 nodes, got %d", p.N())
-	}
-	return Params{
-		ProcRate:     [2]float64{p.ProcRate[0], p.ProcRate[1]},
-		FailRate:     [2]float64{p.FailRate[0], p.FailRate[1]},
-		RecRate:      [2]float64{p.RecRate[0], p.RecRate[1]},
-		DelayPerTask: p.DelayPerTask,
-	}, nil
-}
-
-// ToModel converts to the shared N-node representation.
-func (p Params) ToModel() model.Params {
-	return model.Params{
-		ProcRate:     []float64{p.ProcRate[0], p.ProcRate[1]},
-		FailRate:     []float64{p.FailRate[0], p.FailRate[1]},
-		RecRate:      []float64{p.RecRate[0], p.RecRate[1]},
-		DelayPerTask: p.DelayPerTask,
-	}
-}
-
 // OptimizeTransferGain finds the integral transfer size L ∈ [0, maxTasks]
 // from the given sender that minimises the expected completion time, and
 // reports it as a gain K = L/maxTasks together with the achieved mean.
@@ -242,23 +216,26 @@ func OptimizeTransferGain(ms *MeanSolver, m0, m1, sender, maxTasks int) (float64
 }
 
 // LBP2InitialGain computes the paper's LBP-2 initial gain for a two-node
-// workload: the excess load of eq. (6) is computed under the no-failure
-// model and the gain K is optimised with the delay-aware no-failure
-// solver (the authors' "previously reported theoretical model"). It
-// returns the gain, the sending node and the excess size (0, 0, 0 when
-// the workload is already balanced).
-func LBP2InitialGain(p Params, m0, m1 int) (k float64, sender, excess int, err error) {
+// workload: the sender and its excess load are policy.LBP2's eq. (6) under
+// the no-failure model, and the gain K is optimised with the delay-aware
+// no-failure solver (the authors' "previously reported theoretical
+// model"). It returns the gain, the sending node and the excess size
+// (0, 0, 0 when the workload is already balanced).
+func LBP2InitialGain(p model.Params, m0, m1 int) (k float64, sender, excess int, err error) {
+	if err := checkTwoNode(p); err != nil {
+		return 0, 0, 0, err
+	}
+	if m0 < 0 || m1 < 0 {
+		return 0, 0, 0, fmt.Errorf("markov: negative queue length (%d,%d)", m0, m1)
+	}
 	nf := p.NoFailure()
-	total := float64(m0 + m1)
-	sum := nf.ProcRate[0] + nf.ProcRate[1]
-	e0 := float64(m0) - nf.ProcRate[0]/sum*total
-	e1 := float64(m1) - nf.ProcRate[1]/sum*total
-	switch {
-	case e0 >= 1:
-		sender, excess = 0, int(e0)
-	case e1 >= 1:
-		sender, excess = 1, int(e1)
-	default:
+	v := model.SnapshotView{State: model.State{Queues: []int{m0, m1}}}
+	for sender = 0; sender < 2; sender++ {
+		if excess = (policy.LBP2{}).ExcessLoad(sender, v, nf); excess > 0 {
+			break
+		}
+	}
+	if excess == 0 {
 		return 0, 0, 0, nil
 	}
 	ms, err := NewMeanSolver(nf)

@@ -13,7 +13,7 @@ func TestGeneralSolverMatchesTwoNodeSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	cases := []struct {
 		m0, m1, l, to int
 	}{
@@ -135,30 +135,44 @@ func TestGeneralSolverValidation(t *testing.T) {
 	}
 }
 
+// The two-node solvers take model.Params as they are, with no conversion
+// in between: the rates a solver holds are the caller's, bit for bit, and a
+// system of any other size is refused.
 func TestFromModelToModelRoundTrip(t *testing.T) {
 	mp := model.PaperBaseline()
-	p, err := FromModel(mp)
+	ms, err := NewMeanSolver(mp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := p.ToModel()
-	for i := 0; i < 2; i++ {
-		if back.ProcRate[i] != mp.ProcRate[i] || back.FailRate[i] != mp.FailRate[i] || back.RecRate[i] != mp.RecRate[i] {
-			t.Fatal("round trip lost rates")
+	cs, err := NewCDFSolver(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, back := range []model.Params{ms.p, cs.p} {
+		for i := 0; i < 2; i++ {
+			if back.ProcRate[i] != mp.ProcRate[i] || back.FailRate[i] != mp.FailRate[i] || back.RecRate[i] != mp.RecRate[i] {
+				t.Fatal("round trip lost rates")
+			}
+		}
+		if back.DelayPerTask != mp.DelayPerTask {
+			t.Fatal("round trip lost the transfer delay")
 		}
 	}
 	three := model.Params{
 		ProcRate: []float64{1, 1, 1}, FailRate: []float64{0, 0, 0}, RecRate: []float64{0, 0, 0},
 	}
-	if _, err := FromModel(three); err == nil {
-		t.Fatal("3-node params accepted by FromModel")
+	if _, err := NewMeanSolver(three); err == nil {
+		t.Fatal("3-node params accepted by NewMeanSolver")
+	}
+	if _, err := NewCDFSolver(three); err == nil {
+		t.Fatal("3-node params accepted by NewCDFSolver")
 	}
 }
 
 // Paper Table 2 gains: the no-failure optimal LBP-2 gain is 1.0 for
 // (200,200) and high (≥0.6) for the other workloads at δ=0.02.
 func TestLBP2InitialGainMatchesPaperQualitatively(t *testing.T) {
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	cases := []struct {
 		m0, m1     int
 		wantSender int
@@ -198,9 +212,9 @@ func TestLBP2InitialGainMatchesPaperQualitatively(t *testing.T) {
 // The gain optimised for LBP-1 by OptimizeTransferGain must agree with
 // the dedicated OptimizeLBP1 search when given the full queue.
 func TestOptimizeTransferGainAgreesWithOptimizeLBP1(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	opt := ms.OptimizeLBP1(60, 25)
-	ms2, _ := NewMeanSolver(PaperBaseline())
+	ms2, _ := NewMeanSolver(model.PaperBaseline())
 	k, mean := OptimizeTransferGain(ms2, 60, 25, opt.Sender, []int{60, 25}[opt.Sender])
 	if math.Abs(mean-opt.Mean) > 1e-9 {
 		t.Fatalf("means differ: %v vs %v", mean, opt.Mean)

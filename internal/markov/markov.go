@@ -2,7 +2,11 @@
 // of Dhakal et al., "Load Balancing in the Presence of Random Node Failure
 // and Recovery" (IPDPS 2006).
 //
-// The two-node distributed system is a continuous-time Markov process over
+// The system is the two-node model.Params the simulator and the policies
+// run, and the analysis prices the policies' own rules: LBP-1 moves
+// policy.RoundGain's L = round(K·m) tasks, and LBP-2's initial move is sized
+// by policy.LBP2's eq.-(6) excess. With those rates the system is a
+// continuous-time Markov process over
 //
 //	(M0, M1)  — tasks queued at node 0 and node 1,
 //	s         — the work state: which nodes are up,
@@ -24,6 +28,8 @@ package markov
 import (
 	"fmt"
 	"math"
+
+	"churnlb/internal/model"
 )
 
 // WorkState encodes which nodes are up: bit i set means node i is working.
@@ -57,77 +63,24 @@ func (s WorkState) String() string {
 	return fmt.Sprintf("(%d,%d)", k0, k1)
 }
 
-// Params holds the stochastic parameters of the two-node model. All rates
-// are per second.
-type Params struct {
-	// ProcRate is λd: tasks processed per second by each node while up.
-	ProcRate [2]float64
-	// FailRate is λf: failures per second while up. Zero disables failure.
-	FailRate [2]float64
-	// RecRate is λr: recoveries per second while down. Must be positive
-	// for any node with a positive failure rate.
-	RecRate [2]float64
-	// DelayPerTask is δ: the mean transfer delay contributed by each task
-	// in a transferred load; a bundle of L tasks arrives after
-	// Exp(1/(δ·L)). Zero means transfers arrive instantaneously.
-	DelayPerTask float64
-}
-
-// PaperBaseline returns the parameter set measured in Section 4 of the
-// paper: processing rates 1.08 and 1.86 tasks/s, mean failure time 20 s for
-// both nodes, mean recovery times 10 s and 20 s, and a mean transfer delay
-// of 0.02 s per task.
-func PaperBaseline() Params {
-	return Params{
-		ProcRate:     [2]float64{1.08, 1.86},
-		FailRate:     [2]float64{1.0 / 20, 1.0 / 20},
-		RecRate:      [2]float64{1.0 / 10, 1.0 / 20},
-		DelayPerTask: 0.02,
+// checkTwoNode is the one check every two-node solver makes of its
+// model.Params: well-posed (model.Params.Validate) and exactly two nodes.
+func checkTwoNode(p model.Params) error {
+	if err := p.Validate(); err != nil {
+		return err
 	}
-}
-
-// NoFailure returns a copy of p with both failure rates zeroed, the
-// reference scenario used throughout the paper's comparisons.
-func (p Params) NoFailure() Params {
-	p.FailRate = [2]float64{0, 0}
-	return p
-}
-
-// WithDelay returns a copy of p with the per-task transfer delay replaced.
-func (p Params) WithDelay(delta float64) Params {
-	p.DelayPerTask = delta
-	return p
-}
-
-// Validate checks that the parameters describe a well-posed model in which
-// every queued task eventually completes with probability one.
-func (p Params) Validate() error {
-	for i := 0; i < 2; i++ {
-		if p.ProcRate[i] <= 0 || math.IsNaN(p.ProcRate[i]) || math.IsInf(p.ProcRate[i], 0) {
-			return fmt.Errorf("markov: ProcRate[%d] = %v must be positive and finite", i, p.ProcRate[i])
-		}
-		if p.FailRate[i] < 0 || math.IsNaN(p.FailRate[i]) {
-			return fmt.Errorf("markov: FailRate[%d] = %v must be non-negative", i, p.FailRate[i])
-		}
-		if p.RecRate[i] < 0 || math.IsNaN(p.RecRate[i]) {
-			return fmt.Errorf("markov: RecRate[%d] = %v must be non-negative", i, p.RecRate[i])
-		}
-		if p.FailRate[i] > 0 && p.RecRate[i] <= 0 {
-			return fmt.Errorf("markov: node %d can fail (λf=%v) but never recovers (λr=%v)", i, p.FailRate[i], p.RecRate[i])
-		}
-	}
-	if p.DelayPerTask < 0 || math.IsNaN(p.DelayPerTask) {
-		return fmt.Errorf("markov: DelayPerTask = %v must be non-negative", p.DelayPerTask)
+	if p.N() != 2 {
+		return fmt.Errorf("markov: analytical solvers need exactly 2 nodes, got %d", p.N())
 	}
 	return nil
 }
 
-// TransferRate returns the arrival rate λ_transfer(L) = 1/(δ·L) of an
+// transferRate returns the arrival rate λ_transfer(L) = 1/(δ·L) of an
 // in-flight bundle of L tasks. It returns +Inf when the model has no delay
 // (δ = 0); callers treat that case as an instantaneous transfer.
-func (p Params) TransferRate(l int) float64 {
+func transferRate(p model.Params, l int) float64 {
 	if l <= 0 {
-		panic("markov: TransferRate of empty transfer")
+		panic("markov: transferRate of empty transfer")
 	}
 	if p.DelayPerTask == 0 {
 		return math.Inf(1)
@@ -135,37 +88,8 @@ func (p Params) TransferRate(l int) float64 {
 	return 1 / (p.DelayPerTask * float64(l))
 }
 
-// Availability returns the steady-state probability that node i is up:
-// λr/(λf+λr), or 1 when the node never fails. This is the weighting factor
-// of the LBP-2 on-failure transfer (eq. 8).
-func (p Params) Availability(i int) float64 {
-	if p.FailRate[i] == 0 {
-		return 1
-	}
-	return p.RecRate[i] / (p.FailRate[i] + p.RecRate[i])
-}
-
-// EffectiveRate returns the long-run processing rate of node i accounting
-// for down time: λd·availability.
-func (p Params) EffectiveRate(i int) float64 {
-	return p.ProcRate[i] * p.Availability(i)
-}
-
 // Transfer describes a load in flight between the nodes.
 type Transfer struct {
 	To    int // receiving node, 0 or 1
 	Tasks int // number of tasks in the bundle (> 0)
-}
-
-// RoundGain converts a continuous gain K and a sender queue size into the
-// integral transfer size L = round(K·m) used throughout the paper.
-func RoundGain(k float64, m int) int {
-	if k <= 0 || m <= 0 {
-		return 0
-	}
-	l := int(math.Round(k * float64(m)))
-	if l > m {
-		l = m
-	}
-	return l
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"churnlb/internal/model"
+	"churnlb/internal/policy"
 )
 
 func TestWorkStateBits(t *testing.T) {
@@ -30,84 +33,126 @@ func TestWorkStateBits(t *testing.T) {
 	}
 }
 
+// The solvers take the simulator's model.Params: a well-posed system
+// (model.Params.Validate) of exactly two nodes.
 func TestValidate(t *testing.T) {
-	good := PaperBaseline()
-	if err := good.Validate(); err != nil {
+	if err := checkTwoNode(model.PaperBaseline()); err != nil {
 		t.Fatalf("baseline params invalid: %v", err)
 	}
-	bad := good
+	bad := model.PaperBaseline()
 	bad.ProcRate[0] = 0
-	if bad.Validate() == nil {
+	if checkTwoNode(bad) == nil {
 		t.Fatal("zero processing rate accepted")
 	}
-	bad = good
+	bad = model.PaperBaseline()
 	bad.FailRate[1] = 0.1
 	bad.RecRate[1] = 0
-	if bad.Validate() == nil {
+	if checkTwoNode(bad) == nil {
 		t.Fatal("failing node without recovery accepted")
 	}
-	bad = good
+	bad = model.PaperBaseline()
 	bad.DelayPerTask = -1
-	if bad.Validate() == nil {
+	if checkTwoNode(bad) == nil {
 		t.Fatal("negative delay accepted")
 	}
-	bad = good
+	bad = model.PaperBaseline()
 	bad.FailRate[0] = math.NaN()
-	if bad.Validate() == nil {
+	if checkTwoNode(bad) == nil {
 		t.Fatal("NaN rate accepted")
 	}
-}
-
-func TestAvailability(t *testing.T) {
-	p := PaperBaseline()
-	// Node 0: λf = 1/20, λr = 1/10 -> availability 2/3.
-	if a := p.Availability(0); math.Abs(a-2.0/3.0) > 1e-12 {
-		t.Fatalf("availability node 0 = %v, want 2/3", a)
+	three := model.Params{
+		ProcRate: []float64{1, 1, 1}, FailRate: []float64{0, 0, 0}, RecRate: []float64{0, 0, 0},
 	}
-	// Node 1: λf = λr = 1/20 -> availability 1/2.
-	if a := p.Availability(1); math.Abs(a-0.5) > 1e-12 {
-		t.Fatalf("availability node 1 = %v, want 1/2", a)
+	if checkTwoNode(three) == nil {
+		t.Fatal("3-node params accepted")
 	}
-	nf := p.NoFailure()
-	if nf.Availability(0) != 1 || nf.Availability(1) != 1 {
-		t.Fatal("no-failure availability must be 1")
-	}
-	if e := p.EffectiveRate(0); math.Abs(e-1.08*2.0/3.0) > 1e-12 {
-		t.Fatalf("effective rate node 0 = %v", e)
-	}
-}
-
-func TestTransferRate(t *testing.T) {
-	p := PaperBaseline()
-	if z := p.TransferRate(1); math.Abs(z-50) > 1e-9 {
-		t.Fatalf("rate for 1 task = %v, want 50", z)
-	}
-	if z := p.TransferRate(100); math.Abs(z-0.5) > 1e-9 {
-		t.Fatalf("rate for 100 tasks = %v, want 0.5", z)
-	}
-	if z := p.WithDelay(0).TransferRate(5); !math.IsInf(z, 1) {
-		t.Fatalf("zero-delay rate = %v, want +Inf", z)
-	}
-}
-
-func TestRoundGain(t *testing.T) {
-	cases := []struct {
-		k    float64
-		m, l int
-	}{
-		{0, 100, 0}, {1, 100, 100}, {0.35, 100, 35}, {0.349, 100, 35},
-		{0.5, 3, 2}, {2.0, 10, 10}, {-1, 10, 0}, {0.5, 0, 0},
-	}
-	for _, c := range cases {
-		if got := RoundGain(c.k, c.m); got != c.l {
-			t.Fatalf("RoundGain(%v,%d) = %d, want %d", c.k, c.m, got, c.l)
+	for _, p := range []model.Params{bad, three} {
+		if _, err := NewMeanSolver(p); err == nil {
+			t.Fatal("NewMeanSolver accepted invalid params")
+		}
+		if _, err := NewCDFSolver(p); err == nil {
+			t.Fatal("NewCDFSolver accepted invalid params")
+		}
+		if _, _, _, err := LBP2InitialGain(p, 10, 0); err == nil {
+			t.Fatal("LBP2InitialGain accepted invalid params")
 		}
 	}
 }
 
+// A solver copies its parameters: changing the caller's slices afterwards
+// leaves its answers alone, including ones on lattice points it has not
+// solved yet.
+func TestSolverOwnsItsParams(t *testing.T) {
+	p := model.PaperBaseline()
+	ms, _ := NewMeanSolver(p)
+	cs, _ := NewCDFSolver(p)
+	ms.MeanLBP1(10, 5, 0, 0.4)
+	p.ProcRate[0], p.FailRate[1] = 100, 1
+	fresh, _ := NewMeanSolver(model.PaperBaseline())
+	if got, want := ms.MeanLBP1(12, 5, 0, 0.4), fresh.MeanLBP1(12, 5, 0, 0.4); got != want {
+		t.Fatalf("mean solver follows the caller's slices: %v, want %v", got, want)
+	}
+	freshCDF, _ := NewCDFSolver(model.PaperBaseline())
+	got, _ := cs.CDFLBP1(10, 5, 0, 0.4, BothUp, 20, 0.5)
+	want, _ := freshCDF.CDFLBP1(10, 5, 0, 0.4, BothUp, 20, 0.5)
+	for i := range want.F {
+		if got.F[i] != want.F[i] {
+			t.Fatalf("CDF solver follows the caller's slices at step %d", i)
+		}
+	}
+}
+
+// A lone node drains at the long-run rate the shared description gives
+// it: E[T] = m / model.Params.EffectiveRate, i.e. m/λd stretched by the
+// down time 1/availability brings.
+func TestAvailability(t *testing.T) {
+	p := model.PaperBaseline()
+	ms, _ := NewMeanSolver(p)
+	const m = 25
+	for i, got := range []float64{ms.Hat(m, 0, BothUp), ms.Hat(0, m, BothUp)} {
+		if want := m / p.EffectiveRate(i); math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("node %d alone: mean %v, want m/EffectiveRate = %v", i, got, want)
+		}
+	}
+}
+
+func TestTransferRate(t *testing.T) {
+	p := model.PaperBaseline()
+	if z := transferRate(p, 1); math.Abs(z-50) > 1e-9 {
+		t.Fatalf("rate for 1 task = %v, want 50", z)
+	}
+	if z := transferRate(p, 100); math.Abs(z-0.5) > 1e-9 {
+		t.Fatalf("rate for 100 tasks = %v, want 0.5", z)
+	}
+	if z := transferRate(p.WithDelay(0), 5); !math.IsInf(z, 1) {
+		t.Fatalf("zero-delay rate = %v, want +Inf", z)
+	}
+}
+
+// The solvers price the transfer LBP-1 makes: L = policy.RoundGain(K, m)
+// tasks in flight from the sender, for every gain, hostile ones included.
+func TestRoundGain(t *testing.T) {
+	ms, _ := NewMeanSolver(model.PaperBaseline())
+	for _, k := range []float64{0, 1, 0.35, 0.349, 0.5, 2, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		lbp1 := policy.LBP1{K: k, Sender: 0}.Initial(upView(20, 3), model.PaperBaseline())
+		want := ms.Hat(20, 3, BothUp)
+		if len(lbp1) == 1 {
+			l := lbp1[0].Tasks
+			want = ms.MeanWithTransfer(20-l, 3, Transfer{To: 1, Tasks: l})[BothUp]
+		}
+		if got := ms.MeanLBP1(20, 3, 0, k); got != want {
+			t.Fatalf("K=%v: MeanLBP1 %v, LBP-1's transfer %v prices at %v", k, got, lbp1, want)
+		}
+	}
+}
+
+func upView(queues ...int) model.SnapshotView {
+	return model.SnapshotView{State: model.State{Queues: queues, Up: []bool{true, true}}}
+}
+
 // Closed form: a single node that never fails drains m tasks in m/λd.
 func TestMeanSingleNodeNoFailure(t *testing.T) {
-	p := PaperBaseline().NoFailure()
+	p := model.PaperBaseline().NoFailure()
 	ms, err := NewMeanSolver(p)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +169,7 @@ func TestMeanSingleNodeNoFailure(t *testing.T) {
 // Closed form: one failing node alone completes m tasks in expectation
 // m·(1+λf/λr)/λd (each unit of work is stretched by expected repair time).
 func TestMeanSingleNodeWithFailure(t *testing.T) {
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	ms, err := NewMeanSolver(p)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +194,7 @@ func TestMeanSingleNodeWithFailure(t *testing.T) {
 // Closed form: starting from the dead state, the time to finish one task
 // is 1/λr (recover) + (1+λf/λr)/λd.
 func TestMeanStartsDown(t *testing.T) {
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	ms, _ := NewMeanSolver(p)
 	want := 1/p.RecRate[0] + (1+p.FailRate[0]/p.RecRate[0])/p.ProcRate[0]
 	got := ms.Hat(1, 0, Node1Up) // node 0 down holding the task
@@ -159,7 +204,7 @@ func TestMeanStartsDown(t *testing.T) {
 }
 
 func TestMeanEmptySystemIsZero(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	for s := WorkState(0); s < 4; s++ {
 		if v := ms.Hat(0, 0, s); v != 0 {
 			t.Fatalf("Hat(0,0,%v) = %v, want 0", s, v)
@@ -170,7 +215,7 @@ func TestMeanEmptySystemIsZero(t *testing.T) {
 // Monotonicity: adding a task anywhere cannot reduce the expected
 // completion time.
 func TestMeanMonotoneInWorkload(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	for a := 0; a <= 20; a++ {
 		for b := 0; b <= 20; b++ {
 			v := ms.Hat(a, b, BothUp)
@@ -187,7 +232,7 @@ func TestMeanMonotoneInWorkload(t *testing.T) {
 // Starting with a node down can only increase the expected completion time
 // relative to both-up.
 func TestMeanWorkStateOrdering(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	for a := 1; a <= 15; a += 7 {
 		for b := 1; b <= 15; b += 7 {
 			up := ms.Hat(a, b, BothUp)
@@ -204,7 +249,7 @@ func TestMeanWorkStateOrdering(t *testing.T) {
 // K = 0.35 with mean ≈ 117 s, and the no-failure optimum is near K = 0.45;
 // the failure optimum uses a strictly smaller gain.
 func TestFig3OptimaMatchPaper(t *testing.T) {
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	ms, _ := NewMeanSolver(p)
 	opt := ms.OptimizeLBP1(100, 60)
 	if opt.Sender != 0 {
@@ -232,7 +277,7 @@ func TestTable1TheoryMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lattice sweep is slow in -short mode")
 	}
-	p := PaperBaseline()
+	p := model.PaperBaseline()
 	ms, _ := NewMeanSolver(p)
 	nf, _ := NewMeanSolver(p.NoFailure())
 	cases := []struct {
@@ -268,7 +313,7 @@ func TestTable1TheoryMatchesPaper(t *testing.T) {
 }
 
 func TestGainSweepShape(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	ks, means := ms.GainSweep(100, 60, 0, 20)
 	if len(ks) != 21 || len(means) != 21 {
 		t.Fatalf("sweep sizes %d/%d", len(ks), len(means))
@@ -289,7 +334,7 @@ func TestGainSweepShape(t *testing.T) {
 }
 
 func TestMeanWithTransferAllStates(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	v := ms.MeanWithTransfer(10, 5, Transfer{To: 1, Tasks: 8})
 	// All four entries positive and both-up is fastest.
 	for s, mu := range v {
@@ -303,7 +348,7 @@ func TestMeanWithTransferAllStates(t *testing.T) {
 }
 
 func TestMeanWithTransferZeroTasksEqualsHat(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	v := ms.MeanWithTransfer(12, 7, Transfer{})
 	if v[BothUp] != ms.Hat(12, 7, BothUp) {
 		t.Fatal("empty transfer must reduce to hat system")
@@ -311,7 +356,7 @@ func TestMeanWithTransferZeroTasksEqualsHat(t *testing.T) {
 }
 
 func TestZeroDelayTransferInstantaneous(t *testing.T) {
-	p := PaperBaseline().WithDelay(0)
+	p := model.PaperBaseline().WithDelay(0)
 	ms, _ := NewMeanSolver(p)
 	v := ms.MeanWithTransfer(10, 5, Transfer{To: 1, Tasks: 4})
 	if want := ms.Hat(10, 9, BothUp); math.Abs(v[BothUp]-want) > 1e-12 {
@@ -323,7 +368,7 @@ func TestZeroDelayTransferInstantaneous(t *testing.T) {
 // draining queues (m0−L, m1+L): moving work to the faster node up to the
 // balance point can only help.
 func TestLBP1NoDelayNoFailureBalancePoint(t *testing.T) {
-	p := PaperBaseline().NoFailure().WithDelay(0)
+	p := model.PaperBaseline().NoFailure().WithDelay(0)
 	ms, _ := NewMeanSolver(p)
 	base := ms.MeanLBP1(100, 60, 0, 0)
 	better := ms.MeanLBP1(100, 60, 0, 0.3)
@@ -336,7 +381,7 @@ func TestLBP1NoDelayNoFailureBalancePoint(t *testing.T) {
 func TestOptimalGainShrinksWithDelay(t *testing.T) {
 	prevK := 1.1
 	for _, delta := range []float64{0.01, 0.5, 2.0} {
-		ms, _ := NewMeanSolver(PaperBaseline().WithDelay(delta))
+		ms, _ := NewMeanSolver(model.PaperBaseline().WithDelay(delta))
 		opt := ms.OptimizeLBP1(100, 60)
 		if opt.K > prevK+1e-9 {
 			t.Fatalf("optimal K grew from %v to %v as delay rose to %v", prevK, opt.K, delta)
@@ -348,7 +393,7 @@ func TestOptimalGainShrinksWithDelay(t *testing.T) {
 // Property: the reported optimum is indeed no worse than a random sample
 // of alternative (sender, L) choices.
 func TestOptimumDominatesRandomChoices(t *testing.T) {
-	ms, _ := NewMeanSolver(PaperBaseline())
+	ms, _ := NewMeanSolver(model.PaperBaseline())
 	opt := ms.OptimizeLBP1(40, 25)
 	f := func(senderRaw bool, lRaw uint8) bool {
 		sender := 0
@@ -367,7 +412,7 @@ func TestOptimumDominatesRandomChoices(t *testing.T) {
 }
 
 func TestNewMeanSolverRejectsBadParams(t *testing.T) {
-	bad := PaperBaseline()
+	bad := model.PaperBaseline()
 	bad.ProcRate[1] = -1
 	if _, err := NewMeanSolver(bad); err == nil {
 		t.Fatal("invalid params accepted")
@@ -376,14 +421,14 @@ func TestNewMeanSolverRejectsBadParams(t *testing.T) {
 
 func BenchmarkMeanLattice100x60(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ms, _ := NewMeanSolver(PaperBaseline())
+		ms, _ := NewMeanSolver(model.PaperBaseline())
 		_ = ms.MeanLBP1(100, 60, 0, 0.35)
 	}
 }
 
 func BenchmarkOptimizeLBP1_100x60(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ms, _ := NewMeanSolver(PaperBaseline())
+		ms, _ := NewMeanSolver(model.PaperBaseline())
 		_ = ms.OptimizeLBP1(100, 60)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"churnlb/internal/linalg"
+	"churnlb/internal/model"
+	"churnlb/internal/policy"
 )
 
 // meanTable stores µ over a queue-length lattice: entry (a, b, s) is the
@@ -32,20 +34,18 @@ func (t *meanTable) set(a, b int, s WorkState, v float64) {
 // in-flight load, λ21 = 0), which is shared by every candidate transfer in
 // an optimal-gain search — this is what makes sweeping all gains tractable.
 type MeanSolver struct {
-	p   Params
+	p   model.Params
 	hat *meanTable
 }
 
-// NewMeanSolver validates p and returns a solver.
-func NewMeanSolver(p Params) (*MeanSolver, error) {
-	if err := p.Validate(); err != nil {
+// NewMeanSolver checks that p is a well-posed two-node system and returns
+// a solver over a copy of it.
+func NewMeanSolver(p model.Params) (*MeanSolver, error) {
+	if err := checkTwoNode(p); err != nil {
 		return nil, err
 	}
-	return &MeanSolver{p: p}, nil
+	return &MeanSolver{p: p.Clone()}, nil
 }
-
-// Params returns the model parameters the solver was built with.
-func (ms *MeanSolver) Params() Params { return ms.p }
 
 // ensureHat grows the cached hat table to cover the lattice [0..n0]×[0..n1].
 func (ms *MeanSolver) ensureHat(n0, n1 int) {
@@ -92,7 +92,7 @@ func (ms *MeanSolver) MeanWithTransfer(m0, m1 int, tr Transfer) [4]float64 {
 	if tr.To != 0 && tr.To != 1 {
 		panic(fmt.Sprintf("markov: invalid transfer receiver %d", tr.To))
 	}
-	z := ms.p.TransferRate(tr.Tasks)
+	z := transferRate(ms.p, tr.Tasks)
 	if math.IsInf(z, 1) {
 		// Instantaneous transfer: load lands in the receiver queue now.
 		a, b := m0, m1
@@ -143,7 +143,8 @@ func encodeRecv(tr Transfer) int {
 // that many tasks; negative: node 0 receives). If z == 0 the result is the
 // hat system itself.
 func (ms *MeanSolver) solveLattice(n0, n1 int, z float64, hat *meanTable, recvOffset int) *meanTable {
-	p := ms.p
+	// The rates as arrays: the loops below index them without bounds checks.
+	proc, fail, rec := [2]float64(ms.p.ProcRate), [2]float64(ms.p.FailRate), [2]float64(ms.p.RecRate)
 	t := newMeanTable(n0, n1)
 	hx, hy := 0, 0
 	if z > 0 {
@@ -176,22 +177,22 @@ func (ms *MeanSolver) solveLattice(n0, n1 int, z float64, hat *meanTable, recvOf
 				// Processing completions reference already-solved
 				// lattice points in the same table.
 				if s.Up(0) && a > 0 {
-					total += p.ProcRate[0]
-					rhs += p.ProcRate[0] * t.at(a-1, b, s)
+					total += proc[0]
+					rhs += proc[0] * t.at(a-1, b, s)
 				}
 				if s.Up(1) && b > 0 {
-					total += p.ProcRate[1]
-					rhs += p.ProcRate[1] * t.at(a, b-1, s)
+					total += proc[1]
+					rhs += proc[1] * t.at(a, b-1, s)
 				}
 				// Failure/recovery transitions couple the four work
 				// states at this lattice point.
 				for i := 0; i < 2; i++ {
 					if s.Up(i) {
-						if f := p.FailRate[i]; f > 0 {
+						if f := fail[i]; f > 0 {
 							total += f
 							a4[si*4+int(s.WithDown(i))] -= f
 						}
-					} else if r := p.RecRate[i]; r > 0 {
+					} else if r := rec[i]; r > 0 {
 						total += r
 						a4[si*4+int(s.WithUp(i))] -= r
 					}
@@ -242,7 +243,7 @@ func (ms *MeanSolver) MeanLBP1From(m0, m1, sender int, k float64, s WorkState) f
 		panic(fmt.Sprintf("markov: invalid sender %d", sender))
 	}
 	m := [2]int{m0, m1}
-	l := RoundGain(k, m[sender])
+	l := policy.RoundGain(k, m[sender])
 	if l == 0 {
 		ms.ensureHat(m0, m1)
 		return ms.hat.at(m0, m1, s)
@@ -277,7 +278,7 @@ func (ms *MeanSolver) OptimizeLBP1(m0, m1 int) LBP1Optimum {
 			q := m
 			q[sender] -= l
 			tr := Transfer{To: 1 - sender, Tasks: l}
-			z := ms.p.TransferRate(l)
+			z := transferRate(ms.p, l)
 			var mean float64
 			if math.IsInf(z, 1) {
 				r := q
@@ -309,7 +310,7 @@ func (ms *MeanSolver) GainSweep(m0, m1, sender int, steps int) (ks, means []floa
 	cache := map[int]float64{}
 	for i := 0; i <= steps; i++ {
 		k := float64(i) / float64(steps)
-		l := RoundGain(k, mSender)
+		l := policy.RoundGain(k, mSender)
 		mean, ok := cache[l]
 		if !ok {
 			mean = ms.MeanLBP1(m0, m1, sender, k)

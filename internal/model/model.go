@@ -1,9 +1,7 @@
 // Package model defines the N-node system description shared by the
-// policies, the Monte-Carlo simulator and the concurrent testbed: node
-// rates, system snapshots and transfer directives. The two-node analytical
-// package (internal/markov) keeps its own specialised representation
-// mirroring the paper's equations; FromMarkov/ToMarkov convert between the
-// two.
+// policies, the Monte-Carlo simulator, the live daemon and the analytical
+// solvers (internal/markov analyses a two-node Params): node rates, system
+// snapshots and transfer directives.
 package model
 
 import (
@@ -142,8 +140,7 @@ func PaperBaseline() Params {
 	}
 }
 
-// EventKind labels trace entries emitted by the simulators and the
-// testbed.
+// EventKind labels the trace entries the simulator emits.
 type EventKind string
 
 // Trace event kinds.

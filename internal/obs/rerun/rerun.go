@@ -235,6 +235,9 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 	var router churnlb.RouterSpec
 	pol := churnlb.PolicySpec{Kind: churnlb.PolicyNone}
 	if m.Policy.Name == "dynlbp2" {
+		if err := policy.CheckGain(m.Policy.K); err != nil {
+			return nil, &SpecError{err}
+		}
 		pol = churnlb.PolicySpec{Kind: churnlb.PolicyDynamicLBP2, K: m.Policy.K}
 	} else {
 		var err error

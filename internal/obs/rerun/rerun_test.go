@@ -3,6 +3,7 @@ package rerun
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -226,6 +227,27 @@ func TestRerunRejects(t *testing.T) {
 	if _, err := Run(m, nil); err == nil || errors.As(err, &bad) {
 		t.Fatalf("zero-rate serve run: got %v, want a run error", err)
 	}
+
+	// A gain outside [0, 1] is a fault in the description, whichever
+	// front end's manifest records it.
+	m = obs.NewManifest("lbsim", obs.ModeMC)
+	m.System = &obs.SystemRef{ProcRate: []float64{1.08, 1.86}, FailRate: []float64{0.05, 0.05}, RecRate: []float64{0.1, 0.05}}
+	m.InitialLoad = []int{10, 6}
+	m.Reps = 2
+	for _, name := range []string{"lbp1", "lbp2", "lbp1multi", "dynamic"} {
+		for _, k := range []float64{-1, 2} {
+			m.Policy = obs.PolicyRef{Name: name, K: k}
+			rejected(fmt.Sprintf("lbsim %s K=%v", name, k), m)
+		}
+	}
+	m = obs.NewManifest("lbserve", obs.ModeServe)
+	m.Scenario = &obs.ScenarioRef{Kind: "uniform", Nodes: 4}
+	m.Policy = obs.PolicyRef{Name: "dynlbp2", K: 2}
+	m.Rate, m.Horizon = 5, 2
+	rejected("lbserve dynlbp2 K=2", m)
+	m = daemonManifest()
+	m.Policy.K = 2
+	rejected("lbd lbp2 K=2", m)
 }
 
 // TestInterruptOnlyWhereHonoured: the interrupt hook reaches a single

@@ -82,10 +82,11 @@ func (NoBalance) OnFailure(int, model.StateView, model.Params) []model.Transfer 
 // optimal choice observed throughout Section 4 of the paper).
 const AutoSender = -1
 
-// LBP1 is the preemptive policy: one one-way transfer of K·m_sender tasks
-// at t = 0 and nothing afterwards. For two-node systems the sender is
-// either fixed or chosen as the more loaded node; the gain K should come
-// from the analytical optimisation (markov.MeanSolver.OptimizeLBP1).
+// LBP1 is the preemptive policy: one one-way transfer of
+// RoundGain(K, m_sender) tasks at t = 0 and nothing afterwards. For
+// two-node systems the sender is either fixed or chosen as the more loaded
+// node; the gain K should come from the analytical optimisation
+// (markov.MeanSolver.OptimizeLBP1).
 type LBP1 struct {
 	// K is the load-balancing gain in [0, 1].
 	K float64
@@ -115,7 +116,7 @@ func (l LBP1) Initial(v model.StateView, p model.Params) []model.Transfer {
 	if sender != 0 && sender != 1 {
 		panic(fmt.Sprintf("policy: LBP1 invalid sender %d", sender))
 	}
-	tasks := roundGain(l.K, v.Queue(sender))
+	tasks := RoundGain(l.K, v.Queue(sender))
 	if tasks == 0 {
 		return nil
 	}
@@ -498,13 +499,27 @@ func proportionalRebalance(v model.StateView, p model.Params, k float64, failure
 	return surplus
 }
 
-func roundGain(k float64, m int) int {
-	if k <= 0 || m <= 0 {
+// RoundGain is the paper's transfer size L = round(K·m): the tasks a gain
+// k moves out of a queue of m. LBP-1 applies it at t = 0, and
+// internal/markov prices it, so the analysis and the simulation move the
+// same L. The result lies in [0, m] for every k: a gain that is not
+// positive (NaN included) moves nothing and one of at least 1 (+Inf
+// included) moves the whole queue.
+func RoundGain(k float64, m int) int {
+	if !(k > 0) || m <= 0 {
 		return 0
 	}
-	l := int(math.Round(k * float64(m)))
-	if l > m {
-		l = m
+	if k >= 1 {
+		return m
 	}
-	return l
+	return int(math.Round(k * float64(m)))
+}
+
+// CheckGain reports whether k is a load-balancing gain, a number in
+// [0, 1]; NaN is not one.
+func CheckGain(k float64) error {
+	if !(k >= 0 && k <= 1) {
+		return fmt.Errorf("policy: gain K = %v outside [0, 1]", k)
+	}
+	return nil
 }

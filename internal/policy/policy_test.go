@@ -46,6 +46,54 @@ func TestLBP1TransferSize(t *testing.T) {
 	}
 }
 
+func TestRoundGain(t *testing.T) {
+	cases := []struct {
+		k    float64
+		m, l int
+	}{
+		{0, 100, 0}, {1, 100, 100}, {0.35, 100, 35}, {0.349, 100, 35},
+		{0.5, 3, 2}, {2.0, 10, 10}, {-1, 10, 0}, {0.5, 0, 0},
+		{math.NaN(), 10, 0}, {math.Inf(1), 10, 10}, {math.Inf(-1), 10, 0},
+		{1e300, math.MaxInt64, math.MaxInt64}, {0.5, -3, 0},
+	}
+	for _, c := range cases {
+		if got := RoundGain(c.k, c.m); got != c.l {
+			t.Fatalf("RoundGain(%v,%d) = %d, want %d", c.k, c.m, got, c.l)
+		}
+	}
+	// On [0, 1] the rule is round(K·m) itself.
+	for m := 0; m <= 200; m++ {
+		for i := 0; i <= 1000; i++ {
+			k := float64(i) / 1000
+			if got, want := RoundGain(k, m), int(math.Round(k*float64(m))); got != want {
+				t.Fatalf("RoundGain(%v,%d) = %d, want %d", k, m, got, want)
+			}
+		}
+	}
+}
+
+// A spec whose kind reads K refuses a gain outside [0, 1]; NoBalance reads
+// none.
+func TestSpecBuildChecksGain(t *testing.T) {
+	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-9, 1 + 1e-9, 2} {
+		for _, kind := range []Kind{KindLBP1, KindLBP2, KindLBP1Multi, KindDynamicLBP2} {
+			if pol, err := (Spec{Kind: kind, K: k}).Build(); err == nil {
+				t.Fatalf("kind %d, K=%v: built %v", kind, k, pol.Name())
+			}
+		}
+		if _, err := (Spec{Kind: KindNone, K: k}).Build(); err != nil {
+			t.Fatalf("none, K=%v: %v", k, err)
+		}
+	}
+	for _, k := range []float64{0, 0.35, 1} {
+		for _, kind := range []Kind{KindLBP1, KindLBP2, KindLBP1Multi, KindDynamicLBP2} {
+			if _, err := (Spec{Kind: kind, K: k}).Build(); err != nil {
+				t.Fatalf("kind %d, K=%v: %v", kind, k, err)
+			}
+		}
+	}
+}
+
 func TestLBP1AutoSenderPicksLoadedNode(t *testing.T) {
 	p := model.PaperBaseline()
 	l := LBP1{K: 0.5, Sender: AutoSender}

@@ -42,20 +42,25 @@ type Spec struct {
 
 // Build returns the policy the spec describes.
 func (s Spec) Build() (Policy, error) {
+	var pol Policy
 	switch s.Kind {
 	case KindNone:
 		return NoBalance{}, nil
 	case KindLBP1:
-		return LBP1{K: s.K, Sender: s.Sender}, nil
+		pol = LBP1{K: s.K, Sender: s.Sender}
 	case KindLBP2:
-		return LBP2{K: s.K}, nil
+		pol = LBP2{K: s.K}
 	case KindLBP1Multi:
-		return LBP1Multi{K: s.K}, nil
+		pol = LBP1Multi{K: s.K}
 	case KindDynamicLBP2:
-		return Dynamic{Base: LBP2{K: s.K}}, nil
+		pol = Dynamic{Base: LBP2{K: s.K}}
 	default:
 		return nil, fmt.Errorf("policy: unknown policy kind %d", s.Kind)
 	}
+	if err := CheckGain(s.K); err != nil {
+		return nil, err
+	}
+	return pol, nil
 }
 
 // RouterKind selects a dispatcher routing policy.

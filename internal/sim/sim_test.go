@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -139,7 +140,7 @@ func TestSingleNodeErlangMean(t *testing.T) {
 // stochastic model, two independent implementations.
 func TestMCAgreesWithTheoryLBP1(t *testing.T) {
 	p := model.PaperBaseline()
-	ms, err := markov.NewMeanSolver(markov.PaperBaseline())
+	ms, err := markov.NewMeanSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +172,53 @@ func TestMCAgreesWithTheoryLBP1(t *testing.T) {
 		}
 		if math.Abs(est.Mean-want) > 4*est.CI95 {
 			t.Errorf("(%d,%d,K=%v): MC %v ±%v vs theory %v", c.m0, c.m1, c.k, est.Mean, est.CI95, want)
+		}
+	}
+}
+
+// A three-node run with transfers in flight agrees with the exact
+// N-node solver: LBP1Multi{K: 1}'s t = 0 episode on (14, 2, 0) leaves 7
+// tasks bound for node 1 and 2 for node 2, each bundle arriving at rate
+// 1/(δ·L), and GeneralSolver prices exactly that state.
+func TestMCAgreesWithGeneralSolverPendingTransfers(t *testing.T) {
+	for _, delta := range []float64{0.5, 1} {
+		p := model.Params{
+			ProcRate:     []float64{1, 2, 0.7},
+			FailRate:     []float64{0.05, 0.1, 0.08},
+			RecRate:      []float64{0.2, 0.25, 0.1},
+			DelayPerTask: delta,
+		}
+		load := []int{14, 2, 0}
+		pol := policy.LBP1Multi{K: 1}
+		up := []bool{true, true, true}
+		episode := pol.Initial(model.SnapshotView{State: model.State{Queues: load, Up: up}}, p)
+		want := []model.Transfer{{From: 0, To: 1, Tasks: 7}, {From: 0, To: 2, Tasks: 2}}
+		if !reflect.DeepEqual(episode, want) {
+			t.Fatalf("t = 0 episode %v, want %v", episode, want)
+		}
+		queues := append([]int(nil), load...)
+		var pending []markov.PendingTransfer
+		for _, tr := range episode {
+			queues[tr.From] -= tr.Tasks
+			pending = append(pending, markov.PendingTransfer{To: tr.To, Tasks: tr.Tasks, Rate: 1 / (delta * float64(tr.Tasks))})
+		}
+		gs, err := markov.NewGeneralSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := gs.Mean(queues, pending, up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const reps = 20000
+		est, err := MonteCarlo(mc.Options{Reps: reps, Seed: 0xD2}, Options{Params: p, Policy: pol, InitialLoad: load})
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := (est.Mean - exact) / (est.Std / math.Sqrt(reps))
+		t.Logf("δ=%v: MC %.4f vs exact %.4f, z = %.2f", delta, est.Mean, exact, z)
+		if math.Abs(z) > 4 {
+			t.Errorf("δ=%v: MC mean %v is %.1f standard errors from the exact %v", delta, est.Mean, z, exact)
 		}
 	}
 }
