@@ -18,6 +18,9 @@
 // run may do both. The same metrics.Collector the simulator uses measures
 // either — which is what makes the sim-vs-live calibration harness in
 // internal/calib possible: one trace, two systems, comparable telemetry.
+// No goroutine that serves, admits or churns touches it: each telemetry
+// hook appends one fixed-size record to a bounded ring, and one consumer
+// goroutine replays the records in order into the collector (tel.go).
 package daemon
 
 import (
@@ -114,6 +117,13 @@ type Result struct {
 	// DecodeErrors counts task connections dropped on corrupt frames
 	// (NetTransport only).
 	DecodeErrors uint64
+	// TelemetryBacklogMax is the deepest the telemetry ring was seen:
+	// records a hook has taken a slot for but the consumer has not yet
+	// applied, read at every catch-up and every telSample records.
+	// TelemetryFullWaits counts the times a hook waited for a slot on the
+	// full ring (telCap records).
+	TelemetryBacklogMax int
+	TelemetryFullWaits  int
 	// Injected counts tasks admitted through the dispatcher (trace plus
 	// HTTP); Interrupted reports an early Interrupt cut the stream.
 	Injected    int
@@ -169,8 +179,6 @@ type worker struct {
 	seq          uint32
 	rngApp       *xrand.Rand
 	rngLB        *xrand.Rand
-	// processed counts tasks this worker executed.
-	processed atomic.Int64
 	// waits counts the timer waits appLoop armed; appLoop's alone until
 	// the run is down.
 	waits int
@@ -185,17 +193,22 @@ type run struct {
 	ownsTrans bool
 	fplan     *policy.FailurePlan
 	start     time.Time
+	// tel carries every telemetry hook's record to the consumer goroutine
+	// (tel.go); every hook reads it.
+	tel *telRing
 
 	// admitMu serialises admission — the trace driver and every HTTP
 	// handler — and guards what only admission touches: the router and its
 	// rng (routers may be stateful), the task generator, and pending, the
 	// per-worker bundles admitted but not yet on the wire. It is held
 	// across a flush, so a worker's bundles go out in admission order.
-	admitMu sync.Mutex
-	router  policy.Router
-	rngRoot *xrand.Rand
-	gen     *workload.Generator
-	pending [][]workload.Task
+	// Admission also counts injected.
+	admitMu  sync.Mutex
+	router   policy.Router
+	rngRoot  *xrand.Rand
+	gen      *workload.Generator
+	pending  [][]workload.Task
+	injected int64
 
 	// peers is the dispatcher's live state view, folded from state packets
 	// by dispatcherStateLoop and read (and optimistically bumped) by
@@ -204,22 +217,11 @@ type run struct {
 	peers   []peer
 	view    peerView
 
-	// col is the telemetry collector; it is single-goroutine by design,
-	// so colMu serialises every observer hook. inSystem (also under colMu)
-	// holds the lifecycle record of every admitted task that has neither
-	// completed nor been declared lost.
-	colMu    sync.Mutex
-	col      *metrics.Collector
-	inSystem *taskWindow
-
-	injected       int64
-	processedTotal int64
 	failures       int64
 	recoveries     int64
 	transfersSent  int64
 	tasksMoved     int64
 	statePackets   int64
-	lost           atomic.Int64 // tasks declared lost after a failed send
 	arrivalsClosed atomic.Bool
 	interrupted    atomic.Bool
 
@@ -230,6 +232,23 @@ type run struct {
 	httpAddr atomic.Value // string: bound front-door address
 
 	wg sync.WaitGroup
+
+	// The consumer's own, on lines no producer writes: it is the only
+	// goroutine that touches col, the collector, and inSystem, the
+	// lifecycle record of every admitted task that has neither completed
+	// nor been declared lost, between the clock's start and Finalize, and
+	// the only one that writes processed, the per-worker count of tasks
+	// executed on the books, processedTotal and lost, the tasks declared
+	// lost after a failed send. telStop tells it to drain and exit;
+	// telDone closes when it has.
+	_              [64]byte
+	telStop        chan struct{}
+	telDone        chan struct{}
+	col            *metrics.Collector
+	inSystem       *taskWindow
+	processed      []int
+	processedTotal atomic.Int64
+	lost           atomic.Int64
 }
 
 // Run executes one daemon lifetime: spin up the fleet, replay the trace
@@ -259,6 +278,14 @@ func newRun(opt Options) (*run, error) {
 			return nil, fmt.Errorf("daemon: negative initial load %d at worker %d", q, id)
 		}
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"TimeScale", opt.TimeScale}, {"StateInterval", opt.StateInterval}, {"Window", opt.Window}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("daemon: %s is %v, want a finite number (0 = default)", f.name, f.v)
+		}
+	}
 	if opt.TimeScale <= 0 {
 		opt.TimeScale = 200
 	}
@@ -283,18 +310,22 @@ func newRun(opt Options) (*run, error) {
 	window := metrics.WindowFor(opt.Window, span)
 
 	c := &run{
-		opt:      opt,
-		p:        opt.Params,
-		n:        n,
-		peers:    make([]peer, n),
-		router:   opt.Router,
-		rngRoot:  xrand.NewStream(opt.Seed, xrand.StreamDispatcher),
-		col:      metrics.NewCollector(n, window),
-		inSystem: newTaskWindow(),
-		gen:      workload.NewGenerator(taskDim, taskPrecision, xrand.NewStream(opt.Seed, xrand.StreamTaskGen)),
-		pending:  make([][]workload.Task, n),
-		stop:     make(chan struct{}),
-		doneCh:   make(chan struct{}),
+		opt:       opt,
+		p:         opt.Params,
+		n:         n,
+		peers:     make([]peer, n),
+		router:    opt.Router,
+		rngRoot:   xrand.NewStream(opt.Seed, xrand.StreamDispatcher),
+		tel:       newTelRing(telCap),
+		telStop:   make(chan struct{}),
+		telDone:   make(chan struct{}),
+		col:       metrics.NewCollector(n, window),
+		inSystem:  newTaskWindow(),
+		processed: make([]int, n),
+		gen:       workload.NewGenerator(taskDim, taskPrecision, xrand.NewStream(opt.Seed, xrand.StreamTaskGen)),
+		pending:   make([][]workload.Task, n),
+		stop:      make(chan struct{}),
+		doneCh:    make(chan struct{}),
 	}
 	c.view.peers = c.peers
 	c.transport = opt.Transport
@@ -322,10 +353,15 @@ func newRun(opt Options) (*run, error) {
 	return c, nil
 }
 
-// serve is the lifetime itself: preload the backlog, start the clock and
-// every loop, wait for the end, shut down and report.
+// serve is the lifetime itself: start the telemetry consumer, preload the
+// backlog, start the clock and every loop, wait for the end, shut down and
+// report.
 func (c *run) serve() (*Result, error) {
-	opt, n := c.opt, c.n
+	opt := c.opt
+	go func() {
+		defer close(c.telDone)
+		c.tel.consume(c.telStop, c.apply)
+	}()
 	initial := c.preload()
 	c.start = time.Now()
 	for _, w := range c.workers {
@@ -370,7 +406,7 @@ func (c *run) serve() (*Result, error) {
 	}
 
 	res := &Result{
-		Processed:        make([]int, n),
+		Processed:        c.processed,
 		Failures:         int(atomic.LoadInt64(&c.failures)),
 		Recoveries:       int(atomic.LoadInt64(&c.recoveries)),
 		TransfersSent:    int(atomic.LoadInt64(&c.transfersSent)),
@@ -379,17 +415,15 @@ func (c *run) serve() (*Result, error) {
 		Injected:         int(atomic.LoadInt64(&c.injected)),
 		Interrupted:      c.interrupted.Load(),
 		Lost:             int(c.lost.Load()),
+		// The consumer has exited: its fields are the caller's now.
+		TelemetryBacklogMax: int(c.tel.backlogMax),
+		TelemetryFullWaits:  int(c.tel.fullWaits.Load()),
 	}
 	if nt, ok := c.transport.(*cluster.NetTransport); ok {
 		res.DecodeErrors = nt.DecodeErrors()
 	}
-	c.colMu.Lock()
 	res.Summary = c.col.Finalize(c.doneAtV)
 	res.Windows = c.col.Windows()
-	c.colMu.Unlock()
-	for i, w := range c.workers {
-		res.Processed[i] = int(w.processed.Load())
-	}
 	return res, nil
 }
 
@@ -407,6 +441,10 @@ func (c *run) shutdown() {
 		c.transport.Close()
 	}
 	c.wg.Wait()
+	// Every producer has returned, so every record is published: the
+	// consumer drains them and exits.
+	close(c.telStop)
+	<-c.telDone
 }
 
 // now returns the virtual clock.
@@ -437,10 +475,11 @@ func (c *run) finish() {
 
 // preload applies the closed system's boundary condition before the clock
 // starts and the fleet exists (so nothing here needs a lock): it mints
-// Options.InitialLoad into the workers' queues as arrivals at t = 0, makes
-// that distribution the dispatcher's first view — the paper assumes the
-// initial queue sizes are known to all — and returns the policy's initial
-// balancing action against it, for every worker to execute its share of.
+// Options.InitialLoad into the workers' queues as arrivals at t = 0,
+// publishes their arrival records, makes that distribution the
+// dispatcher's first view — the paper assumes the initial queue sizes are
+// known to all — and returns the policy's initial balancing action
+// against it, for every worker to execute its share of.
 func (c *run) preload() []model.Transfer {
 	load := c.opt.InitialLoad
 	if load == nil {
@@ -449,11 +488,8 @@ func (c *run) preload() []model.Transfer {
 	up := make([]bool, c.n)
 	for id, w := range c.workers {
 		tasks := c.gen.Batch(load[id])
-		for _, task := range tasks {
-			c.inSystem.add(task.ID, 0)
-		}
 		w.queue.push(tasks, 0)
-		c.col.TasksArrived(id, load[id], 0)
+		c.noteArrived(id, tasks, 0)
 		atomic.AddInt64(&c.injected, int64(load[id]))
 		c.peers[id].queueLen = uint32(load[id])
 		up[id] = true
@@ -478,7 +514,7 @@ func (c *run) waitDone() error {
 			return nil
 		case <-t.C:
 		}
-		processed, lost := atomic.LoadInt64(&c.processedTotal), c.lost.Load()
+		processed, lost := c.processedTotal.Load(), c.lost.Load()
 		injected := atomic.LoadInt64(&c.injected)
 		settled := processed + lost
 		if injected == settled {
@@ -494,10 +530,11 @@ func (c *run) waitDone() error {
 }
 
 // maybeFinish closes the run when the arrival stream has ended and
-// every admitted task completed or was declared lost.
+// every admitted task completed or was declared lost. The consumer calls
+// it after every settlement and on the stream's close.
 func (c *run) maybeFinish() {
 	if c.arrivalsClosed.Load() &&
-		atomic.LoadInt64(&c.processedTotal)+c.lost.Load() == atomic.LoadInt64(&c.injected) {
+		c.processedTotal.Load()+c.lost.Load() == atomic.LoadInt64(&c.injected) {
 		c.finish()
 	}
 }
@@ -583,6 +620,10 @@ func drain(ch chan struct{}) {
 // completes, the one in service goes back to the head — the backup
 // process preserving work across failures — and after the recovery free
 // starts from the recovery's instant.
+//
+// A completion or an interrupt is one record on the telemetry ring; the
+// worker never waits for the collector, and the consumer decides whether
+// the task was still on the books and counts it.
 func (c *run) appLoop(w *worker) {
 	defer c.wg.Done()
 	rate := c.p.ProcRate[w.id]
@@ -631,14 +672,7 @@ func (c *run) appLoop(w *worker) {
 			}
 		}
 		free = due
-		// A task no longer on the books (declared lost after a send that
-		// delivered anyway) is executed but not counted, which keeps
-		// processed + lost == injected exact.
-		if c.noteCompleted(w.id, task.ID, start, due) {
-			w.processed.Add(1)
-			atomic.AddInt64(&c.processedTotal, 1)
-			c.maybeFinish()
-		}
+		c.noteCompleted(w.id, task.ID, start, due)
 	}
 }
 
@@ -843,10 +877,12 @@ func satAdd32(q uint32, k int) uint32 {
 }
 
 // admit takes one arrival into the system: route it against the live
-// view (with the optimistic bump), mint its tasks, register them with
-// telemetry, and append them to the chosen worker's pending bundle.
-// Nothing reaches the wire until flush. now is the arrival's instant on
-// the virtual clock; the caller holds admitMu.
+// view (with the optimistic bump), mint its tasks, publish their arrival
+// record on the telemetry ring, and append them to the chosen worker's
+// pending bundle. Nothing reaches the wire until flush, so the consumer
+// applies every task's arrival before anything a worker reports about
+// it. now is the arrival's instant on the virtual clock; the caller holds
+// admitMu.
 //
 //churnlb:hotpath
 func (c *run) admit(batch int, now float64) (int, error) {
@@ -872,12 +908,7 @@ func (c *run) admit(batch int, now float64) (int, error) {
 	for i := 0; i < batch; i++ {
 		c.pending[node] = append(c.pending[node], c.gen.Next())
 	}
-	c.colMu.Lock()
-	for _, task := range c.pending[node][first:] {
-		c.inSystem.add(task.ID, now)
-	}
-	c.col.TasksArrived(node, batch, now)
-	c.colMu.Unlock()
+	c.noteArrived(node, c.pending[node][first:], now)
 	atomic.AddInt64(&c.injected, int64(batch))
 	return node, nil
 }
@@ -921,21 +952,13 @@ func (c *run) flushAll() error {
 // in-system window and out of the collector's queued (a dispatcher
 // bundle) or in-flight (an eq.-(8) transfer) population, and into
 // Result.Lost — without which processed could never reach injected and
-// the run would hang to MaxWall.
+// the run would hang to MaxWall. One record per task: a failed send is
+// rare, and the consumer counts only the tasks still on the books.
 func (c *run) declareLost(tasks []workload.Task, inFlight bool) {
 	now := c.now()
-	n := 0
-	c.colMu.Lock()
 	for _, task := range tasks {
-		if m := c.inSystem.get(task.ID); m != nil {
-			c.inSystem.remove(m)
-			n++
-		}
+		c.tel.put(record{kind: recLost, id: task.ID, t: now, inFlight: inFlight})
 	}
-	c.col.TasksLost(n, inFlight, now)
-	c.colMu.Unlock()
-	c.lost.Add(int64(n))
-	c.maybeFinish()
 }
 
 // Inject admits one batch of tasks and puts it on the wire at once: route
@@ -1040,59 +1063,103 @@ func (c *run) closeArrivals() {
 	c.admitMu.Lock()
 	c.arrivalsClosed.Store(true)
 	c.admitMu.Unlock()
-	c.maybeFinish()
+	c.tel.put(record{kind: recClosed})
 }
 
-// --- telemetry hooks (colMu serialises the single-goroutine Collector;
-// its integrator tolerates the slightly out-of-order timestamps real
-// concurrency produces). A task's life takes colMu twice, at admission
-// and at completion; a failure interrupt adds a third. ---
+// --- telemetry hooks: each publishes one record on the ring (tel.go),
+// whose consumer applies it, and none waits unless the ring is full. A
+// task's life is its share of one arrival record and its completion
+// record; a failure interrupt adds a third. ---
+
+// noteArrived records the admission of tasks, consecutive IDs minted
+// together, to node at t.
+//
+//churnlb:hotpath
+func (c *run) noteArrived(node int, tasks []workload.Task, t float64) {
+	var first uint64
+	if len(tasks) > 0 {
+		first = tasks[0].ID
+	}
+	c.tel.put(record{kind: recArrived, node: int32(node), n: int32(len(tasks)), id: first, t: t})
+}
 
 // noteInterrupted stamps the paced start of a task's first service
 // attempt into its record when a failure cuts that attempt short.
 func (c *run) noteInterrupted(id uint64, started float64) {
-	c.colMu.Lock()
-	if m := c.inSystem.get(id); m != nil && m.firstService < 0 {
-		m.firstService = started
-	}
-	c.colMu.Unlock()
+	c.tel.put(record{kind: recInterrupted, id: id, t0: started})
 }
 
 // noteCompleted records a completion at the paced instant done whose
-// (last) service attempt began at started, and reports whether the task
-// was still on the books.
+// (last) service attempt began at started.
 //
 //churnlb:hotpath
-func (c *run) noteCompleted(node int, id uint64, started, done float64) bool {
-	c.colMu.Lock()
-	m := c.inSystem.get(id)
-	onBooks := m != nil
-	if onBooks {
-		if m.firstService >= 0 {
-			started = m.firstService
-		}
-		c.col.TaskCompleted(node, m.arrival, started, done)
-		c.inSystem.remove(m)
-	}
-	c.colMu.Unlock()
-	return onBooks
+func (c *run) noteCompleted(node int, id uint64, started, done float64) {
+	c.tel.put(record{kind: recCompleted, node: int32(node), id: id, t0: started, t: done})
 }
 
 func (c *run) noteChurn(node int, up bool, t float64) {
-	c.colMu.Lock()
-	c.col.NodeStateChanged(node, up, t)
-	c.colMu.Unlock()
+	kind := recDown
+	if up {
+		kind = recUp
+	}
+	c.tel.put(record{kind: kind, node: int32(node), t: t})
 }
 
 func (c *run) noteTransferOut(from, to, tasks int) {
-	now := c.now()
-	c.colMu.Lock()
-	c.col.TransferDeparted(from, to, tasks, now)
-	c.colMu.Unlock()
+	c.tel.put(record{kind: recDeparted, node: int32(from), peer: int32(to), n: int32(tasks), t: c.now()})
 }
 
 func (c *run) noteTransferIn(node, tasks int, t float64) {
-	c.colMu.Lock()
-	c.col.TransferArrived(node, tasks, t)
-	c.colMu.Unlock()
+	c.tel.put(record{kind: recLanded, node: int32(node), n: int32(tasks), t: t})
+}
+
+// apply is the consumer's replay of one record into the collector and the
+// in-system window, and the only place a task is counted as processed or
+// lost: a task no longer on the books (declared lost after a send that
+// delivered anyway) is executed but not counted, which keeps
+// processed + lost == injected exact.
+//
+//churnlb:hotpath
+func (c *run) apply(r *record) {
+	node := int(r.node)
+	switch r.kind {
+	case recArrived:
+		for id := r.id; id < r.id+uint64(r.n); id++ {
+			c.inSystem.add(id, r.t)
+		}
+		c.col.TasksArrived(node, int(r.n), r.t)
+	case recCompleted:
+		m := c.inSystem.admitted(r.id)
+		if m == nil {
+			return
+		}
+		started := r.t0
+		if m.firstService >= 0 {
+			started = m.firstService
+		}
+		c.col.TaskCompleted(node, m.arrival, started, r.t)
+		c.inSystem.remove(m)
+		c.processed[node]++
+		c.processedTotal.Add(1)
+		c.maybeFinish()
+	case recInterrupted:
+		if m := c.inSystem.admitted(r.id); m != nil && m.firstService < 0 {
+			m.firstService = r.t0
+		}
+	case recUp, recDown:
+		c.col.NodeStateChanged(node, r.kind == recUp, r.t)
+	case recDeparted:
+		c.col.TransferDeparted(node, int(r.peer), int(r.n), r.t)
+	case recLanded:
+		c.col.TransferArrived(node, int(r.n), r.t)
+	case recLost:
+		if m := c.inSystem.admitted(r.id); m != nil {
+			c.inSystem.remove(m)
+			c.col.TasksLost(1, r.inFlight, r.t)
+			c.lost.Add(1)
+		}
+		c.maybeFinish()
+	case recClosed:
+		c.maybeFinish()
+	}
 }

@@ -21,7 +21,8 @@ import (
 //	                      counted lost).
 //	GET  /state         — the dispatcher's live peer table as JSON.
 //	GET  /metrics       — live counters (injected, processed, churn,
-//	                      transfer and wire totals) as JSON.
+//	                      transfer and wire totals, and the telemetry
+//	                      records not yet applied) as JSON.
 //	GET  /healthz       — 200 while serving, 503 while draining.
 func (c *run) serveHTTP(addr string) (func() error, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -109,7 +110,7 @@ func (c *run) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out := map[string]interface{}{
 		"virtual_time":      c.now(),
 		"injected":          atomic.LoadInt64(&c.injected),
-		"processed":         atomic.LoadInt64(&c.processedTotal),
+		"processed":         c.processedTotal.Load(),
 		"lost":              c.lost.Load(),
 		"failures":          atomic.LoadInt64(&c.failures),
 		"recoveries":        atomic.LoadInt64(&c.recoveries),
@@ -117,6 +118,7 @@ func (c *run) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"tasks_transferred": atomic.LoadInt64(&c.tasksMoved),
 		"state_packets":     atomic.LoadInt64(&c.statePackets),
 		"arrivals_closed":   c.arrivalsClosed.Load(),
+		"telemetry_backlog": c.tel.backlog(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)

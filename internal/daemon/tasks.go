@@ -155,6 +155,19 @@ func (w *taskWindow) get(id uint64) *taskMeta {
 	return nil
 }
 
+// admitted is get for a telemetry record about task id, which the
+// record's order guarantees was admitted: an ID the window has never
+// registered is an ordering bug, and panics here rather than passing for a
+// task declared lost, which would leave the run to hang to MaxWall.
+//
+//churnlb:hotpath
+func (w *taskWindow) admitted(id uint64) *taskMeta {
+	if id >= w.next {
+		panic(fmt.Sprintf("daemon: telemetry for task %d, which was never admitted (next ID %d)", id, w.next))
+	}
+	return w.get(id)
+}
+
 // remove takes a task out of the system and slides the window's base past
 // every hole at its front.
 //
