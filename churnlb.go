@@ -169,7 +169,10 @@ func OptimizeLBP1(s System, load0, load1 int) (LBP1Optimum, error) {
 	if err != nil {
 		return LBP1Optimum{}, err
 	}
-	opt := ms.OptimizeLBP1(load0, load1)
+	opt, err := ms.OptimizeLBP1(load0, load1)
+	if err != nil {
+		return LBP1Optimum{}, err
+	}
 	return LBP1Optimum{Sender: opt.Sender, K: opt.K, Tasks: opt.L, Mean: opt.Mean}, nil
 }
 
@@ -187,7 +190,7 @@ func MeanCompletionLBP1(s System, load0, load1, sender int, k float64) (float64,
 	if err != nil {
 		return 0, err
 	}
-	return ms.MeanLBP1(load0, load1, sender, k), nil
+	return ms.MeanLBP1(load0, load1, sender, k)
 }
 
 // GainSweepLBP1 evaluates the expected completion time across an evenly
@@ -204,8 +207,7 @@ func GainSweepLBP1(s System, load0, load1, sender, steps int) (ks, means []float
 	if err != nil {
 		return nil, nil, err
 	}
-	ks, means = ms.GainSweep(load0, load1, sender, steps)
-	return ks, means, nil
+	return ms.GainSweep(load0, load1, sender, steps)
 }
 
 // CompletionCDF computes the full completion-time distribution under

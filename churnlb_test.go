@@ -333,43 +333,69 @@ func TestUnknownLawsRejected(t *testing.T) {
 	}
 }
 
-// Hostile arguments to the analytical API are errors, not panics. Most of
-// these once panicked inside the solvers: an index out of range, a negative
-// queue length, a makeslice, or a K of NaN or ±Inf rounding to a transfer
-// of MinInt64 tasks. A K of −0.5 or 1.5 ran as 0 or 1, and an infinite dt
-// never left the step-halving loop.
-func TestHostileAnalyticalArgumentsRejected(t *testing.T) {
-	sys := PaperSystem()
+// analyticalCall is one call of an analytical entry point on the paper's
+// system with per-task delay delta: a row of the hostile-argument table
+// and an input of FuzzAnalytical.
+type analyticalCall struct {
+	op                          uint8 // entry point, taken mod 5: see run
+	load0, load1, sender, steps int
+	k, tMax, dt, delta          float64
+}
+
+// run makes the call and returns its error; t records what an accepted
+// call returned malformed.
+func (c analyticalCall) run(t testing.TB) error {
+	sys := PaperSystem().WithDelay(c.delta)
+	switch c.op % 5 {
+	case 0:
+		opt, err := OptimizeLBP1(sys, c.load0, c.load1)
+		if err == nil && (opt.Sender != 0 && opt.Sender != 1 || !(opt.K >= 0 && opt.K <= 1)) {
+			t.Errorf("%+v: optimum %+v is no LBP-1 configuration", c, opt)
+		}
+		return err
+	case 1:
+		_, err := MeanCompletionLBP1(sys, c.load0, c.load1, c.sender, c.k)
+		return err
+	case 2:
+		ks, means, err := GainSweepLBP1(sys, c.load0, c.load1, c.sender, c.steps)
+		if err == nil && (len(ks) != len(means) || len(ks) < 2) {
+			t.Errorf("%+v: a sweep of %d gains and %d means", c, len(ks), len(means))
+		}
+		return err
+	case 3:
+		times, f, err := CompletionCDF(sys, c.load0, c.load1, c.sender, c.k, c.tMax, c.dt)
+		if err == nil && len(times) != len(f) {
+			t.Errorf("%+v: a CDF of %d times and %d values", c, len(times), len(f))
+		}
+		return err
+	default:
+		_, err := LBP2InitialGain(sys, c.load0, c.load1)
+		return err
+	}
+}
+
+// hostileAnalytical lists analytical calls that must be refused, each with
+// the word its error must contain.
+func hostileAnalytical() []struct {
+	name, names string
+	call        analyticalCall
+} {
+	const d = 0.02 // the paper's per-task delay
 	nan, inf := math.NaN(), math.Inf(1)
-	mean := func(load0, load1 int, k float64) func() error {
-		return func() error {
-			_, err := MeanCompletionLBP1(sys, load0, load1, 0, k)
-			return err
-		}
+	mean := func(load0, load1 int, k float64) analyticalCall {
+		return analyticalCall{op: 1, load0: load0, load1: load1, k: k, delta: d}
 	}
-	cdf := func(load0, load1 int, k, tMax, dt float64) func() error {
-		return func() error {
-			_, _, err := CompletionCDF(sys, load0, load1, 0, k, tMax, dt)
-			return err
-		}
+	cdf := func(load0, load1 int, k, tMax, dt float64) analyticalCall {
+		return analyticalCall{op: 3, load0: load0, load1: load1, k: k, tMax: tMax, dt: dt, delta: d}
 	}
-	for _, c := range []struct {
+	return []struct {
 		name, names string
-		run         func() error
+		call        analyticalCall
 	}{
-		{"optimize-negative-load", "load", func() error {
-			_, err := OptimizeLBP1(sys, -1, 5)
-			return err
-		}},
+		{"optimize-negative-load", "load", analyticalCall{op: 0, load0: -1, load1: 5, delta: d}},
 		{"mean-negative-load", "load", mean(5, -3, 0.3)},
-		{"sweep-negative-load", "load", func() error {
-			_, _, err := GainSweepLBP1(sys, 5, -3, 0, 4)
-			return err
-		}},
-		{"lbp2-negative-load", "load", func() error {
-			_, err := LBP2InitialGain(sys, -5, 10)
-			return err
-		}},
+		{"sweep-negative-load", "load", analyticalCall{op: 2, load0: 5, load1: -3, steps: 4, delta: d}},
+		{"lbp2-negative-load", "load", analyticalCall{op: 4, load0: -5, load1: 10, delta: d}},
 		{"mean-k-nan", "K", mean(5, 5, nan)},
 		{"mean-k-inf", "K", mean(5, 5, inf)},
 		{"mean-k-negative", "K", mean(5, 5, -0.5)},
@@ -381,14 +407,39 @@ func TestHostileAnalyticalArgumentsRejected(t *testing.T) {
 		{"cdf-tmax-inf", "tMax", cdf(100, 60, 0.35, inf, 0.5)},
 		{"cdf-tmax-nan", "tMax", cdf(100, 60, 0.35, nan, 0.5)},
 		{"cdf-grid-overflow", "grid", cdf(1, 1, 0.35, 1e300, 1e-300)},
-	} {
+		// Finite requests too large to build: refused before allocating.
+		{"optimize-over-lattice-cap", "cap", analyticalCall{op: 0, load0: 1_000_000, load1: 1_000_000, delta: d}},
+		{"mean-over-lattice-cap", "cap", mean(1_000_000, 1_000_000, 0.3)},
+		{"sweep-over-grid-cap", "cap", analyticalCall{op: 2, load0: 5, load1: 5, steps: 1 << 40, delta: d}},
+		{"lbp2-over-lattice-cap", "cap", analyticalCall{op: 4, load0: 1_000_000, delta: d}},
+		{"lbp2-load-overflow", "load", analyticalCall{op: 4, load0: math.MaxInt, load1: math.MaxInt, delta: d}},
+		{"cdf-over-work-cap", "cap", cdf(100, 60, 0.35, 5000, 0.5)},
+		{"cdf-load-overflow", "cap", cdf(math.MaxInt, 1, 0.5, 5, 0.5)},
+		// Without a delay a bundle lands at once: only the hat bounds these.
+		{"sweep-load-overflow", "cap", analyticalCall{op: 2, load0: math.MaxInt, load1: math.MaxInt, steps: 4}},
+		{"optimize-load-overflow", "cap", analyticalCall{op: 0, load0: math.MaxInt, load1: math.MaxInt}},
+		// A delay so short the integrator's step count overflows.
+		{"cdf-stiff-transfer", "cap", analyticalCall{op: 3, load0: 1, load1: 1, k: 1, tMax: 5, dt: 0.5, delta: 1e-300}},
+	}
+}
+
+// Hostile arguments to the analytical API are errors, not panics. Most of
+// these once panicked inside the solvers: an index out of range, a negative
+// queue length, a makeslice, or a K of NaN or ±Inf rounding to a transfer
+// of MinInt64 tasks. A K of −0.5 or 1.5 ran as 0 or 1, and an infinite dt
+// never left the step-halving loop. A finite load or grid too large to
+// build ran the process out of memory, and a near-zero delay halved the
+// step until its counter overflowed, then returned a CDF it never
+// integrated.
+func TestHostileAnalyticalArgumentsRejected(t *testing.T) {
+	for _, c := range hostileAnalytical() {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
-			err := c.run()
+			err := c.call.run(t)
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -397,6 +448,41 @@ func TestHostileAnalyticalArgumentsRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A skinny workload's lattice solves in time linear in its states: the
+// dynamic program once walked every (a, b) of each anti-diagonal of the
+// bounding square, 10¹² of them for (10⁶, 0), where 10⁶ are solved.
+func TestSkinnyWorkloadSolvesInLinearTime(t *testing.T) {
+	err := testkit.Deadline(t, 10*time.Second, func(<-chan struct{}) error {
+		_, err := MeanCompletionLBP1(PaperSystem(), 1_000_000, 0, 0, 0)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzAnalytical drives the five analytical entry points with arbitrary
+// arguments. Every call returns a result or an error — never a panic —
+// and the solvers' lattice budget bounds the time and memory of every
+// call they accept. The seeds are the hostile-argument table's calls and
+// a small workload through every entry point.
+//
+//	go test -run '^$' -fuzz '^FuzzAnalytical$' -fuzztime 30s .
+func FuzzAnalytical(f *testing.F) {
+	add := func(c analyticalCall) {
+		f.Add(c.op, c.load0, c.load1, c.sender, c.steps, c.k, c.tMax, c.dt, c.delta)
+	}
+	for _, c := range hostileAnalytical() {
+		add(c.call)
+	}
+	for op := uint8(0); op < 5; op++ {
+		add(analyticalCall{op: op, load0: 20, load1: 10, steps: 10, k: 0.35, tMax: 60, dt: 0.5, delta: 0.02})
+	}
+	f.Fuzz(func(t *testing.T, op uint8, load0, load1, sender, steps int, k, tMax, dt, delta float64) {
+		analyticalCall{op, load0, load1, sender, steps, k, tMax, dt, delta}.run(t)
+	})
 }
 
 // TestHostileArrivalParametersRejected: the public entry points refuse

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"churnlb/internal/obs"
 	"churnlb/internal/obs/rerun"
 	"churnlb/internal/policy"
+	"churnlb/internal/testkit"
 )
 
 func TestLbdBadFlagsRejected(t *testing.T) {
@@ -31,6 +34,26 @@ func TestLbdBadFlagsRejected(t *testing.T) {
 		if code := run(tc, &out, &errb, nil); code != 2 {
 			t.Fatalf("%v: exit %d, want 2 (stderr: %s)", tc, code, errb.String())
 		}
+	}
+}
+
+// An arrival stream expected to exceed the per-queue cap is refused
+// before its trace is drawn, naming the cap, instead of drawing 10³⁰⁰
+// arrivals.
+func TestLbdHugeArrivalStreamRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+		args := []string{"-nodes", "8", "-procrate", "20", "-rate", "1e300", "-horizon", "1"}
+		if code := run(args, &out, &errb, stop); code != 2 {
+			return fmt.Errorf("exit %d, want 2", code)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "cap") {
+		t.Fatalf("stderr %q names no cap", errb.String())
 	}
 }
 

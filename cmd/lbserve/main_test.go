@@ -41,6 +41,8 @@ func TestHostileArrivalFlagsRejected(t *testing.T) {
 		{"-rate", "NaN", "Rate"},
 		{"-horizon", "NaN", "Horizon"},
 		{"-batch", "3000000000", "Batch"},
+		// Finite, but 10³⁰⁰ tasks: refused before the first arrival.
+		{"-rate", "1e300", "cap"},
 	} {
 		t.Run(c.flag+"="+c.value, func(t *testing.T) {
 			var out, errb bytes.Buffer
@@ -169,5 +171,21 @@ func TestPolicyHelpMatchesTable(t *testing.T) {
 	want := "routing policy: " + strings.Join(append(policy.RouterNames(), "dynlbp2"), ", ") + " (default"
 	if !strings.Contains(errb.String(), want) {
 		t.Fatalf("-h does not advertise %q:\n%s", want, errb.String())
+	}
+}
+
+// TestJSQDecisionHash pins the README's churn-blind JSQ trace (the command
+// CI's sample-run step runs) to its recorded decision-stream hash: the
+// tracer reads serve's telemetry stream, and this is what it writes there.
+func TestJSQDecisionHash(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-scenario", "hotspot", "-nodes", "50", "-load", "500",
+		"-policy", "jsq", "-rate", "100", "-horizon", "10", "-seed", "2006",
+		"-decisions", filepath.Join(t.TempDir(), "decisions.jsonl")}, &out, &errb, nil)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "hash d93186f38de1b50b") {
+		t.Fatalf("stdout does not print the recorded decision hash d93186f38de1b50b:\n%s", out.String())
 	}
 }

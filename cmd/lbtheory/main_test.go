@@ -53,3 +53,24 @@ func TestNegativeLoadFails(t *testing.T) {
 		t.Fatalf("stderr %q", errb.String())
 	}
 }
+
+// A workload whose lattice would not fit is refused before the solver
+// allocates it: exit 1 naming the cap, not an out-of-memory crash — nor,
+// for a CDF whose delay is so short the integrator's step count
+// overflows, a CDF that was never integrated.
+func TestOverBudgetFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-m0", "1000000", "-m1", "1000000", "-optimize"},
+		{"-m0", "1000000", "-m1", "1000000", "-k", "0.3"},
+		{"-m0", "5", "-m1", "5", "-sweep", "1000000000000"},
+		{"-m0", "1", "-m1", "1", "-k", "1", "-cdf", "-delta", "1e-300"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 {
+			t.Fatalf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.Contains(errb.String(), "cap of") {
+			t.Fatalf("%v: stderr %q names no cap", args, errb.String())
+		}
+	}
+}

@@ -50,6 +50,13 @@ func (s TraceSpec) Generate() ([]sim.ArrivalAt, error) {
 	if batch <= 0 {
 		batch = 1
 	}
+	// Every task of the trace can land on one queue, whose size is an
+	// int32: a stream expected to exceed that is refused before the loop
+	// draws it.
+	if want := s.Rate * s.Horizon * float64(batch); want > math.MaxInt32 {
+		return nil, fmt.Errorf("calib: rate %v over horizon %v at batch %d expects %.4g tasks, above the %d per-queue cap",
+			s.Rate, s.Horizon, batch, want, math.MaxInt32)
+	}
 	rng := xrand.NewStream(s.Seed, xrand.StreamCalibTrace)
 	var trace []sim.ArrivalAt
 	for t := rng.Exp(s.Rate); t < s.Horizon; t += rng.Exp(s.Rate) {

@@ -11,9 +11,9 @@
 //
 // It is the one live engine, run under two boundary conditions. Closed —
 // the paper's Section-3 testbed: Options.InitialLoad queues a backlog at
-// t = 0, Policy.Initial balances it, there is no arrival trace, and the
-// run ends when the backlog has drained; Result.Summary.Elapsed is the
-// overall completion time. Open — the serving layer: a recorded arrival
+// t = 0, the policy's t = 0 episode balances it, there is no arrival
+// trace, and the run ends when the backlog has drained;
+// Result.Summary.Elapsed is the overall completion time. Open — the serving layer: a recorded arrival
 // trace (or HTTP clients, see httpapi.go) injects work continuously. One
 // run may do both. The same metrics.Collector the simulator uses measures
 // either — which is what makes the sim-vs-live calibration harness in
@@ -51,8 +51,8 @@ type Options struct {
 	Policy policy.Policy
 	// InitialLoad, when non-nil, queues that many tasks at each worker at
 	// t = 0 (one non-negative entry per worker), counted as injected, and
-	// has every worker execute its share of Policy.Initial against that
-	// known distribution. A run with a backlog and no Trace is closed: it
+	// has every worker execute its share of the policy's t = 0 episode
+	// against that known distribution. A run with a backlog and no Trace is closed: it
 	// ends when the backlog has drained.
 	InitialLoad []int
 	// ChurnLaw selects the up/down duration law — exponential (default),
@@ -349,7 +349,7 @@ func newRun(opt Options) (*run, error) {
 		})
 		c.peers[id] = peer{up: true}
 	}
-	c.fplan = policy.PlanFor(opt.Policy, c.p)
+	c.fplan = opt.Policy.FailurePlan(c.p)
 	return c, nil
 }
 
@@ -495,7 +495,7 @@ func (c *run) preload() []model.Transfer {
 		up[id] = true
 	}
 	initial := model.State{Queues: append([]int(nil), load...), Up: up}
-	return c.opt.Policy.Initial(model.SnapshotView{State: initial}, c.p)
+	return c.opt.Policy.AppendInitial(nil, model.SnapshotView{State: initial}, c.p)
 }
 
 // waitDone blocks until the run finishes, or reports it wedged: tasks

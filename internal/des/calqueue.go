@@ -412,7 +412,6 @@ func (q *calQueue) migrate() int {
 func (q *calQueue) drain() {
 	kill := func(e *event) {
 		e.next = nil
-		e.fn = nil
 		e.index = -1
 	}
 	for _, head := range q.buckets {

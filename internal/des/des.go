@@ -6,20 +6,20 @@
 // driven by a deterministic random stream are bit-reproducible — on any
 // backend.
 //
-// Events fire either a captured closure (At/After) or, for the per-entity
-// processes that dominate a large simulation, an indexed (kind, arg) pair
-// routed through one scheduler-level dispatcher (AtIndexed/AfterIndexed +
-// SetDispatcher) — n entities need n zero closures. The loop itself is
-// decomposed into step primitives (HasPending, PeekNextTime, ProcessNext)
-// so a caller can fire one event at a time and act between two (the
-// simulator's Realisation steps this way); Run is a thin loop over them.
+// An event is an indexed (kind, arg) pair (AtIndexed/AfterIndexed) that
+// fires through one scheduler-level dispatcher (SetDispatcher): a
+// simulation over n entities holds no closure per entity or per event.
+// The loop itself is decomposed into step primitives (HasPending,
+// PeekNextTime, ProcessNext) so a caller can fire one event at a time and
+// act between two (the simulator's Realisation steps this way); Run is a
+// thin loop over them.
 //
 // Event records are pooled: a fired or cancelled event returns to a
-// per-scheduler free list and is reused by the next At/After call, so a
+// per-scheduler free list and is reused by the next scheduling call, so a
 // long run allocates a bounded number of records no matter how many events
-// it fires. Cancellation removes the event from the queue immediately
-// (releasing its closure), rather than leaving a tombstone to be skipped
-// at pop time — pending-event memory is proportional to live events only.
+// it fires. Cancellation removes the event from the queue immediately,
+// rather than leaving a tombstone to be skipped at pop time —
+// pending-event memory is proportional to live events only.
 //
 // Beside the queue a scheduler holds a run: indexed events booked together
 // in one batch (BatchIndexed + CommitBatch), never cancelled, sorted once
@@ -52,17 +52,14 @@ type Handle struct {
 }
 
 // event is the pooled queue record behind a Handle. It is 64 bytes
-// (pinned by TestEventLayout): a slab of eventSlabSize records is a whole
-// number of cache lines and, laid out from a line boundary (eventSlab),
-// puts every record on one line, so a chain walk or a pop touches one
-// line per record.
+// (pinned by TestEventLayout), one word of it padding: a slab of
+// eventSlabSize records is a whole number of cache lines and, laid out
+// from a line boundary (eventSlab), puts every record on one line, so a
+// chain walk or a pop touches one line per record.
 type event struct {
 	time float64
 	seq  uint64
-	// fn is the closure of a closure-scheduled event (At/After); nil for
-	// indexed events, which carry (kind, arg) and fire through the
-	// scheduler's dispatcher instead — no captured state, no allocation.
-	fn func()
+	_    uint64 // pads the record to one 64-byte line
 	// index is the event's position inside its queue backend — heap slot
 	// for the heap; for the calendar queue 0 while in a bucket chain and
 	// slot + 1 while in its far tier — and -1 once fired or cancelled
@@ -78,9 +75,8 @@ type event struct {
 	// the caller is writing anyway); unused by the heap.
 	next  *event
 	owner *Scheduler
-	// kind and arg identify an indexed event (fn == nil): the dispatcher
-	// receives them verbatim. They pack into what was struct padding, so
-	// indexed capability costs closure events nothing.
+	// kind and arg identify the event: the dispatcher receives them
+	// verbatim.
 	kind, arg int32
 }
 
@@ -120,15 +116,14 @@ type Scheduler struct {
 	seq   uint64
 	q     EventQueue
 	fired uint64
-	free  []*event // recycled records, reused by At
+	free  []*event // recycled records, reused by schedule
 	// slabs lists every record slab in allocation order. newEvent carves
 	// them front to back: slab is the unissued tail of the one in hand,
 	// slabs[nextSlab:] are untouched since the last Reset.
 	slabs    [][]event
 	nextSlab int
 	slab     []event
-	// disp handles indexed events (AtIndexed/AfterIndexed): one dispatch
-	// function per scheduler replacing per-entity closures, so a
+	// disp fires every event: one dispatch function per scheduler, so a
 	// simulation over n entities schedules without holding n closures.
 	disp func(kind, arg int32)
 	// run[head:] is the pending sorted run (see run.go), empty with head 0
@@ -158,16 +153,15 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // Len returns the number of live scheduled events.
 func (s *Scheduler) Len() int { return s.q.Len() + len(s.run) - s.head }
 
-// SetDispatcher installs the indexed-event handler: every event scheduled
-// through AtIndexed/AfterIndexed fires by calling fn(kind, arg). One
-// dispatch function serves the whole scheduler, so a simulation over n
-// entities needs no per-entity closures — the (kind, arg) pair rides the
-// pooled event record for free. Must be set before the first indexed
-// event fires; closure events (At/After) are unaffected.
+// SetDispatcher installs the event handler: every event fires by calling
+// fn(kind, arg). One dispatch function serves the whole scheduler, so a
+// simulation over n entities needs no per-entity closures — the (kind,
+// arg) pair rides the pooled event record for free. Must be set before the
+// first event fires.
 func (s *Scheduler) SetDispatcher(fn func(kind, arg int32)) { s.disp = fn }
 
 // schedule books a pooled record at absolute time t, which must not
-// precede the clock. The caller fills fn or (kind, arg).
+// precede the clock. The caller fills (kind, arg).
 //
 //churnlb:hotpath
 func (s *Scheduler) schedule(t float64) *event {
@@ -187,40 +181,18 @@ func (s *Scheduler) schedule(t float64) *event {
 	return e
 }
 
-// At schedules fn at absolute time t, which must not precede the clock.
-//
-//churnlb:hotpath
-func (s *Scheduler) At(t float64, fn func()) Handle {
-	e := s.schedule(t)
-	e.fn = fn
-	s.q.Push(e)
-	return Handle{e: e, seq: e.seq}
-}
-
-// After schedules fn after delay d (d < 0 is clamped to 0).
-//
-//churnlb:hotpath
-func (s *Scheduler) After(d float64, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
-
-// AtIndexed schedules an indexed event at absolute time t: it fires as
-// dispatcher(kind, arg). Indexed and closure events share one sequence
-// and one queue, so interleaving them preserves the (time, seq) order.
+// AtIndexed schedules an event at absolute time t, which must not precede
+// the clock: it fires as dispatcher(kind, arg).
 //
 //churnlb:hotpath
 func (s *Scheduler) AtIndexed(t float64, kind, arg int32) Handle {
 	e := s.schedule(t)
-	e.fn = nil
 	e.kind, e.arg = kind, arg
 	s.q.Push(e)
 	return Handle{e: e, seq: e.seq}
 }
 
-// AfterIndexed schedules an indexed event after delay d (d < 0 is clamped
+// AfterIndexed schedules an event after delay d (d < 0 is clamped
 // to 0).
 //
 //churnlb:hotpath
@@ -233,8 +205,8 @@ func (s *Scheduler) AfterIndexed(d float64, kind, arg int32) Handle {
 
 // Reset returns the scheduler to the state NewWithQueue left it in — clock
 // and Fired at zero, nothing pending, no open batch, no dispatcher —
-// without giving up its memory: every live event becomes dead (its closure
-// released, its handle inactive), and the record slabs, the free list's
+// without giving up its memory: every live event becomes dead (its handle
+// inactive), and the record slabs, the free list's
 // array, the queue's arrays and the run's arrays keep their capacity. What
 // is scheduled afterwards fires in the order a fresh scheduler would fire
 // it; record, bucket and run layout never decide pop order.
@@ -305,11 +277,6 @@ func (s *Scheduler) ProcessNext() bool {
 	}
 	s.now = e.time
 	s.fired++
-	if fn := e.fn; fn != nil {
-		s.recycle(e)
-		fn()
-		return true
-	}
 	kind, arg := e.kind, e.arg
 	s.recycle(e)
 	s.disp(kind, arg)
@@ -346,7 +313,7 @@ func (s *Scheduler) remove(e *event) {
 }
 
 // newEvent hands out the next unissued event record — the free-list miss
-// path of At, kept out of the hot path so the steady state (every record
+// path of schedule, kept out of the hot path so the steady state (every record
 // recycled) stays allocation-free. Records are carved from slab arrays
 // rather than allocated one by one: a realisation that arms a timer per
 // node peaks at n live records, and n individual heap objects both
@@ -375,7 +342,6 @@ func (s *Scheduler) newEvent() *event {
 //
 //churnlb:hotpath
 func (s *Scheduler) recycle(e *event) {
-	e.fn = nil
 	e.index = -1
 	s.free = append(s.free, e)
 }

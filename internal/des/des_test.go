@@ -8,6 +8,47 @@ import (
 	"churnlb/internal/xrand"
 )
 
+// recorder is the tests' dispatcher. Every event is booked through
+// AtIndexed — the only way to book one — under an arg naming what the
+// test wants done when it fires; the recorder logs each firing (arg and
+// clock) and then runs that action, if the test gave one.
+type recorder struct {
+	s     *Scheduler
+	fired []firing
+	acts  []func()
+}
+
+// firing is one logged event: the arg it was booked under and the clock
+// when it fired.
+type firing struct {
+	arg int32
+	at  float64
+}
+
+// record installs a recorder as s's dispatcher.
+func record(s *Scheduler) *recorder {
+	r := &recorder{s: s}
+	s.SetDispatcher(func(_, arg int32) {
+		r.fired = append(r.fired, firing{arg, s.Now()})
+		if act := r.acts[arg]; act != nil {
+			act()
+		}
+	})
+	return r
+}
+
+// at books an event at absolute time t that runs act (nil: only log).
+func (r *recorder) at(t float64, act func()) Handle {
+	r.acts = append(r.acts, act)
+	return r.s.AtIndexed(t, 0, int32(len(r.acts)-1))
+}
+
+// after books an event after delay d that runs act (nil: only log).
+func (r *recorder) after(d float64, act func()) Handle {
+	r.acts = append(r.acts, act)
+	return r.s.AfterIndexed(d, 0, int32(len(r.acts)-1))
+}
+
 // forEachKind runs a scheduler test once per queue backend: the Scheduler
 // contract (ordering, cancellation, stale handles, horizons) must hold
 // identically on every EventQueue.
@@ -20,15 +61,18 @@ func forEachKind(t *testing.T, f func(t *testing.T, s *Scheduler)) {
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		var order []float64
+		r := record(s)
 		rng := xrand.New(1)
 		times := make([]float64, 200)
 		for i := range times {
 			times[i] = rng.Float64() * 100
-			tt := times[i]
-			s.At(tt, func() { order = append(order, tt) })
+			r.at(times[i], nil)
 		}
 		for s.ProcessNext() {
+		}
+		var order []float64
+		for _, f := range r.fired {
+			order = append(order, f.at)
 		}
 		if len(order) != len(times) {
 			t.Fatalf("fired %d of %d", len(order), len(times))
@@ -47,16 +91,15 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestTieBreakByInsertion(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		var order []int
+		r := record(s)
 		for i := 0; i < 10; i++ {
-			i := i
-			s.At(5.0, func() { order = append(order, i) })
+			r.at(5.0, nil)
 		}
 		for s.ProcessNext() {
 		}
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("same-time events reordered: %v", order)
+		for i, f := range r.fired {
+			if f.arg != int32(i) {
+				t.Fatalf("same-time events reordered: %v", r.fired)
 			}
 		}
 	})
@@ -64,10 +107,11 @@ func TestTieBreakByInsertion(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
+		r := record(s)
 		fired := false
-		h := s.At(1, func() { fired = true })
+		h := r.at(1, func() { fired = true })
 		ran := false
-		s.At(2, func() { ran = true })
+		r.at(2, func() { ran = true })
 		h.Cancel()
 		for s.ProcessNext() {
 		}
@@ -82,7 +126,8 @@ func TestCancel(t *testing.T) {
 
 func TestCancelIsIdempotentAndZeroSafe(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		h := s.At(1, func() {})
+		r := record(s)
+		h := r.at(1, nil)
 		h.Cancel()
 		h.Cancel()
 		var zero Handle
@@ -99,8 +144,9 @@ func TestCancelIsIdempotentAndZeroSafe(t *testing.T) {
 // leaving a tombstone: the live-event count drops at Cancel time.
 func TestCancelRemovesEagerly(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		h := s.At(1, func() {})
-		s.At(2, func() {})
+		r := record(s)
+		h := r.at(1, nil)
+		r.at(2, nil)
 		if s.Len() != 2 {
 			t.Fatalf("Len = %d, want 2", s.Len())
 		}
@@ -120,10 +166,11 @@ func TestCancelRemovesEagerly(t *testing.T) {
 // manage the recycled record's position fields their own way.
 func TestStaleHandleCannotCancelReusedRecord(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		old := s.At(1, func() {})
+		r := record(s)
+		old := r.at(1, nil)
 		s.ProcessNext() // fires and recycles old's record
 		fired := false
-		fresh := s.At(2, func() { fired = true })
+		fresh := r.at(2, func() { fired = true })
 		old.Cancel() // stale: must not touch the reused record
 		if !fresh.Active() {
 			t.Fatal("stale cancel killed the reused event")
@@ -144,10 +191,11 @@ func TestStaleHandleCannotCancelReusedRecord(t *testing.T) {
 // fire-then-recycle path above.
 func TestStaleHandleAfterCancelAndReuse(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		old := s.At(5, func() {})
+		r := record(s)
+		old := r.at(5, nil)
 		old.Cancel() // recycles the record without firing
 		fired := false
-		fresh := s.At(2, func() { fired = true })
+		fresh := r.at(2, func() { fired = true })
 		old.Cancel() // stale: the record now belongs to fresh
 		if old.Active() {
 			t.Fatal("cancelled handle reports active after reuse")
@@ -165,7 +213,8 @@ func TestStaleHandleAfterCancelAndReuse(t *testing.T) {
 
 func TestClockAdvances(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		s.At(3.5, func() {
+		r := record(s)
+		r.at(3.5, func() {
 			if s.Now() != 3.5 {
 				t.Fatalf("clock %v inside event at 3.5", s.Now())
 			}
@@ -179,11 +228,12 @@ func TestClockAdvances(t *testing.T) {
 
 func TestSchedulingFromWithinEvents(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
+		r := record(s)
 		var seq []string
-		s.At(1, func() {
+		r.at(1, func() {
 			seq = append(seq, "a")
-			s.After(1, func() { seq = append(seq, "c") })
-			s.After(0.5, func() { seq = append(seq, "b") })
+			r.after(1, func() { seq = append(seq, "c") })
+			r.after(0.5, func() { seq = append(seq, "b") })
 		})
 		for s.ProcessNext() {
 		}
@@ -200,8 +250,9 @@ func TestSchedulingFromWithinEvents(t *testing.T) {
 
 func TestAfterClampsNegativeDelay(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		s.At(2, func() {
-			s.After(-5, func() {})
+		r := record(s)
+		r.at(2, func() {
+			r.after(-5, nil)
 		})
 		s.ProcessNext()
 		if !s.ProcessNext() {
@@ -215,23 +266,25 @@ func TestAfterClampsNegativeDelay(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		s.At(5, func() {})
+		r := record(s)
+		r.at(5, nil)
 		s.ProcessNext()
 		defer func() {
 			if recover() == nil {
 				t.Fatal("scheduling into the past did not panic")
 			}
 		}()
-		s.At(1, func() {})
+		r.at(1, nil)
 	})
 }
 
 func TestRunUpToHorizon(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
+		r := record(s)
 		var fired []float64
 		for _, tt := range []float64{1, 2, 3, 7, 9} {
 			tt := tt
-			s.At(tt, func() { fired = append(fired, tt) })
+			r.at(tt, func() { fired = append(fired, tt) })
 		}
 		s.Run(5)
 		if len(fired) != 3 {
@@ -253,15 +306,16 @@ func TestRunUpToHorizon(t *testing.T) {
 // chain landing on the horizon cannot be stranded for a later Run.
 func TestRunFiresEventsScheduledAtHorizon(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
+		r := record(s)
 		const tMax = 10.0
 		var fired []string
-		s.At(5, func() {
+		r.at(5, func() {
 			fired = append(fired, "a")
-			s.At(tMax, func() { // lands exactly on the horizon
+			r.at(tMax, func() { // lands exactly on the horizon
 				fired = append(fired, "b")
-				s.At(tMax, func() { // scheduled BY an event firing at tMax
+				r.at(tMax, func() { // scheduled BY an event firing at tMax
 					fired = append(fired, "c")
-					s.At(tMax+1e-9, func() { fired = append(fired, "d") }) // beyond
+					r.at(tMax+1e-9, func() { fired = append(fired, "d") }) // beyond
 				})
 			})
 		})
@@ -288,10 +342,11 @@ func TestRunFiresEventsScheduledAtHorizon(t *testing.T) {
 
 func TestFiredCounter(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
+		r := record(s)
 		for i := 0; i < 5; i++ {
-			s.At(float64(i), func() {})
+			r.at(float64(i), nil)
 		}
-		s.At(10, func() {}).Cancel()
+		r.at(10, nil).Cancel()
 		for s.ProcessNext() {
 		}
 		if s.Fired() != 5 {
@@ -309,12 +364,13 @@ func TestHeapProperty(t *testing.T) {
 			f := func(seed uint16) bool {
 				rng := xrand.NewStream(uint64(seed), 9)
 				s := NewWithQueue(kind)
+				r := record(s)
 				n := 50 + rng.Intn(200)
 				handles := make([]Handle, n)
 				firedAt := make([]float64, 0, n)
 				for i := 0; i < n; i++ {
 					tt := rng.Float64() * 1000
-					handles[i] = s.At(tt, func() { firedAt = append(firedAt, tt) })
+					handles[i] = r.at(tt, func() { firedAt = append(firedAt, tt) })
 				}
 				cancelled := 0
 				for i := 0; i < n; i++ {
@@ -341,9 +397,10 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	for _, kind := range QueueKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			s := NewWithQueue(kind)
+			s.SetDispatcher(func(_, _ int32) {})
 			rng := xrand.New(1)
 			for i := 0; i < b.N; i++ {
-				s.After(rng.Float64(), func() {})
+				s.AfterIndexed(rng.Float64(), 0, 0)
 				s.ProcessNext()
 			}
 		})

@@ -20,7 +20,6 @@ func (q *heapQueue) PeekMin() *event {
 
 func (q *heapQueue) drain() {
 	for i, e := range q.events {
-		e.fn = nil
 		e.index = -1
 		q.events[i] = nil
 	}

@@ -6,9 +6,9 @@ import (
 	"churnlb/internal/xrand"
 )
 
-// TestIndexedDispatch proves indexed events fire through the dispatcher
-// with their (kind, arg) intact, interleaved with closure events in the
-// exact (time, seq) order, on every backend.
+// TestIndexedDispatch proves events fire through the dispatcher with
+// their (kind, arg) intact, in the exact (time, seq) order, on every
+// backend.
 func TestIndexedDispatch(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
 		type fired struct {
@@ -20,12 +20,12 @@ func TestIndexedDispatch(t *testing.T) {
 			got = append(got, fired{kind, arg, s.Now()})
 		})
 		s.AtIndexed(3, 1, 10)
-		s.At(2, func() { got = append(got, fired{-1, -1, s.Now()}) })
-		s.AtIndexed(2, 2, 20) // same time as the closure event: later seq
+		s.AtIndexed(2, 4, 40)
+		s.AtIndexed(2, 2, 20) // same time as the event before: later seq
 		s.AtIndexed(1, 3, 30)
 		for s.ProcessNext() {
 		}
-		want := []fired{{3, 30, 1}, {-1, -1, 2}, {2, 20, 2}, {1, 10, 3}}
+		want := []fired{{3, 30, 1}, {4, 40, 2}, {2, 20, 2}, {1, 10, 3}}
 		if len(got) != len(want) {
 			t.Fatalf("fired %d events, want %d", len(got), len(want))
 		}
@@ -37,39 +37,38 @@ func TestIndexedDispatch(t *testing.T) {
 	})
 }
 
-// TestIndexedCancelAndReuse drives cancellation and pooled-record reuse
-// across both scheduling flavors: a cancelled indexed event never
-// reaches the dispatcher, a stale handle stays inert after its record is
-// reused by the other flavor, and recycled records never leak a stale
-// closure into an indexed firing (or vice versa).
+// TestIndexedCancelAndReuse drives cancellation and pooled-record reuse:
+// a cancelled event never reaches the dispatcher, a stale handle stays
+// inert after its record is reused, and a reused record fires with the
+// (kind, arg) of its new event, not its old one's.
 func TestIndexedCancelAndReuse(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
-		var dispatched, closures int
-		s.SetDispatcher(func(kind, arg int32) { dispatched++ })
+		var got []int32
+		s.SetDispatcher(func(kind, arg int32) { got = append(got, kind, arg) })
 		h := s.AfterIndexed(1, 7, 7)
 		h.Cancel()
 		if h.Active() {
-			t.Fatal("cancelled indexed handle still active")
+			t.Fatal("cancelled handle still active")
 		}
-		// The freed record is reused by a closure event; the stale indexed
-		// handle must not cancel it.
-		h2 := s.After(2, func() { closures++ })
+		// The freed record is reused by the next event; the stale handle
+		// must not cancel it.
+		h2 := s.AfterIndexed(2, 8, 8)
 		h.Cancel()
 		if !h2.Active() {
-			t.Fatal("stale indexed handle cancelled the reused record")
+			t.Fatal("stale handle cancelled the reused record")
 		}
 		for s.ProcessNext() {
 		}
-		if dispatched != 0 || closures != 1 {
-			t.Fatalf("dispatched=%d closures=%d, want 0 and 1", dispatched, closures)
+		if len(got) != 2 || got[0] != 8 || got[1] != 8 {
+			t.Fatalf("fired %v, want only (8, 8)", got)
 		}
-		// And the other direction: a fired closure record reused as an
-		// indexed event fires through the dispatcher, not the old closure.
+		// A fired record reused by another event fires as that event.
 		s.AfterIndexed(1, 9, 9)
+		h2.Cancel() // stale: fired
 		for s.ProcessNext() {
 		}
-		if dispatched != 1 || closures != 1 {
-			t.Fatalf("after reuse: dispatched=%d closures=%d, want 1 and 1", dispatched, closures)
+		if len(got) != 4 || got[2] != 9 || got[3] != 9 {
+			t.Fatalf("after reuse fired %v, want (8, 8) then (9, 9)", got)
 		}
 	})
 }
@@ -77,20 +76,14 @@ func TestIndexedCancelAndReuse(t *testing.T) {
 // TestStepPrimitives checks the shared-clock decomposition directly:
 // PeekNextTime agrees with the time ProcessNext then advances to, never
 // advancing the clock itself, and HasPending tracks the live count —
-// under a randomized mix of closure events, indexed events and
-// cancellations on both backends.
+// under a randomized mix of events and cancellations on both backends.
 func TestStepPrimitives(t *testing.T) {
 	forEachKind(t, func(t *testing.T, s *Scheduler) {
 		rng := xrand.New(7)
 		s.SetDispatcher(func(kind, arg int32) {})
 		var handles []Handle
 		for i := 0; i < 300; i++ {
-			tt := rng.Float64() * 50
-			if i%2 == 0 {
-				handles = append(handles, s.AtIndexed(tt, int32(i), int32(i)))
-			} else {
-				handles = append(handles, s.At(tt, func() {}))
-			}
+			handles = append(handles, s.AtIndexed(rng.Float64()*50, int32(i%2), int32(i)))
 		}
 		for i, h := range handles {
 			if i%5 == 0 {
@@ -136,15 +129,16 @@ func TestStepPrimitives(t *testing.T) {
 func TestSharedClockTwoSchedulers(t *testing.T) {
 	a, b := New(), New()
 	var merged []float64
+	ra, rb := record(a), record(b)
 	rng := xrand.New(21)
 	total := 0
 	for i := 0; i < 100; i++ {
 		tt := rng.Float64() * 30
-		src := a
+		src := ra
 		if i%2 == 1 {
-			src = b
+			src = rb
 		}
-		src.At(tt, func() { merged = append(merged, tt) })
+		src.at(tt, func() { merged = append(merged, tt) })
 		total++
 	}
 	for {

@@ -17,10 +17,9 @@ func benchPending(b *testing.B, kind QueueKind, n int) {
 	s := NewWithQueue(kind)
 	rng := xrand.New(1)
 	pending := 2 * n
-	var fn func()
-	fn = func() { s.After(rng.ExpMean(1), fn) }
+	s.SetDispatcher(func(kind, arg int32) { s.AfterIndexed(rng.ExpMean(1), kind, arg) })
 	for i := 0; i < pending; i++ {
-		s.After(rng.ExpMean(1), fn)
+		s.AfterIndexed(rng.ExpMean(1), 0, int32(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

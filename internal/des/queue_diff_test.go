@@ -14,7 +14,7 @@ import (
 // The tests in this file enforce the EventQueue contract: every backend
 // fires the exact same schedule in the exact same order. The heap is the
 // oracle; the calendar queue (and any future backend) is replayed against
-// it over randomized programs of At/After/Cancel/ProcessNext/Run operations,
+// it over randomized programs of schedule/Cancel/ProcessNext/Run operations,
 // including same-time ties, events scheduled by firing events, sparse
 // far-future tails (the calendar queue's direct-search path) and
 // cancellations that force bucket compaction and resizes. Programs may
@@ -148,6 +148,9 @@ type progRun struct {
 	s       *Scheduler
 	fired   []fireRec
 	handles []Handle
+	// child maps a schedule op's event id to the delay of the child it
+	// books when it fires (negative: none).
+	child map[int32]float64
 	// batched sends batch ops through BatchIndexed and CommitBatch; the
 	// oracle leaves it false and schedules each of their events alone.
 	batched bool
@@ -158,32 +161,40 @@ type progRun struct {
 	beforeOp func(o qop)
 }
 
-// dispatch is the indexed-event handler: batch events log their id.
-func (r *progRun) dispatch(_, arg int32) {
+// The event kinds a program books: an event of a schedule op (which may
+// book a child when it fires), that child, and a batch op's event.
+const (
+	progScheduled int32 = iota
+	progChild
+	progBatched
+)
+
+// dispatch logs every fired event's id and books a scheduled event's
+// child, if its op asked for one.
+func (r *progRun) dispatch(kind, arg int32) {
 	r.fired = append(r.fired, fireRec{math.Float64bits(r.s.Now()), int(arg)})
+	if kind == progScheduled {
+		if child := r.child[arg]; child >= 0 {
+			r.s.AfterIndexed(child, progChild, 1_000_000+arg)
+		}
+	}
 }
 
 // exec runs ops in order, without the final drain.
 func (r *progRun) exec(ops []qop) {
 	s := r.s
 	s.SetDispatcher(r.dispatch)
+	if r.child == nil {
+		r.child = map[int32]float64{}
+	}
 	for i, o := range ops {
 		if r.beforeOp != nil {
 			r.beforeOp(o)
 		}
 		switch o.kind {
 		case 0:
-			id := i
-			child := o.child
-			r.handles = append(r.handles, s.After(o.delta, func() {
-				r.fired = append(r.fired, fireRec{math.Float64bits(s.Now()), id})
-				if child >= 0 {
-					cid := 1_000_000 + id
-					s.After(child, func() {
-						r.fired = append(r.fired, fireRec{math.Float64bits(s.Now()), cid})
-					})
-				}
-			}))
+			r.child[int32(i)] = o.child
+			r.handles = append(r.handles, s.AfterIndexed(o.delta, progScheduled, int32(i)))
 		case 1, 6:
 			r.target(o).Cancel()
 		case 2:
@@ -235,9 +246,9 @@ func (r *progRun) book(op int, batch []batchEv) {
 		}
 		id := int32(2_000_000 + op*1000 + j)
 		if r.batched && !ev.plain {
-			s.BatchIndexed(at, 0, id)
+			s.BatchIndexed(at, progBatched, id)
 		} else {
-			s.AtIndexed(at, 0, id)
+			s.AtIndexed(at, progBatched, id)
 		}
 	}
 	if !r.batched {
@@ -449,7 +460,7 @@ func TestQueueDifferentialReset(t *testing.T) {
 
 			r := &progRun{s: NewWithQueue(kind), batched: true}
 			r.exec(opsA[:100+rng.Intn(len(opsA)-100)])
-			r.handles = append(r.handles, r.s.After(1e6, func() { t.Error("an event of A fired after Reset") }))
+			r.handles = append(r.handles, r.s.AfterIndexed(1e6, progBatched, -1)) // fires only if Reset leaks it
 			firedA := len(r.fired)
 			r.s.Reset()
 			if r.s.Len() != 0 || r.s.HasPending() || r.s.Now() != 0 || r.s.Fired() != 0 {
@@ -915,40 +926,37 @@ func TestQueueDifferentialChurnRealisation(t *testing.T) {
 		svcMean   = 0.5
 		reschedPr = 0.9
 	)
+	const (
+		evServe int32 = iota
+		evFail
+		evRecover
+	)
 	run := func(kind QueueKind) ([]fireRec, uint64) {
 		s := NewWithQueue(kind)
 		rng := xrand.NewStream(99, 4242)
 		var fired []fireRec
 		svc := make([]Handle, nodes)
-		var fail, recov func(i int) func()
-		var serve func(i int) func()
-		serve = func(i int) func() {
-			return func() {
-				fired = append(fired, fireRec{math.Float64bits(s.Now()), i})
+		s.SetDispatcher(func(kind, arg int32) {
+			i := int(arg)
+			fired = append(fired, fireRec{math.Float64bits(s.Now()), int(kind)*nodes + i})
+			switch kind {
+			case evServe:
 				if rng.Float64() < reschedPr {
-					svc[i] = s.After(rng.ExpMean(svcMean), serve(i))
+					svc[i] = s.AfterIndexed(rng.ExpMean(svcMean), evServe, arg)
 				}
-			}
-		}
-		fail = func(i int) func() {
-			return func() {
-				fired = append(fired, fireRec{math.Float64bits(s.Now()), nodes + i})
+			case evFail:
 				// A failure cancels the node's service timer (stale-handle
 				// exercise) and arms recovery.
 				svc[i].Cancel()
-				s.After(rng.ExpMean(mttr), recov(i))
+				s.AfterIndexed(rng.ExpMean(mttr), evRecover, arg)
+			case evRecover:
+				svc[i] = s.AfterIndexed(rng.ExpMean(svcMean), evServe, arg)
+				s.AfterIndexed(rng.ExpMean(mtbf), evFail, arg)
 			}
-		}
-		recov = func(i int) func() {
-			return func() {
-				fired = append(fired, fireRec{math.Float64bits(s.Now()), 2*nodes + i})
-				svc[i] = s.After(rng.ExpMean(svcMean), serve(i))
-				s.After(rng.ExpMean(mtbf), fail(i))
-			}
-		}
-		for i := 0; i < nodes; i++ {
-			svc[i] = s.After(rng.ExpMean(svcMean), serve(i))
-			s.After(rng.ExpMean(mtbf), fail(i))
+		})
+		for i := int32(0); i < nodes; i++ {
+			svc[i] = s.AfterIndexed(rng.ExpMean(svcMean), evServe, i)
+			s.AfterIndexed(rng.ExpMean(mtbf), evFail, i)
 		}
 		for len(fired) < maxFires && s.ProcessNext() {
 		}

@@ -65,7 +65,6 @@ func (s *Scheduler) CommitBatch() {
 			// schedule draws is skipped, and skipping changes no order.
 			e := s.schedule(b[i].time)
 			e.seq = b[i].seq
-			e.fn = nil
 			e.kind, e.arg = b[i].kind, b[i].arg
 			s.q.Push(e)
 		}

@@ -146,8 +146,14 @@ func runFig3(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	steps := 20
-	ks, theo := ms.GainSweep(m0, m1, sender, steps)
-	_, theoNF := msNF.GainSweep(m0, m1, sender, steps)
+	ks, theo, err := ms.GainSweep(m0, m1, sender, steps)
+	if err != nil {
+		return nil, err
+	}
+	_, theoNF, err := msNF.GainSweep(m0, m1, sender, steps)
+	if err != nil {
+		return nil, err
+	}
 
 	// Monte-Carlo curve.
 	reps := cfg.reps(400, 4000)
@@ -187,8 +193,14 @@ func runFig3(cfg Config) (*Result, error) {
 		res.Series = append(res.Series, report.Series{Name: "testbed-failure", X: bx, Y: by})
 	}
 
-	opt := ms.OptimizeLBP1(m0, m1)
-	optNF := msNF.OptimizeLBP1(m0, m1)
+	opt, err := ms.OptimizeLBP1(m0, m1)
+	if err != nil {
+		return nil, err
+	}
+	optNF, err := msNF.OptimizeLBP1(m0, m1)
+	if err != nil {
+		return nil, err
+	}
 	tbl := report.Table{
 		Title:   "Optima of the gain sweep",
 		Headers: []string{"curve", "K* (paper)", "K* (ours)", "min mean s (paper)", "min mean s (ours)"},
@@ -268,7 +280,10 @@ func runFig5(cfg Config) (*Result, error) {
 		dt = 0.25
 	}
 	for _, w := range [][2]int{{50, 0}, {25, 50}} {
-		opt := ms.OptimizeLBP1(w[0], w[1])
+		opt, err := ms.OptimizeLBP1(w[0], w[1])
+		if err != nil {
+			return nil, err
+		}
 		tMax := opt.Mean * 4
 		fail, err := cs.CDFLBP1(w[0], w[1], opt.Sender, opt.K, markov.BothUp, tMax, dt)
 		if err != nil {

@@ -110,8 +110,14 @@ func runTable1(cfg Config) (*Result, error) {
 	tbl := report.Table{Title: "Average overall completion time (s), LBP-1", Headers: headers}
 	for _, w := range workloads {
 		cfg.logf("table1: optimising workload (%d,%d)", w[0], w[1])
-		opt := ms.OptimizeLBP1(w[0], w[1])
-		optNF := msNF.OptimizeLBP1(w[0], w[1])
+		opt, err := ms.OptimizeLBP1(w[0], w[1])
+		if err != nil {
+			return nil, err
+		}
+		optNF, err := msNF.OptimizeLBP1(w[0], w[1])
+		if err != nil {
+			return nil, err
+		}
 		ref := paperTable1[w]
 		row := []string{
 			fmt.Sprintf("(%d,%d)", w[0], w[1]),
@@ -199,7 +205,10 @@ func runTable3(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := ms.OptimizeLBP1(100, 60)
+		opt, err := ms.OptimizeLBP1(100, 60)
+		if err != nil {
+			return nil, err
+		}
 		k2, _, _, err := markov.LBP2InitialGain(p, 100, 60)
 		if err != nil {
 			return nil, err

@@ -116,68 +116,102 @@ func (l *cdfLattice) size() int {
 // ṗ = −λ_s·p + Σ_event rate·p_target. The "done" hat state (0,0) carries
 // p ≡ 1 and a derivative that is identically zero by construction.
 func (l *cdfLattice) deriv(_ float64, y, dst []float64) {
-	// The rates as arrays: the loops below index them without bounds checks.
+	l.block(y, dst, l.hatOff, l.h0, l.h1, false)
+	if l.hasMain {
+		l.block(y, dst, 0, l.m0, l.m1, true)
+	}
+}
+
+// block computes the derivative over one block, the lattice [0..n0]×[0..n1]
+// whose state (a, b, s) sits at off + (a·(n1+1) + b)·4 + s. Every state
+// sums its rates and its inflow in one fixed order — node 0's service,
+// node 1's, node 0's failure or recovery, node 1's, then (main block) the
+// bundle's landing in the hat block — with a zero coefficient for an
+// event that cannot happen (a rate of 0 among them). Adding a zero term
+// changes no bit (neither sum is ever −0), so the coefficients, which
+// depend only on the work state and on which queues are empty, are set
+// up once per call.
+func (l *cdfLattice) block(y, dst []float64, off, n0, n1 int, main bool) {
 	proc, fail, rec := [2]float64(l.p.ProcRate), [2]float64(l.p.FailRate), [2]float64(l.p.RecRate)
-	// Hat block.
-	for a := 0; a <= l.h0; a++ {
-		for b := 0; b <= l.h1; b++ {
+	// coef[busy0][busy1] holds, per work state, the rates of node 0's and
+	// node 1's service, node 0's and node 1's failure or recovery, and
+	// their total outflow.
+	type rates struct{ p0, p1, c0, c1, total [4]float64 }
+	var coef [2][2]rates
+	for busy0 := 0; busy0 < 2; busy0++ {
+		for busy1 := 0; busy1 < 2; busy1++ {
+			r := &coef[busy0][busy1]
 			for s := WorkState(0); s < 4; s++ {
-				idx := l.hatIdx(a, b, s)
-				var total, inflow float64
-				if s.Up(0) && a > 0 {
-					total += proc[0]
-					inflow += proc[0] * y[l.hatIdx(a-1, b, s)]
+				var t float64
+				if s.Up(0) && busy0 == 1 {
+					r.p0[s] = proc[0]
+					t += proc[0]
 				}
-				if s.Up(1) && b > 0 {
-					total += proc[1]
-					inflow += proc[1] * y[l.hatIdx(a, b-1, s)]
+				if s.Up(1) && busy1 == 1 {
+					r.p1[s] = proc[1]
+					t += proc[1]
 				}
-				for i := 0; i < 2; i++ {
+				for i, c := range [2]*[4]float64{&r.c0, &r.c1} {
+					c[s] = rec[i]
 					if s.Up(i) {
-						if f := fail[i]; f > 0 {
-							total += f
-							inflow += f * y[l.hatIdx(a, b, s.WithDown(i))]
-						}
-					} else if r := rec[i]; r > 0 {
-						total += r
-						inflow += r * y[l.hatIdx(a, b, s.WithUp(i))]
+						c[s] = fail[i]
 					}
+					t += c[s]
 				}
-				dst[idx] = inflow - total*y[idx]
+				if main {
+					t += l.z
+				}
+				r.total[s] = t
 			}
 		}
 	}
-	if !l.hasMain {
-		return
-	}
-	for a := 0; a <= l.m0; a++ {
-		for b := 0; b <= l.m1; b++ {
-			for s := WorkState(0); s < 4; s++ {
-				idx := l.mainIdx(a, b, s)
-				var total, inflow float64
-				if s.Up(0) && a > 0 {
-					total += proc[0]
-					inflow += proc[0] * y[l.mainIdx(a-1, b, s)]
-				}
-				if s.Up(1) && b > 0 {
-					total += proc[1]
-					inflow += proc[1] * y[l.mainIdx(a, b-1, s)]
-				}
-				for i := 0; i < 2; i++ {
-					if s.Up(i) {
-						if f := fail[i]; f > 0 {
-							total += f
-							inflow += f * y[l.mainIdx(a, b, s.WithDown(i))]
-						}
-					} else if r := rec[i]; r > 0 {
-						total += r
-						inflow += r * y[l.mainIdx(a, b, s.WithUp(i))]
-					}
-				}
-				total += l.z
-				inflow += l.z * y[l.hatIdx(a+l.hx, b+l.hy, s)]
-				dst[idx] = inflow - total*y[idx]
+	row := (n1 + 1) * 4
+	for a := 0; a <= n0; a++ {
+		busy0 := min(a, 1)
+		for b := 0; b <= n1; b++ {
+			busy1 := min(b, 1)
+			r := &coef[busy0][busy1]
+			base := off + (a*(n1+1)+b)*4
+			// An empty queue's neighbour is the state itself, read with a
+			// zero coefficient.
+			at := y[base : base+4 : base+4]
+			left := y[base-row*busy0 : base-row*busy0+4 : base-row*busy0+4]
+			down := y[base-4*busy1 : base-4*busy1+4 : base-4*busy1+4]
+			landed := at
+			if main {
+				h := l.hatIdx(a+l.hx, b+l.hy, 0)
+				landed = y[h : h+4 : h+4]
 			}
+			d := dst[base : base+4 : base+4]
+			// The four work states, written out: s^1 and s^2 are the states
+			// node 0's and node 1's churn leads to.
+			var in0, in1, in2, in3 float64
+			in0 += r.p0[0] * left[0]
+			in1 += r.p0[1] * left[1]
+			in2 += r.p0[2] * left[2]
+			in3 += r.p0[3] * left[3]
+			in0 += r.p1[0] * down[0]
+			in1 += r.p1[1] * down[1]
+			in2 += r.p1[2] * down[2]
+			in3 += r.p1[3] * down[3]
+			in0 += r.c0[0] * at[1]
+			in1 += r.c0[1] * at[0]
+			in2 += r.c0[2] * at[3]
+			in3 += r.c0[3] * at[2]
+			in0 += r.c1[0] * at[2]
+			in1 += r.c1[1] * at[3]
+			in2 += r.c1[2] * at[0]
+			in3 += r.c1[3] * at[1]
+			if main {
+				in0 += l.z * landed[0]
+				in1 += l.z * landed[1]
+				in2 += l.z * landed[2]
+				in3 += l.z * landed[3]
+			}
+			d[0] = in0 - r.total[0]*at[0]
+			d[1] = in1 - r.total[1]*at[1]
+			d[2] = in2 - r.total[2]*at[2]
+			d[3] = in3 - r.total[3]*at[3]
 		}
 	}
 }
@@ -193,27 +227,56 @@ func (cs *CDFSolver) CDFWithTransfer(m0, m1 int, tr Transfer, start WorkState, t
 	if !(tMax > 0) || !(dt > 0) || math.IsInf(tMax, 1) || math.IsInf(dt, 1) {
 		return nil, fmt.Errorf("markov: need positive, finite tMax and dt, got %v and %v", tMax, dt)
 	}
-	if tMax/dt > math.MaxInt32 {
-		return nil, fmt.Errorf("markov: a grid of %v steps over [0, %v] is too large", tMax/dt, tMax)
-	}
 	p := cs.p
 	lat := &cdfLattice{p: p}
 	if tr.Tasks > 0 {
 		if tr.To != 0 && tr.To != 1 {
 			return nil, fmt.Errorf("markov: invalid transfer receiver %d", tr.To)
 		}
-		z := transferRate(p, tr.Tasks)
-		if math.IsInf(z, 1) {
+		lat.z = transferRate(p, tr.Tasks)
+	}
+	// Stability: RK4's real-axis stability limit is ≈ 2.78/λ; stay well
+	// inside it. The largest outflow rate bounds the stiffness: the step
+	// is dt halved sub times over until maxRate·h ≤ 0.8.
+	maxRate := p.ProcRate[0] + p.ProcRate[1] + p.FailRate[0] + p.FailRate[1] +
+		p.RecRate[0] + p.RecRate[1]
+	if !math.IsInf(lat.z, 1) {
+		maxRate += lat.z
+	}
+	// The budget, before anything is built: the grid's points, the
+	// lattice's states (the in-flight block, then the hat it lands in)
+	// and the integrator's steps over them.
+	points := math.Ceil(tMax/dt) + 1
+	if points > maxLatticeStates {
+		return nil, fmt.Errorf("markov: a grid of %.4g steps over [0, %v] is above the cap of %d points", points-1, tMax, maxLatticeStates)
+	}
+	h0, h1, states := float64(m0), float64(m1), 0.0
+	if tr.Tasks > 0 {
+		if !math.IsInf(lat.z, 1) {
+			states = lattice(h0, h1)
+		}
+		if tr.To == 0 {
+			h0 += float64(tr.Tasks)
+		} else {
+			h1 += float64(tr.Tasks)
+		}
+	}
+	states += lattice(h0, h1)
+	substeps := math.Exp2(math.Max(0, math.Ceil(math.Log2(maxRate*dt/0.8))))
+	if err := checkBudget(states, states*(points-1)*substeps, maxCDFWork); err != nil {
+		return nil, err
+	}
+	if tr.Tasks > 0 {
+		if math.IsInf(lat.z, 1) {
 			// Instantaneous transfer: equivalent hat scenario.
 			if tr.To == 0 {
 				m0 += tr.Tasks
 			} else {
 				m1 += tr.Tasks
 			}
-			tr = Transfer{}
+			lat.z = 0
 		} else {
 			lat.hasMain = true
-			lat.z = z
 			if tr.To == 0 {
 				lat.hx = tr.Tasks
 			} else {
@@ -230,10 +293,6 @@ func (cs *CDFSolver) CDFWithTransfer(m0, m1 int, tr Transfer, start WorkState, t
 		lat.startIdx = lat.hatIdx(m0, m1, start)
 	}
 
-	// Stability: RK4's real-axis stability limit is ≈ 2.78/λ; stay well
-	// inside it. The largest outflow rate bounds the stiffness.
-	maxRate := p.ProcRate[0] + p.ProcRate[1] + p.FailRate[0] + p.FailRate[1] +
-		p.RecRate[0] + p.RecRate[1] + lat.z
 	h := dt
 	sub := 1
 	for maxRate*h > 0.8 {
@@ -249,8 +308,13 @@ func (cs *CDFSolver) CDFWithTransfer(m0, m1 int, tr Transfer, start WorkState, t
 	steps := int(math.Ceil(tMax / dt))
 	out := &CDFResult{Step: dt, F: make([]float64, steps+1)}
 	out.F[0] = y[lat.startIdx]
-	for i := 1; i <= steps; i++ {
-		linalg.RK4(lat.deriv, float64(i-1)*dt, y, h, sub, nil)
+	// One integration over every substep, sampling F at each grid point;
+	// the derivative does not read the time, so where the integrator
+	// starts and stops changes no bit.
+	linalg.RK4(lat.deriv, 0, y, h, steps*sub, func(step int, _ float64, y []float64) {
+		if step%sub != 0 {
+			return
+		}
 		f := y[lat.startIdx]
 		// Clamp tiny FP excursions so F stays a distribution function.
 		if f < 0 {
@@ -259,8 +323,8 @@ func (cs *CDFSolver) CDFWithTransfer(m0, m1 int, tr Transfer, start WorkState, t
 		if f > 1 {
 			f = 1
 		}
-		out.F[i] = f
-	}
+		out.F[step/sub] = f
+	})
 	return out, nil
 }
 

@@ -46,7 +46,7 @@ func TestCDFMeanMatchesMeanSolver(t *testing.T) {
 		{12, 12, 0, 0},
 	}
 	for _, c := range cases {
-		want := ms.MeanLBP1(c.m0, c.m1, c.sender, c.k)
+		want := must(ms.MeanLBP1(c.m0, c.m1, c.sender, c.k))
 		r, err := cs.CDFLBP1(c.m0, c.m1, c.sender, c.k, BothUp, want*5, 0.05)
 		if err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func TestCDFFailureDominatedByNoFailure(t *testing.T) {
 	csNF, _ := NewCDFSolver(p.NoFailure())
 	for _, w := range [][2]int{{50, 0}, {25, 50}} {
 		ms, _ := NewMeanSolver(p)
-		opt := ms.OptimizeLBP1(w[0], w[1])
+		opt := must(ms.OptimizeLBP1(w[0], w[1]))
 		fail, err := cs.CDFLBP1(w[0], w[1], opt.Sender, opt.K, BothUp, 250, 0.1)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package markov
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"churnlb/internal/linalg"
 	"churnlb/internal/model"
@@ -188,14 +189,21 @@ func (g *GeneralSolver) solve(queues []int, pending []PendingTransfer, mask int)
 // reports it as a gain K = L/maxTasks together with the achieved mean.
 // It is the optimisation the paper runs for LBP-2's initial balance under
 // the no-failure model (with maxTasks = the excess load of eq. 6) and is
-// also usable for LBP-1 (maxTasks = the sender's whole queue).
-func OptimizeTransferGain(ms *MeanSolver, m0, m1, sender, maxTasks int) (float64, float64) {
+// also usable for LBP-1 (maxTasks = the sender's whole queue). A workload
+// whose lattices exceed the solver's caps is refused before anything is
+// built.
+func OptimizeTransferGain(ms *MeanSolver, m0, m1, sender, maxTasks int) (k, mean float64, err error) {
 	if sender != 0 && sender != 1 {
 		panic(fmt.Sprintf("markov: invalid sender %d", sender))
 	}
 	m := [2]int{m0, m1}
 	if maxTasks > m[sender] {
 		maxTasks = m[sender]
+	}
+	f0, f1 := float64(m0), float64(m1)
+	hat, tr := ms.hatGrowth(f0+f1, f0+f1), ms.transferWork(f0, f1)
+	if err := checkBudget(max(hat, tr), hat+float64(max(maxTasks, 0))*tr, maxMeanWork); err != nil {
+		return 0, 0, err
 	}
 	ms.ensureHat(m0+m1, m0+m1)
 	bestL := 0
@@ -210,9 +218,9 @@ func OptimizeTransferGain(ms *MeanSolver, m0, m1, sender, maxTasks int) (float64
 		}
 	}
 	if maxTasks == 0 {
-		return 0, bestMean
+		return 0, bestMean, nil
 	}
-	return float64(bestL) / float64(maxTasks), bestMean
+	return float64(bestL) / float64(maxTasks), bestMean, nil
 }
 
 // LBP2InitialGain computes the paper's LBP-2 initial gain for a two-node
@@ -228,6 +236,10 @@ func LBP2InitialGain(p model.Params, m0, m1 int) (k float64, sender, excess int,
 	if m0 < 0 || m1 < 0 {
 		return 0, 0, 0, fmt.Errorf("markov: negative queue length (%d,%d)", m0, m1)
 	}
+	if m0 > math.MaxInt-m1 {
+		// eq. (6) shares out the total workload, which must be an int.
+		return 0, 0, 0, fmt.Errorf("markov: queue lengths (%d,%d) overflow their total load", m0, m1)
+	}
 	nf := p.NoFailure()
 	v := model.SnapshotView{State: model.State{Queues: []int{m0, m1}}}
 	for sender = 0; sender < 2; sender++ {
@@ -242,6 +254,8 @@ func LBP2InitialGain(p model.Params, m0, m1 int) (k float64, sender, excess int,
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	k, _ = OptimizeTransferGain(ms, m0, m1, sender, excess)
+	if k, _, err = OptimizeTransferGain(ms, m0, m1, sender, excess); err != nil {
+		return 0, 0, 0, err
+	}
 	return k, sender, excess, nil
 }

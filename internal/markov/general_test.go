@@ -213,9 +213,12 @@ func TestLBP2InitialGainMatchesPaperQualitatively(t *testing.T) {
 // the dedicated OptimizeLBP1 search when given the full queue.
 func TestOptimizeTransferGainAgreesWithOptimizeLBP1(t *testing.T) {
 	ms, _ := NewMeanSolver(model.PaperBaseline())
-	opt := ms.OptimizeLBP1(60, 25)
+	opt := must(ms.OptimizeLBP1(60, 25))
 	ms2, _ := NewMeanSolver(model.PaperBaseline())
-	k, mean := OptimizeTransferGain(ms2, 60, 25, opt.Sender, []int{60, 25}[opt.Sender])
+	k, mean, err := OptimizeTransferGain(ms2, 60, 25, opt.Sender, []int{60, 25}[opt.Sender])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(mean-opt.Mean) > 1e-9 {
 		t.Fatalf("means differ: %v vs %v", mean, opt.Mean)
 	}

@@ -95,7 +95,7 @@ func TestGoldenOptimizeLBP1(t *testing.T) {
 	warm := warmMeanSolver(t)
 	for _, g := range goldenOptima {
 		for _, ms := range []*MeanSolver{freshMeanSolver(t), warm} {
-			o := ms.OptimizeLBP1(g.m0, g.m1)
+			o := must(ms.OptimizeLBP1(g.m0, g.m1))
 			if o.Sender != g.sender || o.L != g.l {
 				t.Errorf("(%d,%d): sender %d, L %d; want %d, %d", g.m0, g.m1, o.Sender, o.L, g.sender, g.l)
 			}
@@ -108,12 +108,15 @@ func TestGoldenOptimizeLBP1(t *testing.T) {
 func TestGoldenMeanLBP1AndGainSweep(t *testing.T) {
 	warm := warmMeanSolver(t)
 	for _, ms := range []*MeanSolver{freshMeanSolver(t), warm} {
-		checkBits(t, "MeanLBP1(100,60,0,0.35)", ms.MeanLBP1(100, 60, 0, 0.35), 0x405d2ff0c6b80c1e)
+		checkBits(t, "MeanLBP1(100,60,0,0.35)", must(ms.MeanLBP1(100, 60, 0, 0.35)), 0x405d2ff0c6b80c1e)
 		// 0.355·100 rounds up to 36 tasks: the half-way case of the rule.
-		checkBits(t, "MeanLBP1(100,60,0,0.355)", ms.MeanLBP1(100, 60, 0, 0.355), 0x405d314a852b2af4)
+		checkBits(t, "MeanLBP1(100,60,0,0.355)", must(ms.MeanLBP1(100, 60, 0, 0.355)), 0x405d314a852b2af4)
 	}
 	for _, ms := range []*MeanSolver{freshMeanSolver(t), warm} {
-		ks, means := ms.GainSweep(100, 60, 0, 20)
+		ks, means, err := ms.GainSweep(100, 60, 0, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(means) != len(goldenSweep) {
 			t.Fatalf("sweep has %d points, want %d", len(means), len(goldenSweep))
 		}

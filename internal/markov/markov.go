@@ -75,6 +75,42 @@ func checkTwoNode(p model.Params) error {
 	return nil
 }
 
+// The analytical queries refuse, before building anything, a request
+// whose arrays would not fit or whose work would not finish. No lattice
+// holds more than maxLatticeStates queue states (four float64 work-state
+// values each: 128 MiB at the cap) and no time or gain grid more points.
+// A mean query solves at most maxMeanWork lattice states, summed over
+// every lattice it builds, and a CDF takes at most maxCDFWork integrator
+// steps over one state (its lattice's states times its steps). Nothing
+// lifts them. They sit just above the largest queries of the paper's
+// experiments and lbtheory's defaults — Table 1's optimisation at
+// (200,200) solves 8.2·10⁶ states, the default CDF takes 2.5·10⁷ steps —
+// because Go's fuzzer fails an input that runs 10 s and its
+// instrumentation slows the solvers about threefold: at the caps a query
+// takes about 2 s (mean) and 3 s (CDF) on a 2.1 GHz Xeon.
+const (
+	maxLatticeStates = 1 << 22
+	maxMeanWork      = 9_000_000
+	maxCDFWork       = 30_000_000
+)
+
+// lattice returns the queue states of the lattice [0..n0]×[0..n1],
+// counted in floating point so that no load overflows it.
+func lattice(n0, n1 float64) float64 { return (n0 + 1) * (n1 + 1) }
+
+// checkBudget refuses a query whose largest array, a lattice of states
+// queue states or a grid of that many points, exceeds its cap, or whose
+// work exceeds maxWork, naming the cap.
+func checkBudget(states, work, maxWork float64) error {
+	if states > maxLatticeStates {
+		return fmt.Errorf("markov: a lattice or grid of %.4g points is above the cap of %d points", states, maxLatticeStates)
+	}
+	if work > maxWork {
+		return fmt.Errorf("markov: %.4g lattice-state evaluations are above the cap of %.0f per query", work, maxWork)
+	}
+	return nil
+}
+
 // transferRate returns the arrival rate λ_transfer(L) = 1/(δ·L) of an
 // in-flight bundle of L tasks. It returns +Inf when the model has no delay
 // (δ = 0); callers treat that case as an instantaneous transfer.

@@ -9,6 +9,15 @@ import (
 	"churnlb/internal/policy"
 )
 
+// must returns a query's result, panicking on its error: the queries here
+// are all well inside the solvers' budgets.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestWorkStateBits(t *testing.T) {
 	if !BothUp.Up(0) || !BothUp.Up(1) {
 		t.Fatal("BothUp must have both nodes up")
@@ -86,10 +95,10 @@ func TestSolverOwnsItsParams(t *testing.T) {
 	p := model.PaperBaseline()
 	ms, _ := NewMeanSolver(p)
 	cs, _ := NewCDFSolver(p)
-	ms.MeanLBP1(10, 5, 0, 0.4)
+	must(ms.MeanLBP1(10, 5, 0, 0.4))
 	p.ProcRate[0], p.FailRate[1] = 100, 1
 	fresh, _ := NewMeanSolver(model.PaperBaseline())
-	if got, want := ms.MeanLBP1(12, 5, 0, 0.4), fresh.MeanLBP1(12, 5, 0, 0.4); got != want {
+	if got, want := must(ms.MeanLBP1(12, 5, 0, 0.4)), must(fresh.MeanLBP1(12, 5, 0, 0.4)); got != want {
 		t.Fatalf("mean solver follows the caller's slices: %v, want %v", got, want)
 	}
 	freshCDF, _ := NewCDFSolver(model.PaperBaseline())
@@ -134,13 +143,13 @@ func TestTransferRate(t *testing.T) {
 func TestRoundGain(t *testing.T) {
 	ms, _ := NewMeanSolver(model.PaperBaseline())
 	for _, k := range []float64{0, 1, 0.35, 0.349, 0.5, 2, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		lbp1 := policy.LBP1{K: k, Sender: 0}.Initial(upView(20, 3), model.PaperBaseline())
+		lbp1 := policy.LBP1{K: k, Sender: 0}.AppendInitial(nil, upView(20, 3), model.PaperBaseline())
 		want := ms.Hat(20, 3, BothUp)
 		if len(lbp1) == 1 {
 			l := lbp1[0].Tasks
 			want = ms.MeanWithTransfer(20-l, 3, Transfer{To: 1, Tasks: l})[BothUp]
 		}
-		if got := ms.MeanLBP1(20, 3, 0, k); got != want {
+		if got := must(ms.MeanLBP1(20, 3, 0, k)); got != want {
 			t.Fatalf("K=%v: MeanLBP1 %v, LBP-1's transfer %v prices at %v", k, got, lbp1, want)
 		}
 	}
@@ -251,7 +260,7 @@ func TestMeanWorkStateOrdering(t *testing.T) {
 func TestFig3OptimaMatchPaper(t *testing.T) {
 	p := model.PaperBaseline()
 	ms, _ := NewMeanSolver(p)
-	opt := ms.OptimizeLBP1(100, 60)
+	opt := must(ms.OptimizeLBP1(100, 60))
 	if opt.Sender != 0 {
 		t.Fatalf("sender = %d, want node 0 (the loaded node)", opt.Sender)
 	}
@@ -262,7 +271,7 @@ func TestFig3OptimaMatchPaper(t *testing.T) {
 		t.Fatalf("optimal mean = %v, paper reports ≈117 s", opt.Mean)
 	}
 	nf, _ := NewMeanSolver(p.NoFailure())
-	optNF := nf.OptimizeLBP1(100, 60)
+	optNF := must(nf.OptimizeLBP1(100, 60))
 	if math.Abs(optNF.K-0.45) > 0.05 {
 		t.Fatalf("no-failure optimal K = %v, paper reports 0.45", optNF.K)
 	}
@@ -293,11 +302,11 @@ func TestTable1TheoryMatchesPaper(t *testing.T) {
 		{50, 200, 177.09, 89.32, 0.01},
 	}
 	for _, c := range cases {
-		opt := ms.OptimizeLBP1(c.m0, c.m1)
+		opt := must(ms.OptimizeLBP1(c.m0, c.m1))
 		if rel := math.Abs(opt.Mean-c.wantMean) / c.wantMean; rel > c.tolerance {
 			t.Errorf("(%d,%d): mean %v vs paper %v (rel %.3f)", c.m0, c.m1, opt.Mean, c.wantMean, rel)
 		}
-		optNF := nf.OptimizeLBP1(c.m0, c.m1)
+		optNF := must(nf.OptimizeLBP1(c.m0, c.m1))
 		if rel := math.Abs(optNF.Mean-c.wantNoF) / c.wantNoF; rel > c.tolerance {
 			t.Errorf("(%d,%d): no-failure mean %v vs paper %v (rel %.3f)", c.m0, c.m1, optNF.Mean, c.wantNoF, rel)
 		}
@@ -314,7 +323,10 @@ func TestTable1TheoryMatchesPaper(t *testing.T) {
 
 func TestGainSweepShape(t *testing.T) {
 	ms, _ := NewMeanSolver(model.PaperBaseline())
-	ks, means := ms.GainSweep(100, 60, 0, 20)
+	ks, means, err := ms.GainSweep(100, 60, 0, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ks) != 21 || len(means) != 21 {
 		t.Fatalf("sweep sizes %d/%d", len(ks), len(means))
 	}
@@ -370,8 +382,8 @@ func TestZeroDelayTransferInstantaneous(t *testing.T) {
 func TestLBP1NoDelayNoFailureBalancePoint(t *testing.T) {
 	p := model.PaperBaseline().NoFailure().WithDelay(0)
 	ms, _ := NewMeanSolver(p)
-	base := ms.MeanLBP1(100, 60, 0, 0)
-	better := ms.MeanLBP1(100, 60, 0, 0.3)
+	base := must(ms.MeanLBP1(100, 60, 0, 0))
+	better := must(ms.MeanLBP1(100, 60, 0, 0.3))
 	if better >= base {
 		t.Fatalf("transferring toward the fast idle node must help: %v !< %v", better, base)
 	}
@@ -382,7 +394,7 @@ func TestOptimalGainShrinksWithDelay(t *testing.T) {
 	prevK := 1.1
 	for _, delta := range []float64{0.01, 0.5, 2.0} {
 		ms, _ := NewMeanSolver(model.PaperBaseline().WithDelay(delta))
-		opt := ms.OptimizeLBP1(100, 60)
+		opt := must(ms.OptimizeLBP1(100, 60))
 		if opt.K > prevK+1e-9 {
 			t.Fatalf("optimal K grew from %v to %v as delay rose to %v", prevK, opt.K, delta)
 		}
@@ -394,7 +406,7 @@ func TestOptimalGainShrinksWithDelay(t *testing.T) {
 // of alternative (sender, L) choices.
 func TestOptimumDominatesRandomChoices(t *testing.T) {
 	ms, _ := NewMeanSolver(model.PaperBaseline())
-	opt := ms.OptimizeLBP1(40, 25)
+	opt := must(ms.OptimizeLBP1(40, 25))
 	f := func(senderRaw bool, lRaw uint8) bool {
 		sender := 0
 		mSender := 40
@@ -404,7 +416,7 @@ func TestOptimumDominatesRandomChoices(t *testing.T) {
 		}
 		l := int(lRaw) % (mSender + 1)
 		k := float64(l) / float64(mSender)
-		return ms.MeanLBP1(40, 25, sender, k) >= opt.Mean-1e-9
+		return must(ms.MeanLBP1(40, 25, sender, k)) >= opt.Mean-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -422,13 +434,13 @@ func TestNewMeanSolverRejectsBadParams(t *testing.T) {
 func BenchmarkMeanLattice100x60(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ms, _ := NewMeanSolver(model.PaperBaseline())
-		_ = ms.MeanLBP1(100, 60, 0, 0.35)
+		_ = must(ms.MeanLBP1(100, 60, 0, 0.35))
 	}
 }
 
 func BenchmarkOptimizeLBP1_100x60(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ms, _ := NewMeanSolver(model.PaperBaseline())
-		_ = ms.OptimizeLBP1(100, 60)
+		_ = must(ms.OptimizeLBP1(100, 60))
 	}
 }

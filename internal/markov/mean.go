@@ -64,6 +64,29 @@ func (ms *MeanSolver) ensureHat(n0, n1 int) {
 	ms.hat = ms.solveLattice(n0, n1, 0, nil, 0)
 }
 
+// hatGrowth returns the queue states ensureHat(n0, n1) would solve: the
+// grown table's, or none when the cached one already covers the lattice.
+func (ms *MeanSolver) hatGrowth(n0, n1 float64) float64 {
+	if ms.hat != nil {
+		h0, h1 := float64(ms.hat.n0), float64(ms.hat.n1)
+		if h0 >= n0 && h1 >= n1 {
+			return 0
+		}
+		n0, n1 = max(n0, h0), max(n1, h1)
+	}
+	return lattice(n0, n1)
+}
+
+// transferWork returns the queue states one candidate transfer's lattice
+// over [0..n0]×[0..n1] costs: none without a transfer delay, where the
+// bundle lands at once.
+func (ms *MeanSolver) transferWork(n0, n1 float64) float64 {
+	if ms.p.DelayPerTask == 0 {
+		return 0
+	}
+	return lattice(n0, n1)
+}
+
 // Hat returns E[T̂^s_{a,b}]: the expected completion time with a and b
 // tasks queued, work state s, and no load in flight.
 func (ms *MeanSolver) Hat(a, b int, s WorkState) float64 {
@@ -158,11 +181,8 @@ func (ms *MeanSolver) solveLattice(n0, n1 int, z float64, hat *meanTable, recvOf
 	var b4 [4]float64
 	var x4 [4]float64
 	for sum := 0; sum <= n0+n1; sum++ {
-		for a := 0; a <= n0; a++ {
+		for a := max(0, sum-n1); a <= min(n0, sum); a++ {
 			b := sum - a
-			if b < 0 || b > n1 {
-				continue
-			}
 			if a == 0 && b == 0 && z == 0 {
 				// Hat system, nothing queued, nothing in flight: done.
 				continue // values already zero
@@ -232,16 +252,35 @@ func (ms *MeanSolver) solveLattice(n0, n1 int, z float64, hat *meanTable, recvOf
 // initial workload (m0, m1), the given sender, and gain k, starting with
 // both nodes up (the paper's Fig. 3 quantity). The transfer size is
 // L = round(k·m_sender); the sender's queue drops to m_sender − L at t = 0
-// while L tasks travel to the receiver.
-func (ms *MeanSolver) MeanLBP1(m0, m1 int, sender int, k float64) float64 {
+// while L tasks travel to the receiver. A workload whose lattices exceed
+// the solver's caps is refused before anything is built.
+func (ms *MeanSolver) MeanLBP1(m0, m1 int, sender int, k float64) (float64, error) {
 	return ms.MeanLBP1From(m0, m1, sender, k, BothUp)
 }
 
 // MeanLBP1From is MeanLBP1 with an explicit initial work state.
-func (ms *MeanSolver) MeanLBP1From(m0, m1, sender int, k float64, s WorkState) float64 {
+func (ms *MeanSolver) MeanLBP1From(m0, m1, sender int, k float64, s WorkState) (float64, error) {
 	if sender != 0 && sender != 1 {
 		panic(fmt.Sprintf("markov: invalid sender %d", sender))
 	}
+	m := [2]float64{float64(m0), float64(m1)}
+	l := float64(policy.RoundGain(k, [2]int{m0, m1}[sender]))
+	q := m
+	q[sender] -= l
+	h := q
+	h[1-sender] += l
+	hat, tr := ms.hatGrowth(h[0], h[1]), 0.0
+	if l > 0 {
+		tr = ms.transferWork(q[0], q[1])
+	}
+	if err := checkBudget(max(hat, tr), hat+tr, maxMeanWork); err != nil {
+		return 0, err
+	}
+	return ms.meanLBP1(m0, m1, sender, k, s), nil
+}
+
+// meanLBP1 is MeanLBP1From without the budget check.
+func (ms *MeanSolver) meanLBP1(m0, m1, sender int, k float64, s WorkState) float64 {
 	m := [2]int{m0, m1}
 	l := policy.RoundGain(k, m[sender])
 	if l == 0 {
@@ -266,8 +305,17 @@ type LBP1Optimum struct {
 // expected overall completion time, enumerating every feasible integral
 // transfer size for both directions (the exact discrete optimum, not a
 // grid approximation). Both directions include L = 0, so the no-transfer
-// policy is always a candidate.
-func (ms *MeanSolver) OptimizeLBP1(m0, m1 int) LBP1Optimum {
+// policy is always a candidate. A workload whose lattices exceed the
+// solver's caps is refused before anything is built.
+func (ms *MeanSolver) OptimizeLBP1(m0, m1 int) (LBP1Optimum, error) {
+	f0, f1 := float64(m0), float64(m1)
+	hat := ms.hatGrowth(f0+f1, f0+f1)
+	// Candidate L from node 0 solves a lattice of (m0-L+1)(m1+1) states,
+	// (m1+1)·m0(m0+1)/2 over all L, and symmetrically from node 1.
+	tr := ms.transferWork(f0*(f0+1)/2-1, f1) + ms.transferWork(f0, f1*(f1+1)/2-1)
+	if err := checkBudget(max(hat, ms.transferWork(f0, f1)), hat+tr, maxMeanWork); err != nil {
+		return LBP1Optimum{}, err
+	}
 	m := [2]int{m0, m1}
 	// The hat lattice must cover every post-arrival queue the search can
 	// produce; (m0+m1, m0+m1) covers both directions at once.
@@ -293,19 +341,31 @@ func (ms *MeanSolver) OptimizeLBP1(m0, m1 int) LBP1Optimum {
 			}
 		}
 	}
-	return best
+	return best, nil
 }
 
 // GainSweep evaluates MeanLBP1 on an evenly spaced K grid for a fixed
 // sender, as plotted in Fig. 3. It returns the K values and the
-// corresponding expected completion times.
-func (ms *MeanSolver) GainSweep(m0, m1, sender int, steps int) (ks, means []float64) {
+// corresponding expected completion times. A sweep whose grid or
+// lattices exceed the solver's caps is refused before anything is built.
+func (ms *MeanSolver) GainSweep(m0, m1, sender int, steps int) (ks, means []float64, err error) {
 	if steps < 1 {
 		steps = 1
 	}
+	mSender := [2]int{m0, m1}[sender]
+	// The hat must cover every landing, (m0, m1 + m0) for sender 0: grown
+	// once here rather than once per transfer size.
+	h := [2]float64{float64(m0), float64(m1)}
+	h[1-sender] += float64(mSender)
+	hat := ms.hatGrowth(h[0], h[1])
+	sizes := min(float64(steps)+1, float64(mSender)+1)
+	tr := ms.transferWork(float64(m0), float64(m1))
+	if err := checkBudget(max(hat, tr, float64(steps)+1), hat+sizes*tr+float64(steps)+1, maxMeanWork); err != nil {
+		return nil, nil, err
+	}
+	ms.ensureHat(int(h[0]), int(h[1]))
 	ks = make([]float64, steps+1)
 	means = make([]float64, steps+1)
-	mSender := [2]int{m0, m1}[sender]
 	// Distinct gains can map to the same integral L; cache by L.
 	cache := map[int]float64{}
 	for i := 0; i <= steps; i++ {
@@ -313,11 +373,11 @@ func (ms *MeanSolver) GainSweep(m0, m1, sender int, steps int) (ks, means []floa
 		l := policy.RoundGain(k, mSender)
 		mean, ok := cache[l]
 		if !ok {
-			mean = ms.MeanLBP1(m0, m1, sender, k)
+			mean = ms.meanLBP1(m0, m1, sender, k, BothUp)
 			cache[l] = mean
 		}
 		ks[i] = k
 		means[i] = mean
 	}
-	return ks, means
+	return ks, means, nil
 }

@@ -7,35 +7,15 @@ import (
 	"churnlb/internal/model"
 )
 
-// FailurePlanner is implemented by policies whose on-failure transfer
-// sizes depend only on the parameter set — eq. (8)'s LF_ij is a function
-// of rates alone, not of queue state. A realisation that finds this
-// capability on its installed policy builds the plan once per run and
-// serves every failure episode from it, walking only the receivers with
-// nonzero floored sizes instead of scanning the cluster: O(active
-// receivers) per failure, O(1) when the plan row is empty — the common
-// regime at large N, where every per-receiver share floors to zero. It
-// is the churn-path counterpart of IndexedRouter on the routing path.
-//
-// Once a plan is installed OnFailure is no longer consulted per episode.
-// A wrapper that embeds a planning policy and overrides OnFailure
-// therefore must also shadow FailurePlan (returning nil or a matching
-// plan): Go's method promotion would otherwise expose the embedded plan
-// and silently bypass the override.
-type FailurePlanner interface {
-	Policy
-	// FailurePlan returns the precomputed per-failing-node receiver
-	// lists for parameter set p, or nil when this configuration cannot
-	// be planned and OnFailure must be consulted per episode.
-	FailurePlan(p model.Params) *FailurePlan
-}
-
-// FailurePlan holds eq. (8)'s compensating transfers precomputed for
-// every potential failing node j: rows[j] lists the receivers i with
-// ⌊avail_i · (λd_i/Σλd) · (λd_j/λr_j)⌋ ≥ 1 in ascending i order, each
-// entry carrying the uncapped transfer size. Capping against the failing
-// node's remaining queue happens at episode time (Transfers), in the
-// same receiver order as the reference scan, so the planned episode is
+// FailurePlan holds a policy's failure episodes precomputed for every
+// potential failing node j: rows[j] lists j's receivers in episode order,
+// each entry carrying the uncapped transfer size, and capping against the
+// failing node's remaining queue happens at episode time (Transfers). A
+// plan is what a failure costs a run: O(active receivers), O(1) when the
+// row is empty — the common regime at large N, where every per-receiver
+// share of eq. (8) floors to zero. LBP-2's plan (LBP2.FailurePlan) lists
+// the receivers i with ⌊avail_i · (λd_i/Σλd) · (λd_j/λr_j)⌋ ≥ 1 in
+// ascending i order, the reference scan's order, so its planned episode is
 // bit-identical to LBP2.OnFailure for every queue state.
 //
 // A built plan is immutable: every method is read-only, so one plan may
@@ -51,17 +31,20 @@ type FailurePlan struct {
 // valid for parameter sets with exactly this many nodes.
 func (fp *FailurePlan) Nodes() int { return len(fp.rows) }
 
-// PlanFor builds pol's failure plan for parameter set p, or returns nil
-// when pol does not plan (not a FailurePlanner, or the configuration
-// cannot be planned). Callers running many realisations of the same
+// NewFailurePlan returns the plan whose failure episode for node j is
+// rows[j], each transfer capped at episode time against what j holds. The
+// plan takes rows over: the caller must not modify them afterwards.
+func NewFailurePlan(rows [][]model.Transfer) *FailurePlan { return &FailurePlan{rows: rows} }
+
+// PlanFor is pol.FailurePlan(p), and nil for a nil policy (which every
+// engine runs as NoBalance). Callers running many realisations of the same
 // Params build the plan once here and hand the shared, read-only result
 // to every run instead of paying the O(n log n) construction per run.
 func PlanFor(pol Policy, p model.Params) *FailurePlan {
-	fp, ok := pol.(FailurePlanner)
-	if !ok {
+	if pol == nil {
 		return nil
 	}
-	return fp.FailurePlan(p)
+	return pol.FailurePlan(p)
 }
 
 // Transfers appends node failed's failure episode to dst and returns it:
@@ -95,7 +78,7 @@ func (fp *FailurePlan) Transfers(dst []model.Transfer, failed, queued int) []mod
 //churnlb:hotpath
 func (fp *FailurePlan) Receivers(failed int) int { return len(fp.rows[failed]) }
 
-// FailurePlan implements FailurePlanner: it builds the receiver lists in
+// FailurePlan implements Policy: it builds eq. (8)'s receiver lists in
 // O(n log n + Σ_j active_j) rather than the naive O(n²) pairwise sweep.
 // Nodes are sorted once by the receiver factor w_i = avail_i·λd_i
 // (availability dropped under the AvailabilityBlind ablation); a receiver
@@ -157,5 +140,5 @@ func (l LBP2) FailurePlan(p model.Params) *FailurePlan {
 			rows[j] = row
 		}
 	}
-	return &FailurePlan{rows: rows}
+	return NewFailurePlan(rows)
 }

@@ -157,7 +157,7 @@ func TestFailurePlanEmptyAtScale(t *testing.T) {
 // realisations keep O(active-receivers) failure episodes.
 func TestFailurePlanDynamicDelegates(t *testing.T) {
 	p := model.PaperBaseline()
-	var pl FailurePlanner = Dynamic{Base: LBP2{K: 1}}
+	var pl Policy = Dynamic{Base: LBP2{K: 1}}
 	fp := pl.FailurePlan(p)
 	if fp == nil {
 		t.Fatal("Dynamic over LBP2 returned no plan")

@@ -15,54 +15,41 @@ import (
 	"churnlb/internal/model"
 )
 
-// Policy decides load transfers. Implementations must be stateless with
-// respect to individual runs (the simulator may invoke one instance from
-// many concurrent replications); all run state arrives through the
-// model.StateView, a zero-copy window onto the realisation's working
-// arrays — handing one to a callback costs nothing no matter how many
-// nodes the cluster has, which is what keeps failure episodes off the
-// O(n)-snapshot path. The view (and anything read through it) dies with
-// the call, on every run, traced or not; implementations that must retain
-// state across calls keep model.AsState(v).Clone().
-//
-// Policies whose on-failure transfer sizes depend only on Params should
-// additionally implement FailurePlanner (see plan.go): the realisation
-// then precomputes eq. (8)'s receiver lists once per run and a failure
-// episode costs O(active receivers) instead of O(n).
+// Policy is what a balancing policy does: one episode at t = 0 and a
+// failure plan fixed before the run starts. The paper's two policies need
+// nothing else — LBP-1 acts once at t = 0, and LBP-2's failure action,
+// eq. (8)'s LF_ij, depends on rates alone — and every engine (the
+// simulator, serving, the live daemon) runs exactly this contract.
+// Implementations must be stateless with respect to individual runs (the
+// simulator may invoke one instance from many concurrent replications).
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// Initial returns the transfers executed at t = 0.
-	Initial(v model.StateView, p model.Params) []model.Transfer
-	// OnFailure returns the transfers the failing node's backup system
-	// executes at a failure instant.
-	OnFailure(failed int, v model.StateView, p model.Params) []model.Transfer
+	// AppendInitial appends the transfers executed at t = 0 to dst and
+	// returns it. The view is a zero-copy window onto the realisation's
+	// working arrays that dies with the call, on every run, traced or not;
+	// an implementation that must keep what it saw keeps
+	// model.AsState(v).Clone(). A realisation passes its reusable episode
+	// buffer, so the largest episode of a closed run is not allocated once
+	// per run.
+	AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer
+	// FailurePlan returns the transfers a failing node's backup executes,
+	// precomputed for parameter set p (see plan.go); nil means nothing
+	// moves on a failure.
+	FailurePlan(p model.Params) *FailurePlan
 }
 
 // ArrivalBalancer is implemented by policies that additionally rebalance
 // when external workload arrives (the dynamic extension sketched in the
-// paper's conclusion). Unlike the rare Initial/OnFailure hooks this one
-// sits on the arrival hot path, so it receives the zero-copy StateView:
-// implementations that only sample a few nodes pay O(1) per arrival, and
-// those that need the whole vector recover it via model.AsState (free when
-// the view wraps a snapshot, one materializing copy otherwise). The view
-// and the AsState result are valid only for the duration of the call —
-// retaining state across arrivals requires AsState(v).Clone().
+// paper's conclusion). It sits on the arrival hot path, so it receives
+// the zero-copy StateView: implementations that only sample a few nodes
+// pay O(1) per arrival, and those that need the whole vector recover it
+// via model.AsState (free when the view wraps a snapshot, one
+// materializing copy otherwise). The view and the AsState result are
+// valid only for the duration of the call — retaining state across
+// arrivals requires AsState(v).Clone().
 type ArrivalBalancer interface {
 	OnArrival(node int, v model.StateView, p model.Params) []model.Transfer
-}
-
-// InitialAppender is implemented by policies that can write their t = 0
-// episode into a buffer the caller owns: AppendInitial appends exactly the
-// transfers Initial returns, in the same order, to dst and returns it, the
-// way FailurePlan.Transfers does for a failure episode. A realisation that
-// finds the capability passes its reusable episode buffer, so the largest
-// episode of a closed run — one transfer per (sender, receiver) pair that
-// rounds to a task — stops being allocated once per run. As with
-// FailurePlanner, a wrapper that embeds such a policy and overrides Initial
-// must shadow AppendInitial too, or method promotion bypasses the override.
-type InitialAppender interface {
-	AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer
 }
 
 // NoBalance performs no transfers at all; the baseline every comparison
@@ -72,11 +59,13 @@ type NoBalance struct{}
 // Name implements Policy.
 func (NoBalance) Name() string { return "none" }
 
-// Initial implements Policy.
-func (NoBalance) Initial(model.StateView, model.Params) []model.Transfer { return nil }
+// AppendInitial implements Policy: nothing moves.
+func (NoBalance) AppendInitial(dst []model.Transfer, _ model.StateView, _ model.Params) []model.Transfer {
+	return dst
+}
 
-// OnFailure implements Policy.
-func (NoBalance) OnFailure(int, model.StateView, model.Params) []model.Transfer { return nil }
+// FailurePlan implements Policy: nothing moves on a failure.
+func (NoBalance) FailurePlan(model.Params) *FailurePlan { return nil }
 
 // AutoSender selects the sender with the larger initial queue (the
 // optimal choice observed throughout Section 4 of the paper).
@@ -98,8 +87,8 @@ type LBP1 struct {
 // Name implements Policy.
 func (l LBP1) Name() string { return fmt.Sprintf("LBP-1(K=%.2f)", l.K) }
 
-// Initial implements Policy.
-func (l LBP1) Initial(v model.StateView, p model.Params) []model.Transfer {
+// AppendInitial implements Policy.
+func (l LBP1) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
 	n := p.N()
 	if n != 2 {
 		// LBP-1 is specified by the paper for two nodes. For larger
@@ -118,13 +107,13 @@ func (l LBP1) Initial(v model.StateView, p model.Params) []model.Transfer {
 	}
 	tasks := RoundGain(l.K, v.Queue(sender))
 	if tasks == 0 {
-		return nil
+		return dst
 	}
-	return []model.Transfer{{From: sender, To: 1 - sender, Tasks: tasks}}
+	return append(dst, model.Transfer{From: sender, To: 1 - sender, Tasks: tasks})
 }
 
-// OnFailure implements Policy; LBP-1 never reacts to failures.
-func (LBP1) OnFailure(int, model.StateView, model.Params) []model.Transfer { return nil }
+// FailurePlan implements Policy: LBP-1 never reacts to failures.
+func (LBP1) FailurePlan(model.Params) *FailurePlan { return nil }
 
 // LBP1Multi generalises the preemptive idea to N nodes (a documented
 // extension, not part of the paper): the target share of each node is
@@ -139,13 +128,13 @@ type LBP1Multi struct {
 // Name implements Policy.
 func (l LBP1Multi) Name() string { return fmt.Sprintf("LBP-1-multi(K=%.2f)", l.K) }
 
-// Initial implements Policy.
-func (l LBP1Multi) Initial(v model.StateView, p model.Params) []model.Transfer {
-	return proportionalRebalance(v, p, l.K, true)
+// AppendInitial implements Policy.
+func (l LBP1Multi) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
+	return proportionalRebalance(dst, v, p, l.K, true)
 }
 
-// OnFailure implements Policy.
-func (LBP1Multi) OnFailure(int, model.StateView, model.Params) []model.Transfer { return nil }
+// FailurePlan implements Policy: the preemptive round is all it does.
+func (LBP1Multi) FailurePlan(model.Params) *FailurePlan { return nil }
 
 // LBP2 is the on-failure policy of Section 2.2: a failure-agnostic initial
 // balance (speed-weighted excess, eqs. 6–7, gain K optimised under the
@@ -218,8 +207,8 @@ func (l LBP2) PartitionFraction(i, j int, v model.StateView, p model.Params) flo
 	return (1 - (float64(v.Queue(i))/p.ProcRate[i])/denom) / float64(n-2)
 }
 
-// Initial implements Policy: eq. (7), L_ij = K·p_ij·excess_j for every
-// overloaded node j, in a slice of its own (nil when nothing moves).
+// Initial is eq. (7), L_ij = K·p_ij·excess_j for every overloaded node j,
+// in a slice of its own (nil when nothing moves): AppendInitial into nil.
 func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
 	out := l.AppendInitial(nil, v, p)
 	if len(out) == 0 {
@@ -228,9 +217,9 @@ func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
 	return out
 }
 
-// AppendInitial implements InitialAppender: Initial's episode appended to
-// dst. The aggregate sums behind ExcessLoad and PartitionFraction are
-// hoisted out of the node loops, making a balancing episode
+// AppendInitial implements Policy: Initial's episode appended to dst. The
+// aggregate sums behind ExcessLoad and PartitionFraction are hoisted out
+// of the node loops, making a balancing episode
 // O(n·(overloaded nodes)) instead of O(n³) on large clusters; every
 // per-pair expression evaluates in the same order as the exported
 // eq.-level methods, so transfer sizes stay bit-identical to them.
@@ -333,12 +322,11 @@ func (l LBP2) FailureTransferSize(i, j int, p model.Params) int {
 	return int(math.Floor(avail * share * backlog))
 }
 
-// OnFailure implements Policy: the failing node's backup sends LF_ij tasks
-// to every peer, never exceeding what remains queued. This is the O(n)
-// per-receiver reference scan of eq. (8); realisations never pay it per
-// failure — LBP2 implements FailurePlanner, so the simulator precomputes
-// the nonzero receiver lists once per run (plan.go) and the scan survives
-// as the oracle the plan is property-tested against.
+// OnFailure is the O(n) per-receiver reference scan of eq. (8): the
+// failing node's backup sends LF_ij tasks to every peer, never exceeding
+// what remains queued. No run calls it — every engine serves failures
+// from FailurePlan's precomputed receiver lists — and it survives as the
+// oracle the plan is property-tested against.
 func (l LBP2) OnFailure(failed int, v model.StateView, p model.Params) []model.Transfer {
 	var out []model.Transfer
 	remaining := v.Queue(failed)
@@ -379,30 +367,19 @@ type Dynamic struct {
 // Name implements Policy.
 func (d Dynamic) Name() string { return "dynamic(" + d.Base.Name() + ")" }
 
-// Initial implements Policy.
-func (d Dynamic) Initial(v model.StateView, p model.Params) []model.Transfer {
-	return d.Base.Initial(v, p)
+// AppendInitial implements Policy by delegating to the base policy.
+func (d Dynamic) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
+	return d.Base.AppendInitial(dst, v, p)
 }
 
-// OnFailure implements Policy.
-func (d Dynamic) OnFailure(failed int, v model.StateView, p model.Params) []model.Transfer {
-	return d.Base.OnFailure(failed, v, p)
-}
-
-// FailurePlan implements FailurePlanner by delegating to the base policy
-// when it plans failures too (Dynamic only changes arrival behaviour);
-// nil otherwise, which sends the realisation down the per-call path.
-func (d Dynamic) FailurePlan(p model.Params) *FailurePlan {
-	if fp, ok := d.Base.(FailurePlanner); ok {
-		return fp.FailurePlan(p)
-	}
-	return nil
-}
+// FailurePlan implements Policy by delegating to the base policy: Dynamic
+// only changes arrival behaviour.
+func (d Dynamic) FailurePlan(p model.Params) *FailurePlan { return d.Base.FailurePlan(p) }
 
 // OnArrival implements ArrivalBalancer by replaying the base policy's
 // initial balance against the current view.
 func (d Dynamic) OnArrival(_ int, v model.StateView, p model.Params) []model.Transfer {
-	return d.Base.Initial(v, p)
+	return d.Base.AppendInitial(nil, v, p)
 }
 
 // totalQueued sums the queue lengths through a view in index order — the
@@ -434,10 +411,11 @@ type rebalanceScratch struct {
 
 var rebalancePool = sync.Pool{New: func() any { return new(rebalanceScratch) }}
 
-// proportionalRebalance ships gain-scaled excess (relative to weighted
-// shares) from overloaded to underloaded nodes. Weights are effective
-// rates when failureAware, raw rates otherwise.
-func proportionalRebalance(v model.StateView, p model.Params, k float64, failureAware bool) []model.Transfer {
+// proportionalRebalance appends to dst the transfers that ship gain-scaled
+// excess (relative to weighted shares) from overloaded to underloaded
+// nodes. Weights are effective rates when failureAware, raw rates
+// otherwise.
+func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Params, k float64, failureAware bool) []model.Transfer {
 	n := p.N()
 	total := totalQueued(v)
 	sc := rebalancePool.Get().(*rebalanceScratch)
@@ -473,9 +451,8 @@ func proportionalRebalance(v model.StateView, p model.Params, k float64, failure
 		deficitTotal += d.amount
 	}
 	if deficitTotal == 0 {
-		return nil
+		return dst
 	}
-	var surplus []model.Transfer
 	for j := 0; j < n; j++ {
 		if excesses[j] == 0 {
 			continue
@@ -493,10 +470,10 @@ func proportionalRebalance(v model.StateView, p model.Params, k float64, failure
 				continue
 			}
 			remaining -= tasks
-			surplus = append(surplus, model.Transfer{From: j, To: d.id, Tasks: tasks})
+			dst = append(dst, model.Transfer{From: j, To: d.id, Tasks: tasks})
 		}
 	}
-	return surplus
+	return dst
 }
 
 // RoundGain is the paper's transfer size L = round(K·m): the tasks a gain

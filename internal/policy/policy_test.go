@@ -20,14 +20,20 @@ func upState(queues ...int) model.SnapshotView {
 	return model.SnapshotView{State: model.State{Queues: queues, Up: up}}
 }
 
+// initial is pol's t = 0 episode in a slice of its own, nil when nothing
+// moves.
+func initial(pol Policy, v model.StateView, p model.Params) []model.Transfer {
+	return pol.AppendInitial(nil, v, p)
+}
+
 func TestNoBalanceDoesNothing(t *testing.T) {
 	p := model.PaperBaseline()
 	nb := NoBalance{}
-	if nb.Initial(upState(100, 60), p) != nil {
+	if initial(nb, upState(100, 60), p) != nil {
 		t.Fatal("NoBalance transferred at t=0")
 	}
-	if nb.OnFailure(0, upState(100, 60), p) != nil {
-		t.Fatal("NoBalance transferred on failure")
+	if nb.FailurePlan(p) != nil {
+		t.Fatal("NoBalance plans transfers on failure")
 	}
 	if nb.Name() != "none" {
 		t.Fatal("name")
@@ -37,7 +43,7 @@ func TestNoBalanceDoesNothing(t *testing.T) {
 func TestLBP1TransferSize(t *testing.T) {
 	p := model.PaperBaseline()
 	l := LBP1{K: 0.35, Sender: 0}
-	trs := l.Initial(upState(100, 60), p)
+	trs := initial(l, upState(100, 60), p)
 	if len(trs) != 1 {
 		t.Fatalf("transfers = %v", trs)
 	}
@@ -97,11 +103,11 @@ func TestSpecBuildChecksGain(t *testing.T) {
 func TestLBP1AutoSenderPicksLoadedNode(t *testing.T) {
 	p := model.PaperBaseline()
 	l := LBP1{K: 0.5, Sender: AutoSender}
-	trs := l.Initial(upState(10, 90), p)
+	trs := initial(l, upState(10, 90), p)
 	if trs[0].From != 1 || trs[0].To != 0 || trs[0].Tasks != 45 {
 		t.Fatalf("transfer = %+v, want 45 tasks 1->0", trs[0])
 	}
-	trs = l.Initial(upState(90, 10), p)
+	trs = initial(l, upState(90, 10), p)
 	if trs[0].From != 0 || trs[0].Tasks != 45 {
 		t.Fatalf("transfer = %+v", trs[0])
 	}
@@ -109,15 +115,15 @@ func TestLBP1AutoSenderPicksLoadedNode(t *testing.T) {
 
 func TestLBP1ZeroGainNoTransfer(t *testing.T) {
 	p := model.PaperBaseline()
-	if trs := (LBP1{K: 0, Sender: 0}).Initial(upState(100, 60), p); trs != nil {
+	if trs := initial(LBP1{K: 0, Sender: 0}, upState(100, 60), p); trs != nil {
 		t.Fatalf("K=0 transferred: %v", trs)
 	}
 }
 
 func TestLBP1NeverActsOnFailure(t *testing.T) {
 	p := model.PaperBaseline()
-	if trs := (LBP1{K: 0.5, Sender: 0}).OnFailure(0, upState(50, 50), p); trs != nil {
-		t.Fatalf("LBP1 reacted to failure: %v", trs)
+	if fp := (LBP1{K: 0.5, Sender: 0}).FailurePlan(p); fp != nil {
+		t.Fatalf("LBP1 plans transfers on failure: %v", fp)
 	}
 }
 
@@ -131,7 +137,7 @@ func TestLBP1RejectsNon2Node(t *testing.T) {
 			t.Fatal("LBP1 accepted a 3-node system")
 		}
 	}()
-	LBP1{K: 0.5, Sender: 0}.Initial(upState(10, 10, 10), p)
+	initial(LBP1{K: 0.5, Sender: 0}, upState(10, 10, 10), p)
 }
 
 // Paper Section 4: excess of node 0 under (100,60) is
@@ -307,7 +313,7 @@ func TestLBP1MultiBalancesTowardEffectiveRates(t *testing.T) {
 		DelayPerTask: 0.01,
 	}
 	// Node 0 overloaded; its effective rate is half its nominal rate.
-	trs := LBP1Multi{K: 1}.Initial(upState(100, 10, 10), p)
+	trs := initial(LBP1Multi{K: 1}, upState(100, 10, 10), p)
 	if len(trs) == 0 {
 		t.Fatal("no transfers from overloaded flaky node")
 	}
@@ -335,13 +341,13 @@ func TestDynamicWrapsBase(t *testing.T) {
 		t.Fatalf("name = %q", d.Name())
 	}
 	s := upState(100, 60)
-	if len(d.Initial(s, p)) != 1 {
+	if len(initial(d, s, p)) != 1 {
 		t.Fatal("dynamic initial should delegate")
 	}
 	if len(d.OnArrival(0, s, p)) != 1 {
 		t.Fatal("dynamic arrival should rebalance")
 	}
-	if len(d.OnFailure(1, s, p)) == 0 {
+	if fp := d.FailurePlan(p); fp == nil || len(fp.Transfers(nil, 1, 60)) == 0 {
 		t.Fatal("dynamic failure should delegate")
 	}
 }

@@ -103,8 +103,6 @@ func arenaCases() map[string]func(k uint64) Options {
 			cases["lbp2/"+label] = closed(policy.LBP2{K: 1}, lazy)
 			cases["none/"+label] = closed(policy.NoBalance{}, lazy)
 		}
-		// No capability at all: Initial and OnFailure through their slices.
-		cases["lbp2-scan/"+queue] = closed(hidePlanner(policy.LBP2{K: 1}), false)
 		cases["traced/"+queue] = func(k uint64) Options {
 			o := churnHeavyOptions(40/shrink, 400/shrink, policy.LBP2{K: 1}, 200+k)
 			o.Trace = true

@@ -28,7 +28,7 @@ func BenchmarkInitialEpisode(b *testing.B) {
 	}
 	pol := policy.LBP2{K: 1}
 	view := model.SnapshotView{State: model.State{Queues: sc.InitialLoad, Up: sc.InitialUp}}
-	transfers := len(pol.Initial(view, sc.Params))
+	transfers := len(pol.AppendInitial(nil, view, sc.Params))
 	if transfers == 0 {
 		b.Fatal("the cluster has no initial episode")
 	}

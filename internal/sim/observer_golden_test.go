@@ -114,18 +114,24 @@ func hotspotCluster(n, hot, perHot, rest int) (model.Params, []int) {
 // shipAll is a test policy whose episodes empty the sender: at t = 0 node
 // 0 ships its whole queue in two transfers (the second carries the front
 // task the first re-arm stamped), and a failing node ships everything it
-// holds to its successor.
+// holds to its successor — a one-receiver plan row that
+// FailurePlan.Transfers caps at the queue.
 type shipAll struct{}
 
 func (shipAll) Name() string { return "ship-all" }
 
-func (shipAll) Initial(v model.StateView, _ model.Params) []model.Transfer {
+func (shipAll) AppendInitial(dst []model.Transfer, v model.StateView, _ model.Params) []model.Transfer {
 	q := v.Queue(0)
-	return []model.Transfer{{From: 0, To: 1, Tasks: q / 2}, {From: 0, To: 2, Tasks: q - q/2}}
+	return append(dst, model.Transfer{From: 0, To: 1, Tasks: q / 2}, model.Transfer{From: 0, To: 2, Tasks: q - q/2})
 }
 
-func (shipAll) OnFailure(failed int, v model.StateView, _ model.Params) []model.Transfer {
-	return []model.Transfer{{From: failed, To: (failed + 1) % v.N(), Tasks: v.Queue(failed)}}
+func (shipAll) FailurePlan(p model.Params) *policy.FailurePlan {
+	n := p.N()
+	rows := make([][]model.Transfer, n)
+	for j := range rows {
+		rows[j] = []model.Transfer{{From: j, To: (j + 1) % n, Tasks: math.MaxInt}}
+	}
+	return policy.NewFailurePlan(rows)
 }
 
 // shipT0 is shipAll with its own t = 0 episode.
@@ -134,7 +140,9 @@ type shipT0 struct {
 	initial func(v model.StateView) []model.Transfer
 }
 
-func (p shipT0) Initial(v model.StateView, _ model.Params) []model.Transfer { return p.initial(v) }
+func (p shipT0) AppendInitial(dst []model.Transfer, v model.StateView, _ model.Params) []model.Transfer {
+	return append(dst, p.initial(v)...)
+}
 
 // stampWatch is a streamHash that also counts, from the callbacks alone,
 // the stamp rule's edge cases as they happen in a run.

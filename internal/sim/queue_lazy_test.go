@@ -185,6 +185,13 @@ func TestLazyChurnFallsBackWhenObservable(t *testing.T) {
 			o.Router = policy.JSQ{}
 			o.ArrivalRate, o.ArrivalHorizon = 20, 5
 		}},
+		// Planless policies other than NoBalance stay eager: their failure
+		// episodes are as empty as NoBalance's, but widening the grant
+		// changes which realisation a lazy request gets.
+		{"lbp1multi", func(o *Options) { o.Policy = policy.LBP1Multi{K: 0.8} }},
+		{"lbp1-two-node", func(o *Options) {
+			*o = churnHeavyOptions(2, 400, policy.LBP1{K: 0.5, Sender: policy.AutoSender}, 7)
+		}},
 	}
 	for _, c := range cases {
 		c := c

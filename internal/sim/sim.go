@@ -21,20 +21,23 @@
 // queue from there (queueFor; both fire in the same order, so the choice
 // shows in no output): the remaining-task total is maintained incrementally
 // at every completion and external arrival (transfers move tasks between
-// queues and flight without changing it), per-node process closures are
-// allocated once per run, and stale completion timers are cancelled eagerly
+// queues and flight without changing it), every timer is an indexed des
+// event (no closure per node or per event), and stale completion timers
+// are cancelled eagerly
 // through des.Handle instead of left to fire as no-ops. Routers and
 // policies read the system through a zero-copy StateView that dies with the
 // call (keep model.AsState(v).Clone() to retain what it showed), an indexed
 // router (JSQ, full-scan LeastExpectedWork) gets its argmin from an
 // incremental load index maintained O(log n) at every queue and up/down
-// mutation, and a failure-planning policy (LBP-2) gets eq. (8)'s receiver
-// lists precomputed once per run so a failure episode walks only the
-// receivers with nonzero transfers — O(1) when the plan row is empty — into
-// a reusable transfer buffer. Per-task dispatch and per-failure episode
-// cost are therefore both independent of cluster size. This keeps 1000-node
-// realisations allocation-free per event while staying bit-identical, for a
-// given random stream, with the original per-event-scan implementation.
+// mutation, and a policy is its t = 0 episode plus its failure plan
+// (policy.Policy): LBP-2's plan holds eq. (8)'s receiver lists, built once
+// per run, so a failure episode walks only the receivers with nonzero
+// transfers — O(1) when the plan row is empty — into a reusable transfer
+// buffer, and a planless policy moves nothing on a failure. Per-task
+// dispatch and per-failure episode cost are therefore both independent of
+// cluster size. This keeps 1000-node realisations allocation-free per
+// event while staying bit-identical, for a given random stream, with the
+// original per-event-scan implementation.
 //
 // Observation never selects an algorithm: there is one bus (TaskObserver)
 // and one per-event seam (see eventProbe), and a run with either attached
@@ -47,7 +50,7 @@
 // Realisations reuse their memory. Finish hands the realisation's arena —
 // the des.Scheduler with its record slabs, free list and queue arrays, the
 // hot array, the flight table and the episode buffer (which also carries
-// the t = 0 balance when the policy is a policy.InitialAppender) — to a
+// the t = 0 balance) — to a
 // package-level idle list, and the next Start takes it back, so a study of
 // thousands of short realisations allocates its state once per worker
 // instead of once per run. Only capacity is kept: Start zeroes or
@@ -276,21 +279,20 @@ type Options struct {
 	// stream is consumed, so lazy realisations are statistically — not
 	// bit — identical to eager ones. The request is honoured only when
 	// nothing can observe an idle node's unrealised state: exponential
-	// churn, no per-event observer (Trace), no TaskObserver, no Router, and
-	// a policy whose failure episodes come from a precomputed FailurePlan
-	// (or NoBalance); otherwise the simulator silently falls back to eager
+	// churn, no per-event observer (Trace), no TaskObserver, no Router, no
+	// ArrivalBalancer, and a policy with a failure plan (LBP-2) or
+	// NoBalance; otherwise the simulator silently falls back to eager
 	// timers.
 	LazyChurn bool
-	// FailurePlan, when non-nil, supplies the precomputed eq.-(8)
-	// transfer plan instead of having the run build its own. Plans are a
+	// FailurePlan, when non-nil, supplies the plan Policy.FailurePlan
+	// would build instead of having the run build its own. Plans are a
 	// pure function of Params and immutable once built (see
 	// policy.PlanFor), so Monte-Carlo drivers construct one per
 	// parameter set and share it — concurrently — across replications,
 	// dropping the O(n log n) per-rep rebuild. The plan must have been
-	// built for a cluster of exactly Params.N() nodes, by the same
-	// policy configuration installed in Policy; it is honoured whenever a
-	// run would plan for itself (the installed policy is a
-	// FailurePlanner) and ignored otherwise.
+	// built for a cluster of exactly Params.N() nodes, by the policy
+	// configuration installed in Policy: the run serves every failure
+	// from it.
 	FailurePlan *policy.FailurePlan
 	// probe is how in-package tests watch the simulator's internals after
 	// every event (see eventProbe); it runs after the Trace recorder when
@@ -542,6 +544,25 @@ func validateOptions(opt *Options) (int, error) {
 			}
 		}
 	}
+	// Any queue can also receive every arrival, so the stream's expected
+	// task count joins the backlog under the same cap: rate × horizon ×
+	// batch, or the trace's total.
+	batch := float64(max(opt.ArrivalBatch, 1))
+	expected := 0.0
+	if opt.ArrivalRate > 0 {
+		expected = opt.ArrivalRate * opt.ArrivalHorizon * batch
+	}
+	for _, a := range opt.ArrivalTrace {
+		if a.Batch > 0 {
+			expected += float64(a.Batch)
+		} else {
+			expected += batch
+		}
+	}
+	if float64(total)+expected > math.MaxInt32 {
+		return 0, fmt.Errorf("sim: %.4g expected arrivals and a backlog of %d exceed the %d per-queue cap (any queue can receive every task)",
+			expected, total, math.MaxInt32)
+	}
 	// The hot-path switches on these two treat anything unknown as the
 	// default law, so an out-of-range value must stop here.
 	if opt.TransferMode < TransferBundle || opt.TransferMode > TransferPerTask {
@@ -606,19 +627,13 @@ func Start(opt Options) (*Realisation, error) {
 	if ab, ok := opt.Policy.(policy.ArrivalBalancer); ok {
 		s.ab = ab
 	}
-	// A failure-planning policy gets eq. (8)'s transfer sizes precomputed
-	// once per run (they depend only on Params): failure episodes then
-	// cost O(active receivers) instead of the O(n) per-receiver scan, which
-	// stays the path of policies without the capability.
-	// Monte-Carlo drivers running many realisations of one Params supply
-	// the plan prebuilt (Options.FailurePlan, immutable and shared);
-	// otherwise it is built here.
-	if fp, ok := opt.Policy.(policy.FailurePlanner); ok {
-		if opt.FailurePlan != nil {
-			s.fplan = opt.FailurePlan
-		} else {
-			s.fplan = fp.FailurePlan(opt.Params)
-		}
+	// A policy's failure episodes come from its plan, built once per run
+	// (eq. (8)'s sizes depend only on Params) unless the caller brings one
+	// prebuilt (Options.FailurePlan, immutable and shared across a study's
+	// replications); nil means nothing moves on a failure.
+	s.fplan = opt.FailurePlan
+	if s.fplan == nil {
+		s.fplan = opt.Policy.FailurePlan(opt.Params)
 	}
 	// An indexed router turns every Route into an O(1) argmin lookup
 	// (routers without the capability keep their reference scan).
@@ -647,16 +662,15 @@ func Start(opt Options) (*Realisation, error) {
 	// node's unrealised up/down state: the churn law must be memoryless
 	// (discarding an unfired timer and redrawing on demand is then exactly
 	// the residual law), no per-event probe or observer may record state
-	// changes, no router or arrival balancer may read Up(i) of an
-	// arbitrary node between events, and failure episodes must come from
-	// the precomputed plan (or a NoBalance policy), which never reads peer
-	// state.
+	// changes, and no router or arrival balancer may read Up(i) of an
+	// arbitrary node between events. Failure episodes read no peer state
+	// under any policy (they come from the plan), but the grant stays with
+	// planned and no-balance runs: widening it would change which
+	// realisation an existing lazy request gets.
 	if opt.LazyChurn && opt.ChurnLaw == ChurnExponential && s.probe == nil &&
-		opt.TaskObserver == nil && opt.Router == nil && s.ab == nil {
-		_, noBal := opt.Policy.(policy.NoBalance)
-		if s.fplan != nil || noBal {
-			s.lazy = true
-		}
+		opt.TaskObserver == nil && opt.Router == nil && s.ab == nil &&
+		(s.fplan != nil || opt.Policy == (policy.NoBalance{})) {
+		s.lazy = true
 	}
 	if opt.TaskObserver != nil {
 		s.obs = opt.TaskObserver
@@ -671,13 +685,9 @@ func Start(opt Options) (*Realisation, error) {
 	}
 	s.observe(EvStart, -1)
 
-	// Initial balancing, into the episode buffer when the policy can.
-	if ia, ok := opt.Policy.(policy.InitialAppender); ok {
-		s.transferBuf = ia.AppendInitial(s.transferBuf[:0], s.live, s.p)
-		s.applyTransfers(s.transferBuf)
-	} else {
-		s.applyTransfers(opt.Policy.Initial(s.live, s.p))
-	}
+	// Initial balancing, into the episode buffer.
+	s.transferBuf = opt.Policy.AppendInitial(s.transferBuf[:0], s.live, s.p)
+	s.applyTransfers(s.transferBuf)
 
 	// Arm per-node processes. A lazy run leaves idle nodes detached: their
 	// churn process stays unrealised (lazyFrom = 0) until work arrives.
@@ -1015,12 +1025,10 @@ func (s *simState) fail(i int) {
 	}
 	s.observe(EvFailure, i)
 	if s.fplan != nil {
-		// O(active receivers): walk the precomputed eq.-(8) row, capping
-		// against the frozen queue, into the reusable episode buffer.
+		// O(active receivers): walk the plan's row, capping against the
+		// frozen queue, into the reusable episode buffer.
 		s.transferBuf = s.fplan.Transfers(s.transferBuf[:0], i, int(h.queue))
 		s.applyTransfers(s.transferBuf)
-	} else {
-		s.applyTransfers(s.opt.Policy.OnFailure(i, s.live, s.p))
 	}
 	if s.lazy && h.queue == 0 {
 		// The failure shipped (or found) an empty queue: nothing to

@@ -154,7 +154,10 @@ func TestMCAgreesWithTheoryLBP1(t *testing.T) {
 		{30, 80, 1, 0.4},
 	}
 	for _, c := range cases {
-		want := ms.MeanLBP1(c.m0, c.m1, c.sender, c.k)
+		want, err := ms.MeanLBP1(c.m0, c.m1, c.sender, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		est, err := mc.Run(mc.Options{Reps: 3000, Seed: 17}, func(r *xrand.Rand, rep int) (float64, error) {
 			res, err := Run(Options{
 				Params:      p,
@@ -191,7 +194,7 @@ func TestMCAgreesWithGeneralSolverPendingTransfers(t *testing.T) {
 		load := []int{14, 2, 0}
 		pol := policy.LBP1Multi{K: 1}
 		up := []bool{true, true, true}
-		episode := pol.Initial(model.SnapshotView{State: model.State{Queues: load, Up: up}}, p)
+		episode := pol.AppendInitial(nil, model.SnapshotView{State: model.State{Queues: load, Up: up}}, p)
 		want := []model.Transfer{{From: 0, To: 1, Tasks: 7}, {From: 0, To: 2, Tasks: 2}}
 		if !reflect.DeepEqual(episode, want) {
 			t.Fatalf("t = 0 episode %v, want %v", episode, want)

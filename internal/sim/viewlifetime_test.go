@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"churnlb/internal/model"
+	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
 )
 
 // retainingPolicy deliberately violates the StateView lifetime contract
 // the viewretain analyzer enforces statically: it keeps the view handed
-// to Initial — and, next to it, the sanctioned copy taken at the same
+// to AppendInitial — and, next to it, the sanctioned copy taken at the same
 // instant — so the test can compare what each reports after the run.
 type retainingPolicy struct {
 	view   model.StateView
@@ -19,7 +20,7 @@ type retainingPolicy struct {
 
 func (r *retainingPolicy) Name() string { return "retaining" }
 
-func (r *retainingPolicy) Initial(v model.StateView, p model.Params) []model.Transfer {
+func (r *retainingPolicy) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
 	//lint:ignore viewretain the dynamic twin of the analyzer: retain, then show the live window went stale
 	r.view = v
 	r.frozen = model.AsState(v).Clone()
@@ -27,12 +28,10 @@ func (r *retainingPolicy) Initial(v model.StateView, p model.Params) []model.Tra
 	for i := range r.atCall {
 		r.atCall[i] = v.Queue(i)
 	}
-	return nil
+	return dst
 }
 
-func (r *retainingPolicy) OnFailure(int, model.StateView, model.Params) []model.Transfer {
-	return nil
-}
+func (r *retainingPolicy) FailurePlan(model.Params) *policy.FailurePlan { return nil }
 
 // TestLiveViewMustNotBeRetained is the dynamic regression behind the
 // viewretain analyzer: a policy that stores its view holds a zero-copy
@@ -56,7 +55,7 @@ func TestLiveViewMustNotBeRetained(t *testing.T) {
 			t.Fatalf("traced=%v: run did not progress: %+v", traced, res)
 		}
 		if pol.view == nil {
-			t.Fatalf("traced=%v: Initial was never called", traced)
+			t.Fatalf("traced=%v: AppendInitial was never called", traced)
 		}
 
 		// The sanctioned copy is frozen at the instant of the call.
