@@ -34,6 +34,13 @@
 // The paper's Section-3 testbed is the live engine run closed, a command
 // rather than a library call: lbd -paper -load 100,60 -rate 0.
 //
+// The package is a leaf of the module: no internal package imports it,
+// and the manifest runner behind lbsim, lbserve, lbd and reproduce builds
+// its runs on the internal engines. Enums, specs, Estimate, SimResult and
+// TracePoint alias the engines' own types; System, the option structs,
+// ServeResult and ServeEstimate adapt them for callers outside the
+// module.
+//
 // The spirit of the paper in one sentence: when transfer delays are small
 // relative to recovery times, react to failures (LBP-2); when they are
 // large, preempt them (LBP-1) — and under uncertainty, balance less
@@ -267,35 +274,14 @@ func checkLBP1(sender int, k float64) error {
 
 // --- simulation API (any node count) ---
 
-// TracePoint records the queue vector after a simulation event.
-type TracePoint struct {
-	Time   float64
-	Event  string
-	Node   int
-	Queues []int
-}
+// TracePoint records the queue vector after a simulation event; its
+// Kind names the event.
+type TracePoint = model.TracePoint
 
-// tracePoints converts the simulator's trace records to the public form;
-// nil in, nil out.
-func tracePoints(in []model.TracePoint) []TracePoint {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]TracePoint, len(in))
-	for i, tp := range in {
-		out[i] = TracePoint{Time: tp.Time, Event: string(tp.Kind), Node: tp.Node, Queues: tp.Queues}
-	}
-	return out
-}
-
-// SimResult reports one simulated realisation.
-type SimResult struct {
-	CompletionTime                  float64
-	Processed                       []int
-	Failures, Recoveries            int
-	TransfersSent, TasksTransferred int
-	Trace                           []TracePoint
-}
+// SimResult reports one simulated realisation: the completion time,
+// per-node processed counts, churn and transfer counters, the external
+// arrivals and, when SimOptions.Trace is set, the queue trace.
+type SimResult = sim.Result
 
 // TransferMode selects how transfer delays are drawn.
 type TransferMode = sim.TransferMode
@@ -395,16 +381,7 @@ func Simulate(s System, spec PolicySpec, load []int, seed uint64, opt SimOptions
 	if err != nil {
 		return SimResult{}, err
 	}
-	res := SimResult{
-		CompletionTime:   out.CompletionTime,
-		Processed:        out.Processed,
-		Failures:         out.Failures,
-		Recoveries:       out.Recoveries,
-		TransfersSent:    out.TransfersSent,
-		TasksTransferred: out.TasksTransferred,
-	}
-	res.Trace = tracePoints(out.Trace)
-	return res, nil
+	return *out, nil
 }
 
 // Estimate summarises a Monte-Carlo study: sample count N, Mean, Std, the
@@ -580,7 +557,6 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 	if err != nil {
 		return ServeResult{}, err
 	}
-	p := so.Sim.Params
 	sum, out := run.Summary, run.Sim
 	res := ServeResult{
 		Interrupted:      run.Interrupted,
@@ -601,18 +577,10 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 		Recoveries:       out.Recoveries,
 		TransfersSent:    out.TransfersSent,
 		TasksTransferred: out.TasksTransferred,
-		Utilization:      make([]float64, p.N()),
+		Utilization:      run.Utilization(so.Sim.Params),
 		Windows:          run.Windows,
 	}
-	if out.CompletionTime > 0 {
-		for i, done := range out.Processed {
-			res.Utilization[i] = float64(done) / (p.ProcRate[i] * out.CompletionTime)
-		}
-	}
 	if tracer := so.Tracer; tracer != nil {
-		if err := tracer.Err(); err != nil {
-			return ServeResult{}, fmt.Errorf("churnlb: decision log: %w", err)
-		}
 		st := tracer.Stats()
 		res.Decisions = &st
 	}

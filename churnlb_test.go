@@ -238,12 +238,13 @@ func (w *failingLog) Write(p []byte) (int, error) {
 }
 
 // TestServeDecisionLogError: a decision log that fails mid-run fails
-// Serve, naming the log and wrapping the writer's error.
+// Serve, naming the log and wrapping the writer's error. The serving
+// core reports it, so the manifest runner's runs fail the same way.
 func TestServeDecisionLogError(t *testing.T) {
 	_, err := Serve(PaperSystem(), PolicySpec{Kind: PolicyLBP2, K: 1},
 		RouterSpec{Kind: RouterJSQ}, 5, ServeOptions{Rate: 2, Horizon: 60, DecisionLog: &failingLog{left: 200}})
-	if !errors.Is(err, errDiskFull) || !strings.HasPrefix(err.Error(), "churnlb: decision log: ") {
-		t.Fatalf("err = %v, want churnlb: decision log: wrapping %v", err, errDiskFull)
+	if !errors.Is(err, errDiskFull) || !strings.HasPrefix(err.Error(), "serve: decision log: ") {
+		t.Fatalf("err = %v, want serve: decision log: wrapping %v", err, errDiskFull)
 	}
 }
 

@@ -133,6 +133,10 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 			return 2
 		}
 	} else {
+		if *nodes < 1 || *nodes > daemon.MaxWorkers {
+			fmt.Fprintf(stderr, "lbd: -nodes %d is outside 1..%d, the daemon's worker cap\n", *nodes, daemon.MaxWorkers)
+			return 2
+		}
 		p = model.Params{
 			ProcRate:     make([]float64, *nodes),
 			FailRate:     make([]float64, *nodes),
@@ -171,7 +175,11 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		man.Horizon = *horizon // a closed run has no trace to span
 	}
 	// One window width for both halves, so the calibration grids align.
-	man.Window = metrics.WindowFor(*window, man.Horizon)
+	var err error
+	if man.Window, err = metrics.WindowFor(*window, man.Horizon); err != nil {
+		fmt.Fprintln(stderr, "lbd: -window:", err)
+		return 2
+	}
 	man.TimeScale = *timeScale
 	man.StateInterval = *stateIvl
 
@@ -234,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		fmt.Fprintln(stderr, "lbd: sim twin:", err)
 		return rerun.ExitCode(err)
 	}
-	twin := out.Twin
+	twin := out.Serve
 	rep := calib.Compare(
 		calib.Telemetry{Summary: twin.Summary, Windows: twin.Windows},
 		calib.Telemetry{Summary: live.Summary, Windows: live.Windows},

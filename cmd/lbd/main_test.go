@@ -30,6 +30,8 @@ func TestLbdBadFlagsRejected(t *testing.T) {
 		{"-paper", "-load", "-5,3", "-rate", "0"},
 		{"-paper", "-load", "100,sixty"},
 		{"-load", "100,60"},
+		{"-window", "+Inf"},
+		{"-window", "-1"},
 	} {
 		if code := run(tc, &out, &errb, nil); code != 2 {
 			t.Fatalf("%v: exit %d, want 2 (stderr: %s)", tc, code, errb.String())
@@ -54,6 +56,43 @@ func TestLbdHugeArrivalStreamRefused(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "cap") {
 		t.Fatalf("stderr %q names no cap", errb.String())
+	}
+}
+
+// A fleet above the daemon's worker cap is refused, naming the cap, before
+// lbd builds its rate vectors: 10⁸ workers used to die out of memory there.
+func TestLbdHugeFleetRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+		if code := run([]string{"-nodes", "100000000", "-rate", "1", "-horizon", "1"}, &out, &errb, stop); code != 2 {
+			return fmt.Errorf("exit %d, want 2", code)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "cap") {
+		t.Fatalf("stderr %q names no cap", errb.String())
+	}
+}
+
+// An infinite transfer delay is refused, naming it. It used to ship every
+// bundle at once (the wall duration overflowed) and then hang the twin.
+func TestLbdInfiniteDelayRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+		args := []string{"-nodes", "4", "-rate", "10", "-horizon", "2", "-delta", "+Inf", "-mtbf", "1", "-mttr", "1", "-timescale", "50"}
+		if code := run(args, &out, &errb, stop); code != 2 {
+			return fmt.Errorf("exit %d, want 2", code)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "DelayPerTask") {
+		t.Fatalf("stderr %q does not name DelayPerTask", errb.String())
 	}
 }
 

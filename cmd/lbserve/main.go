@@ -165,20 +165,21 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		if *outDir != "" {
 			fmt.Fprintln(stderr, "lbserve: note: -out applies to single runs; no time-series CSV is written with -reps > 1")
 		}
-		est := out.ServeMany
+		agg := out.Pooled
 		fmt.Fprintf(stdout, "scenario %s policy %s rate %.4g/s horizon %.4gs delta %.4gs reps %d\n",
 			sc.Name, *polStr, *rate, *horizon, *delta, *reps)
 		fmt.Fprintf(stdout, "p50 %.3f ±%.3f s  p99 %.3f ±%.3f s  (means over %d completing replications)\n",
-			est.P50.Mean, est.P50.CI95, est.P99.Mean, est.P99.CI95, est.N)
+			agg.P50.Mean, agg.P50.CI95, agg.P99.Mean, agg.P99.CI95, agg.N)
 		fmt.Fprintf(stdout, "pooled sojourn p50 %.3f s  p90 %.3f s  p99 %.3f s  (all tasks, merged sketches)\n",
-			est.PooledP50, est.PooledP90, est.PooledP99)
+			agg.Latency.P50.Value(), agg.Latency.P90.Value(), agg.Latency.P99.Value())
 		fmt.Fprintf(stdout, "throughput %.2f ±%.2f /s  availability %.1f%% ±%.1f%%  pooled fairness %.3f\n",
-			est.Throughput.Mean, est.Throughput.CI95,
-			100*est.Availability.Mean, 100*est.Availability.CI95, est.PooledFairness)
+			agg.Throughput.Mean, agg.Throughput.CI95,
+			100*agg.Availability.Mean, 100*agg.Availability.CI95, agg.Fairness.Jain())
 		return saveManifest()
 	}
 
 	res := out.Serve
+	sum, realised := res.Summary, res.Sim
 	fmt.Fprintf(stdout, "scenario %s policy %s rate %.4g/s horizon %.4gs delta %.4gs\n",
 		sc.Name, *polStr, *rate, *horizon, *delta)
 	if sc.ArrivalRate > 0 {
@@ -192,24 +193,25 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	// Arrived already counts the initial backlog (the collector sees the
 	// t = 0 queues as arrivals).
 	fmt.Fprintf(stdout, "served %d of %d tasks in %.2f s (throughput %.2f/s)\n",
-		res.Completed, res.Arrived, res.Duration, res.Throughput)
+		sum.Completed, sum.Arrived, realised.CompletionTime, sum.Throughput)
 	fmt.Fprintf(stdout, "sojourn p50 %.3f s  p90 %.3f s  p99 %.3f s  (mean %.3f s, mean wait %.3f s)\n",
-		res.P50, res.P90, res.P99, res.MeanSojourn, res.MeanWait)
+		sum.P50, sum.P90, sum.P99, sum.MeanSojourn, sum.MeanWait)
 	fmt.Fprintf(stdout, "availability %.1f%%  failures %d  recoveries %d  transfers %d (%d tasks)\n",
-		100*res.Availability, res.Failures, res.Recoveries, res.TransfersSent, res.TasksTransferred)
+		100*sum.Availability, realised.Failures, realised.Recoveries, realised.TransfersSent, realised.TasksTransferred)
+	util := res.Utilization(sc.Params)
 	var meanU, maxU float64
-	for _, u := range res.Utilization {
+	for _, u := range util {
 		meanU += u
 		if u > maxU {
 			maxU = u
 		}
 	}
-	if n := len(res.Utilization); n > 0 {
+	if n := len(util); n > 0 {
 		meanU /= float64(n)
 	}
 	fmt.Fprintf(stdout, "utilization mean %.1f%%  max %.1f%%  queue depth %.1f  in flight %.1f  fairness %.3f\n",
-		100*meanU, 100*maxU, res.QueueDepth, res.InFlight, res.Fairness)
-	if st := res.Decisions; st != nil {
+		100*meanU, 100*maxU, sum.QueueDepth, sum.InFlight, sum.Fairness)
+	if st := out.Decisions; st != nil {
 		fmt.Fprintf(stdout, "decisions %d (unmatched %d)  counterfactual k=%d  mean regret %.4f s  misroutes %.1f%%  hash %s\n",
 			st.Records, st.Unmatched, st.K, st.MeanRegret, 100*st.MisrouteFrac, obs.HashString(st.Hash))
 		if *decisions != "" {
@@ -234,8 +236,8 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		fmt.Fprintln(stdout, "lbserve: interrupted — drained admitted work; manifest skipped (a cut arrival stream is not replayable)")
 		return 0
 	}
-	if res.Decisions != nil {
-		man.SetDecisions(*res.Decisions)
+	if out.Decisions != nil {
+		man.SetDecisions(*out.Decisions)
 	}
 	return saveManifest()
 }

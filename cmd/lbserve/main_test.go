@@ -41,6 +41,10 @@ func TestHostileArrivalFlagsRejected(t *testing.T) {
 		{"-rate", "NaN", "Rate"},
 		{"-horizon", "NaN", "Horizon"},
 		{"-batch", "3000000000", "Batch"},
+		// A window that is not a finite width: +Inf used to run the whole
+		// realisation and fail writing its manifest, -1 silently meant 0.
+		{"-window", "+Inf", "Window"},
+		{"-window", "-1", "Window"},
 		// Finite, but 10³⁰⁰ tasks: refused before the first arrival.
 		{"-rate", "1e300", "cap"},
 	} {
@@ -59,6 +63,24 @@ func TestHostileArrivalFlagsRejected(t *testing.T) {
 				t.Fatalf("stderr %q does not name %s", errb.String(), c.names)
 			}
 		})
+	}
+}
+
+// A cluster above the simulator's node cap is refused, naming the cap,
+// before the scenario is generated: 10⁹ nodes used to die out of memory.
+func TestHugeClusterRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+		if code := run([]string{"-nodes", "1000000000", "-rate", "1", "-horizon", "1"}, &out, &errb, stop); code != 2 {
+			return fmt.Errorf("exit %d, want 2", code)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "cap") {
+		t.Fatalf("stderr %q names no cap", errb.String())
 	}
 }
 

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"churnlb/internal/policy"
+	"churnlb/internal/testkit"
 )
 
 func TestBadFlagsRejected(t *testing.T) {
@@ -24,6 +27,34 @@ func TestBadFlagsRejected(t *testing.T) {
 	}
 	if code := run([]string{"-churn", "nonsense"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown churn law: exit %d, want 2", code)
+	}
+}
+
+// TestHostileSystemRefused: a request the simulator cannot finish exits 2
+// at once, naming what is wrong. An infinite delay used to run forever (no
+// transfer ever lands), and 10⁹ nodes died out of memory generating the
+// scenario.
+func TestHostileSystemRefused(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		names string
+	}{
+		{[]string{"-m0", "10", "-m1", "5", "-reps", "10", "-delta", "+Inf"}, "DelayPerTask"},
+		{[]string{"-scenario", "uniform", "-nodes", "1000000000", "-load", "10", "-reps", "1"}, "cap"},
+	} {
+		var out, errb bytes.Buffer
+		err := testkit.Deadline(t, 2*time.Second, func(<-chan struct{}) error {
+			if code := run(c.args, &out, &errb); code != 2 {
+				return fmt.Errorf("exit %d, want 2", code)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", c.args, err, errb.String())
+		}
+		if !strings.Contains(errb.String(), c.names) {
+			t.Fatalf("%v: stderr %q does not name %s", c.args, errb.String(), c.names)
+		}
 	}
 }
 

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"churnlb/internal/testkit"
 )
 
 func TestBadFlagsRejected(t *testing.T) {
@@ -72,5 +76,23 @@ func TestOverBudgetFails(t *testing.T) {
 		if !strings.Contains(errb.String(), "cap of") {
 			t.Fatalf("%v: stderr %q names no cap", args, errb.String())
 		}
+	}
+}
+
+// An infinite transfer delay is refused naming it, not priced: the
+// solver used to report a finite mean for a transfer that never lands.
+func TestInfiniteDelayFails(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := testkit.Deadline(t, 2*time.Second, func(<-chan struct{}) error {
+		if code := run([]string{"-m0", "10", "-m1", "5", "-delta", "+Inf"}, &out, &errb); code != 1 {
+			return fmt.Errorf("exit %d, want 1", code)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%v\nstdout:\n%s", err, out.String())
+	}
+	if !strings.Contains(errb.String(), "DelayPerTask") {
+		t.Fatalf("stderr %q does not name DelayPerTask", errb.String())
 	}
 }

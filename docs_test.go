@@ -173,3 +173,36 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 }
+
+// TestFacadeIsALeaf keeps the public package a leaf of the module: no
+// package under internal/ imports it, so every engine, the manifest
+// runner included, builds its runs on the internal packages and the
+// facade adapts only for callers outside them. Commands and examples may
+// use it.
+func TestFacadeIsALeaf(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return fs.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"churnlb"` {
+				t.Errorf("%s imports churnlb: internal packages build on the engines, not on the public facade", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -68,9 +68,12 @@ func (s TraceSpec) Generate() ([]sim.ArrivalAt, error) {
 	return trace, nil
 }
 
-// TwinMetrics flattens the twin's summary into the manifest metric map —
-// the deterministic fingerprint `reproduce` re-derives and compares
-// bit for bit. Keys mirror the serve-mode metric spellings of internal/obs/rerun.
+// TwinMetrics flattens a simulated serving run's summary into the
+// manifest metric map — the deterministic fingerprint `reproduce`
+// re-derives and compares bit for bit. It is a daemon manifest's whole
+// map, and the summary part of a serve manifest's, to which
+// internal/obs/rerun adds the run's duration, in-flight average and
+// simulator counters.
 func TwinMetrics(res *serve.Result) map[string]float64 {
 	m := map[string]float64{}
 	obs.PutFinite(m, "arrived", float64(res.Summary.Arrived))
@@ -117,16 +120,6 @@ type SeriesRow struct {
 type Report struct {
 	Scalars []ScalarRow
 	Series  []SeriesRow
-}
-
-// Scalar returns the named scalar row, or a zero row.
-func (r *Report) Scalar(name string) ScalarRow {
-	for _, s := range r.Scalars {
-		if s.Name == name {
-			return s
-		}
-	}
-	return ScalarRow{Name: name, APE: math.NaN()}
 }
 
 // SeriesFor returns the named series row, or a NaN row.

@@ -90,8 +90,17 @@ func TestCompareScoresError(t *testing.T) {
 	live.Summary.Throughput = 11 // 10% off
 	live.Windows = mkWindows(0, 1, []float64{1.1, 2.2, 3.3, 4.4})
 	rep := Compare(sim, live)
-	if g := rep.Scalar("throughput").APE; math.Abs(g-0.1) > 1e-12 {
-		t.Fatalf("throughput APE %v, want 0.1", g)
+	scored := false
+	for _, s := range rep.Scalars {
+		if s.Name == "throughput" {
+			scored = true
+			if math.Abs(s.APE-0.1) > 1e-12 {
+				t.Fatalf("throughput APE %v, want 0.1", s.APE)
+			}
+		}
+	}
+	if !scored {
+		t.Fatal("no throughput scalar row")
 	}
 	if g := rep.SeriesFor("throughput").MAPE; math.Abs(g-0.1) > 1e-9 {
 		t.Fatalf("throughput series MAPE %v, want 0.1", g)

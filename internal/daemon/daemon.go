@@ -263,9 +263,18 @@ func Run(opt Options) (*Result, error) {
 	return c.serve()
 }
 
+// MaxWorkers caps the fleet of one run. Every worker holds goroutines, a
+// UDP socket and a TCP listener on loopback, so a fleet past a few
+// thousand runs out of ports and descriptors long before memory; the cap
+// refuses it before anything is built.
+const MaxWorkers = 4096
+
 // newRun validates opt, fills in its defaults and builds the fleet and
 // its transport; nothing runs yet.
 func newRun(opt Options) (*run, error) {
+	if n := opt.Params.N(); n > MaxWorkers {
+		return nil, fmt.Errorf("daemon: %d workers is above the %d-worker cap", n, MaxWorkers)
+	}
 	if err := opt.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -281,7 +290,7 @@ func newRun(opt Options) (*run, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"TimeScale", opt.TimeScale}, {"StateInterval", opt.StateInterval}, {"Window", opt.Window}} {
+	}{{"TimeScale", opt.TimeScale}, {"StateInterval", opt.StateInterval}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("daemon: %s is %v, want a finite number (0 = default)", f.name, f.v)
 		}
@@ -307,7 +316,10 @@ func newRun(opt Options) (*run, error) {
 			span = t
 		}
 	}
-	window := metrics.WindowFor(opt.Window, span)
+	window, err := metrics.WindowFor(opt.Window, span)
+	if err != nil {
+		return nil, err
+	}
 
 	c := &run{
 		opt:       opt,

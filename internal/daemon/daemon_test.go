@@ -1073,7 +1073,8 @@ func TestBurstArmsFewTimers(t *testing.T) {
 }
 
 // TestNonFiniteOptionsRejected: zero means the default for TimeScale,
-// StateInterval and Window, but NaN and ±Inf are errors naming the field.
+// StateInterval and Window, but NaN and ±Inf are errors naming the field,
+// and so is a negative Window.
 // A NaN time scale used to slip past the default (NaN <= 0 is false) and
 // leave a run that never finished.
 func TestNonFiniteOptionsRejected(t *testing.T) {
@@ -1088,6 +1089,7 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 		{"StateInterval", func(o *Options) { o.StateInterval = nan }},
 		{"Window", func(o *Options) { o.Window = nan }},
 		{"Window", func(o *Options) { o.Window = inf }},
+		{"Window", func(o *Options) { o.Window = -1 }},
 	} {
 		opt := Options{Params: stableParams(2), Trace: burstTrace(4), Transport: cluster.NewChanTransport(3)}
 		tc.set(&opt)

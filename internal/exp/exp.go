@@ -23,8 +23,6 @@ type Config struct {
 	// Testbed includes the concurrent-goroutine testbed columns (the
 	// paper's "experimental" results); slower, wall-clock bound.
 	Testbed bool
-	// Workers caps Monte-Carlo parallelism; 0 = GOMAXPROCS.
-	Workers int
 	// Progress receives status lines; nil discards them.
 	Progress io.Writer
 }
@@ -78,15 +76,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists registered experiment identifiers.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	return ids
 }
 
 // saveArtifacts writes the result's series and tables as CSVs under

@@ -20,16 +20,9 @@ func quickCfg(t *testing.T) Config {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table1", "table2", "table3",
 		"ablate", "churnlaw", "multinode", "dynamic", "scale", "serve"}
-	ids := IDs()
 	for _, id := range want {
-		found := false
-		for _, got := range ids {
-			if got == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("experiment %q not registered (have %v)", id, ids)
+		if _, ok := ByID(id); !ok {
+			t.Errorf("experiment %q not registered", id)
 		}
 	}
 	if _, ok := ByID("fig3"); !ok {

@@ -20,7 +20,7 @@ func init() {
 
 // mcCompletion is the completion-time study under cfg's workers and a salted seed.
 func mcCompletion(cfg Config, p model.Params, pol policy.Policy, load []int, reps int, salt uint64, law sim.ChurnLaw) (mc.Estimate, error) {
-	return sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ salt},
+	return sim.MonteCarlo(mc.Options{Reps: reps, Seed: cfg.Seed ^ salt},
 		sim.Options{Params: p, Policy: pol, InitialLoad: load, ChurnLaw: law})
 }
 
@@ -178,7 +178,7 @@ func runDynamic(cfg Config) (*Result, error) {
 		{"dynamic LBP-2 (episode per arrival)", policy.Dynamic{Base: policy.LBP2{K: 1}}},
 		{"no balancing", policy.NoBalance{}},
 	} {
-		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ 0xD1}, sim.Options{
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: cfg.Seed ^ 0xD1}, sim.Options{
 			Params: p, Policy: tc.pol, InitialLoad: []int{40, 0},
 			ArrivalRate: 0.4, ArrivalBatch: 5, ArrivalHorizon: 120,
 		})

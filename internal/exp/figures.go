@@ -159,7 +159,7 @@ func runFig3(cfg Config) (*Result, error) {
 	reps := cfg.reps(400, 4000)
 	mcMeans := make([]float64, len(ks))
 	for i, k := range ks {
-		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(i)},
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: cfg.Seed + uint64(i)},
 			sim.Options{Params: p, Policy: policy.LBP1{K: k, Sender: sender}, InitialLoad: []int{m0, m1}})
 		if err != nil {
 			return nil, err

@@ -50,7 +50,7 @@ func runScale(cfg Config) (*Result, error) {
 		cfg.logf("scale: %s (%d queued, burst rate %.1f/s)", sc.Name, sc.TotalQueued(), sc.ArrivalRate)
 		row := []string{kind.String()}
 		for pi, pol := range policies {
-			est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed ^ uint64(kind)<<8 ^ uint64(pi)}, sc.Options(pol, nil))
+			est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: cfg.Seed ^ uint64(kind)<<8 ^ uint64(pi)}, sc.Options(pol, nil))
 			if err != nil {
 				return nil, err
 			}

@@ -162,7 +162,7 @@ func runTable2(cfg Config) (*Result, error) {
 		}
 		cfg.logf("table2: workload (%d,%d) K=%.2f", w[0], w[1], k)
 		pol := policy.LBP2{K: k}
-		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(w[0]*3+w[1])},
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: cfg.Seed + uint64(w[0]*3+w[1])},
 			sim.Options{Params: p, Policy: pol, InitialLoad: []int{w[0], w[1]}})
 		if err != nil {
 			return nil, err
@@ -213,7 +213,7 @@ func runTable3(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Workers: cfg.Workers, Seed: cfg.Seed + uint64(ref.delta*100)},
+		est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: cfg.Seed + uint64(ref.delta*100)},
 			sim.Options{Params: p, Policy: policy.LBP2{K: k2}, InitialLoad: []int{100, 60}})
 		if err != nil {
 			return nil, err

@@ -61,9 +61,8 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 
 // LU holds an LU factorisation with partial pivoting (PA = LU).
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // Factor computes the LU factorisation of a square matrix. The input is
@@ -78,7 +77,6 @@ func Factor(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivoting: pick the largest magnitude in column k.
 		p := k
@@ -98,7 +96,6 @@ func Factor(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -112,7 +109,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b for x using the factorisation.
@@ -143,16 +140,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = s / f.lu.At(i, i)
 	}
 	return x, nil
-}
-
-// Det returns the determinant from the factorisation.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveSquare is a convenience helper that factors and solves in one call.

@@ -71,23 +71,6 @@ func TestSingularDetected(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := NewMatrix(3, 3)
-	vals := [][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}}
-	for i := range vals {
-		for j := range vals[i] {
-			a.Set(i, j, vals[i][j])
-		}
-	}
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), 24, 1e-10) {
-		t.Fatalf("det = %v, want 24", f.Det())
-	}
-}
-
 // Property: for random diagonally dominant systems, A·solve(A,b) ≈ b.
 func TestSolveResidualProperty(t *testing.T) {
 	r := xrand.New(99)

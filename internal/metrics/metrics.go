@@ -11,6 +11,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -351,14 +352,19 @@ type winAcc struct {
 const DefaultMaxWindows = 4096
 
 // WindowFor returns the telemetry window width for a run observed over
-// span simulated seconds: the requested width when positive, else
-// span/100 and at least 0.1 s. The simulator's serving layer, the live
-// daemon and lbd's twin all derive it here, so their series share a grid.
-func WindowFor(requested, span float64) float64 {
-	if requested > 0 {
-		return requested
+// span simulated seconds: the requested width when positive, else, for a
+// request of 0, span/100 and at least 0.1 s. A negative, NaN or infinite
+// request is an error. It is the one check and the one derivation: the
+// simulator's serving layer, the live daemon and lbd all resolve the
+// window here, so their series share a grid.
+func WindowFor(requested, span float64) (float64, error) {
+	switch {
+	case requested == 0:
+		return math.Max(span/100, 0.1), nil
+	case requested > 0 && requested <= math.MaxFloat64:
+		return requested, nil
 	}
-	return math.Max(span/100, 0.1)
+	return 0, fmt.Errorf("metrics: Window = %v must be positive and finite (0 derives span/100)", requested)
 }
 
 // Collector implements sim.TaskSink, accumulating fixed-memory percentile

@@ -36,22 +36,26 @@ func (p Params) Validate() error {
 		return fmt.Errorf("model: rate slices disagree: %d proc, %d fail, %d rec",
 			n, len(p.FailRate), len(p.RecRate))
 	}
+	// A zero rate or delay is meaningful (a node that never fails, an
+	// instant transfer); an infinite one is an event that can never be
+	// drawn or a transfer that never lands.
+	finiteNonNeg := func(x float64) bool { return x >= 0 && x <= math.MaxFloat64 } // NaN fails both
 	for i := 0; i < n; i++ {
-		if p.ProcRate[i] <= 0 || math.IsNaN(p.ProcRate[i]) || math.IsInf(p.ProcRate[i], 0) {
+		if !(p.ProcRate[i] > 0) || !finiteNonNeg(p.ProcRate[i]) {
 			return fmt.Errorf("model: ProcRate[%d] = %v must be positive and finite", i, p.ProcRate[i])
 		}
-		if p.FailRate[i] < 0 || math.IsNaN(p.FailRate[i]) {
-			return fmt.Errorf("model: FailRate[%d] = %v must be non-negative", i, p.FailRate[i])
+		if !finiteNonNeg(p.FailRate[i]) {
+			return fmt.Errorf("model: FailRate[%d] = %v must be non-negative and finite", i, p.FailRate[i])
 		}
-		if p.RecRate[i] < 0 || math.IsNaN(p.RecRate[i]) {
-			return fmt.Errorf("model: RecRate[%d] = %v must be non-negative", i, p.RecRate[i])
+		if !finiteNonNeg(p.RecRate[i]) {
+			return fmt.Errorf("model: RecRate[%d] = %v must be non-negative and finite", i, p.RecRate[i])
 		}
 		if p.FailRate[i] > 0 && p.RecRate[i] <= 0 {
 			return fmt.Errorf("model: node %d can fail but never recovers", i)
 		}
 	}
-	if p.DelayPerTask < 0 || math.IsNaN(p.DelayPerTask) {
-		return fmt.Errorf("model: DelayPerTask = %v must be non-negative", p.DelayPerTask)
+	if !finiteNonNeg(p.DelayPerTask) {
+		return fmt.Errorf("model: DelayPerTask = %v must be non-negative and finite", p.DelayPerTask)
 	}
 	return nil
 }
@@ -263,9 +267,6 @@ func (s State) TotalQueued() int {
 	}
 	return t
 }
-
-// Remaining returns queued plus in-flight tasks.
-func (s State) Remaining() int { return s.TotalQueued() + s.InFlightTasks }
 
 // Clone deep-copies the snapshot.
 func (s State) Clone() State {

@@ -2,32 +2,41 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
+// TestValidate: every ill-posed system is refused with an error naming
+// what is wrong. An infinite rate or delay is an event that can never be
+// drawn or a transfer that never lands.
 func TestValidate(t *testing.T) {
 	if err := PaperBaseline().Validate(); err != nil {
 		t.Fatalf("baseline invalid: %v", err)
 	}
-	bad := Params{}
-	if bad.Validate() == nil {
-		t.Fatal("empty params accepted")
-	}
-	bad = PaperBaseline()
-	bad.FailRate = bad.FailRate[:1]
-	if bad.Validate() == nil {
-		t.Fatal("ragged slices accepted")
-	}
-	bad = PaperBaseline()
-	bad.ProcRate[0] = math.Inf(1)
-	if bad.Validate() == nil {
-		t.Fatal("infinite rate accepted")
-	}
-	bad = PaperBaseline()
-	bad.FailRate[0] = 0.1
-	bad.RecRate[0] = 0
-	if bad.Validate() == nil {
-		t.Fatal("unrecoverable failing node accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name, names string
+		mod         func(*Params)
+	}{
+		{"empty", "no nodes", func(p *Params) { *p = Params{} }},
+		{"ragged", "disagree", func(p *Params) { p.FailRate = p.FailRate[:1] }},
+		{"proc-inf", "ProcRate", func(p *Params) { p.ProcRate[0] = inf }},
+		{"proc-zero", "ProcRate", func(p *Params) { p.ProcRate[1] = 0 }},
+		{"fail-inf", "FailRate", func(p *Params) { p.FailRate[0] = inf }},
+		{"fail-nan", "FailRate", func(p *Params) { p.FailRate[1] = nan }},
+		{"fail-negative", "FailRate", func(p *Params) { p.FailRate[0] = -1 }},
+		{"rec-inf", "RecRate", func(p *Params) { p.RecRate[1] = inf }},
+		{"rec-nan", "RecRate", func(p *Params) { p.RecRate[0] = nan }},
+		{"delay-inf", "DelayPerTask", func(p *Params) { p.DelayPerTask = inf }},
+		{"delay-nan", "DelayPerTask", func(p *Params) { p.DelayPerTask = nan }},
+		{"delay-negative", "DelayPerTask", func(p *Params) { p.DelayPerTask = -inf }},
+		{"never-recovers", "never recovers", func(p *Params) { p.FailRate[0], p.RecRate[0] = 0.1, 0 }},
+	} {
+		p := PaperBaseline()
+		c.mod(&p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", c.name, err, c.names)
+		}
 	}
 }
 
@@ -82,9 +91,6 @@ func TestStateHelpers(t *testing.T) {
 	s := State{Queues: []int{3, 4}, Up: []bool{true, false}, InFlightTasks: 5}
 	if s.TotalQueued() != 7 {
 		t.Fatalf("TotalQueued = %d", s.TotalQueued())
-	}
-	if s.Remaining() != 12 {
-		t.Fatalf("Remaining = %d", s.Remaining())
 	}
 	c := s.Clone()
 	c.Queues[0] = 100

@@ -240,8 +240,3 @@ func HashString(h uint64) string {
 	}
 	return s
 }
-
-// ParseHash inverts HashString.
-func ParseHash(s string) (uint64, error) {
-	return strconv.ParseUint(s, 16, 64)
-}

@@ -8,7 +8,9 @@
 // saved one and calls Run — Execute again, plus a bit-for-bit comparison
 // of the metrics (and, for traced runs, the decision-stream hash) against
 // the recorded values. The run a manifest records and the run a replay
-// executes are therefore the same function.
+// executes are therefore the same function, and it builds every mode's
+// options itself, on the engines (sim, serve, the daemon resolver): no
+// public type sits between a manifest and its run.
 //
 // Spellings are not defined here: policies and routers resolve through
 // internal/policy, laws through the Parse function beside each enum
@@ -25,7 +27,6 @@ import (
 	"sort"
 	"strings"
 
-	"churnlb"
 	"churnlb/internal/calib"
 	"churnlb/internal/daemon"
 	"churnlb/internal/mc"
@@ -35,6 +36,7 @@ import (
 	"churnlb/internal/scenario"
 	"churnlb/internal/serve"
 	"churnlb/internal/sim"
+	"churnlb/internal/stats"
 	"churnlb/internal/xrand"
 )
 
@@ -44,8 +46,7 @@ type Hooks struct {
 	// run (a manifest with a Decisions block); nil keeps only the summary.
 	DecisionLog io.Writer
 	// Interrupt, once closed, cuts the arrival stream of a single serving
-	// run, which then drains (see churnlb.ServeOptions.Interrupt). Sweeps
-	// finish.
+	// run, which then drains (see serve.Options.Interrupt). Sweeps finish.
 	Interrupt <-chan struct{}
 }
 
@@ -59,13 +60,14 @@ type Outcome struct {
 	Scenario *scenario.Scenario
 	Policy   policy.Policy
 	// The rich result, by mode: Sim for sim and sim-scenario, Estimate for
-	// mc and mc-scenario, Serve for serve, ServeMany for serve-many, Twin
-	// (the simulator twin) for daemon.
+	// mc and mc-scenario, Serve for serve and for daemon (the simulator
+	// twin), Pooled for serve-many. Decisions summarises a traced serving
+	// run's decision stream.
 	Sim       *sim.Result
-	Estimate  churnlb.Estimate
-	Serve     churnlb.ServeResult
-	ServeMany churnlb.ServeEstimate
-	Twin      *serve.Result
+	Estimate  stats.Summary
+	Serve     *serve.Result
+	Pooled    *serve.Pooled
+	Decisions *obs.DecisionStats
 }
 
 // SpecError marks a fault in the description itself — an unknown
@@ -228,23 +230,33 @@ func closedRun(m *obs.Manifest) (*Outcome, error) {
 	return out, nil
 }
 
-// serveRun executes the lbserve modes through the public serving API.
+// serveRun executes the lbserve modes on the serving core: the regenerated
+// scenario and the manifest's stream, router and laws are one
+// serve.Options, run once or swept over replications.
 func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 	// lbserve's one spelling that is not a router: the paper's dynamic
 	// extension, uniform dispatch with LBP-2 rebalancing at every arrival.
-	var router churnlb.RouterSpec
-	pol := churnlb.PolicySpec{Kind: churnlb.PolicyNone}
+	router := policy.RouterSpec{Kind: policy.RouterUniform}
+	spec := policy.Spec{Kind: policy.KindNone}
 	if m.Policy.Name == "dynlbp2" {
-		if err := policy.CheckGain(m.Policy.K); err != nil {
-			return nil, &SpecError{err}
-		}
-		pol = churnlb.PolicySpec{Kind: churnlb.PolicyDynamicLBP2, K: m.Policy.K}
+		spec = policy.Spec{Kind: policy.KindDynamicLBP2, K: m.Policy.K}
 	} else {
 		var err error
 		if router, err = policy.ParseRouterSpec(m.Policy.Name, m.Policy.D); err != nil {
 			return nil, &SpecError{fmt.Errorf("unknown policy %q (want %s or dynlbp2)",
 				m.Policy.Name, strings.Join(policy.RouterNames(), ", "))}
 		}
+	}
+	pol, err := spec.Build()
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	newRouter, err := router.Factory()
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	if m.Mode == obs.ModeServeMany && m.Decisions != nil {
+		return nil, &SpecError{fmt.Errorf("rerun: decision tracing is single-run only, and the manifest records %d reps", m.Reps)}
 	}
 	tm, cl, err := laws(m)
 	if err != nil {
@@ -260,41 +272,40 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 			m.WaveAmplitude, m.WavePeriod = 0.8, m.Horizon/2
 		}
 	}
-	opt := churnlb.ServeOptions{
-		Rate:          m.Rate,
-		Batch:         m.Batch,
-		Horizon:       m.Horizon,
-		InitialLoad:   sc.InitialLoad,
-		InitialUp:     sc.InitialUp,
-		Window:        m.Window,
-		TransferMode:  tm,
-		ChurnLaw:      cl,
-		WaveAmplitude: m.WaveAmplitude,
-		WavePeriod:    m.WavePeriod,
+	// A serving run is open even when the scenario queues a backlog.
+	if !(m.Rate > 0) || !(m.Horizon > 0) { // negated > so NaN is refused too
+		return nil, fmt.Errorf("rerun: serving needs positive Rate and Horizon, got Rate = %v, Horizon = %v", m.Rate, m.Horizon)
 	}
-	sys := churnlb.System{DelayPerTask: sc.Params.DelayPerTask, Nodes: make([]churnlb.Node, sc.Params.N())}
-	for i := range sys.Nodes {
-		sys.Nodes[i] = churnlb.Node{
-			ProcRate: sc.Params.ProcRate[i], FailRate: sc.Params.FailRate[i], RecRate: sc.Params.RecRate[i],
-		}
+	opt := serve.Options{
+		Sim: sim.Options{Params: sc.Params, Policy: pol, InitialLoad: sc.InitialLoad, InitialUp: sc.InitialUp,
+			TransferMode: tm, ChurnLaw: cl, ArrivalRate: m.Rate, ArrivalBatch: m.Batch, ArrivalHorizon: m.Horizon,
+			ArrivalWave: sim.Wave{Amplitude: m.WaveAmplitude, Period: m.WavePeriod}},
+		NewRouter: newRouter,
+		Window:    m.Window,
+		Seed:      m.Seed,
 	}
 	out := &Outcome{Scenario: sc}
 	if m.Mode == obs.ModeServeMany {
-		opt.Workers = m.Workers
-		if out.ServeMany, err = churnlb.ServeMany(sys, pol, router, m.Reps, m.Seed, opt); err != nil {
+		// Sweeps finish: the interrupt is a single-run hook.
+		if out.Pooled, err = serve.RunManyPooled(opt, m.Reps, m.Workers); err != nil {
 			return nil, err
 		}
-		out.Metrics = serveManyMetrics(out.ServeMany)
+		if out.Pooled.N == 0 {
+			return nil, fmt.Errorf("rerun: no serving replication completed a task")
+		}
+		out.Metrics = pooledMetrics(out.Pooled)
 		return out, nil
 	}
 	if m.Decisions != nil {
-		opt.TraceDecisions = true
-		opt.DecisionK = m.Decisions.K
-		opt.DecisionLog = hooks.DecisionLog
+		opt.Tracer = obs.NewDecisionTracer(sc.Params, obs.TraceOptions{K: m.Decisions.K, W: hooks.DecisionLog})
 	}
 	opt.Interrupt = hooks.Interrupt
-	if out.Serve, err = churnlb.Serve(sys, pol, router, m.Seed, opt); err != nil {
+	if out.Serve, err = serve.Run(opt); err != nil {
 		return nil, err
+	}
+	if opt.Tracer != nil {
+		st := opt.Tracer.Stats()
+		out.Decisions = &st
 	}
 	out.Metrics = serveMetrics(out.Serve)
 	return out, nil
@@ -413,54 +424,45 @@ func twinRun(m *obs.Manifest) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Metrics: calib.TwinMetrics(res), Twin: res}, nil
+	return &Outcome{Metrics: calib.TwinMetrics(res), Serve: res}, nil
 }
 
-// serveMetrics is the manifest metric map of a single serving run.
-func serveMetrics(res churnlb.ServeResult) map[string]float64 {
-	m := map[string]float64{}
-	m["arrived"] = float64(res.Arrived)
-	m["completed"] = float64(res.Completed)
-	m["duration"] = res.Duration
-	obs.PutFinite(m, "p50", res.P50)
-	obs.PutFinite(m, "p90", res.P90)
-	obs.PutFinite(m, "p99", res.P99)
-	obs.PutFinite(m, "mean_sojourn", res.MeanSojourn)
-	obs.PutFinite(m, "mean_wait", res.MeanWait)
-	obs.PutFinite(m, "throughput", res.Throughput)
-	obs.PutFinite(m, "availability", res.Availability)
-	obs.PutFinite(m, "queue_depth", res.QueueDepth)
-	obs.PutFinite(m, "in_flight", res.InFlight)
-	obs.PutFinite(m, "fairness", res.Fairness)
-	m["failures"] = float64(res.Failures)
-	m["recoveries"] = float64(res.Recoveries)
-	m["transfers_sent"] = float64(res.TransfersSent)
-	m["tasks_transferred"] = float64(res.TasksTransferred)
+// serveMetrics is the manifest metric map of a single serving run: the
+// twin's summary keys plus the run's length, the in-flight average and
+// the simulator's counters.
+func serveMetrics(res *serve.Result) map[string]float64 {
+	m := calib.TwinMetrics(res)
+	m["duration"] = res.Sim.CompletionTime
+	obs.PutFinite(m, "in_flight", res.Summary.InFlight)
+	m["failures"] = float64(res.Sim.Failures)
+	m["recoveries"] = float64(res.Sim.Recoveries)
+	m["transfers_sent"] = float64(res.Sim.TransfersSent)
+	m["tasks_transferred"] = float64(res.Sim.TasksTransferred)
 	return m
 }
 
-// serveManyMetrics is the manifest metric map of a serving sweep.
-func serveManyMetrics(est churnlb.ServeEstimate) map[string]float64 {
+// pooledMetrics is the manifest metric map of a serving sweep.
+func pooledMetrics(agg *serve.Pooled) map[string]float64 {
 	m := map[string]float64{}
-	m["n"] = float64(est.N)
-	obs.PutFinite(m, "p50_mean", est.P50.Mean)
-	obs.PutFinite(m, "p50_ci95", est.P50.CI95)
-	obs.PutFinite(m, "p99_mean", est.P99.Mean)
-	obs.PutFinite(m, "p99_ci95", est.P99.CI95)
-	obs.PutFinite(m, "throughput_mean", est.Throughput.Mean)
-	obs.PutFinite(m, "throughput_ci95", est.Throughput.CI95)
-	obs.PutFinite(m, "availability_mean", est.Availability.Mean)
-	obs.PutFinite(m, "availability_ci95", est.Availability.CI95)
-	obs.PutFinite(m, "pooled_p50", est.PooledP50)
-	obs.PutFinite(m, "pooled_p90", est.PooledP90)
-	obs.PutFinite(m, "pooled_p99", est.PooledP99)
-	obs.PutFinite(m, "pooled_fairness", est.PooledFairness)
+	m["n"] = float64(agg.N)
+	obs.PutFinite(m, "p50_mean", agg.P50.Mean)
+	obs.PutFinite(m, "p50_ci95", agg.P50.CI95)
+	obs.PutFinite(m, "p99_mean", agg.P99.Mean)
+	obs.PutFinite(m, "p99_ci95", agg.P99.CI95)
+	obs.PutFinite(m, "throughput_mean", agg.Throughput.Mean)
+	obs.PutFinite(m, "throughput_ci95", agg.Throughput.CI95)
+	obs.PutFinite(m, "availability_mean", agg.Availability.Mean)
+	obs.PutFinite(m, "availability_ci95", agg.Availability.CI95)
+	obs.PutFinite(m, "pooled_p50", agg.Latency.P50.Value())
+	obs.PutFinite(m, "pooled_p90", agg.Latency.P90.Value())
+	obs.PutFinite(m, "pooled_p99", agg.Latency.P99.Value())
+	obs.PutFinite(m, "pooled_fairness", agg.Fairness.Jain())
 	return m
 }
 
 // mcMetrics is the manifest metric map of a completion-time Monte-Carlo
 // estimate (two-node or scenario).
-func mcMetrics(est churnlb.Estimate) map[string]float64 {
+func mcMetrics(est stats.Summary) map[string]float64 {
 	m := map[string]float64{}
 	m["n"] = float64(est.N)
 	obs.PutFinite(m, "mean", est.Mean)
@@ -556,7 +558,7 @@ func Run(m *obs.Manifest, decisionLog io.Writer) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Mode: m.Mode, Metrics: out.Metrics, Decisions: out.Serve.Decisions}
+	rep := &Report{Mode: m.Mode, Metrics: out.Metrics, Decisions: out.Decisions}
 	rep.compare(m.Metrics)
 	if m.Decisions != nil {
 		rep.HashWant = m.Decisions.Hash

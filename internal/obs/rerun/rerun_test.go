@@ -221,12 +221,26 @@ func TestRerunRejects(t *testing.T) {
 	m.Policy.Name = "jsq"
 	rejected("missing scenario", m)
 
-	// A well-formed description whose run fails is not a SpecError.
-	m.Scenario = &obs.ScenarioRef{Kind: "uniform", Nodes: 4}
+	// A well-formed description whose run fails is not a SpecError: a
+	// serving run needs an arrival stream even when the scenario queues
+	// a backlog, and a sweep in which no replication completes a task has
+	// no latency to report.
+	m.Scenario = &obs.ScenarioRef{Kind: "uniform", Nodes: 4, Load: 40}
 	var bad *SpecError
-	if _, err := Run(m, nil); err == nil || errors.As(err, &bad) {
-		t.Fatalf("zero-rate serve run: got %v, want a run error", err)
+	if _, err := Run(m, nil); err == nil || errors.As(err, &bad) || !strings.Contains(err.Error(), "Rate") {
+		t.Fatalf("zero-rate serve run: got %v, want a run error naming Rate", err)
 	}
+	m = obs.NewManifest("lbserve", obs.ModeServeMany)
+	m.Scenario = &obs.ScenarioRef{Kind: "uniform", Nodes: 4}
+	m.Policy = obs.PolicyRef{Name: "jsq"}
+	m.Rate, m.Horizon, m.Reps = 1e-9, 1e-9, 2
+	if _, err := Run(m, nil); err == nil || errors.As(err, &bad) || !strings.Contains(err.Error(), "completed a task") {
+		t.Fatalf("empty sweep: got %v, want a run error", err)
+	}
+	// Decision tracing is single-run only.
+	m.Rate, m.Horizon = 5, 2
+	m.Decisions = &obs.DecisionRef{}
+	rejected("traced sweep", m)
 
 	// A gain outside [0, 1] is a fault in the description, whichever
 	// front end's manifest records it.
@@ -251,7 +265,7 @@ func TestRerunRejects(t *testing.T) {
 }
 
 // TestInterruptOnlyWhereHonoured: the interrupt hook reaches a single
-// serving run, which then reports the cut.
+// serving run, which then reports the cut; a sweep finishes.
 func TestInterruptOnlyWhereHonoured(t *testing.T) {
 	cut := make(chan struct{})
 	close(cut)
@@ -267,6 +281,10 @@ func TestInterruptOnlyWhereHonoured(t *testing.T) {
 	}
 	if !out.Serve.Interrupted {
 		t.Fatal("interrupt hook not honoured")
+	}
+	m.Mode, m.Reps = obs.ModeServeMany, 2
+	if out, err = Execute(m, Hooks{Interrupt: cut}); err != nil || out.Pooled.Reps != 2 {
+		t.Fatalf("sweep under a closed interrupt: %v", err)
 	}
 }
 
@@ -438,15 +456,15 @@ func TestClosedDaemonTwinIsTheClosedRealisation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, ref := twin.Twin.Sim, want.Sim
+			got, ref := twin.Serve.Sim, want.Sim
 			if got.CompletionTime != ref.CompletionTime || !slices.Equal(got.Processed, ref.Processed) ||
 				got.Failures != ref.Failures || got.TransfersSent != ref.TransfersSent {
 				t.Errorf("%s seed %d: twin (T %v, processed %v, %d failures, %d transfers) is not the closed realisation (T %v, processed %v, %d failures, %d transfers)",
 					c.balance, seed, got.CompletionTime, got.Processed, got.Failures, got.TransfersSent,
 					ref.CompletionTime, ref.Processed, ref.Failures, ref.TransfersSent)
 			}
-			if twin.Twin.Summary.Elapsed != ref.CompletionTime {
-				t.Errorf("%s seed %d: twin elapsed %v, completion %v", c.balance, seed, twin.Twin.Summary.Elapsed, ref.CompletionTime)
+			if twin.Serve.Summary.Elapsed != ref.CompletionTime {
+				t.Errorf("%s seed %d: twin elapsed %v, completion %v", c.balance, seed, twin.Serve.Summary.Elapsed, ref.CompletionTime)
 			}
 		}
 	}

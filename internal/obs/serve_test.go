@@ -226,8 +226,9 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestDecisionLogErrorLatchedThroughRun: a log writer that fails on the
-// telemetry goroutine leaves its first error in Err once Run returns, and
-// the tracer keeps counting and hashing records as if the log were whole.
+// telemetry goroutine fails Run with its first error, which Err also
+// holds, and the tracer keeps counting and hashing records as if the log
+// were whole.
 func TestDecisionLogErrorLatchedThroughRun(t *testing.T) {
 	newRouter := func() policy.Router { return policy.PowerOfD{D: 2} }
 	whole := serveOptions(t, newRouter, clusters[0].nodes)
@@ -237,8 +238,8 @@ func TestDecisionLogErrorLatchedThroughRun(t *testing.T) {
 	}
 	opt := serveOptions(t, newRouter, clusters[0].nodes)
 	opt.Tracer = obs.NewDecisionTracer(opt.Sim.Params, obs.TraceOptions{W: &failingWriter{left: 300}})
-	if _, err := serve.Run(opt); err != nil {
-		t.Fatal(err)
+	if _, err := serve.Run(opt); err == nil || err.Error() != "serve: decision log: disk full" {
+		t.Fatalf("Run = %v, want serve: decision log: disk full", err)
 	}
 	if err := opt.Tracer.Err(); err == nil || err.Error() != "disk full" {
 		t.Fatalf("Err() = %v, want the writer's disk full", err)

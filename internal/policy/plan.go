@@ -72,12 +72,6 @@ func (fp *FailurePlan) Transfers(dst []model.Transfer, failed, queued int) []mod
 	return dst
 }
 
-// Receivers returns the number of planned receivers for a failure of
-// node failed — the episode's cost bound before queue capping.
-//
-//churnlb:hotpath
-func (fp *FailurePlan) Receivers(failed int) int { return len(fp.rows[failed]) }
-
 // FailurePlan implements Policy: it builds eq. (8)'s receiver lists in
 // O(n log n + Σ_j active_j) rather than the naive O(n²) pairwise sweep.
 // Nodes are sorted once by the receiver factor w_i = avail_i·λd_i

@@ -130,7 +130,7 @@ func (l LBP1Multi) Name() string { return fmt.Sprintf("LBP-1-multi(K=%.2f)", l.K
 
 // AppendInitial implements Policy.
 func (l LBP1Multi) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
-	return proportionalRebalance(dst, v, p, l.K, true)
+	return proportionalRebalance(dst, v, p, l.K)
 }
 
 // FailurePlan implements Policy: the preemptive round is all it does.
@@ -413,9 +413,8 @@ var rebalancePool = sync.Pool{New: func() any { return new(rebalanceScratch) }}
 
 // proportionalRebalance appends to dst the transfers that ship gain-scaled
 // excess (relative to weighted shares) from overloaded to underloaded
-// nodes. Weights are effective rates when failureAware, raw rates
-// otherwise.
-func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Params, k float64, failureAware bool) []model.Transfer {
+// nodes. Weights are effective rates λd·availability.
+func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Params, k float64) []model.Transfer {
 	n := p.N()
 	total := totalQueued(v)
 	sc := rebalancePool.Get().(*rebalanceScratch)
@@ -428,11 +427,7 @@ func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Para
 	deficits := sc.deficits[:0]
 	var wsum float64
 	for i := 0; i < n; i++ {
-		if failureAware {
-			weights[i] = p.EffectiveRate(i)
-		} else {
-			weights[i] = p.ProcRate[i]
-		}
+		weights[i] = p.EffectiveRate(i)
 		wsum += weights[i]
 	}
 	for i := 0; i < n; i++ {

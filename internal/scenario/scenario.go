@@ -183,8 +183,8 @@ func (sp Spec) withDefaults() Spec {
 }
 
 func (sp Spec) validate() error {
-	if sp.N <= 0 {
-		return fmt.Errorf("scenario: N = %d must be positive", sp.N)
+	if sp.N <= 0 || sp.N > sim.MaxNodes {
+		return fmt.Errorf("scenario: N = %d must be positive and at most the simulator's %d-node cap", sp.N, sim.MaxNodes)
 	}
 	if sp.TotalLoad < 0 {
 		return fmt.Errorf("scenario: TotalLoad = %d must be non-negative", sp.TotalLoad)

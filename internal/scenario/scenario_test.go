@@ -27,6 +27,7 @@ func TestParseKindRoundTrip(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	cases := []Spec{
 		{Kind: Uniform, N: 0, TotalLoad: 10},
+		{Kind: Uniform, N: sim.MaxNodes + 1, TotalLoad: 10},
 		{Kind: Uniform, N: 4, TotalLoad: -1},
 		{Kind: Hotspot, N: 4, TotalLoad: 10, HotspotNodes: 9},
 		{Kind: Hotspot, N: 4, TotalLoad: 10, HotspotFraction: 1.5},

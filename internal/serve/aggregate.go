@@ -8,9 +8,9 @@ import (
 // Pooled aggregates a RunMany sweep: per-replication summary statistics
 // folded in replication order, plus the pooled latency sketches and the
 // exact pooled fairness tally. It is the single aggregation path shared
-// by the public churnlb.ServeMany (hence the run-manifest reproducer) and
-// the experiment harness's serve experiment, so a manifest replay cannot
-// drift from the CLI that wrote it.
+// by the manifest runner, the public churnlb.ServeMany and the experiment
+// harness's serve experiment, so a manifest replay cannot drift from the
+// CLI that wrote it.
 type Pooled struct {
 	// Reps is the number of replications run; N the number that completed
 	// at least one task (the latency sample count — an empty realisation

@@ -1,7 +1,8 @@
-// Package serve is the open-system serving core shared by the public
-// churnlb.Serve API and the experiment harness: it wires a dispatcher
-// router, a balancing policy and the fixed-memory telemetry collector
-// into one simulator realisation driven by external arrivals. The
+// Package serve is the open-system serving core shared by the manifest
+// runner, the public churnlb.Serve API and the experiment harness: it
+// wires a dispatcher router, a balancing policy and the fixed-memory
+// telemetry collector into one simulator realisation driven by external
+// arrivals. The
 // per-task records (a sim.Ledger), the collector and, when one rides the
 // run, the decision tracer run on a goroutine of their own, fed the
 // observer hooks in order (pipe.go), so their output is the same bits it
@@ -12,11 +13,11 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
+	"churnlb/internal/model"
 	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/sim"
@@ -50,8 +51,8 @@ type Options struct {
 	// view of the state the router decided on and the rule's
 	// policy.Considered, and every completion the ledger rebuilds. It
 	// reads the stream the collector reads, so the simulator does the same
-	// work traced or not; its log is written, and Err latched, by the time
-	// Run returns. Single runs only — RunMany replications run concurrently
+	// work traced or not; its log is written by the time Run returns, and
+	// a write error fails Run. Single runs only — RunMany replications run concurrently
 	// and would interleave through one tracer's state, so it refuses one.
 	Tracer *obs.DecisionTracer
 	// Interrupt, when non-nil, requests early termination: once the
@@ -82,6 +83,19 @@ type Result struct {
 	// stream was cut early and the realisation drained what remained, so
 	// the telemetry covers a shorter run than requested.
 	Interrupted bool
+}
+
+// Utilization is each node's processed work as a fraction of its
+// capacity over the run, processed/(λd·duration); all zeros for a run
+// that took no time.
+func (r *Result) Utilization(p model.Params) []float64 {
+	u := make([]float64, p.N())
+	if d := r.Sim.CompletionTime; d > 0 {
+		for i, done := range r.Sim.Processed {
+			u[i] = float64(done) / (p.ProcRate[i] * d)
+		}
+	}
+	return u
 }
 
 // Run executes one serving realisation. Deterministic for a given seed.
@@ -116,8 +130,9 @@ func Run(opt Options) (*Result, error) {
 		// Written as negated > so a NaN fails here, not in the event loop.
 		return nil, fmt.Errorf("serve: needs positive ArrivalRate and ArrivalHorizon, an ArrivalTrace, or a backlog and no arrival stream; got ArrivalRate = %v, ArrivalHorizon = %v", so.ArrivalRate, horizon)
 	}
-	if math.IsNaN(opt.Window) {
-		return nil, fmt.Errorf("serve: Window = %v must be a number (0 derives horizon/100)", opt.Window)
+	window, err := metrics.WindowFor(opt.Window, horizon)
+	if err != nil {
+		return nil, err
 	}
 	n := so.Params.N()
 	if so.InitialLoad == nil {
@@ -127,10 +142,15 @@ func Run(opt Options) (*Result, error) {
 	if opt.NewRouter != nil {
 		so.Router = opt.NewRouter()
 	}
-	col := metrics.NewCollector(n, metrics.WindowFor(opt.Window, horizon))
+	col := metrics.NewCollector(n, window)
 	out, interrupted, err := realise(so, opt, col)
 	if err != nil {
 		return nil, err
+	}
+	if opt.Tracer != nil {
+		if err := opt.Tracer.Err(); err != nil {
+			return nil, fmt.Errorf("serve: decision log: %w", err)
+		}
 	}
 	return &Result{
 		Summary:     col.Finalize(out.CompletionTime),

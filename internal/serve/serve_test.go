@@ -184,6 +184,8 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 		{"wave-period-nan", "Period", func(o *Options) { o.Sim.ArrivalWave = sim.Wave{Amplitude: 0.5, Period: nan} }},
 		{"wave-period-inf", "Period", func(o *Options) { o.Sim.ArrivalWave = sim.Wave{Amplitude: 0.5, Period: inf} }},
 		{"window-nan", "Window", func(o *Options) { o.Window = nan }},
+		{"window-inf", "Window", func(o *Options) { o.Window = inf }},
+		{"window-negative", "Window", func(o *Options) { o.Window = -1 }},
 		{"batch-over-int32", "Batch", func(o *Options) { o.Sim.ArrivalBatch = 3_000_000_000 }},
 		{"trace-rate-nan", "Rate", func(o *Options) {
 			o.Sim.ArrivalRate, o.Sim.ArrivalHorizon = nan, 0

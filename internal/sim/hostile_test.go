@@ -63,3 +63,13 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 		t.Errorf("boundary values rejected: %v", err)
 	}
 }
+
+// TestNodeCap: a cluster above MaxNodes is refused, naming the cap, before
+// Start validates or allocates anything per node.
+func TestNodeCap(t *testing.T) {
+	r := make([]float64, MaxNodes+1) // one untouched vector shared by the three rates
+	_, err := Start(Options{Params: model.Params{ProcRate: r, FailRate: r, RecRate: r}, Rand: xrand.New(1)})
+	if err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("Start = %v, want an error naming the node cap", err)
+	}
+}

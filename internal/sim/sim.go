@@ -355,6 +355,11 @@ const (
 	evKindDeliver
 )
 
+// MaxNodes caps the cluster size of a realisation, so a request for more
+// memory than any host has fails before anything is allocated. It sits
+// four times above the largest documented run (10⁶ nodes).
+const MaxNodes = 1 << 22
+
 // flight is one batch in flight, a row of simState.flights: the whole
 // cost of a transfer between its send and its landing, next to the one
 // indexed event that carries the row's index.
@@ -472,6 +477,9 @@ type Realisation struct {
 // A NaN fails every comparison and an infinite rate never advances the
 // clock, so either must stop here or it wedges the loop.
 func validateOptions(opt *Options) (int, error) {
+	if n := opt.Params.N(); n > MaxNodes {
+		return 0, fmt.Errorf("sim: %d nodes is above the %d-node cap", n, MaxNodes)
+	}
 	if err := opt.Params.Validate(); err != nil {
 		return 0, err
 	}

@@ -1,6 +1,6 @@
 // Package xrand provides a deterministic, splittable pseudo-random number
 // generator with the samplers needed by the churn model: exponential,
-// uniform, normal, Poisson and Weibull variates.
+// uniform, normal and Weibull variates.
 //
 // The generator is xoshiro256** seeded through SplitMix64, following the
 // reference constructions by Blackman and Vigna. It is intentionally
@@ -14,7 +14,7 @@ package xrand
 import "math"
 
 // Rand is a xoshiro256** generator. It is not safe for concurrent use;
-// derive one stream per goroutine with NewStream or Split.
+// derive one stream per goroutine with NewStream.
 type Rand struct {
 	s [4]uint64
 }
@@ -54,11 +54,6 @@ func NewStream(seed, i uint64) *Rand {
 	a := splitMix64(&x)
 	x = a ^ (i+1)*0xd1342543de82ef95
 	return New(splitMix64(&x))
-}
-
-// Split derives a new independent generator from r, advancing r.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xa0761d6478bd642f)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -144,36 +139,6 @@ func (r *Rand) Normal() float64 {
 	u1 := r.positiveFloat64()
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Poisson returns a Poisson variate with the given mean using inversion
-// for small means and the PTRS transformed-rejection method cut-down
-// (normal approximation with continuity correction) for large means.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		// Knuth inversion.
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation with continuity correction; adequate for the
-	// workload-arrival extension where mean is large and tails do not
-	// drive any reported statistic.
-	v := mean + math.Sqrt(mean)*r.Normal()
-	if v < 0 {
-		return 0
-	}
-	return int(v + 0.5)
 }
 
 // Weibull returns a Weibull variate with the given shape k and scale λ.

@@ -178,41 +178,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonSmallMean(t *testing.T) {
-	r := New(10)
-	const mean = 3.5
-	const n = 200000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(mean)
-	}
-	got := float64(sum) / n
-	if math.Abs(got-mean) > 0.05 {
-		t.Fatalf("Poisson(%v) mean = %v", mean, got)
-	}
-}
-
-func TestPoissonLargeMean(t *testing.T) {
-	r := New(11)
-	const mean = 200.0
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Poisson(mean)
-	}
-	got := float64(sum) / n
-	if math.Abs(got-mean) > 1.0 {
-		t.Fatalf("Poisson(%v) mean = %v", mean, got)
-	}
-}
-
-func TestPoissonZeroAndNegativeMean(t *testing.T) {
-	r := New(12)
-	if r.Poisson(0) != 0 || r.Poisson(-1) != 0 {
-		t.Fatal("Poisson of non-positive mean must be 0")
-	}
-}
-
 func TestWeibullShapeOneIsExponential(t *testing.T) {
 	a, b := New(13), New(13)
 	for i := 0; i < 1000; i++ {
@@ -221,20 +186,6 @@ func TestWeibullShapeOneIsExponential(t *testing.T) {
 		if math.Abs(w-e) > 1e-9 {
 			t.Fatalf("Weibull(1,2) != ExpMean(2): %v vs %v", w, e)
 		}
-	}
-}
-
-func TestSplitDiverges(t *testing.T) {
-	r := New(16)
-	s := r.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if r.Uint64() == s.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split stream tracked parent %d times", same)
 	}
 }
 
