@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -98,5 +99,69 @@ func TestNetTransportCloseIdempotent(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSendTasksCallerReuse pins the Transport contract the dispatcher's
+// row slabs rest on: once SendTasks returns, the task slice and every row
+// in it are the caller's again. Each round fills the caller's memory — one
+// slice, rows carved from one slab — sends it, then overwrites every row
+// with NaN and every task with junk before reading the receiver's bundle,
+// which must still equal what was sent. A transport that kept a reference
+// to the caller's memory would deliver the overwrite.
+func TestSendTasksCallerReuse(t *testing.T) {
+	const tasks, dim = 40, 16
+	for _, tc := range []struct {
+		name string
+		tr   func() Transport
+	}{
+		{"chan", func() Transport { return NewChanTransport(2) }},
+		{"net", func() Transport { return newNetTransportOrSkip(t, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr()
+			defer tr.Close()
+			g := workload.NewGenerator(dim, 50, xrand.New(15))
+			bundle := make([]workload.Task, tasks)
+			slab := make([]float64, tasks*dim)
+			for round := 0; round < 3; round++ {
+				want := g.Batch(tasks) // rows of their own, never overwritten
+				for i, w := range want {
+					row := slab[i*dim : (i+1)*dim : (i+1)*dim]
+					copy(row, w.Row)
+					bundle[i] = workload.Task{ID: w.ID, Precision: w.Precision, Row: row}
+				}
+				if err := tr.SendTasks(0, 1, bundle); err != nil {
+					t.Fatal(err)
+				}
+				for i := range slab {
+					slab[i] = math.NaN()
+				}
+				for i := range bundle {
+					bundle[i] = workload.Task{ID: math.MaxUint64, Precision: math.MaxUint32, Row: slab[:dim]}
+				}
+				var got TaskBundle
+				select {
+				case got = <-tr.Tasks(1):
+				case <-time.After(5 * time.Second):
+					t.Fatalf("round %d: bundle never arrived", round)
+				}
+				if got.From != 0 || len(got.Tasks) != tasks {
+					t.Fatalf("round %d: bundle from %d with %d tasks", round, got.From, len(got.Tasks))
+				}
+				for i, w := range want {
+					r := got.Tasks[i]
+					if r.ID != w.ID || r.Precision != w.Precision || len(r.Row) != dim {
+						t.Fatalf("round %d task %d: got (%d, %d, %d floats), sent (%d, %d, %d)",
+							round, i, r.ID, r.Precision, len(r.Row), w.ID, w.Precision, dim)
+					}
+					for j := range w.Row {
+						if math.Float64bits(r.Row[j]) != math.Float64bits(w.Row[j]) {
+							t.Fatalf("round %d task %d row[%d] = %v, sent %v", round, i, j, r.Row[j], w.Row[j])
+						}
+					}
+				}
+			}
+		})
 	}
 }

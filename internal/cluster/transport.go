@@ -159,9 +159,13 @@ type Transport interface {
 	SendState(from, to int, p StatePacket)
 	// SendTasks reliably delivers tasks to a node as one bundle. It may
 	// block briefly but must not lose tasks: a nil error means delivered,
-	// an error means the bundle must be presumed lost. tasks is the
-	// caller's to reuse once the call returns — implementations copy
-	// (or encode) what they keep.
+	// an error means the bundle must be presumed lost. tasks and every
+	// row in it are the caller's to reuse once the call returns —
+	// implementations copy (or encode) what they keep. The reuse is
+	// load-bearing: the daemon's dispatcher mints each worker's bundles
+	// into one row slab and overwrites it with the next bundle as soon as
+	// this returns, so a transport that kept a reference to the caller's
+	// rows would deliver later tasks' rows (TestSendTasksCallerReuse).
 	SendTasks(from, to int, tasks []workload.Task) error
 	// State returns node i's incoming state-packet channel.
 	State(i int) <-chan StatePacket

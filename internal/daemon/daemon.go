@@ -199,15 +199,17 @@ type run struct {
 
 	// admitMu serialises admission — the trace driver and every HTTP
 	// handler — and guards what only admission touches: the router and its
-	// rng (routers may be stateful), the task generator, and pending, the
-	// per-worker bundles admitted but not yet on the wire. It is held
-	// across a flush, so a worker's bundles go out in admission order.
-	// Admission also counts injected.
+	// rng (routers may be stateful), the task generator, pending, the
+	// per-worker bundles admitted but not yet on the wire, and slabs, the
+	// per-worker row slabs their rows are carved from. It is held across a
+	// flush, so a worker's bundles go out in admission order. Admission
+	// also counts injected.
 	admitMu  sync.Mutex
 	router   policy.Router
 	rngRoot  *xrand.Rand
 	gen      *workload.Generator
 	pending  [][]workload.Task
+	slabs    [][]float64
 	injected int64
 
 	// peers is the dispatcher's live state view, folded from state packets
@@ -269,8 +271,22 @@ func Run(opt Options) (*Result, error) {
 // refuses it before anything is built.
 const MaxWorkers = 4096
 
+// MaxBacklog caps the tasks a run mints at once: the InitialLoad backlog,
+// which preload mints before the clock starts and which is resident all
+// together, and any one arrival's batch. A minted task holds taskBytes —
+// its Task, its row and its in-system record — so the cap is 184 MiB of
+// tasks.
+const MaxBacklog = 1 << 20
+
+// taskBytes is what one minted task keeps resident: the 40-byte Task, its
+// row of taskDim floats and its 16-byte in-system record.
+const taskBytes = 40 + 8*taskDim + 16
+
 // newRun validates opt, fills in its defaults and builds the fleet and
-// its transport; nothing runs yet.
+// its transport; nothing runs yet. It refuses, before anything is minted,
+// a backlog or a batch above MaxBacklog and a run whose backlog and trace
+// together exceed the int32 task counters (math.MaxInt32 tasks, the
+// simulator's cap too).
 func newRun(opt Options) (*run, error) {
 	if n := opt.Params.N(); n > MaxWorkers {
 		return nil, fmt.Errorf("daemon: %d workers is above the %d-worker cap", n, MaxWorkers)
@@ -282,10 +298,19 @@ func newRun(opt Options) (*run, error) {
 	if opt.InitialLoad != nil && len(opt.InitialLoad) != n {
 		return nil, fmt.Errorf("daemon: InitialLoad has %d entries for %d workers", len(opt.InitialLoad), n)
 	}
+	backlog := 0
 	for id, q := range opt.InitialLoad {
 		if q < 0 {
 			return nil, fmt.Errorf("daemon: negative initial load %d at worker %d", q, id)
 		}
+		if q > MaxBacklog-backlog {
+			return nil, fmt.Errorf("daemon: initial load passes the %d-task backlog cap at worker %d (%d bytes a task, all resident at once)",
+				MaxBacklog, id, taskBytes)
+		}
+		backlog += q
+	}
+	if opt.Batch > MaxBacklog {
+		return nil, fmt.Errorf("daemon: Batch = %d is above the %d-task cap on what one arrival mints", opt.Batch, MaxBacklog)
 	}
 	for _, f := range []struct {
 		name string
@@ -306,6 +331,19 @@ func newRun(opt Options) (*run, error) {
 	}
 	if opt.Batch <= 0 {
 		opt.Batch = 1
+	}
+	total := int64(backlog)
+	for i, a := range opt.Trace {
+		batch := a.Batch
+		if batch <= 0 {
+			batch = opt.Batch
+		}
+		if batch > MaxBacklog {
+			return nil, fmt.Errorf("daemon: Trace[%d].Batch = %d is above the %d-task cap on what one arrival mints", i, batch, MaxBacklog)
+		}
+		if total += int64(batch); total > math.MaxInt32 {
+			return nil, fmt.Errorf("daemon: backlog and trace pass %d tasks at Trace[%d], the cap of the run's int32 task counters", math.MaxInt32, i)
+		}
 	}
 	if opt.Policy == nil {
 		opt.Policy = policy.NoBalance{}
@@ -336,6 +374,7 @@ func newRun(opt Options) (*run, error) {
 		processed: make([]int, n),
 		gen:       workload.NewGenerator(taskDim, taskPrecision, xrand.NewStream(opt.Seed, xrand.StreamTaskGen)),
 		pending:   make([][]workload.Task, n),
+		slabs:     make([][]float64, n),
 		stop:      make(chan struct{}),
 		doneCh:    make(chan struct{}),
 	}
@@ -863,12 +902,14 @@ func (c *run) dispatcherStateLoop() {
 }
 
 // bundleCap is the size at which the trace driver puts a worker's pending
-// bundle on the wire without waiting for the end of the due-run. Chosen
-// from the measured frontier (README, "Live daemon"): time per admitted
-// task saturates by 16–32 tasks per frame, while resident memory keeps
-// rising with the cap — pending bundles and the workers' 64-deep bundle
-// channels hold cap tasks each.
-const bundleCap = 16
+// bundle on the wire without waiting for the end of the due-run. It is the
+// smallest cap of the measured frontier (README, "Live daemon": caps 16,
+// 32, 48, 64 and 128 over 16 rotated rounds) whose median time per
+// admitted task is within 5 % of the best and whose resident memory is
+// within 15 % of cap 16's: time per task falls with fewer frame writes,
+// while memory rises with the cap — pending bundles, their row slabs and
+// the workers' 64-deep bundle channels hold up to a cap of tasks each.
+const bundleCap = 48
 
 // maxBatch bounds one arrival's tasks at the HTTP front door; a frame of
 // maxBatch tasks is 144 KB.
@@ -889,12 +930,12 @@ func satAdd32(q uint32, k int) uint32 {
 }
 
 // admit takes one arrival into the system: route it against the live
-// view (with the optimistic bump), mint its tasks, publish their arrival
-// record on the telemetry ring, and append them to the chosen worker's
-// pending bundle. Nothing reaches the wire until flush, so the consumer
-// applies every task's arrival before anything a worker reports about
-// it. now is the arrival's instant on the virtual clock; the caller holds
-// admitMu.
+// view (with the optimistic bump), mint its tasks into rows carved from
+// the chosen worker's slab (carveRow), publish their arrival record on the
+// telemetry ring, and append them to that worker's pending bundle.
+// Nothing reaches the wire until flush, so the consumer applies every
+// task's arrival before anything a worker reports about it. now is the
+// arrival's instant on the virtual clock; the caller holds admitMu.
 //
 //churnlb:hotpath
 func (c *run) admit(batch int, now float64) (int, error) {
@@ -918,16 +959,45 @@ func (c *run) admit(batch int, now float64) (int, error) {
 
 	first := len(c.pending[node])
 	for i := 0; i < batch; i++ {
-		c.pending[node] = append(c.pending[node], c.gen.Next())
+		c.pending[node] = append(c.pending[node], c.gen.NextInto(c.carveRow(node)))
 	}
 	c.noteArrived(node, c.pending[node][first:], now)
 	atomic.AddInt64(&c.injected, int64(batch))
 	return node, nil
 }
 
+// carveRow returns the next row of worker node's slab for admit to mint
+// into, capacity-clipped so no row reaches its neighbour. A slab holds one
+// bundleCap bundle's rows; one that is full — a worker's first bundle, or
+// a batch that overflows the bundle — is replaced by a fresh one, and the
+// rows already carved keep the old one alive until their flush. So no
+// slab outgrows the cap's size, and the one a worker keeps is reused by
+// every flush after. The caller holds admitMu.
+//
+//churnlb:hotpath
+func (c *run) carveRow(node int) []float64 {
+	s := c.slabs[node]
+	if cap(s)-len(s) < taskDim {
+		s = newSlab()
+	}
+	n := len(s)
+	c.slabs[node] = s[:n+taskDim]
+	return s[n : n+taskDim : n+taskDim]
+}
+
+// slabFloats is one row slab: a full bundle's rows.
+const slabFloats = bundleCap * taskDim
+
+// newSlab allocates a row slab. It is off the hot path: a worker's first
+// bundle calls it, and after that only a batch that overflows a bundle.
+func newSlab() []float64 { return make([]float64, 0, slabFloats) }
+
 // flush ships worker node's pending bundle, if any, as one task frame.
 // A failed send is the point where tasks can go missing, so the bundle is
-// declared lost there. The caller holds admitMu.
+// declared lost there. Once SendTasks returns the transport has encoded
+// or copied what it keeps (the Transport contract), so the bundle's slice
+// and its rows' slab are reset for the next bundle. The caller holds
+// admitMu.
 //
 //churnlb:hotpath
 func (c *run) flush(node int) error {
@@ -941,8 +1011,9 @@ func (c *run) flush(node int) error {
 		//lint:ignore hotalloc error path: a failed send ends the replay
 		err = fmt.Errorf("daemon: dispatch to worker %d: %w", node, err)
 	}
-	clear(bundle) // release the rows; the transport kept what it needs
+	clear(bundle) // drop the rows of an overflowed slab
 	c.pending[node] = bundle[:0]
+	c.slabs[node] = c.slabs[node][:0]
 	return err
 }
 

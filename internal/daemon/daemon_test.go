@@ -6,11 +6,13 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"churnlb/internal/cluster"
 	"churnlb/internal/model"
@@ -488,58 +490,177 @@ func TestBurstIsCoalesced(t *testing.T) {
 	}
 }
 
-// TestCoalescingKeepsRouting pins "same routing, different framing": with
-// gossip effectively off, the dispatcher's view is its own optimistic
-// bumps, so the per-worker admitted counts must equal an independent
-// replay of route-then-bump per arrival on the same rng stream — the
-// sequence the one-frame-per-arrival dispatcher produced.
+// capturingTransport wraps a Transport and keeps a deep copy of every
+// task that reaches a worker, in the order the worker's task channel
+// delivers it. One forwarder per worker writes that worker's got; read it
+// after Close.
+type capturingTransport struct {
+	cluster.Transport
+	out  []chan cluster.TaskBundle
+	done chan struct{}
+	wg   sync.WaitGroup
+	got  [][]workload.Task // per worker
+}
+
+func newCapturing(inner cluster.Transport, workers int) *capturingTransport {
+	c := &capturingTransport{
+		Transport: inner,
+		out:       make([]chan cluster.TaskBundle, workers),
+		done:      make(chan struct{}),
+		got:       make([][]workload.Task, workers),
+	}
+	for i := range c.out {
+		c.out[i] = make(chan cluster.TaskBundle)
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			for b := range inner.Tasks(i) {
+				for _, task := range b.Tasks {
+					task.Row = slices.Clone(task.Row)
+					c.got[i] = append(c.got[i], task)
+				}
+				select {
+				case c.out[i] <- b:
+				case <-c.done:
+					return
+				}
+			}
+		}()
+	}
+	return c
+}
+
+func (c *capturingTransport) Tasks(i int) <-chan cluster.TaskBundle {
+	if i < len(c.out) {
+		return c.out[i]
+	}
+	return c.Transport.Tasks(i)
+}
+
+// Close stops the forwarders, then the transport under them.
+func (c *capturingTransport) Close() error {
+	close(c.done)
+	err := c.Transport.Close()
+	c.wg.Wait()
+	return err
+}
+
+// TestCoalescingKeepsRouting pins "same routing, different framing, same
+// tasks": with gossip effectively off, the dispatcher's view is its own
+// optimistic bumps, so what each worker receives — every task's ID,
+// precision and row, in order — must equal an independent replay of
+// route-then-bump per arrival on the same rng stream, minting each task
+// from the same generator into a row of its own: the sequence the
+// one-frame-per-arrival dispatcher produced. The burst spans many flushes
+// of every worker, so each slab is reused many times, on both transports.
 func TestCoalescingKeepsRouting(t *testing.T) {
 	const (
-		workers, arrivals = 5, 600
+		workers, arrivals = 5, 40 * bundleCap
 		seed              = 23
 	)
 	p := stableParams(workers)
 	router := policy.PowerOfD{D: 2}
 
-	want := make([]int, workers)
+	want := make([][]workload.Task, workers)
 	view := model.SnapshotView{State: model.State{Queues: make([]int, workers), Up: make([]bool, workers)}}
 	for i := range view.State.Up {
 		view.State.Up[i] = true
 	}
 	rng := xrand.NewStream(seed, xrand.StreamDispatcher)
+	gen := workload.NewGenerator(taskDim, taskPrecision, xrand.NewStream(seed, xrand.StreamTaskGen))
 	for i := 0; i < arrivals; i++ {
 		node := router.Route(view, p, rng)
 		view.State.Queues[node]++
-		want[node]++
+		want[node] = append(want[node], gen.Next())
 	}
 
-	tr := newRecording(workers)
-	res, err := Run(Options{
-		Params:        p,
-		Router:        router,
-		Trace:         burstTrace(arrivals),
-		TimeScale:     2000,
-		StateInterval: 1e9, // no state packet within the run
-		Seed:          seed,
-		Transport:     tr,
-		MaxWall:       60 * time.Second,
+	for _, sockets := range []bool{false, true} {
+		var inner cluster.Transport = cluster.NewChanTransport(workers + 1)
+		if sockets {
+			nt, err := cluster.NewNetTransport(workers + 1)
+			if err != nil {
+				t.Skipf("loopback sockets unavailable: %v", err)
+			}
+			inner = nt
+		}
+		tr := newCapturing(inner, workers)
+		res, err := Run(Options{
+			Params:        p,
+			Router:        router,
+			Trace:         burstTrace(arrivals),
+			TimeScale:     2000,
+			StateInterval: 1e9, // no state packet within the run
+			Seed:          seed,
+			Transport:     tr,
+			MaxWall:       60 * time.Second,
+		})
+		tr.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConserved(t, res)
+		if res.StatePackets != 0 {
+			t.Fatalf("%d state packets reached the dispatcher; the replay assumes none", res.StatePackets)
+		}
+		for i := range want {
+			got := tr.got[i]
+			if len(got) != len(want[i]) || res.Processed[i] != len(want[i]) {
+				t.Fatalf("sockets %v, worker %d: received %d, processed %d, replay says %d",
+					sockets, i, len(got), res.Processed[i], len(want[i]))
+			}
+			for k, w := range want[i] {
+				g := got[k]
+				if g.ID != w.ID || g.Precision != w.Precision || !slices.Equal(g.Row, w.Row) {
+					t.Fatalf("sockets %v, worker %d task %d: received (%d, %d, %v), replay minted (%d, %d, %v)",
+						sockets, i, k, g.ID, g.Precision, g.Row, w.ID, w.Precision, w.Row)
+				}
+			}
+		}
+	}
+}
+
+// discardTransport accepts every bundle and delivers none: what admission
+// and flush cost on their own.
+type discardTransport struct{ cluster.Transport }
+
+func (discardTransport) SendTasks(from, to int, tasks []workload.Task) error { return nil }
+
+// TestAdmitAllocatesNothing pins the trace driver's path — route, mint,
+// publish the arrival, append to the bundle, flush at bundleCap — at zero
+// heap allocations per admitted task once every worker's bundle and slab
+// are warm. The run is built but not served: no consumer drains the
+// telemetry ring, so after the warm-up the test gives the run an empty
+// ring that the measured arrivals fit in, and counts them in one
+// AllocsPerRun call, whose count is then exact.
+func TestAdmitAllocatesNothing(t *testing.T) {
+	const workers = 4
+	c, err := newRun(Options{
+		Params:    stableParams(workers),
+		Router:    policy.PowerOfD{D: 2},
+		Trace:     burstTrace(1),
+		Seed:      24,
+		Transport: discardTransport{cluster.NewChanTransport(workers + 1)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkConserved(t, res)
-	if res.StatePackets != 0 {
-		t.Fatalf("%d state packets reached the dispatcher; the replay assumes none", res.StatePackets)
-	}
-	got := make([]int, workers)
-	for _, b := range tr.sends {
-		got[b.to] += len(b.ids)
-	}
-	for i := range want {
-		if got[i] != want[i] || res.Processed[i] != want[i] {
-			t.Fatalf("worker %d: admitted %d, processed %d, replay says %d (all: got %v want %v)",
-				i, got[i], res.Processed[i], want[i], got, want)
+	admit := func(tasks int) {
+		for i := 0; i < tasks; i++ {
+			if err := c.admitTraced(1, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	admit(4 * workers * bundleCap)
+	for node := range c.pending {
+		if cap(c.pending[node]) < bundleCap || cap(c.slabs[node]) != slabFloats {
+			t.Fatalf("worker %d not warm: bundle capacity %d, slab capacity %d", node, cap(c.pending[node]), cap(c.slabs[node]))
+		}
+	}
+	c.tel = newTelRing(telCap)
+	const tasks = telCap / 2 // AllocsPerRun runs the function twice
+	if allocs := testing.AllocsPerRun(1, func() { admit(tasks) }); allocs != 0 {
+		t.Fatalf("%v allocations for %d admitted tasks", allocs, tasks)
 	}
 }
 
@@ -1105,5 +1226,50 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 	if c.opt.TimeScale != 200 || c.opt.StateInterval != 1 {
 		t.Fatalf("zero options resolved to TimeScale %v StateInterval %v, want the defaults 200 and 1",
 			c.opt.TimeScale, c.opt.StateInterval)
+	}
+}
+
+// TestArrivalBudget: a run is refused before anything is minted when its
+// backlog or one arrival's batch passes MaxBacklog, or its backlog and
+// trace together pass the int32 task counters; the error names the cap.
+// Each refused case used to be run: the first two minted until the
+// process died out of memory.
+func TestArrivalBudget(t *testing.T) {
+	if got := int(unsafe.Sizeof(workload.Task{})) + 8*taskDim + int(unsafe.Sizeof(taskMeta{})); got != taskBytes {
+		t.Fatalf("a minted task holds %d bytes, taskBytes says %d", got, taskBytes)
+	}
+	many := make([]sim.ArrivalAt, math.MaxInt32/MaxBacklog+1)
+	for i := range many {
+		many[i].Batch = MaxBacklog
+	}
+	// exact is math.MaxInt32 tasks to the last.
+	exact := append(many[:len(many)-1:len(many)-1], sim.ArrivalAt{Batch: math.MaxInt32 % MaxBacklog})
+	for _, tc := range []struct {
+		name, cap string
+		set       func(*Options)
+	}{
+		{"backlog", "backlog cap", func(o *Options) { o.InitialLoad = []int{1 << 40, 0} }},
+		{"backlog over two workers", "backlog cap", func(o *Options) { o.InitialLoad = []int{MaxBacklog, 1} }},
+		{"one batch", "1048576-task cap", func(o *Options) { o.Trace = []sim.ArrivalAt{{Batch: 1 << 40}} }},
+		{"default batch", "1048576-task cap", func(o *Options) { o.Trace, o.Batch = []sim.ArrivalAt{{}}, MaxBacklog+1 }},
+		{"backlog and trace", "int32 task counters", func(o *Options) { o.Trace = many }},
+		{"trace over the backlog", "int32 task counters", func(o *Options) { o.InitialLoad, o.Trace = []int{1, 0}, exact }},
+	} {
+		opt := Options{Params: stableParams(2), Transport: cluster.NewChanTransport(3), MaxWall: 10 * time.Second}
+		tc.set(&opt)
+		if _, err := Run(opt); err == nil || !strings.Contains(err.Error(), tc.cap) {
+			t.Errorf("%s: got %v, want an error naming the %s", tc.name, err, tc.cap)
+		}
+	}
+	// At the caps, exactly: accepted (newRun mints nothing, so this is cheap).
+	for _, opt := range []Options{
+		{Params: stableParams(2), InitialLoad: []int{MaxBacklog - 1, 1}},
+		{Params: stableParams(2), Trace: exact},
+		{Params: stableParams(2), Trace: []sim.ArrivalAt{{}}, Batch: MaxBacklog},
+	} {
+		opt.Transport = cluster.NewChanTransport(3)
+		if _, err := newRun(opt); err != nil {
+			t.Errorf("a run at the cap refused: %v", err)
+		}
 	}
 }

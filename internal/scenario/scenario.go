@@ -98,8 +98,8 @@ type Spec struct {
 	// (default 1.5, the paper's two nodes averaged).
 	MeanProcRate float64
 	// Heterogeneity is the relative spread of processing rates: rates are
-	// lognormal with this coefficient of variation (default 0.3; 0 makes
-	// every node identical).
+	// lognormal with this coefficient of variation, at most 100 (default
+	// 0.3; a negative value makes every node identical).
 	Heterogeneity float64
 	// MTBF and MTTR are the mean time between failures and mean time to
 	// recovery in seconds (defaults 200 and 30).
@@ -182,7 +182,33 @@ func (sp Spec) withDefaults() Spec {
 	return sp
 }
 
+// validate checks a Spec after withDefaults. Every float field is checked
+// in a form NaN fails (a NaN compares false), so none reaches a rate, a
+// load split or a horizon.
 func (sp Spec) validate() error {
+	positive := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+	fraction := func(x float64) bool { return x >= 0 && x <= 1 }
+	for _, f := range [...]struct {
+		name string
+		v    float64
+		ok   bool
+		want string
+	}{
+		{"MeanProcRate", sp.MeanProcRate, positive(sp.MeanProcRate), "positive and finite"},
+		{"Heterogeneity", sp.Heterogeneity, sp.Heterogeneity <= 100 && sp.Heterogeneity >= -math.MaxFloat64, "finite and at most 100"},
+		{"MTBF", sp.MTBF, positive(sp.MTBF), "positive and finite"},
+		{"MTTR", sp.MTTR, positive(sp.MTTR), "positive and finite"},
+		{"DelayPerTask", sp.DelayPerTask, sp.DelayPerTask >= 0 && sp.DelayPerTask <= math.MaxFloat64, "non-negative and finite"},
+		{"HotspotFraction", sp.HotspotFraction, fraction(sp.HotspotFraction), "in [0,1]"},
+		{"QueuedFraction", sp.QueuedFraction, fraction(sp.QueuedFraction), "in [0,1]"},
+		{"BurstWindow", sp.BurstWindow, positive(sp.BurstWindow), "positive and finite"},
+		{"WavePeriod", sp.WavePeriod, positive(sp.WavePeriod), "positive and finite"},
+		{"WaveAmplitude", sp.WaveAmplitude, fraction(sp.WaveAmplitude), "in [0,1]"},
+	} {
+		if !f.ok {
+			return fmt.Errorf("scenario: %s = %v must be %s", f.name, f.v, f.want)
+		}
+	}
 	if sp.N <= 0 || sp.N > sim.MaxNodes {
 		return fmt.Errorf("scenario: N = %d must be positive and at most the simulator's %d-node cap", sp.N, sim.MaxNodes)
 	}
@@ -192,21 +218,14 @@ func (sp Spec) validate() error {
 	if sp.HotspotNodes < 0 || sp.HotspotNodes > sp.N {
 		return fmt.Errorf("scenario: HotspotNodes = %d out of range for N = %d", sp.HotspotNodes, sp.N)
 	}
-	if sp.HotspotFraction < 0 || sp.HotspotFraction > 1 {
-		return fmt.Errorf("scenario: HotspotFraction = %v must be in [0,1]", sp.HotspotFraction)
-	}
-	if sp.QueuedFraction < 0 || sp.QueuedFraction > 1 {
-		return fmt.Errorf("scenario: QueuedFraction = %v must be in [0,1]", sp.QueuedFraction)
-	}
 	if sp.Groups < 1 || sp.Groups > sp.N {
 		return fmt.Errorf("scenario: Groups = %d out of range for N = %d", sp.Groups, sp.N)
 	}
-	if sp.WaveAmplitude < 0 || sp.WaveAmplitude > 1 {
-		return fmt.Errorf("scenario: WaveAmplitude = %v must be in [0,1]", sp.WaveAmplitude)
+	if sp.WaveCycles < 1 {
+		return fmt.Errorf("scenario: WaveCycles = %d must be positive", sp.WaveCycles)
 	}
-	if sp.WavePeriod <= 0 || sp.WaveCycles < 1 {
-		return fmt.Errorf("scenario: wave needs positive WavePeriod and WaveCycles, got %v, %d",
-			sp.WavePeriod, sp.WaveCycles)
+	if h := sp.WavePeriod * float64(sp.WaveCycles); h > math.MaxFloat64 {
+		return fmt.Errorf("scenario: WavePeriod %v over %d WaveCycles is an infinite horizon", sp.WavePeriod, sp.WaveCycles)
 	}
 	return nil
 }

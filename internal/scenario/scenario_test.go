@@ -1,7 +1,12 @@
 package scenario
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"churnlb/internal/policy"
@@ -24,20 +29,94 @@ func TestParseKindRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGenerateValidation: a bad spec is an error naming the field. Every
+// float field is checked after the defaults in a form NaN fails; the
+// rows from HotspotFraction NaN on each used to generate a scenario: NaN
+// fractions became int64-minimum queue lengths, NaN or infinite windows
+// and periods NaN rates and infinite horizons, a negative rate NaN
+// processing rates.
 func TestGenerateValidation(t *testing.T) {
-	cases := []Spec{
-		{Kind: Uniform, N: 0, TotalLoad: 10},
-		{Kind: Uniform, N: sim.MaxNodes + 1, TotalLoad: 10},
-		{Kind: Uniform, N: 4, TotalLoad: -1},
-		{Kind: Hotspot, N: 4, TotalLoad: 10, HotspotNodes: 9},
-		{Kind: Hotspot, N: 4, TotalLoad: 10, HotspotFraction: 1.5},
-		{Kind: FlashCrowd, N: 4, TotalLoad: 10, QueuedFraction: 2},
-		{Kind: CorrelatedFailure, N: 4, TotalLoad: 10, Groups: 99},
-		{Kind: Kind(42), N: 4, TotalLoad: 10},
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		spec  Spec
+	}{
+		{"N", Spec{Kind: Uniform, N: 0, TotalLoad: 10}},
+		{"N", Spec{Kind: Uniform, N: sim.MaxNodes + 1, TotalLoad: 10}},
+		{"TotalLoad", Spec{Kind: Uniform, N: 4, TotalLoad: -1}},
+		{"HotspotNodes", Spec{Kind: Hotspot, N: 4, TotalLoad: 10, HotspotNodes: 9}},
+		{"HotspotFraction", Spec{Kind: Hotspot, N: 4, TotalLoad: 10, HotspotFraction: 1.5}},
+		{"QueuedFraction", Spec{Kind: FlashCrowd, N: 4, TotalLoad: 10, QueuedFraction: 2}},
+		{"Groups", Spec{Kind: CorrelatedFailure, N: 4, TotalLoad: 10, Groups: 99}},
+		{"unknown kind", Spec{Kind: Kind(42), N: 4, TotalLoad: 10}},
+		{"HotspotFraction", Spec{Kind: Hotspot, HotspotFraction: nan}},
+		{"QueuedFraction", Spec{Kind: FlashCrowd, QueuedFraction: nan}},
+		{"QueuedFraction", Spec{Kind: Diurnal, QueuedFraction: nan}},
+		{"WavePeriod", Spec{Kind: Diurnal, WavePeriod: nan}},
+		{"WavePeriod", Spec{Kind: Diurnal, WavePeriod: inf}},
+		{"WavePeriod", Spec{Kind: Diurnal, WavePeriod: math.MaxFloat64}},
+		{"WaveAmplitude", Spec{Kind: Diurnal, WaveAmplitude: nan}},
+		{"BurstWindow", Spec{Kind: FlashCrowd, BurstWindow: nan}},
+		{"BurstWindow", Spec{Kind: FlashCrowd, BurstWindow: inf}},
+		{"BurstWindow", Spec{Kind: FlashCrowd, BurstWindow: -1}},
+		{"MeanProcRate", Spec{Kind: Uniform, MeanProcRate: -1}},
+		{"MeanProcRate", Spec{Kind: Uniform, MeanProcRate: nan}},
+		{"MeanProcRate", Spec{Kind: Uniform, MeanProcRate: inf}},
+		{"Heterogeneity", Spec{Kind: Uniform, Heterogeneity: nan}},
+		{"Heterogeneity", Spec{Kind: Uniform, Heterogeneity: inf}},
+		{"Heterogeneity", Spec{Kind: Uniform, Heterogeneity: 1e200}},
+		{"MTBF", Spec{Kind: Uniform, MTBF: nan}},
+		{"MTBF", Spec{Kind: Uniform, MTBF: -5}},
+		{"MTTR", Spec{Kind: Uniform, MTTR: -inf}},
+		{"DelayPerTask", Spec{Kind: Uniform, DelayPerTask: nan}},
+		{"DelayPerTask", Spec{Kind: Uniform, DelayPerTask: -0.5}},
+	} {
+		sp := tc.spec
+		if sp.N == 0 && sp.TotalLoad == 0 {
+			sp.N, sp.TotalLoad = 10, 100
+		}
+		if _, err := Generate(sp); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%v spec with %s bad: got %v, want an error naming it", sp.Kind, tc.field, err)
+		}
 	}
-	for _, sp := range cases {
-		if _, err := Generate(sp); err == nil {
-			t.Errorf("spec %+v accepted", sp)
+}
+
+// TestGenerateGolden pins what valid specs generate, bit for bit: one
+// hash per family over every rate, load, state, group and arrival
+// setting, recorded before the float checks were added.
+func TestGenerateGolden(t *testing.T) {
+	want := map[Kind]string{
+		Uniform:           "9de35777f3e42951",
+		Hotspot:           "061e7df1e1260ef1",
+		CorrelatedFailure: "2ed191eca001724e",
+		FlashCrowd:        "ec9be3a0ebbe93fd",
+		Diurnal:           "32fd70430bd9ed8e",
+	}
+	for _, k := range Kinds() {
+		sc, err := Generate(Spec{Kind: k, N: 40, TotalLoad: 2001, Seed: 9})
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		h := fnv.New64a()
+		put := func(v uint64) { binary.Write(h, binary.LittleEndian, v) }
+		for _, xs := range [][]float64{sc.Params.ProcRate, sc.Params.FailRate, sc.Params.RecRate,
+			{sc.Params.DelayPerTask, sc.ArrivalRate, sc.ArrivalHorizon, sc.WaveAmplitude, sc.WavePeriod}} {
+			for _, x := range xs {
+				put(math.Float64bits(x))
+			}
+		}
+		for i := range sc.InitialLoad {
+			put(uint64(sc.InitialLoad[i]))
+			if sc.InitialUp[i] {
+				put(1)
+			}
+		}
+		for _, g := range sc.Group {
+			put(uint64(g))
+		}
+		put(uint64(sc.ArrivalBatch))
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[k] {
+			t.Errorf("%v: hash %s, want %s", k, got, want[k])
 		}
 	}
 }

@@ -114,14 +114,24 @@ func NewGenerator(dim int, meanPrecision float64, rng *xrand.Rand) *Generator {
 // MeanPrecision returns the configured mean work per task.
 func (g *Generator) MeanPrecision() float64 { return g.meanPrecision }
 
-// Next draws one task.
-func (g *Generator) Next() Task {
+// Next draws one task into a row of its own.
+func (g *Generator) Next() Task { return g.NextInto(make([]float64, g.dim)) }
+
+// NextInto draws one task, with the draws of Next in the same order, into
+// row, which the caller owns: it must hold exactly the generator's dim
+// floats, and the task's Row is row itself, so a caller that carves rows
+// from a slab of its own mints tasks without allocating.
+//
+//churnlb:hotpath
+func (g *Generator) NextInto(row []float64) Task {
+	if len(row) != g.dim {
+		panic("workload: NextInto row does not match the generator's dimension")
+	}
 	g.nextID++
 	p := uint32(math.Ceil(g.rng.ExpMean(g.meanPrecision)))
 	if p == 0 {
 		p = 1
 	}
-	row := make([]float64, g.dim)
 	for i := range row {
 		row[i] = g.rng.Float64()*2 - 1
 	}
