@@ -43,6 +43,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -77,6 +78,9 @@ func sigChannel() <-chan struct{} {
 func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int {
 	fs := flag.NewFlagSet("lbd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// Every balancing policy but dynamic: the live engine does not
+	// rebalance at arrivals.
+	balNames := slices.DeleteFunc(policy.Names(), func(s string) bool { return s == "dynamic" })
 	var (
 		nodes      = fs.Int("nodes", 8, "worker count")
 		procRate   = fs.Float64("procrate", 20, "per-worker processing rate, tasks/virtual second")
@@ -85,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		churnNodes = fs.Int("churnnodes", 0, "workers subject to churn, from worker 0 (0 = all, when -mtbf > 0)")
 		churnStr   = fs.String("churn", "exp", "churn law: exp, weibull, det")
 		polStr     = fs.String("policy", "jsq", "routing policy: uniform, rr, jsq, pod2, pod3, lew")
-		balStr     = fs.String("balance", "lbp2", "balancing policy (eq.-(8) failure plan; lbp1 on two workers only): "+strings.Join(policy.Names(), ", "))
+		balStr     = fs.String("balance", "lbp2", "balancing policy (eq.-(8) failure plan; lbp1 on two workers only): "+strings.Join(balNames, ", "))
 		k          = fs.Float64("k", 0.5, "LB gain for the balancing policy")
 		d          = fs.Int("d", 0, "lew sample size (0 = scan all workers)")
 		rate       = fs.Float64("rate", 60, "arrival rate of the recorded trace, tasks/virtual second")

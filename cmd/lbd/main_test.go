@@ -96,6 +96,25 @@ func TestLbdInfiniteDelayRefused(t *testing.T) {
 	}
 }
 
+// TestLbdDynamicBalanceRefused: the live engine never rebalances at an
+// arrival, while the twin of a -balance dynamic run did at every one, so
+// the calibration compared two different runs (0 live transfers against
+// the twin's 52). lbd exits 2 naming the policy before any worker starts.
+func TestLbdDynamicBalanceRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-nodes", "4", "-procrate", "2", "-rate", "12", "-horizon", "10", "-policy", "uniform",
+		"-balance", "dynamic", "-k", "1", "-timescale", "20"}
+	if code := run(args, &out, &errb, nil); code != 2 {
+		t.Fatalf("exit %d, want 2 (stdout %q)", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "dynamic") {
+		t.Fatalf("stderr %q does not name the policy", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a refused run started: %q", out.String())
+	}
+}
+
 // TestLbdEndToEnd drives a full small run: live daemon, sim twin,
 // calibration gate, CSV artifacts, and a manifest that reproduce-style
 // replay verifies bit for bit.
@@ -218,14 +237,14 @@ func TestLbdInterrupted(t *testing.T) {
 }
 
 // TestPolicyHelpMatchesTable: -policy advertises exactly internal/policy's
-// routers, -balance its policies, lbp1 on two workers only (refused here,
-// on the default eight).
+// routers, -balance its policies but dynamic, lbp1 on two workers only
+// (refused here, on the default eight).
 func TestPolicyHelpMatchesTable(t *testing.T) {
 	var out, errb bytes.Buffer
 	run([]string{"-h"}, &out, &errb, nil)
 	for _, want := range []string{
 		"routing policy: " + strings.Join(policy.RouterNames(), ", ") + " (default",
-		"balancing policy (eq.-(8) failure plan; lbp1 on two workers only): " + strings.Join(policy.Names(), ", ") + " (default",
+		"balancing policy (eq.-(8) failure plan; lbp1 on two workers only): lbp1, lbp1multi, lbp2, none (default",
 	} {
 		if !strings.Contains(errb.String(), want) {
 			t.Fatalf("-h does not advertise %q:\n%s", want, errb.String())

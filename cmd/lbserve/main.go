@@ -97,6 +97,10 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		return 2
 	}
 
+	if *delta == 0 {
+		fmt.Fprintln(stderr, "lbserve: -delta 0 is refused: the scenario generator reads DelayPerTask 0 as its default 0.02 s")
+		return 2
+	}
 	if *decisions != "" && *reps > 1 {
 		fmt.Fprintln(stderr, "lbserve: -decisions applies to single runs only (decision tracing is per-realisation)")
 		return 2

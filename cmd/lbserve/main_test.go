@@ -66,6 +66,21 @@ func TestHostileArrivalFlagsRejected(t *testing.T) {
 	}
 }
 
+// TestZeroDelayRefused: the scenario generator reads a zero DelayPerTask
+// as its default 0.02 s, so -delta 0 used to run with δ = 0.02 while
+// printing "delta 0s" and recording "delta": 0. It exits 2 naming the
+// rule.
+func TestZeroDelayRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-scenario", "uniform", "-nodes", "20", "-rate", "20", "-horizon", "5", "-delta", "0"}
+	if code := run(args, &out, &errb, nil); code != 2 {
+		t.Fatalf("exit %d, want 2 (stdout %q)", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "default 0.02") {
+		t.Fatalf("stderr %q does not name the generator's default", errb.String())
+	}
+}
+
 // A cluster above the simulator's node cap is refused, naming the cap,
 // before the scenario is generated: 10⁹ nodes used to die out of memory.
 func TestHugeClusterRefused(t *testing.T) {

@@ -77,6 +77,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	man.Churn = *churn
 	man.LazyChurn = *lazy
 	if *scenStr != "" {
+		if *delta == 0 {
+			fmt.Fprintln(stderr, "lbsim: -delta 0 is refused on a scenario run: the scenario generator reads DelayPerTask 0 as its default 0.02 s")
+			return 2
+		}
 		// A generated large cluster: a Monte-Carlo study for reps > 1, a
 		// single summarised realisation for reps = 1.
 		man.Mode = obs.ModeMCScenario

@@ -58,6 +58,23 @@ func TestHostileSystemRefused(t *testing.T) {
 	}
 }
 
+// TestScenarioZeroDelayRefused: the scenario generator reads a zero
+// DelayPerTask as its default 0.02 s, so a scenario run given -delta 0
+// used to print exactly the -delta 0.02 run. It exits 2 naming the rule;
+// the two-node system takes δ = 0 as given.
+func TestScenarioZeroDelayRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-scenario", "hotspot", "-nodes", "50", "-load", "2000", "-reps", "1", "-delta", "0"}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2 (stdout %q)", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "default 0.02") {
+		t.Fatalf("stderr %q does not name the generator's default", errb.String())
+	}
+	if code := run([]string{"-m0", "10", "-m1", "5", "-reps", "10", "-delta", "0"}, &out, &errb); code != 0 {
+		t.Fatalf("two-node -delta 0: exit %d, want 0 (stderr %q)", code, errb.String())
+	}
+}
+
 // TestLazyChurnFlag: a lazy scenario study runs clean; being a different
 // (if statistically equivalent) realisation of the randomness, it may
 // differ from the eager estimate — it must simply work end to end.

@@ -47,7 +47,8 @@ type Options struct {
 	// Router dispatches arrivals (nil = uniformly random worker).
 	Router policy.Router
 	// Policy is the balancing policy whose eq.-(8) failure plan the churn
-	// controller executes when a worker dies (nil = no balancing).
+	// controller executes when a worker dies (nil = no balancing). A
+	// policy.ArrivalBalancer is refused: nothing calls its OnArrival.
 	Policy policy.Policy
 	// InitialLoad, when non-nil, queues that many tasks at each worker at
 	// t = 0 (one non-negative entry per worker), counted as injected, and
@@ -347,6 +348,9 @@ func newRun(opt Options) (*run, error) {
 	}
 	if opt.Policy == nil {
 		opt.Policy = policy.NoBalance{}
+	}
+	if _, ok := opt.Policy.(policy.ArrivalBalancer); ok {
+		return nil, fmt.Errorf("daemon: policy %s rebalances at every arrival, and the live engine executes failure plans only", opt.Policy.Name())
 	}
 	span := 1.0
 	if len(opt.Trace) > 0 {

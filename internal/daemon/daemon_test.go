@@ -1229,6 +1229,17 @@ func TestNonFiniteOptionsRejected(t *testing.T) {
 	}
 }
 
+// TestArrivalBalancerRefused: nothing in the live engine calls OnArrival,
+// so a dynamic policy used to run as its base policy while its twin
+// rebalanced at every arrival. newRun refuses it, naming the policy.
+func TestArrivalBalancerRefused(t *testing.T) {
+	pol := policy.Dynamic{Base: policy.LBP2{K: 1}}
+	_, err := newRun(Options{Params: stableParams(2), Policy: pol, Trace: burstTrace(4), Transport: cluster.NewChanTransport(3)})
+	if err == nil || !strings.Contains(err.Error(), pol.Name()) {
+		t.Fatalf("got %v, want an error naming %s", err, pol.Name())
+	}
+}
+
 // TestArrivalBudget: a run is refused before anything is minted when its
 // backlog or one arrival's batch passes MaxBacklog, or its backlog and
 // trace together pass the int32 task counters; the error names the cap.

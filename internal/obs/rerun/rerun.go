@@ -267,10 +267,13 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 		return nil, &SpecError{err}
 	}
 	if m.Scenario.Kind == scenario.Diurnal.String() && m.WavePeriod <= 0 {
-		m.WaveAmplitude, m.WavePeriod = sc.WaveAmplitude, sc.WavePeriod
-		if m.WavePeriod <= 0 {
-			m.WaveAmplitude, m.WavePeriod = 0.8, m.Horizon/2
+		// The scenario's own wave, or the diurnal shape over the
+		// manifest's span when the scenario delivers no arrivals.
+		w := sim.Wave{Amplitude: sc.WaveAmplitude, Period: sc.WavePeriod}
+		if w.Period <= 0 {
+			w = scenario.DiurnalWave(m.Horizon)
 		}
+		m.WaveAmplitude, m.WavePeriod = w.Amplitude, w.Period
 	}
 	// A serving run is open even when the scenario queues a backlog.
 	if !(m.Rate > 0) || !(m.Horizon > 0) { // negated > so NaN is refused too
@@ -364,10 +367,13 @@ func resolveDaemon(m *obs.Manifest) (*daemonSpec, error) {
 		return nil, &SpecError{err}
 	}
 	if bal.Kind == policy.KindLBP1 && n != 2 {
-		return nil, &SpecError{fmt.Errorf("balance policy lbp1 is two-node only, and the fleet has %d workers (want lbp1multi, lbp2, none or dynamic)", n)}
+		return nil, &SpecError{fmt.Errorf("balance policy lbp1 is two-node only, and the fleet has %d workers (want lbp1multi, lbp2 or none)", n)}
 	}
 	if d.policy, err = bal.Build(); err != nil {
 		return nil, &SpecError{err}
+	}
+	if _, ok := d.policy.(policy.ArrivalBalancer); ok {
+		return nil, &SpecError{fmt.Errorf("balance policy %s rebalances at every arrival, and the live daemon executes failure plans only (want lbp1multi, lbp2 or none)", m.Balance)}
 	}
 	if m.Rate != 0 {
 		d.trace, err = calib.TraceSpec{Seed: m.Seed, Rate: m.Rate, Horizon: m.Horizon, Batch: m.Batch}.Generate()

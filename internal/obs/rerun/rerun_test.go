@@ -348,7 +348,8 @@ func TestRerunDaemon(t *testing.T) {
 
 	// Malformed daemon manifests are SpecErrors (the CLIs' exit 2), for
 	// the live half and the twin alike. Two-node LBP-1 would panic on an
-	// N-node cluster and is refused by name.
+	// N-node cluster and is refused by name; dynamic would rebalance at
+	// the twin's arrivals only.
 	for _, c := range []struct {
 		what string
 		mod  func(*obs.Manifest)
@@ -358,6 +359,7 @@ func TestRerunDaemon(t *testing.T) {
 		{"unknown router", func(b *obs.Manifest) { b.Policy.Name = "bogus" }},
 		{"unknown balance", func(b *obs.Manifest) { b.Balance = "bogus" }},
 		{"lbp1 on four workers", func(b *obs.Manifest) { b.Balance = "lbp1" }},
+		{"dynamic balance", func(b *obs.Manifest) { b.Balance = "dynamic" }},
 		{"neither trace nor backlog", func(b *obs.Manifest) { b.Rate = 0 }},
 		{"ragged load", func(b *obs.Manifest) { b.InitialLoad = []int{5, 5} }},
 		{"negative load", func(b *obs.Manifest) { b.InitialLoad = []int{5, -1, 0, 0} }},

@@ -78,68 +78,64 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("scenario: unknown kind %q (want uniform, hotspot, correlated, flashcrowd or diurnal)", s)
 }
 
-// Spec describes a cluster scenario to generate. Zero-valued tuning
-// fields take the documented defaults, so Spec{Kind: Hotspot, N: 100,
-// TotalLoad: 10000, Seed: 1} is a complete specification.
+// Spec describes a cluster scenario to generate. Zero MTBF, MTTR,
+// DelayPerTask and HotspotNodes take the documented defaults, so
+// Spec{Kind: Hotspot, N: 100, TotalLoad: 10000, Seed: 1} is a complete
+// specification. The rest of a family's shape is fixed (the constants
+// below and DiurnalWave).
 type Spec struct {
 	// Kind selects the scenario family.
 	Kind Kind
 	// N is the number of nodes (required, positive).
 	N int
-	// TotalLoad is the total number of tasks. For FlashCrowd it is the
-	// expected total: part queued at t = 0, the rest arriving as a
-	// Poisson burst.
+	// TotalLoad is the total number of tasks. For FlashCrowd and Diurnal
+	// it is the expected total: part queued at t = 0, the rest arriving
+	// as Poisson batches.
 	TotalLoad int
 	// Seed drives every generation draw; equal specs generate equal
 	// scenarios.
 	Seed uint64
 
-	// MeanProcRate is the average per-node processing rate λd in tasks/s
-	// (default 1.5, the paper's two nodes averaged).
-	MeanProcRate float64
-	// Heterogeneity is the relative spread of processing rates: rates are
-	// lognormal with this coefficient of variation, at most 100 (default
-	// 0.3; a negative value makes every node identical).
-	Heterogeneity float64
 	// MTBF and MTTR are the mean time between failures and mean time to
 	// recovery in seconds (defaults 200 and 30).
 	MTBF, MTTR float64
 	// DelayPerTask is the mean transfer delay per task δ (default 0.02).
 	DelayPerTask float64
 
-	// HotspotNodes is the number of hot nodes (default max(1, N/20));
-	// HotspotFraction the share of the load they start with (default 0.8).
+	// HotspotNodes is the number of hot nodes (default max(1, N/20)).
 	// Hotspot scenarios only.
-	HotspotNodes    int
-	HotspotFraction float64
-
-	// Groups is the number of failure domains (default min(10, N)); the
-	// first domain starts down. CorrelatedFailure scenarios only.
-	Groups int
-
-	// BurstWindow is the arrival window in seconds (default 30) and
-	// QueuedFraction the share of TotalLoad queued at t = 0 (default
-	// 0.2). FlashCrowd and Diurnal scenarios.
-	BurstWindow    float64
-	QueuedFraction float64
-
-	// WavePeriod is the length of one diurnal cycle in seconds (default
-	// 60), WaveAmplitude the relative swing of the arrival rate around
-	// its mean in [0, 1] (default 0.8), and WaveCycles the number of
-	// cycles arrivals span (default 2). Diurnal scenarios only.
-	WavePeriod    float64
-	WaveAmplitude float64
-	WaveCycles    int
+	HotspotNodes int
 }
 
-// withDefaults fills zero tuning fields.
+// The fixed shape of the families.
+const (
+	// Processing rates are lognormal with mean meanProcRate tasks/s (the
+	// paper's two nodes averaged) and coefficient of variation
+	// heterogeneity.
+	meanProcRate  = 1.5
+	heterogeneity = 0.3
+	// Hotspot: the hot nodes start with hotspotFraction of the load.
+	hotspotFraction = 0.8
+	// CorrelatedFailure: nodes fall into min(maxGroups, N) failure
+	// domains.
+	maxGroups = 10
+	// FlashCrowd and Diurnal: queuedFraction of TotalLoad is queued at
+	// t = 0 and the rest arrives over burstWindow (FlashCrowd) or
+	// diurnalSpan (Diurnal) seconds.
+	queuedFraction = 0.2
+	burstWindow    = 30
+	diurnalSpan    = 120
+)
+
+// DiurnalWave is the diurnal arrival wave over a span of arrivals: the
+// rate swings 0.8 of its mean either way over two cycles of the span.
+func DiurnalWave(span float64) sim.Wave {
+	const amplitude, cycles = 0.8, 2
+	return sim.Wave{Amplitude: amplitude, Period: span / cycles}
+}
+
+// withDefaults fills zero fields.
 func (sp Spec) withDefaults() Spec {
-	if sp.MeanProcRate == 0 {
-		sp.MeanProcRate = 1.5
-	}
-	if sp.Heterogeneity == 0 {
-		sp.Heterogeneity = 0.3
-	}
 	if sp.MTBF == 0 {
 		sp.MTBF = 200
 	}
@@ -150,60 +146,24 @@ func (sp Spec) withDefaults() Spec {
 		sp.DelayPerTask = 0.02
 	}
 	if sp.HotspotNodes == 0 {
-		sp.HotspotNodes = sp.N / 20
-		if sp.HotspotNodes < 1 {
-			sp.HotspotNodes = 1
-		}
-	}
-	if sp.HotspotFraction == 0 {
-		sp.HotspotFraction = 0.8
-	}
-	if sp.Groups == 0 {
-		sp.Groups = 10
-		if sp.Groups > sp.N {
-			sp.Groups = sp.N
-		}
-	}
-	if sp.BurstWindow == 0 {
-		sp.BurstWindow = 30
-	}
-	if sp.QueuedFraction == 0 {
-		sp.QueuedFraction = 0.2
-	}
-	if sp.WavePeriod == 0 {
-		sp.WavePeriod = 60
-	}
-	if sp.WaveAmplitude == 0 {
-		sp.WaveAmplitude = 0.8
-	}
-	if sp.WaveCycles == 0 {
-		sp.WaveCycles = 2
+		sp.HotspotNodes = max(1, sp.N/20)
 	}
 	return sp
 }
 
 // validate checks a Spec after withDefaults. Every float field is checked
-// in a form NaN fails (a NaN compares false), so none reaches a rate, a
-// load split or a horizon.
+// in a form NaN fails (a NaN compares false), so none reaches a rate.
 func (sp Spec) validate() error {
 	positive := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
-	fraction := func(x float64) bool { return x >= 0 && x <= 1 }
 	for _, f := range [...]struct {
 		name string
 		v    float64
 		ok   bool
 		want string
 	}{
-		{"MeanProcRate", sp.MeanProcRate, positive(sp.MeanProcRate), "positive and finite"},
-		{"Heterogeneity", sp.Heterogeneity, sp.Heterogeneity <= 100 && sp.Heterogeneity >= -math.MaxFloat64, "finite and at most 100"},
 		{"MTBF", sp.MTBF, positive(sp.MTBF), "positive and finite"},
 		{"MTTR", sp.MTTR, positive(sp.MTTR), "positive and finite"},
 		{"DelayPerTask", sp.DelayPerTask, sp.DelayPerTask >= 0 && sp.DelayPerTask <= math.MaxFloat64, "non-negative and finite"},
-		{"HotspotFraction", sp.HotspotFraction, fraction(sp.HotspotFraction), "in [0,1]"},
-		{"QueuedFraction", sp.QueuedFraction, fraction(sp.QueuedFraction), "in [0,1]"},
-		{"BurstWindow", sp.BurstWindow, positive(sp.BurstWindow), "positive and finite"},
-		{"WavePeriod", sp.WavePeriod, positive(sp.WavePeriod), "positive and finite"},
-		{"WaveAmplitude", sp.WaveAmplitude, fraction(sp.WaveAmplitude), "in [0,1]"},
 	} {
 		if !f.ok {
 			return fmt.Errorf("scenario: %s = %v must be %s", f.name, f.v, f.want)
@@ -217,15 +177,6 @@ func (sp Spec) validate() error {
 	}
 	if sp.HotspotNodes < 0 || sp.HotspotNodes > sp.N {
 		return fmt.Errorf("scenario: HotspotNodes = %d out of range for N = %d", sp.HotspotNodes, sp.N)
-	}
-	if sp.Groups < 1 || sp.Groups > sp.N {
-		return fmt.Errorf("scenario: Groups = %d out of range for N = %d", sp.Groups, sp.N)
-	}
-	if sp.WaveCycles < 1 {
-		return fmt.Errorf("scenario: WaveCycles = %d must be positive", sp.WaveCycles)
-	}
-	if h := sp.WavePeriod * float64(sp.WaveCycles); h > math.MaxFloat64 {
-		return fmt.Errorf("scenario: WavePeriod %v over %d WaveCycles is an infinite horizon", sp.WavePeriod, sp.WaveCycles)
 	}
 	return nil
 }
@@ -275,7 +226,7 @@ func Generate(spec Spec) (*Scenario, error) {
 		InitialUp:   make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
-		sc.Params.ProcRate[i] = lognormal(rng, sp.MeanProcRate, sp.Heterogeneity)
+		sc.Params.ProcRate[i] = lognormal(rng, meanProcRate, heterogeneity)
 		// Churn rates get mild (±50%) node-to-node jitter around the
 		// cluster means.
 		sc.Params.FailRate[i] = jitter(rng, 1/sp.MTBF)
@@ -285,23 +236,22 @@ func Generate(spec Spec) (*Scenario, error) {
 
 	switch sp.Kind {
 	case Uniform:
-		spread(sc.InitialLoad, sp.TotalLoad, 0, n)
+		spread(sc.InitialLoad, sp.TotalLoad)
 
 	case Hotspot:
-		hot := int(math.Round(sp.HotspotFraction * float64(sp.TotalLoad)))
+		hot := int(math.Round(hotspotFraction * float64(sp.TotalLoad)))
 		if sp.HotspotNodes == n {
 			hot = sp.TotalLoad // no cold nodes to take the remainder
 		}
-		spread(sc.InitialLoad, hot, 0, sp.HotspotNodes)
-		rest := make([]int, n-sp.HotspotNodes)
-		spread(rest, sp.TotalLoad-hot, 0, len(rest))
-		copy(sc.InitialLoad[sp.HotspotNodes:], rest)
+		spread(sc.InitialLoad[:sp.HotspotNodes], hot)
+		spread(sc.InitialLoad[sp.HotspotNodes:], sp.TotalLoad-hot)
 
 	case CorrelatedFailure:
-		spread(sc.InitialLoad, sp.TotalLoad, 0, n)
+		spread(sc.InitialLoad, sp.TotalLoad)
+		groups := min(maxGroups, n)
 		sc.Group = make([]int, n)
 		for i := 0; i < n; i++ {
-			g := i * sp.Groups / n
+			g := i * groups / n
 			sc.Group[i] = g
 			// Domain 0 is the fragile one: an order of magnitude more
 			// failure-prone and slower to recover — a rack with a bad
@@ -314,44 +264,34 @@ func Generate(spec Spec) (*Scenario, error) {
 			}
 		}
 
-	case FlashCrowd:
-		queued := int(math.Round(sp.QueuedFraction * float64(sp.TotalLoad)))
-		spread(sc.InitialLoad, queued, 0, n)
-		burst := sp.TotalLoad - queued
-		if burst > 0 {
-			// Deliver the burst as ~200 batches (at least 1 task each)
-			// across the window, so arrival events stay cheap even for
-			// very large workloads.
-			batch := burst / 200
-			if batch < 1 {
-				batch = 1
-			}
-			sc.ArrivalBatch = batch
-			sc.ArrivalRate = float64(burst) / float64(batch) / sp.BurstWindow
-			sc.ArrivalHorizon = sp.BurstWindow
+	case FlashCrowd, Diurnal:
+		queued := int(math.Round(queuedFraction * float64(sp.TotalLoad)))
+		spread(sc.InitialLoad, queued)
+		// Deliver the rest as ~200 batches across the burst, or ~400
+		// across the diurnal span to sample the wave densely, at least 1
+		// task each, so arrival events stay cheap for very large
+		// workloads.
+		batches, span := 200, float64(burstWindow)
+		if sp.Kind == Diurnal {
+			batches, span = 400, diurnalSpan
 		}
-
-	case Diurnal:
-		queued := int(math.Round(sp.QueuedFraction * float64(sp.TotalLoad)))
-		spread(sc.InitialLoad, queued, 0, n)
-		arriving := sp.TotalLoad - queued
-		if arriving > 0 {
-			horizon := sp.WavePeriod * float64(sp.WaveCycles)
-			// ~400 batches across the horizon keep arrival events cheap
-			// for very large workloads while sampling the wave densely.
-			batch := arriving / 400
-			if batch < 1 {
-				batch = 1
+		if arriving := sp.TotalLoad - queued; arriving > 0 {
+			sc.ArrivalBatch = max(1, arriving/batches)
+			sc.ArrivalRate = float64(arriving) / float64(sc.ArrivalBatch) / span
+			sc.ArrivalHorizon = span
+			if sp.Kind == Diurnal {
+				w := DiurnalWave(span)
+				sc.WaveAmplitude, sc.WavePeriod = w.Amplitude, w.Period
 			}
-			sc.ArrivalBatch = batch
-			sc.ArrivalRate = float64(arriving) / float64(batch) / horizon
-			sc.ArrivalHorizon = horizon
-			sc.WaveAmplitude = sp.WaveAmplitude
-			sc.WavePeriod = sp.WavePeriod
 		}
 
 	default:
 		return nil, fmt.Errorf("scenario: unknown kind %d", int(sp.Kind))
+	}
+	// Extreme MTBF or MTTR can still overflow a rate (1/MTBF, or the
+	// fragile domain's ×10): the simulator would refuse the scenario.
+	if err := sc.Params.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	return sc, nil
 }
@@ -381,17 +321,16 @@ func (sc *Scenario) TotalQueued() int {
 	return t
 }
 
-// spread distributes total tasks evenly over dst[from:to], pushing the
-// remainder onto the first nodes.
-func spread(dst []int, total, from, to int) {
-	if to <= from {
+// spread distributes total tasks evenly over dst, pushing the remainder
+// onto the first nodes.
+func spread(dst []int, total int) {
+	if len(dst) == 0 {
 		return
 	}
-	n := to - from
-	base, rem := total/n, total%n
-	for i := from; i < to; i++ {
+	base, rem := total/len(dst), total%len(dst)
+	for i := range dst {
 		dst[i] = base
-		if i-from < rem {
+		if i < rem {
 			dst[i]++
 		}
 	}
@@ -401,9 +340,6 @@ func spread(dst []int, total, from, to int) {
 // variation, clamped to [mean/10, 10·mean] so no generated node is
 // degenerate.
 func lognormal(rng *xrand.Rand, mean, cv float64) float64 {
-	if cv <= 0 {
-		return mean
-	}
 	sigma2 := math.Log(1 + cv*cv)
 	mu := math.Log(mean) - sigma2/2
 	v := math.Exp(mu + math.Sqrt(sigma2)*rng.Normal())
