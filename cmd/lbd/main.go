@@ -223,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 
 	if *outDir != "" {
 		path, err := report.SaveCSV(*outDir, "lbd_timeseries.csv", func(w io.Writer) error {
-			return report.WriteTimeSeriesCSV(w, metrics.ToTimeSeries(live.Windows))
+			return metrics.WriteWindowsCSV(w, live.Windows)
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "lbd:", err)
@@ -288,17 +288,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 // liveMetrics flattens the live run and the calibration scorecard into
 // the manifest's informational block.
 func liveMetrics(live *daemon.Result, rep *calib.Report) map[string]float64 {
-	m := map[string]float64{}
-	obs.PutFinite(m, "live_arrived", float64(live.Summary.Arrived))
-	obs.PutFinite(m, "live_completed", float64(live.Summary.Completed))
-	obs.PutFinite(m, "live_p50", live.Summary.P50)
-	obs.PutFinite(m, "live_p90", live.Summary.P90)
-	obs.PutFinite(m, "live_p99", live.Summary.P99)
-	obs.PutFinite(m, "live_mean_sojourn", live.Summary.MeanSojourn)
-	obs.PutFinite(m, "live_throughput", live.Summary.Throughput)
-	obs.PutFinite(m, "live_queue_depth", live.Summary.QueueDepth)
-	obs.PutFinite(m, "live_availability", live.Summary.Availability)
-	obs.PutFinite(m, "live_fairness", live.Summary.Fairness)
+	m := calib.SummaryMetrics("live_", live.Summary)
 	m["live_state_packets"] = float64(live.StatePackets)
 	m["live_decode_errors"] = float64(live.DecodeErrors)
 	m["live_failures"] = float64(live.Failures)

@@ -225,7 +225,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 
 	if *outDir != "" {
 		path, err := report.SaveCSV(*outDir, "serve_timeseries.csv", func(w io.Writer) error {
-			return report.WriteTimeSeriesCSV(w, metrics.ToTimeSeries(res.Windows))
+			return metrics.WriteWindowsCSV(w, res.Windows)
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "lbserve:", err)

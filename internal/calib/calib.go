@@ -21,7 +21,6 @@ import (
 
 	"churnlb/internal/metrics"
 	"churnlb/internal/obs"
-	"churnlb/internal/serve"
 	"churnlb/internal/sim"
 	"churnlb/internal/stats"
 	"churnlb/internal/xrand"
@@ -68,25 +67,25 @@ func (s TraceSpec) Generate() ([]sim.ArrivalAt, error) {
 	return trace, nil
 }
 
-// TwinMetrics flattens a simulated serving run's summary into the
-// manifest metric map — the deterministic fingerprint `reproduce`
-// re-derives and compares bit for bit. It is a daemon manifest's whole
-// map, and the summary part of a serve manifest's, to which
+// SummaryMetrics flattens a run's summary into manifest metric keys, each
+// name behind prefix and non-finite values left out. It is the one key
+// list of a run summary: a daemon manifest's whole twin map and the
+// summary part of a serve manifest's (prefix ""), to which
 // internal/obs/rerun adds the run's duration, in-flight average and
-// simulator counters.
-func TwinMetrics(res *serve.Result) map[string]float64 {
+// simulator counters, and the live daemon's block (prefix "live_").
+func SummaryMetrics(prefix string, s metrics.Summary) map[string]float64 {
 	m := map[string]float64{}
-	obs.PutFinite(m, "arrived", float64(res.Summary.Arrived))
-	obs.PutFinite(m, "completed", float64(res.Summary.Completed))
-	obs.PutFinite(m, "p50", res.Summary.P50)
-	obs.PutFinite(m, "p90", res.Summary.P90)
-	obs.PutFinite(m, "p99", res.Summary.P99)
-	obs.PutFinite(m, "mean_sojourn", res.Summary.MeanSojourn)
-	obs.PutFinite(m, "mean_wait", res.Summary.MeanWait)
-	obs.PutFinite(m, "throughput", res.Summary.Throughput)
-	obs.PutFinite(m, "queue_depth", res.Summary.QueueDepth)
-	obs.PutFinite(m, "availability", res.Summary.Availability)
-	obs.PutFinite(m, "fairness", res.Summary.Fairness)
+	obs.PutFinite(m, prefix+"arrived", float64(s.Arrived))
+	obs.PutFinite(m, prefix+"completed", float64(s.Completed))
+	obs.PutFinite(m, prefix+"p50", s.P50)
+	obs.PutFinite(m, prefix+"p90", s.P90)
+	obs.PutFinite(m, prefix+"p99", s.P99)
+	obs.PutFinite(m, prefix+"mean_sojourn", s.MeanSojourn)
+	obs.PutFinite(m, prefix+"mean_wait", s.MeanWait)
+	obs.PutFinite(m, prefix+"throughput", s.Throughput)
+	obs.PutFinite(m, prefix+"queue_depth", s.QueueDepth)
+	obs.PutFinite(m, prefix+"availability", s.Availability)
+	obs.PutFinite(m, prefix+"fairness", s.Fairness)
 	return m
 }
 

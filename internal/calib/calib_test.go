@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"churnlb/internal/metrics"
-	"churnlb/internal/serve"
 )
 
 func TestTraceSpecGenerate(t *testing.T) {
@@ -131,11 +130,22 @@ func TestCompareMisalignedWindows(t *testing.T) {
 }
 
 func TestTwinMetricsSkipsNonFinite(t *testing.T) {
-	m := TwinMetrics(&serve.Result{Summary: metrics.Summary{Arrived: 3, P50: math.NaN(), P99: math.Inf(1)}})
+	s := metrics.Summary{Arrived: 3, P50: math.NaN(), P99: math.Inf(1)}
+	m := SummaryMetrics("", s)
 	if _, ok := m["p50"]; ok || m["arrived"] != 3 {
-		t.Fatalf("TwinMetrics kept %v", m)
+		t.Fatalf("SummaryMetrics kept %v", m)
 	}
 	if _, ok := m["p99"]; ok {
-		t.Fatalf("TwinMetrics kept an infinity: %v", m)
+		t.Fatalf("SummaryMetrics kept an infinity: %v", m)
+	}
+	// The live block is the same key list behind "live_".
+	live := SummaryMetrics("live_", s)
+	if len(live) != len(m) {
+		t.Fatalf("live block has %d keys, twin %d", len(live), len(m))
+	}
+	for k, v := range m {
+		if live["live_"+k] != v {
+			t.Fatalf("live_%s = %v, twin %s = %v", k, live["live_"+k], k, v)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func TestSimTwinDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, mb := calib.TwinMetrics(a.Serve), calib.TwinMetrics(b.Serve)
+	ma, mb := calib.SummaryMetrics("", a.Serve.Summary), calib.SummaryMetrics("", b.Serve.Summary)
 	if len(ma) == 0 {
 		t.Fatal("twin produced no metrics")
 	}

@@ -152,7 +152,7 @@ func runServe(cfg Config) (*Result, error) {
 
 	if tsWindows != nil {
 		path, err := report.SaveCSV(cfg.OutDir, "serve_timeseries.csv", func(w io.Writer) error {
-			return report.WriteTimeSeriesCSV(w, metrics.ToTimeSeries(tsWindows))
+			return metrics.WriteWindowsCSV(w, tsWindows)
 		})
 		if err != nil {
 			return nil, err

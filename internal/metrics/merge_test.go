@@ -113,19 +113,3 @@ func TestP2MergeQuantileMismatchPanics(t *testing.T) {
 	}
 	a.Merge(b)
 }
-
-// TestLatencySketchCloneIsIndependent verifies Clone decouples storage.
-func TestLatencySketchCloneIsIndependent(t *testing.T) {
-	s := LatencySketch{P50: NewP2(0.5), P90: NewP2(0.9), P99: NewP2(0.99)}
-	for i := 0; i < 20; i++ {
-		s.P50.Add(float64(i))
-	}
-	c := s.Clone()
-	before := c.P50.Value()
-	for i := 0; i < 100; i++ {
-		s.P50.Add(1000)
-	}
-	if c.P50.Value() != before {
-		t.Fatal("clone shared state with the original")
-	}
-}

@@ -12,10 +12,9 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
-
-	"churnlb/internal/report"
 )
 
 // P2 is the Jain–Chlamtac P² streaming quantile estimator: five markers
@@ -546,21 +545,6 @@ type LatencySketch struct {
 	P50, P90, P99 *P2
 }
 
-// Clone returns an independent copy of the sketch bundle.
-func (s LatencySketch) Clone() LatencySketch {
-	c := LatencySketch{}
-	if s.P50 != nil {
-		c.P50 = s.P50.Clone()
-	}
-	if s.P90 != nil {
-		c.P90 = s.P90.Clone()
-	}
-	if s.P99 != nil {
-		c.P99 = s.P99.Clone()
-	}
-	return c
-}
-
 // Merge folds o into s pairwise per percentile; nil sketches are treated
 // as empty.
 func (s *LatencySketch) Merge(o LatencySketch) {
@@ -671,26 +655,20 @@ func (c *Collector) export(w winAcc, span float64) WindowStats {
 	return ws
 }
 
-// ToTimeSeries flattens telemetry windows into the report CSV shape —
-// the single definition of the serving time-series columns, shared by
-// cmd/lbserve and the serve experiment.
-func ToTimeSeries(ws []WindowStats) report.TimeSeries {
-	ts := report.TimeSeries{}
-	var thr, p99, depth, flight, avail, fair []float64
-	for _, w := range ws {
-		ts.Time = append(ts.Time, w.Start)
-		thr = append(thr, w.Throughput)
-		p99 = append(p99, w.P99)
-		depth = append(depth, w.QueueDepth)
-		flight = append(flight, w.InFlight)
-		avail = append(avail, w.Availability)
-		fair = append(fair, w.Fairness)
+// WriteWindowsCSV writes telemetry windows as the serving time-series
+// CSV — a "time,throughput,p99,queue_depth,in_flight,availability,fairness"
+// header, then one row per window, its start and each value printed %g. It
+// is the one definition of those columns, shared by cmd/lbserve, cmd/lbd and
+// the serve experiment.
+func WriteWindowsCSV(w io.Writer, ws []WindowStats) error {
+	if _, err := fmt.Fprintln(w, "time,throughput,p99,queue_depth,in_flight,availability,fairness"); err != nil {
+		return err
 	}
-	ts.AddColumn("throughput", thr)
-	ts.AddColumn("p99", p99)
-	ts.AddColumn("queue_depth", depth)
-	ts.AddColumn("in_flight", flight)
-	ts.AddColumn("availability", avail)
-	ts.AddColumn("fairness", fair)
-	return ts
+	for _, s := range ws {
+		if _, err := fmt.Fprintf(w, "%g,%g,%g,%g,%g,%g,%g\n", s.Start, s.Throughput, s.P99,
+			s.QueueDepth, s.InFlight, s.Availability, s.Fairness); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -430,14 +430,14 @@ func twinRun(m *obs.Manifest) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Metrics: calib.TwinMetrics(res), Serve: res}, nil
+	return &Outcome{Metrics: calib.SummaryMetrics("", res.Summary), Serve: res}, nil
 }
 
 // serveMetrics is the manifest metric map of a single serving run: the
 // twin's summary keys plus the run's length, the in-flight average and
 // the simulator's counters.
 func serveMetrics(res *serve.Result) map[string]float64 {
-	m := calib.TwinMetrics(res)
+	m := calib.SummaryMetrics("", res.Summary)
 	m["duration"] = res.Sim.CompletionTime
 	obs.PutFinite(m, "in_flight", res.Summary.InFlight)
 	m["failures"] = float64(res.Sim.Failures)
