@@ -370,7 +370,7 @@ func Simulate(s System, spec PolicySpec, load []int, seed uint64, opt SimOptions
 	if err != nil {
 		return SimResult{}, err
 	}
-	pol, err := spec.Build()
+	pol, err := spec.Build(p.N())
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -401,7 +401,7 @@ func MonteCarloOpts(s System, spec PolicySpec, load []int, reps int, seed uint64
 	if err != nil {
 		return Estimate{}, err
 	}
-	pol, err := spec.Build()
+	pol, err := spec.Build(p.N())
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -660,11 +660,11 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 	if !(opt.Rate > 0) || !(opt.Horizon > 0) { // negated > so NaN is refused too
 		return serve.Options{}, fmt.Errorf("churnlb: serving needs positive Rate and Horizon, got Rate = %v, Horizon = %v", opt.Rate, opt.Horizon)
 	}
-	pol, err := spec.Build()
+	pol, err := spec.Build(p.N())
 	if err != nil {
 		return serve.Options{}, err
 	}
-	newRouter, err := router.Factory()
+	newRouter, err := router.Factory(p.N())
 	if err != nil {
 		return serve.Options{}, err
 	}

@@ -107,6 +107,22 @@ func TestSimulateInvalidPolicy(t *testing.T) {
 	}
 }
 
+// TestLBP1OnThreeNodesRefused: the two-node policy on a three-node
+// System is an error from the facade, not a panic in the simulator.
+func TestLBP1OnThreeNodesRefused(t *testing.T) {
+	s := System{
+		Nodes:        []Node{{ProcRate: 1, RecRate: 1}, {ProcRate: 1, RecRate: 1}, {ProcRate: 1, RecRate: 1}},
+		DelayPerTask: 0.02,
+	}
+	spec := PolicySpec{Kind: PolicyLBP1, K: 0.5, Sender: AutoSender}
+	if _, err := Simulate(s, spec, []int{10, 5, 1}, 1, SimOptions{}); err == nil || !strings.Contains(err.Error(), "two-node") {
+		t.Fatalf("Simulate: %v, want a two-node error", err)
+	}
+	if _, err := MonteCarlo(s, spec, []int{10, 5, 1}, 3, 1); err == nil {
+		t.Fatal("MonteCarlo accepted LBP-1 on three nodes")
+	}
+}
+
 func TestMonteCarloFacadeMatchesTheory(t *testing.T) {
 	est, err := MonteCarlo(PaperSystem(), PolicySpec{Kind: PolicyLBP1, K: 0.35, Sender: 0}, []int{100, 60}, 2000, 7)
 	if err != nil {

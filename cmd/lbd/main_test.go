@@ -115,6 +115,22 @@ func TestLbdDynamicBalanceRefused(t *testing.T) {
 	}
 }
 
+// TestLbdLewSampleSizeBounded: lew's -d is held to the fleet, and a run
+// that asks for more is refused before any worker starts.
+func TestLbdLewSampleSizeBounded(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-nodes", "4", "-procrate", "20", "-rate", "10", "-horizon", "1", "-policy", "lew", "-d", "-5", "-timescale", "20"}
+	if code := run(args, &out, &errb, nil); code != 2 {
+		t.Fatalf("exit %d, want 2 (stdout %q)", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "[0, 4]") {
+		t.Fatalf("stderr %q does not name the bound", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a refused run started: %q", out.String())
+	}
+}
+
 // TestLbdEndToEnd drives a full small run: live daemon, sim twin,
 // calibration gate, CSV artifacts, and a manifest that reproduce-style
 // replay verifies bit for bit.
@@ -232,6 +248,35 @@ func TestLbdInterrupted(t *testing.T) {
 		t.Fatalf("time series not flushed on interrupt: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "run.json")); err == nil {
+		t.Fatal("interrupted run wrote a manifest (partial trace is not replayable)")
+	}
+}
+
+// TestLbdInterruptedMidRun: a signal 0.5 s into a paced trace lands
+// while the driver waits for its next arrival. The run must say it was
+// cut, and skip the calibration and the manifest of a run that did not
+// happen.
+func TestLbdInterruptedMidRun(t *testing.T) {
+	dir := t.TempDir()
+	intr := make(chan struct{})
+	stop := time.AfterFunc(500*time.Millisecond, func() { close(intr) })
+	defer stop.Stop()
+	man := filepath.Join(dir, "m.json")
+	var out, errb bytes.Buffer
+	code := run([]string{
+		"-nodes", "4", "-procrate", "5", "-rate", "10", "-horizon", "100", "-mtbf", "0",
+		"-timescale", "10", "-manifest", man,
+	}, &out, &errb, intr)
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), "lbd: interrupted") {
+		t.Fatalf("no interruption note:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "calibration (sim twin vs live)") {
+		t.Fatalf("interrupted run still calibrated:\n%s", out.String())
+	}
+	if _, err := os.Stat(man); err == nil {
 		t.Fatal("interrupted run wrote a manifest (partial trace is not replayable)")
 	}
 }

@@ -81,6 +81,28 @@ func TestZeroDelayRefused(t *testing.T) {
 	}
 }
 
+// TestLewSampleSizeBounded: lew samples at most the cluster's nodes.
+// -d 1000000000 used to spend 30 s of CPU on 20 arrivals, and -d -5
+// silently scanned every node; both exit 2 at once naming the bound.
+func TestLewSampleSizeBounded(t *testing.T) {
+	for _, d := range []string{"1000000000", "-5"} {
+		var out, errb bytes.Buffer
+		err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+			args := []string{"-scenario", "uniform", "-policy", "lew", "-d", d, "-rate", "10", "-horizon", "2", "-nodes", "10"}
+			if code := run(args, &out, &errb, stop); code != 2 {
+				return fmt.Errorf("exit %d, want 2", code)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("-d %s: %v\nstderr:\n%s", d, err, errb.String())
+		}
+		if !strings.Contains(errb.String(), "[0, 10]") {
+			t.Fatalf("-d %s: stderr %q does not name the bound", d, errb.String())
+		}
+	}
+}
+
 // A cluster above the simulator's node cap is refused, naming the cap,
 // before the scenario is generated: 10⁹ nodes used to die out of memory.
 func TestHugeClusterRefused(t *testing.T) {

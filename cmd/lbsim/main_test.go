@@ -58,6 +58,19 @@ func TestHostileSystemRefused(t *testing.T) {
 	}
 }
 
+// TestLBP1SenderRefused: LBP-1's sender is one of the two nodes or auto.
+// -sender 5 used to panic in every replication; it exits 2 naming the
+// sender.
+func TestLBP1SenderRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-policy", "lbp1", "-sender", "5", "-reps", "3"}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2 (stdout %q)", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "sender 5") {
+		t.Fatalf("stderr %q does not name the sender", errb.String())
+	}
+}
+
 // TestScenarioZeroDelayRefused: the scenario generator reads a zero
 // DelayPerTask as its default 0.02 s, so a scenario run given -delta 0
 // used to print exactly the -delta 0.02 run. It exits 2 naming the rule;

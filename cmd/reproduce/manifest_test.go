@@ -126,3 +126,28 @@ func TestReplayMalformedDaemonManifest(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayLBP1OnThreeNodesRefused: a recorded two-node-policy study on
+// three nodes used to panic in the replay; it is a fault of the
+// description (exit 2).
+func TestReplayLBP1OnThreeNodesRefused(t *testing.T) {
+	m := obs.NewManifest("lbsim", obs.ModeMC)
+	m.Seed, m.Reps = 1, 3
+	m.System = &obs.SystemRef{
+		ProcRate: []float64{1, 1, 1}, FailRate: []float64{0.05, 0.05, 0.05}, RecRate: []float64{0.1, 0.1, 0.1},
+		DelayPerTask: 0.02,
+	}
+	m.InitialLoad = []int{10, 6, 3}
+	m.Policy = obs.PolicyRef{Name: "lbp1", K: 0.5, Sender: -1}
+	path := filepath.Join(t.TempDir(), "lbp1-3.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-manifest", path}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "two-node") {
+		t.Fatalf("stderr %q does not say lbp1 is two-node", errb.String())
+	}
+}

@@ -1105,7 +1105,15 @@ func (c *run) traceLoop() {
 		// clock reading serves the due test and stamps the admission.
 		now := c.now()
 		if d := c.wall(a.Time - now); d > 0 {
-			if c.flushAll() != nil || c.preciseWait(timer, d, c.opt.Interrupt) != sleptFull {
+			if c.flushAll() != nil {
+				break
+			}
+			if out := c.preciseWait(timer, d, c.opt.Interrupt); out != sleptFull {
+				// The wait is where a paced run meets a signal: record
+				// the cut here, as interruptFired does at the loop's top.
+				if out == sleepInterrupted {
+					c.interrupted.Store(true)
+				}
 				break
 			}
 			now = c.now()

@@ -274,6 +274,35 @@ func TestRunInterrupt(t *testing.T) {
 	checkConserved(t, res)
 }
 
+// TestRunInterruptMidWait closes Interrupt while the trace driver sleeps
+// towards its next entry — where a paced run almost always is when a
+// signal lands — and the run must still report the cut.
+func TestRunInterruptMidWait(t *testing.T) {
+	intr := make(chan struct{})
+	trace := uniformTrace(10, 100, 1) // 1000 entries, 10 s of wall time at TimeScale 10
+	stop := time.AfterFunc(300*time.Millisecond, func() { close(intr) })
+	defer stop.Stop()
+	res, err := Run(Options{
+		Params:    stableParams(3),
+		Trace:     trace,
+		TimeScale: 10,
+		Seed:      5,
+		Transport: cluster.NewChanTransport(4),
+		Interrupt: intr,
+		MaxWall:   60 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Injected >= len(trace) {
+		t.Fatalf("interrupt did not cut the stream: %d injected", res.Injected)
+	}
+	if !res.Interrupted {
+		t.Fatalf("run cut after %d of %d entries did not report the interrupt", res.Injected, len(trace))
+	}
+	checkConserved(t, res)
+}
+
 // TestHTTPFrontDoor drives arrivals through POST /task and reads the
 // observability endpoints while an idle daemon serves.
 func TestHTTPFrontDoor(t *testing.T) {

@@ -195,7 +195,7 @@ func closedRun(m *obs.Manifest) (*Outcome, error) {
 	if err != nil {
 		return nil, &SpecError{err}
 	}
-	if opt.Policy, err = spec.Build(); err != nil {
+	if opt.Policy, err = spec.Build(opt.Params.N()); err != nil {
 		return nil, &SpecError{err}
 	}
 	out.Policy = opt.Policy
@@ -247,14 +247,6 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 				m.Policy.Name, strings.Join(policy.RouterNames(), ", "))}
 		}
 	}
-	pol, err := spec.Build()
-	if err != nil {
-		return nil, &SpecError{err}
-	}
-	newRouter, err := router.Factory()
-	if err != nil {
-		return nil, &SpecError{err}
-	}
 	if m.Mode == obs.ModeServeMany && m.Decisions != nil {
 		return nil, &SpecError{fmt.Errorf("rerun: decision tracing is single-run only, and the manifest records %d reps", m.Reps)}
 	}
@@ -263,6 +255,14 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 		return nil, &SpecError{err}
 	}
 	sc, err := generate(m)
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	pol, err := spec.Build(sc.Params.N())
+	if err != nil {
+		return nil, &SpecError{err}
+	}
+	newRouter, err := router.Factory(sc.Params.N())
 	if err != nil {
 		return nil, &SpecError{err}
 	}
@@ -359,17 +359,14 @@ func resolveDaemon(m *obs.Manifest) (*daemonSpec, error) {
 	if err != nil {
 		return nil, &SpecError{err}
 	}
-	if d.newRouter, err = router.Factory(); err != nil {
+	if d.newRouter, err = router.Factory(n); err != nil {
 		return nil, &SpecError{err}
 	}
 	bal, err := policy.ParseSpec(m.Balance, m.Policy.K, policy.AutoSender)
 	if err != nil {
 		return nil, &SpecError{err}
 	}
-	if bal.Kind == policy.KindLBP1 && n != 2 {
-		return nil, &SpecError{fmt.Errorf("balance policy lbp1 is two-node only, and the fleet has %d workers (want lbp1multi, lbp2 or none)", n)}
-	}
-	if d.policy, err = bal.Build(); err != nil {
+	if d.policy, err = bal.Build(n); err != nil {
 		return nil, &SpecError{err}
 	}
 	if _, ok := d.policy.(policy.ArrivalBalancer); ok {

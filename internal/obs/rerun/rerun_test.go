@@ -262,6 +262,26 @@ func TestRerunRejects(t *testing.T) {
 	m = daemonManifest()
 	m.Policy.K = 2
 	rejected("lbd lbp2 K=2", m)
+
+	// A spec that does not fit its cluster: two-node LBP-1 on three nodes
+	// or with a third sender, and a lew sample size outside [0, n].
+	m = obs.NewManifest("lbsim", obs.ModeMC)
+	m.System = &obs.SystemRef{ProcRate: []float64{1, 1, 1}, FailRate: []float64{0.05, 0.05, 0.05}, RecRate: []float64{0.1, 0.1, 0.1}}
+	m.InitialLoad = []int{10, 6, 3}
+	m.Reps = 2
+	m.Policy = obs.PolicyRef{Name: "lbp1", K: 0.5, Sender: policy.AutoSender}
+	rejected("lbsim lbp1 on three nodes", m)
+	m.System = &obs.SystemRef{ProcRate: []float64{1.08, 1.86}, FailRate: []float64{0.05, 0.05}, RecRate: []float64{0.1, 0.05}}
+	m.InitialLoad = []int{10, 6}
+	m.Policy.Sender = 5
+	rejected("lbsim lbp1 sender 5", m)
+	for _, d := range []int{-5, 11, 1000000000} {
+		m = obs.NewManifest("lbserve", obs.ModeServe)
+		m.Scenario = &obs.ScenarioRef{Kind: "uniform", Nodes: 10}
+		m.Policy = obs.PolicyRef{Name: "lew", D: d}
+		m.Rate, m.Horizon = 10, 2
+		rejected(fmt.Sprintf("lbserve lew -d %d on 10 nodes", d), m)
+	}
 }
 
 // TestInterruptOnlyWhereHonoured: the interrupt hook reaches a single
@@ -359,6 +379,8 @@ func TestRerunDaemon(t *testing.T) {
 		{"unknown router", func(b *obs.Manifest) { b.Policy.Name = "bogus" }},
 		{"unknown balance", func(b *obs.Manifest) { b.Balance = "bogus" }},
 		{"lbp1 on four workers", func(b *obs.Manifest) { b.Balance = "lbp1" }},
+		{"lew -d above the fleet", func(b *obs.Manifest) { b.Policy = obs.PolicyRef{Name: "lew", D: 5, K: b.Policy.K} }},
+		{"lew -d negative", func(b *obs.Manifest) { b.Policy = obs.PolicyRef{Name: "lew", D: -1, K: b.Policy.K} }},
 		{"dynamic balance", func(b *obs.Manifest) { b.Balance = "dynamic" }},
 		{"neither trace nor backlog", func(b *obs.Manifest) { b.Rate = 0 }},
 		{"ragged load", func(b *obs.Manifest) { b.InitialLoad = []int{5, 5} }},

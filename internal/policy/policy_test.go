@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,17 +84,17 @@ func TestRoundGain(t *testing.T) {
 func TestSpecBuildChecksGain(t *testing.T) {
 	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-9, 1 + 1e-9, 2} {
 		for _, kind := range []Kind{KindLBP1, KindLBP2, KindLBP1Multi, KindDynamicLBP2} {
-			if pol, err := (Spec{Kind: kind, K: k}).Build(); err == nil {
+			if pol, err := (Spec{Kind: kind, K: k}).Build(2); err == nil {
 				t.Fatalf("kind %d, K=%v: built %v", kind, k, pol.Name())
 			}
 		}
-		if _, err := (Spec{Kind: KindNone, K: k}).Build(); err != nil {
+		if _, err := (Spec{Kind: KindNone, K: k}).Build(2); err != nil {
 			t.Fatalf("none, K=%v: %v", k, err)
 		}
 	}
 	for _, k := range []float64{0, 0.35, 1} {
 		for _, kind := range []Kind{KindLBP1, KindLBP2, KindLBP1Multi, KindDynamicLBP2} {
-			if _, err := (Spec{Kind: kind, K: k}).Build(); err != nil {
+			if _, err := (Spec{Kind: kind, K: k}).Build(2); err != nil {
 				t.Fatalf("kind %d, K=%v: %v", kind, k, err)
 			}
 		}
@@ -400,7 +401,7 @@ func TestRouterAndBalanceRegistries(t *testing.T) {
 	if _, err := ParseRouterSpec("bogus", 0); err == nil {
 		t.Fatal("unknown router accepted")
 	}
-	if _, err := (RouterSpec{Kind: RouterKind(99)}).Factory(); err == nil {
+	if _, err := (RouterSpec{Kind: RouterKind(99)}).Factory(4); err == nil {
 		t.Fatal("unknown router kind built")
 	}
 
@@ -421,7 +422,7 @@ func TestRouterAndBalanceRegistries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("policy %q: %v", c.name, err)
 		}
-		got, err := spec.Build()
+		got, err := spec.Build(2)
 		if err != nil || !reflect.DeepEqual(got, c.want) {
 			t.Fatalf("policy %q built %#v, %v; want %#v", c.name, got, err, c.want)
 		}
@@ -435,7 +436,42 @@ func TestRouterAndBalanceRegistries(t *testing.T) {
 	if _, err := ParseSpec("bogus", 0, 0); err == nil {
 		t.Fatal("unknown balance policy accepted")
 	}
-	if _, err := (Spec{Kind: Kind(99)}).Build(); err == nil {
+	if _, err := (Spec{Kind: Kind(99)}).Build(2); err == nil {
 		t.Fatal("unknown policy kind built")
+	}
+}
+
+// TestSpecBuildFitsCluster: LBP-1 is built for two nodes and a sender of
+// the two only; every other fit is an error, never the panic its
+// AppendInitial would raise mid-run.
+func TestSpecBuildFitsCluster(t *testing.T) {
+	for _, sender := range []int{AutoSender, 0, 1} {
+		if _, err := (Spec{Kind: KindLBP1, K: 0.5, Sender: sender}).Build(2); err != nil {
+			t.Fatalf("sender %d on two nodes: %v", sender, err)
+		}
+	}
+	for _, c := range []struct{ n, sender int }{{3, AutoSender}, {1, 0}, {2, 5}, {2, -2}} {
+		if pol, err := (Spec{Kind: KindLBP1, K: 0.5, Sender: c.sender}).Build(c.n); err == nil {
+			t.Fatalf("%d nodes, sender %d: built %s", c.n, c.sender, pol.Name())
+		}
+	}
+	if _, err := (Spec{Kind: KindLBP1Multi, K: 0.5}).Build(3); err != nil {
+		t.Fatalf("lbp1multi on three nodes: %v", err)
+	}
+}
+
+// TestRouterFactoryBoundsLewD: lew samples at most the cluster's nodes,
+// and 0 scans them all; a d outside [0, n] is refused, naming the bound.
+func TestRouterFactoryBoundsLewD(t *testing.T) {
+	for _, d := range []int{0, 1, 10} {
+		if _, err := (RouterSpec{Kind: RouterLeastExpectedWork, D: d}).Factory(10); err != nil {
+			t.Fatalf("lew -d %d on 10 nodes: %v", d, err)
+		}
+	}
+	for _, d := range []int{-5, 11, 1000000000} {
+		_, err := (RouterSpec{Kind: RouterLeastExpectedWork, D: d}).Factory(10)
+		if err == nil || !strings.Contains(err.Error(), "[0, 10]") {
+			t.Fatalf("lew -d %d on 10 nodes: %v, want the [0, 10] bound", d, err)
+		}
 	}
 }

@@ -40,13 +40,21 @@ type Spec struct {
 	Sender int
 }
 
-// Build returns the policy the spec describes.
-func (s Spec) Build() (Policy, error) {
+// Build returns the policy the spec describes for an n-node cluster. It
+// is the one place a spec is fitted to its cluster: LBP-1 is the paper's
+// two-node policy, and its sender is node 0, node 1 or AutoSender.
+func (s Spec) Build(n int) (Policy, error) {
 	var pol Policy
 	switch s.Kind {
 	case KindNone:
 		return NoBalance{}, nil
 	case KindLBP1:
+		if n != 2 {
+			return nil, fmt.Errorf("policy: lbp1 is two-node only, and the cluster has %d nodes (want lbp1multi, lbp2 or none)", n)
+		}
+		if s.Sender != AutoSender && s.Sender != 0 && s.Sender != 1 {
+			return nil, fmt.Errorf("policy: lbp1 sender %d is not one of the two nodes (want 0, 1 or %d for the more loaded)", s.Sender, AutoSender)
+		}
 		pol = LBP1{K: s.K, Sender: s.Sender}
 	case KindLBP2:
 		pol = LBP2{K: s.K}
@@ -110,10 +118,15 @@ func (rs RouterSpec) New() (Router, error) {
 	}
 }
 
-// Factory validates the spec and returns a constructor of fresh routers
-// — what a run that may execute many realisations holds instead of one
-// (possibly stateful) instance.
-func (rs RouterSpec) Factory() (func() Router, error) {
+// Factory validates the spec for an n-node cluster and returns a
+// constructor of fresh routers — what a run that may execute many
+// realisations holds instead of one (possibly stateful) instance. Every
+// run path builds its routers here, so here lew's sample size is held to
+// the cluster: a d outside [0, n] is refused, not spun on per arrival.
+func (rs RouterSpec) Factory(n int) (func() Router, error) {
+	if rs.Kind == RouterLeastExpectedWork && (rs.D < 0 || rs.D > n) {
+		return nil, fmt.Errorf("policy: lew -d %d is outside [0, %d], the cluster's node count (0 scans every node)", rs.D, n)
+	}
 	if _, err := rs.New(); err != nil {
 		return nil, err
 	}
