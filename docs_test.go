@@ -1,14 +1,17 @@
 package churnlb
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -204,5 +207,36 @@ func TestFacadeIsALeaf(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSizeLedger holds LINES.txt to the verify skill's count of non-test
+// Go — `git ls-files '*.go' | grep -v _test | grep -v '^bench/' | xargs
+// cat | wc -l` — recomputed here with the same filters and newline count,
+// so a change that grows or shrinks the tree shows it in its diff. It
+// skips without git or a checkout; the count is of tracked files, so
+// stage new ones first.
+func TestSizeLedger(t *testing.T) {
+	out, err := exec.Command("git", "ls-files", "*.go").Output()
+	if err != nil {
+		t.Skipf("no git checkout to count: %v", err)
+	}
+	lines := 0
+	for _, f := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if f == "" || strings.Contains(f, "_test") || strings.HasPrefix(f, "bench/") {
+			continue
+		}
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines += bytes.Count(b, []byte("\n"))
+	}
+	b, err := os.ReadFile("LINES.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimSpace(string(b)); want != strconv.Itoa(lines) {
+		t.Fatalf("LINES.txt records %s lines of non-test Go, the tree has %d: write %d there", want, lines, lines)
 	}
 }

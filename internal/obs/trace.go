@@ -128,7 +128,7 @@ func NewDecisionTracer(p model.Params, o TraceOptions) *DecisionTracer {
 		k:       k,
 		w:       o.W,
 		pending: make(map[float64]*pendingDecision),
-		altBuf:  make([]Alt, 0, k+1),
+		altBuf:  make([]Alt, 0, min(k, p.N())+1), // never more than n-1 untaken
 		hash:    fnvOffset64,
 	}
 }

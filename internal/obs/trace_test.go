@@ -74,6 +74,33 @@ func TestCounterfactualPricing(t *testing.T) {
 	}
 }
 
+// TestCounterfactualKAboveTheCluster: a k above the cluster prices every
+// untaken node, as k = n - 1 does. A manifest or -counterk asking for
+// 2^62 used to panic sizing the scratch for k candidates.
+func TestCounterfactualKAboveTheCluster(t *testing.T) {
+	p := model.Params{
+		ProcRate: []float64{1, 2, 4},
+		FailRate: []float64{0.01, 0.01, 0.01},
+		RecRate:  []float64{0.1, 0.1, 0.1},
+	}
+	var buf bytes.Buffer
+	d := NewDecisionTracer(p, TraceOptions{K: 1 << 62, W: &buf})
+	d.Decision(view(1, []int{3, 3, 3}, []bool{true, true, true}), 0, 1, 0)
+	d.TaskCompleted(0, 1, 1, 2)
+	var rec struct {
+		Alts []Alt `json:"alts"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Alts) != 2 {
+		t.Fatalf("alts %+v, want both untaken nodes", rec.Alts)
+	}
+	if st := d.Stats(); st.K != 1<<62 || st.Records != 1 {
+		t.Fatalf("stats %+v, want the k asked for and one record", st)
+	}
+}
+
 // TestBatchAndUnmatched: a batch-3 decision emits only after all three
 // completions; a decision whose batch never drains stays unmatched.
 func TestBatchAndUnmatched(t *testing.T) {
