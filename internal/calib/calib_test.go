@@ -1,7 +1,9 @@
 package calib
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"churnlb/internal/metrics"
@@ -143,9 +145,9 @@ func TestTwinMetricsSkipsNonFinite(t *testing.T) {
 	if len(live) != len(m) {
 		t.Fatalf("live block has %d keys, twin %d", len(live), len(m))
 	}
-	for k, v := range m {
-		if live["live_"+k] != v {
-			t.Fatalf("live_%s = %v, twin %s = %v", k, live["live_"+k], k, v)
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		if live["live_"+k] != m[k] {
+			t.Fatalf("live_%s = %v, twin %s = %v", k, live["live_"+k], k, m[k])
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+
 	"churnlb/internal/metrics"
 	"churnlb/internal/stats"
 )
@@ -42,6 +44,9 @@ func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
 		p50, p99, thr, avail, flight float64
 		latency                      metrics.LatencySketch
 		fairness                     metrics.Fairness
+	}
+	if reps <= 0 {
+		return nil, fmt.Errorf("serve: RunManyPooled needs positive reps, got %d", reps)
 	}
 	perRep := make([]repStats, reps)
 	err := RunMany(opt, reps, workers, func(rep int, run *Result) {

@@ -95,6 +95,11 @@ func TestRunManyValidation(t *testing.T) {
 	if err := RunMany(testOptions(t), 0, 0, func(int, *Result) {}); err == nil {
 		t.Fatal("zero reps accepted")
 	}
+	// A serve-many manifest recording reps -2 used to panic sizing the
+	// per-replication table.
+	if _, err := RunManyPooled(testOptions(t), -2, 0); err == nil || !strings.Contains(err.Error(), "reps") {
+		t.Fatalf("RunManyPooled with -2 reps: err = %v, want one naming reps", err)
+	}
 	withTracer := testOptions(t)
 	withTracer.Tracer = obs.NewDecisionTracer(withTracer.Sim.Params, obs.TraceOptions{})
 	withInterrupt := testOptions(t)
