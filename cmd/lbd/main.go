@@ -198,14 +198,20 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 	}
 	opt.Interrupt = interrupt
 	opt.MaxWall = *maxWall
+	// The daemon's own checks and defaults, before the header: a refused
+	// run prints nothing, and the header shows the time scale that runs.
+	if opt, err = daemon.Resolve(opt); err != nil {
+		fmt.Fprintln(stderr, "lbd:", err)
+		return 2
+	}
 
 	closed := len(opt.Trace) == 0
 	if closed {
 		fmt.Fprintf(stdout, "lbd: %d workers, policy %s balance %s, closed run on a backlog of %v tasks (timescale %.4g)\n",
-			opt.Params.N(), *polStr, *balStr, opt.InitialLoad, *timeScale)
+			opt.Params.N(), *polStr, *balStr, opt.InitialLoad, opt.TimeScale)
 	} else {
 		fmt.Fprintf(stdout, "lbd: %d workers, policy %s balance %s, trace %d arrivals over %.4g virtual s (timescale %.4g)\n",
-			opt.Params.N(), *polStr, *balStr, len(opt.Trace), *horizon, *timeScale)
+			opt.Params.N(), *polStr, *balStr, len(opt.Trace), *horizon, opt.TimeScale)
 	}
 
 	live, err := daemon.Run(opt)

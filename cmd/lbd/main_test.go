@@ -34,9 +34,17 @@ func TestLbdBadFlagsRejected(t *testing.T) {
 		{"-window", "-1"},
 		{"-policy", "lew", "-d", "-5"}, // lew samples within [0, nodes]
 		{"-policy", "lew", "-d", "9"},
+		// The daemon's own refusals come before the header too.
+		{"-timescale", "NaN", "-rate", "5", "-horizon", "1", "-nodes", "2"},
+		{"-timescale", "+Inf", "-rate", "5", "-horizon", "1", "-nodes", "2"},
+		{"-stateinterval", "NaN", "-rate", "5", "-horizon", "1", "-nodes", "2"},
 	} {
+		out.Reset()
 		if code := run(tc, &out, &errb, nil); code != 2 {
 			t.Fatalf("%v: exit %d, want 2 (stderr: %s)", tc, code, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: refused, but printed %q", tc, out.String())
 		}
 	}
 }

@@ -121,6 +121,35 @@ func TestHugeClusterRefused(t *testing.T) {
 	}
 }
 
+// A serving sweep past the replication budget or the worker cap is
+// refused, naming the cap, before the scenario is generated: 2·10⁹
+// replications used to allocate their per-replication summaries first and
+// die out of memory, and -workers became that many goroutines.
+func TestHugeSweepRefused(t *testing.T) {
+	base := []string{"-nodes", "10", "-policy", "jsq", "-rate", "10", "-horizon", "10"}
+	for _, c := range []struct {
+		args []string
+		cap  string
+	}{
+		{[]string{"-reps", "2000000000"}, "mc.MaxRepBytes"},
+		{[]string{"-reps", "4", "-workers", "100000000"}, "mc.MaxWorkers"},
+	} {
+		var out, errb bytes.Buffer
+		err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
+			if code := run(append(base, c.args...), &out, &errb, stop); code != 2 {
+				return fmt.Errorf("exit %d, want 2", code)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", c.args, err, errb.String())
+		}
+		if !strings.Contains(errb.String(), c.cap) || out.Len() != 0 {
+			t.Fatalf("%v: stderr %q does not name %s, or stdout %q is not empty", c.args, errb.String(), c.cap, out.String())
+		}
+	}
+}
+
 func TestServeRepsSmoke(t *testing.T) {
 	base := []string{"-scenario", "uniform", "-nodes", "30", "-policy", "jsq",
 		"-rate", "40", "-horizon", "10", "-reps", "5"}

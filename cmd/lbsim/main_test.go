@@ -58,6 +58,26 @@ func TestHostileSystemRefused(t *testing.T) {
 	}
 }
 
+// TestHugeRepsRefused: a Monte-Carlo study of 2·10⁹ replications used to
+// allocate its per-replication samples and errors (48 GB) before the
+// first one ran, and died out of memory. It exits 2 at once, naming the
+// replication budget.
+func TestHugeRepsRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := testkit.Deadline(t, 2*time.Second, func(<-chan struct{}) error {
+		if code := run([]string{"-reps", "2000000000"}, &out, &errb); code != 2 {
+			return fmt.Errorf("exit %d, want 2", code)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%v\nstderr:\n%s", err, errb.String())
+	}
+	if !strings.Contains(errb.String(), "mc.MaxRepBytes") || out.Len() != 0 {
+		t.Fatalf("stderr %q does not name the cap, or stdout %q is not empty", errb.String(), out.String())
+	}
+}
+
 // TestLBP1SenderRefused: LBP-1's sender is one of the two nodes or auto.
 // -sender 5 used to panic in every replication; it exits 2 naming the
 // sender.

@@ -140,18 +140,29 @@ func (t *NetTransport) acceptLoop(i int) {
 
 // retainFrame bounds the frame buffer a task connection keeps between
 // frames; a larger frame gets a buffer of its own, so one giant bundle
-// does not pin its size for the connection's lifetime.
+// does not pin its size for the connection's lifetime. The same bound
+// keeps such a frame out of the recycled decode buffers.
 const retainFrame = 64 << 10
+
+// recycleFrames bounds each task connection's free list of decode
+// buffers: the (task slice, row slab) pairs its receivers have released
+// and its next frames decode into. A receiver holding more bundles than
+// this at once makes the connection allocate for the excess, and a
+// release that finds the list full drops its pair.
+const recycleFrames = 16
 
 // readTasks consumes length-prefixed frames: [4B total length][2B from]
 // [4B count][count serialised tasks], through one buffered reader per
 // connection — a burst of small frames costs one read, not two per frame
-// — and into one frame buffer reused across frames (DecodeTaskFrame
-// copies everything out). io.ReadFull rides out partial reads; a
-// mid-frame connection drop or a frame DecodeTaskFrame rejects ends the
-// connection with the failure counted in DecodeErrors — a TCP stream
-// cannot resynchronise past a corrupt frame, so dropping the connection
-// (the dialler re-dials) is the only safe recovery.
+// — and into one frame buffer reused across frames (the decode copies
+// everything out). Each frame of at most retainFrame bytes decodes into a
+// pair from the connection's free list, which TaskBundle.Release refills,
+// so a receiver that releases its bundles costs the connection no
+// allocation per frame. io.ReadFull rides out partial reads; a mid-frame
+// connection drop or a frame the decoder rejects ends the connection with
+// the failure counted in DecodeErrors — a TCP stream cannot resynchronise
+// past a corrupt frame, so dropping the connection (the dialler re-dials)
+// is the only safe recovery.
 func (t *NetTransport) readTasks(i int, conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -161,6 +172,7 @@ func (t *NetTransport) readTasks(i int, conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
+	free := make(chan *frameBufs, recycleFrames)
 	var hdr [4]byte
 	var buf []byte
 	for {
@@ -193,17 +205,39 @@ func (t *NetTransport) readTasks(i int, conn net.Conn) {
 			}
 			return
 		}
-		from, tasks, err := DecodeTaskFrame(frame)
+		b, err := decodeRecycled(frame, free)
 		if err != nil {
 			t.decodeErrs.Add(1)
 			return
 		}
 		select {
-		case t.tasks[i] <- TaskBundle{From: from, Tasks: tasks}:
+		case t.tasks[i] <- b:
 		case <-t.closed:
 			return
 		}
 	}
+}
+
+// decodeRecycled decodes one frame into a pair from the free list (a new
+// pair when the list is empty), or into memory of its own when the frame
+// is above retainFrame.
+func decodeRecycled(frame []byte, free chan *frameBufs) (TaskBundle, error) {
+	if len(frame) > retainFrame {
+		from, tasks, err := DecodeTaskFrame(frame)
+		return TaskBundle{From: from, Tasks: tasks}, err
+	}
+	var fb *frameBufs
+	select {
+	case fb = <-free:
+	default:
+		fb = &frameBufs{home: free}
+	}
+	from, tasks, slab, err := decodeTaskFrameInto(frame, fb.tasks, fb.slab)
+	if err != nil {
+		return TaskBundle{}, err
+	}
+	fb.tasks, fb.slab = tasks, slab
+	return TaskBundle{From: from, Tasks: tasks, bufs: fb}, nil
 }
 
 // closing reports whether Close has begun tearing the transport down.

@@ -165,3 +165,95 @@ func TestSendTasksCallerReuse(t *testing.T) {
 		})
 	}
 }
+
+// TestReceiveAllocatesNothing pins the recycled receive path: on a warm
+// connection whose receiver releases every bundle, a frame costs no
+// allocation end to end — the sender's encode and write, the reader's
+// read and decode, and the delivery.
+func TestReceiveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	tr := newNetTransportOrSkip(t, 2)
+	defer tr.Close()
+	sent := workload.NewGenerator(16, 50, xrand.New(16)).Batch(16)
+	var bad int
+	frame := func() {
+		if err := tr.SendTasks(0, 1, sent); err != nil {
+			t.Fatal(err)
+		}
+		b := <-tr.Tasks(1)
+		if b.bufs == nil || len(b.Tasks) != len(sent) || b.Tasks[15].ID != sent[15].ID || b.Tasks[15].Row[15] != sent[15].Row[15] {
+			bad++
+		}
+		b.Release()
+	}
+	for i := 0; i < 2*recycleFrames; i++ {
+		frame() // dial, grow the frame buffer, fill the free list
+	}
+	if a := testing.AllocsPerRun(200, frame); a != 0 {
+		t.Fatalf("%v allocations per frame on a warm connection, want 0", a)
+	}
+	if bad != 0 {
+		t.Fatalf("%d frames delivered a wrong or unrecycled bundle", bad)
+	}
+}
+
+// TestReleaseRecyclesFrames walks one connection's free list: a released
+// bundle's memory carries the next frame, whole and correct; a bundle
+// nobody releases and a frame above retainFrame get memory of their own;
+// and Release is a no-op for a ChanTransport bundle and after Close.
+func TestReleaseRecyclesFrames(t *testing.T) {
+	tr := newNetTransportOrSkip(t, 2)
+	g := workload.NewGenerator(8, 50, xrand.New(17))
+	recv := func(tasks []workload.Task) TaskBundle {
+		t.Helper()
+		if err := tr.SendTasks(0, 1, tasks); err != nil {
+			t.Fatal(err)
+		}
+		var b TaskBundle
+		select {
+		case b = <-tr.Tasks(1):
+		case <-time.After(5 * time.Second):
+			t.Fatal("bundle never arrived")
+		}
+		if !sameTasks(b.Tasks, tasks) {
+			t.Fatal("bundle differs from what was sent")
+		}
+		return b
+	}
+	first := recv(g.Batch(4))
+	kept := recv(g.Batch(4)) // never released: the free list is empty again
+	if &kept.Tasks[0] == &first.Tasks[0] {
+		t.Fatal("two live bundles share memory")
+	}
+	first.Release()
+	second := recv(g.Batch(3)) // a smaller frame fits the released pair
+	if &second.Tasks[0] != &first.Tasks[0] || &second.Tasks[0].Row[0] != &first.Tasks[0].Row[0] {
+		t.Fatal("the released pair did not carry the next frame")
+	}
+	second.Release()
+	big := recv(g.Batch(retainFrame/(workload.MinTaskWire+8*8) + 1)) // one frame above retainFrame
+	if big.bufs != nil {
+		t.Fatal("a frame above retainFrame was decoded into recycled memory")
+	}
+	big.Release()
+	third := recv(g.Batch(4))
+	if &third.Tasks[0] != &first.Tasks[0] {
+		t.Fatal("the pair released before the big frame was not reused")
+	}
+	tr.Close()
+	third.Release() // after Close: nothing takes it, nothing blocks
+	kept.Release()
+
+	ct := NewChanTransport(2)
+	defer ct.Close()
+	if err := ct.SendTasks(0, 1, g.Batch(2)); err != nil {
+		t.Fatal(err)
+	}
+	cb := <-ct.Tasks(1)
+	if cb.bufs != nil {
+		t.Fatal("a ChanTransport bundle carries recycled memory")
+	}
+	cb.Release()
+}

@@ -75,6 +75,34 @@ func DecodeStatePacket(src []byte) (StatePacket, error) {
 type TaskBundle struct {
 	From  int
 	Tasks []workload.Task
+	// bufs is the recycled memory Tasks and its rows were decoded into,
+	// nil for a bundle nobody recycles.
+	bufs *frameBufs
+}
+
+// Release hands the bundle's memory — its task slice and every row in
+// it — back to the connection that decoded it, for a later frame. It
+// never blocks. It is a no-op for a bundle that was not decoded into
+// recycled memory (every ChanTransport bundle, a frame above
+// retainFrame), and after Close, when no reader takes the memory again.
+// Call it at most once per bundle; a bundle never released is simply
+// collected.
+func (b TaskBundle) Release() {
+	if b.bufs == nil {
+		return
+	}
+	select {
+	case b.bufs.home <- b.bufs:
+	default: // the free list is full: let this pair go
+	}
+}
+
+// frameBufs is one recycled decode target: a task slice and a row slab,
+// and the free list of the connection they return to.
+type frameBufs struct {
+	tasks []workload.Task
+	slab  []float64
+	home  chan *frameBufs
 }
 
 // maxTaskFrame bounds one TCP task frame (length prefix excluded): any
@@ -120,34 +148,55 @@ func AppendTaskFrame(dst []byte, from int, tasks []workload.Task) []byte {
 // frame — in a well-formed frame the bytes left after count task headers
 // are exactly the rows, which sizes the slab and bounds it by the payload
 // — and each Row is capacity-clipped against its neighbours.
+func DecodeTaskFrame(payload []byte) (from int, tasks []workload.Task, err error) {
+	from, tasks, _, err = decodeTaskFrameInto(payload, nil, nil)
+	return from, tasks, err
+}
+
+// decodeTaskFrameInto is DecodeTaskFrame into caller-owned memory: the
+// tasks decode into tasks[:count] and their rows into slab, each grown
+// (one allocation) only when its capacity is short. It returns both
+// buffers at their decoded lengths, to be handed back on the next call.
+// Every task and every row float the result holds is written from
+// payload, so stale contents of a reused buffer never show through.
 //
 //churnlb:hotpath
-func DecodeTaskFrame(payload []byte) (from int, tasks []workload.Task, err error) {
+func decodeTaskFrameInto(payload []byte, tasks []workload.Task, slab []float64) (int, []workload.Task, []float64, error) {
 	if len(payload) < taskFrameHeader {
 		//lint:ignore hotalloc error path: the connection is dropped after it
-		return 0, nil, fmt.Errorf("cluster: task frame header truncated (%d bytes)", len(payload))
+		return 0, nil, nil, fmt.Errorf("cluster: task frame header truncated (%d bytes)", len(payload))
 	}
-	from = int(binary.BigEndian.Uint16(payload))
+	from := int(binary.BigEndian.Uint16(payload))
 	count := int(binary.BigEndian.Uint32(payload[2:]))
 	rest := payload[taskFrameHeader:]
 	if count < 0 || count > len(rest)/workload.MinTaskWire {
 		//lint:ignore hotalloc error path: the connection is dropped after it
-		return 0, nil, fmt.Errorf("cluster: task frame advertises %d tasks in %d payload bytes", count, len(rest))
+		return 0, nil, nil, fmt.Errorf("cluster: task frame advertises %d tasks in %d payload bytes", count, len(rest))
 	}
-	//lint:ignore hotalloc the bundle handed to the receiver: one task slice and one row slab per frame, both bounded by the payload
-	tasks, slab := make([]workload.Task, count), make([]float64, (len(rest)-count*workload.MinTaskWire)/8)
+	floats := (len(rest) - count*workload.MinTaskWire) / 8
+	if cap(tasks) < count {
+		//lint:ignore hotalloc a cold or outgrown buffer: one task slice, bounded by the payload
+		tasks = make([]workload.Task, count)
+	}
+	if cap(slab) < floats {
+		//lint:ignore hotalloc a cold or outgrown buffer: one row slab, bounded by the payload
+		slab = make([]float64, floats)
+	}
+	tasks, slab = tasks[:count], slab[:floats]
+	free := slab
 	for k := range tasks {
-		tasks[k], rest, slab, err = workload.DecodeTaskSlab(rest, slab)
+		var err error
+		tasks[k], rest, free, err = workload.DecodeTaskSlab(rest, free)
 		if err != nil {
 			//lint:ignore hotalloc error path: the connection is dropped after it
-			return 0, nil, fmt.Errorf("cluster: task %d/%d: %w", k, count, err)
+			return 0, nil, nil, fmt.Errorf("cluster: task %d/%d: %w", k, count, err)
 		}
 	}
 	if len(rest) != 0 {
 		//lint:ignore hotalloc error path: the connection is dropped after it
-		return 0, nil, fmt.Errorf("cluster: %d trailing bytes after %d tasks", len(rest), count)
+		return 0, nil, nil, fmt.Errorf("cluster: %d trailing bytes after %d tasks", len(rest), count)
 	}
-	return from, tasks, nil
+	return from, tasks, slab, nil
 }
 
 // Transport moves state packets (best-effort, like the paper's UDP
@@ -166,6 +215,11 @@ type Transport interface {
 	// into one row slab and overwrites it with the next bundle as soon as
 	// this returns, so a transport that kept a reference to the caller's
 	// rows would deliver later tasks' rows (TestSendTasksCallerReuse).
+	//
+	// The receiving side runs the other way round: a bundle from Tasks
+	// owns its task slice and rows until the receiver calls its Release,
+	// which lends that memory back to the transport for a later frame.
+	// After Release, neither Tasks nor any Row of the bundle may be read.
 	SendTasks(from, to int, tasks []workload.Task) error
 	// State returns node i's incoming state-packet channel.
 	State(i int) <-chan StatePacket

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -82,7 +83,11 @@ func TestDecodeTaskFrameRejects(t *testing.T) {
 
 // FuzzDecodeTaskFrame throws arbitrary bytes at the frame decoder: it
 // must never panic or allocate unboundedly, and everything it accepts
-// must re-encode to the identical payload.
+// must re-encode to the identical payload. Each input is also decoded
+// into dirty buffers, as a connection's recycled decode reuses them — one
+// roomy enough to be reused, one too small for most inputs — and must
+// give what the fresh decode gives: the same sender, tasks and row bits,
+// or the same error.
 func FuzzDecodeTaskFrame(f *testing.F) {
 	g := workload.NewGenerator(3, 10, xrand.New(5))
 	f.Add(AppendTaskFrame(nil, 2, g.Batch(3))[4:])
@@ -91,6 +96,16 @@ func FuzzDecodeTaskFrame(f *testing.F) {
 	f.Add([]byte{0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		from, tasks, err := DecodeTaskFrame(payload)
+		for _, room := range []int{len(payload), 1} {
+			dirtyTasks, dirtySlab := dirtyBuffers(room)
+			rfrom, rtasks, _, rerr := decodeTaskFrameInto(payload, dirtyTasks, dirtySlab)
+			if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+				t.Fatalf("room %d: recycled decode error %v, fresh %v", room, rerr, err)
+			}
+			if err == nil && (rfrom != from || !sameTasks(rtasks, tasks)) {
+				t.Fatalf("room %d: recycled decode gives a different bundle", room)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -99,6 +114,38 @@ func FuzzDecodeTaskFrame(f *testing.F) {
 			t.Fatalf("accepted payload does not round-trip: %x -> %x", payload, again)
 		}
 	})
+}
+
+// dirtyBuffers returns a used-looking decode target with room for room
+// tasks and room floats: junk tasks whose rows point into a NaN slab.
+func dirtyBuffers(room int) ([]workload.Task, []float64) {
+	slab := make([]float64, room)
+	for i := range slab {
+		slab[i] = math.NaN()
+	}
+	tasks := make([]workload.Task, room)
+	for i := range tasks {
+		tasks[i] = workload.Task{ID: math.MaxUint64, Precision: math.MaxUint32, Row: slab[i:]}
+	}
+	return tasks[:0], slab[:0]
+}
+
+// sameTasks compares two decoded bundles task by task, rows bit by bit.
+func sameTasks(a, b []workload.Task) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Precision != b[i].Precision || len(a[i].Row) != len(b[i].Row) {
+			return false
+		}
+		for j := range a[i].Row {
+			if math.Float64bits(a[i].Row[j]) != math.Float64bits(b[i].Row[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // FuzzDecodeStatePacket is the same property for the 23-byte UDP codec:

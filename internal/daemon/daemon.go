@@ -283,42 +283,47 @@ const MaxBacklog = 1 << 20
 // row of taskDim floats and its 16-byte in-system record.
 const taskBytes = 40 + 8*taskDim + 16
 
-// newRun validates opt, fills in its defaults and builds the fleet and
-// its transport; nothing runs yet. It refuses, before anything is minted,
-// a backlog or a batch above MaxBacklog and a run whose backlog and trace
-// together exceed the int32 task counters (math.MaxInt32 tasks, the
-// simulator's cap too).
-func newRun(opt Options) (*run, error) {
+// Resolve validates opt and fills in its defaults, returning the options
+// a run takes effect with: the time scale, state interval, MaxWall,
+// batch, policy and telemetry window a zero value leaves to the daemon.
+// It refuses, before anything is minted, a fleet above MaxWorkers, a
+// backlog or a batch above MaxBacklog, a non-finite TimeScale or
+// StateInterval and a run whose backlog and trace together exceed the
+// int32 task counters (math.MaxInt32 tasks, the simulator's cap too).
+// Run resolves its options through it, so a caller that resolves first —
+// lbd, to print the run it starts — reports what runs; resolving resolved
+// options changes nothing.
+func Resolve(opt Options) (Options, error) {
 	if n := opt.Params.N(); n > MaxWorkers {
-		return nil, fmt.Errorf("daemon: %d workers is above the %d-worker cap", n, MaxWorkers)
+		return Options{}, fmt.Errorf("daemon: %d workers is above the %d-worker cap", n, MaxWorkers)
 	}
 	if err := opt.Params.Validate(); err != nil {
-		return nil, err
+		return Options{}, err
 	}
 	n := opt.Params.N()
 	if opt.InitialLoad != nil && len(opt.InitialLoad) != n {
-		return nil, fmt.Errorf("daemon: InitialLoad has %d entries for %d workers", len(opt.InitialLoad), n)
+		return Options{}, fmt.Errorf("daemon: InitialLoad has %d entries for %d workers", len(opt.InitialLoad), n)
 	}
 	backlog := 0
 	for id, q := range opt.InitialLoad {
 		if q < 0 {
-			return nil, fmt.Errorf("daemon: negative initial load %d at worker %d", q, id)
+			return Options{}, fmt.Errorf("daemon: negative initial load %d at worker %d", q, id)
 		}
 		if q > MaxBacklog-backlog {
-			return nil, fmt.Errorf("daemon: initial load passes the %d-task backlog cap at worker %d (%d bytes a task, all resident at once)",
+			return Options{}, fmt.Errorf("daemon: initial load passes the %d-task backlog cap at worker %d (%d bytes a task, all resident at once)",
 				MaxBacklog, id, taskBytes)
 		}
 		backlog += q
 	}
 	if opt.Batch > MaxBacklog {
-		return nil, fmt.Errorf("daemon: Batch = %d is above the %d-task cap on what one arrival mints", opt.Batch, MaxBacklog)
+		return Options{}, fmt.Errorf("daemon: Batch = %d is above the %d-task cap on what one arrival mints", opt.Batch, MaxBacklog)
 	}
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{{"TimeScale", opt.TimeScale}, {"StateInterval", opt.StateInterval}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return nil, fmt.Errorf("daemon: %s is %v, want a finite number (0 = default)", f.name, f.v)
+			return Options{}, fmt.Errorf("daemon: %s is %v, want a finite number (0 = default)", f.name, f.v)
 		}
 	}
 	if opt.TimeScale <= 0 {
@@ -340,17 +345,17 @@ func newRun(opt Options) (*run, error) {
 			batch = opt.Batch
 		}
 		if batch > MaxBacklog {
-			return nil, fmt.Errorf("daemon: Trace[%d].Batch = %d is above the %d-task cap on what one arrival mints", i, batch, MaxBacklog)
+			return Options{}, fmt.Errorf("daemon: Trace[%d].Batch = %d is above the %d-task cap on what one arrival mints", i, batch, MaxBacklog)
 		}
 		if total += int64(batch); total > math.MaxInt32 {
-			return nil, fmt.Errorf("daemon: backlog and trace pass %d tasks at Trace[%d], the cap of the run's int32 task counters", math.MaxInt32, i)
+			return Options{}, fmt.Errorf("daemon: backlog and trace pass %d tasks at Trace[%d], the cap of the run's int32 task counters", math.MaxInt32, i)
 		}
 	}
 	if opt.Policy == nil {
 		opt.Policy = policy.NoBalance{}
 	}
 	if _, ok := opt.Policy.(policy.ArrivalBalancer); ok {
-		return nil, fmt.Errorf("daemon: policy %s rebalances at every arrival, and the live engine executes failure plans only", opt.Policy.Name())
+		return Options{}, fmt.Errorf("daemon: policy %s rebalances at every arrival, and the live engine executes failure plans only", opt.Policy.Name())
 	}
 	span := 1.0
 	if len(opt.Trace) > 0 {
@@ -360,9 +365,20 @@ func newRun(opt Options) (*run, error) {
 	}
 	window, err := metrics.WindowFor(opt.Window, span)
 	if err != nil {
+		return Options{}, err
+	}
+	opt.Window = window
+	return opt, nil
+}
+
+// newRun resolves opt and builds the fleet and its transport; nothing
+// runs yet.
+func newRun(opt Options) (*run, error) {
+	opt, err := Resolve(opt)
+	if err != nil {
 		return nil, err
 	}
-
+	n := opt.Params.N()
 	c := &run{
 		opt:       opt,
 		p:         opt.Params,
@@ -373,7 +389,7 @@ func newRun(opt Options) (*run, error) {
 		tel:       newTelRing(telCap),
 		telStop:   make(chan struct{}),
 		telDone:   make(chan struct{}),
-		col:       metrics.NewCollector(n, window),
+		col:       metrics.NewCollector(n, opt.Window),
 		inSystem:  newTaskWindow(),
 		processed: make([]int, n),
 		gen:       workload.NewGenerator(taskDim, taskPrecision, xrand.NewStream(opt.Seed, xrand.StreamTaskGen)),
@@ -543,7 +559,7 @@ func (c *run) preload() []model.Transfer {
 	up := make([]bool, c.n)
 	for id, w := range c.workers {
 		tasks := c.gen.Batch(load[id])
-		w.queue.push(tasks, 0)
+		w.queue.push(cluster.TaskBundle{Tasks: tasks}, 0)
 		c.noteArrived(id, tasks, 0)
 		atomic.AddInt64(&c.injected, int64(load[id]))
 		c.peers[id].queueLen = uint32(load[id])
@@ -818,7 +834,8 @@ func (c *run) execTransfers(w *worker, trs []model.Transfer) {
 // taskRecvLoop is the worker's receive side of the reliable task path:
 // dispatcher bundles are fresh arrivals, peer bundles are eq.-(8)
 // transfers landing. One clock reading per bundle stamps the instant it
-// reached the worker.
+// reached the worker. The queue takes the bundle whole and releases its
+// memory to the transport once spent.
 func (c *run) taskRecvLoop(w *worker) {
 	defer c.wg.Done()
 	for {
@@ -829,7 +846,7 @@ func (c *run) taskRecvLoop(w *worker) {
 			}
 			at := c.now()
 			w.mu.Lock()
-			w.queue.push(b.Tasks, at)
+			w.queue.push(b, at)
 			w.mu.Unlock()
 			if b.From != dispatcherID(c.n) {
 				c.noteTransferIn(w.id, len(b.Tasks), at)

@@ -4,47 +4,67 @@ import (
 	"fmt"
 	"slices"
 
+	"churnlb/internal/cluster"
 	"churnlb/internal/workload"
 )
 
 // taskQueue is a worker's FIFO backlog, kept as the bundles it arrived
-// in: a push keeps the received slice instead of copying its tasks, and a
+// in: a push keeps the received bundle instead of copying its tasks, and a
 // pop walks the head bundle, so a queued task costs its own 40 bytes and
 // row and nothing for queue growth. Each bundle carries the virtual
 // instant it reached the worker — a task's service cannot start before
 // it — and every operation keeps that stamp with the bundle's tasks.
+//
+// The queue also owns the bundles' memory, which a NetTransport recycles
+// (cluster.TaskBundle.Release). A bundle whose last task has left the
+// queue is spent, and is released at the worker's next pop: by then the
+// one server has finished that task or put it back, so no task taken from
+// a bundle is in service when the bundle goes. The two exits by which a
+// task leaves with its row still inside the bundle — unpop and takeTail,
+// both on the failure path — copy the rows they move, so no queued,
+// in-service or in-transfer row points into released memory.
 type taskQueue struct {
-	bundles []stampedBundle // oldest first, none empty
-	n       int             // tasks queued
+	bundles []stampedBundle      // oldest first, none empty
+	n       int                  // tasks queued
+	spent   []cluster.TaskBundle // emptied since the last pop, not yet released
 }
 
-// stampedBundle is a run of tasks that reached the worker together, at
-// virtual instant at.
+// stampedBundle is a bundle that reached the worker at virtual instant at;
+// its Tasks are the ones still queued.
 type stampedBundle struct {
-	tasks []workload.Task
-	at    float64
+	cluster.TaskBundle
+	at float64
 }
 
 func (q *taskQueue) len() int { return q.n }
 
 // push appends a bundle that reached the worker at virtual instant at; the
-// queue now owns the slice.
-func (q *taskQueue) push(tasks []workload.Task, at float64) {
-	if len(tasks) > 0 {
-		q.bundles = append(q.bundles, stampedBundle{tasks, at})
-		q.n += len(tasks)
+// queue now owns the bundle and releases it once spent.
+func (q *taskQueue) push(b cluster.TaskBundle, at float64) {
+	if len(b.Tasks) > 0 {
+		q.bundles = append(q.bundles, stampedBundle{b, at})
+		q.n += len(b.Tasks)
+	} else {
+		q.spent = append(q.spent, b)
 	}
 }
 
-// pop removes the head task and returns it with the instant it reached
-// the worker; the queue must not be empty.
+// pop releases the spent bundles, then removes the head task and returns
+// it with the instant it reached the worker; the queue must not be empty.
+// The task's row stays valid until the next pop.
 func (q *taskQueue) pop() (workload.Task, float64) {
+	for i := range q.spent {
+		q.spent[i].Release()
+		q.spent[i] = cluster.TaskBundle{}
+	}
+	q.spent = q.spent[:0]
 	b := &q.bundles[0]
-	t, at := b.tasks[0], b.at
-	b.tasks[0] = workload.Task{} // release the row
-	if len(b.tasks) > 1 {
-		b.tasks = b.tasks[1:]
+	t, at := b.Tasks[0], b.at
+	b.Tasks[0] = workload.Task{} // release the row
+	if len(b.Tasks) > 1 {
+		b.Tasks = b.Tasks[1:]
 	} else {
+		q.spent = append(q.spent, b.TaskBundle)
 		q.bundles[0] = stampedBundle{}
 		q.bundles = q.bundles[1:]
 	}
@@ -53,14 +73,17 @@ func (q *taskQueue) pop() (workload.Task, float64) {
 }
 
 // unpop puts an interrupted task back at the head with the instant it
-// reached the worker.
+// reached the worker, on a copy of its row: the bundle it came from may be
+// spent and released before the task is popped again.
 func (q *taskQueue) unpop(t workload.Task, at float64) {
-	q.bundles = slices.Insert(q.bundles, 0, stampedBundle{[]workload.Task{t}, at})
+	t.Row = slices.Clone(t.Row)
+	q.bundles = slices.Insert(q.bundles, 0, stampedBundle{cluster.TaskBundle{Tasks: []workload.Task{t}}, at})
 	q.n++
 }
 
 // takeTail detaches up to k tasks from the tail (the head may be in
-// service), in queue order, into a slice of their own. The stamps are
+// service), in queue order, into a slice of their own with rows of their
+// own: the detached tasks outlive the bundles they leave. The stamps are
 // dropped: a transferred task is stamped again where it lands.
 func (q *taskQueue) takeTail(k int) []workload.Task {
 	k = min(k, q.n)
@@ -71,18 +94,22 @@ func (q *taskQueue) takeTail(k int) []workload.Task {
 	q.n -= k
 	for k > 0 {
 		last := len(q.bundles) - 1
-		b := q.bundles[last].tasks
+		b := q.bundles[last].Tasks
 		take := min(k, len(b))
 		cut := len(b) - take
 		copy(out[k-take:k], b[cut:])
 		clear(b[cut:])
 		k -= take
 		if cut > 0 {
-			q.bundles[last].tasks = b[:cut]
+			q.bundles[last].Tasks = b[:cut]
 		} else {
+			q.spent = append(q.spent, q.bundles[last].TaskBundle)
 			q.bundles[last] = stampedBundle{}
 			q.bundles = q.bundles[:last]
 		}
+	}
+	for i := range out {
+		out[i].Row = slices.Clone(out[i].Row)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"churnlb/internal/cluster"
 	"churnlb/internal/workload"
 )
 
@@ -15,12 +16,12 @@ func ids(tasks []workload.Task) []uint64 {
 	return out
 }
 
-func bundle(first, n uint64) []workload.Task {
+func bundle(first, n uint64) cluster.TaskBundle {
 	b := make([]workload.Task, n)
 	for i := range b {
 		b[i].ID = first + uint64(i)
 	}
-	return b
+	return cluster.TaskBundle{Tasks: b}
 }
 
 // TestTaskQueueOrder walks the queue through every operation the worker
@@ -36,10 +37,10 @@ func TestTaskQueueOrder(t *testing.T) {
 			t.Fatalf("popped task %d stamped %v, want %d stamped %v", task.ID, at, wantID, wantAt)
 		}
 	}
-	q.push(bundle(1, 3), 0.5) // 1 2 3
-	q.push(nil, 0.6)          // an empty frame queues nothing
-	q.push(bundle(4, 1), 0.7) // 4
-	q.push(bundle(5, 4), 0.8) // 5 6 7 8
+	q.push(bundle(1, 3), 0.5)         // 1 2 3
+	q.push(cluster.TaskBundle{}, 0.6) // an empty frame queues nothing
+	q.push(bundle(4, 1), 0.7)         // 4
+	q.push(bundle(5, 4), 0.8)         // 5 6 7 8
 	if q.len() != 8 {
 		t.Fatalf("len %d, want 8", q.len())
 	}

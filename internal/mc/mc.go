@@ -35,6 +35,41 @@ type Options struct {
 	Seed uint64
 }
 
+// MaxRepBytes caps the memory a study sets aside by replication count
+// before any replication runs: Reps times the bytes it keeps per
+// replication (ForEach's error slot, Run's sample, a caller's per-
+// replication results). A replication count past it is refused, naming
+// the cap, instead of dying out of memory on the allocation.
+const MaxRepBytes = 1 << 30
+
+// MaxWorkers caps the worker goroutines of one study.
+const MaxWorkers = 1024
+
+// SampleBytes is what Run keeps per replication beside ForEach's own: one
+// float64 sample.
+const SampleBytes = 8
+
+// errBytes is what ForEach keeps per replication: one error.
+const errBytes = 16
+
+// Check refuses a study that must not start: no replications, more than
+// MaxWorkers workers, or Reps replications of repBytes each — the
+// caller's per-replication storage, which ForEach's own is added to —
+// past MaxRepBytes. It allocates nothing, so a caller can check a study
+// before building anything for it; ForEach and Run check their own.
+func (o Options) Check(repBytes int) error {
+	if o.Reps <= 0 {
+		return fmt.Errorf("mc: Reps must be positive, got %d", o.Reps)
+	}
+	if o.Workers > MaxWorkers {
+		return fmt.Errorf("mc: Workers = %d is above the %d-goroutine cap (mc.MaxWorkers)", o.Workers, MaxWorkers)
+	}
+	if per := max(repBytes, 0) + errBytes; o.Reps > MaxRepBytes/per {
+		return fmt.Errorf("mc: %d replications of %d bytes each pass the %d-byte replication budget (mc.MaxRepBytes)", o.Reps, per, MaxRepBytes)
+	}
+	return nil
+}
+
 // ForEach runs fn for every replication index 0..Reps-1 on the worker
 // pool and returns the lowest-indexed error, if any. It is the raw
 // parallel-for underneath Run, exported for callers whose replications
@@ -43,8 +78,8 @@ type Options struct {
 // aggregate is bit-identical no matter how many workers executed it.
 // Unlike Run, fn derives its own randomness (opt.Seed is unused here).
 func ForEach(opt Options, fn func(rep int) error) error {
-	if opt.Reps <= 0 {
-		return fmt.Errorf("mc: Reps must be positive, got %d", opt.Reps)
+	if err := opt.Check(0); err != nil {
+		return err
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -87,8 +122,8 @@ func ForEach(opt Options, fn func(rep int) error) error {
 // Run executes f for every replication and aggregates the samples.
 // The first replication error aborts the run.
 func Run(opt Options, f Replication) (Estimate, error) {
-	if opt.Reps <= 0 {
-		return Estimate{}, fmt.Errorf("mc: Reps must be positive, got %d", opt.Reps)
+	if err := opt.Check(SampleBytes); err != nil {
+		return Estimate{}, err
 	}
 	samples := make([]float64, opt.Reps)
 	err := ForEach(opt, func(rep int) error {

@@ -3,6 +3,8 @@ package mc
 import (
 	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"churnlb/internal/xrand"
@@ -100,5 +102,41 @@ func TestWorkersCappedAtReps(t *testing.T) {
 		if v != want[i] {
 			t.Fatalf("samples %v", est.Samples)
 		}
+	}
+}
+
+// TestBudgetRefusedBeforeAllocating: ForEach and Run refuse a study whose
+// per-replication storage passes MaxRepBytes, or more than MaxWorkers
+// workers, naming the cap and allocating nothing; Check accepts the
+// largest study that fits.
+func TestBudgetRefusedBeforeAllocating(t *testing.T) {
+	never := func(int) error { t.Error("a replication ran"); return nil }
+	for _, c := range []struct {
+		opt Options
+		cap string
+	}{
+		{Options{Reps: 2_000_000_000}, "mc.MaxRepBytes"},
+		{Options{Reps: 4, Workers: 100_000_000}, "mc.MaxWorkers"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		errFor := ForEach(c.opt, never)
+		_, errRun := Run(c.opt, func(*xrand.Rand, int) (float64, error) { t.Error("a replication ran"); return 0, nil })
+		runtime.ReadMemStats(&after)
+		for _, err := range []error{errFor, errRun} {
+			if err == nil || !strings.Contains(err.Error(), c.cap) {
+				t.Fatalf("%+v: got %v, want an error naming %s", c.opt, err, c.cap)
+			}
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%+v: %d bytes allocated before the refusal", c.opt, grew)
+		}
+	}
+	fits := MaxRepBytes / (SampleBytes + errBytes)
+	if err := (Options{Reps: fits}).Check(SampleBytes); err != nil {
+		t.Fatalf("%d replications of Run fit the budget: %v", fits, err)
+	}
+	if err := (Options{Reps: fits + 1}).Check(SampleBytes); err == nil {
+		t.Fatalf("%d replications of Run pass the budget, yet Check accepts them", fits+1)
 	}
 }

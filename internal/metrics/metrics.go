@@ -63,26 +63,30 @@ func (e *P2) Add(x float64) {
 		}
 		return
 	}
-	// Locate the cell containing x, clamping the extremes.
-	var k int
-	switch {
-	case x < e.q[0]:
+	// Locate the cell containing x, clamping the extremes. Marker i ≥ 1
+	// moves up one position when x lies in a cell below it: x below the
+	// lowest marker, or — unless x reached the highest — x failing
+	// x >= q[j] for some 1 ≤ j ≤ i. That prefix OR is the classic scan for
+	// every input (NaN and unsorted markers included) with no branch on
+	// where x falls; the highest marker always moves. desired[0] never
+	// moves, as its increment is 0.
+	lo := x < e.q[0]
+	hi := !lo && x >= e.q[4]
+	if lo {
 		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
+	} else if hi {
 		e.q[4] = x
-		k = 3
-	default:
-		k = 0
-		for x >= e.q[k+1] {
-			k++
-		}
 	}
+	inner := bit(!hi)
+	b1 := bit(lo) | inner&bit(!(x >= e.q[1]))
+	b2 := b1 | inner&bit(!(x >= e.q[2]))
+	b3 := b2 | inner&bit(!(x >= e.q[3]))
 	e.n++
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := range e.want {
+	e.pos[1] = incIf(e.pos[1], b1)
+	e.pos[2] = incIf(e.pos[2], b2)
+	e.pos[3] = incIf(e.pos[3], b3)
+	e.pos[4]++
+	for i := 1; i < 5; i++ {
 		e.want[i] += e.inc[i]
 	}
 	// Adjust the interior markers toward their desired positions.
@@ -101,6 +105,22 @@ func (e *P2) Add(x float64) {
 			e.pos[i] += sign
 		}
 	}
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// incIf is p+1 when b is 1 and p, bit for bit, when b is 0: a select on
+// the float bits, so a -0 or NaN position that does not move keeps its
+// bits, as the scan that skips it does.
+func incIf(p float64, b uint64) float64 {
+	old := math.Float64bits(p)
+	return math.Float64frombits(old ^ (math.Float64bits(p+1)^old)&-b)
 }
 
 // parabolic is the P² piecewise-parabolic marker update.

@@ -100,6 +100,9 @@ func Execute(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 	if m.Shards > 0 {
 		return nil, &SpecError{fmt.Errorf("rerun: manifest records shards %d: the domain-sharded engine that ran it has been removed, and the sequential engine draws a different realisation", m.Shards)}
 	}
+	if err := checkBudget(m); err != nil {
+		return nil, &SpecError{err}
+	}
 	switch m.Mode {
 	case obs.ModeServe, obs.ModeServeMany:
 		return serveRun(m, hooks)
@@ -110,6 +113,24 @@ func Execute(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 	default:
 		return nil, &SpecError{fmt.Errorf("rerun: unknown manifest mode %q", m.Mode)}
 	}
+}
+
+// checkBudget refuses, before a scenario is generated or a replication
+// allocated, a study whose replications or workers mc.Options.Check
+// refuses: a Monte-Carlo study at mc.SampleBytes a replication, a serving
+// sweep at serve.PooledRepBytes of its node count.
+func checkBudget(m *obs.Manifest) error {
+	switch m.Mode {
+	case obs.ModeMC, obs.ModeMCScenario:
+		return mc.Options{Reps: m.Reps}.Check(mc.SampleBytes)
+	case obs.ModeServeMany:
+		n := 0
+		if m.Scenario != nil {
+			n = m.Scenario.Nodes
+		}
+		return mc.Options{Reps: m.Reps, Workers: m.Workers}.Check(serve.PooledRepBytes(n))
+	}
+	return nil
 }
 
 // params rebuilds validated model parameters from a manifest's system

@@ -10,11 +10,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"churnlb/internal/model"
 	"churnlb/internal/obs"
 	"churnlb/internal/policy"
 	"churnlb/internal/sim"
+	"churnlb/internal/testkit"
 )
 
 // record runs a manifest once and freezes the outcome into it — exactly
@@ -282,6 +284,50 @@ func TestRerunRejects(t *testing.T) {
 		m.Rate, m.Horizon = 10, 2
 		rejected(fmt.Sprintf("lbserve lew -d %d on 10 nodes", d), m)
 	}
+}
+
+// hugeStudyRefused runs m under a deadline and wants a SpecError naming
+// the cap.
+func hugeStudyRefused(t *testing.T, m *obs.Manifest, cap string) {
+	t.Helper()
+	err := testkit.Deadline(t, 2*time.Second, func(<-chan struct{}) error {
+		_, err := Run(m, nil)
+		var bad *SpecError
+		if !errors.As(err, &bad) || !strings.Contains(err.Error(), cap) {
+			return fmt.Errorf("got %v, want a SpecError naming %s", err, cap)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHugeMCManifestRefused: an mc manifest of 2·10⁹ replications used to
+// die out of memory in mc.Run, allocating its samples before the first
+// replication ran. Its replay is refused before anything runs.
+func TestHugeMCManifestRefused(t *testing.T) {
+	m := obs.NewManifest("lbsim", obs.ModeMC)
+	m.System = &obs.SystemRef{ProcRate: []float64{1.08, 1.86}, FailRate: []float64{0.05, 0.05}, RecRate: []float64{0.1, 0.05}}
+	m.InitialLoad = []int{10, 6}
+	m.Policy = obs.PolicyRef{Name: "lbp2", K: 1}
+	m.Reps = 2_000_000_000
+	hugeStudyRefused(t, m, "mc.MaxRepBytes")
+}
+
+// TestHugeServeManyManifestRefused: a serve-many manifest of 2·10⁹
+// replications used to die in serve.RunManyPooled allocating its
+// per-replication summaries, and one recording 10⁸ workers started that
+// many goroutines. Both are refused before the scenario is generated.
+func TestHugeServeManyManifestRefused(t *testing.T) {
+	m := obs.NewManifest("lbserve", obs.ModeServeMany)
+	m.Scenario = &obs.ScenarioRef{Kind: "uniform", Nodes: 10}
+	m.Policy = obs.PolicyRef{Name: "jsq"}
+	m.Rate, m.Horizon = 10, 10
+	m.Reps = 2_000_000_000
+	hugeStudyRefused(t, m, "mc.MaxRepBytes")
+	m.Reps, m.Workers = 4, 100_000_000
+	hugeStudyRefused(t, m, "mc.MaxWorkers")
 }
 
 // TestInterruptOnlyWhereHonoured: the interrupt hook reaches a single

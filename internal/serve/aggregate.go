@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"unsafe"
 
+	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
 	"churnlb/internal/stats"
 )
@@ -31,22 +33,36 @@ type Pooled struct {
 	Fairness metrics.Fairness
 }
 
+// repStats is what RunManyPooled keeps of one replication until it folds
+// them: the summary scalars, the latency sketches and the fairness tally;
+// the full Result (windows, per-node counters) is released as it is
+// visited.
+type repStats struct {
+	completed                    int
+	p50, p99, thr, avail, flight float64
+	latency                      metrics.LatencySketch
+	fairness                     metrics.Fairness
+}
+
+// PooledRepBytes is what RunManyPooled keeps per replication of an n-node
+// run before it folds them: its repStats, the three P² sketches they
+// point to, the n-count fairness tally and the sketch's slot in the
+// pooling merge. Replications times this is what mc.Options.Check budgets.
+func PooledRepBytes(n int) int {
+	return int(unsafe.Sizeof(repStats{})+3*unsafe.Sizeof(metrics.P2{})+unsafe.Sizeof(metrics.LatencySketch{})) + 8*max(n, 0)
+}
+
 // RunManyPooled executes reps replications of opt (Workers goroutines;
 // 0 = GOMAXPROCS) and folds them into a Pooled aggregate. Deterministic
-// for a given opt.Seed regardless of worker count.
+// for a given opt.Seed regardless of worker count. It refuses, before it
+// allocates per replication, a sweep that mc.Options.Check refuses at
+// PooledRepBytes per replication.
 func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
-	// Each replication keeps only its summary scalars, latency sketches
-	// and fairness tally, rep-indexed for worker-count-independent
-	// folding; the full Result (windows, per-node counters) is released
-	// as it is visited.
-	type repStats struct {
-		completed                    int
-		p50, p99, thr, avail, flight float64
-		latency                      metrics.LatencySketch
-		fairness                     metrics.Fairness
-	}
 	if reps <= 0 {
 		return nil, fmt.Errorf("serve: RunManyPooled needs positive reps, got %d", reps)
+	}
+	if err := (mc.Options{Reps: reps, Workers: workers}).Check(PooledRepBytes(opt.Sim.Params.N())); err != nil {
+		return nil, err
 	}
 	perRep := make([]repStats, reps)
 	err := RunMany(opt, reps, workers, func(rep int, run *Result) {
