@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"runtime"
+
 	"churnlb/internal/metrics"
 	"churnlb/internal/obs"
 	"churnlb/internal/sim"
@@ -29,9 +31,16 @@ const (
 	chunkLen = 512
 	// chunks is the number of chunks a run owns. The producer stalls only
 	// when the consumer is chunks-1 chunks behind; four of 512 records are
-	// 64 KB per run, allocated once.
+	// 64 KB per run, taken from the last joined pipe's (see idleChunks).
 	chunks = 4
 )
+
+// idleChunks holds the chunk memory of joined pipes for the next openPipe:
+// like the simulator's arenas and ledgers, the memory of a run comes from
+// the last finished one's. It holds at most GOMAXPROCS blocks of
+// chunks*chunkLen records, one for each run that can be going at once
+// (RunManyPooled's workers); a block beyond that is dropped.
+var idleChunks = make(chan []record, runtime.GOMAXPROCS(0))
 
 type recKind uint8
 
@@ -60,6 +69,7 @@ type record struct {
 // that replays into the ledger. Every method but consume runs on the
 // simulation goroutine.
 type pipe struct {
+	mem  []record // every chunk's memory
 	buf  []record // the chunk being filled
 	used int      // records of buf filled
 	// full carries filled chunks to the consumer, which sends each back on
@@ -74,8 +84,14 @@ type pipe struct {
 // consulted considered nodes. The caller must join the pipe on every path,
 // or the consumer outlives the run.
 func openPipe(n int, col *metrics.Collector, tr *obs.DecisionTracer, considered int) *pipe {
-	mem := make([]record, chunks*chunkLen)
+	var mem []record
+	select {
+	case mem = <-idleChunks:
+	default:
+		mem = make([]record, chunks*chunkLen)
+	}
 	p := &pipe{
+		mem:  mem,
 		buf:  mem[:chunkLen:chunkLen],
 		full: make(chan []record, chunks),
 		free: make(chan []record, chunks),
@@ -109,12 +125,17 @@ func (s tracedSink) TaskCompleted(node int, arrival, firstService, completion fl
 
 // join hands over the last partial chunk and returns once the consumer has
 // replayed every record and exited; only then may the caller read col.
+// The chunks go back to idleChunks.
 func (p *pipe) join() {
 	if p.used > 0 {
 		p.full <- p.buf[:p.used]
 	}
 	close(p.full)
 	<-p.done
+	select {
+	case idleChunks <- p.mem:
+	default:
+	}
 }
 
 // consume replays every chunk into l, telling tr each decision, and

@@ -14,10 +14,10 @@ import (
 )
 
 // dropIdleMemory empties the simulator's idle lists of realisation arenas
-// and ledgers, so the next run builds its memory from nothing. It goes
-// through the public API: a Start nobody finishes and a ledger nobody
-// releases each take one idle entry and let it be collected, and a list
-// holds at most GOMAXPROCS entries.
+// and ledgers, and the pipe's of chunks, so the next run builds its memory
+// from nothing. The simulator's go through its public API: a Start nobody
+// finishes and a ledger nobody releases each take one idle entry and let
+// it be collected, and a list holds at most GOMAXPROCS entries.
 func dropIdleMemory(t *testing.T) {
 	t.Helper()
 	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
@@ -26,13 +26,16 @@ func dropIdleMemory(t *testing.T) {
 		}
 		sim.NewLedger(0, nil)
 	}
+	for len(idleChunks) > 0 {
+		<-idleChunks
+	}
 }
 
 // TestLaterRunsAllocateATenth is the allocation regression test of the
-// memory a serving run reuses — the realisation's arena and the ledger's
-// per-node task deques, most of an observed run's memory: after one run of
-// a 100-node pod2 workload on fresh memory, the second and the third
-// allocate at most a tenth of the bytes the first did.
+// memory a serving run reuses — the realisation's arena, the ledger's
+// per-node task deques and the pipe's chunks, most of an observed run's
+// memory: after one run of a 1000-node pod2 workload on fresh memory, the
+// second and the third allocate at most a tenth of the bytes the first did.
 func TestLaterRunsAllocateATenth(t *testing.T) {
 	sc, err := scenario.Generate(scenario.Spec{Kind: scenario.Hotspot, N: 1000, TotalLoad: 20000, Seed: 1, MTBF: 20, MTTR: 2})
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"churnlb/internal/policy"
@@ -53,7 +54,7 @@ func TestLedgerStampsEveryFrontInService(t *testing.T) {
 								if !s.hot[i].up || s.hot[i].queue == 0 {
 									continue
 								}
-								if q := &l.q[i]; q.len() == 0 || q.front().firstService < 0 {
+								if l.q[i].len() == 0 || l.front[i] < 0 {
 									bad = fmt.Errorf("seed %d, after %s at node %d, t = %v: node %d is up with %d tasks, its front in the ledger is unstamped",
 										seed, kind, node, s.sched.Now(), i, s.hot[i].queue)
 									return
@@ -76,4 +77,30 @@ func TestLedgerStampsEveryFrontInService(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestLedgerBytesPerQueuedTask pins the ledger's footprint: a fresh ledger
+// queueing 10⁵ tasks over 100 nodes allocates under 36 B per task. Each
+// node's deque grows by append to 1000 tasks, doubling up to 512 slots and
+// then by about a quarter (832, 1232): some 3100 slots' worth of growth,
+// about 25 B a task at 8 bytes a slot and about 50 at the 16-byte records
+// the ledger held before a task's first-service stamp moved to its node.
+func TestLedgerBytesPerQueuedTask(t *testing.T) {
+	const nodes, tasks = 100, 100_000
+	idleLedgers.mu.Lock()
+	idleLedgers.items = nil
+	idleLedgers.mu.Unlock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := NewLedger(nodes, discardSink{})
+	for k := 0; k < tasks; k++ {
+		l.TasksArrived(k%nodes, 1, float64(k))
+	}
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.TotalAlloc-before.TotalAlloc) / tasks
+	t.Logf("%.1f B per queued task", perTask)
+	if perTask >= 36 {
+		t.Errorf("the ledger allocated %.1f B per queued task, want under 36", perTask)
+	}
+	l.Release()
 }

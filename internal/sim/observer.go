@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 
 	"churnlb/internal/model"
@@ -74,9 +75,9 @@ type TaskSink interface {
 }
 
 // Ledger is the TaskObserver that rebuilds per-task records: it mirrors
-// every queue with one record per task, stamps each task's first service,
-// and hands the stream on to a TaskSink with every completion carrying its
-// task's arrival and first service.
+// every queue with one 8-byte slot per task, stamps each task's first
+// service, and hands the stream on to a TaskSink with every completion
+// carrying its task's arrival and first service.
 //
 // The stamp rule is the simulator's: a node restarts service, and stamps
 // the task it starts, whenever its front may have changed while it is up —
@@ -92,31 +93,57 @@ type TaskSink interface {
 // first stamped when it recovers, and a t = 0 transfer that takes a
 // sender's whole queue ships its front unstamped.
 //
+// Where the stamps live: the rule only ever stamps a queue's front, so a
+// queued task's slot holds its arrival's bits alone and the stamp of each
+// queue's front task is its node's, in front. A task leaves the front by
+// completing, or with a transfer that takes its sender's whole queue; that
+// transfer is the only way a stamp travels. Its front, if stamped, is
+// boxed: the slot becomes boxTag plus the index of an entry of boxes
+// holding the task's arrival and stamp, which the completion of the task
+// frees for the next box. A boxed task sets its node's front when it
+// reaches the front of a queue, and a boxed front shipped again stays the
+// one box. No arrival is NaN (the simulator refuses non-finite times) and
+// every slot from boxTag up is one, so a slot is a box exactly when it is
+// at least boxTag.
+//
 // A Ledger serves one realisation from one goroutine. Its memory comes
 // from the ledger the last Release parked, the way a realisation's comes
 // from the last finished one's (see the package comment).
 type Ledger struct {
 	sink TaskSink
-	// q mirrors each node's queue and down its state (false: up).
-	q    []taskQueue
-	down []bool
-	// flights holds the records riding each flight id; a row keeps its
+	// q mirrors each node's queue, front holds the first-service stamp of
+	// its front task (-1 until served; stale while the queue is empty) and
+	// down its state (false: up).
+	q     []taskQueue
+	front []float64
+	down  []bool
+	// boxes holds the boxed tasks' records, and free the indices of its
+	// vacant entries.
+	boxes []taskRec
+	free  []uint64
+	// flights holds the slots riding each flight id; a row keeps its
 	// backing array for the next batch that takes the id. inFlight counts
 	// the tasks riding them.
-	flights  [][]taskRec
+	flights  [][]uint64
 	inFlight int
 	armed    bool
 	// now is the time View was last asked for.
 	now float64
 }
 
+// boxTag is the first slot that is a box: the bits of a negative quiet
+// NaN, which no arrival time is.
+const boxTag = 0xfff8 << 48
+
 // NewLedger returns a ledger for a realisation of n nodes that feeds sink.
 func NewLedger(n int, sink TaskSink) *Ledger {
 	l := idleLedgers.take()
 	l.sink = sink
 	l.q = emptied(l.q, n)
+	l.front = slices.Grow(l.front[:0], n)[:n]
 	l.down = slices.Grow(l.down[:0], n)[:n]
 	clear(l.down)
+	l.boxes, l.free = l.boxes[:0], l.free[:0]
 	l.inFlight, l.armed = 0, false
 	return &l
 }
@@ -135,12 +162,16 @@ func (l *Ledger) Release() {
 func (l *Ledger) TasksArrived(node, count int, t float64) {
 	q := &l.q[node]
 	idle := q.len() == 0
+	a := math.Float64bits(t)
 	for k := 0; k < count; k++ {
-		q.push(taskRec{arrival: t, firstService: -1})
+		q.push(a)
 	}
 	l.sink.TasksArrived(node, count, t)
-	if idle && l.armed {
-		l.stamp(node, t)
+	if idle {
+		l.front[node] = -1
+		if l.armed {
+			l.stamp(node, t)
+		}
 	}
 }
 
@@ -148,8 +179,17 @@ func (l *Ledger) TasksArrived(node, count int, t float64) {
 //
 //churnlb:hotpath
 func (l *Ledger) TaskCompleted(node int, t float64) {
-	rec := l.q[node].pop()
-	l.sink.TaskCompleted(node, rec.arrival, rec.firstService, t)
+	q := &l.q[node]
+	s := q.pop()
+	arrival := math.Float64frombits(s)
+	if s >= boxTag {
+		arrival = l.boxes[s-boxTag].arrival
+		l.free = append(l.free, s-boxTag)
+	}
+	l.sink.TaskCompleted(node, arrival, l.front[node], t)
+	if q.len() > 0 {
+		l.front[node] = l.stampOf(q.slots[q.head])
+	}
 	l.stamp(node, t)
 }
 
@@ -169,7 +209,11 @@ func (l *Ledger) TransferDeparted(from, to, tasks, flight int, t float64) {
 	if flight >= len(l.flights) {
 		l.growFlights(flight)
 	}
-	l.flights[flight] = l.q[from].takeTail(l.flights[flight][:0], tasks)
+	q := &l.q[from]
+	if tasks == q.len() && l.front[from] >= 0 && q.slots[q.head] < boxTag {
+		q.slots[q.head] = l.box(q.slots[q.head], l.front[from])
+	}
+	l.flights[flight] = q.takeTail(l.flights[flight][:0], tasks)
 	l.inFlight += tasks
 	l.sink.TransferDeparted(from, to, tasks, t)
 	l.stamp(from, t)
@@ -180,7 +224,11 @@ func (l *Ledger) TransferDeparted(from, to, tasks, flight int, t float64) {
 //churnlb:hotpath
 func (l *Ledger) TransferArrived(to, tasks, flight int, t float64) {
 	q := &l.q[to]
-	q.recs = append(q.recs, l.flights[flight]...)
+	batch := l.flights[flight]
+	if q.len() == 0 {
+		l.front[to] = l.stampOf(batch[0])
+	}
+	q.slots = append(q.slots, batch...)
 	l.inFlight -= tasks
 	l.sink.TransferArrived(to, tasks, t)
 	l.stamp(to, t)
@@ -222,63 +270,83 @@ func (v *ledgerView) InFlight() int   { return v.inFlight }
 //
 //churnlb:hotpath
 func (l *Ledger) stamp(i int, t float64) {
-	q := &l.q[i]
-	if l.down[i] || q.len() == 0 {
-		return
+	if !l.down[i] && l.q[i].len() > 0 && l.front[i] < 0 {
+		l.front[i] = t
 	}
-	if f := q.front(); f.firstService < 0 {
-		f.firstService = t
+}
+
+// stampOf returns the first-service stamp slot s carries to a queue's
+// front: a box's, or -1.
+//
+//churnlb:hotpath
+func (l *Ledger) stampOf(s uint64) float64 {
+	if s >= boxTag {
+		return l.boxes[s-boxTag].firstService
 	}
+	return -1
+}
+
+// box returns the slot of a task whose arrival's bits are a and whose
+// service first began at firstService, taking a vacant entry of boxes if
+// there is one.
+func (l *Ledger) box(a uint64, firstService float64) uint64 {
+	rec := taskRec{arrival: math.Float64frombits(a), firstService: firstService}
+	if n := len(l.free); n > 0 {
+		i := l.free[n-1]
+		l.free = l.free[:n-1]
+		l.boxes[i] = rec
+		return boxTag + i
+	}
+	l.boxes = append(l.boxes, rec)
+	return boxTag + uint64(len(l.boxes)-1)
 }
 
 // growFlights extends the flight rows to cover id f.
 func (l *Ledger) growFlights(f int) {
-	l.flights = append(l.flights, make([][]taskRec, f+1-len(l.flights))...)
+	l.flights = append(l.flights, make([][]uint64, f+1-len(l.flights))...)
 }
 
 // idleLedgers holds the memory of released ledgers.
 var idleLedgers idleList[Ledger]
 
-// taskRec is one task's record in a Ledger. firstService is -1 until
-// service begins.
+// taskRec is a boxed task's record in a Ledger: its arrival and the
+// instant its service first began.
 type taskRec struct {
 	arrival      float64
 	firstService float64
 }
 
-// taskQueue is a FIFO deque of task records mirroring one node's queue:
+// taskQueue is a FIFO deque of slots mirroring one node's queue:
 // completions pop the front (the task in service), transfers take from
 // the back (the most recently queued tasks are the ones shipped).
 // Amortised O(1) per operation.
 type taskQueue struct {
-	recs []taskRec
-	head int
+	slots []uint64
+	head  int
 }
 
-func (q *taskQueue) len() int { return len(q.recs) - q.head }
+func (q *taskQueue) len() int { return len(q.slots) - q.head }
 
-func (q *taskQueue) push(r taskRec) { q.recs = append(q.recs, r) }
+func (q *taskQueue) push(s uint64) { q.slots = append(q.slots, s) }
 
-func (q *taskQueue) front() *taskRec { return &q.recs[q.head] }
-
-func (q *taskQueue) pop() taskRec {
-	r := q.recs[q.head]
+func (q *taskQueue) pop() uint64 {
+	s := q.slots[q.head]
 	q.head++
 	// Reclaim the dead prefix once it dominates the backing array.
-	if q.head > 64 && q.head*2 > len(q.recs) {
-		n := copy(q.recs, q.recs[q.head:])
-		q.recs = q.recs[:n]
+	if q.head > 64 && q.head*2 > len(q.slots) {
+		n := copy(q.slots, q.slots[q.head:])
+		q.slots = q.slots[:n]
 		q.head = 0
 	}
-	return r
+	return s
 }
 
-// takeTail removes the last k records and appends them, in queue order,
-// to dst.
-func (q *taskQueue) takeTail(dst []taskRec, k int) []taskRec {
-	n := len(q.recs)
-	dst = append(dst, q.recs[n-k:]...)
-	q.recs = q.recs[:n-k]
+// takeTail removes the last k slots and appends them, in queue order, to
+// dst.
+func (q *taskQueue) takeTail(dst []uint64, k int) []uint64 {
+	n := len(q.slots)
+	dst = append(dst, q.slots[n-k:]...)
+	q.slots = q.slots[:n-k]
 	return dst
 }
 
@@ -292,7 +360,7 @@ func emptied(qs []taskQueue, n int) []taskQueue {
 	}
 	qs = qs[:n]
 	for i := range qs {
-		qs[i].recs, qs[i].head = qs[i].recs[:0], 0
+		qs[i].slots, qs[i].head = qs[i].slots[:0], 0
 	}
 	return qs
 }

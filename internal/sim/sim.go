@@ -871,9 +871,11 @@ func (s *simState) scheduleCompletion(i int) {
 
 // restartService is scheduleCompletion up to the calendar insert: it
 // cancels node i's outstanding completion timer and, if the node is up
-// with work queued, draws the fresh service stage for its front task
-// (whose first service a Ledger stamps). It returns the stage for
-// armCompletion, negative when there is nothing to arm.
+// with work queued, draws the uniform of a fresh service stage for its
+// front task (whose first service a Ledger stamps). It returns the draw
+// for armCompletion, negative when there is nothing to arm; only
+// armCompletion takes its logarithm, since an episode overwrites all but a
+// sender's last draw (see applyTransfers).
 //
 //churnlb:hotpath
 func (s *simState) restartService(i int) float64 {
@@ -883,17 +885,18 @@ func (s *simState) restartService(i int) float64 {
 	if !h.up || h.queue == 0 {
 		return -1
 	}
-	return s.rng.Exp(s.p.ProcRate[i])
+	return s.rng.PositiveFloat64()
 }
 
-// armCompletion inserts node i's completion timer stage seconds from
-// now; a no-op for a negative stage (nothing to arm) or node (no sender
-// held yet, see applyTransfers).
+// armCompletion inserts node i's completion timer at now plus the service
+// stage restartService's draw u makes (xrand.ExpOf at the node's rate); a
+// no-op for a negative draw (nothing to arm) or node (no sender held yet,
+// see applyTransfers).
 //
 //churnlb:hotpath
-func (s *simState) armCompletion(i int, stage float64) {
-	if i >= 0 && stage >= 0 {
-		s.hot[i].complTimer = s.sched.AfterIndexed(stage, evKindComplete, int32(i))
+func (s *simState) armCompletion(i int, u float64) {
+	if i >= 0 && u >= 0 {
+		s.hot[i].complTimer = s.sched.AfterIndexed(xrand.ExpOf(u, s.p.ProcRate[i]), evKindComplete, int32(i))
 	}
 }
 
@@ -1093,13 +1096,14 @@ const episodeRunMin = 128
 // applyTransfers executes one balancing episode. Each transfer does to
 // the sender's random stream exactly what re-arming its completion process
 // would — cancel the live timer and, if the node is up with work left,
-// draw a fresh service stage — but the calendar insert is held while
-// consecutive transfers share a sender: only the last draw of such a run
-// can ever fire, so the timer is
-// armed once, at now + that draw, when the sender changes or the slice
-// ends. Policies emit an episode sender by sender, which turns k
-// cancel/insert pairs into one per sender; a slice that returns to an
-// earlier sender is still correct — its armed timer is cancelled again.
+// draw the uniform of a fresh service stage — but the calendar insert, and
+// the logarithm that makes the draw a stage, are held while consecutive
+// transfers share a sender: only the last draw of such a run can ever
+// fire, so the timer is armed once, at now + that draw's stage, when the
+// sender changes or the slice ends. Policies emit an episode sender by
+// sender, which turns k cancel/insert pairs into one per sender; a slice
+// that returns to an earlier sender is still correct — its armed timer is
+// cancelled again.
 //
 // An episode of at least episodeRunMin transfers books its deliveries
 // into the scheduler's batch (see park) and commits it at the end. A
@@ -1114,17 +1118,17 @@ func (s *simState) applyTransfers(ts []model.Transfer) {
 		s.reserveEpisode(len(ts))
 		s.batching = true
 	}
-	held, stage := -1, -1.0 // the sender being held and its last draw, < 0 for none
+	held, u := -1, -1.0 // the sender being held and its last draw, < 0 for none
 	for _, tr := range ts {
 		if tr.From != held {
-			s.armCompletion(held, stage)
-			held, stage = tr.From, -1
+			s.armCompletion(held, u)
+			held, u = tr.From, -1
 		}
 		if d, sent := s.send(tr); sent {
-			stage = d
+			u = d
 		}
 	}
-	s.armCompletion(held, stage)
+	s.armCompletion(held, u)
 	if s.batching {
 		s.batching = false
 		s.sched.CommitBatch()
@@ -1144,12 +1148,12 @@ func (s *simState) reserveEpisode(k int) {
 }
 
 // send ships one transfer. sent reports whether anything left the
-// sender; stage is then the service stage drawn for what it keeps — the
+// sender; u is then restartService's draw for what it keeps — the
 // completion timer applyTransfers still has to arm — or negative when the
 // sender is down or was emptied.
 //
 //churnlb:hotpath
-func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
+func (s *simState) send(tr model.Transfer) (u float64, sent bool) {
 	if tr.Tasks <= 0 {
 		return 0, false
 	}
@@ -1175,7 +1179,7 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 	// The task being processed may have been shipped: restart the sender's
 	// completion process against whatever remains, leaving the insert to
 	// applyTransfers.
-	stage = s.restartService(tr.From)
+	u = s.restartService(tr.From)
 	s.inFlight += tr.Tasks
 	s.res.TransfersSent++
 	s.res.TasksTransferred += tr.Tasks
@@ -1183,7 +1187,7 @@ func (s *simState) send(tr model.Transfer) (stage float64, sent bool) {
 
 	delay := s.opt.TransferMode.Delay(s.rng, s.p.DelayPerTask, tr.Tasks)
 	s.park(s.sched.Now()+delay, row)
-	return stage, true
+	return u, true
 }
 
 // newFlight takes a row of the flight table for batch f and returns it.

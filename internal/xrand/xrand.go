@@ -77,9 +77,10 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// positiveFloat64 returns a uniform variate in (0, 1], suitable as the
-// argument of a logarithm.
-func (r *Rand) positiveFloat64() float64 {
+// PositiveFloat64 returns a uniform variate in (0, 1], suitable as the
+// argument of a logarithm: the draw Exp makes, for a caller that may
+// discard the variate and takes ExpOf only of the one it keeps.
+func (r *Rand) PositiveFloat64() float64 {
 	return 1.0 - r.Float64()
 }
 
@@ -122,21 +123,25 @@ func (r *Rand) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("xrand: Exp with non-positive rate")
 	}
-	return -math.Log(r.positiveFloat64()) / rate
+	return ExpOf(r.PositiveFloat64(), rate)
 }
+
+// ExpOf returns the exponential variate with the given rate that Exp makes
+// of the uniform u, a PositiveFloat64 draw.
+func ExpOf(u, rate float64) float64 { return -math.Log(u) / rate }
 
 // ExpMean returns an exponential variate with the given mean.
 func (r *Rand) ExpMean(mean float64) float64 {
 	if mean <= 0 {
 		panic("xrand: ExpMean with non-positive mean")
 	}
-	return -math.Log(r.positiveFloat64()) * mean
+	return -math.Log(r.PositiveFloat64()) * mean
 }
 
 // Normal returns a standard normal variate (Box–Muller, polar form
 // avoided for determinism of consumed entropy: exactly two uniforms).
 func (r *Rand) Normal() float64 {
-	u1 := r.positiveFloat64()
+	u1 := r.PositiveFloat64()
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
@@ -147,7 +152,7 @@ func (r *Rand) Weibull(shape, scale float64) float64 {
 	if shape <= 0 || scale <= 0 {
 		panic("xrand: Weibull with non-positive parameter")
 	}
-	return scale * math.Pow(-math.Log(r.positiveFloat64()), 1/shape)
+	return scale * math.Pow(-math.Log(r.PositiveFloat64()), 1/shape)
 }
 
 // MixSeed derives sub-stream s of a root seed through a SplitMix64-style
