@@ -276,7 +276,7 @@ func checkLBP1(sender int, k float64) error {
 
 // TracePoint records the queue vector after a simulation event; its
 // Kind names the event.
-type TracePoint = model.TracePoint
+type TracePoint = sim.TracePoint
 
 // SimResult reports one simulated realisation: the completion time,
 // per-node processed counts, churn and transfer counters, the external

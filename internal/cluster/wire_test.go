@@ -180,7 +180,7 @@ func FuzzDecodeTask(f *testing.F) {
 	f.Add(g.Next().AppendWire(nil))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, src []byte) {
-		task, rest, err := workload.DecodeTask(src)
+		task, rest, _, err := workload.DecodeTaskSlab(src, nil)
 		if err != nil {
 			return
 		}

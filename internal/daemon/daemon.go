@@ -96,8 +96,8 @@ type Options struct {
 	// the arrival stream stops, queued work drains, telemetry flushes.
 	Interrupt <-chan struct{}
 	// MaxWall aborts a wedged run: tasks outstanding at two consecutive
-	// MaxWall expiries with none completed or declared lost in between.
-	// Default 2 minutes.
+	// MaxWall expiries with none completed or declared lost in between,
+	// and no worker in paced service. Default 2 minutes.
 	MaxWall time.Duration
 }
 
@@ -183,6 +183,10 @@ type worker struct {
 	// waits counts the timer waits appLoop armed; appLoop's alone until
 	// the run is down.
 	waits int
+	// due holds the float64 bits of the paced due instant appLoop last
+	// waited towards, 0 once a failure cut that service; waitDone reads
+	// it to tell a long service from a wedge.
+	due atomic.Uint64
 }
 
 type run struct {
@@ -232,7 +236,6 @@ type run struct {
 	doneCh   chan struct{}
 	doneOnce sync.Once
 	doneAtV  float64
-	httpAddr atomic.Value // string: bound front-door address
 
 	wg sync.WaitGroup
 
@@ -570,15 +573,19 @@ func (c *run) preload() []model.Transfer {
 }
 
 // waitDone blocks until the run finishes, or reports it wedged: tasks
-// were outstanding for a whole MaxWall and none of them completed or was
-// declared lost. An idle daemon (nothing outstanding) and a slow run
-// (counters still moving) are not wedged; the timer re-arms.
+// were outstanding for a whole MaxWall, none of them completed or was
+// declared lost, and no worker was in paced service. An idle daemon
+// (nothing outstanding), a slow run (counters still moving) and a long
+// service (a due instant inside the period or ahead of it) are not
+// wedged; the timer re-arms.
 func (c *run) waitDone() error {
 	t := time.NewTimer(c.opt.MaxWall)
 	defer t.Stop()
 	// stalled is processed+lost at the previous expiry if tasks were
-	// outstanding then, -1 otherwise.
+	// outstanding then, -1 otherwise; armed is the virtual instant the
+	// current period began.
 	stalled := int64(-1)
+	armed := c.now()
 	for {
 		select {
 		case <-c.doneCh:
@@ -590,14 +597,27 @@ func (c *run) waitDone() error {
 		settled := processed + lost
 		if injected == settled {
 			stalled = -1
-		} else if settled == stalled {
+		} else if settled == stalled && !c.servedSince(armed) {
 			return fmt.Errorf("daemon: no progress for MaxWall=%v with %d/%d tasks done (%d lost)",
 				c.opt.MaxWall, processed, injected, lost)
 		} else {
 			stalled = settled
 		}
+		armed = c.now()
 		t.Reset(c.opt.MaxWall)
 	}
+}
+
+// servedSince reports whether some worker waited towards a due instant
+// after the virtual instant since: a service still running, or one that
+// ended so recently that its completion may not be on the books yet.
+func (c *run) servedSince(since float64) bool {
+	for _, w := range c.workers {
+		if math.Float64frombits(w.due.Load()) > since {
+			return true
+		}
+	}
+	return false
 }
 
 // maybeFinish closes the run when the arrival stream has ended and
@@ -726,6 +746,7 @@ func (c *run) appLoop(w *worker) {
 		due := start + w.rngApp.Exp(rate)
 		if d := c.wall(due - c.now()); d > 0 {
 			w.waits++
+			w.due.Store(math.Float64bits(due))
 			if c.preciseWait(timer, d, w.failInt) == sleepStopped {
 				return
 			}
@@ -738,6 +759,7 @@ func (c *run) appLoop(w *worker) {
 			}
 			w.mu.Unlock()
 			if cut {
+				w.due.Store(0)
 				c.noteInterrupted(task.ID, start)
 				continue
 			}

@@ -995,6 +995,40 @@ func TestWedgedRunHitsMaxWall(t *testing.T) {
 	}
 }
 
+// TestLongServiceOutlivesMaxWall: a worker waiting towards the paced due
+// instant of a long service is progress, though no counter moves. The
+// seed is picked so that the first service takes at least 2 virtual s,
+// 200 ms of wall time: several MaxWall periods with nothing settled.
+func TestLongServiceOutlivesMaxWall(t *testing.T) {
+	const (
+		maxWall   = 30 * time.Millisecond
+		timeScale = 10
+		rate      = 1.0
+	)
+	var seed uint64
+	var first float64
+	for first < 2 {
+		seed++
+		first = xrand.NewStream(seed, xrand.WorkerStream(0, xrand.WorkerService)).Exp(rate)
+	}
+	start := time.Now()
+	res, err := Run(Options{
+		Params:      model.Params{ProcRate: []float64{rate}, FailRate: []float64{0}, RecRate: []float64{0}},
+		InitialLoad: []int{3},
+		TimeScale:   timeScale,
+		Seed:        seed,
+		Transport:   cluster.NewChanTransport(2),
+		MaxWall:     maxWall,
+	})
+	if err != nil {
+		t.Fatalf("seed %d (first service %.2f virtual s): %v", seed, first, err)
+	}
+	checkConserved(t, res)
+	if el, long := time.Since(start), time.Duration(first/timeScale*float64(time.Second)); el < long {
+		t.Fatalf("run took %v, less than its first service of %v", el, long)
+	}
+}
+
 // TestSlowClosedRunOutlivesMaxWall is the other side of the rule: a closed
 // run several MaxWalls long that keeps completing tasks is not cut, which
 // an unconditional deadline (the testbed's, before it ran on this engine)

@@ -42,7 +42,6 @@ func (c *run) serveHTTP(addr string) (func() error, error) {
 		ReadTimeout:       10 * time.Second,
 		IdleTimeout:       time.Minute,
 	}
-	c.httpAddr.Store(ln.Addr().String())
 	if c.opt.OnHTTPAddr != nil {
 		c.opt.OnHTTPAddr(ln.Addr().String())
 	}
@@ -52,15 +51,6 @@ func (c *run) serveHTTP(addr string) (func() error, error) {
 		defer cancel()
 		return srv.Shutdown(ctx)
 	}, nil
-}
-
-// HTTPAddr reports the bound front-door address (useful when Options
-// asked for port 0).
-func (c *run) HTTPAddr() string {
-	if v := c.httpAddr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
 }
 
 func (c *run) handleTask(w http.ResponseWriter, r *http.Request) {

@@ -63,11 +63,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Position resolves a token.Pos against the pass's file set.
-func (p *Pass) Position(pos token.Pos) token.Position {
-	return p.Fset.Position(pos)
-}
-
 // Diagnostic is one finding: a source position and a message. Category
 // and suggested fixes from the upstream shape are omitted — the suite
 // keys suppression off the analyzer name instead.

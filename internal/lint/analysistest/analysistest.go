@@ -172,41 +172,21 @@ func parseWants(t *testing.T, fset *token.FileSet, f *ast.File) []*want {
 				if rest[0] != '"' && rest[0] != '`' {
 					t.Fatalf("%s:%d: malformed want pattern %q", pos.Filename, pos.Line, rest)
 				}
-				lit, tail, err := cutString(rest)
+				q, err := strconv.QuotedPrefix(rest)
 				if err != nil {
-					t.Fatalf("%s:%d: %v", pos.Filename, pos.Line, err)
+					t.Fatalf("%s:%d: malformed want pattern %q: %v", pos.Filename, pos.Line, rest, err)
 				}
+				lit, _ := strconv.Unquote(q) // a quoted prefix always unquotes
 				rx, err := regexp.Compile(lit)
 				if err != nil {
 					t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, lit, err)
 				}
 				ws = append(ws, &want{file: pos.Filename, line: pos.Line, rx: rx, raw: lit})
-				rest = tail
+				rest = rest[len(q):]
 			}
 		}
 	}
 	return ws
-}
-
-// cutString splits one leading Go string literal off s.
-func cutString(s string) (lit, rest string, err error) {
-	if s[0] == '`' {
-		end := strings.IndexByte(s[1:], '`')
-		if end < 0 {
-			return "", "", fmt.Errorf("unterminated raw want string %q", s)
-		}
-		return s[1 : 1+end], s[2+end:], nil
-	}
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			lit, err := strconv.Unquote(s[:i+1])
-			return lit, s[i+1:], err
-		}
-	}
-	return "", "", fmt.Errorf("unterminated want string %q", s)
 }
 
 // check matches diagnostics against wants one line at a time.

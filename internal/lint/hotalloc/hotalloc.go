@@ -150,7 +150,7 @@ func (c *checker) call(call *ast.CallExpr) {
 		c.boxedArgs(call)
 		return
 	}
-	b, isBuiltin := objOf(c.pass, id).(*types.Builtin)
+	b, isBuiltin := c.pass.TypesInfo.ObjectOf(id).(*types.Builtin)
 	if !isBuiltin {
 		c.boxedArgs(call)
 		return
@@ -178,7 +178,7 @@ func (c *checker) append(call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	if o := objOf(c.pass, dst); o != nil && c.locals[o] {
+	if o := c.pass.TypesInfo.ObjectOf(dst); o != nil && c.locals[o] {
 		c.pass.Reportf(call.Pos(), "append to function-local slice %s in hot path %s "+
 			"grows a per-call backing array; use a caller-provided or struct-owned "+
 			"scratch buffer, or //lint:ignore hotalloc <reason>", dst.Name, c.fn.Name.Name)
@@ -309,20 +309,12 @@ func (c *checker) inPanic(n ast.Node) bool {
 			continue
 		}
 		if id, ok := call.Fun.(*ast.Ident); ok {
-			if b, ok := objOf(c.pass, id).(*types.Builtin); ok && b.Name() == "panic" {
+			if b, ok := c.pass.TypesInfo.ObjectOf(id).(*types.Builtin); ok && b.Name() == "panic" {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// objOf resolves an identifier to its object.
-func objOf(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if o := pass.TypesInfo.Defs[id]; o != nil {
-		return o
-	}
-	return pass.TypesInfo.Uses[id]
 }
 
 // parentMap records each node's parent within one function declaration.

@@ -51,18 +51,10 @@ type Package struct {
 type listing struct {
 	ImportPath   string
 	Dir          string
-	Name         string
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	XTestImports []string
-	Incomplete   bool
-	DepsErrors   []*struct{ Err string }
 	Error        *struct{ Err string }
-	ForTest      string
-	Standard     bool
 	Module       *struct{ Path string }
 }
 

@@ -85,21 +85,13 @@ func parentMap(f *ast.File) map[ast.Node]ast.Node {
 	return parents
 }
 
-// obj resolves an identifier to its object (definition or use).
-func obj(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if o := pass.TypesInfo.Defs[id]; o != nil {
-		return o
-	}
-	return pass.TypesInfo.Uses[id]
-}
-
 // rootObj returns the object of the leftmost identifier of a chain of
 // selections/indexes (the storage being addressed), or nil.
 func rootObj(pass *analysis.Pass, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			return obj(pass, x)
+			return pass.TypesInfo.ObjectOf(x)
 		case *ast.SelectorExpr:
 			e = x.X
 		case *ast.IndexExpr:
@@ -127,7 +119,7 @@ func hasCall(pass *analysis.Pass, e ast.Expr) bool {
 			return true // conversion
 		}
 		if id, ok := call.Fun.(*ast.Ident); ok {
-			if b, ok := obj(pass, id).(*types.Builtin); ok {
+			if b, ok := pass.TypesInfo.ObjectOf(id).(*types.Builtin); ok {
 				switch b.Name() {
 				case "len", "cap", "min", "max":
 					return true
@@ -170,7 +162,7 @@ func keyObject(pass *analysis.Pass, rs *ast.RangeStmt) types.Object {
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	return obj(pass, id)
+	return pass.TypesInfo.ObjectOf(id)
 }
 
 func orderInsensitiveStmt(pass *analysis.Pass, st ast.Stmt, keyObj, rangedObj types.Object) bool {
@@ -206,11 +198,11 @@ func orderInsensitiveStmt(pass *analysis.Pass, st ast.Stmt, keyObj, rangedObj ty
 		if !ok {
 			return false
 		}
-		if b, ok := obj(pass, id).(*types.Builtin); !ok || b.Name() != "delete" {
+		if b, ok := pass.TypesInfo.ObjectOf(id).(*types.Builtin); !ok || b.Name() != "delete" {
 			return false
 		}
 		argKey, ok := call.Args[1].(*ast.Ident)
-		if !ok || keyObj == nil || obj(pass, argKey) != keyObj {
+		if !ok || keyObj == nil || pass.TypesInfo.ObjectOf(argKey) != keyObj {
 			return false
 		}
 		target := rootObj(pass, call.Args[0])
@@ -229,7 +221,7 @@ func keyedSlotWrite(pass *analysis.Pass, lhs ast.Expr, keyObj, rangedObj types.O
 		return false
 	}
 	id, ok := ix.Index.(*ast.Ident)
-	if !ok || obj(pass, id) != keyObj {
+	if !ok || pass.TypesInfo.ObjectOf(id) != keyObj {
 		return false
 	}
 	base := rootObj(pass, ix.X)
@@ -259,11 +251,11 @@ func collectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, parents map[ast.Nod
 	if !ok {
 		return false
 	}
-	if b, ok := obj(pass, fn).(*types.Builtin); !ok || b.Name() != "append" {
+	if b, ok := pass.TypesInfo.ObjectOf(fn).(*types.Builtin); !ok || b.Name() != "append" {
 		return false
 	}
 	first, ok := call.Args[0].(*ast.Ident)
-	if !ok || obj(pass, first) != obj(pass, dst) {
+	if !ok || pass.TypesInfo.ObjectOf(first) != pass.TypesInfo.ObjectOf(dst) {
 		return false
 	}
 	// The appended elements may mention only the key/value variables
@@ -278,7 +270,7 @@ func collectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, parents map[ast.Nod
 	if fnBody == nil {
 		return false
 	}
-	dstObj := obj(pass, dst)
+	dstObj := pass.TypesInfo.ObjectOf(dst)
 	sorted := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if sorted {
@@ -308,7 +300,7 @@ func collectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, parents map[ast.Nod
 		for _, a := range c.Args {
 			mentioned := false
 			ast.Inspect(a, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && obj(pass, id) == dstObj {
+				if id, ok := m.(*ast.Ident); ok && pass.TypesInfo.ObjectOf(id) == dstObj {
 					mentioned = true
 					return false
 				}

@@ -118,7 +118,7 @@ func checkFunc(pass *analysis.Pass, ft *ast.FuncType, body *ast.BlockStmt, paren
 				if !ok {
 					continue
 				}
-				o := objOf(pass, id)
+				o := pass.TypesInfo.ObjectOf(id)
 				if o == nil || tracked[o] || !isLocal(pass, o) {
 					continue
 				}
@@ -154,7 +154,7 @@ func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, tracked map[types.Obje
 		}
 		switch l := lhs.(type) {
 		case *ast.Ident:
-			o := objOf(pass, l)
+			o := pass.TypesInfo.ObjectOf(l)
 			if o != nil && !isLocal(pass, o) {
 				pass.Reportf(as.Pos(), "StateView must not outlive the call: "+
 					"storing it in package variable %s retains a window onto live simulator "+
@@ -247,7 +247,7 @@ func syncCallback(pass *analysis.Pass, call *ast.CallExpr) bool {
 func retains(pass *analysis.Pass, e ast.Expr, tracked map[types.Object]bool) bool {
 	switch x := e.(type) {
 	case *ast.Ident:
-		o := objOf(pass, x)
+		o := pass.TypesInfo.ObjectOf(x)
 		return o != nil && tracked[o]
 	case *ast.ParenExpr:
 		return retains(pass, x.X, tracked)
@@ -278,7 +278,7 @@ func retains(pass *analysis.Pass, e ast.Expr, tracked map[types.Object]bool) boo
 			return len(x.Args) == 1 && retains(pass, x.Args[0], tracked)
 		}
 		if id, ok := x.Fun.(*ast.Ident); ok {
-			if b, ok := objOf(pass, id).(*types.Builtin); ok && b.Name() == "append" {
+			if b, ok := pass.TypesInfo.ObjectOf(id).(*types.Builtin); ok && b.Name() == "append" {
 				for _, a := range x.Args {
 					if retains(pass, a, tracked) {
 						return true
@@ -292,14 +292,6 @@ func retains(pass *analysis.Pass, e ast.Expr, tracked map[types.Object]bool) boo
 	}
 }
 
-// objOf resolves an identifier to its object.
-func objOf(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if o := pass.TypesInfo.Defs[id]; o != nil {
-		return o
-	}
-	return pass.TypesInfo.Uses[id]
-}
-
 // isLocal reports whether o is function-local (declared inside some
 // function scope rather than at package level).
 func isLocal(pass *analysis.Pass, o types.Object) bool {
@@ -311,7 +303,7 @@ func isLocal(pass *analysis.Pass, o types.Object) bool {
 func aliasOf(pass *analysis.Pass, e ast.Expr, tracked map[types.Object]bool) bool {
 	switch x := e.(type) {
 	case *ast.Ident:
-		o := objOf(pass, x)
+		o := pass.TypesInfo.ObjectOf(x)
 		return o != nil && tracked[o]
 	case *ast.ParenExpr:
 		return aliasOf(pass, x.X, tracked)

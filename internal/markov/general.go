@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"churnlb/internal/linalg"
 	"churnlb/internal/model"
@@ -70,7 +71,7 @@ func (g *GeneralSolver) Mean(queues []int, pending []PendingTransfer, up []bool)
 			return 0, fmt.Errorf("markov: invalid pending transfer %+v", t)
 		}
 	}
-	if !samePending(g.pending, pending) {
+	if !slices.Equal(g.pending, pending) {
 		g.memo = map[string][]float64{}
 		g.pending = append([]PendingTransfer(nil), pending...)
 	}
@@ -83,18 +84,6 @@ func (g *GeneralSolver) Mean(queues []int, pending []PendingTransfer, up []bool)
 		}
 	}
 	return vals[s], nil
-}
-
-func samePending(a, b []PendingTransfer) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (g *GeneralSolver) key(queues []int, mask int) string {

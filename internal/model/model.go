@@ -144,30 +144,6 @@ func PaperBaseline() Params {
 	}
 }
 
-// EventKind labels the trace entries the simulator emits.
-type EventKind string
-
-// Trace event kinds.
-const (
-	EvStart      EventKind = "start"
-	EvCompletion EventKind = "completion"
-	EvFailure    EventKind = "failure"
-	EvRecovery   EventKind = "recovery"
-	EvSend       EventKind = "send"
-	EvArrival    EventKind = "arrival"
-	EvExternal   EventKind = "external"
-	EvDone       EventKind = "done"
-)
-
-// TracePoint records the queue vector after an event — the raw material of
-// the paper's Fig. 4 sample paths.
-type TracePoint struct {
-	Time   float64
-	Kind   EventKind
-	Node   int // primary node of the event (-1 when not applicable)
-	Queues []int
-}
-
 // Transfer directs Tasks tasks from node From to node To.
 type Transfer struct {
 	From, To int
@@ -257,15 +233,6 @@ func AsState(v StateView) State {
 		s.Up[i] = v.Up(i)
 	}
 	return s
-}
-
-// TotalQueued returns the number of queued tasks across all nodes.
-func (s State) TotalQueued() int {
-	t := 0
-	for _, q := range s.Queues {
-		t += q
-	}
-	return t
 }
 
 // Clone deep-copies the snapshot.

@@ -89,9 +89,6 @@ func TestNoFailureAndWithDelayAreCopies(t *testing.T) {
 
 func TestStateHelpers(t *testing.T) {
 	s := State{Queues: []int{3, 4}, Up: []bool{true, false}, InFlightTasks: 5}
-	if s.TotalQueued() != 7 {
-		t.Fatalf("TotalQueued = %d", s.TotalQueued())
-	}
 	c := s.Clone()
 	c.Queues[0] = 100
 	c.Up[1] = true

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 )
 
 // ManifestSchema is the manifest format version this package writes and
@@ -234,9 +233,5 @@ func LoadManifest(path string) (*Manifest, error) {
 // HashString renders a decision-stream hash in the fixed-width hex form
 // manifests store ("%016x").
 func HashString(h uint64) string {
-	s := strconv.FormatUint(h, 16)
-	for len(s) < 16 {
-		s = "0" + s
-	}
-	return s
+	return fmt.Sprintf("%016x", h)
 }

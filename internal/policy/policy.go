@@ -382,9 +382,7 @@ func (d Dynamic) OnArrival(_ int, v model.StateView, p model.Params) []model.Tra
 	return d.Base.AppendInitial(nil, v, p)
 }
 
-// totalQueued sums the queue lengths through a view in index order — the
-// StateView counterpart of model.State.TotalQueued, same summation order
-// so totals (and everything derived from them) stay bit-identical.
+// totalQueued sums the queue lengths through a view in index order.
 func totalQueued(v model.StateView) int {
 	t := 0
 	for i, n := 0, v.N(); i < n; i++ {

@@ -197,23 +197,29 @@ func ParseChurnLaw(s string) (ChurnLaw, error) {
 	}
 }
 
-// EventKind labels trace entries; aliased from the shared model package.
-type EventKind = model.EventKind
+// EventKind labels the trace entries a traced realisation records.
+type EventKind string
 
-// Trace event kinds, re-exported for convenience.
+// Trace event kinds.
 const (
-	EvStart      = model.EvStart
-	EvCompletion = model.EvCompletion
-	EvFailure    = model.EvFailure
-	EvRecovery   = model.EvRecovery
-	EvSend       = model.EvSend
-	EvArrival    = model.EvArrival
-	EvExternal   = model.EvExternal
-	EvDone       = model.EvDone
+	EvStart      EventKind = "start"
+	EvCompletion EventKind = "completion"
+	EvFailure    EventKind = "failure"
+	EvRecovery   EventKind = "recovery"
+	EvSend       EventKind = "send"
+	EvArrival    EventKind = "arrival"
+	EvExternal   EventKind = "external"
+	EvDone       EventKind = "done"
 )
 
-// TracePoint records the queue vector after an event.
-type TracePoint = model.TracePoint
+// TracePoint records the queue vector after an event — the raw material of
+// the paper's Fig. 4 sample paths.
+type TracePoint struct {
+	Time   float64
+	Kind   EventKind
+	Node   int // primary node of the event (-1 when not applicable)
+	Queues []int
+}
 
 // Options configures a single realisation.
 type Options struct {

@@ -55,16 +55,10 @@ func (t Task) AppendWire(dst []byte) []byte {
 	return dst
 }
 
-// DecodeTask parses one task from src, returning the remainder.
-func DecodeTask(src []byte) (Task, []byte, error) {
-	t, rest, _, err := DecodeTaskSlab(src, nil)
-	return t, rest, err
-}
-
-// DecodeTaskSlab is DecodeTask for a frame decoder that owns one row
-// slab for the whole frame: the task's Row is carved from the front of
-// slab (and the remaining slab returned) when slab has room, and
-// allocated otherwise. A carved Row is capacity-clipped, so an append to
+// DecodeTaskSlab parses one task from src, returning the remainder. A
+// frame decoder owns one row slab for the whole frame: the task's Row is
+// carved from the front of slab (and the remaining slab returned) when
+// slab has room, and allocated otherwise. A carved Row is capacity-clipped, so an append to
 // it reallocates instead of writing into the next task's row.
 //
 //churnlb:hotpath
@@ -85,7 +79,7 @@ func DecodeTaskSlab(src []byte, slab []float64) (Task, []byte, []float64, error)
 	if n <= len(slab) {
 		t.Row, slab = slab[:n:n], slab[n:]
 	} else {
-		//lint:ignore hotalloc fallback for callers without a slab (DecodeTask): one row per task
+		//lint:ignore hotalloc fallback for a nil or short slab: one row per task
 		t.Row = make([]float64, n)
 	}
 	for i := range t.Row {

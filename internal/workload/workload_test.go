@@ -17,7 +17,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if len(buf) != task.WireSize() {
 			t.Fatalf("wire size %d, want %d", len(buf), task.WireSize())
 		}
-		got, rest, err := DecodeTask(buf)
+		got, rest, _, err := DecodeTaskSlab(buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestWireRoundTripConcatenated(t *testing.T) {
 	for i := 0; i < len(tasks); i++ {
 		var got Task
 		var err error
-		got, buf, err = DecodeTask(buf)
+		got, buf, _, err = DecodeTaskSlab(buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,12 +59,12 @@ func TestWireRoundTripConcatenated(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeTask([]byte{1, 2, 3}); err == nil {
+	if _, _, _, err := DecodeTaskSlab([]byte{1, 2, 3}, nil); err == nil {
 		t.Fatal("short header accepted")
 	}
 	g := NewGenerator(8, 20, xrand.New(3))
 	buf := g.Next().AppendWire(nil)
-	if _, _, err := DecodeTask(buf[:len(buf)-4]); err == nil {
+	if _, _, _, err := DecodeTaskSlab(buf[:len(buf)-4], nil); err == nil {
 		t.Fatal("truncated row accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestWireProperty(t *testing.T) {
 	f := func(id uint64, prec uint32, rowRaw []float64) bool {
 		task := Task{ID: id, Precision: prec, Row: rowRaw}
-		got, rest, err := DecodeTask(task.AppendWire(nil))
+		got, rest, _, err := DecodeTaskSlab(task.AppendWire(nil), nil)
 		if err != nil || len(rest) != 0 {
 			return false
 		}
@@ -150,7 +150,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	buf := task.AppendWire(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeTask(buf); err != nil {
+		if _, _, _, err := DecodeTaskSlab(buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
