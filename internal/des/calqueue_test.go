@@ -30,6 +30,16 @@ func TestEventLayout(t *testing.T) {
 	}
 }
 
+// TestRunEventLayout pins the run event at 16 bytes: a t = 0 balancing
+// episode books one per transfer into the open batch and the radix sort
+// keeps a second array of them, so each byte here is two per transfer of
+// the largest episode, and the sort moves every one of them per pass.
+func TestRunEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(runEvent{}); got != 16 {
+		t.Fatalf("runEvent is %d bytes, want 16 — update the layout docs if this growth is intentional", got)
+	}
+}
+
 // TestCalendarHoldRebuilds is the hold model of the closed workloads: 2·10⁴
 // near timers (mean 1) and 2·10⁴ far ones (mean 200), each re-armed when
 // it fires, for 10⁶ steps, at 20 seeds. The width must settle: at most 5

@@ -27,7 +27,10 @@
 // run's head and the queue's minimum comes first in (time, seq) order, so
 // a batched event fires exactly when the queue would have fired it; a
 // caller with a large burst known at one instant (a balancing episode)
-// skips the queue for all of it.
+// skips the queue for all of it. A run event is 16 bytes: a batch holds
+// one kind, stored once, and each event's seq as an offset from the
+// batch's base. A caller that knows its batch's size reserves exactly
+// that much room for it (ReserveBatch).
 //
 // A scheduler outlives a simulation: Reset kills whatever is still
 // pending and returns the clock, the counters and the queue to a fresh
@@ -128,10 +131,13 @@ type Scheduler struct {
 	disp func(kind, arg int32)
 	// run[head:] is the pending sorted run (see run.go), empty with head 0
 	// once drained; batch is the open batch. The two arrays trade places
-	// when a batch is sorted into a run, and Reset keeps both.
-	run   []runEvent
-	head  int
-	batch []runEvent
+	// when a batch is sorted into a run, and Reset keeps both. Each holds
+	// one kind, and its events' seqs are offsets from its base.
+	run                []runEvent
+	head               int
+	batch              []runEvent
+	runBase, batchBase uint64
+	runKind, batchKind int32
 }
 
 // New returns an empty scheduler at time 0 on the default (heap) backend.
@@ -246,7 +252,7 @@ func (s *Scheduler) HasPending() bool { return s.q.Len() > 0 || len(s.run) > 0 }
 //churnlb:hotpath
 func (s *Scheduler) PeekNextTime() (t float64, ok bool) {
 	e := s.q.PeekMin()
-	if len(s.run) > 0 && runFirst(&s.run[s.head], e) {
+	if len(s.run) > 0 && s.runFirst(&s.run[s.head], e) {
 		return s.run[s.head].time, true
 	}
 	if e == nil {
@@ -261,13 +267,13 @@ func (s *Scheduler) PeekNextTime() (t float64, ok bool) {
 //churnlb:hotpath
 func (s *Scheduler) ProcessNext() bool {
 	if len(s.run) > 0 {
-		if r := s.run[s.head]; runFirst(&r, s.q.PeekMin()) {
+		if r := s.run[s.head]; s.runFirst(&r, s.q.PeekMin()) {
 			if s.head++; s.head == len(s.run) {
 				s.run, s.head = s.run[:0], 0
 			}
 			s.now = r.time
 			s.fired++
-			s.disp(r.kind, r.arg)
+			s.disp(s.runKind, r.arg)
 			return true
 		}
 	}

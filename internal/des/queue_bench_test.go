@@ -79,3 +79,39 @@ func BenchmarkSchedulerPending(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCommitBatch books a batch with BatchIndexed and commits it —
+// the radix sort into a run — on a warm scheduler, at the sizes of the
+// t = 0 balancing episodes of the benchmark's closed workloads (45 083
+// transfers on `closed-churn-1e3`, about 4.88·10⁵ on `closed-scale-1e5`).
+// Times follow the t = 0 delay law: a bundle of L tasks lands after an
+// exponential delay of mean δ·L, here δ = 0.02 s and L uniform on 1…19.
+// ns/event divides an iteration by the batch size; Reset, which keeps the
+// arrays, empties the scheduler between iterations.
+//
+//	go test -run NONE -bench BenchmarkCommitBatch -benchtime 20x ./internal/des/
+func BenchmarkCommitBatch(b *testing.B) {
+	for _, n := range []int{45_083, 488_000} {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			rng := xrand.New(1)
+			times := make([]float64, n)
+			for i := range times {
+				times[i] = rng.ExpMean(0.02 * float64(1+rng.Intn(19)))
+			}
+			s := NewWithQueue(QueueCalendar)
+			commit := func() {
+				for i, t := range times {
+					s.BatchIndexed(t, 0, int32(i))
+				}
+				s.CommitBatch()
+				s.Reset()
+			}
+			commit() // the arrays every iteration reuses
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				commit()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+		})
+	}
+}

@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // A run is the scheduler's second event source: indexed events that were
@@ -19,20 +18,23 @@ import (
 // queue one record per event, as AtIndexed would have put it: there is one
 // run at a time.
 
-// runEvent is one event of a run or of the open batch: an indexed event
-// with the sequence number it took when it was booked.
+// runEvent is one event of a run or of the open batch, 16 bytes (pinned
+// by TestRunEventLayout): an indexed event's time and arg, and the
+// sequence number it took when it was booked as an offset from its
+// batch's base. A batch holds one kind, kept beside its base, so neither
+// is stored per event.
 type runEvent struct {
-	time      float64
-	seq       uint64
-	kind, arg int32
+	time float64
+	seq  uint32
+	arg  int32
 }
 
 // runFirst reports whether run event r precedes queue event e in the
 // scheduler's (time, seq) order; a nil e (empty queue) never precedes.
 //
 //churnlb:hotpath
-func runFirst(r *runEvent, e *event) bool {
-	return e == nil || r.time < e.time || (r.time == e.time && r.seq < e.seq)
+func (s *Scheduler) runFirst(r *runEvent, e *event) bool {
+	return e == nil || r.time < e.time || (r.time == e.time && s.runBase+uint64(r.seq) < e.seq)
 }
 
 // BatchIndexed books an indexed event at absolute time t, which must not
@@ -40,15 +42,36 @@ func runFirst(r *runEvent, e *event) bool {
 // arg), in the (time, seq) order AtIndexed would have given it, but it
 // returns no Handle — it cannot be cancelled — and it is not pending until
 // CommitBatch. The caller must commit before the scheduler fires, peeks
-// or counts again; Reset discards an uncommitted batch.
+// or counts again; Reset discards an uncommitted batch. Every event of a
+// batch has the kind of its first, and a batch spans fewer than 2³²
+// sequence numbers: either broken panics.
 //
 //churnlb:hotpath
 func (s *Scheduler) BatchIndexed(t float64, kind, arg int32) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling into the past: %v < %v", t, s.now))
 	}
+	if len(s.batch) == 0 {
+		s.batchBase, s.batchKind = s.seq, kind
+	} else if kind != s.batchKind {
+		panic(fmt.Sprintf("des: kind %d booked into a batch of kind %d", kind, s.batchKind))
+	}
 	s.seq++
-	s.batch = append(s.batch, runEvent{time: t, seq: s.seq, kind: kind, arg: arg})
+	off := s.seq - s.batchBase
+	if off > math.MaxUint32 {
+		panic("des: a batch spans 2³² sequence numbers")
+	}
+	s.batch = append(s.batch, runEvent{time: t, seq: uint32(off), arg: arg})
+}
+
+// ReserveBatch makes room for k more events in the open batch, growing it
+// to exactly that size when it is short, so a caller that knows its
+// batch's size books it without append's spare room or the arrays append
+// outgrows.
+func (s *Scheduler) ReserveBatch(k int) {
+	if n := len(s.batch) + k; cap(s.batch) < n {
+		s.batch = append(make([]runEvent, 0, n), s.batch...)
+	}
 }
 
 // CommitBatch makes the open batch's events pending. With no run pending
@@ -64,8 +87,8 @@ func (s *Scheduler) CommitBatch() {
 			// The record keeps the seq its event was booked with; the one
 			// schedule draws is skipped, and skipping changes no order.
 			e := s.schedule(b[i].time)
-			e.seq = b[i].seq
-			e.kind, e.arg = b[i].kind, b[i].arg
+			e.seq = s.batchBase + uint64(b[i].seq)
+			e.kind, e.arg = s.batchKind, b[i].arg
 			s.q.Push(e)
 		}
 		s.batch = b[:0]
@@ -74,6 +97,7 @@ func (s *Scheduler) CommitBatch() {
 	// The drained run's array is the sort's scratch; the two trade places.
 	sorted, free := sortRun(b, s.run)
 	s.run, s.head, s.batch = sorted, 0, free[:0]
+	s.runBase, s.runKind = s.batchBase, s.batchKind
 }
 
 // timeKey maps an event time to a uint64 whose unsigned order is the
@@ -102,13 +126,14 @@ const sortDigit = 11
 // sortDigit bits per pass, skipping every pass whose digit all keys
 // share. Stability keeps push order among equal times, and a batch is
 // pushed in seq order, so the result is in (time, seq) order. tmp is the
-// scratch array (grown when too short); sorted is whichever of the two
-// holds the result and other the one that does not.
+// scratch array, replaced by one of exactly n events when too short;
+// sorted is whichever of the two holds the result and other the one that
+// does not.
 func sortRun(a, tmp []runEvent) (sorted, other []runEvent) {
 	const radix, mask = 1 << sortDigit, 1<<sortDigit - 1
 	n := len(a)
 	if cap(tmp) < n {
-		tmp = slices.Grow(tmp[:0], n)
+		tmp = make([]runEvent, n)
 	}
 	tmp = tmp[:n]
 	var count [(64 + sortDigit - 1) / sortDigit][radix]uint32

@@ -2,6 +2,8 @@ package des
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +42,66 @@ func TestTimeKeyOrdersLikeFloats(t *testing.T) {
 				t.Fatalf("%v: events booked at ±0 fired in order %v, want seq order", kind, got)
 			}
 		}
+	}
+}
+
+// TestBatchKeepsEachEventsKind: a batch stores its kind once, so the kind
+// must come back on every path an event can fire by — from the run, and
+// from the queue for a batch committed behind a pending run — beside
+// plain queue events of other kinds, in the (time, seq) order AtIndexed
+// would have given them all.
+func TestBatchKeepsEachEventsKind(t *testing.T) {
+	for _, kind := range QueueKinds() {
+		s := NewWithQueue(kind)
+		type fired struct{ kind, arg int32 }
+		var got []fired
+		s.SetDispatcher(func(kind, arg int32) { got = append(got, fired{kind, arg}) })
+		s.BatchIndexed(1, 3, 0)
+		s.AtIndexed(1, 1, 1)
+		s.BatchIndexed(1, 3, 2)
+		s.CommitBatch() // the run
+		s.BatchIndexed(1, 5, 3)
+		s.BatchIndexed(0.5, 5, 4)
+		s.CommitBatch() // behind the pending run: onto the queue
+		s.AtIndexed(1, 1, 5)
+		for s.ProcessNext() {
+		}
+		want := []fired{{5, 4}, {3, 0}, {1, 1}, {3, 2}, {5, 3}, {1, 5}}
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: fired (kind, arg) %v, want %v", kind, got, want)
+		}
+	}
+}
+
+// TestBatchPanics: a second kind in one open batch, and a batch whose
+// sequence offsets would pass 2³², panic instead of firing an event as
+// the wrong kind or out of order; the largest offset, 2³² − 1, books.
+func TestBatchPanics(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		book func(s *Scheduler)
+	}{
+		{"kind", func(s *Scheduler) {
+			s.BatchIndexed(1, 0, 0)
+			s.BatchIndexed(1, 1, 1)
+		}},
+		{"2³²", func(s *Scheduler) {
+			s.BatchIndexed(1, 0, 0)
+			s.seq += math.MaxUint32 - 2 // as if that many events were booked on the queue meanwhile
+			s.BatchIndexed(1, 0, 1)     // offset 2³² − 1
+			if off := s.batch[1].seq; off != math.MaxUint32 {
+				t.Fatalf("second event booked at offset %d, want 2³² − 1", off)
+			}
+			s.BatchIndexed(1, 0, 2)
+		}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("booking panicked with %q, want a panic naming %q", msg, tc.want)
+				}
+			}()
+			tc.book(New())
+		}()
 	}
 }

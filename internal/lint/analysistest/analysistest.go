@@ -30,22 +30,13 @@ import (
 	"churnlb/internal/lint/load"
 )
 
-// Result is one analyzed testdata package, returned for callers that
-// want to poke further (the suite tests only use the t failures).
-type Result struct {
-	Pkg         *types.Package
-	Diagnostics []analysis.Diagnostic
-}
-
 // Run analyzes each named package under dir/src and reports mismatches
 // between diagnostics and // want annotations as test errors.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) []*Result {
+func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	var out []*Result
 	for _, pkg := range pkgs {
-		out = append(out, run1(t, dir, a, pkg))
+		run1(t, dir, a, pkg)
 	}
-	return out
 }
 
 // testImporter resolves testdata-local import paths before falling
@@ -63,7 +54,7 @@ func (im *testImporter) Import(path string) (*types.Package, error) {
 	}
 	pdir := filepath.Join(im.dir, filepath.FromSlash(path))
 	if st, err := os.Stat(pdir); err == nil && st.IsDir() {
-		files, _, err := parseDir(im.fset, pdir)
+		files, err := parseDir(im.fset, pdir)
 		if err != nil {
 			return nil, err
 		}
@@ -78,13 +69,12 @@ func (im *testImporter) Import(path string) (*types.Package, error) {
 	return im.std.Import(path)
 }
 
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, []string, error) {
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var files []*ast.File
-	var names []string
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -92,22 +82,21 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, []string, error) {
 		name := filepath.Join(dir, e.Name())
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
-		names = append(names, name)
 	}
 	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("analysistest: no .go files in %s", dir)
+		return nil, fmt.Errorf("analysistest: no .go files in %s", dir)
 	}
-	return files, names, nil
+	return files, nil
 }
 
-func run1(t *testing.T, dir string, a *analysis.Analyzer, pkg string) *Result {
+func run1(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	src := filepath.Join(dir, "src")
 	fset := token.NewFileSet()
-	files, _, err := parseDir(fset, filepath.Join(src, filepath.FromSlash(pkg)))
+	files, err := parseDir(fset, filepath.Join(src, filepath.FromSlash(pkg)))
 	if err != nil {
 		t.Fatalf("%s: %v", pkg, err)
 	}
@@ -138,7 +127,6 @@ func run1(t *testing.T, dir string, a *analysis.Analyzer, pkg string) *Result {
 	}
 
 	check(t, fset, files, a.Name, diags)
-	return &Result{Pkg: tpkg, Diagnostics: diags}
 }
 
 // want is one expectation: a compiled regexp anchored to a file line.

@@ -38,9 +38,8 @@ type arena struct {
 	sched *des.Scheduler
 	queue des.QueueKind
 	hot   []nodeHot
-	// flights and freeFlights are the flight table's arrays.
-	flights     []flight
-	freeFlights []int32
+	// flights is the flight table's array.
+	flights []flight
 	// transferBuf is the episode buffer, sized by the t = 0 balance.
 	transferBuf []model.Transfer
 }
@@ -109,7 +108,6 @@ func (s *simState) release() {
 		queue:       queueFor(len(s.hot)),
 		hot:         s.hot,
 		flights:     s.flights,
-		freeFlights: s.freeFlights,
 		transferBuf: s.transferBuf,
 	})
 }

@@ -77,8 +77,15 @@ func TestWarmEpisodeAllocatesNothing(t *testing.T) {
 	if got := s.res.TransfersSent - sent; got != 6*k {
 		t.Fatalf("measured episodes sent %d transfers, want %d", got, 6*k)
 	}
-	if len(s.flights) > k || len(s.freeFlights) != len(s.flights) {
-		t.Errorf("flight table holds %d rows (%d free) after %d-transfer episodes all landed", len(s.flights), len(s.freeFlights), k)
+	if len(s.flights) > k || s.freeRows != len(s.flights) {
+		t.Errorf("flight table holds %d rows (%d free) after %d-transfer episodes all landed", len(s.flights), s.freeRows, k)
+	}
+	free := 0
+	for row := s.freeFlight; row >= 0 && free <= len(s.flights); row = s.flights[row].to {
+		free++
+	}
+	if free != s.freeRows {
+		t.Errorf("the free list threads %d rows, the count says %d", free, s.freeRows)
 	}
 }
 

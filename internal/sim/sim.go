@@ -370,7 +370,7 @@ const MaxNodes = 1 << 22
 // cost of a transfer between its send and its landing, next to the one
 // indexed event that carries the row's index.
 type flight struct {
-	to    int32 // the receiving node
+	to    int32 // the receiving node; in a free row, the next free row
 	tasks int32
 }
 
@@ -405,10 +405,13 @@ type simState struct {
 	// transferBuf so churn-heavy runs stop allocating per failure.
 	fplan       *policy.FailurePlan
 	transferBuf []model.Transfer
-	// flights is the table of batches in flight and freeFlights its free
-	// rows; a row's index is the flight id the TaskObserver is told.
-	flights     []flight
-	freeFlights []int32
+	// flights is the table of batches in flight; a row's index is the
+	// flight id the TaskObserver is told. Its free rows form a stack
+	// threaded through their to fields: freeFlight is the top, -1 for
+	// none, and freeRows counts them.
+	flights    []flight
+	freeFlight int32
+	freeRows   int
 	// batching is set while applyTransfers applies a large episode: park
 	// then books deliveries into the scheduler's open batch.
 	batching bool
@@ -629,7 +632,7 @@ func Start(opt Options) (*Realisation, error) {
 		res:         &Result{Processed: make([]int, n)},
 		transferBuf: a.transferBuf[:0],
 		flights:     a.flights[:0],
-		freeFlights: a.freeFlights[:0],
+		freeFlight:  -1,
 	}
 	s.sched.SetDispatcher(s.dispatch)
 	for i := range s.hot {
@@ -1141,16 +1144,16 @@ func (s *simState) applyTransfers(ts []model.Transfer) {
 	}
 }
 
-// reserveEpisode sizes the flight table for an episode of k transfers in
-// one step. Deliberately not a hot path: large episodes are the t = 0
-// balance and the odd big failure.
+// reserveEpisode sizes the flight table and the scheduler's open batch
+// for an episode of k transfers, each in one step and to exactly what the
+// episode can use. Deliberately not a hot path: large episodes are the
+// t = 0 balance and the odd big failure.
 func (s *simState) reserveEpisode(k int) {
-	if spare := len(s.freeFlights) + cap(s.flights) - len(s.flights); spare >= k {
+	s.sched.ReserveBatch(k)
+	if s.freeRows+cap(s.flights)-len(s.flights) >= k {
 		return
 	}
-	rows := len(s.flights) + k
-	s.flights = append(make([]flight, 0, rows), s.flights...)
-	s.freeFlights = append(make([]int32, 0, rows), s.freeFlights...)
+	s.flights = append(make([]flight, 0, len(s.flights)+k), s.flights...)
 }
 
 // send ships one transfer. sent reports whether anything left the
@@ -1196,13 +1199,14 @@ func (s *simState) send(tr model.Transfer) (u float64, sent bool) {
 	return u, true
 }
 
-// newFlight takes a row of the flight table for batch f and returns it.
+// newFlight takes a row of the flight table for batch f — the row freed
+// last, or a new one when none is free — and returns it.
 //
 //churnlb:hotpath
 func (s *simState) newFlight(f flight) int32 {
-	if n := len(s.freeFlights); n > 0 {
-		row := s.freeFlights[n-1]
-		s.freeFlights = s.freeFlights[:n-1]
+	if row := s.freeFlight; row >= 0 {
+		s.freeFlight = s.flights[row].to
+		s.freeRows--
 		s.flights[row] = f
 		return row
 	}
@@ -1229,7 +1233,8 @@ func (s *simState) park(at float64, row int32) {
 //churnlb:hotpath
 func (s *simState) land(row int32) {
 	f := s.flights[row]
-	s.freeFlights = append(s.freeFlights, row)
+	s.flights[row].to, s.freeFlight = s.freeFlight, row
+	s.freeRows++
 	to, tasks := int(f.to), int(f.tasks)
 	s.inFlight -= tasks
 	s.lazyTouch(to) // a detached receiver's state resolves before use
