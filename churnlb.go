@@ -110,19 +110,19 @@ func (s System) clone() System {
 }
 
 func fromParams(p model.Params) System {
-	s := System{DelayPerTask: p.DelayPerTask}
-	for i := 0; i < p.N(); i++ {
-		s.Nodes = append(s.Nodes, Node{ProcRate: p.ProcRate[i], FailRate: p.FailRate[i], RecRate: p.RecRate[i]})
+	s := System{Nodes: make([]Node, p.N()), DelayPerTask: p.DelayPerTask}
+	for i := range s.Nodes {
+		s.Nodes[i] = Node{ProcRate: p.ProcRate[i], FailRate: p.FailRate[i], RecRate: p.RecRate[i]}
 	}
 	return s
 }
 
+// params builds the model's rate columns, each made at its final length.
 func (s System) params() (model.Params, error) {
-	p := model.Params{DelayPerTask: s.DelayPerTask}
-	for _, n := range s.Nodes {
-		p.ProcRate = append(p.ProcRate, n.ProcRate)
-		p.FailRate = append(p.FailRate, n.FailRate)
-		p.RecRate = append(p.RecRate, n.RecRate)
+	n := len(s.Nodes)
+	p := model.Params{ProcRate: make([]float64, n), FailRate: make([]float64, n), RecRate: make([]float64, n), DelayPerTask: s.DelayPerTask}
+	for i, nd := range s.Nodes {
+		p.ProcRate[i], p.FailRate[i], p.RecRate[i] = nd.ProcRate, nd.FailRate, nd.RecRate
 	}
 	return p, p.Validate()
 }
@@ -552,14 +552,14 @@ func Serve(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeO
 	if opt.TraceDecisions || opt.DecisionLog != nil {
 		so.Tracer = obs.NewDecisionTracer(so.Sim.Params, obs.TraceOptions{K: opt.DecisionK, W: opt.DecisionLog})
 	}
-	so.Interrupt = opt.Interrupt
+	so.Sim.Interrupt = opt.Interrupt
 	run, err := serve.Run(so)
 	if err != nil {
 		return ServeResult{}, err
 	}
 	sum, out := run.Summary, run.Sim
 	res := ServeResult{
-		Interrupted:      run.Interrupted,
+		Interrupted:      run.Sim.Interrupted,
 		Arrived:          sum.Arrived,
 		Completed:        sum.Completed,
 		Duration:         out.CompletionTime,

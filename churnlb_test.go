@@ -561,3 +561,22 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestParamsMakesExactColumns: the facade's translation into model.Params
+// makes each of its three rate columns once, at the cluster's size. Grown
+// by append, each column was reallocated about log₂ n times, which on a
+// warm 10⁵-node realisation was most of what the run allocated.
+func TestParamsMakesExactColumns(t *testing.T) {
+	s := System{Nodes: make([]Node, 1000), DelayPerTask: 0.02}
+	for i := range s.Nodes {
+		s.Nodes[i] = Node{ProcRate: 1 + float64(i%3), FailRate: 0.01, RecRate: 0.1}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.params(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("params() of %d nodes: %v allocations, want 3 (one per column)", len(s.Nodes), allocs)
+	}
+}

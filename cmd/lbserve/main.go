@@ -233,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer, interrupt <-chan struct{}) int
 		}
 		fmt.Fprintf(stdout, "wrote: %s\n", path)
 	}
-	if res.Interrupted {
+	if res.Sim.Interrupted {
 		// Everything admitted drained and the report above is complete,
 		// but the realisation is not the one the inputs describe: no
 		// manifest, exit clean.

@@ -11,8 +11,8 @@
 // simulation over n entities holds no closure per entity or per event.
 // The loop itself is decomposed into step primitives (HasPending,
 // PeekNextTime, ProcessNext) so a caller can fire one event at a time and
-// act between two (the simulator's Realisation steps this way); Run is a
-// thin loop over them.
+// act between two (sim.Run's loop does, checking its workload and its
+// interrupt between events); Run is a thin loop over them.
 //
 // Event records are pooled: a fired or cancelled event returns to a
 // per-scheduler free list and is reused by the next scheduling call, so a
@@ -235,8 +235,8 @@ func (s *Scheduler) Reset() {
 //
 // HasPending, PeekNextTime and ProcessNext are the event loop taken
 // apart: ProcessNext fires exactly one event, so a caller can look at its
-// model or stop between two (the simulator's Realisation.ProcessNext, and
-// through it serving's interrupt poll), PeekNextTime reads when the next
+// model or stop between two (sim.Run's loop, which polls its interrupt
+// there), PeekNextTime reads when the next
 // one is due without firing it (Run's horizon check), and HasPending says
 // whether anything is left. Run is a thin loop over them.
 

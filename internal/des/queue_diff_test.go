@@ -1,6 +1,7 @@
 package des
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -859,13 +860,25 @@ func FuzzQueueOrder(f *testing.F) {
 	})
 }
 
-// fuzzOps decodes FuzzQueueOrder's input: each byte pair is one op, and
-// at most 4096 bytes are read.
+// fuzzMaxEvents caps the events one FuzzQueueOrder input books: a
+// schedule op books one and its child one more, a batch op its size. The
+// calendar queue walks a slot's chain of tied events to insert behind
+// them, so a program's cost grows faster than the square of its tied
+// events, and 4096 bytes of batch ops — 2048 batches of 48 events on 32
+// instants — ran for 8 to 13 s per calendar replay. Under the cap the
+// worst input replays on every backend in a tenth of a second
+// (TestFuzzOpsCapEvents).
+const fuzzMaxEvents = 1 << 14
+
+// fuzzOps decodes FuzzQueueOrder's input: each byte pair is one op, at
+// most 4096 bytes are read, and decoding stops before the op that would
+// book more than fuzzMaxEvents events in all.
 func fuzzOps(data []byte) []qop {
 	if len(data) > 4096 {
 		data = data[:4096]
 	}
 	var ops []qop
+	booked := 0
 	for i := 0; i+1 < len(data); i += 2 {
 		a, b := data[i], data[i+1]
 		o := qop{}
@@ -907,9 +920,37 @@ func fuzzOps(data []byte) []qop {
 				}
 			}
 		}
+		switch {
+		case o.kind == 4:
+			booked += len(o.batch)
+		case o.kind == 0 && o.child >= 0:
+			booked += 2
+		case o.kind == 0:
+			booked++
+		}
+		if booked > fuzzMaxEvents {
+			break
+		}
 		ops = append(ops, o)
 	}
 	return ops
+}
+
+// TestFuzzOpsCapEvents decodes the costliest input FuzzQueueOrder can be
+// given — 4096 bytes of batch ops of 48 tied events each — and requires
+// fuzzOps to stop within one batch of fuzzMaxEvents, and the capped
+// program to fire alike on every backend.
+func TestFuzzOpsCapEvents(t *testing.T) {
+	ops := fuzzOps(bytes.Repeat([]byte{5, 47}, 2048))
+	events := 0
+	for _, o := range ops {
+		events += len(o.batch)
+	}
+	if events > fuzzMaxEvents || events <= fuzzMaxEvents-48 {
+		t.Fatalf("an all-batch input decodes to %d events in %d ops, want the last batch of 48 to reach the %d-event cap",
+			events, len(ops), fuzzMaxEvents)
+	}
+	assertSameOrder(t, ops)
 }
 
 // TestQueueDifferentialChurnRealisation replays a whole churn-heavy

@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"churnlb/internal/lint/analysis"
+	"churnlb/internal/lint/astwalk"
 )
 
 // Directive marks a function as a checked hot path.
@@ -91,7 +92,7 @@ func checkBody(pass *analysis.Pass, fn *ast.FuncDecl) {
 	c := &checker{
 		pass:    pass,
 		fn:      fn,
-		parents: parentMap(fn),
+		parents: astwalk.Parents(fn),
 		locals:  localSlices(pass, fn),
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -315,22 +316,4 @@ func (c *checker) inPanic(n ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// parentMap records each node's parent within one function declaration.
-func parentMap(fn *ast.FuncDecl) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(fn, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }

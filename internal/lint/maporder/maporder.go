@@ -27,6 +27,7 @@ import (
 	"go/types"
 
 	"churnlb/internal/lint/analysis"
+	"churnlb/internal/lint/astwalk"
 )
 
 // Analyzer is the maporder pass.
@@ -41,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
-		parents := parentMap(f)
+		parents := astwalk.Parents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -64,25 +65,6 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
-}
-
-// parentMap records each node's parent so a range statement can find
-// its innermost enclosing function.
-func parentMap(f *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }
 
 // rootObj returns the object of the leftmost identifier of a chain of

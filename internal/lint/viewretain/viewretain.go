@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"churnlb/internal/lint/analysis"
+	"churnlb/internal/lint/astwalk"
 )
 
 // Analyzer is the viewretain pass.
@@ -43,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
-		parents := parentMap(f)
+		parents := astwalk.Parents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
@@ -315,22 +316,4 @@ func aliasOf(pass *analysis.Pass, e ast.Expr, tracked map[types.Object]bool) boo
 		}
 	}
 	return false
-}
-
-// parentMap records each node's parent for closure-context checks.
-func parentMap(f *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }

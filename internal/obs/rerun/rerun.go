@@ -46,7 +46,7 @@ type Hooks struct {
 	// run (a manifest with a Decisions block); nil keeps only the summary.
 	DecisionLog io.Writer
 	// Interrupt, once closed, cuts the arrival stream of a single serving
-	// run, which then drains (see serve.Options.Interrupt). Sweeps finish.
+	// run, which then drains (see sim.Options.Interrupt). Sweeps finish.
 	Interrupt <-chan struct{}
 }
 
@@ -323,7 +323,7 @@ func serveRun(m *obs.Manifest, hooks Hooks) (*Outcome, error) {
 	if m.Decisions != nil {
 		opt.Tracer = obs.NewDecisionTracer(sc.Params, obs.TraceOptions{K: m.Decisions.K, W: hooks.DecisionLog})
 	}
-	opt.Interrupt = hooks.Interrupt
+	opt.Sim.Interrupt = hooks.Interrupt
 	if out.Serve, err = serve.Run(opt); err != nil {
 		return nil, err
 	}

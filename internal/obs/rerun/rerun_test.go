@@ -345,7 +345,7 @@ func TestInterruptOnlyWhereHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Serve.Interrupted {
+	if !out.Serve.Sim.Interrupted {
 		t.Fatal("interrupt hook not honoured")
 	}
 	m.Mode, m.Reps = obs.ModeServeMany, 2

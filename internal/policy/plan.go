@@ -37,11 +37,14 @@ func (fp *FailurePlan) Nodes() int { return len(fp.rows) }
 func NewFailurePlan(rows [][]model.Transfer) *FailurePlan { return &FailurePlan{rows: rows} }
 
 // PlanFor is pol.FailurePlan(p), and nil for a nil policy (which every
-// engine runs as NoBalance). Callers running many realisations of the same
-// Params build the plan once here and hand the shared, read-only result
-// to every run instead of paying the O(n log n) construction per run.
+// engine runs as NoBalance) or for Params that fail Validate (a plan
+// build indexes every rate vector, so ragged ones would panic here instead
+// of failing the run that takes them with their validation error).
+// Callers running many realisations of the same Params build the plan
+// once here and hand the shared, read-only result to every run instead of
+// paying the O(n log n) construction per run.
 func PlanFor(pol Policy, p model.Params) *FailurePlan {
-	if pol == nil {
+	if pol == nil || p.Validate() != nil {
 		return nil
 	}
 	return pol.FailurePlan(p)

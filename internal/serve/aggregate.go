@@ -6,15 +6,17 @@ import (
 
 	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
+	"churnlb/internal/policy"
 	"churnlb/internal/stats"
+	"churnlb/internal/xrand"
 )
 
-// Pooled aggregates a RunMany sweep: per-replication summary statistics
-// folded in replication order, plus the pooled latency sketches and the
-// exact pooled fairness tally. It is the single aggregation path shared
-// by the manifest runner, the public churnlb.ServeMany and the experiment
-// harness's serve experiment, so a manifest replay cannot drift from the
-// CLI that wrote it.
+// Pooled aggregates a RunManyPooled sweep: per-replication summary
+// statistics folded in replication order, plus the pooled latency sketches
+// and the exact pooled fairness tally. It is the single aggregation path
+// shared by the manifest runner, the public churnlb.ServeMany and the
+// experiment harness's serve experiment, so a manifest replay cannot drift
+// from the CLI that wrote it.
 type Pooled struct {
 	// Reps is the number of replications run; N the number that completed
 	// at least one task (the latency sample count — an empty realisation
@@ -52,20 +54,42 @@ func PooledRepBytes(n int) int {
 	return int(unsafe.Sizeof(repStats{})+3*unsafe.Sizeof(metrics.P2{})+unsafe.Sizeof(metrics.LatencySketch{})) + 8*max(n, 0)
 }
 
-// RunManyPooled executes reps replications of opt (Workers goroutines;
-// 0 = GOMAXPROCS) and folds them into a Pooled aggregate. Deterministic
-// for a given opt.Seed regardless of worker count. It refuses, before it
-// allocates per replication, a sweep that mc.Options.Check refuses at
-// PooledRepBytes per replication.
+// RunManyPooled executes reps independent realisations of opt in parallel
+// on the mc worker pool (workers caps the goroutines; 0 = GOMAXPROCS),
+// replication rep reseeded with xrand.MixSeed(opt.Seed, rep) — exactly the
+// seeds a serial loop over Run would use — and folds them, in replication
+// order, into a Pooled aggregate, bit-identical for any worker count. Each
+// replication's Result is released once its repStats are taken. The
+// first replication error (by index) aborts the sweep. It refuses, before
+// it allocates per replication, a sweep that mc.Options.Check refuses at
+// PooledRepBytes per replication, and options that set a Tracer or a
+// Sim.Interrupt: single-run hooks, through which concurrent replications
+// would interleave or race on one cut.
 func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("serve: RunManyPooled needs positive reps, got %d", reps)
 	}
-	if err := (mc.Options{Reps: reps, Workers: workers}).Check(PooledRepBytes(opt.Sim.Params.N())); err != nil {
+	if opt.Tracer != nil || opt.Sim.Interrupt != nil {
+		return nil, fmt.Errorf("serve: RunManyPooled takes no Tracer or Sim.Interrupt (single-run hooks)")
+	}
+	mo := mc.Options{Reps: reps, Workers: workers}
+	if err := mo.Check(PooledRepBytes(opt.Sim.Params.N())); err != nil {
 		return nil, err
 	}
+	// The eq.-(8) plan depends only on Params: build it once (unless opt
+	// brings one) and share the immutable result across all replications
+	// (and workers) instead of rebuilding O(n log n) per rep.
+	if opt.Sim.FailurePlan == nil {
+		opt.Sim.FailurePlan = policy.PlanFor(opt.Sim.Policy, opt.Sim.Params)
+	}
 	perRep := make([]repStats, reps)
-	err := RunMany(opt, reps, workers, func(rep int, run *Result) {
+	err := mc.ForEach(mo, func(rep int) error {
+		o := opt
+		o.Seed = xrand.MixSeed(opt.Seed, rep)
+		run, err := Run(o)
+		if err != nil {
+			return err
+		}
 		perRep[rep] = repStats{
 			completed: run.Summary.Completed,
 			p50:       run.Summary.P50,
@@ -76,6 +100,7 @@ func RunManyPooled(opt Options, reps, workers int) (*Pooled, error) {
 			latency:   run.Latency,
 			fairness:  run.Fairness,
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -146,7 +146,7 @@ func (c pipeCase) options(out *caseRun) Options {
 	opt := c.opt
 	if c.cutAt > 0 {
 		cut := make(chan struct{})
-		opt.Interrupt = cut
+		opt.Sim.Interrupt = cut
 		newRouter := c.opt.NewRouter
 		opt.NewRouter = func() policy.Router {
 			r := &cutRouter{cut: cut, cutAt: c.cutAt}
@@ -176,7 +176,7 @@ func runPiped(t *testing.T, c pipeCase) *caseRun {
 }
 
 // runInline runs c with an inline observer in place of the pipe, as Run
-// would run it otherwise: same stream, router, step loop and interrupt.
+// would run it otherwise: same stream, router, loop and interrupt.
 func runInline(t *testing.T, c pipeCase) *caseRun {
 	t.Helper()
 	out := &caseRun{}
@@ -194,18 +194,17 @@ func runInline(t *testing.T, c pipeCase) *caseRun {
 	}
 	o := &inline{Ledger: sim.NewLedger(n, sink), tr: out.tracer, considered: policy.Considered(so.Router, n)}
 	so.TaskObserver = o
-	simRes, interrupted, err := drive(so, opt.Interrupt)
+	simRes, err := sim.Run(so)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.records = o.records
 	out.res = &Result{
-		Summary:     col.Finalize(simRes.CompletionTime),
-		Windows:     col.Windows(),
-		Latency:     col.Sketches(),
-		Fairness:    col.FairnessCounts(),
-		Sim:         simRes,
-		Interrupted: interrupted,
+		Summary:  col.Finalize(simRes.CompletionTime),
+		Windows:  col.Windows(),
+		Latency:  col.Sketches(),
+		Fairness: col.FairnessCounts(),
+		Sim:      simRes,
 	}
 	return out
 }
@@ -259,7 +258,7 @@ func checkPipeCase(t *testing.T, c pipeCase, got, want *Result) {
 	switch {
 	case c.name == "churn" && want.Sim.TasksTransferred == 0:
 		t.Error("churn case moved no task")
-	case c.cutAt > 0 && !got.Interrupted:
+	case c.cutAt > 0 && !got.Sim.Interrupted:
 		t.Error("Interrupt never fired")
 	}
 	// %v prints a float64 in its shortest round-trip form, so equal text
@@ -294,8 +293,9 @@ func (badRouter) Name() string                                         { return 
 func (badRouter) Route(model.StateView, model.Params, *xrand.Rand) int { return -1 }
 
 // TestNoGoroutineOutlivesARun: Run's telemetry consumer has exited by the
-// time Run returns — after a clean run, after sim.Start refuses the
-// options, after the realisation panics, and across a parallel RunMany.
+// time Run returns — after a clean run, after sim.Run refuses the
+// options, after the realisation panics, and across a parallel
+// RunManyPooled.
 func TestNoGoroutineOutlivesARun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	settled := func(after string) {
@@ -320,9 +320,9 @@ func TestNoGoroutineOutlivesARun(t *testing.T) {
 	refused.Sim.ArrivalRate, refused.Sim.ArrivalHorizon = math.NaN(), 0
 	refused.Sim.ArrivalTrace = []sim.ArrivalAt{{Time: 0, Batch: 1}}
 	if _, err := Run(refused); err == nil || !strings.Contains(err.Error(), "sim:") {
-		t.Fatalf("err = %v, want sim.Start's refusal", err)
+		t.Fatalf("err = %v, want sim.Run's refusal", err)
 	}
-	settled("a sim.Start error")
+	settled("a sim.Run error")
 
 	panics := testOptions(t)
 	panics.NewRouter = func() policy.Router { return badRouter{} }
@@ -336,8 +336,8 @@ func TestNoGoroutineOutlivesARun(t *testing.T) {
 	}()
 	settled("a panicking realisation")
 
-	if err := RunMany(testOptions(t), 8, 2, func(int, *Result) {}); err != nil {
+	if _, err := RunManyPooled(testOptions(t), 8, 2); err != nil {
 		t.Fatal(err)
 	}
-	settled("RunMany, 8 reps on 2 workers")
+	settled("RunManyPooled, 8 reps on 2 workers")
 }

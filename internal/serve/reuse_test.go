@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"churnlb/internal/model"
@@ -15,15 +16,22 @@ import (
 
 // dropIdleMemory empties the simulator's idle lists of realisation arenas
 // and ledgers, and the pipe's of chunks, so the next run builds its memory
-// from nothing. The simulator's go through its public API: a Start nobody
-// finishes and a ledger nobody releases each take one idle entry and let
-// it be collected, and a list holds at most GOMAXPROCS entries.
+// from nothing. The simulator's go through its public API: a run that
+// panics (its router picks a node that does not exist) and a ledger nobody
+// releases each take one idle entry and let it be collected, and a list
+// holds at most GOMAXPROCS entries.
 func dropIdleMemory(t *testing.T) {
 	t.Helper()
 	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
-		if _, err := sim.Start(sim.Options{Params: model.PaperBaseline(), InitialLoad: []int{0, 0}, Rand: xrand.New(1)}); err != nil {
-			t.Fatal(err)
-		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invalid node") {
+					t.Fatalf("recovered %v, want the invalid-node panic", r)
+				}
+			}()
+			sim.Run(sim.Options{Params: model.PaperBaseline(), InitialLoad: []int{0, 0}, Rand: xrand.New(1),
+				ArrivalRate: 1, ArrivalHorizon: 1000, Router: badRouter{}})
+		}()
 		sim.NewLedger(0, nil)
 	}
 	for len(idleChunks) > 0 {
@@ -70,7 +78,7 @@ func TestLaterRunsAllocateATenth(t *testing.T) {
 
 // TestRealisationReuseIsInvisibleToServing: a serving realisation starts on
 // whatever memory the simulator's last finished run left behind (see
-// sim.Start), and none of it may show. The same observed, routed,
+// sim.Run), and none of it may show. The same observed, routed,
 // balanced run is repeated after histories that leave different arenas — a
 // cluster ten times its size, one small enough for the simulator to run on
 // the other event queue (the heap), itself — and every output must come

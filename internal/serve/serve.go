@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 
-	"churnlb/internal/mc"
 	"churnlb/internal/metrics"
 	"churnlb/internal/model"
 	"churnlb/internal/obs"
@@ -32,7 +31,8 @@ type Options struct {
 	// positive) or an ArrivalTrace. Without one (ArrivalRate 0) the run is
 	// closed, and InitialLoad must hold tasks. A nil InitialLoad means
 	// empty queues. Run supplies Rand, Router and TaskObserver itself and
-	// refuses options that set any of them.
+	// refuses options that set any of them. Sim.Interrupt cuts a single
+	// run's arrival stream (see sim.Options.Interrupt).
 	// (LazyChurn is accepted and never granted: the telemetry observer
 	// must see every node-state change in time order.)
 	Sim sim.Options
@@ -52,16 +52,10 @@ type Options struct {
 	// policy.Considered, and every completion the ledger rebuilds. It
 	// reads the stream the collector reads, so the simulator does the same
 	// work traced or not; its log is written by the time Run returns, and
-	// a write error fails Run. Single runs only — RunMany replications run concurrently
-	// and would interleave through one tracer's state, so it refuses one.
+	// a write error fails Run. Single runs only — RunManyPooled's
+	// replications run concurrently and would interleave through one
+	// tracer's state, so it refuses one (and a Sim.Interrupt).
 	Tracer *obs.DecisionTracer
-	// Interrupt, when non-nil, requests early termination: once the
-	// channel is closed the arrival stream stops at the next event and the
-	// realisation drains what is already queued, so the run still produces
-	// a complete Result (Interrupted reports the cut). The channel is
-	// polled between events — closing it never corrupts a realisation.
-	// Single runs only; RunMany refuses it like Tracer.
-	Interrupt <-chan struct{}
 }
 
 // Result reports one serving realisation.
@@ -77,12 +71,10 @@ type Result struct {
 	// replication aggregators can pool the Jain index exactly across runs.
 	Fairness metrics.Fairness
 	// Sim is the underlying simulator result (completion time, churn and
-	// transfer counters, per-node processed counts).
+	// transfer counters, per-node processed counts, and Interrupted: a
+	// cut arrival stream, whose telemetry covers a shorter run than
+	// requested).
 	Sim *sim.Result
-	// Interrupted reports that Options.Interrupt fired: the arrival
-	// stream was cut early and the realisation drained what remained, so
-	// the telemetry covers a shorter run than requested.
-	Interrupted bool
 }
 
 // Utilization is each node's processed work as a fraction of its
@@ -143,7 +135,7 @@ func Run(opt Options) (*Result, error) {
 		so.Router = opt.NewRouter()
 	}
 	col := metrics.NewCollector(n, window)
-	out, interrupted, err := realise(so, opt, col)
+	out, err := realise(so, opt.Tracer, col)
 	if err != nil {
 		return nil, err
 	}
@@ -153,95 +145,22 @@ func Run(opt Options) (*Result, error) {
 		}
 	}
 	return &Result{
-		Summary:     col.Finalize(out.CompletionTime),
-		Windows:     col.Windows(),
-		Latency:     col.Sketches(),
-		Fairness:    col.FairnessCounts(),
-		Sim:         out,
-		Interrupted: interrupted,
+		Summary:  col.Finalize(out.CompletionTime),
+		Windows:  col.Windows(),
+		Latency:  col.Sketches(),
+		Fairness: col.FairnessCounts(),
+		Sim:      out,
 	}, nil
 }
 
 // realise runs the realisation with its telemetry piped to a ledger
-// feeding col, and opt.Tracer when set, on a goroutine of its own, and
+// feeding col, and tracer when set, on a goroutine of its own, and
 // returns — on every path, a panic included — only once that goroutine has
 // replayed every record and exited.
-func realise(so sim.Options, opt Options, col *metrics.Collector) (*sim.Result, bool, error) {
+func realise(so sim.Options, tracer *obs.DecisionTracer, col *metrics.Collector) (*sim.Result, error) {
 	n := so.Params.N()
-	p := openPipe(n, col, opt.Tracer, policy.Considered(so.Router, n))
+	p := openPipe(n, col, tracer, policy.Considered(so.Router, n))
 	defer p.join()
 	so.TaskObserver = p
-	return drive(so, opt.Interrupt)
-}
-
-// drive runs the realisation so describes through the simulator's step
-// primitives (Start, the Done/ProcessNext loop, Finish) rather than the
-// one-shot sim.Run: the loop polls interrupt between events, and routing
-// every serving run through it keeps the step API exercised by the entire
-// serving test suite. The two forms are bit-identical by construction
-// (sim.Run is this exact loop).
-func drive(so sim.Options, interrupt <-chan struct{}) (*sim.Result, bool, error) {
-	r, err := sim.Start(so)
-	if err != nil {
-		return nil, false, err
-	}
-	interrupted := false
-	for !r.Done() {
-		if interrupt != nil && !interrupted {
-			select {
-			case <-interrupt:
-				// Cut the arrival stream and keep stepping: the queued work
-				// drains, accounting stays conserved, and the Result covers
-				// everything up to the cut.
-				interrupted = true
-				r.CloseArrivals()
-			default:
-			}
-		}
-		if !r.ProcessNext() {
-			break
-		}
-	}
-	out, err := r.Finish()
-	return out, interrupted, err
-}
-
-// RunMany executes reps independent realisations of opt in parallel on
-// the mc worker pool (workers caps the goroutines; 0 = GOMAXPROCS),
-// replication rep reseeded with xrand.MixSeed(opt.Seed, rep) — exactly the
-// seeds a serial loop over Run would use. Each completed replication is
-// handed to visit(rep, res) from the worker goroutine that ran it and
-// released afterwards, so only what visit retains stays in memory no
-// matter how many replications run. visit must tolerate concurrent calls
-// with distinct reps — write into rep-indexed storage; folding that
-// storage in index order afterwards also makes the aggregate
-// bit-identical for any worker count. The first replication error (by
-// index) aborts the run. Tracer and Interrupt are single-run hooks —
-// concurrent replications would interleave through one tracer's state and
-// race on one cut — so RunMany refuses options that set either.
-func RunMany(opt Options, reps, workers int, visit func(rep int, r *Result)) error {
-	if reps <= 0 {
-		return fmt.Errorf("serve: RunMany needs positive reps")
-	}
-	if opt.Tracer != nil || opt.Interrupt != nil {
-		return fmt.Errorf("serve: RunMany takes no Tracer or Interrupt (single-run hooks)")
-	}
-	// The eq.-(8) plan depends only on Params: build it once (unless opt
-	// brings one) and share the immutable result across all replications
-	// (and workers) instead of rebuilding O(n log n) per rep. Invalid
-	// Params skip the build so the first Run can report the validation
-	// error.
-	if opt.Sim.FailurePlan == nil && opt.Sim.Params.Validate() == nil {
-		opt.Sim.FailurePlan = policy.PlanFor(opt.Sim.Policy, opt.Sim.Params)
-	}
-	return mc.ForEach(mc.Options{Reps: reps, Workers: workers}, func(rep int) error {
-		o := opt
-		o.Seed = xrand.MixSeed(opt.Seed, rep)
-		r, err := Run(o)
-		if err != nil {
-			return err
-		}
-		visit(rep, r)
-		return nil
-	})
+	return sim.Run(so)
 }

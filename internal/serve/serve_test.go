@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
+	"churnlb/internal/stats"
 	"churnlb/internal/testkit"
 	"churnlb/internal/xrand"
 )
@@ -36,12 +39,15 @@ func testOptions(t *testing.T) Options {
 }
 
 // TestRunManyMatchesSerialLoop pins the contract that made the parallel
-// fan-out safe to adopt: RunMany must produce exactly the results of the
-// serial loop it replaced — same xrand.MixSeed layout, rep-indexed output.
+// fan-out safe to adopt: RunManyPooled pools exactly the results of the
+// serial loop it replaced — same xrand.MixSeed layout, folded in
+// replication order.
 func TestRunManyMatchesSerialLoop(t *testing.T) {
 	opt := testOptions(t)
 	const reps = 5
-	want := make([]*Result, reps)
+	var thr stats.Welford
+	var fair metrics.Fairness
+	sketches := make([]metrics.LatencySketch, reps)
 	for rep := 0; rep < reps; rep++ {
 		o := opt
 		o.Seed = xrand.MixSeed(opt.Seed, rep)
@@ -49,42 +55,47 @@ func TestRunManyMatchesSerialLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[rep] = r
+		thr.Add(r.Summary.Throughput)
+		fair.Merge(r.Fairness)
+		sketches[rep] = r.Latency
 	}
-	got := make([]*Result, reps)
-	if err := RunMany(opt, reps, 0, func(rep int, r *Result) { got[rep] = r }); err != nil {
+	got, err := RunManyPooled(opt, reps, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for rep := range want {
-		w, g := want[rep].Summary, got[rep].Summary
-		if w.Completed != g.Completed ||
-			math.Float64bits(w.P99) != math.Float64bits(g.P99) ||
-			math.Float64bits(w.Throughput) != math.Float64bits(g.Throughput) {
-			t.Errorf("rep %d diverged: serial %+v, parallel %+v", rep, w, g)
-		}
+	want := PoolLatency(sketches)
+	if g, w := fmt.Sprintf("%+v", got.Throughput), fmt.Sprintf("%+v", thr.Summary()); g != w {
+		t.Errorf("pooled throughput %s, serial loop %s", g, w)
 	}
+	if *got.Latency.P50 != *want.P50 || *got.Latency.P99 != *want.P99 {
+		t.Error("pooled latency sketches differ from the serial loop's")
+	}
+	if !slices.Equal(got.Fairness.Counts, fair.Counts) {
+		t.Error("pooled fairness tally differs from the serial loop's")
+	}
+}
+
+// pooledBits prints every bit of a Pooled aggregate.
+func pooledBits(p *Pooled) string {
+	return fmt.Sprintf("%d %d %+v %+v %+v %+v %+v %+v %+v %+v %v", p.Reps, p.N, p.P50, p.P99, p.Throughput, p.Availability, p.InFlight,
+		*p.Latency.P50, *p.Latency.P90, *p.Latency.P99, p.Fairness.Counts)
 }
 
 // TestRunManyWorkerCountIndependent: any worker count, same bits.
 func TestRunManyWorkerCountIndependent(t *testing.T) {
 	opt := testOptions(t)
 	const reps = 7
-	collect := func(workers int) []*Result {
-		out := make([]*Result, reps)
-		if err := RunMany(opt, reps, workers, func(rep int, r *Result) { out[rep] = r }); err != nil {
+	collect := func(workers int) string {
+		p, err := RunManyPooled(opt, reps, workers)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return pooledBits(p)
 	}
 	base := collect(1)
 	for _, workers := range []int{2, 4, reps + 3} {
-		got := collect(workers)
-		for rep := range base {
-			b, g := base[rep].Summary, got[rep].Summary
-			if math.Float64bits(b.P50) != math.Float64bits(g.P50) ||
-				b.Arrived != g.Arrived || b.Completed != g.Completed {
-				t.Errorf("workers=%d rep %d diverged: %+v vs %+v", workers, rep, b, g)
-			}
+		if got := collect(workers); got != base {
+			t.Errorf("workers=%d diverged:\n got %s\nwant %s", workers, got, base)
 		}
 	}
 }
@@ -92,24 +103,23 @@ func TestRunManyWorkerCountIndependent(t *testing.T) {
 // TestRunManyValidation rejects non-positive reps and the single-run
 // hooks, naming the hook, rather than running without them.
 func TestRunManyValidation(t *testing.T) {
-	if err := RunMany(testOptions(t), 0, 0, func(int, *Result) {}); err == nil {
-		t.Fatal("zero reps accepted")
-	}
 	// A serve-many manifest recording reps -2 used to panic sizing the
 	// per-replication table.
-	if _, err := RunManyPooled(testOptions(t), -2, 0); err == nil || !strings.Contains(err.Error(), "reps") {
-		t.Fatalf("RunManyPooled with -2 reps: err = %v, want one naming reps", err)
+	for _, reps := range []int{0, -2} {
+		if _, err := RunManyPooled(testOptions(t), reps, 0); err == nil || !strings.Contains(err.Error(), "reps") {
+			t.Fatalf("RunManyPooled with %d reps: err = %v, want one naming reps", reps, err)
+		}
 	}
 	withTracer := testOptions(t)
 	withTracer.Tracer = obs.NewDecisionTracer(withTracer.Sim.Params, obs.TraceOptions{})
 	withInterrupt := testOptions(t)
-	withInterrupt.Interrupt = make(chan struct{})
+	withInterrupt.Sim.Interrupt = make(chan struct{})
 	for _, c := range []struct {
 		name string
 		opt  Options
 	}{{"Tracer", withTracer}, {"Interrupt", withInterrupt}} {
-		if err := RunMany(c.opt, 2, 0, func(int, *Result) {}); err == nil || !strings.Contains(err.Error(), c.name) {
-			t.Errorf("RunMany with %s: err = %v, want one naming it", c.name, err)
+		if _, err := RunManyPooled(c.opt, 2, 0); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("RunManyPooled with %s: err = %v, want one naming it", c.name, err)
 		}
 	}
 }
@@ -206,7 +216,7 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 			c.mod(&opt)
 			err := testkit.Deadline(t, 2*time.Second, func(stop <-chan struct{}) error {
 				o := opt
-				o.Interrupt = stop
+				o.Sim.Interrupt = stop
 				_, err := Run(o)
 				return err
 			})

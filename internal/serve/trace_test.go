@@ -32,7 +32,7 @@ func TestRunArrivalTrace(t *testing.T) {
 	if int(r.Summary.Completed) != want {
 		t.Fatalf("completed %d, want %d", r.Summary.Completed, want)
 	}
-	if r.Interrupted {
+	if r.Sim.Interrupted {
 		t.Fatal("uninterrupted run reported Interrupted")
 	}
 	if len(r.Windows) == 0 {
@@ -56,12 +56,12 @@ func TestRunInterrupt(t *testing.T) {
 	}
 	ch := make(chan struct{})
 	close(ch)
-	opt.Interrupt = ch
+	opt.Sim.Interrupt = ch
 	r, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Interrupted {
+	if !r.Sim.Interrupted {
 		t.Fatal("pre-closed Interrupt not reported")
 	}
 	// At most one arrival event fires before the poll notices the cut.

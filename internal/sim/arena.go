@@ -29,10 +29,10 @@ func queueFor(nodes int) des.QueueKind {
 
 // arena is the memory of a sequential realisation that outlives it: the
 // allocations whose size follows the cluster and the workload rather than
-// the run, handed from Finish to the next Start through the idle list. It
-// carries capacity only — Start overwrites or truncates every part before
-// the run reads it, and Finish has already reset the scheduler — so which
-// arena a run gets, a used one or none, shows in no output.
+// the run, handed from one run's finish to the next run's start through the
+// idle list. It carries capacity only — start overwrites or truncates every
+// part before the run reads it, and finish has already reset the scheduler —
+// so which arena a run gets, a used one or none, shows in no output.
 type arena struct {
 	// sched is a reset scheduler and queue its backend.
 	sched *des.Scheduler
@@ -78,7 +78,7 @@ func (l *idleList[T]) put(x T) {
 	}
 }
 
-// dropIdleArenas empties the idle list, so the next Start builds its state
+// dropIdleArenas empties the idle list, so the next run builds its state
 // from nothing: how a test measures one fresh realisation, and how it lets
 // go of a large one.
 func dropIdleArenas() {

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/scenario"
 	"churnlb/internal/sim"
@@ -87,47 +86,4 @@ func BenchmarkRealisationReuse(b *testing.B) {
 		})
 	}
 	sim.DropIdleArenas()
-}
-
-// TestColdStartBytesPerTransfer bounds what one cold sim.Start allocates
-// (the idle arenas dropped first) per transfer of its t = 0 episode, on
-// a cluster where that episode dwarfs the rest of the state: 10⁴ nodes,
-// 5·10⁵ tasks on 5 hot nodes, LBP-2, so 49 995 transfers, each hot node
-// shipping to every other node. The bytes cover all of Start — the hot
-// array, the scheduler's records and queue, the policy's transfer list,
-// the flight table, the open batch and the radix sort's scratch array —
-// divided by the transfer count. The episode retains a 24-byte transfer,
-// two 16-byte run events (the batch and the sort's scratch) and an 8-byte
-// flight row per transfer, and the batch and the flight table are
-// reserved to exactly the episode; the measured 125 B per transfer, with
-// the per-node state, sits well under the bound, which an episode that
-// grows its batch by append (about 260 B per transfer with 24-byte run
-// events) breaks.
-func TestColdStartBytesPerTransfer(t *testing.T) {
-	const bound = 170
-	sc, err := scenario.Generate(scenario.Spec{Kind: scenario.Hotspot, N: 10_000, TotalLoad: 500_000, Seed: 1, HotspotNodes: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := policy.LBP2{K: 1}
-	view := model.SnapshotView{State: model.State{Queues: sc.InitialLoad, Up: sc.InitialUp}}
-	transfers := len(pol.AppendInitial(nil, view, sc.Params))
-	opt := sc.Options(pol, xrand.NewStream(1, 1))
-	sim.DropIdleArenas()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r, err := sim.Start(opt)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	sim.DropIdleArenas()
-	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(transfers)
-	t.Logf("cold Start: %d transfers, %.1f B per transfer", transfers, per)
-	if transfers < 49_000 || per > bound {
-		t.Errorf("cold Start allocated %.1f B per transfer of a %d-transfer episode, want at most %d", per, transfers, bound)
-	}
 }

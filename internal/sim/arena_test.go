@@ -22,7 +22,7 @@ type arenaStep struct {
 	// observer, so a step can be built twice and run twice.
 	opt func() Options
 	// abandon starts the realisation, fires a few events and walks away
-	// without Finish; its outputs are not compared.
+	// without finishing it; its outputs are not compared.
 	abandon bool
 }
 
@@ -68,11 +68,11 @@ func checkThroughOneArena(t *testing.T, steps []arenaStep) {
 	defer dropIdleArenas()
 	for k, st := range steps {
 		if st.abandon {
-			r, err := Start(st.opt())
+			s, err := start(st.opt())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 50 && !r.Done() && r.ProcessNext(); i++ {
+			for i := 0; i < 50 && s.sched.ProcessNext(); i++ {
 			}
 			continue
 		}
@@ -185,27 +185,6 @@ func TestArenaSurvivesAwkwardNeighbours(t *testing.T) {
 	} {
 		t.Run(seq.name, func(t *testing.T) { checkThroughOneArena(t, seq.steps) })
 	}
-}
-
-// TestArenaUseAfterFinishPanics: Finish gives the realisation's memory
-// away, so a stale Realisation must fail loudly rather than read the next
-// run's state.
-func TestArenaUseAfterFinishPanics(t *testing.T) {
-	r, err := Start(arenaCases()["none/heap/lazy=false"](0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !r.Done() && r.ProcessNext() {
-	}
-	if _, err := r.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Done after Finish did not panic")
-		}
-	}()
-	r.Done()
 }
 
 // TestArenaParallelStudyMatchesSerial: mc.ForEach with 4 workers over 64

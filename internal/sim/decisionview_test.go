@@ -117,7 +117,7 @@ func TestLedgerViewIsTheRoutedView(t *testing.T) {
 	streams := []struct {
 		name string
 		set  func(o *Options)
-		// cutAfter > 0 closes the arrival stream after that many events.
+		// cutAfter > 0 closes the run's Interrupt after that many events.
 		cutAfter int
 	}{
 		{"poisson", func(o *Options) { o.ArrivalRate, o.ArrivalBatch, o.ArrivalHorizon = 6, 2, 15 }, 0},
@@ -140,18 +140,23 @@ func TestLedgerViewIsTheRoutedView(t *testing.T) {
 						opt.Router = routes
 						check := &viewChecker{Ledger: NewLedger(n, discardSink{}), t: t, routes: routes}
 						opt.TaskObserver = check
-						r, err := Start(opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for events := 1; !r.Done() && r.ProcessNext(); events++ {
-							if events == st.cutAfter {
-								r.CloseArrivals()
+						if st.cutAfter > 0 {
+							cut, events := make(chan struct{}), 0
+							opt.Interrupt = cut
+							opt.probe = func(_ *simState, kind EventKind, _ int) {
+								if kind != EvStart && kind != EvDone {
+									if events++; events == st.cutAfter {
+										close(cut)
+									}
+								}
 							}
 						}
-						res, err := r.Finish()
+						res, err := Run(opt)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if st.cutAfter > 0 && !res.Interrupted {
+							t.Error("the interrupt never fired")
 						}
 						if check.arrivals != len(routes.seen) {
 							t.Errorf("%d arrivals after Armed, %d Route calls", check.arrivals, len(routes.seen))

@@ -44,11 +44,19 @@ func episodeState(t testing.TB, n, perNode int, delay float64, obs TaskObserver,
 		p.ProcRate[i] = 1 + float64(i%3)
 		load[i] = perNode
 	}
-	r, err := Start(Options{Params: p, InitialLoad: load, Rand: xrand.NewStream(seed, 1), TaskObserver: obs})
+	s, err := start(Options{Params: p, InitialLoad: load, Rand: xrand.NewStream(seed, 1), TaskObserver: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.s
+	return s
+}
+
+// runOut fires s's events until Run's loop would stop, then finishes the
+// realisation: Run's ending, for a test that started s itself.
+func runOut(s *simState) *Result {
+	for (s.remaining > 0 || s.pendingArrivals()) && s.sched.ProcessNext() {
+	}
+	return s.finish()
 }
 
 // TestWarmEpisodeAllocatesNothing: once a realisation's pools have seen
@@ -109,18 +117,12 @@ func TestInterleavedSendersMatchPerTransferRearm(t *testing.T) {
 		run := func(apply func(s *simState)) (*Result, uint64, uint64) {
 			o := newStreamHash()
 			s := episodeState(t, 6, 40, delay, NewLedger(6, o), 21)
-			apply(s) // at t = 0, over the timers Start armed
+			apply(s) // at t = 0, over the timers start armed
 			for i := 0; i < 25; i++ {
 				s.sched.ProcessNext()
 			}
 			apply(s) // mid-run
-			r := &Realisation{s: s}
-			for !r.Done() && r.ProcessNext() {
-			}
-			res, err := r.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runOut(s)
 			return res, o.h.Sum64(), s.rng.Uint64()
 		}
 		held, heldObs, heldRng := run(func(s *simState) { s.applyTransfers(ts) })
@@ -150,7 +152,7 @@ func TestInterleavedSendersMatchPerTransferRearm(t *testing.T) {
 // books each delivery on the event queue. Both must leave the same
 // realisation — the same Result, the same observer stream, the same
 // position of the random stream — over three episodes with senders
-// interleaved: one at t = 0 over the timers Start armed, one while its run
+// interleaved: one at t = 0 over the timers start armed, one while its run
 // is still pending (which goes onto the queue), and one after that run
 // has drained (which becomes a new run mid-realisation). Zero delay ties
 // every landing at its send instant; a delay per task spreads them. The
@@ -179,13 +181,7 @@ func TestRunEpisodeMatchesQueueEpisode(t *testing.T) {
 					}
 					apply(s, ts)
 				}
-				r := &Realisation{s: s}
-				for !r.Done() && r.ProcessNext() {
-				}
-				res, err := r.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := runOut(s)
 				return res, o.h.Sum64(), s.rng.Uint64()
 			}
 			batched, batchedObs, batchedRng := run(func(s *simState, ts []model.Transfer) { s.applyTransfers(ts) })

@@ -13,7 +13,7 @@ import (
 // TestHostileArrivalParametersRejected: every arrival parameter that used to wedge the event loop — a NaN fails every
 // comparison it meets, an infinite rate never advances the clock, a batch
 // beyond the int32 queue wraps negative and never drains — is refused
-// with an error naming the field. The cases go through Start, which
+// with an error naming the field. The cases go through start, which
 // validates without firing an event, so a value that slips through fails
 // its case instead of hanging the suite.
 func TestHostileArrivalParametersRejected(t *testing.T) {
@@ -48,7 +48,7 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 			ArrivalHorizon: 5,
 		}
 		c.mod(&opt)
-		if _, err := Start(opt); err == nil {
+		if _, err := start(opt); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		} else if !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
@@ -65,11 +65,11 @@ func TestHostileArrivalParametersRejected(t *testing.T) {
 }
 
 // TestNodeCap: a cluster above MaxNodes is refused, naming the cap, before
-// Start validates or allocates anything per node.
+// the run validates or allocates anything per node.
 func TestNodeCap(t *testing.T) {
 	r := make([]float64, MaxNodes+1) // one untouched vector shared by the three rates
-	_, err := Start(Options{Params: model.Params{ProcRate: r, FailRate: r, RecRate: r}, Rand: xrand.New(1)})
+	_, err := Run(Options{Params: model.Params{ProcRate: r, FailRate: r, RecRate: r}, Rand: xrand.New(1)})
 	if err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("Start = %v, want an error naming the node cap", err)
+		t.Fatalf("Run = %v, want an error naming the node cap", err)
 	}
 }

@@ -46,7 +46,7 @@ type TaskObserver interface {
 	// TransferArrived reports batch flight's tasks landing at the back of
 	// to's queue at time t; its id is free for the next departure.
 	TransferArrived(to, tasks, flight int, t float64)
-	// Armed reports, once per run, that Start has armed every node at time
+	// Armed reports, once per run, that the run has armed every node at time
 	// t: from here on every up node holding tasks serves its front one.
 	// Before it come the t = 0 load, the nodes that start down and the
 	// t = 0 balance.
@@ -82,13 +82,13 @@ type TaskSink interface {
 // The stamp rule is the simulator's: a node restarts service, and stamps
 // the task it starts, whenever its front may have changed while it is up —
 // a completion, a recovery, work joining an empty queue, a departure (the
-// sender serves what it keeps) and Start's arming of every node. So after
+// sender serves what it keeps) and the arming of every node. So after
 // each call the ledger stamps the front of the node the call touched if
 // that node is up, holds tasks and its front has none — except that an
 // arrival stamps only a queue it found empty, and none before Armed. Tasks
 // joining behind a front change nothing in service, and by the rule an up
 // node's front already has its stamp (which saves reading the front of a
-// long queue). Start reports the t = 0 load before it arms any node and
+// long queue). A run reports the t = 0 load before it arms any node and
 // applies its t = 0 balance in between, so a node that starts down is
 // first stamped when it recovers, and a t = 0 transfer that takes a
 // sender's whole queue ships its front unstamped.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"churnlb/internal/mc"
 	"churnlb/internal/model"
 	"churnlb/internal/policy"
 	"churnlb/internal/xrand"
@@ -81,5 +82,17 @@ func TestSharedFailurePlanSizeMismatch(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "FailurePlan built for 8 nodes") {
 		t.Fatalf("want size-mismatch error, got %v", err)
+	}
+}
+
+// TestMonteCarloReportsMalformedParams: a study whose Params fail
+// validation — here three processing rates beside one failure and one
+// recovery rate, under LBP-2 — returns the validation error the first
+// run reports, instead of panicking while it builds the shared plan.
+func TestMonteCarloReportsMalformedParams(t *testing.T) {
+	p := model.Params{ProcRate: []float64{1, 2, 3}, FailRate: []float64{0.1}, RecRate: []float64{1}}
+	_, err := MonteCarlo(mc.Options{Reps: 2, Seed: 1, Workers: 1}, Options{Params: p, Policy: policy.LBP2{K: 1}, InitialLoad: []int{5, 5, 5}})
+	if err == nil || !strings.Contains(err.Error(), "rate slices disagree") {
+		t.Fatalf("err = %v, want the validation error", err)
 	}
 }

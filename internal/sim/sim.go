@@ -47,23 +47,22 @@
 // holds the view the router decided on (Ledger.View). (What an observer
 // does rule out is LazyChurn, which needs nobody watching idle nodes.)
 //
-// Realisations reuse their memory. Finish hands the realisation's arena —
-// the des.Scheduler with its record slabs, free list and queue arrays, the
-// hot array, the flight table and the episode buffer (which also carries
-// the t = 0 balance) — to a
-// package-level idle list, and the next Start takes it back, so a study of
-// thousands of short realisations allocates its state once per worker
-// instead of once per run. Only capacity is kept: Start zeroes or
-// truncates every array and Finish resets the scheduler, record, bucket
-// and slice layout never decide pop order, and every output of a run is
-// bit-identical whichever arena it ran on, used or new (arena_test.go).
-// The list is a mutex-guarded slice capped at GOMAXPROCS arenas and holds
-// them strongly: a serial caller always gets its last arena back, a
-// parallel study keeps one per worker, a Finish that finds the list full
-// drops its arena, and an idle arena stays resident — at the size of the
-// largest run that used it — until the process ends. A Start nobody
-// finishes just lets its arena be collected. A Ledger's task deques are
-// reused the same way, from a list of their own.
+// Realisations reuse their memory. The end of a run hands its arena — the
+// des.Scheduler with its record slabs, free list and queue arrays, the hot
+// array, the flight table and the episode buffer (which also carries the
+// t = 0 balance) — to a package-level idle list, and the next run takes it
+// back, so a study of thousands of short realisations allocates its state
+// once per worker instead of once per run. Only capacity is kept: a run
+// zeroes or truncates every array it takes and resets the scheduler it
+// hands back; record, bucket and slice layout never decide pop order, and
+// every output of a run is bit-identical whichever arena it ran on, used
+// or new (arena_test.go). The list is a mutex-guarded slice capped at
+// GOMAXPROCS arenas and holds them strongly: a serial caller always gets
+// its last arena back, a parallel study keeps one per worker, a run that
+// ends with the list full drops its arena, and an idle arena stays
+// resident — at the size of the largest run that used it — until the
+// process ends. A run that panics just lets its arena be collected. A
+// Ledger's task deques are reused the same way, from a list of their own.
 package sim
 
 import (
@@ -300,6 +299,12 @@ type Options struct {
 	// configuration installed in Policy: the run serves every failure
 	// from it.
 	FailurePlan *policy.FailurePlan
+	// Interrupt, when non-nil, requests early termination: once the
+	// channel is closed the arrival stream stops at the next event and the
+	// realisation drains what is already queued, so the run still produces
+	// a complete Result (Result.Interrupted reports the cut). Run polls it
+	// between events, so closing it never corrupts a realisation.
+	Interrupt <-chan struct{}
 	// probe is how in-package tests watch the simulator's internals after
 	// every event (see eventProbe); it runs after the Trace recorder when
 	// both are set.
@@ -344,6 +349,11 @@ type Result struct {
 	ExternalArrivals int
 	// Trace is non-nil when Options.Trace was set.
 	Trace []TracePoint
+	// Interrupted reports that Options.Interrupt fired: the arrival stream
+	// was cut early and the realisation drained what remained, so it
+	// covers a shorter run than requested. churnlb.Simulate takes no
+	// interrupt, so the SimResult it returns never has this set.
+	Interrupted bool
 }
 
 // Per-node dispatch kinds: the simulator's three node processes fire
@@ -435,19 +445,34 @@ type simState struct {
 	obs TaskObserver
 }
 
-// Run executes one realisation and returns its Result: Start, a loop
-// over the step primitives, Finish.
+// Run executes one realisation and returns its Result: start, the event
+// loop, finish. It is the simulator's only loop. Between two events it
+// polls Options.Interrupt; once that channel is closed the arrival stream
+// is shut (an already-scheduled arrival tick becomes a no-op) and the loop
+// runs on until the queued work drains, so an interrupted realisation
+// still ends with conserved accounting, and Result.Interrupted says so.
 func Run(opt Options) (*Result, error) {
-	r, err := Start(opt)
+	s, err := start(opt)
 	if err != nil {
 		return nil, err
 	}
-	for !r.Done() {
-		if !r.ProcessNext() {
+	// With external arrivals the scheduler never drains on its own (the
+	// arrival process keeps ticking past the horizon), so the loop stops
+	// on the workload: nothing queued or in flight, no arrival to come.
+	interrupt := opt.Interrupt
+	for s.remaining > 0 || s.pendingArrivals() {
+		if interrupt != nil {
+			select {
+			case <-interrupt:
+				s.res.Interrupted, s.arrivalsOpen, interrupt = true, false, nil
+			default:
+			}
+		}
+		if !s.sched.ProcessNext() {
 			break
 		}
 	}
-	return r.Finish()
+	return s.finish(), nil
 }
 
 // MonteCarlo is the completion-time study: mo.Reps independent
@@ -471,17 +496,7 @@ func MonteCarlo(mo mc.Options, opt Options) (mc.Estimate, error) {
 	})
 }
 
-// Realisation is one in-progress realisation exposed through step
-// primitives. A driver processes exactly one event at a time and checks
-// the termination predicate itself, which is what the serving layer's
-// interruptible loop needs; Run is the thin single-realisation loop over
-// the same calls. A Realisation is single-goroutine and single-use: drive
-// it to Done (or to a drained queue) and call Finish exactly once.
-type Realisation struct {
-	s *simState
-}
-
-// validateOptions checks Start's options and applies the in-place
+// validateOptions checks a run's options and applies the in-place
 // defaults (a nil Policy becomes NoBalance), returning the cluster size.
 // A NaN fails every comparison and an infinite rate never advances the
 // clock, so either must stop here or it wedges the loop.
@@ -605,12 +620,11 @@ func validateOptions(opt *Options) (int, error) {
 	return n, nil
 }
 
-// Start validates opt, builds the realisation's state — the hot array,
+// start validates opt, builds the realisation's state — the hot array,
 // the load index, the failure plan, the initial balancing transfers —
 // and arms every per-node process, leaving the clock at the first
-// pending event. It consumes randomness only as far as arming does, so
-// Start + step loop + Finish replays exactly the stream Run consumes.
-func Start(opt Options) (*Realisation, error) {
+// pending event.
+func start(opt Options) (*simState, error) {
 	n, err := validateOptions(&opt)
 	if err != nil {
 		return nil, err
@@ -726,7 +740,7 @@ func Start(opt Options) (*Realisation, error) {
 		s.arrivalsOpen = true
 		s.scheduleArrival()
 	}
-	return &Realisation{s: s}, nil
+	return s, nil
 }
 
 // dispatch routes every indexed event — the three per-node processes,
@@ -750,34 +764,10 @@ func (s *simState) dispatch(kind, arg int32) {
 	}
 }
 
-// ProcessNext fires exactly one event, advancing the clock to its time.
-// It returns false when the queue has drained.
-func (r *Realisation) ProcessNext() bool { return r.s.sched.ProcessNext() }
-
-// CloseArrivals shuts the external arrival stream early: no further
-// arrivals are injected (an already-scheduled arrival tick becomes a
-// no-op) and Done flips as soon as the queued work drains. This is the
-// graceful-interrupt primitive — a driver that must stop (SIGINT, a
-// deadline) closes arrivals and keeps stepping, so the realisation still
-// finishes with conserved accounting instead of being abandoned mid-run.
-func (r *Realisation) CloseArrivals() { r.s.arrivalsOpen = false }
-
-// Done reports the termination predicate Run loops on: the workload has
-// drained with no arrivals still open. Drivers must check it before every
-// ProcessNext — with external arrivals the scheduler never drains on its
-// own (the arrival process keeps ticking past the horizon).
-func (r *Realisation) Done() bool {
-	s := r.s
-	return s.remaining == 0 && !s.pendingArrivals()
-}
-
-// Finish closes the realisation and returns its Result. Call it exactly
-// once, after the step loop stopped on Done or on a drained queue: it
-// hands the realisation's memory to the next Start (see arena), so the
-// Realisation is unusable afterwards — any further call panics.
-func (r *Realisation) Finish() (*Result, error) {
-	s := r.s
-	r.s = nil
+// finish closes the realisation and returns its Result. It hands the
+// realisation's memory to the next start (see arena), so s is unusable
+// afterwards.
+func (s *simState) finish() *Result {
 	defer s.release()
 	if s.lazy {
 		// Realise every detached node's churn up to the last event, so the
@@ -793,7 +783,7 @@ func (r *Realisation) Finish() (*Result, error) {
 	}
 	s.res.CompletionTime = s.drainTime
 	s.observe(EvDone, -1)
-	return s.res, nil
+	return s.res
 }
 
 // liveView is the zero-copy model.StateView over the running realisation:
@@ -1279,7 +1269,7 @@ func (s *simState) scheduleArrival() {
 //churnlb:hotpath
 func (s *simState) externalArrival() {
 	if !s.arrivalsOpen {
-		// CloseArrivals fired with this tick already scheduled.
+		// Run's interrupt closed arrivals with this tick already scheduled.
 		return
 	}
 	batch := s.opt.ArrivalBatch

@@ -32,18 +32,14 @@ func TestNodeHotLayout(t *testing.T) {
 	defer dropIdleArenas()
 	for _, n := range []int{1000, 10000, 1000} { // the second 10³ run reuses the 10⁴ run's arena
 		p, load := probeParams(n)
-		r, err := Start(Options{Params: p, InitialLoad: load, Rand: xrand.NewStream(1, 1)})
+		s, err := start(Options{Params: p, InitialLoad: load, Rand: xrand.NewStream(1, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if addr := uintptr(unsafe.Pointer(&r.s.hot[0])); addr%64 != 0 {
+		if addr := uintptr(unsafe.Pointer(&s.hot[0])); addr%64 != 0 {
 			t.Errorf("N=%d: the hot array starts at %#x, %d bytes past a cache line", n, addr, addr%64)
 		}
-		for !r.Done() && r.ProcessNext() {
-		}
-		if _, err := r.Finish(); err != nil {
-			t.Fatal(err)
-		}
+		runOut(s)
 	}
 }
 
