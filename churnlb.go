@@ -17,8 +17,8 @@
 //     arbitrary node counts and policies, with an event loop doing O(1)
 //     work per event — policies and routers read zero-copy state views,
 //     and LBP-2's eq.-(8) failure transfers come from a precomputed
-//     per-run plan, so neither dispatch nor failure episodes scale with
-//     cluster size;
+//     plan, so neither dispatch nor failure episodes scale with cluster
+//     size;
 //   - a scenario engine (internal/scenario) generating large
 //     heterogeneous clusters — uniform, hotspot, correlated-failure and
 //     flash-crowd — that extend the paper's two-node experiments to
@@ -41,6 +41,14 @@
 // ServeResult and ServeEstimate adapt them for callers outside the
 // module.
 //
+// Every simulating entry point — Simulate, MonteCarlo, MonteCarloOpts,
+// Serve and ServeMany — first prepares its System: the rate columns, the
+// policy and its eq.-(8) plan, all pure functions of the System's content
+// and the PolicySpec. The package keeps the last preparation, so repeated
+// calls on one System copy nothing and build no plan; an edit of the
+// System, in place or not, is seen on the next call. While idle the
+// package holds that System's columns and plan.
+//
 // The spirit of the paper in one sentence: when transfer delays are small
 // relative to recovery times, react to failures (LBP-2); when they are
 // large, preempt them (LBP-1) — and under uncertainty, balance less
@@ -50,6 +58,8 @@ package churnlb
 import (
 	"fmt"
 	"io"
+	"math"
+	"sync/atomic"
 
 	"churnlb/internal/des"
 	"churnlb/internal/markov"
@@ -126,6 +136,68 @@ func (s System) params() (model.Params, error) {
 	}
 	return p, p.Validate()
 }
+
+// prepared is a System made ready to run under one PolicySpec: the
+// model's rate columns, the built policy and its eq.-(8) failure plan, all
+// pure functions of the System's content and the spec. It is immutable
+// once built: the simulator, serving and tracers only read it, so runs on
+// any number of goroutines share one.
+type prepared struct {
+	p    model.Params
+	spec PolicySpec
+	pol  policy.Policy
+	plan *policy.FailurePlan
+}
+
+// lastPrepared is the most recent preparation. The paper's method runs
+// many realisations of one system, and each entry point's call on an
+// unchanged System and spec reuses it instead of copying the columns and
+// rebuilding the plan. While idle it retains the columns and the plan of
+// the last System run.
+var lastPrepared atomic.Pointer[prepared]
+
+// prepare returns s prepared under spec: lastPrepared when it holds
+// exactly s's content and spec, else a fresh preparation, which replaces
+// it. Content is compared bit for bit, never by slice identity, so an
+// edit of s.Nodes in place between calls is seen. A System or spec that
+// fails validation is refused on every call and never kept; so is one
+// above the simulator's node cap, before its columns are made.
+func prepare(s System, spec PolicySpec) (*prepared, error) {
+	if pr := lastPrepared.Load(); pr != nil && pr.holds(s, spec) {
+		return pr, nil
+	}
+	if n := len(s.Nodes); n > sim.MaxNodes {
+		return nil, fmt.Errorf("churnlb: %d nodes is above the simulator's %d-node cap", n, sim.MaxNodes)
+	}
+	p, err := s.params()
+	if err != nil {
+		return nil, err
+	}
+	pol, err := spec.Build(p.N())
+	if err != nil {
+		return nil, err
+	}
+	pr := &prepared{p: p, spec: spec, pol: pol, plan: policy.PlanFor(pol, p)}
+	lastPrepared.Store(pr)
+	return pr, nil
+}
+
+// holds reports whether pr was prepared from exactly s and spec.
+func (pr *prepared) holds(s System, spec PolicySpec) bool {
+	p := pr.p
+	if spec.Kind != pr.spec.Kind || spec.Sender != pr.spec.Sender || !sameBits(spec.K, pr.spec.K) ||
+		len(s.Nodes) != p.N() || !sameBits(s.DelayPerTask, p.DelayPerTask) {
+		return false
+	}
+	for i, nd := range s.Nodes {
+		if !sameBits(nd.ProcRate, p.ProcRate[i]) || !sameBits(nd.FailRate, p.FailRate[i]) || !sameBits(nd.RecRate, p.RecRate[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // PolicyKind selects a load-balancing policy.
 type PolicyKind = policy.Kind
@@ -349,11 +421,12 @@ type SimOptions struct {
 
 // options is the one translation of the public options into the
 // simulator's, shared by Simulate, MonteCarloOpts and the serving entry
-// points; the caller adds the random stream.
-func (opt SimOptions) options(p model.Params, pol policy.Policy, load []int) sim.Options {
+// points, running the prepared system; the caller adds the random stream.
+func (opt SimOptions) options(pr *prepared, load []int) sim.Options {
 	return sim.Options{
-		Params:         p,
-		Policy:         pol,
+		Params:         pr.p,
+		Policy:         pr.pol,
+		FailurePlan:    pr.plan,
 		InitialLoad:    load,
 		TransferMode:   opt.TransferMode,
 		ChurnLaw:       opt.ChurnLaw,
@@ -366,15 +439,11 @@ func (opt SimOptions) options(p model.Params, pol policy.Policy, load []int) sim
 
 // Simulate runs one exact stochastic realisation of the churn model.
 func Simulate(s System, spec PolicySpec, load []int, seed uint64, opt SimOptions) (SimResult, error) {
-	p, err := s.params()
+	pr, err := prepare(s, spec)
 	if err != nil {
 		return SimResult{}, err
 	}
-	pol, err := spec.Build(p.N())
-	if err != nil {
-		return SimResult{}, err
-	}
-	so := opt.options(p, pol, load)
+	so := opt.options(pr, load)
 	so.Rand = xrand.New(seed)
 	so.Trace = opt.Trace
 	out, err := sim.Run(so)
@@ -397,15 +466,11 @@ func MonteCarlo(s System, spec PolicySpec, load []int, reps int, seed uint64) (E
 // MonteCarloOpts is MonteCarlo with per-realisation SimOptions (transfer
 // mode, churn law, external arrivals); Trace is ignored.
 func MonteCarloOpts(s System, spec PolicySpec, load []int, reps int, seed uint64, opt SimOptions) (Estimate, error) {
-	p, err := s.params()
+	pr, err := prepare(s, spec)
 	if err != nil {
 		return Estimate{}, err
 	}
-	pol, err := spec.Build(p.N())
-	if err != nil {
-		return Estimate{}, err
-	}
-	est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: seed}, opt.options(p, pol, load))
+	est, err := sim.MonteCarlo(mc.Options{Reps: reps, Seed: seed}, opt.options(pr, load))
 	return est.Summary, err
 }
 
@@ -653,18 +718,14 @@ func ServeMany(s System, spec PolicySpec, router RouterSpec, reps int, seed uint
 // ServeMany and assembles the internal serve.Options, so the two entry
 // points cannot drift apart.
 func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64, opt ServeOptions) (serve.Options, error) {
-	p, err := s.params()
+	pr, err := prepare(s, spec)
 	if err != nil {
 		return serve.Options{}, err
 	}
 	if !(opt.Rate > 0) || !(opt.Horizon > 0) { // negated > so NaN is refused too
 		return serve.Options{}, fmt.Errorf("churnlb: serving needs positive Rate and Horizon, got Rate = %v, Horizon = %v", opt.Rate, opt.Horizon)
 	}
-	pol, err := spec.Build(p.N())
-	if err != nil {
-		return serve.Options{}, err
-	}
-	newRouter, err := router.Factory(p.N())
+	newRouter, err := router.Factory(pr.p.N())
 	if err != nil {
 		return serve.Options{}, err
 	}
@@ -674,7 +735,7 @@ func buildServeOptions(s System, spec PolicySpec, router RouterSpec, seed uint64
 		ArrivalHorizon: opt.Horizon,
 		TransferMode:   opt.TransferMode,
 		ChurnLaw:       opt.ChurnLaw,
-	}.options(p, pol, opt.InitialLoad)
+	}.options(pr, opt.InitialLoad)
 	so.InitialUp = opt.InitialUp
 	so.ArrivalWave = sim.Wave{Amplitude: opt.WaveAmplitude, Period: opt.WavePeriod}
 	return serve.Options{Sim: so, NewRouter: newRouter, Window: opt.Window, Seed: seed}, nil

@@ -60,6 +60,21 @@ package des
 // record at 64 bytes — one cache line — and spares Push the write to the
 // old head's back link, a miss on every push.
 //
+// Ties: many events on one instant share one slot at any width, and a
+// scan of k of them costs O(k), so draining them scan by scan would cost
+// O(k²) — deterministic churn on a cluster of equal rates ties every
+// node's timers this way. So when a scan finds a slot of more than
+// calSortMin records, it sorts that chain into (time, seq) order once,
+// allocation-free, and remembers the slot's virtual bucket (sortedVB).
+// While it stays sorted the head is the slot's minimum, found without a
+// scan and unlinked without a walk, so each of the k pops costs O(1). The
+// invariant below puts one vb in a slot, so a pop or a cancel, which only
+// take records out, keep the chain sorted; a link into that vb (which
+// pushes at the head) or a resize (which rethreads every chain) forgets
+// it. The sort is a natural merge sort that also takes descending runs,
+// so sorting again costs O(k) when a few records were linked since, or
+// when a resize rethreaded the sorted chain, which reverses it.
+//
 // The width tracks a long-window average of the gap between pops, and a
 // same-size rebuild happens only once the width has left
 // [target/calWidthBand, calWidthBand·target], target being twice the
@@ -111,14 +126,18 @@ type calQueue struct {
 	// predecessor in its chain, nil when min is the head or far.
 	min, minPrev *event
 	minVB        int64
+	// sortedVB is the virtual bucket whose chain findMin sorted into
+	// (time, seq) order, its head the slot's minimum; -1 for none.
+	sortedVB int64
 	// Counters for tests: rebuilds by cause and the chained records they
 	// rethreaded; pushes that went far; jumps over an empty near tier;
 	// sweeps and the far entries they linked; far entries a resize linked
-	// and chained records it sent far. None moves on a push or pop that
-	// stays in the near tier.
+	// and chained records it sent far; slot sorts and the records they
+	// ordered. None moves on a push or pop that stays in the near tier
+	// and scans no long slot.
 	grows, shrinks, widthRebuilds, rethreaded int
 	farPushes, jumps, sweeps, migrated        int
-	toNear, toFar                             int
+	toNear, toFar, sorts, sorted              int
 }
 
 // farEntry is one far-tier event: its time inline, so a sweep or a jump
@@ -152,6 +171,11 @@ func (f *farTier) at(i int) *farEntry {
 // calMinBuckets is the smallest bucket array; shrinks stop here.
 const calMinBuckets = 8
 
+// calSortMin is the longest slot findMin scans without sorting it. The
+// width aims at about one record per slot, so only ties, or a width not
+// yet rebuilt to the density, make longer ones.
+const calSortMin = 16
+
 // calGapWindow sets the width estimate's memory: the estimate is the plain
 // mean of the first calGapWindow nonzero inter-pop gaps after a drain,
 // then a moving average that weighs each new gap 1/calGapWindow (an
@@ -175,6 +199,7 @@ func newCalQueue() *calQueue {
 		farBound: calMinBuckets,
 		mask:     calMinBuckets - 1,
 		width:    1,
+		sortedVB: -1,
 	}
 }
 
@@ -194,10 +219,13 @@ func (q *calQueue) vbOf(t float64) int64 {
 // link pushes e onto the head of the chain of bucket vb and marks it
 // near. Chain position never affects pop order (findMin takes the exact
 // (time, seq) minimum over the whole slot), so head insertion — the only
-// O(1) spot — is safe.
+// O(1) spot — is safe; it unsorts a sorted slot.
 //
 //churnlb:hotpath
 func (q *calQueue) link(e *event, vb int64) {
+	if vb == q.sortedVB {
+		q.sortedVB = -1
+	}
 	b := int(vb & q.mask)
 	e.vb = vb
 	e.index = 0
@@ -351,7 +379,9 @@ func (q *calQueue) PeekMin() *event {
 //
 // With the near tier empty the answer is the earliest far entry (a jump).
 // Otherwise it is the near minimum, which the invariant puts in a slot
-// below farBound, less than a year from the scan position.
+// below farBound, less than a year from the scan position: the head of a
+// sorted slot, else the minimum of a scan of the slot, which sorts it
+// when it is longer than calSortMin.
 //
 //churnlb:hotpath
 func (q *calQueue) findMin() (best, prev *event, vb int64) {
@@ -359,17 +389,105 @@ func (q *calQueue) findMin() (best, prev *event, vb int64) {
 		return q.jump()
 	}
 	for vb = q.vcur; vb < q.farBound; vb++ {
+		b := int(vb & q.mask)
+		if vb == q.sortedVB && q.buckets[b] != nil {
+			return q.buckets[b], nil, vb
+		}
 		var p *event
-		for e := q.buckets[int(vb&q.mask)]; e != nil; p, e = e, e.next {
+		k := 0
+		for e := q.buckets[b]; e != nil; p, e = e, e.next {
+			k++
 			if e.vb == vb && (best == nil || eventLess(e, best)) {
 				best, prev = e, p
 			}
 		}
-		if best != nil {
-			return best, prev, vb
+		if best == nil {
+			continue
 		}
+		if k > calSortMin {
+			q.sorts++
+			q.sorted += k
+			q.buckets[b] = sortChain(q.buckets[b])
+			q.sortedVB = vb
+			return q.buckets[b], nil, vb
+		}
+		return best, prev, vb
 	}
 	panic("des: calendar queue holds a near event outside [vcur, farBound)")
+}
+
+// sortChain sorts a chain into (time, seq) order and returns its new
+// head, relinking the records it holds and allocating nothing. It is a
+// natural merge sort: each pass merges neighbouring ascending runs in
+// pairs, so a chain of k records in r runs costs O(k log r).
+func sortChain(head *event) *event {
+	for {
+		var out, last *event
+		pairs := 0
+		for p := head; p != nil; pairs++ {
+			a, aLast, rest := cutRun(p)
+			b, bLast, rest := cutRun(rest)
+			m, mLast := mergeRuns(a, aLast, b, bLast)
+			if out == nil {
+				out = m
+			} else {
+				last.next = m
+			}
+			last, p = mLast, rest
+		}
+		if pairs <= 1 {
+			return out
+		}
+		head = out
+	}
+}
+
+// cutRun detaches the run at the front of chain p, ascending or
+// descending, returning it in ascending order — a descending run is
+// reversed as it is cut — with its first and last records and the rest
+// of the chain; all nil for an empty chain. A resize rethreads a sorted
+// chain onto one head in reverse, which this sees as a single run.
+func cutRun(p *event) (first, last, rest *event) {
+	if p == nil {
+		return nil, nil, nil
+	}
+	if p.next != nil && eventLess(p.next, p) {
+		first, last, rest = p, p, p.next
+		p.next = nil
+		for rest != nil && eventLess(rest, first) {
+			rest.next, first, rest = first, rest, rest.next
+		}
+		return first, last, rest
+	}
+	last = p
+	for last.next != nil && eventLess(last, last.next) {
+		last = last.next
+	}
+	rest, last.next = last.next, nil
+	return p, last, rest
+}
+
+// mergeRuns merges the ascending runs a…aLast and b…bLast (b may be
+// empty) and returns the merged run's first and last records.
+func mergeRuns(a, aLast, b, bLast *event) (first, last *event) {
+	if b == nil {
+		return a, aLast
+	}
+	tail := &first
+	for a != nil && b != nil {
+		if eventLess(b, a) {
+			*tail, b = b, b.next
+		} else {
+			*tail, a = a, a.next
+		}
+		tail = &(*tail).next
+	}
+	if a != nil {
+		*tail = a
+		return first, aLast
+	}
+	*tail = b
+	return first, bLast
 }
 
 // jump returns the earliest far entry's record and virtual bucket: the
@@ -428,7 +546,7 @@ func (q *calQueue) drain() {
 	clear(buckets)
 	*q = calQueue{
 		buckets: buckets, spare: q.spare, far: farTier{blocks: q.far.blocks},
-		farBound: calMinBuckets, mask: calMinBuckets - 1, width: 1,
+		farBound: calMinBuckets, mask: calMinBuckets - 1, width: 1, sortedVB: -1,
 	}
 }
 
@@ -462,6 +580,7 @@ func (q *calQueue) resize(nb int) {
 	}
 	q.spare = old
 	q.min = nil
+	q.sortedVB = -1
 	q.rethreaded += q.count - q.far.n
 	q.mask = int64(nb) - 1
 	q.width = w

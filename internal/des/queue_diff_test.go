@@ -861,13 +861,12 @@ func FuzzQueueOrder(f *testing.F) {
 }
 
 // fuzzMaxEvents caps the events one FuzzQueueOrder input books: a
-// schedule op books one and its child one more, a batch op its size. A
-// calendar pop scans its whole slot for the (time, seq) minimum, so k
-// events tied in one slot cost O(k) per pop, and 4096 bytes of batch ops
-// — 2048 batches of 48 events on 32 instants — ran for 8 to 13 s per
-// calendar replay (2-vCPU Xeon guest). Under the cap the worst input
-// replays on every backend in about a tenth of a second
-// (TestFuzzOpsCapEvents).
+// schedule op books one and its child one more, a batch op its size.
+// Uncapped, 4096 bytes of batch ops — 2048 batches of 48 events on 32
+// instants — ran for 8 to 13 s per calendar replay (2-vCPU Xeon guest),
+// when a calendar pop still scanned its whole slot of tied events. Under
+// the cap the worst input replays on every backend in about a tenth of a
+// second (TestFuzzOpsCapEvents).
 const fuzzMaxEvents = 1 << 14
 
 // fuzzOps decodes FuzzQueueOrder's input: each byte pair is one op, at

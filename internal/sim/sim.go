@@ -292,12 +292,13 @@ type Options struct {
 	// FailurePlan, when non-nil, supplies the plan Policy.FailurePlan
 	// would build instead of having the run build its own. Plans are a
 	// pure function of Params and immutable once built (see
-	// policy.PlanFor), so Monte-Carlo drivers construct one per
-	// parameter set and share it — concurrently — across replications,
-	// dropping the O(n log n) per-rep rebuild. The plan must have been
-	// built for a cluster of exactly Params.N() nodes, by the policy
-	// configuration installed in Policy: the run serves every failure
-	// from it.
+	// policy.PlanFor), so whoever runs many realisations of one
+	// parameter set builds one and shares it — concurrently — across
+	// them, dropping the O(n log n) per-run rebuild: MonteCarlo and
+	// serve.RunManyPooled per study, the churnlb facade per prepared
+	// System, across calls. The plan must have been built for a cluster
+	// of exactly Params.N() nodes, by the policy configuration installed
+	// in Policy: the run serves every failure from it.
 	FailurePlan *policy.FailurePlan
 	// Interrupt, when non-nil, requests early termination: once the
 	// channel is closed the arrival stream stops at the next event and the
