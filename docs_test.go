@@ -1,7 +1,6 @@
 package churnlb
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -14,7 +13,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
+
+// docs are the files whose commands, names and hashes the docs tests
+// check: the user manual, the CI workflow and the verify skill's
+// build-and-run notes.
+var docs = []string{"README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
 
 // TestDocsNameOnlyWhatExists keeps README.md, the CI workflow and the
 // verify skill's build-and-run notes from citing a benchmark or a test that is gone: every Benchmark* token must be
@@ -30,16 +35,15 @@ import (
 // func, method, const or var; of a longer path only Ident is checked), and
 // every -flag they pass to lbsim, lbserve, lbd or reproduce must be
 // defined on the FlagSet in that tool's main.go — a flag that is removed
-// leaves its examples behind.
+// leaves its examples behind. Every README section that a Go file of the
+// module (wrapped comment lines joined), the CI workflow or the verify
+// skill cites by its quoted title must be a README heading or bold run-in
+// label that still exists — a section that is cut or renamed leaves the
+// comments that justify a constant by it behind. bench/ is a module of
+// its own, whose citations name bench/README.md.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
-	read := func(path string) string {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	var funcs []string
+	read := func(path string) string { return readDoc(t, path) }
+	var funcs, goFiles []string
 	pkgDirs := map[string]string{"churnlb": "."} // package name (= directory name) → directory
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Z]\w*)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -59,6 +63,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			for _, m := range funcRE.FindAllStringSubmatch(read(path), -1) {
 				funcs = append(funcs, m[1])
 			}
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasPrefix(path, "bench/") {
+			goFiles = append(goFiles, path)
 		}
 		return nil
 	})
@@ -119,9 +126,37 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 		toolFlags[tool] = defined
 	}
+	// README's sections are its headings and the bold labels that open a
+	// paragraph or a list item; a citation names one by the text it
+	// starts with ("Live daemon" names "## Live daemon (`cmd/lbd`)").
+	var sections []string
+	for _, m := range regexp.MustCompile(`(?m)^(?:#+ +(.+)|(?:[-*] |\d+\. )?\*\*([^*]+)\*\*)`).FindAllStringSubmatch(read("README.md"), -1) {
+		sections = append(sections, strings.TrimSpace(m[1]+m[2]))
+	}
+	isSection := func(title string) bool {
+		return slices.ContainsFunc(sections, func(s string) bool {
+			rest, ok := strings.CutPrefix(s, title)
+			return ok && (rest == "" || !unicode.IsLetter(rune(rest[0])) && !unicode.IsDigit(rune(rest[0])))
+		})
+	}
+	citeRE := regexp.MustCompile(`(?:^|[^/\w])README(?:'s)?,?\s+"([^"]+)"`)
+	wrapRE := map[string]*regexp.Regexp{
+		".go":  regexp.MustCompile(`\n[ \t]*//[ \t]*`),
+		".yml": regexp.MustCompile(`\n[ \t]*#[ \t]*`),
+		".md":  regexp.MustCompile(`\n[ \t]*`),
+	}
+	for _, path := range append(goFiles, ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md") {
+		joined := wrapRE[filepath.Ext(path)].ReplaceAllString(read(path), " ")
+		for _, m := range citeRE.FindAllStringSubmatch(joined, -1) {
+			if !isSection(m[1]) {
+				t.Errorf("%s cites README %q, which no README heading or bold label begins with", path, m[1])
+			}
+		}
+	}
+
 	flagRE := regexp.MustCompile(`^--?([a-z][a-z0-9]*)`)
 	cmdEndRE := regexp.MustCompile("[|`]|&&")
-	for _, doc := range []string{"README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range docs {
 		text := read(doc)
 		// A tool's flags are the -words after its name up to the end of the
 		// command: the line with its \ continuations, cut at a pipe, an &&
@@ -177,6 +212,49 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
+// readDoc returns the file at path, failing the test if it cannot.
+func readDoc(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDocsQuoteRecordedHashes holds every 16-hex-digit fingerprint or
+// decision hash that README.md, the CI workflow or the verify skill
+// quotes to the place the tree records it: a row of bench/README.md's
+// seed-1 fingerprint table, or the decision hash TestJSQDecisionHash
+// asserts. A hash mistyped in a document, or left behind when the
+// recorded one changes, fails here.
+func TestDocsQuoteRecordedHashes(t *testing.T) {
+	hexRE := regexp.MustCompile(`\b[0-9a-f]{16}\b`)
+	recorded := map[string]bool{}
+	_, table, ok := strings.Cut(readDoc(t, "bench/README.md"), "### Fingerprints, seed 1")
+	table, _, _ = strings.Cut(table, "\n#")
+	for _, h := range hexRE.FindAllString(table, -1) {
+		recorded[h] = true
+	}
+	if !ok || len(recorded) == 0 {
+		t.Fatal(`bench/README.md has no "Fingerprints, seed 1" table`)
+	}
+	_, body, _ := strings.Cut(readDoc(t, "cmd/lbserve/main_test.go"), "\nfunc TestJSQDecisionHash(")
+	body, _, _ = strings.Cut(body, "\n}\n")
+	m := regexp.MustCompile(`"hash ([0-9a-f]{16})"`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatal("cmd/lbserve/main_test.go: TestJSQDecisionHash asserts no decision hash")
+	}
+	recorded[m[1]] = true
+	for _, doc := range docs {
+		for _, h := range hexRE.FindAllString(readDoc(t, doc), -1) {
+			if !recorded[h] {
+				t.Errorf("%s quotes %s, which neither bench/README.md's seed-1 fingerprint table nor TestJSQDecisionHash records", doc, h)
+			}
+		}
+	}
+}
+
 // TestFacadeIsALeaf keeps the public package a leaf of the module: no
 // package under internal/ imports it, so every engine, the manifest
 // runner included, builds its runs on the internal packages and the
@@ -210,33 +288,37 @@ func TestFacadeIsALeaf(t *testing.T) {
 	}
 }
 
-// TestSizeLedger holds LINES.txt to the verify skill's count of non-test
-// Go — `git ls-files '*.go' | grep -v _test | grep -v '^bench/' | xargs
-// cat | wc -l` — recomputed here with the same filters and newline count,
-// so a change that grows or shrinks the tree shows it in its diff. It
-// skips without git or a checkout; the count is of tracked files, so
-// stage new ones first.
+// TestSizeLedger holds LINES.txt to two counts: the verify skill's count
+// of non-test Go — `git ls-files '*.go' | grep -v _test | grep -v
+// '^bench/' | xargs cat | wc -l` — recomputed here with the same filters
+// and newline count, and README.md's lines (`wc -l README.md`), so a
+// change that grows or shrinks the code or the manual shows it in its
+// diff. Each line of LINES.txt is a count and what it counts. The Go count
+// is skipped without git or a checkout; it is of tracked files, so stage
+// new ones first.
 func TestSizeLedger(t *testing.T) {
+	ledger := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(readDoc(t, "LINES.txt")), "\n") {
+		n, what, _ := strings.Cut(strings.TrimSpace(line), " ")
+		ledger[what] = n
+	}
+	check := func(what string, lines int) {
+		t.Helper()
+		if want := ledger[what]; want != strconv.Itoa(lines) {
+			t.Errorf("LINES.txt records %q lines of %s, the tree has %d: write %d there", want, what, lines, lines)
+		}
+	}
+	check("README.md", strings.Count(readDoc(t, "README.md"), "\n"))
 	out, err := exec.Command("git", "ls-files", "*.go").Output()
 	if err != nil {
-		t.Skipf("no git checkout to count: %v", err)
+		t.Skipf("no git checkout to count non-test Go: %v", err)
 	}
 	lines := 0
 	for _, f := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		if f == "" || strings.Contains(f, "_test") || strings.HasPrefix(f, "bench/") {
 			continue
 		}
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines += bytes.Count(b, []byte("\n"))
+		lines += strings.Count(readDoc(t, f), "\n")
 	}
-	b, err := os.ReadFile("LINES.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := strings.TrimSpace(string(b)); want != strconv.Itoa(lines) {
-		t.Fatalf("LINES.txt records %s lines of non-test Go, the tree has %d: write %d there", want, lines, lines)
-	}
+	check("non-test Go", lines)
 }

@@ -946,12 +946,13 @@ func (c *run) dispatcherStateLoop() {
 
 // bundleCap is the size at which the trace driver puts a worker's pending
 // bundle on the wire without waiting for the end of the due-run. It is the
-// smallest cap of the measured frontier (README, "Live daemon": caps 16,
-// 32, 48, 64 and 128 over 16 rotated rounds) whose median time per
-// admitted task is within 5 % of the best and whose resident memory is
-// within 15 % of cap 16's: time per task falls with fewer frame writes,
-// while memory rises with the cap — pending bundles, their row slabs and
-// the workers' 64-deep bundle channels hold up to a cap of tasks each.
+// smallest cap of the measured frontier (CHANGES.md, the entry "Dispatch
+// frames amortise the wire": caps 16, 32, 48, 64 and 128 over 16 rotated
+// rounds) whose median time per admitted task is within 5 % of the best
+// and whose resident memory is within 15 % of cap 16's: time per task
+// falls with fewer frame writes, while memory rises with the cap — pending
+// bundles, their row slabs and the workers' 64-deep bundle channels hold
+// up to a cap of tasks each.
 const bundleCap = 48
 
 // maxBatch bounds one arrival's tasks at the HTTP front door; a frame of

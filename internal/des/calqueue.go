@@ -65,15 +65,18 @@ package des
 // O(k²) — deterministic churn on a cluster of equal rates ties every
 // node's timers this way. So when a scan finds a slot of more than
 // calSortMin records, it sorts that chain into (time, seq) order once,
-// allocation-free, and remembers the slot's virtual bucket (sortedVB).
-// While it stays sorted the head is the slot's minimum, found without a
-// scan and unlinked without a walk, so each of the k pops costs O(1). The
-// invariant below puts one vb in a slot, so a pop or a cancel, which only
-// take records out, keep the chain sorted; a link into that vb (which
-// pushes at the head) or a resize (which rethreads every chain) forgets
-// it. The sort is a natural merge sort that also takes descending runs,
-// so sorting again costs O(k) when a few records were linked since, or
-// when a resize rethreaded the sorted chain, which reverses it.
+// allocation-free, and remembers the slot's virtual bucket (sortedVB) and
+// the chain's last record (sortedTail). While it stays sorted the head is
+// the slot's minimum, found without a scan and unlinked without a walk, so
+// each of the k pops costs O(1). The invariant below puts one vb in a
+// slot, so a pop or a cancel, which only take records out, keep the chain
+// sorted. A link into that vb of a record that sorts after the tail — the
+// usual case, an event booked at the clock behind ties taking a later seq
+// — is appended behind it and keeps the sort; a link that sorts before the
+// tail, or a resize (which rethreads every chain), forgets it. The sort is
+// a natural merge sort that also takes descending runs, so sorting again
+// costs O(k) when a few records were linked since, or when a resize
+// rethreaded the sorted chain, which reverses it.
 //
 // The width tracks a long-window average of the gap between pops, and a
 // same-size rebuild happens only once the width has left
@@ -128,7 +131,9 @@ type calQueue struct {
 	minVB        int64
 	// sortedVB is the virtual bucket whose chain findMin sorted into
 	// (time, seq) order, its head the slot's minimum; -1 for none.
-	sortedVB int64
+	// sortedTail is that chain's last record, nil while it is empty.
+	sortedVB   int64
+	sortedTail *event
 	// Counters for tests: rebuilds by cause and the chained records they
 	// rethreaded; pushes that went far; jumps over an empty near tier;
 	// sweeps and the far entries they linked; far entries a resize linked
@@ -219,16 +224,28 @@ func (q *calQueue) vbOf(t float64) int64 {
 // link pushes e onto the head of the chain of bucket vb and marks it
 // near. Chain position never affects pop order (findMin takes the exact
 // (time, seq) minimum over the whole slot), so head insertion — the only
-// O(1) spot — is safe; it unsorts a sorted slot.
+// O(1) spot — is safe. Into the sorted slot, a record that sorts after
+// the tail goes behind it instead, which keeps the chain sorted; any other
+// record unsorts the slot.
 //
 //churnlb:hotpath
 func (q *calQueue) link(e *event, vb int64) {
-	if vb == q.sortedVB {
-		q.sortedVB = -1
-	}
 	b := int(vb & q.mask)
 	e.vb = vb
 	e.index = 0
+	if vb == q.sortedVB {
+		if t := q.sortedTail; t == nil || eventLess(t, e) {
+			e.next = nil
+			if t == nil {
+				q.buckets[b] = e
+			} else {
+				t.next = e
+			}
+			q.sortedTail = e
+			return
+		}
+		q.sortedVB, q.sortedTail = -1, nil
+	}
 	e.next = q.buckets[b]
 	q.buckets[b] = e
 }
@@ -276,6 +293,9 @@ func (q *calQueue) unlink(e, prev *event) {
 		q.buckets[int(e.vb&q.mask)] = e.next
 	default:
 		prev.next = e.next
+	}
+	if e == q.sortedTail {
+		q.sortedTail = prev
 	}
 	e.next = nil
 	e.index = -1
@@ -407,7 +427,7 @@ func (q *calQueue) findMin() (best, prev *event, vb int64) {
 		if k > calSortMin {
 			q.sorts++
 			q.sorted += k
-			q.buckets[b] = sortChain(q.buckets[b])
+			q.buckets[b], q.sortedTail = sortChain(q.buckets[b])
 			q.sortedVB = vb
 			return q.buckets[b], nil, vb
 		}
@@ -417,12 +437,14 @@ func (q *calQueue) findMin() (best, prev *event, vb int64) {
 }
 
 // sortChain sorts a chain into (time, seq) order and returns its new
-// head, relinking the records it holds and allocating nothing. It is a
-// natural merge sort: each pass merges neighbouring ascending runs in
-// pairs, so a chain of k records in r runs costs O(k log r).
-func sortChain(head *event) *event {
+// head and last record, relinking the records it holds and allocating
+// nothing. It is a natural merge sort: each pass merges neighbouring
+// ascending runs in pairs, so a chain of k records in r runs costs
+// O(k log r).
+func sortChain(head *event) (first, last *event) {
 	for {
-		var out, last *event
+		var out *event
+		last = nil
 		pairs := 0
 		for p := head; p != nil; pairs++ {
 			a, aLast, rest := cutRun(p)
@@ -436,7 +458,7 @@ func sortChain(head *event) *event {
 			last, p = mLast, rest
 		}
 		if pairs <= 1 {
-			return out
+			return out, last
 		}
 		head = out
 	}
@@ -580,7 +602,7 @@ func (q *calQueue) resize(nb int) {
 	}
 	q.spare = old
 	q.min = nil
-	q.sortedVB = -1
+	q.sortedVB, q.sortedTail = -1, nil
 	q.rethreaded += q.count - q.far.n
 	q.mask = int64(nb) - 1
 	q.width = w

@@ -55,7 +55,8 @@ func benchMix(b *testing.B, kind QueueKind, n int) {
 
 // BenchmarkSchedulerPending's HeapN* / WheelN* rows time one
 // schedule+fire cycle against a standing 2N-timer population on each
-// backend — the numbers behind the README scheduler-cost table. A flat
+// backend — the numbers behind the scheduler-cost table CHANGES.md
+// records (moved there from README). A flat
 // Wheel line against a growing Heap line is the point of the calendar
 // queue; the N = 2…32 rows are the small populations where the heap
 // still wins, which is why the simulator keeps it below 16 nodes. The

@@ -188,16 +188,81 @@ func TestSortChain(t *testing.T) {
 				}
 				e.next, head = head, e
 			}
-			head = sortChain(head)
+			head, last := sortChain(head)
 			n := 0
 			for e := head; e != nil; e = e.next {
 				if n++; e.next != nil && !eventLess(e, e.next) {
 					t.Fatalf("%s chain of %d: record %d is not below the next", shape, k, n)
+				}
+				if e.next == nil && e != last {
+					t.Fatalf("%s chain of %d: sortChain's last record is not the chain's", shape, k)
 				}
 			}
 			if n != k {
 				t.Fatalf("%s chain of %d: the sorted chain holds %d records", shape, k, n)
 			}
 		}
+	}
+}
+
+// TestCalendarTieAtTheClockKeepsTheSort: k events tied on one instant,
+// then pops that each book one more event at the clock — a timer re-armed
+// at its own instant. Every new event sorts after the sorted slot's tail,
+// so it goes behind it and the slot stays sorted: the drain sorts once,
+// not once per pop as when any link into the slot forgot the sort.
+func TestCalendarTieAtTheClockKeepsTheSort(t *testing.T) {
+	const k, pops = 1000, 10_000
+	s := NewWithQueue(QueueCalendar)
+	s.SetDispatcher(func(int32, int32) {})
+	for i := int32(0); i < k; i++ {
+		s.AtIndexed(5, 0, i)
+	}
+	for i := int32(0); i < pops; i++ {
+		s.ProcessNext()
+		s.AtIndexed(s.Now(), 0, k+i)
+	}
+	q := s.q.(*calQueue)
+	t.Logf("sorts=%d sorted=%d", q.sorts, q.sorted)
+	if q.sorts > 2 {
+		t.Errorf("%d pops each booking an event at the clock behind %d ties: %d slot sorts (%d records), want at most 2",
+			pops, k, q.sorts, q.sorted)
+	}
+}
+
+// TestSortedTailIsTheChainsLast replays the tie-heavy programs of
+// TestQueueDifferentialTies on the calendar and checks, before every op,
+// that the sorted slot's remembered tail is the last record of its chain
+// (nil when the chain is empty): pops, cancels, links behind the tail,
+// sweeps and resizes each keep it.
+func TestSortedTailIsTheChainsLast(t *testing.T) {
+	appended := 0
+	for seed := uint64(0); seed < 40; seed++ {
+		r := &progRun{s: NewWithQueue(QueueCalendar), batched: true}
+		var lastTail *event
+		lastVB := int64(-1)
+		r.beforeOp = func(qop) {
+			q := r.s.q.(*calQueue)
+			if q.sortedVB < 0 && q.sortedTail != nil {
+				t.Fatalf("seed %d: no sorted slot, but a sorted tail", seed)
+			}
+			var last *event
+			if q.sortedVB >= 0 {
+				for e := q.buckets[int(q.sortedVB&q.mask)]; e != nil; e = e.next {
+					last = e
+				}
+			}
+			if q.sortedTail != last {
+				t.Fatalf("seed %d: the sorted slot's tail is not its chain's last record", seed)
+			}
+			// Only a link behind it moves a slot's tail to a later record.
+			if q.sortedVB == lastVB && last != nil && lastTail != nil && eventLess(lastTail, last) {
+				appended++
+			}
+			lastTail, lastVB = last, q.sortedVB
+		}
+		r.exec(genTieProgram(seed, 800))
+	}
+	if appended == 0 {
+		t.Error("no link went behind the sorted slot's tail")
 	}
 }

@@ -59,8 +59,8 @@ func benchFailurePlanEpisode(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkOnFailureScan is the reference-scan row of the README's
-// failure-episode cost table; per-op cost grows linearly in N.
+// BenchmarkOnFailureScan is the reference-scan row of the failure-episode
+// cost table CHANGES.md records; per-op cost grows linearly in N.
 func BenchmarkOnFailureScan(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(sizeLabel(n), func(b *testing.B) { benchOnFailureScan(b, n) })
@@ -75,9 +75,9 @@ func BenchmarkFailurePlanEpisode(b *testing.B) {
 	}
 }
 
-// BenchmarkProportionalRebalance times LBP1Multi's arrival-path episode
-// (Dynamic replays it at every external arrival); the pooled scratch
-// keeps the per-call working arrays out of the allocator.
+// BenchmarkProportionalRebalance times LBP1Multi's t = 0 episode, the
+// one balancing round it runs per realisation; its working arrays are
+// allocated per call.
 func BenchmarkProportionalRebalance(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(sizeLabel(n), func(b *testing.B) {

@@ -10,7 +10,6 @@ package policy
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"churnlb/internal/model"
 )
@@ -396,33 +395,14 @@ type deficitNode struct {
 	amount float64
 }
 
-// rebalanceScratch holds proportionalRebalance's working arrays. They are
-// pooled rather than kept on the policy because policies must stay
-// stateless — many concurrent replications share one instance — while the
-// rebalance runs on the arrival hot path under Dynamic, where a fresh
-// weights/excesses/deficits allocation per arrival adds up.
-type rebalanceScratch struct {
-	weights  []float64
-	excesses []int
-	deficits []deficitNode
-}
-
-var rebalancePool = sync.Pool{New: func() any { return new(rebalanceScratch) }}
-
 // proportionalRebalance appends to dst the transfers that ship gain-scaled
 // excess (relative to weighted shares) from overloaded to underloaded
 // nodes. Weights are effective rates λd·availability.
 func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Params, k float64) []model.Transfer {
 	n := p.N()
 	total := totalQueued(v)
-	sc := rebalancePool.Get().(*rebalanceScratch)
-	defer rebalancePool.Put(sc)
-	if cap(sc.weights) < n {
-		sc.weights = make([]float64, n)
-		sc.excesses = make([]int, n)
-	}
-	weights, excesses := sc.weights[:n], sc.excesses[:n]
-	deficits := sc.deficits[:0]
+	weights, excesses := make([]float64, n), make([]int, n)
+	var deficits []deficitNode
 	var wsum float64
 	for i := 0; i < n; i++ {
 		weights[i] = p.EffectiveRate(i)
@@ -431,14 +411,12 @@ func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Para
 	for i := 0; i < n; i++ {
 		target := weights[i] / wsum * float64(total)
 		diff := float64(v.Queue(i)) - target
-		excesses[i] = 0
 		if diff >= 1 {
 			excesses[i] = int(math.Floor(k * diff))
 		} else if diff <= -1 {
 			deficits = append(deficits, deficitNode{id: i, amount: -diff})
 		}
 	}
-	sc.deficits = deficits // keep any growth for the next caller
 	var deficitTotal float64
 	for _, d := range deficits {
 		deficitTotal += d.amount

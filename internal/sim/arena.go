@@ -13,8 +13,8 @@ import (
 // Monte-Carlo studies (2-vCPU Xeon 2.10 GHz guest, go1.24.0, ten
 // alternating runs per size and queue, two passes) took 23–27 % longer on
 // the calendar at 2 and 4 nodes and 7–10 % longer at 8, where it won 1 run
-// in 10; at 16 nodes it was 5–8 % faster and won 9 and 10 of 10 (README,
-// "The event-queue subsystem").
+// in 10; at 16 nodes it was 5–8 % faster and won 9 and 10 of 10
+// (CHANGES.md, the entry "the simulator picks its own event queue").
 const calendarNodes = 16
 
 // queueFor picks the event queue of a scheduler serving the given number

@@ -12,7 +12,7 @@ import (
 // probeParams builds the standard memory-probe workload: 10 tasks/node
 // with 80% of the load concentrated on the hottest 5% of nodes, moderate
 // churn — the hotspot shape the serving experiments use, and the source
-// of the README memory-layout table.
+// of the B/node table CHANGES.md records.
 func probeParams(n int) (model.Params, []int) {
 	p := model.Params{
 		ProcRate:     make([]float64, n),
@@ -46,12 +46,12 @@ func probeParams(n int) (model.Params, []int) {
 // each, so the figure is what a run costs when nothing is left over from
 // another — at N = 10³/10⁴/10⁵, with eager churn timers and with lazy
 // ones, each on the event queue its node count selects (the calendar at
-// every size here). It is the generator of the README "Memory layout"
-// table (run with -v and copy the B/node figures) and holds every row to
-// the budget below; TestMillionNodeSmoke does the same at N = 10⁶.
+// every size here). Run with -v, it prints the B/node rows that CHANGES.md
+// records (beside "rows now 347/352/361"), and it holds every row to the
+// budget below; TestMillionNodeSmoke does the same at N = 10⁶.
 func TestMemProbe(t *testing.T) {
 	// budget is the B/node ceiling of every row: the rows measure 347–407
-	// (README), and the ceiling leaves a sixth or more for GC timing.
+	// (CHANGES.md), and the ceiling leaves a sixth or more for GC timing.
 	const budget = 480
 	for _, tc := range []struct {
 		name string

@@ -1088,7 +1088,8 @@ func (s *simState) recover(i int) {
 // 1001-node realisation (calendar queue), an episode booked, fired and
 // landed cost as much per transfer either way at 64 transfers, and
 // 145–228 ns (run) against 233–358 (queue) at 128 (2-vCPU Xeon 2.10 GHz
-// guest, go1.24.0; README "Runs"). At 64 the run's fixed cost — six
+// guest, go1.24.0; CHANGES.md, beside "episodeRunMin 256 → 128", has
+// the crossover table). At 64 the run's fixed cost — six
 // count tables cleared and summed — already eats what it saves on queue
 // inserts.
 const episodeRunMin = 128

@@ -166,7 +166,7 @@ func TestHotStateMatchesAoSMirror(t *testing.T) {
 // keeps ~2 live timers per node (a measured ~394 B/node; the ceiling
 // leaves headroom for GC timing). The same probe under the old five-slice
 // AoS layout with 3n per-node closures and slice-of-slices buckets cost
-// roughly twice that (see the README memory-layout table for the
+// roughly twice that (CHANGES.md's SoA node-state entry has the
 // per-size before/after numbers). Skipped under -short: the run fires a
 // few million events.
 func TestMillionNodeSmoke(t *testing.T) {
