@@ -569,7 +569,7 @@ func (c *run) preload() []model.Transfer {
 		up[id] = true
 	}
 	initial := model.State{Queues: append([]int(nil), load...), Up: up}
-	return c.opt.Policy.AppendInitial(nil, model.SnapshotView{State: initial}, c.p)
+	return policy.CollectInitial(c.opt.Policy, model.SnapshotView{State: initial}, c.p)
 }
 
 // waitDone blocks until the run finishes, or reports it wedged: tasks

@@ -143,7 +143,7 @@ func TestTransferRate(t *testing.T) {
 func TestRoundGain(t *testing.T) {
 	ms, _ := NewMeanSolver(model.PaperBaseline())
 	for _, k := range []float64{0, 1, 0.35, 0.349, 0.5, 2, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		lbp1 := policy.LBP1{K: k, Sender: 0}.AppendInitial(nil, upView(20, 3), model.PaperBaseline())
+		lbp1 := policy.CollectInitial(policy.LBP1{K: k, Sender: 0}, upView(20, 3), model.PaperBaseline())
 		want := ms.Hat(20, 3, BothUp)
 		if len(lbp1) == 1 {
 			l := lbp1[0].Tasks

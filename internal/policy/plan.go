@@ -50,11 +50,16 @@ func PlanFor(pol Policy, p model.Params) *FailurePlan {
 	return pol.FailurePlan(p)
 }
 
+// Row returns node failed's planned transfers in episode order, uncapped:
+// what Transfers walks, for a caller that caps and ships each transfer
+// itself (the simulator's failure episode) instead of collecting them.
+// The slice is the plan's own and must not be modified.
+func (fp *FailurePlan) Row(failed int) []model.Transfer { return fp.rows[failed] }
+
 // Transfers appends node failed's failure episode to dst and returns it:
 // each planned transfer capped against the queue the failing node holds,
-// stopping once the queue is exhausted. dst is typically a reusable
-// scratch buffer (the simulator passes one), so steady-state episodes
-// allocate nothing.
+// stopping once the queue is exhausted. Into a reused dst, steady-state
+// episodes allocate nothing.
 //
 //churnlb:hotpath
 func (fp *FailurePlan) Transfers(dst []model.Transfer, failed, queued int) []model.Transfer {

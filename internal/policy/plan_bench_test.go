@@ -85,7 +85,7 @@ func BenchmarkProportionalRebalance(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = proportionalRebalance(nil, v, p, 0.5)
+				proportionalRebalance(v, p, 0.5, func(model.Transfer) {})
 			}
 		})
 	}

@@ -24,14 +24,15 @@ import (
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// AppendInitial appends the transfers executed at t = 0 to dst and
-	// returns it. The view is a zero-copy window onto the realisation's
-	// working arrays that dies with the call, on every run, traced or not;
-	// an implementation that must keep what it saw keeps
-	// model.AsState(v).Clone(). A realisation passes its reusable episode
-	// buffer, so the largest episode of a closed run is not allocated once
-	// per run.
-	AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer
+	// EachInitial hands emit the transfers executed at t = 0, one at a
+	// time and in episode order. The view is the state before the episode
+	// and dies with the call, on every run, traced or not: the simulator's
+	// is a zero-copy window onto the realisation's working arrays, held at
+	// the initial queues while the episode streams. An implementation that
+	// must keep what it saw keeps model.AsState(v).Clone(). A realisation
+	// ships each transfer as it is emitted, so no episode is ever held in
+	// a list; CollectInitial gathers one for callers that want the slice.
+	EachInitial(v model.StateView, p model.Params, emit func(model.Transfer))
 	// FailurePlan returns the transfers a failing node's backup executes,
 	// precomputed for parameter set p (see plan.go); nil means nothing
 	// moves on a failure.
@@ -51,6 +52,15 @@ type ArrivalBalancer interface {
 	OnArrival(node int, v model.StateView, p model.Params) []model.Transfer
 }
 
+// CollectInitial returns pol's t = 0 episode in a slice of its own, nil
+// when nothing moves: what the live daemon's preload and Dynamic's arrival
+// episodes ship.
+func CollectInitial(pol Policy, v model.StateView, p model.Params) []model.Transfer {
+	var out []model.Transfer
+	pol.EachInitial(v, p, func(tr model.Transfer) { out = append(out, tr) })
+	return out
+}
+
 // NoBalance performs no transfers at all; the baseline every comparison
 // in the paper is implicitly made against.
 type NoBalance struct{}
@@ -58,10 +68,8 @@ type NoBalance struct{}
 // Name implements Policy.
 func (NoBalance) Name() string { return "none" }
 
-// AppendInitial implements Policy: nothing moves.
-func (NoBalance) AppendInitial(dst []model.Transfer, _ model.StateView, _ model.Params) []model.Transfer {
-	return dst
-}
+// EachInitial implements Policy: nothing moves.
+func (NoBalance) EachInitial(model.StateView, model.Params, func(model.Transfer)) {}
 
 // FailurePlan implements Policy: nothing moves on a failure.
 func (NoBalance) FailurePlan(model.Params) *FailurePlan { return nil }
@@ -86,8 +94,8 @@ type LBP1 struct {
 // Name implements Policy.
 func (l LBP1) Name() string { return fmt.Sprintf("LBP-1(K=%.2f)", l.K) }
 
-// AppendInitial implements Policy.
-func (l LBP1) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
+// EachInitial implements Policy.
+func (l LBP1) EachInitial(v model.StateView, p model.Params, emit func(model.Transfer)) {
 	n := p.N()
 	if n != 2 {
 		// LBP-1 is specified by the paper for two nodes. For larger
@@ -104,11 +112,9 @@ func (l LBP1) AppendInitial(dst []model.Transfer, v model.StateView, p model.Par
 	if sender != 0 && sender != 1 {
 		panic(fmt.Sprintf("policy: LBP1 invalid sender %d", sender))
 	}
-	tasks := RoundGain(l.K, v.Queue(sender))
-	if tasks == 0 {
-		return dst
+	if tasks := RoundGain(l.K, v.Queue(sender)); tasks > 0 {
+		emit(model.Transfer{From: sender, To: 1 - sender, Tasks: tasks})
 	}
-	return append(dst, model.Transfer{From: sender, To: 1 - sender, Tasks: tasks})
 }
 
 // FailurePlan implements Policy: LBP-1 never reacts to failures.
@@ -127,9 +133,9 @@ type LBP1Multi struct {
 // Name implements Policy.
 func (l LBP1Multi) Name() string { return fmt.Sprintf("LBP-1-multi(K=%.2f)", l.K) }
 
-// AppendInitial implements Policy.
-func (l LBP1Multi) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
-	return proportionalRebalance(dst, v, p, l.K)
+// EachInitial implements Policy.
+func (l LBP1Multi) EachInitial(v model.StateView, p model.Params, emit func(model.Transfer)) {
+	proportionalRebalance(v, p, l.K, emit)
 }
 
 // FailurePlan implements Policy: the preemptive round is all it does.
@@ -207,54 +213,31 @@ func (l LBP2) PartitionFraction(i, j int, v model.StateView, p model.Params) flo
 }
 
 // Initial is eq. (7), L_ij = K·p_ij·excess_j for every overloaded node j,
-// in a slice of its own (nil when nothing moves): AppendInitial into nil.
+// in a slice of its own (nil when nothing moves): EachInitial's episode,
+// counted by a first pass and then collected into a slice of exactly that
+// length, so the call allocates once.
 func (l LBP2) Initial(v model.StateView, p model.Params) []model.Transfer {
-	out := l.AppendInitial(nil, v, p)
-	if len(out) == 0 {
+	k := 0
+	l.EachInitial(v, p, func(model.Transfer) { k++ })
+	if k == 0 {
 		return nil
 	}
+	out := make([]model.Transfer, 0, k)
+	l.EachInitial(v, p, func(tr model.Transfer) { out = append(out, tr) })
 	return out
 }
 
-// AppendInitial implements Policy: Initial's episode appended to dst. The
-// aggregate sums behind ExcessLoad and PartitionFraction are hoisted out
-// of the node loops, making a balancing episode
-// O(n·(overloaded nodes)) instead of O(n³) on large clusters; every
-// per-pair expression evaluates in the same order as the exported
-// eq.-level methods, so transfer sizes stay bit-identical to them.
-//
-// dst grows at most once, to exactly a bound an O(n) first pass computes:
-// a transfer carries at least one task, so sender j emits at most
-// min(n-1, m_j, 2K·excess_j) of them — it never ships more than it holds,
-// and a receiver gets a task only when its K·p_ij·excess_j reaches the
-// 1/2 that rounds up, which at most 2K·excess_j of the p_ij (they sum to
-// one) can do — and none at all when even the largest possible p_ij
-// rounds to nothing.
-func (l LBP2) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
+// EachInitial implements Policy: eq. (7)'s episode, sender by sender in
+// ascending j and each sender's receivers in ascending i. The aggregate
+// sums behind ExcessLoad and PartitionFraction are hoisted out of the node
+// loops, making a balancing episode O(n·(overloaded nodes)) instead of
+// O(n³) on large clusters; every per-pair expression evaluates in the same
+// order as the exported eq.-level methods, so transfer sizes stay
+// bit-identical to them.
+func (l LBP2) EachInitial(v model.StateView, p model.Params, emit func(model.Transfer)) {
 	n := p.N()
 	total := totalQueued(v)
 	totalProc := p.TotalProcRate()
-	// p_ij <= 1/(n-2) (1 for two nodes): the expressions below are monotone
-	// in it, so no receiver's transfer size exceeds the one maxFrac gives.
-	maxFrac := 1.0
-	if n > 2 {
-		maxFrac = 1 / float64(n-2)
-	}
-	bound := 0
-	for j := 0; j < n; j++ {
-		excess := l.excessOf(j, v, p, total, totalProc)
-		if excess == 0 || math.Round(l.K*maxFrac*float64(excess)) <= 0 {
-			continue
-		}
-		// +1 absorbs the rounding of Σ p_ij in floating point.
-		bound += max(0, min(n-1, v.Queue(j), int(2*l.K*float64(excess))+1))
-	}
-	if bound == 0 {
-		return dst
-	}
-	if cap(dst)-len(dst) < bound {
-		dst = append(make([]model.Transfer, 0, len(dst)+bound), dst...)
-	}
 	for j := 0; j < n; j++ {
 		excess := l.excessOf(j, v, p, total, totalProc)
 		if excess == 0 {
@@ -297,10 +280,9 @@ func (l LBP2) AppendInitial(dst []model.Transfer, v model.StateView, p model.Par
 				break
 			}
 			sent += tasks
-			dst = append(dst, model.Transfer{From: j, To: i, Tasks: tasks})
+			emit(model.Transfer{From: j, To: i, Tasks: tasks})
 		}
 	}
-	return dst
 }
 
 // FailureTransferSize returns eq. (8)'s LF_ij: the number of tasks the
@@ -366,9 +348,9 @@ type Dynamic struct {
 // Name implements Policy.
 func (d Dynamic) Name() string { return "dynamic(" + d.Base.Name() + ")" }
 
-// AppendInitial implements Policy by delegating to the base policy.
-func (d Dynamic) AppendInitial(dst []model.Transfer, v model.StateView, p model.Params) []model.Transfer {
-	return d.Base.AppendInitial(dst, v, p)
+// EachInitial implements Policy by delegating to the base policy.
+func (d Dynamic) EachInitial(v model.StateView, p model.Params, emit func(model.Transfer)) {
+	d.Base.EachInitial(v, p, emit)
 }
 
 // FailurePlan implements Policy by delegating to the base policy: Dynamic
@@ -378,7 +360,7 @@ func (d Dynamic) FailurePlan(p model.Params) *FailurePlan { return d.Base.Failur
 // OnArrival implements ArrivalBalancer by replaying the base policy's
 // initial balance against the current view.
 func (d Dynamic) OnArrival(_ int, v model.StateView, p model.Params) []model.Transfer {
-	return d.Base.AppendInitial(nil, v, p)
+	return CollectInitial(d.Base, v, p)
 }
 
 // totalQueued sums the queue lengths through a view in index order.
@@ -395,10 +377,10 @@ type deficitNode struct {
 	amount float64
 }
 
-// proportionalRebalance appends to dst the transfers that ship gain-scaled
-// excess (relative to weighted shares) from overloaded to underloaded
-// nodes. Weights are effective rates λd·availability.
-func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Params, k float64) []model.Transfer {
+// proportionalRebalance emits the transfers that ship gain-scaled excess
+// (relative to weighted shares) from overloaded to underloaded nodes.
+// Weights are effective rates λd·availability.
+func proportionalRebalance(v model.StateView, p model.Params, k float64, emit func(model.Transfer)) {
 	n := p.N()
 	total := totalQueued(v)
 	weights, excesses := make([]float64, n), make([]int, n)
@@ -422,7 +404,7 @@ func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Para
 		deficitTotal += d.amount
 	}
 	if deficitTotal == 0 {
-		return dst
+		return
 	}
 	for j := 0; j < n; j++ {
 		if excesses[j] == 0 {
@@ -441,10 +423,9 @@ func proportionalRebalance(dst []model.Transfer, v model.StateView, p model.Para
 				continue
 			}
 			remaining -= tasks
-			dst = append(dst, model.Transfer{From: j, To: d.id, Tasks: tasks})
+			emit(model.Transfer{From: j, To: d.id, Tasks: tasks})
 		}
 	}
-	return dst
 }
 
 // RoundGain is the paper's transfer size L = round(K·m): the tasks a gain

@@ -24,7 +24,7 @@ func upState(queues ...int) model.SnapshotView {
 // initial is pol's t = 0 episode in a slice of its own, nil when nothing
 // moves.
 func initial(pol Policy, v model.StateView, p model.Params) []model.Transfer {
-	return pol.AppendInitial(nil, v, p)
+	return CollectInitial(pol, v, p)
 }
 
 func TestNoBalanceDoesNothing(t *testing.T) {
@@ -443,7 +443,7 @@ func TestRouterAndBalanceRegistries(t *testing.T) {
 
 // TestSpecBuildFitsCluster: LBP-1 is built for two nodes and a sender of
 // the two only; every other fit is an error, never the panic its
-// AppendInitial would raise mid-run.
+// EachInitial would raise mid-run.
 func TestSpecBuildFitsCluster(t *testing.T) {
 	for _, sender := range []int{AutoSender, 0, 1} {
 		if _, err := (Spec{Kind: KindLBP1, K: 0.5, Sender: sender}).Build(2); err != nil {

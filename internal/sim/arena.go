@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"churnlb/internal/des"
-	"churnlb/internal/model"
 )
 
 // calendarNodes is the smallest node count whose scheduler runs on the
@@ -32,7 +31,11 @@ func queueFor(nodes int) des.QueueKind {
 // the run, handed from one run's finish to the next run's start through the
 // idle list. It carries capacity only — start overwrites or truncates every
 // part before the run reads it, and finish has already reset the scheduler —
-// so which arena a run gets, a used one or none, shows in no output.
+// so which arena a run gets, a used one or none, shows in no output. Of the
+// largest episode it keeps 40 bytes a transfer: the flight row here, and in
+// the scheduler the batch's run event and its sort scratch, each reserved
+// to exactly the episode's count. The transfers themselves stream from the
+// policy into the scheduler and are never held.
 type arena struct {
 	// sched is a reset scheduler and queue its backend.
 	sched *des.Scheduler
@@ -40,8 +43,6 @@ type arena struct {
 	hot   []nodeHot
 	// flights is the flight table's array.
 	flights []flight
-	// transferBuf is the episode buffer, sized by the t = 0 balance.
-	transferBuf []model.Transfer
 }
 
 // idleList holds memory no run is using, strongly and at most GOMAXPROCS
@@ -104,10 +105,9 @@ func zeroed(hot []nodeHot, n int) []nodeHot {
 func (s *simState) release() {
 	s.sched.Reset()
 	idle.put(arena{
-		sched:       s.sched,
-		queue:       queueFor(len(s.hot)),
-		hot:         s.hot,
-		flights:     s.flights,
-		transferBuf: s.transferBuf,
+		sched:   s.sched,
+		queue:   queueFor(len(s.hot)),
+		hot:     s.hot,
+		flights: s.flights,
 	})
 }

@@ -44,7 +44,7 @@ func hotspotOptions(n, hot, tasks int, mtbf, mttr float64, seed uint64) Options 
 // initialTransfers counts the transfers of opt's t = 0 episode.
 func initialTransfers(opt Options) int {
 	view := model.SnapshotView{State: model.State{Queues: opt.InitialLoad}}
-	return len(opt.Policy.AppendInitial(nil, view, opt.Params))
+	return len(policy.CollectInitial(opt.Policy, view, opt.Params))
 }
 
 // TestColdStartBytesPerTransfer bounds what one cold start of a
@@ -53,14 +53,15 @@ func initialTransfers(opt Options) int {
 // the state: 10⁴ hotspot nodes, 5·10⁵ tasks on 5 hot nodes, LBP-2, so
 // 49 995 transfers, each hot node shipping to every other node. The bytes
 // cover all of start — the hot array, the scheduler's records and queue,
-// the policy's transfer list, the flight table, the open batch and the
-// radix sort's scratch array — divided by the transfer count. The episode
-// retains a 24-byte transfer, two 16-byte run events (the batch and the
-// sort's scratch) and an 8-byte flight row per transfer, and the batch and
-// the flight table are reserved to exactly the episode; the measured
-// 125 B per transfer, with the per-node state, sits well under the bound,
-// which an episode that grows its batch by append (about 260 B per
-// transfer with 24-byte run events) breaks.
+// the flight table, the open batch and the radix sort's scratch array —
+// divided by the transfer count. The episode streams from the policy into
+// the scheduler, so it keeps no transfer record: it retains two 16-byte
+// run events (the batch and the sort's scratch) and an 8-byte flight row
+// per transfer, and the batch and the flight table are reserved to exactly
+// the episode by a counting pass; the measured 101 B per transfer, with
+// the per-node state, sits well under the bound, which an episode that
+// grows its batch by append (about 260 B per transfer with 24-byte run
+// events) breaks.
 func TestColdStartBytesPerTransfer(t *testing.T) {
 	const bound = 170
 	opt := hotspotOptions(10_000, 5, 500_000, 200, 30, 1)
@@ -79,6 +80,41 @@ func TestColdStartBytesPerTransfer(t *testing.T) {
 	t.Logf("cold start: %d transfers, %.1f B per transfer", transfers, per)
 	if transfers < 49_000 || per > bound {
 		t.Errorf("cold start allocated %.1f B per transfer of a %d-transfer episode, want at most %d", per, transfers, bound)
+	}
+}
+
+// TestIdleArenaBytesPerTransfer bounds what a parked arena keeps alive
+// per transfer of the t = 0 episode that sized it, on
+// TestColdStartBytesPerTransfer's cluster: the live heap after one
+// realisation, its arena parked, less the live heap once the idle list is
+// dropped. The episode streams into the scheduler, so of the episode the
+// arena holds only the batch's and the sort scratch's 16-byte run events
+// and the 8-byte flight row, 40 B per transfer; the per-node state (the
+// hot array, the scheduler's records and calendar) brings the reading to
+// 92.9 B. An arena that also kept the episode's 24-byte transfer list
+// read 117.0, which the bound, midway, fails.
+func TestIdleArenaBytesPerTransfer(t *testing.T) {
+	const bound = 105
+	opt := hotspotOptions(10_000, 5, 500_000, 200, 30, 1)
+	transfers := initialTransfers(opt)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	dropIdleArenas()
+	if _, err := Run(opt); err != nil {
+		t.Fatal(err)
+	}
+	parked := liveHeap()
+	dropIdleArenas()
+	dropped := liveHeap()
+	runtime.KeepAlive(opt)
+	per := (float64(parked) - float64(dropped)) / float64(transfers)
+	t.Logf("idle arena: %d transfers, %.1f B per transfer", transfers, per)
+	if transfers < 49_000 || per > bound {
+		t.Errorf("a parked arena holds %.1f B per transfer of a %d-transfer episode, want at most %d", per, transfers, bound)
 	}
 }
 

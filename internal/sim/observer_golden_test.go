@@ -120,9 +120,10 @@ type shipAll struct{}
 
 func (shipAll) Name() string { return "ship-all" }
 
-func (shipAll) AppendInitial(dst []model.Transfer, v model.StateView, _ model.Params) []model.Transfer {
+func (shipAll) EachInitial(v model.StateView, _ model.Params, emit func(model.Transfer)) {
 	q := v.Queue(0)
-	return append(dst, model.Transfer{From: 0, To: 1, Tasks: q / 2}, model.Transfer{From: 0, To: 2, Tasks: q - q/2})
+	emit(model.Transfer{From: 0, To: 1, Tasks: q / 2})
+	emit(model.Transfer{From: 0, To: 2, Tasks: q - q/2})
 }
 
 func (shipAll) FailurePlan(p model.Params) *policy.FailurePlan {
@@ -140,8 +141,10 @@ type shipT0 struct {
 	initial func(v model.StateView) []model.Transfer
 }
 
-func (p shipT0) AppendInitial(dst []model.Transfer, v model.StateView, _ model.Params) []model.Transfer {
-	return append(dst, p.initial(v)...)
+func (p shipT0) EachInitial(v model.StateView, _ model.Params, emit func(model.Transfer)) {
+	for _, tr := range p.initial(v) {
+		emit(tr)
+	}
 }
 
 // stampWatch is a streamHash that also counts, from the callbacks alone,

@@ -131,7 +131,7 @@ func TestFailurePlanMatchesPolicyEveryFailure(t *testing.T) {
 				up[i] = true
 			}
 			t0 := 0
-			for _, tr := range pol.AppendInitial(nil, model.SnapshotView{State: model.State{Queues: load, Up: up}}, p) {
+			for _, tr := range policy.CollectInitial(pol, model.SnapshotView{State: model.State{Queues: load, Up: up}}, p) {
 				t0 += tr.Tasks
 			}
 			if res.TasksTransferred != t0 {

@@ -48,11 +48,11 @@
 // does rule out is LazyChurn, which needs nobody watching idle nodes.)
 //
 // Realisations reuse their memory. The end of a run hands its arena — the
-// des.Scheduler with its record slabs, free list and queue arrays, the hot
-// array, the flight table and the episode buffer (which also carries the
-// t = 0 balance) — to a package-level idle list, and the next run takes it
-// back, so a study of thousands of short realisations allocates its state
-// once per worker instead of once per run. Only capacity is kept: a run
+// des.Scheduler with its record slabs, free list, queue arrays and batch,
+// the hot array and the flight table; no episode is held, its transfers
+// stream into the scheduler — to a package-level idle list, and the next
+// run takes it back, so a study of thousands of short realisations
+// allocates its state once per worker instead of once per run. Only capacity is kept: a run
 // zeroes or truncates every array it takes and resets the scheduler it
 // hands back; record, bucket and slice layout never decide pop order, and
 // every output of a run is bit-identical whichever arena it ran on, used
@@ -412,10 +412,9 @@ type simState struct {
 	live model.StateView
 	// fplan, when non-nil, is the installed policy's precomputed eq.-(8)
 	// failure plan: episodes walk only receivers with nonzero transfer
-	// sizes instead of scanning the cluster, appending into the reusable
-	// transferBuf so churn-heavy runs stop allocating per failure.
-	fplan       *policy.FailurePlan
-	transferBuf []model.Transfer
+	// sizes instead of scanning the cluster, shipping each as they reach
+	// it, so churn-heavy runs allocate nothing per failure.
+	fplan *policy.FailurePlan
 	// flights is the table of batches in flight; a row's index is the
 	// flight id the TaskObserver is told. Its free rows form a stack
 	// threaded through their to fields: freeFlight is the top, -1 for
@@ -423,9 +422,16 @@ type simState struct {
 	flights    []flight
 	freeFlight int32
 	freeRows   int
-	// batching is set while applyTransfers applies a large episode: park
-	// then books deliveries into the scheduler's open batch.
+	// batching is set while a large episode ships: park then books
+	// deliveries into the scheduler's open batch.
 	batching bool
+	// held is the sender whose completion insert the open episode holds
+	// and heldU its last draw, < 0 for none (see ship).
+	held  int
+	heldU float64
+	// opening is set while the t = 0 episode streams: the policy's view
+	// then reads the initial queues (see openingView).
+	opening bool
 	// ab caches the policy's ArrivalBalancer capability, asserted once per
 	// run instead of once per arrival.
 	ab policy.ArrivalBalancer
@@ -639,15 +645,14 @@ func start(opt Options) (*simState, error) {
 		a.sched = des.NewWithQueue(kind)
 	}
 	s := &simState{
-		opt:         opt,
-		p:           opt.Params,
-		sched:       a.sched,
-		rng:         opt.Rand,
-		hot:         zeroed(a.hot, n),
-		res:         &Result{Processed: make([]int, n)},
-		transferBuf: a.transferBuf[:0],
-		flights:     a.flights[:0],
-		freeFlight:  -1,
+		opt:        opt,
+		p:          opt.Params,
+		sched:      a.sched,
+		rng:        opt.Rand,
+		hot:        zeroed(a.hot, n),
+		res:        &Result{Processed: make([]int, n)},
+		flights:    a.flights[:0],
+		freeFlight: -1,
 	}
 	s.sched.SetDispatcher(s.dispatch)
 	for i := range s.hot {
@@ -655,7 +660,8 @@ func start(opt Options) (*simState, error) {
 		s.hot[i].up = opt.InitialUp == nil || opt.InitialUp[i]
 		s.remaining += opt.InitialLoad[i]
 	}
-	s.live = &liveView{s}
+	live := &liveView{s}
+	s.live = live
 	if ab, ok := opt.Policy.(policy.ArrivalBalancer); ok {
 		s.ab = ab
 	}
@@ -717,9 +723,16 @@ func start(opt Options) (*simState, error) {
 	}
 	s.observe(EvStart, -1)
 
-	// Initial balancing, into the episode buffer.
-	s.transferBuf = opt.Policy.AppendInitial(s.transferBuf[:0], s.live, s.p)
-	s.applyTransfers(s.transferBuf)
+	// Initial balancing, streamed: a counting pass sizes the episode, then
+	// each transfer ships as the policy emits it, against the initial
+	// state it was computed from.
+	s.opening = true
+	k, v := 0, openingView{live}
+	opt.Policy.EachInitial(v, s.p, func(model.Transfer) { k++ })
+	s.beginEpisode(k)
+	opt.Policy.EachInitial(v, s.p, s.ship)
+	s.endEpisode()
+	s.opening = false
 
 	// Arm per-node processes. A lazy run leaves idle nodes detached: their
 	// churn process stays unrealised (lazyFrom = 0) until work arrives.
@@ -785,6 +798,32 @@ func (s *simState) finish() *Result {
 	s.res.CompletionTime = s.drainTime
 	s.observe(EvDone, -1)
 	return s.res
+}
+
+// openingView is the view the t = 0 episode's policy reads: the live view,
+// except that while the episode streams (s.opening) its queues are
+// Options.InitialLoad and nothing is in flight. That is the state before
+// the episode, which its own sends would otherwise move under the policy
+// between two emitted transfers (eq. (7)'s fractions read every queue).
+// hot[i].queue equals InitialLoad until the first send, so holding it
+// costs no copy; once the episode is over the view reads the live arrays,
+// and a retained one goes stale like any other.
+type openingView struct{ *liveView }
+
+// Queue implements model.StateView.
+func (v openingView) Queue(i int) int {
+	if v.s.opening {
+		return v.s.opt.InitialLoad[i]
+	}
+	return v.s.queueOf(i)
+}
+
+// InFlight implements model.StateView.
+func (v openingView) InFlight() int {
+	if v.s.opening {
+		return 0
+	}
+	return v.s.inFlight
 }
 
 // liveView is the zero-copy model.StateView over the running realisation:
@@ -875,7 +914,7 @@ func (s *simState) scheduleCompletion(i int) {
 // front task (whose first service a Ledger stamps). It returns the draw
 // for armCompletion, negative when there is nothing to arm; only
 // armCompletion takes its logarithm, since an episode overwrites all but a
-// sender's last draw (see applyTransfers).
+// sender's last draw (see ship).
 //
 //churnlb:hotpath
 func (s *simState) restartService(i int) float64 {
@@ -891,7 +930,7 @@ func (s *simState) restartService(i int) float64 {
 // armCompletion inserts node i's completion timer at now plus the service
 // stage restartService's draw u makes (xrand.ExpOf at the node's rate); a
 // no-op for a negative draw (nothing to arm) or node (no sender held yet,
-// see applyTransfers).
+// see ship).
 //
 //churnlb:hotpath
 func (s *simState) armCompletion(i int, u float64) {
@@ -1036,10 +1075,7 @@ func (s *simState) fail(i int) {
 	}
 	s.observe(EvFailure, i)
 	if s.fplan != nil {
-		// O(active receivers): walk the plan's row, capping against the
-		// frozen queue, into the reusable episode buffer.
-		s.transferBuf = s.fplan.Transfers(s.transferBuf[:0], i, int(h.queue))
-		s.applyTransfers(s.transferBuf)
+		s.shipPlan(i, int(h.queue))
 	}
 	if s.lazy && h.queue == 0 {
 		// The failure shipped (or found) an empty queue: nothing to
@@ -1081,7 +1117,7 @@ func (s *simState) recover(i int) {
 
 // --- transfers ---
 
-// episodeRunMin is the episode size from which applyTransfers books the
+// episodeRunMin is the episode size from which an episode books the
 // deliveries as one batch — a sorted run of the scheduler, fired front to
 // back — instead of one queue event each, and sizes the flight table
 // ahead of the sends. It sits above the measured break-even: on a warm
@@ -1094,17 +1130,21 @@ func (s *simState) recover(i int) {
 // inserts.
 const episodeRunMin = 128
 
-// applyTransfers executes one balancing episode. Each transfer does to
-// the sender's random stream exactly what re-arming its completion process
-// would — cancel the live timer and, if the node is up with work left,
-// draw the uniform of a fresh service stage — but the calendar insert, and
-// the logarithm that makes the draw a stage, are held while consecutive
-// transfers share a sender: only the last draw of such a run can ever
-// fire, so the timer is armed once, at now + that draw's stage, when the
-// sender changes or the slice ends. Policies emit an episode sender by
-// sender, which turns k cancel/insert pairs into one per sender; a slice
-// that returns to an earlier sender is still correct — its armed timer is
-// cancelled again.
+// An episode is one balancing step's transfers, shipped in order between
+// beginEpisode and endEpisode: the t = 0 balance as its policy emits it, a
+// failure's plan row (shipPlan) and an arrival balancer's slice
+// (applyTransfers).
+//
+// Each transfer does to the sender's random stream exactly what re-arming
+// its completion process would — cancel the live timer and, if the node
+// is up with work left, draw the uniform of a fresh service stage — but
+// the calendar insert, and the logarithm that makes the draw a stage, are
+// held while consecutive transfers share a sender: only the last draw of
+// such a run can ever fire, so the timer is armed once, at now + that
+// draw's stage, when the sender changes or the episode ends. Policies emit
+// an episode sender by sender, which turns k cancel/insert pairs into one
+// per sender; an episode that returns to an earlier sender is still
+// correct — its armed timer is cancelled again.
 //
 // An episode of at least episodeRunMin transfers books its deliveries
 // into the scheduler's batch (see park) and commits it at the end. A
@@ -1112,28 +1152,81 @@ const episodeRunMin = 128
 // completion timers armed around it, and the scheduler fires its run and
 // its queue in one (time, seq) order, so the episode fires exactly as if
 // every delivery were a queue event.
+
+// beginEpisode opens an episode of k transfers.
 //
 //churnlb:hotpath
-func (s *simState) applyTransfers(ts []model.Transfer) {
-	if len(ts) >= episodeRunMin {
-		s.reserveEpisode(len(ts))
+func (s *simState) beginEpisode(k int) {
+	if k >= episodeRunMin {
+		s.reserveEpisode(k)
 		s.batching = true
 	}
-	held, u := -1, -1.0 // the sender being held and its last draw, < 0 for none
-	for _, tr := range ts {
-		if tr.From != held {
-			s.armCompletion(held, u)
-			held, u = tr.From, -1
-		}
-		if d, sent := s.send(tr); sent {
-			u = d
-		}
+	s.held, s.heldU = -1, -1
+}
+
+// ship sends one transfer of the open episode, holding its sender's
+// completion insert.
+//
+//churnlb:hotpath
+func (s *simState) ship(tr model.Transfer) {
+	if tr.From != s.held {
+		s.armCompletion(s.held, s.heldU)
+		s.held, s.heldU = tr.From, -1
 	}
-	s.armCompletion(held, u)
+	if d, sent := s.send(tr); sent {
+		s.heldU = d
+	}
+}
+
+// endEpisode arms the last held sender and commits the batch, if any.
+//
+//churnlb:hotpath
+func (s *simState) endEpisode() {
+	s.armCompletion(s.held, s.heldU)
 	if s.batching {
 		s.batching = false
 		s.sched.CommitBatch()
 	}
+}
+
+// applyTransfers ships the episode ts.
+//
+//churnlb:hotpath
+func (s *simState) applyTransfers(ts []model.Transfer) {
+	s.beginEpisode(len(ts))
+	for _, tr := range ts {
+		s.ship(tr)
+	}
+	s.endEpisode()
+}
+
+// shipPlan ships node failed's failure episode straight from its plan
+// row: each transfer capped against the queue the node held when it
+// failed, stopping once that is spent — FailurePlan.Transfers' episode,
+// in its order, without collecting it. A row long enough to reach
+// episodeRunMin is counted first; O(active receivers) either way.
+//
+//churnlb:hotpath
+func (s *simState) shipPlan(failed, queued int) {
+	row := s.fplan.Row(failed)
+	k := 0
+	if len(row) >= episodeRunMin {
+		for rem := queued; k < len(row) && rem > 0; k++ {
+			rem -= row[k].Tasks
+		}
+	}
+	s.beginEpisode(k)
+	for _, tr := range row {
+		if queued <= 0 {
+			break
+		}
+		if tr.Tasks > queued {
+			tr.Tasks = queued
+		}
+		queued -= tr.Tasks
+		s.ship(tr)
+	}
+	s.endEpisode()
 }
 
 // reserveEpisode sizes the flight table and the scheduler's open batch
@@ -1150,7 +1243,7 @@ func (s *simState) reserveEpisode(k int) {
 
 // send ships one transfer. sent reports whether anything left the
 // sender; u is then restartService's draw for what it keeps — the
-// completion timer applyTransfers still has to arm — or negative when the
+// completion timer ship still has to arm — or negative when the
 // sender is down or was emptied.
 //
 //churnlb:hotpath
@@ -1179,7 +1272,7 @@ func (s *simState) send(tr model.Transfer) (u float64, sent bool) {
 	}
 	// The task being processed may have been shipped: restart the sender's
 	// completion process against whatever remains, leaving the insert to
-	// applyTransfers.
+	// ship.
 	u = s.restartService(tr.From)
 	s.inFlight += tr.Tasks
 	s.res.TransfersSent++

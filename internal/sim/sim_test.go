@@ -194,7 +194,7 @@ func TestMCAgreesWithGeneralSolverPendingTransfers(t *testing.T) {
 		load := []int{14, 2, 0}
 		pol := policy.LBP1Multi{K: 1}
 		up := []bool{true, true, true}
-		episode := pol.AppendInitial(nil, model.SnapshotView{State: model.State{Queues: load, Up: up}}, p)
+		episode := policy.CollectInitial(pol, model.SnapshotView{State: model.State{Queues: load, Up: up}}, p)
 		want := []model.Transfer{{From: 0, To: 1, Tasks: 7}, {From: 0, To: 2, Tasks: 2}}
 		if !reflect.DeepEqual(episode, want) {
 			t.Fatalf("t = 0 episode %v, want %v", episode, want)
