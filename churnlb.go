@@ -516,7 +516,8 @@ type ServeOptions struct {
 	WavePeriod    float64
 	// InitialLoad holds the tasks queued at t = 0; nil means empty queues.
 	InitialLoad []int
-	// InitialUp marks the nodes up at t = 0; nil means all up.
+	// InitialUp marks the nodes up at t = 0; nil means all up. A node
+	// that starts down needs a positive RecRate.
 	InitialUp []bool
 	// Window is the telemetry window width in seconds; 0 derives
 	// Horizon/100 (at least 0.1 s).

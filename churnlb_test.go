@@ -235,6 +235,13 @@ func TestServeValidation(t *testing.T) {
 		ServeOptions{Rate: 1, Horizon: 1}); err == nil {
 		t.Fatal("zero reps accepted")
 	}
+	// A node that starts down and never recovers would strand what the
+	// router sends it.
+	twoNodes := System{Nodes: []Node{{ProcRate: 10}, {ProcRate: 10}}}
+	if _, err := Serve(twoNodes, PolicySpec{}, RouterSpec{Kind: RouterRoundRobin}, 1,
+		ServeOptions{Rate: 5, Horizon: 10, InitialUp: []bool{true, false}}); err == nil || !strings.Contains(err.Error(), "node 1") {
+		t.Fatalf("a node down for good accepted, or the error does not name it: %v", err)
+	}
 }
 
 // failingLog takes its first left bytes and then fails every write with

@@ -281,8 +281,9 @@ func (f *farTier) remove(i int) {
 }
 
 // unlink takes e out of its tier — out of its chain given its predecessor
-// there (nil when e is the head), or out of the far array — marks it dead
-// and shrinks the array once it is under a quarter full.
+// there (nil when e is the head), or out of the far array — marks it dead,
+// leaving e.next for the free list to overwrite, and shrinks the array
+// once it is under a quarter full.
 //
 //churnlb:hotpath
 func (q *calQueue) unlink(e, prev *event) {
@@ -297,7 +298,6 @@ func (q *calQueue) unlink(e, prev *event) {
 	if e == q.sortedTail {
 		q.sortedTail = prev
 	}
-	e.next = nil
 	e.index = -1
 	q.min = nil
 	q.count--
@@ -545,24 +545,19 @@ func (q *calQueue) migrate() int {
 	return n
 }
 
-// drain kills every live event and returns the queue to newCalQueue's
-// state — calMinBuckets buckets, width 1, no gap estimate, scan position 0,
-// counters at zero — on the arrays it holds, so a reused queue walks the
-// resize trajectory of a fresh one.
+// drain kills every live event, leaving its chain link stale (newEvent
+// clears it when the record is reissued), and returns the queue to
+// newCalQueue's state — calMinBuckets buckets, width 1, no gap estimate,
+// scan position 0, counters at zero — on the arrays it holds, so a reused
+// queue walks the resize trajectory of a fresh one.
 func (q *calQueue) drain() {
-	kill := func(e *event) {
-		e.next = nil
-		e.index = -1
-	}
 	for _, head := range q.buckets {
-		for e := head; e != nil; {
-			next := e.next
-			kill(e)
-			e = next
+		for e := head; e != nil; e = e.next {
+			e.index = -1
 		}
 	}
 	for i := 0; i < q.far.n; i++ {
-		kill(q.far.at(i).e)
+		q.far.at(i).e.index = -1
 	}
 	buckets := q.buckets[:calMinBuckets]
 	clear(buckets)

@@ -14,12 +14,12 @@
 // act between two (sim.Run's loop does, checking its workload and its
 // interrupt between events); Run is a thin loop over them.
 //
-// Event records are pooled: a fired or cancelled event returns to a
-// per-scheduler free list and is reused by the next scheduling call, so a
-// long run allocates a bounded number of records no matter how many events
-// it fires. Cancellation removes the event from the queue immediately,
-// rather than leaving a tombstone to be skipped at pop time —
-// pending-event memory is proportional to live events only.
+// Event records are pooled: a fired or cancelled event is chained onto a
+// per-scheduler free list through its own next field and reused by the
+// next scheduling call, so retiring one allocates nothing and a long run
+// allocates a bounded number of records. Cancellation removes the event
+// from the queue at once, not leaving a tombstone to be skipped at pop
+// time: pending-event memory is proportional to live events only.
 //
 // Beside the queue a scheduler holds a run: indexed events booked together
 // in one batch (BatchIndexed + CommitBatch), never cancelled, sorted once
@@ -72,10 +72,10 @@ type event struct {
 	// under the queue's current width) while the event is in a bucket
 	// chain; unused by the heap and by the calendar's far tier.
 	vb int64
-	// next threads the event into its calendar-queue bucket chain (see
-	// calQueue: buckets are intrusive singly-linked lists, so a push
-	// touches no cache line beyond the bucket head and this record, which
-	// the caller is writing anyway); unused by the heap.
+	// next links a live event into its calendar bucket chain (calQueue's
+	// buckets are intrusive singly-linked lists: a push touches only the
+	// bucket head and this record) and a dead one into the free list. A
+	// live record outside a chain holds nil; the heap never reads it.
 	next  *event
 	owner *Scheduler
 	// kind and arg identify the event: the dispatcher receives them
@@ -119,7 +119,7 @@ type Scheduler struct {
 	seq   uint64
 	q     EventQueue
 	fired uint64
-	free  []*event // recycled records, reused by schedule
+	free  *event // recycled records, chained through next; schedule pops the head
 	// slabs lists every record slab in allocation order. newEvent carves
 	// them front to back: slab is the unissued tail of the one in hand,
 	// slabs[nextSlab:] are untouched since the last Reset.
@@ -175,11 +175,9 @@ func (s *Scheduler) schedule(t float64) *event {
 		panic(fmt.Sprintf("des: scheduling into the past: %v < %v", t, s.now))
 	}
 	s.seq++
-	var e *event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	e := s.free
+	if e != nil {
+		s.free, e.next = e.next, nil
 	} else {
 		e = s.newEvent()
 	}
@@ -212,21 +210,21 @@ func (s *Scheduler) AfterIndexed(d float64, kind, arg int32) Handle {
 // Reset returns the scheduler to the state NewWithQueue left it in — clock
 // and Fired at zero, nothing pending, no open batch, no dispatcher —
 // without giving up its memory: every live event becomes dead (its handle
-// inactive), and the record slabs, the free list's
-// array, the queue's arrays and the run's arrays keep their capacity. What
-// is scheduled afterwards fires in the order a fresh scheduler would fire
-// it; record, bucket and run layout never decide pop order.
+// inactive), and the record slabs, the queue's arrays and the run's
+// arrays keep their capacity. What is scheduled afterwards fires in the
+// order a fresh scheduler would fire it; record, bucket and run layout
+// never decide pop order.
 //
-// Records are handed out again slab by slab in address order, not through
+// Records are handed out again slab by slab in address order: Reset drops
 // the free list (which a simulation leaves in the scrambled order its
-// events died in): a simulation on a reset scheduler lays its events out
+// events died in), so a simulation on a reset scheduler lays its events out
 // in memory the way its first one did. The sequence counter keeps
 // counting across Reset — only its order is ever read — so a Handle from
 // before the Reset can never match a later incarnation of its record.
 func (s *Scheduler) Reset() {
 	s.q.drain()
 	s.now, s.fired, s.disp = 0, 0, nil
-	s.free = s.free[:0]
+	s.free = nil
 	s.nextSlab, s.slab = 0, nil
 	s.run, s.head, s.batch = s.run[:0], 0, s.batch[:0]
 }
@@ -338,16 +336,16 @@ func (s *Scheduler) newEvent() *event {
 	}
 	e := &s.slab[0]
 	s.slab = s.slab[1:]
-	e.owner = s
+	e.owner, e.next = s, nil // after a Reset, next may still hold a dead record's link
 	return e
 }
 
-// recycle marks the record dead and returns it to the free list. The
-// sequence number is left in place so stale handles keep matching this
-// incarnation (and failing the index check) until the record is reused.
+// recycle marks the record dead and pushes it onto the free list (a stack
+// through next: schedule reuses the record that died last). The sequence
+// number is left in place so stale handles keep matching this incarnation
+// (and failing the index check) until the record is reused.
 //
 //churnlb:hotpath
 func (s *Scheduler) recycle(e *event) {
-	e.index = -1
-	s.free = append(s.free, e)
+	e.index, e.next, s.free = -1, s.free, e
 }

@@ -32,7 +32,8 @@ type EventQueue interface {
 	// searching again.
 	PeekMin() *event
 	// drain empties the queue for Scheduler.Reset: every live event becomes
-	// dead (index -1, unlinked), the backend's arrays keep their capacity,
+	// dead (index -1; a calendar record keeps a stale next until the
+	// scheduler reissues it), the backend's arrays keep their capacity,
 	// and every adaptive parameter returns to a fresh queue's value — so what is pushed afterwards pops in a fresh queue's
 	// order at a fresh queue's cost, minus the allocations.
 	drain()

@@ -499,12 +499,13 @@ func mallocsOf(f func()) uint64 {
 }
 
 // TestResetKeepsCapacity: Reset keeps every array a run grew — the record
-// slabs, the free list, the queue's arrays (the calendar's far-tier
-// blocks among them) and the run's two — so once a cycle of queue events,
-// some of them far beyond the calendar's year, a batch that becomes the
-// run, a batch that goes onto the queue behind it, some firing and a
-// Reset with the far events still live has run twice, the next cycles
-// allocate nothing, and a Reset itself never allocates.
+// slabs, the queue's arrays (the calendar's far-tier blocks among them)
+// and the run's two; the free list is chained through the records and
+// has no array — so once a cycle of queue events, some of them far beyond
+// the calendar's year, a batch that becomes the run, a batch that goes
+// onto the queue behind it, some firing and a Reset with the far events
+// still live has run twice, the next cycles allocate nothing, and a Reset
+// itself never allocates.
 func TestResetKeepsCapacity(t *testing.T) {
 	const k = 3000
 	for _, kind := range QueueKinds() {
@@ -556,6 +557,72 @@ func TestResetKeepsCapacity(t *testing.T) {
 		if q, ok := s.q.(*calQueue); ok && (farLive < k/4 || q.far.n != 0 || len(q.far.blocks) == 0) {
 			t.Errorf("%v: %d far entries live at the last Reset, %d after it in %d kept blocks: want at least %d, none, and the blocks kept",
 				kind, farLive, q.far.n, len(q.far.blocks), k/4)
+		}
+	}
+}
+
+// TestDrainAllocatesNothing: retiring a record costs no memory. A fresh
+// scheduler books 10⁴ events, then half of them are cancelled and the rest
+// fired; every record goes onto the free list, which is chained through
+// the records themselves, so the drain allocates nothing on the heap. On
+// the calendar the one allowed allocation is a head array for a same-size
+// width rebuild, when the spare array (left at half the size by the
+// fill's last grow) is too small: shrinks fit in either array, and the
+// drain neither grows the queue nor adds a far block. On the heap, which
+// never links a live record, a record reused off the free list or
+// reissued from a slab after a Reset must carry no link.
+func TestDrainAllocatesNothing(t *testing.T) {
+	const n = 10000
+	for _, kind := range QueueKinds() {
+		s := NewWithQueue(kind)
+		s.SetDispatcher(func(int32, int32) {})
+		rng := xrand.NewStream(11, 0xD7A1)
+		hs := make([]Handle, n)
+		for i := range hs {
+			hs[i] = s.AfterIndexed(rng.Float64()*10, 0, int32(i))
+		}
+		var was calQueue
+		q, cal := s.q.(*calQueue)
+		if cal {
+			was = *q
+		}
+		mallocs := mallocsOf(func() {
+			for i := 0; i < n; i += 2 {
+				hs[i].Cancel()
+			}
+			for s.ProcessNext() {
+			}
+		})
+		if s.Len() != 0 || s.Fired() != n/2 {
+			t.Fatalf("%v: %d pending and %d fired after the drain, want 0 and %d", kind, s.Len(), s.Fired(), n/2)
+		}
+		allowed := uint64(0)
+		if cal {
+			t.Logf("%v: %d mallocs; rebuilds over the drain: %d grows, %d shrinks, %d width; far blocks %d → %d",
+				kind, mallocs, q.grows-was.grows, q.shrinks-was.shrinks, q.widthRebuilds-was.widthRebuilds, len(was.far.blocks), len(q.far.blocks))
+			if q.grows != was.grows || len(q.far.blocks) != len(was.far.blocks) {
+				t.Errorf("%v: the drain grew the queue or its far tier", kind)
+			}
+			allowed = uint64(q.widthRebuilds - was.widthRebuilds)
+		}
+		if mallocs > allowed {
+			t.Errorf("%v: draining %d events allocated %d times, want at most %d (one per width rebuild)", kind, n, mallocs, allowed)
+		}
+		if cal {
+			continue
+		}
+		for _, reset := range []bool{false, true} {
+			if reset {
+				for _, h := range hs {
+					h.Cancel() // the free list now links every record
+				}
+				s.Reset()
+			}
+			for i := range hs {
+				if hs[i] = s.AfterIndexed(1, 0, 0); hs[i].e.next != nil {
+					t.Fatalf("%v: a live record links another (after Reset: %v)", kind, reset)
+				}
+			}
 		}
 	}
 }

@@ -91,8 +91,9 @@ func TestColdStartBytesPerTransfer(t *testing.T) {
 // arena holds only the batch's and the sort scratch's 16-byte run events
 // and the 8-byte flight row, 40 B per transfer; the per-node state (the
 // hot array, the scheduler's records and calendar) brings the reading to
-// 92.9 B. An arena that also kept the episode's 24-byte transfer list
-// read 117.0, which the bound, midway, fails.
+// 91.1 B (92.9 while the scheduler kept its free records in a slice). An
+// arena that also kept the episode's 24-byte transfer list read 117.0,
+// which the bound, midway, fails.
 func TestIdleArenaBytesPerTransfer(t *testing.T) {
 	const bound = 105
 	opt := hotspotOptions(10_000, 5, 500_000, 200, 30, 1)

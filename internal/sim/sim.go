@@ -31,9 +31,10 @@
 // incremental load index maintained O(log n) at every queue and up/down
 // mutation, and a policy is its t = 0 episode plus its failure plan
 // (policy.Policy): LBP-2's plan holds eq. (8)'s receiver lists, built once
-// per run, so a failure episode walks only the receivers with nonzero
-// transfers — O(1) when the plan row is empty — into a reusable transfer
-// buffer, and a planless policy moves nothing on a failure. Per-task
+// per study or prepared System and shared by its runs (a lone Run builds
+// its own), so a failure episode walks only the receivers with nonzero
+// transfers — O(1) when the plan row is empty — shipping each as it goes,
+// and a planless policy moves nothing on a failure. Per-task
 // dispatch and per-failure episode cost are therefore both independent of
 // cluster size. This keeps 1000-node realisations allocation-free per
 // event while staying bit-identical, for a given random stream, with the
@@ -48,11 +49,12 @@
 // does rule out is LazyChurn, which needs nobody watching idle nodes.)
 //
 // Realisations reuse their memory. The end of a run hands its arena — the
-// des.Scheduler with its record slabs, free list, queue arrays and batch,
-// the hot array and the flight table; no episode is held, its transfers
-// stream into the scheduler — to a package-level idle list, and the next
-// run takes it back, so a study of thousands of short realisations
-// allocates its state once per worker instead of once per run. Only capacity is kept: a run
+// des.Scheduler with its record slabs (a dead record links its free
+// list), queue arrays and batch, the hot array and the flight table; no
+// episode is held, its transfers stream into the scheduler — to a
+// package-level idle list, and the next run takes it back, so a study of
+// thousands of short realisations allocates its state once per worker
+// instead of once per run. Only capacity is kept: a run
 // zeroes or truncates every array it takes and resets the scheduler it
 // hands back; record, bucket and slice layout never decide pop order, and
 // every output of a run is bit-identical whichever arena it ran on, used
@@ -227,7 +229,8 @@ type Options struct {
 	// InitialLoad holds the number of tasks queued at each node at t = 0.
 	InitialLoad []int
 	// InitialUp marks which nodes start in the working state; nil means
-	// all up (the paper's experiments always start with all nodes up).
+	// all up (the paper's experiments always start with all nodes up). A
+	// node that starts down needs a positive RecRate.
 	InitialUp []bool
 	// Rand supplies all randomness; required.
 	Rand *xrand.Rand
@@ -535,6 +538,14 @@ func validateOptions(opt *Options) (int, error) {
 	}
 	if opt.InitialUp != nil && len(opt.InitialUp) != n {
 		return 0, fmt.Errorf("sim: InitialUp has %d entries for %d nodes", len(opt.InitialUp), n)
+	}
+	// A node down with no recovery rate never comes back, yet its own
+	// backlog, a balancing episode or a router can leave tasks on it,
+	// stranded when the run ends.
+	for i, up := range opt.InitialUp {
+		if !up && opt.Params.RecRate[i] == 0 {
+			return 0, fmt.Errorf("sim: node %d starts down and never recovers (RecRate 0)", i)
+		}
 	}
 	if opt.Rand == nil {
 		return 0, fmt.Errorf("sim: Options.Rand is required for reproducibility")
@@ -1090,7 +1101,7 @@ func (s *simState) fail(i int) {
 //churnlb:hotpath
 func (s *simState) scheduleRecovery(i int) {
 	if s.p.RecRate[i] == 0 {
-		return // permanently down; Validate guarantees no tasks strand here
+		return // unreachable: a node that can be down has RecRate > 0 (Params.Validate, validateOptions)
 	}
 	d := s.opt.ChurnLaw.Sample(s.rng, 1/s.p.RecRate[i])
 	h := s.sched.AfterIndexed(d, evKindRecover, int32(i))

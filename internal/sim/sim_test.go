@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +49,14 @@ func TestRunValidation(t *testing.T) {
 	opt.ArrivalRate = 1
 	if _, err := Run(opt); err == nil {
 		t.Fatal("arrivals without horizon accepted")
+	}
+	// A node that starts down and never recovers would strand its tasks.
+	opt = baseOptions(rng)
+	opt.Params = model.Params{ProcRate: []float64{1, 1}, FailRate: []float64{0, 0}, RecRate: []float64{0, 0}}
+	opt.InitialLoad = []int{5, 5}
+	opt.InitialUp = []bool{true, false}
+	if _, err := Run(opt); err == nil || !strings.Contains(err.Error(), "node 1") {
+		t.Fatalf("a node down for good accepted, or the error does not name it: %v", err)
 	}
 }
 
