@@ -23,7 +23,7 @@ func TestEventLayout(t *testing.T) {
 	if got := eventSlabSize * unsafe.Sizeof(event{}); got%line != 0 {
 		t.Fatalf("a slab is %d bytes, not a whole number of %d-byte lines", got, line)
 	}
-	s := New()
+	s := NewWithQueue(QueueHeap)
 	s.AtIndexed(0, 0, 0)
 	if addr := uintptr(unsafe.Pointer(&s.slabs[0][0])); addr%line != 0 {
 		t.Errorf("a slab starts at %#x, off a %d-byte line boundary", addr, line)

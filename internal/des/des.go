@@ -29,8 +29,11 @@
 // caller with a large burst known at one instant (a balancing episode)
 // skips the queue for all of it. A run event is 16 bytes: a batch holds
 // one kind, stored once, and each event's seq as an offset from the
-// batch's base. A caller that knows its batch's size reserves exactly
-// that much room for it (ReserveBatch).
+// batch's base. A batch of more than 2¹⁶ events sorts as up to eight
+// sub-runs merged at the run's head, so its sort's scratch holds one
+// sub-run, not a second copy of the batch. A caller that knows its
+// batch's size reserves exactly that much room for it (ReserveBatch),
+// taking the drained run's array when that one is long enough.
 //
 // A scheduler outlives a simulation: Reset kills whatever is still
 // pending and returns the clock, the counters and the queue to a fresh
@@ -129,19 +132,21 @@ type Scheduler struct {
 	// disp fires every event: one dispatch function per scheduler, so a
 	// simulation over n entities schedules without holding n closures.
 	disp func(kind, arg int32)
-	// run[head:] is the pending sorted run (see run.go), empty with head 0
-	// once drained; batch is the open batch. The two arrays trade places
-	// when a batch is sorted into a run, and Reset keeps both. Each holds
-	// one kind, and its events' seqs are offsets from its base.
+	// run is the pending sorted run (see run.go), as sub-runs: run[head]
+	// is its next event and run[head:end] that event's sub-run, and
+	// subs[:nsub] are the others, in order of their first events.
+	// Drained, run is empty and head, end and nsub are 0. batch is the
+	// open batch. The two arrays trade places when a batch is sorted into
+	// a run, and Reset keeps both. Each holds one kind, and its events'
+	// seqs are offsets from its base. subs comes last, after the fields a
+	// fired run event reads.
 	run                []runEvent
-	head               int
+	head, end, nsub    int
 	batch              []runEvent
 	runBase, batchBase uint64
 	runKind, batchKind int32
+	subs               [maxSubRuns]span
 }
-
-// New returns an empty scheduler at time 0 on the default (heap) backend.
-func New() *Scheduler { return NewWithQueue(QueueHeap) }
 
 // NewWithQueue returns an empty scheduler at time 0 whose pending events
 // live in the given backend. Every backend fires the same schedule in the
@@ -157,7 +162,7 @@ func (s *Scheduler) Now() float64 { return s.now }
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Len returns the number of live scheduled events.
-func (s *Scheduler) Len() int { return s.q.Len() + len(s.run) - s.head }
+func (s *Scheduler) Len() int { return s.q.Len() + s.runLen() }
 
 // SetDispatcher installs the event handler: every event fires by calling
 // fn(kind, arg). One dispatch function serves the whole scheduler, so a
@@ -226,7 +231,7 @@ func (s *Scheduler) Reset() {
 	s.now, s.fired, s.disp = 0, 0, nil
 	s.free = nil
 	s.nextSlab, s.slab = 0, nil
-	s.run, s.head, s.batch = s.run[:0], 0, s.batch[:0]
+	s.run, s.head, s.end, s.nsub, s.batch = s.run[:0], 0, 0, 0, s.batch[:0]
 }
 
 // --- step primitives ---
@@ -266,8 +271,8 @@ func (s *Scheduler) PeekNextTime() (t float64, ok bool) {
 func (s *Scheduler) ProcessNext() bool {
 	if len(s.run) > 0 {
 		if r := s.run[s.head]; s.runFirst(&r, s.q.PeekMin()) {
-			if s.head++; s.head == len(s.run) {
-				s.run, s.head = s.run[:0], 0
+			if s.head++; s.head == s.end || s.nsub > 0 && !s.runLess(s.head, s.subs[0].head) {
+				s.nextRunHead()
 			}
 			s.now = r.time
 			s.fired++

@@ -49,6 +49,9 @@ func (r *recorder) after(d float64, act func()) Handle {
 	return r.s.AfterIndexed(d, 0, int32(len(r.acts)-1))
 }
 
+// QueueKinds lists every backend in declaration order.
+func QueueKinds() []QueueKind { return []QueueKind{QueueHeap, QueueCalendar} }
+
 // forEachKind runs a scheduler test once per queue backend: the Scheduler
 // contract (ordering, cancellation, stale handles, horizons) must hold
 // identically on every EventQueue.

@@ -127,7 +127,7 @@ func TestStepPrimitives(t *testing.T) {
 // scheduler owning the earlier time (ties to the first), and require the
 // merged fire sequence to be globally time-ordered and complete.
 func TestSharedClockTwoSchedulers(t *testing.T) {
-	a, b := New(), New()
+	a, b := NewWithQueue(QueueHeap), NewWithQueue(QueueHeap)
 	var merged []float64
 	ra, rb := record(a), record(b)
 	rng := xrand.New(21)

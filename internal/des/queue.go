@@ -74,9 +74,6 @@ func (k QueueKind) String() string {
 	}
 }
 
-// QueueKinds lists every backend in declaration order.
-func QueueKinds() []QueueKind { return []QueueKind{QueueHeap, QueueCalendar} }
-
 // newQueue builds the backend for a kind; unknown kinds are a programmer
 // error (the simulator derives its kind, nothing parses one).
 func newQueue(kind QueueKind) EventQueue {

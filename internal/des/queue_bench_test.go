@@ -94,11 +94,7 @@ func BenchmarkSchedulerPending(b *testing.B) {
 func BenchmarkCommitBatch(b *testing.B) {
 	for _, n := range []int{45_083, 488_000} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			rng := xrand.New(1)
-			times := make([]float64, n)
-			for i := range times {
-				times[i] = rng.ExpMean(0.02 * float64(1+rng.Intn(19)))
-			}
+			times := episodeTimes(n)
 			s := NewWithQueue(QueueCalendar)
 			commit := func() {
 				for i, t := range times {
@@ -111,6 +107,51 @@ func BenchmarkCommitBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				commit()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+		})
+	}
+}
+
+// episodeTimes draws n event times by the t = 0 delay law of
+// BenchmarkCommitBatch.
+func episodeTimes(n int) []float64 {
+	rng := xrand.New(1)
+	times := make([]float64, n)
+	for i := range times {
+		times[i] = rng.ExpMean(0.02 * float64(1+rng.Intn(19)))
+	}
+	return times
+}
+
+// BenchmarkRunDrain reserves and commits BenchmarkCommitBatch's batches
+// on a warm scheduler, as an episode does, and fires every event through
+// ProcessNext, so against
+// BenchmarkCommitBatch's sort alone it prices firing a run: reading the
+// run's head and, for a batch of more than subRunMin events, merging its
+// sub-runs there.
+//
+//	go test -run NONE -bench BenchmarkRunDrain -benchtime 20x ./internal/des/
+func BenchmarkRunDrain(b *testing.B) {
+	for _, n := range []int{45_083, 488_000} {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			times := episodeTimes(n)
+			s := NewWithQueue(QueueCalendar)
+			drain := func() {
+				s.SetDispatcher(func(int32, int32) {})
+				s.ReserveBatch(n)
+				for i, t := range times {
+					s.BatchIndexed(t, 0, int32(i))
+				}
+				s.CommitBatch()
+				for s.ProcessNext() {
+				}
+				s.Reset()
+			}
+			drain() // the arrays every iteration reuses
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drain()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
 		})

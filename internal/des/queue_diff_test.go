@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -94,6 +95,12 @@ func genBatch(rng *xrand.Rand) qop {
 	if rng.Float64() < 0.5 {
 		size = 1 + rng.Intn(600)
 	}
+	return genBatchOf(rng, size)
+}
+
+// genBatchOf draws one batch op of size events, each as genBatch draws
+// them.
+func genBatchOf(rng *xrand.Rand, size int) qop {
 	o := qop{kind: 4, batch: make([]batchEv, size)}
 	for j := range o.batch {
 		ev := batchEv{tie: -1, plain: rng.Float64() < 0.1}
@@ -255,9 +262,9 @@ func (r *progRun) book(op int, batch []batchEv) {
 	if !r.batched {
 		return
 	}
-	booked, pending, queued := len(s.batch), len(s.run)-s.head, s.q.Len()
+	booked, pending, queued := len(s.batch), s.runLen(), s.q.Len()
 	s.CommitBatch()
-	switch run := len(s.run) - s.head; {
+	switch run := s.runLen(); {
 	case booked == 0:
 	case pending == 0 && run == booked:
 		r.commits[0]++
@@ -382,59 +389,144 @@ func TestQueueDifferentialBatch(t *testing.T) {
 	}
 }
 
+// TestQueueDifferentialSubRuns holds runs of several sub-runs to the heap
+// oracle on both backends. A program books a batch of 5/4 subRunMin
+// events (a tenth of them plain, so about 9/8 subRunMin batched), which
+// sorts as two sub-runs, then another behind it, which goes onto the
+// queue, and once the run has drained one of 9·subRunMin, which the cap
+// sorts as eight of more than subRunMin each; each batch's
+// times tie with the clock, with pending queue events and, on a
+// quantized grid, with each other across every sub-run boundary, while
+// schedules, cancels, steps and horizons run between them. A scheduler
+// Reset with a two-sub-run run pending must then fire a program of small
+// batches as a fresh one does. FuzzQueueOrder books at most fuzzMaxEvents
+// events, fewer than a batch that splits, so only this test reaches the
+// head merge. A batch op's event ids are 2·10⁶ + 1000·op + j, so the
+// two-sub-run batches stand 400 ops apart and the eight-sub-run one
+// books last, to keep every id unique.
+func TestQueueDifferentialSubRuns(t *testing.T) {
+	const two, eight = subRunMin * 5 / 4, 9 * subRunMin
+	rng := xrand.NewStream(1, 0x5AB5)
+	var ops []qop
+	ops = append(ops, genProgram(1, 300)...)
+	ops = append(ops, genBatchOf(rng, two))
+	ops = append(ops, genProgram(2, 400)...)
+	ops = append(ops, genBatchOf(rng, two)) // behind the pending run: onto the queue
+	ops = append(ops, qop{kind: 3, horizon: 3e4}, qop{kind: 5})
+	ops = append(ops, genProgram(3, 300)...)
+	ops = append(ops, genBatchOf(rng, eight))
+	ops = append(ops, genProgram(4, 400)...)
+	ref := runProgram(QueueHeap, false, ops)
+	pre, preBatch := genProgram(5, 100), genBatchOf(rng, two).batch
+	after := sprinkleBatches(genProgram(6, 400), 6)
+	afterRef := runProgram(QueueHeap, false, after)
+	for _, kind := range QueueKinds() {
+		r := &progRun{s: NewWithQueue(kind), batched: true}
+		var split []int // each run's sub-run count, read just after its commit
+		r.beforeOp = func(qop) {
+			if len(split) < r.commits[0] {
+				split = append(split, 1+r.s.nsub)
+			}
+		}
+		r.exec(ops)
+		if !sameFires(t, kind.String(), r.finish(), ref) {
+			t.Fatal(kind)
+		}
+		if r.commits != [2]int{2, 1} || !slices.Equal(split, []int{2, maxSubRuns}) {
+			t.Fatalf("%v: commits %v (run, queue) and runs of %v sub-runs, want [2 1] and [2 %d]",
+				kind, r.commits, split, maxSubRuns)
+		}
+
+		r = &progRun{s: NewWithQueue(kind), batched: true}
+		r.exec(pre)
+		r.book(0, preBatch)
+		for i := 0; i < two/3; i++ {
+			r.s.ProcessNext()
+		}
+		if r.s.nsub == 0 {
+			t.Fatalf("%v: no second sub-run pending before the Reset", kind)
+		}
+		r.s.Reset()
+		r.fired, r.handles = nil, nil
+		r.exec(after)
+		if !sameFires(t, kind.String()+" after a Reset with sub-runs pending", r.finish(), afterRef) {
+			t.Fatal(kind)
+		}
+	}
+}
+
 // TestWarmBatchAllocatesNothing: once the run's two arrays have grown to
 // a cycle's needs, booking a batch that becomes the run and one that goes
 // onto the queue behind it, and firing both, allocates nothing — whether
 // the scheduler was fresh or already held a population, recycled records
 // and a part-used slab. The population lies far beyond the calendar's
 // year, so on the calendar it is live in the far tier throughout, and the
-// cycles' sweeps read past it.
+// cycles' sweeps read past it. A burst of more than subRunMin events,
+// reserved first, sorts as two sub-runs over a scratch of one: each cycle
+// its batch takes the drained run's array and leaves the run the
+// scratch, so the two arrays hold one burst and one sub-run between them.
 func TestWarmBatchAllocatesNothing(t *testing.T) {
-	const burst = 3000
-	for _, kind := range QueueKinds() {
-		for _, standing := range []int{0, 300} {
-			s := NewWithQueue(kind)
-			s.SetDispatcher(func(int32, int32) {})
-			rng := xrand.NewStream(5, uint64(standing))
-			var hs []Handle
-			for i := 0; i < standing; i++ {
-				hs = append(hs, s.AfterIndexed(1e6+rng.Float64()*10, 0, int32(i)))
-			}
-			for i := 0; i < standing/3; i++ {
-				hs[i*3].Cancel()
-			}
-			live := s.Len()
-			book := func(k int) {
-				for i := 0; i < k; i++ {
-					s.BatchIndexed(s.Now()+rng.Float64()*10, 0, int32(i))
-				}
-				s.CommitBatch()
-			}
-			cycle := func() {
-				book(burst) // the run
-				for i := 0; i < burst/2; i++ {
-					s.ProcessNext()
-				}
-				book(burst / 8) // onto the queue: a run is pending
-				for s.Len() > live {
-					s.ProcessNext()
-				}
-			}
-			// The arrays trade places from run to run: a few cycles grow
-			// both of them to the burst.
-			for i := 0; i < 4; i++ {
-				cycle()
-			}
-			if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
-				t.Errorf("%v, %d standing: %v allocations per warm batch cycle", kind, standing, allocs)
-			}
-			if s.Len() != live {
-				t.Fatalf("%v: %d pending, want %d", kind, s.Len(), live)
-			}
-			if q, ok := s.q.(*calQueue); ok && q.far.n != live {
-				t.Fatalf("%v, %d standing: %d far entries, want the %d standing events", kind, standing, q.far.n, live)
+	for _, burst := range []int{3000, subRunMin + 1} {
+		for _, kind := range QueueKinds() {
+			for _, standing := range []int{0, 300} {
+				warmBatchCycle(t, kind, burst, standing)
 			}
 		}
+	}
+}
+
+// warmBatchCycle runs TestWarmBatchAllocatesNothing's cycle at one burst
+// size on a scheduler holding standing events.
+func warmBatchCycle(t *testing.T, kind QueueKind, burst, standing int) {
+	t.Helper()
+	s := NewWithQueue(kind)
+	s.SetDispatcher(func(int32, int32) {})
+	rng := xrand.NewStream(5, uint64(standing))
+	var hs []Handle
+	for i := 0; i < standing; i++ {
+		hs = append(hs, s.AfterIndexed(1e6+rng.Float64()*10, 0, int32(i)))
+	}
+	for i := 0; i < standing/3; i++ {
+		hs[i*3].Cancel()
+	}
+	live := s.Len()
+	split := burst > subRunMin
+	book := func(k int) {
+		if split {
+			s.ReserveBatch(k)
+		}
+		for i := 0; i < k; i++ {
+			s.BatchIndexed(s.Now()+rng.Float64()*10, 0, int32(i))
+		}
+		s.CommitBatch()
+	}
+	cycle := func() {
+		book(burst) // the run
+		for i := 0; i < burst/2; i++ {
+			s.ProcessNext()
+		}
+		book(burst / 8) // onto the queue: a run is pending
+		for s.Len() > live {
+			s.ProcessNext()
+		}
+	}
+	// The arrays trade places from run to run: a few cycles grow both of
+	// them to the burst.
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
+		t.Errorf("%v, burst %d, %d standing: %v allocations per warm batch cycle", kind, burst, standing, allocs)
+	}
+	if s.Len() != live {
+		t.Fatalf("%v: %d pending, want %d", kind, s.Len(), live)
+	}
+	if q, ok := s.q.(*calQueue); ok && q.far.n != live {
+		t.Fatalf("%v, %d standing: %d far entries, want the %d standing events", kind, standing, q.far.n, live)
+	}
+	if held, want := cap(s.run)+cap(s.batch), burst+(burst+1)/2; split && held != want {
+		t.Errorf("%v, burst %d, %d standing: the run's arrays hold %d events' room, want %d (a burst and a sub-run)",
+			kind, burst, standing, held, want)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestBatchPanics(t *testing.T) {
 					t.Errorf("booking panicked with %q, want a panic naming %q", msg, tc.want)
 				}
 			}()
-			tc.book(New())
+			tc.book(NewWithQueue(QueueHeap))
 		}()
 	}
 }

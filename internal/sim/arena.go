@@ -32,10 +32,12 @@ func queueFor(nodes int) des.QueueKind {
 // idle list. It carries capacity only — start overwrites or truncates every
 // part before the run reads it, and finish has already reset the scheduler —
 // so which arena a run gets, a used one or none, shows in no output. Of the
-// largest episode it keeps 40 bytes a transfer: the flight row here, and in
-// the scheduler the batch's run event and its sort scratch, each reserved
-// to exactly the episode's count. The transfers themselves stream from the
-// policy into the scheduler and are never held.
+// largest episode it keeps 16 + 16/C + 8 bytes a transfer: the flight row
+// here, and in the scheduler the batch's run event, reserved to exactly
+// the episode's count, and the sort's scratch, one of the C ≤ 8 sub-runs
+// the batch sorts as (C = 1 up to 2¹⁶ transfers, 8 on closed-scale-1e5's
+// t = 0 episode: 26 B). The transfers themselves stream from the policy
+// into the scheduler and are never held.
 type arena struct {
 	// sched is a reset scheduler and queue its backend.
 	sched *des.Scheduler
@@ -77,15 +79,6 @@ func (l *idleList[T]) put(x T) {
 	if len(l.items) < runtime.GOMAXPROCS(0) {
 		l.items = append(l.items, x)
 	}
-}
-
-// dropIdleArenas empties the idle list, so the next run builds its state
-// from nothing: how a test measures one fresh realisation, and how it lets
-// go of a large one.
-func dropIdleArenas() {
-	idle.mu.Lock()
-	defer idle.mu.Unlock()
-	idle.items = nil
 }
 
 // zeroed returns a zeroed hot array of n nodes, on hot's memory when it

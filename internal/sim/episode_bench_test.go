@@ -50,21 +50,22 @@ func initialTransfers(opt Options) int {
 // TestColdStartBytesPerTransfer bounds what one cold start of a
 // realisation allocates (the idle arenas dropped first) per transfer of
 // its t = 0 episode, on a cluster where that episode dwarfs the rest of
-// the state: 10⁴ hotspot nodes, 5·10⁵ tasks on 5 hot nodes, LBP-2, so
-// 49 995 transfers, each hot node shipping to every other node. The bytes
+// the state: 2·10⁴ hotspot nodes, 10⁶ tasks on 5 hot nodes, LBP-2, so
+// 99 995 transfers, each hot node shipping to every other node. The bytes
 // cover all of start — the hot array, the scheduler's records and queue,
 // the flight table, the open batch and the radix sort's scratch array —
 // divided by the transfer count. The episode streams from the policy into
-// the scheduler, so it keeps no transfer record: it retains two 16-byte
-// run events (the batch and the sort's scratch) and an 8-byte flight row
-// per transfer, and the batch and the flight table are reserved to exactly
-// the episode by a counting pass; the measured 101 B per transfer, with
-// the per-node state, sits well under the bound, which an episode that
-// grows its batch by append (about 260 B per transfer with 24-byte run
-// events) breaks.
+// the scheduler, so it keeps no transfer record: it retains a 16-byte run
+// event, the sort's scratch (more than 2¹⁶ events, the episode sorts as
+// two sub-runs, so 8 B) and an 8-byte flight row per transfer, and the
+// batch and the flight table are reserved to exactly the episode by a
+// counting pass; the measured 92.6 B per transfer (100.6 with a scratch
+// of the whole batch), with the per-node state, sits well under the
+// bound, which an episode that grows its batch by append (about 260 B
+// per transfer with 24-byte run events, on half this cluster) breaks.
 func TestColdStartBytesPerTransfer(t *testing.T) {
 	const bound = 170
-	opt := hotspotOptions(10_000, 5, 500_000, 200, 30, 1)
+	opt := hotspotOptions(20_000, 5, 1_000_000, 200, 30, 1)
 	transfers := initialTransfers(opt)
 	dropIdleArenas()
 	var before, after runtime.MemStats
@@ -78,7 +79,7 @@ func TestColdStartBytesPerTransfer(t *testing.T) {
 	dropIdleArenas()
 	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(transfers)
 	t.Logf("cold start: %d transfers, %.1f B per transfer", transfers, per)
-	if transfers < 49_000 || per > bound {
+	if transfers < 99_000 || per > bound {
 		t.Errorf("cold start allocated %.1f B per transfer of a %d-transfer episode, want at most %d", per, transfers, bound)
 	}
 }
@@ -88,15 +89,16 @@ func TestColdStartBytesPerTransfer(t *testing.T) {
 // TestColdStartBytesPerTransfer's cluster: the live heap after one
 // realisation, its arena parked, less the live heap once the idle list is
 // dropped. The episode streams into the scheduler, so of the episode the
-// arena holds only the batch's and the sort scratch's 16-byte run events
-// and the 8-byte flight row, 40 B per transfer; the per-node state (the
+// arena holds only the batch's 16-byte run events, the sort's scratch —
+// the episode sorts as two sub-runs over a scratch of one, 8 B a transfer
+// — and the 8-byte flight row, 32 B per transfer; the per-node state (the
 // hot array, the scheduler's records and calendar) brings the reading to
-// 91.1 B (92.9 while the scheduler kept its free records in a slice). An
-// arena that also kept the episode's 24-byte transfer list read 117.0,
-// which the bound, midway, fails.
+// 82.4 B. A scratch of the whole batch read 90.4, which the bound,
+// midway, fails (as did 117.0, on half this cluster, for an arena that
+// also kept the episode's 24-byte transfer list).
 func TestIdleArenaBytesPerTransfer(t *testing.T) {
-	const bound = 105
-	opt := hotspotOptions(10_000, 5, 500_000, 200, 30, 1)
+	const bound = 86
+	opt := hotspotOptions(20_000, 5, 1_000_000, 200, 30, 1)
 	transfers := initialTransfers(opt)
 	liveHeap := func() uint64 {
 		runtime.GC()
@@ -114,7 +116,7 @@ func TestIdleArenaBytesPerTransfer(t *testing.T) {
 	runtime.KeepAlive(opt)
 	per := (float64(parked) - float64(dropped)) / float64(transfers)
 	t.Logf("idle arena: %d transfers, %.1f B per transfer", transfers, per)
-	if transfers < 49_000 || per > bound {
+	if transfers < 99_000 || per > bound {
 		t.Errorf("a parked arena holds %.1f B per transfer of a %d-transfer episode, want at most %d", per, transfers, bound)
 	}
 }

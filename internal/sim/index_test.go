@@ -199,7 +199,7 @@ func benchIndexedState(b *testing.B, n int, r policy.IndexedRouter) (*simState, 
 	}
 	s := &simState{
 		p:     p,
-		sched: des.New(),
+		sched: des.NewWithQueue(des.QueueHeap),
 		hot:   make([]nodeHot, n),
 	}
 	for i := 0; i < n; i++ {
