@@ -16,9 +16,9 @@ package des
 // The queue has two tiers split at farBound, a virtual bucket number. An
 // event with vb < farBound is near: it hangs in a bucket chain. An event
 // with vb ≥ farBound is far: it sits in the unsorted far array as a
-// {time, record} entry, and its record's index holds its slot + 1, so a
-// cancel swaps the last entry into the hole in O(1). The far array is
-// laid out in fixed blocks (farTier): it grows a block at a time with its
+// {time, record} entry, and its record's index holds farTag | its slot,
+// so a cancel swaps the last entry into the hole in O(1). The far array
+// is laid out in fixed blocks (farTier): it grows a block at a time with its
 // population, never by copying, and keeps its blocks across a drain. The far tier is the
 // "Top" of the ladder queue (Tang, Goh & Thng, ACM TOMACS 15(3), 2005)
 // folded into the calendar: a simulation sets a failure timer of mean
@@ -39,9 +39,14 @@ package des
 // far event: the near minimum is the global minimum. When the near tier
 // is empty, findMin jumps straight to the earliest far entry instead of
 // scanning empty years; that jump replaced a sparse-tail fallback which,
-// after a year swept without a hit, walked every chain. A far record's
-// vb field is not kept up to date: a sweep or resize that links it
-// computes it afresh.
+// after a year swept without a hit, walked every chain.
+//
+// A record keeps no virtual bucket number: a chained record's index holds
+// its bucket slot, vb & mask under the current width, which link writes
+// and every resize rewrites, as it relinks every record. Remove and
+// unlink read the slot there, and a scan never tests a record's vb: by
+// the invariant a slot holds one year, so every record on the slot a scan
+// reaches is of the vb it scans.
 //
 // Buckets are intrusive singly-linked chains threaded through the event
 // records (the next field) rather than slices of pointers. At the
@@ -57,8 +62,8 @@ package des
 // size. The chains carry no back link: a pop unlinks the minimum through
 // the predecessor findMin found beside it, in O(1), and only a cancel
 // (Remove, rare next to pops) walks its slot from the head. That keeps a
-// record at 64 bytes — one cache line — and spares Push the write to the
-// old head's back link, a miss on every push.
+// record at 40 bytes and spares Push the write to the old head's back
+// link, a miss on every push.
 //
 // Ties: many events on one instant share one slot at any width, and a
 // scan of k of them costs O(k), so draining them scan by scan would cost
@@ -113,7 +118,7 @@ type calQueue struct {
 	// hold allocates nothing. Only its capacity matters.
 	spare []*event
 	// far is the far tier: every live event with vb ≥ farBound, unsorted;
-	// the record of entry i has index i+1.
+	// the record of entry i has index farTag | i.
 	far      farTier
 	farBound int64   // the first virtual bucket of the far tier
 	mask     int64   // len(buckets)-1; len is a power of two
@@ -173,6 +178,12 @@ func (f *farTier) at(i int) *farEntry {
 	return &f.blocks[uint(i)/farBlock][uint(i)%farBlock]
 }
 
+// farTag marks a far record's index: a far record holds farTag | its far
+// slot, a chained one its bucket slot, below farTag (a scheduler holds
+// fewer than maxEvents = farTag records, and a calendar grows to about
+// one slot per record), and a dead one -1.
+const farTag = 1 << 30
+
 // calMinBuckets is the smallest bucket array; shrinks stop here.
 const calMinBuckets = 8
 
@@ -221,18 +232,17 @@ func (q *calQueue) vbOf(t float64) int64 {
 	return int64(f)
 }
 
-// link pushes e onto the head of the chain of bucket vb and marks it
-// near. Chain position never affects pop order (findMin takes the exact
-// (time, seq) minimum over the whole slot), so head insertion — the only
-// O(1) spot — is safe. Into the sorted slot, a record that sorts after
+// link pushes e onto the head of the chain of bucket vb and keeps the
+// bucket's slot in e.index. Chain position never affects pop order
+// (findMin takes the exact (time, seq) minimum over the whole slot), so
+// head insertion — the only O(1) spot — is safe. Into the sorted slot, a record that sorts after
 // the tail goes behind it instead, which keeps the chain sorted; any other
 // record unsorts the slot.
 //
 //churnlb:hotpath
 func (q *calQueue) link(e *event, vb int64) {
-	b := int(vb & q.mask)
-	e.vb = vb
-	e.index = 0
+	b := int32(vb & q.mask)
+	e.index = b
 	if vb == q.sortedVB {
 		if t := q.sortedTail; t == nil || eventLess(t, e) {
 			e.next = nil
@@ -250,7 +260,7 @@ func (q *calQueue) link(e *event, vb int64) {
 	q.buckets[b] = e
 }
 
-// push appends e and records its slot in e.index (slot + 1).
+// push appends e and records its slot in e.index (farTag | slot).
 //
 //churnlb:hotpath
 func (f *farTier) push(e *event) {
@@ -258,8 +268,8 @@ func (f *farTier) push(e *event) {
 		f.grow()
 	}
 	*f.at(f.n) = farEntry{e.time, e}
+	e.index = farTag | int32(f.n)
 	f.n++
-	e.index = f.n
 }
 
 // grow appends a block: push's allocating path, kept out of the hot path
@@ -276,7 +286,7 @@ func (f *farTier) remove(i int) {
 	if i != f.n {
 		x := f.at(i)
 		*x = *f.at(f.n)
-		x.e.index = i + 1
+		x.e.index = farTag | int32(i)
 	}
 }
 
@@ -288,10 +298,10 @@ func (f *farTier) remove(i int) {
 //churnlb:hotpath
 func (q *calQueue) unlink(e, prev *event) {
 	switch {
-	case e.index > 0:
-		q.far.remove(e.index - 1)
+	case e.index >= farTag:
+		q.far.remove(int(e.index &^ farTag))
 	case prev == nil:
-		q.buckets[int(e.vb&q.mask)] = e.next
+		q.buckets[e.index] = e.next
 	default:
 		prev.next = e.next
 	}
@@ -331,8 +341,8 @@ func (q *calQueue) Push(e *event) {
 //churnlb:hotpath
 func (q *calQueue) Remove(e *event) {
 	var prev *event
-	if e.index == 0 {
-		for p := q.buckets[int(e.vb&q.mask)]; p != e; p = p.next {
+	if e.index < farTag {
+		for p := q.buckets[e.index]; p != e; p = p.next {
 			prev = p
 		}
 	}
@@ -410,19 +420,21 @@ func (q *calQueue) findMin() (best, prev *event, vb int64) {
 	}
 	for vb = q.vcur; vb < q.farBound; vb++ {
 		b := int(vb & q.mask)
-		if vb == q.sortedVB && q.buckets[b] != nil {
-			return q.buckets[b], nil, vb
+		head := q.buckets[b]
+		if head == nil {
+			continue
 		}
-		var p *event
-		k := 0
-		for e := q.buckets[b]; e != nil; p, e = e, e.next {
+		if vb == q.sortedVB {
+			return head, nil, vb
+		}
+		// Every record on the slot is of vb: the invariant keeps one year
+		// below farBound.
+		best, k := head, 1
+		for p, e := head, head.next; e != nil; p, e = e, e.next {
 			k++
-			if e.vb == vb && (best == nil || eventLess(e, best)) {
+			if eventLess(e, best) {
 				best, prev = e, p
 			}
-		}
-		if best == nil {
-			continue
 		}
 		if k > calSortMin {
 			q.sorts++

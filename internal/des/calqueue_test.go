@@ -2,32 +2,44 @@ package des
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"churnlb/internal/xrand"
 )
 
-// TestEventLayout pins the record size the event doc comment promises: 64
-// bytes, one cache line, so a slab of eventSlabSize records is a whole
-// number of lines and, starting on a line boundary (eventSlab's pad),
-// puts every record on exactly one. Growing the record is not forbidden —
-// but it must be a conscious decision, because every chain walk of the
-// calendar queue touches one record per hop and a 10⁵-node realisation
-// holds ~2·10⁵ of them. The twin of sim's TestNodeHotLayout.
+// TestEventLayout pins the record size the event doc comment promises, 40
+// bytes, and the slab's fit: eventSlabSize records plus the allocator's
+// 8-byte header must fill the slab's size class to within one record, so
+// a field added later cannot push the slab into the next class unseen.
+// Growing the record is not forbidden — but it must be a conscious
+// decision, because a 10⁵-node realisation holds ~2·10⁵ of them. The twin
+// of sim's TestNodeHotLayout.
 func TestEventLayout(t *testing.T) {
-	const line = 64
-	if got := unsafe.Sizeof(event{}); got != line {
-		t.Fatalf("event is %d bytes, want %d — update the layout docs if this growth is intentional", got, line)
+	const size = 40
+	if got := unsafe.Sizeof(event{}); got != size {
+		t.Fatalf("event is %d bytes, want %d — update the layout docs if this change is intentional", got, size)
 	}
-	if got := eventSlabSize * unsafe.Sizeof(event{}); got%line != 0 {
-		t.Fatalf("a slab is %d bytes, not a whole number of %d-byte lines", got, line)
+	// The allocator's size class for a slab: the heap's growth per slab
+	// over many of them, each kept alive.
+	const n = 64
+	keep := make([]*eventSlab, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = new(eventSlab)
 	}
-	s := NewWithQueue(QueueHeap)
-	s.AtIndexed(0, 0, 0)
-	if addr := uintptr(unsafe.Pointer(&s.slabs[0][0])); addr%line != 0 {
-		t.Errorf("a slab starts at %#x, off a %d-byte line boundary", addr, line)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	class := uintptr((after.TotalAlloc - before.TotalAlloc) / n)
+	slab := unsafe.Sizeof(eventSlab{}) + 8 // the malloc header of a pointer-holding object
+	if class < slab || class-slab >= size {
+		t.Errorf("a slab of %d records takes %d bytes of a %d-byte size class, want within one record of it", eventSlabSize, slab, class)
 	}
+	t.Logf("a slab of %d records: %d bytes with its header, %d-byte class, %.2f bytes a record",
+		eventSlabSize, slab, class, float64(class)/eventSlabSize)
 }
 
 // TestRunEventLayout pins the run event at 16 bytes: a t = 0 balancing
@@ -48,7 +60,10 @@ func TestRunEventLayout(t *testing.T) {
 // alone: the fill grows the array ⌈log₂⌉ of the population over the
 // smallest array's capacity times, the hold neither grows nor shrinks it,
 // and a drain with no re-arms shrinks it back to the smallest array as
-// many times.
+// many times. A record keeps its bucket slot in its index, and every
+// rebuild moves records to new slots: after each op that grew, shrank or
+// rebuilt the array, checkTiers must find every chained record's stored
+// slot to be its time's slot under the new width.
 func TestCalendarHoldRebuilds(t *testing.T) {
 	const (
 		near, far = 20_000, 20_000
@@ -69,15 +84,26 @@ func TestCalendarHoldRebuilds(t *testing.T) {
 			}
 			s.AfterIndexed(rng.ExpMean(mean), kind, arg)
 		}
+		rebuilds, checked := 0, 0
+		checkRebuilt := func() {
+			if n := q.grows + q.shrinks + q.widthRebuilds; n != rebuilds {
+				rebuilds = n
+				checked++
+				checkTiers(t, q)
+			}
+		}
 		for i := 0; i < near; i++ {
 			rearm(0, 0)
+			checkRebuilt()
 		}
 		for i := 0; i < far; i++ {
 			rearm(1, 0)
+			checkRebuilt()
 		}
 		s.SetDispatcher(rearm)
 		for i := 0; i < steps; i++ {
 			s.ProcessNext()
+			checkRebuilt()
 		}
 		hold, rethreaded := q.widthRebuilds, q.rethreaded
 		if hold > maxWidth {
@@ -89,6 +115,10 @@ func TestCalendarHoldRebuilds(t *testing.T) {
 		}
 		s.SetDispatcher(func(int32, int32) {})
 		for s.ProcessNext() {
+			checkRebuilt()
+		}
+		if checked < swing {
+			t.Errorf("seed %d: checked the tiers after %d rebuilding ops, want at least the %d grows", seed, checked, swing)
 		}
 		if q.shrinks != swing || len(q.buckets) != calMinBuckets {
 			t.Errorf("seed %d: the drain shrank %d times to %d buckets, want %d times to %d",
@@ -148,9 +178,9 @@ func TestCalendarFarTier(t *testing.T) {
 					seed, step, q.farBound, q.farBound-q.vcur, nb/2, nb)
 			}
 			for e := q.buckets[int(q.vcur&q.mask)]; e != nil; e = e.next {
-				if e.vb < q.vcur || e.vb >= q.farBound {
+				if vb := q.vbOf(e.time); vb < q.vcur || vb >= q.farBound {
 					t.Fatalf("seed %d, pop %d: the scan slot's chain holds vb %d, outside [%d, %d)",
-						seed, step, e.vb, q.vcur, q.farBound)
+						seed, step, vb, q.vcur, q.farBound)
 				}
 			}
 			if step%walkEvery == 0 {

@@ -17,9 +17,13 @@
 // Event records are pooled: a fired or cancelled event is chained onto a
 // per-scheduler free list through its own next field and reused by the
 // next scheduling call, so retiring one allocates nothing and a long run
-// allocates a bounded number of records. Cancellation removes the event
-// from the queue at once, not leaving a tombstone to be skipped at pop
-// time: pending-event memory is proportional to live events only.
+// allocates a bounded number of records. A record is 40 bytes, carved
+// from slabs of 409 that fill the allocator's 16 KiB size class, so a
+// pending event costs about 40 bytes. Its kind rides in the low byte of
+// its sequence word, so an event's kind is in [0, 256). Cancellation
+// removes the event from the queue at once, not leaving a tombstone to be
+// skipped at pop time: pending-event memory is proportional to live
+// events only.
 //
 // Beside the queue a scheduler holds a run: indexed events booked together
 // in one batch (BatchIndexed + CommitBatch), never cancelled, sorted once
@@ -57,34 +61,41 @@ type Handle struct {
 	seq uint64
 }
 
-// event is the pooled queue record behind a Handle. It is 64 bytes
-// (pinned by TestEventLayout), one word of it padding: a slab of
-// eventSlabSize records is a whole number of cache lines and, laid out
-// from a line boundary (eventSlab), puts every record on one line, so a
-// chain walk or a pop touches one line per record.
+// event is the pooled queue record behind a Handle. It is 40 bytes
+// (pinned by TestEventLayout), laid out as time, seq, next, index, arg,
+// owner: a chain hop reads the first 24 bytes and a pop the first 32, so
+// with records at a 40-byte stride from a slab's 8-byte allocation header
+// a hop crosses a cache line in 2 of every 8 records and a pop in 3.
 type event struct {
 	time float64
-	seq  uint64
-	_    uint64 // pads the record to one 64-byte line
-	// index is the event's position inside its queue backend — heap slot
-	// for the heap; for the calendar queue 0 while in a bucket chain and
-	// slot + 1 while in its far tier — and -1 once fired or cancelled
-	// (Handle.Active keys off the sign).
-	index int
-	// vb is the calendar queue's virtual bucket number (floor(time/width)
-	// under the queue's current width) while the event is in a bucket
-	// chain; unused by the heap and by the calendar's far tier.
-	vb int64
+	// seq is the event's sequence number shifted left by kindBits, its
+	// kind in the low byte. Sequence numbers are distinct, so the packed
+	// words order as the numbers do: every (time, seq) comparison, and
+	// Handle's incarnation check, reads the word whole.
+	seq uint64
 	// next links a live event into its calendar bucket chain (calQueue's
 	// buckets are intrusive singly-linked lists: a push touches only the
 	// bucket head and this record) and a dead one into the free list. A
 	// live record outside a chain holds nil; the heap never reads it.
-	next  *event
+	next *event
+	// index is the event's position inside its queue backend — heap slot
+	// for the heap; for the calendar queue its bucket slot while in a
+	// chain and farTag | its far slot while in the far tier — and -1 once
+	// fired or cancelled (Handle.Active keys off the sign).
+	index int32
+	// arg is the dispatcher's second argument, handed over verbatim.
+	arg   int32
 	owner *Scheduler
-	// kind and arg identify the event: the dispatcher receives them
-	// verbatim.
-	kind, arg int32
 }
+
+// kindBits is the width of the kind packed under an event's sequence
+// number: AtIndexed and BatchIndexed take kinds in [0, 1<<kindBits).
+const kindBits = 8
+
+// kind returns the event's kind, the dispatcher's first argument.
+//
+//churnlb:hotpath
+func (e *event) kind() int32 { return int32(e.seq & (1<<kindBits - 1)) }
 
 // Cancel prevents the event from firing and removes it from the queue
 // immediately. Cancelling a zero, fired or already-cancelled handle is a
@@ -101,20 +112,20 @@ func (h Handle) Active() bool {
 }
 
 // eventSlabSize is the number of event records newEvent carves from one
-// backing array before allocating the next slab.
-const eventSlabSize = 256
+// backing array before allocating the next slab. The Go allocator (1.22
+// on) puts an 8-byte type header in front of a pointer-holding object of
+// this size, so 409 records of 40 bytes plus the header take 16 368 bytes
+// of the 16 KiB size class, a record costing 40.06 bytes; TestEventLayout
+// holds the slab within one record of its class.
+const eventSlabSize = 409
 
-// eventSlab is one slab's allocation. The Go allocator (1.22 on) puts an
-// 8-byte type header in front of a pointer-holding object of this size and
-// hands out the object itself on a 64-byte boundary, so unpadded records
-// would start 8 bytes into a line and every one would straddle two. The
-// pad moves records[0] onto the next line boundary at no cost in memory:
-// with or without it the slab takes the allocator's 18 KiB size class.
-// TestEventLayout checks the alignment.
-type eventSlab struct {
-	_       [56]byte
-	records [eventSlabSize]event
-}
+// eventSlab is one slab's allocation.
+type eventSlab [eventSlabSize]event
+
+// maxEvents caps the records a scheduler holds: the calendar keeps a
+// record's bucket slot or far slot below farTag in its int32 index, and
+// the heap its position below 2³¹. newEvent panics before the cap.
+const maxEvents = farTag
 
 // Scheduler owns the simulation clock and the pending-event queue.
 type Scheduler struct {
@@ -126,7 +137,7 @@ type Scheduler struct {
 	// slabs lists every record slab in allocation order. newEvent carves
 	// them front to back: slab is the unissued tail of the one in hand,
 	// slabs[nextSlab:] are untouched since the last Reset.
-	slabs    [][]event
+	slabs    []*eventSlab
 	nextSlab int
 	slab     []event
 	// disp fires every event: one dispatch function per scheduler, so a
@@ -171,11 +182,11 @@ func (s *Scheduler) Len() int { return s.q.Len() + s.runLen() }
 // first event fires.
 func (s *Scheduler) SetDispatcher(fn func(kind, arg int32)) { s.disp = fn }
 
-// schedule books a pooled record at absolute time t, which must not
-// precede the clock. The caller fills (kind, arg).
+// schedule books a pooled record for (kind, arg) at absolute time t,
+// which must not precede the clock; kind is in [0, 1<<kindBits).
 //
 //churnlb:hotpath
-func (s *Scheduler) schedule(t float64) *event {
+func (s *Scheduler) schedule(t float64, kind, arg int32) *event {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling into the past: %v < %v", t, s.now))
 	}
@@ -186,17 +197,27 @@ func (s *Scheduler) schedule(t float64) *event {
 	} else {
 		e = s.newEvent()
 	}
-	e.time, e.seq = t, s.seq
+	e.time, e.seq, e.arg = t, s.seq<<kindBits|uint64(kind), arg
 	return e
 }
 
+// checkKind panics unless kind fits the kindBits an event packs it into.
+//
+//churnlb:hotpath
+func checkKind(kind int32) {
+	if uint32(kind) >= 1<<kindBits {
+		panic(fmt.Sprintf("des: event kind %d outside [0, %d)", kind, 1<<kindBits))
+	}
+}
+
 // AtIndexed schedules an event at absolute time t, which must not precede
-// the clock: it fires as dispatcher(kind, arg).
+// the clock: it fires as dispatcher(kind, arg). kind must be in [0, 256):
+// it rides in the low byte of the record's sequence word.
 //
 //churnlb:hotpath
 func (s *Scheduler) AtIndexed(t float64, kind, arg int32) Handle {
-	e := s.schedule(t)
-	e.kind, e.arg = kind, arg
+	checkKind(kind)
+	e := s.schedule(t, kind, arg)
 	s.q.Push(e)
 	return Handle{e: e, seq: e.seq}
 }
@@ -286,7 +307,7 @@ func (s *Scheduler) ProcessNext() bool {
 	}
 	s.now = e.time
 	s.fired++
-	kind, arg := e.kind, e.arg
+	kind, arg := e.kind(), e.arg
 	s.recycle(e)
 	s.disp(kind, arg)
 	return true
@@ -334,9 +355,12 @@ func (s *Scheduler) remove(e *event) {
 func (s *Scheduler) newEvent() *event {
 	if len(s.slab) == 0 {
 		if s.nextSlab == len(s.slabs) {
-			s.slabs = append(s.slabs, new(eventSlab).records[:])
+			if len(s.slabs) >= maxEvents/eventSlabSize {
+				panic(fmt.Sprintf("des: a scheduler holds at most %d events", maxEvents))
+			}
+			s.slabs = append(s.slabs, new(eventSlab))
 		}
-		s.slab = s.slabs[s.nextSlab]
+		s.slab = s.slabs[s.nextSlab][:]
 		s.nextSlab++
 	}
 	e := &s.slab[0]

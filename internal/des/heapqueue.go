@@ -28,9 +28,10 @@ func (q *heapQueue) drain() {
 
 //churnlb:hotpath
 func (q *heapQueue) Push(e *event) {
-	e.index = len(q.events)
+	i := len(q.events)
+	e.index = int32(i)
 	q.events = append(q.events, e)
-	q.up(e.index)
+	q.up(i)
 }
 
 //churnlb:hotpath
@@ -52,7 +53,7 @@ func (q *heapQueue) PopMin() *event {
 
 //churnlb:hotpath
 func (q *heapQueue) Remove(e *event) {
-	i := e.index
+	i := int(e.index)
 	last := len(q.events) - 1
 	if i != last {
 		q.swap(i, last)
@@ -72,8 +73,8 @@ func (q *heapQueue) less(i, j int) bool { return eventLess(q.events[i], q.events
 //churnlb:hotpath
 func (q *heapQueue) swap(i, j int) {
 	q.events[i], q.events[j] = q.events[j], q.events[i]
-	q.events[i].index = i
-	q.events[j].index = j
+	q.events[i].index = int32(i)
+	q.events[j].index = int32(j)
 }
 
 //churnlb:hotpath

@@ -15,8 +15,8 @@ import "fmt"
 // backends live in this package; external callers pick one through
 // QueueKind and NewWithQueue.
 type EventQueue interface {
-	// Push inserts a live event. The backend owns e.index (and, for
-	// bucket-based backends, e.vb) until the event is popped or removed.
+	// Push inserts a live event. The backend owns e.index until the event
+	// is popped or removed.
 	Push(e *event)
 	// PopMin removes and returns the minimum event by (time, seq), or nil
 	// when the queue is empty. The returned event has index -1.

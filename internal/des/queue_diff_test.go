@@ -772,11 +772,12 @@ type unlinkPaths struct {
 }
 
 // checkTiers fails t unless q's two tiers hold exactly its Len records
-// and keep the calendar's invariant: every chained record sits in its
-// slot with a virtual bucket in [vcur, farBound) and index 0, farBound is
-// at most a year past vcur, and every far entry carries its record's
+// and keep the calendar's invariant: every chained record's virtual
+// bucket, from its time under the current width, is in [vcur, farBound)
+// and on the slot it sits in, and its index holds that slot; farBound is
+// at most a year past vcur; and every far entry carries its record's
 // time, lies at or beyond farBound by that time, and its record's index
-// is its slot + 1.
+// is farTag | its slot.
 func checkTiers(t *testing.T, q *calQueue) {
 	t.Helper()
 	if nb := int64(len(q.buckets)); q.farBound > q.vcur+nb {
@@ -788,9 +789,9 @@ func checkTiers(t *testing.T, q *calQueue) {
 			if linked++; linked > q.count {
 				t.Fatalf("the chains hold more than the queue's %d records: a record left linked, or a cycle", q.count)
 			}
-			if e.vb < q.vcur || e.vb >= q.farBound || int(e.vb&q.mask) != b || e.index != 0 {
-				t.Fatalf("a chained record in slot %d has vb %d and index %d, want vb in [%d, %d) on that slot and index 0",
-					b, e.vb, e.index, q.vcur, q.farBound)
+			if vb := q.vbOf(e.time); vb < q.vcur || vb >= q.farBound || int(vb&q.mask) != b || e.index != int32(b) {
+				t.Fatalf("a chained record in slot %d has vb %d and index %d, want vb in [%d, %d) on that slot and the slot as index",
+					b, vb, e.index, q.vcur, q.farBound)
 			}
 		}
 	}
@@ -799,8 +800,8 @@ func checkTiers(t *testing.T, q *calQueue) {
 	}
 	for i := 0; i < q.far.n; i++ {
 		f := q.far.at(i)
-		if f.e.index != i+1 {
-			t.Fatalf("far entry %d has a record whose index is %d, want %d", i, f.e.index, i+1)
+		if f.e.index != farTag|int32(i) {
+			t.Fatalf("far entry %d has a record whose index is %#x, want %#x", i, f.e.index, farTag|i)
 		}
 		if f.time != f.e.time {
 			t.Fatalf("far entry %d holds time %v, its record %v", i, f.time, f.e.time)
@@ -828,11 +829,15 @@ func (p *unlinkPaths) watch(t *testing.T, r *progRun) func(qop) {
 				return
 			}
 			e := h.e
-			switch head := q.buckets[int(e.vb&q.mask)]; {
-			case e.index > 0 && e.index == q.far.n:
-				p.farLast++
-			case e.index > 0:
-				p.farInner++
+			if e.index >= farTag {
+				if int(e.index&^farTag) == q.far.n-1 {
+					p.farLast++
+				} else {
+					p.farInner++
+				}
+				return
+			}
+			switch head := q.buckets[e.index]; {
 			case q.min == e:
 				p.cachedMin++
 			case q.min != nil && q.minPrev == e:

@@ -45,11 +45,13 @@ type runEvent struct {
 }
 
 // runFirst reports whether run event r precedes queue event e in the
-// scheduler's (time, seq) order; a nil e (empty queue) never precedes.
+// scheduler's (time, seq) order; a nil e (empty queue) never precedes. r's
+// sequence number is shifted as a record packs it; sequence numbers are
+// distinct, so e's kind byte never decides.
 //
 //churnlb:hotpath
 func (s *Scheduler) runFirst(r *runEvent, e *event) bool {
-	return e == nil || r.time < e.time || (r.time == e.time && s.runBase+uint64(r.seq) < e.seq)
+	return e == nil || r.time < e.time || (r.time == e.time && (s.runBase+uint64(r.seq))<<kindBits < e.seq)
 }
 
 // BatchIndexed books an indexed event at absolute time t, which must not
@@ -57,9 +59,10 @@ func (s *Scheduler) runFirst(r *runEvent, e *event) bool {
 // arg), in the (time, seq) order AtIndexed would have given it, but it
 // returns no Handle — it cannot be cancelled — and it is not pending until
 // CommitBatch. The caller must commit before the scheduler fires, peeks
-// or counts again; Reset discards an uncommitted batch. Every event of a
-// batch has the kind of its first, and a batch spans fewer than 2³²
-// sequence numbers: either broken panics.
+// or counts again; Reset discards an uncommitted batch. A batch's kind is
+// in [0, 256), as AtIndexed's, every event of a batch has the kind of its
+// first, and a batch spans fewer than 2³² sequence numbers: any of them
+// broken panics.
 //
 //churnlb:hotpath
 func (s *Scheduler) BatchIndexed(t float64, kind, arg int32) {
@@ -67,6 +70,7 @@ func (s *Scheduler) BatchIndexed(t float64, kind, arg int32) {
 		panic(fmt.Sprintf("des: scheduling into the past: %v < %v", t, s.now))
 	}
 	if len(s.batch) == 0 {
+		checkKind(kind)
 		s.batchBase, s.batchKind = s.seq, kind
 	} else if kind != s.batchKind {
 		panic(fmt.Sprintf("des: kind %d booked into a batch of kind %d", kind, s.batchKind))
@@ -127,9 +131,8 @@ func (s *Scheduler) CommitBatch() {
 		for i := range b {
 			// The record keeps the seq its event was booked with; the one
 			// schedule draws is skipped, and skipping changes no order.
-			e := s.schedule(b[i].time)
-			e.seq = s.batchBase + uint64(b[i].seq)
-			e.kind, e.arg = s.batchKind, b[i].arg
+			e := s.schedule(b[i].time, s.batchKind, b[i].arg)
+			e.seq = (s.batchBase+uint64(b[i].seq))<<kindBits | uint64(s.batchKind)
 			s.q.Push(e)
 		}
 		s.batch = b[:0]

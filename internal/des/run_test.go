@@ -105,3 +105,50 @@ func TestBatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestKindRange: an event's kind rides in the low byte of its record's
+// sequence word, so AtIndexed and BatchIndexed panic on a kind outside
+// [0, 256) instead of firing it as another kind, and the kinds at both
+// ends of the range fire as booked, in seq order on a tie — from the
+// queue, from the run and from a batch committed behind a pending run.
+func TestKindRange(t *testing.T) {
+	for _, kind := range []int32{-1, 256, math.MaxInt32, math.MinInt32} {
+		for _, tc := range []struct {
+			name string
+			book func(s *Scheduler)
+		}{
+			{"AtIndexed", func(s *Scheduler) { s.AtIndexed(1, kind, 0) }},
+			{"BatchIndexed", func(s *Scheduler) { s.BatchIndexed(1, kind, 0) }},
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "outside [0, 256)") {
+						t.Errorf("%s of kind %d panicked with %q, want a panic naming the range", tc.name, kind, msg)
+					}
+				}()
+				tc.book(NewWithQueue(QueueHeap))
+			}()
+		}
+	}
+	for _, q := range QueueKinds() {
+		s := NewWithQueue(q)
+		type fired struct{ kind, arg int32 }
+		var got []fired
+		s.SetDispatcher(func(kind, arg int32) { got = append(got, fired{kind, arg}) })
+		s.AtIndexed(1, 255, 0)
+		s.BatchIndexed(1, 0, 1)
+		s.CommitBatch() // the run
+		s.AtIndexed(1, 0, 2)
+		s.BatchIndexed(1, 255, 3)
+		s.CommitBatch() // behind the pending run: onto the queue
+		h := s.AtIndexed(1, 255, 4)
+		s.AtIndexed(1, 0, 5)
+		h.Cancel()
+		for s.ProcessNext() {
+		}
+		want := []fired{{255, 0}, {0, 1}, {0, 2}, {255, 3}, {0, 5}}
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: fired (kind, arg) %v, want %v", q, got, want)
+		}
+	}
+}

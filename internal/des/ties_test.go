@@ -111,8 +111,8 @@ func (p *tiePaths) watchTies(t *testing.T, r *progRun) func(qop) {
 		checkTiers(t, q)
 		if q.sortedVB >= 0 {
 			for e := q.buckets[int(q.sortedVB&q.mask)]; e != nil; e = e.next {
-				if e.vb != q.sortedVB || e.next != nil && !eventLess(e, e.next) {
-					t.Fatalf("the sorted slot of vb %d holds a record of vb %d out of (time, seq) order", q.sortedVB, e.vb)
+				if vb := q.vbOf(e.time); vb != q.sortedVB || e.next != nil && !eventLess(e, e.next) {
+					t.Fatalf("the sorted slot of vb %d holds a record of vb %d out of (time, seq) order", q.sortedVB, vb)
 				}
 			}
 		}
@@ -122,7 +122,7 @@ func (p *tiePaths) watchTies(t *testing.T, r *progRun) func(qop) {
 				p.pushInto++
 			}
 		case 1, 6:
-			if h := r.target(o); h.Active() && h.e.index == 0 && h.e.vb == q.sortedVB {
+			if h := r.target(o); h.Active() && h.e.index < farTag && q.vbOf(h.e.time) == q.sortedVB {
 				p.cancelFrom++
 			}
 		case 2:

@@ -59,8 +59,9 @@ func initialTransfers(opt Options) int {
 // event, the sort's scratch (more than 2¹⁶ events, the episode sorts as
 // two sub-runs, so 8 B) and an 8-byte flight row per transfer, and the
 // batch and the flight table are reserved to exactly the episode by a
-// counting pass; the measured 92.6 B per transfer (100.6 with a scratch
-// of the whole batch), with the per-node state, sits well under the
+// counting pass; the measured 79.6 B per transfer (92.6 with 64-byte
+// event records, 100.6 with those and a scratch of the whole batch), with
+// the per-node state, sits well under the
 // bound, which an episode that grows its batch by append (about 260 B
 // per transfer with 24-byte run events, on half this cluster) breaks.
 func TestColdStartBytesPerTransfer(t *testing.T) {
@@ -92,12 +93,13 @@ func TestColdStartBytesPerTransfer(t *testing.T) {
 // arena holds only the batch's 16-byte run events, the sort's scratch —
 // the episode sorts as two sub-runs over a scratch of one, 8 B a transfer
 // — and the 8-byte flight row, 32 B per transfer; the per-node state (the
-// hot array, the scheduler's records and calendar) brings the reading to
-// 82.4 B. A scratch of the whole batch read 90.4, which the bound,
-// midway, fails (as did 117.0, on half this cluster, for an arena that
-// also kept the episode's 24-byte transfer list).
+// hot array, the scheduler's 40-byte records and calendar) brings the
+// reading to 69.5 B. 64-byte records in 18 KiB slabs read 82.4, which the
+// bound, midway, fails, as does a scratch of the whole batch (90.4 with
+// those records) and an arena that also kept the episode's 24-byte
+// transfer list (117.0, on half this cluster).
 func TestIdleArenaBytesPerTransfer(t *testing.T) {
-	const bound = 86
+	const bound = 76
 	opt := hotspotOptions(20_000, 5, 1_000_000, 200, 30, 1)
 	transfers := initialTransfers(opt)
 	liveHeap := func() uint64 {

@@ -47,12 +47,13 @@ func probeParams(n int) (model.Params, []int) {
 // another — at N = 10³/10⁴/10⁵, with eager churn timers and with lazy
 // ones, each on the event queue its node count selects (the calendar at
 // every size here). Run with -v, it prints the B/node rows that CHANGES.md
-// records (beside "rows now 347/352/361"), and it holds every row to the
-// budget below; TestMillionNodeSmoke does the same at N = 10⁶.
+// records, and it holds every row to the budget below;
+// TestMillionNodeSmoke does the same at N = 10⁶.
 func TestMemProbe(t *testing.T) {
-	// budget is the B/node ceiling of every row: the rows measure 347–407
-	// (CHANGES.md), and the ceiling leaves a sixth or more for GC timing.
-	const budget = 480
+	// budget is the B/node ceiling of every row: the rows measure 251–264
+	// with 40-byte event records (316–329 with 64-byte ones, CHANGES.md),
+	// and the ceiling leaves a sixth or more for GC timing.
+	const budget = 310
 	for _, tc := range []struct {
 		name string
 		lazy bool
